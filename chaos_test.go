@@ -1,8 +1,8 @@
 package disqo
 
 // Chaos suite for the fault-injection layer (internal/faultinject): for
-// each of the six golden plan shapes (Fig. 2a–d, Fig. 3a–b) at worker
-// counts {1, 4}, a recording pass enumerates every reachable injection
+// each of the golden plan shapes (Fig. 2a–d, Fig. 3a–b, tagged Eqv. 5)
+// at worker counts {1, 4}, a recording pass enumerates every reachable injection
 // point — operator entries, morsel boundaries, memo fills — and then
 // each point is armed in turn, first as an error and again as a panic.
 // Every armed run must surface a *QueryError whose chain resolves the
@@ -95,10 +95,13 @@ func rowsFingerprint(res *Result) string {
 	return b.String()
 }
 
-// chaosPlans are the six golden shapes: Fig. 2(a) canonical Q1,
+// chaosPlans are the golden shapes: Fig. 2(a) canonical Q1,
 // Fig. 2(b) conjunctive+bypass Q1 (S2's OR-expansion regime),
 // Fig. 2(c) fully unnested Q1, Fig. 2(d) the same plan under the
-// flipped-rank data, Fig. 3(a) canonical Q2, Fig. 3(b) unnested Q2.
+// flipped-rank data, Fig. 3(a) canonical Q2, Fig. 3(b) unnested Q2, and
+// Q2 with a non-decomposable aggregate, whose tagged Eqv. 5 plan puts
+// the tagged Γ²'s sites (operator entry, the hash build over the
+// untagged tuples, the probe morsels) into the sweep.
 var chaosPlans = []struct {
 	name     string
 	sql      string
@@ -111,6 +114,7 @@ var chaosPlans = []struct {
 	{"fig2d-q1-unnested-flipped", chaosQ1, Unnested, true},
 	{"fig3a-q2-canonical", chaosQ2, Canonical, false},
 	{"fig3b-q2-unnested", chaosQ2, Unnested, false},
+	{"eqv5-q2-distinct-unnested", chaosQ2Distinct, Unnested, false},
 }
 
 const (
@@ -119,6 +123,8 @@ const (
 	              OR a4 > 1500`
 	chaosQ2 = `SELECT DISTINCT * FROM r
 	           WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500)`
+	chaosQ2Distinct = `SELECT DISTINCT * FROM r
+	           WHERE a1 = (SELECT COUNT(DISTINCT b3) FROM s WHERE a2 = b2 OR b4 > 1500)`
 )
 
 // sortedKeys orders an injection-point map for deterministic sweeps.
@@ -271,8 +277,10 @@ func assertInjectedFault(t *testing.T, db *DB, sql string, opts func(...Option) 
 // TestChaosParallelFanout covers injection under genuine morsel
 // parallelism: 3000-row relations exceed the fan-out threshold, so at 4
 // workers the morsel-boundary faults strike inside concurrently running
-// worker goroutines. Error mode only — the small-plan sweep already
-// covers panic recovery at every site.
+// worker goroutines — in Q1's bypass plan and in the tagged Eqv. 5
+// plan, whose Γ² probes its outer tuples in parallel over one shared
+// base fold. Error mode only — the small-plan sweep already covers
+// panic recovery at every site.
 func TestChaosParallelFanout(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	db, _ := Open()
@@ -282,37 +290,39 @@ func TestChaosParallelFanout(t *testing.T) {
 	opts := func(extra ...Option) []Option {
 		return append([]Option{WithStrategy(Unnested), WithWorkers(4)}, extra...)
 	}
-	baseRes, err := db.Query(chaosQ1, opts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := rowsFingerprint(baseRes)
-
-	rec := faultinject.New()
-	recRes, err := db.Query(chaosQ1, opts(withFaultInjector(rec))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rowsFingerprint(recRes); got != baseline {
-		t.Fatal("recording injector changed the parallel result")
-	}
-	visits := rec.Visits()
-	sawMorsel := false
-	for _, key := range sortedKeys(visits) {
-		if key.Site == faultinject.SiteMorsel {
-			sawMorsel = true
+	for _, sql := range []string{chaosQ1, chaosQ2Distinct} {
+		baseRes, err := db.Query(sql, opts()...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		assertInjectedFault(t, db, chaosQ1, opts, key, 1, false)
-	}
-	if !sawMorsel {
-		t.Fatal("parallel plan recorded no morsel-boundary injection points")
-	}
-	afterRes, err := db.Query(chaosQ1, opts()...)
-	if err != nil {
-		t.Fatalf("query after parallel chaos failed: %v", err)
-	}
-	if got := rowsFingerprint(afterRes); got != baseline {
-		t.Fatal("parallel result drifted after chaos sweep")
+		baseline := rowsFingerprint(baseRes)
+
+		rec := faultinject.New()
+		recRes, err := db.Query(sql, opts(withFaultInjector(rec))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowsFingerprint(recRes); got != baseline {
+			t.Fatal("recording injector changed the parallel result")
+		}
+		visits := rec.Visits()
+		sawMorsel := false
+		for _, key := range sortedKeys(visits) {
+			if key.Site == faultinject.SiteMorsel {
+				sawMorsel = true
+			}
+			assertInjectedFault(t, db, sql, opts, key, 1, false)
+		}
+		if !sawMorsel {
+			t.Fatal("parallel plan recorded no morsel-boundary injection points")
+		}
+		afterRes, err := db.Query(sql, opts()...)
+		if err != nil {
+			t.Fatalf("query after parallel chaos failed: %v", err)
+		}
+		if got := rowsFingerprint(afterRes); got != baseline {
+			t.Fatal("parallel result drifted after chaos sweep")
+		}
 	}
 }
 

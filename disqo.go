@@ -514,6 +514,13 @@ func (db *DB) CreateTable(name string, cols []Column) error {
 		return err
 	}
 	defer db.end()
+	return db.createTable(name, cols)
+}
+
+// createTable is CreateTable once admitted (begin has succeeded); log
+// replay, which is admitted as a whole, enters the write path here. The
+// same split serves DropTable, Insert, Exec and the loaders.
+func (db *DB) createTable(name string, cols []Column) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	if err := db.writeGuard(); err != nil {
@@ -545,6 +552,10 @@ func (db *DB) DropTable(name string) error {
 		return err
 	}
 	defer db.end()
+	return db.dropTable(name)
+}
+
+func (db *DB) dropTable(name string) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	if err := db.writeGuard(); err != nil {
@@ -583,6 +594,10 @@ func (db *DB) Insert(table string, rows ...[]Value) error {
 		return err
 	}
 	defer db.end()
+	return db.insert(table, rows)
+}
+
+func (db *DB) insert(table string, rows [][]Value) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	if err := db.writeGuard(); err != nil {
@@ -611,6 +626,10 @@ func (db *DB) RowCount(table string) (int, error) {
 // LoadRST generates the paper's synthetic R, S, T tables at the given
 // scale factors (SF 1 = 10,000 rows).
 func (db *DB) LoadRST(sfR, sfS, sfT float64) error {
+	if err := db.begin(); err != nil {
+		return err
+	}
+	defer db.end()
 	return db.loadRST(datagen.RSTConfig{SFR: sfR, SFS: sfS, SFT: sfT})
 }
 
@@ -618,10 +637,6 @@ func (db *DB) LoadRST(sfR, sfS, sfT float64) error {
 // and deterministic, so a durable DB logs just the config — replaying
 // it rebuilds the identical rows.
 func (db *DB) loadRST(cfg datagen.RSTConfig) error {
-	if err := db.begin(); err != nil {
-		return err
-	}
-	defer db.end()
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	if err := db.writeGuard(); err != nil {
@@ -650,16 +665,16 @@ func (db *DB) LoadTPCH(sf float64, tables ...string) error {
 	} else if len(tables) > 0 {
 		cfg.Tables = tables
 	}
+	if err := db.begin(); err != nil {
+		return err
+	}
+	defer db.end()
 	return db.loadTPCH(cfg)
 }
 
 // loadTPCH is LoadTPCH's locked body; see loadRST for why only the
 // config is logged.
 func (db *DB) loadTPCH(cfg datagen.TPCHConfig) error {
-	if err := db.begin(); err != nil {
-		return err
-	}
-	defer db.end()
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	if err := db.writeGuard(); err != nil {
@@ -1010,6 +1025,10 @@ func (db *DB) Exec(sql string) (int, error) {
 		return 0, err
 	}
 	defer db.end()
+	return db.exec(sql)
+}
+
+func (db *DB) exec(sql string) (int, error) {
 	stmt, err := sqlparser.ParseStatement(sql)
 	if err != nil {
 		return 0, err

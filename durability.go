@@ -502,7 +502,11 @@ func (db *DB) openDurable(o OpenOptions) error {
 // (with logging suppressed), verifying the catalog pre-image version
 // first: if replay has diverged from what the log says it applied
 // against, recovery fails closed rather than building a different
-// database.
+// database. The caller is already admitted — recovery runs inside Open,
+// ReplicaApplyRecord holds a begin — so replay enters the write path
+// below the public methods' own begin: a Close that lands mid-record
+// drains it instead of refusing half of an admitted operation, and
+// ErrClosed can never be reported as log damage.
 func (db *DB) applyRecord(rec wal.Record) error {
 	if v := db.cat.Version(); v != rec.AppliedVersion {
 		return &RecoveryError{
@@ -514,11 +518,12 @@ func (db *DB) applyRecord(rec wal.Record) error {
 		return &RecoveryError{
 			LSN:    rec.LSN,
 			Reason: fmt.Sprintf("replaying %s record: %v", rec.Kind, err),
+			Cause:  err,
 		}
 	}
 	switch rec.Kind {
 	case wal.KindSQL:
-		if _, err := db.Exec(string(rec.Body)); err != nil {
+		if _, err := db.exec(string(rec.Body)); err != nil {
 			return fail(err)
 		}
 	case wal.KindInsert:
@@ -526,7 +531,7 @@ func (db *DB) applyRecord(rec wal.Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		if err := db.Insert(table, rows...); err != nil {
+		if err := db.insert(table, rows); err != nil {
 			return fail(err)
 		}
 	case wal.KindCreateTable:
@@ -534,11 +539,11 @@ func (db *DB) applyRecord(rec wal.Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		if err := db.CreateTable(name, cols); err != nil {
+		if err := db.createTable(name, cols); err != nil {
 			return fail(err)
 		}
 	case wal.KindDropTable:
-		if err := db.DropTable(string(rec.Body)); err != nil {
+		if err := db.dropTable(string(rec.Body)); err != nil {
 			return fail(err)
 		}
 	case wal.KindLoadRST:

@@ -162,19 +162,34 @@ type Acc struct {
 	isInt bool
 	first bool
 	best  types.Value // MIN/MAX running value
-	seen  map[uint64][][]types.Value
+	// seen is the DISTINCT set, allocated on first insertion.
+	seen map[uint64][][]types.Value
 	// order logs DISTINCT insertions in arrival order so Merge can
 	// replay them deterministically (float sums are order-sensitive).
 	order [][]types.Value
+	// base, when set, is the accumulator this one overlays (Overlay): its
+	// DISTINCT set is consulted read-only before this one's own.
+	base *Acc
 }
 
 // NewAcc returns a fresh accumulator for the spec.
 func NewAcc(spec Spec) *Acc {
-	a := &Acc{spec: spec, isInt: true, first: true}
-	if spec.Distinct {
-		a.seen = make(map[uint64][][]types.Value)
-	}
-	return a
+	return &Acc{spec: spec, isInt: true, first: true}
+}
+
+// Overlay returns an accumulator that continues base's fold without
+// copying or modifying it: counters start from base's, and DISTINCT
+// arguments base has already seen are duplicates here too, so the result
+// equals a fresh accumulator fed base's inputs and then the overlay's.
+// Any number of overlays may share one base, also concurrently, as long
+// as nothing is added to the base afterwards; base must not itself be an
+// overlay. That is what lets Eqv. 5 fold the tuples common to every
+// group once. An overlay's Merge log holds only its own insertions, so it
+// can be merged into but never from.
+func Overlay(base *Acc) *Acc {
+	a := *base
+	a.seen, a.order, a.base = nil, nil, base
+	return &a
 }
 
 // Add feeds one argument tuple. Per SQL, NULL arguments are skipped for
@@ -230,12 +245,22 @@ func (a *Acc) Add(args []types.Value) {
 
 func (a *Acc) dup(args []types.Value) bool {
 	h := types.HashTuple(args)
+	if a.base != nil {
+		for _, prev := range a.base.seen[h] {
+			if types.TuplesIdentical(prev, args) {
+				return true
+			}
+		}
+	}
 	for _, prev := range a.seen[h] {
 		if types.TuplesIdentical(prev, args) {
 			return true
 		}
 	}
 	key := append([]types.Value(nil), args...)
+	if a.seen == nil {
+		a.seen = make(map[uint64][][]types.Value)
+	}
 	a.seen[h] = append(a.seen[h], key)
 	a.order = append(a.order, key)
 	return false

@@ -225,3 +225,65 @@ func TestDecompositionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOverlayEqualsFreshFold: for every spec, overlays of one base give
+// what a fresh accumulator folded over base‖own gives — with duplicates
+// straddling base and own, NULL arguments, int→float promotion on either
+// side, an empty base, and several overlays sharing the base, which must
+// come through untouched.
+func TestOverlayEqualsFreshFold(t *testing.T) {
+	var specs []Spec
+	for _, k := range []Kind{Count, Sum, Avg, Min, Max} {
+		for _, d := range []bool{false, true} {
+			specs = append(specs, Spec{Kind: k, Distinct: d})
+		}
+	}
+	specs = append(specs, Spec{Kind: Count, Star: true}, Spec{Kind: Count, Star: true, Distinct: true})
+
+	rng := rand.New(rand.NewSource(7))
+	draw := func(spec Spec, n int) [][]types.Value {
+		out := make([][]types.Value, n)
+		for i := range out {
+			v := func() types.Value {
+				switch r := rng.Intn(8); {
+				case r == 0:
+					return types.Null()
+				case r == 1:
+					return types.NewFloat(float64(rng.Intn(4)) + 0.5)
+				default:
+					return types.NewInt(int64(rng.Intn(4)))
+				}
+			}
+			if spec.Star {
+				out[i] = []types.Value{v(), v()} // all-NULL rows still count
+			} else {
+				out[i] = []types.Value{v()}
+			}
+		}
+		return out
+	}
+	fold := func(a *Acc, rows [][]types.Value) *Acc {
+		for _, r := range rows {
+			a.Add(r)
+		}
+		return a
+	}
+	for _, spec := range specs {
+		for _, nBase := range []int{0, 1, 12} {
+			baseRows := draw(spec, nBase)
+			base := fold(NewAcc(spec), baseRows)
+			before := base.Result()
+			for trial := 0; trial < 20; trial++ {
+				own := draw(spec, rng.Intn(10))
+				got := fold(Overlay(base), own).Result()
+				want := fold(fold(NewAcc(spec), baseRows), own).Result()
+				if !types.Identical(got, want) {
+					t.Fatalf("%s: overlay of %v with %v = %v, fresh fold = %v", spec, baseRows, own, got, want)
+				}
+			}
+			if after := base.Result(); !types.Identical(before, after) || len(base.order) > nBase {
+				t.Fatalf("%s: overlays changed their base: %v → %v", spec, before, after)
+			}
+		}
+	}
+}

@@ -125,9 +125,11 @@ func TestSchemaPropagation(t *testing.T) {
 	if m.Schema().String() != "[r.a1, r.a2, x]" {
 		t.Errorf("χ schema = %s", m.Schema())
 	}
-	n := NewNumber(r, "t")
-	if n.Schema().String() != "[r.a1, r.a2, t]" {
-		t.Errorf("ν schema = %s", n.Schema())
+	tagged := NewBinaryGroup(r, NewMap(s, "tag", ConstInt(1)), Cmp(types.EQ, Col("r.a2"), Col("s.b2")),
+		[]AggItem{{Out: "g", Spec: agg.Spec{Kind: agg.Count, Star: true}}})
+	tagged.Tag = "tag"
+	if tagged.Schema().String() != "[r.a1, r.a2, g]" || tagged.Label() != "Γ²[(r.a2 = s.b2) ∨ tag][g:COUNT(*)]" {
+		t.Errorf("tagged Γ² = %s %s", tagged.Label(), tagged.Schema())
 	}
 }
 

@@ -11,8 +11,6 @@ func exprsOf(op Op) []Expr {
 		return []Expr{x.Pred}
 	case *Join:
 		return []Expr{x.Pred}
-	case *BypassJoin:
-		return []Expr{x.Pred}
 	case *LeftOuterJoin:
 		return []Expr{x.Pred}
 	case *SemiJoin:

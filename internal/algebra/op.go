@@ -96,8 +96,8 @@ func (s *BypassSelect) Inputs() []Op { return []Op{s.Child} }
 // Label implements Op.
 func (s *BypassSelect) Label() string { return fmt.Sprintf("σ±[%s]", s.Pred) }
 
-// Stream selects one output stream of a bypass operator. Its child must
-// be a *BypassSelect or *BypassJoin.
+// Stream selects one output stream of a bypass selection. Its child must
+// be a *BypassSelect.
 type Stream struct {
 	Source   Op
 	Positive bool
@@ -124,7 +124,7 @@ func (s *Stream) Label() string {
 }
 
 // ---------------------------------------------------------------------
-// Projection, rename, map, numbering
+// Projection, rename, map
 
 // Project is duplicate-preserving projection Π_A onto named attributes.
 type Project struct {
@@ -210,29 +210,6 @@ func (m *MapOp) Inputs() []Op { return []Op{m.Child} }
 // Label implements Op.
 func (m *MapOp) Label() string { return fmt.Sprintf("χ[%s:%s]", m.Attr, m.Expr) }
 
-// Number is ν_a: extends each tuple with a unique, deterministic number
-// (1-based input position). It turns a multiset into a set, which is how
-// Eqv. 5 keeps duplicates of R apart (paper §3.7).
-type Number struct {
-	Child  Op
-	Attr   string
-	schema *storage.Schema
-}
-
-// NewNumber builds a numbering node.
-func NewNumber(child Op, attr string) *Number {
-	return &Number{Child: child, Attr: attr, schema: child.Schema().Extend(attr)}
-}
-
-// Schema implements Op.
-func (n *Number) Schema() *storage.Schema { return n.schema }
-
-// Inputs implements Op.
-func (n *Number) Inputs() []Op { return []Op{n.Child} }
-
-// Label implements Op.
-func (n *Number) Label() string { return fmt.Sprintf("ν[%s]", n.Attr) }
-
 // ---------------------------------------------------------------------
 // Products and joins
 
@@ -276,30 +253,6 @@ func (j *Join) Inputs() []Op { return []Op{j.L, j.R} }
 
 // Label implements Op.
 func (j *Join) Label() string { return fmt.Sprintf("⋈[%s]", j.Pred) }
-
-// BypassJoin is ⋈±_p: the positive stream is the inner join, the
-// negative stream the complement pairs (x◦y with ¬p — two-valued logic,
-// see Fig. 1's footnote; the executor routes UNKNOWN to the negative
-// stream which is sound for the WHERE-clause use here).
-type BypassJoin struct {
-	L, R   Op
-	Pred   Expr
-	schema *storage.Schema
-}
-
-// NewBypassJoin builds a bypass join.
-func NewBypassJoin(l, r Op, pred Expr) *BypassJoin {
-	return &BypassJoin{L: l, R: r, Pred: pred, schema: l.Schema().Concat(r.Schema())}
-}
-
-// Schema implements Op.
-func (j *BypassJoin) Schema() *storage.Schema { return j.schema }
-
-// Inputs implements Op.
-func (j *BypassJoin) Inputs() []Op { return []Op{j.L, j.R} }
-
-// Label implements Op.
-func (j *BypassJoin) Label() string { return fmt.Sprintf("⋈±[%s]", j.Pred) }
 
 // SemiJoin is ⋉_p: keeps each left tuple that has at least one right
 // partner satisfying p (once, regardless of partner count). The direct
@@ -464,9 +417,16 @@ func (g *GroupBy) Label() string {
 // The predicate may be an arbitrary expression over both schemas;
 // internal/exec specializes equality conjunctions to a hash
 // implementation (May & Moerkotte's main-memory algorithms).
+//
+// A non-empty Tag (set after construction) names a truth-valued
+// attribute of e2 and makes the match condition p(x, y) ∨ y.Tag — Eqv. 5's tagged form: the tuples
+// whose tag is TRUE belong to every x's group, the rest only where p
+// holds, so the group is σ_tag(e2) ∪̇ σ_p(σ_{¬tag}(e2)) per x and the
+// complement pairs are never built.
 type BinaryGroup struct {
 	L, R   Op
 	Pred   Expr
+	Tag    string
 	Aggs   []AggItem
 	schema *storage.Schema
 }
@@ -494,6 +454,9 @@ func (b *BinaryGroup) Label() string {
 			aggs += ","
 		}
 		aggs += a.Label()
+	}
+	if b.Tag != "" {
+		return fmt.Sprintf("Γ²[%s ∨ %s][%s]", b.Pred, b.Tag, aggs)
 	}
 	return fmt.Sprintf("Γ²[%s][%s]", b.Pred, aggs)
 }

@@ -527,7 +527,7 @@ func (ex *Executor) evalMemo(n physical.Node, env *Env) (*storage.Relation, erro
 		return nil, wrapOp(n, ex.fail(ferr))
 	}
 	key := memoKey{n: n}
-	if s, ok := n.(*physical.Stream); ok && !s.Fused() {
+	if s, ok := n.(*physical.Stream); ok {
 		// Streams delegate to the shared bypass node with a side tag, so
 		// distinct Stream nodes over one bypass operator share results.
 		key = memoKey{n: s.Source, pos: s.Positive, side: 1}
@@ -642,8 +642,6 @@ func (ex *Executor) evalNode(n physical.Node, env *Env) (*storage.Relation, erro
 		// Reached only via Stream nodes; evaluating the bare node is a
 		// plan bug.
 		return nil, fmt.Errorf("exec: bypass selection must be consumed through Stream nodes")
-	case *physical.BypassJoin:
-		return nil, fmt.Errorf("exec: bypass join must be consumed through Stream nodes")
 	case *physical.Stream:
 		return ex.evalStream(x, env)
 	case *physical.Project:
@@ -658,8 +656,6 @@ func (ex *Executor) evalNode(n physical.Node, env *Env) (*storage.Relation, erro
 			return ex.evalMapVec(x, env)
 		}
 		return ex.evalMap(x, env)
-	case *physical.Number:
-		return ex.evalNumber(x, env)
 	case *physical.HashJoin:
 		if ex.useVec() && x.Residual == nil {
 			return ex.evalHashJoinVec(x, env)
@@ -677,6 +673,8 @@ func (ex *Executor) evalNode(n physical.Node, env *Env) (*storage.Relation, erro
 		return ex.evalBinaryGroupSorted(x, env)
 	case *physical.BinaryGroupNL:
 		return ex.evalBinaryGroupNL(x, env)
+	case *physical.BinaryGroupTagged:
+		return ex.evalBinaryGroupTagged(x, env)
 	case *physical.Union:
 		return ex.evalConcat(x.L, x.R, x.Schema(), env)
 	case *physical.Distinct:
@@ -746,53 +744,35 @@ func (ex *Executor) evalFilter(f *physical.Filter, env *Env) (*storage.Relation,
 }
 
 func (ex *Executor) evalStream(s *physical.Stream, env *Env) (*storage.Relation, error) {
-	switch src := s.Source.(type) {
-	case *physical.BypassFilter:
-		var pos, neg *storage.Relation
-		var err error
-		if ex.useVec() && src.VecPred != nil {
-			pos, neg, err = ex.evalBypassFilterVec(src, env)
-		} else {
-			pos, neg, err = ex.evalBypassFilter(src, env)
-		}
-		if err != nil {
-			return nil, err
-		}
-		// The bypass node itself is only ever evaluated through its
-		// streams; credit the single σ± pass to it so EXPLAIN ANALYZE
-		// shows the partition sizes.
-		ex.creditSource(src, int64(pos.Cardinality()+neg.Cardinality()))
-		// Cache both sides if permitted; eval() caches the requested one.
-		if ex.cacheable(s, env) {
-			ex.sh.mu.Lock()
-			ex.sh.storeIfAbsent(memoKey{n: src, pos: true, side: 1}, pos)
-			ex.sh.storeIfAbsent(memoKey{n: src, pos: false, side: 1}, neg)
-			ex.sh.mu.Unlock()
-		}
-		if s.Positive {
-			return pos, nil
-		}
-		return neg, nil
-	case *physical.BypassJoin:
-		var out *storage.Relation
-		var err error
-		if s.Positive {
-			if ex.useVec() && len(src.LCols) > 0 && src.Residual == nil {
-				out, err = ex.evalBypassJoinPosVec(src, env)
-			} else {
-				out, err = ex.evalBypassJoinPos(src, env)
-			}
-		} else {
-			out, err = ex.evalBypassJoinNeg(src, s, env)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ex.creditSource(src, int64(out.Cardinality()))
-		return out, nil
-	default:
+	src, ok := s.Source.(*physical.BypassFilter)
+	if !ok {
 		return nil, fmt.Errorf("exec: Stream over non-bypass operator %T", s.Source)
 	}
+	var pos, neg *storage.Relation
+	var err error
+	if ex.useVec() && src.VecPred != nil {
+		pos, neg, err = ex.evalBypassFilterVec(src, env)
+	} else {
+		pos, neg, err = ex.evalBypassFilter(src, env)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The bypass node itself is only ever evaluated through its
+	// streams; credit the single σ± pass to it so EXPLAIN ANALYZE
+	// shows the partition sizes.
+	ex.creditSource(src, int64(pos.Cardinality()+neg.Cardinality()))
+	// Cache both sides if permitted; eval() caches the requested one.
+	if ex.cacheable(s, env) {
+		ex.sh.mu.Lock()
+		ex.sh.storeIfAbsent(memoKey{n: src, pos: true, side: 1}, pos)
+		ex.sh.storeIfAbsent(memoKey{n: src, pos: false, side: 1}, neg)
+		ex.sh.mu.Unlock()
+	}
+	if s.Positive {
+		return pos, nil
+	}
+	return neg, nil
 }
 
 // creditSource records one evaluation on a bypass operator reached only
@@ -909,22 +889,6 @@ func (ex *Executor) evalMap(m *physical.Map, env *Env) (*storage.Relation, error
 	}
 	out := storage.NewRelation(m.Schema())
 	out.Tuples = concatChunks(chunks)
-	return out, nil
-}
-
-func (ex *Executor) evalNumber(n *physical.Number, env *Env) (*storage.Relation, error) {
-	in, err := ex.eval(n.Child, env)
-	if err != nil {
-		return nil, err
-	}
-	out := storage.NewRelation(n.Schema())
-	out.Tuples = make([][]types.Value, len(in.Tuples))
-	for i, t := range in.Tuples {
-		row := make([]types.Value, 0, len(t)+1)
-		row = append(row, t...)
-		row = append(row, types.NewInt(int64(i+1)))
-		out.Tuples[i] = row
-	}
 	return out, nil
 }
 

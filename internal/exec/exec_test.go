@@ -167,14 +167,6 @@ func TestProjectRenameMapNumber(t *testing.T) {
 	if got := mrel.Tuples[0][4]; !types.Identical(got, types.NewInt(11)) {
 		t.Errorf("map value = %v", got)
 	}
-
-	n := algebra.NewNumber(base, "t")
-	nrel := runPlan(t, cat, n)
-	for i, row := range nrel.Tuples {
-		if !types.Identical(row[4], types.NewInt(int64(i+1))) {
-			t.Errorf("ν numbering wrong at %d: %v", i, row[4])
-		}
-	}
 }
 
 func TestMapDoesNotMutateBaseTable(t *testing.T) {
@@ -518,42 +510,6 @@ func TestNotInWithNullsIsEmpty(t *testing.T) {
 	// 1 NOT IN {1, NULL} = FALSE; 2 NOT IN {1, NULL} = UNKNOWN → filtered.
 	if rel.Cardinality() != 0 {
 		t.Fatalf("NOT IN with NULL must be empty, got:\n%s", rel)
-	}
-}
-
-func TestBypassJoinStreams(t *testing.T) {
-	cat := testCatalog(t)
-	bj := algebra.NewBypassJoin(scanOf(t, cat, "r"), scanOf(t, cat, "s"),
-		algebra.Cmp(types.EQ, algebra.Col("r.a2"), algebra.Col("s.b2")))
-	pos := runPlan(t, cat, algebra.Pos(bj))
-	neg := runPlan(t, cat, algebra.Neg(bj))
-	if pos.Cardinality()+neg.Cardinality() != 16 {
-		t.Fatalf("bypass join must partition the cross product: %d + %d",
-			pos.Cardinality(), neg.Cardinality())
-	}
-	if pos.Cardinality() != 5 {
-		t.Errorf("positive stream = %d rows, want 5", pos.Cardinality())
-	}
-}
-
-func TestBypassJoinNegFusedFilter(t *testing.T) {
-	cat := testCatalog(t)
-	bj := algebra.NewBypassJoin(scanOf(t, cat, "r"), scanOf(t, cat, "s"),
-		algebra.Cmp(types.EQ, algebra.Col("r.a2"), algebra.Col("s.b2")))
-	filtered := algebra.NewSelect(algebra.Neg(bj),
-		algebra.Cmp(types.GT, algebra.Col("s.b4"), algebra.ConstInt(1500)))
-	rel := runPlan(t, cat, filtered)
-	// Compare against the unfused evaluation.
-	unfusedNeg := runPlan(t, cat, algebra.Neg(bj))
-	manual := 0
-	b4 := unfusedNeg.Schema.Index("s.b4")
-	for _, row := range unfusedNeg.Tuples {
-		if c, ok := types.Compare(row[b4], types.NewInt(1500)); ok && c > 0 {
-			manual++
-		}
-	}
-	if rel.Cardinality() != manual {
-		t.Fatalf("fused = %d rows, manual = %d", rel.Cardinality(), manual)
 	}
 }
 

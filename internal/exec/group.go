@@ -8,30 +8,71 @@ import (
 	"disqo/internal/types"
 )
 
-// aggArgs evaluates the argument tuple for one aggregate item given the
-// input row: the evaluated Arg expression, or for Star specs the row
-// restricted to ArgAttrs (the whole row when ArgAttrs is empty).
-func (ex *Executor) aggArgs(item algebra.AggItem, sch *storage.Schema,
-	row []types.Value, env *Env) ([]types.Value, error) {
-	if item.Spec.Star {
-		if len(item.ArgAttrs) == 0 {
-			return row, nil
+// aggInputs resolves a grouping operator's aggregate arguments against
+// its input schema once, so the per-row work is only the evaluation.
+type aggInputs struct {
+	items []algebra.AggItem
+	sch   *storage.Schema
+	// cols[i] holds the positions of a Star item's ArgAttrs; nil means
+	// the row itself serves (it is the whole * tuple, or the aggregate —
+	// a non-DISTINCT COUNT(*) — never looks at its argument).
+	cols [][]int
+}
+
+func newAggInputs(items []algebra.AggItem, sch *storage.Schema) (*aggInputs, error) {
+	ai := &aggInputs{items: items, sch: sch, cols: make([][]int, len(items))}
+	for i, item := range items {
+		if !item.Spec.Star || !item.Spec.Distinct || len(item.ArgAttrs) == 0 {
+			continue
 		}
 		idx, err := sch.Projection(item.ArgAttrs)
 		if err != nil {
 			return nil, err
 		}
+		whole := len(idx) == sch.Len()
+		for j, c := range idx {
+			whole = whole && c == j
+		}
+		if !whole {
+			ai.cols[i] = idx
+		}
+	}
+	return ai, nil
+}
+
+// args evaluates item i's argument tuple for one input row: the
+// evaluated Arg expression, or for Star specs the row restricted to
+// ArgAttrs.
+func (ai *aggInputs) args(w *Executor, i int, row []types.Value, env *Env) ([]types.Value, error) {
+	item := ai.items[i]
+	if item.Spec.Star {
+		idx := ai.cols[i]
+		if idx == nil {
+			return row, nil
+		}
 		out := make([]types.Value, len(idx))
-		for i, c := range idx {
-			out[i] = row[c]
+		for j, c := range idx {
+			out[j] = row[c]
 		}
 		return out, nil
 	}
-	v, err := ex.EvalExpr(item.Arg, Bind(env, sch, row))
+	v, err := w.EvalExpr(item.Arg, Bind(env, ai.sch, row))
 	if err != nil {
 		return nil, err
 	}
 	return []types.Value{v}, nil
+}
+
+// add feeds one input row to every item's accumulator.
+func (ai *aggInputs) add(w *Executor, accs []*agg.Acc, row []types.Value, env *Env) error {
+	for i := range ai.items {
+		args, err := ai.args(w, i, row, env)
+		if err != nil {
+			return err
+		}
+		accs[i].Add(args)
+	}
+	return nil
 }
 
 // group is one bucket of the hash grouping.
@@ -84,6 +125,10 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 	if err != nil {
 		return nil, err
 	}
+	ai, err := newAggInputs(g.Aggs, in.Schema)
+	if err != nil {
+		return nil, err
+	}
 	chunks, err := parMorsels(ex, len(in.Tuples), true,
 		func(w *Executor, lo, hi int) (*groupTable, error) {
 			gt := newGroupTable()
@@ -92,12 +137,8 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 					return nil, err
 				}
 				grp := gt.find(keyOf(t, g.KeyCols), g.Aggs)
-				for i, item := range g.Aggs {
-					args, err := w.aggArgs(item, in.Schema, t, env)
-					if err != nil {
-						return nil, err
-					}
-					grp.accs[i].Add(args)
+				if err := ai.add(w, grp.accs, t, env); err != nil {
+					return nil, err
 				}
 			}
 			return gt, nil
@@ -160,6 +201,10 @@ func (ex *Executor) evalBinaryGroupHash(b *physical.BinaryGroupHash, env *Env) (
 	if err != nil {
 		return nil, err
 	}
+	ai, err := newAggInputs(b.Aggs, r.Schema)
+	if err != nil {
+		return nil, err
+	}
 	chunks, err := parMorsels(ex, len(l.Tuples), false,
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			out := make([][]types.Value, 0, hi-lo)
@@ -173,12 +218,8 @@ func (ex *Executor) evalBinaryGroupHash(b *physical.BinaryGroupHash, env *Env) (
 					if !keysMatch(lt, b.LCols, rt, b.RCols) {
 						continue
 					}
-					for i, item := range b.Aggs {
-						args, err := w.aggArgs(item, r.Schema, rt, env)
-						if err != nil {
-							return nil, err
-						}
-						accs[i].Add(args)
+					if err := ai.add(w, accs, rt, env); err != nil {
+						return nil, err
 					}
 				}
 				out = append(out, binaryGroupRow(lt, accs))
@@ -207,6 +248,10 @@ func (ex *Executor) evalBinaryGroupNL(b *physical.BinaryGroupNL, env *Env) (*sto
 	}
 	ex.stats.NLJoins++
 	joined := l.Schema.Concat(r.Schema)
+	ai, err := newAggInputs(b.Aggs, r.Schema)
+	if err != nil {
+		return nil, err
+	}
 	chunks, err := parMorsels(ex, len(l.Tuples), false,
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			out := make([][]types.Value, 0, hi-lo)
@@ -227,12 +272,109 @@ func (ex *Executor) evalBinaryGroupNL(b *physical.BinaryGroupNL, env *Env) (*sto
 					if !match.IsTrue() {
 						continue
 					}
-					for i, item := range b.Aggs {
-						args, err := w.aggArgs(item, r.Schema, rt, env)
+					if err := ai.add(w, accs, rt, env); err != nil {
+						return nil, err
+					}
+				}
+				out = append(out, binaryGroupRow(lt, accs))
+			}
+			return out, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := storage.NewRelation(b.Schema())
+	out.Tuples = concatChunks(chunks)
+	return out, nil
+}
+
+// evalBinaryGroupTagged is Γ² on Pred ∨ tag, Eqv. 5's tagged form: per
+// left tuple x the group is σ_tag(R) ∪̇ σ_Pred(x)(σ_{¬tag}(R)). R is split
+// once on the tag column; R⁺ is folded once, in input order, into base
+// accumulators that every left tuple's accumulators overlay; R⁻ is hashed
+// on the equality keys (or scanned, evaluating Pred per pair, when there
+// are none) and each left tuple adds only its matches, in ascending R⁻
+// order. Nothing of size |L|·|R| is built, and since the base fold is
+// sequential and each left tuple owns its overlays the fold order — hence
+// any float rounding — is the same for every worker count.
+func (ex *Executor) evalBinaryGroupTagged(b *physical.BinaryGroupTagged, env *Env) (*storage.Relation, error) {
+	l, err := ex.eval(b.L, env)
+	if err != nil {
+		return nil, err
+	}
+	r, err := ex.eval(b.R, env)
+	if err != nil {
+		return nil, err
+	}
+	ai, err := newAggInputs(b.Aggs, r.Schema)
+	if err != nil {
+		return nil, err
+	}
+	base := newAccs(b.Aggs)
+	neg := storage.NewRelation(r.Schema)
+	for _, rt := range r.Tuples {
+		if err := ex.tick(); err != nil {
+			return nil, err
+		}
+		if types.TriFromValue(rt[b.TagCol]).IsTrue() {
+			if err := ai.add(ex, base, rt, env); err != nil {
+				return nil, err
+			}
+		} else {
+			neg.Tuples = append(neg.Tuples, rt)
+		}
+	}
+	var ht *hashTable
+	if len(b.LCols) > 0 {
+		ex.stats.HashJoins++
+		if ht, err = ex.buildHashTable(neg, b.RCols); err != nil {
+			return nil, err
+		}
+	} else {
+		ex.stats.NLJoins++
+	}
+	chunks, err := parMorsels(ex, len(l.Tuples), false,
+		func(w *Executor, lo, hi int) ([][]types.Value, error) {
+			out := make([][]types.Value, 0, hi-lo)
+			// Pred sees the pair through two stacked frames, rebound per
+			// tuple, instead of a concatenated row per pair.
+			lf := &Env{parent: env, schema: l.Schema}
+			rf := &Env{parent: lf, schema: r.Schema}
+			accs := make([]*agg.Acc, len(base))
+			for _, lt := range l.Tuples[lo:hi] {
+				if err := w.tick(); err != nil {
+					return nil, err
+				}
+				for i := range base {
+					accs[i] = agg.Overlay(base[i])
+				}
+				if ht != nil {
+					for _, ri := range ht.probe(keyOf(lt, b.LCols)) {
+						rt := neg.Tuples[ri]
+						if !keysMatch(lt, b.LCols, rt, b.RCols) {
+							continue
+						}
+						if err := ai.add(w, accs, rt, env); err != nil {
+							return nil, err
+						}
+					}
+				} else {
+					lf.tuple = lt
+					for _, rt := range neg.Tuples {
+						if err := w.tick(); err != nil {
+							return nil, err
+						}
+						rf.tuple = rt
+						match, err := w.EvalPred(b.Pred, rf)
 						if err != nil {
 							return nil, err
 						}
-						accs[i].Add(args)
+						if !match.IsTrue() {
+							continue
+						}
+						if err := ai.add(w, accs, rt, env); err != nil {
+							return nil, err
+						}
 					}
 				}
 				out = append(out, binaryGroupRow(lt, accs))

@@ -3,7 +3,6 @@ package exec
 import (
 	"sync/atomic"
 
-	"disqo/internal/algebra"
 	"disqo/internal/physical"
 	"disqo/internal/storage"
 	"disqo/internal/types"
@@ -322,191 +321,6 @@ func (ex *Executor) evalOuterJoin(j *physical.OuterJoin, env *Env) (*storage.Rel
 		return nil, err
 	}
 	out := storage.NewRelation(joined)
-	out.Tuples = concatChunks(chunks)
-	return out, nil
-}
-
-// evalBypassJoinPos is the positive stream of ⋈±: the ordinary join,
-// hashed when the planner found equality keys.
-func (ex *Executor) evalBypassJoinPos(j *physical.BypassJoin, env *Env) (*storage.Relation, error) {
-	l, err := ex.eval(j.L, env)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ex.eval(j.R, env)
-	if err != nil {
-		return nil, err
-	}
-	joined := j.Schema()
-	out := storage.NewRelation(joined)
-
-	if len(j.LCols) > 0 {
-		ex.stats.HashJoins++
-		ht, err := ex.buildHashTable(r, j.RCols)
-		if err != nil {
-			return nil, err
-		}
-		chunks, err := parMorsels(ex, len(l.Tuples), false,
-			func(w *Executor, lo, hi int) ([][]types.Value, error) {
-				var part [][]types.Value
-				for _, lt := range l.Tuples[lo:hi] {
-					if err := w.tick(); err != nil {
-						return nil, err
-					}
-					for _, ri := range ht.probe(keyOf(lt, j.LCols)) {
-						rt := r.Tuples[ri]
-						if !keysMatch(lt, j.LCols, rt, j.RCols) {
-							continue
-						}
-						row := concat(lt, rt)
-						if j.Residual != nil {
-							ok, err := w.EvalPred(j.Residual, Bind(env, joined, row))
-							if err != nil {
-								return nil, err
-							}
-							if !ok.IsTrue() {
-								continue
-							}
-						}
-						part = append(part, row)
-					}
-				}
-				return part, nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		out.Tuples = concatChunks(chunks)
-		return out, nil
-	}
-
-	ex.stats.NLJoins++
-	var pending atomic.Int64
-	chunks, err := parMorsels(ex, len(l.Tuples), false,
-		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			var part [][]types.Value
-			for _, lt := range l.Tuples[lo:hi] {
-				if err := w.checkBudget(int(pending.Load())); err != nil {
-					return nil, err
-				}
-				for _, rt := range r.Tuples {
-					if err := w.tick(); err != nil {
-						return nil, err
-					}
-					row := concat(lt, rt)
-					ok, err := w.EvalPred(j.Pred, Bind(env, joined, row))
-					if err != nil {
-						return nil, err
-					}
-					if ok.IsTrue() {
-						part = append(part, row)
-						pending.Add(1)
-					}
-				}
-			}
-			return part, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out.Tuples = concatChunks(chunks)
-	return out, nil
-}
-
-// evalBypassJoinNeg is the negative stream of ⋈±: the complement pairs
-// {x◦y | ¬p(x,y)}. The Stream node may carry a fused filter (the σ the
-// rewriter places directly on the negative stream, Eqv. 5's σ_p), split
-// by the planner into side-local fragments that pre-reduce each input
-// and a rest checked per surviving pair, so the complement is never
-// materialized at full cross-product size.
-func (ex *Executor) evalBypassJoinNeg(j *physical.BypassJoin, s *physical.Stream, env *Env) (*storage.Relation, error) {
-	l, err := ex.eval(j.L, env)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ex.eval(j.R, env)
-	if err != nil {
-		return nil, err
-	}
-	lf, err := ex.preFilter(l, s.FusedL, env)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := ex.preFilter(r, s.FusedR, env)
-	if err != nil {
-		return nil, err
-	}
-	joined := j.Schema()
-	var pending atomic.Int64
-	chunks, err := parMorsels(ex, len(lf.Tuples), false,
-		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			var out [][]types.Value
-			for _, lt := range lf.Tuples[lo:hi] {
-				if err := w.checkBudget(int(pending.Load())); err != nil {
-					return nil, err
-				}
-				for _, rt := range rf.Tuples {
-					if err := w.tick(); err != nil {
-						return nil, err
-					}
-					row := concat(lt, rt)
-					rowEnv := Bind(env, joined, row)
-					match, err := w.EvalPred(j.Pred, rowEnv)
-					if err != nil {
-						return nil, err
-					}
-					if match.IsTrue() {
-						continue // belongs to the positive stream
-					}
-					if s.FusedRest != nil {
-						keep, err := w.EvalPred(s.FusedRest, rowEnv)
-						if err != nil {
-							return nil, err
-						}
-						if !keep.IsTrue() {
-							continue
-						}
-					}
-					out = append(out, row)
-					pending.Add(1)
-				}
-			}
-			return out, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := storage.NewRelation(joined)
-	out.Tuples = concatChunks(chunks)
-	return out, nil
-}
-
-// preFilter reduces a bypass-join input by a side-local fused fragment.
-func (ex *Executor) preFilter(rel *storage.Relation, pred algebra.Expr, env *Env) (*storage.Relation, error) {
-	if pred == nil {
-		return rel, nil
-	}
-	chunks, err := parMorsels(ex, len(rel.Tuples), false,
-		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			var out [][]types.Value
-			for _, t := range rel.Tuples[lo:hi] {
-				if err := w.tick(); err != nil {
-					return nil, err
-				}
-				keep, err := w.EvalPred(pred, Bind(env, rel.Schema, t))
-				if err != nil {
-					return nil, err
-				}
-				if keep.IsTrue() {
-					out = append(out, t)
-				}
-			}
-			return out, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := storage.NewRelation(rel.Schema)
 	out.Tuples = concatChunks(chunks)
 	return out, nil
 }

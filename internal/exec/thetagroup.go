@@ -51,10 +51,14 @@ func (ex *Executor) evalBinaryGroupSorted(b *physical.BinaryGroupSort, env *Env)
 	n := len(idx)
 	prefix := make([][]types.Value, len(b.Aggs))
 	suffix := make([][]types.Value, len(b.Aggs))
+	ai, err := newAggInputs(b.Aggs, r.Schema)
+	if err != nil {
+		return nil, err
+	}
 	for k, item := range b.Aggs {
 		args := make([][]types.Value, n)
 		for i, ridx := range idx {
-			a, err := ex.aggArgs(item, r.Schema, r.Tuples[ridx], env)
+			a, err := ai.args(ex, k, r.Tuples[ridx], env)
 			if err != nil {
 				return nil, err
 			}

@@ -350,55 +350,3 @@ func (ex *Executor) evalHashJoinVec(j *physical.HashJoin, env *Env) (*storage.Re
 	out.Tuples = concatChunks(chunks)
 	return out, nil
 }
-
-// evalBypassJoinPosVec is the vectorized positive stream of ⋈± when
-// the planner found equality keys and no residual: the hash branch of
-// evalBypassJoinPos with the probe keys read from columns.
-func (ex *Executor) evalBypassJoinPosVec(j *physical.BypassJoin, env *Env) (*storage.Relation, error) {
-	l, err := ex.eval(j.L, env)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ex.eval(j.R, env)
-	if err != nil {
-		return nil, err
-	}
-	ex.stats.HashJoins++
-	ht, err := ex.buildHashTable(r, j.RCols)
-	if err != nil {
-		return nil, err
-	}
-	b, err := ex.vecEnter(j, l, j.LCols)
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := parMorsels(ex, len(l.Tuples), false,
-		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			pk := newProbeKeys(b, j.LCols)
-			var part [][]types.Value
-			for i := lo; i < hi; i++ {
-				if err := w.tick(); err != nil {
-					return nil, err
-				}
-				lt := l.Tuples[i]
-				key, ok := pk.at(i)
-				if !ok {
-					continue
-				}
-				for _, ri := range ht.buckets[types.HashTuple(key)] {
-					rt := r.Tuples[ri]
-					if !keysMatch(lt, j.LCols, rt, j.RCols) {
-						continue
-					}
-					part = append(part, concat(lt, rt))
-				}
-			}
-			return part, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := storage.NewRelation(j.Schema())
-	out.Tuples = concatChunks(chunks)
-	return out, nil
-}

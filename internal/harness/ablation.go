@@ -18,9 +18,11 @@ import (
 // Ablation quantifies two design decisions DESIGN.md calls out:
 //
 //  1. decomposability (Eqv. 4) versus the general Eqv. 5 on the same
-//     query — Q2's COUNT(*) is decomposable, so both apply; Eqv. 4's
-//     one-pass split should win by orders of magnitude because Eqv. 5
-//     enumerates the complement of the bypass join;
+//     query — Q2's COUNT(*) is decomposable, so both apply. Both are
+//     linear in their inputs: Eqv. 4 aggregates the p-part once and
+//     groups the rest, tagged Eqv. 5 folds the p-part once and probes
+//     the rest per outer tuple, so what is left to measure is the
+//     constant between them;
 //  2. cost-based application — the optimizer should decline unnesting
 //     where the rewrite is estimated slower than canonical.
 //

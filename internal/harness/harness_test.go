@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"disqo"
+	"disqo/internal/catalog"
+	"disqo/internal/datagen"
 )
 
 // tinyConfig keeps harness tests fast: minuscule data, two strategies.
@@ -181,6 +183,26 @@ func TestAblationRuns(t *testing.T) {
 				t.Errorf("%s/%s rows = %d, others %d", s, p, c.Rows, rows)
 			}
 		}
+	}
+}
+
+// TestForcedEqv5FitsTheBudget: forced Eqv. 5 on Q2 at RST SF 1 (10 000
+// rows a table) used to build the |R|·|σ¬p(S)| ≈ 3·10⁷ complement pairs
+// and abort on the harness's 20 M-tuple budget; the tagged form holds the
+// inputs and one output row per outer tuple, so it completes under a
+// budget four hundred times smaller and agrees with (unbudgeted) Eqv. 4.
+func TestForcedEqv5FitsTheBudget(t *testing.T) {
+	cat := catalog.New()
+	if err := datagen.LoadRST(cat, datagen.RSTConfig{SFR: 1, SFS: 1, SFT: 1}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Timeout: time.Minute, MaxTuples: 50_000}
+	eqv5 := measureVariant(cat, Q2, "eqv5", cfg)
+	if eqv5.Err != nil || eqv5.OverMem || eqv5.TimedOut {
+		t.Fatalf("forced Eqv. 5 under a %d-tuple budget: %+v", cfg.MaxTuples, eqv5)
+	}
+	if eqv4 := measureVariant(cat, Q2, "eqv4", Config{Timeout: time.Minute}); eqv4.Err != nil || eqv4.Rows != eqv5.Rows {
+		t.Errorf("Eqv. 4 returns %+v, forced Eqv. 5 %d rows", eqv4, eqv5.Rows)
 	}
 }
 

@@ -19,15 +19,16 @@ import (
 //
 // Algorithm selection rules, in order:
 //
-//	join, semijoin, antijoin, outerjoin, bypass-join positive stream:
+//	join, semijoin, antijoin, outerjoin:
 //	    hash on the equality conjuncts when any exist (residual
 //	    conjuncts re-checked per matched pair), nested loops otherwise.
 //	binary grouping: hash when the predicate is pure equality; the
 //	    sort-based prefix/suffix algorithm for a single column
 //	    inequality with decomposable single-partial aggregates;
 //	    nested loops otherwise.
-//	σ over the negative stream of ⋈±: fused into the stream, with the
-//	    filter's side-local conjuncts pre-reducing each join input.
+//	tagged binary grouping (Eqv. 5): one operator either way; its
+//	    untagged right tuples are hashed when the predicate is pure
+//	    equality and scanned per left tuple otherwise.
 //
 // The rules are deliberately deterministic — hashing a materialized
 // input is never slower than the quadratic scan at more than a handful
@@ -92,20 +93,6 @@ func (p *Planner) lower(op algebra.Op) (Node, error) {
 		return &Scan{base: b, Table: x.Table}, nil
 
 	case *algebra.Select:
-		// σ over the negative stream of ⋈± fuses into the stream
-		// (Eqv. 5's σ_p(R ⋈− S)): the filter is applied during
-		// complement enumeration instead of after materialization.
-		if st, ok := x.Child.(*algebra.Stream); ok && !st.Positive {
-			if bj, ok := st.Source.(*algebra.BypassJoin); ok {
-				src, err := p.Lower(bj)
-				if err != nil {
-					return nil, err
-				}
-				fl, fr, rest := splitFused(x.Pred, bj.L.Schema(), bj.R.Schema())
-				return &Stream{base: b, Source: src, Positive: false,
-					FusedL: fl, FusedR: fr, FusedRest: rest}, nil
-			}
-		}
 		child, err := p.Lower(x.Child)
 		if err != nil {
 			return nil, err
@@ -124,9 +111,7 @@ func (p *Planner) lower(op algebra.Op) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch src.(type) {
-		case *BypassFilter, *BypassJoin:
-		default:
+		if _, ok := src.(*BypassFilter); !ok {
 			return nil, fmt.Errorf("physical: Stream over non-bypass operator %T", x.Source)
 		}
 		return &Stream{base: b, Source: src, Positive: x.Positive}, nil
@@ -155,13 +140,6 @@ func (p *Planner) lower(op algebra.Op) (Node, error) {
 			return nil, err
 		}
 		return &Map{base: b, Child: child, Attr: x.Attr, Expr: x.Expr}, nil
-
-	case *algebra.Number:
-		child, err := p.Lower(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &Number{base: b, Child: child, Attr: x.Attr}, nil
 
 	case *algebra.CrossProduct:
 		l, r, err := p.lower2(x.L, x.R)
@@ -199,19 +177,6 @@ func (p *Planner) lower(op algebra.Op) (Node, error) {
 		}
 		return j, nil
 
-	case *algebra.BypassJoin:
-		l, r, err := p.lower2(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		j := &BypassJoin{base: b, L: l, R: r, Pred: x.Pred}
-		keys, residual := splitEquiJoin(x.Pred, x.L.Schema(), x.R.Schema())
-		if len(keys) > 0 {
-			j.LCols, j.RCols = keyCols(keys)
-			j.Residual = andOrNil(residual)
-		}
-		return j, nil
-
 	case *algebra.GroupBy:
 		child, err := p.Lower(x.Child)
 		if err != nil {
@@ -233,6 +198,17 @@ func (p *Planner) lower(op algebra.Op) (Node, error) {
 			return nil, err
 		}
 		keys, residual := splitEquiJoin(x.Pred, x.L.Schema(), x.R.Schema())
+		if x.Tag != "" {
+			tagCol := x.R.Schema().Index(x.Tag)
+			if tagCol < 0 {
+				return nil, fmt.Errorf("physical: tag %q not in %s", x.Tag, x.R.Schema())
+			}
+			t := &BinaryGroupTagged{base: b, L: l, R: r, Pred: x.Pred, TagCol: tagCol, Aggs: x.Aggs}
+			if len(keys) > 0 && len(residual) == 0 {
+				t.LCols, t.RCols = keyCols(keys)
+			}
+			return t, nil
+		}
 		if len(keys) > 0 && len(residual) == 0 {
 			lc, rc := keyCols(keys)
 			return &BinaryGroupHash{base: b, L: l, R: r, LCols: lc, RCols: rc, Aggs: x.Aggs}, nil
@@ -371,35 +347,6 @@ func andOrNil(conjuncts []algebra.Expr) algebra.Expr {
 		return nil
 	}
 	return algebra.And(conjuncts...)
-}
-
-// splitFused partitions a fused negative-stream filter into conjuncts
-// referencing only the left input, only the right input, and the rest,
-// by schema membership. Side-local conjuncts pre-reduce the join inputs
-// before complement enumeration.
-func splitFused(fused algebra.Expr, ls, rs *storage.Schema) (l, r, rest algebra.Expr) {
-	var lOnly, rOnly, other []algebra.Expr
-	for _, c := range algebra.SplitConjuncts(fused) {
-		cols := c.Columns(nil)
-		inL, inR := true, true
-		for _, col := range cols {
-			if !ls.Has(col) {
-				inL = false
-			}
-			if !rs.Has(col) {
-				inR = false
-			}
-		}
-		switch {
-		case inL && len(cols) > 0:
-			lOnly = append(lOnly, c)
-		case inR && len(cols) > 0:
-			rOnly = append(rOnly, c)
-		default:
-			other = append(other, c)
-		}
-	}
-	return andOrNil(lOnly), andOrNil(rOnly), andOrNil(other)
 }
 
 // thetaGroupable reports whether a binary grouping can run sort-based:

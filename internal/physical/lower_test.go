@@ -196,27 +196,38 @@ func TestLowerBinaryGroupNLForDistinctAggregates(t *testing.T) {
 	}
 }
 
-func TestLowerFusedNegativeStreamFilter(t *testing.T) {
+func TestLowerTaggedBinaryGroup(t *testing.T) {
 	cat := testCat(t)
-	bj := algebra.NewBypassJoin(scanOf(t, cat, "r"), scanOf(t, cat, "s"), eq("r.a1", "s.b1"))
-	pred := algebra.And(
-		algebra.Cmp(types.GT, algebra.Col("r.a2"), algebra.ConstInt(5)),
-		algebra.Cmp(types.GT, algebra.Col("s.b2"), algebra.ConstInt(7)),
-		algebra.Cmp(types.NE, algebra.Col("r.a2"), algebra.Col("s.b2")))
-	n := lower(t, cat, algebra.NewSelect(algebra.Neg(bj), pred))
-	st, ok := n.(*physical.Stream)
+	tagged := func(pred algebra.Expr) physical.Node {
+		inner := algebra.NewMap(scanOf(t, cat, "s"), "tag",
+			algebra.Cmp(types.GT, algebra.Col("s.b2"), algebra.ConstInt(7)))
+		bg := algebra.NewBinaryGroup(scanOf(t, cat, "r"), inner, pred, countAgg())
+		bg.Tag = "tag"
+		return lower(t, cat, bg)
+	}
+	// Pure equality hashes the untagged tuples; the tag column resolves
+	// in the right schema and the label keeps the BinaryGroup suffix the
+	// per-operator reports classify by.
+	h, ok := tagged(eq("r.a1", "s.b1")).(*physical.BinaryGroupTagged)
 	if !ok {
-		t.Fatalf("σ over −stream lowered to %T, want fused *Stream", n)
+		t.Fatalf("tagged Γ² lowered to %T, want *BinaryGroupTagged", h)
 	}
-	if st.Positive {
-		t.Error("fused stream must stay negative")
+	if h.TagCol != 2 || len(h.LCols) != 1 || h.LCols[0] != 0 || h.RCols[0] != 0 {
+		t.Errorf("tagged hash = tag[%d] L%v R%v", h.TagCol, h.LCols, h.RCols)
 	}
-	if st.FusedL == nil || st.FusedR == nil || st.FusedRest == nil {
-		t.Errorf("fused split = L:%v R:%v rest:%v, want all three populated",
-			st.FusedL, st.FusedR, st.FusedRest)
+	if !strings.HasPrefix(h.Label(), "TagBinaryGroup(hash)[(r.a1 = s.b1) ∨ tag]") {
+		t.Errorf("label = %s", h.Label())
 	}
-	if _, ok := st.Source.(*physical.BypassJoin); !ok {
-		t.Errorf("fused stream source is %T, want *BypassJoin", st.Source)
+	// θ-correlation and several correlated disjuncts stay one operator
+	// that evaluates the predicate per pair.
+	for _, pred := range []algebra.Expr{
+		algebra.Cmp(types.LT, algebra.Col("r.a2"), algebra.Col("s.b2")),
+		algebra.Or(eq("r.a1", "s.b1"), eq("r.a2", "s.b2")),
+	} {
+		n, ok := tagged(pred).(*physical.BinaryGroupTagged)
+		if !ok || len(n.LCols) != 0 || !strings.HasPrefix(n.Label(), "TagBinaryGroup(nl)[") {
+			t.Errorf("tagged Γ²[%s] lowered to %T %s", pred, n, n.Label())
+		}
 	}
 }
 

@@ -124,23 +124,11 @@ func (f *BypassFilter) Children() []Node { return []Node{f.Child} }
 // Label implements Node.
 func (f *BypassFilter) Label() string { return fmt.Sprintf("Filter±[%s]", f.Pred) }
 
-// Stream selects the positive or negative output of a bypass operator.
-// When the logical plan fuses a σ onto the negative stream of a bypass
-// join (Eqv. 5's σ_p(R ⋈− S)), the planner splits the fused predicate by
-// schema membership once: FusedL/FusedR pre-reduce the join inputs,
-// FusedRest is checked per surviving pair during enumeration.
+// Stream selects the positive or negative output of a bypass filter.
 type Stream struct {
 	base
 	Source   Node
 	Positive bool
-	// Fused filter fragments (negative bypass-join streams only; nil
-	// otherwise). Fused reports whether any fragment is set.
-	FusedL, FusedR, FusedRest algebra.Expr
-}
-
-// Fused reports whether the stream carries a fused filter.
-func (s *Stream) Fused() bool {
-	return s.FusedL != nil || s.FusedR != nil || s.FusedRest != nil
 }
 
 // Children implements Node.
@@ -148,23 +136,10 @@ func (s *Stream) Children() []Node { return []Node{s.Source} }
 
 // Label implements Node.
 func (s *Stream) Label() string {
-	sign := "-"
 	if s.Positive {
-		sign = "+"
+		return "Stream+"
 	}
-	if !s.Fused() {
-		return "Stream" + sign
-	}
-	frag := make([]string, 0, 3)
-	for _, p := range []struct {
-		tag string
-		e   algebra.Expr
-	}{{"L:", s.FusedL}, {"R:", s.FusedR}, {"rest:", s.FusedRest}} {
-		if p.e != nil {
-			frag = append(frag, p.tag+p.e.String())
-		}
-	}
-	return fmt.Sprintf("Stream%s⋅Filter[%s]", sign, strings.Join(frag, " "))
+	return "Stream-"
 }
 
 // Project restricts tuples to the named columns; Cols are the resolved
@@ -209,19 +184,6 @@ func (m *Map) Children() []Node { return []Node{m.Child} }
 
 // Label implements Node.
 func (m *Map) Label() string { return fmt.Sprintf("Map[%s:%s]", m.Attr, m.Expr) }
-
-// Number extends each tuple with its 1-based input position (ν).
-type Number struct {
-	base
-	Child Node
-	Attr  string
-}
-
-// Children implements Node.
-func (n *Number) Children() []Node { return []Node{n.Child} }
-
-// Label implements Node.
-func (n *Number) Label() string { return fmt.Sprintf("Number[%s]", n.Attr) }
 
 // HashJoin joins by building a hash table on the right input's key
 // columns and probing with the left's. Residual holds the non-equality
@@ -312,31 +274,6 @@ func (j *OuterJoin) Label() string {
 		out += fmt.Sprintf(" residual[%s]", j.Residual)
 	}
 	return out
-}
-
-// BypassJoin is ⋈±: consumed through Stream nodes, its positive stream
-// is the ordinary join and its negative stream the complement pairs.
-// The positive stream hashes on LCols/RCols when present (Residual per
-// pair); the negative stream always enumerates.
-type BypassJoin struct {
-	base
-	L, R     Node
-	Pred     algebra.Expr
-	LCols    []int
-	RCols    []int
-	Residual algebra.Expr
-}
-
-// Children implements Node.
-func (j *BypassJoin) Children() []Node { return []Node{j.L, j.R} }
-
-// Label implements Node.
-func (j *BypassJoin) Label() string {
-	algo := "nl"
-	if len(j.LCols) > 0 {
-		algo = "hash"
-	}
-	return fmt.Sprintf("BypassJoin(%s+)[%s]", algo, j.Pred)
 }
 
 // Group is the unary grouping operator Γ, hash-based with Identical key
@@ -434,6 +371,34 @@ func (b *BinaryGroupNL) Children() []Node { return []Node{b.L, b.R} }
 // Label implements Node.
 func (b *BinaryGroupNL) Label() string {
 	return fmt.Sprintf("NLBinaryGroup[%s][%s]", b.Pred, binaryGroupAggs(b.Aggs))
+}
+
+// BinaryGroupTagged is Γ² on Pred ∨ tag — Eqv. 5's tagged form. The
+// right tuples whose tag column is TRUE belong to every left tuple's
+// group and are folded once into a shared base; the rest are matched per
+// left tuple, by hash on LCols/RCols when Pred is pure equality and by
+// evaluating Pred per pair otherwise.
+type BinaryGroupTagged struct {
+	base
+	L, R   Node
+	Pred   algebra.Expr
+	TagCol int
+	LCols  []int
+	RCols  []int
+	Aggs   []algebra.AggItem
+}
+
+// Children implements Node.
+func (b *BinaryGroupTagged) Children() []Node { return []Node{b.L, b.R} }
+
+// Label implements Node.
+func (b *BinaryGroupTagged) Label() string {
+	algo := "nl"
+	if len(b.LCols) > 0 {
+		algo = "hash"
+	}
+	return fmt.Sprintf("TagBinaryGroup(%s)[%s ∨ %s][%s]", algo, b.Pred,
+		b.R.Schema().Attr(b.TagCol), binaryGroupAggs(b.Aggs))
 }
 
 // Union concatenates two inputs with equal schemas. Disjoint records

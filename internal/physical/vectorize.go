@@ -21,9 +21,9 @@ import (
 //	    child schema — every column reference resolves locally (no
 //	    outer correlation) and no subquery/quantifier appears.
 //	Map: the expression compiles, same conditions.
-//	HashJoin, ⋈± positive stream: equality keys with no residual
-//	    predicate (the probe loop reads keys from columns; residuals
-//	    would need per-pair environments).
+//	HashJoin: equality keys with no residual predicate (the probe
+//	    loop reads keys from columns; residuals would need per-pair
+//	    environments).
 //	Everything else: row path.
 //
 // Before compiling a predicate the planner orders every AND/OR operand
@@ -114,17 +114,10 @@ func Vectorizable(n Node) bool {
 	case *Map:
 		return x.VecExpr != nil
 	case *Stream:
-		switch src := x.Source.(type) {
-		case *BypassFilter:
-			return src.VecPred != nil
-		case *BypassJoin:
-			return x.Positive && len(src.LCols) > 0 && src.Residual == nil
-		}
-		return false
+		src, ok := x.Source.(*BypassFilter)
+		return ok && src.VecPred != nil
 	case *HashJoin:
 		return x.Residual == nil
-	case *BypassJoin:
-		return len(x.LCols) > 0 && x.Residual == nil
 	default:
 		return false
 	}

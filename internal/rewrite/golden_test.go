@@ -108,24 +108,31 @@ func TestGoldenFig6Q4(t *testing.T) {
 distinct
   Π[r.a1, r.a2, r.a3, r.a4]
     Π[r.a1, r.a2, r.a3, r.a4]
-      σ[(r.a1 = g3)]
-        Γ²[(t1 = t2)][g3:COUNT(DISTINCT *)]
-          #1 ν[t1]
-            scan(r)
-          ρ[t2←t1]
-            Π[t1, s.b1, s.b2, s.b3, s.b4]
-              ∪̇
-                +stream
-                  #2 ⋈±[(r.a2 = s.b2)]
-                    ↑ see #1 ν[t1]
-                    scan(s)
-                Π[r.a1, r.a2, r.a3, r.a4, t1, s.b1, s.b2, s.b3, s.b4]
-                  σ[(s.b3 = g4)]
-                    Π[r.a1, r.a2, r.a3, r.a4, t1, s.b1, s.b2, s.b3, s.b4, g4]
-                      ⟕[(s.b4 = t.c2)][g4:0]
-                        −stream
-                          ↑ see #2 ⋈±[(r.a2 = s.b2)]
-                        Γ[[t.c2]][g4:COUNT(DISTINCT *)]
-                          scan(t)
+      σ[(r.a1 = g2)]
+        Γ²[(r.a2 = s.b2) ∨ tag1][g2:COUNT(DISTINCT *)]
+          scan(r)
+          Π[s.b1, s.b2, s.b3, s.b4, tag1]
+            χ[tag1:(s.b3 = g3)]
+              Π[s.b1, s.b2, s.b3, s.b4, g3]
+                ⟕[(s.b4 = t.c2)][g3:0]
+                  scan(s)
+                  Γ[[t.c2]][g3:COUNT(DISTINCT *)]
+                    scan(t)
+`)
+}
+
+// The Q2 shape with a non-decomposable aggregate: the tag is a plain
+// predicate over the inner block, so Eqv. 5 is one χ under one Γ².
+func TestGoldenQ2DistinctEqv5(t *testing.T) {
+	golden(t, `SELECT DISTINCT * FROM r
+	           WHERE a1 = (SELECT COUNT(DISTINCT b1) FROM s WHERE a2 = b2 OR b4 > 1500)`, `
+distinct
+  Π[r.a1, r.a2, r.a3, r.a4]
+    Π[r.a1, r.a2, r.a3, r.a4]
+      σ[(r.a1 = g2)]
+        Γ²[(r.a2 = s.b2) ∨ tag1][g2:COUNT(DISTINCT s.b1)]
+          scan(r)
+          χ[tag1:(s.b4 > 1500)]
+            scan(s)
 `)
 }

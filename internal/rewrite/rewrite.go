@@ -6,8 +6,8 @@
 //	Eqv. 2  disjunctive linking, cheap predicate bypassed first
 //	Eqv. 3  disjunctive linking, unnested subquery bypassed first
 //	Eqv. 4  disjunctive correlation, decomposable aggregate (fI/fO split)
-//	Eqv. 5  disjunctive correlation, general case (ν + bypass join +
-//	        binary grouping)
+//	Eqv. 5  disjunctive correlation, general case (tagged binary
+//	        grouping: χ_{tag:p} on the inner block under Γ²_{corr ∨ tag})
 //
 // — choosing between 2 and 3 by predicate rank, recursing for linear and
 // tree nesting structures, and translating the technical report's
@@ -219,12 +219,6 @@ func (rw *Rewriter) rewriteChildren(op algebra.Op) (algebra.Op, error) {
 			return nil, err
 		}
 		return algebra.NewMap(child, x.Attr, e), nil
-	case *algebra.Number:
-		child, err := rw.rewriteOp(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewNumber(child, x.Attr), nil
 	case *algebra.CrossProduct:
 		l, r, err := rw.rewritePair(x.L, x.R)
 		if err != nil {
@@ -241,16 +235,6 @@ func (rw *Rewriter) rewriteChildren(op algebra.Op) (algebra.Op, error) {
 			return nil, err
 		}
 		return algebra.NewJoin(l, r, pred), nil
-	case *algebra.BypassJoin:
-		l, r, err := rw.rewritePair(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := rw.rewriteExpr(x.Pred)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewBypassJoin(l, r, pred), nil
 	case *algebra.LeftOuterJoin:
 		l, r, err := rw.rewritePair(x.L, x.R)
 		if err != nil {
@@ -304,7 +288,9 @@ func (rw *Rewriter) rewriteChildren(op algebra.Op) (algebra.Op, error) {
 		if err != nil {
 			return nil, err
 		}
-		return algebra.NewBinaryGroup(l, r, pred, aggs), nil
+		bg := algebra.NewBinaryGroup(l, r, pred, aggs)
+		bg.Tag = x.Tag
+		return bg, nil
 	case *algebra.UnionDisjoint:
 		l, r, err := rw.rewritePair(x.L, x.R)
 		if err != nil {

@@ -202,15 +202,19 @@ func TestQ2DistinctCountForcesEqv5(t *testing.T) {
 	if !strings.Contains(strings.Join(rw.Trace, ";"), "Eqv. 5") {
 		t.Fatalf("COUNT(DISTINCT) must use Eqv. 5, trace = %v", rw.Trace)
 	}
-	// Eqv. 5 shape: ν, ⋈±, Γ².
-	if countOps(rewritten, func(op algebra.Op) bool { _, ok := op.(*algebra.Number); return ok }) != 1 {
-		t.Errorf("want ν:\n%s", algebra.Explain(rewritten))
+	// Tagged Eqv. 5 shape: one Γ² naming the tag its right input's χ defines.
+	var bg *algebra.BinaryGroup
+	algebra.Walk(rewritten, func(op algebra.Op) bool {
+		if x, ok := op.(*algebra.BinaryGroup); ok {
+			bg = x
+		}
+		return true
+	})
+	if bg == nil || bg.Tag == "" {
+		t.Fatalf("want a tagged Γ²:\n%s", algebra.Explain(rewritten))
 	}
-	if countOps(rewritten, func(op algebra.Op) bool { _, ok := op.(*algebra.BypassJoin); return ok }) != 1 {
-		t.Errorf("want ⋈±:\n%s", algebra.Explain(rewritten))
-	}
-	if countOps(rewritten, func(op algebra.Op) bool { _, ok := op.(*algebra.BinaryGroup); return ok }) != 1 {
-		t.Errorf("want Γ²:\n%s", algebra.Explain(rewritten))
+	if m, ok := bg.R.(*algebra.MapOp); !ok || m.Attr != bg.Tag {
+		t.Errorf("want χ[%s:p] under Γ²:\n%s", bg.Tag, algebra.Explain(rewritten))
 	}
 	assertEquivalent(t, cat, canonical, rewritten, "Q2-distinct")
 }
@@ -248,6 +252,34 @@ func TestQ4LinearQuery(t *testing.T) {
 		t.Errorf("trace = %v", rw.Trace)
 	}
 	assertEquivalent(t, cat, canonical, rewritten, "Q4")
+}
+
+// TestEqv5NestedPUnnestsAgainstInner pins what the tagged form buys a
+// linear query: whatever form the nested block in p takes, it unnests
+// against the inner relation through the tag map (no subquery survives)
+// and no bypass stream over outer×inner pairs appears.
+func TestEqv5NestedPUnnestsAgainstInner(t *testing.T) {
+	cat := rstCatalog(t)
+	for name, p := range map[string]string{
+		"scalar":     `b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b4 = c2)`,
+		"exists":     `EXISTS (SELECT * FROM t WHERE b4 = c2)`,
+		"not exists": `NOT EXISTS (SELECT * FROM t WHERE b4 = c2)`,
+		"in":         `b3 IN (SELECT c3 FROM t WHERE b4 = c2)`,
+	} {
+		sql := `SELECT DISTINCT * FROM r
+		        WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2 OR ` + p + `)`
+		canonical, rewritten, rw := planFor(t, cat, sql, AllCaps())
+		if !strings.Contains(strings.Join(rw.Trace, ";"), "Eqv. 5") {
+			t.Errorf("%s: trace = %v", name, rw.Trace)
+		}
+		if algebra.ContainsSubquery(rewritten) {
+			t.Errorf("%s: p's nested block must unnest:\n%s", name, algebra.Explain(rewritten))
+		}
+		if n := countOps(rewritten, func(op algebra.Op) bool { _, ok := op.(*algebra.Stream); return ok }); n != 0 {
+			t.Errorf("%s: %d bypass streams in a tagged Eqv. 5 plan:\n%s", name, n, algebra.Explain(rewritten))
+		}
+		assertEquivalent(t, cat, canonical, rewritten, "Q4/"+name)
+	}
 }
 
 func TestConjunctiveLinkingEqv1(t *testing.T) {
@@ -487,7 +519,7 @@ func TestSelectClauseSubqueryUnnested(t *testing.T) {
 	if algebra.ContainsSubquery(rewritten) {
 		t.Fatalf("select-clause subquery must unnest:\n%s", algebra.Explain(rewritten))
 	}
-	if !strings.Contains(strings.Join(rw.Trace, ";"), "select-clause") {
+	if !strings.Contains(strings.Join(rw.Trace, ";"), "subquery unnested into χ[cnt]") {
 		t.Errorf("trace = %v", rw.Trace)
 	}
 	assertEquivalent(t, cat, canonical, rewritten, "select-clause")

@@ -11,7 +11,9 @@ import (
 // structures for disjunctive correlation) and substituting the
 // synthesized aggregate attribute for the subquery inside the map
 // expression. Unlike the selection case, every outer tuple needs the
-// value, so no bypass cascade applies.
+// value, so no bypass cascade applies. Eqv. 5's tag map χ_{tag:p} goes
+// through the same path, which is how p's own subqueries unnest against
+// the inner block.
 
 // collectScalarSubqueries gathers the scalar subqueries appearing
 // directly in an expression (not inside nested subplans).
@@ -90,7 +92,7 @@ func (rw *Rewriter) unnestMap(m *algebra.MapOp) (algebra.Op, bool, error) {
 		expr = replaceExpr(expr, sub, gExpr)
 		cur = cur2
 		changed = true
-		rw.trace("select-clause subquery unnested into χ[%s]", m.Attr)
+		rw.trace("subquery unnested into χ[%s]", m.Attr)
 	}
 	if !changed {
 		return m, false, nil

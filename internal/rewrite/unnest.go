@@ -480,8 +480,7 @@ func (rw *Rewriter) unnestDisjunctiveCorrelation(sub *algebra.ScalarSubquery, in
 	}
 	if len(pDs) == 0 {
 		// Degenerate: all disjuncts correlated; Eqv. 5 handles it with an
-		// always-false p, but a direct bypass join with empty negative
-		// filter is equivalent — use Eqv. 5 with FALSE.
+		// always-false p (no inner tuple is tagged).
 		pDs = []algebra.Expr{algebra.Const(types.NewBool(false))}
 	}
 	p := algebra.Or(pDs...)
@@ -547,9 +546,19 @@ func (rw *Rewriter) buildEqv4(sub *algebra.ScalarSubquery, inner algebra.Op, out
 	return algebra.Col(g), mapped, true, nil
 }
 
-// buildEqv5 implements Equivalence 5: number the outer stream (ν), bypass
-// join on the correlation predicate, filter the negative stream with p,
-// and reassemble per-tuple aggregates by binary grouping on the number.
+// buildEqv5 implements Equivalence 5 in its tagged form. The paper's
+// expansion numbers the outer stream (ν), bypass-joins it with the inner
+// block on corr, filters the negative stream with p and regroups on the
+// number; every disjunct in p is free of outer columns by construction
+// (unnestDisjunctiveCorrelation puts exactly those there), so p is a
+// function of the inner tuple alone and, per outer tuple,
+//
+//	σ_{corr ∨ p}(S) = σ_p(S) ∪̇ σ_corr(σ_{¬p}(S))    (¬p: p is not TRUE)
+//
+// in both null modes and under bag semantics. A map tags each inner
+// tuple with p once — unnestMap then unnests p's own subqueries against
+// |S| rows — and one binary grouping on corr ∨ tag assembles the groups
+// without the |R|·|S| complement.
 func (rw *Rewriter) buildEqv5(sub *algebra.ScalarSubquery, inner algebra.Op, corr, p algebra.Expr,
 	cur algebra.Op) (algebra.Expr, algebra.Op, bool, error) {
 
@@ -560,27 +569,18 @@ func (rw *Rewriter) buildEqv5(sub *algebra.ScalarSubquery, inner algebra.Op, cor
 			return nil, nil, false, nil
 		}
 	}
-	t := rw.fresh("t", cur)
-	numbered := algebra.NewNumber(cur, t)
-	bj := algebra.NewBypassJoin(numbered, inner, corr)
-	e1 := algebra.Op(algebra.Pos(bj))
-	e2 := algebra.Op(algebra.NewSelect(algebra.Neg(bj), p))
-	union := algebra.NewUnionDisjoint(e1, e2)
-
-	// Keep only the tuple number and the inner attributes for grouping.
-	keep := append([]string{t}, inner.Schema().Attrs()...)
-	proj := algebra.NewProject(union, keep)
-	t2 := rw.fresh("t", cur)
-	ren, err := algebra.NewRename(proj, [][2]string{{t2, t}})
-	if err != nil {
-		return nil, nil, false, err
+	// Only p's truth matters to the tag, which is what NNF and the
+	// quantifier→COUNT conversion preserve; afterwards every subquery in
+	// p is scalar and unnestMap's machinery applies.
+	if algebra.HasSubquery(p) && rw.caps.Quantified {
+		p = rw.quantToCount(normalizeNNFMode(p, rw.nulls))
 	}
+	tag := rw.fresh("tag", inner)
 	g := rw.fresh("g", cur)
 	item := rw.aggItem(g, sub, inner)
-	bg := algebra.NewBinaryGroup(numbered, ren,
-		algebra.Cmp(types.EQ, algebra.Col(t), algebra.Col(t2)),
-		[]algebra.AggItem{item})
-	rw.trace("Eqv. 5: ν[%s] + ⋈±[%s] + σ[%s] + Γ²[%s=%s] for %s", t, corr, p, t, t2, sub.Agg)
+	bg := algebra.NewBinaryGroup(cur, algebra.NewMap(inner, tag, p), corr, []algebra.AggItem{item})
+	bg.Tag = tag
+	rw.trace("Eqv. 5: χ[%s:%s] + Γ²[%s ∨ %s] for %s", tag, p, corr, tag, sub.Agg)
 	return algebra.Col(g), bg, true, nil
 }
 

@@ -36,25 +36,12 @@ func (e *Estimator) nodeCost(op algebra.Op) float64 {
 	case *algebra.Scan:
 		return e.Cardinality(x)
 	case *algebra.Select:
-		// A selection fused onto the negative stream of a bypass join
-		// enumerates the complement pairs.
-		if st, ok := x.Child.(*algebra.Stream); ok && !st.Positive {
-			if bj, ok := st.Source.(*algebra.BypassJoin); ok {
-				return e.Cardinality(bj.L) * e.Cardinality(bj.R) *
-					(e.PredCost(bj.Pred) + e.PredCost(x.Pred))
-			}
-		}
 		return e.Cardinality(x.Child) * e.PredCost(x.Pred)
 	case *algebra.BypassSelect:
 		return e.Cardinality(x.Child) * e.PredCost(x.Pred)
 	case *algebra.Stream:
-		if bj, ok := x.Source.(*algebra.BypassJoin); ok && !x.Positive {
-			// An unfused negative bypass-join stream materializes the
-			// complement.
-			return e.Cardinality(bj.L) * e.Cardinality(bj.R) * e.PredCost(bj.Pred)
-		}
 		return 0 // bypass selections are costed at the source
-	case *algebra.Project, *algebra.Rename, *algebra.MapOp, *algebra.Number:
+	case *algebra.Project, *algebra.Rename, *algebra.MapOp:
 		base := e.Cardinality(op)
 		if m, ok := op.(*algebra.MapOp); ok {
 			return base * (1 + e.PredCost(m.Expr))
@@ -63,9 +50,6 @@ func (e *Estimator) nodeCost(op algebra.Op) float64 {
 	case *algebra.CrossProduct:
 		return e.Cardinality(x.L) * e.Cardinality(x.R)
 	case *algebra.Join:
-		return e.joinCost(x.L, x.R, x.Pred)
-	case *algebra.BypassJoin:
-		// The positive stream: matching pairs (hash when possible).
 		return e.joinCost(x.L, x.R, x.Pred)
 	case *algebra.LeftOuterJoin:
 		return e.joinCost(x.L, x.R, x.Pred)
@@ -76,10 +60,21 @@ func (e *Estimator) nodeCost(op algebra.Op) float64 {
 	case *algebra.GroupBy:
 		return e.Cardinality(x.Child) * float64(1+len(x.Aggs))
 	case *algebra.BinaryGroup:
-		if hashableEquality(x.Pred, x) {
-			return e.Cardinality(x.L) + e.Cardinality(x.R)
+		l, r := e.Cardinality(x.L), e.Cardinality(x.R)
+		hashable := hashableEquality(x.Pred, x)
+		switch {
+		case x.Tag != "" && hashable:
+			// Tagged Eqv. 5: the tagged tuples fold once; each outer
+			// tuple then visits its matches among the untagged, at most
+			// its matches in all of R.
+			return l + r + l*r*e.Selectivity(x.Pred, x)
+		case hashable:
+			return l + r
+		default:
+			// Every pair is examined (for a tagged grouping every
+			// untagged pair, bounded by all of them).
+			return l * r * e.PredCost(x.Pred)
 		}
-		return e.Cardinality(x.L) * e.Cardinality(x.R) * e.PredCost(x.Pred)
 	case *algebra.UnionDisjoint:
 		return e.Cardinality(x)
 	case *algebra.UnionAll:

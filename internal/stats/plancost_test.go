@@ -54,15 +54,26 @@ func TestPlanCostUnnestedBeatsCanonicalForCorrelated(t *testing.T) {
 	}
 }
 
-func TestPlanCostBypassJoinNegativeIsQuadratic(t *testing.T) {
+func TestPlanCostTaggedBinaryGroupIsLinear(t *testing.T) {
 	cat, r, s := fixture(t)
 	e := New(cat)
-	bj := algebra.NewBypassJoin(r, s, algebra.Cmp(types.EQ, algebra.Col("r.a2"), algebra.Col("s.b2")))
-	neg := algebra.NewSelect(algebra.Neg(bj), algebra.Cmp(types.GT, algebra.Col("s.b1"), algebra.ConstInt(50)))
-	cost := e.PlanCost(neg)
-	// 100×100 pairs at least.
-	if cost < 100*100 {
-		t.Errorf("negative bypass-join stream cost %g must reflect the complement size", cost)
+	inner := algebra.NewMap(s, "tag", algebra.Cmp(types.GT, algebra.Col("s.b1"), algebra.ConstInt(50)))
+	aggs := []algebra.AggItem{{Out: "g", Spec: agg.Spec{Kind: agg.Count, Star: true, Distinct: true}}}
+	eq := algebra.Cmp(types.EQ, algebra.Col("r.a2"), algebra.Col("s.b2"))
+	tagged := func(pred algebra.Expr) float64 {
+		bg := algebra.NewBinaryGroup(r, inner, pred, aggs)
+		bg.Tag = "tag"
+		return e.PlanCost(bg)
+	}
+	hashed := tagged(eq)
+	// |L| + |R| + matches, nowhere near the 100×100 complement Eqv. 5
+	// used to enumerate.
+	if hashed >= 100*100/2 {
+		t.Errorf("tagged hash Γ² cost %g must not reflect the complement size", hashed)
+	}
+	scanned := tagged(algebra.Cmp(types.LT, algebra.Col("r.a2"), algebra.Col("s.b2")))
+	if scanned <= hashed {
+		t.Errorf("non-hashable tagged Γ² cost %g must exceed the hashed %g", scanned, hashed)
 	}
 }
 

@@ -97,16 +97,9 @@ func (e *Estimator) Cardinality(op algebra.Op) float64 {
 		return e.Cardinality(x.Child)
 	case *algebra.Stream:
 		base := e.Cardinality(x.Source)
-		var pred algebra.Expr
-		switch s := x.Source.(type) {
-		case *algebra.BypassSelect:
-			pred = s.Pred
-		case *algebra.BypassJoin:
-			pred = s.Pred
-		}
 		sel := defaultSel
-		if pred != nil {
-			sel = e.Selectivity(pred, x.Source)
+		if s, ok := x.Source.(*algebra.BypassSelect); ok {
+			sel = e.Selectivity(s.Pred, x.Source)
 		}
 		if x.Positive {
 			return base * sel
@@ -118,14 +111,10 @@ func (e *Estimator) Cardinality(op algebra.Op) float64 {
 		return e.Cardinality(x.Child)
 	case *algebra.MapOp:
 		return e.Cardinality(x.Child)
-	case *algebra.Number:
-		return e.Cardinality(x.Child)
 	case *algebra.CrossProduct:
 		return e.Cardinality(x.L) * e.Cardinality(x.R)
 	case *algebra.Join:
 		return e.Cardinality(x.L) * e.Cardinality(x.R) * e.Selectivity(x.Pred, op)
-	case *algebra.BypassJoin:
-		return e.Cardinality(x.L) * e.Cardinality(x.R)
 	case *algebra.LeftOuterJoin:
 		// Grouped inner keyed on the join attribute: cardinality of the
 		// outer side (paper §3.7).

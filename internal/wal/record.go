@@ -139,7 +139,13 @@ type RecoveryError struct {
 	LSN uint64
 	// Reason describes the damage.
 	Reason string
+	// Cause is the error that made a decodable record unreplayable, when
+	// there is one; errors.Is and errors.As see through to it.
+	Cause error
 }
+
+// Unwrap returns the underlying cause, if any.
+func (e *RecoveryError) Unwrap() error { return e.Cause }
 
 func (e *RecoveryError) Error() string {
 	if e.Path == "" {

@@ -401,3 +401,17 @@ func TestLSNSurvivesReopen(t *testing.T) {
 		t.Fatalf("lsn=%d err=%v, want 4", lsn, err)
 	}
 }
+
+// TestRecoveryErrorKeepsItsCause: a replay failure wrapped as log damage
+// keeps the identity of what caused it, so callers' errors.Is checks
+// survive the wrapper.
+func TestRecoveryErrorKeepsItsCause(t *testing.T) {
+	cause := errors.New("table is gone")
+	var err error = &RecoveryError{LSN: 7, Reason: "replaying insert record: table is gone", Cause: cause}
+	if !errors.Is(err, cause) {
+		t.Errorf("errors.Is lost the cause through %v", err)
+	}
+	if errors.Unwrap(&RecoveryError{Reason: "checksum mismatch"}) != nil {
+		t.Error("damage without a cause must unwrap to nil")
+	}
+}

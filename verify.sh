@@ -2,8 +2,9 @@
 # verify.sh — the repo's full verification chain: the tier-1 gate from
 # ROADMAP.md plus a one-iteration benchmark smoke test (catches broken
 # benchmark code and instrumentation regressions without paying for a
-# real measurement run), the robustness suite under -race (fault
-# injection across the golden plans, cancellation stress, panic
+# real measurement run), the benchmark of record's own tests and smoke
+# run (benchmark/ is a nested module), the robustness suite under -race
+# (fault injection across the golden plans, cancellation stress, panic
 # recovery), the concurrency stress suite (snapshot isolation, admission
 # control, shared budget, mixed read/write/DDL stress) under -race, the
 # caching suite under -race (warm-hit identity, invalidation races,
@@ -12,7 +13,8 @@
 # telemetry suite under -race (ground-truth accounting, concurrent
 # registry identity, allocation golden, slow log, debug endpoint),
 # the durability suite under -race (recovery goldens, close drain,
-# seal-on-failure, WAL metrics) plus the full crash-chaos kill sweep
+# seal-on-failure, WAL metrics, fifty runs of the close/checkpoint/
+# replica-apply race tests) plus the full crash-chaos kill sweep
 # (child SIGKILLed at every WAL/snapshot fault-site visit and 72 random
 # log truncations, every recovered state prefix-legal), a kill -9
 # recovery smoke through the REPL (populate durably, kill the process,
@@ -36,6 +38,10 @@ go test ./...
 go vet ./...
 go test -race ./...
 go test -bench=. -benchtime=1x -run '^$' ./...
+# The benchmark of record is a nested module the root's ./... does not
+# see: build and test it against this tree, then run every workload once.
+(cd benchmark && go test ./...)
+bash benchmark/run.sh -smoke
 go test -race -run 'TestChaos|TestCancellation|TestQueryContext|TestPanicRecovery' .
 go test -race -run 'TestGate|TestAdmission|TestSnapshotIsolation|TestStressMixed|TestConcurrentInserts|TestSharedTupleBudget' .
 go test -race -run 'TestWarmHit|TestStrategiesDoNotShare|TestCacheDisabled|TestDMLInvalidates|TestViewRedefinition|TestResultCacheEvictionPressure|TestPlanCacheEvictionPressure|TestCachedTuplesCharge|TestSingleFlight|TestCachedReaders|TestPrepare' .
@@ -45,7 +51,10 @@ go test -race ./internal/telemetry
 go test -race -run 'TestDurable|TestRecovery|TestGroupCommit|TestClose|TestVolatile|TestWALSealed|TestRetry' .
 go test -race -run 'TestCrashChaos' .
 go test -race ./internal/wal
-go test -race -run 'TestCheckpointRacesDML|TestCloseDuringReplicaApply|TestCloseImmediatelyAfterRecovery' .
+# The durability race tests interleave Close, checkpoints and replica
+# applies differently on every run; fifty runs each keep a one-in-ten
+# flake from hiding behind a single green run.
+go test -race -count=50 -run 'TestCloseDuringReplicaApply|TestCheckpointRacesDML|TestCloseImmediatelyAfterRecovery' .
 go test -race ./internal/wire ./internal/server
 go run ./cmd/bench -exp concurrency -scale 0.02 -workers 1 -sessions 1,4 -timeout 30s -q -json "$(mktemp -d)"
 go run ./cmd/bench -exp serve -scale 0.02 -sessions 1,2 -timeout 30s -q -json "$(mktemp -d)"

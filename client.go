@@ -44,7 +44,6 @@ type Client struct {
 
 	// Session state replayed after a reconnect.
 	strategy  string
-	path      string
 	nulls     string
 	timeoutMS int64
 	prepared  map[string]string
@@ -232,11 +231,6 @@ func (c *Client) SetStrategy(s Strategy) error {
 	return c.set(&wire.Request{Op: wire.OpSet, Strategy: string(s)}, func() { c.strategy = string(s) })
 }
 
-// SetExecutionPath makes path ("row" or "vector") the session default.
-func (c *Client) SetExecutionPath(path string) error {
-	return c.set(&wire.Request{Op: wire.OpSet, Path: path}, func() { c.path = path })
-}
-
 // SetNullMode makes m the session's default null semantics: "3vl"
 // (SQL three-valued, the server default) or "2vl" (comparisons with
 // NULL are false).
@@ -395,8 +389,8 @@ func (c *Client) connectLocked(ctx context.Context) error {
 	}
 	c.conn = conn
 	c.br = bufio.NewReaderSize(conn, 64<<10)
-	replay := &wire.Request{Op: wire.OpSet, Strategy: c.strategy, Path: c.path, Nulls: c.nulls, TimeoutMS: c.timeoutMS}
-	if c.strategy != "" || c.path != "" || c.nulls != "" || c.timeoutMS > 0 {
+	replay := &wire.Request{Op: wire.OpSet, Strategy: c.strategy, Nulls: c.nulls, TimeoutMS: c.timeoutMS}
+	if c.strategy != "" || c.nulls != "" || c.timeoutMS > 0 {
 		if _, err := c.exchangeLocked(ctx, replay); err != nil {
 			c.dropLocked()
 			return err

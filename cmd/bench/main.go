@@ -13,8 +13,6 @@
 //	bench -exp fig7a -workers 4   # run with a 4-worker morsel pool
 //	bench -exp workers -workers 1,2,4   # 1-vs-N parallel speedup sweep
 //	bench -exp concurrency -workers 1,2 -sessions 1,4,8   # concurrent-session sweep
-//	bench -exp predicates         # row vs vectorized path on disjunctive filters
-//	bench -path row               # pin every measured query to one execution path
 //	bench -json .                 # also write BENCH_<exp>.json per experiment
 //	bench -cpuprofile cpu.pprof   # write a pprof CPU profile
 //	bench -memprofile mem.pprof   # write a pprof heap profile
@@ -51,7 +49,6 @@ func main() {
 		strategies = flag.String("strategies", "", "comma-separated strategies (default: all of s1,s2,s3,canonical,unnested)")
 		repeat     = flag.Int("repeat", 1, "runs per cell; the fastest is kept")
 		workers    = flag.String("workers", "", "morsel-parallel worker counts: one value applies to every experiment, a comma list drives the 'workers' and 'concurrency' sweeps (default: GOMAXPROCS)")
-		path       = flag.String("path", "", "execution path for every measured query: row or vector (default: engine default, vector; the 'predicates' experiment sweeps both and ignores this)")
 		sessions   = flag.String("sessions", "", "concurrent session counts for the 'concurrency' sweep (default: 1,4,8)")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 		jsonDir    = flag.String("json", "", "write BENCH_<exp>.json with timings and per-operator breakdowns into this directory")
@@ -92,15 +89,11 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 
-	if *path != "" && *path != "row" && *path != "vector" {
-		fatalf("bad -path %q (want row or vector)", *path)
-	}
 	cfg := harness.Config{
 		Ctx:         ctx,
 		Timeout:     *timeout,
 		RSTScale:    *scale,
 		Repeat:      *repeat,
-		Path:        *path,
 		OpBreakdown: *jsonDir != "",
 	}
 	var workerList []int
@@ -170,9 +163,6 @@ func main() {
 			if err != nil {
 				fatalf("%s: %v", id, err)
 			}
-			// The filename comes from the table's id, not the experiment
-			// id — they differ only for "predicates", whose table is named
-			// "vector" after what it measures.
 			outPath := filepath.Join(*jsonDir, fmt.Sprintf("BENCH_%s.json", tab.ID))
 			if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
 				fatalf("%s: %v", id, err)

@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"disqo"
-	"disqo/internal/exec"
 	"disqo/internal/scenario"
 )
 
@@ -52,9 +51,8 @@ func main() {
 		tpchSF    = flag.Float64("tpch", 0, "load TPC-H at this scale factor")
 		full      = flag.Bool("tpch-all", false, "generate all 8 TPC-H tables (default: the 5 Query 2d uses)")
 		strategy  = flag.String("strategy", string(disqo.Unnested), "evaluation strategy: s1,s2,s3,canonical,unnested")
-		path      = flag.String("path", "", "execution path: row or vector (default: vector with per-node row fallback)")
 		nulls     = flag.String("nulls", "3vl", "null semantics: 3vl (SQL three-valued) or 2vl (NULL comparisons are false)")
-		seedFlag  = flag.String("seed", "", "reproduce adversarial scenario N: load its generated tables and run its query (combine with -strategy/-path/-nulls to compare matrix cells; -e overrides the query)")
+		seedFlag  = flag.String("seed", "", "reproduce adversarial scenario N: load its generated tables and run its query (combine with -strategy/-nulls to compare matrix cells; -e overrides the query)")
 		execSQL   = flag.String("e", "", "execute one statement and exit")
 		explain   = flag.Bool("explain", false, "with -e: explain instead of executing")
 		timeout   = flag.Duration("timeout", 0, "query timeout (0 = none)")
@@ -152,13 +150,6 @@ func main() {
 	} else {
 		fatal(fmt.Errorf("bad -nulls %q (want 2vl or 3vl)", *nulls))
 	}
-	if *path != "" {
-		p, ok := exec.ParsePath(*path)
-		if !ok {
-			fatal(fmt.Errorf("bad -path %q (want row or vector)", *path))
-		}
-		sess.path, sess.pathSet = p, true
-	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -168,7 +159,7 @@ func main() {
 		sess.tracer = newJSONLTracer(f)
 	}
 	// -seed without -e is a one-shot reproduction: run the scenario's
-	// generated query under the chosen strategy/path/nulls and exit.
+	// generated query under the chosen strategy/nulls and exit.
 	if *execSQL == "" && scenarioSQL != "" {
 		*execSQL = scenarioSQL
 	}
@@ -188,10 +179,6 @@ type session struct {
 	strategy disqo.Strategy
 	timeout  time.Duration
 	tracer   *jsonlTracer
-	// path pins the execution path when pathSet; otherwise queries use
-	// the engine default (vector with per-node row fallback).
-	path    disqo.ExecutionPath
-	pathSet bool
 	// nulls selects the null semantics every query runs under
 	// (\set nulls 2vl|3vl).
 	nulls disqo.NullMode
@@ -214,9 +201,6 @@ func (s *session) options() []disqo.Option {
 	opts := []disqo.Option{disqo.WithStrategy(s.strategy), disqo.WithNullMode(s.nulls)}
 	if s.timeout > 0 {
 		opts = append(opts, disqo.WithTimeout(s.timeout))
-	}
-	if s.pathSet {
-		opts = append(opts, disqo.WithExecutionPath(s.path))
 	}
 	if s.tracer != nil {
 		opts = append(opts, disqo.WithTracer(s.tracer))
@@ -350,9 +334,9 @@ func (s *session) slow() {
 	}
 	fmt.Printf("%d slow queries captured, showing newest %d:\n", ws.SlowTotal, len(ws.SlowQueries))
 	for _, q := range ws.SlowQueries {
-		fmt.Printf("\n[%s] %s  strategy=%s path=%s rows=%d\n",
+		fmt.Printf("\n[%s] %s  strategy=%s rows=%d\n",
 			q.Time.Format("15:04:05.000"), q.Elapsed.Round(time.Microsecond),
-			q.Strategy, q.Path, q.Rows)
+			q.Strategy, q.Rows)
 		fmt.Printf("  %s\n", q.SQL)
 		if q.Err != "" {
 			fmt.Printf("  error: %s\n", q.Err)

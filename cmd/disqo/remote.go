@@ -152,16 +152,6 @@ func (rs *remoteSession) command(line string) bool {
 			break
 		}
 		fmt.Printf("session strategy set to %s\n", fields[1])
-	case "\\path":
-		if len(fields) != 2 {
-			fmt.Println("usage: \\path <row|vector>")
-			break
-		}
-		if err := rs.c.SetExecutionPath(fields[1]); err != nil {
-			rs.report(err)
-			break
-		}
-		fmt.Printf("session execution path set to %s\n", fields[1])
 	case "\\set":
 		if len(fields) != 3 || fields[1] != "nulls" {
 			fmt.Println("usage: \\set nulls 2vl|3vl")
@@ -222,7 +212,7 @@ func (rs *remoteSession) command(line string) bool {
 		fmt.Print(res.String())
 		fmt.Printf("elapsed: %s\n", res.Elapsed.Round(time.Microsecond))
 	case "\\help":
-		fmt.Println("\\ping                    server role, drain state, replica staleness\n\\strategy <s>            set the session's default strategy\n\\path <row|vector>       set the session's default execution path\n\\set nulls 2vl|3vl       set the session's default null semantics\n\\timeout <d>             set the session's default query timeout (0 clears)\n\\prepare <name> <sql>    register a prepared statement\n\\run <name>              execute a prepared statement\n\\q                       quit")
+		fmt.Println("\\ping                    server role, drain state, replica staleness\n\\strategy <s>            set the session's default strategy\n\\set nulls 2vl|3vl       set the session's default null semantics\n\\timeout <d>             set the session's default query timeout (0 clears)\n\\prepare <name> <sql>    register a prepared statement\n\\run <name>              execute a prepared statement\n\\q                       quit")
 	default:
 		fmt.Printf("unknown command %s in remote mode (try \\help)\n", fields[0])
 	}

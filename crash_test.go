@@ -360,8 +360,9 @@ func TestWALSealedAfterInjectedFailure(t *testing.T) {
 	if err == nil || !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("want injected append failure, got %v", err)
 	}
-	if _, err := db.Exec("INSERT INTO q VALUES (3)"); !errors.Is(err, ErrWALSealed) {
-		t.Fatalf("want ErrWALSealed after seal, got %v", err)
+	// The rejection keeps both identities: that the log is sealed, and why.
+	if _, err := db.Exec("INSERT INTO q VALUES (3)"); !errors.Is(err, ErrWALSealed) || !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("want ErrWALSealed wrapping the injected cause after seal, got %v", err)
 	}
 	// Reads still serve the in-memory state (rows 1 and 2 both applied).
 	res, err := db.Query("SELECT DISTINCT * FROM q")

@@ -716,8 +716,8 @@ type queryConfig struct {
 	began time.Time
 }
 
-// newQueryConfig is the per-call default: unnested strategy on the
-// vectorized path, under the DB's default null mode.
+// newQueryConfig is the per-call default: unnested strategy, compiled
+// expression programs, the DB's default null mode.
 func (db *DB) newQueryConfig() queryConfig {
 	return queryConfig{strategy: Unnested, path: PathVector, nulls: db.nulls}
 }
@@ -725,26 +725,25 @@ func (db *DB) newQueryConfig() queryConfig {
 // Option configures a single Query or Explain call.
 type Option func(*queryConfig)
 
-// ExecutionPath selects the evaluation substrate for a query. Both
-// paths produce byte-identical results; the row path is the engine's
-// correctness oracle, the vectorized path is the fast default.
+// ExecutionPath selects the executor's expression evaluator. There is
+// one executor; both evaluators drive the same operators and produce
+// byte-identical results.
 type ExecutionPath = exec.Path
 
 const (
-	// PathRow interprets plans tuple-at-a-time.
+	// PathRow interprets every expression per row.
 	PathRow = exec.PathRow
-	// PathVector evaluates eligible operators batch-at-a-time over
-	// columnar vectors, falling back to the row interpreter per node.
+	// PathVector runs the planner's compiled columnar programs per
+	// morsel where it produced them, interpreting the rest (the default).
 	PathVector = exec.PathVector
 )
 
-// WithExecutionPath selects row or vectorized evaluation (default
-// PathVector). Eligible operators — scans, filters, bypass σ±,
-// hash-join probe sides without residual predicates, projections, and
-// compiled Map expressions — run column-at-a-time on the vectorized
-// path; everything else (and every node whose predicate needs an outer
-// environment, e.g. correlated subqueries) falls back to the row
-// interpreter per node. Results are byte-identical on both paths.
+// WithExecutionPath is the differential-test hook, not a product mode:
+// no flag, wire field or session default reaches it. PathRow makes every
+// filter, σ± and χ interpret its expression instead of running the
+// compiled program, which is how path_test.go, FuzzQuery, the chaos
+// sweep and internal/scenario vote the interpreter against the compiled
+// programs. The result cache keys on it.
 func WithExecutionPath(p ExecutionPath) Option {
 	return func(c *queryConfig) { c.path = p }
 }
@@ -1422,7 +1421,6 @@ func (db *DB) Analyze(sql string, opts ...Option) (string, error) {
 				Time:     time.Now(),
 				SQL:      norm,
 				Strategy: string(strategyOf(cfg)),
-				Path:     cfg.path.String(),
 				Elapsed:  time.Since(cfg.began),
 				Rows:     int64(rel.Cardinality()),
 				Plan:     physical.ExplainAnnotated(root, annot),

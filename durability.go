@@ -358,7 +358,7 @@ func (db *DB) logging() bool {
 func (db *DB) writeGuard() error {
 	if db.logging() {
 		if cause := db.wal.Sealed(); cause != nil {
-			return fmt.Errorf("%w (cause: %v)", ErrWALSealed, cause)
+			return fmt.Errorf("%w (cause: %w)", ErrWALSealed, cause)
 		}
 	}
 	return nil

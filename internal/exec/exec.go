@@ -22,6 +22,7 @@ import (
 	"disqo/internal/stats"
 	"disqo/internal/storage"
 	"disqo/internal/types"
+	"disqo/internal/vec"
 )
 
 // ErrTimeout is returned when a query exceeds the executor deadline — the
@@ -79,11 +80,11 @@ type Options struct {
 	// results stay byte-identical across worker counts for any fixed
 	// morsel size.
 	MorselSize int
-	// Path selects the evaluation substrate: PathRow interprets
-	// tuple-at-a-time (the correctness oracle), PathVector runs eligible
-	// operators column-at-a-time over storage.Batch vectors, falling
-	// back to the row path per node when the planner found no compiled
-	// kernel. Both paths produce byte-identical results.
+	// Path selects the expression evaluator (see Path): PathRow
+	// interprets every expression — the reference the differential
+	// tests vote with — and PathVector runs the planner's compiled
+	// programs where it produced them. The operators are the same and
+	// the results byte-identical.
 	Path Path
 	// Metrics enables per-operator runtime counters (NodeMetrics),
 	// read back through Executor.NodeMetrics after Run. Off by default:
@@ -634,10 +635,8 @@ func (ex *Executor) evalNode(n physical.Node, env *Env) (*storage.Relation, erro
 	case *physical.Scan:
 		return ex.evalScan(x)
 	case *physical.Filter:
-		if ex.useVec() && x.VecPred != nil {
-			return ex.evalFilterVec(x, env)
-		}
-		return ex.evalFilter(x, env)
+		pos, _, err := ex.evalSigma(x, x.Child, x.Pred, x.VecPred, false, env)
+		return pos, err
 	case *physical.BypassFilter:
 		// Reached only via Stream nodes; evaluating the bare node is a
 		// plan bug.
@@ -645,21 +644,12 @@ func (ex *Executor) evalNode(n physical.Node, env *Env) (*storage.Relation, erro
 	case *physical.Stream:
 		return ex.evalStream(x, env)
 	case *physical.Project:
-		if ex.useVec() {
-			return ex.evalProjectVec(x, env)
-		}
 		return ex.evalProject(x, env)
 	case *physical.Rename:
 		return ex.evalRename(x, env)
 	case *physical.Map:
-		if ex.useVec() && x.VecExpr != nil {
-			return ex.evalMapVec(x, env)
-		}
 		return ex.evalMap(x, env)
 	case *physical.HashJoin:
-		if ex.useVec() && x.Residual == nil {
-			return ex.evalHashJoinVec(x, env)
-		}
 		return ex.evalHashJoin(x, env)
 	case *physical.NLJoin:
 		return ex.evalNLJoin(x, env)
@@ -667,14 +657,10 @@ func (ex *Executor) evalNode(n physical.Node, env *Env) (*storage.Relation, erro
 		return ex.evalOuterJoin(x, env)
 	case *physical.Group:
 		return ex.evalGroup(x, env)
-	case *physical.BinaryGroupHash:
-		return ex.evalBinaryGroupHash(x, env)
 	case *physical.BinaryGroupSort:
 		return ex.evalBinaryGroupSorted(x, env)
-	case *physical.BinaryGroupNL:
-		return ex.evalBinaryGroupNL(x, env)
-	case *physical.BinaryGroupTagged:
-		return ex.evalBinaryGroupTagged(x, env)
+	case *physical.BinaryGroup:
+		return ex.evalBinaryGroup(x, env)
 	case *physical.Union:
 		return ex.evalConcat(x.L, x.R, x.Schema(), env)
 	case *physical.Distinct:
@@ -704,43 +690,13 @@ func (ex *Executor) evalScan(s *physical.Scan) (*storage.Relation, error) {
 		return nil, fmt.Errorf("exec: scan %s: stored arity %d vs plan arity %d",
 			s.Table, tbl.Rel.Schema.Len(), s.Schema().Len())
 	}
-	if ex.useVec() {
-		// The scan's output is the row heap the columnar batches are
-		// built over; mark it as feeding the vectorized path.
-		ex.creditVec(s)
+	// The scan's output is the row heap the columnar batches are built
+	// over, so under the vector path it counts as vector-served.
+	if _, err := ex.vecEnter(s); err != nil {
+		return nil, err
 	}
 	// Share tuple storage; only the schema (qualification) differs.
 	return &storage.Relation{Schema: s.Schema(), Tuples: tbl.Rel.Tuples}, nil
-}
-
-func (ex *Executor) evalFilter(f *physical.Filter, env *Env) (*storage.Relation, error) {
-	in, err := ex.eval(f.Child, env)
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := parMorsels(ex, len(in.Tuples), false,
-		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			var out [][]types.Value
-			for _, t := range in.Tuples[lo:hi] {
-				if err := w.tick(); err != nil {
-					return nil, err
-				}
-				keep, err := w.EvalPred(f.Pred, Bind(env, in.Schema, t))
-				if err != nil {
-					return nil, err
-				}
-				if keep.IsTrue() {
-					out = append(out, t)
-				}
-			}
-			return out, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := storage.NewRelation(in.Schema)
-	out.Tuples = concatChunks(chunks)
-	return out, nil
 }
 
 func (ex *Executor) evalStream(s *physical.Stream, env *Env) (*storage.Relation, error) {
@@ -748,13 +704,7 @@ func (ex *Executor) evalStream(s *physical.Stream, env *Env) (*storage.Relation,
 	if !ok {
 		return nil, fmt.Errorf("exec: Stream over non-bypass operator %T", s.Source)
 	}
-	var pos, neg *storage.Relation
-	var err error
-	if ex.useVec() && src.VecPred != nil {
-		pos, neg, err = ex.evalBypassFilterVec(src, env)
-	} else {
-		pos, neg, err = ex.evalBypassFilter(src, env)
-	}
+	pos, neg, err := ex.evalSigma(src, src.Child, src.Pred, src.VecPred, true, env)
 	if err != nil {
 		return nil, err
 	}
@@ -795,61 +745,73 @@ func (sh *sharedState) storeIfAbsent(key memoKey, rel *storage.Relation) {
 	}
 }
 
-// evalBypassFilter partitions the input into (TRUE, not-TRUE) — the σ±
-// of Fig. 1 — in a single pass over morsels.
-func (ex *Executor) evalBypassFilter(s *physical.BypassFilter, env *Env) (pos, neg *storage.Relation, err error) {
-	in, err := ex.eval(s.Child, env)
+// evalSigma is σ and σ± (Fig. 1) in one body: a single pass over morsels
+// turns the predicate's truth values into selection vectors — TRUE rows
+// into pos and, for σ± (wantNeg), not-TRUE rows into neg — and the
+// outputs gather the selected row pointers in input order, copying
+// nothing.
+func (ex *Executor) evalSigma(n, child physical.Node, pred algebra.Expr, vp *vec.Pred, wantNeg bool, env *Env) (pos, neg *storage.Relation, err error) {
+	in, err := ex.eval(child, env)
 	if err != nil {
 		return nil, nil, err
 	}
-	type split struct {
-		pos, neg [][]types.Value
+	compiled, err := ex.vecEnter(n)
+	if err != nil {
+		return nil, nil, err
 	}
+	truth := morselEval(ex, compiled, vp, in, env,
+		func(w *Executor, row *Env) (types.TriBool, error) { return w.EvalPred(pred, row) })
 	chunks, err := parMorsels(ex, len(in.Tuples), false,
-		func(w *Executor, lo, hi int) (split, error) {
-			var out split
-			for _, t := range in.Tuples[lo:hi] {
-				if err := w.tick(); err != nil {
-					return split{}, err
-				}
-				keep, err := w.EvalPred(s.Pred, Bind(env, in.Schema, t))
-				if err != nil {
-					return split{}, err
-				}
-				if keep.IsTrue() {
-					out.pos = append(out.pos, t)
-				} else {
-					out.neg = append(out.neg, t)
+		func(w *Executor, lo, hi int) (sel [2][]int32, err error) {
+			res, err := truth(w, lo, hi)
+			if err != nil {
+				return sel, err
+			}
+			for i, t := range res {
+				if t.IsTrue() {
+					sel[0] = append(sel[0], int32(lo+i))
+				} else if wantNeg {
+					sel[1] = append(sel[1], int32(lo+i))
 				}
 			}
-			return out, nil
+			return sel, nil
 		})
 	if err != nil {
 		return nil, nil, err
 	}
-	pos = storage.NewRelation(in.Schema)
-	neg = storage.NewRelation(in.Schema)
-	for _, c := range chunks {
-		pos.Tuples = append(pos.Tuples, c.pos...)
-		neg.Tuples = append(neg.Tuples, c.neg...)
+	pos = gatherChunks(in, chunks, 0)
+	if wantNeg {
+		neg = gatherChunks(in, chunks, 1)
 	}
 	return pos, neg, nil
 }
 
+// evalProject copies the projected columns out of each row, in morsels.
 func (ex *Executor) evalProject(p *physical.Project, env *Env) (*storage.Relation, error) {
 	in, err := ex.eval(p.Child, env)
 	if err != nil {
 		return nil, err
 	}
-	out := storage.NewRelation(p.Schema())
-	out.Tuples = make([][]types.Value, len(in.Tuples))
-	for i, t := range in.Tuples {
-		row := make([]types.Value, len(p.Cols))
-		for j, c := range p.Cols {
-			row[j] = t[c]
-		}
-		out.Tuples[i] = row
+	if _, err := ex.vecEnter(p); err != nil {
+		return nil, err
 	}
+	chunks, err := parMorsels(ex, len(in.Tuples), false,
+		func(w *Executor, lo, hi int) ([][]types.Value, error) {
+			out := make([][]types.Value, 0, hi-lo)
+			for _, t := range in.Tuples[lo:hi] {
+				row := make([]types.Value, len(p.Cols))
+				for j, c := range p.Cols {
+					row[j] = t[c]
+				}
+				out = append(out, row)
+			}
+			return out, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := storage.NewRelation(p.Schema())
+	out.Tuples = concatChunks(chunks)
 	return out, nil
 }
 
@@ -861,25 +823,29 @@ func (ex *Executor) evalRename(r *physical.Rename, env *Env) (*storage.Relation,
 	return &storage.Relation{Schema: r.Schema(), Tuples: in.Tuples}, nil
 }
 
+// evalMap is χ: each row extended with the expression's value.
 func (ex *Executor) evalMap(m *physical.Map, env *Env) (*storage.Relation, error) {
 	in, err := ex.eval(m.Child, env)
 	if err != nil {
 		return nil, err
 	}
+	compiled, err := ex.vecEnter(m)
+	if err != nil {
+		return nil, err
+	}
+	values := morselEval(ex, compiled, m.VecExpr, in, env,
+		func(w *Executor, row *Env) (types.Value, error) { return w.EvalExpr(m.Expr, row) })
 	chunks, err := parMorsels(ex, len(in.Tuples), false,
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
+			vals, err := values(w, lo, hi)
+			if err != nil {
+				return nil, err
+			}
 			out := make([][]types.Value, 0, hi-lo)
-			for _, t := range in.Tuples[lo:hi] {
-				if err := w.tick(); err != nil {
-					return nil, err
-				}
-				v, err := w.EvalExpr(m.Expr, Bind(env, in.Schema, t))
-				if err != nil {
-					return nil, err
-				}
+			for i, t := range in.Tuples[lo:hi] {
 				row := make([]types.Value, 0, len(t)+1)
 				row = append(row, t...)
-				row = append(row, v)
+				row = append(row, vals[i])
 				out = append(out, row)
 			}
 			return out, nil

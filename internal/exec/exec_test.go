@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -344,6 +345,16 @@ func TestBinaryGroupHashAndNLAgree(t *testing.T) {
 			algebra.Cmp(types.LE, algebra.Col("r.a2"), algebra.Col("s.b2")),
 			algebra.Cmp(types.GE, algebra.Col("r.a2"), algebra.Col("s.b2"))), aggs)
 	nrel := runPlan(t, cat, nlPlan)
+	// One node type serves both; the label names the algorithm.
+	for plan, algo := range map[algebra.Op]string{hashPlan: "HashBinaryGroup[", nlPlan: "NLBinaryGroup["} {
+		n, err := New(cat, Options{}).Plan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(n.Label(), algo) {
+			t.Fatalf("lowered to %s, want %s…", n.Label(), algo)
+		}
+	}
 	h, n := hrel.Canonical(), nrel.Canonical()
 	for i := range h {
 		if h[i] != n[i] {

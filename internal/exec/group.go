@@ -182,122 +182,19 @@ func binaryGroupRow(lt []types.Value, accs []*agg.Acc) []types.Value {
 	return row
 }
 
-// evalBinaryGroupHash is Γ² over a pure equality predicate: the hash
-// algorithm of May & Moerkotte's main-memory binary grouping. Each left
-// tuple owns its accumulators, so morsels over the left side are
-// independent and the per-row aggregate folds see right tuples in
-// bucket (ascending index) order regardless of the worker count.
-func (ex *Executor) evalBinaryGroupHash(b *physical.BinaryGroupHash, env *Env) (*storage.Relation, error) {
-	l, err := ex.eval(b.L, env)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ex.eval(b.R, env)
-	if err != nil {
-		return nil, err
-	}
-	ex.stats.HashJoins++
-	ht, err := ex.buildHashTable(r, b.RCols)
-	if err != nil {
-		return nil, err
-	}
-	ai, err := newAggInputs(b.Aggs, r.Schema)
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := parMorsels(ex, len(l.Tuples), false,
-		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			out := make([][]types.Value, 0, hi-lo)
-			for _, lt := range l.Tuples[lo:hi] {
-				if err := w.tick(); err != nil {
-					return nil, err
-				}
-				accs := newAccs(b.Aggs)
-				for _, ri := range ht.probe(keyOf(lt, b.LCols)) {
-					rt := r.Tuples[ri]
-					if !keysMatch(lt, b.LCols, rt, b.RCols) {
-						continue
-					}
-					if err := ai.add(w, accs, rt, env); err != nil {
-						return nil, err
-					}
-				}
-				out = append(out, binaryGroupRow(lt, accs))
-			}
-			return out, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := storage.NewRelation(b.Schema())
-	out.Tuples = concatChunks(chunks)
-	return out, nil
-}
-
-// evalBinaryGroupNL is the Γ² fallback for arbitrary predicates: each
-// left tuple aggregates over every matching right tuple, with f(∅) for
-// empty match sets (no count bug by construction).
-func (ex *Executor) evalBinaryGroupNL(b *physical.BinaryGroupNL, env *Env) (*storage.Relation, error) {
-	l, err := ex.eval(b.L, env)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ex.eval(b.R, env)
-	if err != nil {
-		return nil, err
-	}
-	ex.stats.NLJoins++
-	joined := l.Schema.Concat(r.Schema)
-	ai, err := newAggInputs(b.Aggs, r.Schema)
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := parMorsels(ex, len(l.Tuples), false,
-		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			out := make([][]types.Value, 0, hi-lo)
-			for _, lt := range l.Tuples[lo:hi] {
-				accs := newAccs(b.Aggs)
-				for _, rt := range r.Tuples {
-					if err := w.tick(); err != nil {
-						return nil, err
-					}
-					match := types.True
-					if b.Pred != nil {
-						var err error
-						match, err = w.EvalPred(b.Pred, Bind(env, joined, concat(lt, rt)))
-						if err != nil {
-							return nil, err
-						}
-					}
-					if !match.IsTrue() {
-						continue
-					}
-					if err := ai.add(w, accs, rt, env); err != nil {
-						return nil, err
-					}
-				}
-				out = append(out, binaryGroupRow(lt, accs))
-			}
-			return out, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := storage.NewRelation(b.Schema())
-	out.Tuples = concatChunks(chunks)
-	return out, nil
-}
-
-// evalBinaryGroupTagged is Γ² on Pred ∨ tag, Eqv. 5's tagged form: per
-// left tuple x the group is σ_tag(R) ∪̇ σ_Pred(x)(σ_{¬tag}(R)). R is split
-// once on the tag column; R⁺ is folded once, in input order, into base
-// accumulators that every left tuple's accumulators overlay; R⁻ is hashed
-// on the equality keys (or scanned, evaluating Pred per pair, when there
-// are none) and each left tuple adds only its matches, in ascending R⁻
-// order. Nothing of size |L|·|R| is built, and since the base fold is
-// sequential and each left tuple owns its overlays the fold order — hence
-// any float rounding — is the same for every worker count.
-func (ex *Executor) evalBinaryGroupTagged(b *physical.BinaryGroupTagged, env *Env) (*storage.Relation, error) {
+// evalBinaryGroup is Γ² by probing, with or without Eqv. 5's tag. Per
+// left tuple x the group is σ_tag(R) ∪̇ σ_Pred(x)(σ_{¬tag}(R)); untagged,
+// σ_tag(R) is empty and σ_{¬tag}(R) is R itself, shared rather than
+// copied. R is split once on the tag column; R⁺ is folded once, in input
+// order, into base accumulators that every left tuple's accumulators
+// overlay; R⁻ is hashed on the equality keys (May & Moerkotte's
+// main-memory binary grouping) or, when there are none, scanned
+// evaluating Pred per pair, and each left tuple adds only its matches,
+// in ascending R⁻ order, with f(∅) for empty match sets (no count bug by
+// construction). Nothing of size |L|·|R| is built, and since the base
+// fold is sequential and each left tuple owns its overlays the fold
+// order — hence any float rounding — is the same for every worker count.
+func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage.Relation, error) {
 	l, err := ex.eval(b.L, env)
 	if err != nil {
 		return nil, err
@@ -311,17 +208,20 @@ func (ex *Executor) evalBinaryGroupTagged(b *physical.BinaryGroupTagged, env *En
 		return nil, err
 	}
 	base := newAccs(b.Aggs)
-	neg := storage.NewRelation(r.Schema)
-	for _, rt := range r.Tuples {
-		if err := ex.tick(); err != nil {
-			return nil, err
-		}
-		if types.TriFromValue(rt[b.TagCol]).IsTrue() {
-			if err := ai.add(ex, base, rt, env); err != nil {
+	neg := r
+	if b.TagCol >= 0 {
+		neg = storage.NewRelation(r.Schema)
+		for _, rt := range r.Tuples {
+			if err := ex.tick(); err != nil {
 				return nil, err
 			}
-		} else {
-			neg.Tuples = append(neg.Tuples, rt)
+			if types.TriFromValue(rt[b.TagCol]).IsTrue() {
+				if err := ai.add(ex, base, rt, env); err != nil {
+					return nil, err
+				}
+			} else {
+				neg.Tuples = append(neg.Tuples, rt)
+			}
 		}
 	}
 	var ht *hashTable
@@ -340,6 +240,7 @@ func (ex *Executor) evalBinaryGroupTagged(b *physical.BinaryGroupTagged, env *En
 			// tuple, instead of a concatenated row per pair.
 			lf := &Env{parent: env, schema: l.Schema}
 			rf := &Env{parent: lf, schema: r.Schema}
+			p := ht.prober(b.LCols)
 			accs := make([]*agg.Acc, len(base))
 			for _, lt := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
@@ -349,11 +250,7 @@ func (ex *Executor) evalBinaryGroupTagged(b *physical.BinaryGroupTagged, env *En
 					accs[i] = agg.Overlay(base[i])
 				}
 				if ht != nil {
-					for _, ri := range ht.probe(keyOf(lt, b.LCols)) {
-						rt := neg.Tuples[ri]
-						if !keysMatch(lt, b.LCols, rt, b.RCols) {
-							continue
-						}
+					for rt := p.first(lt); rt != nil; rt = p.next() {
 						if err := ai.add(w, accs, rt, env); err != nil {
 							return nil, err
 						}
@@ -364,13 +261,15 @@ func (ex *Executor) evalBinaryGroupTagged(b *physical.BinaryGroupTagged, env *En
 						if err := w.tick(); err != nil {
 							return nil, err
 						}
-						rf.tuple = rt
-						match, err := w.EvalPred(b.Pred, rf)
-						if err != nil {
-							return nil, err
-						}
-						if !match.IsTrue() {
-							continue
+						if b.Pred != nil {
+							rf.tuple = rt
+							match, err := w.EvalPred(b.Pred, rf)
+							if err != nil {
+								return nil, err
+							}
+							if !match.IsTrue() {
+								continue
+							}
 						}
 						if err := ai.add(w, accs, rt, env); err != nil {
 							return nil, err

@@ -8,10 +8,11 @@ import (
 	"disqo/internal/types"
 )
 
-// hashTable buckets right-side tuple indices by key hash. Tuples with any
+// hashTable buckets build-side tuple indices by key hash. Tuples with any
 // NULL key column are omitted: SQL equality can never match them.
 type hashTable struct {
 	buckets map[uint64][]int
+	rows    [][]types.Value
 	keyCols []int
 }
 
@@ -51,7 +52,7 @@ func (ex *Executor) buildHashTable(rel *storage.Relation, keyCols []int) (*hashT
 	if err != nil {
 		return nil, err
 	}
-	ht := &hashTable{buckets: make(map[uint64][]int, len(rel.Tuples)), keyCols: keyCols}
+	ht := &hashTable{buckets: make(map[uint64][]int, len(rel.Tuples)), rows: rel.Tuples, keyCols: keyCols}
 	i := 0
 	for _, c := range chunks {
 		for _, hk := range c {
@@ -64,15 +65,51 @@ func (ex *Executor) buildHashTable(rel *storage.Relation, keyCols []int) (*hashT
 	return ht, nil
 }
 
-// probe returns candidate right-tuple indices for the given key values;
-// the caller re-verifies equality (hash collisions).
-func (ht *hashTable) probe(key []types.Value) []int {
-	for _, v := range key {
-		if v.IsNull() {
+// prober is the hash probe, written once: key → bucket → verified
+// match. One prober serves one morsel worker and reuses its key buffer
+// across left tuples, so probing allocates per morsel, not per row.
+type prober struct {
+	ht    *hashTable
+	lcols []int
+	key   []types.Value
+	lt    []types.Value
+	cands []int
+}
+
+// prober returns nil for a nil table: the nested-loop variants of the
+// operators that share a body with their hash variant never probe.
+func (ht *hashTable) prober(lcols []int) *prober {
+	if ht == nil {
+		return nil
+	}
+	return &prober{ht: ht, lcols: lcols, key: make([]types.Value, len(lcols))}
+}
+
+// first returns the first build-side tuple whose key columns equal
+// lt's and next each later one, in ascending build order — which is
+// what fixes the probe's output order — or nil when none is left. A
+// NULL in lt's key matches nothing.
+func (p *prober) first(lt []types.Value) []types.Value {
+	p.lt, p.cands = lt, nil
+	for i, c := range p.lcols {
+		if lt[c].IsNull() {
 			return nil
 		}
+		p.key[i] = lt[c]
 	}
-	return ht.buckets[types.HashTuple(key)]
+	p.cands = p.ht.buckets[types.HashTuple(p.key)]
+	return p.next()
+}
+
+func (p *prober) next() []types.Value {
+	for len(p.cands) > 0 {
+		rt := p.ht.rows[p.cands[0]]
+		p.cands = p.cands[1:]
+		if keysMatch(p.lt, p.lcols, rt, p.ht.keyCols) { // else a hash collision
+			return rt
+		}
+	}
+	return nil
 }
 
 func keyOf(t []types.Value, cols []int) []types.Value {
@@ -109,21 +146,24 @@ func (ex *Executor) evalHashJoin(j *physical.HashJoin, env *Env) (*storage.Relat
 	if err != nil {
 		return nil, err
 	}
-	joined := l.Schema.Concat(r.Schema)
+	if _, err := ex.vecEnter(j); err != nil {
+		return nil, err
+	}
+	var joined *storage.Schema // what the residual is evaluated against
+	if j.Residual != nil {
+		joined = l.Schema.Concat(r.Schema)
+	}
 	emitPairs := j.Mode == physical.JoinInner
 	chunks, err := parMorsels(ex, len(l.Tuples), false,
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
+			p := ht.prober(j.LCols)
 			var out [][]types.Value
 			for _, lt := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
 					return nil, err
 				}
 				matched := false
-				for _, ri := range ht.probe(keyOf(lt, j.LCols)) {
-					rt := r.Tuples[ri]
-					if !keysMatch(lt, j.LCols, rt, j.RCols) {
-						continue // hash collision
-					}
+				for rt := p.first(lt); rt != nil; rt = p.next() {
 					var row []types.Value
 					if emitPairs || j.Residual != nil {
 						row = concat(lt, rt)
@@ -138,11 +178,10 @@ func (ex *Executor) evalHashJoin(j *physical.HashJoin, env *Env) (*storage.Relat
 						}
 					}
 					matched = true
-					if emitPairs {
-						out = append(out, row)
-					} else {
+					if !emitPairs {
 						break
 					}
+					out = append(out, row)
 				}
 				switch j.Mode {
 				case physical.JoinSemi:
@@ -263,17 +302,14 @@ func (ex *Executor) evalOuterJoin(j *physical.OuterJoin, env *Env) (*storage.Rel
 	chunks, err := parMorsels(ex, len(l.Tuples), false,
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			var out [][]types.Value
+			p := ht.prober(j.LCols)
 			for _, lt := range l.Tuples[lo:hi] {
 				matched := false
 				if j.Hash {
 					if err := w.tick(); err != nil {
 						return nil, err
 					}
-					for _, ri := range ht.probe(keyOf(lt, j.LCols)) {
-						rt := r.Tuples[ri]
-						if !keysMatch(lt, j.LCols, rt, j.RCols) {
-							continue
-						}
+					for rt := p.first(lt); rt != nil; rt = p.next() {
 						row := concat(lt, rt)
 						if j.Residual != nil {
 							ok, err := w.EvalPred(j.Residual, Bind(env, joined, row))

@@ -75,10 +75,6 @@ type Config struct {
 	// Workers is the morsel-parallel pool size passed to every query;
 	// zero uses the engine default (GOMAXPROCS).
 	Workers int
-	// Path pins the execution path for every measured query: "row" or
-	// "vector". Empty uses the engine default (vector). The predicates
-	// experiment ignores it — sweeping both paths is its point.
-	Path string
 	// OpBreakdown re-runs each finished cell once with metrics enabled
 	// and attaches a per-operator breakdown (Cell.Ops). The extra run is
 	// separate so instrumentation never pollutes the timed measurements.
@@ -311,22 +307,8 @@ func formatSeconds(s float64) string {
 	}
 }
 
-// pathOption maps Config.Path to a query option; ok=false means the
-// config doesn't pin a path (engine default).
-func pathOption(path string) (disqo.Option, bool) {
-	switch path {
-	case "row":
-		return disqo.WithExecutionPath(disqo.PathRow), true
-	case "vector":
-		return disqo.WithExecutionPath(disqo.PathVector), true
-	}
-	return nil, false
-}
-
 // measure runs one query under one strategy against a prepared DB.
-// extra options are appended last, so sweeps can pin per-cell knobs
-// (the predicates experiment pins the execution path).
-func measure(db *disqo.DB, sql string, s disqo.Strategy, cfg Config, extra ...disqo.Option) Cell {
+func measure(db *disqo.DB, sql string, s disqo.Strategy, cfg Config) Cell {
 	best := Cell{Seconds: math.Inf(1)}
 	var lat telemetry.Histogram
 	for i := 0; i < cfg.Repeat; i++ {
@@ -337,13 +319,9 @@ func measure(db *disqo.DB, sql string, s disqo.Strategy, cfg Config, extra ...di
 		if cfg.Workers > 0 {
 			opts = append(opts, disqo.WithWorkers(cfg.Workers))
 		}
-		if po, ok := pathOption(cfg.Path); ok {
-			opts = append(opts, po)
-		}
 		if cfg.Ctx != nil {
 			opts = append(opts, disqo.WithContext(cfg.Ctx))
 		}
-		opts = append(opts, extra...)
 		start := time.Now()
 		res, err := db.Query(sql, opts...)
 		wall := time.Since(start)
@@ -358,7 +336,7 @@ func measure(db *disqo.DB, sql string, s disqo.Strategy, cfg Config, extra ...di
 	}
 	best.Percentiles = percentilesOf(&lat)
 	if cfg.OpBreakdown {
-		best.Ops = opBreakdown(db, sql, s, cfg, extra...)
+		best.Ops = opBreakdown(db, sql, s, cfg)
 	}
 	return best
 }
@@ -385,7 +363,7 @@ func classifyCell(err error) Cell {
 // opBreakdown runs the query once more with metrics enabled and
 // flattens the per-operator report. Failures simply omit the breakdown;
 // the timed cell already recorded the outcome.
-func opBreakdown(db *disqo.DB, sql string, s disqo.Strategy, cfg Config, extra ...disqo.Option) []OpBreakdown {
+func opBreakdown(db *disqo.DB, sql string, s disqo.Strategy, cfg Config) []OpBreakdown {
 	opts := []disqo.Option{disqo.WithStrategy(s), disqo.WithTupleLimit(cfg.MaxTuples), disqo.WithMetrics()}
 	if cfg.Timeout > 0 {
 		opts = append(opts, disqo.WithTimeout(cfg.Timeout))
@@ -393,10 +371,6 @@ func opBreakdown(db *disqo.DB, sql string, s disqo.Strategy, cfg Config, extra .
 	if cfg.Workers > 0 {
 		opts = append(opts, disqo.WithWorkers(cfg.Workers))
 	}
-	if po, ok := pathOption(cfg.Path); ok {
-		opts = append(opts, po)
-	}
-	opts = append(opts, extra...)
 	res, err := db.Query(sql, opts...)
 	if err != nil || res.Metrics() == nil {
 		return nil
@@ -594,7 +568,7 @@ func sameRows(a, b []string) bool {
 }
 
 // Experiment names in presentation order.
-var Order = []string{"fig7a", "fig7b", "fig7c", "tree", "linear", "quant", "ablation", "workers", "concurrency", "cache", "predicates", "scenario", "serve"}
+var Order = []string{"fig7a", "fig7b", "fig7c", "tree", "linear", "quant", "ablation", "workers", "concurrency", "cache", "scenario", "serve"}
 
 // Run dispatches an experiment by id.
 func Run(id string, cfg Config, progress func(string)) (*Table, error) {
@@ -619,8 +593,6 @@ func Run(id string, cfg Config, progress func(string)) (*Table, error) {
 		return ConcurrencySweep(cfg, nil, nil, progress)
 	case "cache":
 		return CacheSweep(cfg, progress)
-	case "predicates":
-		return PredicateSweep(cfg, progress)
 	case "scenario":
 		return ScenarioSweep(cfg, progress)
 	case "serve":

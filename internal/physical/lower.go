@@ -22,13 +22,12 @@ import (
 //	join, semijoin, antijoin, outerjoin:
 //	    hash on the equality conjuncts when any exist (residual
 //	    conjuncts re-checked per matched pair), nested loops otherwise.
-//	binary grouping: hash when the predicate is pure equality; the
-//	    sort-based prefix/suffix algorithm for a single column
-//	    inequality with decomposable single-partial aggregates;
-//	    nested loops otherwise.
-//	tagged binary grouping (Eqv. 5): one operator either way; its
-//	    untagged right tuples are hashed when the predicate is pure
-//	    equality and scanned per left tuple otherwise.
+//	binary grouping: one probing operator, hashing the right side when
+//	    the predicate is pure equality and scanning it per left tuple
+//	    otherwise — except that an untagged single column inequality
+//	    with decomposable single-partial aggregates runs the sort-based
+//	    prefix/suffix algorithm. A tag (Eqv. 5) only adds the shared
+//	    base fold to the probing operator.
 //
 // The rules are deliberately deterministic — hashing a materialized
 // input is never slower than the quadratic scan at more than a handful
@@ -197,28 +196,21 @@ func (p *Planner) lower(op algebra.Op) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys, residual := splitEquiJoin(x.Pred, x.L.Schema(), x.R.Schema())
+		tagCol := -1
 		if x.Tag != "" {
-			tagCol := x.R.Schema().Index(x.Tag)
-			if tagCol < 0 {
+			if tagCol = x.R.Schema().Index(x.Tag); tagCol < 0 {
 				return nil, fmt.Errorf("physical: tag %q not in %s", x.Tag, x.R.Schema())
 			}
-			t := &BinaryGroupTagged{base: b, L: l, R: r, Pred: x.Pred, TagCol: tagCol, Aggs: x.Aggs}
-			if len(keys) > 0 && len(residual) == 0 {
-				t.LCols, t.RCols = keyCols(keys)
-			}
-			return t, nil
 		}
-		if len(keys) > 0 && len(residual) == 0 {
-			lc, rc := keyCols(keys)
-			return &BinaryGroupHash{base: b, L: l, R: r, LCols: lc, RCols: rc, Aggs: x.Aggs}, nil
-		}
-		if lcol, rcol, cop, ok := thetaGroupable(x); ok {
+		bg := &BinaryGroup{base: b, L: l, R: r, Pred: x.Pred, TagCol: tagCol, Aggs: x.Aggs}
+		if keys, residual := splitEquiJoin(x.Pred, x.L.Schema(), x.R.Schema()); len(keys) > 0 && len(residual) == 0 {
+			bg.LCols, bg.RCols = keyCols(keys)
+		} else if lcol, rcol, cop, ok := thetaGroupable(x); ok && tagCol < 0 {
 			return &BinaryGroupSort{base: b, L: l, R: r,
 				LIdx: x.L.Schema().Index(lcol), RIdx: x.R.Schema().Index(rcol),
 				Op: cop, Aggs: x.Aggs}, nil
 		}
-		return &BinaryGroupNL{base: b, L: l, R: r, Pred: x.Pred, Aggs: x.Aggs}, nil
+		return bg, nil
 
 	case *algebra.UnionDisjoint:
 		l, r, err := p.lower2(x.L, x.R)

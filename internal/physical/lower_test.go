@@ -134,8 +134,10 @@ func TestLowerBinaryGroupHashOnPureEquality(t *testing.T) {
 	cat := testCat(t)
 	bg := lower(t, cat, algebra.NewBinaryGroup(
 		scanOf(t, cat, "r"), scanOf(t, cat, "s"), eq("r.a1", "s.b1"), countAgg()))
-	if _, ok := bg.(*physical.BinaryGroupHash); !ok {
-		t.Fatalf("equality binary group lowered to %T, want *BinaryGroupHash", bg)
+	h, ok := bg.(*physical.BinaryGroup)
+	if !ok || h.TagCol != -1 || len(h.LCols) != 1 || h.LCols[0] != 0 || h.RCols[0] != 0 ||
+		!strings.HasPrefix(h.Label(), "HashBinaryGroup[r.a1=s.b1]") {
+		t.Fatalf("equality binary group lowered to %T %s, want hash probing on a1=b1", bg, bg.Label())
 	}
 }
 
@@ -178,9 +180,7 @@ func TestLowerBinaryGroupNLForComplexPredicates(t *testing.T) {
 		algebra.Const(types.NewBool(true)))
 	bg := lower(t, cat, algebra.NewBinaryGroup(
 		scanOf(t, cat, "r"), scanOf(t, cat, "s"), pred, countAgg()))
-	if _, ok := bg.(*physical.BinaryGroupNL); !ok {
-		t.Fatalf("complex binary group lowered to %T, want *BinaryGroupNL", bg)
-	}
+	wantNLBinaryGroup(t, bg)
 }
 
 func TestLowerBinaryGroupNLForDistinctAggregates(t *testing.T) {
@@ -191,8 +191,16 @@ func TestLowerBinaryGroupNLForDistinctAggregates(t *testing.T) {
 	pred := algebra.Cmp(types.LT, algebra.Col("r.a2"), algebra.Col("s.b2"))
 	bg := lower(t, cat, algebra.NewBinaryGroup(
 		scanOf(t, cat, "r"), scanOf(t, cat, "s"), pred, aggs))
-	if _, ok := bg.(*physical.BinaryGroupNL); !ok {
-		t.Fatalf("DISTINCT binary group lowered to %T, want *BinaryGroupNL", bg)
+	wantNLBinaryGroup(t, bg)
+}
+
+// wantNLBinaryGroup asserts the untagged per-pair algorithm: no hash
+// keys, no tag, and the label the per-operator reports classify by.
+func wantNLBinaryGroup(t *testing.T, bg physical.Node) {
+	t.Helper()
+	n, ok := bg.(*physical.BinaryGroup)
+	if !ok || n.TagCol != -1 || len(n.LCols) != 0 || !strings.HasPrefix(n.Label(), "NLBinaryGroup[") {
+		t.Fatalf("binary group lowered to %T %s, want NLBinaryGroup", bg, bg.Label())
 	}
 }
 
@@ -208,9 +216,9 @@ func TestLowerTaggedBinaryGroup(t *testing.T) {
 	// Pure equality hashes the untagged tuples; the tag column resolves
 	// in the right schema and the label keeps the BinaryGroup suffix the
 	// per-operator reports classify by.
-	h, ok := tagged(eq("r.a1", "s.b1")).(*physical.BinaryGroupTagged)
+	h, ok := tagged(eq("r.a1", "s.b1")).(*physical.BinaryGroup)
 	if !ok {
-		t.Fatalf("tagged Γ² lowered to %T, want *BinaryGroupTagged", h)
+		t.Fatalf("tagged Γ² lowered to %T, want *BinaryGroup", h)
 	}
 	if h.TagCol != 2 || len(h.LCols) != 1 || h.LCols[0] != 0 || h.RCols[0] != 0 {
 		t.Errorf("tagged hash = tag[%d] L%v R%v", h.TagCol, h.LCols, h.RCols)
@@ -224,7 +232,7 @@ func TestLowerTaggedBinaryGroup(t *testing.T) {
 		algebra.Cmp(types.LT, algebra.Col("r.a2"), algebra.Col("s.b2")),
 		algebra.Or(eq("r.a1", "s.b1"), eq("r.a2", "s.b2")),
 	} {
-		n, ok := tagged(pred).(*physical.BinaryGroupTagged)
+		n, ok := tagged(pred).(*physical.BinaryGroup)
 		if !ok || len(n.LCols) != 0 || !strings.HasPrefix(n.Label(), "TagBinaryGroup(nl)[") {
 			t.Errorf("tagged Γ²[%s] lowered to %T %s", pred, n, n.Label())
 		}

@@ -94,8 +94,8 @@ type Filter struct {
 	Child Node
 	Pred  algebra.Expr
 	// VecPred is the compiled columnar program for Pred (with AND/OR
-	// operands cost-ordered), set by the planner's path-selection step
-	// when the predicate vectorizes; nil keeps the node on the row path.
+	// operands cost-ordered), set by the planner when the predicate
+	// compiles; nil means Pred is interpreted per row.
 	VecPred *vec.Pred
 }
 
@@ -112,9 +112,8 @@ type BypassFilter struct {
 	base
 	Child Node
 	Pred  algebra.Expr
-	// VecPred is the compiled columnar program for Pred; one vectorized
-	// pass forks the input batch into the positive and negative
-	// selection vectors. Nil keeps σ± on the row path.
+	// VecPred is the compiled columnar program for Pred; nil means Pred
+	// is interpreted per row.
 	VecPred *vec.Pred
 }
 
@@ -174,8 +173,8 @@ type Map struct {
 	Child Node
 	Attr  string
 	Expr  algebra.Expr
-	// VecExpr is the compiled columnar program for Expr; nil keeps the
-	// node on the row path.
+	// VecExpr is the compiled columnar program for Expr; nil means Expr
+	// is interpreted per row.
 	VecExpr *vec.Scalar
 }
 
@@ -184,6 +183,15 @@ func (m *Map) Children() []Node { return []Node{m.Child} }
 
 // Label implements Node.
 func (m *Map) Label() string { return fmt.Sprintf("Map[%s:%s]", m.Attr, m.Expr) }
+
+// equiKeys renders hash key pairs as "l=r ∧ …" for labels.
+func equiKeys(ls *storage.Schema, lcols []int, rs *storage.Schema, rcols []int) string {
+	keys := make([]string, len(lcols))
+	for i := range lcols {
+		keys[i] = ls.Attr(lcols[i]) + "=" + rs.Attr(rcols[i])
+	}
+	return strings.Join(keys, " ∧ ")
+}
 
 // HashJoin joins by building a hash table on the right input's key
 // columns and probing with the left's. Residual holds the non-equality
@@ -206,12 +214,7 @@ func (j *HashJoin) Label() string {
 	if j.Mode != JoinInner {
 		name = fmt.Sprintf("HashJoin(%s)", j.Mode)
 	}
-	keys := make([]string, len(j.LCols))
-	ls, rs := j.L.Schema(), j.R.Schema()
-	for i := range j.LCols {
-		keys[i] = ls.Attr(j.LCols[i]) + "=" + rs.Attr(j.RCols[i])
-	}
-	out := fmt.Sprintf("%s[%s]", name, strings.Join(keys, " ∧ "))
+	out := fmt.Sprintf("%s[%s]", name, equiKeys(j.L.Schema(), j.LCols, j.R.Schema(), j.RCols))
 	if j.Residual != nil {
 		out += fmt.Sprintf(" residual[%s]", j.Residual)
 	}
@@ -264,12 +267,7 @@ func (j *OuterJoin) Label() string {
 	if !j.Hash {
 		return fmt.Sprintf("NLOuterJoin[%s]", j.Pred)
 	}
-	keys := make([]string, len(j.LCols))
-	ls, rs := j.L.Schema(), j.R.Schema()
-	for i := range j.LCols {
-		keys[i] = ls.Attr(j.LCols[i]) + "=" + rs.Attr(j.RCols[i])
-	}
-	out := fmt.Sprintf("HashOuterJoin[%s]", strings.Join(keys, " ∧ "))
+	out := fmt.Sprintf("HashOuterJoin[%s]", equiKeys(j.L.Schema(), j.LCols, j.R.Schema(), j.RCols))
 	if j.Residual != nil {
 		out += fmt.Sprintf(" residual[%s]", j.Residual)
 	}
@@ -311,29 +309,6 @@ func binaryGroupAggs(aggs []algebra.AggItem) string {
 	return strings.Join(out, ",")
 }
 
-// BinaryGroupHash is Γ² over a pure equality predicate: hash the right
-// side on RCols, probe per left tuple, aggregate the matches.
-type BinaryGroupHash struct {
-	base
-	L, R  Node
-	LCols []int
-	RCols []int
-	Aggs  []algebra.AggItem
-}
-
-// Children implements Node.
-func (b *BinaryGroupHash) Children() []Node { return []Node{b.L, b.R} }
-
-// Label implements Node.
-func (b *BinaryGroupHash) Label() string {
-	keys := make([]string, len(b.LCols))
-	ls, rs := b.L.Schema(), b.R.Schema()
-	for i := range b.LCols {
-		keys[i] = ls.Attr(b.LCols[i]) + "=" + rs.Attr(b.RCols[i])
-	}
-	return fmt.Sprintf("HashBinaryGroup[%s][%s]", strings.Join(keys, " ∧ "), binaryGroupAggs(b.Aggs))
-}
-
 // BinaryGroupSort is Γ² over a single column inequality with
 // decomposable aggregates: sort the right side, precompute prefix and
 // suffix aggregates, binary-search per left tuple (May & Moerkotte).
@@ -356,29 +331,14 @@ func (b *BinaryGroupSort) Label() string {
 		binaryGroupAggs(b.Aggs))
 }
 
-// BinaryGroupNL is the Γ² fallback: nested-loop match enumeration for
-// arbitrary predicates (nil means every pair matches).
-type BinaryGroupNL struct {
-	base
-	L, R Node
-	Pred algebra.Expr
-	Aggs []algebra.AggItem
-}
-
-// Children implements Node.
-func (b *BinaryGroupNL) Children() []Node { return []Node{b.L, b.R} }
-
-// Label implements Node.
-func (b *BinaryGroupNL) Label() string {
-	return fmt.Sprintf("NLBinaryGroup[%s][%s]", b.Pred, binaryGroupAggs(b.Aggs))
-}
-
-// BinaryGroupTagged is Γ² on Pred ∨ tag — Eqv. 5's tagged form. The
-// right tuples whose tag column is TRUE belong to every left tuple's
-// group and are folded once into a shared base; the rest are matched per
-// left tuple, by hash on LCols/RCols when Pred is pure equality and by
-// evaluating Pred per pair otherwise.
-type BinaryGroupTagged struct {
+// BinaryGroup is Γ² by probing: each left tuple aggregates the right
+// tuples that match Pred — found by hash on LCols/RCols when Pred is
+// pure equality, by evaluating Pred per pair (nil means every pair
+// matches) otherwise. With TagCol >= 0 it is Γ² on Pred ∨ tag — Eqv. 5's
+// tagged form: the right tuples whose tag column is TRUE belong to every
+// left tuple's group and are folded once into a shared base, and only
+// the rest are matched. TagCol is -1 when there is no tag.
+type BinaryGroup struct {
 	base
 	L, R   Node
 	Pred   algebra.Expr
@@ -389,16 +349,24 @@ type BinaryGroupTagged struct {
 }
 
 // Children implements Node.
-func (b *BinaryGroupTagged) Children() []Node { return []Node{b.L, b.R} }
+func (b *BinaryGroup) Children() []Node { return []Node{b.L, b.R} }
 
 // Label implements Node.
-func (b *BinaryGroupTagged) Label() string {
-	algo := "nl"
-	if len(b.LCols) > 0 {
-		algo = "hash"
+func (b *BinaryGroup) Label() string {
+	hash := len(b.LCols) > 0
+	if b.TagCol >= 0 {
+		algo := "nl"
+		if hash {
+			algo = "hash"
+		}
+		return fmt.Sprintf("TagBinaryGroup(%s)[%s ∨ %s][%s]", algo, b.Pred,
+			b.R.Schema().Attr(b.TagCol), binaryGroupAggs(b.Aggs))
 	}
-	return fmt.Sprintf("TagBinaryGroup(%s)[%s ∨ %s][%s]", algo, b.Pred,
-		b.R.Schema().Attr(b.TagCol), binaryGroupAggs(b.Aggs))
+	if !hash {
+		return fmt.Sprintf("NLBinaryGroup[%s][%s]", b.Pred, binaryGroupAggs(b.Aggs))
+	}
+	return fmt.Sprintf("HashBinaryGroup[%s][%s]",
+		equiKeys(b.L.Schema(), b.LCols, b.R.Schema(), b.RCols), binaryGroupAggs(b.Aggs))
 }
 
 // Union concatenates two inputs with equal schemas. Disjoint records

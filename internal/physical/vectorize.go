@@ -7,24 +7,22 @@ import (
 	"disqo/internal/vec"
 )
 
-// Path selection: after lowering each node the planner decides whether
-// the executor's vectorized path can run it, compiling the node's
-// expressions into columnar programs (internal/vec) when so. The
-// decision is static and per node — ineligible nodes simply keep their
-// compiled fields nil and the executor interprets them tuple-at-a-time,
-// so a plan freely mixes both paths.
+// Program selection: after lowering each node the planner compiles the
+// node's expressions into columnar programs (internal/vec) where they
+// compile. The decision is static and per node — other nodes keep their
+// compiled fields nil and the executor interprets their expressions per
+// row, so a plan freely mixes both evaluators.
 //
-// Eligibility rules:
+// Which nodes count as served by the vector path (Vectorizable):
 //
-//	Scan, Project: always (pointer-shared rows / positional gather).
 //	Filter, σ± (BypassFilter): the predicate compiles against the
 //	    child schema — every column reference resolves locally (no
 //	    outer correlation) and no subquery/quantifier appears.
 //	Map: the expression compiles, same conditions.
-//	HashJoin: equality keys with no residual predicate (the probe
-//	    loop reads keys from columns; residuals would need per-pair
-//	    environments).
-//	Everything else: row path.
+//	Scan, Project, HashJoin without residual: always — they evaluate
+//	    no expression, so no interpreter runs in them (a residual is
+//	    interpreted per matched pair).
+//	Everything else: no.
 //
 // Before compiling a predicate the planner orders every AND/OR operand
 // list by the estimator's Slagle rank — conjuncts ascending by
@@ -36,8 +34,8 @@ import (
 // labels are untouched, so EXPLAIN output and golden plans are stable.
 
 // vectorize annotates one freshly lowered node with its compiled
-// columnar programs. Compile failures are not errors — they mean "row
-// path".
+// columnar programs. Compile failures are not errors — they mean
+// "interpret".
 func (p *Planner) vectorize(n Node) {
 	switch x := n.(type) {
 	case *Filter:
@@ -100,9 +98,10 @@ func (p *Planner) disjunctGain(e algebra.Expr, input algebra.Op) float64 {
 	return p.est.Selectivity(e, input) / p.est.PredCost(e)
 }
 
-// Vectorizable reports whether the executor's vectorized path has a
-// kernel for this node — the static half of the path decision, used by
-// EXPLAIN to annotate per-node paths before anything runs.
+// Vectorizable reports whether the node runs without the expression
+// interpreter when the executor's vector path is on — the static half
+// of the path decision: EXPLAIN annotates nodes with it before anything
+// runs, and the executor credits VecCalls by it.
 func Vectorizable(n Node) bool {
 	switch x := n.(type) {
 	case *Scan, *Project:

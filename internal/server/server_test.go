@@ -469,6 +469,14 @@ func TestServeSessionSurvivesMalformedFrame(t *testing.T) {
 	if resp := readResp(t, conn); resp.Error == nil || resp.Error.Kind != wire.KindProtocol {
 		t.Fatalf("garbage frame got %+v, want protocol error", resp)
 	}
+	// A frame from a client that still sends the retired "path" field is
+	// served; the key is ignored like any unknown one.
+	if _, err := conn.Write([]byte(`{"id":2,"op":"set","path":"row"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if resp := readResp(t, conn); !resp.OK {
+		t.Fatalf("set with a retired key got %+v, want ok", resp)
+	}
 	// The session is still usable afterwards.
 	resp := rawExchange(t, conn, wire.Request{ID: 3, Op: wire.OpQuery, SQL: "SELECT k FROM kv WHERE k = 1"})
 	if !resp.OK || len(resp.Rows) != 1 {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"disqo"
-	"disqo/internal/exec"
 	"disqo/internal/faultinject"
 	"disqo/internal/sqlparser"
 	"disqo/internal/wire"
@@ -59,7 +58,6 @@ type session struct {
 	// Session state, owned by the worker goroutine.
 	prepared map[string]string
 	strategy string
-	path     string
 	nulls    string
 	timeout  time.Duration
 }
@@ -323,17 +321,6 @@ func (s *session) queryOptions(req *wire.Request) ([]disqo.Option, *wire.Error) 
 		}
 		opts = append(opts, disqo.WithStrategy(st))
 	}
-	path := req.Path
-	if path == "" {
-		path = s.path
-	}
-	if path != "" {
-		p, ok := exec.ParsePath(path)
-		if !ok {
-			return nil, &wire.Error{Kind: wire.KindInvalid, Message: "unknown execution path " + path}
-		}
-		opts = append(opts, disqo.WithExecutionPath(p))
-	}
 	nulls := req.Nulls
 	if nulls == "" {
 		nulls = s.nulls
@@ -439,12 +426,6 @@ func (s *session) doSet(req *wire.Request) *wire.Response {
 			return errResp(req.ID, wire.KindInvalid, "unknown strategy "+req.Strategy)
 		}
 		s.strategy = req.Strategy
-	}
-	if req.Path != "" {
-		if _, ok := exec.ParsePath(req.Path); !ok {
-			return errResp(req.ID, wire.KindInvalid, "unknown execution path "+req.Path)
-		}
-		s.path = req.Path
 	}
 	if req.Nulls != "" {
 		if _, ok := parseNulls(req.Nulls); !ok {

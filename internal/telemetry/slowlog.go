@@ -12,7 +12,6 @@ type SlowQuery struct {
 	Time     time.Time     `json:"time"`
 	SQL      string        `json:"sql"`
 	Strategy string        `json:"strategy"`
-	Path     string        `json:"path"`
 	Elapsed  time.Duration `json:"elapsed_ns"`
 	Rows     int64         `json:"rows"`
 	// Err is set when the slow query also failed (e.g. a timeout after

@@ -6,7 +6,7 @@
 //
 // The hot path — Collector.Observe once per finished query — is
 // designed to cost a map read plus a bounded number of atomic adds:
-// no locks beyond one short per-entry mutex for the strategy/path
+// no locks beyond one short per-entry mutex for the strategy
 // split, and no allocation once a statement's entry exists. A nil
 // *Collector ignores every call, so a DB with telemetry disabled pays
 // a single pointer test per query.
@@ -59,7 +59,6 @@ const (
 // value so observing never allocates.
 type Obs struct {
 	Strategy string
-	Path     string
 	Elapsed  time.Duration
 	Rows     int64
 	Outcome  Outcome
@@ -114,10 +113,8 @@ type StatementStats struct {
 	TotalWall time.Duration   `json:"total_wall_ns"`
 	Latency   LatencySnapshot `json:"latency"`
 
-	// ByStrategy / ByPath split Calls by optimizer strategy and
-	// execution path.
+	// ByStrategy splits Calls by optimizer strategy.
 	ByStrategy map[string]int64 `json:"by_strategy,omitempty"`
-	ByPath     map[string]int64 `json:"by_path,omitempty"`
 
 	// Ops is the est-vs-actual aggregate per physical operator class,
 	// present for statements that ran with metrics collection.
@@ -134,7 +131,7 @@ func (s StatementStats) CacheHitRate() float64 {
 }
 
 // stmtEntry is one registered statement's live counters. Everything on
-// the Observe path is atomic; the strategy/path/ops maps sit behind a
+// the Observe path is atomic; the strategy/ops maps sit behind a
 // short mutex (map writes after the first key are allocation-free).
 type stmtEntry struct {
 	norm string
@@ -147,7 +144,6 @@ type stmtEntry struct {
 
 	mu         sync.Mutex
 	byStrategy map[string]int64
-	byPath     map[string]int64
 	ops        map[string]*OpClassStats
 }
 
@@ -174,7 +170,6 @@ func (e *stmtEntry) observe(obs Obs) {
 	}
 	e.mu.Lock()
 	e.byStrategy[obs.Strategy]++
-	e.byPath[obs.Path]++
 	e.mu.Unlock()
 }
 
@@ -211,10 +206,6 @@ func (e *stmtEntry) snapshot() StatementStats {
 	s.ByStrategy = make(map[string]int64, len(e.byStrategy))
 	for k, v := range e.byStrategy {
 		s.ByStrategy[k] = v
-	}
-	s.ByPath = make(map[string]int64, len(e.byPath))
-	for k, v := range e.byPath {
-		s.ByPath[k] = v
 	}
 	for _, agg := range e.ops {
 		s.Ops = append(s.Ops, *agg)
@@ -329,7 +320,6 @@ func (c *Collector) entry(key string, fp uint64) *stmtEntry {
 		norm:       key,
 		fp:         fp,
 		byStrategy: make(map[string]int64, 2),
-		byPath:     make(map[string]int64, 2),
 		ops:        make(map[string]*OpClassStats),
 	}
 	sh.m[key] = e

@@ -100,11 +100,11 @@ func TestCollectorCounts(t *testing.T) {
 	c := New(Config{})
 	key := "SELECT 1"
 	for i := 0; i < 5; i++ {
-		c.Observe(key, Obs{Strategy: "unnested", Path: "vector", Elapsed: time.Millisecond, Rows: 2, Outcome: OutcomeOK, Source: SourceExecution})
+		c.Observe(key, Obs{Strategy: "unnested", Elapsed: time.Millisecond, Rows: 2, Outcome: OutcomeOK, Source: SourceExecution})
 	}
-	c.Observe(key, Obs{Strategy: "unnested", Path: "vector", Outcome: OutcomeError})
-	c.Observe(key, Obs{Strategy: "unnested", Path: "vector", Outcome: OutcomeShed})
-	c.Observe(key, Obs{Strategy: "canonical", Path: "row", Elapsed: 2 * time.Millisecond, Rows: 2, Outcome: OutcomeOK, Source: SourceResultCache, PlanHit: true})
+	c.Observe(key, Obs{Strategy: "unnested", Outcome: OutcomeError})
+	c.Observe(key, Obs{Strategy: "unnested", Outcome: OutcomeShed})
+	c.Observe(key, Obs{Strategy: "canonical", Elapsed: 2 * time.Millisecond, Rows: 2, Outcome: OutcomeOK, Source: SourceResultCache, PlanHit: true})
 
 	snap := c.Snapshot()
 	if snap.Queries != 8 || snap.Errors != 1 || snap.Sheds != 1 || snap.Rows != 12 {
@@ -122,9 +122,6 @@ func TestCollectorCounts(t *testing.T) {
 	}
 	if st.ByStrategy["unnested"] != 7 || st.ByStrategy["canonical"] != 1 {
 		t.Fatalf("by-strategy: %v", st.ByStrategy)
-	}
-	if st.ByPath["vector"] != 7 || st.ByPath["row"] != 1 {
-		t.Fatalf("by-path: %v", st.ByPath)
 	}
 	if st.Latency.Count != 6 {
 		t.Fatalf("latency count = %d, want 6 (OK only)", st.Latency.Count)
@@ -187,7 +184,7 @@ func TestCollectorConcurrent(t *testing.T) {
 			defer wg.Done()
 			key := fmt.Sprintf("SELECT %d", g%4) // 4 distinct statements
 			for i := 0; i < perG; i++ {
-				c.Observe(key, Obs{Strategy: "unnested", Path: "vector", Elapsed: time.Duration(i) * time.Microsecond, Rows: 1, Outcome: OutcomeOK})
+				c.Observe(key, Obs{Strategy: "unnested", Elapsed: time.Duration(i) * time.Microsecond, Rows: 1, Outcome: OutcomeOK})
 				if i%100 == 0 {
 					c.ObserveOps(key, []OpObs{{Class: "Scan", EstRows: 1, ActualRows: 1}})
 					_ = c.Snapshot() // readers race writers safely
@@ -280,7 +277,7 @@ func TestNilCollector(t *testing.T) {
 func TestObserveZeroAlloc(t *testing.T) {
 	c := New(Config{})
 	key := "SELECT 1"
-	obs := Obs{Strategy: "unnested", Path: "vector", Elapsed: time.Millisecond, Rows: 1, Outcome: OutcomeOK}
+	obs := Obs{Strategy: "unnested", Elapsed: time.Millisecond, Rows: 1, Outcome: OutcomeOK}
 	c.Observe(key, obs) // create the entry
 	if got := testing.AllocsPerRun(200, func() { c.Observe(key, obs) }); got != 0 {
 		t.Fatalf("Observe allocates %v per call on the steady state, want 0", got)

@@ -202,7 +202,7 @@ func (l *Log) Checkpoint(dir string, st CheckpointState) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.sealed != nil {
-		return fmt.Errorf("%w (cause: %v)", ErrSealed, l.sealed)
+		return fmt.Errorf("%w (cause: %w)", ErrSealed, l.sealed)
 	}
 	if l.pending > 0 {
 		if err := l.syncLocked(); err != nil {

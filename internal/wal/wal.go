@@ -145,7 +145,7 @@ func (l *Log) Append(kind Kind, appliedVersion uint64, body []byte) (uint64, err
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.sealed != nil {
-		return 0, fmt.Errorf("%w (cause: %v)", ErrSealed, l.sealed)
+		return 0, fmt.Errorf("%w (cause: %w)", ErrSealed, l.sealed)
 	}
 	rec := Record{LSN: l.lsn + 1, AppliedVersion: appliedVersion, Kind: kind, Body: body}
 	l.buf = AppendFrame(l.buf[:0], rec)
@@ -184,7 +184,7 @@ func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.sealed != nil {
-		return fmt.Errorf("%w (cause: %v)", ErrSealed, l.sealed)
+		return fmt.Errorf("%w (cause: %w)", ErrSealed, l.sealed)
 	}
 	if l.pending == 0 {
 		return nil

@@ -196,18 +196,27 @@ func TestSyncInterval(t *testing.T) {
 }
 
 func TestSealOnInjectedFailure(t *testing.T) {
-	for _, mode := range []faultinject.Mode{faultinject.ModeError, faultinject.ModeShortWrite} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, c := range []struct {
+		site faultinject.Site
+		mode faultinject.Mode
+		want int // records on disk afterwards: a failed sync leaves its record written
+	}{
+		{faultinject.SiteWALAppend, faultinject.ModeError, 2},
+		{faultinject.SiteWALAppend, faultinject.ModeShortWrite, 2},
+		{faultinject.SiteWALSync, faultinject.ModeError, 3},
+	} {
+		t.Run(c.site.String()+"/"+c.mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			inj := faultinject.New()
 			l := openTestLog(t, dir, Options{Injector: inj})
 			appendN(t, l, 2)
-			inj.ArmMode(faultinject.SiteWALAppend, -1, 3, mode)
+			inj.ArmMode(c.site, -1, 3, c.mode)
 			if _, err := l.Append(KindSQL, 0, []byte("X")); !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("armed append: %v", err)
 			}
-			// Sealed: everything after fails with ErrSealed.
-			if _, err := l.Append(KindSQL, 0, []byte("Y")); !errors.Is(err, ErrSealed) {
+			// Sealed: everything after fails with ErrSealed, which still
+			// resolves to the fault that sealed it.
+			if _, err := l.Append(KindSQL, 0, []byte("Y")); !errors.Is(err, ErrSealed) || !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("append after seal: %v", err)
 			}
 			if err := l.Sync(); !errors.Is(err, ErrSealed) {
@@ -221,10 +230,10 @@ func TestSealOnInjectedFailure(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Recover: %v", err)
 			}
-			if len(rs.Records) != 2 || rs.LastLSN != 2 {
-				t.Fatalf("recovered %d records lastLSN=%d, want 2/2", len(rs.Records), rs.LastLSN)
+			if len(rs.Records) != c.want || rs.LastLSN != uint64(c.want) {
+				t.Fatalf("recovered %d records lastLSN=%d, want %d", len(rs.Records), rs.LastLSN, c.want)
 			}
-			if mode == faultinject.ModeShortWrite && !rs.TruncatedTail {
+			if c.mode == faultinject.ModeShortWrite && !rs.TruncatedTail {
 				t.Fatalf("short write did not produce a truncated tail")
 			}
 		})

@@ -47,7 +47,7 @@ const (
 	OpPrepare = "prepare"
 	// OpClose closes the named prepared statement.
 	OpClose = "close"
-	// OpSet updates session defaults (strategy, path, timeout).
+	// OpSet updates session defaults (strategy, nulls, timeout).
 	OpSet = "set"
 	// OpPing returns server role, staleness, and session counts.
 	OpPing = "ping"
@@ -100,12 +100,11 @@ type Request struct {
 	// Name references a session prepared statement (prepare/close, and
 	// query when SQL is empty).
 	Name string `json:"name,omitempty"`
-	// Strategy/Path/Nulls override the session defaults for this
+	// Strategy/Nulls override the session defaults for this
 	// request (query) or set them (set). Nulls selects the null
 	// semantics: "3vl" (SQL three-valued, the default) or "2vl"
 	// (comparisons with NULL are false).
 	Strategy string `json:"strategy,omitempty"`
-	Path     string `json:"path,omitempty"`
 	Nulls    string `json:"nulls,omitempty"`
 	// TimeoutMS bounds this request's execution; 0 uses the session
 	// default. The deadline is wired into QueryContext, so expiry

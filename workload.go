@@ -19,7 +19,7 @@ func strategyOf(cfg queryConfig) Strategy {
 
 // observe records one finished query in the workload collector: the
 // outcome classification (OK / error / shed on ErrOverloaded), the
-// strategy/path split, and — for successes — rows and the wall time
+// strategy split, and — for successes — rows and the wall time
 // since API entry. Statements that fail before planning are not
 // observed; the registry tracks planned statements. No-op when
 // telemetry is disabled.
@@ -29,7 +29,6 @@ func (db *DB) observe(norm string, cfg queryConfig, planHit bool, rows int64, er
 	}
 	obs := telemetry.Obs{
 		Strategy: string(strategyOf(cfg)),
-		Path:     cfg.path.String(),
 		Rows:     rows,
 		PlanHit:  planHit,
 		Source:   src,
@@ -63,7 +62,6 @@ func (db *DB) captureSlow(norm string, cfg queryConfig, rows int64, err error, p
 		Time:     time.Now(),
 		SQL:      norm,
 		Strategy: string(strategyOf(cfg)),
-		Path:     cfg.path.String(),
 		Elapsed:  elapsed,
 		Rows:     rows,
 		Plan:     plan,

@@ -12,7 +12,6 @@
 //	bench -repeat 3               # keep the fastest of three runs
 //	bench -exp fig7a -workers 4   # run with a 4-worker morsel pool
 //	bench -exp workers -workers 1,2,4   # 1-vs-N parallel speedup sweep
-//	bench -exp concurrency -workers 1,2 -sessions 1,4,8   # concurrent-session sweep
 //	bench -json .                 # also write BENCH_<exp>.json per experiment
 //	bench -cpuprofile cpu.pprof   # write a pprof CPU profile
 //	bench -memprofile mem.pprof   # write a pprof heap profile
@@ -48,8 +47,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 60*time.Second, "per-cell timeout (cells over it print n/a)")
 		strategies = flag.String("strategies", "", "comma-separated strategies (default: all of s1,s2,s3,canonical,unnested)")
 		repeat     = flag.Int("repeat", 1, "runs per cell; the fastest is kept")
-		workers    = flag.String("workers", "", "morsel-parallel worker counts: one value applies to every experiment, a comma list drives the 'workers' and 'concurrency' sweeps (default: GOMAXPROCS)")
-		sessions   = flag.String("sessions", "", "concurrent session counts for the 'concurrency' sweep (default: 1,4,8)")
+		workers    = flag.String("workers", "", "morsel-parallel worker counts: one value applies to every experiment, a comma list drives the 'workers' sweep (default: GOMAXPROCS)")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 		jsonDir    = flag.String("json", "", "write BENCH_<exp>.json with timings and per-operator breakdowns into this directory")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -107,14 +105,6 @@ func main() {
 	if len(workerList) == 1 {
 		cfg.Workers = workerList[0]
 	}
-	var sessionList []int
-	for _, s := range splitList(*sessions) {
-		var n int
-		if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 1 {
-			fatalf("bad session count %q", s)
-		}
-		sessionList = append(sessionList, n)
-	}
 	for _, s := range splitList(*tpchSFs) {
 		var sf float64
 		if _, err := fmt.Sscanf(s, "%g", &sf); err != nil {
@@ -144,10 +134,6 @@ func main() {
 		var err error
 		if id == "workers" {
 			tab, err = harness.WorkerSweep(cfg, workerList, progress)
-		} else if id == "concurrency" {
-			tab, err = harness.ConcurrencySweep(cfg, workerList, sessionList, progress)
-		} else if id == "serve" {
-			tab, err = harness.ServeSweep(cfg, sessionList, progress)
 		} else {
 			tab, err = harness.Run(id, cfg, progress)
 		}

@@ -123,7 +123,7 @@ func (pi *planInfo) fingerprint(snap catalog.Reader) (uint64, error) {
 			return
 		}
 		nodes := []physical.Node{root}
-		for _, sp := range collectSubplans(pi.plan) {
+		for _, sp := range algebra.WalkNested(pi.plan, nil) {
 			if n, ok := planner.NodeFor(sp); ok {
 				nodes = append(nodes, n)
 			}
@@ -405,30 +405,15 @@ func (db *DB) resultKey(snap catalog.Reader, cfg queryConfig, pi *planInfo) (cac
 func collectTables(plan algebra.Op) []string {
 	seen := map[string]bool{}
 	var names []string
-	visited := map[algebra.Op]bool{}
-	var visit func(op algebra.Op)
-	visit = func(op algebra.Op) {
-		algebra.Walk(op, func(o algebra.Op) bool {
-			if visited[o] {
-				return false
+	algebra.WalkNested(plan, func(op algebra.Op) {
+		if s, ok := op.(*algebra.Scan); ok {
+			name := strings.ToLower(s.Table)
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
 			}
-			visited[o] = true
-			if s, ok := o.(*algebra.Scan); ok {
-				name := strings.ToLower(s.Table)
-				if !seen[name] {
-					seen[name] = true
-					names = append(names, name)
-				}
-			}
-			for _, e := range algebra.Exprs(o) {
-				for _, sp := range algebra.Subplans(e) {
-					visit(sp)
-				}
-			}
-			return true
-		})
-	}
-	visit(plan)
+		}
+	})
 	sort.Strings(names)
 	return names
 }
@@ -465,13 +450,7 @@ func normalizeSQL(sql string) string {
 // plans).
 func planInfoBytes(sql string, pi *planInfo) int64 {
 	ops := int64(0)
-	count := func(root algebra.Op) {
-		algebra.Walk(root, func(algebra.Op) bool { ops++; return true })
-	}
-	count(pi.plan)
-	for _, sp := range collectSubplans(pi.plan) {
-		count(sp)
-	}
+	algebra.WalkNested(pi.plan, func(algebra.Op) { ops++ })
 	return int64(2*len(sql)) + 512 + ops*256
 }
 

@@ -1354,7 +1354,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string, opts ...Option) (*Re
 // executor evaluated from operator expressions.
 func subplanNodes(ex *exec.Executor, plan algebra.Op) []physical.Node {
 	var subs []physical.Node
-	for _, sp := range collectSubplans(plan) {
+	for _, sp := range algebra.WalkNested(plan, nil) {
 		if n, ok := ex.NodeFor(sp); ok {
 			subs = append(subs, n)
 		}
@@ -1432,7 +1432,7 @@ func (db *DB) Analyze(sql string, opts ...Option) (string, error) {
 	// Nested plans keep subqueries inside operator expressions; their
 	// physical plans execute once per outer binding, so calls>1 here is
 	// exactly the repetition unnesting removes.
-	for i, sp := range collectSubplans(plan) {
+	for i, sp := range algebra.WalkNested(plan, nil) {
 		n, ok := ex.NodeFor(sp)
 		if !ok {
 			continue
@@ -1454,6 +1454,10 @@ func (db *DB) Analyze(sql string, opts ...Option) (string, error) {
 // physical plan the executor would run (algorithm choices and estimated
 // cardinalities), and the list of applied rewrites.
 func (db *DB) Explain(sql string, opts ...Option) (string, error) {
+	if err := db.begin(); err != nil {
+		return "", err
+	}
+	defer db.end()
 	cfg := db.newQueryConfig()
 	for _, o := range opts {
 		o(&cfg)
@@ -1467,7 +1471,7 @@ func (db *DB) Explain(sql string, opts ...Option) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	plan, trace, err := db.plan(snap, sql, cfg)
+	plan, trace, err := db.planAST(snap, stmt, cfg)
 	if err != nil {
 		return "", err
 	}

@@ -245,6 +245,9 @@ func TestCloseRejectsAndDrains(t *testing.T) {
 	if _, err := db.Analyze("SELECT DISTINCT * FROM c"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Analyze after Close: %v", err)
 	}
+	if _, err := db.Explain("SELECT DISTINCT * FROM c"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Explain after Close: %v", err)
+	}
 	// Prepared statements go through the same lifecycle bracket: Prepare
 	// itself is a pure parse, but execution is rejected.
 	stmt, err := db.Prepare("SELECT DISTINCT * FROM c")

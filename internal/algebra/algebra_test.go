@@ -183,8 +183,10 @@ func TestWalkVisitsDAGNodesOnce(t *testing.T) {
 	bp := NewBypassSelect(scanR(), Cmp(types.GT, Col("r.a1"), ConstInt(0)))
 	u := NewUnionDisjoint(Pos(bp), Neg(bp))
 	// Nodes: union, pos-stream, neg-stream, bypass, scan = 5.
-	if n := CountOps(u); n != 5 {
-		t.Errorf("CountOps = %d, want 5", n)
+	n := 0
+	Walk(u, func(Op) bool { n++; return true })
+	if n != 5 {
+		t.Errorf("Walk visited %d operators, want 5", n)
 	}
 }
 

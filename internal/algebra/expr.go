@@ -1,9 +1,9 @@
 // Package algebra defines disqo's logical relational algebra: the core
 // operators (σ, Π, ρ, ×, ⋈, ∪), the five extensions the paper introduces
-// in Fig. 1 (unary and binary grouping Γ, leftouterjoin with defaults,
-// numbering ν, map χ), and the bypass operators σ± and ⋈± whose positive
-// and negative output streams make unnesting in the presence of
-// disjunction possible.
+// in Fig. 1 that plans still use (unary and binary grouping Γ,
+// leftouterjoin with defaults, map χ), and the bypass selection σ± whose
+// positive and negative output streams make unnesting in the presence
+// of disjunction possible.
 //
 // As in the paper, subscripts may contain algebraic expressions: the
 // expression language includes scalar and quantified subqueries whose
@@ -31,6 +31,19 @@ type Expr interface {
 	// there (i.e. the subquery's correlation attributes).
 	Columns(into []string) []string
 }
+
+// binaryExpr and unaryExpr are embedded by the expression kinds with two
+// operands and with one (LIKE names its own), so the column recursion is
+// stated once per shape rather than once per kind.
+type binaryExpr struct{ L, R Expr }
+
+// Columns implements Expr.
+func (b *binaryExpr) Columns(into []string) []string { return b.R.Columns(b.L.Columns(into)) }
+
+type unaryExpr struct{ E Expr }
+
+// Columns implements Expr.
+func (u *unaryExpr) Columns(into []string) []string { return u.E.Columns(into) }
 
 // ColRef references an attribute by its qualified name.
 type ColRef struct {
@@ -65,29 +78,30 @@ func (c *ConstExpr) Columns(into []string) []string { return into }
 
 // CmpExpr is a comparison L θ R.
 type CmpExpr struct {
-	Op   types.CompareOp
-	L, R Expr
+	Op types.CompareOp
+	binaryExpr
 }
 
 // Cmp builds a comparison expression.
-func Cmp(op types.CompareOp, l, r Expr) *CmpExpr { return &CmpExpr{Op: op, L: l, R: r} }
+func Cmp(op types.CompareOp, l, r Expr) *CmpExpr { return &CmpExpr{op, binaryExpr{l, r}} }
 
 // String implements Expr.
 func (c *CmpExpr) String() string {
 	return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R)
 }
 
-// Columns implements Expr.
-func (c *CmpExpr) Columns(into []string) []string {
-	return c.R.Columns(c.L.Columns(into))
-}
-
 // AndExpr is Kleene conjunction.
-type AndExpr struct{ L, R Expr }
+type AndExpr struct{ binaryExpr }
 
 // And builds a conjunction; nil operands are dropped and a fully nil
 // conjunction is the constant TRUE.
 func And(exprs ...Expr) Expr {
+	return fold(exprs, true, func(l, r Expr) Expr { return &AndExpr{binaryExpr{l, r}} })
+}
+
+// fold left-folds the non-nil operands with mk; with none it returns the
+// connective's identity.
+func fold(exprs []Expr, identity bool, mk func(l, r Expr) Expr) Expr {
 	var out Expr
 	for _, e := range exprs {
 		switch {
@@ -95,11 +109,11 @@ func And(exprs ...Expr) Expr {
 		case out == nil:
 			out = e
 		default:
-			out = &AndExpr{L: out, R: e}
+			out = mk(out, e)
 		}
 	}
 	if out == nil {
-		return Const(types.NewBool(true))
+		return Const(types.NewBool(identity))
 	}
 	return out
 }
@@ -107,62 +121,37 @@ func And(exprs ...Expr) Expr {
 // String implements Expr.
 func (a *AndExpr) String() string { return fmt.Sprintf("(%s AND %s)", a.L, a.R) }
 
-// Columns implements Expr.
-func (a *AndExpr) Columns(into []string) []string { return a.R.Columns(a.L.Columns(into)) }
-
 // OrExpr is Kleene disjunction.
-type OrExpr struct{ L, R Expr }
+type OrExpr struct{ binaryExpr }
 
-// Or builds a disjunction from one or more operands.
+// Or builds a disjunction the same way; a fully nil one is FALSE.
 func Or(exprs ...Expr) Expr {
-	var out Expr
-	for _, e := range exprs {
-		switch {
-		case e == nil:
-		case out == nil:
-			out = e
-		default:
-			out = &OrExpr{L: out, R: e}
-		}
-	}
-	if out == nil {
-		return Const(types.NewBool(false))
-	}
-	return out
+	return fold(exprs, false, func(l, r Expr) Expr { return &OrExpr{binaryExpr{l, r}} })
 }
 
 // String implements Expr.
 func (o *OrExpr) String() string { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
 
-// Columns implements Expr.
-func (o *OrExpr) Columns(into []string) []string { return o.R.Columns(o.L.Columns(into)) }
-
 // NotExpr is Kleene negation.
-type NotExpr struct{ E Expr }
+type NotExpr struct{ unaryExpr }
 
 // Not negates an expression.
-func Not(e Expr) *NotExpr { return &NotExpr{E: e} }
+func Not(e Expr) *NotExpr { return &NotExpr{unaryExpr{e}} }
 
 // String implements Expr.
 func (n *NotExpr) String() string { return fmt.Sprintf("(NOT %s)", n.E) }
 
-// Columns implements Expr.
-func (n *NotExpr) Columns(into []string) []string { return n.E.Columns(into) }
-
 // ArithExpr is binary arithmetic.
 type ArithExpr struct {
-	Op   types.ArithOp
-	L, R Expr
+	Op types.ArithOp
+	binaryExpr
 }
 
 // Arith builds an arithmetic expression.
-func Arith(op types.ArithOp, l, r Expr) *ArithExpr { return &ArithExpr{Op: op, L: l, R: r} }
+func Arith(op types.ArithOp, l, r Expr) *ArithExpr { return &ArithExpr{op, binaryExpr{l, r}} }
 
 // String implements Expr.
 func (a *ArithExpr) String() string { return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R) }
-
-// Columns implements Expr.
-func (a *ArithExpr) Columns(into []string) []string { return a.R.Columns(a.L.Columns(into)) }
 
 // LikeExpr is the LIKE predicate (negated via NotExpr).
 type LikeExpr struct{ L, Pattern Expr }
@@ -177,35 +166,29 @@ func (l *LikeExpr) String() string { return fmt.Sprintf("(%s LIKE %s)", l.L, l.P
 func (l *LikeExpr) Columns(into []string) []string { return l.Pattern.Columns(l.L.Columns(into)) }
 
 // IsNullExpr is the IS NULL predicate (IS NOT NULL via NotExpr).
-type IsNullExpr struct{ E Expr }
+type IsNullExpr struct{ unaryExpr }
 
 // IsNull builds an IS NULL predicate.
-func IsNull(e Expr) *IsNullExpr { return &IsNullExpr{E: e} }
+func IsNull(e Expr) *IsNullExpr { return &IsNullExpr{unaryExpr{e}} }
 
 // String implements Expr.
 func (i *IsNullExpr) String() string { return fmt.Sprintf("(%s IS NULL)", i.E) }
-
-// Columns implements Expr.
-func (i *IsNullExpr) Columns(into []string) []string { return i.E.Columns(into) }
 
 // AggCombineExpr applies the decomposition combiner fO of an aggregate
 // kind to two partial results (Eqv. 4's map operator χ g:fO(g1,g2)).
 // NULL partials act as the identity, matching agg.Combine.
 type AggCombineExpr struct {
 	Kind agg.Kind
-	L, R Expr
+	binaryExpr
 }
 
 // AggCombine builds an fO combiner expression.
-func AggCombine(k agg.Kind, l, r Expr) *AggCombineExpr { return &AggCombineExpr{Kind: k, L: l, R: r} }
+func AggCombine(k agg.Kind, l, r Expr) *AggCombineExpr { return &AggCombineExpr{k, binaryExpr{l, r}} }
 
 // String implements Expr.
 func (a *AggCombineExpr) String() string {
 	return fmt.Sprintf("%s_O(%s, %s)", strings.ToLower(a.Kind.String()), a.L, a.R)
 }
-
-// Columns implements Expr.
-func (a *AggCombineExpr) Columns(into []string) []string { return a.R.Columns(a.L.Columns(into)) }
 
 // ScalarSubquery embeds a nested query block in an expression, exactly as
 // the canonical SQL translation produces it: an aggregate f applied to
@@ -217,13 +200,26 @@ type ScalarSubquery struct {
 	// Arg is the aggregate's argument, evaluated in the subplan's output
 	// schema (plus the outer environment). It is nil for Star specs.
 	Arg Expr
-	// Plan is the subquery block's algebraic translation.
-	Plan Op
+	Block
 }
+
+// Block is the nested query block a subquery expression embeds. Only
+// the constructors (Subquery, Quant, AllAny) can fill it in, so its free
+// columns are always those of its plan.
+type Block struct {
+	// Plan is the block's algebraic translation.
+	Plan Op
+	free []string
+}
+
+// Free returns the block's correlation attributes, FreeColumns(Plan).
+// Plans are immutable, so the list is computed once, at construction —
+// eagerly, because cached logical plans are shared between goroutines.
+func (b *Block) Free() []string { return b.free }
 
 // Subquery builds a scalar subquery expression.
 func Subquery(spec agg.Spec, arg Expr, plan Op) *ScalarSubquery {
-	return &ScalarSubquery{Agg: spec, Arg: arg, Plan: plan}
+	return &ScalarSubquery{Agg: spec, Arg: arg, Block: Block{plan, FreeColumns(plan)}}
 }
 
 // String implements Expr.
@@ -243,7 +239,7 @@ func (s *ScalarSubquery) String() string {
 // references its own plan does not supply — which are exactly the
 // correlation attributes.
 func (s *ScalarSubquery) Columns(into []string) []string {
-	return append(into, FreeColumns(s.Plan)...)
+	return append(into, s.free...)
 }
 
 // Quantifier enumerates the table-subquery linking operators of the
@@ -281,12 +277,12 @@ func (q Quantifier) String() string {
 type QuantSubquery struct {
 	Quant Quantifier
 	L     Expr // nil for EXISTS/NOT EXISTS
-	Plan  Op
+	Block
 }
 
 // Quant builds a quantified subquery predicate.
 func Quant(q Quantifier, l Expr, plan Op) *QuantSubquery {
-	return &QuantSubquery{Quant: q, L: l, Plan: plan}
+	return &QuantSubquery{Quant: q, L: l, Block: Block{plan, FreeColumns(plan)}}
 }
 
 // String implements Expr.
@@ -302,22 +298,22 @@ func (q *QuantSubquery) Columns(into []string) []string {
 	if q.L != nil {
 		into = q.L.Columns(into)
 	}
-	return append(into, FreeColumns(q.Plan)...)
+	return append(into, q.free...)
 }
 
 // AllAnyExpr is a quantified comparison L θ ALL|ANY (plan): the Kleene
 // fold of L θ y over the plan's single output column — AND for ALL
 // (vacuously TRUE on empty input), OR for ANY (vacuously FALSE).
 type AllAnyExpr struct {
-	Op   types.CompareOp
-	All  bool
-	L    Expr
-	Plan Op
+	Op  types.CompareOp
+	All bool
+	L   Expr
+	Block
 }
 
 // AllAny builds a quantified comparison predicate.
 func AllAny(op types.CompareOp, all bool, l Expr, plan Op) *AllAnyExpr {
-	return &AllAnyExpr{Op: op, All: all, L: l, Plan: plan}
+	return &AllAnyExpr{Op: op, All: all, L: l, Block: Block{plan, FreeColumns(plan)}}
 }
 
 // String implements Expr.
@@ -331,7 +327,7 @@ func (a *AllAnyExpr) String() string {
 
 // Columns implements Expr.
 func (a *AllAnyExpr) Columns(into []string) []string {
-	return append(a.L.Columns(into), FreeColumns(a.Plan)...)
+	return append(a.L.Columns(into), a.free...)
 }
 
 // SplitConjuncts flattens nested ANDs into a conjunct list.
@@ -348,31 +344,4 @@ func SplitDisjuncts(e Expr) []Expr {
 		return append(SplitDisjuncts(o.L), SplitDisjuncts(o.R)...)
 	}
 	return []Expr{e}
-}
-
-// HasSubquery reports whether the expression contains any subquery
-// (scalar or quantified) at any depth, not descending into subplans.
-func HasSubquery(e Expr) bool {
-	switch x := e.(type) {
-	case *ScalarSubquery, *QuantSubquery, *AllAnyExpr:
-		return true
-	case *CmpExpr:
-		return HasSubquery(x.L) || HasSubquery(x.R)
-	case *AndExpr:
-		return HasSubquery(x.L) || HasSubquery(x.R)
-	case *OrExpr:
-		return HasSubquery(x.L) || HasSubquery(x.R)
-	case *NotExpr:
-		return HasSubquery(x.E)
-	case *ArithExpr:
-		return HasSubquery(x.L) || HasSubquery(x.R)
-	case *LikeExpr:
-		return HasSubquery(x.L) || HasSubquery(x.Pattern)
-	case *IsNullExpr:
-		return HasSubquery(x.E)
-	case *AggCombineExpr:
-		return HasSubquery(x.L) || HasSubquery(x.R)
-	default:
-		return false
-	}
 }

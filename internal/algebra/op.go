@@ -21,6 +21,27 @@ type Op interface {
 	Label() string
 }
 
+// unary and binary are embedded by the operators with one and with two
+// inputs — every kind but Scan and Stream — so the input shape of the
+// operator tree is stated here rather than once per kind. Unless it
+// declares its own, a unary operator has its child's schema and a binary
+// one its left input's (semi- and antijoin, the unions).
+type unary struct{ Child Op }
+
+// Inputs implements Op.
+func (u unary) Inputs() []Op { return []Op{u.Child} }
+
+// Schema implements Op.
+func (u unary) Schema() *storage.Schema { return u.Child.Schema() }
+
+type binary struct{ L, R Op }
+
+// Inputs implements Op.
+func (b binary) Inputs() []Op { return []Op{b.L, b.R} }
+
+// Schema implements Op.
+func (b binary) Schema() *storage.Schema { return b.L.Schema() }
+
 // ---------------------------------------------------------------------
 // Scan
 
@@ -57,18 +78,12 @@ func (s *Scan) Label() string {
 
 // Select is σ_p: keeps tuples whose predicate evaluates to TRUE.
 type Select struct {
-	Child Op
-	Pred  Expr
+	unary
+	Pred Expr
 }
 
 // NewSelect builds a selection.
-func NewSelect(child Op, pred Expr) *Select { return &Select{Child: child, Pred: pred} }
-
-// Schema implements Op.
-func (s *Select) Schema() *storage.Schema { return s.Child.Schema() }
-
-// Inputs implements Op.
-func (s *Select) Inputs() []Op { return []Op{s.Child} }
+func NewSelect(child Op, pred Expr) *Select { return &Select{unary: unary{child}, Pred: pred} }
 
 // Label implements Op.
 func (s *Select) Label() string { return fmt.Sprintf("σ[%s]", s.Pred) }
@@ -78,20 +93,14 @@ func (s *Select) Label() string { return fmt.Sprintf("σ[%s]", s.Pred) }
 // UNKNOWN). Consumers attach via Stream nodes; both streams together are
 // a disjoint partition of the input (paper Fig. 1).
 type BypassSelect struct {
-	Child Op
-	Pred  Expr
+	unary
+	Pred Expr
 }
 
 // NewBypassSelect builds a bypass selection.
 func NewBypassSelect(child Op, pred Expr) *BypassSelect {
-	return &BypassSelect{Child: child, Pred: pred}
+	return &BypassSelect{unary: unary{child}, Pred: pred}
 }
-
-// Schema implements Op.
-func (s *BypassSelect) Schema() *storage.Schema { return s.Child.Schema() }
-
-// Inputs implements Op.
-func (s *BypassSelect) Inputs() []Op { return []Op{s.Child} }
 
 // Label implements Op.
 func (s *BypassSelect) Label() string { return fmt.Sprintf("σ±[%s]", s.Pred) }
@@ -128,7 +137,7 @@ func (s *Stream) Label() string {
 
 // Project is duplicate-preserving projection Π_A onto named attributes.
 type Project struct {
-	Child  Op
+	unary
 	Attrs  []string
 	schema *storage.Schema
 }
@@ -139,21 +148,18 @@ func NewProject(child Op, attrs []string) *Project {
 	if _, err := child.Schema().Projection(attrs); err != nil {
 		panic(fmt.Sprintf("algebra: project: %v", err))
 	}
-	return &Project{Child: child, Attrs: attrs, schema: storage.NewSchema(attrs...)}
+	return &Project{unary: unary{child}, Attrs: attrs, schema: storage.NewSchema(attrs...)}
 }
 
 // Schema implements Op.
 func (p *Project) Schema() *storage.Schema { return p.schema }
-
-// Inputs implements Op.
-func (p *Project) Inputs() []Op { return []Op{p.Child} }
 
 // Label implements Op.
 func (p *Project) Label() string { return fmt.Sprintf("Π%s", p.schema) }
 
 // Rename is ρ_{new←old}, renaming a set of attributes.
 type Rename struct {
-	Child  Op
+	unary
 	Pairs  [][2]string // {new, old}
 	schema *storage.Schema
 }
@@ -167,14 +173,11 @@ func NewRename(child Op, pairs [][2]string) (*Rename, error) {
 			return nil, err
 		}
 	}
-	return &Rename{Child: child, Pairs: pairs, schema: sch}, nil
+	return &Rename{unary: unary{child}, Pairs: pairs, schema: sch}, nil
 }
 
 // Schema implements Op.
 func (r *Rename) Schema() *storage.Schema { return r.schema }
-
-// Inputs implements Op.
-func (r *Rename) Inputs() []Op { return []Op{r.Child} }
 
 // Label implements Op.
 func (r *Rename) Label() string {
@@ -190,7 +193,7 @@ func (r *Rename) Label() string {
 
 // MapOp is χ_{a:e}: extends every tuple with a computed attribute.
 type MapOp struct {
-	Child  Op
+	unary
 	Attr   string
 	Expr   Expr
 	schema *storage.Schema
@@ -198,14 +201,11 @@ type MapOp struct {
 
 // NewMap builds a map node.
 func NewMap(child Op, attr string, e Expr) *MapOp {
-	return &MapOp{Child: child, Attr: attr, Expr: e, schema: child.Schema().Extend(attr)}
+	return &MapOp{unary: unary{child}, Attr: attr, Expr: e, schema: child.Schema().Extend(attr)}
 }
 
 // Schema implements Op.
 func (m *MapOp) Schema() *storage.Schema { return m.schema }
-
-// Inputs implements Op.
-func (m *MapOp) Inputs() []Op { return []Op{m.Child} }
 
 // Label implements Op.
 func (m *MapOp) Label() string { return fmt.Sprintf("χ[%s:%s]", m.Attr, m.Expr) }
@@ -215,41 +215,35 @@ func (m *MapOp) Label() string { return fmt.Sprintf("χ[%s:%s]", m.Attr, m.Expr)
 
 // CrossProduct is ×.
 type CrossProduct struct {
-	L, R   Op
+	binary
 	schema *storage.Schema
 }
 
 // NewCross builds a cross product.
 func NewCross(l, r Op) *CrossProduct {
-	return &CrossProduct{L: l, R: r, schema: l.Schema().Concat(r.Schema())}
+	return &CrossProduct{binary: binary{l, r}, schema: l.Schema().Concat(r.Schema())}
 }
 
 // Schema implements Op.
 func (c *CrossProduct) Schema() *storage.Schema { return c.schema }
-
-// Inputs implements Op.
-func (c *CrossProduct) Inputs() []Op { return []Op{c.L, c.R} }
 
 // Label implements Op.
 func (c *CrossProduct) Label() string { return "×" }
 
 // Join is the inner join ⋈_p.
 type Join struct {
-	L, R   Op
+	binary
 	Pred   Expr
 	schema *storage.Schema
 }
 
 // NewJoin builds an inner join.
 func NewJoin(l, r Op, pred Expr) *Join {
-	return &Join{L: l, R: r, Pred: pred, schema: l.Schema().Concat(r.Schema())}
+	return &Join{binary: binary{l, r}, Pred: pred, schema: l.Schema().Concat(r.Schema())}
 }
 
 // Schema implements Op.
 func (j *Join) Schema() *storage.Schema { return j.schema }
-
-// Inputs implements Op.
-func (j *Join) Inputs() []Op { return []Op{j.L, j.R} }
 
 // Label implements Op.
 func (j *Join) Label() string { return fmt.Sprintf("⋈[%s]", j.Pred) }
@@ -258,18 +252,12 @@ func (j *Join) Label() string { return fmt.Sprintf("⋈[%s]", j.Pred) }
 // partner satisfying p (once, regardless of partner count). The direct
 // translation of a conjunctive correlated EXISTS / IN.
 type SemiJoin struct {
-	L, R Op
+	binary
 	Pred Expr
 }
 
 // NewSemiJoin builds a semijoin.
-func NewSemiJoin(l, r Op, pred Expr) *SemiJoin { return &SemiJoin{L: l, R: r, Pred: pred} }
-
-// Schema implements Op.
-func (j *SemiJoin) Schema() *storage.Schema { return j.L.Schema() }
-
-// Inputs implements Op.
-func (j *SemiJoin) Inputs() []Op { return []Op{j.L, j.R} }
+func NewSemiJoin(l, r Op, pred Expr) *SemiJoin { return &SemiJoin{binary: binary{l, r}, Pred: pred} }
 
 // Label implements Op.
 func (j *SemiJoin) Label() string { return fmt.Sprintf("⋉[%s]", j.Pred) }
@@ -278,18 +266,12 @@ func (j *SemiJoin) Label() string { return fmt.Sprintf("⋉[%s]", j.Pred) }
 // p — the direct translation of a conjunctive correlated NOT EXISTS.
 // (Not sound for NOT IN, whose NULL semantics need the count-based form.)
 type AntiJoin struct {
-	L, R Op
+	binary
 	Pred Expr
 }
 
 // NewAntiJoin builds an antijoin.
-func NewAntiJoin(l, r Op, pred Expr) *AntiJoin { return &AntiJoin{L: l, R: r, Pred: pred} }
-
-// Schema implements Op.
-func (j *AntiJoin) Schema() *storage.Schema { return j.L.Schema() }
-
-// Inputs implements Op.
-func (j *AntiJoin) Inputs() []Op { return []Op{j.L, j.R} }
+func NewAntiJoin(l, r Op, pred Expr) *AntiJoin { return &AntiJoin{binary: binary{l, r}, Pred: pred} }
 
 // Label implements Op.
 func (j *AntiJoin) Label() string { return fmt.Sprintf("▷[%s]", j.Pred) }
@@ -307,7 +289,7 @@ type Default struct {
 // partner is padded with NULLs except for the Defaults attributes, which
 // receive their configured value (f(∅)).
 type LeftOuterJoin struct {
-	L, R     Op
+	binary
 	Pred     Expr
 	Defaults []Default
 	schema   *storage.Schema
@@ -315,15 +297,12 @@ type LeftOuterJoin struct {
 
 // NewLeftOuterJoin builds a left outerjoin.
 func NewLeftOuterJoin(l, r Op, pred Expr, defaults []Default) *LeftOuterJoin {
-	return &LeftOuterJoin{L: l, R: r, Pred: pred, Defaults: defaults,
+	return &LeftOuterJoin{binary: binary{l, r}, Pred: pred, Defaults: defaults,
 		schema: l.Schema().Concat(r.Schema())}
 }
 
 // Schema implements Op.
 func (j *LeftOuterJoin) Schema() *storage.Schema { return j.schema }
-
-// Inputs implements Op.
-func (j *LeftOuterJoin) Inputs() []Op { return []Op{j.L, j.R} }
 
 // Label implements Op.
 func (j *LeftOuterJoin) Label() string {
@@ -370,7 +349,7 @@ func (a AggItem) Label() string {
 // exactly one tuple (the SQL global aggregate); without Global an empty
 // input produces no groups.
 type GroupBy struct {
-	Child  Op
+	unary
 	Attrs  []string // grouping attributes
 	Aggs   []AggItem
 	Global bool
@@ -386,15 +365,12 @@ func NewGroupBy(child Op, attrs []string, aggs []AggItem, global bool) *GroupBy 
 	for _, a := range aggs {
 		names = append(names, a.Out)
 	}
-	return &GroupBy{Child: child, Attrs: attrs, Aggs: aggs, Global: global,
+	return &GroupBy{unary: unary{child}, Attrs: attrs, Aggs: aggs, Global: global,
 		schema: storage.NewSchema(names...)}
 }
 
 // Schema implements Op.
 func (g *GroupBy) Schema() *storage.Schema { return g.schema }
-
-// Inputs implements Op.
-func (g *GroupBy) Inputs() []Op { return []Op{g.Child} }
 
 // Label implements Op.
 func (g *GroupBy) Label() string {
@@ -424,7 +400,7 @@ func (g *GroupBy) Label() string {
 // holds, so the group is σ_tag(e2) ∪̇ σ_p(σ_{¬tag}(e2)) per x and the
 // complement pairs are never built.
 type BinaryGroup struct {
-	L, R   Op
+	binary
 	Pred   Expr
 	Tag    string
 	Aggs   []AggItem
@@ -437,14 +413,11 @@ func NewBinaryGroup(l, r Op, pred Expr, aggs []AggItem) *BinaryGroup {
 	for _, a := range aggs {
 		sch = sch.Extend(a.Out)
 	}
-	return &BinaryGroup{L: l, R: r, Pred: pred, Aggs: aggs, schema: sch}
+	return &BinaryGroup{binary: binary{l, r}, Pred: pred, Aggs: aggs, schema: sch}
 }
 
 // Schema implements Op.
 func (b *BinaryGroup) Schema() *storage.Schema { return b.schema }
-
-// Inputs implements Op.
-func (b *BinaryGroup) Inputs() []Op { return []Op{b.L, b.R} }
 
 // Label implements Op.
 func (b *BinaryGroup) Label() string {
@@ -468,7 +441,7 @@ func (b *BinaryGroup) Label() string {
 // outputs of a bypass operator). The executor concatenates without
 // duplicate checks; schemas must be equal.
 type UnionDisjoint struct {
-	L, R Op
+	binary
 }
 
 // NewUnionDisjoint builds a disjoint union; it panics on schema mismatch
@@ -477,14 +450,8 @@ func NewUnionDisjoint(l, r Op) *UnionDisjoint {
 	if !l.Schema().Equal(r.Schema()) {
 		panic(fmt.Sprintf("algebra: disjoint union schema mismatch: %s vs %s", l.Schema(), r.Schema()))
 	}
-	return &UnionDisjoint{L: l, R: r}
+	return &UnionDisjoint{binary: binary{l, r}}
 }
-
-// Schema implements Op.
-func (u *UnionDisjoint) Schema() *storage.Schema { return u.L.Schema() }
-
-// Inputs implements Op.
-func (u *UnionDisjoint) Inputs() []Op { return []Op{u.L, u.R} }
 
 // Label implements Op.
 func (u *UnionDisjoint) Label() string { return "∪̇" }
@@ -493,7 +460,7 @@ func (u *UnionDisjoint) Label() string { return "∪̇" }
 // Unlike UnionDisjoint it carries no disjointness claim: the S2 baseline's
 // OR-expansion unions overlapping branches and relies on a Distinct above.
 type UnionAll struct {
-	L, R Op
+	binary
 }
 
 // NewUnionAll builds a bag union; it panics on schema mismatch.
@@ -501,31 +468,19 @@ func NewUnionAll(l, r Op) *UnionAll {
 	if !l.Schema().Equal(r.Schema()) {
 		panic(fmt.Sprintf("algebra: union-all schema mismatch: %s vs %s", l.Schema(), r.Schema()))
 	}
-	return &UnionAll{L: l, R: r}
+	return &UnionAll{binary: binary{l, r}}
 }
-
-// Schema implements Op.
-func (u *UnionAll) Schema() *storage.Schema { return u.L.Schema() }
-
-// Inputs implements Op.
-func (u *UnionAll) Inputs() []Op { return []Op{u.L, u.R} }
 
 // Label implements Op.
 func (u *UnionAll) Label() string { return "∪all" }
 
 // Distinct removes duplicate tuples (Identical semantics).
 type Distinct struct {
-	Child Op
+	unary
 }
 
 // NewDistinct builds a duplicate-elimination node.
-func NewDistinct(child Op) *Distinct { return &Distinct{Child: child} }
-
-// Schema implements Op.
-func (d *Distinct) Schema() *storage.Schema { return d.Child.Schema() }
-
-// Inputs implements Op.
-func (d *Distinct) Inputs() []Op { return []Op{d.Child} }
+func NewDistinct(child Op) *Distinct { return &Distinct{unary: unary{child}} }
 
 // Label implements Op.
 func (d *Distinct) Label() string { return "distinct" }
@@ -533,18 +488,12 @@ func (d *Distinct) Label() string { return "distinct" }
 // Limit keeps the first N input tuples (applied after Sort for the SQL
 // ORDER BY … LIMIT pattern).
 type Limit struct {
-	Child Op
-	N     int64
+	unary
+	N int64
 }
 
 // NewLimit builds a limit node.
-func NewLimit(child Op, n int64) *Limit { return &Limit{Child: child, N: n} }
-
-// Schema implements Op.
-func (l *Limit) Schema() *storage.Schema { return l.Child.Schema() }
-
-// Inputs implements Op.
-func (l *Limit) Inputs() []Op { return []Op{l.Child} }
+func NewLimit(child Op, n int64) *Limit { return &Limit{unary: unary{child}, N: n} }
 
 // Label implements Op.
 func (l *Limit) Label() string { return fmt.Sprintf("limit[%d]", l.N) }
@@ -557,18 +506,12 @@ type SortKey struct {
 
 // Sort orders tuples by the keys (stable; NULLs first).
 type Sort struct {
-	Child Op
-	Keys  []SortKey
+	unary
+	Keys []SortKey
 }
 
 // NewSort builds a sort node.
-func NewSort(child Op, keys []SortKey) *Sort { return &Sort{Child: child, Keys: keys} }
-
-// Schema implements Op.
-func (s *Sort) Schema() *storage.Schema { return s.Child.Schema() }
-
-// Inputs implements Op.
-func (s *Sort) Inputs() []Op { return []Op{s.Child} }
+func NewSort(child Op, keys []SortKey) *Sort { return &Sort{unary: unary{child}, Keys: keys} }
 
 // Label implements Op.
 func (s *Sort) Label() string {

@@ -97,26 +97,16 @@ func Walk(root Op, fn func(Op) bool) {
 	rec(root)
 }
 
-// CountOps returns the number of distinct operators in the DAG.
-func CountOps(root Op) int {
-	n := 0
-	Walk(root, func(Op) bool { n++; return true })
-	return n
-}
-
 // ContainsSubquery reports whether any operator in the plan still embeds
 // a nested subquery in one of its expressions — i.e. the plan is not
 // fully unnested. It does not descend into the subplans themselves.
 func ContainsSubquery(root Op) bool {
 	found := false
 	Walk(root, func(op Op) bool {
-		for _, e := range exprsOf(op) {
-			if HasSubquery(e) {
-				found = true
-				return false
-			}
+		for _, e := range Exprs(op) {
+			found = found || HasSubquery(e)
 		}
-		return true
+		return !found
 	})
 	return found
 }

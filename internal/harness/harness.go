@@ -117,20 +117,16 @@ type Cell struct {
 	// Ops is the per-operator breakdown from a separate metrics-enabled
 	// run; set only under Config.OpBreakdown.
 	Ops []OpBreakdown
-	// Cache carries the DB-wide cache counters behind this cell; set only
-	// by the cache experiment (timing experiments run cache-cold).
-	Cache *CacheCounters
 	// Percentiles summarizes the cell's per-query latency distribution
 	// (log2-bucketed, so each estimate is the upper bound of its bucket).
 	// Present when the cell measured more than a single latency sample;
-	// Seconds remains the historical headline (minimum, or mean for the
-	// cache experiment).
+	// Seconds remains the historical headline (the minimum).
 	Percentiles *Percentiles
 }
 
 // Percentiles is a cell's latency distribution summary in seconds,
 // estimated from a log2-bucketed histogram of every sample the cell
-// measured (all repeats; for concurrency cells, every session's query).
+// measured (all repeats).
 type Percentiles struct {
 	P50     float64 `json:"p50"`
 	P95     float64 `json:"p95"`
@@ -150,19 +146,6 @@ func percentilesOf(h *telemetry.Histogram) *Percentiles {
 		P99:     h.Quantile(0.99).Seconds(),
 		Samples: h.Count(),
 	}
-}
-
-// CacheCounters is the cache section of a cell: the counter deltas the
-// cell's workload produced, plus the resulting result-cache hit rate.
-type CacheCounters struct {
-	PlanHits      int64   `json:"plan_hits"`
-	PlanMisses    int64   `json:"plan_misses"`
-	ResultHits    int64   `json:"result_hits"`
-	ResultMisses  int64   `json:"result_misses"`
-	Waits         int64   `json:"waits,omitempty"`
-	Evictions     int64   `json:"evictions,omitempty"`
-	Invalidations int64   `json:"invalidations,omitempty"`
-	HitRate       float64 `json:"hit_rate"`
 }
 
 // OpBreakdown is one physical operator's share of a cell's work.
@@ -224,17 +207,16 @@ func contains(ss []string, s string) bool {
 // title, and one object per (system, parameter) cell.
 func (t *Table) JSON() ([]byte, error) {
 	type cellJSON struct {
-		System      string         `json:"system"`
-		Param       string         `json:"param"`
-		Seconds     float64        `json:"seconds,omitempty"`
-		Rows        int            `json:"rows"`
-		TimedOut    bool           `json:"timed_out,omitempty"`
-		OverMem     bool           `json:"over_memory,omitempty"`
-		Aborted     bool           `json:"aborted,omitempty"`
-		Error       string         `json:"error,omitempty"`
-		Ops         []OpBreakdown  `json:"ops,omitempty"`
-		Cache       *CacheCounters `json:"cache,omitempty"`
-		Percentiles *Percentiles   `json:"percentiles,omitempty"`
+		System      string        `json:"system"`
+		Param       string        `json:"param"`
+		Seconds     float64       `json:"seconds,omitempty"`
+		Rows        int           `json:"rows"`
+		TimedOut    bool          `json:"timed_out,omitempty"`
+		OverMem     bool          `json:"over_memory,omitempty"`
+		Aborted     bool          `json:"aborted,omitempty"`
+		Error       string        `json:"error,omitempty"`
+		Ops         []OpBreakdown `json:"ops,omitempty"`
+		Percentiles *Percentiles  `json:"percentiles,omitempty"`
 	}
 	doc := struct {
 		ID    string     `json:"experiment"`
@@ -250,8 +232,7 @@ func (t *Table) JSON() ([]byte, error) {
 			}
 			cj := cellJSON{System: string(s), Param: p, Seconds: c.Seconds,
 				Rows: c.Rows, TimedOut: c.TimedOut, OverMem: c.OverMem,
-				Aborted: c.Aborted, Ops: c.Ops, Cache: c.Cache,
-				Percentiles: c.Percentiles}
+				Aborted: c.Aborted, Ops: c.Ops, Percentiles: c.Percentiles}
 			if c.Err != nil {
 				cj.Error = c.Err.Error()
 			}
@@ -568,7 +549,7 @@ func sameRows(a, b []string) bool {
 }
 
 // Experiment names in presentation order.
-var Order = []string{"fig7a", "fig7b", "fig7c", "tree", "linear", "quant", "ablation", "workers", "concurrency", "cache", "scenario", "serve"}
+var Order = []string{"fig7a", "fig7b", "fig7c", "tree", "linear", "quant", "ablation", "workers"}
 
 // Run dispatches an experiment by id.
 func Run(id string, cfg Config, progress func(string)) (*Table, error) {
@@ -589,14 +570,6 @@ func Run(id string, cfg Config, progress func(string)) (*Table, error) {
 		return Ablation(cfg, progress)
 	case "workers":
 		return WorkerSweep(cfg, nil, progress)
-	case "concurrency":
-		return ConcurrencySweep(cfg, nil, nil, progress)
-	case "cache":
-		return CacheSweep(cfg, progress)
-	case "scenario":
-		return ScenarioSweep(cfg, progress)
-	case "serve":
-		return ServeSweep(cfg, nil, progress)
 	default:
 		return nil, fmt.Errorf("harness: unknown experiment %q (have %s)", id, strings.Join(Order, ", "))
 	}
@@ -625,12 +598,5 @@ func (t *Table) Speedups() map[string]float64 {
 			out[p] = worst / un.Seconds
 		}
 	}
-	return out
-}
-
-// SortedParams returns the parameter points in display order.
-func (t *Table) SortedParams() []string {
-	out := append([]string(nil), t.Params...)
-	sort.Strings(out)
 	return out
 }

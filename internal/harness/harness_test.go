@@ -218,28 +218,3 @@ func TestClassifyCellOverloaded(t *testing.T) {
 		t.Fatalf("unexpected classification: %+v", c)
 	}
 }
-
-// TestConcurrencySweepTiny smoke-tests the concurrency experiment: a
-// 1×2 grid must produce cells with verified-identical results.
-func TestConcurrencySweepTiny(t *testing.T) {
-	cfg := tinyConfig()
-	tab, err := ConcurrencySweep(cfg, []int{1}, []int{1, 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Params) != 2 {
-		t.Fatalf("params = %v, want [s=1 s=2]", tab.Params)
-	}
-	for _, p := range tab.Params {
-		c, ok := tab.Cells[disqo.Strategy("w=1")][p]
-		if !ok {
-			t.Fatalf("missing cell for %s", p)
-		}
-		if c.Err != nil || c.Aborted || c.TimedOut || c.OverMem {
-			t.Fatalf("cell %s not clean: %+v", p, c)
-		}
-		if c.Rows == 0 {
-			t.Fatalf("cell %s returned no rows", p)
-		}
-	}
-}

@@ -104,10 +104,3 @@ func Walk(root Node, fn func(Node) bool) {
 	}
 	rec(root)
 }
-
-// CountNodes returns the number of distinct nodes in the DAG.
-func CountNodes(root Node) int {
-	n := 0
-	Walk(root, func(Node) bool { n++; return true })
-	return n
-}

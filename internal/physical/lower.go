@@ -75,11 +75,9 @@ func (p *Planner) Lower(op algebra.Op) (Node, error) {
 	p.memo[op] = n
 	// Pre-lower nested query blocks referenced by this operator's
 	// expressions (scalar/quantified subqueries and their arguments).
-	for _, e := range algebra.Exprs(op) {
-		for _, sub := range algebra.Subplans(e) {
-			if _, err := p.Lower(sub); err != nil {
-				return nil, err
-			}
+	for _, sub := range algebra.NestedPlans(op) {
+		if _, err := p.Lower(sub); err != nil {
+			return nil, err
 		}
 	}
 	return n, nil

@@ -267,7 +267,7 @@ func TestLowerPreLowersSubqueryPlans(t *testing.T) {
 	sub := algebra.NewGroupBy(scanOf(t, cat, "s"), nil,
 		[]algebra.AggItem{{Out: "c", Spec: agg.Spec{Kind: agg.Count, Star: true}}}, true)
 	pred := algebra.Cmp(types.EQ, algebra.Col("r.a1"),
-		&algebra.ScalarSubquery{Agg: agg.Spec{Kind: agg.Count, Star: true}, Plan: sub})
+		algebra.Subquery(agg.Spec{Kind: agg.Count, Star: true}, nil, sub))
 	p := physical.NewPlanner(stats.New(cat))
 	if _, err := p.Lower(algebra.NewSelect(scanOf(t, cat, "r"), pred)); err != nil {
 		t.Fatalf("Lower: %v", err)

@@ -26,37 +26,62 @@ func NewReorderer(cat catalog.Reader) *Reorderer {
 }
 
 // Rewrite returns a plan whose selection predicates evaluate their
-// operands in ascending rank order. Reordering commutative Kleene
-// connectives preserves three-valued semantics.
+// operands in ascending rank order — bottom-up, subquery blocks
+// included — and the plan itself where every predicate already does.
+// Reordering commutative Kleene connectives preserves three-valued
+// semantics.
 func (ro *Reorderer) Rewrite(plan algebra.Op) (algebra.Op, error) {
-	rw := &Rewriter{memo: make(map[algebra.Op]algebra.Op), est: ro.est, reorder: ro}
-	return rw.rewriteOp(plan)
+	memo := map[algebra.Op]algebra.Op{}
+	var reorderOp func(algebra.Op) (algebra.Op, error)
+	var inBlocks func(algebra.Expr) (algebra.Expr, error)
+	inBlocks = func(e algebra.Expr) (algebra.Expr, error) {
+		return algebra.MapExprChildren(e, inBlocks, reorderOp)
+	}
+	reorderOp = func(op algebra.Op) (algebra.Op, error) {
+		if out, ok := memo[op]; ok {
+			return out, nil
+		}
+		out, err := algebra.MapChildren(op, reorderOp, inBlocks)
+		if err != nil {
+			return nil, err
+		}
+		if sel, ok := out.(*algebra.Select); ok {
+			if pred := ro.reorderExpr(sel.Pred, sel.Child); pred != sel.Pred {
+				out = algebra.NewSelect(sel.Child, pred)
+			}
+		}
+		memo[op] = out
+		return out, nil
+	}
+	return reorderOp(plan)
 }
 
-// reorderExpr rebuilds a predicate with rank-ordered operands.
+// reorderExpr returns the predicate with rank-ordered operands — the
+// predicate itself when they already are.
 func (ro *Reorderer) reorderExpr(e algebra.Expr, input algebra.Op) algebra.Expr {
+	var parts []algebra.Expr
+	join := algebra.Or
 	switch e.(type) {
 	case *algebra.OrExpr:
-		parts := algebra.SplitDisjuncts(e)
-		for i, p := range parts {
-			parts[i] = ro.reorderExpr(p, input)
-		}
-		if ro.sortByRank(parts, input) {
-			ro.Applied++
-		}
-		return algebra.Or(parts...)
+		parts = algebra.SplitDisjuncts(e)
 	case *algebra.AndExpr:
-		parts := algebra.SplitConjuncts(e)
-		for i, p := range parts {
-			parts[i] = ro.reorderExpr(p, input)
-		}
-		if ro.sortByRank(parts, input) {
-			ro.Applied++
-		}
-		return algebra.And(parts...)
+		parts, join = algebra.SplitConjuncts(e), algebra.And
 	default:
 		return e
 	}
+	changed := false
+	for i, p := range parts {
+		parts[i] = ro.reorderExpr(p, input)
+		changed = changed || parts[i] != p
+	}
+	if ro.sortByRank(parts, input) {
+		ro.Applied++
+		changed = true
+	}
+	if !changed {
+		return e
+	}
+	return join(parts...)
 }
 
 // sortByRank stably sorts parts by rank and reports whether the order

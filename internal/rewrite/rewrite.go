@@ -73,9 +73,6 @@ type Rewriter struct {
 	// sound only in the logic they were derived in, so the rewriter
 	// must know which one applies (see negate and quantToCount).
 	nulls types.NullMode
-	// reorder, when set, turns the rewriter into a pure predicate
-	// reorderer (see Reorderer) instead of an unnester.
-	reorder *Reorderer
 	// Trace records the equivalences applied, in order — used by tests
 	// and surfaced by EXPLAIN.
 	Trace []string
@@ -129,341 +126,52 @@ func (rw *Rewriter) rewriteOp(op algebra.Op) (algebra.Op, error) {
 }
 
 func (rw *Rewriter) rewriteOpRaw(op algebra.Op) (algebra.Op, error) {
-	if sel, ok := op.(*algebra.Select); ok {
-		if rw.reorder != nil {
-			child, err := rw.rewriteOp(sel.Child)
-			if err != nil {
-				return nil, err
-			}
-			pred, err := rw.rewriteExpr(sel.Pred)
-			if err != nil {
-				return nil, err
-			}
-			return algebra.NewSelect(child, rw.reorder.reorderExpr(pred, child)), nil
-		}
-		newOp, changed, err := rw.unnestSelect(sel)
-		if err != nil {
-			return nil, err
-		}
-		if changed {
-			// The rewritten structure may contain further unnestable
-			// selections (linear/tree queries); recurse into it. The
-			// recursion terminates because every successful application
-			// removes at least one subquery from a selection predicate.
-			return rw.rewriteChildren(newOp)
+	var (
+		newOp   algebra.Op
+		changed bool
+		err     error
+	)
+	switch x := op.(type) {
+	case *algebra.Select:
+		newOp, changed, err = rw.unnestSelect(x)
+	case *algebra.MapOp:
+		if rw.caps.Conjunctive {
+			newOp, changed, err = rw.unnestMap(x)
 		}
 	}
-	if m, ok := op.(*algebra.MapOp); ok && rw.reorder == nil && rw.caps.Conjunctive {
-		newOp, changed, err := rw.unnestMap(m)
-		if err != nil {
-			return nil, err
-		}
-		if changed {
-			return rw.rewriteChildren(newOp)
-		}
+	if err != nil {
+		return nil, err
+	}
+	if changed {
+		// The rewritten structure may contain further unnestable
+		// selections (linear/tree queries); recurse into it. The
+		// recursion terminates because every successful application
+		// removes at least one subquery from a selection predicate.
+		op = newOp
 	}
 	return rw.rewriteChildren(op)
 }
 
-// rewriteChildren rebuilds an operator with rewritten inputs and
-// rewritten subquery plans inside its expressions.
+// rewriteChildren rewrites an operator's inputs and the subquery plans
+// inside its expressions (so deeper blocks get unnested even when the
+// enclosing block could not be). Where nothing below changed it returns
+// its argument itself — the operators a rule has just built are not
+// built again, and a finished plan comes back as it went in.
 func (rw *Rewriter) rewriteChildren(op algebra.Op) (algebra.Op, error) {
-	switch x := op.(type) {
-	case *algebra.Scan:
-		return x, nil
-	case *algebra.Select:
-		child, err := rw.rewriteOp(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := rw.rewriteExpr(x.Pred)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewSelect(child, pred), nil
-	case *algebra.BypassSelect:
-		child, err := rw.rewriteOp(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := rw.rewriteExpr(x.Pred)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewBypassSelect(child, pred), nil
-	case *algebra.Stream:
-		src, err := rw.rewriteOp(x.Source)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.Stream{Source: src, Positive: x.Positive}, nil
-	case *algebra.Project:
-		child, err := rw.rewriteOp(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewProject(child, x.Attrs), nil
-	case *algebra.Rename:
-		child, err := rw.rewriteOp(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewRename(child, x.Pairs)
-	case *algebra.MapOp:
-		child, err := rw.rewriteOp(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		e, err := rw.rewriteExpr(x.Expr)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewMap(child, x.Attr, e), nil
-	case *algebra.CrossProduct:
-		l, r, err := rw.rewritePair(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewCross(l, r), nil
-	case *algebra.Join:
-		l, r, err := rw.rewritePair(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := rw.rewriteExpr(x.Pred)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewJoin(l, r, pred), nil
-	case *algebra.LeftOuterJoin:
-		l, r, err := rw.rewritePair(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := rw.rewriteExpr(x.Pred)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewLeftOuterJoin(l, r, pred, x.Defaults), nil
-	case *algebra.SemiJoin:
-		l, r, err := rw.rewritePair(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := rw.rewriteExpr(x.Pred)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewSemiJoin(l, r, pred), nil
-	case *algebra.AntiJoin:
-		l, r, err := rw.rewritePair(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := rw.rewriteExpr(x.Pred)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewAntiJoin(l, r, pred), nil
-	case *algebra.GroupBy:
-		child, err := rw.rewriteOp(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		aggs, err := rw.rewriteAggs(x.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewGroupBy(child, x.Attrs, aggs, x.Global), nil
-	case *algebra.BinaryGroup:
-		l, r, err := rw.rewritePair(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := rw.rewriteExpr(x.Pred)
-		if err != nil {
-			return nil, err
-		}
-		aggs, err := rw.rewriteAggs(x.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		bg := algebra.NewBinaryGroup(l, r, pred, aggs)
-		bg.Tag = x.Tag
-		return bg, nil
-	case *algebra.UnionDisjoint:
-		l, r, err := rw.rewritePair(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewUnionDisjoint(l, r), nil
-	case *algebra.UnionAll:
-		l, r, err := rw.rewritePair(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewUnionAll(l, r), nil
-	case *algebra.Distinct:
-		child, err := rw.rewriteOp(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewDistinct(child), nil
-	case *algebra.Sort:
-		child, err := rw.rewriteOp(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewSort(child, x.Keys), nil
-	case *algebra.Limit:
-		child, err := rw.rewriteOp(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewLimit(child, x.N), nil
-	default:
-		return nil, fmt.Errorf("rewrite: unknown operator %T", op)
-	}
+	return algebra.MapChildren(op, rw.rewriteOp, rw.rewriteExpr)
 }
 
-func (rw *Rewriter) rewritePair(l, r algebra.Op) (algebra.Op, algebra.Op, error) {
-	nl, err := rw.rewriteOp(l)
-	if err != nil {
-		return nil, nil, err
-	}
-	nr, err := rw.rewriteOp(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return nl, nr, nil
-}
-
-func (rw *Rewriter) rewriteAggs(items []algebra.AggItem) ([]algebra.AggItem, error) {
-	out := make([]algebra.AggItem, len(items))
-	for i, it := range items {
-		arg, err := rw.rewriteExpr(it.Arg)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = algebra.AggItem{Out: it.Out, Spec: it.Spec, Arg: arg, ArgAttrs: it.ArgAttrs}
-	}
-	return out, nil
-}
-
-// rewriteExpr rebuilds an expression, rewriting the plans of any
-// remaining embedded subqueries (so deeper blocks get unnested even when
-// the enclosing block could not be).
 func (rw *Rewriter) rewriteExpr(e algebra.Expr) (algebra.Expr, error) {
-	switch x := e.(type) {
-	case nil:
-		return nil, nil
-	case *algebra.ColRef, *algebra.ConstExpr:
-		return e, nil
-	case *algebra.CmpExpr:
-		l, err := rw.rewriteExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rw.rewriteExpr(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Cmp(x.Op, l, r), nil
-	case *algebra.AndExpr:
-		l, err := rw.rewriteExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rw.rewriteExpr(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.And(l, r), nil
-	case *algebra.OrExpr:
-		l, err := rw.rewriteExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rw.rewriteExpr(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Or(l, r), nil
-	case *algebra.NotExpr:
-		inner, err := rw.rewriteExpr(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Not(inner), nil
-	case *algebra.ArithExpr:
-		l, err := rw.rewriteExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rw.rewriteExpr(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Arith(x.Op, l, r), nil
-	case *algebra.LikeExpr:
-		l, err := rw.rewriteExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		p, err := rw.rewriteExpr(x.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Like(l, p), nil
-	case *algebra.IsNullExpr:
-		inner, err := rw.rewriteExpr(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.IsNull(inner), nil
-	case *algebra.AggCombineExpr:
-		l, err := rw.rewriteExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rw.rewriteExpr(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.AggCombine(x.Kind, l, r), nil
-	case *algebra.ScalarSubquery:
-		plan, err := rw.rewriteOp(x.Plan)
-		if err != nil {
-			return nil, err
-		}
-		arg, err := rw.rewriteExpr(x.Arg)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Subquery(x.Agg, arg, plan), nil
-	case *algebra.QuantSubquery:
-		plan, err := rw.rewriteOp(x.Plan)
-		if err != nil {
-			return nil, err
-		}
-		l, err := rw.rewriteExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Quant(x.Quant, l, plan), nil
-	case *algebra.AllAnyExpr:
-		plan, err := rw.rewriteOp(x.Plan)
-		if err != nil {
-			return nil, err
-		}
-		l, err := rw.rewriteExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.AllAny(x.Op, x.All, l, plan), nil
-	default:
-		return nil, fmt.Errorf("rewrite: unknown expression %T", e)
-	}
+	return algebra.MapExprChildren(e, rw.rewriteExpr, rw.rewriteOp)
+}
+
+// mapOperands applies f to e's child expressions, leaving subquery
+// plans alone, and returns e itself when none of them changed.
+func mapOperands(e algebra.Expr, f func(algebra.Expr) algebra.Expr) algebra.Expr {
+	out, _ := algebra.MapExprChildren(e, func(c algebra.Expr) (algebra.Expr, error) {
+		return f(c), nil
+	}, nil) // the only error is the callback's, and it has none
+	return out
 }
 
 // normalizeNNF pushes NOT down to the leaves (negation normal form)
@@ -481,10 +189,8 @@ func normalizeNNF(e algebra.Expr) algebra.Expr {
 // while a <> NULL is FALSE, so those negations stay leaves there.
 func normalizeNNFMode(e algebra.Expr, nulls types.NullMode) algebra.Expr {
 	switch x := e.(type) {
-	case *algebra.AndExpr:
-		return algebra.And(normalizeNNFMode(x.L, nulls), normalizeNNFMode(x.R, nulls))
-	case *algebra.OrExpr:
-		return algebra.Or(normalizeNNFMode(x.L, nulls), normalizeNNFMode(x.R, nulls))
+	case *algebra.AndExpr, *algebra.OrExpr:
+		return mapOperands(e, func(c algebra.Expr) algebra.Expr { return normalizeNNFMode(c, nulls) })
 	case *algebra.NotExpr:
 		return negate(x.E, nulls)
 	default:
@@ -559,10 +265,8 @@ func negate(e algebra.Expr, nulls types.NullMode) algebra.Expr {
 // matching nothing for a NULL probe.
 func (rw *Rewriter) quantToCount(e algebra.Expr) algebra.Expr {
 	switch x := e.(type) {
-	case *algebra.AndExpr:
-		return algebra.And(rw.quantToCount(x.L), rw.quantToCount(x.R))
-	case *algebra.OrExpr:
-		return algebra.Or(rw.quantToCount(x.L), rw.quantToCount(x.R))
+	case *algebra.AndExpr, *algebra.OrExpr:
+		return mapOperands(e, rw.quantToCount)
 	case *algebra.QuantSubquery:
 		countStar := agg.Spec{Kind: agg.Count, Star: true}
 		switch x.Quant {

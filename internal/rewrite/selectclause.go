@@ -15,73 +15,27 @@ import (
 // through the same path, which is how p's own subqueries unnest against
 // the inner block.
 
-// collectScalarSubqueries gathers the scalar subqueries appearing
-// directly in an expression (not inside nested subplans).
-func collectScalarSubqueries(e algebra.Expr, into []*algebra.ScalarSubquery) []*algebra.ScalarSubquery {
-	switch x := e.(type) {
-	case *algebra.ScalarSubquery:
-		return append(into, x)
-	case *algebra.CmpExpr:
-		return collectScalarSubqueries(x.R, collectScalarSubqueries(x.L, into))
-	case *algebra.AndExpr:
-		return collectScalarSubqueries(x.R, collectScalarSubqueries(x.L, into))
-	case *algebra.OrExpr:
-		return collectScalarSubqueries(x.R, collectScalarSubqueries(x.L, into))
-	case *algebra.NotExpr:
-		return collectScalarSubqueries(x.E, into)
-	case *algebra.ArithExpr:
-		return collectScalarSubqueries(x.R, collectScalarSubqueries(x.L, into))
-	case *algebra.LikeExpr:
-		return collectScalarSubqueries(x.Pattern, collectScalarSubqueries(x.L, into))
-	case *algebra.IsNullExpr:
-		return collectScalarSubqueries(x.E, into)
-	case *algebra.AggCombineExpr:
-		return collectScalarSubqueries(x.R, collectScalarSubqueries(x.L, into))
-	default:
-		return into
-	}
-}
-
 // replaceExpr rebuilds an expression with one node (matched by pointer
-// identity) substituted.
+// identity) substituted; subquery plans are not searched.
 func replaceExpr(e algebra.Expr, old, repl algebra.Expr) algebra.Expr {
 	if e == old {
 		return repl
 	}
-	switch x := e.(type) {
-	case *algebra.CmpExpr:
-		return algebra.Cmp(x.Op, replaceExpr(x.L, old, repl), replaceExpr(x.R, old, repl))
-	case *algebra.AndExpr:
-		return algebra.And(replaceExpr(x.L, old, repl), replaceExpr(x.R, old, repl))
-	case *algebra.OrExpr:
-		return algebra.Or(replaceExpr(x.L, old, repl), replaceExpr(x.R, old, repl))
-	case *algebra.NotExpr:
-		return algebra.Not(replaceExpr(x.E, old, repl))
-	case *algebra.ArithExpr:
-		return algebra.Arith(x.Op, replaceExpr(x.L, old, repl), replaceExpr(x.R, old, repl))
-	case *algebra.LikeExpr:
-		return algebra.Like(replaceExpr(x.L, old, repl), replaceExpr(x.Pattern, old, repl))
-	case *algebra.IsNullExpr:
-		return algebra.IsNull(replaceExpr(x.E, old, repl))
-	case *algebra.AggCombineExpr:
-		return algebra.AggCombine(x.Kind, replaceExpr(x.L, old, repl), replaceExpr(x.R, old, repl))
-	default:
-		return e
-	}
+	return mapOperands(e, func(c algebra.Expr) algebra.Expr { return replaceExpr(c, old, repl) })
 }
 
 // unnestMap removes correlated scalar subqueries from a map operator's
 // expression. Subqueries it cannot handle stay nested (and still evaluate
 // correctly through the environment chain).
 func (rw *Rewriter) unnestMap(m *algebra.MapOp) (algebra.Op, bool, error) {
-	subs := collectScalarSubqueries(m.Expr, nil)
-	if len(subs) == 0 {
-		return m, false, nil
-	}
 	cur := m.Child
 	expr := m.Expr
 	changed := false
-	for _, sub := range subs {
+	for _, sq := range algebra.SubqueryExprs(m.Expr) {
+		sub, scalar := sq.(*algebra.ScalarSubquery)
+		if !scalar {
+			continue
+		}
 		gExpr, cur2, ok, err := rw.unnestScalar(sub, cur)
 		if err != nil {
 			return nil, false, err

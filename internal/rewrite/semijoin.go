@@ -33,7 +33,7 @@ func (rw *Rewriter) unnestQuantConjunct(q *algebra.QuantSubquery, cur algebra.Op
 		}
 	}
 	// Direct correlation only.
-	for _, col := range algebra.FreeColumns(q.Plan) {
+	for _, col := range q.Free() {
 		if !cur.Schema().Has(col) {
 			return cur, false, nil
 		}

@@ -1,7 +1,6 @@
 package rewrite
 
 import (
-	"fmt"
 	"sort"
 
 	"disqo/internal/agg"
@@ -12,10 +11,12 @@ import (
 // unnestSelect attempts to remove nested subqueries from one selection.
 // It returns the (possibly) new plan and whether anything changed.
 func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) {
-	pred := normalizeNNFMode(sel.Pred, rw.nulls)
-	if !algebra.HasSubquery(pred) {
+	// NNF neither adds nor removes a subquery, so a selection without one
+	// is left alone before anything is built.
+	if !algebra.HasSubquery(sel.Pred) {
 		return sel, false, nil
 	}
+	pred := normalizeNNFMode(sel.Pred, rw.nulls)
 	child := sel.Child
 	outAttrs := child.Schema().Attrs()
 
@@ -26,16 +27,9 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 		if rw.caps.Quantified {
 			pred = rw.quantToCount(pred)
 		}
-		disjuncts := algebra.SplitDisjuncts(pred)
-		if rw.caps.ORExpansion {
-			return rw.orExpand(child, disjuncts, outAttrs)
-		}
-		if !rw.caps.Bypass {
-			return sel, false, nil
-		}
-		out, changed, err := rw.cascade(child, disjuncts, outAttrs)
+		out, changed, err := rw.unnestDisjunction(child, algebra.SplitDisjuncts(pred), outAttrs)
 		if err != nil || !changed {
-			return sel, changed, err
+			return sel, false, err
 		}
 		return out, true, nil
 	}
@@ -92,33 +86,25 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 		out = cur
 	}
 
-	if len(orSubs) > 0 {
-		if !rw.caps.Bypass && !rw.caps.ORExpansion {
-			if !changed {
-				return sel, false, nil
-			}
-		} else {
-			for _, oc := range orSubs {
-				ds := algebra.SplitDisjuncts(oc)
-				var cascaded algebra.Op
-				var cchanged bool
-				var err error
-				if rw.caps.ORExpansion {
-					cascaded, cchanged, err = rw.orExpand(out, ds, outAttrs)
-				} else {
-					cascaded, cchanged, err = rw.cascade(out, ds, outAttrs)
-				}
-				if err != nil {
-					return nil, false, err
-				}
-				if !cchanged {
-					out = algebra.NewSelect(out, oc)
-					continue
-				}
-				changed = true
-				out = cascaded
-			}
+	// Disjunctive conjuncts cascade one by one on top of what the others
+	// left; one that cannot stays a selection there. Without either
+	// disjunctive capability none is tried: they are deferred and
+	// re-applied as they were, above the schema-restoring projection.
+	var deferred []algebra.Expr
+	if !rw.caps.Bypass && !rw.caps.ORExpansion {
+		deferred, orSubs = orSubs, nil
+	}
+	for _, oc := range orSubs {
+		cascaded, cchanged, err := rw.unnestDisjunction(out, algebra.SplitDisjuncts(oc), outAttrs)
+		if err != nil {
+			return nil, false, err
 		}
+		if !cchanged {
+			out = algebra.NewSelect(out, oc)
+			continue
+		}
+		changed = true
+		out = cascaded
 	}
 	if !changed {
 		return sel, false, nil
@@ -127,11 +113,25 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 	if !out.Schema().Equal(child.Schema()) {
 		out = algebra.NewProject(out, outAttrs)
 	}
-	// Re-apply any deferred disjunctive conjuncts that could not cascade.
-	if len(orSubs) > 0 && !rw.caps.Bypass && !rw.caps.ORExpansion {
-		out = algebra.NewSelect(out, algebra.And(orSubs...))
+	if len(deferred) > 0 {
+		out = algebra.NewSelect(out, algebra.And(deferred...))
 	}
 	return out, true, nil
+}
+
+// unnestDisjunction rewrites σ_{d1 ∨ … ∨ dn}(base) the one way the
+// capabilities allow — OR-expansion (the S2 baseline) or the bypass
+// cascade — and reports false when neither is enabled or no disjunct
+// could be unnested.
+func (rw *Rewriter) unnestDisjunction(base algebra.Op, disjuncts []algebra.Expr, outAttrs []string) (algebra.Op, bool, error) {
+	switch {
+	case rw.caps.ORExpansion:
+		return rw.orExpand(base, disjuncts, outAttrs)
+	case rw.caps.Bypass:
+		return rw.cascade(base, disjuncts, outAttrs)
+	default:
+		return nil, false, nil
+	}
 }
 
 // cascade implements the generalized Eqv. 2/3 bypass chain: disjuncts are
@@ -315,14 +315,14 @@ func (rw *Rewriter) unnestConjunct(c algebra.Expr, cur algebra.Op) (algebra.Expr
 // serves WHERE-clause linking predicates and SELECT-clause subqueries
 // (the technical report’s generalization).
 func (rw *Rewriter) unnestScalar(sub *algebra.ScalarSubquery, cur algebra.Op) (algebra.Expr, algebra.Op, bool, error) {
-	if !algebra.Correlated(sub.Plan) {
+	if len(sub.Free()) == 0 {
 		// Type A: materialized once by the executor's uncorrelated-plan
 		// cache; nothing to unnest.
 		return nil, cur, false, nil
 	}
 	// Direct correlation only (paper's stated limitation): every free
 	// attribute must be supplied by the current outer stream.
-	for _, col := range algebra.FreeColumns(sub.Plan) {
+	for _, col := range sub.Free() {
 		if !cur.Schema().Has(col) {
 			return nil, cur, false, nil
 		}
@@ -640,9 +640,4 @@ func splitCorrEquality(e algebra.Expr, innerSchema interface{ Has(string) bool }
 	default:
 		return "", "", false
 	}
-}
-
-// String renders the trace for diagnostics.
-func (rw *Rewriter) String() string {
-	return fmt.Sprintf("rewriter(applied=%d)", len(rw.Trace))
 }

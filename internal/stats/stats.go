@@ -10,8 +10,6 @@
 package stats
 
 import (
-	"strings"
-
 	"disqo/internal/algebra"
 	"disqo/internal/catalog"
 	"disqo/internal/types"
@@ -286,18 +284,18 @@ func (e *Estimator) PredCost(pred algebra.Expr) float64 {
 	case *algebra.AggCombineExpr:
 		return costArith + e.PredCost(x.L) + e.PredCost(x.R)
 	case *algebra.ScalarSubquery:
-		if algebra.Correlated(x.Plan) {
+		if len(x.Free()) > 0 {
 			return costSubqueryBase + e.planWork(x.Plan)
 		}
 		// Uncorrelated: evaluated once and memoized — cheap per tuple.
 		return costCompare
 	case *algebra.QuantSubquery:
-		if algebra.Correlated(x.Plan) {
+		if len(x.Free()) > 0 {
 			return costSubqueryBase + e.planWork(x.Plan)
 		}
 		return costCompare
 	case *algebra.AllAnyExpr:
-		if algebra.Correlated(x.Plan) {
+		if len(x.Free()) > 0 {
 			return costSubqueryBase + e.planWork(x.Plan)
 		}
 		return costCompare
@@ -324,21 +322,4 @@ func (e *Estimator) Rank(pred algebra.Expr, input algebra.Op) float64 {
 		cost = 0.01
 	}
 	return (e.Selectivity(pred, input) - 1) / cost
-}
-
-// AttrTable resolves which base table provides an attribute, for
-// diagnostics (empty when synthetic).
-func (e *Estimator) AttrTable(plan algebra.Op, attr string) string {
-	var name string
-	algebra.Walk(plan, func(op algebra.Op) bool {
-		if s, ok := op.(*algebra.Scan); ok && name == "" && s.Schema().Has(attr) {
-			name = s.Table
-			return false
-		}
-		return true
-	})
-	if name == "" && strings.Contains(attr, ".") {
-		return strings.SplitN(attr, ".", 2)[0]
-	}
-	return name
 }

@@ -140,14 +140,3 @@ func TestStreamCardinalitySplits(t *testing.T) {
 		t.Errorf("streams must partition: %g + %g", pos, neg)
 	}
 }
-
-func TestAttrTable(t *testing.T) {
-	cat, r, _ := fixture(t)
-	e := New(cat)
-	if got := e.AttrTable(r, "r.a1"); got != "r" {
-		t.Errorf("AttrTable = %q", got)
-	}
-	if got := e.AttrTable(r, "x.q1"); got != "x" {
-		t.Errorf("AttrTable fallback = %q", got)
-	}
-}

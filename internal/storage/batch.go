@@ -12,7 +12,7 @@ import (
 // holds. A Batch never copies or mutates rows — vectorized operators
 // read columns here and emit results as selection vectors (row indices
 // into the underlying relation), so converting back to the row
-// representation is a pointer gather (see Relation.Gather) and the two
+// representation is a pointer gather (exec's gatherChunks) and the two
 // execution paths share row identity byte for byte.
 //
 // Column construction is idempotent and safe for concurrent use: the
@@ -197,17 +197,4 @@ func buildMixed(rel *Relation, idx int) *ColVec {
 		cv.Mixed[i] = rel.Tuples[i][idx]
 	}
 	return cv
-}
-
-// Gather materializes a selection vector back into a row relation. The
-// output shares the selected row slices with r — no per-row copying —
-// which is what keeps the vectorized path's results byte-identical to
-// the row path's.
-func (r *Relation) Gather(sel []int32) *Relation {
-	out := NewRelation(r.Schema)
-	out.Tuples = make([][]types.Value, len(sel))
-	for i, idx := range sel {
-		out.Tuples[i] = r.Tuples[idx]
-	}
-	return out
 }

@@ -82,19 +82,6 @@ func TestBatchMixedKindDegrades(t *testing.T) {
 	}
 }
 
-func TestGatherSharesRows(t *testing.T) {
-	rel := intRel(1, 2, 3, 4, 5)
-	out := rel.Gather([]int32{4, 1, 3})
-	if out.Cardinality() != 3 {
-		t.Fatalf("Cardinality = %d, want 3", out.Cardinality())
-	}
-	for i, src := range []int{4, 1, 3} {
-		if &out.Tuples[i][0] != &rel.Tuples[src][0] {
-			t.Fatalf("gathered row %d is a copy, want shared backing with source row %d", i, src)
-		}
-	}
-}
-
 func TestBatchMaterializeIdempotent(t *testing.T) {
 	rel := intRel(1, 2)
 	b := NewBatch(rel)

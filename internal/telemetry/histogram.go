@@ -140,14 +140,6 @@ type LatencySnapshot struct {
 	Buckets []Bucket      `json:"buckets,omitempty"`
 }
 
-// Mean returns the snapshot's average duration.
-func (s LatencySnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
-}
-
 // Snapshot copies the histogram's state. Concurrent Records may land
 // between bucket reads; each bucket is individually consistent, which
 // is all a monitoring read needs.

@@ -140,33 +140,24 @@ type SubqueryInfo struct {
 }
 
 // ClassifySubqueries inspects a translated plan and reports Kim types for
-// every directly nested block (not recursing into blocks within blocks).
+// every directly nested block (not recursing into blocks within blocks),
+// whichever operator's expression embeds it.
 func ClassifySubqueries(plan algebra.Op) []SubqueryInfo {
 	var out []SubqueryInfo
 	algebra.Walk(plan, func(op algebra.Op) bool {
-		for _, sub := range subqueryExprsOf(op) {
-			switch sq := sub.(type) {
-			case *algebra.ScalarSubquery:
-				info := SubqueryInfo{Scalar: true, Correlated: algebra.Correlated(sq.Plan)}
-				if info.Correlated {
+		for _, e := range algebra.Exprs(op) {
+			for _, sq := range algebra.SubqueryExprs(e) {
+				_, scalar := sq.(*algebra.ScalarSubquery)
+				info := SubqueryInfo{Scalar: scalar,
+					Correlated: len(sq.(interface{ Free() []string }).Free()) > 0}
+				switch {
+				case info.Scalar && info.Correlated:
 					info.Type = TypeJA
-				} else {
+				case info.Scalar:
 					info.Type = TypeA
-				}
-				out = append(out, info)
-			case *algebra.QuantSubquery:
-				info := SubqueryInfo{Correlated: algebra.Correlated(sq.Plan)}
-				if info.Correlated {
+				case info.Correlated:
 					info.Type = TypeJ
-				} else {
-					info.Type = TypeN
-				}
-				out = append(out, info)
-			case *algebra.AllAnyExpr:
-				info := SubqueryInfo{Correlated: algebra.Correlated(sq.Plan)}
-				if info.Correlated {
-					info.Type = TypeJ
-				} else {
+				default:
 					info.Type = TypeN
 				}
 				out = append(out, info)
@@ -174,54 +165,5 @@ func ClassifySubqueries(plan algebra.Op) []SubqueryInfo {
 		}
 		return true
 	})
-	return out
-}
-
-// subqueryExprsOf extracts the subquery expressions appearing directly in
-// an operator's predicate/map expressions.
-func subqueryExprsOf(op algebra.Op) []algebra.Expr {
-	var preds []algebra.Expr
-	switch x := op.(type) {
-	case *algebra.Select:
-		preds = append(preds, x.Pred)
-	case *algebra.BypassSelect:
-		preds = append(preds, x.Pred)
-	case *algebra.Join:
-		preds = append(preds, x.Pred)
-	case *algebra.MapOp:
-		preds = append(preds, x.Expr)
-	}
-	var out []algebra.Expr
-	var visit func(e algebra.Expr)
-	visit = func(e algebra.Expr) {
-		switch y := e.(type) {
-		case *algebra.ScalarSubquery, *algebra.QuantSubquery, *algebra.AllAnyExpr:
-			out = append(out, e)
-		case *algebra.CmpExpr:
-			visit(y.L)
-			visit(y.R)
-		case *algebra.AndExpr:
-			visit(y.L)
-			visit(y.R)
-		case *algebra.OrExpr:
-			visit(y.L)
-			visit(y.R)
-		case *algebra.NotExpr:
-			visit(y.E)
-		case *algebra.ArithExpr:
-			visit(y.L)
-			visit(y.R)
-		case *algebra.LikeExpr:
-			visit(y.L)
-			visit(y.Pattern)
-		case *algebra.IsNullExpr:
-			visit(y.E)
-		}
-	}
-	for _, p := range preds {
-		if p != nil {
-			visit(p)
-		}
-	}
 	return out
 }

@@ -66,12 +66,6 @@ func CompileScalar(e algebra.Expr, s *storage.Schema) (*Scalar, error) {
 	return &Scalar{root: root, cols: c.sorted(), src: e}, nil
 }
 
-// CompilablePred reports whether e compiles against s.
-func CompilablePred(e algebra.Expr, s *storage.Schema) bool {
-	_, err := CompilePred(e, s)
-	return err == nil
-}
-
 // Cols lists the column positions the predicate reads (sorted). The
 // coordinator materializes exactly these vectors before fanning out.
 func (p *Pred) Cols() []int { return p.cols }

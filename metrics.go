@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"disqo/internal/algebra"
 	"disqo/internal/exec"
 	"disqo/internal/physical"
 )
@@ -117,32 +116,6 @@ func newPlanMetrics(root physical.Node, subs []physical.Node, nm []exec.NodeMetr
 		add(s)
 	}
 	return pm
-}
-
-// collectSubplans returns every nested query block reachable through
-// operator expressions, outermost first, depth-first, deduplicated.
-// Unnested plans have none; canonical plans keep one per subquery, each
-// re-evaluated per outer binding.
-func collectSubplans(root algebra.Op) []algebra.Op {
-	var subs []algebra.Op
-	seen := map[algebra.Op]bool{}
-	var visit func(op algebra.Op)
-	visit = func(op algebra.Op) {
-		algebra.Walk(op, func(o algebra.Op) bool {
-			for _, e := range algebra.Exprs(o) {
-				for _, sp := range algebra.Subplans(e) {
-					if !seen[sp] {
-						seen[sp] = true
-						subs = append(subs, sp)
-						visit(sp)
-					}
-				}
-			}
-			return true
-		})
-	}
-	visit(root)
-	return subs
 }
 
 // analyzeAnnot renders one node's estimated-vs-actual annotation for

@@ -425,3 +425,37 @@ func TestWarmHitLatency(t *testing.T) {
 		t.Fatalf("warm hit %v is not 10x faster than cold execution %v", warm, cold)
 	}
 }
+
+// TestPlanKeyKeepsLiteralsApart: the plan-cache key collapses
+// whitespace between tokens only. Two statements that differ inside a
+// string literal are different statements — the second must not be
+// served the first one's plan (and with it, the first one's rows).
+func TestPlanKeyKeepsLiteralsApart(t *testing.T) {
+	db, _ := Open()
+	defer db.Close()
+	for _, sql := range []string{
+		"CREATE TABLE p (name VARCHAR, v INTEGER)",
+		"INSERT INTO p VALUES ('a b', 1), ('a  b', 2)",
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT v FROM p WHERE name = 'a b'", "(1)\n"},
+		{"SELECT v FROM p WHERE name = 'a  b'", "(2)\n"},
+		{"SELECT v FROM p WHERE name = 'a b' -- 'a  b'", "(1)\n"},
+		{"SELECT v FROM p -- WHERE name = 'a b'\n WHERE name = 'a  b'", "(2)\n"},
+	} {
+		res, err := db.Query(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if got := rowsFingerprint(res); got != tc.want {
+			t.Errorf("%q returned %q, want %q", tc.sql, got, tc.want)
+		}
+	}
+	if cs := db.CacheStats(); cs.Plan.Hits != 0 || cs.Plan.Misses != 4 {
+		t.Errorf("four different statements: plan cache reports %d hits, %d misses", cs.Plan.Hits, cs.Plan.Misses)
+	}
+}

@@ -381,7 +381,7 @@ func (c *Client) connectLocked(ctx context.Context) error {
 	d := net.Dialer{Timeout: c.opts.dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
-		return fmt.Errorf("%w: dial %s: %v", ErrConnection, c.addr, err)
+		return fmt.Errorf("%w: dial %s: %w", ErrConnection, c.addr, err)
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetKeepAlive(true)
@@ -440,7 +440,7 @@ func (c *Client) exchangeLocked(ctx context.Context, req *wire.Request) (*wire.R
 		}
 		var resp wire.Response
 		if err := json.Unmarshal(line, &resp); err != nil {
-			return nil, fmt.Errorf("%w: malformed response: %v", ErrConnection, err)
+			return nil, fmt.Errorf("%w: malformed response: %w", ErrConnection, err)
 		}
 		if resp.ID == req.ID {
 			return &resp, nil
@@ -458,7 +458,7 @@ func (c *Client) transportErr(op string, err error, ctx context.Context) error {
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return ctxErr
 	}
-	return fmt.Errorf("%w: %s: %v", ErrConnection, op, err)
+	return fmt.Errorf("%w: %s: %w", ErrConnection, op, err)
 }
 
 // readLine reads one newline-terminated frame, allowing frames larger

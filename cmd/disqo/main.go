@@ -43,6 +43,7 @@ import (
 
 	"disqo"
 	"disqo/internal/scenario"
+	"disqo/internal/types"
 )
 
 func main() {
@@ -50,7 +51,7 @@ func main() {
 		rstSF     = flag.Float64("rst", 0, "load RST at this scale factor (paper SF 1 = 10,000 rows)")
 		tpchSF    = flag.Float64("tpch", 0, "load TPC-H at this scale factor")
 		full      = flag.Bool("tpch-all", false, "generate all 8 TPC-H tables (default: the 5 Query 2d uses)")
-		strategy  = flag.String("strategy", string(disqo.Unnested), "evaluation strategy: s1,s2,s3,canonical,unnested")
+		strategy  = flag.String("strategy", string(disqo.Unnested), "evaluation strategy: "+strategyNames)
 		nulls     = flag.String("nulls", "3vl", "null semantics: 3vl (SQL three-valued) or 2vl (NULL comparisons are false)")
 		seedFlag  = flag.String("seed", "", "reproduce adversarial scenario N: load its generated tables and run its query (combine with -strategy/-nulls to compare matrix cells; -e overrides the query)")
 		execSQL   = flag.String("e", "", "execute one statement and exit")
@@ -144,10 +145,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "no data loaded; use -rst, -tpch or -seed (see -h)")
 	}
 
-	sess := &session{db: db, strategy: disqo.Strategy(*strategy), timeout: *timeout}
-	if m, ok := parseNulls(*nulls); ok {
-		sess.nulls = m
-	} else {
+	sess := &session{db: db, timeout: *timeout}
+	var ok bool
+	if sess.strategy, ok = disqo.ParseStrategy(*strategy); !ok {
+		fatal(fmt.Errorf("bad -strategy %q (want %s)", *strategy, strategyNames))
+	}
+	if sess.nulls, ok = types.ParseNullMode(*nulls); !ok {
 		fatal(fmt.Errorf("bad -nulls %q (want 2vl or 3vl)", *nulls))
 	}
 	if *traceOut != "" {
@@ -186,16 +189,8 @@ type session struct {
 	last *disqo.Result
 }
 
-// parseNulls maps a user-facing mode name to a NullMode.
-func parseNulls(name string) (disqo.NullMode, bool) {
-	switch strings.ToLower(name) {
-	case "3vl", "three", "sql":
-		return disqo.ThreeValuedNulls, true
-	case "2vl", "two":
-		return disqo.TwoValuedNulls, true
-	}
-	return disqo.ThreeValuedNulls, false
-}
+// strategyNames is what a rejected strategy name is answered with.
+const strategyNames = "s1|s2|s3|canonical|unnested|costbased"
 
 func (s *session) options() []disqo.Option {
 	opts := []disqo.Option{disqo.WithStrategy(s.strategy), disqo.WithNullMode(s.nulls)}
@@ -434,14 +429,19 @@ func (s *session) command(line string) bool {
 			fmt.Printf("current strategy: %s\n", s.strategy)
 			break
 		}
-		s.strategy = disqo.Strategy(fields[1])
+		st, ok := disqo.ParseStrategy(fields[1])
+		if !ok {
+			fmt.Printf("bad strategy %q (want %s)\n", fields[1], strategyNames)
+			break
+		}
+		s.strategy = st
 		fmt.Printf("strategy set to %s\n", s.strategy)
 	case "\\set":
 		if len(fields) != 3 || fields[1] != "nulls" {
 			fmt.Printf("usage: \\set nulls 2vl|3vl (current: %s)\n", s.nulls)
 			break
 		}
-		m, ok := parseNulls(fields[2])
+		m, ok := types.ParseNullMode(fields[2])
 		if !ok {
 			fmt.Printf("bad mode %q (want 2vl or 3vl)\n", fields[2])
 			break

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"disqo"
+	"disqo/internal/types"
 )
 
 // remoteSession is the -connect REPL: the same shell surface, but every
@@ -144,10 +145,15 @@ func (rs *remoteSession) command(line string) bool {
 		rs.ping()
 	case "\\strategy":
 		if len(fields) != 2 {
-			fmt.Println("usage: \\strategy <s1|s2|s3|canonical|unnested|costbased>")
+			fmt.Println("usage: \\strategy <" + strategyNames + ">")
 			break
 		}
-		if err := rs.c.SetStrategy(disqo.Strategy(fields[1])); err != nil {
+		st, ok := disqo.ParseStrategy(fields[1])
+		if !ok {
+			fmt.Printf("bad strategy %q (want %s)\n", fields[1], strategyNames)
+			break
+		}
+		if err := rs.c.SetStrategy(st); err != nil {
 			rs.report(err)
 			break
 		}
@@ -157,7 +163,7 @@ func (rs *remoteSession) command(line string) bool {
 			fmt.Println("usage: \\set nulls 2vl|3vl")
 			break
 		}
-		m, ok := parseNulls(fields[2])
+		m, ok := types.ParseNullMode(fields[2])
 		if !ok {
 			fmt.Printf("bad mode %q (want 2vl or 3vl)\n", fields[2])
 			break

@@ -28,6 +28,7 @@ import (
 
 	"disqo"
 	"disqo/internal/server"
+	"disqo/internal/types"
 )
 
 func main() {
@@ -67,12 +68,10 @@ func main() {
 	opts := []disqo.OpenOption{
 		disqo.WithDrainTimeout(*drainTimeout),
 	}
-	switch *nulls {
-	case "3vl":
-	case "2vl":
-		opts = append(opts, disqo.WithTwoValuedNulls())
-	default:
+	if m, ok := types.ParseNullMode(*nulls); !ok {
 		log.Fatalf("bad -nulls %q (want 2vl or 3vl)", *nulls)
+	} else if m == disqo.TwoValuedNulls {
+		opts = append(opts, disqo.WithTwoValuedNulls())
 	}
 	if *maxConc != 0 {
 		opts = append(opts, disqo.WithMaxConcurrent(*maxConc))

@@ -43,7 +43,6 @@ import (
 	"disqo/internal/exec"
 	"disqo/internal/faultinject"
 	"disqo/internal/physical"
-	"disqo/internal/rewrite"
 	"disqo/internal/sqlparser"
 	"disqo/internal/stats"
 	"disqo/internal/telemetry"
@@ -127,6 +126,17 @@ const (
 // systems).
 func Strategies() []Strategy { return []Strategy{S1, S2, S3, Canonical, Unnested} }
 
+// ParseStrategy resolves a strategy by its name — the one place flags,
+// REPL commands and wire requests turn text into a Strategy.
+func ParseStrategy(name string) (Strategy, bool) {
+	for _, s := range append(Strategies(), CostBased) {
+		if string(s) == name {
+			return s, true
+		}
+	}
+	return "", false
+}
+
 // DB is an in-memory database: a catalog of tables plus query machinery.
 // It is safe for concurrent use: queries pin an immutable catalog
 // snapshot at plan time (snapshot-isolated reads — an in-flight query
@@ -199,8 +209,8 @@ type DB struct {
 	recovering      bool
 	// replayed counts log records applied by crash recovery at Open.
 	replayed atomic.Uint64
-	// viewSQL keeps each view's original CREATE VIEW text (normalized),
-	// keyed like views, so checkpoints can serialize definitions.
+	// viewSQL keeps each view's CREATE VIEW text as written, keyed like
+	// views, so checkpoints can serialize definitions.
 	// Guarded by viewMu.
 	viewSQL map[string]string
 
@@ -697,19 +707,16 @@ func (db *DB) loadTPCH(cfg datagen.TPCHConfig) error {
 	return nil
 }
 
-// queryConfig carries per-query options.
+// queryConfig carries per-query options: what the executor is told —
+// the With* options set exec.Options' fields directly, execOptions adds
+// the DB's budget and the strategy's cache mode — plus what only the
+// root acts on.
 type queryConfig struct {
-	strategy   Strategy
-	path       ExecutionPath
-	timeout    time.Duration
-	maxTuples  int64
-	workers    int
-	morselSize int
-	metrics    bool
-	tracer     Tracer
-	ctx        context.Context
-	fault      *faultinject.Injector
-	nulls      types.NullMode
+	exec.Options
+	strategy Strategy
+	// analyze marks an Analyze call: it always executes, so the result
+	// cache is bypassed, as it is for a traced query.
+	analyze bool
 	// began anchors the telemetry-observed wall time at API entry, so
 	// recorded latencies include planning and cache lookups — what the
 	// caller actually waited.
@@ -719,7 +726,30 @@ type queryConfig struct {
 // newQueryConfig is the per-call default: unnested strategy, compiled
 // expression programs, the DB's default null mode.
 func (db *DB) newQueryConfig() queryConfig {
-	return queryConfig{strategy: Unnested, path: PathVector, nulls: db.nulls}
+	return queryConfig{Options: exec.Options{Path: PathVector, Nulls: db.nulls}, strategy: Unnested}
+}
+
+// enter is the prologue of every query entry point: it joins the close
+// drain (on success the caller defers db.end), folds the call's options
+// over the defaults and anchors the observed wall time.
+func (db *DB) enter(opts []Option) (queryConfig, error) {
+	if err := db.begin(); err != nil {
+		return queryConfig{}, err
+	}
+	cfg := db.newQueryConfig()
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.strategy == "" {
+		cfg.strategy = Unnested
+	}
+	cfg.began = time.Now()
+	if db.tele.SlowThreshold() > 0 {
+		// Armed slow log: collect per-operator metrics on every query so
+		// an offender always carries its annotated plan.
+		cfg.Metrics = true
+	}
+	return cfg, nil
 }
 
 // Option configures a single Query or Explain call.
@@ -745,7 +775,7 @@ const (
 // sweep and internal/scenario vote the interpreter against the compiled
 // programs. The result cache keys on it.
 func WithExecutionPath(p ExecutionPath) Option {
-	return func(c *queryConfig) { c.path = p }
+	return func(c *queryConfig) { c.Path = p }
 }
 
 // WithMorselSize sets the chunk length hot operators split their input
@@ -755,7 +785,7 @@ func WithExecutionPath(p ExecutionPath) Option {
 // latency guarantee. For any fixed morsel size, results are
 // byte-identical across worker counts.
 func WithMorselSize(n int) Option {
-	return func(c *queryConfig) { c.morselSize = n }
+	return func(c *queryConfig) { c.MorselSize = n }
 }
 
 // WithStrategy selects the optimization strategy (default Unnested).
@@ -769,20 +799,20 @@ func WithStrategy(s Strategy) Option {
 // evaluation, and both cache tiers key on it, so mixed-mode workloads
 // never share plans or results across logics.
 func WithNullMode(m NullMode) Option {
-	return func(c *queryConfig) { c.nulls = m }
+	return func(c *queryConfig) { c.Nulls = m }
 }
 
 // WithTimeout aborts evaluation after d (default: no limit). Timed-out
 // queries return ErrTimeout.
 func WithTimeout(d time.Duration) Option {
-	return func(c *queryConfig) { c.timeout = d }
+	return func(c *queryConfig) { c.Timeout = d }
 }
 
 // WithTupleLimit aborts evaluation with ErrMemoryLimit once more than n
 // tuples have been materialized (default: no limit) — a guard against
 // plans whose intermediate results outgrow memory.
 func WithTupleLimit(n int64) Option {
-	return func(c *queryConfig) { c.maxTuples = n }
+	return func(c *queryConfig) { c.MaxTuples = n }
 }
 
 // WithWorkers sets the morsel-parallel worker pool size (default:
@@ -791,7 +821,7 @@ func WithTupleLimit(n int64) Option {
 // morsels claimed by the pool; 1 forces sequential execution. Results
 // are deterministic: every worker count produces byte-identical output.
 func WithWorkers(n int) Option {
-	return func(c *queryConfig) { c.workers = n }
+	return func(c *queryConfig) { c.Workers = n }
 }
 
 // WithMetrics enables per-operator runtime metrics collection for the
@@ -799,14 +829,14 @@ func WithWorkers(n int) Option {
 // collection adds per-operator bookkeeping to execution. Analyze
 // enables it implicitly.
 func WithMetrics() Option {
-	return func(c *queryConfig) { c.metrics = true }
+	return func(c *queryConfig) { c.Metrics = true }
 }
 
 // WithTracer streams operator open/morsel/close spans to t during
 // execution (default: none). The tracer must be safe for concurrent
 // use; morsel workers emit events in parallel.
 func WithTracer(t Tracer) Option {
-	return func(c *queryConfig) { c.tracer = t }
+	return func(c *queryConfig) { c.Tracer = t }
 }
 
 // WithContext attaches a cancellation context to the query: every
@@ -816,14 +846,14 @@ func WithTracer(t Tracer) Option {
 // db.QueryContext(ctx, sql) is shorthand for Query(sql,
 // WithContext(ctx)).
 func WithContext(ctx context.Context) Option {
-	return func(c *queryConfig) { c.ctx = ctx }
+	return func(c *queryConfig) { c.Ctx = ctx }
 }
 
 // withFaultInjector wires a deterministic fault injector
 // (internal/faultinject) into execution. Unexported on purpose: it is
 // the chaos-test hook, not public API.
 func withFaultInjector(fi *faultinject.Injector) Option {
-	return func(c *queryConfig) { c.fault = fi }
+	return func(c *queryConfig) { c.Fault = fi }
 }
 
 // ErrTimeout is returned when a query exceeds its WithTimeout deadline.
@@ -890,117 +920,11 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// plan builds the optimized plan for a statement under a strategy.
-// Everything — translation, rewriting, cost estimation — reads src, so
-// planning against a Snapshot is immune to concurrent DML.
-func (db *DB) plan(src catalog.Reader, sql string, cfg queryConfig) (algebra.Op, []string, error) {
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	return db.planAST(src, stmt, cfg)
-}
-
-// planAST is plan for an already-parsed statement — the path prepared
-// statements (Stmt) take, having paid for parsing once at Prepare.
-func (db *DB) planAST(src catalog.Reader, stmt *sqlparser.SelectStmt, cfg queryConfig) (algebra.Op, []string, error) {
-	canonical, err := db.translatorOn(src).Translate(stmt)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch cfg.strategy {
-	case Unnested, "":
-		rw := rewrite.New(src, rewrite.AllCaps()).WithNulls(cfg.nulls)
-		plan, err := rw.Rewrite(canonical)
-		if err != nil {
-			return nil, nil, err
-		}
-		return plan, rw.Trace, nil
-	case S2:
-		rw := rewrite.New(src, rewrite.Caps{Conjunctive: true, ORExpansion: true, Quantified: true}).WithNulls(cfg.nulls)
-		plan, err := rw.Rewrite(canonical)
-		if err != nil {
-			return nil, nil, err
-		}
-		return plan, rw.Trace, nil
-	case S3:
-		ro := rewrite.NewReorderer(src)
-		plan, err := ro.Rewrite(canonical)
-		if err != nil {
-			return nil, nil, err
-		}
-		var trace []string
-		if ro.Applied > 0 {
-			trace = []string{fmt.Sprintf("reordered %d predicates by rank", ro.Applied)}
-		}
-		return plan, trace, nil
-	case Canonical, S1:
-		return canonical, nil, nil
-	case CostBased:
-		return planCostBased(src, canonical, cfg.nulls)
-	default:
-		return nil, nil, fmt.Errorf("disqo: unknown strategy %q", cfg.strategy)
-	}
-}
-
-// planCostBased compares the estimated cost of the canonical plan, the
-// rank-reordered plan, and the fully unnested plan, and returns the
-// cheapest.
-func planCostBased(src catalog.Reader, canonical algebra.Op, nulls types.NullMode) (algebra.Op, []string, error) {
-	est := stats.New(src)
-
-	rw := rewrite.New(src, rewrite.AllCaps()).WithNulls(nulls)
-	unnested, err := rw.Rewrite(canonical)
-	if err != nil {
-		return nil, nil, err
-	}
-	ro := rewrite.NewReorderer(src)
-	reordered, err := ro.Rewrite(canonical)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	type candidate struct {
-		name  string
-		plan  algebra.Op
-		trace []string
-		cost  float64
-	}
-	cands := []candidate{
-		{name: "canonical", plan: canonical, cost: est.PlanCost(canonical)},
-		{name: "reordered", plan: reordered, cost: est.PlanCost(reordered)},
-		{name: "unnested", plan: unnested, trace: rw.Trace, cost: est.PlanCost(unnested)},
-	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.cost < best.cost {
-			best = c
-		}
-	}
-	trace := append([]string(nil), best.trace...)
-	trace = append(trace, fmt.Sprintf(
-		"cost-based choice: %s (canonical=%.3g, reordered=%.3g, unnested=%.3g)",
-		best.name, cands[0].cost, cands[1].cost, cands[2].cost))
-	return best.plan, trace, nil
-}
-
-// execOptions maps a strategy to executor options, wiring in the DB's
-// shared tuple budget when one is configured.
+// execOptions completes a query's executor options with the DB's shared
+// tuple budget and the strategy's memoization mode.
 func (db *DB) execOptions(cfg queryConfig) exec.Options {
-	opt := exec.Options{
-		Cache:      exec.CacheAll,
-		Timeout:    cfg.timeout,
-		MaxTuples:  cfg.maxTuples,
-		Workers:    cfg.workers,
-		MorselSize: cfg.morselSize,
-		Path:       cfg.path,
-		Metrics:    cfg.metrics,
-		Tracer:     cfg.tracer,
-		Ctx:        cfg.ctx,
-		Fault:      cfg.fault,
-		Budget:     db.budget,
-		Nulls:      cfg.nulls,
-	}
+	opt := cfg.Options
+	opt.Budget = db.budget
 	switch cfg.strategy {
 	case S1:
 		opt.Cache = exec.CacheNone
@@ -1008,6 +932,8 @@ func (db *DB) execOptions(cfg queryConfig) exec.Options {
 		// Conventional engines keep base-table pages resident (buffer
 		// pool) but rebuild intermediate results per outer tuple.
 		opt.Cache = exec.CacheScans
+	default:
+		opt.Cache = exec.CacheAll
 	}
 	return opt
 }
@@ -1041,10 +967,10 @@ func (db *DB) exec(sql string) (int, error) {
 	n, err := db.execLocked(stmt, sql)
 	if err == nil && db.logging() {
 		// Log-after-commit: the statement's new version is already live in
-		// memory; its normalized text goes to the WAL before the caller
+		// memory; its text, as written, goes to the WAL before the caller
 		// learns it succeeded. An append/sync failure seals the log and is
 		// reported here — the in-memory commit stands until restart.
-		if lerr := db.logLocked(wal.KindSQL, pre, []byte(normalizeSQL(sql))); lerr != nil {
+		if lerr := db.logLocked(wal.KindSQL, pre, []byte(sql)); lerr != nil {
 			return n, lerr
 		}
 	}
@@ -1121,7 +1047,7 @@ func (db *DB) execLocked(stmt sqlparser.Statement, sql string) (int, error) {
 		}
 		db.viewMu.Lock()
 		db.views[key] = x.Body
-		db.viewSQL[key] = normalizeSQL(sql)
+		db.viewSQL[key] = sql
 		db.viewMu.Unlock()
 		db.viewEpoch.Add(1)
 		return 0, nil
@@ -1147,28 +1073,25 @@ func (db *DB) execLocked(stmt sqlparser.Statement, sql string) (int, error) {
 	}
 }
 
-// matchingRows evaluates a WHERE predicate over one table by running the
-// equivalent SELECT through the full optimizer (so subqueries in DML
-// predicates are unnested too) and returns the set of matching tuples.
-// It reads src — the pre-image snapshot of the statement being executed.
+// matchingRows evaluates a WHERE predicate over one table by planning
+// the equivalent SELECT as a query's would be (so subqueries in DML
+// predicates are unnested too) and executing it — ungated, unobserved
+// and uncached: it is a step of the write statement holding writeMu —
+// and returns the set of matching tuples. It reads src — the pre-image
+// snapshot of the statement being executed.
 func (db *DB) matchingRows(src catalog.Reader, table string, where sqlparser.Expr) (map[uint64][][]Value, error) {
 	sel := &sqlparser.SelectStmt{
 		Star:  true,
 		From:  []sqlparser.TableRef{{Table: table}},
 		Where: where,
 	}
-	plan, err := db.translatorOn(src).Translate(sel)
+	cfg := db.newQueryConfig()
+	pp, _, err := db.planStmt(src, sel, cache.PlanKey{}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rw := rewrite.New(src, rewrite.AllCaps()).WithNulls(db.nulls)
-	plan, err = rw.Rewrite(plan)
-	if err != nil {
-		return nil, err
-	}
-	ex := exec.New(src, exec.Options{Cache: exec.CacheAll, Budget: db.budget, Nulls: db.nulls})
+	ex, rel, err := db.execute(src, cfg, pp)
 	defer ex.Close()
-	rel, err := ex.Run(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -1272,7 +1195,7 @@ func (db *DB) execUpdate(x *sqlparser.UpdateStmt) (int, error) {
 			return 0, err
 		}
 	}
-	ex := exec.New(snap, exec.Options{Cache: exec.CacheAll, Budget: db.budget, Nulls: db.nulls})
+	ex := exec.New(snap, db.execOptions(db.newQueryConfig()))
 	defer ex.Close()
 	updated := 0
 	newRows := make([][]Value, len(tbl.Rel.Tuples))
@@ -1311,34 +1234,33 @@ func (db *DB) execUpdate(x *sqlparser.UpdateStmt) (int, error) {
 // a *QueryError; parse and planning errors are not wrapped.
 //
 // Repeated statements are served from the caches unless Open disabled
-// them: the plan cache skips parse/translate/rewrite for a statement
-// already optimized at this catalog version, and the result cache skips
+// them: the plan cache skips parse/translate/rewrite/lower for a statement
+// already planned at this catalog version, and the result cache skips
 // execution entirely when an identical physical plan already ran
 // against the same table versions — the served rows are byte-identical
 // to what a fresh execution would produce. Cache hits (and queries that
 // join a concurrent identical execution via single-flight) do not pass
 // the admission gate; only real executions consume slots.
 func (db *DB) Query(sql string, opts ...Option) (*Result, error) {
-	if err := db.begin(); err != nil {
-		return nil, err
-	}
-	defer db.end()
-	cfg := db.newQueryConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	cfg.began = time.Now()
-	if db.tele.SlowThreshold() > 0 {
-		// Armed slow log: collect per-operator metrics on every query so
-		// an offender always carries its annotated plan.
-		cfg.metrics = true
-	}
-	snap := db.cat.Snapshot()
-	pi, planHit, err := db.planFor(snap, sql, cfg)
+	cfg, err := db.enter(opts)
 	if err != nil {
 		return nil, err
 	}
-	return db.run(snap, sql, cfg, pi, planHit)
+	defer db.end()
+	res, _, err := db.query(sql, cfg)
+	return res, err
+}
+
+// query is Query once entered: pin a snapshot, get the prepared plan,
+// run it. It also returns the plan that ran, which Analyze renders.
+func (db *DB) query(sql string, cfg queryConfig) (*Result, *prepared, error) {
+	snap := db.cat.Snapshot()
+	pp, hit, err := db.preparedFor(snap, sql, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := db.run(snap, sql, cfg, pp, hit)
+	return res, pp, err
 }
 
 // QueryContext is Query with cancellation: it runs sql until ctx is
@@ -1350,99 +1272,43 @@ func (db *DB) QueryContext(ctx context.Context, sql string, opts ...Option) (*Re
 	return db.Query(sql, append([]Option{WithContext(ctx)}, opts...)...)
 }
 
-// subplanNodes resolves the physical plans of the subqueries the
-// executor evaluated from operator expressions.
-func subplanNodes(ex *exec.Executor, plan algebra.Op) []physical.Node {
-	var subs []physical.Node
-	for _, sp := range algebra.WalkNested(plan, nil) {
-		if n, ok := ex.NodeFor(sp); ok {
-			subs = append(subs, n)
-		}
-	}
-	return subs
-}
-
 // Analyze executes the statement and returns the executed physical plan
 // annotated per operator with estimated vs. actual cardinality, call
 // counts, memo hits, and evaluation time (EXPLAIN ANALYZE). calls>1
 // shows the per-outer-tuple re-evaluation that canonical nested plans
 // pay and unnested plans avoid; every printed counter except time= is
-// byte-identical for any worker count.
+// byte-identical for any worker count. It is a Query with metrics on
+// that always executes (the plan cache serves it, the result cache is
+// bypassed) and renders the report instead of the rows.
 func (db *DB) Analyze(sql string, opts ...Option) (string, error) {
-	if err := db.begin(); err != nil {
+	cfg, err := db.enter(opts)
+	if err != nil {
 		return "", err
 	}
 	defer db.end()
-	cfg := db.newQueryConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	cfg.metrics = true
-	cfg.began = time.Now()
-	var norm string
-	if db.tele != nil {
-		norm = normalizeSQL(sql)
-	}
-	if err := db.gate.acquire(cfg.ctx); err != nil {
-		db.observe(norm, cfg, false, 0, err, telemetry.SourceExecution)
-		return "", wrapQueryError(sql, cfg, 0, err)
-	}
-	defer db.gate.release()
-	snap := db.cat.Snapshot()
-	plan, trace, err := db.plan(snap, sql, cfg)
+	cfg.Metrics, cfg.analyze = true, true
+	res, pp, err := db.query(sql, cfg)
 	if err != nil {
 		return "", err
 	}
-	ex := exec.New(snap, db.execOptions(cfg))
-	defer ex.Close()
-	start := time.Now()
-	rel, err := ex.Run(plan)
-	if err != nil {
-		db.observe(norm, cfg, false, 0, err, telemetry.SourceExecution)
-		return "", wrapQueryError(sql, cfg, time.Since(start), err)
-	}
-	elapsed := time.Since(start)
-	root, err := ex.Plan(plan)
-	if err != nil {
-		return "", err
-	}
-	db.observe(norm, cfg, false, int64(rel.Cardinality()), nil, telemetry.SourceExecution)
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy: %s   nulls: %s   rows: %d   elapsed: %s\n",
-		cfg.strategy, cfg.nulls, rel.Cardinality(), elapsed.Round(time.Microsecond))
-	st := ex.Stats()
+		cfg.strategy, cfg.Nulls, len(res.Rows), res.Elapsed.Round(time.Microsecond))
 	fmt.Fprintf(&b, "comparisons: %d   tuples: %d   subquery evals: %d   peak resident: %d\n\n",
-		st.Comparisons, st.TuplesOut, st.SubqueryEvals, st.PeakTuples)
-	annot := analyzeAnnot(ex.NodeMetrics())
-	if db.tele != nil {
-		db.tele.ObserveOps(norm, opObs(newPlanMetrics(root, subplanNodes(ex, plan), ex.NodeMetrics())))
-		if th := db.tele.SlowThreshold(); th > 0 && time.Since(cfg.began) >= th {
-			db.tele.RecordSlow(telemetry.SlowQuery{
-				Time:     time.Now(),
-				SQL:      norm,
-				Strategy: string(strategyOf(cfg)),
-				Elapsed:  time.Since(cfg.began),
-				Rows:     int64(rel.Cardinality()),
-				Plan:     physical.ExplainAnnotated(root, annot),
-			})
-		}
-	}
+		res.Stats.Comparisons, res.Stats.TuplesOut, res.Stats.SubqueryEvals, res.Stats.PeakTuples)
+	annot := analyzeAnnot(res.metrics)
 	b.WriteString("== physical plan (analyzed) ==\n")
-	b.WriteString(physical.ExplainAnnotated(root, annot))
+	b.WriteString(physical.ExplainAnnotated(pp.phys.Root, annot))
 	// Nested plans keep subqueries inside operator expressions; their
 	// physical plans execute once per outer binding, so calls>1 here is
 	// exactly the repetition unnesting removes.
-	for i, sp := range algebra.WalkNested(plan, nil) {
-		n, ok := ex.NodeFor(sp)
-		if !ok {
-			continue
-		}
+	for i, n := range pp.blocks {
 		fmt.Fprintf(&b, "\n-- subquery plan %d (evaluated per outer binding) --\n", i+1)
 		b.WriteString(physical.ExplainAnnotated(n, annot))
 	}
-	if len(trace) > 0 {
+	if len(res.Rewrites) > 0 {
 		b.WriteString("\nrewrites:\n")
-		for _, tr := range trace {
+		for _, tr := range res.Rewrites {
 			fmt.Fprintf(&b, "  - %s\n", tr)
 		}
 	}
@@ -1454,55 +1320,44 @@ func (db *DB) Analyze(sql string, opts ...Option) (string, error) {
 // physical plan the executor would run (algorithm choices and estimated
 // cardinalities), and the list of applied rewrites.
 func (db *DB) Explain(sql string, opts ...Option) (string, error) {
-	if err := db.begin(); err != nil {
+	cfg, err := db.enter(opts)
+	if err != nil {
 		return "", err
 	}
 	defer db.end()
-	cfg := db.newQueryConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	stmt, err := sqlparser.Parse(sql)
+	st, err := db.Prepare(sql) // the parse; the plan is built below, uncached
 	if err != nil {
 		return "", err
 	}
 	snap := db.cat.Snapshot()
-	canonical, err := db.translatorOn(snap).Translate(stmt)
-	if err != nil {
-		return "", err
-	}
-	plan, trace, err := db.planAST(snap, stmt, cfg)
+	pp, canonical, err := db.planStmt(snap, st.stmt, cache.PlanKey{}, cfg)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy: %s\n", cfg.strategy)
-	fmt.Fprintf(&b, "nulls: %s\n", cfg.nulls)
-	fmt.Fprintf(&b, "nesting structure: %s\n\n", translate.ClassifyStructure(stmt))
+	fmt.Fprintf(&b, "nulls: %s\n", cfg.Nulls)
+	fmt.Fprintf(&b, "nesting structure: %s\n\n", translate.ClassifyStructure(st.stmt))
 	b.WriteString("== canonical plan ==\n")
 	b.WriteString(algebra.Explain(canonical))
 	if cfg.strategy != Canonical && cfg.strategy != S1 {
 		est := stats.New(snap)
 		b.WriteString("\n== optimized plan ==\n")
-		b.WriteString(algebra.ExplainAnnotated(plan, func(op algebra.Op) string {
+		b.WriteString(algebra.ExplainAnnotated(pp.logical, func(op algebra.Op) string {
 			return fmt.Sprintf("(est %.0f rows)", est.Cardinality(op))
 		}))
 	}
-	phys, err := physical.NewPlanner(stats.New(snap)).Lower(plan)
-	if err != nil {
-		return "", err
-	}
 	b.WriteString("\n== physical plan ==\n")
-	b.WriteString(physical.ExplainAnnotated(phys, func(n physical.Node) string {
+	b.WriteString(physical.ExplainAnnotated(pp.phys.Root, func(n physical.Node) string {
 		path := "row"
-		if cfg.path == PathVector && physical.Vectorizable(n) {
+		if cfg.Path == PathVector && physical.Vectorizable(n) {
 			path = "vector"
 		}
 		return fmt.Sprintf("(est %.0f rows) [path=%s]", n.EstRows(), path)
 	}))
-	if len(trace) > 0 {
+	if len(pp.trace) > 0 {
 		b.WriteString("\n== applied rewrites ==\n")
-		for _, tr := range trace {
+		for _, tr := range pp.trace {
 			fmt.Fprintf(&b, "  - %s\n", tr)
 		}
 	}

@@ -464,7 +464,7 @@ func (db *DB) openDurable(o OpenOptions) error {
 	for _, v := range rs.Views {
 		stmt, err := sqlparser.ParseStatement(v.SQL)
 		if err != nil {
-			return &RecoveryError{Reason: fmt.Sprintf("snapshot view %q does not parse: %v", v.Name, err)}
+			return &RecoveryError{Reason: fmt.Sprintf("snapshot view %q does not parse: %v", v.Name, err), Cause: err}
 		}
 		cv, ok := stmt.(*sqlparser.CreateViewStmt)
 		if !ok {

@@ -2,10 +2,14 @@ package disqo
 
 import (
 	"errors"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"disqo/internal/sqlparser"
+	"disqo/internal/wal"
 )
 
 // TestDurableRoundTrip is the basic life of a durable DB: log, close,
@@ -399,4 +403,114 @@ func TestRecoveryViewOutlivesTable(t *testing.T) {
 	if _, err := db2.Query("SELECT DISTINCT * FROM dangling"); err == nil {
 		t.Fatal("dangling view query succeeded without its table")
 	}
+}
+
+// TestSnapshotViewParseErrorKeepsIdentity: a snapshot holding a view
+// whose definition does not parse fails recovery (and a replica's
+// snapshot apply) with the parse error still reachable through the
+// wrapper — RecoveryError.Cause / errors.Unwrap — not only as text.
+func TestSnapshotViewParseErrorKeepsIdentity(t *testing.T) {
+	const bad = "CREATE VIEW v AS SELEC"
+	_, parseErr := sqlparser.ParseStatement(bad)
+	if parseErr == nil {
+		t.Fatal("the malformed view text parses")
+	}
+	dir := t.TempDir()
+	l, err := wal.Open(dir, 0, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(dir, wal.CheckpointState{Views: []wal.View{{Name: "v", SQL: bad}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = Open(WithDataDir(dir))
+	var re *RecoveryError
+	if !errors.As(err, &re) {
+		t.Fatalf("Open = %v, want a *RecoveryError", err)
+	}
+	if re.Cause == nil || re.Cause.Error() != parseErr.Error() || !errors.Is(err, re.Cause) {
+		t.Errorf("RecoveryError.Cause = %v, want the parse error %v", re.Cause, parseErr)
+	}
+
+	path, _, ok, err := wal.NewestSnapshot(dir)
+	if err != nil || !ok {
+		t.Fatalf("NewestSnapshot: ok=%v err=%v", ok, err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, _ := Open()
+	defer replica.Close()
+	_, err = replica.ReplicaApplySnapshot(data)
+	if cause := errors.Unwrap(err); cause == nil || cause.Error() != parseErr.Error() {
+		t.Errorf("ReplicaApplySnapshot = %v, want it to wrap the parse error %v", err, parseErr)
+	}
+}
+
+// TestWALHoldsStatementsAsWritten: the log (and a checkpoint's view
+// definitions) record a statement's text as written, so whitespace
+// inside string literals and the line break that ends a comment
+// survive a restart; only cache keys are normalized.
+func TestWALHoldsStatementsAsWritten(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(WithDataDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"CREATE TABLE p (name VARCHAR, v INTEGER)",
+		"INSERT INTO p VALUES ('a  b', 2), ('x\ty', 3)",
+		"INSERT INTO p -- a note\n VALUES ('n', 7)",
+		"CREATE VIEW wide AS SELECT DISTINCT * FROM p -- every\n WHERE name = 'a  b'",
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	const q = "SELECT DISTINCT * FROM p WHERE name = 'a  b' OR name = 'x\ty'"
+	check := func(db *DB, when string, fp uint64) {
+		t.Helper()
+		if got := db.StateFingerprint(); got != fp {
+			t.Errorf("%s: state fingerprint %x, want %x", when, got, fp)
+		}
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if len(res.Rows) != 2 {
+			t.Errorf("%s: %d rows hold the literals as written, want 2:\n%s", when, len(res.Rows), res)
+		}
+		if res, err = db.Query("SELECT DISTINCT * FROM wide"); err != nil || len(res.Rows) != 1 {
+			t.Errorf("%s: view over a double-spaced literal returned %v, %v", when, res, err)
+		}
+	}
+	fp := db.StateFingerprint()
+	check(db, "live", fp)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(WithDataDir(dir))
+	if err != nil {
+		t.Fatalf("replaying the log: %v", err)
+	}
+	check(db, "after log replay", fp)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(WithDataDir(dir))
+	if err != nil {
+		t.Fatalf("recovering from the checkpoint: %v", err)
+	}
+	defer db.Close()
+	check(db, "after checkpoint recovery", fp)
 }

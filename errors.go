@@ -45,7 +45,7 @@ type PanicError = exec.PanicError
 type QueryError struct {
 	Query    string        // the SQL text as submitted
 	Strategy Strategy      // the strategy that was executing
-	Elapsed  time.Duration // execution time until the failure surfaced
+	Elapsed  time.Duration // time from the end of planning until the failure surfaced
 	NodeID   int           // failing physical node ID, -1 if unattributed
 	Op       string        // failing operator's label, "" if unattributed
 	Err      error         // the underlying cause

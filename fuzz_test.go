@@ -1,11 +1,14 @@
 package disqo_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"disqo"
+	"disqo/internal/scenario"
+	"disqo/internal/sqlparser"
 	"disqo/internal/types"
 )
 
@@ -129,6 +132,67 @@ func FuzzQuery(f *testing.F) {
 						s, sql, prints[0], i, prints[i])
 				}
 			}
+		}
+	})
+}
+
+// FuzzNormalizeSQL fuzzes the key normalisation the plan cache and the
+// telemetry registry compare statements by. The key may merge only
+// texts the lexer cannot tell apart: whenever s lexes, its key lexes to
+// the same tokens (kind and text, positions aside) and is a fixed
+// point; and two texts that differ only inside a string literal or
+// inside a comment keep different keys — a hit must never return
+// another statement's plan.
+//
+// verify.sh runs this for a 10s smoke on every full verification.
+func FuzzNormalizeSQL(f *testing.F) {
+	seeds := []string{
+		"INSERT INTO p VALUES ('a  b', 2), ('x\ty', 3)",
+		"INSERT INTO p -- a note\n VALUES (7)",
+		"SELECT v FROM p WHERE name = 'a  b'",
+		"SELECT 'it''s',\r\n\t'--' FROM p -- tail",
+	}
+	for i := uint64(1); i <= 32; i++ {
+		seeds = append(seeds, scenario.Generate(i).Query.SQL())
+	}
+	for _, s := range seeds {
+		f.Add(s, "a b", "a  b")
+	}
+	tokens := func(s string) ([]string, bool) {
+		toks, err := sqlparser.Lex(s)
+		if err != nil {
+			return nil, false
+		}
+		out := make([]string, len(toks))
+		for i, tok := range toks {
+			out[i] = fmt.Sprint(tok.Kind, ":", tok.Text)
+		}
+		return out, true
+	}
+	f.Fuzz(func(t *testing.T, s, x, y string) {
+		want, ok := tokens(s)
+		if !ok {
+			return
+		}
+		key := disqo.NormalizeSQL(s)
+		if got, ok := tokens(key); !ok || strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("%q lexes to %q, its key %q to %q", s, want, key, got)
+		}
+		if again := disqo.NormalizeSQL(key); again != key {
+			t.Fatalf("key %q of %q is not a fixed point: %q", key, s, again)
+		}
+		// A comment ends at the first line break; what follows is code.
+		x, _, _ = strings.Cut(x, "\n")
+		y, _, _ = strings.Cut(y, "\n")
+		if x == y {
+			return
+		}
+		quote := func(v string) string { return " '" + strings.ReplaceAll(v, "'", "''") + "'" }
+		if disqo.NormalizeSQL(s+quote(x)) == disqo.NormalizeSQL(s+quote(y)) {
+			t.Fatalf("literals %q and %q after %q share a key", x, y, s)
+		}
+		if disqo.NormalizeSQL(s+" --"+x) == disqo.NormalizeSQL(s+" --"+y) {
+			t.Fatalf("comments %q and %q after %q share a key", x, y, s)
 		}
 	})
 }

@@ -2,7 +2,7 @@ package cache
 
 import "sync"
 
-// PlanKey identifies one cached logical plan. SQL is the normalized
+// PlanKey identifies one cached plan. SQL is the normalized
 // statement text; CatalogVersion and ViewEpoch pin the schema state the
 // plan was derived against — any DDL or DML commit bumps the catalog
 // version, and any view definition change bumps the view epoch, so a
@@ -17,9 +17,10 @@ type PlanKey struct {
 }
 
 // PlanCache is the LRU plan tier: it stores the output of parse +
-// translate + rewrite (an immutable logical tree plus its rewrite
-// trace) so repeated statements skip the optimizer entirely. Values are
-// opaque to the cache; the caller accounts their size in bytes.
+// translate + rewrite + lower (an immutable logical tree, its rewrite
+// trace and the physical plan) so repeated statements skip planning
+// entirely. Values are opaque to the cache; the caller accounts their
+// size in bytes.
 type PlanCache struct {
 	mu                      sync.Mutex
 	lru                     *lru

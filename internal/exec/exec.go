@@ -1,9 +1,10 @@
 // Package exec evaluates physical plans (internal/physical) against a
 // catalog. The executor is an interpreter over materialized relations:
-// Run lowers the logical plan once through the physical planner — which
-// owns every algorithm choice — and then evaluates the physical tree,
-// memoizing shared DAG subplans and spreading the hot per-tuple loops
-// over a morsel-parallel worker pool (Options.Workers).
+// RunPlan evaluates the lowered plan it is handed — the physical planner
+// owns every algorithm choice — memoizing shared DAG subplans and
+// spreading the hot per-tuple loops over a morsel-parallel worker pool
+// (Options.Workers). Run is "lower, then the same evaluation" for the
+// callers that hold only a logical plan.
 package exec
 
 import (
@@ -160,15 +161,17 @@ func (s *Stats) merge(o *Stats) {
 }
 
 // Executor evaluates plans against a catalog. One Executor owns one
-// physical planner and one shared memo; worker clones created for
-// parallel regions share both through sharedState and keep private
-// Stats shards.
+// shared memo; worker clones created for parallel regions share it
+// through sharedState and keep private Stats shards.
 type Executor struct {
-	cat     catalog.Reader
-	opt     Options
-	stats   Stats
-	planner *physical.Planner
-	sh      *sharedState
+	cat   catalog.Reader
+	opt   Options
+	stats Stats
+	// plan is the lowered plan RunPlan was handed; nested query blocks
+	// resolve through its frozen lookup, lock-free. nil for the callers
+	// that hold only logical plans (see sharedState.lowerer).
+	plan *physical.Plan
+	sh   *sharedState
 
 	// nm is this executor's per-operator metrics shard, indexed by
 	// physical node ID; nil unless Options.Metrics is set. Worker clones
@@ -194,6 +197,11 @@ type sharedState struct {
 	mu         sync.Mutex
 	memo       map[memoKey]*storage.Relation
 	correlated map[algebra.Op]bool
+
+	// lowerer serves the callers that hold only a logical plan or
+	// expression (Plan, Run, EvalExpr without a plan): created on first
+	// use, guarded by mu. An executor handed a lowered plan never has one.
+	lowerer *physical.Planner
 
 	// flight marks cacheable evaluations in progress: the first arrival
 	// evaluates, later arrivals wait on flightDone and re-check the
@@ -270,13 +278,7 @@ func New(cat catalog.Reader, opt Options) *Executor {
 	case msize > MaxMorselSize:
 		msize = MaxMorselSize
 	}
-	return &Executor{
-		cat:     cat,
-		opt:     opt,
-		planner: physical.NewPlanner(stats.New(cat)),
-		sh:      sh,
-		msize:   msize,
-	}
+	return &Executor{cat: cat, opt: opt, sh: sh, msize: msize}
 }
 
 // Stats returns the work counters accumulated so far.
@@ -296,33 +298,38 @@ func (ex *Executor) Close() {
 	}
 }
 
-// Plan lowers a logical plan through the executor's physical planner
-// without running it — the physical tree Run would evaluate.
+// Plan lowers a logical plan without running it — the physical tree Run
+// would evaluate.
 func (ex *Executor) Plan(plan algebra.Op) (physical.Node, error) {
 	return ex.physFor(plan)
 }
 
-// NodeFor returns the lowered physical node for a logical operator, if
-// the planner has seen it. After Run or Plan, every operator of the
-// plan — including subquery blocks embedded in expressions — resolves,
-// which is how EXPLAIN ANALYZE locates subquery plans to annotate.
-func (ex *Executor) NodeFor(op algebra.Op) (physical.Node, bool) {
-	ex.sh.mu.Lock()
-	defer ex.sh.mu.Unlock()
-	return ex.planner.NodeFor(op)
-}
-
-// Run evaluates a plan top-level (no outer bindings). Failures come
-// back attributed to the failing physical node (*OpError); panics from
-// operator evaluation — on the coordinator's stack here, on worker
-// stacks in parMorsels — are recovered into *PanicError so one bad
-// query cannot crash the process, and the abort latch drains any
-// workers still running.
-func (ex *Executor) Run(plan algebra.Op) (rel *storage.Relation, err error) {
+// Run lowers a logical plan (once: Plan and Run share the lowering) and
+// evaluates it as RunPlan would.
+func (ex *Executor) Run(plan algebra.Op) (*storage.Relation, error) {
 	root, err := ex.physFor(plan)
 	if err != nil {
 		return nil, err
 	}
+	// metric() grows the shard for a node lowered later (an expression
+	// evaluated through EvalExpr after this Run).
+	return ex.run(root, ex.sh.lowerer.NodeCount())
+}
+
+// RunPlan evaluates a lowered plan top-level (no outer bindings). The
+// plan is only read, so concurrent executors may share it.
+func (ex *Executor) RunPlan(pl *physical.Plan) (*storage.Relation, error) {
+	ex.plan = pl
+	return ex.run(pl.Root, pl.NodeCount())
+}
+
+// run evaluates root top-level; nodes sizes the metrics shard. Failures
+// come back attributed to the failing physical node (*OpError); panics
+// from operator evaluation — on the coordinator's stack here, on worker
+// stacks in parMorsels — are recovered into *PanicError so one bad
+// query cannot crash the process, and the abort latch drains any
+// workers still running.
+func (ex *Executor) run(root physical.Node, nodes int) (rel *storage.Relation, err error) {
 	start := time.Now()
 	if ex.opt.Timeout > 0 {
 		ex.deadline = start.Add(ex.opt.Timeout)
@@ -330,10 +337,7 @@ func (ex *Executor) Run(plan algebra.Op) (rel *storage.Relation, err error) {
 		ex.deadline = time.Time{}
 	}
 	if ex.opt.Metrics && ex.nm == nil {
-		// The planner pre-lowered every reachable subplan, so NodeCount
-		// sizes the shard for (almost) all IDs; metric() grows it for
-		// the stray late-lowered node.
-		ex.nm = make([]NodeMetrics, ex.planner.NodeCount())
+		ex.nm = make([]NodeMetrics, nodes)
 	}
 	ex.cur = nil
 	ex.sh.clearAbort()
@@ -354,18 +358,25 @@ func (ex *Executor) Run(plan algebra.Op) (rel *storage.Relation, err error) {
 	return ex.eval(root, nil)
 }
 
-// physFor resolves (or lowers on demand) the physical node for a
-// logical operator. Subquery plans reachable from a lowered root are
-// pre-lowered by the planner, so during evaluation this is a map hit;
-// the lock makes the stray on-demand case (expressions evaluated via
-// EvalExpr without a prior Run) safe too.
+// physFor resolves the physical node of a logical root — a plan's or a
+// nested query block's. Under a handed plan that is a read of its
+// frozen lookup: every block evaluation can reach was lowered with it.
+// Without one (Plan, Run, EvalExpr on a bare expression) the operator
+// is lowered on demand by the executor's own planner, memoized, under
+// the lock.
 func (ex *Executor) physFor(op algebra.Op) (physical.Node, error) {
+	if ex.plan != nil {
+		if n, ok := ex.plan.BlockFor(op); ok {
+			return n, nil
+		}
+		return nil, fmt.Errorf("exec: the lowered plan holds no block rooted at %T", op)
+	}
 	ex.sh.mu.Lock()
 	defer ex.sh.mu.Unlock()
-	if n, ok := ex.planner.NodeFor(op); ok {
-		return n, nil
+	if ex.sh.lowerer == nil {
+		ex.sh.lowerer = physical.NewPlanner(stats.New(ex.cat))
 	}
-	return ex.planner.Lower(op)
+	return ex.sh.lowerer.Lower(op)
 }
 
 // tick checks the abort latch and the deadline every few thousand

@@ -135,9 +135,9 @@ func (ex *Executor) EvalPred(e algebra.Expr, env *Env) (types.TriBool, error) {
 	}
 }
 
-// evalSubplan resolves a nested logical plan to its physical node —
-// pre-lowered by the planner when the enclosing plan was lowered — and
-// evaluates it under the current environment.
+// evalSubplan resolves a nested query block to its physical node —
+// lowered with the enclosing plan — and evaluates it under the current
+// environment.
 func (ex *Executor) evalSubplan(plan algebra.Op, env *Env) (*storage.Relation, error) {
 	n, err := ex.physFor(plan)
 	if err != nil {

@@ -46,7 +46,7 @@ func (ex *Executor) fanout(n int) int {
 	return w
 }
 
-// workerClone returns an executor sharing this one's planner, memo, and
+// workerClone returns an executor sharing this one's plan, memo, and
 // abort latch but with private Stats and NodeMetrics shards (merged by
 // parMorsels) and tick counter.
 func (ex *Executor) workerClone() *Executor {

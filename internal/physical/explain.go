@@ -11,38 +11,13 @@ import (
 // subsequently referenced as "↑ see #n", mirroring the logical
 // algebra's EXPLAIN so the two printouts line up.
 func Explain(root Node) string {
-	counts := map[Node]int{}
-	countRefs(root, counts)
-	var b strings.Builder
-	ids := map[Node]int{}
-	nextID := 1
-	var walk func(n Node, depth int)
-	walk = func(n Node, depth int) {
-		indent := strings.Repeat("  ", depth)
-		if id, seen := ids[n]; seen {
-			fmt.Fprintf(&b, "%s↑ see #%d %s\n", indent, id, n.Label())
-			return
-		}
-		label := fmt.Sprintf("%s  (est %.0f rows)", n.Label(), n.EstRows())
-		if counts[n] > 1 {
-			ids[n] = nextID
-			fmt.Fprintf(&b, "%s#%d %s\n", indent, nextID, label)
-			nextID++
-		} else {
-			fmt.Fprintf(&b, "%s%s\n", indent, label)
-		}
-		for _, c := range n.Children() {
-			walk(c, depth+1)
-		}
-	}
-	walk(root, 0)
-	return b.String()
+	return ExplainAnnotated(root, func(n Node) string { return fmt.Sprintf("(est %.0f rows)", n.EstRows()) })
 }
 
-// ExplainAnnotated renders a physical plan like Explain, but the
-// per-node annotation comes from the callback instead of the planner's
-// estimate — EXPLAIN ANALYZE passes actual row counts and timings.
-// Shared DAG nodes are annotated at their defining occurrence only.
+// ExplainAnnotated is Explain with the per-node annotation taken from
+// the callback instead of the planner's estimate — EXPLAIN ANALYZE
+// passes actual row counts and timings. Shared DAG nodes are annotated
+// at their defining occurrence only.
 func ExplainAnnotated(root Node, annot func(Node) string) string {
 	counts := map[Node]int{}
 	countRefs(root, counts)

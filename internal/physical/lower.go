@@ -13,9 +13,8 @@ import (
 // Planner lowers logical algebra into physical plans. It memoizes per
 // logical operator so DAG-shaped plans (shared bypass subplans) lower
 // to DAG-shaped physical plans, and it eagerly lowers every nested
-// subquery plan reachable through operator expressions so the executor
-// never has to plan during evaluation (which would need locking under
-// parallel execution).
+// subquery plan reachable through operator expressions, so evaluation
+// never plans.
 //
 // Algorithm selection rules, in order:
 //
@@ -35,9 +34,11 @@ import (
 // estimator supplies every node's cardinality annotation, which is what
 // makes each choice auditable in EXPLAIN.
 type Planner struct {
-	est    *stats.Estimator
-	memo   map[algebra.Op]Node
-	nextID int
+	est  *stats.Estimator
+	memo map[algebra.Op]Node
+	// blocks are the memo's entries for the roots of nested query blocks:
+	// what evaluation looks up, and all a Plan keeps of the memo.
+	blocks map[algebra.Op]Node
 }
 
 // NewPlanner returns a planner costing with the given estimator.
@@ -47,15 +48,41 @@ func NewPlanner(est *stats.Estimator) *Planner {
 
 // NodeCount returns how many physical nodes this planner has created;
 // node IDs are dense in [0, NodeCount), so it sizes metric slices.
-func (p *Planner) NodeCount() int { return p.nextID }
+func (p *Planner) NodeCount() int { return len(p.memo) }
 
-// NodeFor returns the already-lowered physical node for a logical
-// operator, if any. Subquery plans embedded in expressions are lowered
-// as part of lowering their enclosing operator, so after Lower(root)
-// this resolves every plan evaluation can reach.
-func (p *Planner) NodeFor(op algebra.Op) (Node, bool) {
-	n, ok := p.memo[op]
+// Plan is a lowered query: the root's physical node and, reachable from
+// it, the node of every operator, nested query blocks included. Block
+// roots are all evaluation ever looks up (the rest it reaches through
+// Children), so they are the lookup a Plan keeps. Nothing is added
+// after the planner hands a Plan back: nodes and their compiled
+// programs are immutable after lowering, and any number of concurrent
+// executions may share one Plan without synchronisation.
+type Plan struct {
+	Root   Node
+	blocks map[algebra.Op]Node
+	nodes  int
+}
+
+// BlockFor returns the physical root of a nested query block of the
+// plan; every block evaluation can reach resolves.
+func (pl *Plan) BlockFor(root algebra.Op) (Node, bool) {
+	n, ok := pl.blocks[root]
 	return n, ok
+}
+
+// NodeCount is the number of nodes; their IDs are dense in [0, NodeCount).
+func (pl *Plan) NodeCount() int { return pl.nodes }
+
+// Plan lowers a finished logical plan and hands it back frozen: the
+// planner is spent afterwards.
+func (p *Planner) Plan(op algebra.Op) (*Plan, error) {
+	root, err := p.Lower(op)
+	if err != nil {
+		return nil, err
+	}
+	pl := &Plan{Root: root, blocks: p.blocks, nodes: len(p.memo)}
+	p.memo, p.blocks = nil, nil
+	return pl, nil
 }
 
 // Lower produces the physical plan for a logical operator (memoized).
@@ -70,15 +97,19 @@ func (p *Planner) Lower(op algebra.Op) (Node, error) {
 	// Path selection: compile columnar programs for nodes the
 	// vectorized path can run (see vectorize.go).
 	p.vectorize(n)
-	n.setID(p.nextID)
-	p.nextID++
+	n.setID(len(p.memo))
 	p.memo[op] = n
 	// Pre-lower nested query blocks referenced by this operator's
 	// expressions (scalar/quantified subqueries and their arguments).
 	for _, sub := range algebra.NestedPlans(op) {
-		if _, err := p.Lower(sub); err != nil {
+		b, err := p.Lower(sub)
+		if err != nil {
 			return nil, err
 		}
+		if p.blocks == nil {
+			p.blocks = make(map[algebra.Op]Node)
+		}
+		p.blocks[sub] = b
 	}
 	return n, nil
 }

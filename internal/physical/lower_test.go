@@ -268,12 +268,24 @@ func TestLowerPreLowersSubqueryPlans(t *testing.T) {
 		[]algebra.AggItem{{Out: "c", Spec: agg.Spec{Kind: agg.Count, Star: true}}}, true)
 	pred := algebra.Cmp(types.EQ, algebra.Col("r.a1"),
 		algebra.Subquery(agg.Spec{Kind: agg.Count, Star: true}, nil, sub))
-	p := physical.NewPlanner(stats.New(cat))
-	if _, err := p.Lower(algebra.NewSelect(scanOf(t, cat, "r"), pred)); err != nil {
-		t.Fatalf("Lower: %v", err)
+	sel := algebra.NewSelect(scanOf(t, cat, "r"), pred)
+	pl, err := physical.NewPlanner(stats.New(cat)).Plan(sel)
+	if err != nil {
+		t.Fatalf("Plan: %v", err)
 	}
-	if _, ok := p.NodeFor(sub); !ok {
-		t.Error("subquery plan must be pre-lowered with its enclosing operator")
+	n, ok := pl.BlockFor(sub)
+	if !ok {
+		t.Fatal("subquery plan must be pre-lowered with its enclosing operator")
+	}
+	if _, isGroup := n.(*physical.Group); !isGroup {
+		t.Errorf("the block resolves to %T, want its *Group root", n)
+	}
+	if _, ok := pl.BlockFor(sel); ok {
+		t.Error("the lookup holds block roots only; the main plan is Root")
+	}
+	// Filter, two scans and the subquery's group: IDs are dense.
+	if pl.NodeCount() != 4 {
+		t.Errorf("NodeCount = %d, want 4", pl.NodeCount())
 	}
 }
 

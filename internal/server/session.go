@@ -12,6 +12,7 @@ import (
 	"disqo"
 	"disqo/internal/faultinject"
 	"disqo/internal/sqlparser"
+	"disqo/internal/types"
 	"disqo/internal/wire"
 )
 
@@ -315,7 +316,7 @@ func (s *session) queryOptions(req *wire.Request) ([]disqo.Option, *wire.Error) 
 		strategy = s.strategy
 	}
 	if strategy != "" {
-		st, ok := parseStrategy(strategy)
+		st, ok := disqo.ParseStrategy(strategy)
 		if !ok {
 			return nil, &wire.Error{Kind: wire.KindInvalid, Message: "unknown strategy " + strategy}
 		}
@@ -326,32 +327,13 @@ func (s *session) queryOptions(req *wire.Request) ([]disqo.Option, *wire.Error) 
 		nulls = s.nulls
 	}
 	if nulls != "" {
-		m, ok := parseNulls(nulls)
+		m, ok := types.ParseNullMode(nulls)
 		if !ok {
 			return nil, &wire.Error{Kind: wire.KindInvalid, Message: "unknown null mode " + nulls}
 		}
 		opts = append(opts, disqo.WithNullMode(m))
 	}
 	return opts, nil
-}
-
-func parseNulls(s string) (disqo.NullMode, bool) {
-	switch s {
-	case "3vl":
-		return disqo.ThreeValuedNulls, true
-	case "2vl":
-		return disqo.TwoValuedNulls, true
-	}
-	return disqo.ThreeValuedNulls, false
-}
-
-func parseStrategy(s string) (disqo.Strategy, bool) {
-	for _, st := range append(disqo.Strategies(), disqo.CostBased) {
-		if string(st) == s {
-			return st, true
-		}
-	}
-	return "", false
 }
 
 func (s *session) doQuery(req *wire.Request) *wire.Response {
@@ -422,13 +404,13 @@ func (s *session) doPrepare(req *wire.Request) *wire.Response {
 
 func (s *session) doSet(req *wire.Request) *wire.Response {
 	if req.Strategy != "" {
-		if _, ok := parseStrategy(req.Strategy); !ok {
+		if _, ok := disqo.ParseStrategy(req.Strategy); !ok {
 			return errResp(req.ID, wire.KindInvalid, "unknown strategy "+req.Strategy)
 		}
 		s.strategy = req.Strategy
 	}
 	if req.Nulls != "" {
-		if _, ok := parseNulls(req.Nulls); !ok {
+		if _, ok := types.ParseNullMode(req.Nulls); !ok {
 			return errResp(req.ID, wire.KindInvalid, "unknown null mode "+req.Nulls)
 		}
 		s.nulls = req.Nulls

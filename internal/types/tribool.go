@@ -121,6 +121,17 @@ func (m NullMode) String() string {
 	return "3vl"
 }
 
+// ParseNullMode resolves a mode by the name String prints — the one
+// spelling flags, REPL commands and wire requests use.
+func ParseNullMode(name string) (NullMode, bool) {
+	for _, m := range []NullMode{ThreeValued, TwoValued} {
+		if m.String() == name {
+			return m, true
+		}
+	}
+	return ThreeValued, false
+}
+
 // Lift maps a leaf truth value into the mode: under TwoValued, Unknown
 // collapses to False; under ThreeValued it passes through.
 func (m NullMode) Lift(t TriBool) TriBool {

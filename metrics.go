@@ -80,11 +80,11 @@ func (p *PlanMetrics) TotalWall() time.Duration {
 	return 0
 }
 
-// newPlanMetrics assembles the report from the executed physical DAG,
-// any subquery plans evaluated from expressions, and the executor's
-// per-node counters. Shared nodes are reported once.
-func newPlanMetrics(root physical.Node, subs []physical.Node, nm []exec.NodeMetrics) *PlanMetrics {
-	pm := &PlanMetrics{Root: root.ID()}
+// newPlanMetrics assembles the report from the executed plan — the main
+// DAG, then the nested blocks evaluated from expressions — and the
+// executor's per-node counters. Shared nodes are reported once.
+func newPlanMetrics(pp *prepared, nm []exec.NodeMetrics) *PlanMetrics {
+	pm := &PlanMetrics{Root: pp.phys.Root.ID()}
 	seen := map[int]bool{}
 	add := func(r physical.Node) {
 		physical.Walk(r, func(n physical.Node) bool {
@@ -111,9 +111,9 @@ func newPlanMetrics(root physical.Node, subs []physical.Node, nm []exec.NodeMetr
 			return true
 		})
 	}
-	add(root)
-	for _, s := range subs {
-		add(s)
+	add(pp.phys.Root)
+	for _, b := range pp.blocks {
+		add(b)
 	}
 	return pm
 }
@@ -121,11 +121,11 @@ func newPlanMetrics(root physical.Node, subs []physical.Node, nm []exec.NodeMetr
 // analyzeAnnot renders one node's estimated-vs-actual annotation for
 // EXPLAIN ANALYZE. Every printed counter is worker-count independent;
 // only the trailing time= field is wall-clock (tests mask it).
-func analyzeAnnot(nm []exec.NodeMetrics) func(physical.Node) string {
+func analyzeAnnot(pm *PlanMetrics) func(physical.Node) string {
 	return func(n physical.Node) string {
-		var m exec.NodeMetrics
-		if n.ID() < len(nm) {
-			m = nm[n.ID()]
+		var m OpMetrics
+		if om := pm.Op(n.ID()); om != nil {
+			m = *om
 		}
 		if m.Calls == 0 && m.MemoHits == 0 {
 			return fmt.Sprintf("(est %.0f rows, never executed)", n.EstRows())
@@ -151,7 +151,7 @@ func analyzeAnnot(nm []exec.NodeMetrics) func(physical.Node) string {
 		} else {
 			b.WriteString(", path=row")
 		}
-		fmt.Fprintf(&b, ", time=%s)", m.Wall().Round(time.Microsecond))
+		fmt.Fprintf(&b, ", time=%s)", m.Wall.Round(time.Microsecond))
 		return b.String()
 	}
 }

@@ -1,0 +1,220 @@
+package disqo
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+
+	"disqo/internal/algebra"
+	"disqo/internal/cache"
+	"disqo/internal/catalog"
+	"disqo/internal/exec"
+	"disqo/internal/physical"
+	"disqo/internal/rewrite"
+	"disqo/internal/sqlparser"
+	"disqo/internal/stats"
+	"disqo/internal/storage"
+	"disqo/internal/types"
+)
+
+// prepared is the one product of planning and the one input of
+// execution: the optimized logical plan with its rewrite trace, the
+// physical plan it lowered to, and what the caches need to know about
+// both. planStmt is the only code that builds one; the plan cache and
+// every Stmt store it; run executes it. Nothing in it changes after
+// planStmt returns (the fingerprint is a memo of the nodes), so any
+// number of concurrent executions share one prepared plan.
+type prepared struct {
+	// key is what the plan was built for — normalized text (also the
+	// workload-telemetry registry key), strategy, null mode, catalog
+	// version, view epoch. See planKey for when a stored plan is stale.
+	key     cache.PlanKey
+	logical algebra.Op
+	trace   []string
+	tables  []string // referenced base tables, lower-case, sorted
+	phys    *physical.Plan
+	// blocks are the physical roots of the nested query blocks, in the
+	// order ANALYZE numbers subquery plans (algebra.WalkNested's).
+	blocks []physical.Node
+	ops    int // logical operators, blocks included
+
+	fpOnce sync.Once
+	fp     uint64
+}
+
+// planKey names what a plan is planned for, and with that states the
+// staleness rule once: a stored plan serves a query only under an equal
+// key, so it is stale as soon as the strategy, the null mode, the
+// catalog version (any DDL/DML commit) or the view epoch (any view
+// definition change) differs. The plan cache looks plans up by the
+// whole key; a Stmt compares the key of the plan it holds.
+func (db *DB) planKey(norm string, cfg queryConfig, snap *catalog.Snapshot) cache.PlanKey {
+	return cache.PlanKey{
+		SQL:            norm,
+		Strategy:       string(cfg.strategy),
+		Nulls:          cfg.Nulls.String(),
+		CatalogVersion: snap.Version(),
+		ViewEpoch:      db.viewEpoch.Load(),
+	}
+}
+
+// preparedFor returns the prepared plan for a statement text, from the
+// plan cache when it holds one; stale entries never match and age out
+// by LRU. hit reports that planning was skipped, which telemetry counts
+// per statement.
+func (db *DB) preparedFor(snap *catalog.Snapshot, sql string, cfg queryConfig) (pp *prepared, hit bool, err error) {
+	key := db.planKey(normalizeSQL(sql), cfg, snap)
+	if db.pcache != nil {
+		if v, ok := db.pcache.Get(key); ok {
+			cacheEvent(cfg, "plan", "hit")
+			return v.(*prepared), true, nil
+		}
+		cacheEvent(cfg, "plan", "miss")
+	}
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, false, err
+	}
+	if pp, _, err = db.planStmt(snap, stmt, key, cfg); err != nil {
+		return nil, false, err
+	}
+	if db.pcache != nil {
+		db.pcache.Put(key, pp, pp.bytes())
+	}
+	return pp, false, nil
+}
+
+// planStmt is the planning pipeline: translate → optimize by strategy →
+// lower, each entered here and nowhere else, with one estimator and one
+// physical planner. Everything reads src, so planning against a
+// snapshot is immune to concurrent DML. The canonical translation comes
+// back too; only EXPLAIN shows it.
+func (db *DB) planStmt(src catalog.Reader, stmt *sqlparser.SelectStmt, key cache.PlanKey, cfg queryConfig) (*prepared, algebra.Op, error) {
+	canonical, err := db.translatorOn(src).Translate(stmt)
+	if err != nil {
+		return nil, nil, err
+	}
+	est := stats.New(src)
+	logical, trace, err := optimize(src, est, canonical, cfg.strategy, cfg.Nulls)
+	if err != nil {
+		return nil, nil, err
+	}
+	phys, err := physical.NewPlanner(est).Plan(logical)
+	if err != nil {
+		return nil, nil, err
+	}
+	pp := &prepared{key: key, logical: logical, trace: trace, phys: phys}
+	// One walk gathers what the caches ask of the logical plan: the
+	// scanned tables (the result cache's dependency set — the key embeds
+	// their versions, and a committed write to any of them invalidates
+	// the entry), the operator count bytes charges, and the block roots.
+	seen := map[string]bool{}
+	for _, b := range algebra.WalkNested(logical, func(op algebra.Op) {
+		pp.ops++
+		if s, ok := op.(*algebra.Scan); ok {
+			if name := strings.ToLower(s.Table); !seen[name] {
+				seen[name] = true
+				pp.tables = append(pp.tables, name)
+			}
+		}
+	}) {
+		n, _ := phys.BlockFor(b)
+		pp.blocks = append(pp.blocks, n)
+	}
+	sort.Strings(pp.tables)
+	return pp, canonical, nil
+}
+
+// optimize applies a strategy to the canonical translation and returns
+// the plan to lower with the rewrite trace.
+func optimize(src catalog.Reader, est *stats.Estimator, canonical algebra.Op, strategy Strategy, nulls types.NullMode) (algebra.Op, []string, error) {
+	switch strategy {
+	case Unnested, S2:
+		caps := rewrite.AllCaps()
+		if strategy == S2 {
+			caps = rewrite.Caps{Conjunctive: true, ORExpansion: true, Quantified: true}
+		}
+		rw := rewrite.New(src, caps).WithNulls(nulls)
+		plan, err := rw.Rewrite(canonical)
+		if err != nil {
+			return nil, nil, err
+		}
+		return plan, rw.Trace, nil
+	case S3:
+		ro := rewrite.NewReorderer(src)
+		plan, err := ro.Rewrite(canonical)
+		if err != nil {
+			return nil, nil, err
+		}
+		var trace []string
+		if ro.Applied > 0 {
+			trace = []string{fmt.Sprintf("reordered %d predicates by rank", ro.Applied)}
+		}
+		return plan, trace, nil
+	case Canonical, S1:
+		return canonical, nil, nil
+	case CostBased:
+		return costBased(src, est, canonical, nulls)
+	default:
+		return nil, nil, fmt.Errorf("disqo: unknown strategy %q", strategy)
+	}
+}
+
+// costBased compares the estimated cost of the canonical plan, the
+// rank-reordered plan, and the fully unnested plan, and returns the
+// cheapest; only the unnested candidate brings a trace of its own.
+func costBased(src catalog.Reader, est *stats.Estimator, canonical algebra.Op, nulls types.NullMode) (algebra.Op, []string, error) {
+	unnested, trace, err := optimize(src, est, canonical, Unnested, nulls)
+	if err != nil {
+		return nil, nil, err
+	}
+	reordered, _, err := optimize(src, est, canonical, S3, nulls)
+	if err != nil {
+		return nil, nil, err
+	}
+	names := [...]string{"canonical", "reordered", "unnested"}
+	plans := [...]algebra.Op{canonical, reordered, unnested}
+	var costs [len(plans)]float64
+	best := 0
+	for i, p := range plans {
+		if costs[i] = est.PlanCost(p); costs[i] < costs[best] {
+			best = i
+		}
+	}
+	if names[best] != "unnested" {
+		trace = nil
+	}
+	trace = append(append([]string(nil), trace...), fmt.Sprintf(
+		"cost-based choice: %s (canonical=%.3g, reordered=%.3g, unnested=%.3g)",
+		names[best], costs[0], costs[1], costs[2]))
+	return plans[best], trace, nil
+}
+
+// execute evaluates a prepared plan on a fresh executor, which the
+// caller closes once the result has been consumed (Close releases the
+// execution's charge against the shared budget).
+func (db *DB) execute(src catalog.Reader, cfg queryConfig, pp *prepared) (*exec.Executor, *storage.Relation, error) {
+	ex := exec.New(src, db.execOptions(cfg))
+	rel, err := ex.RunPlan(pp.phys)
+	return ex, rel, err
+}
+
+// fingerprint identifies the physical plans the executor runs — the
+// main plan first, then the nested blocks. Only a query that needs a
+// result-cache key pays for it, once per prepared plan. It is stable
+// for a given logical plan because algorithm selection is
+// deterministic.
+func (pp *prepared) fingerprint() uint64 {
+	pp.fpOnce.Do(func() {
+		pp.fp = physical.Fingerprint(append([]physical.Node{pp.phys.Root}, pp.blocks...)...)
+	})
+	return pp.fp
+}
+
+// bytes estimates a plan-cache entry's footprint: the key text plus a
+// fixed charge per logical operator and per physical node (nested
+// blocks included in both).
+func (pp *prepared) bytes() int64 {
+	return int64(2*len(pp.key.SQL)) + 512 + int64(pp.ops+pp.phys.NodeCount())*256
+}

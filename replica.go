@@ -80,7 +80,7 @@ func (db *DB) ReplicaApplySnapshot(data []byte) (uint64, error) {
 	for _, v := range st.Views {
 		stmt, err := sqlparser.ParseStatement(v.SQL)
 		if err != nil {
-			return 0, fmt.Errorf("disqo: replica snapshot view %q does not parse: %v", v.Name, err)
+			return 0, fmt.Errorf("disqo: replica snapshot view %q does not parse: %w", v.Name, err)
 		}
 		cv, ok := stmt.(*sqlparser.CreateViewStmt)
 		if !ok {

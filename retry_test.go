@@ -2,8 +2,11 @@ package disqo
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 )
@@ -258,5 +261,71 @@ func TestRetryAgainstGate(t *testing.T) {
 	})
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("after release: %v", err)
+	}
+}
+
+// TestClientErrorsKeepCauseIdentity: a transport failure is an
+// ErrConnection (what the retry layer classifies on) and still the
+// error the network returned — errors.Is / errors.As see both.
+func TestClientErrorsKeepCauseIdentity(t *testing.T) {
+	// serve runs a one-connection-at-a-time server whose handler decides
+	// how to misbehave.
+	serve := func(handle func(net.Conn)) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				handle(conn)
+				conn.Close()
+			}
+		}()
+		return ln.Addr().String()
+	}
+	once := WithClientRetry(RetryPolicy{MaxAttempts: 1})
+	ping := func(addr string, opts ...ClientOption) error {
+		c, err := Dial(addr, append(opts, once)...)
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		_, err = c.Ping(context.Background())
+		return err
+	}
+	readLine := func(conn net.Conn) { conn.Read(make([]byte, 4096)) }
+
+	// Read: the server hangs up on the request.
+	err := ping(serve(readLine))
+	if !errors.Is(err, ErrConnection) || !errors.Is(err, io.EOF) {
+		t.Errorf("hang-up: %v, want ErrConnection wrapping io.EOF", err)
+	}
+
+	// Malformed response.
+	err = ping(serve(func(conn net.Conn) {
+		readLine(conn)
+		conn.Write([]byte("not json\n"))
+	}))
+	var syn *json.SyntaxError
+	if !errors.Is(err, ErrConnection) || !errors.As(err, &syn) {
+		t.Errorf("malformed response: %v, want ErrConnection wrapping a *json.SyntaxError", err)
+	}
+
+	// Dial: nothing listens there any more.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	_, err = Dial(addr, once)
+	var op *net.OpError
+	if !errors.Is(err, ErrConnection) || !errors.As(err, &op) {
+		t.Errorf("dial: %v, want ErrConnection wrapping a *net.OpError", err)
 	}
 }

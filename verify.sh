@@ -3,7 +3,8 @@
 # ROADMAP.md (build, gofmt, the one-traversal grep, tests, vet, the
 # whole suite again under -race — which is where the chaos, concurrency, caching, evaluator
 # differential, telemetry, durability, wire and server suites run; no
-# line below repeats them) plus everything tier-1 does not run: a
+# line below repeats them) and the one-pipeline greps, plus everything
+# tier-1 does not run: a
 # one-iteration benchmark smoke (catches broken benchmark code and
 # instrumentation regressions without paying for a real measurement
 # run), the benchmark of record's own tests and smoke run (benchmark/ is
@@ -29,6 +30,14 @@ test -z "$(gofmt -l .)"
 # package, so a case arm for it there is a hand-copied traversal.
 # (test -z, not "! grep": set -e ignores a negated pipeline.)
 test -z "$(grep -rn 'case \*algebra\.LikeExpr' internal/rewrite internal/translate ./*.go)"
+# The query pipeline is stated once in the root package: the WAL and view
+# definitions hold statements as written (normalizeSQL only makes cache
+# keys), and no second line constructs a physical planner or passes the
+# admission gate.
+rootsrc=$(ls ./*.go | grep -v _test.go)
+test -z "$(grep -n 'normalizeSQL(' $rootsrc | grep -E 'logLocked|viewSQL')"
+test -z "$(cat $rootsrc | grep 'physical\.NewPlanner(' | tail -n +2)"
+test -z "$(cat $rootsrc | grep 'gate\.acquire(' | tail -n +2)"
 go test ./...
 go vet ./...
 go test -race ./...
@@ -146,6 +155,7 @@ rm -rf "$srvdir"
 
 go test -fuzz=FuzzParse -fuzztime=10s -run '^$' ./internal/sqlparser
 go test -fuzz=FuzzQuery -fuzztime=10s -run '^$' .
+go test -fuzz=FuzzNormalizeSQL -fuzztime=10s -run '^$' .
 go test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$' ./internal/wal
 
 # Net LOC is a tracked number: non-test Go lines per package.

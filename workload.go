@@ -5,17 +5,9 @@ import (
 	"strings"
 	"time"
 
+	"disqo/internal/physical"
 	"disqo/internal/telemetry"
 )
-
-// strategyOf resolves a query config's effective strategy (an empty
-// strategy means Unnested everywhere in the engine).
-func strategyOf(cfg queryConfig) Strategy {
-	if cfg.strategy == "" {
-		return Unnested
-	}
-	return cfg.strategy
-}
 
 // observe records one finished query in the workload collector: the
 // outcome classification (OK / error / shed on ErrOverloaded), the
@@ -28,7 +20,7 @@ func (db *DB) observe(norm string, cfg queryConfig, planHit bool, rows int64, er
 		return
 	}
 	obs := telemetry.Obs{
-		Strategy: string(strategyOf(cfg)),
+		Strategy: string(cfg.strategy),
 		Rows:     rows,
 		PlanHit:  planHit,
 		Source:   src,
@@ -45,29 +37,24 @@ func (db *DB) observe(norm string, cfg queryConfig, planHit bool, rows int64, er
 	db.tele.Observe(norm, obs)
 }
 
-// captureSlow appends the query to the slow-query ring when a threshold
-// is armed and the wall time since API entry is at or over it. plan is
-// the ANALYZE-annotated physical plan when the caller had one (slow
-// failures carry none — their metrics are partial).
-func (db *DB) captureSlow(norm string, cfg queryConfig, rows int64, err error, plan string) {
-	th := db.tele.SlowThreshold()
-	if th <= 0 {
+// captureSlow appends an executed query to the slow-query ring when a
+// threshold is armed and the wall time since API entry is at or over it.
+// A success carries its ANALYZE-annotated plan (an armed threshold turns
+// metrics on for every query); a failure carries none — its metrics are
+// partial.
+func (db *DB) captureSlow(pp *prepared, cfg queryConfig, res *Result, err error) {
+	th, elapsed := db.tele.SlowThreshold(), time.Since(cfg.began)
+	if th <= 0 || elapsed < th {
 		return
 	}
-	elapsed := time.Since(cfg.began)
-	if elapsed < th {
-		return
-	}
-	q := telemetry.SlowQuery{
-		Time:     time.Now(),
-		SQL:      norm,
-		Strategy: string(strategyOf(cfg)),
-		Elapsed:  elapsed,
-		Rows:     rows,
-		Plan:     plan,
-	}
+	q := telemetry.SlowQuery{Time: time.Now(), SQL: pp.key.SQL, Strategy: string(cfg.strategy), Elapsed: elapsed}
 	if err != nil {
 		q.Err = err.Error()
+	} else {
+		q.Rows = int64(len(res.Rows))
+		if res.metrics != nil {
+			q.Plan = physical.ExplainAnnotated(pp.phys.Root, analyzeAnnot(res.metrics))
+		}
 	}
 	db.tele.RecordSlow(q)
 }

@@ -200,9 +200,9 @@ func TestDMLInvalidatesBeforeExecReturns(t *testing.T) {
 	}
 }
 
-// TestViewRedefinitionInvalidatesPlans: view DDL bumps no catalog
-// version (it writes no table), so the plan cache must key on the view
-// epoch — a redefined view must change the answer immediately.
+// TestViewRedefinitionInvalidatesPlans: view DDL writes no table, but it
+// is a catalog commit like any other and bumps the version the plan
+// cache keys on — a redefined view must change the answer immediately.
 func TestViewRedefinitionInvalidatesPlans(t *testing.T) {
 	db := gateDB(t, 8)
 	if _, err := db.Exec(`CREATE VIEW kv AS SELECT DISTINCT * FROM k`); err != nil {

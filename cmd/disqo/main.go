@@ -43,6 +43,7 @@ import (
 
 	"disqo"
 	"disqo/internal/scenario"
+	"disqo/internal/sqlparser"
 	"disqo/internal/types"
 )
 
@@ -174,7 +175,7 @@ func main() {
 		}
 		return
 	}
-	sess.repl()
+	repl(func() string { return string(sess.strategy) }, sess.command, sess.run)
 }
 
 type session struct {
@@ -223,8 +224,19 @@ func reportError(err error) {
 	fmt.Fprintf(os.Stderr, "error: %v\n", err)
 }
 
+// isQuery routes a statement for both shells: what parses as a SELECT
+// goes to Query, everything else to Exec — DDL and DML, and text that
+// does not parse at all, which Exec rejects with the parser's error.
+// The parser decides, not the text's first word: a statement may open
+// with a comment.
+func isQuery(sql string) bool {
+	stmt, err := sqlparser.ParseStatement(sql)
+	_, sel := stmt.(*sqlparser.SelectStmt)
+	return err == nil && sel
+}
+
 func (s *session) run(sql string) {
-	if !strings.HasPrefix(strings.ToUpper(strings.TrimSpace(sql)), "SELECT") {
+	if !isQuery(sql) {
 		n, err := s.db.Exec(sql)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
@@ -380,26 +392,30 @@ func (s *session) stats() {
 		st.HashJoins, st.NLJoins, st.SortedGroups)
 }
 
-func (s *session) repl() {
+// repl is the read loop of both shells: a line that opens with a
+// backslash is a metacommand (command returns false to quit), anything
+// else accumulates, under a continuation prompt, until a line ends in
+// ";" and the statement runs.
+func repl(prompt func() string, command func(line string) bool, run func(sql string)) {
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
-	prompt := func() {
+	show := func() {
 		if buf.Len() == 0 {
-			fmt.Printf("disqo(%s)> ", s.strategy)
+			fmt.Printf("disqo(%s)> ", prompt())
 		} else {
 			fmt.Print("      ...> ")
 		}
 	}
-	prompt()
+	show()
 	for scanner.Scan() {
 		line := scanner.Text()
 		trimmed := strings.TrimSpace(line)
 		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			if !s.command(trimmed) {
+			if !command(trimmed) {
 				return
 			}
-			prompt()
+			show()
 			continue
 		}
 		buf.WriteString(line)
@@ -407,9 +423,9 @@ func (s *session) repl() {
 		if strings.HasSuffix(trimmed, ";") {
 			sql := buf.String()
 			buf.Reset()
-			s.run(sql)
+			run(sql)
 		}
-		prompt()
+		show()
 	}
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -46,11 +45,11 @@ func connectMode(addr, execSQL string, timeout time.Duration) {
 		rs.run(execSQL)
 		return
 	}
-	rs.repl()
+	repl(func() string { return rs.addr }, rs.command, rs.run)
 }
 
 func (rs *remoteSession) run(sql string) {
-	if !strings.HasPrefix(strings.ToUpper(strings.TrimSpace(sql)), "SELECT") {
+	if !isQuery(sql) {
 		n, err := rs.c.Exec(sql)
 		if err != nil {
 			rs.report(err)
@@ -98,39 +97,6 @@ func (rs *remoteSession) ping() {
 	if st.Role == "replica" {
 		fmt.Printf("applied:   LSN %d\n", st.AppliedLSN)
 		fmt.Printf("staleness: %s since last writer contact\n", st.Staleness.Round(time.Millisecond))
-	}
-}
-
-func (rs *remoteSession) repl() {
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	var buf strings.Builder
-	prompt := func() {
-		if buf.Len() == 0 {
-			fmt.Printf("disqo(%s)> ", rs.addr)
-		} else {
-			fmt.Print("      ...> ")
-		}
-	}
-	prompt()
-	for scanner.Scan() {
-		line := scanner.Text()
-		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			if !rs.command(trimmed) {
-				return
-			}
-			prompt()
-			continue
-		}
-		buf.WriteString(line)
-		buf.WriteByte('\n')
-		if strings.HasSuffix(trimmed, ";") {
-			sql := buf.String()
-			buf.Reset()
-			rs.run(sql)
-		}
-		prompt()
 	}
 }
 

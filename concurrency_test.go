@@ -13,6 +13,9 @@ package disqo
 import (
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -655,5 +658,107 @@ func TestChaosConcurrentIsolation(t *testing.T) {
 		if rowsFingerprint(res) != baselines[p.name] {
 			t.Fatalf("%s drifted after chaos", p.name)
 		}
+	}
+}
+
+// TestViewRedefinitionRacesReaders: tables and views are one committed
+// state, so a reader can never expand a view definition from one commit
+// over table rows from another. One writer loops INSERT marker i →
+// DROP VIEW v → CREATE VIEW v … WHERE a >= i while four readers query
+// the view, ad hoc and prepared, with the caches on and off. Between
+// two commits the legal answers are {i-1} (old filter, old rows),
+// {i-1, i} (old filter, new row), the dropped view's error, and {i}
+// (new filter, new rows): always one marker or two adjacent ones. The
+// new filter over the old rows would answer nothing, the old filter
+// over later rows three markers or more — as would a plan built from a
+// definition but cached under a key older than it.
+func TestViewRedefinitionRacesReaders(t *testing.T) {
+	for _, cached := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cached=%v", cached), func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			var opts []OpenOption
+			if !cached {
+				opts = append(opts, WithoutCache())
+			}
+			db, err := Open(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			execAll(t, db,
+				"CREATE TABLE t (a INTEGER)",
+				"INSERT INTO t VALUES (0)",
+				"CREATE VIEW v AS SELECT a FROM t WHERE a >= 0")
+			const query = "SELECT a FROM v"
+			stmt, err := db.Prepare(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stmt.Close()
+
+			const rounds = 40
+			stop := make(chan struct{})
+			var wg, warm sync.WaitGroup // warm: every reader has answered once
+			for r := 0; r < 4; r++ {
+				run := func() (*Result, error) { return db.Query(query) }
+				if r%2 == 1 {
+					run = func() (*Result, error) { return stmt.Query() }
+				}
+				wg.Add(1)
+				warm.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					var once sync.Once
+					defer once.Do(warm.Done)
+					floor := int64(0) // markers only move forward
+					for n := 0; ; n++ {
+						if n == 1 {
+							once.Do(warm.Done)
+						}
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						res, err := run()
+						if err != nil {
+							if !strings.Contains(err.Error(), `no table "v"`) {
+								t.Errorf("reader %d: %v", r, err)
+								return
+							}
+							continue
+						}
+						lo, hi := int64(math.MaxInt64), int64(-1)
+						for _, row := range res.Rows {
+							lo, hi = min(lo, row[0].Int()), max(hi, row[0].Int())
+						}
+						if n := int64(len(res.Rows)); n < 1 || n > 2 || hi-lo != n-1 || lo < floor {
+							t.Errorf("reader %d: answer %v (after marker %d) mixes a view definition and table rows of different commits", r, res.Rows, floor)
+							return
+						}
+						floor = lo
+					}
+				}(r)
+			}
+			warm.Wait()
+			for i := 1; i <= rounds; i++ {
+				for _, sql := range []string{
+					fmt.Sprintf("INSERT INTO t VALUES (%d)", i),
+					"DROP VIEW v",
+					fmt.Sprintf("CREATE VIEW v AS SELECT a FROM t WHERE a >= %d", i),
+				} {
+					if _, err := db.Exec(sql); err != nil {
+						t.Errorf("%s: %v", sql, err)
+					}
+					runtime.Gosched()
+				}
+			}
+			close(stop)
+			wg.Wait()
+			res, err := db.Query(query)
+			if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != rounds {
+				t.Errorf("final answer %v, %v; want the one marker %d", res, err, rounds)
+			}
+		})
 	}
 }

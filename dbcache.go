@@ -360,7 +360,7 @@ func (db *DB) afterWrite(tables ...string) {
 
 // Stmt is a prepared statement: the SQL is parsed once at Prepare, and
 // each strategy's prepared plan is built on first use and rebuilt only
-// when DDL/DML or view changes make it stale (see planKey). A Stmt
+// when a commit — DML, table or view DDL — makes it stale (see planKey). A Stmt
 // keeps its plans itself — one per strategy × null mode — so the plan
 // cache's LRU cannot evict them. Queries through a Stmt still flow
 // through the result cache (and admission gate) exactly like db.Query.
@@ -378,7 +378,7 @@ type Stmt struct {
 // Prepare parses a SELECT statement once for repeated execution.
 // Preparation does not touch the catalog: binding and optimization
 // happen on first Query (per strategy) and re-run automatically when
-// the catalog or view definitions change underneath the statement.
+// the catalog changes underneath the statement.
 func (db *DB) Prepare(sql string) (*Stmt, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -402,8 +402,8 @@ func (s *Stmt) Close() error {
 
 // Query executes the prepared statement. Options mean exactly what they
 // do on db.Query; the saved work is parsing (always) and planning
-// (whenever the catalog version and view definitions are unchanged
-// since the strategy's last use).
+// (whenever the catalog version is unchanged since the strategy's last
+// use).
 func (s *Stmt) Query(opts ...Option) (*Result, error) {
 	cfg, err := s.db.enter(opts)
 	if err != nil {
@@ -423,7 +423,7 @@ func (s *Stmt) Query(opts ...Option) (*Result, error) {
 // mirrors the plan-cache meaning. A rebuilt plan replaces the stale one
 // of its strategy and null mode.
 func (s *Stmt) preparedFor(snap *catalog.Snapshot, cfg queryConfig) (pp *prepared, hit bool, err error) {
-	key := s.db.planKey(s.norm, cfg, snap)
+	key := planKey(s.norm, cfg, snap)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	slot := len(s.plans)

@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,7 +42,6 @@ import (
 	"disqo/internal/exec"
 	"disqo/internal/faultinject"
 	"disqo/internal/physical"
-	"disqo/internal/sqlparser"
 	"disqo/internal/stats"
 	"disqo/internal/telemetry"
 	"disqo/internal/translate"
@@ -148,16 +146,12 @@ func ParseStrategy(name string) (Strategy, bool) {
 // overload". The data loaders (LoadRST, LoadTPCH) are the one
 // exception: run them during setup, before serving concurrent traffic.
 type DB struct {
+	// cat is the committed state, tables and views: a query pins one
+	// commit of it with Snapshot.
 	cat *catalog.Catalog
 
-	// viewMu guards the views map: queries copy it at plan time, view
-	// DDL mutates it.
-	viewMu sync.RWMutex
-	views  map[string]*sqlparser.SelectStmt
-
-	// writeMu serializes Exec statements (DML and DDL), making each a
-	// little transaction: read a consistent pre-image, compute the new
-	// version, swap it in. Readers never take it.
+	// writeMu serializes writes (commit in write.go; also checkpoints and
+	// a replica's snapshot install). Readers never take it.
 	writeMu sync.Mutex
 
 	// nulls is the DB-wide default null mode (WithTwoValuedNulls);
@@ -174,12 +168,6 @@ type DB struct {
 	// the tier (WithoutCache, or a negative size). See DESIGN.md §8.
 	pcache *cache.PlanCache
 	rcache *cache.ResultCache
-	// viewEpoch advances on every CREATE/DROP VIEW. View DDL does not
-	// bump the catalog version (it touches no table), so the plan cache
-	// keys on this too — a redefined view makes cached plans that were
-	// translated through the old definition stop matching.
-	viewEpoch atomic.Uint64
-
 	// tele is the workload-statistics collector every query lifecycle
 	// event flows through; nil when WithoutTelemetry disabled it (the
 	// whole layer then costs one pointer test per query). See
@@ -209,10 +197,6 @@ type DB struct {
 	recovering      bool
 	// replayed counts log records applied by crash recovery at Open.
 	replayed atomic.Uint64
-	// viewSQL keeps each view's CREATE VIEW text as written, keyed like
-	// views, so checkpoints can serialize definitions.
-	// Guarded by viewMu.
-	viewSQL map[string]string
 
 	// Close drain lifecycle (see durability.go): every public entry
 	// point brackets itself with begin/end; Close flips closed and
@@ -338,7 +322,7 @@ func WithSharedTupleLimit(n int64) OpenOption {
 
 // WithPlanCacheSize bounds the plan cache to n bytes (default 4 MiB;
 // n < 0 disables the tier). Cached plans are keyed by normalized SQL,
-// strategy, catalog version, and view epoch — see DESIGN.md §8.
+// strategy, null mode, and catalog version — see DESIGN.md §8.
 func WithPlanCacheSize(n int64) OpenOption {
 	return func(o *OpenOptions) { o.PlanCacheBytes = n }
 }
@@ -432,8 +416,6 @@ func Open(opts ...OpenOption) (*DB, error) {
 	}
 	db := &DB{
 		cat:          catalog.New(),
-		views:        make(map[string]*sqlparser.SelectStmt),
-		viewSQL:      make(map[string]string),
 		gate:         newGate(o.MaxConcurrent, o.MaxQueued, o.AdmissionWait),
 		start:        time.Now(),
 		drainTimeout: o.DrainTimeout,
@@ -493,101 +475,26 @@ func (db *DB) DebugAddr() (string, error) {
 // WithDrainTimeout), rejects new admissions with ErrClosed, syncs and
 // closes the WAL, and stops the debug listener.
 
-// translatorOn builds a statement translator over a catalog view, aware
-// of the DB's views as of now (the map is copied under the view lock so
-// concurrent view DDL cannot tear a running translation).
-func (db *DB) translatorOn(src catalog.Reader) *translate.Translator {
-	db.viewMu.RLock()
-	views := make(map[string]*sqlparser.SelectStmt, len(db.views))
-	for k, v := range db.views {
-		views[k] = v
-	}
-	db.viewMu.RUnlock()
-	return translate.New(src).WithViews(views)
-}
-
 // Views lists the defined view names.
 func (db *DB) Views() []string {
-	db.viewMu.RLock()
-	out := make([]string, 0, len(db.views))
-	for n := range db.views {
-		out = append(out, n)
+	views := db.cat.Snapshot().Views()
+	out := make([]string, len(views))
+	for i, v := range views {
+		out[i] = v.Name
 	}
-	db.viewMu.RUnlock()
-	sort.Strings(out)
 	return out
 }
 
-// CreateTable defines a new table.
+// CreateTable defines a new table. Tables and views share one name
+// space: the name must be free of both.
 func (db *DB) CreateTable(name string, cols []Column) error {
-	if err := db.begin(); err != nil {
-		return err
-	}
-	defer db.end()
-	return db.createTable(name, cols)
-}
-
-// createTable is CreateTable once admitted (begin has succeeded); log
-// replay, which is admitted as a whole, enters the write path here. The
-// same split serves DropTable, Insert, Exec and the loaders.
-func (db *DB) createTable(name string, cols []Column) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if err := db.writeGuard(); err != nil {
-		return err
-	}
-	pre := db.cat.Version()
-	if err := db.createTableLocked(name, cols); err != nil {
-		return err
-	}
-	if db.logging() {
-		return db.logLocked(wal.KindCreateTable, pre, encodeCreateTableBody(name, cols))
-	}
-	return nil
-}
-
-// createTableLocked is CreateTable's body under writeMu, shared with
-// Exec's CREATE TABLE case (which logs the statement text instead).
-func (db *DB) createTableLocked(name string, cols []Column) error {
-	_, err := db.cat.Create(name, cols)
-	if err == nil {
-		db.afterWrite(name)
-	}
+	_, err := db.do(createTable(name, cols))
 	return err
 }
 
 // DropTable removes a table.
 func (db *DB) DropTable(name string) error {
-	if err := db.begin(); err != nil {
-		return err
-	}
-	defer db.end()
-	return db.dropTable(name)
-}
-
-func (db *DB) dropTable(name string) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if err := db.writeGuard(); err != nil {
-		return err
-	}
-	pre := db.cat.Version()
-	if err := db.dropTableLocked(name); err != nil {
-		return err
-	}
-	if db.logging() {
-		return db.logLocked(wal.KindDropTable, pre, []byte(name))
-	}
-	return nil
-}
-
-// dropTableLocked is DropTable's body under writeMu, shared with Exec's
-// DROP TABLE case.
-func (db *DB) dropTableLocked(name string) error {
-	err := db.cat.Drop(name)
-	if err == nil {
-		db.afterWrite(name)
-	}
+	_, err := db.do(dropTable(name))
 	return err
 }
 
@@ -600,28 +507,8 @@ func (db *DB) Tables() []string { return db.cat.Names() }
 // On a durable DB the rows are logged in binary form (not as SQL text),
 // so values round-trip exactly.
 func (db *DB) Insert(table string, rows ...[]Value) error {
-	if err := db.begin(); err != nil {
-		return err
-	}
-	defer db.end()
-	return db.insert(table, rows)
-}
-
-func (db *DB) insert(table string, rows [][]Value) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if err := db.writeGuard(); err != nil {
-		return err
-	}
-	pre := db.cat.Version()
-	if err := db.cat.InsertRows(table, rows...); err != nil {
-		return err
-	}
-	db.afterWrite(table)
-	if db.logging() {
-		return db.logLocked(wal.KindInsert, pre, encodeInsertBody(table, rows))
-	}
-	return nil
+	_, err := db.do(insertRows(table, rows))
+	return err
 }
 
 // RowCount returns the number of rows in a table.
@@ -634,35 +521,11 @@ func (db *DB) RowCount(table string) (int, error) {
 }
 
 // LoadRST generates the paper's synthetic R, S, T tables at the given
-// scale factors (SF 1 = 10,000 rows).
+// scale factors (SF 1 = 10,000 rows). Datagen is seeded and
+// deterministic, so a durable DB logs just the generator config.
 func (db *DB) LoadRST(sfR, sfS, sfT float64) error {
-	if err := db.begin(); err != nil {
-		return err
-	}
-	defer db.end()
-	return db.loadRST(datagen.RSTConfig{SFR: sfR, SFS: sfS, SFT: sfT})
-}
-
-// loadRST runs the generator under the write lock. Datagen is seeded
-// and deterministic, so a durable DB logs just the config — replaying
-// it rebuilds the identical rows.
-func (db *DB) loadRST(cfg datagen.RSTConfig) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if err := db.writeGuard(); err != nil {
-		return err
-	}
-	pre := db.cat.Version()
-	if err := datagen.LoadRST(db.cat, cfg); err != nil {
-		return err
-	}
-	for _, t := range []string{"r", "s", "t"} {
-		db.afterWrite(t)
-	}
-	if db.logging() {
-		return db.logLocked(wal.KindLoadRST, pre, encodeLoadRSTBody(cfg))
-	}
-	return nil
+	_, err := db.do(loadRST(datagen.RSTConfig{SFR: sfR, SFS: sfS, SFT: sfT}))
+	return err
 }
 
 // LoadTPCH generates TPC-H tables at the given scale factor. With no
@@ -675,36 +538,8 @@ func (db *DB) LoadTPCH(sf float64, tables ...string) error {
 	} else if len(tables) > 0 {
 		cfg.Tables = tables
 	}
-	if err := db.begin(); err != nil {
-		return err
-	}
-	defer db.end()
-	return db.loadTPCH(cfg)
-}
-
-// loadTPCH is LoadTPCH's locked body; see loadRST for why only the
-// config is logged.
-func (db *DB) loadTPCH(cfg datagen.TPCHConfig) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if err := db.writeGuard(); err != nil {
-		return err
-	}
-	pre := db.cat.Version()
-	if err := datagen.LoadTPCH(db.cat, cfg); err != nil {
-		return err
-	}
-	touched := cfg.Tables
-	if len(touched) == 0 {
-		touched = datagen.TPCHQuery2dTables
-	}
-	for _, t := range touched {
-		db.afterWrite(t)
-	}
-	if db.logging() {
-		return db.logLocked(wal.KindLoadTPCH, pre, encodeLoadTPCHBody(cfg))
-	}
-	return nil
+	_, err := db.do(loadTPCH(cfg))
+	return err
 }
 
 // queryConfig carries per-query options: what the executor is told —
@@ -946,284 +781,11 @@ func (db *DB) execOptions(cfg queryConfig) exec.Options {
 // atomically, and in-flight snapshot readers keep the version they
 // pinned.
 func (db *DB) Exec(sql string) (int, error) {
-	if err := db.begin(); err != nil {
-		return 0, err
-	}
-	defer db.end()
-	return db.exec(sql)
-}
-
-func (db *DB) exec(sql string) (int, error) {
-	stmt, err := sqlparser.ParseStatement(sql)
+	w, err := execSQL(sql)
 	if err != nil {
 		return 0, err
 	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if err := db.writeGuard(); err != nil {
-		return 0, err
-	}
-	pre := db.cat.Version()
-	n, err := db.execLocked(stmt, sql)
-	if err == nil && db.logging() {
-		// Log-after-commit: the statement's new version is already live in
-		// memory; its text, as written, goes to the WAL before the caller
-		// learns it succeeded. An append/sync failure seals the log and is
-		// reported here — the in-memory commit stands until restart.
-		if lerr := db.logLocked(wal.KindSQL, pre, []byte(sql)); lerr != nil {
-			return n, lerr
-		}
-	}
-	return n, err
-}
-
-// execLocked dispatches one parsed statement under writeMu. It never
-// writes to the WAL itself — Exec logs the statement text on success,
-// and the typed APIs (CreateTable, Insert, ...) log binary records.
-func (db *DB) execLocked(stmt sqlparser.Statement, sql string) (int, error) {
-	switch x := stmt.(type) {
-	case *sqlparser.CreateTableStmt:
-		cols := make([]Column, len(x.Columns))
-		for i, c := range x.Columns {
-			var kind types.Kind
-			switch c.Type {
-			case "INTEGER":
-				kind = types.KindInt
-			case "DOUBLE":
-				kind = types.KindFloat
-			case "VARCHAR":
-				kind = types.KindString
-			case "BOOLEAN":
-				kind = types.KindBool
-			default:
-				return 0, fmt.Errorf("disqo: unknown column type %q", c.Type)
-			}
-			cols[i] = Column{Name: c.Name, Type: kind}
-		}
-		return 0, db.createTableLocked(x.Name, cols)
-	case *sqlparser.DropTableStmt:
-		return 0, db.dropTableLocked(x.Name)
-	case *sqlparser.InsertStmt:
-		rows := make([][]Value, len(x.Rows))
-		for r, row := range x.Rows {
-			vals := make([]Value, len(row))
-			for i, lit := range row {
-				switch v := lit.(type) {
-				case *sqlparser.IntLit:
-					vals[i] = Int(v.Val)
-				case *sqlparser.FloatLit:
-					vals[i] = Float(v.Val)
-				case *sqlparser.StringLit:
-					vals[i] = String(v.Val)
-				case *sqlparser.BoolLit:
-					vals[i] = Bool(v.Val)
-				case *sqlparser.NullLit:
-					vals[i] = Null()
-				default:
-					return 0, fmt.Errorf("disqo: INSERT values must be literals, got %s", lit)
-				}
-			}
-			rows[r] = vals
-		}
-		if err := db.cat.InsertRows(x.Table, rows...); err != nil {
-			return 0, err
-		}
-		db.afterWrite(x.Table)
-		return len(rows), nil
-	case *sqlparser.CreateViewStmt:
-		key := strings.ToLower(x.Name)
-		if _, err := db.cat.Lookup(key); err == nil {
-			return 0, fmt.Errorf("disqo: a table named %q already exists", x.Name)
-		}
-		db.viewMu.RLock()
-		_, dup := db.views[key]
-		db.viewMu.RUnlock()
-		if dup {
-			return 0, fmt.Errorf("disqo: view %q already exists", x.Name)
-		}
-		// Validate the body now so a broken view fails at definition time.
-		if _, err := db.translatorOn(db.cat.Snapshot()).Translate(x.Body); err != nil {
-			return 0, fmt.Errorf("disqo: invalid view body: %w", err)
-		}
-		db.viewMu.Lock()
-		db.views[key] = x.Body
-		db.viewSQL[key] = sql
-		db.viewMu.Unlock()
-		db.viewEpoch.Add(1)
-		return 0, nil
-	case *sqlparser.DropViewStmt:
-		key := strings.ToLower(x.Name)
-		db.viewMu.Lock()
-		defer db.viewMu.Unlock()
-		if _, ok := db.views[key]; !ok {
-			return 0, fmt.Errorf("disqo: no view %q", x.Name)
-		}
-		delete(db.views, key)
-		delete(db.viewSQL, key)
-		db.viewEpoch.Add(1)
-		return 0, nil
-	case *sqlparser.DeleteStmt:
-		return db.execDelete(x)
-	case *sqlparser.UpdateStmt:
-		return db.execUpdate(x)
-	case *sqlparser.SelectStmt:
-		return 0, fmt.Errorf("disqo: use Query for SELECT statements")
-	default:
-		return 0, fmt.Errorf("disqo: unsupported statement %T", stmt)
-	}
-}
-
-// matchingRows evaluates a WHERE predicate over one table by planning
-// the equivalent SELECT as a query's would be (so subqueries in DML
-// predicates are unnested too) and executing it — ungated, unobserved
-// and uncached: it is a step of the write statement holding writeMu —
-// and returns the set of matching tuples. It reads src — the pre-image
-// snapshot of the statement being executed.
-func (db *DB) matchingRows(src catalog.Reader, table string, where sqlparser.Expr) (map[uint64][][]Value, error) {
-	sel := &sqlparser.SelectStmt{
-		Star:  true,
-		From:  []sqlparser.TableRef{{Table: table}},
-		Where: where,
-	}
-	cfg := db.newQueryConfig()
-	pp, _, err := db.planStmt(src, sel, cache.PlanKey{}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ex, rel, err := db.execute(src, cfg, pp)
-	defer ex.Close()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[uint64][][]Value, rel.Cardinality())
-	for _, t := range rel.Tuples {
-		h := types.HashTuple(t)
-		out[h] = append(out[h], t)
-	}
-	return out, nil
-}
-
-func rowMatches(set map[uint64][][]Value, row []Value) bool {
-	for _, m := range set[types.HashTuple(row)] {
-		if types.TuplesIdentical(m, row) {
-			return true
-		}
-	}
-	return false
-}
-
-// execDelete removes the rows satisfying the predicate. Matching is
-// value-based (the relation is a bag): identical duplicates live or die
-// together, which coincides with SQL's semantics for a value-based
-// predicate. The caller holds writeMu; the kept row set is computed
-// against the stable pre-image and committed as one new table version.
-func (db *DB) execDelete(x *sqlparser.DeleteStmt) (int, error) {
-	snap := db.cat.Snapshot()
-	tbl, err := snap.Lookup(x.Table)
-	if err != nil {
-		return 0, err
-	}
-	if x.Where == nil {
-		n := tbl.Rel.Cardinality()
-		if err := db.cat.ReplaceRows(x.Table, nil); err != nil {
-			return 0, err
-		}
-		db.afterWrite(x.Table)
-		return n, nil
-	}
-	matching, err := db.matchingRows(snap, x.Table, x.Where)
-	if err != nil {
-		return 0, err
-	}
-	kept := make([][]Value, 0, len(tbl.Rel.Tuples))
-	deleted := 0
-	for _, row := range tbl.Rel.Tuples {
-		if rowMatches(matching, row) {
-			deleted++
-			continue
-		}
-		kept = append(kept, row)
-	}
-	if deleted == 0 {
-		return 0, nil
-	}
-	if err := db.cat.ReplaceRows(x.Table, kept); err != nil {
-		return 0, err
-	}
-	db.afterWrite(x.Table)
-	return deleted, nil
-}
-
-// execUpdate rewrites the rows satisfying the predicate, evaluating SET
-// expressions against the pre-update row (standard SQL semantics). The
-// caller holds writeMu; the new row set is computed in full against the
-// stable pre-image before the single atomic commit, so concurrent
-// snapshot readers see either every change or none.
-func (db *DB) execUpdate(x *sqlparser.UpdateStmt) (int, error) {
-	snap := db.cat.Snapshot()
-	tbl, err := snap.Lookup(x.Table)
-	if err != nil {
-		return 0, err
-	}
-	// Resolve SET targets and translate value expressions in the table's
-	// scope (subqueries allowed; they evaluate canonically per row).
-	colIdx := make([]int, len(x.Sets))
-	valExprs := make([]algebra.Expr, len(x.Sets))
-	for i, a := range x.Sets {
-		idx := -1
-		for j, c := range tbl.Columns {
-			if strings.EqualFold(c.Name, a.Column) {
-				idx = j
-				break
-			}
-		}
-		if idx < 0 {
-			return 0, fmt.Errorf("disqo: no column %q in %s", a.Column, x.Table)
-		}
-		colIdx[i] = idx
-		ve, err := db.translatorOn(snap).TranslateTableExpr(x.Table, a.Value)
-		if err != nil {
-			return 0, err
-		}
-		valExprs[i] = ve
-	}
-
-	var matching map[uint64][][]Value
-	if x.Where != nil {
-		matching, err = db.matchingRows(snap, x.Table, x.Where)
-		if err != nil {
-			return 0, err
-		}
-	}
-	ex := exec.New(snap, db.execOptions(db.newQueryConfig()))
-	defer ex.Close()
-	updated := 0
-	newRows := make([][]Value, len(tbl.Rel.Tuples))
-	for i, row := range tbl.Rel.Tuples {
-		if x.Where != nil && !rowMatches(matching, row) {
-			newRows[i] = row
-			continue
-		}
-		env := exec.Bind(nil, tbl.Rel.Schema, row)
-		next := append([]Value(nil), row...)
-		for k, ve := range valExprs {
-			v, err := ex.EvalExpr(ve, env)
-			if err != nil {
-				return 0, err // nothing committed: the statement aborts whole
-			}
-			next[colIdx[k]] = v
-		}
-		newRows[i] = next
-		updated++
-	}
-	if updated == 0 {
-		return 0, nil
-	}
-	if err := db.cat.ReplaceRows(x.Table, newRows); err != nil {
-		return 0, err
-	}
-	db.afterWrite(x.Table)
-	return updated, nil
+	return db.do(w)
 }
 
 // Query parses, optimizes and executes a SQL statement. The query plans

@@ -159,4 +159,45 @@ func TestViewValidationAndConflicts(t *testing.T) {
 	if _, err := db.Exec("CREATE VIEW v AS SELECT a2 FROM r"); err == nil {
 		t.Error("duplicate view must fail")
 	}
+	tableOverViewMustFail(t, db, "live")
+
+	// The one name space survives a restart: from the log, then from a
+	// checkpoint.
+	dir := t.TempDir()
+	for _, stage := range []string{"fresh", "after log replay", "after checkpoint recovery"} {
+		db, err := Open(WithDataDir(dir))
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if stage == "fresh" {
+			execAll(t, db, "CREATE TABLE r (a1 INTEGER)", "CREATE VIEW v AS SELECT a1 FROM r WHERE a1 > 1")
+		}
+		tableOverViewMustFail(t, db, stage)
+		if stage == "after log replay" {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// tableOverViewMustFail: a table may not take the name of the view v —
+// it would be writable and, the view answering every read, unreadable.
+func tableOverViewMustFail(t *testing.T, db *DB, when string) {
+	t.Helper()
+	if _, err := db.Exec("CREATE TABLE v (a INTEGER)"); err == nil {
+		t.Errorf("%s: CREATE TABLE over a view's name succeeded", when)
+	}
+	if err := db.CreateTable("V", []Column{{Name: "a", Type: TypeInt}}); err == nil {
+		t.Errorf("%s: CreateTable over a view's name succeeded", when)
+	}
+	if _, err := db.RowCount("v"); err == nil {
+		t.Errorf("%s: a table v exists beside the view (tables %v)", when, db.Tables())
+	}
+	if got := db.Views(); len(got) != 1 || got[0] != "v" {
+		t.Errorf("%s: views %v, want only v", when, got)
+	}
 }

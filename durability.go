@@ -1,34 +1,27 @@
 package disqo
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
-	"sort"
 	"strings"
 	"time"
 
 	"disqo/internal/catalog"
-	"disqo/internal/datagen"
 	"disqo/internal/faultinject"
-	"disqo/internal/sqlparser"
 	"disqo/internal/types"
 	"disqo/internal/wal"
 )
 
 // This file is the durability layer's DB-side half (DESIGN.md §13): it
 // wires internal/wal into the write path, runs crash recovery at Open,
-// and owns the open/close drain lifecycle. The protocol is
-// log-after-commit under writeMu: a statement first commits its new
-// table version in memory, then appends one logical record describing
-// it, and only returns once the record is (per the sync policy) on
-// disk. A failed append or sync seals the log — the statement reports
-// the error and every later write is rejected with ErrWALSealed — so
-// the on-disk log is always a strict prefix of the in-memory history,
-// which is exactly the invariant crash recovery (and the chaos suite's
-// prefix-legality check) relies on.
+// and owns the open/close drain lifecycle. The write protocol itself is
+// commit in write.go: log-after-commit under writeMu. A failed append or
+// sync seals the log — the statement reports the error and every later
+// write is rejected with ErrWALSealed — so the on-disk log is always a
+// strict prefix of the in-memory history, which is exactly the
+// invariant crash recovery (and the chaos suite's prefix-legality
+// check) relies on.
 
 // ErrClosed is returned by every DB entry point after Close has begun:
 // queries, DML/DDL, loaders, and checkpoints are all rejected while
@@ -189,160 +182,7 @@ func (db *DB) Close() error {
 }
 
 // ---------------------------------------------------------------------
-// Record bodies. KindSQL carries the normalized statement text; the
-// programmatic APIs log compact binary bodies instead (a value like
-// 1e-7 must round-trip exactly, not via SQL text), and the bulk
-// loaders log their generator parameters — datagen is seeded and
-// deterministic, so replaying the parameters rebuilds the exact rows
-// without logging megabytes.
-
-func appendLenStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func decodeLenStr(buf []byte) (string, []byte, error) {
-	u, n := binary.Uvarint(buf)
-	if n <= 0 || u > uint64(len(buf)-n) {
-		return "", nil, errors.New("disqo: truncated WAL record string")
-	}
-	return string(buf[n : n+int(u)]), buf[n+int(u):], nil
-}
-
-func encodeInsertBody(table string, rows [][]Value) []byte {
-	var buf []byte
-	buf = appendLenStr(buf, table)
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	for _, row := range rows {
-		buf = binary.AppendUvarint(buf, uint64(len(row)))
-		buf = catalog.AppendRow(buf, row)
-	}
-	return buf
-}
-
-func decodeInsertBody(body []byte) (string, [][]Value, error) {
-	table, buf, err := decodeLenStr(body)
-	if err != nil {
-		return "", nil, err
-	}
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > uint64(len(buf)) {
-		return "", nil, errors.New("disqo: bad WAL insert row count")
-	}
-	buf = buf[sz:]
-	rows := make([][]Value, 0, n)
-	for i := uint64(0); i < n; i++ {
-		arity, sz := binary.Uvarint(buf)
-		if sz <= 0 || arity > uint64(len(buf)) {
-			return "", nil, errors.New("disqo: bad WAL insert row arity")
-		}
-		buf = buf[sz:]
-		var row []Value
-		row, buf, err = catalog.DecodeRow(buf, int(arity))
-		if err != nil {
-			return "", nil, err
-		}
-		rows = append(rows, row)
-	}
-	return table, rows, nil
-}
-
-func encodeCreateTableBody(name string, cols []Column) []byte {
-	var buf []byte
-	buf = appendLenStr(buf, name)
-	buf = binary.AppendUvarint(buf, uint64(len(cols)))
-	for _, c := range cols {
-		buf = appendLenStr(buf, c.Name)
-		buf = append(buf, byte(c.Type))
-	}
-	return buf
-}
-
-func decodeCreateTableBody(body []byte) (string, []Column, error) {
-	name, buf, err := decodeLenStr(body)
-	if err != nil {
-		return "", nil, err
-	}
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > uint64(len(buf)) {
-		return "", nil, errors.New("disqo: bad WAL column count")
-	}
-	buf = buf[sz:]
-	cols := make([]Column, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var cname string
-		cname, buf, err = decodeLenStr(buf)
-		if err != nil {
-			return "", nil, err
-		}
-		if len(buf) < 1 {
-			return "", nil, errors.New("disqo: truncated WAL column type")
-		}
-		cols = append(cols, Column{Name: cname, Type: types.Kind(buf[0])})
-		buf = buf[1:]
-	}
-	return name, cols, nil
-}
-
-func encodeLoadRSTBody(cfg datagen.RSTConfig) []byte {
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.SFR))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.SFS))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.SFT))
-	buf = binary.LittleEndian.AppendUint64(buf, cfg.Seed)
-	return buf
-}
-
-func decodeLoadRSTBody(body []byte) (datagen.RSTConfig, error) {
-	if len(body) != 32 {
-		return datagen.RSTConfig{}, errors.New("disqo: bad WAL load-rst body")
-	}
-	return datagen.RSTConfig{
-		SFR:  math.Float64frombits(binary.LittleEndian.Uint64(body)),
-		SFS:  math.Float64frombits(binary.LittleEndian.Uint64(body[8:])),
-		SFT:  math.Float64frombits(binary.LittleEndian.Uint64(body[16:])),
-		Seed: binary.LittleEndian.Uint64(body[24:]),
-	}, nil
-}
-
-func encodeLoadTPCHBody(cfg datagen.TPCHConfig) []byte {
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.SF))
-	buf = binary.LittleEndian.AppendUint64(buf, cfg.Seed)
-	buf = binary.AppendUvarint(buf, uint64(len(cfg.Tables)))
-	for _, t := range cfg.Tables {
-		buf = appendLenStr(buf, t)
-	}
-	return buf
-}
-
-func decodeLoadTPCHBody(body []byte) (datagen.TPCHConfig, error) {
-	var cfg datagen.TPCHConfig
-	if len(body) < 16 {
-		return cfg, errors.New("disqo: bad WAL load-tpch body")
-	}
-	cfg.SF = math.Float64frombits(binary.LittleEndian.Uint64(body))
-	cfg.Seed = binary.LittleEndian.Uint64(body[8:])
-	buf := body[16:]
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > uint64(len(buf)) {
-		return cfg, errors.New("disqo: bad WAL load-tpch table count")
-	}
-	buf = buf[sz:]
-	for i := uint64(0); i < n; i++ {
-		var t string
-		var err error
-		t, buf, err = decodeLenStr(buf)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Tables = append(cfg.Tables, t)
-	}
-	return cfg, nil
-}
-
-// ---------------------------------------------------------------------
-// Logging hook.
+// Logging hooks, each called from commit only.
 
 // logging reports whether the current mutation must append a WAL
 // record: a durable DB outside of recovery replay (replaying a record
@@ -407,10 +247,10 @@ func (db *DB) Checkpoint() error {
 // checkpointLocked runs the checkpoint under writeMu, so the serialized
 // state is exactly one commit boundary.
 func (db *DB) checkpointLocked() error {
-	st := wal.CheckpointState{
-		Tables:         db.cat.Snapshot().Tables(),
-		CatalogVersion: db.cat.Version(),
-		Views:          db.viewDefs(),
+	snap := db.cat.Snapshot()
+	st := wal.CheckpointState{Tables: snap.Tables(), CatalogVersion: snap.Version()}
+	for _, v := range snap.Views() {
+		st.Views = append(st.Views, wal.View{Name: v.Name, SQL: v.SQL})
 	}
 	if err := db.wal.Checkpoint(db.dataDir, st); err != nil {
 		return err
@@ -418,18 +258,6 @@ func (db *DB) checkpointLocked() error {
 	db.sinceCheckpoint = 0
 	db.lastCkptErr = nil
 	return nil
-}
-
-// viewDefs snapshots the view definitions as (name, CREATE VIEW SQL)
-// pairs for checkpointing.
-func (db *DB) viewDefs() []wal.View {
-	db.viewMu.RLock()
-	defer db.viewMu.RUnlock()
-	out := make([]wal.View, 0, len(db.viewSQL))
-	for name, sql := range db.viewSQL {
-		out = append(out, wal.View{Name: name, SQL: sql})
-	}
-	return out
 }
 
 // WALStats returns the write-ahead log's counters. ok is false for a
@@ -454,24 +282,8 @@ func (db *DB) openDurable(o OpenOptions) error {
 	}
 	db.dataDir = o.DataDir
 	db.checkpointEvery = o.CheckpointEvery
-	if len(rs.Tables) > 0 || rs.CatalogVersion > 0 {
-		db.cat.Restore(rs.Tables, rs.CatalogVersion)
-	}
-	// Views install from their CREATE VIEW text without re-validation: a
-	// view may legally outlive tables it references (the engine checks
-	// at definition and query time, not at drop time), so validating
-	// here could reject a state that was perfectly reachable live.
-	for _, v := range rs.Views {
-		stmt, err := sqlparser.ParseStatement(v.SQL)
-		if err != nil {
-			return &RecoveryError{Reason: fmt.Sprintf("snapshot view %q does not parse: %v", v.Name, err), Cause: err}
-		}
-		cv, ok := stmt.(*sqlparser.CreateViewStmt)
-		if !ok {
-			return &RecoveryError{Reason: fmt.Sprintf("snapshot view %q is not a CREATE VIEW", v.Name)}
-		}
-		db.views[strings.ToLower(v.Name)] = cv.Body
-		db.viewSQL[strings.ToLower(v.Name)] = v.SQL
+	if err := db.install(rs.CheckpointState); err != nil {
+		return &RecoveryError{Reason: err.Error(), Cause: errors.Unwrap(err)}
 	}
 	db.recovering = true
 	for _, rec := range rs.Records {
@@ -482,10 +294,6 @@ func (db *DB) openDurable(o OpenOptions) error {
 		db.replayed.Add(1)
 	}
 	db.recovering = false
-	// Cache epochs: a fresh process starts with empty caches, but bump
-	// the view epoch anyway so any plan keyed before this point (e.g. a
-	// future shared-cache transport) can never alias post-recovery state.
-	db.viewEpoch.Add(1)
 	l, err := wal.Open(o.DataDir, rs.LastLSN, wal.Options{
 		SyncEvery:    o.SyncEvery,
 		SyncInterval: o.SyncInterval,
@@ -498,15 +306,33 @@ func (db *DB) openDurable(o OpenOptions) error {
 	return nil
 }
 
-// applyRecord replays one log record through the ordinary write path
-// (with logging suppressed), verifying the catalog pre-image version
-// first: if replay has diverged from what the log says it applied
+// install makes a decoded checkpoint the whole committed state, in one
+// catalog commit. Views are rebuilt from their CREATE VIEW text without
+// validating the bodies: a view may legally outlive tables it
+// references (the engine checks at definition and query time, not at
+// drop time), so validating here could reject a state that was
+// perfectly reachable live. A definition that does not parse rejects
+// the whole checkpoint; nothing is installed.
+func (db *DB) install(st wal.CheckpointState) error {
+	views := make([]*catalog.View, len(st.Views))
+	for i, d := range st.Views {
+		v, err := catalog.NewView(d.SQL)
+		if err != nil {
+			return fmt.Errorf("disqo: snapshot view %q does not parse: %w", d.Name, err)
+		}
+		views[i] = v
+	}
+	db.cat.Restore(st.Tables, views, st.CatalogVersion)
+	return nil
+}
+
+// applyRecord replays one log record: check the catalog pre-image
+// version — if replay has diverged from what the log says it applied
 // against, recovery fails closed rather than building a different
-// database. The caller is already admitted — recovery runs inside Open,
-// ReplicaApplyRecord holds a begin — so replay enters the write path
-// below the public methods' own begin: a Close that lands mid-record
-// drains it instead of refusing half of an admitted operation, and
-// ErrClosed can never be reported as log damage.
+// database — decode the record to a write, commit it (logging is
+// suppressed while recovering, and a replica has no log). The caller is
+// already admitted — recovery runs inside Open, ReplicaApplyRecord
+// holds a begin — so ErrClosed can never be reported as log damage.
 func (db *DB) applyRecord(rec wal.Record) error {
 	if v := db.cat.Version(); v != rec.AppliedVersion {
 		return &RecoveryError{
@@ -514,56 +340,16 @@ func (db *DB) applyRecord(rec wal.Record) error {
 			Reason: fmt.Sprintf("replay diverged: catalog at version %d, record expects pre-image %d", v, rec.AppliedVersion),
 		}
 	}
-	fail := func(err error) error {
+	w, err := decodeWrite(rec)
+	if err == nil {
+		_, err = db.commit(w)
+	}
+	if err != nil {
 		return &RecoveryError{
 			LSN:    rec.LSN,
 			Reason: fmt.Sprintf("replaying %s record: %v", rec.Kind, err),
 			Cause:  err,
 		}
-	}
-	switch rec.Kind {
-	case wal.KindSQL:
-		if _, err := db.exec(string(rec.Body)); err != nil {
-			return fail(err)
-		}
-	case wal.KindInsert:
-		table, rows, err := decodeInsertBody(rec.Body)
-		if err != nil {
-			return fail(err)
-		}
-		if err := db.insert(table, rows); err != nil {
-			return fail(err)
-		}
-	case wal.KindCreateTable:
-		name, cols, err := decodeCreateTableBody(rec.Body)
-		if err != nil {
-			return fail(err)
-		}
-		if err := db.createTable(name, cols); err != nil {
-			return fail(err)
-		}
-	case wal.KindDropTable:
-		if err := db.dropTable(string(rec.Body)); err != nil {
-			return fail(err)
-		}
-	case wal.KindLoadRST:
-		cfg, err := decodeLoadRSTBody(rec.Body)
-		if err != nil {
-			return fail(err)
-		}
-		if err := db.loadRST(cfg); err != nil {
-			return fail(err)
-		}
-	case wal.KindLoadTPCH:
-		cfg, err := decodeLoadTPCHBody(rec.Body)
-		if err != nil {
-			return fail(err)
-		}
-		if err := db.loadTPCH(cfg); err != nil {
-			return fail(err)
-		}
-	default:
-		return &RecoveryError{LSN: rec.LSN, Reason: fmt.Sprintf("unknown record kind %d", uint8(rec.Kind))}
 	}
 	return nil
 }
@@ -582,11 +368,7 @@ func (db *DB) applyRecord(rec wal.Record) error {
 func (db *DB) StateFingerprint() uint64 {
 	h := fnv.New64a()
 	snap := db.cat.Snapshot()
-	for _, name := range snap.Names() {
-		t, err := snap.Lookup(name)
-		if err != nil {
-			continue
-		}
+	for _, t := range snap.Tables() {
 		fmt.Fprintf(h, "table %s (", t.Name)
 		for _, c := range t.Columns {
 			fmt.Fprintf(h, "%s %s,", strings.ToLower(c.Name), c.Type)
@@ -597,15 +379,8 @@ func (db *DB) StateFingerprint() uint64 {
 			h.Write([]byte{'\n'})
 		}
 	}
-	db.viewMu.RLock()
-	names := make([]string, 0, len(db.viewSQL))
-	for n := range db.viewSQL {
-		names = append(names, n)
+	for _, v := range snap.Views() {
+		fmt.Fprintf(h, "view %s := %s\n", v.Name, v.SQL)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(h, "view %s := %s\n", n, db.viewSQL[n])
-	}
-	db.viewMu.RUnlock()
 	return h.Sum64()
 }

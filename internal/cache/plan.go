@@ -3,17 +3,15 @@ package cache
 import "sync"
 
 // PlanKey identifies one cached plan. SQL is the normalized
-// statement text; CatalogVersion and ViewEpoch pin the schema state the
-// plan was derived against — any DDL or DML commit bumps the catalog
-// version, and any view definition change bumps the view epoch, so a
-// stale plan simply stops matching rather than needing eager
+// statement text; CatalogVersion pins the committed state the plan was
+// derived against — any commit, table or view, DDL or DML, bumps it —
+// so a stale plan simply stops matching rather than needing eager
 // invalidation.
 type PlanKey struct {
 	SQL            string
 	Strategy       string
 	Nulls          string
 	CatalogVersion uint64
-	ViewEpoch      uint64
 }
 
 // PlanCache is the LRU plan tier: it stores the output of parse +

@@ -1,16 +1,17 @@
-// Package catalog tracks the database schema: table definitions, their
-// column types, and base-table statistics the cost model consumes. The
-// executor resolves table names against a Catalog (or one of its
-// Snapshots) to find the stored relations.
+// Package catalog holds the database's committed state: table
+// definitions with their rows and the base-table statistics the cost
+// model consumes, and view definitions. The translator, estimator and
+// executor resolve names against a Catalog (or one of its Snapshots).
 //
-// Concurrency model: a Catalog is safe for concurrent use. Published
-// *Table values are immutable — every mutation (Create, Drop,
-// InsertRows, ReplaceRows) builds a new table version copy-on-write and
-// atomically swaps it into the map under the catalog RWMutex. Readers
-// that need a consistent multi-table view call Snapshot, which pins the
-// current version set without blocking subsequent writers: a query
-// planning and executing against a Snapshot can never observe a torn
-// write, and DML never waits for a slow reader to finish.
+// Concurrency model: the committed state is one immutable value, a
+// *Snapshot — table map, view map, commit counter. Every mutation
+// (Create, Drop, CreateView, DropView, InsertRows, ReplaceRows, Restore)
+// builds the next state copy-on-write under the catalog's mutex — new
+// *Table versions, a copy of whichever map it edits — and publishes it
+// with one pointer store. Readers never lock: Snapshot is a pointer
+// load, and whatever plans and executes against it sees the tables and
+// views of exactly one commit, never a torn write, while DML never
+// waits for a slow reader to finish.
 //
 // The builder-path methods Table.Insert and Table.BulkLoad mutate a
 // table in place and are reserved for setup-time loaders (datagen)
@@ -22,7 +23,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"disqo/internal/sqlparser"
 	"disqo/internal/storage"
 	"disqo/internal/types"
 )
@@ -63,31 +66,169 @@ type TableStats struct {
 	Min, Max map[string]float64 // numeric columns only
 }
 
-// Reader resolves table names to table versions. It is implemented by
-// the live *Catalog (always the latest committed state) and by
-// *Snapshot (one pinned version set); the planner, estimator,
-// translator, and executor all work against this interface so a whole
-// query can run off one immutable snapshot. Version identifies the
-// commit boundary the reader observes: the cache layer keys plans and
-// results on it (plus per-table versions) for sound invalidation.
+// View is a named query: a FROM reference to it expands like a derived
+// table over Body. SQL is the CREATE VIEW statement as written — what
+// checkpoints serialize and what the state fingerprint hashes.
+type View struct {
+	Name string // lower-case
+	SQL  string
+	Body *sqlparser.SelectStmt
+}
+
+// NewView is the one place CREATE VIEW text becomes a view: the DDL
+// statement, crash recovery and a replica's snapshot install all come
+// through here. A parse failure is returned as the parser's own error.
+// The body is not checked against any table — a view may outlive the
+// tables it names, and whoever defines one live validates it first.
+func NewView(sql string) (*View, error) {
+	stmt, err := sqlparser.ParseStatement(sql)
+	if err != nil {
+		return nil, err
+	}
+	cv, ok := stmt.(*sqlparser.CreateViewStmt)
+	if !ok {
+		return nil, fmt.Errorf("catalog: %q is not a CREATE VIEW statement", sql)
+	}
+	return &View{Name: strings.ToLower(cv.Name), SQL: sql, Body: cv.Body}, nil
+}
+
+// Reader resolves table and view names in one committed state. It is
+// implemented by the live *Catalog (always the latest commit) and by
+// *Snapshot (one pinned commit); the planner, estimator, translator,
+// and executor all work against this interface so a whole query can run
+// off one immutable snapshot. Version identifies the commit the reader
+// observes: the cache layer keys plans and results on it (plus
+// per-table versions) for sound invalidation.
 type Reader interface {
 	Lookup(name string) (*Table, error)
+	View(name string) (*View, bool)
 	Names() []string
 	Version() uint64
 }
 
-// Catalog is the set of defined tables. All methods are safe for
-// concurrent use: reads take the read lock, mutations build new table
-// versions copy-on-write and swap them in under the write lock.
+// Catalog is the live committed state. All methods are safe for
+// concurrent use: reads load the current Snapshot, mutations publish
+// its successor under mu.
 type Catalog struct {
-	mu      sync.RWMutex
-	tables  map[string]*Table
-	version uint64
+	mu  sync.Mutex // serializes mutations; readers never take it
+	cur atomic.Pointer[Snapshot]
 }
 
 // New returns an empty catalog.
 func New() *Catalog {
-	return &Catalog{tables: make(map[string]*Table)}
+	c := &Catalog{}
+	c.cur.Store(&Snapshot{})
+	return c
+}
+
+// Snapshot pins the current commit: the tables and views as of one
+// commit boundary. It is a pointer load — no lock, no copy — because
+// the state it returns is never modified again.
+func (c *Catalog) Snapshot() *Snapshot { return c.cur.Load() }
+
+// Lookup returns the latest committed version of the table, or an error
+// naming it.
+func (c *Catalog) Lookup(name string) (*Table, error) { return c.Snapshot().Lookup(name) }
+
+// View returns the latest committed definition of the view.
+func (c *Catalog) View(name string) (*View, bool) { return c.Snapshot().View(name) }
+
+// Names returns the defined table names, sorted.
+func (c *Catalog) Names() []string { return c.Snapshot().Names() }
+
+// Version returns the commit counter: it advances on every successful
+// mutation, so two snapshots with equal versions hold identical states.
+func (c *Catalog) Version() uint64 { return c.Snapshot().Version() }
+
+// Snapshot is one committed state: immutable once published, so any
+// number of readers share it. It implements Reader, so planning and
+// execution can run entirely against it while later commits replace it
+// in the live catalog.
+type Snapshot struct {
+	tables  map[string]*Table
+	views   map[string]*View
+	version uint64
+}
+
+// Lookup returns the pinned version of the table.
+func (s *Snapshot) Lookup(name string) (*Table, error) {
+	if t, ok := s.tables[strings.ToLower(name)]; ok {
+		return t, nil
+	}
+	return nil, fmt.Errorf("catalog: no table %q", name)
+}
+
+// View returns the pinned definition of the view.
+func (s *Snapshot) View(name string) (*View, bool) {
+	v, ok := s.views[strings.ToLower(name)]
+	return v, ok
+}
+
+// Names returns the snapshot's table names, sorted.
+func (s *Snapshot) Names() []string {
+	out := make([]string, 0, len(s.tables))
+	for n := range s.tables {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Version identifies the commit this snapshot pinned.
+func (s *Snapshot) Version() uint64 { return s.version }
+
+// Views returns the snapshot's view definitions in sorted-name order.
+func (s *Snapshot) Views() []*View {
+	out := make([]*View, 0, len(s.views))
+	for _, v := range s.views {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// commit publishes the successor of the current state. edit receives a
+// copy carrying the current maps and the next counter value, replaces
+// the map it changes by an edited copy (with), and returns an error to
+// leave the committed state as it was.
+func (c *Catalog) commit(edit func(next *Snapshot) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next := *c.cur.Load()
+	next.version++
+	if err := edit(&next); err != nil {
+		return err
+	}
+	c.cur.Store(&next)
+	return nil
+}
+
+// with returns a copy of m in which key maps to v, or is absent when v
+// is nil. Published maps are never written, so an edit copies.
+func with[V any](m map[string]*V, key string, v *V) map[string]*V {
+	out := make(map[string]*V, len(m)+1)
+	for k, x := range m {
+		out[k] = x
+	}
+	if v == nil {
+		delete(out, key)
+	} else {
+		out[key] = v
+	}
+	return out
+}
+
+// taken reports a name some table or view already has: the two share
+// one name space, so a FROM reference resolves to exactly one of them.
+func (s *Snapshot) taken(name string) error {
+	key := strings.ToLower(name)
+	if _, ok := s.tables[key]; ok {
+		return fmt.Errorf("catalog: table %q already exists", name)
+	}
+	if _, ok := s.views[key]; ok {
+		return fmt.Errorf("catalog: view %q already exists", name)
+	}
+	return nil
 }
 
 // qualify builds the executor attribute name for a table column: the
@@ -118,106 +259,55 @@ func (c *Catalog) Create(name string, cols []Column) (*Table, error) {
 		Columns: cols,
 		Rel:     storage.NewRelation(storage.NewSchema(attrs...)),
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.tables[key]; exists {
-		return nil, fmt.Errorf("catalog: table %q already exists", name)
+	err := c.commit(func(next *Snapshot) error {
+		if err := next.taken(name); err != nil {
+			return err
+		}
+		t.Version = next.version
+		next.tables = with(next.tables, key, t)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	c.tables[key] = t
-	c.version++
-	t.Version = c.version
 	return t, nil
 }
 
 // Drop removes a table. Snapshots pinned before the drop keep resolving
 // the old version.
 func (c *Catalog) Drop(name string) error {
-	key := strings.ToLower(name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[key]; !ok {
-		return fmt.Errorf("catalog: no table %q", name)
-	}
-	delete(c.tables, key)
-	c.version++
-	return nil
+	return c.commit(func(next *Snapshot) error {
+		if _, err := next.Lookup(name); err != nil {
+			return err
+		}
+		next.tables = with(next.tables, strings.ToLower(name), nil)
+		return nil
+	})
 }
 
-// Lookup returns the latest committed version of the table, or an error
-// naming it.
-func (c *Catalog) Lookup(name string) (*Table, error) {
-	c.mu.RLock()
-	t, ok := c.tables[strings.ToLower(name)]
-	c.mu.RUnlock()
-	if ok {
-		return t, nil
-	}
-	return nil, fmt.Errorf("catalog: no table %q", name)
+// CreateView defines a view (see NewView) under a name no table or view
+// has yet.
+func (c *Catalog) CreateView(v *View) error {
+	return c.commit(func(next *Snapshot) error {
+		if err := next.taken(v.Name); err != nil {
+			return err
+		}
+		next.views = with(next.views, v.Name, v)
+		return nil
+	})
 }
 
-// Names returns the defined table names, sorted.
-func (c *Catalog) Names() []string {
-	c.mu.RLock()
-	out := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		out = append(out, n)
-	}
-	c.mu.RUnlock()
-	sort.Strings(out)
-	return out
+// DropView removes a view. Snapshots pinned before the drop keep
+// expanding the old definition.
+func (c *Catalog) DropView(name string) error {
+	return c.commit(func(next *Snapshot) error {
+		if _, ok := next.View(name); !ok {
+			return fmt.Errorf("catalog: no view %q", name)
+		}
+		next.views = with(next.views, strings.ToLower(name), nil)
+		return nil
+	})
 }
-
-// Version returns the commit counter: it advances on every successful
-// mutation, so two snapshots with equal versions hold identical states.
-func (c *Catalog) Version() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.version
-}
-
-// Snapshot pins the current version set: an immutable, consistent view
-// of every table as of one commit boundary. Taking a snapshot is O(#
-// tables) — it copies the name map, not any data — and never blocks
-// writers beyond the map copy itself.
-func (c *Catalog) Snapshot() *Snapshot {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	tables := make(map[string]*Table, len(c.tables))
-	for k, v := range c.tables {
-		tables[k] = v
-	}
-	return &Snapshot{tables: tables, version: c.version}
-}
-
-// Snapshot is an immutable view of a catalog as of one commit boundary.
-// It implements Reader, so planning and execution can run entirely
-// against it: concurrent DML on the live catalog swaps in new table
-// versions without disturbing the pinned ones.
-type Snapshot struct {
-	tables  map[string]*Table
-	version uint64
-}
-
-// Lookup returns the pinned version of the table.
-func (s *Snapshot) Lookup(name string) (*Table, error) {
-	if t, ok := s.tables[strings.ToLower(name)]; ok {
-		return t, nil
-	}
-	return nil, fmt.Errorf("catalog: no table %q", name)
-}
-
-// Names returns the snapshot's table names, sorted.
-func (s *Snapshot) Names() []string {
-	out := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Version identifies the commit this snapshot pinned.
-func (s *Snapshot) Version() uint64 { return s.version }
 
 // checkRow validates one row against the table's column types. NULL is
 // accepted in any column (the paper's schemas are nullable throughout).
@@ -238,14 +328,15 @@ func (t *Table) checkRow(row []types.Value) error {
 	return nil
 }
 
-// withRows builds the next version of a table: same name, columns, and
-// schema over a new tuple set, with statistics recomputed lazily on
-// first use.
-func (t *Table) withRows(tuples [][]types.Value) *Table {
+// withRows builds the next version of a table, published at the given
+// commit: same name, columns, and schema over a new tuple set, with
+// statistics recomputed lazily on first use.
+func (t *Table) withRows(tuples [][]types.Value, version uint64) *Table {
 	return &Table{
 		Name:    t.Name,
 		Columns: t.Columns,
 		Rel:     &storage.Relation{Schema: t.Rel.Schema, Tuples: tuples},
+		Version: version,
 	}
 }
 
@@ -254,23 +345,19 @@ func (t *Table) withRows(tuples [][]types.Value) *Table {
 // swapped in atomically. In-flight snapshot readers keep the previous
 // version; either all rows commit or none do.
 func (c *Catalog) InsertRows(name string, rows ...[]types.Value) error {
-	key := strings.ToLower(name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.tables[key]
-	if !ok {
-		return fmt.Errorf("catalog: no table %q", name)
-	}
-	for _, row := range rows {
-		if err := t.checkRow(row); err != nil {
+	return c.commit(func(next *Snapshot) error {
+		t, err := next.Lookup(name)
+		if err != nil {
 			return err
 		}
-	}
-	next := t.withRows(t.Rel.CloneAppend(rows...).Tuples)
-	c.version++
-	next.Version = c.version
-	c.tables[key] = next
-	return nil
+		for _, row := range rows {
+			if err := t.checkRow(row); err != nil {
+				return err
+			}
+		}
+		next.tables = with(next.tables, t.Name, t.withRows(t.Rel.CloneAppend(rows...).Tuples, next.version))
+		return nil
+	})
 }
 
 // ReplaceRows swaps in a new tuple set for the table — the commit step
@@ -278,18 +365,14 @@ func (c *Catalog) InsertRows(name string, rows ...[]types.Value) error {
 // against a consistent pre-image. The caller must not retain or mutate
 // the slice afterwards.
 func (c *Catalog) ReplaceRows(name string, tuples [][]types.Value) error {
-	key := strings.ToLower(name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.tables[key]
-	if !ok {
-		return fmt.Errorf("catalog: no table %q", name)
-	}
-	next := t.withRows(tuples)
-	c.version++
-	next.Version = c.version
-	c.tables[key] = next
-	return nil
+	return c.commit(func(next *Snapshot) error {
+		t, err := next.Lookup(name)
+		if err != nil {
+			return err
+		}
+		next.tables = with(next.tables, t.Name, t.withRows(tuples, next.version))
+		return nil
+	})
 }
 
 // Insert appends a row in place after arity and type checking. Builder

@@ -84,7 +84,7 @@ func DecodeValue(buf []byte) (types.Value, []byte, error) {
 		}
 		return types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf))), buf[8:], nil
 	case tagString:
-		n, rest, err := decodeLen(buf, "string value")
+		n, rest, err := DecodeLen(buf, "string value")
 		if err != nil {
 			return types.Value{}, nil, err
 		}
@@ -123,13 +123,17 @@ func DecodeRow(buf []byte, arity int) ([]types.Value, []byte, error) {
 	return row, buf, nil
 }
 
-func appendString(buf []byte, s string) []byte {
+// AppendString appends a length-prefixed string — the form the table
+// codec and the WAL's binary record bodies share.
+func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-func decodeString(buf []byte, what string) (string, []byte, error) {
-	n, rest, err := decodeLen(buf, what)
+// DecodeString decodes a length-prefixed string, naming what it was
+// reading when the buffer falls short.
+func DecodeString(buf []byte, what string) (string, []byte, error) {
+	n, rest, err := DecodeLen(buf, what)
 	if err != nil {
 		return "", nil, err
 	}
@@ -139,9 +143,9 @@ func decodeString(buf []byte, what string) (string, []byte, error) {
 	return string(rest[:n]), rest[n:], nil
 }
 
-// decodeLen reads a uvarint length and bounds it by the remaining
-// buffer so a corrupt length cannot drive a giant allocation.
-func decodeLen(buf []byte, what string) (int, []byte, error) {
+// DecodeLen reads a uvarint length or element count and bounds it by
+// the remaining buffer so a corrupt one cannot drive a giant allocation.
+func DecodeLen(buf []byte, what string) (int, []byte, error) {
 	u, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("catalog: bad %s length", what)
@@ -159,10 +163,10 @@ func decodeLen(buf []byte, what string) (int, []byte, error) {
 
 // AppendTable appends one immutable table version.
 func AppendTable(buf []byte, t *Table) []byte {
-	buf = appendString(buf, t.Name)
+	buf = AppendString(buf, t.Name)
 	buf = binary.AppendUvarint(buf, uint64(len(t.Columns)))
 	for _, c := range t.Columns {
-		buf = appendString(buf, c.Name)
+		buf = AppendString(buf, c.Name)
 		buf = append(buf, byte(c.Type))
 	}
 	buf = binary.AppendUvarint(buf, t.Version)
@@ -176,11 +180,11 @@ func AppendTable(buf []byte, t *Table) []byte {
 // DecodeTable decodes one table version, rebuilding its relation and
 // qualified attribute schema from the column list.
 func DecodeTable(buf []byte) (*Table, []byte, error) {
-	name, buf, err := decodeString(buf, "table name")
+	name, buf, err := DecodeString(buf, "table name")
 	if err != nil {
 		return nil, nil, err
 	}
-	ncols, buf, err := decodeLen(buf, "column count")
+	ncols, buf, err := DecodeLen(buf, "column count")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -190,7 +194,7 @@ func DecodeTable(buf []byte) (*Table, []byte, error) {
 	cols := make([]Column, ncols)
 	attrs := make([]string, ncols)
 	for i := range cols {
-		cname, rest, err := decodeString(buf, "column name")
+		cname, rest, err := DecodeString(buf, "column name")
 		if err != nil {
 			return nil, nil, err
 		}
@@ -206,7 +210,7 @@ func DecodeTable(buf []byte) (*Table, []byte, error) {
 		return nil, nil, fmt.Errorf("catalog: bad table version")
 	}
 	buf = buf[n:]
-	nrows, buf, err := decodeLen(buf, "row count")
+	nrows, buf, err := DecodeLen(buf, "row count")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -253,7 +257,7 @@ func DecodeState(buf []byte) ([]*Table, uint64, error) {
 		return nil, 0, fmt.Errorf("catalog: bad state version")
 	}
 	buf = buf[n:]
-	ntables, buf, err := decodeLen(buf, "table count")
+	ntables, buf, err := DecodeLen(buf, "table count")
 	if err != nil {
 		return nil, 0, err
 	}
@@ -283,17 +287,24 @@ func (s *Snapshot) Tables() []*Table {
 	return out
 }
 
-// Restore replaces the catalog's entire state with decoded table
-// versions and the commit counter they were published under — the
-// recovery path's first step, before WAL replay resumes normal
-// copy-on-write mutation from that counter.
-func (c *Catalog) Restore(tables []*Table, version uint64) {
-	m := make(map[string]*Table, len(tables))
+// Restore replaces the catalog's entire state — tables, views and the
+// commit counter they were published under — in one commit: recovery's
+// first step, before WAL replay resumes normal copy-on-write mutation
+// from that counter, and a replica's snapshot install, where a
+// concurrent reader pins the old state or the new, never a mix.
+func (c *Catalog) Restore(tables []*Table, views []*View, version uint64) {
+	next := &Snapshot{
+		tables:  make(map[string]*Table, len(tables)),
+		views:   make(map[string]*View, len(views)),
+		version: version,
+	}
 	for _, t := range tables {
-		m[t.Name] = t
+		next.tables[t.Name] = t
+	}
+	for _, v := range views {
+		next.views[v.Name] = v
 	}
 	c.mu.Lock()
-	c.tables = m
-	c.version = version
+	c.cur.Store(next)
 	c.mu.Unlock()
 }

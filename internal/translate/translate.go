@@ -23,24 +23,18 @@ import (
 // must be used per statement: it disambiguates repeated range-variable
 // names across blocks.
 type Translator struct {
-	cat   catalog.Reader
-	used  map[string]bool // range-variable qualifiers in use
-	views map[string]*sqlparser.SelectStmt
+	cat  catalog.Reader
+	used map[string]bool // range-variable qualifiers in use
 	// expanding guards against recursive view definitions.
 	expanding map[string]bool
 }
 
-// New returns a Translator for a catalog view (live catalog or pinned
-// snapshot).
+// New returns a Translator over one catalog state (live catalog or
+// pinned snapshot): table and view names resolve against the same
+// commit, a FROM reference to a view expanding like a derived table
+// over the view's body.
 func New(cat catalog.Reader) *Translator {
 	return &Translator{cat: cat, used: make(map[string]bool), expanding: make(map[string]bool)}
-}
-
-// WithViews registers view definitions: a FROM reference to a view name
-// expands like a derived table with the view's body.
-func (tr *Translator) WithViews(views map[string]*sqlparser.SelectStmt) *Translator {
-	tr.views = views
-	return tr
 }
 
 // rangeVar is one FROM-clause binding in a scope: a base table or a
@@ -527,27 +521,22 @@ func (tr *Translator) translateBlock(stmt *sqlparser.SelectStmt, parent *scope) 
 		tr.used[qual] = true
 		rv := &rangeVar{name: name, qual: qual}
 		viewName := ""
-		if ref.Subquery == nil && ref.Table != "" {
+		if ref.Subquery == nil {
 			// View reference? Expand it like a derived table.
-			if body, isView := tr.views[strings.ToLower(ref.Table)]; isView {
-				viewName = strings.ToLower(ref.Table)
-				if tr.expanding[viewName] {
+			if v, isView := tr.cat.View(ref.Table); isView {
+				if tr.expanding[v.Name] {
 					return nil, nil, fmt.Errorf("translate: recursive view %q", ref.Table)
 				}
-				ref.Subquery = body
+				viewName, ref.Subquery = v.Name, v.Body
+				tr.expanding[viewName] = true
 			}
 		}
 		if ref.Subquery != nil {
 			// Derived table: translate the full inner statement (no
 			// correlation into siblings — standard SQL, no LATERAL) and
 			// re-qualify its output columns under the alias.
-			if viewName != "" {
-				tr.expanding[viewName] = true
-			}
 			inner, err := tr.Translate(ref.Subquery)
-			if viewName != "" {
-				delete(tr.expanding, viewName)
-			}
+			delete(tr.expanding, viewName)
 			if err != nil {
 				return nil, nil, err
 			}

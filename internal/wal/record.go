@@ -40,7 +40,7 @@ import (
 type Kind uint8
 
 const (
-	// KindSQL is a normalized DML/DDL statement replayed through Exec.
+	// KindSQL is a DML/DDL statement, as written, replayed through Exec.
 	KindSQL Kind = 1
 	// KindInsert is a binary-encoded batch insert (table + rows),
 	// logged by the programmatic Insert path to avoid SQL round-trips.
@@ -83,7 +83,7 @@ type Record struct {
 	AppliedVersion uint64
 	// Kind selects how Body replays.
 	Kind Kind
-	// Body is the kind-specific payload (normalized SQL bytes, a binary
+	// Body is the kind-specific payload (SQL text as written, a binary
 	// row batch, generator parameters, ...). Opaque to this package.
 	Body []byte
 }

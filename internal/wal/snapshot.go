@@ -40,16 +40,17 @@ const (
 	snapSuffix  = ".ckpt"
 )
 
-// View is a named view definition carried through snapshots as its
-// original normalized CREATE VIEW statement.
+// View is a view definition as a snapshot carries it: the view's name
+// and its CREATE VIEW statement as written (the catalog rebuilds the
+// view from the text, catalog.NewView).
 type View struct {
 	Name string
 	SQL  string
 }
 
-// CheckpointState is everything a checkpoint serializes: the catalog's
-// pinned immutable table versions, its commit counter, and the view
-// definitions (which live outside the catalog).
+// CheckpointState is everything a checkpoint serializes — one catalog
+// commit: its immutable table versions, its view definitions and its
+// commit counter.
 type CheckpointState struct {
 	Tables         []*catalog.Table
 	CatalogVersion uint64
@@ -97,8 +98,12 @@ func encodeSnapshot(st CheckpointState, lastLSN uint64) []byte {
 	return out
 }
 
-// decodeSnapshot parses and verifies a snapshot file read in full.
-func decodeSnapshot(data []byte) (CheckpointState, uint64, error) {
+// DecodeSnapshot parses and verifies a complete snapshot file image,
+// returning the checkpointed state and the last LSN the snapshot
+// covers. Exported for the replication layer: a publisher ships
+// snapshot files byte-for-byte and the replica decodes them with the
+// same codec recovery uses.
+func DecodeSnapshot(data []byte) (CheckpointState, uint64, error) {
 	var st CheckpointState
 	hdr := len(snapMagic) + 8
 	if len(data) < hdr+4 {
@@ -155,15 +160,6 @@ func decodeSnapshot(data []byte) (CheckpointState, uint64, error) {
 	st.Tables = tables
 	st.CatalogVersion = version
 	return st, lastLSN, nil
-}
-
-// DecodeSnapshot parses and verifies a complete snapshot file image,
-// returning the checkpointed state and the last LSN the snapshot
-// covers. Exported for the replication layer: a publisher ships
-// snapshot files byte-for-byte and the replica decodes them with the
-// same codec recovery uses.
-func DecodeSnapshot(data []byte) (CheckpointState, uint64, error) {
-	return decodeSnapshot(data)
 }
 
 // NewestSnapshot scans dir for the snapshot file covering the highest
@@ -288,12 +284,9 @@ func syncDir(dir string) error {
 // the newest valid snapshot's contents plus the log records that must
 // replay on top of it.
 type RecoveredState struct {
-	// Tables and CatalogVersion restore the catalog to the snapshot's
-	// commit boundary (both zero-valued when no snapshot exists).
-	Tables         []*catalog.Table
-	CatalogVersion uint64
-	// Views are the snapshot's view definitions.
-	Views []View
+	// CheckpointState restores the catalog to the snapshot's commit
+	// boundary (zero-valued when no snapshot exists).
+	CheckpointState
 	// SnapshotLSN is the last record the snapshot covers (0: none).
 	SnapshotLSN uint64
 	// Records is the log tail to replay, strictly after SnapshotLSN.
@@ -339,7 +332,7 @@ func Recover(dir string) (*RecoveredState, error) {
 		if err != nil {
 			continue
 		}
-		st, lastLSN, err := decodeSnapshot(data)
+		st, lastLSN, err := DecodeSnapshot(data)
 		if err != nil {
 			// An unreadable newer snapshot falls back to an older one; if
 			// the log was already truncated past the older snapshot the
@@ -347,9 +340,7 @@ func Recover(dir string) (*RecoveredState, error) {
 			// than silently losing the gap.
 			continue
 		}
-		rs.Tables = st.Tables
-		rs.CatalogVersion = st.CatalogVersion
-		rs.Views = st.Views
+		rs.CheckpointState = st
 		rs.SnapshotLSN = lastLSN
 		break
 	}

@@ -15,6 +15,7 @@ import (
 	"disqo/internal/sqlparser"
 	"disqo/internal/stats"
 	"disqo/internal/storage"
+	"disqo/internal/translate"
 	"disqo/internal/types"
 )
 
@@ -28,7 +29,7 @@ import (
 type prepared struct {
 	// key is what the plan was built for — normalized text (also the
 	// workload-telemetry registry key), strategy, null mode, catalog
-	// version, view epoch. See planKey for when a stored plan is stale.
+	// version. See planKey for when a stored plan is stale.
 	key     cache.PlanKey
 	logical algebra.Op
 	trace   []string
@@ -45,17 +46,16 @@ type prepared struct {
 
 // planKey names what a plan is planned for, and with that states the
 // staleness rule once: a stored plan serves a query only under an equal
-// key, so it is stale as soon as the strategy, the null mode, the
-// catalog version (any DDL/DML commit) or the view epoch (any view
-// definition change) differs. The plan cache looks plans up by the
-// whole key; a Stmt compares the key of the plan it holds.
-func (db *DB) planKey(norm string, cfg queryConfig, snap *catalog.Snapshot) cache.PlanKey {
+// key, so it is stale as soon as the strategy, the null mode or the
+// catalog version (any commit: table or view, DDL or DML) differs. The
+// plan cache looks plans up by the whole key; a Stmt compares the key
+// of the plan it holds.
+func planKey(norm string, cfg queryConfig, snap *catalog.Snapshot) cache.PlanKey {
 	return cache.PlanKey{
 		SQL:            norm,
 		Strategy:       string(cfg.strategy),
 		Nulls:          cfg.Nulls.String(),
 		CatalogVersion: snap.Version(),
-		ViewEpoch:      db.viewEpoch.Load(),
 	}
 }
 
@@ -64,7 +64,7 @@ func (db *DB) planKey(norm string, cfg queryConfig, snap *catalog.Snapshot) cach
 // by LRU. hit reports that planning was skipped, which telemetry counts
 // per statement.
 func (db *DB) preparedFor(snap *catalog.Snapshot, sql string, cfg queryConfig) (pp *prepared, hit bool, err error) {
-	key := db.planKey(normalizeSQL(sql), cfg, snap)
+	key := planKey(normalizeSQL(sql), cfg, snap)
 	if db.pcache != nil {
 		if v, ok := db.pcache.Get(key); ok {
 			cacheEvent(cfg, "plan", "hit")
@@ -87,11 +87,11 @@ func (db *DB) preparedFor(snap *catalog.Snapshot, sql string, cfg queryConfig) (
 
 // planStmt is the planning pipeline: translate → optimize by strategy →
 // lower, each entered here and nowhere else, with one estimator and one
-// physical planner. Everything reads src, so planning against a
-// snapshot is immune to concurrent DML. The canonical translation comes
+// physical planner. Everything reads src — tables and views alike — so
+// planning against a snapshot is immune to concurrent DML and DDL. The canonical translation comes
 // back too; only EXPLAIN shows it.
 func (db *DB) planStmt(src catalog.Reader, stmt *sqlparser.SelectStmt, key cache.PlanKey, cfg queryConfig) (*prepared, algebra.Op, error) {
-	canonical, err := db.translatorOn(src).Translate(stmt)
+	canonical, err := translate.New(src).Translate(stmt)
 	if err != nil {
 		return nil, nil, err
 	}

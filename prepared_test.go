@@ -91,12 +91,15 @@ func TestPreparedPlanSharedUnderConcurrency(t *testing.T) {
 // prepared statement's run allocate on a Fig. 2-style statement over
 // ten-row tables with the result cache off: the parent lowered the
 // cached plan again on every execution (247 and 245 allocations); an
-// execution of the plan as stored stays under 175.
+// execution of the plan as stored stays under the budget below.
 func TestCachedPlanIsNotLoweredAgain(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation goldens are meaningless under the race detector")
 	}
-	const budget = 175
+	// 139 (plan-cache hit) and 138 (prepared) measured, + 10 %. They were
+	// 142 / 141 while Snapshot() copied the table map; that Snapshot()
+	// itself allocates nothing is pinned in internal/catalog.
+	const budget = 152
 	const sql = `SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2) OR a4 > 1500`
 	db, _ := Open(WithResultCacheSize(-1))
 	if err := db.LoadRST(0.001, 0.001, 0.001); err != nil {

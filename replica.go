@@ -3,9 +3,7 @@ package disqo
 import (
 	"errors"
 	"fmt"
-	"strings"
 
-	"disqo/internal/sqlparser"
 	"disqo/internal/wal"
 )
 
@@ -16,9 +14,9 @@ import (
 // not own the transport (internal/server does); it owns the two
 // invariants that make replica state trustworthy:
 //
-//   - Snapshot installs are atomic: one writeMu critical section swaps
-//     in the whole catalog and view set, so a concurrent read pins
-//     either the old state or the new, never a mix.
+//   - Snapshot installs are atomic: one catalog commit swaps in every
+//     table and view, so a concurrent read pins either the old state or
+//     the new, never a mix.
 //   - Record application is gap-free: records replay through the same
 //     applyRecord path crash recovery uses (pre-image version guard
 //     included), and an LSN that is neither a duplicate nor exactly
@@ -72,42 +70,14 @@ func (db *DB) ReplicaApplySnapshot(data []byte) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("disqo: replica snapshot: %w", err)
 	}
-	// Parse views before taking any lock: a malformed definition must
-	// reject the whole snapshot, not leave a half-installed state.
-	type viewDef struct{ name, sql string }
-	views := make(map[string]*sqlparser.SelectStmt, len(st.Views))
-	viewSQL := make([]viewDef, 0, len(st.Views))
-	for _, v := range st.Views {
-		stmt, err := sqlparser.ParseStatement(v.SQL)
-		if err != nil {
-			return 0, fmt.Errorf("disqo: replica snapshot view %q does not parse: %w", v.Name, err)
-		}
-		cv, ok := stmt.(*sqlparser.CreateViewStmt)
-		if !ok {
-			return 0, fmt.Errorf("disqo: replica snapshot view %q is not a CREATE VIEW", v.Name)
-		}
-		views[strings.ToLower(v.Name)] = cv.Body
-		viewSQL = append(viewSQL, viewDef{name: strings.ToLower(v.Name), sql: v.SQL})
-	}
-
 	db.replicaMu.Lock()
 	defer db.replicaMu.Unlock()
 	db.writeMu.Lock()
-	db.cat.Restore(st.Tables, st.CatalogVersion)
-	db.viewMu.Lock()
-	db.views = views
-	vsql := make(map[string]string, len(viewSQL))
-	for _, v := range viewSQL {
-		vsql[v.name] = v.sql
-	}
-	db.viewSQL = vsql
-	db.viewMu.Unlock()
-	// Restore bumped the catalog version wholesale, which already
-	// invalidates version-keyed cache entries; the view epoch bump
-	// covers plans translated through dropped-or-redefined views.
-	db.viewEpoch.Add(1)
+	err = db.install(st)
 	db.writeMu.Unlock()
-
+	if err != nil {
+		return 0, err
+	}
 	db.replicaLSN = lsn
 	db.replicaSnaps++
 	return lsn, nil
@@ -136,9 +106,8 @@ func (db *DB) ReplicaApplyRecord(rec wal.Record) error {
 	case rec.LSN != db.replicaLSN+1:
 		return fmt.Errorf("%w: applied through LSN %d, record is %d", ErrReplicaGap, db.replicaLSN, rec.LSN)
 	}
-	// applyRecord routes through the ordinary write path (Exec and
-	// friends take writeMu themselves), so it must NOT be called with
-	// writeMu held; replicaMu alone serializes appliers.
+	// applyRecord commits through the ordinary write path, which takes
+	// writeMu itself; replicaMu alone serializes appliers.
 	if err := db.applyRecord(rec); err != nil {
 		return err
 	}

@@ -326,15 +326,15 @@ func normalizeSQL(sql string) string {
 }
 
 // resultBytes estimates a result-cache entry's footprint: per-row slice
-// headers plus a fixed charge per value, the column names, and the
-// metrics report when present.
+// headers plus a fixed charge per value (a types.Value is 32 bytes), the
+// column names, and the metrics report when present.
 func resultBytes(e *Result) int64 {
 	b := int64(256)
 	for _, c := range e.Columns {
 		b += int64(len(c)) + 16
 	}
 	if n := len(e.Rows); n > 0 {
-		b += int64(n) * (24 + int64(len(e.Rows[0]))*48)
+		b += int64(n) * (24 + int64(len(e.Rows[0]))*32)
 	}
 	if e.metrics != nil {
 		b += int64(len(e.metrics.Ops)) * 200

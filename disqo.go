@@ -701,7 +701,12 @@ var ErrMemoryLimit = exec.ErrMemoryLimit
 // Result is a query result: column names, rows, and execution counters.
 type Result struct {
 	Columns []string
-	Rows    [][]Value
+	// Rows are the result rows. They may be shared with the engine — a
+	// row can be a stored table row, or a prefix of one, and the same
+	// rows serve a later result-cache hit — and are read-only: rows are
+	// immutable once built, which is also why later writes to the tables
+	// never change them.
+	Rows [][]Value
 	// Stats counts the work performed (comparisons, tuples, subquery
 	// evaluations), letting callers compare strategies analytically.
 	Stats exec.Stats

@@ -162,11 +162,10 @@ type Acc struct {
 	isInt bool
 	first bool
 	best  types.Value // MIN/MAX running value
-	// seen is the DISTINCT set, allocated on first insertion.
-	seen map[uint64][][]types.Value
-	// order logs DISTINCT insertions in arrival order so Merge can
-	// replay them deterministically (float sums are order-sensitive).
-	order [][]types.Value
+	// seen is the DISTINCT set, allocated on first insertion. Its
+	// insertion order is the log Merge replays, so merged folds are
+	// deterministic (float sums are order-sensitive).
+	seen *types.RowIndex
 	// base, when set, is the accumulator this one overlays (Overlay): its
 	// DISTINCT set is consulted read-only before this one's own.
 	base *Acc
@@ -188,13 +187,15 @@ func NewAcc(spec Spec) *Acc {
 // can be merged into but never from.
 func Overlay(base *Acc) *Acc {
 	a := *base
-	a.seen, a.order, a.base = nil, nil, base
+	a.seen, a.base = nil, base
 	return &a
 }
 
 // Add feeds one argument tuple. Per SQL, NULL arguments are skipped for
 // every function except COUNT(*) (whose "argument" is the row itself and
-// is never NULL as a whole — a tuple of all NULLs still counts).
+// is never NULL as a whole — a tuple of all NULLs still counts). A
+// DISTINCT accumulator retains args in its set instead of copying them:
+// the caller passes an immutable row or a slice it will not write again.
 func (a *Acc) Add(args []types.Value) {
 	if !a.spec.Star {
 		if len(args) != 1 {
@@ -243,27 +244,17 @@ func (a *Acc) Add(args []types.Value) {
 	}
 }
 
+// dup reports whether args was added before, to this accumulator or the
+// one it overlays, and remembers it if not.
 func (a *Acc) dup(args []types.Value) bool {
-	h := types.HashTuple(args)
-	if a.base != nil {
-		for _, prev := range a.base.seen[h] {
-			if types.TuplesIdentical(prev, args) {
-				return true
-			}
-		}
+	if a.base != nil && a.base.seen != nil && a.base.seen.First(args, nil) >= 0 {
+		return true
 	}
-	for _, prev := range a.seen[h] {
-		if types.TuplesIdentical(prev, args) {
-			return true
-		}
-	}
-	key := append([]types.Value(nil), args...)
 	if a.seen == nil {
-		a.seen = make(map[uint64][][]types.Value)
+		a.seen = types.NewRowIndex(nil, false, 0)
 	}
-	a.seen[h] = append(a.seen[h], key)
-	a.order = append(a.order, key)
-	return false
+	_, added := a.seen.FindOrAdd(args)
+	return !added
 }
 
 // Merge folds another accumulator of the same spec into this one, as if
@@ -277,8 +268,10 @@ func (a *Acc) Merge(o *Acc) {
 		panic(fmt.Sprintf("agg: merging %s into %s", o.spec, a.spec))
 	}
 	if a.spec.Distinct {
-		for _, args := range o.order {
-			a.Add(args)
+		if o.seen != nil {
+			for e := 0; e < o.seen.Len(); e++ {
+				a.Add(o.seen.Row(int32(e)))
+			}
 		}
 		return
 	}

@@ -237,9 +237,22 @@ func (s *ScalarSubquery) String() string {
 
 // Columns implements Expr: the subquery contributes its *free* columns —
 // references its own plan does not supply — which are exactly the
-// correlation attributes.
+// correlation attributes: the plan's, and those of the aggregate's
+// argument, which is evaluated over the plan's output.
 func (s *ScalarSubquery) Columns(into []string) []string {
-	return append(into, s.free...)
+	into = append(into, s.free...)
+	if s.Arg == nil {
+		return into
+	}
+	n := len(into)
+	into = s.Arg.Columns(into)
+	free := into[:n]
+	for _, c := range into[n:] {
+		if !s.Plan.Schema().Has(c) {
+			free = append(free, c)
+		}
+	}
+	return free
 }
 
 // Quantifier enumerates the table-subquery linking operators of the

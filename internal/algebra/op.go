@@ -31,6 +31,8 @@ type unary struct{ Child Op }
 // Inputs implements Op.
 func (u unary) Inputs() []Op { return []Op{u.Child} }
 
+func (u unary) inputs() (Op, Op) { return u.Child, nil }
+
 // Schema implements Op.
 func (u unary) Schema() *storage.Schema { return u.Child.Schema() }
 
@@ -38,6 +40,8 @@ type binary struct{ L, R Op }
 
 // Inputs implements Op.
 func (b binary) Inputs() []Op { return []Op{b.L, b.R} }
+
+func (b binary) inputs() (Op, Op) { return b.L, b.R }
 
 // Schema implements Op.
 func (b binary) Schema() *storage.Schema { return b.L.Schema() }
@@ -123,6 +127,8 @@ func (s *Stream) Schema() *storage.Schema { return s.Source.Schema() }
 
 // Inputs implements Op.
 func (s *Stream) Inputs() []Op { return []Op{s.Source} }
+
+func (s *Stream) inputs() (Op, Op) { return s.Source, nil }
 
 // Label implements Op.
 func (s *Stream) Label() string {

@@ -13,6 +13,20 @@ import "fmt"
 // here, plus the layers that give it meaning (stats, physical lowering,
 // exec, vec).
 
+// EachInput calls fn for each of op's inputs, in Inputs' order, without
+// building the slice: for the traversals that run per planned statement.
+func EachInput(op Op, fn func(Op)) {
+	x, ok := op.(interface{ inputs() (Op, Op) })
+	if !ok { // Scan
+		return
+	}
+	l, r := x.inputs()
+	fn(l)
+	if r != nil {
+		fn(r)
+	}
+}
+
 // Exprs returns the expressions attached directly to an operator, in the
 // order withParts takes them back.
 func Exprs(op Op) []Expr {

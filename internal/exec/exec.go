@@ -797,7 +797,10 @@ func (ex *Executor) evalSigma(n, child physical.Node, pred algebra.Expr, vp *vec
 	return pos, neg, nil
 }
 
-// evalProject copies the projected columns out of each row, in morsels.
+// evalProject is Π, in morsels. When the projected columns are a prefix
+// of the input's, each output row is that prefix of the input row
+// itself, not a copy: rows are immutable, and the capacity is cut with
+// the length so nothing can grow into the columns behind it.
 func (ex *Executor) evalProject(p *physical.Project, env *Env) (*storage.Relation, error) {
 	in, err := ex.eval(p.Child, env)
 	if err != nil {
@@ -806,15 +809,23 @@ func (ex *Executor) evalProject(p *physical.Project, env *Env) (*storage.Relatio
 	if _, err := ex.vecEnter(p); err != nil {
 		return nil, err
 	}
+	prefix := true
+	for j, c := range p.Cols {
+		prefix = prefix && c == j
+	}
 	chunks, err := parMorsels(ex, len(in.Tuples), false,
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			out := make([][]types.Value, 0, hi-lo)
-			for _, t := range in.Tuples[lo:hi] {
+			out := make([][]types.Value, hi-lo)
+			for i, t := range in.Tuples[lo:hi] {
+				if prefix {
+					out[i] = t[:len(p.Cols):len(p.Cols)]
+					continue
+				}
 				row := make([]types.Value, len(p.Cols))
 				for j, c := range p.Cols {
 					row[j] = t[c]
 				}
-				out = append(out, row)
+				out[i] = row
 			}
 			return out, nil
 		})
@@ -834,7 +845,8 @@ func (ex *Executor) evalRename(r *physical.Rename, env *Env) (*storage.Relation,
 	return &storage.Relation{Schema: r.Schema(), Tuples: in.Tuples}, nil
 }
 
-// evalMap is χ: each row extended with the expression's value.
+// evalMap is χ: each row extended with the expression's value, or the
+// part of the two its consumer reads.
 func (ex *Executor) evalMap(m *physical.Map, env *Env) (*storage.Relation, error) {
 	in, err := ex.eval(m.Child, env)
 	if err != nil {
@@ -852,12 +864,9 @@ func (ex *Executor) evalMap(m *physical.Map, env *Env) (*storage.Relation, error
 			if err != nil {
 				return nil, err
 			}
-			out := make([][]types.Value, 0, hi-lo)
+			out := make([][]types.Value, hi-lo)
 			for i, t := range in.Tuples[lo:hi] {
-				row := make([]types.Value, 0, len(t)+1)
-				row = append(row, t...)
-				row = append(row, vals[i])
-				out = append(out, row)
+				out[i] = emitRow(m.Emit, t, vals[i:i+1])
 			}
 			return out, nil
 		})
@@ -903,22 +912,7 @@ func (ex *Executor) evalDistinct(d *physical.Distinct, env *Env) (*storage.Relat
 	if err != nil {
 		return nil, err
 	}
-	out := storage.NewRelation(in.Schema)
-	seen := make(map[uint64][][]types.Value, len(in.Tuples))
-	for _, c := range chunks {
-	next:
-		for _, t := range c {
-			h := types.HashTuple(t)
-			for _, prev := range seen[h] {
-				if types.TuplesIdentical(prev, t) {
-					continue next
-				}
-			}
-			seen[h] = append(seen[h], t)
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	return out, nil
+	return (&storage.Relation{Schema: in.Schema, Tuples: concatChunks(chunks)}).Distinct(), nil
 }
 
 func (ex *Executor) evalSort(s *physical.Sort, env *Env) (*storage.Relation, error) {
@@ -931,14 +925,10 @@ func (ex *Executor) evalSort(s *physical.Sort, env *Env) (*storage.Relation, err
 	return out, nil
 }
 
-func concat(a, b []types.Value) []types.Value {
-	row := make([]types.Value, 0, len(a)+len(b))
-	row = append(row, a...)
-	row = append(row, b...)
-	return row
-}
-
 func concatChunks(chunks [][][]types.Value) [][]types.Value {
+	if len(chunks) == 1 {
+		return chunks[0]
+	}
 	n := 0
 	for _, c := range chunks {
 		n += len(c)

@@ -13,41 +13,90 @@ import (
 type aggInputs struct {
 	items []algebra.AggItem
 	sch   *storage.Schema
+	// specs[i] is the spec item i's accumulators run: the item's, less
+	// the DISTINCT that means nothing (MIN, MAX) or that Γ applies itself
+	// (dedup).
+	specs []agg.Spec
 	// cols[i] holds the positions of a Star item's ArgAttrs; nil means
 	// the row itself serves (it is the whole * tuple, or the aggregate —
 	// a non-DISTINCT COUNT(*) — never looks at its argument).
 	cols [][]int
+	// dedup[i], for a DISTINCT item of Γ whose argument is columns of the
+	// input, holds the grouping columns followed by those: the rows
+	// distinct on them are the item's distinct (group, argument) pairs.
+	dedup [][]int
 }
 
-func newAggInputs(items []algebra.AggItem, sch *storage.Schema) (*aggInputs, error) {
-	ai := &aggInputs{items: items, sch: sch, cols: make([][]int, len(items))}
+// newAggInputs resolves items over an input of schema sch. keyCols are
+// Γ's grouping columns; the binary groupings, which accumulate per left
+// tuple rather than per input group, pass nil.
+func newAggInputs(items []algebra.AggItem, sch *storage.Schema, keyCols []int) (*aggInputs, error) {
+	ai := &aggInputs{items: items, sch: sch, specs: make([]agg.Spec, len(items)),
+		cols: make([][]int, len(items)), dedup: make([][]int, len(items))}
 	for i, item := range items {
-		if !item.Spec.Star || !item.Spec.Distinct || len(item.ArgAttrs) == 0 {
+		ai.specs[i] = item.Spec
+		if !item.Spec.Distinct {
 			continue
 		}
-		idx, err := sch.Projection(item.ArgAttrs)
-		if err != nil {
-			return nil, err
+		if item.Spec.Kind == agg.Min || item.Spec.Kind == agg.Max {
+			ai.specs[i].Distinct = false
+			continue
 		}
-		whole := len(idx) == sch.Len()
-		for j, c := range idx {
-			whole = whole && c == j
+		var arg []int // the argument as input columns, when it is that
+		switch {
+		case item.Spec.Star && len(item.ArgAttrs) > 0:
+			idx, err := sch.Projection(item.ArgAttrs)
+			if err != nil {
+				return nil, err
+			}
+			whole := len(idx) == sch.Len()
+			for j, c := range idx {
+				whole = whole && c == j
+			}
+			if !whole {
+				ai.cols[i] = idx
+			}
+			arg = idx
+		case item.Spec.Star:
+			for c := 0; c < sch.Len(); c++ {
+				arg = append(arg, c)
+			}
+		default:
+			if ref, ok := item.Arg.(*algebra.ColRef); ok && sch.Has(ref.Name) {
+				arg = []int{sch.Index(ref.Name)}
+			}
 		}
-		if !whole {
-			ai.cols[i] = idx
+		if keyCols != nil && arg != nil {
+			ai.dedup[i] = append(append([]int(nil), keyCols...), arg...)
+			ai.specs[i].Distinct = false
 		}
 	}
 	return ai, nil
 }
 
+// aggFeed feeds one morsel's input rows to accumulators: it owns the
+// frame the argument expressions see each row through and the buffer
+// their values are handed over in, so a row costs no allocation.
+type aggFeed struct {
+	*aggInputs
+	frame Env
+	one   [1]types.Value
+}
+
+func (ai *aggInputs) feed(env *Env) *aggFeed {
+	return &aggFeed{aggInputs: ai, frame: Env{parent: env, schema: ai.sch}}
+}
+
 // args evaluates item i's argument tuple for one input row: the
 // evaluated Arg expression, or for Star specs the row restricted to
-// ArgAttrs.
-func (ai *aggInputs) args(w *Executor, i int, row []types.Value, env *Env) ([]types.Value, error) {
-	item := ai.items[i]
+// ArgAttrs. A DISTINCT accumulator retains its argument, so it is
+// handed a fresh slice (or the immutable row itself); any other reads
+// the feed's buffer, valid until the next call.
+func (f *aggFeed) args(w *Executor, i int, row []types.Value) ([]types.Value, error) {
+	item := &f.items[i]
 	if item.Spec.Star {
-		idx := ai.cols[i]
-		if idx == nil {
+		idx := f.cols[i]
+		if idx == nil || !f.specs[i].Distinct {
 			return row, nil
 		}
 		out := make([]types.Value, len(idx))
@@ -56,17 +105,26 @@ func (ai *aggInputs) args(w *Executor, i int, row []types.Value, env *Env) ([]ty
 		}
 		return out, nil
 	}
-	v, err := w.EvalExpr(item.Arg, Bind(env, ai.sch, row))
+	f.frame.tuple = row
+	v, err := w.EvalExpr(item.Arg, &f.frame)
 	if err != nil {
 		return nil, err
 	}
-	return []types.Value{v}, nil
+	if f.specs[i].Distinct {
+		return []types.Value{v}, nil
+	}
+	f.one[0] = v
+	return f.one[:], nil
 }
 
-// add feeds one input row to every item's accumulator.
-func (ai *aggInputs) add(w *Executor, accs []*agg.Acc, row []types.Value, env *Env) error {
-	for i := range ai.items {
-		args, err := ai.args(w, i, row, env)
+// add feeds one input row to the accumulator of every item but those Γ
+// dedups itself (evalGroup's second pass).
+func (f *aggFeed) add(w *Executor, accs []agg.Acc, row []types.Value) error {
+	for i := range f.items {
+		if f.dedup[i] != nil {
+			continue
+		}
+		args, err := f.args(w, i, row)
 		if err != nil {
 			return err
 		}
@@ -75,42 +133,32 @@ func (ai *aggInputs) add(w *Executor, accs []*agg.Acc, row []types.Value, env *E
 	return nil
 }
 
-// group is one bucket of the hash grouping.
-type group struct {
-	key  []types.Value
-	accs []*agg.Acc
+// groupTable is a hash grouping with deterministic first-appearance
+// output order and Identical key semantics (NULL groups with NULL). A
+// group is an entry of the index — the group's first input row, keyed on
+// the grouping columns — and its accumulators sit beside it in one slab,
+// entry e's at accs[e*len(specs):].
+type groupTable struct {
+	ix    *types.RowIndex
+	specs []agg.Spec
+	accs  []agg.Acc
 }
 
-func newAccs(items []algebra.AggItem) []*agg.Acc {
-	accs := make([]*agg.Acc, len(items))
-	for i, it := range items {
-		accs[i] = agg.NewAcc(it.Spec)
+// find returns the accumulators of row's group, which row founds when
+// it is the first of it.
+func (gt *groupTable) find(row []types.Value) []agg.Acc {
+	e, added := gt.ix.FindOrAdd(row)
+	if added {
+		gt.accs = appendAccs(gt.accs, gt.specs)
+	}
+	return gt.accs[int(e)*len(gt.specs):][:len(gt.specs)]
+}
+
+func appendAccs(accs []agg.Acc, specs []agg.Spec) []agg.Acc {
+	for _, spec := range specs {
+		accs = append(accs, *agg.NewAcc(spec))
 	}
 	return accs
-}
-
-// groupTable is a hash grouping with deterministic first-appearance
-// output order and Identical key semantics (NULL groups with NULL).
-type groupTable struct {
-	buckets map[uint64][]*group
-	order   []*group
-}
-
-func newGroupTable() *groupTable {
-	return &groupTable{buckets: make(map[uint64][]*group)}
-}
-
-func (gt *groupTable) find(key []types.Value, items []algebra.AggItem) *group {
-	h := types.HashTuple(key)
-	for _, grp := range gt.buckets[h] {
-		if types.TuplesIdentical(grp.key, key) {
-			return grp
-		}
-	}
-	grp := &group{key: append([]types.Value(nil), key...), accs: newAccs(items)}
-	gt.buckets[h] = append(gt.buckets[h], grp)
-	gt.order = append(gt.order, grp)
-	return grp
 }
 
 // evalGroup implements the unary grouping operator Γ. Each morsel builds
@@ -118,26 +166,30 @@ func (gt *groupTable) find(key []types.Value, items []algebra.AggItem) *group {
 // merged discovery order equals the sequential first-appearance order
 // and aggregate folds see their inputs in the same order regardless of
 // the worker count (forceChunks pins the chunk boundaries to the input
-// size). A Global grouping emits exactly one row even on empty input —
-// the SQL scalar aggregate.
+// size). A DISTINCT aggregate over input columns has no partials worth
+// merging: one pass over the input, after the merge, feeds each group
+// the rows that are new on (grouping columns, argument columns), in
+// input order — one index for the whole operator where every group's
+// accumulator would otherwise keep a set of its own. A Global grouping
+// emits exactly one row even on empty input — the SQL scalar aggregate.
 func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, error) {
 	in, err := ex.eval(g.Child, env)
 	if err != nil {
 		return nil, err
 	}
-	ai, err := newAggInputs(g.Aggs, in.Schema)
+	ai, err := newAggInputs(g.Aggs, in.Schema, g.KeyCols)
 	if err != nil {
 		return nil, err
 	}
 	chunks, err := parMorsels(ex, len(in.Tuples), true,
 		func(w *Executor, lo, hi int) (*groupTable, error) {
-			gt := newGroupTable()
+			gt := &groupTable{ix: types.NewRowIndex(g.KeyCols, false, 0), specs: ai.specs}
+			feed := ai.feed(env)
 			for _, t := range in.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
 					return nil, err
 				}
-				grp := gt.find(keyOf(t, g.KeyCols), g.Aggs)
-				if err := ai.add(w, grp.accs, t, env); err != nil {
+				if err := feed.add(w, gt.find(t), t); err != nil {
 					return nil, err
 				}
 			}
@@ -146,40 +198,53 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 	if err != nil {
 		return nil, err
 	}
-	merged := chunks[0]
+	merged, n := chunks[0], len(g.Aggs)
 	for _, gt := range chunks[1:] {
-		for _, grp := range gt.order {
-			dst := merged.find(grp.key, g.Aggs)
-			for i := range dst.accs {
-				dst.accs[i].Merge(grp.accs[i])
+		for e := 0; e < gt.ix.Len(); e++ {
+			dst := merged.find(gt.ix.Row(int32(e)))
+			for i := range dst {
+				dst[i].Merge(&gt.accs[e*n+i])
 			}
 		}
 	}
-	if g.Global && len(merged.order) == 0 {
-		merged.find(nil, g.Aggs)
+	feed := ai.feed(env)
+	for i, cols := range ai.dedup {
+		if cols == nil {
+			continue
+		}
+		seen := types.NewRowIndex(cols, false, len(in.Tuples))
+		for _, t := range in.Tuples {
+			if err := ex.tick(); err != nil {
+				return nil, err
+			}
+			if _, added := seen.FindOrAdd(t); !added {
+				continue
+			}
+			args, err := feed.args(ex, i, t)
+			if err != nil {
+				return nil, err
+			}
+			merged.find(t)[i].Add(args)
+		}
+	}
+	if g.Global && merged.ix.Len() == 0 {
+		merged.find(nil)
 	}
 
 	out := storage.NewRelation(g.Schema())
-	out.Tuples = make([][]types.Value, 0, len(merged.order))
-	for _, grp := range merged.order {
-		row := make([]types.Value, 0, len(grp.key)+len(grp.accs))
-		row = append(row, grp.key...)
-		for _, a := range grp.accs {
-			row = append(row, a.Result())
+	out.Tuples = make([][]types.Value, merged.ix.Len())
+	for e := range out.Tuples {
+		first := merged.ix.Row(int32(e))
+		row := make([]types.Value, 0, len(g.KeyCols)+n)
+		for _, c := range g.KeyCols {
+			row = append(row, first[c])
 		}
-		out.Tuples = append(out.Tuples, row)
+		for i := 0; i < n; i++ {
+			row = append(row, merged.accs[e*n+i].Result())
+		}
+		out.Tuples[e] = row
 	}
 	return out, nil
-}
-
-// binaryGroupRow extends a left tuple with the aggregate results.
-func binaryGroupRow(lt []types.Value, accs []*agg.Acc) []types.Value {
-	row := make([]types.Value, 0, len(lt)+len(accs))
-	row = append(row, lt...)
-	for _, a := range accs {
-		row = append(row, a.Result())
-	}
-	return row
 }
 
 // evalBinaryGroup is Γ² by probing, with or without Eqv. 5's tag. Per
@@ -203,20 +268,21 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	if err != nil {
 		return nil, err
 	}
-	ai, err := newAggInputs(b.Aggs, r.Schema)
+	ai, err := newAggInputs(b.Aggs, r.Schema, nil)
 	if err != nil {
 		return nil, err
 	}
-	base := newAccs(b.Aggs)
+	base := appendAccs(nil, ai.specs)
 	neg := r
 	if b.TagCol >= 0 {
 		neg = storage.NewRelation(r.Schema)
+		feed := ai.feed(env)
 		for _, rt := range r.Tuples {
 			if err := ex.tick(); err != nil {
 				return nil, err
 			}
 			if types.TriFromValue(rt[b.TagCol]).IsTrue() {
-				if err := ai.add(ex, base, rt, env); err != nil {
+				if err := feed.add(ex, base, rt); err != nil {
 					return nil, err
 				}
 			} else {
@@ -224,10 +290,10 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 			}
 		}
 	}
-	var ht *hashTable
+	var ht *types.RowIndex
 	if len(b.LCols) > 0 {
 		ex.stats.HashJoins++
-		if ht, err = ex.buildHashTable(neg, b.RCols); err != nil {
+		if ht, err = ex.buildIndex(neg, b.RCols); err != nil {
 			return nil, err
 		}
 	} else {
@@ -236,22 +302,20 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	chunks, err := parMorsels(ex, len(l.Tuples), false,
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			out := make([][]types.Value, 0, hi-lo)
-			// Pred sees the pair through two stacked frames, rebound per
-			// tuple, instead of a concatenated row per pair.
-			lf := &Env{parent: env, schema: l.Schema}
-			rf := &Env{parent: lf, schema: r.Schema}
-			p := ht.prober(b.LCols)
-			accs := make([]*agg.Acc, len(base))
+			lf, rf := pairFrames(env, l.Schema, r.Schema)
+			feed := ai.feed(env)
+			accs := make([]agg.Acc, len(base))
+			res := make([]types.Value, len(base))
 			for _, lt := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
 					return nil, err
 				}
 				for i := range base {
-					accs[i] = agg.Overlay(base[i])
+					accs[i] = *agg.Overlay(&base[i])
 				}
 				if ht != nil {
-					for rt := p.first(lt); rt != nil; rt = p.next() {
-						if err := ai.add(w, accs, rt, env); err != nil {
+					for e := ht.First(lt, b.LCols); e >= 0; e = ht.Next(e, lt, b.LCols) {
+						if err := feed.add(w, accs, ht.Row(e)); err != nil {
 							return nil, err
 						}
 					}
@@ -271,12 +335,15 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 								continue
 							}
 						}
-						if err := ai.add(w, accs, rt, env); err != nil {
+						if err := feed.add(w, accs, rt); err != nil {
 							return nil, err
 						}
 					}
 				}
-				out = append(out, binaryGroupRow(lt, accs))
+				for i := range accs {
+					res[i] = accs[i].Result()
+				}
+				out = append(out, emitRow(b.Emit, lt, res))
 			}
 			return out, nil
 		})

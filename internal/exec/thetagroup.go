@@ -51,16 +51,20 @@ func (ex *Executor) evalBinaryGroupSorted(b *physical.BinaryGroupSort, env *Env)
 	n := len(idx)
 	prefix := make([][]types.Value, len(b.Aggs))
 	suffix := make([][]types.Value, len(b.Aggs))
-	ai, err := newAggInputs(b.Aggs, r.Schema)
+	ai, err := newAggInputs(b.Aggs, r.Schema, nil)
 	if err != nil {
 		return nil, err
 	}
+	feed := ai.feed(env)
 	for k, item := range b.Aggs {
 		args := make([][]types.Value, n)
 		for i, ridx := range idx {
-			a, err := ai.args(ex, k, r.Tuples[ridx], env)
+			a, err := feed.args(ex, k, r.Tuples[ridx])
 			if err != nil {
 				return nil, err
+			}
+			if !item.Spec.Star {
+				a = []types.Value{a[0]} // kept for both passes, past the feed's buffer
 			}
 			args[i] = a
 		}
@@ -85,12 +89,12 @@ func (ex *Executor) evalBinaryGroupSorted(b *physical.BinaryGroupSort, env *Env)
 	chunks, err := parMorsels(ex, len(l.Tuples), false,
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			out := make([][]types.Value, 0, hi-lo)
+			res := make([]types.Value, len(b.Aggs))
 			for _, lt := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
 					return nil, err
 				}
-				row := make([]types.Value, 0, len(lt)+len(b.Aggs))
-				row = append(row, lt...)
+				row := res[:0]
 				v := lt[li]
 				for k, item := range b.Aggs {
 					if v.IsNull() {
@@ -125,7 +129,7 @@ func (ex *Executor) evalBinaryGroupSorted(b *physical.BinaryGroupSort, env *Env)
 						row = append(row, prefix[k][pos])
 					}
 				}
-				out = append(out, row)
+				out = append(out, emitRow(b.Emit, lt, row))
 			}
 			return out, nil
 		})

@@ -17,8 +17,9 @@ import (
 // the physical EXPLAIN rendering of Q1 and Q2 under the strategy each
 // panel corresponds to. Where the rewrite package's goldens pin the
 // logical shapes, these pin what the lowering pass makes of them — the
-// chosen join/grouping algorithms, the fused streams, the DAG sharing
-// markers and the cardinality annotations.
+// chosen join/grouping algorithms, what each row-writing operator emits
+// ("→ [columns]") and which projections that leaves standing, the DAG
+// sharing markers and the cardinality annotations.
 
 const (
 	goldenQ1 = `SELECT DISTINCT * FROM r
@@ -77,13 +78,13 @@ func physGolden(t *testing.T, cat *catalog.Catalog, sql string, caps *rewrite.Ca
 
 // Fig. 2(a): the canonical plan — one filter carrying the disjunction,
 // the nested subquery evaluated per tuple (its plan is pre-lowered by
-// the planner but only surfaces in the filter's label).
+// the planner but only surfaces in the filter's label). SELECT *'s
+// projection is the identity on the filter's rows and is gone.
 func TestGoldenPhysicalFig2aQ1Canonical(t *testing.T) {
 	physGolden(t, emptyRST(t), goldenQ1, nil, `
 Distinct  (est 0 rows)
-  Project[r.a1, r.a2, r.a3, r.a4]  (est 0 rows)
-    Filter[((r.a1 = COUNT(DISTINCT *){σ[(r.a2 = s.b2)](scan(s))}) OR (r.a4 > 1500))]  (est 0 rows)
-      Scan(r)  (est 0 rows)
+  Filter[((r.a1 = COUNT(DISTINCT *){σ[(r.a2 = s.b2)](scan(s))}) OR (r.a4 > 1500))]  (est 0 rows)
+    Scan(r)  (est 0 rows)
 `)
 }
 
@@ -98,7 +99,9 @@ func TestGoldenPhysicalFig2bQ1BypassCaps(t *testing.T) {
 // disjunct ranks first, so the bypass selection tests r.a4 > 1500 and
 // only the negative stream pays for the unnested subquery — Eqv. 2's
 // ordering. The outerjoin and unary grouping both hash (equality keys),
-// and the σ± node is shared between the two streams (#1 marker).
+// the outerjoin emits what Eqv. 1's projection kept (the grouping key
+// s.b2 is never written), the projection over the filter is a prefix of
+// its rows, and the σ± node is shared between the two streams (#1 marker).
 func TestGoldenPhysicalFig2cQ1Unnested(t *testing.T) {
 	all := rewrite.AllCaps()
 	physGolden(t, emptyRST(t), goldenQ1, &all, goldenPhysicalQ1Unnested)
@@ -106,19 +109,17 @@ func TestGoldenPhysicalFig2cQ1Unnested(t *testing.T) {
 
 const goldenPhysicalQ1Unnested = `
 Distinct  (est 0 rows)
-  Project[r.a1, r.a2, r.a3, r.a4]  (est 0 rows)
-    UnionDisjoint  (est 0 rows)
-      Stream+  (est 0 rows)
-        #1 Filter±[(r.a4 > 1500)]  (est 0 rows)
-          Scan(r)  (est 0 rows)
-      Project[r.a1, r.a2, r.a3, r.a4]  (est 0 rows)
-        Filter[(r.a1 = g1)]  (est 0 rows)
-          Project[r.a1, r.a2, r.a3, r.a4, g1]  (est 0 rows)
-            HashOuterJoin[r.a2=s.b2]  (est 0 rows)
-              Stream-  (est 0 rows)
-                ↑ see #1 Filter±[(r.a4 > 1500)]
-              HashGroup[[s.b2]][g1:COUNT(DISTINCT *)]  (est 1 rows)
-                Scan(s)  (est 0 rows)
+  UnionDisjoint  (est 0 rows)
+    Stream+  (est 0 rows)
+      #1 Filter±[(r.a4 > 1500)]  (est 0 rows)
+        Scan(r)  (est 0 rows)
+    Project[r.a1, r.a2, r.a3, r.a4]  (est 0 rows)
+      Filter[(r.a1 = g1)]  (est 0 rows)
+        HashOuterJoin[r.a2=s.b2] → [r.a1, r.a2, r.a3, r.a4, g1] (5 of 6 cols)  (est 0 rows)
+          Stream-  (est 0 rows)
+            ↑ see #1 Filter±[(r.a4 > 1500)]
+          HashGroup[[s.b2]][g1:COUNT(DISTINCT *)]  (est 1 rows)
+            Scan(s)  (est 0 rows)
 `
 
 // Fig. 2(d): the same query under statistics that make r.a4 > 1500
@@ -148,20 +149,18 @@ func TestGoldenPhysicalFig2dQ1SubqueryFirst(t *testing.T) {
 	all := rewrite.AllCaps()
 	physGolden(t, cat, goldenQ1, &all, `
 Distinct  (est 4 rows)
-  Project[r.a1, r.a2, r.a3, r.a4]  (est 4 rows)
-    UnionDisjoint  (est 4 rows)
-      Project[r.a1, r.a2, r.a3, r.a4]  (est 1 rows)
-        Stream+  (est 1 rows)
-          #1 Filter±[(r.a1 = g1)]  (est 4 rows)
-            Project[r.a1, r.a2, r.a3, r.a4, g1]  (est 4 rows)
-              HashOuterJoin[r.a2=s.b2]  (est 4 rows)
-                Scan(r)  (est 4 rows)
-                HashGroup[[s.b2]][g1:COUNT(DISTINCT *)]  (est 4 rows)
-                  Scan(s)  (est 4 rows)
-      Project[r.a1, r.a2, r.a3, r.a4]  (est 3 rows)
-        Filter[(r.a4 > 1500)]  (est 3 rows)
-          Stream-  (est 3 rows)
-            ↑ see #1 Filter±[(r.a1 = g1)]
+  UnionDisjoint  (est 4 rows)
+    Project[r.a1, r.a2, r.a3, r.a4]  (est 1 rows)
+      Stream+  (est 1 rows)
+        #1 Filter±[(r.a1 = g1)]  (est 4 rows)
+          HashOuterJoin[r.a2=s.b2] → [r.a1, r.a2, r.a3, r.a4, g1] (5 of 6 cols)  (est 4 rows)
+            Scan(r)  (est 4 rows)
+            HashGroup[[s.b2]][g1:COUNT(DISTINCT *)]  (est 4 rows)
+              Scan(s)  (est 4 rows)
+    Project[r.a1, r.a2, r.a3, r.a4]  (est 3 rows)
+      Filter[(r.a4 > 1500)]  (est 3 rows)
+        Stream-  (est 3 rows)
+          ↑ see #1 Filter±[(r.a1 = g1)]
 `)
 }
 
@@ -170,30 +169,28 @@ Distinct  (est 4 rows)
 func TestGoldenPhysicalFig3aQ2Canonical(t *testing.T) {
 	physGolden(t, emptyRST(t), goldenQ2, nil, `
 Distinct  (est 0 rows)
-  Project[r.a1, r.a2, r.a3, r.a4]  (est 0 rows)
-    Filter[(r.a1 = COUNT(*){σ[((r.a2 = s.b2) OR (s.b4 > 1500))](scan(s))})]  (est 0 rows)
-      Scan(r)  (est 0 rows)
+  Filter[(r.a1 = COUNT(*){σ[((r.a2 = s.b2) OR (s.b4 > 1500))](scan(s))})]  (est 0 rows)
+    Scan(r)  (est 0 rows)
 `)
 }
 
 // Fig. 3(b): Q2 unnested via Eqv. 4 — the correlated conjunct grouped
 // and outerjoined (both hash), the uncorrelated disjunct reduced to a
-// +stream subquery combined per tuple by the χ (Map) operator. The
-// grouping consumes the bypass filter's negative stream.
+// +stream subquery combined per tuple by the χ (Map) operator, which
+// writes g2 in g1's place. The grouping consumes the bypass filter's
+// negative stream.
 func TestGoldenPhysicalFig3bQ2Unnested(t *testing.T) {
 	all := rewrite.AllCaps()
 	physGolden(t, emptyRST(t), goldenQ2, &all, `
 Distinct  (est 0 rows)
   Project[r.a1, r.a2, r.a3, r.a4]  (est 0 rows)
-    Project[r.a1, r.a2, r.a3, r.a4]  (est 0 rows)
-      Filter[(r.a1 = g2)]  (est 0 rows)
-        Map[g2:count_O(g1, COUNT(*){+stream(σ±[(s.b4 > 1500)](scan(s)))})]  (est 0 rows)
-          Project[r.a1, r.a2, r.a3, r.a4, g1]  (est 0 rows)
-            HashOuterJoin[r.a2=s.b2]  (est 0 rows)
-              Scan(r)  (est 0 rows)
-              HashGroup[[s.b2]][g1:COUNT(*)]  (est 1 rows)
-                Stream-  (est 0 rows)
-                  Filter±[(s.b4 > 1500)]  (est 0 rows)
-                    Scan(s)  (est 0 rows)
+    Filter[(r.a1 = g2)]  (est 0 rows)
+      Map[g2:count_O(g1, COUNT(*){+stream(σ±[(s.b4 > 1500)](scan(s)))})] → [r.a1, r.a2, r.a3, r.a4, g2] (5 of 6 cols)  (est 0 rows)
+        HashOuterJoin[r.a2=s.b2] → [r.a1, r.a2, r.a3, r.a4, g1] (5 of 6 cols)  (est 0 rows)
+          Scan(r)  (est 0 rows)
+          HashGroup[[s.b2]][g1:COUNT(*)]  (est 1 rows)
+            Stream-  (est 0 rows)
+              Filter±[(s.b4 > 1500)]  (est 0 rows)
+                Scan(s)  (est 0 rows)
 `)
 }

@@ -33,22 +33,51 @@ import (
 // of tuples, and stable choices keep golden plans byte-stable. The
 // estimator supplies every node's cardinality annotation, which is what
 // makes each choice auditable in EXPLAIN.
+//
+// Lowering runs top-down with the set of columns the consumer reads
+// (colSet): Π reads those of its attributes that are read, σ and χ add
+// their expression's columns (a nested block's free attributes among
+// them), Γ reads its keys and aggregate arguments, a join its keys and
+// residual. The operators that write their own rows — joins, χ, Γ² —
+// emit just those columns (their Emit list), in the order of a Π
+// directly above, which then dissolves, as does any Π whose input
+// already has its schema. Everything else passes rows through and keeps
+// its input's schema; DISTINCT, ∪ and Sort read what they are given, and
+// an operator with more than one consumer — σ± under its two streams, a
+// block an expression embeds twice — is left whole. A node's Schema is
+// therefore a part of its logical operator's, holding at least the
+// columns asked for, and exactly the logical schema when all were.
 type Planner struct {
-	est  *stats.Estimator
-	memo map[algebra.Op]Node
+	est *stats.Estimator
+	// memo has an entry for every operator Lower has been shown: whether
+	// more than one consumer reads it and, once it has been lowered
+	// whole, the node — what a shared operator's second consumer finds.
+	// A pruned lowering has one consumer and is not kept.
+	memo map[algebra.Op]lowered
+	// mark is markShared as a value, made once.
+	mark func(algebra.Op)
 	// blocks are the memo's entries for the roots of nested query blocks:
 	// what evaluation looks up, and all a Plan keeps of the memo.
 	blocks map[algebra.Op]Node
+	nodes  int
+	names  []string // scratch for reads
+}
+
+type lowered struct {
+	node   Node
+	shared bool
 }
 
 // NewPlanner returns a planner costing with the given estimator.
 func NewPlanner(est *stats.Estimator) *Planner {
-	return &Planner{est: est, memo: make(map[algebra.Op]Node)}
+	p := &Planner{est: est, memo: make(map[algebra.Op]lowered)}
+	p.mark = p.markShared
+	return p
 }
 
 // NodeCount returns how many physical nodes this planner has created;
 // node IDs are dense in [0, NodeCount), so it sizes metric slices.
-func (p *Planner) NodeCount() int { return len(p.memo) }
+func (p *Planner) NodeCount() int { return p.nodes }
 
 // Plan is a lowered query: the root's physical node and, reachable from
 // it, the node of every operator, nested query blocks included. Block
@@ -80,29 +109,158 @@ func (p *Planner) Plan(op algebra.Op) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := &Plan{Root: root, blocks: p.blocks, nodes: len(p.memo)}
+	pl := &Plan{Root: root, blocks: p.blocks, nodes: p.nodes}
 	p.memo, p.blocks = nil, nil
 	return pl, nil
 }
 
-// Lower produces the physical plan for a logical operator (memoized).
+// colSet is a set of column positions in one schema: bit i for column
+// i, allCols for every column. A schema wider than 64 columns has no
+// other set, so an operator that wide is never pruned.
+type colSet uint64
+
+const allCols = ^colSet(0)
+
+func (s colSet) has(i int) bool { return s == allCols || s>>uint(i)&1 != 0 }
+
+func (s colSet) with(i int) colSet {
+	if i >= 64 {
+		return allCols
+	}
+	return s | 1<<uint(i)
+}
+
+// without removes column i, the last of the schema s is over; every
+// column of the schema stays every column of the shorter one.
+func (s colSet) without(i int) colSet {
+	if s == allCols {
+		return s
+	}
+	return s &^ (1 << uint(i))
+}
+
+// of normalizes s over a schema of n columns: allCols when it holds
+// them all.
+func (s colSet) of(n int) colSet {
+	if full := colSet(1)<<uint(n) - 1; n > 64 || s&full == full {
+		return allCols
+	}
+	return s
+}
+
+// split divides s over a schema l ◦ r into its parts over l (of n
+// columns) and r.
+func (s colSet) split(n int) (l, r colSet) {
+	if s == allCols {
+		return s, s
+	}
+	return s & (1<<uint(n) - 1), s >> uint(n)
+}
+
+// addNames adds the named columns of sch; names it does not hold — outer
+// references — resolve elsewhere.
+func addNames(s colSet, sch *storage.Schema, names []string) colSet {
+	for _, n := range names {
+		if i := sch.Index(n); i >= 0 {
+			s = s.with(i)
+		}
+	}
+	return s
+}
+
+// reads adds the columns of sch that e references, the free attributes
+// of the blocks nested in it included.
+func (p *Planner) reads(s colSet, sch *storage.Schema, e algebra.Expr) colSet {
+	if e == nil || s == allCols {
+		return s
+	}
+	p.names = e.Columns(p.names[:0])
+	return addNames(s, sch, p.names)
+}
+
+// aggReads adds what the aggregates read of an input over sch: their
+// argument's columns, or for DISTINCT * the attributes forming the *
+// tuple (all of them when none are named). A plain COUNT(*) reads none.
+func (p *Planner) aggReads(s colSet, sch *storage.Schema, aggs []algebra.AggItem) colSet {
+	for _, a := range aggs {
+		switch {
+		case a.Arg != nil:
+			s = p.reads(s, sch, a.Arg)
+		case a.Spec.Distinct && len(a.ArgAttrs) == 0:
+			return allCols
+		case a.Spec.Distinct:
+			s = addNames(s, sch, a.ArgAttrs)
+		}
+	}
+	return s
+}
+
+// Lower produces the physical plan for a logical operator, every column
+// of its schema included (memoized).
 func (p *Planner) Lower(op algebra.Op) (Node, error) {
-	if n, ok := p.memo[op]; ok {
+	if n := p.memo[op].node; n != nil {
 		return n, nil
 	}
-	n, err := p.lower(op)
+	p.markShared(op)
+	return p.whole(op)
+}
+
+// markShared enters the operators below op, nested blocks included, in
+// the memo and finds those that more than one consumer reads.
+func (p *Planner) markShared(op algebra.Op) {
+	if e, seen := p.memo[op]; seen {
+		if !e.shared {
+			p.memo[op] = lowered{node: e.node, shared: true}
+		}
+		return
+	}
+	p.memo[op] = lowered{}
+	for _, sub := range algebra.NestedPlans(op) {
+		p.markShared(sub)
+	}
+	algebra.EachInput(op, p.mark)
+}
+
+// whole lowers op with every column of its schema.
+func (p *Planner) whole(op algebra.Op) (Node, error) { return p.lowerFor(op, allCols, nil) }
+
+// lowerFor lowers op for a consumer that reads the columns need of its
+// schema; order, from a Π directly above, is the schema that consumer
+// would have the rows in, which the operators that write their own rows
+// honour.
+func (p *Planner) lowerFor(op algebra.Op, need colSet, order *storage.Schema) (Node, error) {
+	need = need.of(op.Schema().Len())
+	switch op.(type) {
+	case *algebra.Join, *algebra.CrossProduct, *algebra.LeftOuterJoin, *algebra.MapOp, *algebra.BinaryGroup:
+	default:
+		order = nil
+	}
+	e := p.memo[op]
+	if e.node != nil {
+		return e.node, nil // lowered whole before: it serves every consumer
+	}
+	if e.shared {
+		need, order = allCols, nil
+	}
+	n, err := p.lower(op, need, order)
 	if err != nil {
 		return nil, err
+	}
+	if need == allCols && order == nil {
+		p.memo[op] = lowered{node: n, shared: e.shared}
+	}
+	if n.ID() >= 0 {
+		return n, nil // a Π dissolved into its input
 	}
 	// Path selection: compile columnar programs for nodes the
 	// vectorized path can run (see vectorize.go).
 	p.vectorize(n)
-	n.setID(len(p.memo))
-	p.memo[op] = n
+	n.setID(p.nodes)
+	p.nodes++
 	// Pre-lower nested query blocks referenced by this operator's
 	// expressions (scalar/quantified subqueries and their arguments).
 	for _, sub := range algebra.NestedPlans(op) {
-		b, err := p.Lower(sub)
+		b, err := p.whole(sub)
 		if err != nil {
 			return nil, err
 		}
@@ -114,106 +272,124 @@ func (p *Planner) Lower(op algebra.Op) (Node, error) {
 	return n, nil
 }
 
-func (p *Planner) lower(op algebra.Op) (Node, error) {
-	b := base{logical: op, est: p.est.Cardinality(op)}
+func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node, error) {
+	b := base{logical: op, sch: op.Schema(), est: p.est.Cardinality(op), id: -1}
 	switch x := op.(type) {
 	case *algebra.Scan:
 		return &Scan{base: b, Table: x.Table}, nil
 
 	case *algebra.Select:
-		child, err := p.Lower(x.Child)
+		child, err := p.lowerFor(x.Child, p.reads(need, x.Child.Schema(), x.Pred), nil)
 		if err != nil {
 			return nil, err
 		}
+		b.sch = child.Schema()
 		return &Filter{base: b, Child: child, Pred: x.Pred}, nil
 
 	case *algebra.BypassSelect:
-		child, err := p.Lower(x.Child)
+		child, err := p.lowerFor(x.Child, p.reads(need, x.Child.Schema(), x.Pred), nil)
 		if err != nil {
 			return nil, err
 		}
+		b.sch = child.Schema()
 		return &BypassFilter{base: b, Child: child, Pred: x.Pred}, nil
 
 	case *algebra.Stream:
-		src, err := p.Lower(x.Source)
+		src, err := p.lowerFor(x.Source, need, nil)
 		if err != nil {
 			return nil, err
 		}
 		if _, ok := src.(*BypassFilter); !ok {
 			return nil, fmt.Errorf("physical: Stream over non-bypass operator %T", x.Source)
 		}
+		b.sch = src.Schema()
 		return &Stream{base: b, Source: src, Positive: x.Positive}, nil
 
 	case *algebra.Project:
-		child, err := p.Lower(x.Child)
+		attrs := x.Attrs
+		if need != allCols { // a Π read in part is the Π onto that part
+			attrs = make([]string, 0, len(x.Attrs))
+			for i, a := range x.Attrs {
+				if need.has(i) {
+					attrs = append(attrs, a)
+				}
+			}
+			b.sch = storage.NewSchema(attrs...)
+		}
+		child, err := p.lowerFor(x.Child, addNames(0, x.Child.Schema(), attrs), b.sch)
 		if err != nil {
 			return nil, err
 		}
-		cols, err := x.Child.Schema().Projection(x.Attrs)
+		if child.Schema().Equal(b.sch) {
+			return child, nil
+		}
+		cols, err := child.Schema().Projection(attrs)
 		if err != nil {
 			return nil, err
 		}
 		return &Project{base: b, Child: child, Cols: cols}, nil
 
 	case *algebra.Rename:
-		child, err := p.Lower(x.Child)
+		child, err := p.whole(x.Child)
 		if err != nil {
 			return nil, err
 		}
 		return &Rename{base: b, Child: child}, nil
 
 	case *algebra.MapOp:
-		child, err := p.Lower(x.Child)
+		cs := x.Child.Schema()
+		child, err := p.lowerFor(x.Child, p.reads(need.without(cs.Len()), cs, x.Expr), nil)
 		if err != nil {
 			return nil, err
 		}
-		return &Map{base: b, Child: child, Attr: x.Attr, Expr: x.Expr}, nil
+		m := &Map{base: b, Child: child, Attr: x.Attr, Expr: x.Expr}
+		m.Emit, err = m.emit(child.Schema(), nil, 1, need, order)
+		return m, err
 
 	case *algebra.CrossProduct:
-		l, r, err := p.lower2(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &NLJoin{base: b, L: l, R: r, Mode: JoinInner}, nil
+		return p.lowerJoin(b, x.L, x.R, nil, JoinInner, need, order)
 
 	case *algebra.Join:
-		return p.lowerJoin(b, x.L, x.R, x.Pred, JoinInner)
+		return p.lowerJoin(b, x.L, x.R, x.Pred, JoinInner, need, order)
 
 	case *algebra.SemiJoin:
-		return p.lowerJoin(b, x.L, x.R, x.Pred, JoinSemi)
+		return p.lowerJoin(b, x.L, x.R, x.Pred, JoinSemi, need, nil)
 
 	case *algebra.AntiJoin:
-		return p.lowerJoin(b, x.L, x.R, x.Pred, JoinAnti)
+		return p.lowerJoin(b, x.L, x.R, x.Pred, JoinAnti, need, nil)
 
 	case *algebra.LeftOuterJoin:
-		l, r, err := p.lower2(x.L, x.R)
+		ln, rn := need.split(x.L.Schema().Len())
+		l, r, err := p.lowerPair(x.L, x.R, x.Pred, ln, rn)
 		if err != nil {
 			return nil, err
 		}
-		pad := make([]types.Value, x.R.Schema().Len())
+		pad := make([]types.Value, r.Schema().Len())
 		for _, d := range x.Defaults {
-			if i := x.R.Schema().Index(d.Attr); i >= 0 {
+			if i := r.Schema().Index(d.Attr); i >= 0 {
 				pad[i] = d.Val
 			}
 		}
 		j := &OuterJoin{base: b, L: l, R: r, Pred: x.Pred, Pad: pad}
-		keys, residual := splitEquiJoin(x.Pred, x.L.Schema(), x.R.Schema())
+		keys, residual := splitEquiJoin(x.Pred, l.Schema(), r.Schema())
 		if len(keys) > 0 {
 			j.Hash = true
 			j.LCols, j.RCols = keyCols(keys)
 			j.Residual = andOrNil(residual)
 		}
-		return j, nil
+		j.Emit, err = j.emit(l.Schema(), r.Schema(), 0, need, order)
+		return j, err
 
 	case *algebra.GroupBy:
-		child, err := p.Lower(x.Child)
-		if err != nil {
-			return nil, err
-		}
 		if len(x.Attrs) == 0 && !x.Global {
 			return nil, fmt.Errorf("physical: grouping without attributes requires Global")
 		}
-		keyCols, err := x.Child.Schema().Projection(x.Attrs)
+		cs := x.Child.Schema()
+		child, err := p.lowerFor(x.Child, p.aggReads(addNames(0, cs, x.Attrs), cs, x.Aggs), nil)
+		if err != nil {
+			return nil, err
+		}
+		keyCols, err := child.Schema().Projection(x.Attrs)
 		if err != nil {
 			return nil, err
 		}
@@ -221,23 +397,37 @@ func (p *Planner) lower(op algebra.Op) (Node, error) {
 			Aggs: x.Aggs, Global: x.Global}, nil
 
 	case *algebra.BinaryGroup:
-		l, r, err := p.lower2(x.L, x.R)
+		ls, rs := x.L.Schema(), x.R.Schema()
+		ln, _ := need.split(ls.Len())
+		l, err := p.lowerFor(x.L, p.reads(ln, ls, x.Pred), nil)
+		if err != nil {
+			return nil, err
+		}
+		rn := p.aggReads(p.reads(0, rs, x.Pred), rs, x.Aggs)
+		if i := rs.Index(x.Tag); i >= 0 {
+			rn = rn.with(i)
+		}
+		r, err := p.lowerFor(x.R, rn, nil)
 		if err != nil {
 			return nil, err
 		}
 		tagCol := -1
 		if x.Tag != "" {
-			if tagCol = x.R.Schema().Index(x.Tag); tagCol < 0 {
+			if tagCol = r.Schema().Index(x.Tag); tagCol < 0 {
 				return nil, fmt.Errorf("physical: tag %q not in %s", x.Tag, x.R.Schema())
 			}
 		}
-		bg := &BinaryGroup{base: b, L: l, R: r, Pred: x.Pred, TagCol: tagCol, Aggs: x.Aggs}
-		if keys, residual := splitEquiJoin(x.Pred, x.L.Schema(), x.R.Schema()); len(keys) > 0 && len(residual) == 0 {
+		emit, err := b.emit(l.Schema(), nil, len(x.Aggs), need, order)
+		if err != nil {
+			return nil, err
+		}
+		bg := &BinaryGroup{base: b, L: l, R: r, Pred: x.Pred, TagCol: tagCol, Aggs: x.Aggs, Emit: emit}
+		if keys, residual := splitEquiJoin(x.Pred, l.Schema(), r.Schema()); len(keys) > 0 && len(residual) == 0 {
 			bg.LCols, bg.RCols = keyCols(keys)
 		} else if lcol, rcol, cop, ok := thetaGroupable(x); ok && tagCol < 0 {
 			return &BinaryGroupSort{base: b, L: l, R: r,
-				LIdx: x.L.Schema().Index(lcol), RIdx: x.R.Schema().Index(rcol),
-				Op: cop, Aggs: x.Aggs}, nil
+				LIdx: l.Schema().Index(lcol), RIdx: r.Schema().Index(rcol),
+				Op: cop, Aggs: x.Aggs, Emit: emit}, nil
 		}
 		return bg, nil
 
@@ -256,14 +446,14 @@ func (p *Planner) lower(op algebra.Op) (Node, error) {
 		return &Union{base: b, L: l, R: r}, nil
 
 	case *algebra.Distinct:
-		child, err := p.Lower(x.Child)
+		child, err := p.whole(x.Child)
 		if err != nil {
 			return nil, err
 		}
 		return &Distinct{base: b, Child: child}, nil
 
 	case *algebra.Sort:
-		child, err := p.Lower(x.Child)
+		child, err := p.whole(x.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +470,7 @@ func (p *Planner) lower(op algebra.Op) (Node, error) {
 		return &Sort{base: b, Child: child, Cols: cols, Desc: desc}, nil
 
 	case *algebra.Limit:
-		child, err := p.Lower(x.Child)
+		child, err := p.whole(x.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -292,31 +482,108 @@ func (p *Planner) lower(op algebra.Op) (Node, error) {
 }
 
 func (p *Planner) lower2(l, r algebra.Op) (Node, Node, error) {
-	ln, err := p.Lower(l)
+	ln, err := p.whole(l)
 	if err != nil {
 		return nil, nil, err
 	}
-	rn, err := p.Lower(r)
+	rn, err := p.whole(r)
 	if err != nil {
 		return nil, nil, err
 	}
 	return ln, rn, nil
 }
 
+// lowerPair lowers the inputs of a join: each side for the columns its
+// consumer reads of it (ln, rn) and its columns in pred.
+func (p *Planner) lowerPair(lop, rop algebra.Op, pred algebra.Expr, ln, rn colSet) (Node, Node, error) {
+	l, err := p.lowerFor(lop, p.reads(ln, lop.Schema(), pred), nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := p.lowerFor(rop, p.reads(rn, rop.Schema(), pred), nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return l, r, nil
+}
+
 // lowerJoin picks the join algorithm: hash on equality conjuncts when
-// any exist, nested loops otherwise.
-func (p *Planner) lowerJoin(b base, lop, rop algebra.Op, pred algebra.Expr, mode JoinMode) (Node, error) {
-	l, r, err := p.lower2(lop, rop)
+// any exist, nested loops otherwise. A semi or anti join passes left
+// rows through, so its consumer's columns are all the left input's and
+// the right input is read for the predicate alone.
+func (p *Planner) lowerJoin(b base, lop, rop algebra.Op, pred algebra.Expr, mode JoinMode, need colSet, order *storage.Schema) (Node, error) {
+	ln, rn := need, colSet(0)
+	if mode == JoinInner {
+		ln, rn = need.split(lop.Schema().Len())
+	}
+	l, r, err := p.lowerPair(lop, rop, pred, ln, rn)
 	if err != nil {
 		return nil, err
 	}
-	keys, residual := splitEquiJoin(pred, lop.Schema(), rop.Schema())
+	var emit []int
+	if mode != JoinInner {
+		b.sch = l.Schema()
+	} else if emit, err = b.emit(l.Schema(), r.Schema(), 0, need, order); err != nil {
+		return nil, err
+	}
+	keys, residual := splitEquiJoin(pred, l.Schema(), r.Schema())
 	if len(keys) > 0 {
 		lc, rc := keyCols(keys)
 		return &HashJoin{base: b, L: l, R: r, Mode: mode,
-			LCols: lc, RCols: rc, Residual: andOrNil(residual)}, nil
+			LCols: lc, RCols: rc, Residual: andOrNil(residual), Emit: emit}, nil
 	}
-	return &NLJoin{base: b, L: l, R: r, Mode: mode, Pred: pred}, nil
+	return &NLJoin{base: b, L: l, R: r, Mode: mode, Pred: pred, Emit: emit}, nil
+}
+
+// emit decides what an operator that writes its own rows emits, and so
+// its schema: the rows are assembled from an l row followed by an r row
+// or, when r is nil, by the extra columns the operator computes (the
+// last extra of its logical schema). With every column read and no order
+// asked for that is all of them, as they come: a nil list and the logical
+// schema. Otherwise it is the columns of order or, in logical order,
+// those of need, each resolved to its position in l ◦ r.
+func (b *base) emit(l, r *storage.Schema, extra int, need colSet, order *storage.Schema) ([]int, error) {
+	logical := b.logical.Schema()
+	switch {
+	case order != nil:
+		b.sch = order
+	case need == allCols:
+		return nil, nil
+	default:
+		names := make([]string, 0, logical.Len())
+		for i, a := range logical.Attrs() {
+			if need.has(i) {
+				names = append(names, a)
+			}
+		}
+		b.sch = storage.NewSchema(names...)
+	}
+	in := l.Len() + extra
+	if r != nil {
+		in += r.Len()
+	}
+	emit := make([]int, b.sch.Len())
+	identity := len(emit) == in
+	for i, a := range b.sch.Attrs() {
+		c := l.Index(a)
+		if c < 0 {
+			if r != nil {
+				c = r.Index(a)
+			} else {
+				c = logical.Index(a) - (logical.Len() - extra)
+			}
+			if c < 0 {
+				return nil, fmt.Errorf("physical: %s emits %q, which its inputs %s do not carry", b.logical.Label(), a, l)
+			}
+			c += l.Len()
+		}
+		emit[i] = c
+		identity = identity && c == i
+	}
+	if identity {
+		return nil, nil
+	}
+	return emit, nil
 }
 
 // equiKey is one equality conjunct usable for hashing: positions of the

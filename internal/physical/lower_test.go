@@ -214,13 +214,17 @@ func TestLowerTaggedBinaryGroup(t *testing.T) {
 		return lower(t, cat, bg)
 	}
 	// Pure equality hashes the untagged tuples; the tag column resolves
-	// in the right schema and the label keeps the BinaryGroup suffix the
-	// per-operator reports classify by.
+	// in the right schema — which χ emits pruned to the key and the tag,
+	// all COUNT(*) and the predicate read — and the label keeps the
+	// BinaryGroup suffix the per-operator reports classify by.
 	h, ok := tagged(eq("r.a1", "s.b1")).(*physical.BinaryGroup)
 	if !ok {
 		t.Fatalf("tagged Γ² lowered to %T, want *BinaryGroup", h)
 	}
-	if h.TagCol != 2 || len(h.LCols) != 1 || h.LCols[0] != 0 || h.RCols[0] != 0 {
+	if got := h.R.Schema().String(); got != "[s.b1, tag]" {
+		t.Errorf("tagged Γ²'s right input emits %s, want [s.b1, tag]", got)
+	}
+	if h.TagCol != 1 || len(h.LCols) != 1 || h.LCols[0] != 0 || h.RCols[0] != 0 {
 		t.Errorf("tagged hash = tag[%d] L%v R%v", h.TagCol, h.LCols, h.RCols)
 	}
 	if !strings.HasPrefix(h.Label(), "TagBinaryGroup(hash)[(r.a1 = s.b1) ∨ tag]") {

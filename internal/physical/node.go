@@ -27,7 +27,10 @@ import (
 type Node interface {
 	// Logical returns the algebra operator this node implements.
 	Logical() algebra.Op
-	// Schema returns the output schema (the logical operator's).
+	// Schema returns the schema of the rows the node produces: the
+	// logical operator's, or the part of it the node's consumer reads
+	// when the planner pruned the rest (see Planner). Consumers resolve
+	// columns against it by name.
 	Schema() *storage.Schema
 	// Children returns the physical inputs in evaluation order.
 	Children() []Node
@@ -44,12 +47,13 @@ type Node interface {
 // base carries the fields every node shares.
 type base struct {
 	logical algebra.Op
+	sch     *storage.Schema
 	est     float64
 	id      int
 }
 
 func (b *base) Logical() algebra.Op     { return b.logical }
-func (b *base) Schema() *storage.Schema { return b.logical.Schema() }
+func (b *base) Schema() *storage.Schema { return b.sch }
 func (b *base) EstRows() float64        { return b.est }
 func (b *base) ID() int                 { return b.id }
 func (b *base) setID(id int)            { b.id = id }
@@ -167,7 +171,8 @@ func (r *Rename) Children() []Node { return []Node{r.Child} }
 // Label implements Node.
 func (r *Rename) Label() string { return "Rename" + r.Schema().String() }
 
-// Map extends each tuple with one computed attribute (χ).
+// Map extends each tuple with one computed attribute (χ). Emit is as in
+// HashJoin, over the input row ◦ the computed value.
 type Map struct {
 	base
 	Child Node
@@ -176,13 +181,16 @@ type Map struct {
 	// VecExpr is the compiled columnar program for Expr; nil means Expr
 	// is interpreted per row.
 	VecExpr *vec.Scalar
+	Emit    []int
 }
 
 // Children implements Node.
 func (m *Map) Children() []Node { return []Node{m.Child} }
 
 // Label implements Node.
-func (m *Map) Label() string { return fmt.Sprintf("Map[%s:%s]", m.Attr, m.Expr) }
+func (m *Map) Label() string {
+	return fmt.Sprintf("Map[%s:%s]", m.Attr, m.Expr) + emitLabel(m, m.Emit, m.Child.Schema().Len()+1)
+}
 
 // equiKeys renders hash key pairs as "l=r ∧ …" for labels.
 func equiKeys(ls *storage.Schema, lcols []int, rs *storage.Schema, rcols []int) string {
@@ -193,9 +201,24 @@ func equiKeys(ls *storage.Schema, lcols []int, rs *storage.Schema, rcols []int) 
 	return strings.Join(keys, " ∧ ")
 }
 
+// emitLabel renders the emit list of an operator that writes its own
+// output rows, after its label: the columns it emits and how many of the
+// in columns it assembles a row from those are. Nothing for a nil list
+// (every column, in order).
+func emitLabel(n Node, emit []int, in int) string {
+	if emit == nil {
+		return ""
+	}
+	return fmt.Sprintf(" → %s (%d of %d cols)", n.Schema(), len(emit), in)
+}
+
 // HashJoin joins by building a hash table on the right input's key
 // columns and probing with the left's. Residual holds the non-equality
-// conjuncts re-checked per matched pair (nil when none).
+// conjuncts re-checked per matched pair (nil when none). Emit lists the
+// columns of a matched pair l ◦ r an inner join writes, as positions in
+// it — what the node's consumer reads, in the consumer's order; nil
+// means all of them. Semi and anti joins pass left rows through and have
+// no emit list.
 type HashJoin struct {
 	base
 	L, R     Node
@@ -203,6 +226,7 @@ type HashJoin struct {
 	LCols    []int
 	RCols    []int
 	Residual algebra.Expr
+	Emit     []int
 }
 
 // Children implements Node.
@@ -218,15 +242,19 @@ func (j *HashJoin) Label() string {
 	if j.Residual != nil {
 		out += fmt.Sprintf(" residual[%s]", j.Residual)
 	}
-	return out
+	return out + emitLabel(j, j.Emit, pairWidth(j.L, j.R))
 }
 
-// NLJoin joins by nested loops. A nil Pred is a cross product.
+func pairWidth(l, r Node) int { return l.Schema().Len() + r.Schema().Len() }
+
+// NLJoin joins by nested loops. A nil Pred is a cross product. Emit is
+// as in HashJoin.
 type NLJoin struct {
 	base
 	L, R Node
 	Mode JoinMode
 	Pred algebra.Expr
+	Emit []int
 }
 
 // Children implements Node.
@@ -238,16 +266,18 @@ func (j *NLJoin) Label() string {
 	if j.Mode != JoinInner {
 		name = fmt.Sprintf("NLJoin(%s)", j.Mode)
 	}
-	if j.Pred == nil {
-		return name + "[cross]"
+	pred := "cross"
+	if j.Pred != nil {
+		pred = j.Pred.String()
 	}
-	return fmt.Sprintf("%s[%s]", name, j.Pred)
+	return name + "[" + pred + "]" + emitLabel(j, j.Emit, pairWidth(j.L, j.R))
 }
 
 // OuterJoin is the left outer join ⟕ with the paper's g:f(∅) defaults:
-// unmatched left tuples are padded with Pad (NULLs except the Default
-// attributes). Hash selects the algorithm; hash joins use LCols/RCols/
-// Residual, nested-loop joins use Pred.
+// unmatched left tuples are paired with Pad, a right row of NULLs except
+// the Default attributes. Hash selects the algorithm; hash joins use
+// LCols/RCols/Residual, nested-loop joins use Pred. Emit is as in
+// HashJoin, over l ◦ r and l ◦ Pad alike.
 type OuterJoin struct {
 	base
 	L, R     Node
@@ -257,6 +287,7 @@ type OuterJoin struct {
 	Residual algebra.Expr
 	Pred     algebra.Expr
 	Pad      []types.Value
+	Emit     []int
 }
 
 // Children implements Node.
@@ -264,14 +295,15 @@ func (j *OuterJoin) Children() []Node { return []Node{j.L, j.R} }
 
 // Label implements Node.
 func (j *OuterJoin) Label() string {
+	emit := emitLabel(j, j.Emit, pairWidth(j.L, j.R))
 	if !j.Hash {
-		return fmt.Sprintf("NLOuterJoin[%s]", j.Pred)
+		return fmt.Sprintf("NLOuterJoin[%s]", j.Pred) + emit
 	}
 	out := fmt.Sprintf("HashOuterJoin[%s]", equiKeys(j.L.Schema(), j.LCols, j.R.Schema(), j.RCols))
 	if j.Residual != nil {
 		out += fmt.Sprintf(" residual[%s]", j.Residual)
 	}
-	return out
+	return out + emit
 }
 
 // Group is the unary grouping operator Γ, hash-based with Identical key
@@ -312,6 +344,7 @@ func binaryGroupAggs(aggs []algebra.AggItem) string {
 // BinaryGroupSort is Γ² over a single column inequality with
 // decomposable aggregates: sort the right side, precompute prefix and
 // suffix aggregates, binary-search per left tuple (May & Moerkotte).
+// Emit is as in BinaryGroup.
 type BinaryGroupSort struct {
 	base
 	L, R Node
@@ -319,6 +352,7 @@ type BinaryGroupSort struct {
 	RIdx int
 	Op   types.CompareOp
 	Aggs []algebra.AggItem
+	Emit []int
 }
 
 // Children implements Node.
@@ -328,7 +362,7 @@ func (b *BinaryGroupSort) Children() []Node { return []Node{b.L, b.R} }
 func (b *BinaryGroupSort) Label() string {
 	return fmt.Sprintf("SortBinaryGroup[%s %s %s][%s]",
 		b.L.Schema().Attr(b.LIdx), b.Op, b.R.Schema().Attr(b.RIdx),
-		binaryGroupAggs(b.Aggs))
+		binaryGroupAggs(b.Aggs)) + emitLabel(b, b.Emit, b.L.Schema().Len()+len(b.Aggs))
 }
 
 // BinaryGroup is Γ² by probing: each left tuple aggregates the right
@@ -337,7 +371,8 @@ func (b *BinaryGroupSort) Label() string {
 // matches) otherwise. With TagCol >= 0 it is Γ² on Pred ∨ tag — Eqv. 5's
 // tagged form: the right tuples whose tag column is TRUE belong to every
 // left tuple's group and are folded once into a shared base, and only
-// the rest are matched. TagCol is -1 when there is no tag.
+// the rest are matched. TagCol is -1 when there is no tag. Emit is as in
+// HashJoin, over the left row ◦ the aggregate results.
 type BinaryGroup struct {
 	base
 	L, R   Node
@@ -346,6 +381,7 @@ type BinaryGroup struct {
 	LCols  []int
 	RCols  []int
 	Aggs   []algebra.AggItem
+	Emit   []int
 }
 
 // Children implements Node.
@@ -354,19 +390,22 @@ func (b *BinaryGroup) Children() []Node { return []Node{b.L, b.R} }
 // Label implements Node.
 func (b *BinaryGroup) Label() string {
 	hash := len(b.LCols) > 0
-	if b.TagCol >= 0 {
+	var out string
+	switch {
+	case b.TagCol >= 0:
 		algo := "nl"
 		if hash {
 			algo = "hash"
 		}
-		return fmt.Sprintf("TagBinaryGroup(%s)[%s ∨ %s][%s]", algo, b.Pred,
+		out = fmt.Sprintf("TagBinaryGroup(%s)[%s ∨ %s][%s]", algo, b.Pred,
 			b.R.Schema().Attr(b.TagCol), binaryGroupAggs(b.Aggs))
+	case !hash:
+		out = fmt.Sprintf("NLBinaryGroup[%s][%s]", b.Pred, binaryGroupAggs(b.Aggs))
+	default:
+		out = fmt.Sprintf("HashBinaryGroup[%s][%s]",
+			equiKeys(b.L.Schema(), b.LCols, b.R.Schema(), b.RCols), binaryGroupAggs(b.Aggs))
 	}
-	if !hash {
-		return fmt.Sprintf("NLBinaryGroup[%s][%s]", b.Pred, binaryGroupAggs(b.Aggs))
-	}
-	return fmt.Sprintf("HashBinaryGroup[%s][%s]",
-		equiKeys(b.L.Schema(), b.LCols, b.R.Schema(), b.RCols), binaryGroupAggs(b.Aggs))
+	return out + emitLabel(b, b.Emit, b.L.Schema().Len()+len(b.Aggs))
 }
 
 // Union concatenates two inputs with equal schemas. Disjoint records

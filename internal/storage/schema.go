@@ -175,17 +175,11 @@ func (r *Relation) CloneAppend(extra ...[]types.Value) *Relation {
 // Identical semantics (NULLs collate equal), preserving first-seen order.
 func (r *Relation) Distinct() *Relation {
 	out := NewRelation(r.Schema)
-	seen := make(map[uint64][][]types.Value, len(r.Tuples))
-next:
+	seen := types.NewRowIndex(nil, false, len(r.Tuples))
 	for _, t := range r.Tuples {
-		h := types.HashTuple(t)
-		for _, prev := range seen[h] {
-			if types.TuplesIdentical(prev, t) {
-				continue next
-			}
+		if _, added := seen.FindOrAdd(t); added {
+			out.Tuples = append(out.Tuples, t)
 		}
-		seen[h] = append(seen[h], t)
-		out.Tuples = append(out.Tuples, t)
 	}
 	return out
 }

@@ -47,30 +47,35 @@ func (k Kind) String() string {
 
 // Value is a single SQL scalar. The zero Value is NULL.
 //
-// Value is a small value type passed by copy; only one payload field is
-// meaningful, selected by Kind.
+// Value is a small value type passed by copy, 32 bytes wide: the kind,
+// one 64-bit payload word n — the integer, the float's IEEE bits, or 0/1
+// for a boolean — and the string. Every row the engine holds is a slice
+// of these, so the width is the unit of most of its memory traffic.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
-	b    bool
 }
 
 // Null returns the SQL NULL value.
 func Null() Value { return Value{} }
 
 // NewInt returns an integer value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
 
 // NewBool returns a boolean value.
-func NewBool(v bool) Value { return Value{kind: KindBool, b: v} }
+func NewBool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the runtime type of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -85,13 +90,13 @@ func (v Value) Int() int64 {
 	if v.kind != KindInt {
 		panic(fmt.Sprintf("types: Int() on %s value", v.kind))
 	}
-	return v.i
+	return int64(v.n)
 }
 
 // IntOk returns the integer payload and whether v is an integer — the
 // checked accessor for executor-facing paths, where a kind mismatch is
 // bad user data, not a bug, and must surface as an error.
-func (v Value) IntOk() (int64, bool) { return v.i, v.kind == KindInt }
+func (v Value) IntOk() (int64, bool) { return int64(v.n), v.kind == KindInt }
 
 // Float returns the float payload. It panics when v is not a float;
 // reserved for internal invariants — executor-facing code uses FloatOk
@@ -100,12 +105,14 @@ func (v Value) Float() float64 {
 	if v.kind != KindFloat {
 		panic(fmt.Sprintf("types: Float() on %s value", v.kind))
 	}
-	return v.f
+	return math.Float64frombits(v.n)
 }
 
 // FloatOk returns the float payload and whether v is a float (no
 // coercion; see AsFloat for int→float widening).
-func (v Value) FloatOk() (float64, bool) { return v.f, v.kind == KindFloat }
+func (v Value) FloatOk() (float64, bool) {
+	return math.Float64frombits(v.n), v.kind == KindFloat
+}
 
 // Str returns the string payload. It panics when v is not a string;
 // reserved for internal invariants — executor-facing code uses StrOk.
@@ -125,11 +132,11 @@ func (v Value) Bool() bool {
 	if v.kind != KindBool {
 		panic(fmt.Sprintf("types: Bool() on %s value", v.kind))
 	}
-	return v.b
+	return v.n != 0
 }
 
 // BoolOk returns the boolean payload and whether v is a boolean.
-func (v Value) BoolOk() (bool, bool) { return v.b, v.kind == KindBool }
+func (v Value) BoolOk() (bool, bool) { return v.n != 0, v.kind == KindBool }
 
 // IsNumeric reports whether v is an integer or a float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
@@ -139,9 +146,9 @@ func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloa
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(int64(v.n)), true
 	case KindFloat:
-		return v.f, true
+		return math.Float64frombits(v.n), true
 	default:
 		return 0, false
 	}
@@ -153,13 +160,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindString:
 		return "'" + v.s + "'"
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -169,53 +176,73 @@ func (v Value) String() string {
 }
 
 // Compare orders two non-NULL values: -1, 0, +1. Numeric values compare
-// across int/float. The boolean false sorts before true. Comparing a NULL
-// or incompatible kinds returns ok=false; SQL comparison semantics on
-// NULLs live in Compare3VL.
+// across int/float exactly — an integer is never widened to float64, so
+// 2⁵³+1 and 2⁵³.0 differ and equality stays transitive and consistent
+// with Hash — and NaN equals itself and sorts above every other number.
+// The boolean false sorts before true. Comparing a NULL or incompatible
+// kinds returns ok=false; SQL comparison semantics on NULLs live in
+// Compare3VL.
 func Compare(a, b Value) (cmp int, ok bool) {
-	if a.kind == KindNull || b.kind == KindNull {
+	switch {
+	case a.kind == KindNull || b.kind == KindNull:
 		return 0, false
-	}
-	if a.IsNumeric() && b.IsNumeric() {
-		if a.kind == KindInt && b.kind == KindInt {
-			switch {
-			case a.i < b.i:
-				return -1, true
-			case a.i > b.i:
-				return 1, true
-			default:
-				return 0, true
-			}
-		}
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		default:
-			return 0, true
-		}
-	}
-	if a.kind != b.kind {
+	case a.kind == KindInt && b.kind == KindInt:
+		return order(int64(a.n), int64(b.n)), true
+	case a.kind == KindInt && b.kind == KindFloat:
+		return cmpIntFloat(int64(a.n), math.Float64frombits(b.n)), true
+	case a.kind == KindFloat && b.kind == KindInt:
+		return -cmpIntFloat(int64(b.n), math.Float64frombits(a.n)), true
+	case a.kind != b.kind:
 		return 0, false
 	}
 	switch a.kind {
+	case KindFloat:
+		af, bf := math.Float64frombits(a.n), math.Float64frombits(b.n)
+		if af != af || bf != bf {
+			return order(b2i(af != af), b2i(bf != bf)), true
+		}
+		return order(af, bf), true
 	case KindString:
 		return strings.Compare(a.s, b.s), true
-	case KindBool:
-		switch {
-		case a.b == b.b:
-			return 0, true
-		case !a.b:
-			return -1, true
-		default:
-			return 1, true
-		}
-	default:
-		return 0, false
+	default: // KindBool
+		return order(a.n, b.n), true
 	}
+}
+
+func order[T int64 | uint64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
+	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// cmpIntFloat orders an integer against a float without rounding the
+// integer: outside [-2⁶³, 2⁶³) the float's sign decides, inside it the
+// float's integral part is an exact int64 and the fraction breaks ties.
+func cmpIntFloat(i int64, f float64) int {
+	const two63 = 1 << 63
+	switch {
+	case f != f || f >= two63:
+		return -1
+	case f < -two63:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := order(i, int64(t)); c != 0 {
+		return c
+	}
+	return order(0, f-t)
 }
 
 // Equal reports strict SQL equality of two values; NULL never equals
@@ -253,13 +280,13 @@ func (v Value) Hash() uint64 {
 		// Numerically equal ints and floats must hash equally (they are
 		// Identical). Integral floats hash via their int64 form; all
 		// other numerics hash their float64 bit pattern.
-		var bits uint64
-		if v.kind == KindInt {
-			bits = uint64(v.i)
-		} else if f := v.f; f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
-			bits = uint64(int64(f))
-		} else {
-			bits = math.Float64bits(v.f)
+		bits := v.n
+		if v.kind == KindFloat {
+			if f := math.Float64frombits(v.n); f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+				bits = uint64(int64(f))
+			} else if f != f {
+				bits = math.Float64bits(math.NaN()) // every NaN payload is one value
+			}
 		}
 		mix(1)
 		for i := 0; i < 8; i++ {
@@ -272,22 +299,14 @@ func (v Value) Hash() uint64 {
 		}
 	case KindBool:
 		mix(3)
-		if v.b {
-			mix(1)
-		} else {
-			mix(0)
-		}
+		mix(byte(v.n))
 	}
 	return h
 }
 
 // HashTuple combines the hashes of a value slice (a tuple or key prefix).
 func HashTuple(vs []Value) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, v := range vs {
-		h = (h ^ v.Hash()) * prime64
-	}
+	h, _ := hashKey(vs, nil, false)
 	return h
 }
 

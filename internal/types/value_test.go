@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -207,5 +208,100 @@ func TestTuplesIdentical(t *testing.T) {
 	}
 	if TuplesIdentical(a, a[:1]) {
 		t.Error("length mismatch must not be identical")
+	}
+}
+
+// TestValueIs32Bytes pins the layout: a kind, one payload word and the
+// string. Rows are slices of Values, so every byte here is paid per cell.
+func TestValueIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want <= 32", n)
+	}
+}
+
+// boundaryGrid holds the numbers around which float64 stops being able
+// to tell integers apart (±2⁵³), the ends of int64 (±2⁶³), the zeroes,
+// the infinities and NaN, beside NULL and the non-numeric kinds.
+func boundaryGrid() []Value {
+	const two53 = int64(1) << 53
+	g := []Value{Null(), NewString("a"), NewString(""), NewBool(true), NewBool(false),
+		NewFloat(math.NaN()), NewFloat(math.Float64frombits(0x7ff8000000000001)), // two NaN payloads
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(math.Copysign(0, -1)), NewFloat(0),
+		NewFloat(0.5), NewFloat(-0.5), NewFloat(1 << 63), NewFloat(-(1 << 63)),
+		NewFloat(math.Nextafter(1<<63, 0)), NewFloat(math.Nextafter(-(1 << 63), -math.MaxFloat64)),
+		NewInt(math.MaxInt64), NewInt(math.MaxInt64 - 1), NewInt(math.MinInt64), NewInt(math.MinInt64 + 1)}
+	for _, s := range []int64{1, -1} {
+		for d := int64(-2); d <= 2; d++ {
+			g = append(g, NewInt(s*two53+d), NewFloat(float64(s*two53)+float64(d)))
+		}
+	}
+	for d := int64(-1); d <= 1; d++ {
+		g = append(g, NewInt(d), NewFloat(float64(d)))
+	}
+	return g
+}
+
+// TestIdenticalHashAndOrderOnBoundaryGrid: Identical implies equal
+// hashes and is transitive, and OrderValues is a total preorder, on
+// every pair and triple of the grid — the properties hash grouping,
+// DISTINCT and hash joins need to agree with the nested-loop plan.
+func TestIdenticalHashAndOrderOnBoundaryGrid(t *testing.T) {
+	g := boundaryGrid()
+	for _, a := range g {
+		if !Identical(a, a) || OrderValues(a, a) != 0 {
+			t.Errorf("%v is not identical to itself", a)
+		}
+		for _, b := range g {
+			ab := Identical(a, b)
+			if ab != Identical(b, a) {
+				t.Errorf("Identical(%v, %v) is not symmetric", a, b)
+			}
+			if ab && a.Hash() != b.Hash() {
+				t.Errorf("Identical(%v, %v) but hashes %#x and %#x", a, b, a.Hash(), b.Hash())
+			}
+			if ab != (OrderValues(a, b) == 0) {
+				t.Errorf("Identical(%v, %v) = %v but OrderValues = %d", a, b, ab, OrderValues(a, b))
+			}
+			if OrderValues(a, b) != -OrderValues(b, a) {
+				t.Errorf("OrderValues(%v, %v) = %d, reversed %d", a, b, OrderValues(a, b), OrderValues(b, a))
+			}
+			for _, c := range g {
+				if ab && Identical(b, c) && !Identical(a, c) {
+					t.Errorf("Identical is not transitive on %v, %v, %v", a, b, c)
+				}
+				if OrderValues(a, b) <= 0 && OrderValues(b, c) <= 0 && OrderValues(a, c) > 0 {
+					t.Errorf("OrderValues is not transitive on %v <= %v <= %v", a, b, c)
+				}
+			}
+		}
+	}
+}
+
+// TestIntFloatCompareIsExact: the two pairs the float64 widening used to
+// equate, with the hashes that gave it away.
+func TestIntFloatCompareIsExact(t *testing.T) {
+	cases := []struct {
+		i    int64
+		f    float64
+		want int
+	}{
+		{9007199254740993, 9007199254740992, 1}, // 2⁵³+1 vs 2⁵³.0
+		{9007199254740992, 9007199254740992, 0},
+		{math.MaxInt64, 9223372036854775808, -1}, // 2⁶³-1 vs 2⁶³.0
+		{math.MinInt64, -9223372036854775808, 0},
+		{3, 3.5, -1}, {4, 3.5, 1}, {-3, -3.5, 1}, {-4, -3.5, -1}, {0, math.Copysign(0, -1), 0},
+		{5, math.Inf(1), -1}, {5, math.Inf(-1), 1}, {5, math.NaN(), -1},
+	}
+	for _, c := range cases {
+		i, f := NewInt(c.i), NewFloat(c.f)
+		if got, ok := Compare(i, f); !ok || got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, %v; want %d", i, f, got, ok, c.want)
+		}
+		if got, ok := Compare(f, i); !ok || got != -c.want {
+			t.Errorf("Compare(%v, %v) = %d, %v; want %d", f, i, got, ok, -c.want)
+		}
+		if (c.want == 0) != (i.Hash() == f.Hash()) {
+			t.Errorf("%v and %v: equal %v, hashes %#x and %#x", i, f, c.want == 0, i.Hash(), f.Hash())
+		}
 	}
 }

@@ -3,7 +3,7 @@
 # ROADMAP.md (build, gofmt, the one-traversal grep, tests, vet, the
 # whole suite again under -race — which is where the chaos, concurrency, caching, evaluator
 # differential, telemetry, durability, wire and server suites run; no
-# line below repeats them) and the one-pipeline greps, plus everything
+# line below repeats them) and the one-pipeline and one-index greps, plus everything
 # tier-1 does not run: a
 # one-iteration benchmark smoke (catches broken benchmark code and
 # instrumentation regressions without paying for a real measurement
@@ -48,6 +48,11 @@ test -z "$(cat $rootsrc | grep 'db\.writeGuard()' | tail -n +2)"
 test -z "$(cat $rootsrc | grep 'db\.logLocked(' | tail -n +2)"
 test -z "$(cat $rootsrc | grep 'db\.afterWrite(' | tail -n +2)"
 test -z "$(grep -n 'sqlparser\.ParseStatement(' durability.go replica.go)"
+# The hashed-row index is written once (types.RowIndex): no hand-rolled
+# "hash → slice of candidates" table in the packages that used to carry
+# one each. And types.Value is 32 bytes by layout, not by unsafe tricks.
+test -z "$(grep -n 'map\[uint64\]\[\]' $(ls internal/exec/*.go internal/agg/*.go internal/storage/*.go write.go | grep -v _test.go))"
+test -z "$(grep -l '"unsafe"' $(ls internal/types/*.go | grep -v _test.go))"
 go test ./...
 go vet ./...
 go test -race ./...

@@ -367,7 +367,7 @@ func (db *DB) applyStmt(stmt sqlparser.Statement, sql string) (int, []string, er
 // and uncached: it is a step of the write statement holding writeMu —
 // and returns the set of matching tuples. It reads src — the pre-image
 // snapshot of the statement being executed.
-func (db *DB) matchingRows(src catalog.Reader, table string, where sqlparser.Expr) (map[uint64][][]Value, error) {
+func (db *DB) matchingRows(src catalog.Reader, table string, where sqlparser.Expr) (*types.RowIndex, error) {
 	sel := &sqlparser.SelectStmt{
 		Star:  true,
 		From:  []sqlparser.TableRef{{Table: table}},
@@ -383,21 +383,11 @@ func (db *DB) matchingRows(src catalog.Reader, table string, where sqlparser.Exp
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[uint64][][]Value, rel.Cardinality())
+	out := types.NewRowIndex(nil, false, rel.Cardinality())
 	for _, t := range rel.Tuples {
-		h := types.HashTuple(t)
-		out[h] = append(out[h], t)
+		out.FindOrAdd(t)
 	}
 	return out, nil
-}
-
-func rowMatches(set map[uint64][][]Value, row []Value) bool {
-	for _, m := range set[types.HashTuple(row)] {
-		if types.TuplesIdentical(m, row) {
-			return true
-		}
-	}
-	return false
 }
 
 // applyDelete removes the rows satisfying the predicate. Matching is
@@ -420,7 +410,7 @@ func (db *DB) applyDelete(x *sqlparser.DeleteStmt) (int, []string, error) {
 	}
 	kept := make([][]Value, 0, len(tbl.Rel.Tuples))
 	for _, row := range tbl.Rel.Tuples {
-		if !rowMatches(matching, row) {
+		if matching.First(row, nil) < 0 {
 			kept = append(kept, row)
 		}
 	}
@@ -465,7 +455,7 @@ func (db *DB) applyUpdate(x *sqlparser.UpdateStmt) (int, []string, error) {
 		valExprs[i] = ve
 	}
 
-	var matching map[uint64][][]Value
+	var matching *types.RowIndex
 	if x.Where != nil {
 		matching, err = db.matchingRows(snap, x.Table, x.Where)
 		if err != nil {
@@ -477,7 +467,7 @@ func (db *DB) applyUpdate(x *sqlparser.UpdateStmt) (int, []string, error) {
 	updated := 0
 	newRows := make([][]Value, len(tbl.Rel.Tuples))
 	for i, row := range tbl.Rel.Tuples {
-		if x.Where != nil && !rowMatches(matching, row) {
+		if x.Where != nil && matching.First(row, nil) < 0 {
 			newRows[i] = row
 			continue
 		}

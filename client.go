@@ -180,7 +180,7 @@ func (c *Client) QueryContext(ctx context.Context, sql string) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return resultFrom(resp), nil
+	return resultFrom(resp)
 }
 
 // QueryPrepared executes a statement previously registered with
@@ -190,7 +190,7 @@ func (c *Client) QueryPrepared(ctx context.Context, name string) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	return resultFrom(resp), nil
+	return resultFrom(resp)
 }
 
 // Exec runs a DML/DDL statement and returns rows affected. Exec never
@@ -293,11 +293,15 @@ func (c *Client) Close() error {
 	return nil
 }
 
-func resultFrom(resp *wire.Response) *Result {
-	res := &Result{
-		Columns: resp.Columns,
-		Rows:    wire.DecodeRows(resp.Rows),
+// resultFrom decodes a query response. A malformed row frame is a
+// transport failure, like a malformed line: the bytes that arrived are
+// not what the server meant to send.
+func resultFrom(resp *wire.Response) (*Result, error) {
+	rows, err := wire.DecodeRows(resp.Rows)
+	if err != nil {
+		return nil, fmt.Errorf("%w: malformed response: %w", ErrConnection, err)
 	}
+	res := &Result{Columns: resp.Columns, Rows: rows}
 	if resp.Stats != nil {
 		res.Elapsed = time.Duration(resp.Stats.ElapsedUS) * time.Microsecond
 		res.Stats = exec.Stats{
@@ -307,7 +311,7 @@ func resultFrom(resp *wire.Response) *Result {
 			Elapsed:       time.Duration(resp.Stats.ElapsedUS) * time.Microsecond,
 		}
 	}
-	return res
+	return res, nil
 }
 
 // do sends one request and awaits its response, retrying transport
@@ -462,20 +466,26 @@ func (c *Client) transportErr(op string, err error, ctx context.Context) error {
 }
 
 // readLine reads one newline-terminated frame, allowing frames larger
-// than the bufio buffer, capped at max bytes.
+// than the bufio buffer, capped at max bytes. A frame that fits in the
+// buffer is returned in place, valid only until the next read: the
+// caller's json.Unmarshal does not retain its input, and what it keeps
+// (the base64-decoded row frame, the strings) it copies out.
 func readLine(br *bufio.Reader, max int) ([]byte, error) {
+	chunk, err := br.ReadSlice('\n')
 	var line []byte
-	for {
-		chunk, err := br.ReadSlice('\n')
+	for err == bufio.ErrBufferFull {
 		line = append(line, chunk...)
-		if err == nil {
-			return line[:len(line)-1], nil
-		}
-		if err != bufio.ErrBufferFull {
-			return nil, err
-		}
 		if len(line) > max {
 			return nil, fmt.Errorf("response frame exceeds %d bytes", max)
 		}
+		chunk, err = br.ReadSlice('\n')
 	}
+	if err != nil {
+		return nil, err
+	}
+	if line == nil {
+		return chunk[:len(chunk)-1], nil
+	}
+	line = append(line, chunk...)
+	return line[:len(line)-1], nil
 }

@@ -327,6 +327,12 @@ func (rw *Rewriter) unnestScalar(sub *algebra.ScalarSubquery, cur algebra.Op) (a
 			return nil, cur, false, nil
 		}
 	}
+	// Every equivalence evaluates the aggregate's argument inside a Γ over
+	// the subplan, which sees no outer column: an argument that reads one
+	// (SUM(b1 + a3)) keeps the subquery nested.
+	if sub.Arg != nil && hasFreeCols(sub.Arg, sub.Plan.Schema()) {
+		return nil, cur, false, nil
+	}
 	// Collapse the subplan's top-level Select/Project layers into one
 	// predicate over the widest schema: σ_a(Π(σ_b(X))) ≡ σ_{a∧b}(X) for
 	// duplicate-preserving Π (projection only narrows the schema, so

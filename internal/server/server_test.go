@@ -14,6 +14,7 @@ import (
 	"disqo"
 	"disqo/internal/server"
 	"disqo/internal/testutil"
+	"disqo/internal/types"
 	"disqo/internal/wire"
 )
 
@@ -180,8 +181,13 @@ func TestServeTypedErrors(t *testing.T) {
 	}
 
 	// Timeout → the engine's typed timeout, satisfying errors.Is across
-	// the wire.
+	// the wire. The canonical strategy evaluates the subquery once per
+	// outer row, far past the deadline; unnested, the query and its
+	// result's trip back can both fit in it.
 	if err := db.LoadRST(0.3, 0.3, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetStrategy(disqo.Canonical); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -479,8 +485,41 @@ func TestServeSessionSurvivesMalformedFrame(t *testing.T) {
 	}
 	// The session is still usable afterwards.
 	resp := rawExchange(t, conn, wire.Request{ID: 3, Op: wire.OpQuery, SQL: "SELECT k FROM kv WHERE k = 1"})
-	if !resp.OK || len(resp.Rows) != 1 {
-		t.Fatalf("post-garbage query got %+v, want 1 row", resp)
+	rows, err := wire.DecodeRows(resp.Rows)
+	if !resp.OK || err != nil || len(rows) != 1 || rows[0][0].String() != "1" {
+		t.Fatalf("post-garbage query got %+v (rows %v, %v), want the one row (1)", resp, rows, err)
+	}
+}
+
+// TestServedRowsKeepInvalidUTF8: a string that is not valid UTF-8 is
+// served as the bytes the embedded query returns. A JSON string cannot
+// carry it — encoding/json would hand back "a\uFFFDb" — so this pins that
+// the rows travel as bytes.
+func TestServedRowsKeepInvalidUTF8(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	_, db, addr := startServer(t, server.Config{})
+	if err := db.CreateTable("u", []disqo.Column{{Name: "s", Type: types.KindString}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("u", []disqo.Value{types.NewString("a\xffb")}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := disqo.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const sql = "SELECT s FROM u"
+	served, err := c.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := db.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(served.Rows) != 1 || len(local.Rows) != 1 || !types.TuplesIdentical(served.Rows[0], local.Rows[0]) {
+		t.Fatalf("served rows %q, embedded rows %q", served.Rows, local.Rows)
 	}
 }
 

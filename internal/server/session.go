@@ -56,6 +56,12 @@ type session struct {
 	// request completed; the idle reaper measures from here.
 	lastActive atomic.Int64
 
+	// out holds the response being written, newline included; enc
+	// marshals into it. Both are the worker's, reused response after
+	// response.
+	out bytes.Buffer
+	enc *json.Encoder
+
 	// Session state, owned by the worker goroutine.
 	prepared map[string]string
 	strategy string
@@ -74,6 +80,7 @@ func newSession(s *Server, conn net.Conn) *session {
 		readerDone: make(chan struct{}),
 		prepared:   make(map[string]string),
 	}
+	sess.enc = json.NewEncoder(&sess.out)
 	sess.lastActive.Store(time.Now().UnixNano())
 	return sess
 }
@@ -208,9 +215,30 @@ func (s *session) writeTerminal() {
 	}
 }
 
-// writeFrame writes one already-marshaled response line under the
+// maxKeptOut is the largest response buffer a session keeps between
+// responses, so one large result does not pin its size for the
+// session's life.
+const maxKeptOut = 1 << 20
+
+// writeResponse marshals resp into the session's reused buffer, which
+// the encoder ends with the newline, and writes that line.
+func (s *session) writeResponse(resp *wire.Response) bool {
+	s.out.Reset()
+	if err := s.enc.Encode(resp); err != nil {
+		s.out.Reset()
+		s.enc.Encode(&wire.Response{ID: resp.ID, Error: &wire.Error{
+			Kind: wire.KindProtocol, Message: "response marshal failed: " + err.Error()}})
+	}
+	ok := s.writeFrame(s.out.Bytes())
+	if s.out.Cap() > maxKeptOut {
+		s.out = bytes.Buffer{}
+	}
+	return ok
+}
+
+// writeFrame writes one newline-terminated response line under the
 // write deadline. A failure (injected or real) cancels the session.
-func (s *session) writeFrame(data []byte) bool {
+func (s *session) writeFrame(line []byte) bool {
 	if f := s.srv.cfg.Fault; f != nil {
 		if err := f.Visit(faultinject.SiteConnWrite, -1); err != nil {
 			s.cancel(errWriteFailed)
@@ -218,20 +246,11 @@ func (s *session) writeFrame(data []byte) bool {
 		}
 	}
 	s.conn.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
-	if _, err := s.conn.Write(append(data, '\n')); err != nil {
+	if _, err := s.conn.Write(line); err != nil {
 		s.cancel(errWriteFailed)
 		return false
 	}
 	return true
-}
-
-func (s *session) writeResponse(resp *wire.Response) bool {
-	data, err := json.Marshal(resp)
-	if err != nil {
-		data, _ = json.Marshal(wire.Response{ID: resp.ID, Error: &wire.Error{
-			Kind: wire.KindProtocol, Message: "response marshal failed: " + err.Error()}})
-	}
-	return s.writeFrame(data)
 }
 
 func (s *session) writeError(id uint64, kind, msg string) bool {

@@ -1,7 +1,7 @@
 // Package wire defines disqod's client/server protocol: one JSON
 // object per line in each direction (newline-delimited, UTF-8, no
 // literal newlines inside a frame — encoding/json escapes them). The
-// package holds only the frame types and the value codec, so both the
+// package holds only the frame types and the result codec, so both the
 // server (disqo/internal/server) and the client (disqo.Client, in the
 // root package) can share them without an import cycle.
 //
@@ -13,21 +13,28 @@
 // requirement, not a convenience: a cardinality violation must arrive
 // as the query error it is, never as a generic disconnect.
 //
-// Values round-trip exactly: strings, booleans and NULL use their
-// native JSON forms, while integers and floats are carried as tagged
-// decimal strings ({"i":"..."} / {"f":"..."}) because a bare JSON
-// number silently loses 64-bit integer precision past 2^53 and can
-// reformat floats. Byte-identity between a served result and an
-// in-process query result is load-bearing for the chaos suite.
+// A result's rows travel as one columnar binary Frame, base64-encoded
+// in the response's "rows" field, so there is one framing and MaxFrame
+// bounds it like any other line. An empty frame is zero rows; otherwise
+//
+//	frame  = uvarint rows ≥ 1, uvarint cols ≥ 1, column × cols
+//	column = kind byte, null bitmap (⌈rows/8⌉ bytes; bit i%8 of byte
+//	         i/8 set = row i NULL), [a kind byte per non-NULL row if
+//	         kind is mixed], the non-NULL values in row order
+//	value  = int: zigzag uvarint | float: 8 bytes, little-endian IEEE
+//	         bits | bool: one byte 0/1 | string: uvarint length, bytes
+//
+// Values round-trip exactly, with no case to special: ints are never a
+// JSON number, so nothing past 2^53 is rounded; floats are their bits,
+// so NaN, ±Inf and -0 survive; strings are bytes, so invalid UTF-8 is
+// not replaced the way encoding/json replaces it in a JSON string.
+// Byte-identity between a served result and an in-process query result
+// is load-bearing for the chaos suite. Every encoding is canonical — a
+// frame DecodeRows accepts re-encodes to itself — and DecodeRows
+// allocates no more than the frame's length allows.
 package wire
 
-import (
-	"encoding/json"
-	"fmt"
-	"strconv"
-
-	"disqo/internal/types"
-)
+import "fmt"
 
 // DefaultMaxFrame bounds one protocol line (request or response) in
 // bytes unless the server or client overrides it. Oversized frames are
@@ -122,8 +129,8 @@ type Response struct {
 	ID uint64 `json:"id,omitempty"`
 	OK bool   `json:"ok"`
 	// Columns/Rows carry a query result.
-	Columns []string  `json:"columns,omitempty"`
-	Rows    [][]Value `json:"rows,omitempty"`
+	Columns []string `json:"columns,omitempty"`
+	Rows    Frame    `json:"rows,omitempty"`
 	// Affected is exec's rows-affected count.
 	Affected int `json:"affected,omitempty"`
 	// Stats are the per-query execution counters.
@@ -175,116 +182,4 @@ type ServerInfo struct {
 	// heard from. Zero on a writer.
 	AppliedLSN  uint64 `json:"applied_lsn,omitempty"`
 	StalenessMS int64  `json:"staleness_ms,omitempty"`
-}
-
-// Value wraps a types.Value with the exact-round-trip JSON encoding
-// described in the package comment.
-type Value struct {
-	V types.Value
-}
-
-// MarshalJSON encodes per kind: null/bool/string natively, int and
-// float as tagged decimal strings.
-func (v Value) MarshalJSON() ([]byte, error) {
-	switch v.V.Kind() {
-	case types.KindNull:
-		return []byte("null"), nil
-	case types.KindBool:
-		if b, _ := v.V.BoolOk(); b {
-			return []byte("true"), nil
-		}
-		return []byte("false"), nil
-	case types.KindString:
-		s, _ := v.V.StrOk()
-		return json.Marshal(s)
-	case types.KindInt:
-		i, _ := v.V.IntOk()
-		return json.Marshal(map[string]string{"i": strconv.FormatInt(i, 10)})
-	case types.KindFloat:
-		f, _ := v.V.FloatOk()
-		// 'g'/-1 is the shortest form ParseFloat reads back exactly, and
-		// unlike a bare JSON number it also survives NaN and ±Inf.
-		return json.Marshal(map[string]string{"f": strconv.FormatFloat(f, 'g', -1, 64)})
-	default:
-		return nil, fmt.Errorf("wire: unencodable value kind %d", v.V.Kind())
-	}
-}
-
-// UnmarshalJSON decodes the encoding MarshalJSON produces.
-func (v *Value) UnmarshalJSON(data []byte) error {
-	if len(data) == 0 {
-		return fmt.Errorf("wire: empty value")
-	}
-	switch data[0] {
-	case 'n':
-		v.V = types.Null()
-		return nil
-	case 't', 'f':
-		var b bool
-		if err := json.Unmarshal(data, &b); err != nil {
-			return err
-		}
-		v.V = types.NewBool(b)
-		return nil
-	case '"':
-		var s string
-		if err := json.Unmarshal(data, &s); err != nil {
-			return err
-		}
-		v.V = types.NewString(s)
-		return nil
-	case '{':
-		var tag struct {
-			I *string `json:"i"`
-			F *string `json:"f"`
-		}
-		if err := json.Unmarshal(data, &tag); err != nil {
-			return err
-		}
-		switch {
-		case tag.I != nil:
-			i, err := strconv.ParseInt(*tag.I, 10, 64)
-			if err != nil {
-				return fmt.Errorf("wire: bad int %q: %w", *tag.I, err)
-			}
-			v.V = types.NewInt(i)
-			return nil
-		case tag.F != nil:
-			f, err := strconv.ParseFloat(*tag.F, 64)
-			if err != nil {
-				return fmt.Errorf("wire: bad float %q: %w", *tag.F, err)
-			}
-			v.V = types.NewFloat(f)
-			return nil
-		}
-		return fmt.Errorf("wire: tagged value with neither i nor f")
-	default:
-		return fmt.Errorf("wire: unrecognized value %q", data)
-	}
-}
-
-// EncodeRows converts engine tuples to wire rows.
-func EncodeRows(rows [][]types.Value) [][]Value {
-	out := make([][]Value, len(rows))
-	for i, row := range rows {
-		w := make([]Value, len(row))
-		for j, v := range row {
-			w[j] = Value{V: v}
-		}
-		out[i] = w
-	}
-	return out
-}
-
-// DecodeRows converts wire rows back to engine tuples.
-func DecodeRows(rows [][]Value) [][]types.Value {
-	out := make([][]types.Value, len(rows))
-	for i, row := range rows {
-		vals := make([]types.Value, len(row))
-		for j, v := range row {
-			vals[j] = v.V
-		}
-		out[i] = vals
-	}
-	return out
 }

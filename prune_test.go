@@ -108,6 +108,51 @@ func TestPrunedPlansAgreeWithCanonical(t *testing.T) {
 	}
 }
 
+// TestOuterAggregateArgumentAgreesWithCanonical: a scalar subquery whose
+// aggregate argument reads the outer row cannot become a Γ over the
+// inner block, which has no outer column to read; it stays nested, and
+// every strategy answers as the canonical one does.
+func TestOuterAggregateArgumentAgreesWithCanonical(t *testing.T) {
+	db, _ := Open(WithoutCache())
+	if err := db.LoadRST(0.02, 0.02, 0.02); err != nil {
+		t.Fatal(err)
+	}
+	// r's first row matches SUM(b1 + a3) = (5+1) + (6+1) over its two s
+	// partners; the second has a NULL a3, the third no partner.
+	for _, stmt := range []string{
+		"INSERT INTO r VALUES (13, 77777, 1, 0), (13, 77777, NULL, 0), (0, 88888, 1, 0)",
+		"INSERT INTO s VALUES (5, 77777, 0, 0), (6, 77777, 0, 0)",
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sql := range []string{
+		`SELECT * FROM r WHERE a1 = (SELECT SUM(b1 + a3) FROM s WHERE a2 = b2)`,
+		`SELECT * FROM r WHERE a1 = (SELECT SUM(b1 + a3) FROM s WHERE a2 = b2) OR a4 > 2900`,
+		`SELECT * FROM r WHERE a1 = (SELECT SUM(b1 + a3) FROM s WHERE a2 = b2 OR b4 < 0)`,
+	} {
+		for _, nulls := range []NullMode{ThreeValuedNulls, TwoValuedNulls} {
+			want, err := db.Query(sql, WithStrategy(Canonical), WithNullMode(nulls))
+			if err != nil {
+				t.Fatalf("%s (canonical, %s): %v", sql, nulls, err)
+			}
+			if len(want.Rows) == 0 {
+				t.Fatalf("%s (%s): the canonical answer is empty; the case checks nothing", sql, nulls)
+			}
+			for _, strategy := range []Strategy{Unnested, CostBased} {
+				got, err := db.Query(sql, WithStrategy(strategy), WithNullMode(nulls))
+				if err != nil {
+					t.Fatalf("%s (%s, %s): %v", sql, strategy, nulls, err)
+				}
+				if g, w := sortedRows(got), sortedRows(want); strings.Join(g, "\n") != strings.Join(w, "\n") {
+					t.Errorf("%s (%s, %s): %d rows, canonical %d\n got %v\nwant %v", sql, strategy, nulls, len(g), len(w), g, w)
+				}
+			}
+		}
+	}
+}
+
 // TestResultRowsSurviveWrites: a projection onto a prefix of a base
 // table's columns returns the table's own rows, cut short — and they,
 // like the copy the result cache keeps, stay what they were when the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -314,6 +315,20 @@ func TestClientErrorsKeepCauseIdentity(t *testing.T) {
 	var syn *json.SyntaxError
 	if !errors.Is(err, ErrConnection) || !errors.As(err, &syn) {
 		t.Errorf("malformed response: %v, want ErrConnection wrapping a *json.SyntaxError", err)
+	}
+
+	// A well-formed line whose row frame is not: one row, one column of
+	// kind 9, which no encoder writes.
+	c, err := Dial(serve(func(conn net.Conn) {
+		readLine(conn)
+		conn.Write([]byte(`{"id":1,"ok":true,"rows":"AQEJAA=="}` + "\n"))
+	}), once)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Query("SELECT 1"); !errors.Is(err, ErrConnection) || !strings.Contains(err.Error(), "malformed frame") {
+		t.Errorf("malformed row frame: %v, want ErrConnection naming the malformed frame", err)
 	}
 
 	// Dial: nothing listens there any more.

@@ -19,7 +19,7 @@
 # scripted query check), a disqod end-to-end smoke (remote DDL/DML/query
 # over TCP, SIGTERM drain must log a clean exit, kill -9 after an
 # acknowledged write must recover on restart), a 10-second smoke of each
-# native fuzz target (including the WAL frame decoder), and last the
+# native fuzz target (including the WAL and result frame decoders), and last the
 # tracked size number: non-test Go lines per package outside benchmark/.
 set -eux
 
@@ -53,6 +53,9 @@ test -z "$(grep -n 'sqlparser\.ParseStatement(' durability.go replica.go)"
 # one each. And types.Value is 32 bytes by layout, not by unsafe tricks.
 test -z "$(grep -n 'map\[uint64\]\[\]' $(ls internal/exec/*.go internal/agg/*.go internal/storage/*.go write.go | grep -v _test.go))"
 test -z "$(grep -l '"unsafe"' $(ls internal/types/*.go | grep -v _test.go))"
+# Result rows have one encoding, the columnar frame: no per-value JSON
+# codec comes back into internal/wire.
+test -z "$(grep -nE 'func \([^)]*\) (Marshal|Unmarshal)JSON\(' $(ls internal/wire/*.go | grep -v _test.go))"
 go test ./...
 go vet ./...
 go test -race ./...
@@ -172,6 +175,7 @@ go test -fuzz=FuzzParse -fuzztime=10s -run '^$' ./internal/sqlparser
 go test -fuzz=FuzzQuery -fuzztime=10s -run '^$' .
 go test -fuzz=FuzzNormalizeSQL -fuzztime=10s -run '^$' .
 go test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$' ./internal/wal
+go test -fuzz=FuzzDecodeRows -fuzztime=10s -run '^$' ./internal/wire
 
 # Net LOC is a tracked number: non-test Go lines per package.
 find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs wc -l | awk '$2 != "total" {sub(/\/[^\/]*$/, "", $2); n[$2] += $1; t += $1} END {for (d in n) print n[d], d; print t, "total"}' | sort -k2

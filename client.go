@@ -235,7 +235,7 @@ func (c *Client) SetStrategy(s Strategy) error {
 // (SQL three-valued, the server default) or "2vl" (comparisons with
 // NULL are false).
 func (c *Client) SetNullMode(m NullMode) error {
-	return c.set(&wire.Request{Op: wire.OpSet, Nulls: m.String()}, func() { c.nulls = m.String() })
+	return c.set(&wire.Request{Op: wire.OpSet, Nulls: string(m)}, func() { c.nulls = string(m) })
 }
 
 // SetTimeout makes d the session's default per-request timeout; 0

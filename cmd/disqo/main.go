@@ -44,7 +44,6 @@ import (
 	"disqo"
 	"disqo/internal/scenario"
 	"disqo/internal/sqlparser"
-	"disqo/internal/types"
 )
 
 func main() {
@@ -151,7 +150,7 @@ func main() {
 	if sess.strategy, ok = disqo.ParseStrategy(*strategy); !ok {
 		fatal(fmt.Errorf("bad -strategy %q (want %s)", *strategy, strategyNames))
 	}
-	if sess.nulls, ok = types.ParseNullMode(*nulls); !ok {
+	if sess.nulls, ok = disqo.ParseNullMode(*nulls); !ok {
 		fatal(fmt.Errorf("bad -nulls %q (want 2vl or 3vl)", *nulls))
 	}
 	if *traceOut != "" {
@@ -457,7 +456,7 @@ func (s *session) command(line string) bool {
 			fmt.Printf("usage: \\set nulls 2vl|3vl (current: %s)\n", s.nulls)
 			break
 		}
-		m, ok := types.ParseNullMode(fields[2])
+		m, ok := disqo.ParseNullMode(fields[2])
 		if !ok {
 			fmt.Printf("bad mode %q (want 2vl or 3vl)\n", fields[2])
 			break

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"disqo"
-	"disqo/internal/types"
 )
 
 // remoteSession is the -connect REPL: the same shell surface, but every
@@ -129,7 +128,7 @@ func (rs *remoteSession) command(line string) bool {
 			fmt.Println("usage: \\set nulls 2vl|3vl")
 			break
 		}
-		m, ok := types.ParseNullMode(fields[2])
+		m, ok := disqo.ParseNullMode(fields[2])
 		if !ok {
 			fmt.Printf("bad mode %q (want 2vl or 3vl)\n", fields[2])
 			break

@@ -28,7 +28,6 @@ import (
 
 	"disqo"
 	"disqo/internal/server"
-	"disqo/internal/types"
 )
 
 func main() {
@@ -47,7 +46,6 @@ func main() {
 		syncEvery    = flag.Int("sync-every", 0, "fsync the WAL after every nth record (0/1 = every record)")
 		syncInterval = flag.Duration("sync-interval", 0, "background WAL fsync interval (0 = off)")
 		ckptEvery    = flag.Int("checkpoint-every", 0, "auto-checkpoint after every n logged records (0 = manual only)")
-		nulls        = flag.String("nulls", "3vl", "default null semantics: 3vl (SQL three-valued) or 2vl (NULL comparisons are false); per-request override via the wire protocol")
 	)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
@@ -67,11 +65,6 @@ func main() {
 	var srv *server.Server
 	opts := []disqo.OpenOption{
 		disqo.WithDrainTimeout(*drainTimeout),
-	}
-	if m, ok := types.ParseNullMode(*nulls); !ok {
-		log.Fatalf("bad -nulls %q (want 2vl or 3vl)", *nulls)
-	} else if m == disqo.TwoValuedNulls {
-		opts = append(opts, disqo.WithTwoValuedNulls())
 	}
 	if *maxConc != 0 {
 		opts = append(opts, disqo.WithMaxConcurrent(*maxConc))

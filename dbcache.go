@@ -271,7 +271,6 @@ func (db *DB) resultKey(snap catalog.Reader, cfg queryConfig, pp *prepared) (cac
 	return cache.ResultKey{
 		Fingerprint: pp.fingerprint(),
 		Strategy:    string(cfg.strategy) + "@" + cfg.Path.String(),
-		Nulls:       cfg.Nulls.String(),
 		Tables:      versions.String(),
 	}, true
 }

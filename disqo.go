@@ -77,21 +77,6 @@ var (
 	Null = types.Null
 )
 
-// NullMode selects the logic predicates evaluate under. The default
-// ThreeValuedNulls is SQL's Kleene logic (NULL comparisons yield
-// UNKNOWN); TwoValuedNulls follows "Handling SQL Nulls with Two-Valued
-// Logic" (arXiv 2012.13198): every predicate over a NULL is simply
-// FALSE and the connectives are classical Boolean. Select the mode
-// DB-wide with WithTwoValuedNulls or per query with WithNullMode.
-type NullMode = types.NullMode
-
-const (
-	// ThreeValuedNulls is SQL's standard three-valued logic (default).
-	ThreeValuedNulls = types.ThreeValued
-	// TwoValuedNulls collapses UNKNOWN to FALSE at predicate leaves.
-	TwoValuedNulls = types.TwoValued
-)
-
 // Strategy selects how queries are optimized and evaluated.
 type Strategy string
 
@@ -135,6 +120,29 @@ func ParseStrategy(name string) (Strategy, bool) {
 	return "", false
 }
 
+// NullMode selects the logic a query's predicates follow. The default
+// ThreeValuedNulls is SQL's Kleene logic (NULL comparisons yield
+// UNKNOWN); TwoValuedNulls follows "Handling SQL Nulls with Two-Valued
+// Logic" (arXiv 2012.13198): every predicate over a NULL is FALSE and
+// the connectives are classical. A two-valued query is translated into
+// a three-valued one before it is optimized (translate.TwoValued), and
+// writes always evaluate in three-valued logic.
+type NullMode string
+
+const (
+	// ThreeValuedNulls is SQL's standard three-valued logic (default).
+	ThreeValuedNulls NullMode = "3vl"
+	// TwoValuedNulls makes every predicate over a NULL FALSE.
+	TwoValuedNulls NullMode = "2vl"
+)
+
+// ParseNullMode resolves a mode by its name, the spelling flags, the
+// REPL, the wire protocol and EXPLAIN use.
+func ParseNullMode(name string) (NullMode, bool) {
+	m := NullMode(name)
+	return m, m == ThreeValuedNulls || m == TwoValuedNulls
+}
+
 // DB is an in-memory database: a catalog of tables plus query machinery.
 // It is safe for concurrent use: queries pin an immutable catalog
 // snapshot at plan time (snapshot-isolated reads — an in-flight query
@@ -153,10 +161,6 @@ type DB struct {
 	// writeMu serializes writes (commit in write.go; also checkpoints and
 	// a replica's snapshot install). Readers never take it.
 	writeMu sync.Mutex
-
-	// nulls is the DB-wide default null mode (WithTwoValuedNulls);
-	// per-query WithNullMode overrides it. Immutable after Open.
-	nulls types.NullMode
 
 	// gate is the admission controller; nil means unlimited admission.
 	gate *gate
@@ -277,10 +281,6 @@ type OpenOptions struct {
 	// CheckpointEvery auto-checkpoints after every n logged records;
 	// 0 checkpoints only on explicit DB.Checkpoint calls.
 	CheckpointEvery int
-	// TwoValuedNulls makes two-valued logic the DB-wide default null
-	// mode: predicates over NULL evaluate FALSE instead of UNKNOWN.
-	// Individual queries may still override with WithNullMode.
-	TwoValuedNulls bool
 	// DrainTimeout bounds Close's wait for in-flight work; 0 waits
 	// indefinitely.
 	DrainTimeout time.Duration
@@ -371,18 +371,6 @@ func WithDebugAddr(addr string) OpenOption {
 	return func(o *OpenOptions) { o.DebugAddr = addr }
 }
 
-// WithTwoValuedNulls opens the database in two-valued null mode: every
-// predicate over a NULL — comparisons, LIKE, quantified memberships —
-// evaluates FALSE rather than UNKNOWN, and NOT is classical complement
-// (per "Handling SQL Nulls with Two-Valued Logic", arXiv 2012.13198).
-// Aggregates, grouping, and arithmetic keep their standard NULL
-// behavior; only predicate truth values change. The mode is a planning
-// input as well as an execution one (a few rewrites are logic-specific),
-// so both cache tiers key on it. Per-query WithNullMode overrides it.
-func WithTwoValuedNulls() OpenOption {
-	return func(o *OpenOptions) { o.TwoValuedNulls = true }
-}
-
 // WithDebugMetrics appends f's output to every /metrics scrape, after
 // the engine's own families. f must return complete Prometheus
 // text-format families and be safe for concurrent calls; disqod uses
@@ -419,9 +407,6 @@ func Open(opts ...OpenOption) (*DB, error) {
 		gate:         newGate(o.MaxConcurrent, o.MaxQueued, o.AdmissionWait),
 		start:        time.Now(),
 		drainTimeout: o.DrainTimeout,
-	}
-	if o.TwoValuedNulls {
-		db.nulls = types.TwoValued
 	}
 	if !o.DisableTelemetry {
 		db.tele = telemetry.New(telemetry.Config{SlowThreshold: o.SlowQueryThreshold})
@@ -549,6 +534,9 @@ func (db *DB) LoadTPCH(sf float64, tables ...string) error {
 type queryConfig struct {
 	exec.Options
 	strategy Strategy
+	// nulls selects whether planStmt translates the query to two-valued
+	// logic, and so is part of the plan key; execution never reads it.
+	nulls NullMode
 	// analyze marks an Analyze call: it always executes, so the result
 	// cache is bypassed, as it is for a traced query.
 	analyze bool
@@ -559,9 +547,10 @@ type queryConfig struct {
 }
 
 // newQueryConfig is the per-call default: unnested strategy, compiled
-// expression programs, the DB's default null mode.
+// expression programs, three-valued logic — all a write's WHERE and SET
+// ever run under, so replaying a logged statement writes what it wrote.
 func (db *DB) newQueryConfig() queryConfig {
-	return queryConfig{Options: exec.Options{Path: PathVector, Nulls: db.nulls}, strategy: Unnested}
+	return queryConfig{Options: exec.Options{Path: PathVector}, strategy: Unnested, nulls: ThreeValuedNulls}
 }
 
 // enter is the prologue of every query entry point: it joins the close
@@ -628,13 +617,16 @@ func WithStrategy(s Strategy) Option {
 	return func(c *queryConfig) { c.strategy = s }
 }
 
-// WithNullMode overrides the null mode for one call (default: the DB's
-// mode — ThreeValuedNulls unless Open was given WithTwoValuedNulls).
-// The mode shapes both planning (a few rewrites are logic-specific) and
-// evaluation, and both cache tiers key on it, so mixed-mode workloads
-// never share plans or results across logics.
+// WithNullMode sets the null mode for one query. TwoValuedNulls
+// translates the query before it is optimized, so the plan cache keys
+// on the mode; the result cache does not, since a translated plan that
+// differs fingerprints differently. Any other mode, the zero value
+// included, is ThreeValuedNulls (the default).
 func WithNullMode(m NullMode) Option {
-	return func(c *queryConfig) { c.Nulls = m }
+	if m != TwoValuedNulls {
+		m = ThreeValuedNulls
+	}
+	return func(c *queryConfig) { c.nulls = m }
 }
 
 // WithTimeout aborts evaluation after d (default: no limit). Timed-out
@@ -860,7 +852,7 @@ func (db *DB) Analyze(sql string, opts ...Option) (string, error) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy: %s   nulls: %s   rows: %d   elapsed: %s\n",
-		cfg.strategy, cfg.Nulls, len(res.Rows), res.Elapsed.Round(time.Microsecond))
+		cfg.strategy, cfg.nulls, len(res.Rows), res.Elapsed.Round(time.Microsecond))
 	fmt.Fprintf(&b, "comparisons: %d   tuples: %d   subquery evals: %d   peak resident: %d\n\n",
 		res.Stats.Comparisons, res.Stats.TuplesOut, res.Stats.SubqueryEvals, res.Stats.PeakTuples)
 	annot := analyzeAnnot(res.metrics)
@@ -903,7 +895,7 @@ func (db *DB) Explain(sql string, opts ...Option) (string, error) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy: %s\n", cfg.strategy)
-	fmt.Fprintf(&b, "nulls: %s\n", cfg.Nulls)
+	fmt.Fprintf(&b, "nulls: %s\n", cfg.nulls)
 	fmt.Fprintf(&b, "nesting structure: %s\n\n", translate.ClassifyStructure(st.stmt))
 	b.WriteString("== canonical plan ==\n")
 	b.WriteString(algebra.Explain(canonical))

@@ -358,6 +358,26 @@ func TestUnknownStrategy(t *testing.T) {
 	}
 }
 
+// TestUnknownNullModeIsThreeValued checks that a zero or unparsed null
+// mode runs, and is reported, as the default three-valued logic.
+func TestUnknownNullModeIsThreeValued(t *testing.T) {
+	db, _ := Open()
+	for _, stmt := range []string{"CREATE TABLE t (a INTEGER)", "INSERT INTO t VALUES (1), (NULL)"} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range []NullMode{"", "3VL"} {
+		out, err := db.Explain("SELECT a FROM t WHERE NOT (a = 1)", WithNullMode(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "nulls: 3vl\n") || strings.Contains(out, "IS TRUE") {
+			t.Errorf("mode %q: want a 3VL header and plan, got\n%s", m, out)
+		}
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	db := smallDB(t)
 	if _, err := db.Query("SELEC nonsense"); err == nil {

@@ -174,6 +174,16 @@ func IsNull(e Expr) *IsNullExpr { return &IsNullExpr{unaryExpr{e}} }
 // String implements Expr.
 func (i *IsNullExpr) String() string { return fmt.Sprintf("(%s IS NULL)", i.E) }
 
+// IsTrueExpr is TRUE iff its operand is TRUE, else FALSE, never UNKNOWN:
+// how translate.TwoValued writes a two-valued leaf in three-valued logic.
+type IsTrueExpr struct{ unaryExpr }
+
+// IsTrue builds an IS TRUE predicate.
+func IsTrue(e Expr) *IsTrueExpr { return &IsTrueExpr{unaryExpr{e}} }
+
+// String implements Expr.
+func (i *IsTrueExpr) String() string { return fmt.Sprintf("(%s IS TRUE)", i.E) }
+
 // AggCombineExpr applies the decomposition combiner fO of an aggregate
 // kind to two partial results (Eqv. 4's map operator χ g:fO(g1,g2)).
 // NULL partials act as the identity, matching agg.Combine.

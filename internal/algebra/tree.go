@@ -146,6 +146,8 @@ func exprParts(e Expr, into []Expr) (kids []Expr, plan Op) {
 		return append(into, x.L, x.Pattern), nil
 	case *IsNullExpr:
 		return append(into, x.E), nil
+	case *IsTrueExpr:
+		return append(into, x.E), nil
 	case *AggCombineExpr:
 		return append(into, x.L, x.R), nil
 	case *ScalarSubquery:
@@ -177,6 +179,8 @@ func exprWithParts(e Expr, kids []Expr, plan Op) Expr {
 		return Like(kids[0], kids[1])
 	case *IsNullExpr:
 		return IsNull(kids[0])
+	case *IsTrueExpr:
+		return IsTrue(kids[0])
 	case *AggCombineExpr:
 		return AggCombine(x.Kind, kids[0], kids[1])
 	case *ScalarSubquery:

@@ -89,6 +89,7 @@ func exprSamples() []Expr {
 		Arith(types.Mul, Col("k1"), Col("k2")),
 		Like(Col("k1"), Col("k2")),
 		IsNull(Col("k1")),
+		IsTrue(Col("k1")),
 		AggCombine(agg.Sum, Col("k1"), Col("k2")),
 		Subquery(sumSpec, Col("k1"), block),
 		Quant(In, Col("k1"), block),

@@ -2,11 +2,11 @@ package cache
 
 import "sync"
 
-// PlanKey identifies one cached plan. SQL is the normalized
-// statement text; CatalogVersion pins the committed state the plan was
-// derived against — any commit, table or view, DDL or DML, bumps it —
-// so a stale plan simply stops matching rather than needing eager
-// invalidation.
+// PlanKey identifies one cached plan. SQL is the normalized statement
+// text; Nulls ("3vl"/"2vl") says whether it was translated to two-valued
+// logic; CatalogVersion pins the committed state the plan was derived
+// against — any commit bumps it — so a stale plan simply stops matching
+// rather than needing eager invalidation.
 type PlanKey struct {
 	SQL            string
 	Strategy       string

@@ -13,11 +13,11 @@ import (
 // "name@version" list. Any committed write to a referenced table
 // changes its version, so stale entries stop matching by construction —
 // a hit is always byte-identical to a fresh execution against the same
-// snapshot.
+// snapshot. The null mode is a translation of the plan, so the
+// fingerprint tells the logics apart wherever they can differ.
 type ResultKey struct {
 	Fingerprint uint64
 	Strategy    string
-	Nulls       string
 	Tables      string
 }
 

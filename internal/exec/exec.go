@@ -109,11 +109,6 @@ type Options struct {
 	// shared limit aborts with ErrMemoryLimit. The charge is released by
 	// Executor.Close. nil disables shared accounting.
 	Budget *Budget
-	// Nulls selects the predicate logic: the default types.ThreeValued
-	// is SQL's Kleene semantics; types.TwoValued collapses Unknown to
-	// False at every predicate leaf (comparisons, LIKE, predicate-as-
-	// value coercions), so NULL never satisfies or escapes a filter.
-	Nulls types.NullMode
 }
 
 // Stats counts work done by one execution, letting tests and benchmarks

@@ -44,8 +44,8 @@ func (ex *Executor) EvalExpr(e algebra.Expr, env *Env) (types.Value, error) {
 	case *algebra.ScalarSubquery:
 		return ex.evalScalarSubquery(x, env)
 	case *algebra.CmpExpr, *algebra.AndExpr, *algebra.OrExpr, *algebra.NotExpr,
-		*algebra.LikeExpr, *algebra.IsNullExpr, *algebra.QuantSubquery,
-		*algebra.AllAnyExpr:
+		*algebra.LikeExpr, *algebra.IsNullExpr, *algebra.IsTrueExpr,
+		*algebra.QuantSubquery, *algebra.AllAnyExpr:
 		t, err := ex.EvalPred(e, env)
 		if err != nil {
 			return types.Value{}, err
@@ -56,11 +56,9 @@ func (ex *Executor) EvalExpr(e algebra.Expr, env *Env) (types.Value, error) {
 	}
 }
 
-// EvalPred evaluates an expression as a predicate under the executor's
-// null mode. Under the default three-valued logic every case below is
-// Kleene; under types.TwoValued the leaf cases (comparisons, LIKE,
-// value coercion) lift Unknown to False, after which the connective
-// cases are classical Boolean without any change of their own.
+// EvalPred evaluates an expression as a predicate in SQL's Kleene
+// three-valued logic. A two-valued query reaches here already written
+// in it (translate.TwoValued), so there is no other logic to select.
 func (ex *Executor) EvalPred(e algebra.Expr, env *Env) (types.TriBool, error) {
 	switch x := e.(type) {
 	case *algebra.CmpExpr:
@@ -73,7 +71,7 @@ func (ex *Executor) EvalPred(e algebra.Expr, env *Env) (types.TriBool, error) {
 			return types.Unknown, err
 		}
 		ex.stats.Comparisons++
-		return ex.opt.Nulls.Lift(types.CompareValues(x.Op, l, r)), nil
+		return types.CompareValues(x.Op, l, r), nil
 	case *algebra.AndExpr:
 		l, err := ex.EvalPred(x.L, env)
 		if err != nil {
@@ -102,10 +100,7 @@ func (ex *Executor) EvalPred(e algebra.Expr, env *Env) (types.TriBool, error) {
 		return l.Or(r), nil
 	case *algebra.NotExpr:
 		t, err := ex.EvalPred(x.E, env)
-		if err != nil {
-			return types.Unknown, err
-		}
-		return t.Not(), nil
+		return t.Not(), err
 	case *algebra.LikeExpr:
 		l, err := ex.EvalExpr(x.L, env)
 		if err != nil {
@@ -115,23 +110,26 @@ func (ex *Executor) EvalPred(e algebra.Expr, env *Env) (types.TriBool, error) {
 		if err != nil {
 			return types.Unknown, err
 		}
-		return ex.opt.Nulls.Lift(types.Like(l, p)), nil
+		return types.Like(l, p), nil
 	case *algebra.IsNullExpr:
 		v, err := ex.EvalExpr(x.E, env)
 		if err != nil {
 			return types.Unknown, err
 		}
 		return types.TriOf(v.IsNull()), nil
+	case *algebra.IsTrueExpr:
+		t, err := ex.EvalPred(x.E, env)
+		return types.TriOf(t.IsTrue()), err
 	case *algebra.QuantSubquery:
 		return ex.evalQuantSubquery(x, env)
 	case *algebra.AllAnyExpr:
-		return ex.evalAllAny(x, env)
+		return ex.evalAllAny(x.Op, x.All, x.L, x.Plan, env)
 	default:
 		v, err := ex.EvalExpr(e, env)
 		if err != nil {
 			return types.Unknown, err
 		}
-		return ex.opt.Nulls.Lift(types.TriFromValue(v)), nil
+		return types.TriFromValue(v), nil
 	}
 }
 
@@ -172,78 +170,52 @@ func (ex *Executor) evalScalarSubquery(sq *algebra.ScalarSubquery, env *Env) (ty
 	return acc.Result(), nil
 }
 
-// evalQuantSubquery implements EXISTS / NOT EXISTS / IN / NOT IN with SQL
-// three-valued semantics: x IN S is TRUE when a member equals x, UNKNOWN
-// when no member equals x but some comparison is UNKNOWN (NULLs), FALSE
-// otherwise; NOT IN is its Kleene negation. Under types.TwoValued each
-// membership comparison is lifted, so IN never yields Unknown and NOT IN
-// is plain complement.
+// evalQuantSubquery implements EXISTS / NOT EXISTS, and IN as = ANY: x
+// IN S is TRUE when a member equals x, UNKNOWN when no member equals x
+// but some comparison is UNKNOWN (NULLs), FALSE otherwise. NOT IN is its
+// Kleene negation.
 func (ex *Executor) evalQuantSubquery(q *algebra.QuantSubquery, env *Env) (types.TriBool, error) {
+	if q.Quant == algebra.In || q.Quant == algebra.NotIn {
+		t, err := ex.evalAllAny(types.EQ, false, q.L, q.Plan, env)
+		if q.Quant == algebra.NotIn {
+			t = t.Not()
+		}
+		return t, err
+	}
 	ex.stats.SubqueryEvals++
 	rel, err := ex.evalSubplan(q.Plan, env)
 	if err != nil {
 		return types.Unknown, err
 	}
-	switch q.Quant {
-	case algebra.Exists:
-		return types.TriOf(rel.Cardinality() > 0), nil
-	case algebra.NotExists:
-		return types.TriOf(rel.Cardinality() == 0), nil
-	}
-	if rel.Schema.Len() != 1 {
-		return types.Unknown, fmt.Errorf("exec: IN subquery must produce one column, got %s", rel.Schema)
-	}
-	l, err := ex.EvalExpr(q.L, env)
-	if err != nil {
-		return types.Unknown, err
-	}
-	res := types.False
-	for _, t := range rel.Tuples {
-		ex.stats.Comparisons++
-		res = res.Or(ex.opt.Nulls.Lift(types.CompareValues(types.EQ, l, t[0])))
-		if res == types.True {
-			break
-		}
-	}
-	if q.Quant == algebra.NotIn {
-		return res.Not(), nil
-	}
-	return res, nil
+	return types.TriOf((rel.Cardinality() > 0) == (q.Quant == algebra.Exists)), nil
 }
 
-// evalAllAny folds a quantified comparison over the subquery's single
-// output column in Kleene logic: AND for ALL (TRUE on empty input), OR
-// for ANY (FALSE on empty input).
-func (ex *Executor) evalAllAny(q *algebra.AllAnyExpr, env *Env) (types.TriBool, error) {
+// evalAllAny folds l θ y over the block's single output column in
+// Kleene logic: AND for ALL (TRUE on empty input), OR for ANY (FALSE on
+// empty input), stopping at the fold's absorbing value.
+func (ex *Executor) evalAllAny(op types.CompareOp, all bool, l algebra.Expr, plan algebra.Op, env *Env) (types.TriBool, error) {
 	ex.stats.SubqueryEvals++
-	rel, err := ex.evalSubplan(q.Plan, env)
+	rel, err := ex.evalSubplan(plan, env)
 	if err != nil {
 		return types.Unknown, err
 	}
 	if rel.Schema.Len() != 1 {
 		return types.Unknown, fmt.Errorf("exec: quantified comparison needs one column, got %s", rel.Schema)
 	}
-	l, err := ex.EvalExpr(q.L, env)
+	x, err := ex.EvalExpr(l, env)
 	if err != nil {
 		return types.Unknown, err
 	}
-	res := types.False
-	if q.All {
-		res = types.True
-	}
+	res := types.TriOf(all)
 	for _, t := range rel.Tuples {
 		ex.stats.Comparisons++
-		c := ex.opt.Nulls.Lift(types.CompareValues(q.Op, l, t[0]))
-		if q.All {
+		if c := types.CompareValues(op, x, t[0]); all {
 			res = res.And(c)
-			if res == types.False {
-				break
-			}
 		} else {
 			res = res.Or(c)
-			if res == types.True {
-				break
-			}
+		}
+		if res == types.TriOf(!all) {
+			break
 		}
 	}
 	return res, nil

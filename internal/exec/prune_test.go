@@ -10,6 +10,7 @@ import (
 	"disqo/internal/catalog"
 	"disqo/internal/physical"
 	"disqo/internal/stats"
+	"disqo/internal/translate"
 	"disqo/internal/types"
 )
 
@@ -70,7 +71,8 @@ func projected(t *testing.T, schema interface{ Index(string) int }, rows [][]typ
 // that pass needs through to it), Π_A(op) lowered by the planner — which
 // prunes op's inputs to what A and op read, gives op an emit list and
 // dissolves or aliases the Π — returns what projecting op's whole result
-// to A returns, under both null modes and both evaluators, for prefixes,
+// to A returns, for op and its two-valued translation under both
+// evaluators, for prefixes,
 // reorderings, single columns and the empty list.
 func TestPruningIsInvisible(t *testing.T) {
 	cat := pruneCatalog(t)
@@ -131,9 +133,16 @@ func TestPruningIsInvisible(t *testing.T) {
 		if n > 1 {
 			lists = append(lists, []string{attrs[n-1], attrs[0]})
 		}
-		for _, nulls := range []types.NullMode{types.ThreeValued, types.TwoValued} {
+		for _, nulls := range []string{"3vl", "2vl"} {
+			op := op
+			if nulls == "2vl" {
+				var err error
+				if op, err = translate.TwoValued(op); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for _, path := range []Path{PathRow, PathVector} {
-				opt := Options{Cache: CacheAll, Nulls: nulls, Path: path}
+				opt := Options{Cache: CacheAll, Path: path}
 				whole, err := New(cat, opt).Run(op)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

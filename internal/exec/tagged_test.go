@@ -95,8 +95,14 @@ func TestTaggedEqv5MatchesCanonical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			for _, nulls := range []types.NullMode{types.ThreeValued, types.TwoValued} {
-				rw := rewrite.New(cat, tc.caps).WithNulls(nulls)
+			for _, nulls := range []string{"3vl", "2vl"} {
+				canonical := canonical
+				if nulls == "2vl" {
+					if canonical, err = translate.TwoValued(canonical); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rw := rewrite.New(cat, tc.caps)
 				plan, err := rw.Rewrite(canonical)
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
@@ -105,7 +111,7 @@ func TestTaggedEqv5MatchesCanonical(t *testing.T) {
 					t.Fatalf("%s: not an Eqv. 5 plan: %v", tc.name, rw.Trace)
 				}
 				run := func(p algebra.Op, workers int) *storage.Relation {
-					rel, err := New(cat, Options{Cache: CacheAll, Nulls: nulls,
+					rel, err := New(cat, Options{Cache: CacheAll,
 						Workers: workers, MorselSize: MinMorselSize}).Run(p)
 					if err != nil {
 						t.Fatalf("%s seed %d: %v\n%s", tc.name, seed, err, algebra.Explain(p))

@@ -71,7 +71,7 @@ func (ex *Executor) batchFor(rel *storage.Relation) *storage.Batch {
 // values, *vec.Scalar yields values.
 type program[T any] interface {
 	Cols() []int
-	EvalMode(b *storage.Batch, lo, hi int, nulls types.NullMode) ([]T, int64, error)
+	Eval(b *storage.Batch, lo, hi int) ([]T, int64, error)
 }
 
 // morselEval returns the one part of an operator that varies with the
@@ -86,7 +86,7 @@ func morselEval[T any](ex *Executor, compiled bool, prog program[T], in *storage
 		b := ex.batchFor(in)
 		b.Materialize(prog.Cols())
 		return func(w *Executor, lo, hi int) ([]T, error) {
-			res, cmps, err := prog.EvalMode(b, lo, hi, w.opt.Nulls)
+			res, cmps, err := prog.Eval(b, lo, hi)
 			w.stats.Comparisons += cmps
 			return res, err
 		}

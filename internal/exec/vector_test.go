@@ -112,6 +112,8 @@ func TestEvaluatorsAgree(t *testing.T) {
 		{"bypass-", algebra.Neg(bypass), "Stream-"},
 		{"map", algebra.NewMap(l, "x", algebra.Arith(types.Add, col("l.k"), col("l.v"))), "Map["},
 		{"map predicate", algebra.NewMap(l, "x", disj), "Map["},
+		{"filter not is true", algebra.NewSelect(l, algebra.Not(algebra.IsTrue(disj))), "Filter["},
+		{"map is true", algebra.NewMap(l, "x", algebra.IsTrue(disj)), "Map["},
 		{"project", algebra.NewProject(l, []string{"l.m", "l.k"}), "Project["},
 		{"inner", algebra.NewJoin(l, r, keyEq), "HashJoin[l.k=r.k]"},
 		{"inner mixed key", algebra.NewJoin(l, r, algebra.Cmp(types.EQ, col("l.m"), col("r.m"))), "HashJoin[l.m=r.m]"},

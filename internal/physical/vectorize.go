@@ -79,6 +79,8 @@ func (p *Planner) orderPred(pred algebra.Expr, input algebra.Op) algebra.Expr {
 		return algebra.Or(parts...)
 	case *algebra.NotExpr:
 		return algebra.Not(p.orderPred(x.E, input))
+	case *algebra.IsTrueExpr:
+		return algebra.IsTrue(p.orderPred(x.E, input))
 	default:
 		return pred
 	}

@@ -67,12 +67,6 @@ type Rewriter struct {
 	caps Caps
 	ctr  int
 	memo map[algebra.Op]algebra.Op
-	// nulls is the logic the rewritten plan will execute under. Most
-	// equivalences are mode-independent, but NNF negation of
-	// comparisons/quantified comparisons and the NOT IN count form are
-	// sound only in the logic they were derived in, so the rewriter
-	// must know which one applies (see negate and quantToCount).
-	nulls types.NullMode
 	// Trace records the equivalences applied, in order — used by tests
 	// and surfaced by EXPLAIN.
 	Trace []string
@@ -82,13 +76,6 @@ type Rewriter struct {
 // decisions; cat may be the live catalog or a pinned snapshot.
 func New(cat catalog.Reader, caps Caps) *Rewriter {
 	return &Rewriter{est: stats.New(cat), caps: caps, memo: make(map[algebra.Op]algebra.Op)}
-}
-
-// WithNulls sets the null mode the rewritten plan targets and returns
-// the rewriter for chaining.
-func (rw *Rewriter) WithNulls(m types.NullMode) *Rewriter {
-	rw.nulls = m
-	return rw
 }
 
 // fresh generates a plan-unique synthetic attribute name not colliding
@@ -174,48 +161,34 @@ func mapOperands(e algebra.Expr, f func(algebra.Expr) algebra.Expr) algebra.Expr
 	return out
 }
 
-// normalizeNNF pushes NOT down to the leaves (negation normal form)
-// under the default three-valued logic, which is sound in Kleene logic:
-// De Morgan's laws and double negation hold, ¬(a θ b) ≡ a θ̄ b, and
-// negated quantifiers flip polarity.
+// normalizeNNF pushes NOT down to the leaves (negation normal form),
+// which is sound in Kleene logic: De Morgan's laws and double negation
+// hold, ¬(a θ b) ≡ a θ̄ b, and negated quantifiers flip polarity. A
+// two-valued query arrives already written in Kleene logic
+// (translate.TwoValued), so this serves it unchanged.
 func normalizeNNF(e algebra.Expr) algebra.Expr {
-	return normalizeNNFMode(e, types.ThreeValued)
-}
-
-// normalizeNNFMode is normalizeNNF under an explicit null mode. De
-// Morgan and double negation are sound in both logics (two-valued
-// predicates are classical Boolean), but the comparison and quantified-
-// comparison foldings are not: in two-valued logic ¬(a = NULL) is TRUE
-// while a <> NULL is FALSE, so those negations stay leaves there.
-func normalizeNNFMode(e algebra.Expr, nulls types.NullMode) algebra.Expr {
 	switch x := e.(type) {
 	case *algebra.AndExpr, *algebra.OrExpr:
-		return mapOperands(e, func(c algebra.Expr) algebra.Expr { return normalizeNNFMode(c, nulls) })
+		return mapOperands(e, normalizeNNF)
 	case *algebra.NotExpr:
-		return negate(x.E, nulls)
+		return negate(x.E)
 	default:
 		return e
 	}
 }
 
-func negate(e algebra.Expr, nulls types.NullMode) algebra.Expr {
+func negate(e algebra.Expr) algebra.Expr {
 	switch x := e.(type) {
 	case *algebra.NotExpr:
-		return normalizeNNFMode(x.E, nulls)
+		return normalizeNNF(x.E)
 	case *algebra.AndExpr:
-		return algebra.Or(negate(x.L, nulls), negate(x.R, nulls))
+		return algebra.Or(negate(x.L), negate(x.R))
 	case *algebra.OrExpr:
-		return algebra.And(negate(x.L, nulls), negate(x.R, nulls))
+		return algebra.And(negate(x.L), negate(x.R))
 	case *algebra.CmpExpr:
-		if nulls == types.TwoValued {
-			// ¬(a θ b) ≢ a θ̄ b when a NULL operand makes both sides
-			// FALSE; the negation must survive as a leaf.
-			return algebra.Not(e)
-		}
 		return algebra.Cmp(x.Op.Negate(), x.L, x.R)
 	case *algebra.QuantSubquery:
-		// Sound in both logics: each mode evaluates NOT IN as the exact
-		// complement of its own IN (likewise EXISTS/NOT EXISTS).
+		// NOT IN is the Kleene complement of IN, NOT EXISTS of EXISTS.
 		switch x.Quant {
 		case algebra.Exists:
 			return algebra.Quant(algebra.NotExists, nil, x.Plan)
@@ -227,11 +200,6 @@ func negate(e algebra.Expr, nulls types.NullMode) algebra.Expr {
 			return algebra.Quant(algebra.In, x.L, x.Plan)
 		}
 	case *algebra.AllAnyExpr:
-		if nulls == types.TwoValued {
-			// A NULL member turns both x θ ALL S and x θ̄ ANY S FALSE in
-			// two-valued logic, so the polarity flip is unsound there.
-			return algebra.Not(e)
-		}
 		// ¬(x θ ALL S) ≡ x θ̄ ANY S — exact in Kleene logic (De Morgan
 		// over the comparison fold).
 		return algebra.AllAny(x.Op.Negate(), !x.All, x.L, x.Plan)
@@ -241,7 +209,7 @@ func negate(e algebra.Expr, nulls types.NullMode) algebra.Expr {
 		}
 		return algebra.Not(e)
 	default:
-		// LIKE, IS NULL, …: keep the negation as a leaf.
+		// LIKE, IS NULL, IS TRUE, …: keep the negation as a leaf.
 		return algebra.Not(e)
 	}
 }
@@ -258,11 +226,7 @@ func negate(e algebra.Expr, nulls types.NullMode) algebra.Expr {
 //
 // The NOT IN form preserves SQL's three-valued semantics for WHERE-clause
 // filtering: any NULL in q or a NULL probe makes the original predicate
-// not-true, and here makes a conjunct not-true. Under two-valued logic
-// NULLs simply never compare equal, so x NOT IN q is plainly "no member
-// equals x" and the conversion emits COUNT(*){σ_{y=x}(q)} = 0 alone —
-// the σ runs under the same two-valued logic, dropping NULL members and
-// matching nothing for a NULL probe.
+// not-true, and here makes a conjunct not-true.
 func (rw *Rewriter) quantToCount(e algebra.Expr) algebra.Expr {
 	switch x := e.(type) {
 	case *algebra.AndExpr, *algebra.OrExpr:
@@ -286,10 +250,6 @@ func (rw *Rewriter) quantToCount(e algebra.Expr) algebra.Expr {
 			if x.Quant == algebra.In {
 				rw.trace("quantified: IN → COUNT(*) of matches > 0")
 				return algebra.Cmp(types.GT, eqCount, algebra.ConstInt(0))
-			}
-			if rw.nulls == types.TwoValued {
-				rw.trace("quantified: NOT IN → COUNT(*) of matches = 0 (2VL)")
-				return algebra.Cmp(types.EQ, eqCount, algebra.ConstInt(0))
 			}
 			nullPlan := algebra.NewSelect(x.Plan, algebra.IsNull(col))
 			nullCount := algebra.Subquery(countStar, nil, nullPlan)

@@ -16,7 +16,7 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 	if !algebra.HasSubquery(sel.Pred) {
 		return sel, false, nil
 	}
-	pred := normalizeNNFMode(sel.Pred, rw.nulls)
+	pred := normalizeNNF(sel.Pred)
 	child := sel.Child
 	outAttrs := child.Schema().Attrs()
 
@@ -561,7 +561,7 @@ func (rw *Rewriter) buildEqv4(sub *algebra.ScalarSubquery, inner algebra.Op, out
 //
 //	σ_{corr ∨ p}(S) = σ_p(S) ∪̇ σ_corr(σ_{¬p}(S))    (¬p: p is not TRUE)
 //
-// in both null modes and under bag semantics. A map tags each inner
+// under bag semantics. A map tags each inner
 // tuple with p once — unnestMap then unnests p's own subqueries against
 // |S| rows — and one binary grouping on corr ∨ tag assembles the groups
 // without the |R|·|S| complement.
@@ -579,7 +579,7 @@ func (rw *Rewriter) buildEqv5(sub *algebra.ScalarSubquery, inner algebra.Op, cor
 	// quantifier→COUNT conversion preserve; afterwards every subquery in
 	// p is scalar and unnestMap's machinery applies.
 	if algebra.HasSubquery(p) && rw.caps.Quantified {
-		p = rw.quantToCount(normalizeNNFMode(p, rw.nulls))
+		p = rw.quantToCount(normalizeNNF(p))
 	}
 	tag := rw.fresh("tag", inner)
 	g := rw.fresh("g", cur)

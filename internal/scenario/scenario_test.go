@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -226,34 +227,115 @@ func TestSeedFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTwoValuedModeDiffers: sanity that WithNullMode is actually
-// reaching evaluation — on data where a NULL comparison decides
-// membership, 2VL (NULL = x is false) must return fewer rows than 3VL
-// never... rather, the two modes must differ on a crafted query.
-func TestTwoValuedModeDiffers(t *testing.T) {
-	db, err := disqo.Open()
+// TestNullModesAgainstHandResults checks both null modes against
+// answers worked out by hand, not by another run of the engine, on one
+// fixture (N is NULL):
+//
+//	r(a1 a2 a3 a4)   (1 1 1 1) (2 N 2 2) (N 3 3 3) (4 4 N 4) (5 1 0 N)
+//	s(b1 b2 b3 b4)   (1 1 1 1) (N 1 2 2) (3 N 3 3) (4 4 4 N) (0 4 N 0)
+//	t(c1)            ('ab') ('xb') (N)
+//
+// In the two OR-correlated blocks, S(r) = {b1 : b2 = a2 OR b4 = a4} is
+// {1, N} for a1 = 1 and 5, {N} for 2, {3} for N, and {4, 0} for 4. Every
+// row runs under every strategy and both evaluators.
+func TestNullModesAgainstHandResults(t *testing.T) {
+	db, err := disqo.Open(disqo.WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.CreateTable("r", []disqo.Column{{Name: "a1", Type: disqo.TypeInt}}); err != nil {
-		t.Fatal(err)
+	for _, stmt := range []string{
+		"CREATE TABLE r (a1 INTEGER, a2 INTEGER, a3 INTEGER, a4 INTEGER)",
+		"INSERT INTO r VALUES (1, 1, 1, 1), (2, NULL, 2, 2), (NULL, 3, 3, 3), (4, 4, NULL, 4), (5, 1, 0, NULL)",
+		"CREATE TABLE s (b1 INTEGER, b2 INTEGER, b3 INTEGER, b4 INTEGER)",
+		"INSERT INTO s VALUES (1, 1, 1, 1), (NULL, 1, 2, 2), (3, NULL, 3, 3), (4, 4, 4, NULL), (0, 4, NULL, 0)",
+		"CREATE TABLE t (c1 VARCHAR)",
+		"INSERT INTO t VALUES ('ab'), ('xb'), (NULL)",
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
 	}
-	if err := db.Insert("r", []disqo.Value{disqo.Int(1)}, []disqo.Value{{}}); err != nil {
-		t.Fatal(err)
+	const orBlock = "(SELECT b1 FROM s WHERE b2 = a2 OR b4 = a4)"
+	cases := []struct {
+		name, sql      string
+		three, two     []string // rows, values comma-separated
+		why3vl, why2vl string
+	}{
+		{"not over a comparison", "SELECT a1 FROM r WHERE NOT (a2 = 1)",
+			[]string{"4", "NULL"}, []string{"2", "4", "NULL"},
+			"NULL = 1 is UNKNOWN, and so is its NOT", "NULL = 1 is FALSE, so its NOT keeps a1 = 2"},
+		{"predicate as a select item", "SELECT a1, a3 = 1 AS p FROM r",
+			[]string{"1,TRUE", "2,FALSE", "NULL,FALSE", "4,NULL", "5,FALSE"},
+			[]string{"1,TRUE", "2,FALSE", "NULL,FALSE", "4,FALSE", "5,FALSE"},
+			"a3 = NULL renders UNKNOWN as NULL", "a3 = NULL is FALSE"},
+		{"not in with a null member", "SELECT a1 FROM r WHERE a2 NOT IN (SELECT b1 FROM s)",
+			nil, []string{"2"},
+			"the NULL in s.b1 leaves no NOT IN TRUE", "NULLs equal nothing: only the NULL probe a2 is in no member"},
+		{"not in with a null probe", "SELECT a1 FROM r WHERE a2 NOT IN (SELECT b2 FROM s WHERE b2 IS NOT NULL)",
+			[]string{"NULL"}, []string{"2", "NULL"},
+			"members {1, 4}: a2 = 3 passes, the NULL probe is UNKNOWN", "the NULL probe equals no member and passes too"},
+		{"not in as a select item over a null probe", "SELECT a1, a2 NOT IN (SELECT b2 FROM s WHERE b2 IS NOT NULL) AS p FROM r",
+			[]string{"1,FALSE", "2,NULL", "NULL,TRUE", "4,FALSE", "5,FALSE"},
+			[]string{"1,FALSE", "2,TRUE", "NULL,TRUE", "4,FALSE", "5,FALSE"},
+			"members {1, 4}: the NULL probe's IN is UNKNOWN, rendered NULL", "the NULL probe's IN is FALSE, so its NOT IN is TRUE"},
+		{"<> all as a select item over a null member", "SELECT a1, a1 <> ALL (SELECT b1 FROM s) AS p FROM r",
+			[]string{"1,FALSE", "2,NULL", "NULL,NULL", "4,FALSE", "5,NULL"},
+			[]string{"1,FALSE", "2,TRUE", "NULL,TRUE", "4,FALSE", "5,TRUE"},
+			"<> ALL is NOT IN; members {1, N, 3, 4, 0}: 2, N and 5 meet the NULL member, so their IN is UNKNOWN",
+			"the IN of 2, N and 5 is FALSE, so their NOT IN is TRUE"},
+		{"not (> all) over an or-correlated block", "SELECT a1 FROM r WHERE NOT (a1 > ALL " + orBlock + ")",
+			[]string{"1", "4"}, []string{"1", "2", "NULL", "4", "5"},
+			"1 > 1 and 4 > 4 are FALSE; 2 > N, N > 3 and 5 > N are UNKNOWN",
+			"every comparison with a NULL is FALSE, so no ALL holds and every NOT does"},
+		{"not (= any) over an or-correlated block", "SELECT a1 FROM r WHERE NOT (a1 = ANY " + orBlock + ")",
+			nil, []string{"2", "NULL", "5"},
+			"1 and 4 are members; the other three meet a NULL on one side",
+			"2, N and 5 equal no member once NULL comparisons are FALSE"},
+		{"not like on null", "SELECT c1 FROM t WHERE c1 NOT LIKE 'a%'",
+			[]string{"'xb'"}, []string{"'xb'", "NULL"},
+			"NULL LIKE 'a%' is UNKNOWN", "NULL LIKE 'a%' is FALSE"},
+		{"not over a scalar-subquery comparison", "SELECT a1 FROM r WHERE NOT (a3 = (SELECT MAX(b3) FROM s WHERE b2 = a2))",
+			[]string{"1", "5"}, []string{"1", "2", "NULL", "4", "5"},
+			"the MAX is 2, NULL, NULL, 4, 2: only 1 = 2 and 0 = 2 are decided",
+			"the three comparisons with a NULL are FALSE, so their NOTs pass"},
+		{"having not", "SELECT a2, COUNT(*) AS n FROM r GROUP BY a2 HAVING NOT (MAX(a3) > 1)",
+			[]string{"1,2"}, []string{"1,2", "4,1"},
+			"the group a2 = 4 has MAX(a3) NULL, so its HAVING is UNKNOWN", "NULL > 1 is FALSE, so the group a2 = 4 passes"},
+		{"not exists over a negated correlation", "SELECT a1 FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE NOT (b1 = a1) AND b2 = a2)",
+			[]string{"1", "2", "NULL"}, []string{"2", "NULL"},
+			"for a1 = 1 the block's only candidate has b1 NULL: UNKNOWN, so the block is empty",
+			"NOT (NULL = 1) is TRUE: the block is not empty and 2VL returns fewer rows"},
 	}
-	// NOT (a1 = 0): 3VL drops the NULL row (unknown), 2VL keeps it
-	// (a1 = 0 lifts to false, NOT false = true).
-	const q = "SELECT * FROM r WHERE NOT (a1 = 0)"
-	three, err := db.Query(q, disqo.WithNullMode(disqo.ThreeValuedNulls))
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := db.Query(q, disqo.WithNullMode(disqo.TwoValuedNulls))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(three.Rows) != 1 || len(two.Rows) != 2 {
-		t.Fatalf("3VL returned %d rows and 2VL %d, want 1 and 2", len(three.Rows), len(two.Rows))
+	strategies := append(disqo.Strategies(), disqo.CostBased)
+	for _, c := range cases {
+		for _, m := range []struct {
+			mode disqo.NullMode
+			want []string
+			why  string
+		}{{disqo.ThreeValuedNulls, c.three, c.why3vl}, {disqo.TwoValuedNulls, c.two, c.why2vl}} {
+			want := append([]string(nil), m.want...)
+			sort.Strings(want)
+			for _, strategy := range strategies {
+				for _, path := range []disqo.ExecutionPath{disqo.PathRow, disqo.PathVector} {
+					res, err := db.Query(c.sql, disqo.WithNullMode(m.mode), disqo.WithStrategy(strategy), disqo.WithExecutionPath(path))
+					if err != nil {
+						t.Fatalf("%s %s %s %s: %v", c.name, m.mode, strategy, path, err)
+					}
+					got := make([]string, len(res.Rows))
+					for i, row := range res.Rows {
+						vals := make([]string, len(row))
+						for j, v := range row {
+							vals[j] = v.String()
+						}
+						got[i] = strings.Join(vals, ",")
+					}
+					sort.Strings(got)
+					if strings.Join(got, " ") != strings.Join(want, " ") {
+						t.Errorf("%s under %s, %s, %s: rows %v, want %v (%s)", c.name, m.mode, strategy, path, got, want, m.why)
+					}
+				}
+			}
+		}
 	}
 }

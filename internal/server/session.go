@@ -12,7 +12,6 @@ import (
 	"disqo"
 	"disqo/internal/faultinject"
 	"disqo/internal/sqlparser"
-	"disqo/internal/types"
 	"disqo/internal/wire"
 )
 
@@ -346,7 +345,7 @@ func (s *session) queryOptions(req *wire.Request) ([]disqo.Option, *wire.Error) 
 		nulls = s.nulls
 	}
 	if nulls != "" {
-		m, ok := types.ParseNullMode(nulls)
+		m, ok := disqo.ParseNullMode(nulls)
 		if !ok {
 			return nil, &wire.Error{Kind: wire.KindInvalid, Message: "unknown null mode " + nulls}
 		}
@@ -429,7 +428,7 @@ func (s *session) doSet(req *wire.Request) *wire.Response {
 		s.strategy = req.Strategy
 	}
 	if req.Nulls != "" {
-		if _, ok := types.ParseNullMode(req.Nulls); !ok {
+		if _, ok := disqo.ParseNullMode(req.Nulls); !ok {
 			return errResp(req.ID, wire.KindInvalid, "unknown null mode "+req.Nulls)
 		}
 		s.nulls = req.Nulls

@@ -180,6 +180,8 @@ func (e *Estimator) Selectivity(pred algebra.Expr, input algebra.Op) float64 {
 		return l + r - l*r
 	case *algebra.NotExpr:
 		return 1 - e.Selectivity(x.E, input)
+	case *algebra.IsTrueExpr:
+		return e.Selectivity(x.E, input) // the same rows pass
 	case *algebra.LikeExpr:
 		return defaultLikeSel
 	case *algebra.IsNullExpr:
@@ -272,6 +274,8 @@ func (e *Estimator) PredCost(pred algebra.Expr) float64 {
 	case *algebra.OrExpr:
 		return e.PredCost(x.L) + e.PredCost(x.R)
 	case *algebra.NotExpr:
+		return e.PredCost(x.E)
+	case *algebra.IsTrueExpr:
 		return e.PredCost(x.E)
 	case *algebra.LikeExpr:
 		return costLike

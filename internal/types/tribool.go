@@ -96,51 +96,6 @@ func TriFromValue(v Value) TriBool {
 	return Unknown
 }
 
-// NullMode selects the logic predicates evaluate under. The default
-// ThreeValued is SQL's Kleene logic: comparisons against NULL yield
-// Unknown, which propagates through connectives. TwoValued follows
-// "Handling SQL Nulls with Two-Valued Logic" (arXiv 2012.13198):
-// every atomic predicate over a NULL is simply FALSE, and the
-// connectives are classical Boolean. The collapse happens at the
-// leaves — comparisons, LIKE, and predicate-as-value coercions — so
-// AND/OR/NOT never see Unknown and need no mode switch of their own.
-type NullMode uint8
-
-const (
-	// ThreeValued is SQL's standard Kleene three-valued logic.
-	ThreeValued NullMode = iota
-	// TwoValued collapses Unknown to False at predicate leaves.
-	TwoValued
-)
-
-// String renders the mode the way the REPL and EXPLAIN spell it.
-func (m NullMode) String() string {
-	if m == TwoValued {
-		return "2vl"
-	}
-	return "3vl"
-}
-
-// ParseNullMode resolves a mode by the name String prints — the one
-// spelling flags, REPL commands and wire requests use.
-func ParseNullMode(name string) (NullMode, bool) {
-	for _, m := range []NullMode{ThreeValued, TwoValued} {
-		if m.String() == name {
-			return m, true
-		}
-	}
-	return ThreeValued, false
-}
-
-// Lift maps a leaf truth value into the mode: under TwoValued, Unknown
-// collapses to False; under ThreeValued it passes through.
-func (m NullMode) Lift(t TriBool) TriBool {
-	if m == TwoValued && t == Unknown {
-		return False
-	}
-	return t
-}
-
 // CompareOp is a comparison operator θ ∈ {=, <>, <, <=, >, >=} — the
 // linking and correlation operators the paper's equivalences support.
 type CompareOp uint8

@@ -6,26 +6,18 @@ import (
 )
 
 // evalCtx carries per-Eval state: the batch, the morsel window, the
-// null mode, the comparison counter, and small buffer free-lists so
-// nested operators reuse scratch space instead of allocating per node
-// per morsel. The mode lives here, not in the compiled program, so one
-// compiled Pred serves both logics — plan caches need not fork kernels
-// per mode.
+// comparison counter, and small buffer free-lists so nested operators
+// reuse scratch space instead of allocating per node per morsel.
 type evalCtx struct {
-	b     *storage.Batch
-	lo    int
-	n     int
-	nulls types.NullMode
-	cmps  int64
+	b    *storage.Batch
+	lo   int
+	n    int
+	cmps int64
 
 	tfree [][]types.TriBool
 	vfree [][]types.Value
 	ifree [][]int32
 	rows  []int32
-}
-
-func newEvalCtx(b *storage.Batch, lo, n int, nulls types.NullMode) *evalCtx {
-	return &evalCtx{b: b, lo: lo, n: n, nulls: nulls}
 }
 
 // allRows lists every row of the morsel, in order, as absolute indices.
@@ -131,7 +123,7 @@ func (p *pcmp) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 	}
 	for _, r := range rows {
 		i := r - int32(lo)
-		res[i] = ctx.nulls.Lift(types.CompareValues(p.op, lv[i], rv[i]))
+		res[i] = types.CompareValues(p.op, lv[i], rv[i])
 	}
 	ctx.cmps += int64(len(rows))
 	return nil
@@ -234,15 +226,25 @@ func (p *por) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 	return nil
 }
 
-type pnot struct{ child pnode }
+// pmask maps each row's truth value through a table indexed by it: NOT
+// and IS TRUE.
+type pmask struct {
+	child pnode
+	to    [3]types.TriBool
+}
 
-func (p *pnot) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
+var (
+	notMask    = [3]types.TriBool{types.False: types.True, types.True: types.False, types.Unknown: types.Unknown}
+	isTrueMask = [3]types.TriBool{types.False: types.False, types.True: types.True, types.Unknown: types.False}
+)
+
+func (p *pmask) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 	if err := p.child.eval(ctx, rows, res); err != nil {
 		return err
 	}
 	lo := int32(ctx.lo)
 	for _, r := range rows {
-		res[r-lo] = res[r-lo].Not()
+		res[r-lo] = p.to[res[r-lo]]
 	}
 	return nil
 }
@@ -262,7 +264,7 @@ func (p *plike) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 	}
 	lo := int32(ctx.lo)
 	for _, r := range rows {
-		res[r-lo] = ctx.nulls.Lift(types.Like(lv[r-lo], pv[r-lo]))
+		res[r-lo] = types.Like(lv[r-lo], pv[r-lo])
 	}
 	return nil
 }
@@ -282,8 +284,8 @@ func (p *pisnull) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 	return nil
 }
 
-// pvalue interprets a scalar as a truth value (NULL → UNKNOWN, lifted
-// to FALSE in two-valued mode), the interpreter's default-case behavior.
+// pvalue interprets a scalar as a truth value (NULL → UNKNOWN), the
+// interpreter's default-case behavior.
 type pvalue struct{ child snode }
 
 func (p *pvalue) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
@@ -294,7 +296,7 @@ func (p *pvalue) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 	}
 	lo := int32(ctx.lo)
 	for _, r := range rows {
-		res[r-lo] = ctx.nulls.Lift(types.TriFromValue(v[r-lo]))
+		res[r-lo] = types.TriFromValue(v[r-lo])
 	}
 	return nil
 }

@@ -80,20 +80,12 @@ func (s *Scalar) Cols() []int { return s.cols }
 // Expr returns the source expression the scalar was compiled from.
 func (s *Scalar) Expr() algebra.Expr { return s.src }
 
-// Eval evaluates the predicate over rows [lo,hi) of b under the default
-// three-valued logic. res[i-lo] holds row i's truth value; cmps is the
-// number of comparisons charged, matching what the row interpreter
-// would charge for the same rows.
+// Eval evaluates the predicate over rows [lo,hi) of b in three-valued
+// logic. res[i-lo] holds row i's truth value; cmps is the number of
+// comparisons charged, matching what the row interpreter would charge
+// for the same rows.
 func (p *Pred) Eval(b *storage.Batch, lo, hi int) (res []types.TriBool, cmps int64, err error) {
-	return p.EvalMode(b, lo, hi, types.ThreeValued)
-}
-
-// EvalMode is Eval under an explicit null mode. The mode is a runtime
-// parameter, not a compile-time one: the same compiled program serves
-// both logics, with two-valued mode lifting Unknown to False at the
-// comparison, LIKE, and value-coercion leaves.
-func (p *Pred) EvalMode(b *storage.Batch, lo, hi int, nulls types.NullMode) (res []types.TriBool, cmps int64, err error) {
-	ctx := newEvalCtx(b, lo, hi-lo, nulls)
+	ctx := &evalCtx{b: b, lo: lo, n: hi - lo}
 	res = make([]types.TriBool, hi-lo)
 	if err := p.root.eval(ctx, ctx.allRows(), res); err != nil {
 		return nil, ctx.cmps, err
@@ -101,17 +93,9 @@ func (p *Pred) EvalMode(b *storage.Batch, lo, hi int, nulls types.NullMode) (res
 	return res, ctx.cmps, nil
 }
 
-// Eval evaluates the scalar over rows [lo,hi) of b under the default
-// three-valued logic.
+// Eval evaluates the scalar over rows [lo,hi) of b.
 func (s *Scalar) Eval(b *storage.Batch, lo, hi int) (res []types.Value, cmps int64, err error) {
-	return s.EvalMode(b, lo, hi, types.ThreeValued)
-}
-
-// EvalMode is Eval under an explicit null mode; the mode only matters
-// for predicates rendered as values (spred), whose truth values follow
-// the mode's leaf lifting.
-func (s *Scalar) EvalMode(b *storage.Batch, lo, hi int, nulls types.NullMode) (res []types.Value, cmps int64, err error) {
-	ctx := newEvalCtx(b, lo, hi-lo, nulls)
+	ctx := &evalCtx{b: b, lo: lo, n: hi - lo}
 	res = make([]types.Value, hi-lo)
 	if err := s.root.eval(ctx, ctx.allRows(), res); err != nil {
 		return nil, ctx.cmps, err
@@ -160,11 +144,9 @@ func (c *compiler) pred(e algebra.Expr) (pnode, error) {
 		}
 		return &por{parts: parts}, nil
 	case *algebra.NotExpr:
-		child, err := c.pred(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return &pnot{child: child}, nil
+		return c.mask(x.E, notMask)
+	case *algebra.IsTrueExpr:
+		return c.mask(x.E, isTrueMask)
 	case *algebra.LikeExpr:
 		l, err := c.scalar(x.L)
 		if err != nil {
@@ -190,6 +172,14 @@ func (c *compiler) pred(e algebra.Expr) (pnode, error) {
 	default:
 		return nil, fmt.Errorf("vec: %T does not vectorize", e)
 	}
+}
+
+func (c *compiler) mask(e algebra.Expr, to [3]types.TriBool) (pnode, error) {
+	child, err := c.pred(e)
+	if err != nil {
+		return nil, err
+	}
+	return &pmask{child: child, to: to}, nil
 }
 
 func (c *compiler) preds(es []algebra.Expr) ([]pnode, error) {
@@ -226,7 +216,7 @@ func (c *compiler) scalar(e algebra.Expr) (snode, error) {
 		}
 		return &sarith{op: x.Op, l: l, r: r}, nil
 	case *algebra.CmpExpr, *algebra.AndExpr, *algebra.OrExpr, *algebra.NotExpr,
-		*algebra.LikeExpr, *algebra.IsNullExpr:
+		*algebra.LikeExpr, *algebra.IsNullExpr, *algebra.IsTrueExpr:
 		p, err := c.pred(e)
 		if err != nil {
 			return nil, err

@@ -16,7 +16,6 @@ import (
 	"disqo/internal/stats"
 	"disqo/internal/storage"
 	"disqo/internal/translate"
-	"disqo/internal/types"
 )
 
 // prepared is the one product of planning and the one input of
@@ -54,7 +53,7 @@ func planKey(norm string, cfg queryConfig, snap *catalog.Snapshot) cache.PlanKey
 	return cache.PlanKey{
 		SQL:            norm,
 		Strategy:       string(cfg.strategy),
-		Nulls:          cfg.Nulls.String(),
+		Nulls:          string(cfg.nulls),
 		CatalogVersion: snap.Version(),
 	}
 }
@@ -85,18 +84,22 @@ func (db *DB) preparedFor(snap *catalog.Snapshot, sql string, cfg queryConfig) (
 	return pp, false, nil
 }
 
-// planStmt is the planning pipeline: translate → optimize by strategy →
-// lower, each entered here and nowhere else, with one estimator and one
-// physical planner. Everything reads src — tables and views alike — so
-// planning against a snapshot is immune to concurrent DML and DDL. The canonical translation comes
-// back too; only EXPLAIN shows it.
+// planStmt is the planning pipeline: translate (to two-valued logic
+// too, when the query asks for it) → optimize by strategy → lower, each
+// entered here and nowhere else, with one estimator and one physical
+// planner. Everything reads src — tables and views alike — so planning
+// against a snapshot is immune to concurrent DML and DDL. The canonical
+// translation comes back too; only EXPLAIN shows it.
 func (db *DB) planStmt(src catalog.Reader, stmt *sqlparser.SelectStmt, key cache.PlanKey, cfg queryConfig) (*prepared, algebra.Op, error) {
 	canonical, err := translate.New(src).Translate(stmt)
+	if err == nil && cfg.nulls == TwoValuedNulls {
+		canonical, err = translate.TwoValued(canonical)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
 	est := stats.New(src)
-	logical, trace, err := optimize(src, est, canonical, cfg.strategy, cfg.Nulls)
+	logical, trace, err := optimize(src, est, canonical, cfg.strategy)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -128,14 +131,14 @@ func (db *DB) planStmt(src catalog.Reader, stmt *sqlparser.SelectStmt, key cache
 
 // optimize applies a strategy to the canonical translation and returns
 // the plan to lower with the rewrite trace.
-func optimize(src catalog.Reader, est *stats.Estimator, canonical algebra.Op, strategy Strategy, nulls types.NullMode) (algebra.Op, []string, error) {
+func optimize(src catalog.Reader, est *stats.Estimator, canonical algebra.Op, strategy Strategy) (algebra.Op, []string, error) {
 	switch strategy {
 	case Unnested, S2:
 		caps := rewrite.AllCaps()
 		if strategy == S2 {
 			caps = rewrite.Caps{Conjunctive: true, ORExpansion: true, Quantified: true}
 		}
-		rw := rewrite.New(src, caps).WithNulls(nulls)
+		rw := rewrite.New(src, caps)
 		plan, err := rw.Rewrite(canonical)
 		if err != nil {
 			return nil, nil, err
@@ -155,7 +158,7 @@ func optimize(src catalog.Reader, est *stats.Estimator, canonical algebra.Op, st
 	case Canonical, S1:
 		return canonical, nil, nil
 	case CostBased:
-		return costBased(src, est, canonical, nulls)
+		return costBased(src, est, canonical)
 	default:
 		return nil, nil, fmt.Errorf("disqo: unknown strategy %q", strategy)
 	}
@@ -164,12 +167,12 @@ func optimize(src catalog.Reader, est *stats.Estimator, canonical algebra.Op, st
 // costBased compares the estimated cost of the canonical plan, the
 // rank-reordered plan, and the fully unnested plan, and returns the
 // cheapest; only the unnested candidate brings a trace of its own.
-func costBased(src catalog.Reader, est *stats.Estimator, canonical algebra.Op, nulls types.NullMode) (algebra.Op, []string, error) {
-	unnested, trace, err := optimize(src, est, canonical, Unnested, nulls)
+func costBased(src catalog.Reader, est *stats.Estimator, canonical algebra.Op) (algebra.Op, []string, error) {
+	unnested, trace, err := optimize(src, est, canonical, Unnested)
 	if err != nil {
 		return nil, nil, err
 	}
-	reordered, _, err := optimize(src, est, canonical, S3, nulls)
+	reordered, _, err := optimize(src, est, canonical, S3)
 	if err != nil {
 		return nil, nil, err
 	}

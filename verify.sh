@@ -3,7 +3,7 @@
 # ROADMAP.md (build, gofmt, the one-traversal grep, tests, vet, the
 # whole suite again under -race — which is where the chaos, concurrency, caching, evaluator
 # differential, telemetry, durability, wire and server suites run; no
-# line below repeats them) and the one-pipeline and one-index greps, plus everything
+# line below repeats them) and the one-pipeline, one-index and one-logic greps, plus everything
 # tier-1 does not run: a
 # one-iteration benchmark smoke (catches broken benchmark code and
 # instrumentation regressions without paying for a real measurement
@@ -53,6 +53,9 @@ test -z "$(grep -n 'sqlparser\.ParseStatement(' durability.go replica.go)"
 # one each. And types.Value is 32 bytes by layout, not by unsafe tricks.
 test -z "$(grep -n 'map\[uint64\]\[\]' $(ls internal/exec/*.go internal/agg/*.go internal/storage/*.go write.go | grep -v _test.go))"
 test -z "$(grep -l '"unsafe"' $(ls internal/types/*.go | grep -v _test.go))"
+# Two-valued logic is one translation at the front (translate.TwoValued),
+# not a mode: nothing below the planner names a null mode or lifts a leaf.
+test -z "$(grep -nE 'NullMode|Lift\(|WithNulls|EvalMode' $(ls internal/exec/*.go internal/vec/*.go internal/storage/*.go internal/types/*.go internal/rewrite/*.go internal/physical/*.go internal/stats/*.go | grep -v _test.go))"
 # Result rows have one encoding, the columnar frame: no per-value JSON
 # codec comes back into internal/wire.
 test -z "$(grep -nE 'func \([^)]*\) (Marshal|Unmarshal)JSON\(' $(ls internal/wire/*.go | grep -v _test.go))"

@@ -41,6 +41,8 @@ var commitPrep = []string{
 	"INSERT INTO other VALUES (1)",
 	"CREATE TABLE doomed (d INTEGER)",
 	"CREATE VIEW v AS SELECT a FROM m WHERE a > 1",
+	"CREATE TABLE nn (a INTEGER, b BOOLEAN)",
+	"INSERT INTO nn VALUES (1, NULL), (2, NULL), (NULL, NULL)",
 }
 
 // TestOneCommit asserts the write protocol once, over every kind of
@@ -51,7 +53,7 @@ var commitPrep = []string{
 // and the log alone rebuilds the writer's state, by crash recovery and
 // on a replica.
 func TestOneCommit(t *testing.T) {
-	const overM, overOther = "SELECT DISTINCT * FROM m", "SELECT DISTINCT * FROM other"
+	const overM, overOther, overNN = "SELECT DISTINCT * FROM m", "SELECT DISTINCT * FROM other", "SELECT * FROM nn"
 	intCol := func(name string) []Column { return []Column{{Name: name, Type: TypeInt}} }
 	api := func(f func(db *DB) error) func(*DB) (int, error) {
 		return func(db *DB) (int, error) { return 0, f(db) }
@@ -91,6 +93,11 @@ func TestOneCommit(t *testing.T) {
 		{"UPDATE", sql("UPDATE m SET a = 10 WHERE a < 3"), wal.KindSQL, 2, overM, true, "SELECT DISTINCT * FROM m WHERE a = 10", 1},
 		{"DELETE", sql("DELETE FROM m WHERE a = 1"), wal.KindSQL, 1, overM, true, overM, 2},
 		{"UPDATE of no row", sql("UPDATE m SET a = 0 WHERE a > 99"), wal.KindSQL, 0, overM, false, overM, 3},
+		// A write evaluates in three-valued logic, which is what replaying
+		// its text does: NOT (NULL = 1) is UNKNOWN and deletes nothing, and
+		// NULL = 1 writes NULL.
+		{"DELETE over a NULL", sql("DELETE FROM nn WHERE NOT (a = 1)"), wal.KindSQL, 1, overNN, true, overNN, 2},
+		{"UPDATE to a predicate", sql("UPDATE nn SET b = (a = 1)"), wal.KindSQL, 3, overNN, true, "SELECT * FROM nn WHERE b IS NULL", 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			// Sealed: the append after the prep statements' fails and seals

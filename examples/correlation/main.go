@@ -1,10 +1,11 @@
 // correlation demonstrates disjunctive *correlation* — the case where
 // the correlation predicate sits inside the nested block's own
-// disjunction (paper §3.2) — and the paper's two answers to it:
-// Equivalence 4 for decomposable aggregates (COUNT/SUM/AVG/MIN/MAX) and
-// Equivalence 5 for the rest (e.g. COUNT(DISTINCT …)). It also runs the
-// linear query Q4, where the second disjunct is itself another nested
-// block.
+// disjunction (paper §3.2). The paper answers it with Equivalence 4 for
+// decomposable aggregates (COUNT/SUM/AVG/MIN/MAX) and Equivalence 5 for
+// the rest (e.g. COUNT(DISTINCT …)); disqo uses Equivalence 5's tagged
+// binary grouping for both, so Q2 and Q2' report the same rule. It also
+// runs the linear query Q4, where the second disjunct is itself another
+// nested block.
 //
 // Run with: go run ./examples/correlation [-sf 0.05]
 package main
@@ -37,7 +38,7 @@ func main() {
 		sql   string
 	}{
 		{
-			"Q2 — disjunctive correlation, COUNT(*) (decomposable → Eqv. 4)",
+			"Q2 — disjunctive correlation, COUNT(*) (decomposable, still Eqv. 5)",
 			`SELECT DISTINCT * FROM r
 			 WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500)`,
 		},

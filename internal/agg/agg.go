@@ -1,11 +1,9 @@
 // Package agg implements SQL aggregate functions — COUNT, SUM, AVG, MIN,
-// MAX, each with an optional DISTINCT modifier — together with the
-// *decomposability* structure the paper's Equivalence 4 requires:
-// f(X) = fO(fI(Y), fI(Z)) for any disjoint split X = Y ∪ Z.
-//
-// COUNT/SUM/AVG/MIN/MAX are decomposable (AVG via a (SUM, COUNT) pair);
-// the DISTINCT variants of COUNT, SUM, and AVG are not (paper §3.3,
-// footnote 1) and force Equivalence 5.
+// MAX, each with an optional DISTINCT modifier — as accumulators that
+// merge (morsel-parallel grouping) and overlay a shared base (Eqv. 5's
+// fold of the tuples every group holds). Every aggregate, DISTINCT
+// included, goes through the same two operations, so no rule needs the
+// paper's decomposability split f(X) = fO(fI(Y), fI(Z)).
 package agg
 
 import (
@@ -82,16 +80,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Decomposable reports whether the aggregate satisfies the paper's
-// decomposability definition. MIN(DISTINCT)/MAX(DISTINCT) are trivially
-// decomposable because DISTINCT does not change their value.
-func (s Spec) Decomposable() bool {
-	if !s.Distinct {
-		return true
-	}
-	return s.Kind == Min || s.Kind == Max
-}
-
 // Empty returns f(∅) — the default value the outerjoin g:f(∅) assigns to
 // empty groups (the paper's count-bug fix): 0 for COUNT, NULL otherwise.
 func (s Spec) Empty() types.Value {
@@ -99,56 +87,6 @@ func (s Spec) Empty() types.Value {
 		return types.NewInt(0)
 	}
 	return types.Null()
-}
-
-// Partials returns the inner aggregates fI of the decomposition. All
-// functions decompose into themselves except AVG, which decomposes into
-// (SUM, COUNT) per the paper:
-//
-//	avg(X) = (sumI(Y)+sumI(Z)) / (countI(Y)+countI(Z)).
-//
-// It errors for non-decomposable specs.
-func (s Spec) Partials() ([]Spec, error) {
-	if !s.Decomposable() {
-		return nil, fmt.Errorf("agg: %s is not decomposable", s)
-	}
-	// MIN/MAX DISTINCT ≡ MIN/MAX; drop the modifier in the partials.
-	base := Spec{Kind: s.Kind, Star: s.Star}
-	if s.Kind == Avg {
-		return []Spec{{Kind: Sum}, {Kind: Count}}, nil
-	}
-	return []Spec{base}, nil
-}
-
-// Combine is fO restricted to two partial values of the same non-AVG
-// kind, with NULL acting as the identity (an empty part contributes
-// nothing): count: y+z; sum: null-skipping +; min/max: null-skipping
-// min/max. Both-NULL yields NULL. AVG has no single-value combiner — its
-// two partials are combined arithmetically by the caller.
-func Combine(k Kind, y, z types.Value) (types.Value, error) {
-	if k == Avg {
-		return types.Null(), fmt.Errorf("agg: AVG partials must be combined as SUM/COUNT pairs")
-	}
-	if y.IsNull() {
-		return z, nil
-	}
-	if z.IsNull() {
-		return y, nil
-	}
-	switch k {
-	case Count, Sum:
-		return types.Arith(types.Add, y, z)
-	case Min:
-		if c, ok := types.Compare(y, z); ok && c <= 0 {
-			return y, nil
-		}
-		return z, nil
-	default: // Max
-		if c, ok := types.Compare(y, z); ok && c >= 0 {
-			return y, nil
-		}
-		return z, nil
-	}
 }
 
 // Acc accumulates one aggregate over a stream of argument tuples.

@@ -3,7 +3,6 @@ package agg
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"disqo/internal/types"
 )
@@ -32,43 +31,6 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Spec{Kind: Count, Star: true}).Validate(); err != nil {
 		t.Errorf("COUNT(*) must validate: %v", err)
-	}
-}
-
-func TestDecomposability(t *testing.T) {
-	cases := []struct {
-		s    Spec
-		want bool
-	}{
-		{Spec{Kind: Count}, true},
-		{Spec{Kind: Sum}, true},
-		{Spec{Kind: Avg}, true},
-		{Spec{Kind: Min}, true},
-		{Spec{Kind: Max}, true},
-		{Spec{Kind: Count, Distinct: true}, false},
-		{Spec{Kind: Sum, Distinct: true}, false},
-		{Spec{Kind: Avg, Distinct: true}, false},
-		{Spec{Kind: Min, Distinct: true}, true},
-		{Spec{Kind: Max, Distinct: true}, true},
-	}
-	for _, c := range cases {
-		if got := c.s.Decomposable(); got != c.want {
-			t.Errorf("%s.Decomposable() = %v, want %v", c.s, got, c.want)
-		}
-	}
-}
-
-func TestPartials(t *testing.T) {
-	ps, err := (Spec{Kind: Avg}).Partials()
-	if err != nil || len(ps) != 2 || ps[0].Kind != Sum || ps[1].Kind != Count {
-		t.Errorf("AVG partials = %v (%v)", ps, err)
-	}
-	ps, err = (Spec{Kind: Min, Distinct: true}).Partials()
-	if err != nil || len(ps) != 1 || ps[0].Kind != Min || ps[0].Distinct {
-		t.Errorf("MIN(DISTINCT) partials = %v (%v)", ps, err)
-	}
-	if _, err := (Spec{Kind: Count, Distinct: true}).Partials(); err == nil {
-		t.Error("COUNT(DISTINCT) must refuse to decompose")
 	}
 }
 
@@ -160,69 +122,6 @@ func TestSumPromotesToFloat(t *testing.T) {
 	got = feed(Spec{Kind: Sum}, types.NewInt(1), types.NewInt(2))
 	if got.Kind() != types.KindInt {
 		t.Errorf("int SUM kind = %v", got.Kind())
-	}
-}
-
-func TestCombine(t *testing.T) {
-	i := types.NewInt
-	if got, _ := Combine(Count, i(2), i(3)); !types.Identical(got, i(5)) {
-		t.Errorf("Combine COUNT = %v", got)
-	}
-	if got, _ := Combine(Sum, types.Null(), i(3)); !types.Identical(got, i(3)) {
-		t.Errorf("Combine SUM with NULL identity = %v", got)
-	}
-	if got, _ := Combine(Min, i(4), i(2)); !types.Identical(got, i(2)) {
-		t.Errorf("Combine MIN = %v", got)
-	}
-	if got, _ := Combine(Max, i(4), types.Null()); !types.Identical(got, i(4)) {
-		t.Errorf("Combine MAX with NULL = %v", got)
-	}
-	if got, _ := Combine(Sum, types.Null(), types.Null()); !got.IsNull() {
-		t.Errorf("Combine(NULL, NULL) = %v", got)
-	}
-	if _, err := Combine(Avg, i(1), i(2)); err == nil {
-		t.Error("Combine(AVG) must error")
-	}
-}
-
-// TestDecompositionProperty is the paper's decomposability law checked by
-// property test: for every decomposable f and random split X = Y ∪ Z,
-// f(X) = fO(fI(Y), fI(Z)) (with AVG recombined from SUM/COUNT pairs).
-func TestDecompositionProperty(t *testing.T) {
-	f := func(xs []int16, cut uint8) bool {
-		vals := make([]types.Value, len(xs))
-		for i, x := range xs {
-			vals[i] = types.NewInt(int64(x))
-		}
-		k := 0
-		if len(vals) > 0 {
-			k = int(cut) % (len(vals) + 1)
-		}
-		y, z := vals[:k], vals[k:]
-		for _, kind := range []Kind{Count, Sum, Min, Max} {
-			spec := Spec{Kind: kind}
-			whole := feed(spec, vals...)
-			part, err := Combine(kind, feed(spec, y...), feed(spec, z...))
-			if err != nil || !types.Identical(whole, part) {
-				return false
-			}
-		}
-		// AVG via (SUM, COUNT) pair.
-		whole := feed(Spec{Kind: Avg}, vals...)
-		sumC, _ := Combine(Sum, feed(Spec{Kind: Sum}, y...), feed(Spec{Kind: Sum}, z...))
-		cntC, _ := Combine(Count, feed(Spec{Kind: Count}, y...), feed(Spec{Kind: Count}, z...))
-		var recombined types.Value
-		if cntC.Int() == 0 {
-			recombined = types.Null()
-		} else {
-			sf, _ := sumC.AsFloat()
-			recombined = types.NewFloat(sf / float64(cntC.Int()))
-		}
-		return types.Identical(whole, recombined)
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
 	}
 }
 

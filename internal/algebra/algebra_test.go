@@ -32,7 +32,6 @@ func TestExprStrings(t *testing.T) {
 		{Arith(types.Add, Col("a"), ConstInt(2)), "(a + 2)"},
 		{Like(Col("a"), Const(types.NewString("%x"))), "(a LIKE '%x')"},
 		{IsNull(Col("a")), "(a IS NULL)"},
-		{AggCombine(agg.Sum, Col("g1"), Col("g2")), "sum_O(g1, g2)"},
 	}
 	for _, c := range cases {
 		if got := c.e.String(); got != c.want {

@@ -14,7 +14,6 @@ package algebra
 
 import (
 	"fmt"
-	"strings"
 
 	"disqo/internal/agg"
 	"disqo/internal/types"
@@ -183,22 +182,6 @@ func IsTrue(e Expr) *IsTrueExpr { return &IsTrueExpr{unaryExpr{e}} }
 
 // String implements Expr.
 func (i *IsTrueExpr) String() string { return fmt.Sprintf("(%s IS TRUE)", i.E) }
-
-// AggCombineExpr applies the decomposition combiner fO of an aggregate
-// kind to two partial results (Eqv. 4's map operator χ g:fO(g1,g2)).
-// NULL partials act as the identity, matching agg.Combine.
-type AggCombineExpr struct {
-	Kind agg.Kind
-	binaryExpr
-}
-
-// AggCombine builds an fO combiner expression.
-func AggCombine(k agg.Kind, l, r Expr) *AggCombineExpr { return &AggCombineExpr{k, binaryExpr{l, r}} }
-
-// String implements Expr.
-func (a *AggCombineExpr) String() string {
-	return fmt.Sprintf("%s_O(%s, %s)", strings.ToLower(a.Kind.String()), a.L, a.R)
-}
 
 // ScalarSubquery embeds a nested query block in an expression, exactly as
 // the canonical SQL translation produces it: an aggregate f applied to

@@ -10,8 +10,8 @@ import (
 
 // Op is a logical algebra operator. Plans are DAGs: bypass operators are
 // shared by a positive and a negative Stream node, and the rewriter may
-// share whole subplans (e.g. Eqv. 4 reuses one bypass selection for both
-// the grouped negative stream and the global positive aggregate).
+// share whole subplans (e.g. OR-expansion selects every branch from one
+// shared input plan).
 type Op interface {
 	// Schema is the operator's output schema, fixed at construction.
 	Schema() *storage.Schema

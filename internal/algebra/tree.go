@@ -148,8 +148,6 @@ func exprParts(e Expr, into []Expr) (kids []Expr, plan Op) {
 		return append(into, x.E), nil
 	case *IsTrueExpr:
 		return append(into, x.E), nil
-	case *AggCombineExpr:
-		return append(into, x.L, x.R), nil
 	case *ScalarSubquery:
 		return append(into, x.Arg), x.Plan
 	case *QuantSubquery:
@@ -181,8 +179,6 @@ func exprWithParts(e Expr, kids []Expr, plan Op) Expr {
 		return IsNull(kids[0])
 	case *IsTrueExpr:
 		return IsTrue(kids[0])
-	case *AggCombineExpr:
-		return AggCombine(x.Kind, kids[0], kids[1])
 	case *ScalarSubquery:
 		return Subquery(x.Agg, kids[0], plan)
 	case *QuantSubquery:

@@ -90,7 +90,6 @@ func exprSamples() []Expr {
 		Like(Col("k1"), Col("k2")),
 		IsNull(Col("k1")),
 		IsTrue(Col("k1")),
-		AggCombine(agg.Sum, Col("k1"), Col("k2")),
 		Subquery(sumSpec, Col("k1"), block),
 		Quant(In, Col("k1"), block),
 		AllAny(types.GT, true, Col("k1"), block),
@@ -309,7 +308,7 @@ func found(t *testing.T, where string, op Op, sub *ScalarSubquery, outermost boo
 func TestPlantedSubqueryIsFoundEverywhere(t *testing.T) {
 	r := scan("r", "r.a")
 	// Under every child position of every composite expression kind —
-	// AggCombine's, LIKE's pattern, a subquery's own operand included.
+	// LIKE's pattern and a subquery's own operand included.
 	for _, e := range exprSamples() {
 		for i := 0; ; i++ {
 			sub := planted()

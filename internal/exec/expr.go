@@ -31,16 +31,6 @@ func (ex *Executor) EvalExpr(e algebra.Expr, env *Env) (types.Value, error) {
 			return types.Value{}, err
 		}
 		return types.Arith(x.Op, l, r)
-	case *algebra.AggCombineExpr:
-		l, err := ex.EvalExpr(x.L, env)
-		if err != nil {
-			return types.Value{}, err
-		}
-		r, err := ex.EvalExpr(x.R, env)
-		if err != nil {
-			return types.Value{}, err
-		}
-		return agg.Combine(x.Kind, l, r)
 	case *algebra.ScalarSubquery:
 		return ex.evalScalarSubquery(x, env)
 	case *algebra.CmpExpr, *algebra.AndExpr, *algebra.OrExpr, *algebra.NotExpr,

@@ -251,14 +251,24 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 // left tuple x the group is σ_tag(R) ∪̇ σ_Pred(x)(σ_{¬tag}(R)); untagged,
 // σ_tag(R) is empty and σ_{¬tag}(R) is R itself, shared rather than
 // copied. R is split once on the tag column; R⁺ is folded once, in input
-// order, into base accumulators that every left tuple's accumulators
-// overlay; R⁻ is hashed on the equality keys (May & Moerkotte's
-// main-memory binary grouping) or, when there are none, scanned
-// evaluating Pred per pair, and each left tuple adds only its matches,
-// in ascending R⁻ order, with f(∅) for empty match sets (no count bug by
-// construction). Nothing of size |L|·|R| is built, and since the base
-// fold is sequential and each left tuple owns its overlays the fold
-// order — hence any float rounding — is the same for every worker count.
+// order, into base accumulators that every group's accumulators overlay,
+// so an empty match set yields f(∅) (no count bug by construction).
+//
+// When Pred is an equality, R⁻ is hashed on its keys (May & Moerkotte's
+// main-memory binary grouping) and each distinct key's rows are folded
+// once, in R order, before any left tuple is read; a left tuple only
+// looks its key up. Each inner group is then aggregated once however
+// often left tuples repeat its key, for every aggregate, DISTINCT
+// included — what the paper's Eqv. 4 pre-aggregation bought. This is
+// sound because an aggregate's argument reads the inner row alone: the
+// rewriter keeps a subquery nested whose argument reads the outer row,
+// and a rule that let one through would have to fold per left tuple.
+// Otherwise each left tuple scans R⁻, evaluating Pred per pair, into
+// overlays of its own.
+//
+// Nothing of size |L|·|R| is built, and since every fold runs in R order
+// on one goroutine, the fold order — hence any float rounding — is the
+// same for every worker count.
 func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage.Relation, error) {
 	l, err := ex.eval(b.L, env)
 	if err != nil {
@@ -272,11 +282,12 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	if err != nil {
 		return nil, err
 	}
+	n := len(b.Aggs)
 	base := appendAccs(nil, ai.specs)
 	neg := r
+	feed := ai.feed(env)
 	if b.TagCol >= 0 {
 		neg = storage.NewRelation(r.Schema)
-		feed := ai.feed(env)
 		for _, rt := range r.Tuples {
 			if err := ex.tick(); err != nil {
 				return nil, err
@@ -290,11 +301,41 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 			}
 		}
 	}
-	var ht *types.RowIndex
+	var (
+		ht *types.RowIndex
+		// group[e] numbers the key of index entry e's first entry; the
+		// key's results are keyRes[group[e]*n:][:n]. Group 0 is the base
+		// alone, the result for a left key R⁻ lacks or a NULL one.
+		group  []int32
+		keyRes []types.Value
+	)
 	if len(b.LCols) > 0 {
 		ex.stats.HashJoins++
 		if ht, err = ex.buildIndex(neg, b.RCols); err != nil {
 			return nil, err
+		}
+		group = make([]int32, ht.Len())
+		accs := append([]agg.Acc(nil), base...)
+		for e := int32(0); e < int32(ht.Len()); e++ {
+			if err := ex.tick(); err != nil {
+				return nil, err
+			}
+			row := ht.Row(e)
+			if first := ht.First(row, b.RCols); first == e {
+				group[e] = int32(len(accs) / n)
+				for i := range base {
+					accs = append(accs, *agg.Overlay(&base[i]))
+				}
+			} else {
+				group[e] = group[first]
+			}
+			if err := feed.add(ex, accs[int(group[e])*n:][:n], row); err != nil {
+				return nil, err
+			}
+		}
+		keyRes = make([]types.Value, len(accs))
+		for i := range accs {
+			keyRes[i] = accs[i].Result()
 		}
 	} else {
 		ex.stats.NLJoins++
@@ -302,10 +343,23 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	chunks, err := parMorsels(ex, len(l.Tuples), false,
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			out := make([][]types.Value, 0, hi-lo)
+			if ht != nil {
+				for _, lt := range l.Tuples[lo:hi] {
+					if err := w.tick(); err != nil {
+						return nil, err
+					}
+					res := keyRes[:n]
+					if e := ht.First(lt, b.LCols); e >= 0 {
+						res = keyRes[int(group[e])*n:][:n]
+					}
+					out = append(out, emitRow(b.Emit, lt, res))
+				}
+				return out, nil
+			}
 			lf, rf := pairFrames(env, l.Schema, r.Schema)
 			feed := ai.feed(env)
-			accs := make([]agg.Acc, len(base))
-			res := make([]types.Value, len(base))
+			accs := make([]agg.Acc, n)
+			res := make([]types.Value, n)
 			for _, lt := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
 					return nil, err
@@ -313,31 +367,23 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 				for i := range base {
 					accs[i] = *agg.Overlay(&base[i])
 				}
-				if ht != nil {
-					for e := ht.First(lt, b.LCols); e >= 0; e = ht.Next(e, lt, b.LCols) {
-						if err := feed.add(w, accs, ht.Row(e)); err != nil {
+				lf.tuple = lt
+				for _, rt := range neg.Tuples {
+					if err := w.tick(); err != nil {
+						return nil, err
+					}
+					if b.Pred != nil {
+						rf.tuple = rt
+						match, err := w.EvalPred(b.Pred, rf)
+						if err != nil {
 							return nil, err
+						}
+						if !match.IsTrue() {
+							continue
 						}
 					}
-				} else {
-					lf.tuple = lt
-					for _, rt := range neg.Tuples {
-						if err := w.tick(); err != nil {
-							return nil, err
-						}
-						if b.Pred != nil {
-							rf.tuple = rt
-							match, err := w.EvalPred(b.Pred, rf)
-							if err != nil {
-								return nil, err
-							}
-							if !match.IsTrue() {
-								continue
-							}
-						}
-						if err := feed.add(w, accs, rt); err != nil {
-							return nil, err
-						}
+					if err := feed.add(w, accs, rt); err != nil {
+						return nil, err
 					}
 				}
 				for i := range accs {

@@ -15,23 +15,16 @@ import (
 	"disqo/internal/translate"
 )
 
-// Ablation quantifies two design decisions DESIGN.md calls out:
-//
-//  1. decomposability (Eqv. 4) versus the general Eqv. 5 on the same
-//     query — Q2's COUNT(*) is decomposable, so both apply. Both are
-//     linear in their inputs: Eqv. 4 aggregates the p-part once and
-//     groups the rest, tagged Eqv. 5 folds the p-part once and probes
-//     the rest per outer tuple, so what is left to measure is the
-//     constant between them;
-//  2. cost-based application — the optimizer should decline unnesting
-//     where the rewrite is estimated slower than canonical.
-//
-// The variants are: eqv4 (normal unnesting), eqv5 (PreferEqv5 forces the
-// general equivalence), canonical, and costbased.
+// Ablation quantifies cost-based application, the design decision
+// DESIGN.md calls out: the optimizer should decline unnesting where the
+// rewrite is estimated slower than canonical. On Q2 it sets canonical
+// (nested-loop evaluation) and unnested (Eqv. 5, the one rule for
+// disjunctive correlation) beside costbased, which picks one of the two
+// by estimated cost.
 func Ablation(cfg Config, progress func(string)) (*Table, error) {
 	cfg = cfg.withDefaults()
-	variants := []string{"canonical", "eqv4", "eqv5", "costbased"}
-	tab := newTable("ablation", "Q2 ablation: Eqv. 4 vs forced Eqv. 5 vs cost-based", nil)
+	variants := []string{"canonical", "unnested", "costbased"}
+	tab := newTable("ablation", "Q2 ablation: canonical vs unnested vs cost-based", nil)
 	for _, sf := range equalSFPoints {
 		eff := sf * cfg.RSTScale
 		cat := catalog.New()
@@ -64,30 +57,14 @@ func measureVariant(cat *catalog.Catalog, sql, variant string, cfg Config) Cell 
 	cacheMode := exec.CacheScans
 	switch variant {
 	case "canonical":
-	case "eqv4":
-		rw := rewrite.New(cat, rewrite.AllCaps())
-		if plan, err = rw.Rewrite(canonical); err != nil {
-			return Cell{Err: err}
-		}
-		cacheMode = exec.CacheAll
-	case "eqv5":
-		caps := rewrite.AllCaps()
-		caps.PreferEqv5 = true
-		rw := rewrite.New(cat, caps)
-		if plan, err = rw.Rewrite(canonical); err != nil {
-			return Cell{Err: err}
-		}
-		cacheMode = exec.CacheAll
-	case "costbased":
-		// Approximate the public CostBased strategy with internal parts
-		// so the whole ablation shares one catalog.
-		est := newEstimator(cat)
-		rw := rewrite.New(cat, rewrite.AllCaps())
-		unnested, err := rw.Rewrite(canonical)
+	case "unnested", "costbased":
+		// costbased approximates the public CostBased strategy with
+		// internal parts so the whole ablation shares one catalog.
+		unnested, err := rewrite.New(cat, rewrite.AllCaps()).Rewrite(canonical)
 		if err != nil {
 			return Cell{Err: err}
 		}
-		if est.PlanCost(unnested) < est.PlanCost(canonical) {
+		if est := newEstimator(cat); variant == "unnested" || est.PlanCost(unnested) < est.PlanCost(canonical) {
 			plan = unnested
 			cacheMode = exec.CacheAll
 		}

@@ -89,7 +89,7 @@ Distinct  (est 0 rows)
 }
 
 // Fig. 2(b): the bypass cascade needs only the Conjunctive and Bypass
-// caps — Eqv. 2/3 carry Q1 on their own, without Eqv. 4/5.
+// caps — Eqv. 2/3 carry Q1 on their own, without Eqv. 5.
 func TestGoldenPhysicalFig2bQ1BypassCaps(t *testing.T) {
 	caps := rewrite.Caps{Conjunctive: true, Bypass: true}
 	physGolden(t, emptyRST(t), goldenQ1, &caps, goldenPhysicalQ1Unnested)
@@ -174,23 +174,19 @@ Distinct  (est 0 rows)
 `)
 }
 
-// Fig. 3(b): Q2 unnested via Eqv. 4 — the correlated conjunct grouped
-// and outerjoined (both hash), the uncorrelated disjunct reduced to a
-// +stream subquery combined per tuple by the χ (Map) operator, which
-// writes g2 in g1's place. The grouping consumes the bypass filter's
-// negative stream.
-func TestGoldenPhysicalFig3bQ2Unnested(t *testing.T) {
+// Q2 unnested via Eqv. 5 (the paper's Fig. 3(b) is Eqv. 4's plan, which
+// is not built): the χ tags each s row with the uncorrelated disjunct,
+// and one hashed Γ² on the correlation key folds the tagged rows once and
+// each key's group once.
+func TestGoldenPhysicalQ2Eqv5(t *testing.T) {
 	all := rewrite.AllCaps()
 	physGolden(t, emptyRST(t), goldenQ2, &all, `
 Distinct  (est 0 rows)
   Project[r.a1, r.a2, r.a3, r.a4]  (est 0 rows)
     Filter[(r.a1 = g2)]  (est 0 rows)
-      Map[g2:count_O(g1, COUNT(*){+stream(σ±[(s.b4 > 1500)](scan(s)))})] → [r.a1, r.a2, r.a3, r.a4, g2] (5 of 6 cols)  (est 0 rows)
-        HashOuterJoin[r.a2=s.b2] → [r.a1, r.a2, r.a3, r.a4, g1] (5 of 6 cols)  (est 0 rows)
-          Scan(r)  (est 0 rows)
-          HashGroup[[s.b2]][g1:COUNT(*)]  (est 1 rows)
-            Stream-  (est 0 rows)
-              Filter±[(s.b4 > 1500)]  (est 0 rows)
-                Scan(s)  (est 0 rows)
+      TagBinaryGroup(hash)[(r.a2 = s.b2) ∨ tag1][g2:COUNT(*)]  (est 0 rows)
+        Scan(r)  (est 0 rows)
+        Map[tag1:(s.b4 > 1500)] → [s.b2, tag1] (2 of 5 cols)  (est 0 rows)
+          Scan(s)  (est 0 rows)
 `)
 }

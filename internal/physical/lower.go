@@ -638,9 +638,7 @@ func andOrNil(conjuncts []algebra.Expr) algebra.Expr {
 }
 
 // thetaGroupable reports whether a binary grouping can run sort-based:
-// a single column-vs-column inequality and all aggregates decomposable
-// with single-valued partials (no DISTINCT, no AVG — AVG decomposes
-// into two partials and is rewritten upstream).
+// a single column-vs-column inequality and no DISTINCT or AVG aggregate.
 func thetaGroupable(bg *algebra.BinaryGroup) (lcol, rcol string, op types.CompareOp, ok bool) {
 	cmp, isCmp := bg.Pred.(*algebra.CmpExpr)
 	if !isCmp {

@@ -16,10 +16,10 @@ import (
 
 var s2Caps = Caps{Conjunctive: true, ORExpansion: true, Quantified: true}
 
-// finishedShapes are the six Fig. 2(a–d) / Fig. 3(a–b) plan shapes —
-// Q1 canonical, OR-expanded, unnested on statistics-free tables and on
-// data whose ranks order the cascade the other way; Q2 canonical and
-// unnested (Eqv. 4) — plus the Eqv. 5, tree and linear goldens.
+// finishedShapes are the Fig. 2(a–d) / Fig. 3(a) plan shapes — Q1
+// canonical, OR-expanded, unnested on statistics-free tables and on data
+// whose ranks order the cascade the other way; Q2 canonical — plus Q2
+// and Q2-distinct unnested (Eqv. 5), and the tree and linear goldens.
 var finishedShapes = []struct {
 	name   string
 	loaded bool // rstCatalog's data rather than empty tables
@@ -31,7 +31,7 @@ var finishedShapes = []struct {
 	{"fig2c-q1-unnested", false, q1, AllCaps()},
 	{"fig2d-q1-unnested-ranked", true, q1, AllCaps()},
 	{"fig3a-q2-canonical", false, q2, Caps{}},
-	{"fig3b-q2-eqv4", false, q2, AllCaps()},
+	{"q2-eqv5", false, q2, AllCaps()},
 	{"eqv5-q2-distinct", false, `SELECT DISTINCT * FROM r
 		WHERE a1 = (SELECT COUNT(DISTINCT b1) FROM s WHERE a2 = b2 OR b4 > 1500)`, AllCaps()},
 	{"fig5-q3-tree", false, q3, AllCaps()},

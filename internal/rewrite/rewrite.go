@@ -1,18 +1,23 @@
 // Package rewrite implements the paper's unnesting strategy: it removes
-// nested scalar subqueries from canonical plans by applying the five
+// nested scalar subqueries from canonical plans by applying the
 // algebraic equivalences of §3 —
 //
 //	Eqv. 1  conjunctive linking (group + outerjoin, count-bug defaults)
 //	Eqv. 2  disjunctive linking, cheap predicate bypassed first
 //	Eqv. 3  disjunctive linking, unnested subquery bypassed first
-//	Eqv. 4  disjunctive correlation, decomposable aggregate (fI/fO split)
-//	Eqv. 5  disjunctive correlation, general case (tagged binary
-//	        grouping: χ_{tag:p} on the inner block under Γ²_{corr ∨ tag})
+//	Eqv. 5  disjunctive correlation (tagged binary grouping: χ_{tag:p} on
+//	        the inner block under Γ²_{corr ∨ tag})
 //
-// — choosing between 2 and 3 by predicate rank, recursing for linear and
-// tree nesting structures, and translating the technical report's
-// quantified subqueries (EXISTS/NOT EXISTS/IN/NOT IN) into count-based
-// linking predicates so the same machinery covers them.
+// The paper's Eqv. 4 — the decomposable-aggregate special case of
+// disjunctive correlation (σ± on the inner block, Γ + ⟕ on its negative
+// part, χ recombining the partials with fO) — is not a rule here: the
+// tagged Γ² folds each correlation key's group once, which is what
+// Eqv. 4's pre-aggregation bought, for every aggregate.
+//
+// The rewriter chooses between 2 and 3 by predicate rank, recurses for
+// linear and tree nesting structures, and translates the technical
+// report's quantified subqueries (EXISTS/NOT EXISTS/IN/NOT IN) into
+// count-based linking predicates so the same machinery covers them.
 package rewrite
 
 import (
@@ -34,7 +39,7 @@ type Caps struct {
 	// Bypass enables the Eqv. 2/3 bypass cascades for disjunctive
 	// linking.
 	Bypass bool
-	// DisjunctiveCorrelation enables Eqv. 4 and Eqv. 5.
+	// DisjunctiveCorrelation enables Eqv. 5.
 	DisjunctiveCorrelation bool
 	// Quantified enables the EXISTS/IN → COUNT conversions (technical
 	// report extension).
@@ -49,10 +54,6 @@ type Caps struct {
 	// baseline models. Sound only under a later Distinct, so it is
 	// applied only when the plan has one.
 	ORExpansion bool
-	// PreferEqv5 forces Equivalence 5 even where Equivalence 4's
-	// preconditions hold — an ablation knob quantifying what
-	// decomposability buys.
-	PreferEqv5 bool
 }
 
 // AllCaps enables the full unnesting strategy of the paper.

@@ -164,32 +164,23 @@ func TestQ1UnnestedShapeAndResult(t *testing.T) {
 	assertEquivalent(t, cat, canonical, rewritten, "Q1")
 }
 
-func TestQ2UnnestedViaEqv4(t *testing.T) {
+func TestQ2UnnestedViaEqv5(t *testing.T) {
 	cat := rstCatalog(t)
 	canonical, rewritten, rw := planFor(t, cat, q2, AllCaps())
-	// Eqv. 4 keeps an uncorrelated scalar subquery (the global fI over
-	// the positive stream) inside its map expression — that is type A and
-	// memoized. "Fully unnested" here means no subquery remains in any
-	// *selection* predicate.
-	nestedSelect := false
-	algebra.Walk(rewritten, func(op algebra.Op) bool {
-		if s, ok := op.(*algebra.Select); ok && algebra.HasSubquery(s.Pred) {
-			nestedSelect = true
-		}
-		return true
-	})
-	if nestedSelect {
-		t.Fatalf("Q2 still has a nested selection:\n%s", algebra.Explain(rewritten))
+	// No subquery anywhere, χ expressions included: nothing is left to
+	// look up once per outer row.
+	if algebra.ContainsSubquery(rewritten) {
+		t.Fatalf("Q2 still holds a subquery:\n%s", algebra.Explain(rewritten))
 	}
-	if !strings.Contains(strings.Join(rw.Trace, ";"), "Eqv. 4") {
-		t.Errorf("expected Eqv. 4, trace = %v", rw.Trace)
+	if !strings.Contains(strings.Join(rw.Trace, ";"), "Eqv. 5") {
+		t.Errorf("expected Eqv. 5, trace = %v", rw.Trace)
 	}
-	// Fig. 3(b) shape: bypass select on the inner, Γ, ⟕, χ.
-	if countOps(rewritten, func(op algebra.Op) bool { _, ok := op.(*algebra.BypassSelect); return ok }) != 1 {
-		t.Errorf("want 1 bypass select on the inner:\n%s", algebra.Explain(rewritten))
+	// Tagged shape: one Γ² over the tag map, no bypass selection.
+	if countOps(rewritten, func(op algebra.Op) bool { x, ok := op.(*algebra.BinaryGroup); return ok && x.Tag != "" }) != 1 {
+		t.Errorf("want 1 tagged Γ²:\n%s", algebra.Explain(rewritten))
 	}
-	if countOps(rewritten, func(op algebra.Op) bool { _, ok := op.(*algebra.MapOp); return ok }) < 1 {
-		t.Errorf("want a χ combiner:\n%s", algebra.Explain(rewritten))
+	if countOps(rewritten, func(op algebra.Op) bool { _, ok := op.(*algebra.BypassSelect); return ok }) != 0 {
+		t.Errorf("want no bypass select:\n%s", algebra.Explain(rewritten))
 	}
 	assertEquivalent(t, cat, canonical, rewritten, "Q2")
 }
@@ -356,7 +347,7 @@ func TestAllAggregates(t *testing.T) {
 		}
 		assertEquivalent(t, cat, canonical, rewritten, "agg-linking "+fn)
 
-		// Disjunctive correlation (Eqv. 4 for decomposable, 5 otherwise).
+		// Disjunctive correlation (Eqv. 5 for every aggregate).
 		sql = `SELECT DISTINCT * FROM r
 		       WHERE a1 >= (SELECT ` + fn + ` FROM s WHERE a2 = b2 OR b4 > 1500)`
 		canonical2, rewritten2, _ := planFor(t, cat, sql, AllCaps())
@@ -401,8 +392,8 @@ func TestORExpansionBaseline(t *testing.T) {
 	if !algebra.ContainsSubquery(rewrittenQ2) {
 		t.Error("S2 must leave Q2 nested")
 	}
-	if strings.Contains(strings.Join(rwQ2.Trace, ";"), "Eqv. 4") {
-		t.Error("S2 must not apply Eqv. 4")
+	if tr := strings.Join(rwQ2.Trace, ";"); strings.Contains(tr, "Eqv. 4") || strings.Contains(tr, "Eqv. 5") {
+		t.Errorf("S2 must apply neither Eqv. 4 nor Eqv. 5, trace = %v", rwQ2.Trace)
 	}
 }
 

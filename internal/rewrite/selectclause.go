@@ -7,8 +7,8 @@ import (
 // Unnesting for subqueries in the SELECT clause — the technical report's
 // "straightforward generalization": a map operator χ_{a:…f(subplan)…}
 // over R is rewritten by extending R exactly as the WHERE-clause
-// machinery would (Γ + outerjoin for conjunctive correlation, Eqv. 4/5
-// structures for disjunctive correlation) and substituting the
+// machinery would (Γ + outerjoin for conjunctive correlation, Eqv. 5's
+// tagged Γ² for disjunctive correlation) and substituting the
 // synthesized aggregate attribute for the subquery inside the map
 // expression. Unlike the selection case, every outer tuple needs the
 // value, so no bypass cascade applies. Eqv. 5's tag map χ_{tag:p} goes

@@ -3,7 +3,6 @@ package rewrite
 import (
 	"sort"
 
-	"disqo/internal/agg"
 	"disqo/internal/algebra"
 	"disqo/internal/types"
 )
@@ -36,7 +35,7 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 
 	// Conjunctive predicate. Correlated quantified conjuncts become
 	// semi-/anti-joins; linking conjuncts are unnested in place (Eqv. 1 /
-	// 4 / 5); conjuncts that are disjunctions containing subqueries are
+	// 5); conjuncts that are disjunctions containing subqueries are
 	// peeled into stacked bypass cascades.
 	cur := child
 	changed := false
@@ -308,12 +307,12 @@ func (rw *Rewriter) unnestConjunct(c algebra.Expr, cur algebra.Op) (algebra.Expr
 }
 
 // unnestScalar removes one correlated scalar subquery by extending the
-// outer stream cur, dispatching between Eqv. 1 (conjunctive correlation),
-// Eqv. 4 (disjunctive correlation, decomposable) and Eqv. 5 (general). On
-// success it returns the expression (a synthesized attribute) that now
-// carries the aggregate value for every cur tuple. The same machinery
-// serves WHERE-clause linking predicates and SELECT-clause subqueries
-// (the technical report’s generalization).
+// outer stream cur, dispatching between Eqv. 1 (conjunctive correlation)
+// and Eqv. 5 (correlation inside a disjunction). On success it returns
+// the expression (a synthesized attribute) that now carries the
+// aggregate value for every cur tuple. The same machinery serves
+// WHERE-clause linking predicates and SELECT-clause subqueries (the
+// technical report’s generalization).
 func (rw *Rewriter) unnestScalar(sub *algebra.ScalarSubquery, cur algebra.Op) (algebra.Expr, algebra.Op, bool, error) {
 	if len(sub.Free()) == 0 {
 		// Type A: materialized once by the executor's uncorrelated-plan
@@ -393,7 +392,7 @@ peel:
 		if len(corrConjs) > 0 || !rw.caps.DisjunctiveCorrelation {
 			return nil, cur, false, nil
 		}
-		return rw.unnestDisjunctiveCorrelation(sub, inner, innerSchema, corrDisj, cur)
+		return rw.buildEqv5(sub, inner, corrDisj, cur)
 	}
 	if len(corrConjs) == 0 {
 		// Correlation lives deeper than the block-level predicate
@@ -469,111 +468,46 @@ func (rw *Rewriter) unnestConjunctiveCorrelation(sub *algebra.ScalarSubquery, in
 	return algebra.Col(g), bg, true, nil
 }
 
-// unnestDisjunctiveCorrelation dispatches between Eqv. 4 and Eqv. 5 for a
-// linking predicate whose inner block's correlation occurs in a
-// disjunction: f(σ_{corr ∨ p}(inner)).
-func (rw *Rewriter) unnestDisjunctiveCorrelation(sub *algebra.ScalarSubquery, inner algebra.Op,
-	innerSchema interface{ Has(string) bool }, corrDisj algebra.Expr,
+// buildEqv5 implements Equivalence 5, the one rule for a linking
+// predicate whose inner block's correlation occurs in a disjunction,
+// f(σ_{corr ∨ p}(inner)), in its tagged form. The paper's expansion
+// numbers the outer stream (ν), bypass-joins it with the inner block on
+// corr, filters the negative stream with p and regroups on the number;
+// p collects exactly the disjuncts free of outer columns, so it is a
+// function of the inner tuple alone and, per outer tuple,
+//
+//	σ_{corr ∨ p}(S) = σ_p(S) ∪̇ σ_corr(σ_{¬p}(S))    (¬p: p is not TRUE)
+//
+// under bag semantics. A map tags each inner tuple with p once —
+// unnestMap then unnests p's own subqueries against |S| rows — and one
+// binary grouping on corr ∨ tag assembles the groups without the |R|·|S|
+// complement. It also covers the paper's Eqv. 4 inputs (a decomposable
+// aggregate over an equality correlation): the executor folds the tagged
+// tuples once and each correlation key's group once.
+func (rw *Rewriter) buildEqv5(sub *algebra.ScalarSubquery, inner algebra.Op, corrDisj algebra.Expr,
 	cur algebra.Op) (algebra.Expr, algebra.Op, bool, error) {
 
 	var corrDs, pDs []algebra.Expr
 	for _, d := range algebra.SplitDisjuncts(corrDisj) {
-		if hasFreeCols(d, innerSchema) {
+		if hasFreeCols(d, inner.Schema()) {
 			corrDs = append(corrDs, d)
 		} else {
 			pDs = append(pDs, d)
 		}
 	}
-	if len(pDs) == 0 {
-		// Degenerate: all disjuncts correlated; Eqv. 5 handles it with an
-		// always-false p (no inner tuple is tagged).
-		pDs = []algebra.Expr{algebra.Const(types.NewBool(false))}
-	}
-	p := algebra.Or(pDs...)
-
-	// Eqv. 4 preconditions (paper §3.3.2): decomposable aggregate, a
-	// single equality correlation, p free of subqueries, and an inner
-	// relation that is itself uncorrelated (so its positive stream is a
-	// type-A aggregate the executor materializes once).
-	if sub.Agg.Decomposable() && !algebra.HasSubquery(p) && len(corrDs) == 1 &&
-		!algebra.Correlated(inner) && !rw.caps.PreferEqv5 {
-		if oc, icn, ok := splitCorrEquality(corrDs[0], innerSchema, cur.Schema()); ok {
-			return rw.buildEqv4(sub, inner, oc, icn, p, cur)
-		}
-	}
-	return rw.buildEqv5(sub, inner, algebra.Or(corrDs...), p, cur)
-}
-
-// buildEqv4 implements Equivalence 4: split the inner relation with a
-// bypass selection on p; the positive stream is aggregated once globally
-// (fI), the negative stream is grouped on the correlation attribute and
-// outerjoined; a map combines the partials with fO.
-func (rw *Rewriter) buildEqv4(sub *algebra.ScalarSubquery, inner algebra.Op, outerCol, innerCol string,
-	p algebra.Expr, cur algebra.Op) (algebra.Expr, algebra.Op, bool, error) {
-
-	partials, err := sub.Agg.Partials()
-	if err != nil {
-		return nil, nil, false, err
-	}
-	bp := algebra.NewBypassSelect(inner, p)
-	neg, pos := algebra.Neg(bp), algebra.Pos(bp)
-
-	items := make([]algebra.AggItem, len(partials))
-	defaults := make([]algebra.Default, len(partials))
-	posSubs := make([]algebra.Expr, len(partials))
-	for i, ps := range partials {
-		g1 := rw.fresh("g", cur)
-		items[i] = rw.aggItemSpec(g1, ps, sub, inner)
-		defaults[i] = algebra.Default{Attr: g1, Val: ps.Empty()}
-		posSubs[i] = algebra.Subquery(ps, rw.argFor(ps, sub), pos)
-	}
-	grouped := algebra.NewGroupBy(neg, []string{innerCol}, items, false)
-	ojWide := algebra.NewLeftOuterJoin(cur, grouped,
-		algebra.Cmp(types.EQ, algebra.Col(outerCol), algebra.Col(innerCol)), defaults)
-	keep := append([]string(nil), cur.Schema().Attrs()...)
-	for _, it := range items {
-		keep = append(keep, it.Out)
-	}
-	oj := algebra.Op(algebra.NewProject(ojWide, keep))
-
-	g := rw.fresh("g", cur)
-	var mapped algebra.Op
-	if sub.Agg.Kind == agg.Avg {
-		gs := rw.fresh("g", cur)
-		gc := rw.fresh("g", cur)
-		m1 := algebra.NewMap(oj, gs, algebra.AggCombine(agg.Sum, algebra.Col(items[0].Out), posSubs[0]))
-		m2 := algebra.NewMap(m1, gc, algebra.AggCombine(agg.Count, algebra.Col(items[1].Out), posSubs[1]))
-		mapped = algebra.NewMap(m2, g, algebra.Arith(types.Div, algebra.Col(gs), algebra.Col(gc)))
-	} else {
-		mapped = algebra.NewMap(oj, g,
-			algebra.AggCombine(partials[0].Kind, algebra.Col(items[0].Out), posSubs[0]))
-	}
-	rw.trace("Eqv. 4: σ±[%s] on inner, Γ[%s] + ⟕ + χ[%s:fO] for %s", p, innerCol, g, sub.Agg)
-	return algebra.Col(g), mapped, true, nil
-}
-
-// buildEqv5 implements Equivalence 5 in its tagged form. The paper's
-// expansion numbers the outer stream (ν), bypass-joins it with the inner
-// block on corr, filters the negative stream with p and regroups on the
-// number; every disjunct in p is free of outer columns by construction
-// (unnestDisjunctiveCorrelation puts exactly those there), so p is a
-// function of the inner tuple alone and, per outer tuple,
-//
-//	σ_{corr ∨ p}(S) = σ_p(S) ∪̇ σ_corr(σ_{¬p}(S))    (¬p: p is not TRUE)
-//
-// under bag semantics. A map tags each inner
-// tuple with p once — unnestMap then unnests p's own subqueries against
-// |S| rows — and one binary grouping on corr ∨ tag assembles the groups
-// without the |R|·|S| complement.
-func (rw *Rewriter) buildEqv5(sub *algebra.ScalarSubquery, inner algebra.Op, corr, p algebra.Expr,
-	cur algebra.Op) (algebra.Expr, algebra.Op, bool, error) {
-
+	corr := algebra.Or(corrDs...)
 	// Direct correlation check: every free column of corr must come from
 	// the current outer stream.
 	for _, col := range corr.Columns(nil) {
 		if !inner.Schema().Has(col) && !cur.Schema().Has(col) {
 			return nil, nil, false, nil
 		}
+	}
+	// With every disjunct correlated p is always false: no inner tuple is
+	// tagged.
+	p := algebra.Expr(algebra.Const(types.NewBool(false)))
+	if len(pDs) > 0 {
+		p = algebra.Or(pDs...)
 	}
 	// Only p's truth matters to the tag, which is what NNF and the
 	// quantifier→COUNT conversion preserve; afterwards every subquery in
@@ -593,24 +527,11 @@ func (rw *Rewriter) buildEqv5(sub *algebra.ScalarSubquery, inner algebra.Op, cor
 // aggItem builds the grouping aggregate for a subquery's spec, preserving
 // the * argument as the inner block's attribute list.
 func (rw *Rewriter) aggItem(out string, sub *algebra.ScalarSubquery, inner algebra.Op) algebra.AggItem {
-	return rw.aggItemSpec(out, sub.Agg, sub, inner)
-}
-
-func (rw *Rewriter) aggItemSpec(out string, spec agg.Spec, sub *algebra.ScalarSubquery, inner algebra.Op) algebra.AggItem {
-	item := algebra.AggItem{Out: out, Spec: spec, Arg: rw.argFor(spec, sub)}
-	if spec.Star {
+	item := algebra.AggItem{Out: out, Spec: sub.Agg, Arg: sub.Arg}
+	if sub.Agg.Star {
 		item.ArgAttrs = append([]string(nil), inner.Schema().Attrs()...)
 	}
 	return item
-}
-
-// argFor maps the original aggregate argument onto a partial spec (AVG's
-// SUM/COUNT partials reuse the same argument expression).
-func (rw *Rewriter) argFor(spec agg.Spec, sub *algebra.ScalarSubquery) algebra.Expr {
-	if spec.Star {
-		return nil
-	}
-	return sub.Arg
 }
 
 // hasFreeCols reports whether the expression references a column outside

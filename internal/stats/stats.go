@@ -285,8 +285,6 @@ func (e *Estimator) PredCost(pred algebra.Expr) float64 {
 		return costArith + e.PredCost(x.L) + e.PredCost(x.R)
 	case *algebra.CmpExpr:
 		return costCompare + e.PredCost(x.L) + e.PredCost(x.R)
-	case *algebra.AggCombineExpr:
-		return costArith + e.PredCost(x.L) + e.PredCost(x.R)
 	case *algebra.ScalarSubquery:
 		if len(x.Free()) > 0 {
 			return costSubqueryBase + e.planWork(x.Plan)

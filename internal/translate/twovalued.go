@@ -59,8 +59,7 @@ func (t twoValued) op(op algebra.Op) (algebra.Op, error) {
 // value translates an expression evaluated for its value.
 func (t twoValued) value(e algebra.Expr) (algebra.Expr, error) {
 	switch e.(type) {
-	case *algebra.ColRef, *algebra.ConstExpr, *algebra.ArithExpr,
-		*algebra.AggCombineExpr, *algebra.ScalarSubquery:
+	case *algebra.ColRef, *algebra.ConstExpr, *algebra.ArithExpr, *algebra.ScalarSubquery:
 		return algebra.MapExprChildren(e, t.value, t.op)
 	}
 	return t.pred(e, exact)

@@ -59,6 +59,10 @@ test -z "$(grep -nE 'NullMode|Lift\(|WithNulls|EvalMode' $(ls internal/exec/*.go
 # Result rows have one encoding, the columnar frame: no per-value JSON
 # codec comes back into internal/wire.
 test -z "$(grep -nE 'func \([^)]*\) (Marshal|Unmarshal)JSON\(' $(ls internal/wire/*.go | grep -v _test.go))"
+# Disjunctive correlation has one rule, Eqv. 5's tagged binary grouping:
+# no Eqv. 4 rule, fO combiner expression, decomposition or knob to
+# choose between the two comes back.
+test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs grep -nE 'buildEqv4|AggCombine|PreferEqv5|Partials\(|Decomposable\(|agg\.Combine\(')"
 go test ./...
 go vet ./...
 go test -race ./...

@@ -359,11 +359,15 @@ func (db *DB) afterWrite(tables ...string) {
 
 // Stmt is a prepared statement: the SQL is parsed once at Prepare, and
 // each strategy's prepared plan is built on first use and rebuilt only
-// when a commit — DML, table or view DDL — makes it stale (see planKey). A Stmt
-// keeps its plans itself — one per strategy × null mode — so the plan
-// cache's LRU cannot evict them. Queries through a Stmt still flow
-// through the result cache (and admission gate) exactly like db.Query.
-// A Stmt is safe for concurrent use.
+// when it goes stale by the plan cache's rule (planKey, drifted): after
+// table or view DDL, or once a table it reads has grown past twice or
+// shrunk below half the rows it was planned with. Other DML leaves the
+// plan in use — it reads rows from each query's own snapshot, so no
+// write can make it wrong. A Stmt keeps its plans itself — one per
+// strategy × null mode — so the plan cache's LRU cannot evict them.
+// Queries through a Stmt still flow through the result cache (and
+// admission gate) exactly like db.Query. A Stmt is safe for concurrent
+// use.
 type Stmt struct {
 	db   *DB
 	sql  string
@@ -376,8 +380,9 @@ type Stmt struct {
 
 // Prepare parses a SELECT statement once for repeated execution.
 // Preparation does not touch the catalog: binding and optimization
-// happen on first Query (per strategy) and re-run automatically when
-// the catalog changes underneath the statement.
+// happen on first Query (per strategy) and re-run automatically after
+// DDL, or when a referenced table's row count drifts past the replan
+// factor (see Stmt).
 func (db *DB) Prepare(sql string) (*Stmt, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -401,8 +406,7 @@ func (s *Stmt) Close() error {
 
 // Query executes the prepared statement. Options mean exactly what they
 // do on db.Query; the saved work is parsing (always) and planning
-// (whenever the catalog version is unchanged since the strategy's last
-// use).
+// (whenever the strategy's plan is not stale; see Stmt).
 func (s *Stmt) Query(opts ...Option) (*Result, error) {
 	cfg, err := s.db.enter(opts)
 	if err != nil {
@@ -418,16 +422,17 @@ func (s *Stmt) Query(opts ...Option) (*Result, error) {
 }
 
 // preparedFor is db.preparedFor with the Stmt's own store in place of
-// the plan cache and its parsed statement in place of the text; hit
-// mirrors the plan-cache meaning. A rebuilt plan replaces the stale one
-// of its strategy and null mode.
+// the plan cache and its parsed statement in place of the text: the
+// same key and the same drift test decide, and hit mirrors the
+// plan-cache meaning. A rebuilt plan replaces the stale one of its
+// strategy and null mode.
 func (s *Stmt) preparedFor(snap *catalog.Snapshot, cfg queryConfig) (pp *prepared, hit bool, err error) {
 	key := planKey(s.norm, cfg, snap)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	slot := len(s.plans)
 	for i, have := range s.plans {
-		if have.key == key {
+		if have.key == key && !have.drifted(snap) {
 			return have, true, nil
 		}
 		if have.key.Strategy == key.Strategy && have.key.Nulls == key.Nulls {

@@ -1,15 +1,15 @@
 // Package cache implements disqo's caching tier: a byte-accounted LRU
 // core shared by the plan cache (PlanCache — parsed, translated, and
-// rewritten logical plans keyed by normalized SQL, strategy, and
-// catalog version) and the result cache (ResultCache — materialized
+// rewritten logical plans keyed by normalized SQL, strategy, null mode
+// and schema epoch) and the result cache (ResultCache — materialized
 // query results keyed by physical-plan fingerprint plus the version of
 // every referenced table, with single-flight dogpile protection).
 //
 // Invalidation leans on the copy-on-write catalog from
-// internal/catalog: every DML/DDL commit bumps the catalog version and
-// stamps the new per-table versions, so plan-cache keys simply stop
-// matching after any commit, and result-cache keys stop matching after
-// a commit to any referenced table. The explicit InvalidateTables path
+// internal/catalog: every DDL commit advances the schema epoch, so
+// plan-cache keys stop matching after any DDL, and every commit stamps
+// new per-table versions, so result-cache keys stop matching after a
+// commit to any referenced table. The explicit InvalidateTables path
 // exists to reclaim memory eagerly (and observably) the moment a write
 // commits — correctness never depends on it.
 //

@@ -4,9 +4,14 @@ import "sync"
 
 // PlanKey identifies one cached plan. SQL is the normalized statement
 // text; Nulls ("3vl"/"2vl") says whether it was translated to two-valued
-// logic; CatalogVersion pins the committed state the plan was derived
-// against — any commit bumps it — so a stale plan simply stops matching
-// rather than needing eager invalidation.
+// logic; CatalogVersion holds the catalog's schema epoch
+// (catalog.Snapshot.SchemaEpoch), which only DDL and a state restore
+// advance, so a plan built over other table or view definitions simply
+// stops matching rather than needing eager invalidation. DML does not
+// move it: a plan reads rows only from the snapshot it runs on, so a
+// write cannot make one wrong. That a write can make one expensive —
+// its estimates aged — is the caller's freshness test (Lookup), not
+// the key's.
 type PlanKey struct {
 	SQL            string
 	Strategy       string
@@ -31,10 +36,20 @@ func NewPlanCache(capBytes int64) *PlanCache {
 }
 
 // Get returns the cached plan for the key, if present.
-func (c *PlanCache) Get(k PlanKey) (any, bool) {
+func (c *PlanCache) Get(k PlanKey) (any, bool) { return c.Lookup(k, nil) }
+
+// Lookup is Get with a freshness test: a resident plan that fresh
+// rejects is not returned and counts as a miss, and it stays resident
+// until the caller's Put under the same key replaces it in place. A nil
+// fresh accepts every plan. fresh runs under the cache's lock, so it
+// must be quick and must not call back into the cache.
+func (c *PlanCache) Lookup(k PlanKey, fresh func(any) bool) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.lru.get(k)
+	if ok && fresh != nil && !fresh(v) {
+		v, ok = nil, false
+	}
 	if ok {
 		c.hits++
 	} else {

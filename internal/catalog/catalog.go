@@ -1,14 +1,23 @@
 // Package catalog holds the database's committed state: table
-// definitions with their rows and the base-table statistics the cost
-// model consumes, and view definitions. The translator, estimator and
-// executor resolve names against a Catalog (or one of its Snapshots).
+// definitions with their rows, view definitions, and the per-column
+// statistics the cost model consumes (Table.ColumnStats: distinct count
+// and numeric range, computed for one column on first use and cached
+// with the table version). The translator, estimator and executor
+// resolve names against a Catalog (or one of its Snapshots).
+//
+// A snapshot carries two counters. Version advances on every commit and
+// names the data; SchemaEpoch advances only on DDL (Create, Drop,
+// CreateView, DropView) and Restore, and names the shapes a plan can be
+// built against. A plan reads rows only when it runs, from the snapshot
+// it runs on, so DML cannot make one wrong; the plan cache keys on the
+// epoch.
 //
 // Concurrency model: the committed state is one immutable value, a
-// *Snapshot — table map, view map, commit counter. Every mutation
-// (Create, Drop, CreateView, DropView, InsertRows, ReplaceRows, Restore)
-// builds the next state copy-on-write under the catalog's mutex — new
-// *Table versions, a copy of whichever map it edits — and publishes it
-// with one pointer store. Readers never lock: Snapshot is a pointer
+// *Snapshot — table map, view map, commit counter, schema epoch. Every
+// mutation (Create, Drop, CreateView, DropView, InsertRows, ReplaceRows,
+// Restore) builds the next state copy-on-write under the catalog's
+// mutex — new *Table versions, a copy of whichever map it edits — and
+// publishes it with one pointer store. Readers never lock: Snapshot is a pointer
 // load, and whatever plans and executes against it sees the tables and
 // views of exactly one commit, never a torn write, while DML never
 // waits for a slow reader to finish.
@@ -20,6 +29,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,12 +46,12 @@ type Column struct {
 	Type types.Kind
 }
 
-// Table is a named base relation plus its maintained statistics. Once a
+// Table is a named base relation plus its column statistics. Once a
 // table version is published in a Catalog it is immutable: mutations go
 // through the Catalog's copy-on-write methods, which swap in a fresh
-// *Table. The lazily computed stats cache is the only mutable state and
-// is guarded by its own mutex, so concurrent snapshot readers may share
-// one version freely.
+// *Table. The lazily computed statistics are the only mutable state and
+// are guarded by their own mutex, so concurrent snapshot readers may
+// share one version freely.
 type Table struct {
 	Name    string
 	Columns []Column
@@ -53,17 +63,17 @@ type Table struct {
 	// result cache keys on for sound invalidation.
 	Version uint64
 
-	statsMu    sync.Mutex
-	statsDirty bool
-	stats      *TableStats
+	statsMu sync.Mutex
+	stats   []*ColumnStats // by column; nil entries not yet computed
 }
 
-// TableStats are per-table statistics used by the cost model: row count
-// and per-column distinct-value counts and numeric min/max.
-type TableStats struct {
-	Rows     int
-	Distinct map[string]int     // column → #distinct (Identical semantics)
-	Min, Max map[string]float64 // numeric columns only
+// ColumnStats are one column's statistics for the cost model: the
+// number of distinct values (Identical semantics, NULL counting as one
+// value) and the range of its numeric values, both zero when it has
+// none.
+type ColumnStats struct {
+	Distinct int
+	Min, Max float64
 }
 
 // View is a named query: a FROM reference to it expands like a derived
@@ -97,8 +107,7 @@ func NewView(sql string) (*View, error) {
 // *Snapshot (one pinned commit); the planner, estimator, translator,
 // and executor all work against this interface so a whole query can run
 // off one immutable snapshot. Version identifies the commit the reader
-// observes: the cache layer keys plans and results on it (plus
-// per-table versions) for sound invalidation.
+// observes.
 type Reader interface {
 	Lookup(name string) (*Table, error)
 	View(name string) (*View, bool)
@@ -148,6 +157,7 @@ type Snapshot struct {
 	tables  map[string]*Table
 	views   map[string]*View
 	version uint64
+	epoch   uint64
 }
 
 // Lookup returns the pinned version of the table.
@@ -177,6 +187,12 @@ func (s *Snapshot) Names() []string {
 // Version identifies the commit this snapshot pinned.
 func (s *Snapshot) Version() uint64 { return s.version }
 
+// SchemaEpoch identifies the table and view definitions this snapshot
+// pinned: two snapshots of one catalog with equal epochs define the
+// same tables with the same columns and the same views, whatever rows
+// their tables hold.
+func (s *Snapshot) SchemaEpoch() uint64 { return s.epoch }
+
 // Views returns the snapshot's view definitions in sorted-name order.
 func (s *Snapshot) Views() []*View {
 	out := make([]*View, 0, len(s.views))
@@ -201,6 +217,15 @@ func (c *Catalog) commit(edit func(next *Snapshot) error) error {
 	}
 	c.cur.Store(&next)
 	return nil
+}
+
+// ddl is commit for an edit that changes what is defined — a table or a
+// view comes or goes — and so advances the schema epoch as well.
+func (c *Catalog) ddl(edit func(next *Snapshot) error) error {
+	return c.commit(func(next *Snapshot) error {
+		next.epoch++
+		return edit(next)
+	})
 }
 
 // with returns a copy of m in which key maps to v, or is absent when v
@@ -259,7 +284,7 @@ func (c *Catalog) Create(name string, cols []Column) (*Table, error) {
 		Columns: cols,
 		Rel:     storage.NewRelation(storage.NewSchema(attrs...)),
 	}
-	err := c.commit(func(next *Snapshot) error {
+	err := c.ddl(func(next *Snapshot) error {
 		if err := next.taken(name); err != nil {
 			return err
 		}
@@ -276,7 +301,7 @@ func (c *Catalog) Create(name string, cols []Column) (*Table, error) {
 // Drop removes a table. Snapshots pinned before the drop keep resolving
 // the old version.
 func (c *Catalog) Drop(name string) error {
-	return c.commit(func(next *Snapshot) error {
+	return c.ddl(func(next *Snapshot) error {
 		if _, err := next.Lookup(name); err != nil {
 			return err
 		}
@@ -288,7 +313,7 @@ func (c *Catalog) Drop(name string) error {
 // CreateView defines a view (see NewView) under a name no table or view
 // has yet.
 func (c *Catalog) CreateView(v *View) error {
-	return c.commit(func(next *Snapshot) error {
+	return c.ddl(func(next *Snapshot) error {
 		if err := next.taken(v.Name); err != nil {
 			return err
 		}
@@ -300,7 +325,7 @@ func (c *Catalog) CreateView(v *View) error {
 // DropView removes a view. Snapshots pinned before the drop keep
 // expanding the old definition.
 func (c *Catalog) DropView(name string) error {
-	return c.commit(func(next *Snapshot) error {
+	return c.ddl(func(next *Snapshot) error {
 		if _, ok := next.View(name); !ok {
 			return fmt.Errorf("catalog: no view %q", name)
 		}
@@ -384,7 +409,7 @@ func (t *Table) Insert(row []types.Value) error {
 		return err
 	}
 	t.Rel.Append(row)
-	t.statsDirty = true
+	t.dropStats()
 	return nil
 }
 
@@ -393,45 +418,59 @@ func (t *Table) Insert(row []types.Value) error {
 // Builder path: see Insert.
 func (t *Table) BulkLoad(rows [][]types.Value) {
 	t.Rel.Tuples = append(t.Rel.Tuples, rows...)
-	t.statsDirty = true
+	t.dropStats()
 }
 
-// Stats returns (computing lazily and caching) the table statistics. It
-// is safe for any number of concurrent readers: published table
-// versions are immutable, so the computation always sees a stable
-// relation.
-func (t *Table) Stats() *TableStats {
+// dropStats forgets the statistics of rows a builder-path method has
+// just changed in place.
+func (t *Table) dropStats() {
+	t.statsMu.Lock()
+	t.stats = nil
+	t.statsMu.Unlock()
+}
+
+// ColumnStats returns column i's statistics, computing them on first
+// use and caching them with this table version; a column the cost model
+// never asks about is never scanned. It is safe for any number of
+// concurrent readers, who share one computation per column: published
+// table versions are immutable, so it always sees a stable relation.
+func (t *Table) ColumnStats(i int) *ColumnStats {
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()
-	if t.stats != nil && !t.statsDirty {
-		return t.stats
+	if t.stats == nil {
+		t.stats = make([]*ColumnStats, len(t.Columns))
 	}
-	s := &TableStats{
-		Rows:     t.Rel.Cardinality(),
-		Distinct: make(map[string]int, len(t.Columns)),
-		Min:      make(map[string]float64),
-		Max:      make(map[string]float64),
+	if t.stats[i] == nil {
+		t.stats[i] = columnStats(t.Rel.Tuples, i)
 	}
-	for i := range t.Columns {
-		attr := t.Rel.Schema.Attr(i)
-		seen := make(map[uint64]struct{})
-		first := true
-		for _, row := range t.Rel.Tuples {
-			v := row[i]
-			seen[v.Hash()] = struct{}{}
-			if f, ok := v.AsFloat(); ok {
-				if first || f < s.Min[attr] {
-					s.Min[attr] = f
-				}
-				if first || f > s.Max[attr] {
-					s.Max[attr] = f
-				}
-				first = false
+	return t.stats[i]
+}
+
+// columnStats scans column i once. Distinct values are counted as
+// distinct hashes, as a hash set would count them, but by sorting one
+// slice of them and counting runs.
+func columnStats(tuples [][]types.Value, i int) *ColumnStats {
+	s := &ColumnStats{}
+	hashes := make([]uint64, len(tuples))
+	first := true
+	for r, row := range tuples {
+		v := row[i]
+		hashes[r] = v.Hash()
+		if f, ok := v.AsFloat(); ok {
+			if first || f < s.Min {
+				s.Min = f
 			}
+			if first || f > s.Max {
+				s.Max = f
+			}
+			first = false
 		}
-		s.Distinct[attr] = len(seen)
 	}
-	t.stats = s
-	t.statsDirty = false
+	slices.Sort(hashes)
+	for r, h := range hashes {
+		if r == 0 || h != hashes[r-1] {
+			s.Distinct++
+		}
+	}
 	return s
 }

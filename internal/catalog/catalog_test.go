@@ -91,6 +91,9 @@ func TestInsertTypeChecking(t *testing.T) {
 	}
 }
 
+// TestStatsComputationAndCaching: a column's statistics count NULL as a
+// value, give a string column no range, are computed once per table
+// version, and are dropped by the builder path's in-place writes.
 func TestStatsComputationAndCaching(t *testing.T) {
 	c := New()
 	tbl, _ := c.Create("t", []Column{
@@ -104,31 +107,26 @@ func TestStatsComputationAndCaching(t *testing.T) {
 		{types.NewInt(5), types.Null()},
 	}
 	tbl.BulkLoad(rows)
-	s := tbl.Stats()
-	if s.Rows != 4 {
-		t.Errorf("Rows = %d", s.Rows)
+	k := tbl.ColumnStats(0)
+	if *k != (ColumnStats{Distinct: 3, Min: 1, Max: 5}) {
+		t.Errorf("ColumnStats(k) = %+v, want 3 distinct over [1, 5]", *k)
 	}
-	if s.Distinct["t.k"] != 3 {
-		t.Errorf("Distinct[t.k] = %d, want 3", s.Distinct["t.k"])
+	if v := tbl.ColumnStats(1); *v != (ColumnStats{Distinct: 3}) { // 'a', 'b', NULL
+		t.Errorf("ColumnStats(v) = %+v, want 3 distinct and no range", *v)
 	}
-	if s.Distinct["t.v"] != 3 { // 'a', 'b', NULL
-		t.Errorf("Distinct[t.v] = %d, want 3", s.Distinct["t.v"])
-	}
-	if s.Min["t.k"] != 1 || s.Max["t.k"] != 5 {
-		t.Errorf("Min/Max = %v/%v", s.Min["t.k"], s.Max["t.k"])
-	}
-	if _, ok := s.Min["t.v"]; ok {
-		t.Error("string column must have no numeric min")
-	}
-	// Cached pointer until next write.
-	if tbl.Stats() != s {
+	if tbl.ColumnStats(0) != k {
 		t.Error("stats not cached")
 	}
 	tbl.Insert([]types.Value{types.NewInt(9), types.Null()})
-	if tbl.Stats() == s {
-		t.Error("stats not invalidated by insert")
+	if tbl.ColumnStats(0) == k {
+		t.Error("stats not invalidated by Insert")
 	}
-	if tbl.Stats().Rows != 5 {
-		t.Error("recomputed stats wrong")
+	if got := tbl.ColumnStats(0); *got != (ColumnStats{Distinct: 4, Min: 1, Max: 9}) {
+		t.Errorf("recomputed stats = %+v", *got)
+	}
+	k = tbl.ColumnStats(0)
+	tbl.BulkLoad([][]types.Value{{types.NewInt(-3), types.NewString("c")}})
+	if got := tbl.ColumnStats(0); got == k || *got != (ColumnStats{Distinct: 5, Min: -3, Max: 9}) {
+		t.Errorf("stats after BulkLoad = %+v (cached pointer kept: %v)", *got, got == k)
 	}
 }

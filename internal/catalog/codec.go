@@ -292,6 +292,12 @@ func (s *Snapshot) Tables() []*Table {
 // first step, before WAL replay resumes normal copy-on-write mutation
 // from that counter, and a replica's snapshot install, where a
 // concurrent reader pins the old state or the new, never a mix.
+//
+// Every definition may change, so the schema epoch moves past the epoch
+// of the state replaced — a plan keyed before a replica's snapshot
+// install cannot match after it — and past the restored commit counter,
+// so a recovered catalog's epochs start beyond the checkpoint's commits.
+// Epochs are not persisted: no plan outlives its process.
 func (c *Catalog) Restore(tables []*Table, views []*View, version uint64) {
 	next := &Snapshot{
 		tables:  make(map[string]*Table, len(tables)),
@@ -305,6 +311,7 @@ func (c *Catalog) Restore(tables []*Table, views []*View, version uint64) {
 		next.views[v.Name] = v
 	}
 	c.mu.Lock()
+	next.epoch = max(c.cur.Load().epoch, version) + 1
 	c.cur.Store(next)
 	c.mu.Unlock()
 }

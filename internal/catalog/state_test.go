@@ -45,7 +45,9 @@ func intCol(name string) []Column { return []Column{{Name: name, Type: types.Kin
 // TestSnapshotPinsOneCommit: a snapshot keeps answering as of its
 // commit, for tables and views alike, whatever commits after it; every
 // successful mutation — view DDL included — advances the counter by
-// exactly one, and a refused one leaves the very same state in place.
+// exactly one, the schema epoch moves on DDL and Restore only (Restore
+// past the restored counter too), and a refused mutation leaves the
+// very same state in place.
 func TestSnapshotPinsOneCommit(t *testing.T) {
 	c := New()
 	if _, err := c.Create("t", intCol("a")); err != nil {
@@ -57,16 +59,17 @@ func TestSnapshotPinsOneCommit(t *testing.T) {
 	row := func(n int64) []types.Value { return []types.Value{types.NewInt(n)} }
 	steps := []struct {
 		name string
+		ddl  bool
 		do   func() error
 	}{
-		{"InsertRows", func() error { return c.InsertRows("t", row(1), row(2)) }},
-		{"CreateView", func() error { return c.CreateView(mustView(t, "CREATE VIEW w AS SELECT a FROM t")) }},
-		{"DropView", func() error { return c.DropView("V") }},
-		{"CreateView again", func() error { return c.CreateView(mustView(t, "CREATE VIEW v AS SELECT a FROM t WHERE a > 2")) }},
-		{"Create", func() error { _, err := c.Create("u", intCol("b")); return err }},
-		{"ReplaceRows", func() error { return c.ReplaceRows("t", [][]types.Value{row(7)}) }},
-		{"Drop", func() error { return c.Drop("u") }},
-		{"Restore", func() error {
+		{"InsertRows", false, func() error { return c.InsertRows("t", row(1), row(2)) }},
+		{"CreateView", true, func() error { return c.CreateView(mustView(t, "CREATE VIEW w AS SELECT a FROM t")) }},
+		{"DropView", true, func() error { return c.DropView("V") }},
+		{"CreateView again", true, func() error { return c.CreateView(mustView(t, "CREATE VIEW v AS SELECT a FROM t WHERE a > 2")) }},
+		{"Create", true, func() error { _, err := c.Create("u", intCol("b")); return err }},
+		{"ReplaceRows", false, func() error { return c.ReplaceRows("t", [][]types.Value{row(7)}) }},
+		{"Drop", true, func() error { return c.Drop("u") }},
+		{"Restore", true, func() error {
 			c.Restore(nil, []*View{mustView(t, "CREATE VIEW only AS SELECT a FROM gone")}, c.Version()+1)
 			return nil
 		}},
@@ -85,6 +88,9 @@ func TestSnapshotPinsOneCommit(t *testing.T) {
 		}
 		if got, want := c.Version(), snap.Version()+1; got != want {
 			t.Errorf("%s: version %d, want %d", st.name, got, want)
+		}
+		if got, was := c.Snapshot().SchemaEpoch(), snap.SchemaEpoch(); (got > was) != st.ddl || got < was {
+			t.Errorf("%s: schema epoch %d → %d; it must advance exactly on DDL and Restore", st.name, was, got)
 		}
 		if describe(c, c.Snapshot().Views()) == before {
 			t.Errorf("%s left the live state as it was", st.name)
@@ -114,6 +120,13 @@ func TestSnapshotPinsOneCommit(t *testing.T) {
 	}
 	if c.Snapshot() != held {
 		t.Error("refused mutations replaced the committed state: equal versions must mean the identical state")
+	}
+	for _, version := range []uint64{0, held.Version() + 10} {
+		was := c.Snapshot().SchemaEpoch()
+		c.Restore(held.Tables(), held.Views(), version)
+		if got := c.Snapshot().SchemaEpoch(); got <= was || got <= version {
+			t.Errorf("Restore of version %d over epoch %d left epoch %d: it must pass both", version, was, got)
+		}
 	}
 }
 

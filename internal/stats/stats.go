@@ -68,15 +68,8 @@ func (e *Estimator) colStats(plan algebra.Op, attr string) (distinct int, lo, hi
 	if err != nil || idx >= tbl.Rel.Schema.Len() {
 		return 0, 0, 0, false
 	}
-	key := tbl.Rel.Schema.Attr(idx)
-	st := tbl.Stats()
-	d := st.Distinct[key]
-	l, okLo := st.Min[key]
-	h, okHi := st.Max[key]
-	if !okLo || !okHi {
-		l, h = 0, 0
-	}
-	return d, l, h, d > 0
+	st := tbl.ColumnStats(idx)
+	return st.Distinct, st.Min, st.Max, st.Distinct > 0
 }
 
 // Cardinality estimates the number of output tuples of a plan.
@@ -85,7 +78,7 @@ func (e *Estimator) Cardinality(op algebra.Op) float64 {
 	case *algebra.Scan:
 		if e.cat != nil {
 			if tbl, err := e.cat.Lookup(x.Table); err == nil {
-				return float64(tbl.Stats().Rows)
+				return float64(len(tbl.Rel.Tuples))
 			}
 		}
 		return 1000

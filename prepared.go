@@ -24,15 +24,19 @@ import (
 // both. planStmt is the only code that builds one; the plan cache and
 // every Stmt store it; run executes it. Nothing in it changes after
 // planStmt returns (the fingerprint is a memo of the nodes), so any
-// number of concurrent executions share one prepared plan.
+// number of concurrent executions share one prepared plan — and, since
+// no node holds rows, executions against any later snapshot of the
+// same schema epoch too (see planKey and drifted for when it is
+// replanned).
 type prepared struct {
 	// key is what the plan was built for — normalized text (also the
-	// workload-telemetry registry key), strategy, null mode, catalog
-	// version. See planKey for when a stored plan is stale.
+	// workload-telemetry registry key), strategy, null mode, schema
+	// epoch.
 	key     cache.PlanKey
 	logical algebra.Op
 	trace   []string
 	tables  []string // referenced base tables, lower-case, sorted
+	rows    []int    // each table's row count when planned, as tables
 	phys    *physical.Plan
 	// blocks are the physical roots of the nested query blocks, in the
 	// order ANALYZE numbers subquery plans (algebra.WalkNested's).
@@ -43,29 +47,57 @@ type prepared struct {
 	fp     uint64
 }
 
-// planKey names what a plan is planned for, and with that states the
-// staleness rule once: a stored plan serves a query only under an equal
-// key, so it is stale as soon as the strategy, the null mode or the
-// catalog version (any commit: table or view, DDL or DML) differs. The
-// plan cache looks plans up by the whole key; a Stmt compares the key
-// of the plan it holds.
+// driftFactor is how far, either way, a referenced table's row count
+// may move from the count a plan was built with before the plan is
+// rebuilt: the estimates behind its choices (Eqv. 2 vs 3 by rank, the
+// order of disjuncts, cost-based alternatives, build sides) read
+// cardinalities, and past this factor they are too old to trust.
+const driftFactor = 2
+
+// planKey names what a plan is planned for, and with drifted states the
+// staleness rule once. A stored plan serves a query only under an equal
+// key: the same text, strategy, null mode and schema epoch. DDL — a
+// table or view created or dropped, anywhere — and a restored state
+// advance the epoch; DML does not, because a plan reads rows only from
+// the snapshot it executes on (a scan resolves its table there), so a
+// write cannot make a plan wrong, only its estimates old. The plan cache
+// looks plans up by the whole key, a Stmt compares the key of the plan
+// it holds, and both then ask drifted.
 func planKey(norm string, cfg queryConfig, snap *catalog.Snapshot) cache.PlanKey {
 	return cache.PlanKey{
 		SQL:            norm,
 		Strategy:       string(cfg.strategy),
 		Nulls:          string(cfg.nulls),
-		CatalogVersion: snap.Version(),
+		CatalogVersion: snap.SchemaEpoch(),
 	}
 }
 
+// drifted reports that a table the plan reads now holds more than
+// driftFactor times, or less than 1/driftFactor of, the rows it was
+// planned with; a table planned empty drifts with its first row.
+func (pp *prepared) drifted(snap *catalog.Snapshot) bool {
+	for i, name := range pp.tables {
+		t, err := snap.Lookup(name)
+		if err != nil {
+			return true
+		}
+		now, then := len(t.Rel.Tuples), pp.rows[i]
+		if now > driftFactor*then || driftFactor*now < then {
+			return true
+		}
+	}
+	return false
+}
+
 // preparedFor returns the prepared plan for a statement text, from the
-// plan cache when it holds one; stale entries never match and age out
-// by LRU. hit reports that planning was skipped, which telemetry counts
-// per statement.
+// plan cache when it holds one under the key that has not drifted; a
+// drifted plan counts as a miss and is replaced in place, and entries of
+// an older epoch never match and age out by LRU. hit reports that
+// planning was skipped, which telemetry counts per statement.
 func (db *DB) preparedFor(snap *catalog.Snapshot, sql string, cfg queryConfig) (pp *prepared, hit bool, err error) {
 	key := planKey(normalizeSQL(sql), cfg, snap)
 	if db.pcache != nil {
-		if v, ok := db.pcache.Get(key); ok {
+		if v, ok := db.pcache.Lookup(key, func(v any) bool { return !v.(*prepared).drifted(snap) }); ok {
 			cacheEvent(cfg, "plan", "hit")
 			return v.(*prepared), true, nil
 		}
@@ -111,7 +143,8 @@ func (db *DB) planStmt(src catalog.Reader, stmt *sqlparser.SelectStmt, key cache
 	// One walk gathers what the caches ask of the logical plan: the
 	// scanned tables (the result cache's dependency set — the key embeds
 	// their versions, and a committed write to any of them invalidates
-	// the entry), the operator count bytes charges, and the block roots.
+	// the entry — with the row counts drifted compares against), the
+	// operator count bytes charges, and the block roots.
 	seen := map[string]bool{}
 	for _, b := range algebra.WalkNested(logical, func(op algebra.Op) {
 		pp.ops++
@@ -126,6 +159,12 @@ func (db *DB) planStmt(src catalog.Reader, stmt *sqlparser.SelectStmt, key cache
 		pp.blocks = append(pp.blocks, n)
 	}
 	sort.Strings(pp.tables)
+	pp.rows = make([]int, len(pp.tables))
+	for i, name := range pp.tables {
+		if t, err := src.Lookup(name); err == nil {
+			pp.rows[i] = len(t.Rel.Tuples)
+		}
+	}
 	return pp, canonical, nil
 }
 

@@ -63,6 +63,9 @@ test -z "$(grep -nE 'func \([^)]*\) (Marshal|Unmarshal)JSON\(' $(ls internal/wir
 # no Eqv. 4 rule, fO combiner expression, decomposition or knob to
 # choose between the two comes back.
 test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs grep -nE 'buildEqv4|AggCombine|PreferEqv5|Partials\(|Decomposable\(|agg\.Combine\(')"
+# Table statistics are per column (Table.ColumnStats, one sort per
+# column on first use): no whole-table statistics pass comes back.
+test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs grep -nE 'TableStats|Table\) Stats\(')"
 go test ./...
 go vet ./...
 go test -race ./...

@@ -326,7 +326,10 @@ func normalizeSQL(sql string) string {
 
 // resultBytes estimates a result-cache entry's footprint: per-row slice
 // headers plus a fixed charge per value (a types.Value is 32 bytes), the
-// column names, and the metrics report when present.
+// column names, and the metrics report when present. A row cut from an
+// operator's shared chunk (at most one morsel's rows) is charged for its
+// own values only: a result that keeps some of a chunk's rows also keeps
+// the rest of the chunk alive, uncharged.
 func resultBytes(e *Result) int64 {
 	b := int64(256)
 	for _, c := range e.Columns {

@@ -606,8 +606,9 @@ func WithExecutionPath(p ExecutionPath) Option {
 // into (default exec.DefaultMorselSize, 1024). Values are clamped to
 // [exec.MinMorselSize, exec.MaxMorselSize]; the morsel is the unit of
 // work between cancellation polls, so the bound is also a cancellation
-// latency guarantee. For any fixed morsel size, results are
-// byte-identical across worker counts.
+// latency guarantee. It never changes a result: results, float
+// aggregates included, are byte-identical at every worker count and
+// every morsel size.
 func WithMorselSize(n int) Option {
 	return func(c *queryConfig) { c.MorselSize = n }
 }
@@ -697,7 +698,10 @@ type Result struct {
 	// row can be a stored table row, or a prefix of one, and the same
 	// rows serve a later result-cache hit — and are read-only: rows are
 	// immutable once built, which is also why later writes to the tables
-	// never change them.
+	// never change them. Rows an operator built may share one backing
+	// chunk of at most one morsel's rows (each row's capacity is its
+	// length, so appending to one copies it), and retaining one row
+	// retains its chunk.
 	Rows [][]Value
 	// Stats counts the work performed (comparisons, tuples, subquery
 	// evaluations), letting callers compare strategies analytically.

@@ -1,8 +1,8 @@
 // Package agg implements SQL aggregate functions — COUNT, SUM, AVG, MIN,
 // MAX, each with an optional DISTINCT modifier — as accumulators that
-// merge (morsel-parallel grouping) and overlay a shared base (Eqv. 5's
+// fold their inputs in order and can overlay a shared base (Eqv. 5's
 // fold of the tuples every group holds). Every aggregate, DISTINCT
-// included, goes through the same two operations, so no rule needs the
+// included, goes through the same operations, so no rule needs the
 // paper's decomposability split f(X) = fO(fI(Y), fI(Z)).
 package agg
 
@@ -100,9 +100,7 @@ type Acc struct {
 	isInt bool
 	first bool
 	best  types.Value // MIN/MAX running value
-	// seen is the DISTINCT set, allocated on first insertion. Its
-	// insertion order is the log Merge replays, so merged folds are
-	// deterministic (float sums are order-sensitive).
+	// seen is the DISTINCT set, allocated on first insertion.
 	seen *types.RowIndex
 	// base, when set, is the accumulator this one overlays (Overlay): its
 	// DISTINCT set is consulted read-only before this one's own.
@@ -121,8 +119,7 @@ func NewAcc(spec Spec) *Acc {
 // Any number of overlays may share one base, also concurrently, as long
 // as nothing is added to the base afterwards; base must not itself be an
 // overlay. That is what lets Eqv. 5 fold the tuples common to every
-// group once. An overlay's Merge log holds only its own insertions, so it
-// can be merged into but never from.
+// group once.
 func Overlay(base *Acc) *Acc {
 	a := *base
 	a.seen, a.base = nil, base
@@ -193,59 +190,6 @@ func (a *Acc) dup(args []types.Value) bool {
 	}
 	_, added := a.seen.FindOrAdd(args)
 	return !added
-}
-
-// Merge folds another accumulator of the same spec into this one, as if
-// o's inputs had been Added after a's. The executor's morsel-parallel
-// grouping merges per-morsel partials in morsel order, so the fold
-// order — and therefore any float rounding — is independent of the
-// worker count. DISTINCT accumulators replay o's insertion log through
-// Add; the rest combine their counters directly.
-func (a *Acc) Merge(o *Acc) {
-	if a.spec != o.spec {
-		panic(fmt.Sprintf("agg: merging %s into %s", o.spec, a.spec))
-	}
-	if a.spec.Distinct {
-		if o.seen != nil {
-			for e := 0; e < o.seen.Len(); e++ {
-				a.Add(o.seen.Row(int32(e)))
-			}
-		}
-		return
-	}
-	a.count += o.count
-	switch a.spec.Kind {
-	case Sum, Avg:
-		if a.isInt && !o.isInt {
-			a.sum = float64(a.sumI)
-			a.isInt = false
-		}
-		if a.isInt {
-			a.sumI += o.sumI
-		} else if o.isInt {
-			a.sum += float64(o.sumI)
-		} else {
-			a.sum += o.sum
-		}
-	case Min:
-		if !o.first {
-			if a.first {
-				a.best = o.best
-				a.first = false
-			} else if c, ok := types.Compare(o.best, a.best); ok && c < 0 {
-				a.best = o.best
-			}
-		}
-	case Max:
-		if !o.first {
-			if a.first {
-				a.best = o.best
-				a.first = false
-			} else if c, ok := types.Compare(o.best, a.best); ok && c > 0 {
-				a.best = o.best
-			}
-		}
-	}
 }
 
 // Result returns the aggregate value; on an empty (post-NULL-filtering)

@@ -187,59 +187,6 @@ func TestOverlayEqualsFreshFold(t *testing.T) {
 	}
 }
 
-// TestMergeEqualsOneFold: for every spec, folding an input in chunks and
-// merging the chunk accumulators in order gives what one accumulator
-// folded over the whole input gives — DISTINCT ones replay the merged
-// set's insertion order, so duplicates straddling chunks count once —
-// and merging changes nothing in the accumulator merged from. (The
-// floats are halves, whose sums are exact: a plain SUM's partial sums
-// round differently from one fold, which is why the executor pins its
-// chunk boundaries.)
-func TestMergeEqualsOneFold(t *testing.T) {
-	var specs []Spec
-	for _, k := range []Kind{Count, Sum, Avg, Min, Max} {
-		for _, d := range []bool{false, true} {
-			specs = append(specs, Spec{Kind: k, Distinct: d})
-		}
-	}
-	specs = append(specs, Spec{Kind: Count, Star: true}, Spec{Kind: Count, Star: true, Distinct: true})
-	rng := rand.New(rand.NewSource(11))
-	for _, spec := range specs {
-		for trial := 0; trial < 50; trial++ {
-			rows := make([][]types.Value, rng.Intn(30))
-			for i := range rows {
-				v := types.NewInt(int64(rng.Intn(5)))
-				switch rng.Intn(6) {
-				case 0:
-					v = types.Null()
-				case 1:
-					v = types.NewFloat(float64(rng.Intn(5)) + 0.5)
-				}
-				rows[i] = []types.Value{v}
-				if spec.Star {
-					rows[i] = append(rows[i], types.NewInt(int64(rng.Intn(2))))
-				}
-			}
-			whole, merged := NewAcc(spec), NewAcc(spec)
-			for lo := 0; lo < len(rows) || lo == 0; lo += 7 {
-				part := NewAcc(spec)
-				for _, r := range rows[lo:min(lo+7, len(rows))] {
-					whole.Add(r)
-					part.Add(r)
-				}
-				before := part.Result()
-				merged.Merge(part)
-				if after := part.Result(); !types.Identical(before, after) {
-					t.Fatalf("%s: merging changed the source: %v → %v", spec, before, after)
-				}
-			}
-			if got, want := merged.Result(), whole.Result(); !types.Identical(got, want) {
-				t.Fatalf("%s over %v: merged chunks = %v, one fold = %v", spec, rows, got, want)
-			}
-		}
-	}
-}
-
 // TestDistinctAddRetainsItsArgument: a DISTINCT accumulator keeps the
 // slice it is handed instead of copying it — a thousand new arguments
 // cost the set's growth steps, not an allocation each — and duplicates

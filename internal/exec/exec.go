@@ -77,9 +77,9 @@ type Options struct {
 	// to [MinMorselSize, MaxMorselSize]: the morsel is the unit of work
 	// between cancellation polls, so the upper bound caps cancellation
 	// latency while the lower bound keeps scheduling overhead amortized.
-	// Chunk boundaries depend only on the input size and this value, so
-	// results stay byte-identical across worker counts for any fixed
-	// morsel size.
+	// It never changes a result: every operator's output, float
+	// aggregates included, is byte-identical at every worker count and
+	// every morsel size (Γ folds each group once, in input order).
 	MorselSize int
 	// Path selects the expression evaluator (see Path): PathRow
 	// interprets every expression — the reference the differential
@@ -182,6 +182,10 @@ type Executor struct {
 	ticks    int
 	msize    int  // validated Options.MorselSize (see New)
 	isWorker bool // worker clones never fan out again (no nested pools)
+	// pairs is evalJoin's output record, reused across morsels; a join
+	// takes it for the morsel and puts it back, so a join nested under
+	// its predicate finds none and uses its own.
+	pairs [][2]int32
 }
 
 // sharedState is the cross-worker state: the DAG/subquery memo (with a
@@ -767,7 +771,7 @@ func (ex *Executor) evalSigma(n, child physical.Node, pred algebra.Expr, vp *vec
 	}
 	truth := morselEval(ex, compiled, vp, in, env,
 		func(w *Executor, row *Env) (types.TriBool, error) { return w.EvalPred(pred, row) })
-	chunks, err := parMorsels(ex, len(in.Tuples), false,
+	chunks, err := parMorsels(ex, len(in.Tuples),
 		func(w *Executor, lo, hi int) (sel [2][]int32, err error) {
 			res, err := truth(w, lo, hi)
 			if err != nil {
@@ -795,7 +799,8 @@ func (ex *Executor) evalSigma(n, child physical.Node, pred algebra.Expr, vp *vec
 // evalProject is Π, in morsels. When the projected columns are a prefix
 // of the input's, each output row is that prefix of the input row
 // itself, not a copy: rows are immutable, and the capacity is cut with
-// the length so nothing can grow into the columns behind it.
+// the length so nothing can grow into the columns behind it. Otherwise
+// the rows are cut from the morsel's slab.
 func (ex *Executor) evalProject(p *physical.Project, env *Env) (*storage.Relation, error) {
 	in, err := ex.eval(p.Child, env)
 	if err != nil {
@@ -808,15 +813,19 @@ func (ex *Executor) evalProject(p *physical.Project, env *Env) (*storage.Relatio
 	for j, c := range p.Cols {
 		prefix = prefix && c == j
 	}
-	chunks, err := parMorsels(ex, len(in.Tuples), false,
+	chunks, err := parMorsels(ex, len(in.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			out := make([][]types.Value, hi-lo)
+			var slab rowSlab
+			if !prefix {
+				slab = w.slab(len(p.Cols), hi-lo)
+			}
 			for i, t := range in.Tuples[lo:hi] {
 				if prefix {
 					out[i] = t[:len(p.Cols):len(p.Cols)]
 					continue
 				}
-				row := make([]types.Value, len(p.Cols))
+				row := slab.next()
 				for j, c := range p.Cols {
 					row[j] = t[c]
 				}
@@ -853,15 +862,16 @@ func (ex *Executor) evalMap(m *physical.Map, env *Env) (*storage.Relation, error
 	}
 	values := morselEval(ex, compiled, m.VecExpr, in, env,
 		func(w *Executor, row *Env) (types.Value, error) { return w.EvalExpr(m.Expr, row) })
-	chunks, err := parMorsels(ex, len(in.Tuples), false,
+	chunks, err := parMorsels(ex, len(in.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			vals, err := values(w, lo, hi)
 			if err != nil {
 				return nil, err
 			}
 			out := make([][]types.Value, hi-lo)
+			slab := w.slab(m.Schema().Len(), hi-lo)
 			for i, t := range in.Tuples[lo:hi] {
-				out[i] = emitRow(m.Emit, t, vals[i:i+1])
+				out[i] = slab.emitRow(m.Emit, t, vals[i:i+1])
 			}
 			return out, nil
 		})
@@ -899,7 +909,7 @@ func (ex *Executor) evalDistinct(d *physical.Distinct, env *Env) (*storage.Relat
 	}
 	// Dedup each morsel locally, then merge in morsel order: the result
 	// keeps first-seen order, identical to the sequential pass.
-	chunks, err := parMorsels(ex, len(in.Tuples), false,
+	chunks, err := parMorsels(ex, len(in.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			local := &storage.Relation{Schema: in.Schema, Tuples: in.Tuples[lo:hi]}
 			return local.Distinct().Tuples, nil

@@ -142,14 +142,22 @@ type groupTable struct {
 	ix    *types.RowIndex
 	specs []agg.Spec
 	accs  []agg.Acc
+	// first[e] is the input index of entry e's row, kept (first non-nil)
+	// when the table is one of several key partitions, whose groups are
+	// merged on it; next is the next entry to emit.
+	first []int32
+	next  int
 }
 
-// find returns the accumulators of row's group, which row founds when
-// it is the first of it.
-func (gt *groupTable) find(row []types.Value) []agg.Acc {
-	e, added := gt.ix.FindOrAdd(row)
+// find returns the accumulators of row i's group, which the row founds
+// when it is the first of it; h is the row's key hash.
+func (gt *groupTable) find(row []types.Value, i int, h uint64) []agg.Acc {
+	e, added := gt.ix.FindOrAddHashed(row, h)
 	if added {
 		gt.accs = appendAccs(gt.accs, gt.specs)
+		if gt.first != nil {
+			gt.first = append(gt.first, int32(i))
+		}
 	}
 	return gt.accs[int(e)*len(gt.specs):][:len(gt.specs)]
 }
@@ -161,17 +169,32 @@ func appendAccs(accs []agg.Acc, specs []agg.Spec) []agg.Acc {
 	return accs
 }
 
-// evalGroup implements the unary grouping operator Γ. Each morsel builds
-// a private groupTable; the partials are merged in morsel order, so the
-// merged discovery order equals the sequential first-appearance order
-// and aggregate folds see their inputs in the same order regardless of
-// the worker count (forceChunks pins the chunk boundaries to the input
-// size). A DISTINCT aggregate over input columns has no partials worth
-// merging: one pass over the input, after the merge, feeds each group
-// the rows that are new on (grouping columns, argument columns), in
-// input order — one index for the whole operator where every group's
-// accumulator would otherwise keep a set of its own. A Global grouping
-// emits exactly one row even on empty input — the SQL scalar aggregate.
+// partOf assigns a key hash to one of parts partitions. It mixes the hash
+// before taking its high bits, so the partition does not follow the
+// RowIndex slot (the high bits of h·φ) and each partition's keys still
+// spread over all of its table's slots.
+func partOf(h uint64, parts int) int {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return int((h >> 32) * uint64(parts) >> 32)
+}
+
+// evalGroup implements the unary grouping operator Γ, which folds every
+// group once, in input order: with P = fanout(n) key partitions, the
+// keys are hashed in morsels, then partition p folds the rows whose hash
+// falls in it into a table of its own, P partitions over P workers. A
+// group's rows all fall in one partition, so each group is the
+// sequential left fold of its rows at every worker count and every
+// morsel size — float sums included — and the output, merged by each
+// group's first row, is in first-appearance order. One worker, or a
+// Global grouping (one group), is one partition and no hashing pass. A
+// DISTINCT aggregate over input columns is deduplicated by Γ itself, in
+// the same fold: a row feeds it when the row is new on (grouping
+// columns, argument columns) — one index per partition where every
+// group's accumulator would otherwise keep a set of its own. A Global
+// grouping emits exactly one row even on empty input — the SQL scalar
+// aggregate.
 func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, error) {
 	in, err := ex.eval(g.Child, env)
 	if err != nil {
@@ -181,68 +204,118 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 	if err != nil {
 		return nil, err
 	}
-	chunks, err := parMorsels(ex, len(in.Tuples), true,
-		func(w *Executor, lo, hi int) (*groupTable, error) {
-			gt := &groupTable{ix: types.NewRowIndex(g.KeyCols, false, 0), specs: ai.specs}
-			feed := ai.feed(env)
-			for _, t := range in.Tuples[lo:hi] {
+	n, parts := len(in.Tuples), 1
+	if len(g.KeyCols) > 0 {
+		parts = ex.fanout(n)
+	}
+	tables := make([]*groupTable, parts)
+	for p := range tables {
+		tables[p] = &groupTable{ix: types.NewRowIndex(g.KeyCols, false, 0), specs: ai.specs}
+	}
+	var hashes []uint64
+	if parts > 1 {
+		hashes = make([]uint64, n)
+		if _, err := parMorsels(ex, n, func(w *Executor, lo, hi int) (struct{}, error) {
+			for i, t := range in.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
-					return nil, err
+					return struct{}{}, err
 				}
-				if err := feed.add(w, gt.find(t), t); err != nil {
-					return nil, err
-				}
+				hashes[lo+i], _ = tables[0].ix.Hash(t, g.KeyCols)
 			}
-			return gt, nil
+			return struct{}{}, nil
+		}); err != nil {
+			return nil, err
+		}
+		for _, gt := range tables {
+			gt.first = []int32{}
+		}
+	} else {
+		ex.creditMorsels(n)
+	}
+	// fold folds partition p: the rows whose key hash falls in it, every
+	// row when there is one partition.
+	fold := func(w *Executor, p int) (struct{}, error) {
+		gt, feed := tables[p], ai.feed(env)
+		var seen []*types.RowIndex // per DISTINCT item Γ dedups
+		for j, cols := range ai.dedup {
+			if cols != nil {
+				if seen == nil {
+					seen = make([]*types.RowIndex, len(ai.dedup))
+				}
+				seen[j] = types.NewRowIndex(cols, false, n/parts)
+			}
+		}
+		for i, t := range in.Tuples {
+			var h uint64
+			if hashes != nil {
+				if h = hashes[i]; partOf(h, parts) != p {
+					continue
+				}
+			} else {
+				h, _ = gt.ix.Hash(t, g.KeyCols)
+			}
+			if err := w.tick(); err != nil {
+				return struct{}{}, err
+			}
+			accs := gt.find(t, i, h)
+			if err := feed.add(w, accs, t); err != nil {
+				return struct{}{}, err
+			}
+			for j, s := range seen {
+				if s == nil {
+					continue
+				}
+				if _, added := s.FindOrAdd(t); !added {
+					continue
+				}
+				args, err := feed.args(w, j, t)
+				if err != nil {
+					return struct{}{}, err
+				}
+				accs[j].Add(args)
+			}
+		}
+		return struct{}{}, nil
+	}
+	if parts == 1 {
+		_, err = runMorsel(ex, 0, n, func(w *Executor, _, _ int) (struct{}, error) { return fold(w, 0) })
+	} else {
+		_, err = parTasks(ex, parts, parts, func(w *Executor, p int) (struct{}, error) {
+			return runMorsel(w, 0, n, func(w *Executor, _, _ int) (struct{}, error) { return fold(w, p) })
 		})
+	}
 	if err != nil {
 		return nil, err
 	}
-	merged, n := chunks[0], len(g.Aggs)
-	for _, gt := range chunks[1:] {
-		for e := 0; e < gt.ix.Len(); e++ {
-			dst := merged.find(gt.ix.Row(int32(e)))
-			for i := range dst {
-				dst[i].Merge(&gt.accs[e*n+i])
-			}
-		}
-	}
-	feed := ai.feed(env)
-	for i, cols := range ai.dedup {
-		if cols == nil {
-			continue
-		}
-		seen := types.NewRowIndex(cols, false, len(in.Tuples))
-		for _, t := range in.Tuples {
-			if err := ex.tick(); err != nil {
-				return nil, err
-			}
-			if _, added := seen.FindOrAdd(t); !added {
-				continue
-			}
-			args, err := feed.args(ex, i, t)
-			if err != nil {
-				return nil, err
-			}
-			merged.find(t)[i].Add(args)
-		}
-	}
-	if g.Global && merged.ix.Len() == 0 {
-		merged.find(nil)
+	if g.Global && tables[0].ix.Len() == 0 {
+		h, _ := tables[0].ix.Hash(nil, g.KeyCols)
+		tables[0].find(nil, 0, h)
 	}
 
+	groups, na := 0, len(g.Aggs)
+	for _, gt := range tables {
+		groups += gt.ix.Len()
+	}
 	out := storage.NewRelation(g.Schema())
-	out.Tuples = make([][]types.Value, merged.ix.Len())
-	for e := range out.Tuples {
-		first := merged.ix.Row(int32(e))
-		row := make([]types.Value, 0, len(g.KeyCols)+n)
-		for _, c := range g.KeyCols {
-			row = append(row, first[c])
+	out.Tuples = make([][]types.Value, groups)
+	slab := ex.slab(len(g.KeyCols)+na, groups)
+	for k := range out.Tuples {
+		gt := tables[0] // the partition whose next group appeared first
+		for _, q := range tables[1:] {
+			if q.next < len(q.first) && (gt.next == len(gt.first) || q.first[q.next] < gt.first[gt.next]) {
+				gt = q
+			}
 		}
-		for i := 0; i < n; i++ {
-			row = append(row, merged.accs[e*n+i].Result())
+		e := gt.next
+		gt.next++
+		first, row := gt.ix.Row(int32(e)), slab.next()
+		for j, c := range g.KeyCols {
+			row[j] = first[c]
 		}
-		out.Tuples[e] = row
+		for i := 0; i < na; i++ {
+			row[len(g.KeyCols)+i] = gt.accs[e*na+i].Result()
+		}
+		out.Tuples[k] = row
 	}
 	return out, nil
 }
@@ -340,9 +413,10 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	} else {
 		ex.stats.NLJoins++
 	}
-	chunks, err := parMorsels(ex, len(l.Tuples), false,
+	chunks, err := parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			out := make([][]types.Value, 0, hi-lo)
+			slab := w.slab(b.Schema().Len(), hi-lo)
 			if ht != nil {
 				for _, lt := range l.Tuples[lo:hi] {
 					if err := w.tick(); err != nil {
@@ -352,7 +426,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 					if e := ht.First(lt, b.LCols); e >= 0 {
 						res = keyRes[int(group[e])*n:][:n]
 					}
-					out = append(out, emitRow(b.Emit, lt, res))
+					out = append(out, slab.emitRow(b.Emit, lt, res))
 				}
 				return out, nil
 			}
@@ -389,7 +463,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 				for i := range accs {
 					res[i] = accs[i].Result()
 				}
-				out = append(out, emitRow(b.Emit, lt, res))
+				out = append(out, slab.emitRow(b.Emit, lt, res))
 			}
 			return out, nil
 		})

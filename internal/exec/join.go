@@ -22,7 +22,7 @@ func (ex *Executor) buildIndex(rel *storage.Relation, keyCols []int) (*types.Row
 		h  uint64
 		ok bool
 	}
-	chunks, err := parMorsels(ex, len(rel.Tuples), false,
+	chunks, err := parMorsels(ex, len(rel.Tuples),
 		func(w *Executor, lo, hi int) ([]hashed, error) {
 			out := make([]hashed, hi-lo)
 			for i, t := range rel.Tuples[lo:hi] {
@@ -48,17 +48,44 @@ func (ex *Executor) buildIndex(rel *storage.Relation, keyCols []int) (*types.Row
 	return ix, nil
 }
 
-// emitRow writes an operator's output row from the pair l ◦ r: every
-// column when emit is nil, else the listed positions of it. It is the
-// one place a joined, mapped or binary-grouped row is built, and builds
-// it once, at its final width.
-func emitRow(emit []int, l, r []types.Value) []types.Value {
+// rowSlab hands out an operator's output rows cut from shared chunks of
+// values, so rows cost an allocation per chunk, not one each. A row is
+// buf[:w:w]: its capacity is its length, so appending to it reallocates
+// instead of writing into its neighbour. A chunk holds the rows still to
+// be cut, which callers count exactly, but at most one morsel's worth,
+// so a row that outlives its siblings keeps at most one chunk alive.
+type rowSlab struct {
+	buf          []types.Value
+	width, rows  int // row width; rows still to be cut
+	maxChunkRows int
+}
+
+// slab returns a slab for n rows of the given width.
+func (ex *Executor) slab(width, n int) rowSlab {
+	return rowSlab{width: width, rows: n, maxChunkRows: ex.msize}
+}
+
+// next cuts the next row.
+func (s *rowSlab) next() []types.Value {
+	if s.buf == nil || len(s.buf) < s.width {
+		s.buf = make([]types.Value, min(max(s.rows, 1), s.maxChunkRows)*s.width)
+	}
+	row := s.buf[:s.width:s.width]
+	s.buf = s.buf[s.width:]
+	s.rows--
+	return row
+}
+
+// emitRow writes an operator's output row from the pair l ◦ r into the
+// slab's next row: every column when emit is nil, else the listed
+// positions of it. It is the one place a joined, mapped or
+// binary-grouped row is built, and builds it once, at its final width.
+func (s *rowSlab) emitRow(emit []int, l, r []types.Value) []types.Value {
+	row := s.next()
 	if emit == nil {
-		row := make([]types.Value, len(l)+len(r))
 		copy(row[copy(row, l):], r)
 		return row
 	}
-	row := make([]types.Value, len(emit))
 	for i, c := range emit {
 		if c < len(l) {
 			row[i] = l[c]
@@ -96,6 +123,12 @@ func (ex *Executor) evalOuterJoin(j *physical.OuterJoin, env *Env) (*storage.Rel
 	return ex.evalJoin(j, j.L, j.R, env, physical.JoinInner, j.LCols, j.RCols, pred, j.Emit, j.Pad)
 }
 
+// Partners recorded by evalJoin beside a right index entry or position.
+const (
+	padPartner  = -1 // the outer join's pad
+	passPartner = -2 // a semi or anti join passes the left tuple through
+)
+
 // evalJoin is every join, in morsels over the left input. The candidate
 // partners of a left tuple are the right tuples equal on the key columns
 // — probed from a hash index built on the right input — or, when lcols
@@ -105,6 +138,8 @@ func (ex *Executor) evalOuterJoin(j *physical.OuterJoin, env *Env) (*storage.Rel
 // join emits each matching pair, and with pad — the outer join — the
 // pair of pad and a left tuple that found none; semi and anti joins pass
 // the left tuple through on (no) match and stop at the first one. A
+// morsel first records each output as a pair (the left tuple's offset,
+// its partner), then cuts exactly that many rows from one slab. A
 // cross product — nested loops without a predicate — is not counted as
 // an NL join.
 func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, mode physical.JoinMode,
@@ -130,15 +165,17 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 	if _, err := ex.vecEnter(n); err != nil {
 		return nil, err
 	}
+	width := n.Schema().Len()
 	var pending atomic.Int64 // operator-wide output size for the budget
-	chunks, err := parMorsels(ex, len(l.Tuples), false,
+	chunks, err := parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			var out [][]types.Value
-			if pad != nil { // at least a row per left tuple
-				out = make([][]types.Value, 0, hi-lo)
+			pairs := w.pairs[:0]
+			w.pairs = nil
+			if cap(pairs) < hi-lo {
+				pairs = make([][2]int32, 0, hi-lo)
 			}
 			lf, rf := pairFrames(env, l.Schema, r.Schema)
-			for _, lt := range l.Tuples[lo:hi] {
+			for i, lt := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
 					return nil, err
 				}
@@ -146,23 +183,24 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 					return nil, err
 				}
 				lf.tuple = lt
-				before, matched := len(out), false
-				e, i := int32(-1), 0
+				before, matched := len(pairs), false
+				e, j := int32(-1), 0
 				if ht != nil {
 					e = ht.First(lt, lcols)
 				}
 				for !matched || mode == physical.JoinInner { // semi/anti need only existence
 					var rt []types.Value
+					var partner int32
 					if ht != nil {
 						if e < 0 {
 							break
 						}
-						rt, e = ht.Row(e), ht.Next(e, lt, lcols)
+						partner, rt, e = e, ht.Row(e), ht.Next(e, lt, lcols)
 					} else {
-						if i == len(r.Tuples) {
+						if j == len(r.Tuples) {
 							break
 						}
-						rt, i = r.Tuples[i], i+1
+						partner, rt, j = int32(j), r.Tuples[j], j+1
 					}
 					if err := w.tick(); err != nil {
 						return nil, err
@@ -179,17 +217,36 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 					}
 					matched = true
 					if mode == physical.JoinInner {
-						out = append(out, emitRow(emit, lt, rt))
+						pairs = append(pairs, [2]int32{int32(i), partner})
 					}
 				}
 				switch {
 				case mode == physical.JoinSemi && matched, mode == physical.JoinAnti && !matched:
-					out = append(out, lt)
+					pairs = append(pairs, [2]int32{int32(i), passPartner})
 				case pad != nil && !matched:
-					out = append(out, emitRow(emit, lt, pad))
+					pairs = append(pairs, [2]int32{int32(i), padPartner})
 				}
-				pending.Add(int64(len(out) - before))
+				pending.Add(int64(len(pairs) - before))
 			}
+			out := make([][]types.Value, len(pairs))
+			var slab rowSlab
+			if mode == physical.JoinInner {
+				slab = w.slab(width, len(pairs))
+			}
+			for k, p := range pairs {
+				lt := l.Tuples[lo+int(p[0])]
+				switch {
+				case p[1] == passPartner:
+					out[k] = lt
+				case p[1] == padPartner:
+					out[k] = slab.emitRow(emit, lt, pad)
+				case ht != nil:
+					out[k] = slab.emitRow(emit, lt, ht.Row(p[1]))
+				default:
+					out[k] = slab.emitRow(emit, lt, r.Tuples[p[1]])
+				}
+			}
+			w.pairs = pairs[:0]
 			return out, nil
 		})
 	if err != nil {

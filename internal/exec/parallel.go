@@ -9,11 +9,12 @@ import (
 
 // Morsel-driven parallelism (Leis et al., adapted to materialized
 // relations): hot operators split their input into fixed-size morsels
-// that a pool of workers claims from a shared counter. Chunk boundaries
-// depend only on the input size and the configured morsel size — never
-// on the worker count — so any chunk-order merge (grouping, distinct)
-// produces bit-identical results for Workers=1 and Workers=N, keeping
-// golden tests byte-stable.
+// that a pool of workers claims from a shared counter. No result
+// depends on where the morsels cut: row-at-a-time operators concatenate
+// per-morsel output in morsel order, DISTINCT keeps first-seen order,
+// and Γ folds each group once, in input order, in key partitions
+// (parTasks) — so results are bit-identical at every worker count and
+// every morsel size, keeping golden tests byte-stable.
 const (
 	// DefaultMorselSize is the chunk length workers claim when
 	// Options.MorselSize is unset.
@@ -48,60 +49,55 @@ func (ex *Executor) fanout(n int) int {
 
 // workerClone returns an executor sharing this one's plan, memo, and
 // abort latch but with private Stats and NodeMetrics shards (merged by
-// parMorsels) and tick counter.
+// parTasks), tick counter and join scratch.
 func (ex *Executor) workerClone() *Executor {
 	w := *ex
 	w.stats = Stats{}
 	w.ticks = 0
 	w.isWorker = true
+	w.pairs = nil
 	if ex.nm != nil {
 		w.nm = make([]NodeMetrics, len(ex.nm))
 	}
 	return &w
 }
 
-// parMorsels runs f over [lo,hi) morsels of an n-tuple input and returns
-// the per-morsel results in morsel order. With one worker (small input,
-// Workers=1, or already inside a worker) it runs f inline on ex — as a
-// single [0,n) call, or chunked at morsel boundaries when forceChunks is
-// set (operators whose merge must see the same chunking regardless of
-// worker count, e.g. float-summing aggregates). With several workers it
-// spawns clones that claim morsels from a shared counter; the first
-// error (by morsel index) wins, and the abort latch makes the remaining
-// workers drain quickly.
-func parMorsels[T any](ex *Executor, n int, forceChunks bool, f func(w *Executor, lo, hi int) (T, error)) ([]T, error) {
+// creditMorsels counts an n-tuple input's morsels to the operator being
+// evaluated. The count is derived from the input size alone, never from
+// the actual chunking, so it is identical for Workers=1 and Workers=N.
+func (ex *Executor) creditMorsels(n int) {
 	if ex.nm != nil && ex.cur != nil && n > 0 {
-		// Morsel accounting is derived from the input size alone, never
-		// from the actual chunking, so the counter is identical for
-		// Workers=1 and Workers=N.
 		ex.metric(ex.cur).Morsels += int64((n + ex.msize - 1) / ex.msize)
 	}
-	if ex.fanout(n) <= 1 {
-		if !forceChunks || n <= ex.msize {
-			res, err := runMorsel(ex, 0, n, f)
-			if err != nil {
-				return nil, err
-			}
-			return []T{res}, nil
-		}
-		results := make([]T, 0, (n+ex.msize-1)/ex.msize)
-		for lo := 0; lo < n; lo += ex.msize {
-			hi := lo + ex.msize
-			if hi > n {
-				hi = n
-			}
-			res, err := runMorsel(ex, lo, hi, f)
-			if err != nil {
-				return nil, err
-			}
-			results = append(results, res)
-		}
-		return results, nil
-	}
+}
+
+// parMorsels runs f over [lo,hi) morsels of an n-tuple input and returns
+// the per-morsel results in morsel order. With one worker (small input,
+// Workers=1, or already inside a worker) it runs f inline on ex, as a
+// single [0,n) call; with several, clones claim the morsels.
+func parMorsels[T any](ex *Executor, n int, f func(w *Executor, lo, hi int) (T, error)) ([]T, error) {
+	ex.creditMorsels(n)
 	workers := ex.fanout(n)
-	nm := (n + ex.msize - 1) / ex.msize
-	results := make([]T, nm)
-	errs := make([]error, nm)
+	if workers <= 1 {
+		res, err := runMorsel(ex, 0, n, f)
+		if err != nil {
+			return nil, err
+		}
+		return []T{res}, nil
+	}
+	return parTasks(ex, workers, (n+ex.msize-1)/ex.msize, func(w *Executor, m int) (T, error) {
+		lo := m * ex.msize
+		return runMorsel(w, lo, min(lo+ex.msize, n), f)
+	})
+}
+
+// parTasks runs task 0..k-1 on a pool of worker clones that claim tasks
+// from a shared counter, and returns the results in task order. The
+// first error (by task index) wins, and the abort latch makes the
+// remaining workers drain quickly. A task wraps its work in runMorsel.
+func parTasks[T any](ex *Executor, workers, k int, task func(w *Executor, m int) (T, error)) ([]T, error) {
+	results := make([]T, k)
+	errs := make([]error, k)
 	var next atomic.Int64
 	clones := make([]*Executor, workers)
 	var wg sync.WaitGroup
@@ -112,19 +108,14 @@ func parMorsels[T any](ex *Executor, n int, forceChunks bool, f func(w *Executor
 			defer wg.Done()
 			for {
 				m := int(next.Add(1)) - 1
-				if m >= nm {
+				if m >= k {
 					return
 				}
 				if ex.sh.aborted.Load() {
 					errs[m] = ex.sh.abortError()
 					continue
 				}
-				lo := m * ex.msize
-				hi := lo + ex.msize
-				if hi > n {
-					hi = n
-				}
-				res, err := runMorsel(w, lo, hi, f)
+				res, err := task(w, m)
 				if err != nil {
 					errs[m] = err
 					ex.fail(err)

@@ -190,9 +190,10 @@ func TestParallelSharedDAG(t *testing.T) {
 	}
 }
 
-// TestParallelGroupOrderDeterministic pins the merged group discovery
-// order: group partials are merged in morsel order, so the output order
-// equals the sequential first-appearance order at any worker count.
+// TestParallelGroupOrderDeterministic pins the group output order: the
+// key partitions' groups are merged by their first row, so the output
+// order equals the sequential first-appearance order at any worker
+// count.
 func TestParallelGroupOrderDeterministic(t *testing.T) {
 	cat := bigCatalog(t, 5000)
 	plan := algebra.NewGroupBy(bigScan(t, cat, "l"), []string{"l.k"},

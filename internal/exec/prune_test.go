@@ -73,7 +73,8 @@ func projected(t *testing.T, schema interface{ Index(string) int }, rows [][]typ
 // dissolves or aliases the Π — returns what projecting op's whole result
 // to A returns, for op and its two-valued translation under both
 // evaluators, for prefixes,
-// reorderings, single columns and the empty list.
+// reorderings, single columns and the empty list — and every row, cut
+// from a slab or not, has its length as its capacity.
 func TestPruningIsInvisible(t *testing.T) {
 	cat := pruneCatalog(t)
 	r, s, tt := scanOf(t, cat, "r"), scanOf(t, cat, "s"), scanOf(t, cat, "t")
@@ -158,6 +159,14 @@ func TestPruningIsInvisible(t *testing.T) {
 					want := projected(t, whole.Schema, whole.Tuples, list)
 					if g := projected(t, got.Schema, got.Tuples, list); strings.Join(g, "\n") != strings.Join(want, "\n") {
 						t.Errorf("%s → %v (%s, %s):\n got %v\nwant %v", name, list, nulls, path, g, want)
+					}
+					// Rows share slabs: none may reach into its neighbour.
+					for _, rows := range [][][]types.Value{whole.Tuples, got.Tuples} {
+						for _, row := range rows {
+							if cap(row) != len(row) {
+								t.Fatalf("%s → %v (%s, %s): a row of %d columns has capacity %d", name, list, nulls, path, len(row), cap(row))
+							}
+						}
 					}
 				}
 			}

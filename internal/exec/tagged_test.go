@@ -143,9 +143,9 @@ func TestTaggedEqv5MatchesCanonical(t *testing.T) {
 }
 
 // TestBinaryGroupFoldsEachKeyOnce pins the per-key fold of the hashed Γ²:
-// with the inner relation fixed, doubling the outer one adds at most one
-// allocation per extra outer row — its output row — however often its
-// key repeats, even for DISTINCT, whose accumulators would otherwise
+// with the inner relation fixed, doubling the outer one adds a handful of
+// allocations in all — the output rows come from slabs — however often
+// a key repeats, even for DISTINCT, whose accumulators would otherwise
 // build a set per outer row.
 func TestBinaryGroupFoldsEachKeyOnce(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -179,9 +179,9 @@ func TestBinaryGroupFoldsEachKeyOnce(t *testing.T) {
 			}
 		})
 	}
-	const n = 500
+	const n, most = 500, 8
 	small, large := allocs(n), allocs(2*n)
-	if extra := large - small; extra > n {
-		t.Errorf("%d more outer rows cost %.0f more allocations (%.0f → %.0f); want at most one each", n, extra, small, large)
+	if extra := large - small; extra > most {
+		t.Errorf("%d more outer rows cost %.0f more allocations (%.0f → %.0f); want at most %d", n, extra, small, large, most)
 	}
 }

@@ -86,9 +86,10 @@ func (ex *Executor) evalBinaryGroupSorted(b *physical.BinaryGroupSort, env *Env)
 		suffix[k] = suf
 	}
 
-	chunks, err := parMorsels(ex, len(l.Tuples), false,
+	chunks, err := parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			out := make([][]types.Value, 0, hi-lo)
+			slab := w.slab(b.Schema().Len(), hi-lo)
 			res := make([]types.Value, len(b.Aggs))
 			for _, lt := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
@@ -129,7 +130,7 @@ func (ex *Executor) evalBinaryGroupSorted(b *physical.BinaryGroupSort, env *Env)
 						row = append(row, prefix[k][pos])
 					}
 				}
-				out = append(out, emitRow(b.Emit, lt, row))
+				out = append(out, slab.emitRow(b.Emit, lt, row))
 			}
 			return out, nil
 		})

@@ -21,9 +21,11 @@ type RowIndex struct {
 	cols      []int // key columns of the stored rows; nil means every column
 	skipNulls bool
 	entries   []rowEntry
-	// links is [0,n) slot heads, [n,2n) slot tails, [2n,3n) next entry in
-	// the chain, -1 for none; n = cap(entries), a power of two.
+	// links is [0,s) slot heads, [s,2s) slot tails, then one next-entry
+	// link per entry capacity (-1 for none): s = slots, a power of two no
+	// smaller than cap(entries), which is exactly what was asked for.
 	links []int32
+	slots int
 	// collide, when set, maps every hash before use: the tests' way to
 	// force full-hash collisions.
 	collide func(uint64) uint64
@@ -35,8 +37,8 @@ type rowEntry struct {
 }
 
 // NewRowIndex returns an empty index over rows keyed on cols (nil: the
-// whole row), sized for capacity entries; nothing is allocated before
-// the first Add when capacity is 0.
+// whole row), sized for exactly capacity entries — it grows only past
+// them; nothing is allocated before the first Add when capacity is 0.
 func NewRowIndex(cols []int, skipNulls bool, capacity int) *RowIndex {
 	ix := &RowIndex{cols: cols, skipNulls: skipNulls}
 	if capacity > 0 {
@@ -94,7 +96,7 @@ func keyAt(row []Value, cols []int, k int) Value {
 // Hash(row, the index's key columns), which must have been ok.
 func (ix *RowIndex) Add(row []Value, h uint64) int32 {
 	if len(ix.entries) == cap(ix.entries) {
-		ix.grow(2 * cap(ix.entries))
+		ix.grow(max(2*cap(ix.entries), 8))
 	}
 	e := int32(len(ix.entries))
 	ix.entries = append(ix.entries, rowEntry{row: row, hash: h})
@@ -104,35 +106,36 @@ func (ix *RowIndex) Add(row []Value, h uint64) int32 {
 
 // link appends entry e to the chain of h's slot.
 func (ix *RowIndex) link(e int32, h uint64) {
-	n := cap(ix.entries)
+	s := ix.slots
 	slot := ix.slot(h)
-	ix.links[2*n+int(e)] = -1
-	if tail := ix.links[n+slot]; tail >= 0 {
-		ix.links[2*n+int(tail)] = e
+	ix.links[2*s+int(e)] = -1
+	if tail := ix.links[s+slot]; tail >= 0 {
+		ix.links[2*s+int(tail)] = e
 	} else {
 		ix.links[slot] = e
 	}
-	ix.links[n+slot] = e
+	ix.links[s+slot] = e
 }
 
-// slot spreads h over the n slots by its high bits (Fibonacci hashing):
+// slot spreads h over the slots by its high bits (Fibonacci hashing):
 // FNV's low bits alone distribute small integers poorly.
 func (ix *RowIndex) slot(h uint64) int {
-	return int((h * 0x9E3779B97F4A7C15) >> (64 - bits.TrailingZeros(uint(cap(ix.entries)))))
+	return int((h * 0x9E3779B97F4A7C15) >> (64 - bits.TrailingZeros(uint(ix.slots))))
 }
 
-// grow re-creates both blocks for at least capacity entries and relinks
-// the entries in insertion order.
+// grow re-creates both blocks for exactly capacity entries, over the
+// smallest power-of-two number of slots (at least 8) that holds them,
+// and relinks the entries in insertion order.
 func (ix *RowIndex) grow(capacity int) {
-	n := 8
-	for n < capacity {
-		n *= 2
+	s := 8
+	for s < capacity {
+		s *= 2
 	}
-	entries := make([]rowEntry, len(ix.entries), n)
+	entries := make([]rowEntry, len(ix.entries), capacity)
 	copy(entries, ix.entries)
-	ix.entries = entries
-	ix.links = make([]int32, 3*n)
-	for i := range ix.links[:2*n] {
+	ix.entries, ix.slots = entries, s
+	ix.links = make([]int32, 2*s+capacity)
+	for i := range ix.links[:2*s] {
 		ix.links[i] = -1
 	}
 	for e := range entries {
@@ -153,13 +156,13 @@ func (ix *RowIndex) First(row []Value, cols []int) int32 {
 
 // Next continues First past entry e.
 func (ix *RowIndex) Next(e int32, row []Value, cols []int) int32 {
-	return ix.scan(ix.links[2*cap(ix.entries)+int(e)], ix.entries[e].hash, row, cols)
+	return ix.scan(ix.links[2*ix.slots+int(e)], ix.entries[e].hash, row, cols)
 }
 
 // scan walks a chain from entry e to the first one with hash h and a key
 // identical to row's.
 func (ix *RowIndex) scan(e int32, h uint64, row []Value, cols []int) int32 {
-	next := ix.links[2*cap(ix.entries):]
+	next := ix.links[2*ix.slots:]
 	for ; e >= 0; e = next[e] {
 		if ent := &ix.entries[e]; ent.hash == h && ix.keysIdentical(ent.row, row, cols) {
 			return e
@@ -190,6 +193,12 @@ func (ix *RowIndex) FindOrAdd(row []Value) (e int32, added bool) {
 	if !ok {
 		return -1, false
 	}
+	return ix.FindOrAddHashed(row, h)
+}
+
+// FindOrAddHashed is FindOrAdd for a row whose key hash is known: h is
+// Hash(row, the index's key columns), which must have been ok.
+func (ix *RowIndex) FindOrAddHashed(row []Value, h uint64) (e int32, added bool) {
 	if len(ix.entries) > 0 {
 		if e = ix.scan(ix.links[ix.slot(h)], h, row, ix.cols); e >= 0 {
 			return e, false

@@ -155,7 +155,9 @@ func TestRowIndexTable(t *testing.T) {
 // reference with the same random inserts and probes — duplicate-heavy
 // keys, NULLs, ints and floats that are the same number, probes laid out
 // differently from the stored rows — through several growth steps, with
-// the real hash, with a hash cut to two bits, and with every hash equal.
+// the real hash, with a hash cut to two bits, and with every hash equal;
+// unsized, and presized to capacities that are not powers of two, each
+// filled past its exact capacity.
 func TestRowIndexAgainstReference(t *testing.T) {
 	hashes := map[string]func(uint64) uint64{
 		"real":     nil,
@@ -163,69 +165,80 @@ func TestRowIndexAgainstReference(t *testing.T) {
 		"constant": func(uint64) uint64 { return 42 },
 	}
 	for name, collide := range hashes {
-		for _, skipNulls := range []bool{false, true} {
-			for _, cols := range [][]int{nil, {1}, {2, 0}} {
-				rng := rand.New(rand.NewSource(int64(len(name)) + int64(len(cols))))
-				val := func() Value {
-					switch r := rng.Intn(10); {
-					case r == 0:
-						return Null()
-					case r == 1:
-						return NewFloat(float64(rng.Intn(5)))
-					case r == 2:
-						return NewString(string(rune('a' + rng.Intn(3))))
-					default:
-						return NewInt(int64(rng.Intn(5)))
-					}
-				}
-				ix := NewRowIndex(cols, skipNulls, 0)
-				ix.collide = collide
-				ref := &refIndex{cols: cols, skipNulls: skipNulls}
-				for step := 0; step < 600; step++ {
-					stored := []Value{val(), val(), val()}
-					if rng.Intn(3) == 0 { // find-or-add, as a grouping table or a DISTINCT set does
-						want := ref.matches(stored, cols)
-						e, added := ix.FindOrAdd(stored)
-						_, indexable := ref.key(stored, cols)
-						switch {
-						case !indexable:
-							if e != -1 || added {
-								t.Fatalf("%s: FindOrAdd(%s) = %d, %v for a skipped key", name, FormatTuple(stored), e, added)
-							}
-						case len(want) > 0:
-							if e != want[0] || added {
-								t.Fatalf("%s: FindOrAdd(%s) = %d, %v; reference finds %v", name, FormatTuple(stored), e, added, want)
-							}
-						default:
-							if e != int32(len(ref.rows)) || !added {
-								t.Fatalf("%s: FindOrAdd(%s) = %d, %v; reference would add entry %d", name, FormatTuple(stored), e, added, len(ref.rows))
-							}
-							ref.add(stored)
-						}
-					} else if h, ok := ix.Hash(stored, cols); ok { // plain add, as a join build does
-						ix.Add(stored, h)
-						ref.add(stored)
-					}
-					// Probe with a row of another layout: its key columns reversed.
-					probe := []Value{val(), val(), val(), val()}
-					pcols := []int{3, 2, 1}[:max(len(cols), 1)]
-					if cols == nil {
-						probe, pcols = probe[:3], nil
-					}
-					if got, want := allMatches(ix, probe, pcols), ref.matches(probe, pcols); !sameEntries(got, want) {
-						t.Fatalf("%s skipNulls=%v cols=%v: matches of %s by %v = %v, reference %v",
-							name, skipNulls, cols, FormatTuple(probe), pcols, got, want)
-					}
-				}
-				if ix.Len() != len(ref.rows) || ix.Len() < 100 {
-					t.Fatalf("%s: %d entries, reference %d; want equal and several growth steps", name, ix.Len(), len(ref.rows))
-				}
-				for e, r := range ref.rows {
-					if &ix.Row(int32(e))[0] != &r[0] {
-						t.Fatalf("%s: entry %d is not the row that was inserted %dth", name, e, e)
-					}
+		for _, capacity := range []int{0, 1, 7, 9, 1000, 1025} {
+			for _, skipNulls := range []bool{false, true} {
+				for _, cols := range [][]int{nil, {1}, {2, 0}} {
+					checkAgainstReference(t, name, collide, capacity, skipNulls, cols)
 				}
 			}
+		}
+	}
+}
+
+// checkAgainstReference runs one configuration of
+// TestRowIndexAgainstReference: enough steps to fill an index presized
+// to capacity and grow it past that.
+func checkAgainstReference(t *testing.T, name string, collide func(uint64) uint64, capacity int, skipNulls bool, cols []int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(len(name)) + int64(len(cols)) + int64(capacity)))
+	val := func() Value {
+		switch r := rng.Intn(10); {
+		case r == 0:
+			return Null()
+		case r == 1:
+			return NewFloat(float64(rng.Intn(5)))
+		case r == 2:
+			return NewString(string(rune('a' + rng.Intn(3))))
+		default:
+			return NewInt(int64(rng.Intn(5)))
+		}
+	}
+	ix := NewRowIndex(cols, skipNulls, capacity)
+	ix.collide = collide
+	ref := &refIndex{cols: cols, skipNulls: skipNulls}
+	for step := 0; step < 600+2*capacity; step++ {
+		stored := []Value{val(), val(), val()}
+		if rng.Intn(3) == 0 { // find-or-add, as a grouping table or a DISTINCT set does
+			want := ref.matches(stored, cols)
+			e, added := ix.FindOrAdd(stored)
+			_, indexable := ref.key(stored, cols)
+			switch {
+			case !indexable:
+				if e != -1 || added {
+					t.Fatalf("%s: FindOrAdd(%s) = %d, %v for a skipped key", name, FormatTuple(stored), e, added)
+				}
+			case len(want) > 0:
+				if e != want[0] || added {
+					t.Fatalf("%s: FindOrAdd(%s) = %d, %v; reference finds %v", name, FormatTuple(stored), e, added, want)
+				}
+			default:
+				if e != int32(len(ref.rows)) || !added {
+					t.Fatalf("%s: FindOrAdd(%s) = %d, %v; reference would add entry %d", name, FormatTuple(stored), e, added, len(ref.rows))
+				}
+				ref.add(stored)
+			}
+		} else if h, ok := ix.Hash(stored, cols); ok { // plain add, as a join build does
+			ix.Add(stored, h)
+			ref.add(stored)
+		}
+		// Probe with a row of another layout: its key columns reversed.
+		probe := []Value{val(), val(), val(), val()}
+		pcols := []int{3, 2, 1}[:max(len(cols), 1)]
+		if cols == nil {
+			probe, pcols = probe[:3], nil
+		}
+		if got, want := allMatches(ix, probe, pcols), ref.matches(probe, pcols); !sameEntries(got, want) {
+			t.Fatalf("%s capacity=%d skipNulls=%v cols=%v: matches of %s by %v = %v, reference %v",
+				name, capacity, skipNulls, cols, FormatTuple(probe), pcols, got, want)
+		}
+	}
+	if ix.Len() != len(ref.rows) || ix.Len() < 100 || ix.Len() <= capacity {
+		t.Fatalf("%s capacity=%d: %d entries, reference %d; want equal, several growth steps and past the capacity",
+			name, capacity, ix.Len(), len(ref.rows))
+	}
+	for e, r := range ref.rows {
+		if &ix.Row(int32(e))[0] != &r[0] {
+			t.Fatalf("%s: entry %d is not the row that was inserted %dth", name, e, e)
 		}
 	}
 }
@@ -250,6 +263,25 @@ func TestRowIndexAllocatesPerGrowthStep(t *testing.T) {
 		})
 		if got > c.most {
 			t.Errorf("capacity %d: %.0f allocations for %d inserts, want at most %.0f", c.capacity, got, len(rows), c.most)
+		}
+	}
+	// Presized to any capacity and filled up to it, an index never grows,
+	// and holds exactly that many entries' room.
+	for _, capacity := range []int{1, 7, 9, 1000, 1025} {
+		distinct := make([][]Value, capacity)
+		for i := range distinct {
+			distinct[i] = []Value{NewInt(int64(i))}
+		}
+		var ix *RowIndex
+		got := testing.AllocsPerRun(10, func() {
+			ix = NewRowIndex(nil, false, capacity)
+			for _, r := range distinct {
+				ix.FindOrAdd(r)
+			}
+		})
+		if got > 3 || ix.Len() != capacity || cap(ix.entries) != capacity {
+			t.Errorf("capacity %d filled: %.0f allocations, %d entries in room for %d; want 3, and no growth",
+				capacity, got, ix.Len(), cap(ix.entries))
 		}
 	}
 }

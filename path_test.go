@@ -9,8 +9,11 @@ package disqo
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"disqo/internal/types"
 )
 
 // TestPathDifferentialGoldenShapes runs each of the six golden shapes
@@ -79,6 +82,55 @@ func TestMorselSizeByteIdentity(t *testing.T) {
 			}
 			if fp != baseline {
 				t.Fatalf("path=%s morsel=%d changed the result", path, ms)
+			}
+		}
+	}
+}
+
+// TestGroupedFloatFoldIsSequential: a grouped float SUM or AVG is the
+// left fold of its group's values in input order at every worker count
+// and every morsel size. Γ folds each group once; partial sums per
+// morsel, added afterwards, would round differently wherever the
+// morsels cut. A DISTINCT count beside them is deduplicated per group
+// in whichever key partition holds the group.
+func TestGroupedFloatFoldIsSequential(t *testing.T) {
+	db, _ := Open(WithoutCache())
+	if err := db.CreateTable("f", []Column{{Name: "k", Type: TypeInt}, {Name: "v", Type: TypeFloat}, {Name: "b", Type: TypeInt}}); err != nil {
+		t.Fatal(err)
+	}
+	const groups = 3
+	rng := rand.New(rand.NewSource(1))
+	rows := make([][]Value, 20000)
+	sum, count, distinct := make([]float64, groups), make([]int, groups), make([]map[int64]bool, groups)
+	for i := range rows {
+		k, v, b := rng.Intn(groups), rng.Float64()*4600, rng.Int63n(int64(500*(1+i%groups)))
+		rows[i] = []Value{Int(int64(k)), Float(v), Int(b)}
+		sum[k] += v
+		count[k]++
+		if distinct[k] == nil {
+			distinct[k] = map[int64]bool{}
+		}
+		distinct[k][b] = true
+	}
+	if err := db.Insert("f", rows...); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, morsel := range []int{64, 1024, 65536} {
+			res, err := db.Query("SELECT k, SUM(v), AVG(v), COUNT(DISTINCT b) FROM f GROUP BY k", WithWorkers(workers), WithMorselSize(morsel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != groups {
+				t.Fatalf("workers=%d morsel=%d: %d groups, want %d", workers, morsel, len(res.Rows), groups)
+			}
+			for _, row := range res.Rows {
+				k, _ := row[0].IntOk()
+				want := []Value{Float(sum[k]), Float(sum[k] / float64(count[k])), Int(int64(len(distinct[k])))}
+				if !types.Identical(row[1], want[0]) || !types.Identical(row[2], want[1]) || !types.Identical(row[3], want[2]) {
+					t.Errorf("workers=%d morsel=%d group %d: SUM, AVG, COUNT(DISTINCT) = %s; the input-order fold gives %s",
+						workers, morsel, k, types.FormatTuple(row[1:]), types.FormatTuple(want))
+				}
 			}
 		}
 	}

@@ -66,6 +66,9 @@ test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -pa
 # Table statistics are per column (Table.ColumnStats, one sort per
 # column on first use): no whole-table statistics pass comes back.
 test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs grep -nE 'TableStats|Table\) Stats\(')"
+# Γ folds each group once, in input order, in key partitions: no forced
+# per-morsel chunking and no merge of per-morsel accumulators comes back.
+test -z "$(grep -nE 'forceChunks|Merge\(' $(ls internal/exec/*.go internal/agg/*.go | grep -v _test.go))"
 go test ./...
 go vet ./...
 go test -race ./...

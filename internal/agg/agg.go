@@ -89,9 +89,9 @@ func (s Spec) Empty() types.Value {
 	return types.Null()
 }
 
-// Acc accumulates one aggregate over a stream of argument tuples.
-// For Star specs the argument is the whole input tuple; otherwise it is
-// the single evaluated argument expression (a one-element slice).
+// Acc accumulates one aggregate over a stream of input rows, each fed
+// with the columns that hold its argument (AddOn): for Star specs the
+// argument tuple, otherwise the one column holding the argument value.
 type Acc struct {
 	spec  Spec
 	count int64
@@ -126,28 +126,37 @@ func Overlay(base *Acc) *Acc {
 	return &a
 }
 
-// Add feeds one argument tuple. Per SQL, NULL arguments are skipped for
-// every function except COUNT(*) (whose "argument" is the row itself and
-// is never NULL as a whole — a tuple of all NULLs still counts). A
-// DISTINCT accumulator retains args in its set instead of copying them:
-// the caller passes an immutable row or a slice it will not write again.
-func (a *Acc) Add(args []types.Value) {
+// AddOn feeds one input row whose argument is its columns cols — nil
+// for the whole row, which then holds just the argument when the spec is
+// not Star. Per SQL, NULL arguments are skipped for every function
+// except COUNT(*) (whose "argument" is the row itself and is never NULL
+// as a whole — a tuple of all NULLs still counts). A DISTINCT
+// accumulator keys its set on cols and retains the row itself instead of
+// copying its argument out, so no key tuple is ever built: the caller
+// passes an immutable row (or a slice it will not write again), and the
+// same cols on every call.
+func (a *Acc) AddOn(row []types.Value, cols []int) {
+	var v types.Value
 	if !a.spec.Star {
-		if len(args) != 1 {
-			panic(fmt.Sprintf("agg: %s expects 1 argument, got %d", a.spec, len(args)))
+		switch {
+		case len(cols) == 1:
+			v = row[cols[0]]
+		case cols == nil && len(row) == 1:
+			v = row[0]
+		default:
+			panic(fmt.Sprintf("agg: %s expects 1 argument, got columns %v of a row of %d", a.spec, cols, len(row)))
 		}
-		if args[0].IsNull() {
+		if v.IsNull() {
 			return
 		}
 	}
-	if a.spec.Distinct && a.dup(args) {
+	if a.spec.Distinct && a.dup(row, cols) {
 		return
 	}
 	a.count++
 	if a.spec.Star {
 		return
 	}
-	v := args[0]
 	switch a.spec.Kind {
 	case Count:
 		// counting is enough
@@ -179,16 +188,16 @@ func (a *Acc) Add(args []types.Value) {
 	}
 }
 
-// dup reports whether args was added before, to this accumulator or the
-// one it overlays, and remembers it if not.
-func (a *Acc) dup(args []types.Value) bool {
-	if a.base != nil && a.base.seen != nil && a.base.seen.First(args, nil) >= 0 {
+// dup reports whether row's argument columns cols were added before, to
+// this accumulator or the one it overlays, and remembers row if not.
+func (a *Acc) dup(row []types.Value, cols []int) bool {
+	if a.base != nil && a.base.seen != nil && a.base.seen.First(row, cols) >= 0 {
 		return true
 	}
 	if a.seen == nil {
-		a.seen = types.NewRowIndex(nil, false, 0)
+		a.seen = types.NewRowIndex(cols, false, 0)
 	}
-	_, added := a.seen.FindOrAdd(args)
+	_, added := a.seen.FindOrAdd(row)
 	return !added
 }
 

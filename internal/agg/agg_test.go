@@ -10,7 +10,7 @@ import (
 func feed(spec Spec, vals ...types.Value) types.Value {
 	a := NewAcc(spec)
 	for _, v := range vals {
-		a.Add([]types.Value{v})
+		a.AddOn([]types.Value{v}, nil)
 	}
 	return a.Result()
 }
@@ -94,8 +94,8 @@ func TestAccDistinct(t *testing.T) {
 
 func TestCountStar(t *testing.T) {
 	a := NewAcc(Spec{Kind: Count, Star: true})
-	a.Add([]types.Value{types.Null(), types.Null()}) // all-NULL row still counts
-	a.Add([]types.Value{types.NewInt(1), types.NewInt(2)})
+	a.AddOn([]types.Value{types.Null(), types.Null()}, nil) // all-NULL row still counts
+	a.AddOn([]types.Value{types.NewInt(1), types.NewInt(2)}, nil)
 	if got := a.Result(); !types.Identical(got, types.NewInt(2)) {
 		t.Errorf("COUNT(*) = %v", got)
 	}
@@ -105,9 +105,9 @@ func TestCountDistinctStar(t *testing.T) {
 	a := NewAcc(Spec{Kind: Count, Distinct: true, Star: true})
 	row1 := []types.Value{types.NewInt(1), types.NewInt(2)}
 	row2 := []types.Value{types.NewInt(1), types.NewInt(3)}
-	a.Add(row1)
-	a.Add(row1)
-	a.Add(row2)
+	a.AddOn(row1, nil)
+	a.AddOn(row1, nil)
+	a.AddOn(row2, nil)
 	if got := a.Result(); !types.Identical(got, types.NewInt(2)) {
 		t.Errorf("COUNT(DISTINCT *) = %v", got)
 	}
@@ -163,7 +163,7 @@ func TestOverlayEqualsFreshFold(t *testing.T) {
 	}
 	fold := func(a *Acc, rows [][]types.Value) *Acc {
 		for _, r := range rows {
-			a.Add(r)
+			a.AddOn(r, nil)
 		}
 		return a
 	}
@@ -200,23 +200,60 @@ func TestDistinctAddRetainsItsArgument(t *testing.T) {
 	if got := testing.AllocsPerRun(10, func() {
 		a := NewAcc(spec)
 		for _, r := range rows {
-			a.Add(r)
+			a.AddOn(r, nil)
 		}
 	}); got > 20 {
 		t.Errorf("1000 distinct arguments made %.0f allocations; Add is allocating per argument", got)
 	}
 	a := NewAcc(spec)
 	for _, r := range rows {
-		a.Add(r)
+		a.AddOn(r, nil)
 	}
 	if got := testing.AllocsPerRun(10, func() {
 		for _, r := range rows {
-			a.Add(r)
+			a.AddOn(r, nil)
 		}
 	}); got != 0 {
 		t.Errorf("1000 duplicate arguments made %.0f allocations, want none", got)
 	}
 	if &a.seen.Row(3)[0] != &rows[3][0] {
 		t.Error("the DISTINCT set holds a copy of its argument, not the argument")
+	}
+}
+
+// TestAddOnKeysOnColumns: an accumulator fed whole input rows with the
+// columns holding its argument folds what it folds when fed the argument
+// alone, and a DISTINCT one keys its set on those columns and keeps the
+// row itself — an overlay included, whose base was fed the same way.
+func TestAddOnKeysOnColumns(t *testing.T) {
+	i := types.NewInt
+	rows := [][]types.Value{
+		{i(1), i(10), i(5)}, {i(2), i(10), i(5)}, {i(3), i(20), types.Null()},
+		{i(4), i(20), i(7)}, {i(5), i(10), i(6)},
+	}
+	for _, spec := range []Spec{{Kind: Sum, Distinct: true}, {Kind: Count, Distinct: true}, {Kind: Avg}} {
+		a := NewAcc(spec)
+		var vals []types.Value
+		for _, r := range rows {
+			a.AddOn(r, []int{2})
+			vals = append(vals, r[2])
+		}
+		if got, want := a.Result(), feed(spec, vals...); !types.Identical(got, want) {
+			t.Errorf("%s on column 2 = %v, fed the values = %v", spec, got, want)
+		}
+	}
+	star := Spec{Kind: Count, Distinct: true, Star: true}
+	base := NewAcc(star)
+	base.AddOn(rows[0], []int{1, 2})
+	over := Overlay(base)
+	for _, r := range rows[1:] {
+		over.AddOn(r, []int{1, 2})
+	}
+	// (10, 5) repeats the base's pair; (20, NULL), (20, 7), (10, 6) are new.
+	if got := over.Result(); !types.Identical(got, i(4)) {
+		t.Errorf("COUNT(DISTINCT *) on columns 1, 2 over an overlay = %v, want 4", got)
+	}
+	if &over.seen.Row(0)[0] != &rows[2][0] {
+		t.Error("the DISTINCT set holds a copy of its argument, not the input row")
 	}
 }

@@ -147,7 +147,7 @@ func (ex *Executor) evalScalarSubquery(sq *algebra.ScalarSubquery, env *Env) (ty
 	acc := agg.NewAcc(sq.Agg)
 	for _, t := range rel.Tuples {
 		if sq.Agg.Star {
-			acc.Add(t)
+			acc.AddOn(t, nil)
 			continue
 		}
 		inner := Bind(env, rel.Schema, t)
@@ -155,7 +155,7 @@ func (ex *Executor) evalScalarSubquery(sq *algebra.ScalarSubquery, env *Env) (ty
 		if err != nil {
 			return types.Value{}, err
 		}
-		acc.Add([]types.Value{v})
+		acc.AddOn([]types.Value{v}, nil)
 	}
 	return acc.Result(), nil
 }

@@ -17,9 +17,11 @@ type aggInputs struct {
 	// the DISTINCT that means nothing (MIN, MAX) or that Γ applies itself
 	// (dedup).
 	specs []agg.Spec
-	// cols[i] holds the positions of a Star item's ArgAttrs; nil means
-	// the row itself serves (it is the whole * tuple, or the aggregate —
-	// a non-DISTINCT COUNT(*) — never looks at its argument).
+	// cols[i], for a DISTINCT item whose argument is columns of the input,
+	// holds those columns: its accumulator is fed the row and keys its
+	// DISTINCT set on them (agg.Acc.AddOn), or Γ dedups on them. Any other
+	// Star item is fed the row, and any other item the value of its
+	// argument expression.
 	cols [][]int
 	// dedup[i], for a DISTINCT item of Γ whose argument is columns of the
 	// input, holds the grouping columns followed by those: the rows
@@ -49,13 +51,6 @@ func newAggInputs(items []algebra.AggItem, sch *storage.Schema, keyCols []int) (
 			if err != nil {
 				return nil, err
 			}
-			whole := len(idx) == sch.Len()
-			for j, c := range idx {
-				whole = whole && c == j
-			}
-			if !whole {
-				ai.cols[i] = idx
-			}
 			arg = idx
 		case item.Spec.Star:
 			for c := 0; c < sch.Len(); c++ {
@@ -66,6 +61,7 @@ func newAggInputs(items []algebra.AggItem, sch *storage.Schema, keyCols []int) (
 				arg = []int{sch.Index(ref.Name)}
 			}
 		}
+		ai.cols[i] = arg
 		if keyCols != nil && arg != nil {
 			ai.dedup[i] = append(append([]int(nil), keyCols...), arg...)
 			ai.specs[i].Distinct = false
@@ -87,34 +83,28 @@ func (ai *aggInputs) feed(env *Env) *aggFeed {
 	return &aggFeed{aggInputs: ai, frame: Env{parent: env, schema: ai.sch}}
 }
 
-// args evaluates item i's argument tuple for one input row: the
-// evaluated Arg expression, or for Star specs the row restricted to
-// ArgAttrs. A DISTINCT accumulator retains its argument, so it is
-// handed a fresh slice (or the immutable row itself); any other reads
-// the feed's buffer, valid until the next call.
-func (f *aggFeed) args(w *Executor, i int, row []types.Value) ([]types.Value, error) {
+// addTo feeds one input row to item i's accumulator: by its argument
+// columns when it has them (the row itself for Star), else the evaluated
+// argument expression — in the feed's buffer, or, for a DISTINCT
+// accumulator, which retains its argument, in a fresh slice.
+func (f *aggFeed) addTo(w *Executor, acc *agg.Acc, i int, row []types.Value) error {
 	item := &f.items[i]
-	if item.Spec.Star {
-		idx := f.cols[i]
-		if idx == nil || !f.specs[i].Distinct {
-			return row, nil
-		}
-		out := make([]types.Value, len(idx))
-		for j, c := range idx {
-			out[j] = row[c]
-		}
-		return out, nil
+	if item.Spec.Star || f.cols[i] != nil {
+		acc.AddOn(row, f.cols[i])
+		return nil
 	}
 	f.frame.tuple = row
 	v, err := w.EvalExpr(item.Arg, &f.frame)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if f.specs[i].Distinct {
-		return []types.Value{v}, nil
+		acc.AddOn([]types.Value{v}, nil)
+		return nil
 	}
 	f.one[0] = v
-	return f.one[:], nil
+	acc.AddOn(f.one[:], nil)
+	return nil
 }
 
 // add feeds one input row to the accumulator of every item but those Γ
@@ -124,11 +114,9 @@ func (f *aggFeed) add(w *Executor, accs []agg.Acc, row []types.Value) error {
 		if f.dedup[i] != nil {
 			continue
 		}
-		args, err := f.args(w, i, row)
-		if err != nil {
+		if err := f.addTo(w, &accs[i], i, row); err != nil {
 			return err
 		}
-		accs[i].Add(args)
 	}
 	return nil
 }
@@ -268,11 +256,9 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 				if _, added := s.FindOrAdd(t); !added {
 					continue
 				}
-				args, err := feed.args(w, j, t)
-				if err != nil {
+				if err := feed.addTo(w, &accs[j], j, t); err != nil {
 					return struct{}{}, err
 				}
-				accs[j].Add(args)
 			}
 		}
 		return struct{}{}, nil

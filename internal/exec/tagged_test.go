@@ -185,3 +185,58 @@ func TestBinaryGroupFoldsEachKeyOnce(t *testing.T) {
 		t.Errorf("%d more outer rows cost %.0f more allocations (%.0f → %.0f); want at most %d", n, extra, small, large, most)
 	}
 }
+
+// TestDistinctAccumulatorKeysOnColumns pins the DISTINCT accumulators of
+// the tagged Γ²: they key their sets on the argument's columns of the
+// inner rows themselves, so with the outer rows fixed, 500 more inner
+// rows that repeat existing (key, argument) pairs add a handful of
+// allocations in all — the inner relation's own growth — not an argument
+// tuple each.
+func TestDistinctAccumulatorKeysOnColumns(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, arg := range []string{"COUNT(DISTINCT *)", "SUM(DISTINCT b3)"} {
+		stmt, err := sqlparser.Parse(fmt.Sprintf(`SELECT (SELECT %s FROM s WHERE a2 = b2 OR b4 > 3) AS g FROM r`, arg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := func(repeats int) float64 {
+			cat := taggedFixture(t, 1, 200, 500, 0, 3)
+			s, err := cat.Lookup("s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range append([][]types.Value(nil), s.Rel.Tuples[:repeats]...) {
+				if err := s.Insert(append([]types.Value(nil), row...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			canonical, err := translate.New(cat).Translate(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := rewrite.New(cat, rewrite.AllCaps()).Rewrite(canonical)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bg algebra.Op
+			algebra.Walk(plan, func(op algebra.Op) bool {
+				if _, ok := op.(*algebra.BinaryGroup); ok {
+					bg = op
+				}
+				return bg == nil
+			})
+			return testing.AllocsPerRun(5, func() {
+				if _, err := New(cat, Options{Cache: CacheAll, Workers: 1, Path: PathVector}).Run(bg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		const n, most = 500, 16
+		small, large := allocs(0), allocs(n)
+		if extra := large - small; extra > most {
+			t.Errorf("%s: %d repeated inner rows cost %.0f more allocations (%.0f → %.0f); want at most %d", arg, n, extra, small, large, most)
+		}
+	}
+}

@@ -57,29 +57,22 @@ func (ex *Executor) evalBinaryGroupSorted(b *physical.BinaryGroupSort, env *Env)
 	}
 	feed := ai.feed(env)
 	for k, item := range b.Aggs {
-		args := make([][]types.Value, n)
-		for i, ridx := range idx {
-			a, err := feed.args(ex, k, r.Tuples[ridx])
-			if err != nil {
-				return nil, err
-			}
-			if !item.Spec.Star {
-				a = []types.Value{a[0]} // kept for both passes, past the feed's buffer
-			}
-			args[i] = a
-		}
 		pre := make([]types.Value, n+1)
 		pre[0] = item.Spec.Empty()
 		acc := agg.NewAcc(item.Spec)
-		for i := 0; i < n; i++ {
-			acc.Add(args[i])
+		for i, ridx := range idx {
+			if err := feed.addTo(ex, acc, k, r.Tuples[ridx]); err != nil {
+				return nil, err
+			}
 			pre[i+1] = acc.Result()
 		}
 		suf := make([]types.Value, n+1)
 		suf[n] = item.Spec.Empty()
 		acc = agg.NewAcc(item.Spec)
 		for i := n - 1; i >= 0; i-- {
-			acc.Add(args[i])
+			if err := feed.addTo(ex, acc, k, r.Tuples[idx[i]]); err != nil {
+				return nil, err
+			}
 			suf[i] = acc.Result()
 		}
 		prefix[k] = pre

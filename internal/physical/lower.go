@@ -21,6 +21,8 @@ import (
 //	join, semijoin, antijoin, outerjoin:
 //	    hash on the equality conjuncts when any exist (residual
 //	    conjuncts re-checked per matched pair), nested loops otherwise.
+//	    The hash table is built on R; for an inner join the translator
+//	    has made R the smaller estimated input.
 //	binary grouping: one probing operator, hashing the right side when
 //	    the predicate is pure equality and scanning it per left tuple
 //	    otherwise — except that an untagged single column inequality

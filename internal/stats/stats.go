@@ -31,9 +31,23 @@ const (
 	costSubqueryBase = 50.0 // fixed overhead per nested evaluation
 )
 
-// Estimator derives estimates from catalog statistics.
+// Estimator derives estimates from catalog statistics. It computes
+// each estimate once: a plan's cardinality is memoized per operator and
+// an attribute's column statistics per (plan, attribute), so estimating
+// a node its planner has already estimated below, or asking twice, is a
+// map read. The keys are algebra nodes, which are immutable once built.
+// The memo is made on first use and makes an estimator unsafe for
+// concurrent use: each one serves one statement's planning, or one
+// executor under its lock.
 type Estimator struct {
-	cat catalog.Reader
+	cat   catalog.Reader
+	cards map[algebra.Op]float64
+	cols  map[colKey]*catalog.ColumnStats
+}
+
+type colKey struct {
+	plan algebra.Op
+	attr string
 }
 
 // New returns an estimator over a catalog view — the live catalog or a
@@ -43,11 +57,16 @@ func New(cat catalog.Reader) *Estimator {
 }
 
 // colStats finds base-table statistics for an attribute by locating the
-// scan that produces it inside the plan. Returns ok=false for synthetic
-// attributes (g, t, …) or when the plan is nil.
-func (e *Estimator) colStats(plan algebra.Op, attr string) (distinct int, lo, hi float64, ok bool) {
+// scan that produces it inside the plan. Returns nil for synthetic
+// attributes (g, t, …), for a column with no values, or when the plan is
+// nil.
+func (e *Estimator) colStats(plan algebra.Op, attr string) *catalog.ColumnStats {
 	if plan == nil || e.cat == nil {
-		return 0, 0, 0, false
+		return nil
+	}
+	key := colKey{plan, attr}
+	if st, ok := e.cols[key]; ok {
+		return st
 	}
 	var found *algebra.Scan
 	var idx int
@@ -61,19 +80,43 @@ func (e *Estimator) colStats(plan algebra.Op, attr string) (distinct int, lo, hi
 		}
 		return true
 	})
-	if found == nil {
-		return 0, 0, 0, false
+	var st *catalog.ColumnStats
+	if found != nil {
+		if tbl, err := e.cat.Lookup(found.Table); err == nil && idx < tbl.Rel.Schema.Len() {
+			if st = tbl.ColumnStats(idx); st.Distinct == 0 {
+				st = nil
+			}
+		}
 	}
-	tbl, err := e.cat.Lookup(found.Table)
-	if err != nil || idx >= tbl.Rel.Schema.Len() {
-		return 0, 0, 0, false
+	if e.cols == nil {
+		e.cols = make(map[colKey]*catalog.ColumnStats)
 	}
-	st := tbl.ColumnStats(idx)
-	return st.Distinct, st.Min, st.Max, st.Distinct > 0
+	e.cols[key] = st
+	return st
+}
+
+// colStatsIn is colStats over two inputs, l searched first.
+func (e *Estimator) colStatsIn(l, r algebra.Op, attr string) *catalog.ColumnStats {
+	if st := e.colStats(l, attr); st != nil {
+		return st
+	}
+	return e.colStats(r, attr)
 }
 
 // Cardinality estimates the number of output tuples of a plan.
 func (e *Estimator) Cardinality(op algebra.Op) float64 {
+	if c, ok := e.cards[op]; ok {
+		return c
+	}
+	c := e.cardinality(op)
+	if e.cards == nil {
+		e.cards = make(map[algebra.Op]float64)
+	}
+	e.cards[op] = c
+	return c
+}
+
+func (e *Estimator) cardinality(op algebra.Op) float64 {
 	switch x := op.(type) {
 	case *algebra.Scan:
 		if e.cat != nil {
@@ -121,8 +164,8 @@ func (e *Estimator) Cardinality(op algebra.Op) float64 {
 		card := e.Cardinality(x.Child)
 		d := 1.0
 		for _, a := range x.Attrs {
-			if dist, _, _, ok := e.colStats(x.Child, a); ok {
-				d *= float64(dist)
+			if st := e.colStats(x.Child, a); st != nil {
+				d *= float64(st.Distinct)
 			} else {
 				d *= card / 10
 			}
@@ -158,6 +201,19 @@ func (e *Estimator) Cardinality(op algebra.Op) float64 {
 // Selectivity estimates the fraction of input tuples a predicate keeps.
 // The input plan provides column statistics; it may be nil.
 func (e *Estimator) Selectivity(pred algebra.Expr, input algebra.Op) float64 {
+	return e.selectivity(pred, input, nil)
+}
+
+// JoinSelectivity estimates the fraction of the pairs of l × r a
+// predicate keeps: what Selectivity returns over the join of l and r,
+// without building the join.
+func (e *Estimator) JoinSelectivity(pred algebra.Expr, l, r algebra.Op) float64 {
+	return e.selectivity(pred, l, r)
+}
+
+// selectivity is Selectivity over the inputs l and r, whose column
+// statistics are looked up in l first; r may be nil.
+func (e *Estimator) selectivity(pred algebra.Expr, l, r algebra.Op) float64 {
 	switch x := pred.(type) {
 	case nil:
 		return 1
@@ -167,20 +223,20 @@ func (e *Estimator) Selectivity(pred algebra.Expr, input algebra.Op) float64 {
 		}
 		return 0
 	case *algebra.AndExpr:
-		return e.Selectivity(x.L, input) * e.Selectivity(x.R, input)
+		return e.selectivity(x.L, l, r) * e.selectivity(x.R, l, r)
 	case *algebra.OrExpr:
-		l, r := e.Selectivity(x.L, input), e.Selectivity(x.R, input)
-		return l + r - l*r
+		sl, sr := e.selectivity(x.L, l, r), e.selectivity(x.R, l, r)
+		return sl + sr - sl*sr
 	case *algebra.NotExpr:
-		return 1 - e.Selectivity(x.E, input)
+		return 1 - e.selectivity(x.E, l, r)
 	case *algebra.IsTrueExpr:
-		return e.Selectivity(x.E, input) // the same rows pass
+		return e.selectivity(x.E, l, r) // the same rows pass
 	case *algebra.LikeExpr:
 		return defaultLikeSel
 	case *algebra.IsNullExpr:
 		return 0.05
 	case *algebra.CmpExpr:
-		return e.cmpSelectivity(x, input)
+		return e.cmpSelectivity(x, l, r)
 	case *algebra.QuantSubquery:
 		return defaultSel
 	case *algebra.AllAnyExpr:
@@ -190,7 +246,7 @@ func (e *Estimator) Selectivity(pred algebra.Expr, input algebra.Op) float64 {
 	}
 }
 
-func (e *Estimator) cmpSelectivity(c *algebra.CmpExpr, input algebra.Op) float64 {
+func (e *Estimator) cmpSelectivity(c *algebra.CmpExpr, l, r algebra.Op) float64 {
 	// Column-versus-constant with statistics.
 	col, cst, op := c.L, c.R, c.Op
 	if _, isCol := col.(*algebra.ColRef); !isCol {
@@ -199,21 +255,21 @@ func (e *Estimator) cmpSelectivity(c *algebra.CmpExpr, input algebra.Op) float64
 	cr, isCol := col.(*algebra.ColRef)
 	cc, isConst := cst.(*algebra.ConstExpr)
 	if isCol && isConst {
-		distinct, lo, hi, ok := e.colStats(input, cr.Name)
+		st := e.colStatsIn(l, r, cr.Name)
 		switch op {
 		case types.EQ:
-			if ok && distinct > 0 {
-				return 1 / float64(distinct)
+			if st != nil {
+				return 1 / float64(st.Distinct)
 			}
 			return defaultEqSel
 		case types.NE:
-			if ok && distinct > 0 {
-				return 1 - 1/float64(distinct)
+			if st != nil {
+				return 1 - 1/float64(st.Distinct)
 			}
 			return 1 - defaultEqSel
 		default:
-			if v, okv := cc.Val.AsFloat(); ok && okv && hi > lo {
-				frac := (v - lo) / (hi - lo)
+			if v, okv := cc.Val.AsFloat(); st != nil && okv && st.Max > st.Min {
+				frac := (v - st.Min) / (st.Max - st.Min)
 				if frac < 0 {
 					frac = 0
 				}
@@ -232,14 +288,11 @@ func (e *Estimator) cmpSelectivity(c *algebra.CmpExpr, input algebra.Op) float64
 	lc, lok := c.L.(*algebra.ColRef)
 	rc, rok := c.R.(*algebra.ColRef)
 	if lok && rok && c.Op == types.EQ {
-		d1, _, _, ok1 := e.colStats(input, lc.Name)
-		d2, _, _, ok2 := e.colStats(input, rc.Name)
 		d := 0
-		if ok1 && d1 > d {
-			d = d1
-		}
-		if ok2 && d2 > d {
-			d = d2
+		for _, name := range [2]string{lc.Name, rc.Name} {
+			if st := e.colStatsIn(l, r, name); st != nil {
+				d = max(d, st.Distinct)
+			}
 		}
 		if d > 0 {
 			return 1 / float64(d)

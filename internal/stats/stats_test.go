@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"testing"
 
 	"disqo/internal/agg"
@@ -138,5 +139,74 @@ func TestStreamCardinalitySplits(t *testing.T) {
 	neg := e.Cardinality(algebra.Neg(bp))
 	if pos+neg < 95 || pos+neg > 105 {
 		t.Errorf("streams must partition: %g + %g", pos, neg)
+	}
+}
+
+// joinChain builds σ(t1) ⋈ t2 ⋈ t3 ⋈ t4 ⋈ t5 over five two-column
+// tables, ti.v = t(i+1).k, the shape of a TPC-H block's join tree.
+func joinChain(t *testing.T) (*catalog.Catalog, algebra.Op) {
+	t.Helper()
+	cat := catalog.New()
+	var plan algebra.Op
+	for i := 1; i <= 5; i++ {
+		name := fmt.Sprintf("t%d", i)
+		tbl, err := cat.Create(name, []catalog.Column{{Name: "k", Type: types.KindInt}, {Name: "v", Type: types.KindInt}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 20*i; j++ {
+			tbl.Insert([]types.Value{types.NewInt(int64(j)), types.NewInt(int64(j % (3 + i)))})
+		}
+		scan := algebra.Op(algebra.NewScan(name, name, storage.NewSchema(name+".k", name+".v")))
+		if plan == nil {
+			plan = algebra.NewSelect(scan, algebra.Cmp(types.LT, algebra.Col(name+".k"), algebra.ConstInt(7)))
+			continue
+		}
+		prev := fmt.Sprintf("t%d.v", i-1)
+		plan = algebra.NewJoin(plan, scan, algebra.Cmp(types.EQ, algebra.Col(prev), algebra.Col(name+".k")))
+	}
+	return cat, plan
+}
+
+// TestEstimatesAreMemoized: once a plan is estimated, estimating it again
+// is map reads — no walk, no allocation — and every memoized cardinality
+// is the one a fresh estimator computes for that node alone.
+func TestEstimatesAreMemoized(t *testing.T) {
+	cat, plan := joinChain(t)
+	e := New(cat)
+	first := e.Cardinality(plan)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if again := e.Cardinality(plan); again != first {
+			t.Fatalf("second estimate %g, first %g", again, first)
+		}
+	}); allocs != 0 {
+		t.Errorf("a second estimate of a five-scan join chain made %.0f allocations, want 0", allocs)
+	}
+	algebra.Walk(plan, func(op algebra.Op) bool {
+		if memo, fresh := e.Cardinality(op), New(cat).Cardinality(op); memo != fresh {
+			t.Errorf("%s: memoized %g, fresh %g", algebra.Explain(op), memo, fresh)
+		}
+		return true
+	})
+}
+
+// TestJoinSelectivityEqualsSelectivityOverTheJoin: estimating a
+// predicate over two inputs is estimating it over their join.
+func TestJoinSelectivityEqualsSelectivityOverTheJoin(t *testing.T) {
+	cat, r, s := fixture(t)
+	sr := algebra.NewSelect(r, algebra.Cmp(types.GT, algebra.Col("r.a1"), algebra.ConstInt(30)))
+	for _, pred := range []algebra.Expr{
+		algebra.Cmp(types.EQ, algebra.Col("r.a2"), algebra.Col("s.b2")),
+		algebra.Cmp(types.EQ, algebra.Col("s.b2"), algebra.Col("r.a1")),
+		algebra.Or(algebra.Cmp(types.LT, algebra.Col("r.a1"), algebra.Col("s.b1")),
+			algebra.Cmp(types.EQ, algebra.Col("s.b1"), algebra.ConstInt(4))),
+	} {
+		for _, in := range [][2]algebra.Op{{r, s}, {s, sr}} {
+			got := New(cat).JoinSelectivity(pred, in[0], in[1])
+			want := New(cat).Selectivity(pred, algebra.NewJoin(in[0], in[1], pred))
+			if got != want {
+				t.Errorf("%s: JoinSelectivity %g, Selectivity over the join %g", pred, got, want)
+			}
+		}
 	}
 }

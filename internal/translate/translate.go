@@ -5,6 +5,12 @@
 // Correlation — an inner block referencing attributes of an enclosing
 // block — is resolved through a scope chain and appears in the plan as
 // free attribute references (algebra.FreeColumns).
+//
+// The join tree's order comes from the estimator, not from the FROM
+// clause: greedy operator ordering merges, each step, the joined pair of
+// inputs with the smallest estimated result, and each join takes its
+// smaller estimated input as R, the side a hash join builds on. SELECT *
+// still lists the columns in FROM order.
 package translate
 
 import (
@@ -15,6 +21,7 @@ import (
 	"disqo/internal/algebra"
 	"disqo/internal/catalog"
 	"disqo/internal/sqlparser"
+	"disqo/internal/stats"
 	"disqo/internal/storage"
 	"disqo/internal/types"
 )
@@ -27,6 +34,7 @@ type Translator struct {
 	used map[string]bool // range-variable qualifiers in use
 	// expanding guards against recursive view definitions.
 	expanding map[string]bool
+	est       *stats.Estimator // orders joins; see estimator
 }
 
 // New returns a Translator over one catalog state (live catalog or
@@ -142,7 +150,12 @@ func (tr *Translator) finishTopLevel(stmt *sqlparser.SelectStmt, plan algebra.Op
 	var outAttrs []string
 	var renames [][2]string
 	if stmt.Star {
-		outAttrs = append(outAttrs, plan.Schema().Attrs()...)
+		// FROM order, whatever order the join tree put the columns in.
+		for _, v := range sc.vars {
+			for _, c := range v.cols {
+				outAttrs = append(outAttrs, attrOf(v, c))
+			}
+		}
 	} else {
 		// Check for a global aggregate query: all items aggregates.
 		allAgg, anyAgg := true, false
@@ -609,6 +622,15 @@ type predInfo struct {
 // subqueries (or touching no local variable) are returned for the
 // block-level selection — that placement is what makes the translation
 // "canonical": nested blocks stay nested.
+//
+// The join order is greedy operator ordering (GOO; Fegaras, DEXA 1998):
+// the access paths start as one component each, and while more than one
+// is left, the pair joined by an unapplied conjunct with the smallest
+// estimated result, |a|·|b|·Π sel(the conjuncts spanning a and b), is
+// merged; only when no pair is joined are the two whose cross product
+// is smallest merged. Ties go to FROM order. Each join takes its larger
+// estimated input as L and its smaller one as R, the side a hash join
+// builds on.
 func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebra.Op, []algebra.Expr, error) {
 	local := sc.localQuals()
 	infos := make([]*predInfo, len(conjuncts))
@@ -633,16 +655,18 @@ func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebr
 	}
 
 	// Per-variable access paths (scans or derived plans) with
-	// single-variable conjuncts applied.
-	scans := make(map[string]algebra.Op, len(sc.vars))
-	for _, v := range sc.vars {
+	// single-variable conjuncts applied: the components, in FROM order;
+	// comp maps a variable to the index of the component holding it.
+	comps := make([]algebra.Op, len(sc.vars))
+	comp := make(map[string]int, len(sc.vars))
+	for i, v := range sc.vars {
 		var op algebra.Op
 		if v.derived != nil {
 			op = v.derived
 		} else {
 			attrs := make([]string, len(v.cols))
-			for i, c := range v.cols {
-				attrs[i] = attrOf(v, c)
+			for j, c := range v.cols {
+				attrs[j] = attrOf(v, c)
 			}
 			op = algebra.NewScan(v.table.Name, v.qual, storage.NewSchema(attrs...))
 		}
@@ -656,81 +680,87 @@ func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebr
 		if len(sels) > 0 {
 			op = algebra.NewSelect(op, algebra.And(sels...))
 		}
-		scans[v.qual] = op
+		comps[i] = op
+		comp[v.qual] = i
 	}
 
-	// Greedy join order: start from the first variable, repeatedly join a
-	// variable connected through an unapplied conjunct, falling back to a
-	// cross product.
-	joined := map[string]bool{sc.vars[0].qual: true}
-	plan := scans[sc.vars[0].qual]
-	for len(joined) < len(sc.vars) {
-		var nextVar *rangeVar
-		for _, v := range sc.vars { // find a connected variable
-			if joined[v.qual] {
+	// spans reports whether an unapplied pushable conjunct lies within
+	// components a and b, and so spans them.
+	spans := func(pi *predInfo, a, b int) bool {
+		if !pi.pushable || pi.applied {
+			return false
+		}
+		for q := range pi.quals {
+			if c := comp[q]; c != a && c != b {
+				return false
+			}
+		}
+		return true
+	}
+	for merges := 1; merges < len(comps); merges++ {
+		est := tr.estimator()
+		bestA, bestB, bestJoined, bestSize := -1, -1, false, 0.0
+		for a := range comps {
+			if comps[a] == nil {
 				continue
 			}
-			for _, pi := range infos {
-				if pi.pushable && !pi.applied && pi.quals[v.qual] && coveredBy(pi.quals, joined, v.qual) {
-					nextVar = v
-					break
+			for b := a + 1; b < len(comps); b++ {
+				if comps[b] == nil {
+					continue
+				}
+				size, joined := est.Cardinality(comps[a])*est.Cardinality(comps[b]), false
+				for _, pi := range infos {
+					if spans(pi, a, b) {
+						size *= est.JoinSelectivity(pi.expr, comps[a], comps[b])
+						joined = true
+					}
+				}
+				if bestA < 0 || joined && !bestJoined || joined == bestJoined && size < bestSize {
+					bestA, bestB, bestJoined, bestSize = a, b, joined, size
 				}
 			}
-			if nextVar != nil {
-				break
-			}
 		}
-		if nextVar == nil { // no connection: cross product with the next one
-			for _, v := range sc.vars {
-				if !joined[v.qual] {
-					nextVar = v
-					break
-				}
-			}
-			joined[nextVar.qual] = true
-			plan = algebra.NewCross(plan, scans[nextVar.qual])
-			continue
-		}
-		joined[nextVar.qual] = true
-		var joinPreds []algebra.Expr
+		var preds []algebra.Expr
 		for _, pi := range infos {
-			if pi.pushable && !pi.applied && pi.quals[nextVar.qual] && coveredBy(pi.quals, joined, "") {
-				joinPreds = append(joinPreds, pi.expr)
+			if spans(pi, bestA, bestB) {
+				preds = append(preds, pi.expr)
 				pi.applied = true
 			}
 		}
-		plan = algebra.NewJoin(plan, scans[nextVar.qual], algebra.And(joinPreds...))
+		l, r := comps[bestA], comps[bestB]
+		if est.Cardinality(r) > est.Cardinality(l) {
+			l, r = r, l
+		}
+		if len(preds) > 0 {
+			comps[bestA] = algebra.NewJoin(l, r, algebra.And(preds...))
+		} else {
+			comps[bestA] = algebra.NewCross(l, r)
+		}
+		comps[bestB] = nil
+		for q, c := range comp {
+			if c == bestB {
+				comp[q] = bestA
+			}
+		}
 	}
-
-	// Apply any pushable conjunct that only became coverable at the end
-	// (e.g. referencing variables joined via cross products).
-	var late []algebra.Expr
+	// The last merge covered every variable, so every pushable conjunct
+	// went into a scan or a join; what is left stays at block level.
 	var remaining []algebra.Expr
 	for _, pi := range infos {
-		if pi.applied {
-			continue
-		}
-		if pi.pushable {
-			late = append(late, pi.expr)
-		} else {
+		if !pi.applied {
 			remaining = append(remaining, pi.expr)
 		}
 	}
-	if len(late) > 0 {
-		plan = algebra.NewSelect(plan, algebra.And(late...))
-	}
-	return plan, remaining, nil
+	return comps[0], remaining, nil
 }
 
-// coveredBy reports whether all quals are inside the joined set, treating
-// extra as joined.
-func coveredBy(quals, joined map[string]bool, extra string) bool {
-	for q := range quals {
-		if q != extra && !joined[q] {
-			return false
-		}
+// estimator returns the statement's estimator, made on first use: a
+// block of one range variable orders nothing.
+func (tr *Translator) estimator() *stats.Estimator {
+	if tr.est == nil {
+		tr.est = stats.New(tr.cat)
 	}
-	return true
+	return tr.est
 }
 
 // translateExpr converts a SQL expression into an algebra expression,

@@ -198,6 +198,45 @@ func TestTranslateCrossWhenUnconnected(t *testing.T) {
 	}
 }
 
+// TestTranslateStarKeepsFromOrder: the join tree puts the smaller
+// estimated input on the right — here the filtered s, or the derived
+// table over it — yet SELECT * lists the FROM clause's columns in FROM
+// order.
+func TestTranslateStarKeepsFromOrder(t *testing.T) {
+	cat := rstCatalog(t)
+	for _, c := range []struct {
+		sql, right string
+		cols       []string
+		row        string
+	}{
+		{"SELECT * FROM s, r WHERE a2 = b2 AND b4 > 1650", "s",
+			[]string{"s.b1", "s.b2", "s.b3", "s.b4", "r.a1", "r.a2", "r.a3", "r.a4"},
+			"(3, 20, 7, 1700, 2, 20, 6, 2000)"},
+		{"SELECT * FROM (SELECT b1, b2 FROM s WHERE b4 > 1650) d, r WHERE a2 = d.b2", "d",
+			[]string{"d.b1", "d.b2", "r.a1", "r.a2", "r.a3", "r.a4"},
+			"(3, 20, 2, 20, 6, 2000)"},
+	} {
+		plan := translateSQL(t, cat, c.sql)
+		var join *algebra.Join
+		algebra.Walk(plan, func(op algebra.Op) bool {
+			if j, ok := op.(*algebra.Join); ok && join == nil {
+				join = j
+			}
+			return true
+		})
+		if join == nil || !strings.HasPrefix(join.R.Schema().Attr(0), c.right+".") {
+			t.Errorf("%s: want %s on the join's right:\n%s", c.sql, c.right, algebra.Explain(plan))
+		}
+		if got := plan.Schema().Attrs(); strings.Join(got, ",") != strings.Join(c.cols, ",") {
+			t.Errorf("%s: columns %v, want %v", c.sql, got, c.cols)
+		}
+		rel := runSQL(t, cat, c.sql)
+		if got := rel.Canonical(); len(got) != 1 || got[0] != c.row {
+			t.Errorf("%s: rows %v, want [%s]", c.sql, got, c.row)
+		}
+	}
+}
+
 func TestTranslateGlobalAggregate(t *testing.T) {
 	cat := rstCatalog(t)
 	rel := runSQL(t, cat, "SELECT COUNT(*) AS c, MIN(a4) AS m FROM r")

@@ -50,8 +50,9 @@ type prepared struct {
 // driftFactor is how far, either way, a referenced table's row count
 // may move from the count a plan was built with before the plan is
 // rebuilt: the estimates behind its choices (Eqv. 2 vs 3 by rank, the
-// order of disjuncts, cost-based alternatives, build sides) read
-// cardinalities, and past this factor they are too old to trust.
+// order of disjuncts, cost-based alternatives, and the translator's
+// join order and build sides) read cardinalities, and past this factor
+// they are too old to trust.
 const driftFactor = 2
 
 // planKey names what a plan is planned for, and with drifted states the

@@ -18,7 +18,8 @@
 # smoke through the REPL (populate durably, kill the process, reopen,
 # scripted query check), a disqod end-to-end smoke (remote DDL/DML/query
 # over TCP, SIGTERM drain must log a clean exit, kill -9 after an
-# acknowledged write must recover on restart), a 10-second smoke of each
+# acknowledged write must recover on restart), Fig. 7(b)'s Query 2d at
+# TPC-H SF 1 with no timed-out or aborted cell, a 10-second smoke of each
 # native fuzz target (including the WAL and result frame decoders), and last the
 # tracked size number: non-test Go lines per package outside benchmark/.
 set -eux
@@ -183,6 +184,14 @@ done
 kill -TERM "$srvpid"
 wait "$srvpid"
 rm -rf "$srvdir"
+
+# Query 2d at the paper's largest TPC-H scale stays feasible: Fig. 7(b) at
+# SF 1 must print a time in every cell, never the harness's timeout
+# (n/a), memory-limit (mem), abort (abrt) or error (err) cell.
+fig7b=$(go run ./cmd/bench -exp fig7b -strategies unnested,costbased -tpch 1 -q)
+echo "$fig7b"
+test "$(echo "$fig7b" | grep -cE '^(unnested|costbased) ')" -eq 2
+test -z "$(echo "$fig7b" | grep -E '^(unnested|costbased) ' | grep -wE 'n/a|mem|abrt|err')"
 
 go test -fuzz=FuzzParse -fuzztime=10s -run '^$' ./internal/sqlparser
 go test -fuzz=FuzzQuery -fuzztime=10s -run '^$' .

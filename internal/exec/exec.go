@@ -182,9 +182,8 @@ type Executor struct {
 	ticks    int
 	msize    int  // validated Options.MorselSize (see New)
 	isWorker bool // worker clones never fan out again (no nested pools)
-	// pairs is evalJoin's output record, reused across morsels; a join
-	// takes it for the morsel and puts it back, so a join nested under
-	// its predicate finds none and uses its own.
+	// pairs is the output record of a join's or a binary grouping's
+	// morsel, reused across morsels (takePairs).
 	pairs [][2]int32
 }
 

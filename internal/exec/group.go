@@ -325,6 +325,10 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 // Otherwise each left tuple scans R⁻, evaluating Pred per pair, into
 // overlays of its own.
 //
+// A fused selection (b.Keep) sees each left tuple ◦ its results, and
+// only the tuples it holds TRUE on are written, cut from one slab of
+// exactly their number per morsel.
+//
 // Nothing of size |L|·|R| is built, and since every fold runs in R order
 // on one goroutine, the fold order — hence any float rounding — is the
 // same for every worker count.
@@ -401,57 +405,60 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	}
 	chunks, err := parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			out := make([][]types.Value, 0, hi-lo)
-			slab := w.slab(b.Schema().Len(), hi-lo)
-			if ht != nil {
-				for _, lt := range l.Tuples[lo:hi] {
-					if err := w.tick(); err != nil {
-						return nil, err
-					}
-					res := keyRes[:n]
-					if e := ht.First(lt, b.LCols); e >= 0 {
-						res = keyRes[int(group[e])*n:][:n]
-					}
-					out = append(out, slab.emitRow(b.Emit, lt, res))
-				}
-				return out, nil
+			// res holds the results the rows are written from: keyRes when
+			// hashed, else each left tuple's own, appended as it is folded
+			// and kept while the tuple is.
+			kept := w.newKept(b.Keep, env, l.Schema, b.Results, hi-lo)
+			res := keyRes
+			var lf, rf *Env
+			var feed *aggFeed
+			var accs []agg.Acc
+			if ht == nil {
+				res = kept.buffer(n, hi-lo)
+				lf, rf = pairFrames(env, l.Schema, r.Schema)
+				feed, accs = ai.feed(env), make([]agg.Acc, n)
 			}
-			lf, rf := pairFrames(env, l.Schema, r.Schema)
-			feed := ai.feed(env)
-			accs := make([]agg.Acc, n)
-			res := make([]types.Value, n)
-			for _, lt := range l.Tuples[lo:hi] {
+			for i, lt := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
 					return nil, err
 				}
-				for i := range base {
-					accs[i] = *agg.Overlay(&base[i])
-				}
-				lf.tuple = lt
-				for _, rt := range neg.Tuples {
-					if err := w.tick(); err != nil {
-						return nil, err
+				at := 0 // a left key R⁻ lacks, or a NULL one, reads the base alone
+				if ht != nil {
+					if e := ht.First(lt, b.LCols); e >= 0 {
+						at = int(group[e]) * n
 					}
-					if b.Pred != nil {
-						rf.tuple = rt
-						match, err := w.EvalPred(b.Pred, rf)
+				} else {
+					for j := range base {
+						accs[j] = *agg.Overlay(&base[j])
+					}
+					for _, rt := range neg.Tuples {
+						if err := w.tick(); err != nil {
+							return nil, err
+						}
+						match, err := w.holds(b.Pred, lf, rf, lt, rt)
 						if err != nil {
 							return nil, err
 						}
-						if !match.IsTrue() {
-							continue
+						if match {
+							if err := feed.add(w, accs, rt); err != nil {
+								return nil, err
+							}
 						}
 					}
-					if err := feed.add(w, accs, rt); err != nil {
-						return nil, err
+					at = len(res)
+					for j := range accs {
+						res = append(res, accs[j].Result())
 					}
 				}
-				for i := range accs {
-					res[i] = accs[i].Result()
+				ok, err := kept.add(w, i, lt, res[at:at+n], at)
+				if err != nil {
+					return nil, err
 				}
-				out = append(out, slab.emitRow(b.Emit, lt, res))
+				if !ok && ht == nil {
+					res = res[:at]
+				}
 			}
-			return out, nil
+			return kept.write(w, b.Emit, b.Schema().Len(), l.Tuples[lo:hi], res, n), nil
 		})
 	if err != nil {
 		return nil, err
@@ -459,4 +466,56 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	out := storage.NewRelation(b.Schema())
 	out.Tuples = concatChunks(chunks)
 	return out, nil
+}
+
+// kept records which left tuples of a binary grouping's morsel are
+// written, and where their results are, until the morsel's rows are cut:
+// every tuple, or with a fused selection those it holds TRUE on, which
+// it sees as a left row ◦ the results through two frames of its own.
+type kept struct {
+	keep   algebra.Expr
+	lf, rf *Env
+	picks  [][2]int32 // (left offset, results offset)
+}
+
+// newKept returns the record of a morsel of n left tuples, over ls, its
+// picks taken from the executor's pair record.
+func (ex *Executor) newKept(keep algebra.Expr, env *Env, ls, results *storage.Schema, n int) kept {
+	k := kept{keep: keep, picks: ex.takePairs(n)}
+	if keep != nil {
+		k.lf, k.rf = pairFrames(env, ls, results)
+	}
+	return k
+}
+
+// buffer returns an empty buffer for the morsel's results, n per left
+// tuple: room for every tuple's when all are kept, else grown as the
+// kept ones are.
+func (k *kept) buffer(n, tuples int) []types.Value {
+	if k.keep != nil {
+		return nil
+	}
+	return make([]types.Value, 0, n*tuples)
+}
+
+// add records the left tuple at offset i, its results res at offset at
+// in the morsel's results, when it is kept, and reports whether it is.
+func (k *kept) add(w *Executor, i int, lt, res []types.Value, at int) (bool, error) {
+	ok, err := w.holds(k.keep, k.lf, k.rf, lt, res)
+	if ok {
+		k.picks = append(k.picks, [2]int32{int32(i), int32(at)})
+	}
+	return ok, err
+}
+
+// write cuts the kept rows, each left ◦ its n results in res, from one
+// slab of exactly their number, and puts the pair record back.
+func (k *kept) write(w *Executor, emit []int, width int, left [][]types.Value, res []types.Value, n int) [][]types.Value {
+	out := make([][]types.Value, len(k.picks))
+	slab := w.slab(width, len(k.picks))
+	for j, p := range k.picks {
+		out[j] = slab.emitRow(emit, left[p[0]], res[p[1]:][:n])
+	}
+	w.pairs = k.picks[:0]
+	return out
 }

@@ -98,18 +98,42 @@ func (s *rowSlab) emitRow(emit []int, l, r []types.Value) []types.Value {
 
 // pairFrames returns two stacked frames through which a predicate sees
 // a pair l ◦ r without the row being built: the caller rebinds their
-// tuples per pair and evaluates under rf.
+// tuples per pair (holds) and evaluates under rf.
 func pairFrames(env *Env, ls, rs *storage.Schema) (lf, rf *Env) {
 	lf = &Env{parent: env, schema: ls}
 	return lf, &Env{parent: lf, schema: rs}
 }
 
+// holds reports whether pred is TRUE on the pair l ◦ r, which it sees
+// through the frames of pairFrames; a nil pred holds on every pair.
+func (ex *Executor) holds(pred algebra.Expr, lf, rf *Env, l, r []types.Value) (bool, error) {
+	if pred == nil {
+		return true, nil
+	}
+	lf.tuple, rf.tuple = l, r
+	t, err := ex.EvalPred(pred, rf)
+	return t.IsTrue(), err
+}
+
+// takePairs takes the executor's output record for a morsel of n left
+// tuples, empty; the operator puts it back when the morsel's rows are
+// written, so an operator nested under its predicates finds none and
+// uses its own.
+func (ex *Executor) takePairs(n int) [][2]int32 {
+	pairs := ex.pairs[:0]
+	ex.pairs = nil
+	if cap(pairs) < n {
+		pairs = make([][2]int32, 0, n)
+	}
+	return pairs
+}
+
 func (ex *Executor) evalHashJoin(j *physical.HashJoin, env *Env) (*storage.Relation, error) {
-	return ex.evalJoin(j, j.L, j.R, env, j.Mode, j.LCols, j.RCols, j.Residual, j.Emit, nil)
+	return ex.evalJoin(j, j.L, j.R, env, j.Mode, j.LCols, j.RCols, j.Residual, nil, j.Emit, nil)
 }
 
 func (ex *Executor) evalNLJoin(j *physical.NLJoin, env *Env) (*storage.Relation, error) {
-	return ex.evalJoin(j, j.L, j.R, env, j.Mode, nil, nil, j.Pred, j.Emit, nil)
+	return ex.evalJoin(j, j.L, j.R, env, j.Mode, nil, nil, j.Pred, nil, j.Emit, nil)
 }
 
 // evalOuterJoin evaluates ⟕ with the paper's g:f(∅) defaults: an
@@ -120,7 +144,7 @@ func (ex *Executor) evalOuterJoin(j *physical.OuterJoin, env *Env) (*storage.Rel
 	if j.Hash { // LCols and RCols are set; the keys are not checked again
 		pred = j.Residual
 	}
-	return ex.evalJoin(j, j.L, j.R, env, physical.JoinInner, j.LCols, j.RCols, pred, j.Emit, j.Pad)
+	return ex.evalJoin(j, j.L, j.R, env, physical.JoinInner, j.LCols, j.RCols, pred, j.Keep, j.Emit, j.Pad)
 }
 
 // Partners recorded by evalJoin beside a right index entry or position.
@@ -137,13 +161,15 @@ const (
 // none) holds on the pair, which pred sees through two frames. An inner
 // join emits each matching pair, and with pad — the outer join — the
 // pair of pad and a left tuple that found none; semi and anti joins pass
-// the left tuple through on (no) match and stop at the first one. A
-// morsel first records each output as a pair (the left tuple's offset,
-// its partner), then cuts exactly that many rows from one slab. A
-// cross product — nested loops without a predicate — is not counted as
-// an NL join.
+// the left tuple through on (no) match and stop at the first one. keep,
+// a selection fused into an outer join (nil for none), is evaluated on
+// each pair the join would emit, pad pairs included, and drops those it
+// does not hold TRUE on before any row is built. A morsel first records
+// each output as a pair (the left tuple's offset, its partner), then
+// cuts exactly that many rows from one slab. A cross product — nested
+// loops without a predicate — is not counted as an NL join.
 func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, mode physical.JoinMode,
-	lcols, rcols []int, pred algebra.Expr, emit []int, pad []types.Value) (*storage.Relation, error) {
+	lcols, rcols []int, pred, keep algebra.Expr, emit []int, pad []types.Value) (*storage.Relation, error) {
 	l, err := ex.eval(lop, env)
 	if err != nil {
 		return nil, err
@@ -169,11 +195,7 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 	var pending atomic.Int64 // operator-wide output size for the budget
 	chunks, err := parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			pairs := w.pairs[:0]
-			w.pairs = nil
-			if cap(pairs) < hi-lo {
-				pairs = make([][2]int32, 0, hi-lo)
-			}
+			pairs := w.takePairs(hi - lo)
 			lf, rf := pairFrames(env, l.Schema, r.Schema)
 			for i, lt := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
@@ -182,7 +204,6 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 				if err := w.checkBudget(int(pending.Load())); err != nil {
 					return nil, err
 				}
-				lf.tuple = lt
 				before, matched := len(pairs), false
 				e, j := int32(-1), 0
 				if ht != nil {
@@ -205,18 +226,21 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 					if err := w.tick(); err != nil {
 						return nil, err
 					}
-					if pred != nil {
-						rf.tuple = rt
-						ok, err := w.EvalPred(pred, rf)
-						if err != nil {
-							return nil, err
-						}
-						if !ok.IsTrue() {
-							continue
-						}
+					ok, err := w.holds(pred, lf, rf, lt, rt)
+					if err != nil {
+						return nil, err
+					}
+					if !ok {
+						continue
 					}
 					matched = true
-					if mode == physical.JoinInner {
+					if mode != physical.JoinInner {
+						continue
+					}
+					if ok, err = w.holds(keep, lf, rf, lt, rt); err != nil {
+						return nil, err
+					}
+					if ok {
 						pairs = append(pairs, [2]int32{int32(i), partner})
 					}
 				}
@@ -224,7 +248,13 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 				case mode == physical.JoinSemi && matched, mode == physical.JoinAnti && !matched:
 					pairs = append(pairs, [2]int32{int32(i), passPartner})
 				case pad != nil && !matched:
-					pairs = append(pairs, [2]int32{int32(i), padPartner})
+					ok, err := w.holds(keep, lf, rf, lt, pad)
+					if err != nil {
+						return nil, err
+					}
+					if ok {
+						pairs = append(pairs, [2]int32{int32(i), padPartner})
+					}
 				}
 				pending.Add(int64(len(pairs) - before))
 			}

@@ -68,13 +68,13 @@ func projected(t *testing.T, schema interface{ Index(string) int }, rows [][]typ
 }
 
 // TestPruningIsInvisible: for every row-writing operator (and the ones
-// that pass needs through to it), Π_A(op) lowered by the planner — which
-// prunes op's inputs to what A and op read, gives op an emit list and
-// dissolves or aliases the Π — returns what projecting op's whole result
-// to A returns, for op and its two-valued translation under both
-// evaluators, for prefixes,
-// reorderings, single columns and the empty list — and every row, cut
-// from a slab or not, has its length as its capacity.
+// that pass needs through to it, a selection fused into an outer join or
+// a Γ² among them), Π_A(op) lowered by the planner — which prunes op's
+// inputs to what A and op read, gives op an emit list and dissolves or
+// aliases the Π — returns what projecting op's whole result to A
+// returns, for op and its two-valued translation under both evaluators,
+// for prefixes, reorderings, single columns and the empty list — and
+// every row, cut from a slab or not, has its length as its capacity.
 func TestPruningIsInvisible(t *testing.T) {
 	cat := pruneCatalog(t)
 	r, s, tt := scanOf(t, cat, "r"), scanOf(t, cat, "s"), scanOf(t, cat, "t")
@@ -95,16 +95,43 @@ func TestPruningIsInvisible(t *testing.T) {
 		algebra.NewSelect(scanOf(t, cat, "t"), algebra.Cmp(types.LT, algebra.Arith(types.Mul, col("t.c1"), algebra.ConstInt(100)), col("r.a3"))))
 	// Here it is the aggregate's argument that reads the outer row.
 	argCorr := algebra.Subquery(agg.Spec{Kind: agg.Sum}, algebra.Arith(types.Add, col("t.c1"), col("r.a3")), scanOf(t, cat, "t"))
+	// Outer joins and Γ²s a selection is fused into: each σ reads a
+	// column the consumer may not, and drops some pad or aggregate rows.
+	hashOuter := func() algebra.Op {
+		return algebra.NewLeftOuterJoin(r,
+			algebra.NewGroupBy(s, []string{"s.b2"}, []algebra.AggItem{count("g", false), sum("h", "s.b3")}, false),
+			eq("r.a2", "s.b2"), []algebra.Default{{Attr: "g", Val: types.NewInt(0)}})
+	}
+	nlOuter := func() algebra.Op {
+		return algebra.NewLeftOuterJoin(r, tt, lt("r.a4", "t.c2"), []algebra.Default{{Attr: "t.c1", Val: types.NewInt(0)}})
+	}
+	hashGroup := func() algebra.Op {
+		return algebra.NewBinaryGroup(r, s, eq("r.a2", "s.b2"), []algebra.AggItem{count("g", true, "s.b3"), sum("h", "s.b1")})
+	}
+	sortGroup := func() algebra.Op {
+		return algebra.NewBinaryGroup(r, s, lt("r.a1", "s.b1"), []algebra.AggItem{sum("h", "s.b3"), count("g", false)})
+	}
 	ops := map[string]algebra.Op{
-		"hash join":            rs,
-		"hash join + residual": algebra.NewJoin(r, s, algebra.And(eq("r.a2", "s.b2"), lt("r.a1", "s.b1"))),
-		"nl join":              algebra.NewJoin(r, s, lt("r.a1", "s.b1")),
-		"cross":                algebra.NewCross(r, tt),
-		"join of joins":        algebra.NewJoin(rs, tt, eq("s.b4", "t.c2")),
-		"filter over join":     algebra.NewSelect(rs, lt("r.a3", "s.b3")),
-		"semi + residual":      algebra.NewSemiJoin(rs, tt, algebra.And(eq("s.b4", "t.c2"), lt("r.a1", "t.c1"))),
-		"anti + residual":      algebra.NewAntiJoin(rs, tt, algebra.And(eq("s.b4", "t.c2"), lt("r.a1", "t.c1"))),
-		"nl semi":              algebra.NewSemiJoin(rs, tt, lt("s.b1", "t.c1")),
+		"σ over hash outer (pad 0 kept)": algebra.NewSelect(hashOuter(), algebra.Cmp(types.GE, col("r.a1"), col("g"))),
+		"σ over nl outer (pad dropped)":  algebra.NewSelect(nlOuter(), algebra.Or(lt("r.a1", "t.c1"), algebra.Cmp(types.EQ, col("r.a3"), algebra.ConstInt(300)))),
+		"σ over Π over hash outer":       algebra.NewSelect(algebra.NewProject(hashOuter(), []string{"h", "r.a3", "g", "r.a1"}), lt("r.a1", "g")),
+		"σ over Γ² hash":                 algebra.NewSelect(hashGroup(), algebra.Cmp(types.LE, col("r.a1"), col("g"))),
+		"σ over Γ² nl": algebra.NewSelect(algebra.NewBinaryGroup(r, s, algebra.Or(eq("r.a2", "s.b2"), lt("r.a1", "s.b1")),
+			[]algebra.AggItem{count("g", true)}), lt("r.a1", "g")),
+		"σ over Γ² sort":        algebra.NewSelect(sortGroup(), algebra.Cmp(types.GT, col("h"), col("r.a3"))),
+		"σ over Π over Γ² sort": algebra.NewSelect(algebra.NewProject(sortGroup(), []string{"g", "r.a2", "h"}), lt("r.a2", "h")),
+		"σ over Γ² tagged":      algebra.NewSelect(tagged, lt("r.a1", "h")),
+		"σ over Π over Γ² hash": algebra.NewSelect(algebra.NewProject(hashGroup(), []string{"h", "r.a4"}), algebra.Cmp(types.GE, col("h"), col("r.a4"))),
+		"σ over outer, a block": algebra.NewSelect(hashOuter(), algebra.Cmp(types.LT, col("g"), corr)),
+		"hash join":             rs,
+		"hash join + residual":  algebra.NewJoin(r, s, algebra.And(eq("r.a2", "s.b2"), lt("r.a1", "s.b1"))),
+		"nl join":               algebra.NewJoin(r, s, lt("r.a1", "s.b1")),
+		"cross":                 algebra.NewCross(r, tt),
+		"join of joins":         algebra.NewJoin(rs, tt, eq("s.b4", "t.c2")),
+		"filter over join":      algebra.NewSelect(rs, lt("r.a3", "s.b3")),
+		"semi + residual":       algebra.NewSemiJoin(rs, tt, algebra.And(eq("s.b4", "t.c2"), lt("r.a1", "t.c1"))),
+		"anti + residual":       algebra.NewAntiJoin(rs, tt, algebra.And(eq("s.b4", "t.c2"), lt("r.a1", "t.c1"))),
+		"nl semi":               algebra.NewSemiJoin(rs, tt, lt("s.b1", "t.c1")),
 		"hash outer + defaults": algebra.NewLeftOuterJoin(r,
 			algebra.NewGroupBy(s, []string{"s.b2"}, []algebra.AggItem{count("g", false), sum("h", "s.b3")}, false),
 			eq("r.a2", "s.b2"), []algebra.Default{{Attr: "g", Val: types.NewInt(0)}}),
@@ -148,6 +175,14 @@ func TestPruningIsInvisible(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				if sel, ok := op.(*algebra.Select); ok {
+					// Fused or not, a σ keeps what a Filter over its input's
+					// whole result keeps.
+					want := filtered(t, New(cat, opt), sel)
+					if g := projected(t, whole.Schema, whole.Tuples, attrs); strings.Join(g, "\n") != strings.Join(want, "\n") {
+						t.Errorf("%s (%s, %s):\n got %v\nwant %v", name, nulls, path, g, want)
+					}
+				}
 				for _, list := range lists {
 					got, err := New(cat, opt).Run(algebra.NewProject(op, list))
 					if err != nil {
@@ -172,6 +207,27 @@ func TestPruningIsInvisible(t *testing.T) {
 			}
 		}
 	}
+}
+
+// filtered is the reference σ: its input evaluated on its own, and the
+// rows its predicate holds TRUE on, rendered as projected renders them.
+func filtered(t *testing.T, ex *Executor, sel *algebra.Select) []string {
+	t.Helper()
+	in, err := ex.Run(sel.Child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]types.Value
+	for _, row := range in.Tuples {
+		ok, err := ex.EvalPred(sel.Pred, Bind(nil, in.Schema, row))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok.IsTrue() {
+			rows = append(rows, row)
+		}
+	}
+	return projected(t, in.Schema, rows, sel.Schema().Attrs())
 }
 
 // TestPruningPrunes pins that the property above is not vacuous: the

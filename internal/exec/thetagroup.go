@@ -79,20 +79,20 @@ func (ex *Executor) evalBinaryGroupSorted(b *physical.BinaryGroupSort, env *Env)
 		suffix[k] = suf
 	}
 
+	na := len(b.Aggs)
 	chunks, err := parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			out := make([][]types.Value, 0, hi-lo)
-			slab := w.slab(b.Schema().Len(), hi-lo)
-			res := make([]types.Value, len(b.Aggs))
-			for _, lt := range l.Tuples[lo:hi] {
+			kept := w.newKept(b.Keep, env, l.Schema, b.Results, hi-lo)
+			res := kept.buffer(na, hi-lo) // each left tuple's results, in turn, while it is kept
+			for i, lt := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
 					return nil, err
 				}
-				row := res[:0]
+				at := len(res)
 				v := lt[li]
 				for k, item := range b.Aggs {
 					if v.IsNull() {
-						row = append(row, item.Spec.Empty())
+						res = append(res, item.Spec.Empty())
 						continue
 					}
 					// Matching right tuples form a contiguous run in sort order.
@@ -102,30 +102,36 @@ func (ex *Executor) evalBinaryGroupSorted(b *physical.BinaryGroupSort, env *Env)
 							c, _ := types.Compare(r.Tuples[idx[i]][ri], v)
 							return c > 0
 						})
-						row = append(row, suffix[k][pos])
+						res = append(res, suffix[k][pos])
 					case types.LE: // v <= b
 						pos := sort.Search(n, func(i int) bool {
 							c, _ := types.Compare(r.Tuples[idx[i]][ri], v)
 							return c >= 0
 						})
-						row = append(row, suffix[k][pos])
+						res = append(res, suffix[k][pos])
 					case types.GT: // v > b: prefix strictly below v
 						pos := sort.Search(n, func(i int) bool {
 							c, _ := types.Compare(r.Tuples[idx[i]][ri], v)
 							return c >= 0
 						})
-						row = append(row, prefix[k][pos])
+						res = append(res, prefix[k][pos])
 					default: // GE: v >= b
 						pos := sort.Search(n, func(i int) bool {
 							c, _ := types.Compare(r.Tuples[idx[i]][ri], v)
 							return c > 0
 						})
-						row = append(row, prefix[k][pos])
+						res = append(res, prefix[k][pos])
 					}
 				}
-				out = append(out, slab.emitRow(b.Emit, lt, row))
+				ok, err := kept.add(w, i, lt, res[at:], at)
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					res = res[:at]
+				}
 			}
-			return out, nil
+			return kept.write(w, b.Emit, b.Schema().Len(), l.Tuples[lo:hi], res, na), nil
 		})
 	if err != nil {
 		return nil, err

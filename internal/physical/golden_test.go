@@ -99,9 +99,10 @@ func TestGoldenPhysicalFig2bQ1BypassCaps(t *testing.T) {
 // disjunct ranks first, so the bypass selection tests r.a4 > 1500 and
 // only the negative stream pays for the unnested subquery — Eqv. 2's
 // ordering. The outerjoin and unary grouping both hash (equality keys),
-// the outerjoin emits what Eqv. 1's projection kept (the grouping key
-// s.b2 is never written), the projection over the filter is a prefix of
-// its rows, and the σ± node is shared between the two streams (#1 marker).
+// the linking selection a1 = g1 is fused into the outerjoin, which
+// evaluates it on each pair and emits what the projection over it kept
+// (neither the grouping key s.b2 nor g1 is written), and the σ± node is
+// shared between the two streams (#1 marker).
 func TestGoldenPhysicalFig2cQ1Unnested(t *testing.T) {
 	all := rewrite.AllCaps()
 	physGolden(t, emptyRST(t), goldenQ1, &all, goldenPhysicalQ1Unnested)
@@ -113,13 +114,11 @@ Distinct  (est 0 rows)
     Stream+  (est 0 rows)
       #1 Filter±[(r.a4 > 1500)]  (est 0 rows)
         Scan(r)  (est 0 rows)
-    Project[r.a1, r.a2, r.a3, r.a4]  (est 0 rows)
-      Filter[(r.a1 = g1)]  (est 0 rows)
-        HashOuterJoin[r.a2=s.b2] → [r.a1, r.a2, r.a3, r.a4, g1] (5 of 6 cols)  (est 0 rows)
-          Stream-  (est 0 rows)
-            ↑ see #1 Filter±[(r.a4 > 1500)]
-          HashGroup[[s.b2]][g1:COUNT(DISTINCT *)]  (est 1 rows)
-            Scan(s)  (est 0 rows)
+    HashOuterJoin[r.a2=s.b2] σ[(r.a1 = g1)] → [r.a1, r.a2, r.a3, r.a4] (4 of 6 cols)  (est 0 rows)
+      Stream-  (est 0 rows)
+        ↑ see #1 Filter±[(r.a4 > 1500)]
+      HashGroup[[s.b2]][g1:COUNT(DISTINCT *)]  (est 1 rows)
+        Scan(s)  (est 0 rows)
 `
 
 // Fig. 2(d): the same query under statistics that make r.a4 > 1500
@@ -177,16 +176,15 @@ Distinct  (est 0 rows)
 // Q2 unnested via Eqv. 5 (the paper's Fig. 3(b) is Eqv. 4's plan, which
 // is not built): the χ tags each s row with the uncorrelated disjunct,
 // and one hashed Γ² on the correlation key folds the tagged rows once and
-// each key's group once.
+// each key's group once, and writes only the r rows its fused linking
+// selection a1 = g2 keeps.
 func TestGoldenPhysicalQ2Eqv5(t *testing.T) {
 	all := rewrite.AllCaps()
 	physGolden(t, emptyRST(t), goldenQ2, &all, `
 Distinct  (est 0 rows)
-  Project[r.a1, r.a2, r.a3, r.a4]  (est 0 rows)
-    Filter[(r.a1 = g2)]  (est 0 rows)
-      TagBinaryGroup(hash)[(r.a2 = s.b2) ∨ tag1][g2:COUNT(*)]  (est 0 rows)
-        Scan(r)  (est 0 rows)
-        Map[tag1:(s.b4 > 1500)] → [s.b2, tag1] (2 of 5 cols)  (est 0 rows)
-          Scan(s)  (est 0 rows)
+  TagBinaryGroup(hash)[(r.a2 = s.b2) ∨ tag1][g2:COUNT(*)] σ[(r.a1 = g2)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 0 rows)
+    Scan(r)  (est 0 rows)
+    Map[tag1:(s.b4 > 1500)] → [s.b2, tag1] (2 of 5 cols)  (est 0 rows)
+      Scan(s)  (est 0 rows)
 `)
 }

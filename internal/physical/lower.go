@@ -30,6 +30,17 @@ import (
 //	    prefix/suffix algorithm. A tag (Eqv. 5) only adds the shared
 //	    base fold to the probing operator.
 //
+//	selection over an outer join or a binary grouping: fused into it
+//	    when the σ is the only consumer of that operator, directly or
+//	    through one Π it alone reads, and its predicate holds no nested
+//	    block. The operator evaluates the predicate on each pair it
+//	    would write (its Keep) — the outer join on a matched pair and on
+//	    the pad pair, Γ² on a left row and its aggregate results — and
+//	    builds only the rows it holds TRUE on; the σ's Filter node, and
+//	    the Π, are gone. The node stands for the σ (its Logical()), so
+//	    the executor memoizes it only where the σ's free attributes allow.
+//	    A σ± (two streams) and a shared operator do not fuse.
+//
 // The rules are deliberately deterministic — hashing a materialized
 // input is never slower than the quadratic scan at more than a handful
 // of tuples, and stable choices keep golden plans byte-stable. The
@@ -42,13 +53,14 @@ import (
 // them), Γ reads its keys and aggregate arguments, a join its keys and
 // residual. The operators that write their own rows — joins, χ, Γ² —
 // emit just those columns (their Emit list), in the order of a Π
-// directly above, which then dissolves, as does any Π whose input
-// already has its schema. Everything else passes rows through and keeps
-// its input's schema; DISTINCT, ∪ and Sort read what they are given, and
-// an operator with more than one consumer — σ± under its two streams, a
-// block an expression embeds twice — is left whole. A node's Schema is
-// therefore a part of its logical operator's, holding at least the
-// columns asked for, and exactly the logical schema when all were.
+// directly above — or above a σ fused into them — which then dissolves,
+// as does any Π whose input already has its schema. Everything else
+// passes rows through and keeps its input's schema; DISTINCT, ∪ and
+// Sort read what they are given, and an operator with more than one
+// consumer — σ± under its two streams, a block an expression embeds
+// twice — is left whole. A node's Schema is therefore a part of its
+// logical operator's, holding at least the columns asked for, and
+// exactly the logical schema when all were.
 type Planner struct {
 	est *stats.Estimator
 	// memo has an entry for every operator Lower has been shown: whether
@@ -150,6 +162,21 @@ func (s colSet) of(n int) colSet {
 	return s
 }
 
+// part returns the schema of the columns of sch in s: sch itself when s
+// holds them all.
+func (s colSet) part(sch *storage.Schema) *storage.Schema {
+	if s == allCols {
+		return sch
+	}
+	names := make([]string, 0, sch.Len())
+	for i, a := range sch.Attrs() {
+		if s.has(i) {
+			names = append(names, a)
+		}
+	}
+	return storage.NewSchema(names...)
+}
+
 // split divides s over a schema l ◦ r into its parts over l (of n
 // columns) and r.
 func (s colSet) split(n int) (l, r colSet) {
@@ -233,7 +260,8 @@ func (p *Planner) whole(op algebra.Op) (Node, error) { return p.lowerFor(op, all
 func (p *Planner) lowerFor(op algebra.Op, need colSet, order *storage.Schema) (Node, error) {
 	need = need.of(op.Schema().Len())
 	switch op.(type) {
-	case *algebra.Join, *algebra.CrossProduct, *algebra.LeftOuterJoin, *algebra.MapOp, *algebra.BinaryGroup:
+	case *algebra.Join, *algebra.CrossProduct, *algebra.LeftOuterJoin, *algebra.MapOp, *algebra.BinaryGroup,
+		*algebra.Select: // the order of what a σ fused into a writer emits
 	default:
 		order = nil
 	}
@@ -259,19 +287,26 @@ func (p *Planner) lowerFor(op algebra.Op, need colSet, order *storage.Schema) (N
 	p.vectorize(n)
 	n.setID(p.nodes)
 	p.nodes++
-	// Pre-lower nested query blocks referenced by this operator's
-	// expressions (scalar/quantified subqueries and their arguments).
+	if err := p.lowerBlocks(op); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// lowerBlocks pre-lowers the nested query blocks referenced by op's
+// expressions (scalar/quantified subqueries and their arguments).
+func (p *Planner) lowerBlocks(op algebra.Op) error {
 	for _, sub := range algebra.NestedPlans(op) {
 		b, err := p.whole(sub)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if p.blocks == nil {
 			p.blocks = make(map[algebra.Op]Node)
 		}
 		p.blocks[sub] = b
 	}
-	return n, nil
+	return nil
 }
 
 func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node, error) {
@@ -281,6 +316,9 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 		return &Scan{base: b, Table: x.Table}, nil
 
 	case *algebra.Select:
+		if n, err := p.fuse(b, x, need, order); n != nil || err != nil {
+			return n, err
+		}
 		child, err := p.lowerFor(x.Child, p.reads(need, x.Child.Schema(), x.Pred), nil)
 		if err != nil {
 			return nil, err
@@ -308,16 +346,8 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 		return &Stream{base: b, Source: src, Positive: x.Positive}, nil
 
 	case *algebra.Project:
-		attrs := x.Attrs
-		if need != allCols { // a Π read in part is the Π onto that part
-			attrs = make([]string, 0, len(x.Attrs))
-			for i, a := range x.Attrs {
-				if need.has(i) {
-					attrs = append(attrs, a)
-				}
-			}
-			b.sch = storage.NewSchema(attrs...)
-		}
+		b.sch = need.part(b.sch) // a Π read in part is the Π onto that part
+		attrs := b.sch.Attrs()
 		child, err := p.lowerFor(x.Child, addNames(0, x.Child.Schema(), attrs), b.sch)
 		if err != nil {
 			return nil, err
@@ -345,7 +375,7 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 			return nil, err
 		}
 		m := &Map{base: b, Child: child, Attr: x.Attr, Expr: x.Expr}
-		m.Emit, err = m.emit(child.Schema(), nil, 1, need, order)
+		m.Emit, err = m.emit(x, child.Schema(), nil, 1, need, order)
 		return m, err
 
 	case *algebra.CrossProduct:
@@ -361,26 +391,7 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 		return p.lowerJoin(b, x.L, x.R, x.Pred, JoinAnti, need, nil)
 
 	case *algebra.LeftOuterJoin:
-		ln, rn := need.split(x.L.Schema().Len())
-		l, r, err := p.lowerPair(x.L, x.R, x.Pred, ln, rn)
-		if err != nil {
-			return nil, err
-		}
-		pad := make([]types.Value, r.Schema().Len())
-		for _, d := range x.Defaults {
-			if i := r.Schema().Index(d.Attr); i >= 0 {
-				pad[i] = d.Val
-			}
-		}
-		j := &OuterJoin{base: b, L: l, R: r, Pred: x.Pred, Pad: pad}
-		keys, residual := splitEquiJoin(x.Pred, l.Schema(), r.Schema())
-		if len(keys) > 0 {
-			j.Hash = true
-			j.LCols, j.RCols = keyCols(keys)
-			j.Residual = andOrNil(residual)
-		}
-		j.Emit, err = j.emit(l.Schema(), r.Schema(), 0, need, order)
-		return j, err
+		return p.lowerOuterJoin(b, x, nil, need, need, order)
 
 	case *algebra.GroupBy:
 		if len(x.Attrs) == 0 && !x.Global {
@@ -399,39 +410,7 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 			Aggs: x.Aggs, Global: x.Global}, nil
 
 	case *algebra.BinaryGroup:
-		ls, rs := x.L.Schema(), x.R.Schema()
-		ln, _ := need.split(ls.Len())
-		l, err := p.lowerFor(x.L, p.reads(ln, ls, x.Pred), nil)
-		if err != nil {
-			return nil, err
-		}
-		rn := p.aggReads(p.reads(0, rs, x.Pred), rs, x.Aggs)
-		if i := rs.Index(x.Tag); i >= 0 {
-			rn = rn.with(i)
-		}
-		r, err := p.lowerFor(x.R, rn, nil)
-		if err != nil {
-			return nil, err
-		}
-		tagCol := -1
-		if x.Tag != "" {
-			if tagCol = r.Schema().Index(x.Tag); tagCol < 0 {
-				return nil, fmt.Errorf("physical: tag %q not in %s", x.Tag, x.R.Schema())
-			}
-		}
-		emit, err := b.emit(l.Schema(), nil, len(x.Aggs), need, order)
-		if err != nil {
-			return nil, err
-		}
-		bg := &BinaryGroup{base: b, L: l, R: r, Pred: x.Pred, TagCol: tagCol, Aggs: x.Aggs, Emit: emit}
-		if keys, residual := splitEquiJoin(x.Pred, l.Schema(), r.Schema()); len(keys) > 0 && len(residual) == 0 {
-			bg.LCols, bg.RCols = keyCols(keys)
-		} else if lcol, rcol, cop, ok := thetaGroupable(x); ok && tagCol < 0 {
-			return &BinaryGroupSort{base: b, L: l, R: r,
-				LIdx: l.Schema().Index(lcol), RIdx: r.Schema().Index(rcol),
-				Op: cop, Aggs: x.Aggs, Emit: emit}, nil
-		}
-		return bg, nil
+		return p.lowerBinaryGroup(b, x, nil, need, need, order)
 
 	case *algebra.UnionDisjoint:
 		l, r, err := p.lower2(x.L, x.R)
@@ -525,7 +504,7 @@ func (p *Planner) lowerJoin(b base, lop, rop algebra.Op, pred algebra.Expr, mode
 	var emit []int
 	if mode != JoinInner {
 		b.sch = l.Schema()
-	} else if emit, err = b.emit(l.Schema(), r.Schema(), 0, need, order); err != nil {
+	} else if emit, err = b.emit(b.logical, l.Schema(), r.Schema(), 0, need, order); err != nil {
 		return nil, err
 	}
 	keys, residual := splitEquiJoin(pred, l.Schema(), r.Schema())
@@ -537,28 +516,135 @@ func (p *Planner) lowerJoin(b base, lop, rop algebra.Op, pred algebra.Expr, mode
 	return &NLJoin{base: b, L: l, R: r, Mode: mode, Pred: pred, Emit: emit}, nil
 }
 
+// fuse lowers σ(w), or σ(Π(w)), as w with the σ's predicate for its
+// Keep, when w is an outer join or a Γ² only the σ reads — through a Π
+// only it reads — and the predicate holds no nested block (see
+// Planner); it returns nil otherwise. b is the σ's: the node stands for
+// it. w emits what the σ's consumer reads (need, in order), and a Π
+// between orders them when the consumer does not; its inputs provide
+// that and what the predicate reads.
+func (p *Planner) fuse(b base, s *algebra.Select, need colSet, order *storage.Schema) (Node, error) {
+	w, pr := s.Child, (*algebra.Project)(nil)
+	if x, ok := w.(*algebra.Project); ok && !p.memo[x].shared {
+		w, pr = x.Child, x
+	}
+	switch w.(type) {
+	case *algebra.LeftOuterJoin, *algebra.BinaryGroup:
+	default:
+		return nil, nil
+	}
+	if p.memo[w].shared || algebra.HasSubquery(s.Pred) {
+		return nil, nil
+	}
+	if pr != nil && order == nil {
+		order = need.part(pr.Schema())
+	}
+	sch, in := w.Schema(), need
+	if order != nil {
+		in = addNames(0, sch, order.Attrs())
+	}
+	in = p.reads(in, sch, s.Pred).of(sch.Len())
+	var n Node
+	var err error
+	switch x := w.(type) {
+	case *algebra.LeftOuterJoin:
+		n, err = p.lowerOuterJoin(b, x, s.Pred, in, need, order)
+	case *algebra.BinaryGroup:
+		n, err = p.lowerBinaryGroup(b, x, s.Pred, in, need, order)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return n, p.lowerBlocks(w)
+}
+
+// lowerOuterJoin lowers ⟕ as the node b describes, with keep (nil for
+// none) as its fused selection: its inputs for the columns in of its
+// schema, and what it emits for need, in order (see emit).
+func (p *Planner) lowerOuterJoin(b base, x *algebra.LeftOuterJoin, keep algebra.Expr, in, need colSet, order *storage.Schema) (Node, error) {
+	ln, rn := in.split(x.L.Schema().Len())
+	l, r, err := p.lowerPair(x.L, x.R, x.Pred, ln, rn)
+	if err != nil {
+		return nil, err
+	}
+	pad := make([]types.Value, r.Schema().Len())
+	for _, d := range x.Defaults {
+		if i := r.Schema().Index(d.Attr); i >= 0 {
+			pad[i] = d.Val
+		}
+	}
+	j := &OuterJoin{base: b, L: l, R: r, Pred: x.Pred, Pad: pad, Keep: keep}
+	keys, residual := splitEquiJoin(x.Pred, l.Schema(), r.Schema())
+	if len(keys) > 0 {
+		j.Hash = true
+		j.LCols, j.RCols = keyCols(keys)
+		j.Residual = andOrNil(residual)
+	}
+	j.Emit, err = j.emit(x, l.Schema(), r.Schema(), 0, need, order)
+	return j, err
+}
+
+// lowerBinaryGroup lowers Γ² as lowerOuterJoin lowers ⟕. The fused
+// selection sees a left row ◦ its aggregate results.
+func (p *Planner) lowerBinaryGroup(b base, x *algebra.BinaryGroup, keep algebra.Expr, in, need colSet, order *storage.Schema) (Node, error) {
+	ls, rs := x.L.Schema(), x.R.Schema()
+	ln, _ := in.split(ls.Len())
+	l, err := p.lowerFor(x.L, p.reads(ln, ls, x.Pred), nil)
+	if err != nil {
+		return nil, err
+	}
+	rn := p.aggReads(p.reads(0, rs, x.Pred), rs, x.Aggs)
+	if i := rs.Index(x.Tag); i >= 0 {
+		rn = rn.with(i)
+	}
+	r, err := p.lowerFor(x.R, rn, nil)
+	if err != nil {
+		return nil, err
+	}
+	tagCol := -1
+	if x.Tag != "" {
+		if tagCol = r.Schema().Index(x.Tag); tagCol < 0 {
+			return nil, fmt.Errorf("physical: tag %q not in %s", x.Tag, x.R.Schema())
+		}
+	}
+	emit, err := b.emit(x, l.Schema(), nil, len(x.Aggs), need, order)
+	if err != nil {
+		return nil, err
+	}
+	var results *storage.Schema
+	if keep != nil {
+		results = storage.NewSchema(x.Schema().Attrs()[ls.Len():]...)
+	}
+	bg := &BinaryGroup{base: b, L: l, R: r, Pred: x.Pred, TagCol: tagCol, Aggs: x.Aggs,
+		Keep: keep, Results: results, Emit: emit}
+	if keys, residual := splitEquiJoin(x.Pred, l.Schema(), r.Schema()); len(keys) > 0 && len(residual) == 0 {
+		bg.LCols, bg.RCols = keyCols(keys)
+	} else if lcol, rcol, cop, ok := thetaGroupable(x); ok && tagCol < 0 {
+		return &BinaryGroupSort{base: b, L: l, R: r,
+			LIdx: l.Schema().Index(lcol), RIdx: r.Schema().Index(rcol),
+			Op: cop, Aggs: x.Aggs, Keep: keep, Results: results, Emit: emit}, nil
+	}
+	return bg, nil
+}
+
 // emit decides what an operator that writes its own rows emits, and so
-// its schema: the rows are assembled from an l row followed by an r row
+// b's schema: the rows are assembled from an l row followed by an r row
 // or, when r is nil, by the extra columns the operator computes (the
-// last extra of its logical schema). With every column read and no order
-// asked for that is all of them, as they come: a nil list and the logical
-// schema. Otherwise it is the columns of order or, in logical order,
-// those of need, each resolved to its position in l ◦ r.
-func (b *base) emit(l, r *storage.Schema, extra int, need colSet, order *storage.Schema) ([]int, error) {
-	logical := b.logical.Schema()
+// last extra of w's schema). w is the logical operator writing the rows:
+// b's own, or the one below the σ b stands for when the σ is fused into
+// it. With every column read and no order asked for that is all of them,
+// as they come: a nil list and w's schema. Otherwise it is the columns
+// of order or, in w's order, those of need, each resolved to its
+// position in l ◦ r.
+func (b *base) emit(w algebra.Op, l, r *storage.Schema, extra int, need colSet, order *storage.Schema) ([]int, error) {
+	logical := w.Schema()
 	switch {
 	case order != nil:
 		b.sch = order
 	case need == allCols:
 		return nil, nil
 	default:
-		names := make([]string, 0, logical.Len())
-		for i, a := range logical.Attrs() {
-			if need.has(i) {
-				names = append(names, a)
-			}
-		}
-		b.sch = storage.NewSchema(names...)
+		b.sch = need.part(logical)
 	}
 	in := l.Len() + extra
 	if r != nil {

@@ -343,3 +343,104 @@ func TestLowerRejectsStreamOverNonBypass(t *testing.T) {
 		t.Errorf("err = %v, want stream-over-non-bypass rejection", err)
 	}
 }
+
+// fusible builds r ⟕ Γ_{s.b1; g1:COUNT(*)}(s) and the Γ² of r and s on
+// a1 = b1 (the binary grouping sort-based when sorted), the operators a
+// selection fuses into.
+func fusible(t *testing.T, cat *catalog.Catalog) (outer func() algebra.Op, group func(sorted bool) algebra.Op) {
+	r, s := scanOf(t, cat, "r"), scanOf(t, cat, "s")
+	outer = func() algebra.Op {
+		return algebra.NewLeftOuterJoin(r, algebra.NewGroupBy(s, []string{"s.b1"}, countAgg(), false),
+			eq("r.a1", "s.b1"), []algebra.Default{{Attr: "g1", Val: types.NewInt(0)}})
+	}
+	group = func(sorted bool) algebra.Op {
+		pred := eq("r.a1", "s.b1")
+		if sorted {
+			pred = algebra.Cmp(types.LT, algebra.Col("r.a1"), algebra.Col("s.b1"))
+		}
+		return algebra.NewBinaryGroup(r, s, pred, countAgg())
+	}
+	return outer, group
+}
+
+func TestLowerFusesSelections(t *testing.T) {
+	cat := testCat(t)
+	outer, group := fusible(t, cat)
+	link := eq("r.a2", "g1")
+	for _, c := range []struct {
+		name string
+		op   algebra.Op
+		want string
+	}{
+		{"σ over ⟕", algebra.NewSelect(outer(), link),
+			"HashOuterJoin[r.a1=s.b1] σ[(r.a2 = g1)]"},
+		{"Π over σ over ⟕", algebra.NewProject(algebra.NewSelect(outer(), link), []string{"r.a1"}),
+			"HashOuterJoin[r.a1=s.b1] σ[(r.a2 = g1)] → [r.a1] (1 of 4 cols)"},
+		{"σ over Π over Γ²", algebra.NewSelect(algebra.NewProject(group(false), []string{"g1", "r.a2"}), link),
+			"HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] σ[(r.a2 = g1)] → [g1, r.a2] (2 of 3 cols)"},
+		{"σ over sorted Γ²", algebra.NewSelect(group(true), link),
+			"SortBinaryGroup[r.a1 < s.b1][g1:COUNT(*)] σ[(r.a2 = g1)]"},
+	} {
+		n := lower(t, cat, c.op)
+		if n.Label() != c.want {
+			t.Errorf("%s lowered to %s, want %s", c.name, n.Label(), c.want)
+		}
+		// The node stands for the σ: what the executor memoizes on.
+		sel := c.op
+		if p, ok := sel.(*algebra.Project); ok {
+			sel = p.Child
+		}
+		if n.Logical() != sel {
+			t.Errorf("%s: the fused node stands for %s, want the σ", c.name, n.Logical().Label())
+		}
+	}
+}
+
+// TestLowerDoesNotFuse: a σ± (two streams), an operator another consumer
+// reads too, and a predicate holding a nested block stay Filters.
+func TestLowerDoesNotFuse(t *testing.T) {
+	cat := testCat(t)
+	outer, _ := fusible(t, cat)
+	link := eq("r.a2", "g1")
+	bypass := algebra.NewBypassSelect(outer(), link)
+	shared := outer()
+	block := algebra.NewGroupBy(scanOf(t, cat, "s"), nil, countAgg(), true)
+	for name, op := range map[string]algebra.Op{
+		"σ± with two streams": algebra.NewUnionDisjoint(algebra.Pos(bypass), algebra.Neg(bypass)),
+		"a shared ⟕":          algebra.NewUnionAll(algebra.NewSelect(shared, link), shared),
+		"a σ holding a block": algebra.NewSelect(outer(),
+			algebra.Cmp(types.EQ, algebra.Col("g1"), algebra.Subquery(agg.Spec{Kind: agg.Count, Star: true}, nil, block))),
+	} {
+		physical.Walk(lower(t, cat, op), func(n physical.Node) bool {
+			if j, ok := n.(*physical.OuterJoin); ok && j.Keep != nil {
+				t.Errorf("%s: fused into %s", name, j.Label())
+			}
+			return true
+		})
+	}
+}
+
+// TestFusedLabelsAndFingerprints: a fused selection is part of the
+// node's label — its own label up to the first '[' or '(' unchanged, so
+// per-operator reports classify it as before, and " σ[…]" before the emit
+// list — and so of the plan's fingerprint: plans that differ only in the
+// fused predicate never share a result-cache entry.
+func TestFusedLabelsAndFingerprints(t *testing.T) {
+	cat := testCat(t)
+	outer, group := fusible(t, cat)
+	prefix := func(label string) string { return label[:strings.IndexAny(label, "[(")] }
+	for _, w := range []func() algebra.Op{outer, func() algebra.Op { return group(false) }, func() algebra.Op { return group(true) }} {
+		plain := lower(t, cat, w())
+		a := lower(t, cat, algebra.NewProject(algebra.NewSelect(w(), eq("r.a2", "g1")), []string{"r.a1"}))
+		b := lower(t, cat, algebra.NewProject(algebra.NewSelect(w(), algebra.Cmp(types.LT, algebra.Col("r.a2"), algebra.Col("g1"))), []string{"r.a1"}))
+		if prefix(a.Label()) != prefix(plain.Label()) {
+			t.Errorf("fused label %s does not start as %s", a.Label(), plain.Label())
+		}
+		if !strings.Contains(a.Label(), " σ[(r.a2 = g1)] → [r.a1] (1 of ") {
+			t.Errorf("fused label %s lacks σ[…] before its emit list", a.Label())
+		}
+		if physical.Fingerprint(a) == physical.Fingerprint(b) {
+			t.Errorf("%s and %s fingerprint alike", a.Label(), b.Label())
+		}
+	}
+}

@@ -212,6 +212,15 @@ func emitLabel(n Node, emit []int, in int) string {
 	return fmt.Sprintf(" → %s (%d of %d cols)", n.Schema(), len(emit), in)
 }
 
+// keepLabel renders a selection fused into the operator below it (its
+// Keep), after the operator's own label and before its emit list.
+func keepLabel(keep algebra.Expr) string {
+	if keep == nil {
+		return ""
+	}
+	return fmt.Sprintf(" σ[%s]", keep)
+}
+
 // HashJoin joins by building a hash table on the right input's key
 // columns and probing with the left's. Residual holds the non-equality
 // conjuncts re-checked per matched pair (nil when none). Emit lists the
@@ -276,8 +285,11 @@ func (j *NLJoin) Label() string {
 // OuterJoin is the left outer join ⟕ with the paper's g:f(∅) defaults:
 // unmatched left tuples are paired with Pad, a right row of NULLs except
 // the Default attributes. Hash selects the algorithm; hash joins use
-// LCols/RCols/Residual, nested-loop joins use Pred. Emit is as in
-// HashJoin, over l ◦ r and l ◦ Pad alike.
+// LCols/RCols/Residual, nested-loop joins use Pred. Keep is a selection
+// σ the planner fused into the join (nil for none): it is evaluated on
+// each output pair, l ◦ r or l ◦ Pad, and only the pairs it holds TRUE
+// on are written — the node then stands for the σ, its Logical(). Emit
+// is as in HashJoin, over l ◦ r and l ◦ Pad alike.
 type OuterJoin struct {
 	base
 	L, R     Node
@@ -287,6 +299,7 @@ type OuterJoin struct {
 	Residual algebra.Expr
 	Pred     algebra.Expr
 	Pad      []types.Value
+	Keep     algebra.Expr
 	Emit     []int
 }
 
@@ -295,15 +308,15 @@ func (j *OuterJoin) Children() []Node { return []Node{j.L, j.R} }
 
 // Label implements Node.
 func (j *OuterJoin) Label() string {
-	emit := emitLabel(j, j.Emit, pairWidth(j.L, j.R))
+	tail := keepLabel(j.Keep) + emitLabel(j, j.Emit, pairWidth(j.L, j.R))
 	if !j.Hash {
-		return fmt.Sprintf("NLOuterJoin[%s]", j.Pred) + emit
+		return fmt.Sprintf("NLOuterJoin[%s]", j.Pred) + tail
 	}
 	out := fmt.Sprintf("HashOuterJoin[%s]", equiKeys(j.L.Schema(), j.LCols, j.R.Schema(), j.RCols))
 	if j.Residual != nil {
 		out += fmt.Sprintf(" residual[%s]", j.Residual)
 	}
-	return out + emit
+	return out + tail
 }
 
 // Group is the unary grouping operator Γ, hash-based with Identical key
@@ -344,15 +357,17 @@ func binaryGroupAggs(aggs []algebra.AggItem) string {
 // BinaryGroupSort is Γ² over a single column inequality with
 // decomposable aggregates: sort the right side, precompute prefix and
 // suffix aggregates, binary-search per left tuple (May & Moerkotte).
-// Emit is as in BinaryGroup.
+// Keep, Results and Emit are as in BinaryGroup.
 type BinaryGroupSort struct {
 	base
-	L, R Node
-	LIdx int
-	RIdx int
-	Op   types.CompareOp
-	Aggs []algebra.AggItem
-	Emit []int
+	L, R    Node
+	LIdx    int
+	RIdx    int
+	Op      types.CompareOp
+	Aggs    []algebra.AggItem
+	Keep    algebra.Expr
+	Results *storage.Schema
+	Emit    []int
 }
 
 // Children implements Node.
@@ -362,7 +377,7 @@ func (b *BinaryGroupSort) Children() []Node { return []Node{b.L, b.R} }
 func (b *BinaryGroupSort) Label() string {
 	return fmt.Sprintf("SortBinaryGroup[%s %s %s][%s]",
 		b.L.Schema().Attr(b.LIdx), b.Op, b.R.Schema().Attr(b.RIdx),
-		binaryGroupAggs(b.Aggs)) + emitLabel(b, b.Emit, b.L.Schema().Len()+len(b.Aggs))
+		binaryGroupAggs(b.Aggs)) + keepLabel(b.Keep) + emitLabel(b, b.Emit, b.L.Schema().Len()+len(b.Aggs))
 }
 
 // BinaryGroup is Γ² by probing: each left tuple aggregates the right
@@ -371,17 +386,23 @@ func (b *BinaryGroupSort) Label() string {
 // matches) otherwise. With TagCol >= 0 it is Γ² on Pred ∨ tag — Eqv. 5's
 // tagged form: the right tuples whose tag column is TRUE belong to every
 // left tuple's group and are folded once into a shared base, and only
-// the rest are matched. TagCol is -1 when there is no tag. Emit is as in
-// HashJoin, over the left row ◦ the aggregate results.
+// the rest are matched. TagCol is -1 when there is no tag. Keep is a
+// selection σ the planner fused into the Γ² (nil for none): it is
+// evaluated on each left row ◦ its aggregate results, which Results
+// names, and only the rows it holds TRUE on are written — the node then
+// stands for the σ, its Logical(). Emit is as in HashJoin, over the left
+// row ◦ the aggregate results.
 type BinaryGroup struct {
 	base
-	L, R   Node
-	Pred   algebra.Expr
-	TagCol int
-	LCols  []int
-	RCols  []int
-	Aggs   []algebra.AggItem
-	Emit   []int
+	L, R    Node
+	Pred    algebra.Expr
+	TagCol  int
+	LCols   []int
+	RCols   []int
+	Aggs    []algebra.AggItem
+	Keep    algebra.Expr
+	Results *storage.Schema
+	Emit    []int
 }
 
 // Children implements Node.
@@ -405,7 +426,7 @@ func (b *BinaryGroup) Label() string {
 		out = fmt.Sprintf("HashBinaryGroup[%s][%s]",
 			equiKeys(b.L.Schema(), b.LCols, b.R.Schema(), b.RCols), binaryGroupAggs(b.Aggs))
 	}
-	return out + emitLabel(b, b.Emit, b.L.Schema().Len()+len(b.Aggs))
+	return out + keepLabel(b.Keep) + emitLabel(b, b.Emit, b.L.Schema().Len()+len(b.Aggs))
 }
 
 // Union concatenates two inputs with equal schemas. Disjoint records

@@ -70,6 +70,11 @@ test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -pa
 # Γ folds each group once, in input order, in key partitions: no forced
 # per-morsel chunking and no merge of per-morsel accumulators comes back.
 test -z "$(grep -nE 'forceChunks|Merge\(' $(ls internal/exec/*.go internal/agg/*.go | grep -v _test.go))"
+# The linking selection of an unnested plan runs inside the outer join
+# below it: Fig. 7's Q1 shows the predicate on the join, not a Filter.
+q1plan=$(go run ./cmd/disqo -rst 0.05 -explain -e 'SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > 1500')
+echo "$q1plan" | grep -qF 'σ[(r.a1 = g1)]'
+test -z "$(echo "$q1plan" | grep -F 'Filter[(r.a1 = g1)]')"
 go test ./...
 go vet ./...
 go test -race ./...

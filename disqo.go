@@ -22,7 +22,7 @@
 //	Canonical  — nested-loop evaluation of the canonical plan
 //	S1         — canonical without any caching (slowest baseline)
 //	S2         — OR-expansion + conjunctive unnesting only
-//	S3         — canonical with rank-ordered predicate short-circuiting
+//	S3         — canonical with cost-ordered predicate short-circuiting
 //	CostBased  — estimate canonical vs. reordered vs. unnested, run the cheapest
 package disqo
 
@@ -93,8 +93,9 @@ const (
 	// S2 models a system with OR-expansion and conjunctive unnesting but
 	// no disjunctive unnesting.
 	S2 Strategy = "s2"
-	// S3 models a system that reorders disjuncts by rank (cheap
-	// predicate first) but cannot decorrelate.
+	// S3 models a system that orders predicate operands for
+	// short-circuiting (stats.Estimator.Order: the cheap, deciding
+	// disjunct first) but cannot decorrelate.
 	S3 Strategy = "s3"
 	// CostBased estimates the cost of the canonical, reordered and
 	// unnested plans and executes the cheapest — the cost-based

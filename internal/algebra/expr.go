@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"disqo/internal/agg"
+	"disqo/internal/storage"
 	"disqo/internal/types"
 )
 
@@ -350,4 +351,34 @@ func SplitDisjuncts(e Expr) []Expr {
 		return append(SplitDisjuncts(o.L), SplitDisjuncts(o.R)...)
 	}
 	return []Expr{e}
+}
+
+// EquiKeys splits a predicate over two inputs, of schemas ls and rs, into
+// the conjuncts a hash can key on — an ls column = an rs column, either
+// way round — given as the key columns' positions in each input, and the
+// residual conjuncts still to evaluate per matched pair. A join or ⟕
+// hashes when there are keys, a Γ² only when no residual is left; the
+// physical planner and the cost model both decide it here.
+func EquiKeys(pred Expr, ls, rs *storage.Schema) (lcols, rcols []int, residual []Expr) {
+	if pred == nil {
+		return nil, nil, nil
+	}
+	for _, c := range SplitConjuncts(pred) {
+		if cmp, ok := c.(*CmpExpr); ok && cmp.Op == types.EQ {
+			lc, lok := cmp.L.(*ColRef)
+			rc, rok := cmp.R.(*ColRef)
+			if lok && rok {
+				li, ri := ls.Index(lc.Name), rs.Index(rc.Name)
+				if li < 0 || ri < 0 {
+					li, ri = ls.Index(rc.Name), rs.Index(lc.Name)
+				}
+				if li >= 0 && ri >= 0 {
+					lcols, rcols = append(lcols, li), append(rcols, ri)
+					continue
+				}
+			}
+		}
+		residual = append(residual, c)
+	}
+	return lcols, rcols, residual
 }

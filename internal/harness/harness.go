@@ -465,6 +465,17 @@ func Quantified(cfg Config, progress func(string)) (*Table, error) {
 	return runEqualSweep("quant", "EXISTS in disjunction (quantified subqueries)", QuantExists, 1, cfg, progress)
 }
 
+// Ablation quantifies cost-based application, the design decision
+// DESIGN.md calls out: the optimizer should decline unnesting where the
+// rewrite is estimated slower than canonical. On Q2 it sets canonical
+// (nested-loop evaluation) and unnested (Eqv. 5, the one rule for
+// disjunctive correlation) beside the CostBased strategy, which runs
+// the cheapest by estimate of those two and the reordered plan.
+func Ablation(cfg Config, progress func(string)) (*Table, error) {
+	cfg.Strategies = []disqo.Strategy{disqo.Canonical, disqo.Unnested, disqo.CostBased}
+	return runEqualSweep("ablation", "Q2 ablation: canonical vs unnested vs cost-based", Q2, 1, cfg, progress)
+}
+
 // WorkerSweep measures morsel-parallel scaling: the unnested strategy
 // on Q1 at the largest RST grid point (10×10, scaled by RSTScale), once
 // per worker count. Each run's result set must be byte-identical to the

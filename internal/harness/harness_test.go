@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"disqo"
-	"disqo/internal/catalog"
-	"disqo/internal/datagen"
 	"disqo/internal/testutil"
 )
 
@@ -194,19 +192,19 @@ func TestAblationRuns(t *testing.T) {
 // under a budget four hundred times smaller and agrees with (unbudgeted)
 // canonical evaluation.
 func TestForcedEqv5FitsTheBudget(t *testing.T) {
-	cat := catalog.New()
-	if err := datagen.LoadRST(cat, datagen.RSTConfig{SFR: 1, SFS: 1, SFT: 1}); err != nil {
+	db, _ := disqo.Open(disqo.WithoutCache())
+	if err := db.LoadRST(1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Timeout: time.Minute, MaxTuples: 50_000}
-	unnested := measureVariant(cat, Q2, "unnested", cfg)
+	cfg := Config{Timeout: time.Minute, MaxTuples: 50_000}.withDefaults()
+	unnested := measure(db, Q2, disqo.Unnested, cfg)
 	if unnested.Err != nil || unnested.OverMem || unnested.TimedOut {
 		t.Fatalf("Eqv. 5 under a %d-tuple budget: %+v", cfg.MaxTuples, unnested)
 	}
 	if testutil.RaceEnabled {
 		return // canonical nested loops over 10⁸ pairs take most of a minute under -race
 	}
-	if canonical := measureVariant(cat, Q2, "canonical", Config{Timeout: time.Minute}); canonical.Err != nil || canonical.Rows != unnested.Rows {
+	if canonical := measure(db, Q2, disqo.Canonical, Config{Timeout: time.Minute}.withDefaults()); canonical.Err != nil || canonical.Rows != unnested.Rows {
 		t.Errorf("canonical returns %+v, unnested %d rows", canonical, unnested.Rows)
 	}
 }

@@ -122,10 +122,52 @@ Distinct  (est 0 rows)
 `
 
 // Fig. 2(d): the same query under statistics that make r.a4 > 1500
-// unselective (every a4 exceeds 1500), flipping the rank order: the
-// subquery disjunct is unnested and bypassed first and the simple
-// predicate filters only the negative stream — Eqv. 3's ordering.
+// decide no row (no a4 exceeds 1500), flipping the order: the subquery
+// disjunct accepts more rows per unit of cost, so it is unnested and
+// bypassed first and the simple predicate filters only the negative
+// stream — Eqv. 3's ordering.
 func TestGoldenPhysicalFig2dQ1SubqueryFirst(t *testing.T) {
+	all := rewrite.AllCaps()
+	physGolden(t, smallRST(t, 1000), goldenQ1, &all, `
+Distinct  (est 1 rows)
+  UnionDisjoint  (est 1 rows)
+    Project[r.a1, r.a2, r.a3, r.a4]  (est 1 rows)
+      Stream+  (est 1 rows)
+        #1 Filter±[(r.a1 = g1)]  (est 4 rows)
+          HashOuterJoin[r.a2=s.b2] → [r.a1, r.a2, r.a3, r.a4, g1] (5 of 6 cols)  (est 4 rows)
+            Scan(r)  (est 4 rows)
+            HashGroup[[s.b2]][g1:COUNT(DISTINCT *)]  (est 4 rows)
+              Scan(s)  (est 4 rows)
+    Project[r.a1, r.a2, r.a3, r.a4]  (est 0 rows)
+      Filter[(r.a4 > 1500)]  (est 0 rows)
+        Stream-  (est 3 rows)
+          ↑ see #1 Filter±[(r.a1 = g1)]
+`)
+}
+
+// The opposite statistics keep Eqv. 2: when every a4 exceeds 1500 the
+// simple predicate decides every row, so it is bypassed first and the
+// unnested subquery runs on an empty negative stream.
+func TestGoldenPhysicalQ1DecidingComparisonFirst(t *testing.T) {
+	all := rewrite.AllCaps()
+	physGolden(t, smallRST(t, 2000), goldenQ1, &all, `
+Distinct  (est 4 rows)
+  UnionDisjoint  (est 4 rows)
+    Stream+  (est 4 rows)
+      #1 Filter±[(r.a4 > 1500)]  (est 4 rows)
+        Scan(r)  (est 4 rows)
+    HashOuterJoin[r.a2=s.b2] σ[(r.a1 = g1)] → [r.a1, r.a2, r.a3, r.a4] (4 of 6 cols)  (est 0 rows)
+      Stream-  (est 0 rows)
+        ↑ see #1 Filter±[(r.a4 > 1500)]
+      HashGroup[[s.b2]][g1:COUNT(DISTINCT *)]  (est 4 rows)
+        Scan(s)  (est 4 rows)
+`)
+}
+
+// smallRST is emptyRST with four rows in r and in s; r.a4 runs from
+// a4 up.
+func smallRST(t *testing.T, a4 int64) *catalog.Catalog {
+	t.Helper()
 	cat := emptyRST(t)
 	r, err := cat.Lookup("r")
 	if err != nil {
@@ -137,7 +179,7 @@ func TestGoldenPhysicalFig2dQ1SubqueryFirst(t *testing.T) {
 	}
 	for i := int64(0); i < 4; i++ {
 		if err := r.Insert([]types.Value{
-			types.NewInt(i), types.NewInt(i * 10), types.NewInt(i), types.NewInt(2000 + i)}); err != nil {
+			types.NewInt(i), types.NewInt(i * 10), types.NewInt(i), types.NewInt(a4 + i)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Insert([]types.Value{
@@ -145,22 +187,7 @@ func TestGoldenPhysicalFig2dQ1SubqueryFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all := rewrite.AllCaps()
-	physGolden(t, cat, goldenQ1, &all, `
-Distinct  (est 4 rows)
-  UnionDisjoint  (est 4 rows)
-    Project[r.a1, r.a2, r.a3, r.a4]  (est 1 rows)
-      Stream+  (est 1 rows)
-        #1 Filter±[(r.a1 = g1)]  (est 4 rows)
-          HashOuterJoin[r.a2=s.b2] → [r.a1, r.a2, r.a3, r.a4, g1] (5 of 6 cols)  (est 4 rows)
-            Scan(r)  (est 4 rows)
-            HashGroup[[s.b2]][g1:COUNT(DISTINCT *)]  (est 4 rows)
-              Scan(s)  (est 4 rows)
-    Project[r.a1, r.a2, r.a3, r.a4]  (est 3 rows)
-      Filter[(r.a4 > 1500)]  (est 3 rows)
-        Stream-  (est 3 rows)
-          ↑ see #1 Filter±[(r.a1 = g1)]
-`)
+	return cat
 }
 
 // Fig. 3(a): canonical Q2 — the disjunctively correlated subquery stays

@@ -507,9 +507,7 @@ func (p *Planner) lowerJoin(b base, lop, rop algebra.Op, pred algebra.Expr, mode
 	} else if emit, err = b.emit(b.logical, l.Schema(), r.Schema(), 0, need, order); err != nil {
 		return nil, err
 	}
-	keys, residual := splitEquiJoin(pred, l.Schema(), r.Schema())
-	if len(keys) > 0 {
-		lc, rc := keyCols(keys)
+	if lc, rc, residual := algebra.EquiKeys(pred, l.Schema(), r.Schema()); len(lc) > 0 {
 		return &HashJoin{base: b, L: l, R: r, Mode: mode,
 			LCols: lc, RCols: rc, Residual: andOrNil(residual), Emit: emit}, nil
 	}
@@ -574,11 +572,8 @@ func (p *Planner) lowerOuterJoin(b base, x *algebra.LeftOuterJoin, keep algebra.
 		}
 	}
 	j := &OuterJoin{base: b, L: l, R: r, Pred: x.Pred, Pad: pad, Keep: keep}
-	keys, residual := splitEquiJoin(x.Pred, l.Schema(), r.Schema())
-	if len(keys) > 0 {
-		j.Hash = true
-		j.LCols, j.RCols = keyCols(keys)
-		j.Residual = andOrNil(residual)
+	if lc, rc, residual := algebra.EquiKeys(x.Pred, l.Schema(), r.Schema()); len(lc) > 0 {
+		j.Hash, j.LCols, j.RCols, j.Residual = true, lc, rc, andOrNil(residual)
 	}
 	j.Emit, err = j.emit(x, l.Schema(), r.Schema(), 0, need, order)
 	return j, err
@@ -617,8 +612,8 @@ func (p *Planner) lowerBinaryGroup(b base, x *algebra.BinaryGroup, keep algebra.
 	}
 	bg := &BinaryGroup{base: b, L: l, R: r, Pred: x.Pred, TagCol: tagCol, Aggs: x.Aggs,
 		Keep: keep, Results: results, Emit: emit}
-	if keys, residual := splitEquiJoin(x.Pred, l.Schema(), r.Schema()); len(keys) > 0 && len(residual) == 0 {
-		bg.LCols, bg.RCols = keyCols(keys)
+	if lc, rc, residual := algebra.EquiKeys(x.Pred, l.Schema(), r.Schema()); len(lc) > 0 && len(residual) == 0 {
+		bg.LCols, bg.RCols = lc, rc
 	} else if lcol, rcol, cop, ok := thetaGroupable(x); ok && tagCol < 0 {
 		return &BinaryGroupSort{base: b, L: l, R: r,
 			LIdx: l.Schema().Index(lcol), RIdx: r.Schema().Index(rcol),
@@ -672,50 +667,6 @@ func (b *base) emit(w algebra.Op, l, r *storage.Schema, extra int, need colSet, 
 		return nil, nil
 	}
 	return emit, nil
-}
-
-// equiKey is one equality conjunct usable for hashing: positions of the
-// key columns in the left and right schemas.
-type equiKey struct {
-	l, r int
-}
-
-// splitEquiJoin extracts hashable equality conjuncts (L-column =
-// R-column) from a join predicate, returning the keys and the residual
-// conjuncts that must still be evaluated per matched pair.
-func splitEquiJoin(pred algebra.Expr, ls, rs *storage.Schema) (keys []equiKey, residual []algebra.Expr) {
-	if pred == nil {
-		return nil, nil
-	}
-	for _, c := range algebra.SplitConjuncts(pred) {
-		cmp, ok := c.(*algebra.CmpExpr)
-		if ok && cmp.Op == types.EQ {
-			lc, lok := cmp.L.(*algebra.ColRef)
-			rc, rok := cmp.R.(*algebra.ColRef)
-			if lok && rok {
-				if li, ri := ls.Index(lc.Name), rs.Index(rc.Name); li >= 0 && ri >= 0 {
-					keys = append(keys, equiKey{l: li, r: ri})
-					continue
-				}
-				if li, ri := ls.Index(rc.Name), rs.Index(lc.Name); li >= 0 && ri >= 0 {
-					keys = append(keys, equiKey{l: li, r: ri})
-					continue
-				}
-			}
-		}
-		residual = append(residual, c)
-	}
-	return keys, residual
-}
-
-func keyCols(keys []equiKey) (lcols, rcols []int) {
-	lcols = make([]int, len(keys))
-	rcols = make([]int, len(keys))
-	for i, k := range keys {
-		lcols[i] = k.l
-		rcols[i] = k.r
-	}
-	return lcols, rcols
 }
 
 func andOrNil(conjuncts []algebra.Expr) algebra.Expr {

@@ -1,11 +1,6 @@
 package physical
 
-import (
-	"sort"
-
-	"disqo/internal/algebra"
-	"disqo/internal/vec"
-)
+import "disqo/internal/vec"
 
 // Program selection: after lowering each node the planner compiles the
 // node's expressions into columnar programs (internal/vec) where they
@@ -25,13 +20,14 @@ import (
 //	Everything else: no.
 //
 // Before compiling a predicate the planner orders every AND/OR operand
-// list by the estimator's Slagle rank — conjuncts ascending by
-// (selectivity−1)/cost, disjuncts by the dual (descending
-// selectivity/cost) — the BestD discipline for disjunctive predicates:
-// the vectorized OR evaluates its cheapest, highest-yield disjunct
-// first and each later disjunct only over the rows still undecided.
-// The reordering lives only in the compiled program; Pred and the plan
-// labels are untouched, so EXPLAIN output and golden plans are stable.
+// list by stats.Estimator.Order — descending by the share of rows an
+// operand decides per unit of cost, (1−sel)/cost for conjuncts and
+// sel/cost for disjuncts — the BestD discipline for disjunctive
+// predicates: the vectorized OR evaluates its cheapest, highest-yield
+// disjunct first and each later disjunct only over the rows still
+// undecided. The reordering lives only in the compiled program; Pred
+// and the plan labels are untouched, so EXPLAIN output and golden plans
+// are stable.
 
 // vectorize annotates one freshly lowered node with its compiled
 // columnar programs. Compile failures are not errors — they mean
@@ -39,11 +35,11 @@ import (
 func (p *Planner) vectorize(n Node) {
 	switch x := n.(type) {
 	case *Filter:
-		if pr, err := vec.CompilePred(p.orderPred(x.Pred, x.Child.Logical()), x.Child.Schema()); err == nil {
+		if pr, err := vec.CompilePred(p.est.Order(x.Pred, x.Child.Logical()), x.Child.Schema()); err == nil {
 			x.VecPred = pr
 		}
 	case *BypassFilter:
-		if pr, err := vec.CompilePred(p.orderPred(x.Pred, x.Child.Logical()), x.Child.Schema()); err == nil {
+		if pr, err := vec.CompilePred(p.est.Order(x.Pred, x.Child.Logical()), x.Child.Schema()); err == nil {
 			x.VecPred = pr
 		}
 	case *Map:
@@ -51,53 +47,6 @@ func (p *Planner) vectorize(n Node) {
 			x.VecExpr = sc
 		}
 	}
-}
-
-// orderPred returns pred with every AND/OR operand list re-ranked by
-// estimated cost-effectiveness (stable, so equal ranks keep source
-// order and plans stay deterministic). input is the logical operator
-// producing the predicate's input, which grounds the estimator's
-// selectivities.
-func (p *Planner) orderPred(pred algebra.Expr, input algebra.Op) algebra.Expr {
-	switch x := pred.(type) {
-	case *algebra.AndExpr:
-		parts := p.orderParts(algebra.SplitConjuncts(x), input)
-		// Conjuncts ascending by Slagle rank (sel−1)/cost: the most
-		// selective-per-unit-cost term first eliminates the most rows.
-		sort.SliceStable(parts, func(i, j int) bool {
-			return p.est.Rank(parts[i], input) < p.est.Rank(parts[j], input)
-		})
-		return algebra.And(parts...)
-	case *algebra.OrExpr:
-		parts := p.orderParts(algebra.SplitDisjuncts(x), input)
-		// Disjuncts by the dual rank, descending selectivity/cost: the
-		// term that decides the most rows per unit cost runs first and
-		// shrinks the undecided set for the expensive tail (BestD).
-		sort.SliceStable(parts, func(i, j int) bool {
-			return p.disjunctGain(parts[i], input) > p.disjunctGain(parts[j], input)
-		})
-		return algebra.Or(parts...)
-	case *algebra.NotExpr:
-		return algebra.Not(p.orderPred(x.E, input))
-	case *algebra.IsTrueExpr:
-		return algebra.IsTrue(p.orderPred(x.E, input))
-	default:
-		return pred
-	}
-}
-
-func (p *Planner) orderParts(parts []algebra.Expr, input algebra.Op) []algebra.Expr {
-	out := make([]algebra.Expr, len(parts))
-	for i, e := range parts {
-		out[i] = p.orderPred(e, input)
-	}
-	return out
-}
-
-// disjunctGain is the OR dual of the Slagle rank: rows decided (TRUE)
-// per unit of predicate cost.
-func (p *Planner) disjunctGain(e algebra.Expr, input algebra.Op) float64 {
-	return p.est.Selectivity(e, input) / p.est.PredCost(e)
 }
 
 // Vectorizable reports whether the node runs without the expression

@@ -6,6 +6,7 @@ import (
 
 	"disqo/internal/algebra"
 	"disqo/internal/sqlparser"
+	"disqo/internal/stats"
 	"disqo/internal/testutil"
 	"disqo/internal/translate"
 )
@@ -68,27 +69,27 @@ func TestRewriteReturnsSubqueryFreePlanItself(t *testing.T) {
 
 func TestReordererReturnsRankOrderedPlanItself(t *testing.T) {
 	cat := rstCatalog(t)
-	// The cheap comparison already precedes the subquery, inside the
-	// nested block as well: nothing is out of rank order.
+	// The cheap comparison already precedes the subquery, and inside the
+	// nested block the disjunct that accepts more rows at the same cost
+	// comes first: nothing is out of order.
 	canonical, _, _ := planFor(t, cat, `SELECT DISTINCT * FROM r
-		WHERE a4 > 1500 OR a1 = (SELECT COUNT(*) FROM s WHERE b4 > 1500 OR a2 = b2)`, Caps{})
-	ro := NewReorderer(cat)
-	out, err := ro.Rewrite(canonical)
+		WHERE a4 > 1500 OR a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500)`, Caps{})
+	out, n, err := Reorder(canonical, stats.New(cat))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ro.Applied != 0 || out != canonical {
-		t.Errorf("Applied = %d, same plan = %v; want an untouched plan back", ro.Applied, out == canonical)
+	if n != 0 || out != canonical {
+		t.Errorf("reordered %d, same plan = %v; want an untouched plan back", n, out == canonical)
 	}
 	// And the other way round it does reorder, sharing what it left alone.
 	canonical, _, _ = planFor(t, cat, `SELECT DISTINCT * FROM r
 		WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2) OR a4 > 1500`, Caps{})
-	out, err = NewReorderer(cat).Rewrite(canonical)
+	out, n, err = Reorder(canonical, stats.New(cat))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out == canonical || algebra.Explain(out) == algebra.Explain(canonical) {
-		t.Errorf("subquery-first disjunction was not reordered:\n%s", algebra.Explain(out))
+	if n != 1 || out == canonical || algebra.Explain(out) == algebra.Explain(canonical) {
+		t.Errorf("subquery-first disjunction was not reordered (%d):\n%s", n, algebra.Explain(out))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"disqo/internal/algebra"
 	"disqo/internal/catalog"
 	"disqo/internal/exec"
+	"disqo/internal/stats"
 	"disqo/internal/storage"
 	"disqo/internal/translate"
 	"disqo/internal/types"
@@ -193,7 +194,7 @@ func TestTwoValuedTranslationIsExact(t *testing.T) {
 }
 
 // TestReorderPreservesThreeValuedSemantics does the same for the S3
-// baseline's rank reordering: commuting AND/OR operands must not change
+// baseline's reordering (stats.Estimator.Order): commuting AND/OR operands must not change
 // Kleene truth values.
 func TestReorderPreservesThreeValuedSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -201,7 +202,7 @@ func TestReorderPreservesThreeValuedSemantics(t *testing.T) {
 	schema := storage.NewSchema(cols...)
 	cat := catalog.New()
 	ex := exec.New(cat, exec.Options{})
-	ro := NewReorderer(cat)
+	est := stats.New(cat)
 
 	leaf := func() algebra.Expr {
 		return algebra.Cmp(types.CompareOp(rng.Intn(6)),
@@ -209,7 +210,7 @@ func TestReorderPreservesThreeValuedSemantics(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		pred := algebra.Or(algebra.And(leaf(), leaf()), leaf(), algebra.And(leaf(), algebra.Or(leaf(), leaf())))
-		reordered := ro.reorderExpr(pred, nil)
+		reordered := est.Order(pred, nil)
 		for tup := 0; tup < 6; tup++ {
 			row := []types.Value{types.NewInt(int64(rng.Intn(3))), types.Null()}
 			if rng.Intn(2) == 0 {

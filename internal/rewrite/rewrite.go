@@ -14,8 +14,9 @@
 // tagged Γ² folds each correlation key's group once, which is what
 // Eqv. 4's pre-aggregation bought, for every aggregate.
 //
-// The rewriter chooses between 2 and 3 by predicate rank, recurses for
-// linear and tree nesting structures, and translates the technical
+// The rewriter chooses between 2 and 3 by stats.Estimator.OrderDisjuncts
+// (the paper's predicate rank applied to the negated disjunct), recurses
+// for linear and tree nesting structures, and translates the technical
 // report's quantified subqueries (EXISTS/NOT EXISTS/IN/NOT IN) into
 // count-based linking predicates so the same machinery covers them.
 package rewrite

@@ -1,8 +1,6 @@
 package rewrite
 
 import (
-	"sort"
-
 	"disqo/internal/algebra"
 	"disqo/internal/types"
 )
@@ -134,33 +132,23 @@ func (rw *Rewriter) unnestDisjunction(base algebra.Op, disjuncts []algebra.Expr,
 }
 
 // cascade implements the generalized Eqv. 2/3 bypass chain: disjuncts are
-// ordered by rank; each non-final disjunct becomes a bypass selection
-// whose positive stream contributes to the result and whose negative
-// stream feeds the rest of the chain. Subquery disjuncts are unnested
-// against the current stream before their bypass (which is exactly
-// Eqv. 3 when such a disjunct comes first, and Eqv. 2 when a cheap simple
-// predicate precedes it).
+// ordered by stats.Estimator.OrderDisjuncts; each non-final disjunct
+// becomes a bypass selection whose positive stream contributes to the
+// result and whose negative stream feeds the rest of the chain. Subquery
+// disjuncts are unnested against the current stream before their bypass
+// (which is exactly Eqv. 3 when such a disjunct comes first, and Eqv. 2
+// when a cheap simple predicate precedes it).
 func (rw *Rewriter) cascade(base algebra.Op, disjuncts []algebra.Expr, outAttrs []string) (algebra.Op, bool, error) {
-	type ranked struct {
-		d    algebra.Expr
-		rank float64
-	}
-	rs := make([]ranked, len(disjuncts))
-	for i, d := range disjuncts {
-		rs[i] = ranked{d: d, rank: rw.est.Rank(d, base)}
-	}
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].rank < rs[j].rank })
-
+	rw.est.OrderDisjuncts(disjuncts, base)
 	cur := base
-	branches := make([]algebra.Op, 0, len(rs))
+	branches := make([]algebra.Op, 0, len(disjuncts))
 	anyUnnested := false
-	for i, r := range rs {
-		d := r.d
+	for i, d := range disjuncts {
 		cur2 := cur
 		if algebra.HasSubquery(d) {
 			var err error
 			var ok bool
-			d, cur2, ok, err = rw.unnestDisjunct(r.d, cur)
+			d, cur2, ok, err = rw.unnestDisjunct(d, cur)
 			if err != nil {
 				return nil, false, err
 			}
@@ -168,7 +156,7 @@ func (rw *Rewriter) cascade(base algebra.Op, disjuncts []algebra.Expr, outAttrs 
 				anyUnnested = true
 			}
 		}
-		if i == len(rs)-1 {
+		if i == len(disjuncts)-1 {
 			branch := algebra.Op(algebra.NewSelect(cur2, d))
 			branches = append(branches, projectTo(branch, outAttrs))
 			continue
@@ -182,7 +170,7 @@ func (rw *Rewriter) cascade(base algebra.Op, disjuncts []algebra.Expr, outAttrs 
 		// here; leave the plan canonical.
 		return nil, false, nil
 	}
-	rw.trace("bypass cascade over %d disjuncts (Eqv. 2/3 by rank)", len(rs))
+	rw.trace("bypass cascade over %d disjuncts (Eqv. 2/3 by rank)", len(disjuncts))
 	out := branches[0]
 	for _, b := range branches[1:] {
 		out = algebra.NewUnionDisjoint(out, b)

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"disqo/internal/algebra"
-	"disqo/internal/types"
 )
 
 // PlanCost estimates the total work of evaluating a plan once, in
@@ -61,7 +60,8 @@ func (e *Estimator) nodeCost(op algebra.Op) float64 {
 		return e.Cardinality(x.Child) * float64(1+len(x.Aggs))
 	case *algebra.BinaryGroup:
 		l, r := e.Cardinality(x.L), e.Cardinality(x.R)
-		hashable := hashableEquality(x.Pred, x)
+		lc, _, residual := algebra.EquiKeys(x.Pred, x.L.Schema(), x.R.Schema())
+		hashable := len(lc) > 0 && len(residual) == 0
 		switch {
 		case x.Tag != "" && hashable:
 			// Tagged Eqv. 5: the tagged tuples fold once; each outer
@@ -96,57 +96,9 @@ func (e *Estimator) nodeCost(op algebra.Op) float64 {
 // loops otherwise.
 func (e *Estimator) joinCost(l, r algebra.Op, pred algebra.Expr) float64 {
 	lc, rc := e.Cardinality(l), e.Cardinality(r)
-	if hashableBetween(pred, l, r) {
+	if keys, _, _ := algebra.EquiKeys(pred, l.Schema(), r.Schema()); len(keys) > 0 {
 		out := lc * rc * e.Selectivity(pred, nil)
 		return lc + rc + out
 	}
 	return lc * rc * (e.PredCost(pred) + 1)
-}
-
-// hashableBetween reports whether the predicate contains an equality
-// between a column of each input.
-func hashableBetween(pred algebra.Expr, l, r algebra.Op) bool {
-	if pred == nil {
-		return false
-	}
-	for _, c := range algebra.SplitConjuncts(pred) {
-		cmp, ok := c.(*algebra.CmpExpr)
-		if !ok || cmp.Op != types.EQ {
-			continue
-		}
-		a, aok := cmp.L.(*algebra.ColRef)
-		b, bok := cmp.R.(*algebra.ColRef)
-		if !aok || !bok {
-			continue
-		}
-		if (l.Schema().Has(a.Name) && r.Schema().Has(b.Name)) ||
-			(l.Schema().Has(b.Name) && r.Schema().Has(a.Name)) {
-			return true
-		}
-	}
-	return false
-}
-
-// hashableEquality reports whether a binary grouping can hash: every
-// conjunct is an L-col = R-col equality.
-func hashableEquality(pred algebra.Expr, bg *algebra.BinaryGroup) bool {
-	if pred == nil {
-		return false
-	}
-	for _, c := range algebra.SplitConjuncts(pred) {
-		cmp, ok := c.(*algebra.CmpExpr)
-		if !ok || cmp.Op != types.EQ {
-			return false
-		}
-		a, aok := cmp.L.(*algebra.ColRef)
-		b, bok := cmp.R.(*algebra.ColRef)
-		if !aok || !bok {
-			return false
-		}
-		if !((bg.L.Schema().Has(a.Name) && bg.R.Schema().Has(b.Name)) ||
-			(bg.L.Schema().Has(b.Name) && bg.R.Schema().Has(a.Name))) {
-			return false
-		}
-	}
-	return true
 }

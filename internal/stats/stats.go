@@ -1,12 +1,10 @@
 // Package stats implements the cardinality, selectivity and cost
-// estimation the rewriter's cost-based decisions rely on — most
-// importantly the predicate *rank* (Slagle [26]) the paper uses to decide
-// whether Equivalence 2 (cheap predicate first) or Equivalence 3
-// (unnested subquery first) orders a bypass cascade:
-//
-//	rank(p) = (selectivity(p) − 1) / cost(p),
-//
-// evaluated lowest-rank-first.
+// estimation the optimizer's cost-based decisions rely on, and the one
+// rule that orders a predicate's operands (Order): descending by the
+// share of rows an operand decides per unit of its cost. For a bypass
+// cascade that is the paper's predicate rank (Slagle [26]) applied to
+// the negated disjunct, and it decides whether Equivalence 2 (cheap
+// predicate first) or Equivalence 3 (unnested subquery first) applies.
 package stats
 
 import (
@@ -360,14 +358,4 @@ func (e *Estimator) planWork(op algebra.Op) float64 {
 		total += e.planWork(in)
 	}
 	return total
-}
-
-// Rank computes Slagle's rank (sel−1)/cost; predicates are evaluated in
-// ascending rank order. Cheap, selective predicates rank lowest.
-func (e *Estimator) Rank(pred algebra.Expr, input algebra.Op) float64 {
-	cost := e.PredCost(pred)
-	if cost <= 0 {
-		cost = 0.01
-	}
-	return (e.Selectivity(pred, input) - 1) / cost
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"disqo/internal/agg"
@@ -115,9 +116,10 @@ func TestPredCostOrdersSubqueriesLast(t *testing.T) {
 	if e.PredCost(simple) >= e.PredCost(sub) {
 		t.Errorf("subquery must cost more: %g vs %g", e.PredCost(simple), e.PredCost(sub))
 	}
-	if e.Rank(simple, r) >= e.Rank(sub, r) {
-		t.Errorf("rank(simple)=%g must be below rank(sub)=%g",
-			e.Rank(simple, r), e.Rank(sub, r))
+	for _, pred := range []algebra.Expr{algebra.Or(sub, simple), algebra.And(sub, simple)} {
+		if got := e.Order(pred, r).String(); !strings.HasPrefix(got, "("+simple.String()) {
+			t.Errorf("Order(%s) = %s; want the simple comparison first", pred, got)
+		}
 	}
 }
 

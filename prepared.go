@@ -185,14 +185,13 @@ func optimize(src catalog.Reader, est *stats.Estimator, canonical algebra.Op, st
 		}
 		return plan, rw.Trace, nil
 	case S3:
-		ro := rewrite.NewReorderer(src)
-		plan, err := ro.Rewrite(canonical)
+		plan, n, err := rewrite.Reorder(canonical, est)
 		if err != nil {
 			return nil, nil, err
 		}
 		var trace []string
-		if ro.Applied > 0 {
-			trace = []string{fmt.Sprintf("reordered %d predicates by rank", ro.Applied)}
+		if n > 0 {
+			trace = []string{fmt.Sprintf("reordered %d predicates by rank", n)}
 		}
 		return plan, trace, nil
 	case Canonical, S1:
@@ -205,7 +204,7 @@ func optimize(src catalog.Reader, est *stats.Estimator, canonical algebra.Op, st
 }
 
 // costBased compares the estimated cost of the canonical plan, the
-// rank-reordered plan, and the fully unnested plan, and returns the
+// reordered plan (S3), and the fully unnested plan, and returns the
 // cheapest; only the unnested candidate brings a trace of its own.
 func costBased(src catalog.Reader, est *stats.Estimator, canonical algebra.Op) (algebra.Op, []string, error) {
 	unnested, trace, err := optimize(src, est, canonical, Unnested)

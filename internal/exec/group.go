@@ -17,10 +17,11 @@ type aggInputs struct {
 	// the DISTINCT that means nothing (MIN, MAX) or that Γ applies itself
 	// (dedup).
 	specs []agg.Spec
-	// cols[i], for a DISTINCT item whose argument is columns of the input,
-	// holds those columns: its accumulator is fed the row and keys its
-	// DISTINCT set on them (agg.Acc.AddOn), or Γ dedups on them. Any other
-	// Star item is fed the row, and any other item the value of its
+	// cols[i], for an item whose argument is a column of the input, or
+	// for a DISTINCT item columns of it, holds those columns: its
+	// accumulator is fed the row and reads its argument, or keys its
+	// DISTINCT set, on them (agg.Acc.AddOn), or Γ dedups on them. Any
+	// other Star item is fed the row, and any other item the value of its
 	// argument expression.
 	cols [][]int
 	// dedup[i], for a DISTINCT item of Γ whose argument is columns of the
@@ -37,6 +38,9 @@ func newAggInputs(items []algebra.AggItem, sch *storage.Schema, keyCols []int) (
 		cols: make([][]int, len(items)), dedup: make([][]int, len(items))}
 	for i, item := range items {
 		ai.specs[i] = item.Spec
+		if ref, ok := item.Arg.(*algebra.ColRef); ok && sch.Has(ref.Name) {
+			ai.cols[i] = []int{sch.Index(ref.Name)}
+		}
 		if !item.Spec.Distinct {
 			continue
 		}
@@ -44,25 +48,19 @@ func newAggInputs(items []algebra.AggItem, sch *storage.Schema, keyCols []int) (
 			ai.specs[i].Distinct = false
 			continue
 		}
-		var arg []int // the argument as input columns, when it is that
 		switch {
 		case item.Spec.Star && len(item.ArgAttrs) > 0:
 			idx, err := sch.Projection(item.ArgAttrs)
 			if err != nil {
 				return nil, err
 			}
-			arg = idx
+			ai.cols[i] = idx
 		case item.Spec.Star:
 			for c := 0; c < sch.Len(); c++ {
-				arg = append(arg, c)
-			}
-		default:
-			if ref, ok := item.Arg.(*algebra.ColRef); ok && sch.Has(ref.Name) {
-				arg = []int{sch.Index(ref.Name)}
+				ai.cols[i] = append(ai.cols[i], c)
 			}
 		}
-		ai.cols[i] = arg
-		if keyCols != nil && arg != nil {
+		if arg := ai.cols[i]; keyCols != nil && arg != nil {
 			ai.dedup[i] = append(append([]int(nil), keyCols...), arg...)
 			ai.specs[i].Distinct = false
 		}
@@ -309,9 +307,10 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 // evalBinaryGroup is Γ² by probing, with or without Eqv. 5's tag. Per
 // left tuple x the group is σ_tag(R) ∪̇ σ_Pred(x)(σ_{¬tag}(R)); untagged,
 // σ_tag(R) is empty and σ_{¬tag}(R) is R itself, shared rather than
-// copied. R is split once on the tag column; R⁺ is folded once, in input
-// order, into base accumulators that every group's accumulators overlay,
-// so an empty match set yields f(∅) (no count bug by construction).
+// copied. R is split once on the tag (see split); R⁺ is folded once, in
+// input order, into base accumulators that every group's accumulators
+// overlay, so an empty match set yields f(∅) (no count bug by
+// construction).
 //
 // When Pred is an equality, R⁻ is hashed on its keys (May & Moerkotte's
 // main-memory binary grouping) and each distinct key's rows are folded
@@ -345,23 +344,17 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	if err != nil {
 		return nil, err
 	}
+	compiled, err := ex.vecEnter(b)
+	if err != nil {
+		return nil, err
+	}
 	n := len(b.Aggs)
 	base := appendAccs(nil, ai.specs)
 	neg := r
 	feed := ai.feed(env)
-	if b.TagCol >= 0 {
-		neg = storage.NewRelation(r.Schema)
-		for _, rt := range r.Tuples {
-			if err := ex.tick(); err != nil {
-				return nil, err
-			}
-			if types.TriFromValue(rt[b.TagCol]).IsTrue() {
-				if err := feed.add(ex, base, rt); err != nil {
-					return nil, err
-				}
-			} else {
-				neg.Tuples = append(neg.Tuples, rt)
-			}
+	if b.Tag != nil {
+		if neg, err = ex.split(b, r, compiled, feed, base, env); err != nil {
+			return nil, err
 		}
 	}
 	var (
@@ -458,7 +451,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 					res = res[:at]
 				}
 			}
-			return kept.write(w, b.Emit, b.Schema().Len(), l.Tuples[lo:hi], res, n), nil
+			return kept.write(w, b.Emit, b.PassLeft, b.Schema().Len(), l.Tuples[lo:hi], res, n), nil
 		})
 	if err != nil {
 		return nil, err
@@ -466,6 +459,54 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	out := storage.NewRelation(b.Schema())
 	out.Tuples = concatChunks(chunks)
 	return out, nil
+}
+
+// split is Eqv. 5's bypass selection on the tag: it evaluates b.Tag over
+// R in morsels — by the compiled program when compiled — and then, in
+// one pass in R order, folds the tuples it holds TRUE on into base and
+// gathers the rest, FALSE or UNKNOWN, into R⁻, which it returns, cut
+// once to their counted number.
+func (ex *Executor) split(b *physical.BinaryGroup, r *storage.Relation, compiled bool, feed *aggFeed, base []agg.Acc, env *Env) (*storage.Relation, error) {
+	truth := morselEval(ex, compiled, b.VecTag, r, env,
+		func(w *Executor, row *Env) (types.TriBool, error) { return w.EvalPred(b.Tag, row) })
+	type morsel struct {
+		truth []types.TriBool
+		neg   int
+	}
+	chunks, err := parMorsels(ex, len(r.Tuples), func(w *Executor, lo, hi int) (m morsel, err error) {
+		if m.truth, err = truth(w, lo, hi); err != nil {
+			return m, err
+		}
+		for _, t := range m.truth {
+			if !t.IsTrue() {
+				m.neg++
+			}
+		}
+		return m, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	negs := 0
+	for _, c := range chunks {
+		negs += c.neg
+	}
+	neg := &storage.Relation{Schema: r.Schema, Tuples: make([][]types.Value, 0, negs)}
+	rows := r.Tuples
+	for _, c := range chunks {
+		for i, t := range c.truth {
+			if err := ex.tick(); err != nil {
+				return nil, err
+			}
+			if !t.IsTrue() {
+				neg.Tuples = append(neg.Tuples, rows[i])
+			} else if err := feed.add(ex, base, rows[i]); err != nil {
+				return nil, err
+			}
+		}
+		rows = rows[len(c.truth):]
+	}
+	return neg, nil
 }
 
 // kept records which left tuples of a binary grouping's morsel are
@@ -509,12 +550,20 @@ func (k *kept) add(w *Executor, i int, lt, res []types.Value, at int) (bool, err
 }
 
 // write cuts the kept rows, each left ◦ its n results in res, from one
-// slab of exactly their number, and puts the pair record back.
-func (k *kept) write(w *Executor, emit []int, width int, left [][]types.Value, res []types.Value, n int) [][]types.Value {
+// slab of exactly their number — or, when the node passes its left rows
+// (pass), takes each as its left row cut to width — and puts the pair
+// record back.
+func (k *kept) write(w *Executor, emit []int, pass bool, width int, left [][]types.Value, res []types.Value, n int) [][]types.Value {
 	out := make([][]types.Value, len(k.picks))
-	slab := w.slab(width, len(k.picks))
-	for j, p := range k.picks {
-		out[j] = slab.emitRow(emit, left[p[0]], res[p[1]:][:n])
+	if pass {
+		for j, p := range k.picks {
+			out[j] = left[p[0]][:width:width]
+		}
+	} else {
+		slab := w.slab(width, len(k.picks))
+		for j, p := range k.picks {
+			out[j] = slab.emitRow(emit, left[p[0]], res[p[1]:][:n])
+		}
 	}
 	w.pairs = k.picks[:0]
 	return out

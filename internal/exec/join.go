@@ -129,11 +129,11 @@ func (ex *Executor) takePairs(n int) [][2]int32 {
 }
 
 func (ex *Executor) evalHashJoin(j *physical.HashJoin, env *Env) (*storage.Relation, error) {
-	return ex.evalJoin(j, j.L, j.R, env, j.Mode, j.LCols, j.RCols, j.Residual, nil, j.Emit, nil)
+	return ex.evalJoin(j, j.L, j.R, env, j.Mode, j.LCols, j.RCols, j.Residual, nil, j.Emit, j.PassLeft, nil)
 }
 
 func (ex *Executor) evalNLJoin(j *physical.NLJoin, env *Env) (*storage.Relation, error) {
-	return ex.evalJoin(j, j.L, j.R, env, j.Mode, nil, nil, j.Pred, nil, j.Emit, nil)
+	return ex.evalJoin(j, j.L, j.R, env, j.Mode, nil, nil, j.Pred, nil, j.Emit, j.PassLeft, nil)
 }
 
 // evalOuterJoin evaluates ⟕ with the paper's g:f(∅) defaults: an
@@ -144,7 +144,7 @@ func (ex *Executor) evalOuterJoin(j *physical.OuterJoin, env *Env) (*storage.Rel
 	if j.Hash { // LCols and RCols are set; the keys are not checked again
 		pred = j.Residual
 	}
-	return ex.evalJoin(j, j.L, j.R, env, physical.JoinInner, j.LCols, j.RCols, pred, j.Keep, j.Emit, j.Pad)
+	return ex.evalJoin(j, j.L, j.R, env, physical.JoinInner, j.LCols, j.RCols, pred, j.Keep, j.Emit, j.PassLeft, j.Pad)
 }
 
 // Partners recorded by evalJoin beside a right index entry or position.
@@ -166,10 +166,12 @@ const (
 // each pair the join would emit, pad pairs included, and drops those it
 // does not hold TRUE on before any row is built. A morsel first records
 // each output as a pair (the left tuple's offset, its partner), then
-// cuts exactly that many rows from one slab. A cross product — nested
-// loops without a predicate — is not counted as an NL join.
+// cuts exactly that many rows from one slab — or, when the join passes
+// its left rows (pass: it emits a prefix of them), takes each pair's
+// left row cut to the output width. A cross product — nested loops
+// without a predicate — is not counted as an NL join.
 func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, mode physical.JoinMode,
-	lcols, rcols []int, pred, keep algebra.Expr, emit []int, pad []types.Value) (*storage.Relation, error) {
+	lcols, rcols []int, pred, keep algebra.Expr, emit []int, pass bool, pad []types.Value) (*storage.Relation, error) {
 	l, err := ex.eval(lop, env)
 	if err != nil {
 		return nil, err
@@ -260,7 +262,7 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 			}
 			out := make([][]types.Value, len(pairs))
 			var slab rowSlab
-			if mode == physical.JoinInner {
+			if mode == physical.JoinInner && !pass {
 				slab = w.slab(width, len(pairs))
 			}
 			for k, p := range pairs {
@@ -268,6 +270,8 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 				switch {
 				case p[1] == passPartner:
 					out[k] = lt
+				case pass:
+					out[k] = lt[:width:width]
 				case p[1] == padPartner:
 					out[k] = slab.emitRow(emit, lt, pad)
 				case ht != nil:

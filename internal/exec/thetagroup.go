@@ -131,7 +131,7 @@ func (ex *Executor) evalBinaryGroupSorted(b *physical.BinaryGroupSort, env *Env)
 					res = res[:at]
 				}
 			}
-			return kept.write(w, b.Emit, b.Schema().Len(), l.Tuples[lo:hi], res, na), nil
+			return kept.write(w, b.Emit, b.PassLeft, b.Schema().Len(), l.Tuples[lo:hi], res, na), nil
 		})
 	if err != nil {
 		return nil, err

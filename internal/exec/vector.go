@@ -33,20 +33,21 @@ func (p Path) String() string {
 	return "row"
 }
 
-// vecEnter is the one rule deciding whether node n counts as served by
-// the vector path — the path is on and the planner found the node
-// vectorizable — and the only reader of Options.Path. When it holds the
-// fault injector's vec site fires (latching the abort so cancellation
-// semantics match SiteOp) and the evaluation is credited, once per Call
-// by the coordinator, so VecCalls is worker-count independent.
+// vecEnter is the one rule deciding whether node n runs its compiled
+// code — the path is on and the planner compiled the node
+// (physical.Compiled) — and the only reader of Options.Path. When it
+// holds the fault injector's vec site fires (latching the abort so
+// cancellation semantics match SiteOp), and an evaluation the node
+// counts as vector-served by (physical.Vectorizable) is credited, once
+// per Call by the coordinator, so VecCalls is worker-count independent.
 func (ex *Executor) vecEnter(n physical.Node) (bool, error) {
-	if ex.opt.Path != PathVector || !physical.Vectorizable(n) {
+	if ex.opt.Path != PathVector || !physical.Compiled(n) {
 		return false, nil
 	}
 	if ferr := ex.inject(faultinject.SiteVec, n); ferr != nil {
 		return false, ex.fail(ferr)
 	}
-	if ex.nm != nil {
+	if ex.nm != nil && physical.Vectorizable(n) {
 		ex.metric(n).VecCalls++
 	}
 	return true, nil

@@ -102,6 +102,11 @@ func TestEvaluatorsAgree(t *testing.T) {
 	}
 	tagged := algebra.NewBinaryGroup(l, algebra.NewMap(r, "tag", algebra.Cmp(types.GT, col("r.w"), lit(8))), keyEq, count)
 	tagged.Tag = "tag"
+	// Nested loops interpret the predicate per pair: the compiled tag
+	// runs, but the Γ² is not vector-served.
+	taggedNL := algebra.NewBinaryGroup(l, algebra.NewMap(r, "tag", algebra.Cmp(types.GT, col("r.w"), lit(8))),
+		algebra.Cmp(types.LT, col("l.v"), col("r.w")), count)
+	taggedNL.Tag = "tag"
 	cases := []struct {
 		name string
 		plan algebra.Op
@@ -126,6 +131,7 @@ func TestEvaluatorsAgree(t *testing.T) {
 		{"Γ² hash", algebra.NewBinaryGroup(l, r, keyEq, count), "HashBinaryGroup[l.k=r.k]"},
 		{"Γ² nl", algebra.NewBinaryGroup(l, r, algebra.Or(keyEq, algebra.Cmp(types.EQ, col("l.m"), col("r.m"))), count), "NLBinaryGroup["},
 		{"Γ² tagged", tagged, "TagBinaryGroup(hash)["},
+		{"Γ² tagged nl", taggedNL, "TagBinaryGroup(nl)["},
 	}
 	for _, tc := range cases {
 		var want *storage.Relation

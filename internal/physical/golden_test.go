@@ -201,17 +201,17 @@ Distinct  (est 0 rows)
 }
 
 // Q2 unnested via Eqv. 5 (the paper's Fig. 3(b) is Eqv. 4's plan, which
-// is not built): the χ tags each s row with the uncorrelated disjunct,
-// and one hashed Γ² on the correlation key folds the tagged rows once and
-// each key's group once, and writes only the r rows its fused linking
-// selection a1 = g2 keeps.
+// is not built): one hashed Γ² on the correlation key splits s on the
+// uncorrelated disjunct — the χ that would tag each s row with it is
+// fused into the Γ² — folds the rows it holds on once and each key's
+// group once, and writes only the r rows its fused linking selection
+// a1 = g2 keeps.
 func TestGoldenPhysicalQ2Eqv5(t *testing.T) {
 	all := rewrite.AllCaps()
 	physGolden(t, emptyRST(t), goldenQ2, &all, `
 Distinct  (est 0 rows)
-  TagBinaryGroup(hash)[(r.a2 = s.b2) ∨ tag1][g2:COUNT(*)] σ[(r.a1 = g2)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 0 rows)
+  TagBinaryGroup(hash)[(r.a2 = s.b2) ∨ (s.b4 > 1500)][g2:COUNT(*)] σ[(r.a1 = g2)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 0 rows)
     Scan(r)  (est 0 rows)
-    Map[tag1:(s.b4 > 1500)] → [s.b2, tag1] (2 of 5 cols)  (est 0 rows)
-      Scan(s)  (est 0 rows)
+    Scan(s)  (est 0 rows)
 `)
 }

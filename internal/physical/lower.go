@@ -28,7 +28,12 @@ import (
 //	    otherwise — except that an untagged single column inequality
 //	    with decomposable single-partial aggregates runs the sort-based
 //	    prefix/suffix algorithm. A tag (Eqv. 5) only adds the shared
-//	    base fold to the probing operator.
+//	    base fold to the probing operator, and is a predicate it splits
+//	    its right input on: the χ[tag:p] Eqv. 5 puts below it — directly
+//	    or through one Π — is fused into it when the Γ² is the χ's (and
+//	    the Π's) only consumer and p holds no nested block, so the
+//	    tagged copy of the inner relation is never built; otherwise the
+//	    tag is the χ's column.
 //
 //	selection over an outer join or a binary grouping: fused into it
 //	    when the σ is the only consumer of that operator, directly or
@@ -507,11 +512,12 @@ func (p *Planner) lowerJoin(b base, lop, rop algebra.Op, pred algebra.Expr, mode
 	} else if emit, err = b.emit(b.logical, l.Schema(), r.Schema(), 0, need, order); err != nil {
 		return nil, err
 	}
+	pass := passesLeft(emit, l.Schema())
 	if lc, rc, residual := algebra.EquiKeys(pred, l.Schema(), r.Schema()); len(lc) > 0 {
 		return &HashJoin{base: b, L: l, R: r, Mode: mode,
-			LCols: lc, RCols: rc, Residual: andOrNil(residual), Emit: emit}, nil
+			LCols: lc, RCols: rc, Residual: andOrNil(residual), Emit: emit, PassLeft: pass}, nil
 	}
-	return &NLJoin{base: b, L: l, R: r, Mode: mode, Pred: pred, Emit: emit}, nil
+	return &NLJoin{base: b, L: l, R: r, Mode: mode, Pred: pred, Emit: emit, PassLeft: pass}, nil
 }
 
 // fuse lowers σ(w), or σ(Π(w)), as w with the σ's predicate for its
@@ -576,31 +582,29 @@ func (p *Planner) lowerOuterJoin(b base, x *algebra.LeftOuterJoin, keep algebra.
 		j.Hash, j.LCols, j.RCols, j.Residual = true, lc, rc, andOrNil(residual)
 	}
 	j.Emit, err = j.emit(x, l.Schema(), r.Schema(), 0, need, order)
+	j.PassLeft = passesLeft(j.Emit, l.Schema())
 	return j, err
 }
 
 // lowerBinaryGroup lowers Γ² as lowerOuterJoin lowers ⟕. The fused
-// selection sees a left row ◦ its aggregate results.
+// selection sees a left row ◦ its aggregate results. R is lowered for
+// what the predicate, the aggregates and the tag read of it — from
+// below a χ fused into the tag (see tagged).
 func (p *Planner) lowerBinaryGroup(b base, x *algebra.BinaryGroup, keep algebra.Expr, in, need colSet, order *storage.Schema) (Node, error) {
-	ls, rs := x.L.Schema(), x.R.Schema()
+	ls := x.L.Schema()
 	ln, _ := in.split(ls.Len())
 	l, err := p.lowerFor(x.L, p.reads(ln, ls, x.Pred), nil)
 	if err != nil {
 		return nil, err
 	}
-	rn := p.aggReads(p.reads(0, rs, x.Pred), rs, x.Aggs)
-	if i := rs.Index(x.Tag); i >= 0 {
-		rn = rn.with(i)
-	}
-	r, err := p.lowerFor(x.R, rn, nil)
+	rop, tag := p.tagged(x)
+	rs := rop.Schema()
+	r, err := p.lowerFor(rop, p.aggReads(p.reads(p.reads(0, rs, x.Pred), rs, tag), rs, x.Aggs), nil)
 	if err != nil {
 		return nil, err
 	}
-	tagCol := -1
-	if x.Tag != "" {
-		if tagCol = r.Schema().Index(x.Tag); tagCol < 0 {
-			return nil, fmt.Errorf("physical: tag %q not in %s", x.Tag, x.R.Schema())
-		}
+	if tag != nil && rop == x.R && !r.Schema().Has(x.Tag) {
+		return nil, fmt.Errorf("physical: tag %q not in %s", x.Tag, x.R.Schema())
 	}
 	emit, err := b.emit(x, l.Schema(), nil, len(x.Aggs), need, order)
 	if err != nil {
@@ -610,16 +614,75 @@ func (p *Planner) lowerBinaryGroup(b base, x *algebra.BinaryGroup, keep algebra.
 	if keep != nil {
 		results = storage.NewSchema(x.Schema().Attrs()[ls.Len():]...)
 	}
-	bg := &BinaryGroup{base: b, L: l, R: r, Pred: x.Pred, TagCol: tagCol, Aggs: x.Aggs,
-		Keep: keep, Results: results, Emit: emit}
+	pass := passesLeft(emit, l.Schema())
+	bg := &BinaryGroup{base: b, L: l, R: r, Pred: x.Pred, Tag: tag, Aggs: x.Aggs,
+		Keep: keep, Results: results, Emit: emit, PassLeft: pass}
 	if lc, rc, residual := algebra.EquiKeys(x.Pred, l.Schema(), r.Schema()); len(lc) > 0 && len(residual) == 0 {
 		bg.LCols, bg.RCols = lc, rc
-	} else if lcol, rcol, cop, ok := thetaGroupable(x); ok && tagCol < 0 {
+	} else if lcol, rcol, cop, ok := thetaGroupable(x); ok && tag == nil {
 		return &BinaryGroupSort{base: b, L: l, R: r,
 			LIdx: l.Schema().Index(lcol), RIdx: r.Schema().Index(rcol),
-			Op: cop, Aggs: x.Aggs, Keep: keep, Results: results, Emit: emit}, nil
+			Op: cop, Aggs: x.Aggs, Keep: keep, Results: results, Emit: emit, PassLeft: pass}, nil
 	}
 	return bg, nil
+}
+
+// tagged returns the input a Γ² reads its right tuples from and its tag:
+// for an untagged Γ², R and nil. A tagged Γ² whose R is χ[tag:p](R′) —
+// directly or through one Π — reads R′ and tags with p itself when the
+// χ, and the Π, have no other consumer, p holds no nested block, and the
+// predicate and aggregates read of R only columns R′ carries, under the
+// same names: the χ is fused and never built. Otherwise the tag is R's
+// tag column.
+func (p *Planner) tagged(x *algebra.BinaryGroup) (algebra.Op, algebra.Expr) {
+	if x.Tag == "" {
+		return x.R, nil
+	}
+	col := algebra.Col(x.Tag)
+	r, pr := x.R, (*algebra.Project)(nil)
+	if y, ok := r.(*algebra.Project); ok && !p.memo[y].shared {
+		r, pr = y.Child, y
+	}
+	m, ok := r.(*algebra.MapOp)
+	if !ok || m.Attr != x.Tag || p.memo[m].shared || algebra.HasSubquery(m.Expr) {
+		return x.R, col
+	}
+	// The names the Γ² reads of R; a DISTINCT * over every column of R
+	// reads the tag column too.
+	p.names = p.names[:0]
+	if x.Pred != nil {
+		p.names = x.Pred.Columns(p.names)
+	}
+	for _, a := range x.Aggs {
+		switch {
+		case a.Arg != nil:
+			p.names = a.Arg.Columns(p.names)
+		case a.Spec.Distinct && len(a.ArgAttrs) == 0:
+			return x.R, col
+		default:
+			p.names = append(p.names, a.ArgAttrs...)
+		}
+	}
+	for _, n := range p.names {
+		if n == x.Tag || pr != nil && !pr.Schema().Has(n) && m.Child.Schema().Has(n) {
+			return x.R, col
+		}
+	}
+	return m.Child, m.Expr
+}
+
+// passesLeft reports whether an emit list is a prefix of the left input
+// l's columns, so that each row it describes is the left row itself.
+func passesLeft(emit []int, l *storage.Schema) bool {
+	if emit == nil || len(emit) > l.Len() {
+		return false
+	}
+	for i, c := range emit {
+		if c != i {
+			return false
+		}
+	}
+	return true
 }
 
 // emit decides what an operator that writes its own rows emits, and so

@@ -135,7 +135,7 @@ func TestLowerBinaryGroupHashOnPureEquality(t *testing.T) {
 	bg := lower(t, cat, algebra.NewBinaryGroup(
 		scanOf(t, cat, "r"), scanOf(t, cat, "s"), eq("r.a1", "s.b1"), countAgg()))
 	h, ok := bg.(*physical.BinaryGroup)
-	if !ok || h.TagCol != -1 || len(h.LCols) != 1 || h.LCols[0] != 0 || h.RCols[0] != 0 ||
+	if !ok || h.Tag != nil || len(h.LCols) != 1 || h.LCols[0] != 0 || h.RCols[0] != 0 ||
 		!strings.HasPrefix(h.Label(), "HashBinaryGroup[r.a1=s.b1]") {
 		t.Fatalf("equality binary group lowered to %T %s, want hash probing on a1=b1", bg, bg.Label())
 	}
@@ -199,7 +199,7 @@ func TestLowerBinaryGroupNLForDistinctAggregates(t *testing.T) {
 func wantNLBinaryGroup(t *testing.T, bg physical.Node) {
 	t.Helper()
 	n, ok := bg.(*physical.BinaryGroup)
-	if !ok || n.TagCol != -1 || len(n.LCols) != 0 || !strings.HasPrefix(n.Label(), "NLBinaryGroup[") {
+	if !ok || n.Tag != nil || len(n.LCols) != 0 || !strings.HasPrefix(n.Label(), "NLBinaryGroup[") {
 		t.Fatalf("binary group lowered to %T %s, want NLBinaryGroup", bg, bg.Label())
 	}
 }
@@ -213,21 +213,22 @@ func TestLowerTaggedBinaryGroup(t *testing.T) {
 		bg.Tag = "tag"
 		return lower(t, cat, bg)
 	}
-	// Pure equality hashes the untagged tuples; the tag column resolves
-	// in the right schema — which χ emits pruned to the key and the tag,
-	// all COUNT(*) and the predicate read — and the label keeps the
-	// BinaryGroup suffix the per-operator reports classify by.
+	// Pure equality hashes the untagged tuples. The χ only the Γ² reads
+	// is fused into it: R is the χ's input, and the tag is the χ's
+	// predicate, compiled. The label
+	// keeps the BinaryGroup suffix the per-operator reports classify by.
 	h, ok := tagged(eq("r.a1", "s.b1")).(*physical.BinaryGroup)
 	if !ok {
 		t.Fatalf("tagged Γ² lowered to %T, want *BinaryGroup", h)
 	}
-	if got := h.R.Schema().String(); got != "[s.b1, tag]" {
-		t.Errorf("tagged Γ²'s right input emits %s, want [s.b1, tag]", got)
+	if got := h.R.Label() + h.R.Schema().String(); got != "Scan(s)[s.b1, s.b2]" {
+		t.Errorf("tagged Γ²'s right input is %s, want Scan(s)[s.b1, s.b2]", got)
 	}
-	if h.TagCol != 1 || len(h.LCols) != 1 || h.LCols[0] != 0 || h.RCols[0] != 0 {
-		t.Errorf("tagged hash = tag[%d] L%v R%v", h.TagCol, h.LCols, h.RCols)
+	if h.Tag == nil || h.Tag.String() != "(s.b2 > 7)" || h.VecTag == nil ||
+		len(h.LCols) != 1 || h.LCols[0] != 0 || h.RCols[0] != 0 {
+		t.Errorf("tagged hash = tag %v (compiled %v) L%v R%v", h.Tag, h.VecTag != nil, h.LCols, h.RCols)
 	}
-	if !strings.HasPrefix(h.Label(), "TagBinaryGroup(hash)[(r.a1 = s.b1) ∨ tag]") {
+	if !strings.HasPrefix(h.Label(), "TagBinaryGroup(hash)[(r.a1 = s.b1) ∨ (s.b2 > 7)]") {
 		t.Errorf("label = %s", h.Label())
 	}
 	// θ-correlation and several correlated disjuncts stay one operator
@@ -441,6 +442,185 @@ func TestFusedLabelsAndFingerprints(t *testing.T) {
 		}
 		if physical.Fingerprint(a) == physical.Fingerprint(b) {
 			t.Errorf("%s and %s fingerprint alike", a.Label(), b.Label())
+		}
+	}
+}
+
+// taggedGroup builds Eqv. 5's Γ²[pred ∨ tag] of r over χ[tag:p](inner),
+// seen through Π[cols…, tag] when cols is not nil.
+func taggedGroup(t *testing.T, cat *catalog.Catalog, inner algebra.Op, p, pred algebra.Expr, cols []string) *algebra.BinaryGroup {
+	var right algebra.Op = algebra.NewMap(inner, "tag", p)
+	if cols != nil {
+		right = algebra.NewProject(right, append(cols, "tag"))
+	}
+	bg := algebra.NewBinaryGroup(scanOf(t, cat, "r"), right, pred, countAgg())
+	bg.Tag = "tag"
+	return bg
+}
+
+// taggedNode finds the one binary grouping of a lowered plan.
+func taggedNode(t *testing.T, root physical.Node) *physical.BinaryGroup {
+	t.Helper()
+	var bg *physical.BinaryGroup
+	physical.Walk(root, func(n physical.Node) bool {
+		if x, ok := n.(*physical.BinaryGroup); ok {
+			bg = x
+		}
+		return bg == nil
+	})
+	if bg == nil {
+		t.Fatalf("no binary grouping in\n%s", physical.Explain(root))
+	}
+	return bg
+}
+
+// sOuter is s ⟕ Γ_{r.a1; g1:COUNT(*)}(r) read as [s.b1, s.b2, g1]: the
+// shape Eqv. 5 tags when p holds a nested block of its own, after that
+// block is unnested.
+func sOuter(t *testing.T, cat *catalog.Catalog) algebra.Op {
+	counts := algebra.NewGroupBy(scanOf(t, cat, "r"), []string{"r.a1"},
+		[]algebra.AggItem{{Out: "g1", Spec: agg.Spec{Kind: agg.Count, Star: true}}}, false)
+	oj := algebra.NewLeftOuterJoin(scanOf(t, cat, "s"), counts, eq("s.b1", "r.a1"),
+		[]algebra.Default{{Attr: "g1", Val: types.NewInt(0)}})
+	return algebra.NewProject(oj, []string{"s.b1", "s.b2", "g1"})
+}
+
+// TestLowerFusesTags: a χ[tag:p] only its tagged Γ² reads — directly, or
+// through a Π (the shape unnesting a block in p leaves) — is fused into
+// the Γ², hashed or nested-loop: no Map node remains, R is the χ's
+// input, the tag is p and compiles, and the label shows p in the tag's
+// place. The fused and unfused Γ² fingerprint apart.
+func TestLowerFusesTags(t *testing.T) {
+	cat := testCat(t)
+	gt7 := algebra.Cmp(types.GT, algebra.Col("s.b2"), algebra.ConstInt(7))
+	lt := algebra.Cmp(types.LT, algebra.Col("r.a1"), algebra.Col("s.b1"))
+	for _, c := range []struct {
+		name      string
+		op        *algebra.BinaryGroup
+		label, in string // the Γ²'s label prefix; its right input's
+	}{
+		{"direct χ, hash", taggedGroup(t, cat, scanOf(t, cat, "s"), gt7, eq("r.a1", "s.b1"), nil),
+			"TagBinaryGroup(hash)[(r.a1 = s.b1) ∨ (s.b2 > 7)][", "Scan(s)"},
+		{"direct χ, nl", taggedGroup(t, cat, scanOf(t, cat, "s"), gt7, lt, nil),
+			"TagBinaryGroup(nl)[(r.a1 < s.b1) ∨ (s.b2 > 7)][", "Scan(s)"},
+		{"χ under Π, hash", taggedGroup(t, cat, sOuter(t, cat), eq("s.b2", "g1"), eq("r.a1", "s.b1"), []string{"s.b1", "s.b2"}),
+			"TagBinaryGroup(hash)[(r.a1 = s.b1) ∨ (s.b2 = g1)][", "HashOuterJoin[s.b1=r.a1] → [s.b1, s.b2, g1]"},
+		{"χ under Π, nl", taggedGroup(t, cat, sOuter(t, cat), eq("s.b2", "g1"), lt, []string{"s.b1", "s.b2"}),
+			"TagBinaryGroup(nl)[(r.a1 < s.b1) ∨ (s.b2 = g1)][", "HashOuterJoin[s.b1=r.a1] → [s.b1, s.b2, g1]"},
+	} {
+		root := lower(t, cat, c.op)
+		physical.Walk(root, func(n physical.Node) bool {
+			if _, ok := n.(*physical.Map); ok {
+				t.Errorf("%s: %s left standing", c.name, n.Label())
+			}
+			return true
+		})
+		bg := taggedNode(t, root)
+		if !strings.HasPrefix(bg.Label(), c.label) {
+			t.Errorf("%s: lowered to %s, want %s…", c.name, bg.Label(), c.label)
+		}
+		if !strings.HasPrefix(bg.R.Label(), c.in) {
+			t.Errorf("%s: R is %s, want %s…", c.name, bg.R.Label(), c.in)
+		}
+		if bg.VecTag == nil {
+			t.Errorf("%s: the tag %s did not compile", c.name, bg.Tag)
+		}
+		// The same Γ² with its χ shared — here with a second reader —
+		// keeps the χ, and fingerprints apart.
+		right := c.op.R
+		shared := algebra.NewBinaryGroup(c.op.L, right, c.op.Pred, c.op.Aggs)
+		shared.Tag = "tag"
+		unfused := taggedNode(t, lower(t, cat, algebra.NewCross(shared, right)))
+		if physical.Fingerprint(unfused) == physical.Fingerprint(bg) {
+			t.Errorf("%s: fused %s and unfused %s fingerprint alike", c.name, bg.Label(), unfused.Label())
+		}
+	}
+}
+
+// TestLowerDoesNotFuseTags: a χ another consumer reads too, a χ whose
+// predicate holds a nested block, a Π another consumer reads, a Π that
+// hides a column the Γ² names, and a DISTINCT * over every column of R
+// (the tag among them) keep the χ, and the Γ² reads its tag column.
+func TestLowerDoesNotFuseTags(t *testing.T) {
+	cat := testCat(t)
+	gt7 := algebra.Cmp(types.GT, algebra.Col("s.b2"), algebra.ConstInt(7))
+	block := algebra.NewGroupBy(scanOf(t, cat, "r"), nil, countAgg(), true)
+	nested := algebra.Cmp(types.EQ, algebra.Col("s.b2"),
+		algebra.Subquery(agg.Spec{Kind: agg.Count, Star: true}, nil, block))
+	sharedMap := algebra.NewMap(scanOf(t, cat, "s"), "tag", gt7)
+	sharedProject := algebra.NewProject(algebra.NewMap(sOuter(t, cat), "tag", eq("s.b2", "g1")), []string{"s.b1", "s.b2", "tag"})
+	over := func(right algebra.Op, pred algebra.Expr, aggs []algebra.AggItem) *algebra.BinaryGroup {
+		bg := algebra.NewBinaryGroup(scanOf(t, cat, "r"), right, pred, aggs)
+		bg.Tag = "tag"
+		return bg
+	}
+	// Unprojected, s ⟕ Γ(r) carries r.a1, which the Π above the χ hides
+	// and the predicate names — the r row's own column.
+	counts := algebra.NewGroupBy(scanOf(t, cat, "r"), []string{"r.a1"},
+		[]algebra.AggItem{{Out: "g1", Spec: agg.Spec{Kind: agg.Count, Star: true}}}, false)
+	wide := algebra.NewLeftOuterJoin(scanOf(t, cat, "s"), counts, eq("s.b1", "r.a1"),
+		[]algebra.Default{{Attr: "g1", Val: types.NewInt(0)}})
+	distinctStar := []algebra.AggItem{{Out: "g", Spec: agg.Spec{Kind: agg.Count, Star: true, Distinct: true}}}
+	for name, op := range map[string]algebra.Op{
+		"a shared χ":                 algebra.NewCross(over(sharedMap, eq("r.a1", "s.b1"), countAgg()), sharedMap),
+		"a χ holding a nested block": taggedGroup(t, cat, scanOf(t, cat, "s"), nested, eq("r.a1", "s.b1"), nil),
+		"a shared Π":                 algebra.NewCross(over(sharedProject, eq("r.a1", "s.b1"), countAgg()), sharedProject),
+		"a Π hiding a named column": taggedGroup(t, cat, wide, eq("s.b2", "g1"),
+			algebra.Cmp(types.LT, algebra.Col("r.a1"), algebra.Col("s.b1")), []string{"s.b1", "s.b2"}),
+		"a DISTINCT * reading the tag": over(algebra.NewMap(scanOf(t, cat, "s"), "tag", gt7), eq("r.a1", "s.b1"), distinctStar),
+	} {
+		root := lower(t, cat, op)
+		bg := taggedNode(t, root)
+		if bg.Tag == nil || bg.Tag.String() != "tag" || !strings.Contains(bg.Label(), " ∨ tag][") {
+			t.Errorf("%s: fused into %s", name, bg.Label())
+		}
+		maps := 0
+		physical.Walk(root, func(n physical.Node) bool {
+			if _, ok := n.(*physical.Map); ok {
+				maps++
+			}
+			return true
+		})
+		if maps == 0 {
+			t.Errorf("%s: no Map left under %s", name, bg.Label())
+		}
+	}
+}
+
+// TestLowerPassesLeftRows: an operator that writes its own rows and emits
+// a prefix of its left input's columns passes the left rows through; one
+// that emits anything else, or the right input's columns too, does not.
+func TestLowerPassesLeftRows(t *testing.T) {
+	cat := testCat(t)
+	outer, group := fusible(t, cat)
+	link := eq("r.a2", "g1")
+	for _, c := range []struct {
+		name string
+		op   algebra.Op
+		pass bool
+	}{
+		{"⟕ emitting r.a1", algebra.NewProject(algebra.NewSelect(outer(), link), []string{"r.a1"}), true},
+		{"Γ² emitting r.a1, r.a2", algebra.NewProject(algebra.NewSelect(group(false), link), []string{"r.a1", "r.a2"}), true},
+		{"Γ² emitting r.a2, r.a1", algebra.NewProject(algebra.NewSelect(group(false), link), []string{"r.a2", "r.a1"}), false},
+		{"sorted Γ² emitting r.a1", algebra.NewProject(algebra.NewSelect(group(true), link), []string{"r.a1"}), true},
+		{"⋈ emitting r.a1", algebra.NewProject(algebra.NewJoin(scanOf(t, cat, "r"), scanOf(t, cat, "s"), eq("r.a1", "s.b1")), []string{"r.a1"}), true},
+		{"⋈ emitting r.a1, s.b2", algebra.NewProject(algebra.NewJoin(scanOf(t, cat, "r"), scanOf(t, cat, "s"), eq("r.a1", "s.b1")), []string{"r.a1", "s.b2"}), false},
+	} {
+		var pass bool
+		switch n := lower(t, cat, c.op).(type) {
+		case *physical.OuterJoin:
+			pass = n.PassLeft
+		case *physical.BinaryGroup:
+			pass = n.PassLeft
+		case *physical.BinaryGroupSort:
+			pass = n.PassLeft
+		case *physical.HashJoin:
+			pass = n.PassLeft
+		default:
+			t.Fatalf("%s lowered to %s", c.name, n.Label())
+		}
+		if pass != c.pass {
+			t.Errorf("%s: PassLeft = %v, want %v", c.name, pass, c.pass)
 		}
 	}
 }

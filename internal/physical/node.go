@@ -226,8 +226,10 @@ func keepLabel(keep algebra.Expr) string {
 // conjuncts re-checked per matched pair (nil when none). Emit lists the
 // columns of a matched pair l ◦ r an inner join writes, as positions in
 // it — what the node's consumer reads, in the consumer's order; nil
-// means all of them. Semi and anti joins pass left rows through and have
-// no emit list.
+// means all of them. PassLeft, set by the planner when Emit is a prefix
+// of the left input's columns, makes each output row the left row
+// itself, cut to that width, instead of a copy. Semi and anti joins pass
+// left rows through and have no emit list.
 type HashJoin struct {
 	base
 	L, R     Node
@@ -236,6 +238,7 @@ type HashJoin struct {
 	RCols    []int
 	Residual algebra.Expr
 	Emit     []int
+	PassLeft bool
 }
 
 // Children implements Node.
@@ -256,14 +259,15 @@ func (j *HashJoin) Label() string {
 
 func pairWidth(l, r Node) int { return l.Schema().Len() + r.Schema().Len() }
 
-// NLJoin joins by nested loops. A nil Pred is a cross product. Emit is
-// as in HashJoin.
+// NLJoin joins by nested loops. A nil Pred is a cross product. Emit and
+// PassLeft are as in HashJoin.
 type NLJoin struct {
 	base
-	L, R Node
-	Mode JoinMode
-	Pred algebra.Expr
-	Emit []int
+	L, R     Node
+	Mode     JoinMode
+	Pred     algebra.Expr
+	Emit     []int
+	PassLeft bool
 }
 
 // Children implements Node.
@@ -289,7 +293,7 @@ func (j *NLJoin) Label() string {
 // σ the planner fused into the join (nil for none): it is evaluated on
 // each output pair, l ◦ r or l ◦ Pad, and only the pairs it holds TRUE
 // on are written — the node then stands for the σ, its Logical(). Emit
-// is as in HashJoin, over l ◦ r and l ◦ Pad alike.
+// and PassLeft are as in HashJoin, over l ◦ r and l ◦ Pad alike.
 type OuterJoin struct {
 	base
 	L, R     Node
@@ -301,6 +305,7 @@ type OuterJoin struct {
 	Pad      []types.Value
 	Keep     algebra.Expr
 	Emit     []int
+	PassLeft bool
 }
 
 // Children implements Node.
@@ -357,17 +362,18 @@ func binaryGroupAggs(aggs []algebra.AggItem) string {
 // BinaryGroupSort is Γ² over a single column inequality with
 // decomposable aggregates: sort the right side, precompute prefix and
 // suffix aggregates, binary-search per left tuple (May & Moerkotte).
-// Keep, Results and Emit are as in BinaryGroup.
+// Keep, Results, Emit and PassLeft are as in BinaryGroup.
 type BinaryGroupSort struct {
 	base
-	L, R    Node
-	LIdx    int
-	RIdx    int
-	Op      types.CompareOp
-	Aggs    []algebra.AggItem
-	Keep    algebra.Expr
-	Results *storage.Schema
-	Emit    []int
+	L, R     Node
+	LIdx     int
+	RIdx     int
+	Op       types.CompareOp
+	Aggs     []algebra.AggItem
+	Keep     algebra.Expr
+	Results  *storage.Schema
+	Emit     []int
+	PassLeft bool
 }
 
 // Children implements Node.
@@ -383,26 +389,32 @@ func (b *BinaryGroupSort) Label() string {
 // BinaryGroup is Γ² by probing: each left tuple aggregates the right
 // tuples that match Pred — found by hash on LCols/RCols when Pred is
 // pure equality, by evaluating Pred per pair (nil means every pair
-// matches) otherwise. With TagCol >= 0 it is Γ² on Pred ∨ tag — Eqv. 5's
-// tagged form: the right tuples whose tag column is TRUE belong to every
-// left tuple's group and are folded once into a shared base, and only
-// the rest are matched. TagCol is -1 when there is no tag. Keep is a
-// selection σ the planner fused into the Γ² (nil for none): it is
-// evaluated on each left row ◦ its aggregate results, which Results
-// names, and only the rows it holds TRUE on are written — the node then
-// stands for the σ, its Logical(). Emit is as in HashJoin, over the left
-// row ◦ the aggregate results.
+// matches) otherwise. With a Tag it is Γ² on Pred ∨ Tag — Eqv. 5's
+// tagged form: Tag is a predicate over the right tuples, evaluated once
+// per tuple, and the tuples it holds TRUE on belong to every left
+// tuple's group and are folded once into a shared base, and only the
+// rest are matched. Tag is the χ's own predicate p when the planner
+// fused the χ[tag:p] below into the Γ² (see Planner), else the tag
+// column, and nil for an untagged Γ²; VecTag is its compiled columnar
+// program (nil: Tag is interpreted per row). Keep is a selection σ the
+// planner fused into the Γ² (nil for none): it is evaluated on each left
+// row ◦ its aggregate results, which Results names, and only the rows
+// it holds TRUE on are written — the node then stands for the σ, its
+// Logical(). Emit is as in HashJoin, over the left row ◦ the aggregate
+// results, and PassLeft as in HashJoin.
 type BinaryGroup struct {
 	base
-	L, R    Node
-	Pred    algebra.Expr
-	TagCol  int
-	LCols   []int
-	RCols   []int
-	Aggs    []algebra.AggItem
-	Keep    algebra.Expr
-	Results *storage.Schema
-	Emit    []int
+	L, R     Node
+	Pred     algebra.Expr
+	Tag      algebra.Expr
+	VecTag   *vec.Pred
+	LCols    []int
+	RCols    []int
+	Aggs     []algebra.AggItem
+	Keep     algebra.Expr
+	Results  *storage.Schema
+	Emit     []int
+	PassLeft bool
 }
 
 // Children implements Node.
@@ -413,13 +425,12 @@ func (b *BinaryGroup) Label() string {
 	hash := len(b.LCols) > 0
 	var out string
 	switch {
-	case b.TagCol >= 0:
+	case b.Tag != nil:
 		algo := "nl"
 		if hash {
 			algo = "hash"
 		}
-		out = fmt.Sprintf("TagBinaryGroup(%s)[%s ∨ %s][%s]", algo, b.Pred,
-			b.R.Schema().Attr(b.TagCol), binaryGroupAggs(b.Aggs))
+		out = fmt.Sprintf("TagBinaryGroup(%s)[%s ∨ %s][%s]", algo, b.Pred, b.Tag, binaryGroupAggs(b.Aggs))
 	case !hash:
 		out = fmt.Sprintf("NLBinaryGroup[%s][%s]", b.Pred, binaryGroupAggs(b.Aggs))
 	default:

@@ -1,6 +1,10 @@
 package physical
 
-import "disqo/internal/vec"
+import (
+	"disqo/internal/algebra"
+	"disqo/internal/storage"
+	"disqo/internal/vec"
+)
 
 // Program selection: after lowering each node the planner compiles the
 // node's expressions into columnar programs (internal/vec) where they
@@ -17,7 +21,20 @@ import "disqo/internal/vec"
 //	Scan, Project, HashJoin without residual: always — they evaluate
 //	    no expression, so no interpreter runs in them (a residual is
 //	    interpreted per matched pair).
+//	Tagged Γ² (BinaryGroup with a Tag): when its tag compiles against
+//	    the right input's schema and nothing else in it is interpreted —
+//	    it hashes on pure equality (no per-pair predicate), has no fused
+//	    selection, and every aggregate argument is * or a column of the
+//	    right input.
 //	Everything else: no.
+//
+// A node may run a compiled program without counting as vector-served:
+// a tagged Γ² whose tag compiled runs it on the vector path even where
+// it interprets its pairs, its Keep or an aggregate argument. Compiled
+// is that wider set. The executor fires the vec fault site on every
+// node in it and credits VecCalls only to the Vectorizable ones, so
+// EXPLAIN's path annotation and the VecCalls counter agree, and every
+// compiled program stays reachable by the fault injector.
 //
 // Before compiling a predicate the planner orders every AND/OR operand
 // list by stats.Estimator.Order — descending by the share of rows an
@@ -46,6 +63,13 @@ func (p *Planner) vectorize(n Node) {
 		if sc, err := vec.CompileScalar(x.Expr, x.Child.Schema()); err == nil {
 			x.VecExpr = sc
 		}
+	case *BinaryGroup:
+		if x.Tag == nil {
+			return
+		}
+		if pr, err := vec.CompilePred(p.est.Order(x.Tag, x.R.Logical()), x.R.Schema()); err == nil {
+			x.VecTag = pr
+		}
 	}
 }
 
@@ -68,7 +92,32 @@ func Vectorizable(n Node) bool {
 		return ok && src.VecPred != nil
 	case *HashJoin:
 		return x.Residual == nil
+	case *BinaryGroup:
+		return x.VecTag != nil && x.LCols != nil && x.Keep == nil && columnAggs(x.Aggs, x.R.Schema())
 	default:
 		return false
 	}
+}
+
+// Compiled reports whether the vector path runs compiled code in the
+// node: every Vectorizable node, and a Γ² whose tag compiled.
+func Compiled(n Node) bool {
+	if bg, ok := n.(*BinaryGroup); ok {
+		return bg.VecTag != nil
+	}
+	return Vectorizable(n)
+}
+
+// columnAggs reports whether every aggregate is fed by a column of its
+// input rs, or by the whole row, with no expression evaluated.
+func columnAggs(aggs []algebra.AggItem, rs *storage.Schema) bool {
+	for _, a := range aggs {
+		if a.Arg == nil {
+			continue
+		}
+		if ref, ok := a.Arg.(*algebra.ColRef); !ok || !rs.Has(ref.Name) {
+			return false
+		}
+	}
+	return true
 }

@@ -172,14 +172,20 @@ func (r *Relation) CloneAppend(extra ...[]types.Value) *Relation {
 }
 
 // Distinct returns a relation with duplicate tuples removed under
-// Identical semantics (NULLs collate equal), preserving first-seen order.
+// Identical semantics (NULLs collate equal), preserving first-seen order:
+// the index's entries, which are the first of each tuple in input order,
+// cut once to their number.
 func (r *Relation) Distinct() *Relation {
-	out := NewRelation(r.Schema)
 	seen := types.NewRowIndex(nil, false, len(r.Tuples))
 	for _, t := range r.Tuples {
-		if _, added := seen.FindOrAdd(t); added {
-			out.Tuples = append(out.Tuples, t)
-		}
+		seen.FindOrAdd(t)
+	}
+	out := NewRelation(r.Schema)
+	if seen.Len() > 0 {
+		out.Tuples = make([][]types.Value, seen.Len())
+	}
+	for e := range out.Tuples {
+		out.Tuples[e] = seen.Row(int32(e))
 	}
 	return out
 }

@@ -217,17 +217,21 @@ func TestResultRowsSurviveWrites(t *testing.T) {
 }
 
 // TestQueryBytesGolden pins what one uncached execution of Fig. 7's Q1
-// (RST at SF 0.05) and of TPC-H Query 2d (SF 0.01) allocates, planning
-// included, in bytes and in objects, at the measured reading + 10 %: the
-// guard on the 32-byte Value, the row index, the emit lists, the row
-// slabs, Γ's one fold per group, the estimated join order, the memoized
-// estimator and the linking σ fused into the outer join together.
-// Measured: Q1 132.9 kB in 428 objects and Query 2d 1 540 kB in 1 526
-// objects, against 187.1 kB in 460 with the σ a Filter over every
-// joined row; 187.5 kB and 1 549 kB before that, against 186.1 kB in 492
-// and 4 047 kB in 2 302 with joins in FROM order, each built on its
-// right input, and every estimate recomputed; 218.7 kB and 5 443 kB
-// before the slabs, 560.9 kB and 20 049 kB before the index.
+// and Q2 (RST at SF 0.05) and of TPC-H Query 2d (SF 0.01) allocates,
+// planning included, in bytes and in objects, at the measured reading +
+// 10 %: the guard on the 32-byte Value, the row index, the emit lists,
+// the row slabs, Γ's one fold per group, the estimated join order, the
+// memoized estimator, the linking σ fused into the outer join or Γ², and
+// Eqv. 5's tag fused into the Γ² together. Measured: Q1 123.4 kB in 414
+// objects and Q2 65.3 kB in 331, against 132.8 kB in 423 and 137.1 kB in
+// 354 with every operator copying the left rows it emits a prefix of,
+// DISTINCT growing its output by appending and Eqv. 5's χ building a
+// tagged copy of s; before that Q1 132.9 kB in 428 objects and Query 2d
+// 1 540 kB in 1 526 objects, against 187.1 kB in 460 with the σ a Filter
+// over every joined row; 187.5 kB and 1 549 kB before that, against
+// 186.1 kB in 492 and 4 047 kB in 2 302 with joins in FROM order, each
+// built on its right input, and every estimate recomputed; 218.7 kB and
+// 5 443 kB before the slabs, 560.9 kB and 20 049 kB before the index.
 func TestQueryBytesGolden(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation goldens are meaningless under the race detector")
@@ -247,7 +251,8 @@ func TestQueryBytesGolden(t *testing.T) {
 		bytes   uint64
 		mallocs uint64
 	}{
-		{"Fig. 7 Q1 at RST SF 0.05", rst, q1SQL, 146_300, 471},
+		{"Fig. 7 Q1 at RST SF 0.05", rst, q1SQL, 135_800, 456},
+		{"Fig. 7 Q2 (Eqv. 5) at RST SF 0.05", rst, q2SQL, 71_800, 364},
 		{"Query 2d at TPC-H SF 0.01", tpch, `SELECT s_acctbal, s_name, n_name, p_partkey, p_mfgr, s_address, s_phone, s_comment
 		  FROM part, supplier, partsupp, nation, region
 		  WHERE p_partkey = ps_partkey AND s_suppkey = ps_suppkey AND p_size = 15 AND p_type LIKE '%BRASS'

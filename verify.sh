@@ -79,6 +79,14 @@ test -z "$(grep -nE 'forceChunks|Merge\(' $(ls internal/exec/*.go internal/agg/*
 q1plan=$(go run ./cmd/disqo -rst 0.05 -explain -e 'SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > 1500')
 echo "$q1plan" | grep -qF 'σ[(r.a1 = g1)]'
 test -z "$(echo "$q1plan" | grep -F 'Filter[(r.a1 = g1)]')"
+# Eqv. 5's tag is a predicate the tagged binary grouping splits its inner
+# relation on: the Eqv. 5 family's COUNT(DISTINCT *) statement shows the
+# tag predicate in the Γ²'s label, and no χ builds a tag column under it.
+# The tag has that one representation: no tag column index comes back.
+q2plan=$(go run ./cmd/disqo -rst 0.02 -explain -e 'SELECT DISTINCT * FROM r WHERE a1 <= (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2 OR b4 > 1500)')
+echo "$q2plan" | grep -qF '∨ (s.b4 > 1500)]'
+test -z "$(echo "$q2plan" | grep -F 'Map[tag')"
+test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs grep -n 'TagCol')"
 go test ./...
 go vet ./...
 go test -race ./...

@@ -126,6 +126,21 @@ func Overlay(base *Acc) *Acc {
 	return &a
 }
 
+// OverlayDeduped is Overlay for a caller that deduplicates a DISTINCT
+// aggregate's arguments itself, each checked against base's set (Seen)
+// first: the overlay counts every argument it is fed and keeps no set.
+func OverlayDeduped(base *Acc) *Acc {
+	a := Overlay(base)
+	a.spec.Distinct = false
+	return a
+}
+
+// Seen reports whether row's argument columns cols are in a DISTINCT
+// accumulator's set: whether it was fed them.
+func (a *Acc) Seen(row []types.Value, cols []int) bool {
+	return a.seen != nil && a.seen.First(row, cols) >= 0
+}
+
 // AddOn feeds one input row whose argument is its columns cols — nil
 // for the whole row, which then holds just the argument when the spec is
 // not Star. Per SQL, NULL arguments are skipped for every function
@@ -191,13 +206,13 @@ func (a *Acc) AddOn(row []types.Value, cols []int) {
 // dup reports whether row's argument columns cols were added before, to
 // this accumulator or the one it overlays, and remembers row if not.
 func (a *Acc) dup(row []types.Value, cols []int) bool {
-	if a.base != nil && a.base.seen != nil && a.base.seen.First(row, cols) >= 0 {
+	if a.base != nil && a.base.Seen(row, cols) {
 		return true
 	}
 	if a.seen == nil {
-		a.seen = types.NewRowIndex(cols, false, 0)
+		a.seen = types.NewRowIndex(nil, cols, false, 0)
 	}
-	_, added := a.seen.FindOrAdd(row)
+	_, added := a.seen.Push(row)
 	return !added
 }
 

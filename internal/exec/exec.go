@@ -758,7 +758,8 @@ func (sh *sharedState) storeIfAbsent(key memoKey, rel *storage.Relation) {
 // turns the predicate's truth values into selection vectors — TRUE rows
 // into pos and, for σ± (wantNeg), not-TRUE rows into neg — and the
 // outputs gather the selected row pointers in input order, copying
-// nothing.
+// nothing. A morsel's vectors are one allocation of exactly their size:
+// its TRUE rows are counted first, and σ± puts the rest after them.
 func (ex *Executor) evalSigma(n, child physical.Node, pred algebra.Expr, vp *vec.Pred, wantNeg bool, env *Env) (pos, neg *storage.Relation, err error) {
 	in, err := ex.eval(child, env)
 	if err != nil {
@@ -776,6 +777,18 @@ func (ex *Executor) evalSigma(n, child physical.Node, pred algebra.Expr, vp *vec
 			if err != nil {
 				return sel, err
 			}
+			p := 0
+			for _, t := range res {
+				if t.IsTrue() {
+					p++
+				}
+			}
+			size := p
+			if wantNeg {
+				size = len(res)
+			}
+			buf := make([]int32, size)
+			sel[0], sel[1] = buf[:0:p], buf[p:p]
 			for i, t := range res {
 				if t.IsTrue() {
 					sel[0] = append(sel[0], int32(lo+i))

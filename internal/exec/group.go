@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math"
+
 	"disqo/internal/agg"
 	"disqo/internal/algebra"
 	"disqo/internal/physical"
@@ -120,32 +122,71 @@ func (f *aggFeed) add(w *Executor, accs []agg.Acc, row []types.Value) error {
 }
 
 // groupTable is a hash grouping with deterministic first-appearance
-// output order and Identical key semantics (NULL groups with NULL). A
-// group is an entry of the index — the group's first input row, keyed on
-// the grouping columns — and its accumulators sit beside it in one slab,
-// entry e's at accs[e*len(specs):].
+// output order. A group is an entry of an index over the input rows —
+// its first row, keyed on the grouping columns — and its accumulators
+// sit beside it in one slab, entry e's at accs[e*len(specs):]. Keys
+// compare under Identical (NULL groups with NULL), or, for Γ²'s per-key
+// fold (skipNulls), SQL equality: a NULL key is in no group. Γ²'s groups
+// overlay base, the accumulators of the rows every group holds. seen[j],
+// for a DISTINCT item the table dedups itself, indexes the same rows on
+// (grouping columns, argument columns): a row feeds the item when it is
+// new there — and, under an overlay, not in base's set.
 type groupTable struct {
-	ix    *types.RowIndex
-	specs []agg.Spec
-	accs  []agg.Acc
-	// first[e] is the input index of entry e's row, kept (first non-nil)
-	// when the table is one of several key partitions, whose groups are
-	// merged on it; next is the next entry to emit.
-	first []int32
-	next  int
+	ix   *types.RowIndex
+	base []agg.Acc
+	accs []agg.Acc
+	seen []*types.RowIndex
+	next int // the next entry to emit
 }
 
-// find returns the accumulators of row i's group, which the row founds
-// when it is the first of it; h is the row's key hash.
-func (gt *groupTable) find(row []types.Value, i int, h uint64) []agg.Acc {
-	e, added := gt.ix.FindOrAddHashed(row, h)
-	if added {
-		gt.accs = appendAccs(gt.accs, gt.specs)
-		if gt.first != nil {
-			gt.first = append(gt.first, int32(i))
+// newGroupTable returns an empty table over rows keyed on keyCols, its
+// index sized for groups groups and its DISTINCT indexes for pairs
+// (group, argument) pairs.
+func newGroupTable(ai *aggInputs, rows [][]types.Value, keyCols []int, skipNulls bool, groups, pairs int, base []agg.Acc) *groupTable {
+	gt := &groupTable{ix: types.NewRowIndex(rows, keyCols, skipNulls, groups), base: base}
+	for j, cols := range ai.dedup {
+		if cols != nil {
+			if gt.seen == nil {
+				gt.seen = make([]*types.RowIndex, len(ai.dedup))
+			}
+			gt.seen[j] = types.NewRowIndex(rows, cols, false, pairs)
 		}
 	}
-	return gt.accs[int(e)*len(gt.specs):][:len(gt.specs)]
+	return gt
+}
+
+// fold feeds input row i to its group's accumulators, founding the group
+// when the row is its first; h is the row's key hash, which must be ok.
+func (gt *groupTable) fold(w *Executor, feed *aggFeed, i int, row []types.Value, h uint64) error {
+	e, added := gt.ix.FindOrAddHashed(int32(i), h)
+	if added {
+		for j, spec := range feed.specs {
+			switch {
+			case gt.base == nil:
+				gt.accs = append(gt.accs, *agg.NewAcc(spec))
+			case gt.seen != nil && gt.seen[j] != nil:
+				gt.accs = append(gt.accs, *agg.OverlayDeduped(&gt.base[j]))
+			default:
+				gt.accs = append(gt.accs, *agg.Overlay(&gt.base[j]))
+			}
+		}
+	}
+	accs := gt.accs[int(e)*len(feed.specs):][:len(feed.specs)]
+	if err := feed.add(w, accs, row); err != nil {
+		return err
+	}
+	for j, s := range gt.seen {
+		if s == nil || gt.base != nil && gt.base[j].Seen(row, feed.cols[j]) {
+			continue
+		}
+		if _, added := s.FindOrAdd(int32(i)); !added {
+			continue
+		}
+		if err := feed.addTo(w, &accs[j], j, row); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func appendAccs(accs []agg.Acc, specs []agg.Spec) []agg.Acc {
@@ -174,13 +215,14 @@ func partOf(h uint64, parts int) int {
 // sequential left fold of its rows at every worker count and every
 // morsel size — float sums included — and the output, merged by each
 // group's first row, is in first-appearance order. One worker, or a
-// Global grouping (one group), is one partition and no hashing pass. A
-// DISTINCT aggregate over input columns is deduplicated by Γ itself, in
-// the same fold: a row feeds it when the row is new on (grouping
-// columns, argument columns) — one index per partition where every
-// group's accumulator would otherwise keep a set of its own. A Global
-// grouping emits exactly one row even on empty input — the SQL scalar
-// aggregate.
+// Global grouping (one group), is one partition and no hashing pass.
+// Each table and its accumulator slab are sized once, for the estimated
+// number of groups (at most n) over P, and grow only past it. A DISTINCT
+// aggregate over input columns is deduplicated by Γ itself, in the same
+// fold: a row feeds it when the row is new on (grouping columns,
+// argument columns) — one index per partition where every group's
+// accumulator would otherwise keep a set of its own. A Global grouping
+// emits exactly one row even on empty input — the SQL scalar aggregate.
 func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, error) {
 	in, err := ex.eval(g.Child, env)
 	if err != nil {
@@ -194,9 +236,15 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 	if len(g.KeyCols) > 0 {
 		parts = ex.fanout(n)
 	}
+	groups := n
+	if est := math.Ceil(g.EstRows()); est < float64(n) {
+		groups = int(est)
+	}
+	groups /= parts
 	tables := make([]*groupTable, parts)
 	for p := range tables {
-		tables[p] = &groupTable{ix: types.NewRowIndex(g.KeyCols, false, 0), specs: ai.specs}
+		tables[p] = newGroupTable(ai, in.Tuples, g.KeyCols, false, groups, n/parts, nil)
+		tables[p].accs = make([]agg.Acc, 0, groups*len(ai.specs))
 	}
 	var hashes []uint64
 	if parts > 1 {
@@ -212,9 +260,6 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 		}); err != nil {
 			return nil, err
 		}
-		for _, gt := range tables {
-			gt.first = []int32{}
-		}
 	} else {
 		ex.creditMorsels(n)
 	}
@@ -222,15 +267,6 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 	// row when there is one partition.
 	fold := func(w *Executor, p int) (struct{}, error) {
 		gt, feed := tables[p], ai.feed(env)
-		var seen []*types.RowIndex // per DISTINCT item Γ dedups
-		for j, cols := range ai.dedup {
-			if cols != nil {
-				if seen == nil {
-					seen = make([]*types.RowIndex, len(ai.dedup))
-				}
-				seen[j] = types.NewRowIndex(cols, false, n/parts)
-			}
-		}
 		for i, t := range in.Tuples {
 			var h uint64
 			if hashes != nil {
@@ -243,20 +279,8 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 			if err := w.tick(); err != nil {
 				return struct{}{}, err
 			}
-			accs := gt.find(t, i, h)
-			if err := feed.add(w, accs, t); err != nil {
+			if err := gt.fold(w, feed, i, t, h); err != nil {
 				return struct{}{}, err
-			}
-			for j, s := range seen {
-				if s == nil {
-					continue
-				}
-				if _, added := s.FindOrAdd(t); !added {
-					continue
-				}
-				if err := feed.addTo(w, &accs[j], j, t); err != nil {
-					return struct{}{}, err
-				}
 			}
 		}
 		return struct{}{}, nil
@@ -271,22 +295,27 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 	if err != nil {
 		return nil, err
 	}
-	if g.Global && tables[0].ix.Len() == 0 {
-		h, _ := tables[0].ix.Hash(nil, g.KeyCols)
-		tables[0].find(nil, 0, h)
-	}
 
-	groups, na := 0, len(g.Aggs)
+	out := storage.NewRelation(g.Schema())
+	na := len(g.Aggs)
+	if g.Global && tables[0].ix.Len() == 0 {
+		row := make([]types.Value, na)
+		for i, item := range g.Aggs {
+			row[i] = item.Spec.Empty()
+		}
+		out.Tuples = [][]types.Value{row}
+		return out, nil
+	}
+	groups = 0
 	for _, gt := range tables {
 		groups += gt.ix.Len()
 	}
-	out := storage.NewRelation(g.Schema())
 	out.Tuples = make([][]types.Value, groups)
 	slab := ex.slab(len(g.KeyCols)+na, groups)
 	for k := range out.Tuples {
 		gt := tables[0] // the partition whose next group appeared first
 		for _, q := range tables[1:] {
-			if q.next < len(q.first) && (gt.next == len(gt.first) || q.first[q.next] < gt.first[gt.next]) {
+			if q.next < q.ix.Len() && (gt.next == gt.ix.Len() || q.ix.RowNum(int32(q.next)) < gt.ix.RowNum(int32(gt.next))) {
 				gt = q
 			}
 		}
@@ -314,7 +343,8 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 //
 // When Pred is an equality, R⁻ is hashed on its keys (May & Moerkotte's
 // main-memory binary grouping) and each distinct key's rows are folded
-// once, in R order, before any left tuple is read; a left tuple only
+// once, in R order, before any left tuple is read (foldKeys): one entry
+// and one set of overlays per key, not per row; a left tuple only
 // looks its key up. Each inner group is then aggregated once however
 // often left tuples repeat its key, for every aggregate, DISTINCT
 // included — what the paper's Eqv. 4 pre-aggregation bought. This is
@@ -358,40 +388,23 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 		}
 	}
 	var (
-		ht *types.RowIndex
-		// group[e] numbers the key of index entry e's first entry; the
-		// key's results are keyRes[group[e]*n:][:n]. Group 0 is the base
-		// alone, the result for a left key R⁻ lacks or a NULL one.
-		group  []int32
+		// gt is R⁻'s per-key fold, when hashed; keyRes holds the base's
+		// results, for a left key R⁻ lacks or a NULL one, then each key's:
+		// entry e's at (e+1)*n.
+		gt     *groupTable
 		keyRes []types.Value
 	)
 	if len(b.LCols) > 0 {
 		ex.stats.HashJoins++
-		if ht, err = ex.buildIndex(neg, b.RCols); err != nil {
+		if gt, err = ex.foldKeys(b, neg, base, env); err != nil {
 			return nil, err
 		}
-		group = make([]int32, ht.Len())
-		accs := append([]agg.Acc(nil), base...)
-		for e := int32(0); e < int32(ht.Len()); e++ {
-			if err := ex.tick(); err != nil {
-				return nil, err
-			}
-			row := ht.Row(e)
-			if first := ht.First(row, b.RCols); first == e {
-				group[e] = int32(len(accs) / n)
-				for i := range base {
-					accs = append(accs, *agg.Overlay(&base[i]))
-				}
-			} else {
-				group[e] = group[first]
-			}
-			if err := feed.add(ex, accs[int(group[e])*n:][:n], row); err != nil {
-				return nil, err
-			}
+		keyRes = make([]types.Value, n+len(gt.accs))
+		for i := range base {
+			keyRes[i] = base[i].Result()
 		}
-		keyRes = make([]types.Value, len(accs))
-		for i := range accs {
-			keyRes[i] = accs[i].Result()
+		for i := range gt.accs {
+			keyRes[n+i] = gt.accs[i].Result()
 		}
 	} else {
 		ex.stats.NLJoins++
@@ -406,7 +419,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 			var lf, rf *Env
 			var feed *aggFeed
 			var accs []agg.Acc
-			if ht == nil {
+			if gt == nil {
 				res = kept.buffer(n, hi-lo)
 				lf, rf = pairFrames(env, l.Schema, r.Schema)
 				feed, accs = ai.feed(env), make([]agg.Acc, n)
@@ -416,9 +429,9 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 					return nil, err
 				}
 				at := 0 // a left key R⁻ lacks, or a NULL one, reads the base alone
-				if ht != nil {
-					if e := ht.First(lt, b.LCols); e >= 0 {
-						at = int(group[e]) * n
+				if gt != nil {
+					if e := gt.ix.First(lt, b.LCols); e >= 0 {
+						at = int(e+1) * n
 					}
 				} else {
 					for j := range base {
@@ -447,7 +460,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 				if err != nil {
 					return nil, err
 				}
-				if !ok && ht == nil {
+				if !ok && gt == nil {
 					res = res[:at]
 				}
 			}
@@ -459,6 +472,38 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	out := storage.NewRelation(b.Schema())
 	out.Tuples = concatChunks(chunks)
 	return out, nil
+}
+
+// foldKeys is the hashed binary grouping's fold of R⁻ (neg): a group
+// table keyed on RCols, one entry per distinct key — a NULL key is in
+// none — whose accumulators overlay base and are fed the key's rows in
+// R order. A DISTINCT item whose argument is columns of R is
+// deduplicated as Γ's is, on (RCols, argument columns), after base's
+// set: no key keeps a set of its own.
+func (ex *Executor) foldKeys(b *physical.BinaryGroup, neg *storage.Relation, base []agg.Acc, env *Env) (*groupTable, error) {
+	ai, err := newAggInputs(b.Aggs, neg.Schema, b.RCols)
+	if err != nil {
+		return nil, err
+	}
+	m := len(neg.Tuples)
+	ex.creditHashBuild(m)
+	ex.creditMorsels(m)
+	gt := newGroupTable(ai, neg.Tuples, b.RCols, true, m, m, base)
+	_, err = runMorsel(ex, 0, m, func(w *Executor, _, _ int) (struct{}, error) {
+		feed := ai.feed(env)
+		for i, t := range neg.Tuples {
+			if err := w.tick(); err != nil {
+				return struct{}{}, err
+			}
+			if h, ok := gt.ix.Hash(t, b.RCols); ok {
+				if err := gt.fold(w, feed, i, t, h); err != nil {
+					return struct{}{}, err
+				}
+			}
+		}
+		return struct{}{}, nil
+	})
+	return gt, err
 }
 
 // split is Eqv. 5's bypass selection on the tag: it evaluates b.Tag over

@@ -17,7 +17,7 @@ import (
 // order depends on it).
 func (ex *Executor) buildIndex(rel *storage.Relation, keyCols []int) (*types.RowIndex, error) {
 	ex.creditHashBuild(len(rel.Tuples))
-	ix := types.NewRowIndex(keyCols, true, len(rel.Tuples))
+	ix := types.NewRowIndex(rel.Tuples, keyCols, true, len(rel.Tuples))
 	type hashed struct {
 		h  uint64
 		ok bool
@@ -36,11 +36,11 @@ func (ex *Executor) buildIndex(rel *storage.Relation, keyCols []int) (*types.Row
 	if err != nil {
 		return nil, err
 	}
-	i := 0
+	i := int32(0)
 	for _, c := range chunks {
 		for _, hk := range c {
 			if hk.ok {
-				ix.Add(rel.Tuples[i], hk.h)
+				ix.Add(i, hk.h)
 			}
 			i++
 		}
@@ -147,7 +147,7 @@ func (ex *Executor) evalOuterJoin(j *physical.OuterJoin, env *Env) (*storage.Rel
 	return ex.evalJoin(j, j.L, j.R, env, physical.JoinInner, j.LCols, j.RCols, pred, j.Keep, j.Emit, j.PassLeft, j.Pad)
 }
 
-// Partners recorded by evalJoin beside a right index entry or position.
+// Partners recorded by evalJoin beside a right row's number.
 const (
 	padPartner  = -1 // the outer join's pad
 	passPartner = -2 // a semi or anti join passes the left tuple through
@@ -218,7 +218,7 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 						if e < 0 {
 							break
 						}
-						partner, rt, e = e, ht.Row(e), ht.Next(e, lt, lcols)
+						partner, rt, e = ht.RowNum(e), ht.Row(e), ht.Next(e, lt, lcols)
 					} else {
 						if j == len(r.Tuples) {
 							break
@@ -274,8 +274,6 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 					out[k] = lt[:width:width]
 				case p[1] == padPartner:
 					out[k] = slab.emitRow(emit, lt, pad)
-				case ht != nil:
-					out[k] = slab.emitRow(emit, lt, ht.Row(p[1]))
 				default:
 					out[k] = slab.emitRow(emit, lt, r.Tuples[p[1]])
 				}

@@ -9,8 +9,10 @@ import (
 
 	"disqo/internal/algebra"
 	"disqo/internal/catalog"
+	"disqo/internal/physical"
 	"disqo/internal/rewrite"
 	"disqo/internal/sqlparser"
+	"disqo/internal/stats"
 	"disqo/internal/storage"
 	"disqo/internal/testutil"
 	"disqo/internal/translate"
@@ -237,6 +239,118 @@ func TestDistinctAccumulatorKeysOnColumns(t *testing.T) {
 		small, large := allocs(0), allocs(n)
 		if extra := large - small; extra > most {
 			t.Errorf("%s: %d repeated inner rows cost %.0f more allocations (%.0f → %.0f); want at most %d", arg, n, extra, small, large, most)
+		}
+	}
+}
+
+// TestTaggedDistinctDedupsPerKey works the hashed tagged Γ²'s DISTINCT
+// aggregates by hand, against canonical evaluation too, under both null
+// logics. s holds, under the tag b4 > 3, the arguments 10 and 20 (R⁺,
+// one of them under a NULL key); its other rows (R⁻) repeat 10 under key
+// 1, repeat 30 under key 1 and again under key 2, carry a NULL argument
+// under key 2, duplicate a whole row, and put 40 under a NULL key, which
+// no left row reaches. Every left row's group is R⁺ ∪ its key's R⁻ rows,
+// so an argument R⁺ holds must not count again under a key (the base
+// set is consulted), and 30 must count under key 2 though key 1 saw it
+// first (the dedup is keyed on the correlation columns as well).
+func TestTaggedDistinctDedupsPerKey(t *testing.T) {
+	null := types.Null()
+	i := func(v int64) types.Value { return types.NewInt(v) }
+	cat := catalog.New()
+	for _, tbl := range []struct {
+		name string
+		cols []string
+		rows [][]types.Value
+	}{
+		{"r", []string{"a1", "a2"}, [][]types.Value{{i(1), i(1)}, {i(2), i(2)}, {i(3), i(3)}, {i(4), null}, {i(5), i(1)}}},
+		{"s", []string{"b1", "b2", "b3", "b4"}, [][]types.Value{
+			{i(1), i(9), i(10), i(5)}, // R⁺
+			{i(2), null, i(20), i(4)}, // R⁺, NULL key
+			{i(3), i(1), i(10), i(0)}, // key 1: 10 is in R⁺
+			{i(4), i(1), i(30), i(0)}, // key 1
+			{i(5), i(1), i(30), i(1)}, // key 1: 30 again
+			{i(4), i(1), i(30), i(0)}, // key 1: the whole row again
+			{i(6), i(2), i(30), null}, // key 2: 30, which key 1 also holds
+			{i(7), i(2), null, i(0)},  // key 2: NULL argument
+			{i(8), null, i(40), i(0)}, // NULL key: in no group
+			{i(9), i(2), i(40), i(2)}, // key 2
+		}},
+	} {
+		cols := make([]catalog.Column, len(tbl.cols))
+		for k, c := range tbl.cols {
+			cols[k] = catalog.Column{Name: c, Type: types.KindInt}
+		}
+		created, err := cat.Create(tbl.name, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range tbl.rows {
+			if err := created.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	f := types.NewFloat
+	for _, c := range []struct {
+		agg string
+		// want[k] is the result for left row a1 = k+1: keys 1, 2, 3 (which
+		// R⁻ lacks), NULL and 1 again.
+		want []types.Value
+	}{
+		{"COUNT(DISTINCT b3)", []types.Value{i(3), i(4), i(2), i(2), i(3)}},
+		{"SUM(DISTINCT b3)", []types.Value{i(60), i(100), i(30), i(30), i(60)}},
+		{"AVG(DISTINCT b3)", []types.Value{f(20), f(25), f(15), f(15), f(20)}},
+		{"COUNT(DISTINCT *)", []types.Value{i(5), i(5), i(2), i(2), i(5)}},
+	} {
+		stmt, err := sqlparser.Parse(fmt.Sprintf("SELECT a1, (SELECT %s FROM s WHERE a2 = b2 OR b4 > 3) AS g FROM r", c.agg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		canonical, err := translate.New(cat).Translate(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nulls := range []string{"3vl", "2vl"} {
+			canonical := canonical
+			if nulls == "2vl" {
+				if canonical, err = translate.TwoValued(canonical); err != nil {
+					t.Fatal(err)
+				}
+			}
+			plan, err := rewrite.New(cat, rewrite.AllCaps()).Rewrite(canonical)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := physical.NewPlanner(stats.New(cat)).Lower(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(physical.Explain(n), "TagBinaryGroup(hash)[") {
+				t.Fatalf("%s: not a hashed tagged Γ²:\n%s", c.agg, physical.Explain(n))
+			}
+			run := func(p algebra.Op, workers int) *storage.Relation {
+				rel, err := New(cat, Options{Cache: CacheAll, Workers: workers, MorselSize: MinMorselSize}).Run(p)
+				if err != nil {
+					t.Fatalf("%s %s: %v", c.agg, nulls, err)
+				}
+				return rel
+			}
+			want := strings.Join(run(canonical, 1).Canonical(), "\n")
+			for _, workers := range []int{1, 4} {
+				got := run(plan, workers)
+				if g := strings.Join(got.Canonical(), "\n"); g != want {
+					t.Errorf("%s %s, %d workers: tagged Eqv. 5 differs from canonical\n--- got ---\n%s\n--- want ---\n%s", c.agg, nulls, workers, g, want)
+				}
+				if len(got.Tuples) != len(c.want) {
+					t.Fatalf("%s %s: %d rows, want %d", c.agg, nulls, len(got.Tuples), len(c.want))
+				}
+				for _, row := range got.Tuples {
+					a1, _ := row[0].IntOk()
+					if w := c.want[a1-1]; !types.Identical(row[1], w) {
+						t.Errorf("%s %s, %d workers: a1 = %d gets %s, want %s", c.agg, nulls, workers, a1, row[1], w)
+					}
+				}
+			}
 		}
 	}
 }

@@ -176,9 +176,9 @@ func (r *Relation) CloneAppend(extra ...[]types.Value) *Relation {
 // the index's entries, which are the first of each tuple in input order,
 // cut once to their number.
 func (r *Relation) Distinct() *Relation {
-	seen := types.NewRowIndex(nil, false, len(r.Tuples))
-	for _, t := range r.Tuples {
-		seen.FindOrAdd(t)
+	seen := types.NewRowIndex(r.Tuples, nil, false, len(r.Tuples))
+	for i := range r.Tuples {
+		seen.FindOrAdd(int32(i))
 	}
 	out := NewRelation(r.Schema)
 	if seen.Len() > 0 {

@@ -2,15 +2,23 @@ package types
 
 import "math/bits"
 
-// RowIndex is an insertion-ordered hash index over rows, keyed on some
-// of their columns: the engine's one "hash → candidates → verify"
-// structure, behind DISTINCT sets, grouping tables, join build sides and
-// DML row matching. It keeps the row slices it is given — references,
-// never copies; rows are immutable once built — and allocates per growth
-// step, not per entry: the entries sit in one slice in insertion order,
-// and one int32 block holds the slot heads, the slot tails and each
-// entry's chain link. Entries sharing a slot chain in insertion order,
-// so a probe meets its matches in the order they were added.
+// RowIndex is an insertion-ordered hash index over the rows of one
+// relation, keyed on some of their columns: the engine's one "hash →
+// candidates → verify" structure, behind DISTINCT sets, grouping tables,
+// join build sides and DML row matching. An entry is a row number into
+// that relation — never a copy of the row — and a 32-bit tag, the high
+// half of h·φ for the row's key hash h, whose top bits pick the entry's
+// slot. Slot heads, slot tails and each entry's chain link, row number
+// and tag all sit in one int32 block, allocated per growth step, not per
+// entry. Entries sharing a slot chain in insertion order, so a probe
+// meets its matches in the order they were added; a tag match is
+// confirmed by a full key compare.
+//
+// An index built over a relation's rows (NewRowIndex with rows non-nil)
+// indexes rows of it by number (Add, FindOrAdd). An index built with nil
+// rows owns them: Push appends a row to them when its key is new, and
+// they grow with the block. Either way the rows are references, never
+// copies; rows are immutable once built.
 //
 // Keys compare under Identical (NULL matches NULL). With skipNulls — SQL
 // equality, for join keys — a key holding a NULL hashes as not ok: such
@@ -18,29 +26,29 @@ import "math/bits"
 // must not be probed while it is added to; once complete, any number of
 // goroutines may probe it.
 type RowIndex struct {
-	cols      []int // key columns of the stored rows; nil means every column
+	rows      [][]Value // the indexed relation's rows, or the owned ones
+	owns      bool
+	cols      []int // key columns of the rows; nil means every column
 	skipNulls bool
-	entries   []rowEntry
-	// links is [0,s) slot heads, [s,2s) slot tails, then one next-entry
-	// link per entry capacity (-1 for none): s = slots, a power of two no
-	// smaller than cap(entries), which is exactly what was asked for.
-	links []int32
-	slots int
+	// block is [0,s) slot heads, [s,2s) slot tails, then three int32s
+	// per entry of the capacity: the next entry in its chain (-1 for
+	// none), its row number and its tag. s = slots, a power of two no
+	// smaller than the capacity, which is exactly what was asked for.
+	block []int32
+	n     int  // entries
+	slots int  // s
+	shift uint // 32 - log2(s): a tag's top bits are its slot
 	// collide, when set, maps every hash before use: the tests' way to
-	// force full-hash collisions.
+	// force full tag collisions.
 	collide func(uint64) uint64
 }
 
-type rowEntry struct {
-	row  []Value
-	hash uint64
-}
-
-// NewRowIndex returns an empty index over rows keyed on cols (nil: the
-// whole row), sized for exactly capacity entries — it grows only past
-// them; nothing is allocated before the first Add when capacity is 0.
-func NewRowIndex(cols []int, skipNulls bool, capacity int) *RowIndex {
-	ix := &RowIndex{cols: cols, skipNulls: skipNulls}
+// NewRowIndex returns an empty index over rows — nil for an index that
+// owns the rows Push gives it — keyed on cols (nil: the whole row),
+// sized for exactly capacity entries: it grows only past them; nothing
+// is allocated before the first entry when capacity is 0.
+func NewRowIndex(rows [][]Value, cols []int, skipNulls bool, capacity int) *RowIndex {
+	ix := &RowIndex{rows: rows, owns: rows == nil, cols: cols, skipNulls: skipNulls}
 	if capacity > 0 {
 		ix.grow(capacity)
 	}
@@ -49,10 +57,13 @@ func NewRowIndex(cols []int, skipNulls bool, capacity int) *RowIndex {
 
 // Len is the number of entries; they are numbered [0, Len) in insertion
 // order.
-func (ix *RowIndex) Len() int { return len(ix.entries) }
+func (ix *RowIndex) Len() int { return ix.n }
+
+// RowNum returns the number of entry e's row.
+func (ix *RowIndex) RowNum(e int32) int32 { return ix.block[2*ix.slots+3*int(e)+1] }
 
 // Row returns entry e's row.
-func (ix *RowIndex) Row(e int32) []Value { return ix.entries[e].row }
+func (ix *RowIndex) Row(e int32) []Value { return ix.rows[ix.RowNum(e)] }
 
 // Hash hashes row's key columns cols (nil: the whole row) as HashTuple
 // would the extracted key, which it never builds. ok is false when the
@@ -92,54 +103,64 @@ func keyAt(row []Value, cols []int, k int) Value {
 	return row[cols[k]]
 }
 
-// Add appends row as a new entry without looking for an equal one; h is
-// Hash(row, the index's key columns), which must have been ok.
-func (ix *RowIndex) Add(row []Value, h uint64) int32 {
-	if len(ix.entries) == cap(ix.entries) {
-		ix.grow(max(2*cap(ix.entries), 8))
+// tagOf spreads h by its high bits (Fibonacci hashing): FNV's low bits
+// alone distribute small integers poorly.
+func tagOf(h uint64) int32 { return int32((h * 0x9E3779B97F4A7C15) >> 32) }
+
+// slot returns the slot of a tag.
+func (ix *RowIndex) slot(tag int32) int { return int(uint32(tag) >> ix.shift) }
+
+func (ix *RowIndex) capacity() int { return (len(ix.block) - 2*ix.slots) / 3 }
+
+// Add appends row i as a new entry without looking for an equal one; h
+// is Hash(the row, the index's key columns), which must have been ok.
+func (ix *RowIndex) Add(i int32, h uint64) int32 {
+	if ix.n == ix.capacity() {
+		ix.grow(max(2*ix.n, 8))
 	}
-	e := int32(len(ix.entries))
-	ix.entries = append(ix.entries, rowEntry{row: row, hash: h})
-	ix.link(e, h)
+	e := int32(ix.n)
+	ix.n++
+	ent := ix.block[2*ix.slots+3*int(e):]
+	ent[1], ent[2] = i, tagOf(h)
+	ix.link(e)
 	return e
 }
 
-// link appends entry e to the chain of h's slot.
-func (ix *RowIndex) link(e int32, h uint64) {
-	s := ix.slots
-	slot := ix.slot(h)
-	ix.links[2*s+int(e)] = -1
-	if tail := ix.links[s+slot]; tail >= 0 {
-		ix.links[2*s+int(tail)] = e
+// link appends entry e to the chain of its tag's slot.
+func (ix *RowIndex) link(e int32) {
+	s, at := ix.slots, 2*ix.slots+3*int(e)
+	slot := ix.slot(ix.block[at+2])
+	ix.block[at] = -1
+	if tail := ix.block[s+slot]; tail >= 0 {
+		ix.block[2*s+3*int(tail)] = e
 	} else {
-		ix.links[slot] = e
+		ix.block[slot] = e
 	}
-	ix.links[s+slot] = e
+	ix.block[s+slot] = e
 }
 
-// slot spreads h over the slots by its high bits (Fibonacci hashing):
-// FNV's low bits alone distribute small integers poorly.
-func (ix *RowIndex) slot(h uint64) int {
-	return int((h * 0x9E3779B97F4A7C15) >> (64 - bits.TrailingZeros(uint(ix.slots))))
-}
-
-// grow re-creates both blocks for exactly capacity entries, over the
+// grow re-creates the block for exactly capacity entries, over the
 // smallest power-of-two number of slots (at least 8) that holds them,
-// and relinks the entries in insertion order.
+// and relinks the entries in insertion order; an owning index's rows
+// grow to the same capacity with it.
 func (ix *RowIndex) grow(capacity int) {
 	s := 8
 	for s < capacity {
 		s *= 2
 	}
-	entries := make([]rowEntry, len(ix.entries), capacity)
-	copy(entries, ix.entries)
-	ix.entries, ix.slots = entries, s
-	ix.links = make([]int32, 2*s+capacity)
-	for i := range ix.links[:2*s] {
-		ix.links[i] = -1
+	old, olds := ix.block, ix.slots
+	ix.block, ix.slots, ix.shift = make([]int32, 2*s+3*capacity), s, uint(32-bits.TrailingZeros(uint(s)))
+	for i := range ix.block[:2*s] {
+		ix.block[i] = -1
 	}
-	for e := range entries {
-		ix.link(int32(e), entries[e].hash)
+	for e := 0; e < ix.n; e++ {
+		copy(ix.block[2*s+3*e+1:][:2], old[2*olds+3*e+1:])
+		ix.link(int32(e))
+	}
+	if ix.owns {
+		rows := make([][]Value, len(ix.rows), capacity)
+		copy(rows, ix.rows)
+		ix.rows = rows
 	}
 }
 
@@ -148,23 +169,32 @@ func (ix *RowIndex) grow(capacity int) {
 // returns the one after entry e, for the same row and cols.
 func (ix *RowIndex) First(row []Value, cols []int) int32 {
 	h, ok := ix.Hash(row, cols)
-	if !ok || len(ix.entries) == 0 {
+	if !ok {
 		return -1
 	}
-	return ix.scan(ix.links[ix.slot(h)], h, row, cols)
+	return ix.find(row, cols, tagOf(h))
 }
 
 // Next continues First past entry e.
 func (ix *RowIndex) Next(e int32, row []Value, cols []int) int32 {
-	return ix.scan(ix.links[2*ix.slots+int(e)], ix.entries[e].hash, row, cols)
+	at := 2*ix.slots + 3*int(e)
+	return ix.scan(ix.block[at], ix.block[at+2], row, cols)
 }
 
-// scan walks a chain from entry e to the first one with hash h and a key
+// find returns the first entry with tag and a key identical to row's.
+func (ix *RowIndex) find(row []Value, cols []int, tag int32) int32 {
+	if ix.n == 0 {
+		return -1
+	}
+	return ix.scan(ix.block[ix.slot(tag)], tag, row, cols)
+}
+
+// scan walks a chain from entry e to the first one with tag and a key
 // identical to row's.
-func (ix *RowIndex) scan(e int32, h uint64, row []Value, cols []int) int32 {
-	next := ix.links[2*ix.slots:]
-	for ; e >= 0; e = next[e] {
-		if ent := &ix.entries[e]; ent.hash == h && ix.keysIdentical(ent.row, row, cols) {
+func (ix *RowIndex) scan(e, tag int32, row []Value, cols []int) int32 {
+	ents := ix.block[2*ix.slots:]
+	for ; e >= 0; e = ents[3*e] {
+		if ents[3*e+2] == tag && ix.keysIdentical(ix.rows[ents[3*e+1]], row, cols) {
 			return e
 		}
 	}
@@ -184,25 +214,44 @@ func (ix *RowIndex) keysIdentical(stored, row []Value, cols []int) bool {
 	return true
 }
 
-// FindOrAdd returns the entry whose key is identical to row's — row
-// being laid out like the stored rows — adding row as a new entry when
-// there is none. The index retains row in that case. A key the index
-// skips (ok false from Hash) is neither found nor added: e is -1.
-func (ix *RowIndex) FindOrAdd(row []Value) (e int32, added bool) {
+// FindOrAdd returns the entry whose key is identical to row i's, adding
+// row i as a new entry when there is none. A key the index skips (ok
+// false from Hash) is neither found nor added: e is -1.
+func (ix *RowIndex) FindOrAdd(i int32) (e int32, added bool) {
+	h, ok := ix.Hash(ix.rows[i], ix.cols)
+	if !ok {
+		return -1, false
+	}
+	return ix.FindOrAddHashed(i, h)
+}
+
+// FindOrAddHashed is FindOrAdd for a row whose key hash is known: h is
+// Hash(row i, the index's key columns), which must have been ok.
+func (ix *RowIndex) FindOrAddHashed(i int32, h uint64) (e int32, added bool) {
+	if e = ix.find(ix.rows[i], ix.cols, tagOf(h)); e >= 0 {
+		return e, false
+	}
+	return ix.Add(i, h), true
+}
+
+// Push is FindOrAdd for an index that owns its rows: it returns the
+// entry whose key is identical to row's, appending row to the rows as a
+// new entry when there is none — retaining it, not a copy.
+func (ix *RowIndex) Push(row []Value) (e int32, added bool) {
+	if !ix.owns {
+		panic("types: Push on an index over a relation's rows")
+	}
 	h, ok := ix.Hash(row, ix.cols)
 	if !ok {
 		return -1, false
 	}
-	return ix.FindOrAddHashed(row, h)
-}
-
-// FindOrAddHashed is FindOrAdd for a row whose key hash is known: h is
-// Hash(row, the index's key columns), which must have been ok.
-func (ix *RowIndex) FindOrAddHashed(row []Value, h uint64) (e int32, added bool) {
-	if len(ix.entries) > 0 {
-		if e = ix.scan(ix.links[ix.slot(h)], h, row, ix.cols); e >= 0 {
-			return e, false
-		}
+	tag := tagOf(h)
+	if e = ix.find(row, ix.cols, tag); e >= 0 {
+		return e, false
 	}
-	return ix.Add(row, h), true
+	if ix.n == ix.capacity() {
+		ix.grow(max(2*ix.n, 8))
+	}
+	ix.rows = append(ix.rows, row)
+	return ix.Add(int32(len(ix.rows)-1), h), true
 }

@@ -7,11 +7,13 @@ import (
 
 // refIndex is the structure RowIndex replaced, kept as its reference: a
 // map from key hash to the entries with that hash, verified by
-// comparison. Entries are numbered in insertion order.
+// comparison. Entries are numbered in insertion order; entry e indexes
+// row number nums[e] of rows.
 type refIndex struct {
+	rows      [][]Value
 	cols      []int
 	skipNulls bool
-	rows      [][]Value
+	nums      []int32
 	buckets   map[uint64][]int32
 }
 
@@ -40,15 +42,16 @@ func (r *refIndex) matches(row []Value, cols []int) []int32 {
 	}
 	var out []int32
 	for _, e := range r.buckets[HashTuple(key)] {
-		if stored, _ := r.key(r.rows[e], r.cols); TuplesIdentical(stored, key) {
+		if stored, _ := r.key(r.rows[r.nums[e]], r.cols); TuplesIdentical(stored, key) {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
-func (r *refIndex) add(row []Value) {
-	key, ok := r.key(row, r.cols)
+// add indexes row number i, unless its key is skipped.
+func (r *refIndex) add(i int32) {
+	key, ok := r.key(r.rows[i], r.cols)
 	if !ok {
 		return
 	}
@@ -56,8 +59,8 @@ func (r *refIndex) add(row []Value) {
 		r.buckets = map[uint64][]int32{}
 	}
 	h := HashTuple(key)
-	r.buckets[h] = append(r.buckets[h], int32(len(r.rows)))
-	r.rows = append(r.rows, row)
+	r.buckets[h] = append(r.buckets[h], int32(len(r.nums)))
+	r.nums = append(r.nums, i)
 }
 
 // allMatches walks First/Next to the end.
@@ -86,21 +89,19 @@ func TestRowIndexTable(t *testing.T) {
 	row := func(vs ...Value) []Value { return vs }
 
 	t.Run("identical keys, NULL groups with NULL", func(t *testing.T) {
-		ix := NewRowIndex([]int{0}, false, 0)
-		for _, c := range []struct {
-			row   []Value
+		rows := [][]Value{row(one, two), row(null, one), row(NewFloat(1), null), row(null, two), row(two, two)}
+		ix := NewRowIndex(rows, []int{0}, false, 0)
+		for i, c := range []struct {
 			entry int32
 			added bool
-		}{
-			{row(one, two), 0, true}, {row(null, one), 1, true}, {row(NewFloat(1), null), 0, false},
-			{row(null, two), 1, false}, {row(two, two), 2, true},
-		} {
-			if e, added := ix.FindOrAdd(c.row); e != c.entry || added != c.added {
-				t.Errorf("FindOrAdd(%s) = entry %d, added %v; want %d, %v", FormatTuple(c.row), e, added, c.entry, c.added)
+		}{{0, true}, {1, true}, {0, false}, {1, false}, {2, true}} {
+			if e, added := ix.FindOrAdd(int32(i)); e != c.entry || added != c.added {
+				t.Errorf("FindOrAdd(row %d) = entry %d, added %v; want %d, %v", i, e, added, c.entry, c.added)
 			}
 		}
-		if ix.Len() != 3 || !TuplesIdentical(ix.Row(1), row(null, one)) {
-			t.Errorf("index holds %d entries, entry 1 = %s; want 3 and the first NULL-keyed row", ix.Len(), FormatTuple(ix.Row(1)))
+		if ix.Len() != 3 || ix.RowNum(1) != 1 || ix.RowNum(2) != 4 || &ix.Row(1)[0] != &rows[1][0] {
+			t.Errorf("index holds %d entries, entry 1 row %d, entry 2 row %d; want 3, each group's first row",
+				ix.Len(), ix.RowNum(1), ix.RowNum(2))
 		}
 		// Probed by another layout: the key is column 1 of the probe row.
 		if got := allMatches(ix, row(two, null), []int{1}); !sameEntries(got, []int32{1}) {
@@ -109,13 +110,14 @@ func TestRowIndexTable(t *testing.T) {
 	})
 
 	t.Run("SQL equality skips NULL keys on both sides", func(t *testing.T) {
-		ix := NewRowIndex([]int{1, 0}, true, 4)
-		for _, r := range [][]Value{row(one, two), row(null, two), row(one, two), row(one, null)} {
+		rows := [][]Value{row(one, two), row(null, two), row(one, two), row(one, null), row(null, null)}
+		ix := NewRowIndex(rows, []int{1, 0}, true, 4)
+		for i, r := range rows[:4] {
 			if h, ok := ix.Hash(r, []int{1, 0}); ok {
-				ix.Add(r, h)
+				ix.Add(int32(i), h)
 			}
 		}
-		if ix.Len() != 2 {
+		if ix.Len() != 2 || ix.RowNum(1) != 2 {
 			t.Fatalf("index holds %d entries, want the 2 without a NULL key column", ix.Len())
 		}
 		if got := allMatches(ix, row(two, one), nil); !sameEntries(got, []int32{0, 1}) {
@@ -124,15 +126,15 @@ func TestRowIndexTable(t *testing.T) {
 		if got := allMatches(ix, row(two, null), nil); got != nil {
 			t.Errorf("a probe with a NULL key matched %v", got)
 		}
-		if e, added := ix.FindOrAdd(row(null, null)); e != -1 || added {
+		if e, added := ix.FindOrAdd(4); e != -1 || added {
 			t.Errorf("FindOrAdd of a NULL key = %d, %v; want it skipped", e, added)
 		}
 	})
 
 	t.Run("whole rows of different widths never match", func(t *testing.T) {
-		ix := NewRowIndex(nil, false, 0)
+		ix := NewRowIndex(nil, nil, false, 0)
 		ix.collide = func(uint64) uint64 { return 7 } // so that only the comparison can tell them apart
-		ix.FindOrAdd(row(one))
+		ix.Push(row(one))
 		if got := ix.First(row(one, one), nil); got != -1 {
 			t.Errorf("a 2-column probe matched the 1-column entry %d", got)
 		}
@@ -142,22 +144,46 @@ func TestRowIndexTable(t *testing.T) {
 	})
 
 	t.Run("an empty key is one group", func(t *testing.T) {
-		ix := NewRowIndex([]int{}, false, 0)
-		for _, r := range [][]Value{row(one), row(two), nil} {
-			if e, _ := ix.FindOrAdd(r); e != 0 {
-				t.Errorf("row %s founded entry %d under the empty key", FormatTuple(r), e)
+		rows := [][]Value{row(one), row(two), nil}
+		ix := NewRowIndex(rows, []int{}, false, 0)
+		for i := range rows {
+			if e, _ := ix.FindOrAdd(int32(i)); e != 0 {
+				t.Errorf("row %d founded entry %d under the empty key", i, e)
 			}
 		}
+	})
+
+	t.Run("an owning index retains what it is pushed", func(t *testing.T) {
+		ix := NewRowIndex(nil, []int{1}, false, 0)
+		pushed := [][]Value{row(one, two), row(two, two), row(two, null), row(one, null)}
+		for i, c := range []struct {
+			entry int32
+			added bool
+		}{{0, true}, {0, false}, {1, true}, {1, false}} {
+			if e, added := ix.Push(pushed[i]); e != c.entry || added != c.added {
+				t.Errorf("Push(%s) = entry %d, added %v; want %d, %v", FormatTuple(pushed[i]), e, added, c.entry, c.added)
+			}
+		}
+		if ix.Len() != 2 || &ix.Row(1)[0] != &pushed[2][0] || len(ix.rows) != 2 {
+			t.Errorf("owning index holds %d entries over %d rows; want 2 over the 2 new ones, retained", ix.Len(), len(ix.rows))
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("Push on an index over a relation did not panic")
+			}
+		}()
+		NewRowIndex(pushed, nil, false, 0).Push(row(one))
 	})
 }
 
 // TestRowIndexAgainstReference drives RowIndex and the map-of-slices
-// reference with the same random inserts and probes — duplicate-heavy
-// keys, NULLs, ints and floats that are the same number, probes laid out
-// differently from the stored rows — through several growth steps, with
-// the real hash, with a hash cut to two bits, and with every hash equal;
-// unsized, and presized to capacities that are not powers of two, each
-// filled past its exact capacity.
+// reference with the same inserts, in row order, and random probes —
+// duplicate-heavy keys, NULLs, ints and floats that are the same number,
+// probes laid out differently from the stored rows — through several
+// growth steps, with the real hash, with a hash cut to two bits, and
+// with every hash (hence every tag) equal; unsized, and presized to
+// capacities that are not powers of two, each filled past its exact
+// capacity; over a relation, and owning the rows it is pushed.
 func TestRowIndexAgainstReference(t *testing.T) {
 	hashes := map[string]func(uint64) uint64{
 		"real":     nil,
@@ -168,7 +194,9 @@ func TestRowIndexAgainstReference(t *testing.T) {
 		for _, capacity := range []int{0, 1, 7, 9, 1000, 1025} {
 			for _, skipNulls := range []bool{false, true} {
 				for _, cols := range [][]int{nil, {1}, {2, 0}} {
-					checkAgainstReference(t, name, collide, capacity, skipNulls, cols)
+					for _, owning := range []bool{false, true} {
+						checkAgainstReference(t, name, collide, capacity, skipNulls, cols, owning)
+					}
 				}
 			}
 		}
@@ -176,9 +204,9 @@ func TestRowIndexAgainstReference(t *testing.T) {
 }
 
 // checkAgainstReference runs one configuration of
-// TestRowIndexAgainstReference: enough steps to fill an index presized
-// to capacity and grow it past that.
-func checkAgainstReference(t *testing.T, name string, collide func(uint64) uint64, capacity int, skipNulls bool, cols []int) {
+// TestRowIndexAgainstReference: enough rows to fill an index presized to
+// capacity and grow it past that.
+func checkAgainstReference(t *testing.T, name string, collide func(uint64) uint64, capacity int, skipNulls bool, cols []int, owning bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(len(name)) + int64(len(cols)) + int64(capacity)))
 	val := func() Value {
@@ -193,33 +221,47 @@ func checkAgainstReference(t *testing.T, name string, collide func(uint64) uint6
 			return NewInt(int64(rng.Intn(5)))
 		}
 	}
-	ix := NewRowIndex(cols, skipNulls, capacity)
+	rows := make([][]Value, 600+2*capacity)
+	for i := range rows {
+		rows[i] = []Value{val(), val(), val()}
+	}
+	var ix *RowIndex
+	if owning {
+		ix = NewRowIndex(nil, cols, skipNulls, capacity)
+	} else {
+		ix = NewRowIndex(rows, cols, skipNulls, capacity)
+	}
 	ix.collide = collide
-	ref := &refIndex{cols: cols, skipNulls: skipNulls}
-	for step := 0; step < 600+2*capacity; step++ {
-		stored := []Value{val(), val(), val()}
-		if rng.Intn(3) == 0 { // find-or-add, as a grouping table or a DISTINCT set does
+	ref := &refIndex{rows: rows, cols: cols, skipNulls: skipNulls}
+	for i, stored := range rows {
+		if owning || rng.Intn(3) == 0 { // find-or-add, as a grouping table or a DISTINCT set does
 			want := ref.matches(stored, cols)
-			e, added := ix.FindOrAdd(stored)
+			var e int32
+			var added bool
+			if owning {
+				e, added = ix.Push(stored)
+			} else {
+				e, added = ix.FindOrAdd(int32(i))
+			}
 			_, indexable := ref.key(stored, cols)
 			switch {
 			case !indexable:
 				if e != -1 || added {
-					t.Fatalf("%s: FindOrAdd(%s) = %d, %v for a skipped key", name, FormatTuple(stored), e, added)
+					t.Fatalf("%s: find-or-add of %s = %d, %v for a skipped key", name, FormatTuple(stored), e, added)
 				}
 			case len(want) > 0:
 				if e != want[0] || added {
-					t.Fatalf("%s: FindOrAdd(%s) = %d, %v; reference finds %v", name, FormatTuple(stored), e, added, want)
+					t.Fatalf("%s: find-or-add of %s = %d, %v; reference finds %v", name, FormatTuple(stored), e, added, want)
 				}
 			default:
-				if e != int32(len(ref.rows)) || !added {
-					t.Fatalf("%s: FindOrAdd(%s) = %d, %v; reference would add entry %d", name, FormatTuple(stored), e, added, len(ref.rows))
+				if e != int32(len(ref.nums)) || !added {
+					t.Fatalf("%s: find-or-add of %s = %d, %v; reference would add entry %d", name, FormatTuple(stored), e, added, len(ref.nums))
 				}
-				ref.add(stored)
+				ref.add(int32(i))
 			}
 		} else if h, ok := ix.Hash(stored, cols); ok { // plain add, as a join build does
-			ix.Add(stored, h)
-			ref.add(stored)
+			ix.Add(int32(i), h)
+			ref.add(int32(i))
 		}
 		// Probe with a row of another layout: its key columns reversed.
 		probe := []Value{val(), val(), val(), val()}
@@ -228,24 +270,40 @@ func checkAgainstReference(t *testing.T, name string, collide func(uint64) uint6
 			probe, pcols = probe[:3], nil
 		}
 		if got, want := allMatches(ix, probe, pcols), ref.matches(probe, pcols); !sameEntries(got, want) {
-			t.Fatalf("%s capacity=%d skipNulls=%v cols=%v: matches of %s by %v = %v, reference %v",
-				name, capacity, skipNulls, cols, FormatTuple(probe), pcols, got, want)
+			t.Fatalf("%s capacity=%d skipNulls=%v cols=%v owning=%v: matches of %s by %v = %v, reference %v",
+				name, capacity, skipNulls, cols, owning, FormatTuple(probe), pcols, got, want)
 		}
 	}
-	if ix.Len() != len(ref.rows) || ix.Len() < 100 || ix.Len() <= capacity {
-		t.Fatalf("%s capacity=%d: %d entries, reference %d; want equal, several growth steps and past the capacity",
-			name, capacity, ix.Len(), len(ref.rows))
+	// Pushed rows are found or added, so an owning index holds one entry
+	// per distinct key: as few as 8 on one column without NULL.
+	if ix.Len() != len(ref.nums) || ix.Len() < 8 || (!owning && (ix.Len() < 40 || ix.Len() <= capacity)) {
+		t.Fatalf("%s capacity=%d owning=%v: %d entries, reference %d; want equal, several growth steps and past the capacity",
+			name, capacity, owning, ix.Len(), len(ref.nums))
 	}
-	for e, r := range ref.rows {
-		if &ix.Row(int32(e))[0] != &r[0] {
-			t.Fatalf("%s: entry %d is not the row that was inserted %dth", name, e, e)
+	for e, i := range ref.nums {
+		if !owning && ix.RowNum(int32(e)) != i {
+			t.Fatalf("%s: entry %d is row %d, reference row %d", name, e, ix.RowNum(int32(e)), i)
+		}
+		if &ix.Row(int32(e))[0] != &rows[i][0] {
+			t.Fatalf("%s: entry %d is not the row that founded it", name, e)
 		}
 	}
 }
 
+// buildAll adds every row of rows to a fresh index presized to capacity,
+// as a join build does.
+func buildAll(rows [][]Value, capacity int) *RowIndex {
+	ix := NewRowIndex(rows, nil, false, capacity)
+	for i, r := range rows {
+		h, _ := ix.Hash(r, nil)
+		ix.Add(int32(i), h)
+	}
+	return ix
+}
+
 // TestRowIndexAllocatesPerGrowthStep: a thousand entries cost the index
-// and two blocks per doubling, not an allocation each; presized, three
-// allocations in all.
+// and one block per doubling, not an allocation each — an owning index
+// a block and its rows per doubling; presized, two allocations in all.
 func TestRowIndexAllocatesPerGrowthStep(t *testing.T) {
 	rows := make([][]Value, 1000)
 	for i := range rows {
@@ -254,16 +312,24 @@ func TestRowIndexAllocatesPerGrowthStep(t *testing.T) {
 	for _, c := range []struct {
 		capacity int
 		most     float64
-	}{{0, 1 + 2*8}, {len(rows), 3}} {
+	}{{0, 1 + 8}, {len(rows), 2}} {
 		got := testing.AllocsPerRun(10, func() {
-			ix := NewRowIndex(nil, false, c.capacity)
-			for _, r := range rows {
-				ix.FindOrAdd(r)
+			ix := NewRowIndex(rows, nil, false, c.capacity)
+			for i := range rows {
+				ix.FindOrAdd(int32(i))
 			}
 		})
 		if got > c.most {
 			t.Errorf("capacity %d: %.0f allocations for %d inserts, want at most %.0f", c.capacity, got, len(rows), c.most)
 		}
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		ix := NewRowIndex(nil, nil, false, 0)
+		for _, r := range rows {
+			ix.Push(r)
+		}
+	}); got > 1+2*7 { // 300 distinct keys: 8, 16, …, 512
+		t.Errorf("owning: %.0f allocations for %d pushes, want at most %d", got, len(rows), 1+2*7)
 	}
 	// Presized to any capacity and filled up to it, an index never grows,
 	// and holds exactly that many entries' room.
@@ -273,15 +339,28 @@ func TestRowIndexAllocatesPerGrowthStep(t *testing.T) {
 			distinct[i] = []Value{NewInt(int64(i))}
 		}
 		var ix *RowIndex
-		got := testing.AllocsPerRun(10, func() {
-			ix = NewRowIndex(nil, false, capacity)
-			for _, r := range distinct {
-				ix.FindOrAdd(r)
-			}
-		})
-		if got > 3 || ix.Len() != capacity || cap(ix.entries) != capacity {
-			t.Errorf("capacity %d filled: %.0f allocations, %d entries in room for %d; want 3, and no growth",
-				capacity, got, ix.Len(), cap(ix.entries))
+		got := testing.AllocsPerRun(10, func() { ix = buildAll(distinct, capacity) })
+		if got > 2 || ix.Len() != capacity || ix.capacity() != capacity {
+			t.Errorf("capacity %d filled: %.0f allocations, %d entries in room for %d; want 2, and no growth",
+				capacity, got, ix.Len(), ix.capacity())
 		}
+	}
+}
+
+// TestRowIndexOneBlock: an index presized for 5 000 entries takes one
+// block for its whole bulk build — two allocations in all, the index and
+// the block — of at most 12 bytes per entry and 8 per slot.
+func TestRowIndexOneBlock(t *testing.T) {
+	const n = 5000
+	rows := make([][]Value, n)
+	for i := range rows {
+		rows[i] = []Value{NewInt(int64(i)), NewString("x")}
+	}
+	var ix *RowIndex
+	if got := testing.AllocsPerRun(10, func() { ix = buildAll(rows, n) }); got != 2 {
+		t.Errorf("bulk build of %d rows: %.0f allocations, want the index and its one block", n, got)
+	}
+	if bytes, most := 4*cap(ix.block), 12*n+8*ix.slots; ix.Len() != n || bytes > most {
+		t.Errorf("%d entries over %d slots in a %d-byte block, want at most %d", ix.Len(), ix.slots, bytes, most)
 	}
 }

@@ -54,6 +54,11 @@ test -z "$(grep -n 'sqlparser\.ParseStatement(' durability.go replica.go)"
 # one each. And types.Value is 32 bytes by layout, not by unsafe tricks.
 test -z "$(grep -n 'map\[uint64\]\[\]' $(ls internal/exec/*.go internal/agg/*.go internal/storage/*.go write.go | grep -v _test.go))"
 test -z "$(grep -l '"unsafe"' $(ls internal/types/*.go | grep -v _test.go))"
+# An index entry is a row number and a tag, not a row: no entry type
+# holding a row slice comes back, and Γ²'s per-key fold is a group table
+# (one entry per key), not a join index over every row of R⁻.
+test -z "$(grep -n 'rowEntry' $(ls internal/types/*.go | grep -v _test.go))"
+test -z "$(grep -n 'buildIndex(' internal/exec/group.go)"
 # Two-valued logic is one translation at the front (translate.TwoValued),
 # not a mode: nothing below the planner names a null mode or lifts a leaf.
 test -z "$(grep -nE 'NullMode|Lift\(|WithNulls|EvalMode' $(ls internal/exec/*.go internal/vec/*.go internal/storage/*.go internal/types/*.go internal/rewrite/*.go internal/physical/*.go internal/stats/*.go | grep -v _test.go))"

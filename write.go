@@ -383,9 +383,9 @@ func (db *DB) matchingRows(src catalog.Reader, table string, where sqlparser.Exp
 	if err != nil {
 		return nil, err
 	}
-	out := types.NewRowIndex(nil, false, rel.Cardinality())
-	for _, t := range rel.Tuples {
-		out.FindOrAdd(t)
+	out := types.NewRowIndex(rel.Tuples, nil, false, rel.Cardinality())
+	for i := range rel.Tuples {
+		out.FindOrAdd(int32(i))
 	}
 	return out, nil
 }

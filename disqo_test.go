@@ -477,3 +477,41 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestSortedBinaryGroupSkipsIncomparableRows: a θ-correlated subquery
+// whose correlation compares an INT with a VARCHAR is never TRUE, so its
+// aggregate sees no row — the canonical plan's answer. The unnested plan
+// runs the sort-based Γ², which must not count the right rows it cannot
+// compare with the left value either, in either null mode.
+func TestSortedBinaryGroupSkipsIncomparableRows(t *testing.T) {
+	db := fuseDB(t,
+		"CREATE TABLE r (a1 INT, a2 INT)",
+		"CREATE TABLE s (b1 INT, b2 VARCHAR)",
+		"INSERT INTO r VALUES (1, 1), (2, 5)",
+		"INSERT INTO s VALUES (10, 'x'), (20, 'y')",
+	)
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT a1, (SELECT SUM(b1) FROM s WHERE a2 <= b2) FROM r", "(1, NULL);(2, NULL)"},
+		{"SELECT * FROM r WHERE a1 < (SELECT COUNT(*) FROM s WHERE a2 <= b2)", ""},
+		{"SELECT * FROM r WHERE a1 < (SELECT COUNT(*) FROM s WHERE b2 >= a2)", ""},
+	} {
+		plan, err := db.Explain(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "SortBinaryGroup[r.a2 <= s.b2]") {
+			t.Fatalf("%s: the unnested plan does not group sort-based:\n%s", c.sql, plan)
+		}
+		for _, nulls := range []NullMode{ThreeValuedNulls, TwoValuedNulls} {
+			for _, strategy := range []Strategy{Canonical, Unnested} {
+				res, err := db.Query(c.sql, WithStrategy(strategy), WithNullMode(nulls))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := strings.Join(sortedRows(res), ";"); got != c.want {
+					t.Errorf("%s (%s, %s): %s, want %s", c.sql, strategy, nulls, got, c.want)
+				}
+			}
+		}
+	}
+}

@@ -69,7 +69,7 @@ func TestFusedSelectionIsNotMemoizedAcrossOuterTuples(t *testing.T) {
 			pp, roots := physicalPlan(t, db, sql, WithStrategy(strategy), WithNullMode(nulls))
 			for _, root := range roots {
 				physical.Walk(root, func(n physical.Node) bool {
-					if oj, ok := n.(*physical.OuterJoin); ok && oj.Keep != nil && strings.Contains(oj.Keep.String(), "r.a4") {
+					if oj, ok := n.(*physical.Join); ok && oj.Keep != nil && strings.Contains(oj.Keep.String(), "r.a4") {
 						fused = true
 					}
 					return true
@@ -198,9 +198,11 @@ func TestUnnestedPlansFuseLinkingSelections(t *testing.T) {
 		{rst, `SELECT DISTINCT * FROM r WHERE a4 > (SELECT SUM(DISTINCT b3) FROM s WHERE a2 = b2 OR b4 > 2970)`},
 	}
 	writes := func(n physical.Node) bool {
-		switch n.(type) {
-		case *physical.OuterJoin, *physical.BinaryGroup, *physical.BinaryGroupSort:
+		switch x := n.(type) {
+		case *physical.BinaryGroup:
 			return true
+		case *physical.Join:
+			return x.Mode == physical.JoinOuter
 		}
 		return false
 	}
@@ -218,7 +220,7 @@ func TestUnnestedPlansFuseLinkingSelections(t *testing.T) {
 					if writes(below) {
 						t.Errorf("%s: Filter over %s", st.sql, below.Label())
 					}
-				case *physical.OuterJoin:
+				case *physical.Join:
 					if x.Keep != nil {
 						fused++
 					}

@@ -658,16 +658,10 @@ func (ex *Executor) evalNode(n physical.Node, env *Env) (*storage.Relation, erro
 		return ex.evalRename(x, env)
 	case *physical.Map:
 		return ex.evalMap(x, env)
-	case *physical.HashJoin:
-		return ex.evalHashJoin(x, env)
-	case *physical.NLJoin:
-		return ex.evalNLJoin(x, env)
-	case *physical.OuterJoin:
-		return ex.evalOuterJoin(x, env)
+	case *physical.Join:
+		return ex.evalJoin(x, env)
 	case *physical.Group:
 		return ex.evalGroup(x, env)
-	case *physical.BinaryGroupSort:
-		return ex.evalBinaryGroupSorted(x, env)
 	case *physical.BinaryGroup:
 		return ex.evalBinaryGroup(x, env)
 	case *physical.Union:

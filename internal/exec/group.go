@@ -2,6 +2,8 @@ package exec
 
 import (
 	"math"
+	"slices"
+	"sort"
 
 	"disqo/internal/agg"
 	"disqo/internal/algebra"
@@ -351,8 +353,14 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 // sound because an aggregate's argument reads the inner row alone: the
 // rewriter keeps a subquery nested whose argument reads the outer row,
 // and a rule that let one through would have to fold per left tuple.
-// Otherwise each left tuple scans R⁻, evaluating Pred per pair, into
-// overlays of its own.
+// When Pred is an inequality between two columns (b.Theta), R is sorted
+// on its column and folded once as a running prefix or suffix
+// (foldSorted): a left tuple binary-searches the entry of the right rows
+// it compares with, as a hashed one looks its key up — in
+// O((|L|+|R|)·log|R|) instead of the nested loop's O(|L|·|R|).
+// Otherwise — or when R's column mixes kinds that do not compare with
+// each other, so it has no order to search — each left tuple scans R⁻,
+// evaluating Pred per pair, into overlays of its own.
 //
 // A fused selection (b.Keep) sees each left tuple ◦ its results, and
 // only the tuples it holds TRUE on are written, cut from one slab of
@@ -388,13 +396,26 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 		}
 	}
 	var (
-		// gt is R⁻'s per-key fold, when hashed; keyRes holds the base's
-		// results, for a left key R⁻ lacks or a NULL one, then each key's:
-		// entry e's at (e+1)*n.
+		// gt is R⁻'s per-key fold when hashed, sorted R's running fold
+		// when sort-based; keyRes holds the base's results, for a left
+		// key R⁻ lacks, a NULL or an incomparable one, at 0, then each
+		// entry's: key entry e's at (e+1)*n, the first k sorted rows' at
+		// k*n.
 		gt     *groupTable
+		sorted *sortedFold
 		keyRes []types.Value
 	)
-	if len(b.LCols) > 0 {
+	switch {
+	case b.Theta != types.EQ:
+		if sorted, keyRes, err = ex.foldSorted(b, r, feed); err != nil {
+			return nil, err
+		}
+		if sorted == nil {
+			ex.stats.NLJoins++
+		} else {
+			ex.stats.SortedGroups++
+		}
+	case len(b.LCols) > 0:
 		ex.stats.HashJoins++
 		if gt, err = ex.foldKeys(b, neg, base, env); err != nil {
 			return nil, err
@@ -406,20 +427,20 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 		for i := range gt.accs {
 			keyRes[n+i] = gt.accs[i].Result()
 		}
-	} else {
+	default:
 		ex.stats.NLJoins++
 	}
 	chunks, err := parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			// res holds the results the rows are written from: keyRes when
-			// hashed, else each left tuple's own, appended as it is folded
-			// and kept while the tuple is.
+			// hashed or sorted, else each left tuple's own, appended as it
+			// is folded and kept while the tuple is.
 			kept := w.newKept(b.Keep, env, l.Schema, b.Results, hi-lo)
 			res := keyRes
 			var lf, rf *Env
 			var feed *aggFeed
 			var accs []agg.Acc
-			if gt == nil {
+			if keyRes == nil {
 				res = kept.buffer(n, hi-lo)
 				lf, rf = pairFrames(env, l.Schema, r.Schema)
 				feed, accs = ai.feed(env), make([]agg.Acc, n)
@@ -428,12 +449,15 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 				if err := w.tick(); err != nil {
 					return nil, err
 				}
-				at := 0 // a left key R⁻ lacks, or a NULL one, reads the base alone
-				if gt != nil {
+				at := 0 // a left key R⁻ lacks, a NULL or incomparable one, reads the base alone
+				switch {
+				case gt != nil:
 					if e := gt.ix.First(lt, b.LCols); e >= 0 {
 						at = int(e+1) * n
 					}
-				} else {
+				case sorted != nil:
+					at = sorted.entry(lt[b.LCols[0]]) * n
+				default:
 					for j := range base {
 						accs[j] = *agg.Overlay(&base[j])
 					}
@@ -460,7 +484,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 				if err != nil {
 					return nil, err
 				}
-				if !ok && gt == nil {
+				if !ok && keyRes == nil {
 					res = res[:at]
 				}
 			}
@@ -504,6 +528,92 @@ func (ex *Executor) foldKeys(b *physical.BinaryGroup, neg *storage.Relation, bas
 		return struct{}{}, nil
 	})
 	return gt, err
+}
+
+// sortedFold is the sort-based binary grouping's index into its results
+// table: R's rows with a non-NULL grouping value, sorted on it, and the
+// comparison a left value v must stand in to them, v θ value.
+type sortedFold struct {
+	rows  [][]types.Value
+	col   int
+	theta types.CompareOp
+}
+
+// foldSorted is the sort-based binary grouping's fold of R: it sorts the
+// rows whose grouping value is not NULL (NULL never compares) and folds
+// them in one pass — ascending for > and ≥, whose groups are prefixes of
+// the order, descending for < and ≤, whose groups are suffixes —
+// recording after each row the results of the rows folded so far: the
+// table it returns holds those of the first k rows folded at k*n, the
+// empty group's at 0, and entry finds a left value's k. A column that mixes kinds that do not compare with
+// each other has no order to search: foldSorted then returns nil, and
+// the caller folds per pair.
+func (ex *Executor) foldSorted(b *physical.BinaryGroup, r *storage.Relation, feed *aggFeed) (*sortedFold, []types.Value, error) {
+	s := &sortedFold{rows: make([][]types.Value, 0, len(r.Tuples)), col: b.RCols[0], theta: b.Theta}
+	for _, t := range r.Tuples {
+		if t[s.col].IsNull() {
+			continue
+		}
+		if len(s.rows) > 0 {
+			if _, ok := types.Compare(s.rows[0][s.col], t[s.col]); !ok {
+				return nil, nil, nil
+			}
+		}
+		s.rows = append(s.rows, t)
+	}
+	slices.SortStableFunc(s.rows, func(x, y []types.Value) int {
+		c, _ := types.Compare(x[s.col], y[s.col])
+		return c
+	})
+	n, m := len(b.Aggs), len(s.rows)
+	accs := appendAccs(nil, feed.specs)
+	res := make([]types.Value, (m+1)*n)
+	for k := 0; k <= m; k++ {
+		if k > 0 {
+			if err := ex.tick(); err != nil {
+				return nil, nil, err
+			}
+			row := s.rows[k-1]
+			if s.suffix() {
+				row = s.rows[m-k]
+			}
+			if err := feed.add(ex, accs, row); err != nil {
+				return nil, nil, err
+			}
+		}
+		for j := range accs {
+			res[k*n+j] = accs[j].Result()
+		}
+	}
+	return s, res, nil
+}
+
+// suffix reports whether the groups are suffixes of the order: the right
+// values above a left value, or at or above it.
+func (s *sortedFold) suffix() bool { return s.theta == types.LT || s.theta == types.LE }
+
+// entry returns the size of the group of left value v, which is its
+// entry in the results table: the rows whose value w makes v θ w TRUE
+// are a run at one end of the order. It is 0, the empty group, when v is
+// NULL or does not compare with the column's kind.
+func (s *sortedFold) entry(v types.Value) int {
+	if len(s.rows) == 0 {
+		return 0
+	}
+	if _, ok := types.Compare(v, s.rows[0][s.col]); !ok {
+		return 0
+	}
+	// The run ends (prefix) or starts (suffix) at the first value above
+	// v — or at or above it, for ≤ and >.
+	above := s.theta == types.LT || s.theta == types.GE
+	pos := sort.Search(len(s.rows), func(i int) bool {
+		c, _ := types.Compare(s.rows[i][s.col], v)
+		return c > 0 || c == 0 && !above
+	})
+	if s.suffix() {
+		return len(s.rows) - pos
+	}
+	return pos
 }
 
 // split is Eqv. 5's bypass selection on the tag: it evaluates b.Tag over

@@ -128,25 +128,6 @@ func (ex *Executor) takePairs(n int) [][2]int32 {
 	return pairs
 }
 
-func (ex *Executor) evalHashJoin(j *physical.HashJoin, env *Env) (*storage.Relation, error) {
-	return ex.evalJoin(j, j.L, j.R, env, j.Mode, j.LCols, j.RCols, j.Residual, nil, j.Emit, j.PassLeft, nil)
-}
-
-func (ex *Executor) evalNLJoin(j *physical.NLJoin, env *Env) (*storage.Relation, error) {
-	return ex.evalJoin(j, j.L, j.R, env, j.Mode, nil, nil, j.Pred, nil, j.Emit, j.PassLeft, nil)
-}
-
-// evalOuterJoin evaluates ⟕ with the paper's g:f(∅) defaults: an
-// unmatched left tuple is paired with j.Pad (NULLs except the Default
-// attributes, precomputed by the planner).
-func (ex *Executor) evalOuterJoin(j *physical.OuterJoin, env *Env) (*storage.Relation, error) {
-	pred := j.Pred
-	if j.Hash { // LCols and RCols are set; the keys are not checked again
-		pred = j.Residual
-	}
-	return ex.evalJoin(j, j.L, j.R, env, physical.JoinInner, j.LCols, j.RCols, pred, j.Keep, j.Emit, j.PassLeft, j.Pad)
-}
-
 // Partners recorded by evalJoin beside a right row's number.
 const (
 	padPartner  = -1 // the outer join's pad
@@ -155,45 +136,46 @@ const (
 
 // evalJoin is every join, in morsels over the left input. The candidate
 // partners of a left tuple are the right tuples equal on the key columns
-// — probed from a hash index built on the right input — or, when lcols
-// is nil, all of them (nested loops); a candidate matches when pred (the
-// hash join's residual, the nested-loop join's whole predicate; nil for
-// none) holds on the pair, which pred sees through two frames. An inner
-// join emits each matching pair, and with pad — the outer join — the
-// pair of pad and a left tuple that found none; semi and anti joins pass
-// the left tuple through on (no) match and stop at the first one. keep,
-// a selection fused into an outer join (nil for none), is evaluated on
-// each pair the join would emit, pad pairs included, and drops those it
-// does not hold TRUE on before any row is built. A morsel first records
-// each output as a pair (the left tuple's offset, its partner), then
-// cuts exactly that many rows from one slab — or, when the join passes
-// its left rows (pass: it emits a prefix of them), takes each pair's
-// left row cut to the output width. A cross product — nested loops
-// without a predicate — is not counted as an NL join.
-func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, mode physical.JoinMode,
-	lcols, rcols []int, pred, keep algebra.Expr, emit []int, pass bool, pad []types.Value) (*storage.Relation, error) {
-	l, err := ex.eval(lop, env)
+// — probed from a hash index built on the right input — or, when the
+// join has no key columns, all of them (nested loops); a candidate
+// matches when j.Pred (the hash join's residual, the nested-loop join's
+// whole predicate; nil for none) holds on the pair, which the predicate
+// sees through two frames. An inner join emits each matching pair, and
+// an outer join also the pair of j.Pad (the paper's g:f(∅) defaults) and
+// a left tuple that found none; semi and anti joins pass the left tuple
+// through on (no) match and stop at the first one. j.Keep, a selection
+// fused into an outer join (nil for none), is evaluated on each pair the
+// join would emit, pad pairs included, and drops those it does not hold
+// TRUE on before any row is built. A morsel first records each output as
+// a pair (the left tuple's offset, its partner), then cuts exactly that
+// many rows from one slab — or, when the join passes its left rows
+// (PassLeft: it emits a prefix of them), takes each pair's left row cut
+// to the output width. A cross product — nested loops without a
+// predicate — is not counted as an NL join.
+func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, error) {
+	l, err := ex.eval(j.L, env)
 	if err != nil {
 		return nil, err
 	}
-	r, err := ex.eval(rop, env)
+	r, err := ex.eval(j.R, env)
 	if err != nil {
 		return nil, err
 	}
 	var ht *types.RowIndex
 	switch {
-	case lcols != nil:
+	case j.LCols != nil:
 		ex.stats.HashJoins++
-		if ht, err = ex.buildIndex(r, rcols); err != nil {
+		if ht, err = ex.buildIndex(r, j.RCols); err != nil {
 			return nil, err
 		}
-	case pred != nil || pad != nil:
+	case j.Pred != nil || j.Mode == physical.JoinOuter:
 		ex.stats.NLJoins++
 	}
-	if _, err := ex.vecEnter(n); err != nil {
+	if _, err := ex.vecEnter(j); err != nil {
 		return nil, err
 	}
-	width := n.Schema().Len()
+	exists := j.Mode == physical.JoinSemi || j.Mode == physical.JoinAnti // semi/anti need only existence
+	width := j.Schema().Len()
 	var pending atomic.Int64 // operator-wide output size for the budget
 	chunks, err := parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
@@ -207,28 +189,28 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 					return nil, err
 				}
 				before, matched := len(pairs), false
-				e, j := int32(-1), 0
+				e, next := int32(-1), 0
 				if ht != nil {
-					e = ht.First(lt, lcols)
+					e = ht.First(lt, j.LCols)
 				}
-				for !matched || mode == physical.JoinInner { // semi/anti need only existence
+				for !matched || !exists {
 					var rt []types.Value
 					var partner int32
 					if ht != nil {
 						if e < 0 {
 							break
 						}
-						partner, rt, e = ht.RowNum(e), ht.Row(e), ht.Next(e, lt, lcols)
+						partner, rt, e = ht.RowNum(e), ht.Row(e), ht.Next(e, lt, j.LCols)
 					} else {
-						if j == len(r.Tuples) {
+						if next == len(r.Tuples) {
 							break
 						}
-						partner, rt, j = int32(j), r.Tuples[j], j+1
+						partner, rt, next = int32(next), r.Tuples[next], next+1
 					}
 					if err := w.tick(); err != nil {
 						return nil, err
 					}
-					ok, err := w.holds(pred, lf, rf, lt, rt)
+					ok, err := w.holds(j.Pred, lf, rf, lt, rt)
 					if err != nil {
 						return nil, err
 					}
@@ -236,10 +218,10 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 						continue
 					}
 					matched = true
-					if mode != physical.JoinInner {
+					if exists {
 						continue
 					}
-					if ok, err = w.holds(keep, lf, rf, lt, rt); err != nil {
+					if ok, err = w.holds(j.Keep, lf, rf, lt, rt); err != nil {
 						return nil, err
 					}
 					if ok {
@@ -247,10 +229,10 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 					}
 				}
 				switch {
-				case mode == physical.JoinSemi && matched, mode == physical.JoinAnti && !matched:
+				case j.Mode == physical.JoinSemi && matched, j.Mode == physical.JoinAnti && !matched:
 					pairs = append(pairs, [2]int32{int32(i), passPartner})
-				case pad != nil && !matched:
-					ok, err := w.holds(keep, lf, rf, lt, pad)
+				case j.Mode == physical.JoinOuter && !matched:
+					ok, err := w.holds(j.Keep, lf, rf, lt, j.Pad)
 					if err != nil {
 						return nil, err
 					}
@@ -262,7 +244,7 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 			}
 			out := make([][]types.Value, len(pairs))
 			var slab rowSlab
-			if mode == physical.JoinInner && !pass {
+			if !exists && !j.PassLeft {
 				slab = w.slab(width, len(pairs))
 			}
 			for k, p := range pairs {
@@ -270,12 +252,12 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 				switch {
 				case p[1] == passPartner:
 					out[k] = lt
-				case pass:
+				case j.PassLeft:
 					out[k] = lt[:width:width]
 				case p[1] == padPartner:
-					out[k] = slab.emitRow(emit, lt, pad)
+					out[k] = slab.emitRow(j.Emit, lt, j.Pad)
 				default:
-					out[k] = slab.emitRow(emit, lt, r.Tuples[p[1]])
+					out[k] = slab.emitRow(j.Emit, lt, r.Tuples[p[1]])
 				}
 			}
 			w.pairs = pairs[:0]
@@ -284,7 +266,7 @@ func (ex *Executor) evalJoin(n physical.Node, lop, rop physical.Node, env *Env, 
 	if err != nil {
 		return nil, err
 	}
-	out := storage.NewRelation(n.Schema())
+	out := storage.NewRelation(j.Schema())
 	out.Tuples = concatChunks(chunks)
 	return out, nil
 }

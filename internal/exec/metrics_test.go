@@ -76,7 +76,7 @@ func TestNodeMetricsContent(t *testing.T) {
 	// morsel count is derived from that cardinality.
 	var join physical.Node
 	physical.Walk(root, func(n physical.Node) bool {
-		if _, ok := n.(*physical.HashJoin); ok {
+		if j, ok := n.(*physical.Join); ok && j.LCols != nil {
 			join = n
 		}
 		return true

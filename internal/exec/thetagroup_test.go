@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,9 +11,35 @@ import (
 	"disqo/internal/types"
 )
 
-// thetaFixture builds two single-column tables with random values
-// including NULLs.
+// thetaFixture builds two tables of an INT grouping column and an INT
+// value column, with random values including NULLs.
 func thetaFixture(t testing.TB, seed int64, nl, nr int) (*catalog.Catalog, *algebra.Scan, *algebra.Scan) {
+	return thetaTables(t, seed, nl, ints, nr, ints)
+}
+
+// keyGen draws a non-NULL grouping value.
+type keyGen func(rng *rand.Rand) types.Value
+
+func ints(rng *rand.Rand) types.Value { return types.NewInt(int64(rng.Intn(20))) }
+
+func strs(rng *rand.Rand) types.Value { return types.NewString(string(rune('a' + rng.Intn(20)))) }
+
+func floats(rng *rand.Rand) types.Value {
+	if rng.Intn(6) == 0 {
+		return types.NewFloat(math.NaN())
+	}
+	return types.NewFloat(float64(rng.Intn(40)) / 2)
+}
+
+// mix draws each value from one of the generators, picked at random.
+func mix(gens ...keyGen) keyGen {
+	return func(rng *rand.Rand) types.Value { return gens[rng.Intn(len(gens))](rng) }
+}
+
+// thetaTables is thetaFixture with the grouping values of each side
+// drawn from a generator; the rows are loaded unchecked, so a column may
+// mix kinds.
+func thetaTables(t testing.TB, seed int64, nl int, lkeys keyGen, nr int, rkeys keyGen) (*catalog.Catalog, *algebra.Scan, *algebra.Scan) {
 	t.Helper()
 	cat := catalog.New()
 	l, err := cat.Create("l", []catalog.Column{
@@ -26,9 +53,10 @@ func thetaFixture(t testing.TB, seed int64, nl, nr int) (*catalog.Catalog, *alge
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	gen := func(tbl *catalog.Table, n int) {
-		for i := 0; i < n; i++ {
-			a := types.NewInt(int64(rng.Intn(20)))
+	gen := func(tbl *catalog.Table, n int, keys keyGen) {
+		rows := make([][]types.Value, n)
+		for i := range rows {
+			a := keys(rng)
 			if rng.Intn(8) == 0 {
 				a = types.Null()
 			}
@@ -36,13 +64,12 @@ func thetaFixture(t testing.TB, seed int64, nl, nr int) (*catalog.Catalog, *alge
 			if rng.Intn(10) == 0 {
 				b = types.Null()
 			}
-			if err := tbl.Insert([]types.Value{a, b}); err != nil {
-				t.Fatal(err)
-			}
+			rows[i] = []types.Value{a, b}
 		}
+		tbl.BulkLoad(rows)
 	}
-	gen(l, nl)
-	gen(r, nr)
+	gen(l, nl, lkeys)
+	gen(r, nr, rkeys)
 	return cat,
 		algebra.NewScan("l", "l", l.Rel.Schema),
 		algebra.NewScan("rr", "rr", r.Rel.Schema)
@@ -55,6 +82,13 @@ func nlForce(pred algebra.Expr) algebra.Expr {
 	return algebra.And(pred, algebra.Const(types.NewBool(true)))
 }
 
+// TestSortedThetaGroupingMatchesNL: the sort-based Γ² answers as the
+// nested-loop one does, whose per-pair comparison is the reference — on
+// integers, on a right side of strings that only some left values
+// compare with, on integers against floats, and on floats with NaN
+// (which Compare orders above every number). A right side mixing kinds
+// that do not compare with each other has no order to search, and is
+// folded per pair.
 func TestSortedThetaGroupingMatchesNL(t *testing.T) {
 	specs := []algebra.AggItem{
 		{Out: "cnt", Spec: agg.Spec{Kind: agg.Count, Star: true}},
@@ -62,36 +96,52 @@ func TestSortedThetaGroupingMatchesNL(t *testing.T) {
 		{Out: "mn", Spec: agg.Spec{Kind: agg.Min}, Arg: algebra.Col("rr.v")},
 		{Out: "mx", Spec: agg.Spec{Kind: agg.Max}, Arg: algebra.Col("rr.v")},
 	}
-	for _, op := range []types.CompareOp{types.LT, types.LE, types.GT, types.GE} {
-		for seed := int64(0); seed < 3; seed++ {
-			cat, l, r := thetaFixture(t, seed, 40, 60)
-			pred := algebra.Cmp(op, algebra.Col("l.x"), algebra.Col("rr.y"))
+	for _, c := range []struct {
+		name         string
+		lkeys, rkeys keyGen
+		sorted       bool
+	}{
+		{"int", ints, ints, true},
+		{"int-vs-string", mix(ints, strs), strs, true},
+		{"int-vs-float", ints, mix(ints, floats), true},
+		{"float-with-NaN", floats, floats, true},
+		{"int-and-string", ints, mix(ints, strs), false},
+	} {
+		for _, op := range []types.CompareOp{types.LT, types.LE, types.GT, types.GE} {
+			for seed := int64(0); seed < 3; seed++ {
+				cat, l, r := thetaTables(t, seed, 40, c.lkeys, 60, c.rkeys)
+				pred := algebra.Cmp(op, algebra.Col("l.x"), algebra.Col("rr.y"))
 
-			exSorted := New(cat, Options{Cache: CacheAll})
-			sortedRel, err := exSorted.Run(algebra.NewBinaryGroup(l, r, pred, specs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if exSorted.Stats().SortedGroups != 1 {
-				t.Fatalf("sorted path not taken for %v", op)
-			}
+				exSorted := New(cat, Options{Cache: CacheAll})
+				sortedRel, err := exSorted.Run(algebra.NewBinaryGroup(l, r, pred, specs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := int64(0)
+				if c.sorted {
+					want = 1
+				}
+				if got := exSorted.Stats().SortedGroups; got != want {
+					t.Fatalf("%s %v: %d sort-based groupings, want %d", c.name, op, got, want)
+				}
 
-			exNL := New(cat, Options{Cache: CacheAll})
-			nlRel, err := exNL.Run(algebra.NewBinaryGroup(l, r, nlForce(pred), specs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if exNL.Stats().SortedGroups != 0 {
-				t.Fatal("NL control unexpectedly used the sorted path")
-			}
+				exNL := New(cat, Options{Cache: CacheAll})
+				nlRel, err := exNL.Run(algebra.NewBinaryGroup(l, r, nlForce(pred), specs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if exNL.Stats().SortedGroups != 0 {
+					t.Fatal("NL control unexpectedly used the sorted path")
+				}
 
-			a, b := sortedRel.Canonical(), nlRel.Canonical()
-			if len(a) != len(b) {
-				t.Fatalf("op %v seed %d: %d vs %d rows", op, seed, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("op %v seed %d row %d:\nsorted: %s\nnl:     %s", op, seed, i, a[i], b[i])
+				a, b := sortedRel.Canonical(), nlRel.Canonical()
+				if len(a) != len(b) {
+					t.Fatalf("%s op %v seed %d: %d vs %d rows", c.name, op, seed, len(a), len(b))
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("%s op %v seed %d row %d:\nsorted: %s\nnl:     %s", c.name, op, seed, i, a[i], b[i])
+					}
 				}
 			}
 		}

@@ -33,8 +33,8 @@ func Fingerprint(roots ...Node) uint64 {
 		io.WriteString(h, n.Label())
 		// Labels omit the outer-join padding defaults (g:f(∅)); fold
 		// them in so plans differing only in defaults stay distinct.
-		if oj, ok := n.(*OuterJoin); ok {
-			for _, v := range oj.Pad {
+		if j, ok := n.(*Join); ok {
+			for _, v := range j.Pad {
 				io.WriteString(h, "/")
 				io.WriteString(h, v.String())
 			}

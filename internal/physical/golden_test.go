@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"disqo/internal/algebra"
 	"disqo/internal/catalog"
+	"disqo/internal/datagen"
 	"disqo/internal/physical"
 	"disqo/internal/rewrite"
 	"disqo/internal/sqlparser"
@@ -47,9 +49,9 @@ func emptyRST(t *testing.T) *catalog.Catalog {
 	return cat
 }
 
-// physGolden lowers a query (optionally rewritten under caps) and
-// compares the physical EXPLAIN against the expected rendering.
-func physGolden(t *testing.T, cat *catalog.Catalog, sql string, caps *rewrite.Caps, want string) {
+// physGolden lowers a query (optionally rewritten under caps) and pins
+// its plan (see pinned).
+func physGolden(t *testing.T, cat *catalog.Catalog, sql string, caps *rewrite.Caps, fp uint64, want string) {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -65,14 +67,30 @@ func physGolden(t *testing.T, cat *catalog.Catalog, sql string, caps *rewrite.Ca
 			t.Fatal(err)
 		}
 	}
-	n, err := physical.NewPlanner(stats.New(cat)).Lower(plan)
+	pl, err := physical.NewPlanner(stats.New(cat)).Plan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := strings.TrimSpace(physical.Explain(n))
+	roots := []physical.Node{pl.Root}
+	for _, b := range algebra.WalkNested(plan, func(algebra.Op) {}) {
+		n, _ := pl.BlockFor(b)
+		roots = append(roots, n)
+	}
+	pinned(t, roots, fp, want)
+}
+
+// pinned compares the physical EXPLAIN of roots[0] against the expected
+// rendering, and the fingerprint of the roots — the main plan, then its
+// nested blocks: what the result cache keys on — against fp.
+func pinned(t *testing.T, roots []physical.Node, fp uint64, want string) {
+	t.Helper()
+	got := strings.TrimSpace(physical.Explain(roots[0]))
 	want = strings.TrimSpace(want)
 	if got != want {
 		t.Errorf("physical plan drifted.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	if got := physical.Fingerprint(roots...); got != fp {
+		t.Errorf("physical fingerprint drifted: got %#x, want %#x", got, fp)
 	}
 }
 
@@ -81,7 +99,7 @@ func physGolden(t *testing.T, cat *catalog.Catalog, sql string, caps *rewrite.Ca
 // the planner but only surfaces in the filter's label). SELECT *'s
 // projection is the identity on the filter's rows and is gone.
 func TestGoldenPhysicalFig2aQ1Canonical(t *testing.T) {
-	physGolden(t, emptyRST(t), goldenQ1, nil, `
+	physGolden(t, emptyRST(t), goldenQ1, nil, 0x23a63ee9567a48d9, `
 Distinct  (est 0 rows)
   Filter[((r.a1 = COUNT(DISTINCT *){σ[(r.a2 = s.b2)](scan(s))}) OR (r.a4 > 1500))]  (est 0 rows)
     Scan(r)  (est 0 rows)
@@ -92,7 +110,7 @@ Distinct  (est 0 rows)
 // caps — Eqv. 2/3 carry Q1 on their own, without Eqv. 5.
 func TestGoldenPhysicalFig2bQ1BypassCaps(t *testing.T) {
 	caps := rewrite.Caps{Conjunctive: true, Bypass: true}
-	physGolden(t, emptyRST(t), goldenQ1, &caps, goldenPhysicalQ1Unnested)
+	physGolden(t, emptyRST(t), goldenQ1, &caps, 0xc500d68968615878, goldenPhysicalQ1Unnested)
 }
 
 // Fig. 2(c): the fully-capped plan. With empty tables the simple
@@ -105,7 +123,7 @@ func TestGoldenPhysicalFig2bQ1BypassCaps(t *testing.T) {
 // shared between the two streams (#1 marker).
 func TestGoldenPhysicalFig2cQ1Unnested(t *testing.T) {
 	all := rewrite.AllCaps()
-	physGolden(t, emptyRST(t), goldenQ1, &all, goldenPhysicalQ1Unnested)
+	physGolden(t, emptyRST(t), goldenQ1, &all, 0xc500d68968615878, goldenPhysicalQ1Unnested)
 }
 
 const goldenPhysicalQ1Unnested = `
@@ -128,7 +146,7 @@ Distinct  (est 0 rows)
 // stream — Eqv. 3's ordering.
 func TestGoldenPhysicalFig2dQ1SubqueryFirst(t *testing.T) {
 	all := rewrite.AllCaps()
-	physGolden(t, smallRST(t, 1000), goldenQ1, &all, `
+	physGolden(t, smallRST(t, 1000), goldenQ1, &all, 0xb039be3dc8f8983, `
 Distinct  (est 1 rows)
   UnionDisjoint  (est 1 rows)
     Project[r.a1, r.a2, r.a3, r.a4]  (est 1 rows)
@@ -150,7 +168,7 @@ Distinct  (est 1 rows)
 // unnested subquery runs on an empty negative stream.
 func TestGoldenPhysicalQ1DecidingComparisonFirst(t *testing.T) {
 	all := rewrite.AllCaps()
-	physGolden(t, smallRST(t, 2000), goldenQ1, &all, `
+	physGolden(t, smallRST(t, 2000), goldenQ1, &all, 0xc500d68968615878, `
 Distinct  (est 4 rows)
   UnionDisjoint  (est 4 rows)
     Stream+  (est 4 rows)
@@ -193,7 +211,7 @@ func smallRST(t *testing.T, a4 int64) *catalog.Catalog {
 // Fig. 3(a): canonical Q2 — the disjunctively correlated subquery stays
 // inside the filter.
 func TestGoldenPhysicalFig3aQ2Canonical(t *testing.T) {
-	physGolden(t, emptyRST(t), goldenQ2, nil, `
+	physGolden(t, emptyRST(t), goldenQ2, nil, 0x6daefa42dd69981b, `
 Distinct  (est 0 rows)
   Filter[(r.a1 = COUNT(*){σ[((r.a2 = s.b2) OR (s.b4 > 1500))](scan(s))})]  (est 0 rows)
     Scan(r)  (est 0 rows)
@@ -208,10 +226,205 @@ Distinct  (est 0 rows)
 // a1 = g2 keeps.
 func TestGoldenPhysicalQ2Eqv5(t *testing.T) {
 	all := rewrite.AllCaps()
-	physGolden(t, emptyRST(t), goldenQ2, &all, `
+	physGolden(t, emptyRST(t), goldenQ2, &all, 0x65e939899f419a6f, `
 Distinct  (est 0 rows)
   TagBinaryGroup(hash)[(r.a2 = s.b2) ∨ (s.b4 > 1500)][g2:COUNT(*)] σ[(r.a1 = g2)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 0 rows)
     Scan(r)  (est 0 rows)
     Scan(s)  (est 0 rows)
 `)
+}
+
+// Eqv. 5's q4_linear: the nested block's disjunct is itself a
+// correlated subquery, unnested by Eqv. 1 below the tagged Γ².
+func TestGoldenPhysicalQ4Linear(t *testing.T) {
+	all := rewrite.AllCaps()
+	physGolden(t, emptyRST(t), `SELECT DISTINCT * FROM r
+	         WHERE a3 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2
+	                      OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b2 = c2))`, &all, 0x388495dfa53c00f7, `
+Distinct  (est 0 rows)
+  TagBinaryGroup(hash)[(r.a2 = s.b2) ∨ (s.b3 = g3)][g2:COUNT(DISTINCT *)] σ[(r.a3 = g2)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 0 rows)
+    Scan(r)  (est 0 rows)
+    HashOuterJoin[s.b2=t.c2] → [s.b1, s.b2, s.b3, s.b4, g3] (5 of 6 cols)  (est 0 rows)
+      Scan(s)  (est 0 rows)
+      HashGroup[[t.c2]][g3:COUNT(DISTINCT *)]  (est 1 rows)
+        Scan(t)  (est 0 rows)
+`)
+}
+
+// Fig. 7(b)'s Query 2d on a small TPC-H instance: a chain of hash joins
+// under the bypass cascade.
+func TestGoldenPhysicalQuery2d(t *testing.T) {
+	cat := catalog.New()
+	if err := datagen.LoadTPCH(cat, datagen.TPCHConfig{SF: 0.001, Seed: 1, Tables: datagen.TPCHQuery2dTables}); err != nil {
+		t.Fatal(err)
+	}
+	all := rewrite.AllCaps()
+	physGolden(t, cat, `SELECT s_acctbal, s_name, n_name, p_partkey, p_mfgr, s_address, s_phone, s_comment
+	           FROM part, supplier, partsupp, nation, region
+	           WHERE p_partkey = ps_partkey AND s_suppkey = ps_suppkey
+	             AND p_size = 15 AND p_type LIKE '%BRASS'
+	             AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
+	             AND r_name = 'EUROPE'
+	             AND (ps_supplycost = (SELECT MIN(ps_supplycost)
+	                                   FROM partsupp, supplier, nation, region
+	                                   WHERE s_suppkey = ps_suppkey
+	                                     AND p_partkey = ps_partkey
+	                                     AND s_nationkey = n_nationkey
+	                                     AND n_regionkey = r_regionkey
+	                                     AND r_name = 'EUROPE')
+	                  OR ps_availqty > 2000)
+	           ORDER BY s_acctbal DESC, n_name, s_name, p_partkey`, &all, 0xce0d38238ff171f2, `
+Sort[supplier.s_acctbal DESC, nation.n_name, supplier.s_name, part.p_partkey]  (est 1 rows)
+  Project[supplier.s_acctbal, supplier.s_name, nation.n_name, part.p_partkey, part.p_mfgr, supplier.s_address, supplier.s_phone, supplier.s_comment]  (est 1 rows)
+    UnionDisjoint  (est 1 rows)
+      Stream+  (est 1 rows)
+        #1 Filter±[(partsupp.ps_availqty > 2000)]  (est 1 rows)
+          HashJoin[nation.n_regionkey=region.r_regionkey]  (est 1 rows)
+            HashJoin[nation.n_nationkey=supplier.s_nationkey]  (est 4 rows)
+              Scan(nation)  (est 25 rows)
+              HashJoin[supplier.s_suppkey=partsupp.ps_suppkey]  (est 4 rows)
+                Scan(supplier)  (est 10 rows)
+                HashJoin[partsupp.ps_partkey=part.p_partkey]  (est 4 rows)
+                  Scan(partsupp)  (est 800 rows)
+                  Filter[((part.p_size = 15) AND (part.p_type LIKE '%BRASS'))]  (est 1 rows)
+                    Scan(part)  (est 200 rows)
+            Filter[(region.r_name = 'EUROPE')]  (est 1 rows)
+              Scan(region)  (est 5 rows)
+      HashOuterJoin[part.p_partkey=partsupp#2.ps_partkey] σ[(partsupp.ps_supplycost = g1)] → [nation.n_nationkey, nation.n_name, nation.n_regionkey, nation.n_comment, supplier.s_suppkey, supplier.s_name, supplier.s_address, supplier.s_nationkey, supplier.s_phone, supplier.s_acctbal, supplier.s_comment, partsupp.ps_partkey, partsupp.ps_suppkey, partsupp.ps_availqty, partsupp.ps_supplycost, partsupp.ps_comment, part.p_partkey, part.p_name, part.p_mfgr, part.p_brand, part.p_type, part.p_size, part.p_container, part.p_retailprice, part.p_comment, region.r_regionkey, region.r_name, region.r_comment] (28 of 30 cols)  (est 0 rows)
+        Stream-  (est 0 rows)
+          ↑ see #1 Filter±[(partsupp.ps_availqty > 2000)]
+        HashGroup[[partsupp#2.ps_partkey]][g1:MIN(partsupp#2.ps_supplycost)]  (est 160 rows)
+          HashJoin[partsupp#2.ps_suppkey=supplier#2.s_suppkey] → [partsupp#2.ps_partkey, partsupp#2.ps_supplycost] (2 of 6 cols)  (est 160 rows)
+            Scan(partsupp)  (est 800 rows)
+            HashJoin[supplier#2.s_nationkey=nation#2.n_nationkey] → [supplier#2.s_suppkey] (1 of 8 cols)  (est 2 rows)
+              Scan(supplier)  (est 10 rows)
+              HashJoin[nation#2.n_regionkey=region#2.r_regionkey] → [nation#2.n_nationkey] (1 of 7 cols)  (est 5 rows)
+                Scan(nation)  (est 25 rows)
+                Filter[(region#2.r_name = 'EUROPE')]  (est 1 rows)
+                  Scan(region)  (est 5 rows)
+`)
+}
+
+// The join and binary-grouping algorithms a rewritten statement picks:
+// hash joins with and without a residual, nested-loop joins, the cross
+// product, and Γ² sort-based on a θ-correlation, by nested loops and
+// tagged.
+func TestGoldenPhysicalAlgorithms(t *testing.T) {
+	all := rewrite.AllCaps()
+	for _, c := range []struct {
+		sql  string
+		fp   uint64
+		want string
+	}{
+		{`SELECT a1, (SELECT SUM(b1) FROM s WHERE a2 <= b2) FROM r`, 0xcb559f764c92b6dd, `
+Map[_col2:g1] → [r.a1, _col2] (2 of 3 cols)  (est 4 rows)
+  SortBinaryGroup[r.a2 <= s.b2][g1:SUM(s.b1)] → [r.a1, g1] (2 of 5 cols)  (est 4 rows)
+    Scan(r)  (est 4 rows)
+    Scan(s)  (est 4 rows)
+`},
+		{`SELECT DISTINCT * FROM r WHERE a1 < (SELECT COUNT(*) FROM s WHERE b2 >= a2)`, 0xaabf0b284ef1c79c, `
+Distinct  (est 1 rows)
+  SortBinaryGroup[r.a2 <= s.b2][g1:COUNT(*)] σ[(r.a1 < g1)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 1 rows)
+    Scan(r)  (est 4 rows)
+    Scan(s)  (est 4 rows)
+`},
+		{`SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 < b2 AND a3 = b3)`, 0x68c955244ff40bd1, `
+Distinct  (est 1 rows)
+  NLBinaryGroup[((r.a2 < s.b2) AND (r.a3 = s.b3))][g1:COUNT(*)] σ[(r.a1 = g1)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 1 rows)
+    Scan(r)  (est 4 rows)
+    Scan(s)  (est 4 rows)
+`},
+		{`SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 < b2 OR b4 > 1500)`, 0x3640614d539ed6a0, `
+Distinct  (est 1 rows)
+  TagBinaryGroup(nl)[(r.a2 < s.b2) ∨ (s.b4 > 1500)][g2:COUNT(*)] σ[(r.a1 = g2)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 1 rows)
+    Scan(r)  (est 4 rows)
+    Scan(s)  (est 4 rows)
+`},
+		{`SELECT DISTINCT * FROM r WHERE a1 = (SELECT MIN(b1) FROM s WHERE a2 < b2)`, 0x61d90abaadd50341, `
+Distinct  (est 1 rows)
+  SortBinaryGroup[r.a2 < s.b2][g1:MIN(s.b1)] σ[(r.a1 = g1)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 1 rows)
+    Scan(r)  (est 4 rows)
+    Scan(s)  (est 4 rows)
+`},
+		{`SELECT DISTINCT * FROM r WHERE EXISTS (SELECT * FROM s WHERE a2 < b2)`, 0x1b4cb0fa16292fc, `
+Distinct  (est 2 rows)
+  NLJoin(semi)[(r.a2 < s.b2)]  (est 2 rows)
+    Scan(r)  (est 4 rows)
+    Scan(s)  (est 4 rows)
+`},
+		{`SELECT DISTINCT * FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE a2 = b2 AND b4 > a4)`, 0x71707b97346da980, `
+Distinct  (est 2 rows)
+  HashJoin(anti)[r.a2=s.b2] residual[(s.b4 > r.a4)]  (est 2 rows)
+    Scan(r)  (est 4 rows)
+    Scan(s)  (est 4 rows)
+`},
+		{`SELECT DISTINCT * FROM r WHERE EXISTS (SELECT * FROM s WHERE a2 = b2 AND b4 > a4)`, 0xc81b60e75dfea2c2, `
+Distinct  (est 2 rows)
+  HashJoin(semi)[r.a2=s.b2] residual[(s.b4 > r.a4)]  (est 2 rows)
+    Scan(r)  (est 4 rows)
+    Scan(s)  (est 4 rows)
+`},
+		{`SELECT r.a1, s.b1 FROM r, s WHERE a2 < b2`, 0x88305c78e51b7657, `
+NLJoin[(r.a2 < s.b2)] → [r.a1, s.b1] (2 of 8 cols)  (est 5 rows)
+  Scan(r)  (est 4 rows)
+  Scan(s)  (est 4 rows)
+`},
+		{`SELECT r.a1, s.b1 FROM r, s`, 0x6a49ba326946f792, `
+NLJoin[cross] → [r.a1, s.b1] (2 of 8 cols)  (est 16 rows)
+  Scan(r)  (est 4 rows)
+  Scan(s)  (est 4 rows)
+`},
+		{`SELECT r.a1, t.c1 FROM r, s, t WHERE a2 = b2 AND b4 = c2`, 0x1a2e3a7cb2aa467a, `
+HashJoin[r.a2=s.b2] → [r.a1, t.c1] (2 of 6 cols)  (est 0 rows)
+  Scan(r)  (est 4 rows)
+  HashJoin[s.b4=t.c2] → [s.b2, t.c1] (2 of 8 cols)  (est 0 rows)
+    Scan(s)  (est 4 rows)
+    Scan(t)  (est 0 rows)
+`},
+	} {
+		t.Run(c.sql, func(t *testing.T) { physGolden(t, smallRST(t, 1000), c.sql, &all, c.fp, c.want) })
+	}
+}
+
+// The algorithms no rewrite of a SQL statement picks, lowered from
+// algebra: the nested-loop outer join (its pad's default folded into the
+// fingerprint), the hashed outer and inner joins with a residual, the
+// nested-loop antijoin and the untagged hashed Γ².
+func TestGoldenPhysicalAlgebraAlgorithms(t *testing.T) {
+	cat := testCat(t)
+	r, s := scanOf(t, cat, "r"), scanOf(t, cat, "s")
+	lt := algebra.Cmp(types.LT, algebra.Col("r.a2"), algebra.Col("s.b2"))
+	for _, c := range []struct {
+		op   algebra.Op
+		fp   uint64
+		want string
+	}{
+		{algebra.NewLeftOuterJoin(r, s, lt, []algebra.Default{{Attr: "s.b2", Val: types.NewInt(7)}}), 0x63ff242c80718fd1, `
+NLOuterJoin[(r.a2 < s.b2)]  (est 3 rows)
+  Scan(r)  (est 3 rows)
+  Scan(s)  (est 3 rows)
+`},
+		{algebra.NewLeftOuterJoin(r, s, algebra.And(eq("r.a1", "s.b1"), lt), nil), 0xa49beea5069393cf, `
+HashOuterJoin[r.a1=s.b1] residual[(r.a2 < s.b2)]  (est 3 rows)
+  Scan(r)  (est 3 rows)
+  Scan(s)  (est 3 rows)
+`},
+		{algebra.NewJoin(r, s, algebra.And(eq("r.a1", "s.b1"), lt)), 0x817713185ef54efe, `
+HashJoin[r.a1=s.b1] residual[(r.a2 < s.b2)]  (est 1 rows)
+  Scan(r)  (est 3 rows)
+  Scan(s)  (est 3 rows)
+`},
+		{algebra.NewAntiJoin(r, s, lt), 0x39cdbfe46f92ea7, `
+NLJoin(anti)[(r.a2 < s.b2)]  (est 2 rows)
+  Scan(r)  (est 3 rows)
+  Scan(s)  (est 3 rows)
+`},
+		{algebra.NewBinaryGroup(r, s, eq("r.a1", "s.b1"), countAgg()), 0xffa094265f0c8f32, `
+HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)]  (est 3 rows)
+  Scan(r)  (est 3 rows)
+  Scan(s)  (est 3 rows)
+`},
+	} {
+		pinned(t, []physical.Node{lower(t, cat, c.op)}, c.fp, c.want)
+	}
 }

@@ -16,24 +16,28 @@ import (
 // subquery plan reachable through operator expressions, so evaluation
 // never plans.
 //
+// Each operator lowers to one node type, whatever its algorithm; the
+// algorithm is what the planner writes into the node's fields.
 // Algorithm selection rules, in order:
 //
-//	join, semijoin, antijoin, outerjoin:
-//	    hash on the equality conjuncts when any exist (residual
-//	    conjuncts re-checked per matched pair), nested loops otherwise.
+//	join, semijoin, antijoin, outerjoin: one Join, in its Mode. It
+//	    hashes on the equality conjuncts when any exist (LCols/RCols;
+//	    Pred keeps the residual conjuncts, re-checked per matched pair),
+//	    and runs nested loops otherwise (Pred is the whole predicate).
 //	    The hash table is built on R; for an inner join the translator
 //	    has made R the smaller estimated input.
-//	binary grouping: one probing operator, hashing the right side when
-//	    the predicate is pure equality and scanning it per left tuple
-//	    otherwise — except that an untagged single column inequality
-//	    with decomposable single-partial aggregates runs the sort-based
-//	    prefix/suffix algorithm. A tag (Eqv. 5) only adds the shared
-//	    base fold to the probing operator, and is a predicate it splits
-//	    its right input on: the χ[tag:p] Eqv. 5 puts below it — directly
-//	    or through one Π — is fused into it when the Γ² is the χ's (and
-//	    the Π's) only consumer and p holds no nested block, so the
-//	    tagged copy of the inner relation is never built; otherwise the
-//	    tag is the χ's column.
+//	binary grouping: one BinaryGroup, hashing the right side when the
+//	    predicate is pure equality (LCols/RCols) and scanning it per left
+//	    tuple otherwise — except that an untagged single column
+//	    inequality with single-pass aggregates (no DISTINCT or AVG) runs
+//	    sort-based, a prefix or suffix fold searched per left tuple
+//	    (LCols/RCols and the comparison in Theta). A tag (Eqv. 5) only
+//	    adds the shared base fold, and is a predicate the Γ² splits its
+//	    right input on: the χ[tag:p] Eqv. 5 puts below it — directly or
+//	    through one Π — is fused into it when the Γ² is the χ's (and the
+//	    Π's) only consumer and p holds no nested block, so the tagged
+//	    copy of the inner relation is never built; otherwise the tag is
+//	    the χ's column.
 //
 //	selection over an outer join or a binary grouping: fused into it
 //	    when the σ is the only consumer of that operator, directly or
@@ -383,20 +387,8 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 		m.Emit, err = m.emit(x, child.Schema(), nil, 1, need, order)
 		return m, err
 
-	case *algebra.CrossProduct:
-		return p.lowerJoin(b, x.L, x.R, nil, JoinInner, need, order)
-
-	case *algebra.Join:
-		return p.lowerJoin(b, x.L, x.R, x.Pred, JoinInner, need, order)
-
-	case *algebra.SemiJoin:
-		return p.lowerJoin(b, x.L, x.R, x.Pred, JoinSemi, need, nil)
-
-	case *algebra.AntiJoin:
-		return p.lowerJoin(b, x.L, x.R, x.Pred, JoinAnti, need, nil)
-
-	case *algebra.LeftOuterJoin:
-		return p.lowerOuterJoin(b, x, nil, need, need, order)
+	case *algebra.CrossProduct, *algebra.Join, *algebra.SemiJoin, *algebra.AntiJoin, *algebra.LeftOuterJoin:
+		return p.lowerJoin(b, op, nil, need, need, order)
 
 	case *algebra.GroupBy:
 		if len(x.Attrs) == 0 && !x.Global {
@@ -493,33 +485,6 @@ func (p *Planner) lowerPair(lop, rop algebra.Op, pred algebra.Expr, ln, rn colSe
 	return l, r, nil
 }
 
-// lowerJoin picks the join algorithm: hash on equality conjuncts when
-// any exist, nested loops otherwise. A semi or anti join passes left
-// rows through, so its consumer's columns are all the left input's and
-// the right input is read for the predicate alone.
-func (p *Planner) lowerJoin(b base, lop, rop algebra.Op, pred algebra.Expr, mode JoinMode, need colSet, order *storage.Schema) (Node, error) {
-	ln, rn := need, colSet(0)
-	if mode == JoinInner {
-		ln, rn = need.split(lop.Schema().Len())
-	}
-	l, r, err := p.lowerPair(lop, rop, pred, ln, rn)
-	if err != nil {
-		return nil, err
-	}
-	var emit []int
-	if mode != JoinInner {
-		b.sch = l.Schema()
-	} else if emit, err = b.emit(b.logical, l.Schema(), r.Schema(), 0, need, order); err != nil {
-		return nil, err
-	}
-	pass := passesLeft(emit, l.Schema())
-	if lc, rc, residual := algebra.EquiKeys(pred, l.Schema(), r.Schema()); len(lc) > 0 {
-		return &HashJoin{base: b, L: l, R: r, Mode: mode,
-			LCols: lc, RCols: rc, Residual: andOrNil(residual), Emit: emit, PassLeft: pass}, nil
-	}
-	return &NLJoin{base: b, L: l, R: r, Mode: mode, Pred: pred, Emit: emit, PassLeft: pass}, nil
-}
-
 // fuse lowers σ(w), or σ(Π(w)), as w with the σ's predicate for its
 // Keep, when w is an outer join or a Γ² only the σ reads — through a Π
 // only it reads — and the predicate holds no nested block (see
@@ -552,7 +517,7 @@ func (p *Planner) fuse(b base, s *algebra.Select, need colSet, order *storage.Sc
 	var err error
 	switch x := w.(type) {
 	case *algebra.LeftOuterJoin:
-		n, err = p.lowerOuterJoin(b, x, s.Pred, in, need, order)
+		n, err = p.lowerJoin(b, x, s.Pred, in, need, order)
 	case *algebra.BinaryGroup:
 		n, err = p.lowerBinaryGroup(b, x, s.Pred, in, need, order)
 	}
@@ -562,31 +527,61 @@ func (p *Planner) fuse(b base, s *algebra.Select, need colSet, order *storage.Sc
 	return n, p.lowerBlocks(w)
 }
 
-// lowerOuterJoin lowers ⟕ as the node b describes, with keep (nil for
-// none) as its fused selection: its inputs for the columns in of its
-// schema, and what it emits for need, in order (see emit).
-func (p *Planner) lowerOuterJoin(b base, x *algebra.LeftOuterJoin, keep algebra.Expr, in, need colSet, order *storage.Schema) (Node, error) {
-	ln, rn := in.split(x.L.Schema().Len())
-	l, r, err := p.lowerPair(x.L, x.R, x.Pred, ln, rn)
+// lowerJoin lowers a join w — ⋈, ×, ⋉, ▷ or ⟕ — as the node b
+// describes, with keep (nil for none) as the selection fused into an
+// outer join: its inputs for the columns in of its schema, and what it
+// emits for need, in order (see emit). It picks the algorithm: hash on
+// the equality conjuncts when any exist, nested loops otherwise. A semi
+// or anti join passes left rows through, so its consumer's columns are
+// all the left input's and the right input is read for the predicate
+// alone.
+func (p *Planner) lowerJoin(b base, w algebra.Op, keep algebra.Expr, in, need colSet, order *storage.Schema) (Node, error) {
+	j := &Join{base: b, Keep: keep}
+	var lop, rop algebra.Op
+	var defaults []algebra.Default
+	switch x := w.(type) {
+	case *algebra.CrossProduct:
+		lop, rop = x.L, x.R
+	case *algebra.Join:
+		lop, rop, j.Pred = x.L, x.R, x.Pred
+	case *algebra.SemiJoin:
+		lop, rop, j.Pred, j.Mode = x.L, x.R, x.Pred, JoinSemi
+	case *algebra.AntiJoin:
+		lop, rop, j.Pred, j.Mode = x.L, x.R, x.Pred, JoinAnti
+	case *algebra.LeftOuterJoin:
+		lop, rop, j.Pred, j.Mode, defaults = x.L, x.R, x.Pred, JoinOuter, x.Defaults
+	}
+	passes := j.Mode == JoinSemi || j.Mode == JoinAnti
+	ln, rn := in, colSet(0)
+	if !passes {
+		ln, rn = in.split(lop.Schema().Len())
+	}
+	l, r, err := p.lowerPair(lop, rop, j.Pred, ln, rn)
 	if err != nil {
 		return nil, err
 	}
-	pad := make([]types.Value, r.Schema().Len())
-	for _, d := range x.Defaults {
-		if i := r.Schema().Index(d.Attr); i >= 0 {
-			pad[i] = d.Val
+	j.L, j.R = l, r
+	if passes {
+		j.sch = l.Schema()
+	} else if j.Emit, err = j.emit(w, l.Schema(), r.Schema(), 0, need, order); err != nil {
+		return nil, err
+	}
+	j.PassLeft = passesLeft(j.Emit, l.Schema())
+	if lc, rc, residual := algebra.EquiKeys(j.Pred, l.Schema(), r.Schema()); len(lc) > 0 {
+		j.LCols, j.RCols, j.Pred = lc, rc, andOrNil(residual)
+	}
+	if j.Mode == JoinOuter {
+		j.Pad = make([]types.Value, r.Schema().Len())
+		for _, d := range defaults {
+			if i := r.Schema().Index(d.Attr); i >= 0 {
+				j.Pad[i] = d.Val
+			}
 		}
 	}
-	j := &OuterJoin{base: b, L: l, R: r, Pred: x.Pred, Pad: pad, Keep: keep}
-	if lc, rc, residual := algebra.EquiKeys(x.Pred, l.Schema(), r.Schema()); len(lc) > 0 {
-		j.Hash, j.LCols, j.RCols, j.Residual = true, lc, rc, andOrNil(residual)
-	}
-	j.Emit, err = j.emit(x, l.Schema(), r.Schema(), 0, need, order)
-	j.PassLeft = passesLeft(j.Emit, l.Schema())
-	return j, err
+	return j, nil
 }
 
-// lowerBinaryGroup lowers Γ² as lowerOuterJoin lowers ⟕. The fused
+// lowerBinaryGroup lowers Γ² as lowerJoin lowers ⟕. The fused
 // selection sees a left row ◦ its aggregate results. R is lowered for
 // what the predicate, the aggregates and the tag read of it — from
 // below a χ fused into the tag (see tagged).
@@ -614,15 +609,12 @@ func (p *Planner) lowerBinaryGroup(b base, x *algebra.BinaryGroup, keep algebra.
 	if keep != nil {
 		results = storage.NewSchema(x.Schema().Attrs()[ls.Len():]...)
 	}
-	pass := passesLeft(emit, l.Schema())
 	bg := &BinaryGroup{base: b, L: l, R: r, Pred: x.Pred, Tag: tag, Aggs: x.Aggs,
-		Keep: keep, Results: results, Emit: emit, PassLeft: pass}
+		Keep: keep, Results: results, Emit: emit, PassLeft: passesLeft(emit, l.Schema())}
 	if lc, rc, residual := algebra.EquiKeys(x.Pred, l.Schema(), r.Schema()); len(lc) > 0 && len(residual) == 0 {
 		bg.LCols, bg.RCols = lc, rc
-	} else if lcol, rcol, cop, ok := thetaGroupable(x); ok && tag == nil {
-		return &BinaryGroupSort{base: b, L: l, R: r,
-			LIdx: l.Schema().Index(lcol), RIdx: r.Schema().Index(rcol),
-			Op: cop, Aggs: x.Aggs, Keep: keep, Results: results, Emit: emit, PassLeft: pass}, nil
+	} else if tag == nil {
+		bg.LCols, bg.RCols, bg.Theta = sortable(x, l.Schema(), r.Schema())
 	}
 	return bg, nil
 }
@@ -739,36 +731,35 @@ func andOrNil(conjuncts []algebra.Expr) algebra.Expr {
 	return algebra.And(conjuncts...)
 }
 
-// thetaGroupable reports whether a binary grouping can run sort-based:
-// a single column-vs-column inequality and no DISTINCT or AVG aggregate.
-func thetaGroupable(bg *algebra.BinaryGroup) (lcol, rcol string, op types.CompareOp, ok bool) {
-	cmp, isCmp := bg.Pred.(*algebra.CmpExpr)
-	if !isCmp {
-		return "", "", 0, false
+// sortable returns the key columns and comparison of a binary grouping
+// that can run sort-based — a single column-vs-column inequality between
+// the inputs l and r, and no DISTINCT or AVG aggregate — oriented as
+// l θ r; nil keys otherwise.
+func sortable(bg *algebra.BinaryGroup, l, r *storage.Schema) (lcols, rcols []int, op types.CompareOp) {
+	cmp, ok := bg.Pred.(*algebra.CmpExpr)
+	if !ok {
+		return nil, nil, types.EQ
 	}
 	switch cmp.Op {
 	case types.LT, types.LE, types.GT, types.GE:
 	default:
-		return "", "", 0, false
+		return nil, nil, types.EQ
 	}
-	l, lok := cmp.L.(*algebra.ColRef)
-	r, rok := cmp.R.(*algebra.ColRef)
-	if !lok || !rok {
-		return "", "", 0, false
+	a, aok := cmp.L.(*algebra.ColRef)
+	c, cok := cmp.R.(*algebra.ColRef)
+	if !aok || !cok {
+		return nil, nil, types.EQ
 	}
 	op = cmp.Op
-	if bg.L.Schema().Has(l.Name) && bg.R.Schema().Has(r.Name) {
-		lcol, rcol = l.Name, r.Name
-	} else if bg.L.Schema().Has(r.Name) && bg.R.Schema().Has(l.Name) {
-		lcol, rcol = r.Name, l.Name
-		op = op.Flip()
-	} else {
-		return "", "", 0, false
+	if !l.Has(a.Name) || !r.Has(c.Name) {
+		if a, c, op = c, a, op.Flip(); !l.Has(a.Name) || !r.Has(c.Name) {
+			return nil, nil, types.EQ
+		}
 	}
 	for _, item := range bg.Aggs {
 		if item.Spec.Distinct || item.Spec.Kind == agg.Avg {
-			return "", "", 0, false
+			return nil, nil, types.EQ
 		}
 	}
-	return lcol, rcol, op, true
+	return []int{l.Index(a.Name)}, []int{r.Index(c.Name)}, op
 }

@@ -67,15 +67,12 @@ func countAgg() []algebra.AggItem {
 func TestLowerJoinPicksHashOnEquiKeys(t *testing.T) {
 	cat := testCat(t)
 	j := lower(t, cat, algebra.NewJoin(scanOf(t, cat, "r"), scanOf(t, cat, "s"), eq("r.a1", "s.b1")))
-	h, ok := j.(*physical.HashJoin)
-	if !ok {
-		t.Fatalf("equi join lowered to %T, want *HashJoin", j)
-	}
+	h := j.(*physical.Join)
 	if h.Mode != physical.JoinInner || len(h.LCols) != 1 || h.LCols[0] != 0 || h.RCols[0] != 0 {
-		t.Errorf("HashJoin = mode %v keys %v/%v", h.Mode, h.LCols, h.RCols)
+		t.Errorf("equi join = mode %v keys %v/%v, want a hash join on a1=b1", h.Mode, h.LCols, h.RCols)
 	}
-	if h.Residual != nil {
-		t.Errorf("pure equi join must have no residual, got %v", h.Residual)
+	if h.Pred != nil {
+		t.Errorf("pure equi join must have no residual, got %v", h.Pred)
 	}
 }
 
@@ -83,11 +80,11 @@ func TestLowerJoinKeepsResidualConjuncts(t *testing.T) {
 	cat := testCat(t)
 	pred := algebra.And(eq("r.a1", "s.b1"), algebra.Cmp(types.LT, algebra.Col("r.a2"), algebra.Col("s.b2")))
 	j := lower(t, cat, algebra.NewJoin(scanOf(t, cat, "r"), scanOf(t, cat, "s"), pred))
-	h, ok := j.(*physical.HashJoin)
-	if !ok {
-		t.Fatalf("mixed predicate lowered to %T, want *HashJoin", j)
+	h := j.(*physical.Join)
+	if h.LCols == nil {
+		t.Fatalf("mixed predicate lowered to %s, want a hash join", j.Label())
 	}
-	if h.Residual == nil {
+	if h.Pred == nil {
 		t.Error("inequality conjunct must survive as residual")
 	}
 }
@@ -96,34 +93,31 @@ func TestLowerJoinFallsBackToNestedLoops(t *testing.T) {
 	cat := testCat(t)
 	pred := algebra.Cmp(types.LT, algebra.Col("r.a1"), algebra.Col("s.b1"))
 	j := lower(t, cat, algebra.NewJoin(scanOf(t, cat, "r"), scanOf(t, cat, "s"), pred))
-	nl, ok := j.(*physical.NLJoin)
-	if !ok {
-		t.Fatalf("inequality join lowered to %T, want *NLJoin", j)
-	}
-	if nl.Pred == nil || nl.Mode != physical.JoinInner {
-		t.Errorf("NLJoin = pred %v mode %v", nl.Pred, nl.Mode)
+	nl := j.(*physical.Join)
+	if nl.LCols != nil || nl.Pred == nil || nl.Mode != physical.JoinInner {
+		t.Errorf("inequality join = keys %v pred %v mode %v, want nested loops on the predicate", nl.LCols, nl.Pred, nl.Mode)
 	}
 }
 
 func TestLowerSemiAndAntiJoinModes(t *testing.T) {
 	cat := testCat(t)
 	semi := lower(t, cat, algebra.NewSemiJoin(scanOf(t, cat, "r"), scanOf(t, cat, "s"), eq("r.a1", "s.b1")))
-	if h, ok := semi.(*physical.HashJoin); !ok || h.Mode != physical.JoinSemi {
-		t.Errorf("semijoin lowered to %T mode %v, want HashJoin/JoinSemi", semi, semi)
+	if h := semi.(*physical.Join); h.LCols == nil || h.Mode != physical.JoinSemi {
+		t.Errorf("semijoin lowered to %s, want a hash semijoin", semi.Label())
 	}
 	anti := lower(t, cat, algebra.NewAntiJoin(scanOf(t, cat, "r"), scanOf(t, cat, "s"),
 		algebra.Cmp(types.GT, algebra.Col("r.a1"), algebra.Col("s.b1"))))
-	if nl, ok := anti.(*physical.NLJoin); !ok || nl.Mode != physical.JoinAnti {
-		t.Errorf("antijoin lowered to %T, want NLJoin/JoinAnti", anti)
+	if nl := anti.(*physical.Join); nl.LCols != nil || nl.Mode != physical.JoinAnti {
+		t.Errorf("antijoin lowered to %s, want a nested-loop antijoin", anti.Label())
 	}
 }
 
 func TestLowerCrossProductIsPredlessNLJoin(t *testing.T) {
 	cat := testCat(t)
 	c := lower(t, cat, algebra.NewCross(scanOf(t, cat, "r"), scanOf(t, cat, "s")))
-	nl, ok := c.(*physical.NLJoin)
-	if !ok {
-		t.Fatalf("cross product lowered to %T, want *NLJoin", c)
+	nl := c.(*physical.Join)
+	if nl.LCols != nil {
+		t.Fatalf("cross product lowered to %s, want nested loops", c.Label())
 	}
 	if nl.Pred != nil {
 		t.Errorf("cross product must carry no predicate, got %v", nl.Pred)
@@ -146,12 +140,9 @@ func TestLowerBinaryGroupSortOnInequality(t *testing.T) {
 	pred := algebra.Cmp(types.LT, algebra.Col("r.a2"), algebra.Col("s.b2"))
 	bg := lower(t, cat, algebra.NewBinaryGroup(
 		scanOf(t, cat, "r"), scanOf(t, cat, "s"), pred, countAgg()))
-	s, ok := bg.(*physical.BinaryGroupSort)
-	if !ok {
-		t.Fatalf("inequality binary group lowered to %T, want *BinaryGroupSort", bg)
-	}
-	if s.LIdx != 1 || s.RIdx != 1 || s.Op != types.LT {
-		t.Errorf("BinaryGroupSort = L[%d] %v R[%d]", s.LIdx, s.Op, s.RIdx)
+	s := bg.(*physical.BinaryGroup)
+	if len(s.LCols) != 1 || s.LCols[0] != 1 || s.RCols[0] != 1 || s.Theta != types.LT {
+		t.Errorf("inequality binary group = L%v %v R%v, want sort-based L[1] < R[1]", s.LCols, s.Theta, s.RCols)
 	}
 }
 
@@ -162,12 +153,9 @@ func TestLowerBinaryGroupSortFlipsSwappedOperands(t *testing.T) {
 	pred := algebra.Cmp(types.LT, algebra.Col("s.b2"), algebra.Col("r.a2"))
 	bg := lower(t, cat, algebra.NewBinaryGroup(
 		scanOf(t, cat, "r"), scanOf(t, cat, "s"), pred, countAgg()))
-	s, ok := bg.(*physical.BinaryGroupSort)
-	if !ok {
-		t.Fatalf("flipped inequality lowered to %T, want *BinaryGroupSort", bg)
-	}
-	if s.LIdx != 1 || s.RIdx != 1 || s.Op != types.GT {
-		t.Errorf("BinaryGroupSort = L[%d] %v R[%d], want L[1] > R[1]", s.LIdx, s.Op, s.RIdx)
+	s := bg.(*physical.BinaryGroup)
+	if len(s.LCols) != 1 || s.LCols[0] != 1 || s.RCols[0] != 1 || s.Theta != types.GT {
+		t.Errorf("flipped inequality = L%v %v R%v, want sort-based L[1] > R[1]", s.LCols, s.Theta, s.RCols)
 	}
 }
 
@@ -413,7 +401,7 @@ func TestLowerDoesNotFuse(t *testing.T) {
 			algebra.Cmp(types.EQ, algebra.Col("g1"), algebra.Subquery(agg.Spec{Kind: agg.Count, Star: true}, nil, block))),
 	} {
 		physical.Walk(lower(t, cat, op), func(n physical.Node) bool {
-			if j, ok := n.(*physical.OuterJoin); ok && j.Keep != nil {
+			if j, ok := n.(*physical.Join); ok && j.Keep != nil {
 				t.Errorf("%s: fused into %s", name, j.Label())
 			}
 			return true
@@ -608,13 +596,9 @@ func TestLowerPassesLeftRows(t *testing.T) {
 	} {
 		var pass bool
 		switch n := lower(t, cat, c.op).(type) {
-		case *physical.OuterJoin:
+		case *physical.Join:
 			pass = n.PassLeft
 		case *physical.BinaryGroup:
-			pass = n.PassLeft
-		case *physical.BinaryGroupSort:
-			pass = n.PassLeft
-		case *physical.HashJoin:
 			pass = n.PassLeft
 		default:
 			t.Fatalf("%s lowered to %s", c.name, n.Label())

@@ -1,13 +1,14 @@
 // Package physical defines disqo's physical plan layer: the executable
 // operator tree the planner lowers logical algebra into. Where the
 // logical algebra (internal/algebra) says *what* to compute — join,
-// bypass selection, binary grouping — a physical node says *how*: hash
-// join vs. nested loops, sort-based vs. hash-based binary grouping,
-// which column positions carry the keys, and which predicate fragments
-// remain residual. All algorithm choices the executor used to make
-// inline now happen once, in Planner.Lower, where they are visible to
-// EXPLAIN and testable in isolation; every node carries the estimated
-// output cardinality from internal/stats.
+// bypass selection, binary grouping — a physical node says *how*, in
+// its fields: hash join vs. nested loops, sort-based vs. hash-based
+// binary grouping, which column positions carry the keys, and which
+// predicate fragments remain residual. One node type stands for each
+// operator whatever its algorithm. All algorithm choices the executor
+// used to make inline now happen once, in Planner.Lower, where they are
+// visible to EXPLAIN and testable in isolation; every node carries the
+// estimated output cardinality from internal/stats.
 package physical
 
 import (
@@ -59,7 +60,8 @@ func (b *base) ID() int                 { return b.id }
 func (b *base) setID(id int)            { b.id = id }
 
 // JoinMode selects what a join emits: matched pairs (inner), left
-// tuples with a match (semi), or left tuples without one (anti).
+// tuples with a match (semi) or without one (anti), or matched pairs and
+// each left tuple without a match paired with the pad (outer).
 type JoinMode uint8
 
 // The join modes.
@@ -67,6 +69,7 @@ const (
 	JoinInner JoinMode = iota
 	JoinSemi
 	JoinAnti
+	JoinOuter
 )
 
 func (m JoinMode) String() string {
@@ -75,6 +78,8 @@ func (m JoinMode) String() string {
 		return "semi"
 	case JoinAnti:
 		return "anti"
+	case JoinOuter:
+		return "outer"
 	default:
 		return "inner"
 	}
@@ -172,7 +177,7 @@ func (r *Rename) Children() []Node { return []Node{r.Child} }
 func (r *Rename) Label() string { return "Rename" + r.Schema().String() }
 
 // Map extends each tuple with one computed attribute (χ). Emit is as in
-// HashJoin, over the input row ◦ the computed value.
+// Join, over the input row ◦ the computed value.
 type Map struct {
 	base
 	Child Node
@@ -221,86 +226,29 @@ func keepLabel(keep algebra.Expr) string {
 	return fmt.Sprintf(" σ[%s]", keep)
 }
 
-// HashJoin joins by building a hash table on the right input's key
-// columns and probing with the left's. Residual holds the non-equality
-// conjuncts re-checked per matched pair (nil when none). Emit lists the
-// columns of a matched pair l ◦ r an inner join writes, as positions in
-// it — what the node's consumer reads, in the consumer's order; nil
-// means all of them. PassLeft, set by the planner when Emit is a prefix
-// of the left input's columns, makes each output row the left row
-// itself, cut to that width, instead of a copy. Semi and anti joins pass
-// left rows through and have no emit list.
-type HashJoin struct {
+// Join is every join: ⋈ and ×, ⋉, ▷, and the left outer join ⟕ with
+// the paper's g:f(∅) defaults, which pairs each left tuple without a
+// match with Pad, a right row of NULLs except the Default attributes.
+// The algorithm is read from the fields: with LCols/RCols set the join
+// builds a hash table on the right input's key columns and probes it
+// with the left's, and Pred is the residual re-checked per matched pair
+// (nil when none); otherwise it runs nested loops, and Pred is the whole
+// predicate (nil: a cross product). Keep is a selection σ the planner
+// fused into an outer join (nil for none): it is evaluated on each
+// output pair, l ◦ r or l ◦ Pad, and only the pairs it holds TRUE on are
+// written — the node then stands for the σ, its Logical(). Emit lists
+// the columns of a pair l ◦ r (or l ◦ Pad) an inner or outer join
+// writes, as positions in it — what the node's consumer reads, in the
+// consumer's order; nil means all of them. PassLeft, set by the planner
+// when Emit is a prefix of the left input's columns, makes each output
+// row the left row itself, cut to that width, instead of a copy. Semi
+// and anti joins pass left rows through and have no emit list.
+type Join struct {
 	base
 	L, R     Node
 	Mode     JoinMode
 	LCols    []int
 	RCols    []int
-	Residual algebra.Expr
-	Emit     []int
-	PassLeft bool
-}
-
-// Children implements Node.
-func (j *HashJoin) Children() []Node { return []Node{j.L, j.R} }
-
-// Label implements Node.
-func (j *HashJoin) Label() string {
-	name := "HashJoin"
-	if j.Mode != JoinInner {
-		name = fmt.Sprintf("HashJoin(%s)", j.Mode)
-	}
-	out := fmt.Sprintf("%s[%s]", name, equiKeys(j.L.Schema(), j.LCols, j.R.Schema(), j.RCols))
-	if j.Residual != nil {
-		out += fmt.Sprintf(" residual[%s]", j.Residual)
-	}
-	return out + emitLabel(j, j.Emit, pairWidth(j.L, j.R))
-}
-
-func pairWidth(l, r Node) int { return l.Schema().Len() + r.Schema().Len() }
-
-// NLJoin joins by nested loops. A nil Pred is a cross product. Emit and
-// PassLeft are as in HashJoin.
-type NLJoin struct {
-	base
-	L, R     Node
-	Mode     JoinMode
-	Pred     algebra.Expr
-	Emit     []int
-	PassLeft bool
-}
-
-// Children implements Node.
-func (j *NLJoin) Children() []Node { return []Node{j.L, j.R} }
-
-// Label implements Node.
-func (j *NLJoin) Label() string {
-	name := "NLJoin"
-	if j.Mode != JoinInner {
-		name = fmt.Sprintf("NLJoin(%s)", j.Mode)
-	}
-	pred := "cross"
-	if j.Pred != nil {
-		pred = j.Pred.String()
-	}
-	return name + "[" + pred + "]" + emitLabel(j, j.Emit, pairWidth(j.L, j.R))
-}
-
-// OuterJoin is the left outer join ⟕ with the paper's g:f(∅) defaults:
-// unmatched left tuples are paired with Pad, a right row of NULLs except
-// the Default attributes. Hash selects the algorithm; hash joins use
-// LCols/RCols/Residual, nested-loop joins use Pred. Keep is a selection
-// σ the planner fused into the join (nil for none): it is evaluated on
-// each output pair, l ◦ r or l ◦ Pad, and only the pairs it holds TRUE
-// on are written — the node then stands for the σ, its Logical(). Emit
-// and PassLeft are as in HashJoin, over l ◦ r and l ◦ Pad alike.
-type OuterJoin struct {
-	base
-	L, R     Node
-	Hash     bool
-	LCols    []int
-	RCols    []int
-	Residual algebra.Expr
 	Pred     algebra.Expr
 	Pad      []types.Value
 	Keep     algebra.Expr
@@ -309,19 +257,29 @@ type OuterJoin struct {
 }
 
 // Children implements Node.
-func (j *OuterJoin) Children() []Node { return []Node{j.L, j.R} }
+func (j *Join) Children() []Node { return []Node{j.L, j.R} }
 
 // Label implements Node.
-func (j *OuterJoin) Label() string {
-	tail := keepLabel(j.Keep) + emitLabel(j, j.Emit, pairWidth(j.L, j.R))
-	if !j.Hash {
-		return fmt.Sprintf("NLOuterJoin[%s]", j.Pred) + tail
+func (j *Join) Label() string {
+	algo, args := "NL", "cross"
+	if j.Pred != nil {
+		args = j.Pred.String()
 	}
-	out := fmt.Sprintf("HashOuterJoin[%s]", equiKeys(j.L.Schema(), j.LCols, j.R.Schema(), j.RCols))
-	if j.Residual != nil {
-		out += fmt.Sprintf(" residual[%s]", j.Residual)
+	if j.LCols != nil {
+		algo, args = "Hash", equiKeys(j.L.Schema(), j.LCols, j.R.Schema(), j.RCols)
 	}
-	return out + tail
+	name := algo + "Join"
+	switch j.Mode {
+	case JoinOuter:
+		name = algo + "OuterJoin"
+	case JoinSemi, JoinAnti:
+		name += "(" + j.Mode.String() + ")"
+	}
+	out := name + "[" + args + "]"
+	if j.LCols != nil && j.Pred != nil {
+		out += " residual[" + j.Pred.String() + "]"
+	}
+	return out + keepLabel(j.Keep) + emitLabel(j, j.Emit, j.L.Schema().Len()+j.R.Schema().Len())
 }
 
 // Group is the unary grouping operator Γ, hash-based with Identical key
@@ -359,49 +317,27 @@ func binaryGroupAggs(aggs []algebra.AggItem) string {
 	return strings.Join(out, ",")
 }
 
-// BinaryGroupSort is Γ² over a single column inequality with
-// decomposable aggregates: sort the right side, precompute prefix and
-// suffix aggregates, binary-search per left tuple (May & Moerkotte).
-// Keep, Results, Emit and PassLeft are as in BinaryGroup.
-type BinaryGroupSort struct {
-	base
-	L, R     Node
-	LIdx     int
-	RIdx     int
-	Op       types.CompareOp
-	Aggs     []algebra.AggItem
-	Keep     algebra.Expr
-	Results  *storage.Schema
-	Emit     []int
-	PassLeft bool
-}
-
-// Children implements Node.
-func (b *BinaryGroupSort) Children() []Node { return []Node{b.L, b.R} }
-
-// Label implements Node.
-func (b *BinaryGroupSort) Label() string {
-	return fmt.Sprintf("SortBinaryGroup[%s %s %s][%s]",
-		b.L.Schema().Attr(b.LIdx), b.Op, b.R.Schema().Attr(b.RIdx),
-		binaryGroupAggs(b.Aggs)) + keepLabel(b.Keep) + emitLabel(b, b.Emit, b.L.Schema().Len()+len(b.Aggs))
-}
-
-// BinaryGroup is Γ² by probing: each left tuple aggregates the right
-// tuples that match Pred — found by hash on LCols/RCols when Pred is
-// pure equality, by evaluating Pred per pair (nil means every pair
-// matches) otherwise. With a Tag it is Γ² on Pred ∨ Tag — Eqv. 5's
-// tagged form: Tag is a predicate over the right tuples, evaluated once
-// per tuple, and the tuples it holds TRUE on belong to every left
-// tuple's group and are folded once into a shared base, and only the
-// rest are matched. Tag is the χ's own predicate p when the planner
-// fused the χ[tag:p] below into the Γ² (see Planner), else the tag
-// column, and nil for an untagged Γ²; VecTag is its compiled columnar
-// program (nil: Tag is interpreted per row). Keep is a selection σ the
-// planner fused into the Γ² (nil for none): it is evaluated on each left
-// row ◦ its aggregate results, which Results names, and only the rows
-// it holds TRUE on are written — the node then stands for the σ, its
-// Logical(). Emit is as in HashJoin, over the left row ◦ the aggregate
-// results, and PassLeft as in HashJoin.
+// BinaryGroup is Γ²: each left tuple aggregates the right tuples that
+// match Pred. The algorithm is read from the fields. With LCols/RCols
+// set and Theta EQ (the zero value), Pred is pure equality and the right
+// tuples are found by hash on those columns. With Theta an inequality
+// <, ≤, > or ≥, Pred is LCols[0] θ RCols[0] alone, every aggregate folds
+// in one pass (no DISTINCT or AVG) and the group runs sort-based: R is
+// sorted on its column, its prefix or suffix results are folded once,
+// and each left tuple binary-searches its own (May & Moerkotte).
+// Otherwise Pred is evaluated per pair (nil means every pair matches).
+// With a Tag it is Γ² on Pred ∨ Tag — Eqv. 5's tagged form: Tag is a
+// predicate over the right tuples, evaluated once per tuple, and the
+// tuples it holds TRUE on belong to every left tuple's group and are
+// folded once into a shared base, and only the rest are matched. Tag is
+// the χ's own predicate p when the planner fused the χ[tag:p] below into
+// the Γ² (see Planner), else the tag column, and nil for an untagged Γ²;
+// VecTag is its compiled columnar program (nil: Tag is interpreted per
+// row). Keep is a selection σ the planner fused into the Γ² (nil for
+// none): it is evaluated on each left row ◦ its aggregate results, which
+// Results names, and only the rows it holds TRUE on are written — the
+// node then stands for the σ, its Logical(). Emit is as in Join, over
+// the left row ◦ the aggregate results, and PassLeft as in Join.
 type BinaryGroup struct {
 	base
 	L, R     Node
@@ -410,6 +346,7 @@ type BinaryGroup struct {
 	VecTag   *vec.Pred
 	LCols    []int
 	RCols    []int
+	Theta    types.CompareOp
 	Aggs     []algebra.AggItem
 	Keep     algebra.Expr
 	Results  *storage.Schema
@@ -433,6 +370,9 @@ func (b *BinaryGroup) Label() string {
 		out = fmt.Sprintf("TagBinaryGroup(%s)[%s ∨ %s][%s]", algo, b.Pred, b.Tag, binaryGroupAggs(b.Aggs))
 	case !hash:
 		out = fmt.Sprintf("NLBinaryGroup[%s][%s]", b.Pred, binaryGroupAggs(b.Aggs))
+	case b.Theta != types.EQ:
+		out = fmt.Sprintf("SortBinaryGroup[%s %s %s][%s]",
+			b.L.Schema().Attr(b.LCols[0]), b.Theta, b.R.Schema().Attr(b.RCols[0]), binaryGroupAggs(b.Aggs))
 	default:
 		out = fmt.Sprintf("HashBinaryGroup[%s][%s]",
 			equiKeys(b.L.Schema(), b.LCols, b.R.Schema(), b.RCols), binaryGroupAggs(b.Aggs))

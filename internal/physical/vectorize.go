@@ -18,9 +18,10 @@ import (
 //	    child schema — every column reference resolves locally (no
 //	    outer correlation) and no subquery/quantifier appears.
 //	Map: the expression compiles, same conditions.
-//	Scan, Project, HashJoin without residual: always — they evaluate
-//	    no expression, so no interpreter runs in them (a residual is
-//	    interpreted per matched pair).
+//	Scan, Project, and a hash Join other than an outer join, without
+//	    residual: always — they evaluate no expression, so no
+//	    interpreter runs in them (a residual is interpreted per matched
+//	    pair).
 //	Tagged Γ² (BinaryGroup with a Tag): when its tag compiles against
 //	    the right input's schema and nothing else in it is interpreted —
 //	    it hashes on pure equality (no per-pair predicate), has no fused
@@ -90,8 +91,8 @@ func Vectorizable(n Node) bool {
 	case *Stream:
 		src, ok := x.Source.(*BypassFilter)
 		return ok && src.VecPred != nil
-	case *HashJoin:
-		return x.Residual == nil
+	case *Join:
+		return x.Mode != JoinOuter && x.LCols != nil && x.Pred == nil
 	case *BinaryGroup:
 		return x.VecTag != nil && x.LCols != nil && x.Keep == nil && columnAggs(x.Aggs, x.R.Schema())
 	default:

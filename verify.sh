@@ -92,6 +92,11 @@ q2plan=$(go run ./cmd/disqo -rst 0.02 -explain -e 'SELECT DISTINCT * FROM r WHER
 echo "$q2plan" | grep -qF '∨ (s.b4 > 1500)]'
 test -z "$(echo "$q2plan" | grep -F 'Map[tag')"
 test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs grep -n 'TagCol')"
+# An algorithm is a node's field, not its type: one physical.Join for
+# every join and one physical.BinaryGroup for every Γ², each with one
+# executor body — no per-algorithm node type or evaluator comes back.
+test -z "$(find internal ./*.go -name '*.go' | xargs grep -nE 'type (HashJoin|NLJoin|OuterJoin|BinaryGroupSort) |physical\.(HashJoin|NLJoin|OuterJoin|BinaryGroupSort)\b|\b(evalBinaryGroupSorted|evalHashJoin|evalNLJoin|evalOuterJoin)\b')"
+test ! -e internal/exec/thetagroup.go
 go test ./...
 go vet ./...
 go test -race ./...

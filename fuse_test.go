@@ -37,9 +37,9 @@ func physicalPlan(t *testing.T, db *DB, sql string, opts ...Option) (*prepared, 
 }
 
 // TestFusedSelectionIsNotMemoizedAcrossOuterTuples: a selection fused
-// into an outer join inside a nested block can read the outer tuple (here
-// a4, through b4 >= a4), so the fused node is correlated although the
-// join below it is not. Memoizing it across outer tuples — which CacheAll
+// into Eqv. 1's binary grouping inside a nested block can read the outer
+// tuple (here a4, through b4 >= a4), so the fused node is correlated
+// although the grouping below it is not. Memoizing it across outer tuples — which CacheAll
 // does for every uncorrelated node of a block — would hand the second r
 // row the first one's s rows. Every strategy's plan, run under CacheAll
 // at one and four workers in both null modes, answers as Canonical does.
@@ -69,7 +69,7 @@ func TestFusedSelectionIsNotMemoizedAcrossOuterTuples(t *testing.T) {
 			pp, roots := physicalPlan(t, db, sql, WithStrategy(strategy), WithNullMode(nulls))
 			for _, root := range roots {
 				physical.Walk(root, func(n physical.Node) bool {
-					if oj, ok := n.(*physical.Join); ok && oj.Keep != nil && strings.Contains(oj.Keep.String(), "r.a4") {
+					if bg, ok := n.(*physical.BinaryGroup); ok && bg.Keep != nil && strings.Contains(bg.Keep.String(), "r.a4") {
 						fused = true
 					}
 					return true
@@ -90,12 +90,13 @@ func TestFusedSelectionIsNotMemoizedAcrossOuterTuples(t *testing.T) {
 		}
 	}
 	if !fused {
-		t.Error("no plan fused a selection reading r.a4 into an outer join; the case checks nothing")
+		t.Error("no plan fused a selection reading r.a4 into a binary grouping; the case checks nothing")
 	}
 }
 
 // TestFusedSelectionOnThePadRow: a linking selection fused into Eqv. 1's
-// outer join sees an unmatched r row paired with the g:f(∅) pad. COUNT's
+// ⟕, which runs as a hashed binary grouping, sees an unmatched r row with
+// the empty group's results — the ⟕'s g:f(∅) pad. COUNT's
 // default 0 passes a1 = g1 where a1 = 0; MIN's NULL default drops the
 // row; a negated link keeps or drops it by the null mode's logic — the
 // two-valued translation makes NOT (NULL = 0) TRUE. Each answer is the
@@ -131,8 +132,8 @@ func TestFusedSelectionOnThePadRow(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if !strings.Contains(plan, "HashOuterJoin[r.a2=s.b2] σ[") || strings.Contains(plan, "  Filter[") {
-			t.Errorf("%s: the three-valued plan does not fuse the link into the outer join:\n%s", c.name, plan)
+		if !strings.Contains(plan, "HashBinaryGroup[r.a2=s.b2][") || !strings.Contains(plan, "] σ[") || strings.Contains(plan, "  Filter[") {
+			t.Errorf("%s: the three-valued plan does not fuse the link into the binary grouping:\n%s", c.name, plan)
 		}
 		for _, nulls := range []NullMode{ThreeValuedNulls, TwoValuedNulls} {
 			want := c.want3
@@ -160,7 +161,7 @@ func TestFusedSelectionOnThePadRow(t *testing.T) {
 }
 
 // TestUnnestedPlansFuseLinkingSelections: under unnested, no Filter sits
-// on an outer join or a Γ², directly or through a Π, in the physical
+// on a Γ², directly or through a Π, in the physical
 // plans of Fig. 7's five statements and the Eqv. 5 family's three — each
 // linking selection runs inside the operator below it. The plans still
 // answer as Canonical does; the linking operators and constants are
@@ -197,15 +198,6 @@ func TestUnnestedPlansFuseLinkingSelections(t *testing.T) {
 		{rst, `SELECT DISTINCT * FROM r WHERE a1 <= (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2 OR b4 > 1500)`},
 		{rst, `SELECT DISTINCT * FROM r WHERE a4 > (SELECT SUM(DISTINCT b3) FROM s WHERE a2 = b2 OR b4 > 2970)`},
 	}
-	writes := func(n physical.Node) bool {
-		switch x := n.(type) {
-		case *physical.BinaryGroup:
-			return true
-		case *physical.Join:
-			return x.Mode == physical.JoinOuter
-		}
-		return false
-	}
 	for _, st := range stmts {
 		fused := 0
 		_, roots := physicalPlan(t, st.db, st.sql)
@@ -217,12 +209,8 @@ func TestUnnestedPlansFuseLinkingSelections(t *testing.T) {
 					if p, ok := below.(*physical.Project); ok {
 						below = p.Child
 					}
-					if writes(below) {
+					if _, ok := below.(*physical.BinaryGroup); ok {
 						t.Errorf("%s: Filter over %s", st.sql, below.Label())
-					}
-				case *physical.Join:
-					if x.Keep != nil {
-						fused++
 					}
 				case *physical.BinaryGroup:
 					if x.Keep != nil {

@@ -356,9 +356,10 @@ func SplitDisjuncts(e Expr) []Expr {
 // EquiKeys splits a predicate over two inputs, of schemas ls and rs, into
 // the conjuncts a hash can key on — an ls column = an rs column, either
 // way round — given as the key columns' positions in each input, and the
-// residual conjuncts still to evaluate per matched pair. A join or ⟕
-// hashes when there are keys, a Γ² only when no residual is left; the
-// physical planner and the cost model both decide it here.
+// residual conjuncts still to evaluate per matched pair. A join hashes
+// when there are keys, a Γ² — Eqv. 1's ⟕ over Γ among them — only when
+// no residual is left; the physical planner and the cost model both
+// decide it here.
 func EquiKeys(pred Expr, ls, rs *storage.Schema) (lcols, rcols []int, residual []Expr) {
 	if pred == nil {
 		return nil, nil, nil

@@ -138,14 +138,16 @@ type groupTable struct {
 	base []agg.Acc
 	accs []agg.Acc
 	seen []*types.RowIndex
-	next int // the next entry to emit
+	next int // the next entry to emit (Γ)
+	res  int // where the entries' results start in Γ²'s results (foldKeys)
 }
 
 // newGroupTable returns an empty table over rows keyed on keyCols, its
-// index sized for groups groups and its DISTINCT indexes for pairs
-// (group, argument) pairs.
+// index and accumulator slab sized for groups groups and its DISTINCT
+// indexes for pairs (group, argument) pairs.
 func newGroupTable(ai *aggInputs, rows [][]types.Value, keyCols []int, skipNulls bool, groups, pairs int, base []agg.Acc) *groupTable {
-	gt := &groupTable{ix: types.NewRowIndex(rows, keyCols, skipNulls, groups), base: base}
+	gt := &groupTable{ix: types.NewRowIndex(rows, keyCols, skipNulls, groups), base: base,
+		accs: make([]agg.Acc, 0, groups*len(ai.specs))}
 	for j, cols := range ai.dedup {
 		if cols != nil {
 			if gt.seen == nil {
@@ -209,54 +211,41 @@ func partOf(h uint64, parts int) int {
 	return int((h >> 32) * uint64(parts) >> 32)
 }
 
-// evalGroup implements the unary grouping operator Γ, which folds every
-// group once, in input order: with P = fanout(n) key partitions, the
-// keys are hashed in morsels, then partition p folds the rows whose hash
-// falls in it into a table of its own, P partitions over P workers. A
+// foldGroups is Γ's and the hashed Γ²'s fold of rows into group tables
+// keyed on keyCols (skipNulls and base as in groupTable), every group
+// once, in input order: with P = fanout(n) key partitions, the keys are
+// hashed in morsels, then partition p folds the rows whose hash falls in
+// it (partOf) into a table of its own, P partitions over P workers. A
 // group's rows all fall in one partition, so each group is the
 // sequential left fold of its rows at every worker count and every
-// morsel size — float sums included — and the output, merged by each
-// group's first row, is in first-appearance order. One worker, or a
-// Global grouping (one group), is one partition and no hashing pass.
-// Each table and its accumulator slab are sized once, for the estimated
-// number of groups (at most n) over P, and grow only past it. A DISTINCT
-// aggregate over input columns is deduplicated by Γ itself, in the same
-// fold: a row feeds it when the row is new on (grouping columns,
-// argument columns) — one index per partition where every group's
-// accumulator would otherwise keep a set of its own. A Global grouping
-// emits exactly one row even on empty input — the SQL scalar aggregate.
-func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, error) {
-	in, err := ex.eval(g.Child, env)
-	if err != nil {
-		return nil, err
-	}
-	ai, err := newAggInputs(g.Aggs, in.Schema, g.KeyCols)
-	if err != nil {
-		return nil, err
-	}
-	n, parts := len(in.Tuples), 1
-	if len(g.KeyCols) > 0 {
+// morsel size — float sums included. One worker, or no key columns, is
+// one partition and no hashing pass. Each table and its accumulator slab
+// are sized once, for est groups (at most n) over P.
+func (ex *Executor) foldGroups(ai *aggInputs, rows [][]types.Value, keyCols []int, skipNulls bool, est float64, base []agg.Acc, env *Env) ([]*groupTable, error) {
+	n, parts := len(rows), 1
+	if len(keyCols) > 0 {
 		parts = ex.fanout(n)
 	}
 	groups := n
-	if est := math.Ceil(g.EstRows()); est < float64(n) {
+	if est := math.Ceil(est); est < float64(n) {
 		groups = int(est)
 	}
 	groups /= parts
 	tables := make([]*groupTable, parts)
 	for p := range tables {
-		tables[p] = newGroupTable(ai, in.Tuples, g.KeyCols, false, groups, n/parts, nil)
-		tables[p].accs = make([]agg.Acc, 0, groups*len(ai.specs))
+		tables[p] = newGroupTable(ai, rows, keyCols, skipNulls, groups, n/parts, base)
 	}
+	// hashes[i] is row i's key hash when there are partitions, 0 for a
+	// key the tables skip — which a fold hashes again, to find out.
 	var hashes []uint64
 	if parts > 1 {
 		hashes = make([]uint64, n)
 		if _, err := parMorsels(ex, n, func(w *Executor, lo, hi int) (struct{}, error) {
-			for i, t := range in.Tuples[lo:hi] {
+			for i, t := range rows[lo:hi] {
 				if err := w.tick(); err != nil {
 					return struct{}{}, err
 				}
-				hashes[lo+i], _ = tables[0].ix.Hash(t, g.KeyCols)
+				hashes[lo+i], _ = tables[0].ix.Hash(t, keyCols)
 			}
 			return struct{}{}, nil
 		}); err != nil {
@@ -266,17 +255,19 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 		ex.creditMorsels(n)
 	}
 	// fold folds partition p: the rows whose key hash falls in it, every
-	// row when there is one partition.
+	// row with a key the table does not skip when there is one partition.
 	fold := func(w *Executor, p int) (struct{}, error) {
 		gt, feed := tables[p], ai.feed(env)
-		for i, t := range in.Tuples {
-			var h uint64
+		for i, t := range rows {
+			h, ok := uint64(0), true
 			if hashes != nil {
-				if h = hashes[i]; partOf(h, parts) != p {
-					continue
-				}
-			} else {
-				h, _ = gt.ix.Hash(t, g.KeyCols)
+				h = hashes[i]
+			}
+			if h == 0 {
+				h, ok = gt.ix.Hash(t, keyCols)
+			}
+			if !ok || parts > 1 && partOf(h, parts) != p {
+				continue
 			}
 			if err := w.tick(); err != nil {
 				return struct{}{}, err
@@ -287,6 +278,7 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 		}
 		return struct{}{}, nil
 	}
+	var err error
 	if parts == 1 {
 		_, err = runMorsel(ex, 0, n, func(w *Executor, _, _ int) (struct{}, error) { return fold(w, 0) })
 	} else {
@@ -294,6 +286,28 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 			return runMorsel(w, 0, n, func(w *Executor, _, _ int) (struct{}, error) { return fold(w, p) })
 		})
 	}
+	return tables, err
+}
+
+// evalGroup implements the unary grouping operator Γ: its input folded
+// by foldGroups, sized for the estimated number of groups, and merged by
+// each group's first row, so the output is in first-appearance order. A
+// DISTINCT aggregate over input columns is deduplicated by Γ itself, in
+// the same fold: a row feeds it when the row is new on (grouping
+// columns, argument columns) — one index per partition where every
+// group's accumulator would otherwise keep a set of its own. A Global
+// grouping emits exactly one row even on empty input — the SQL scalar
+// aggregate.
+func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, error) {
+	in, err := ex.eval(g.Child, env)
+	if err != nil {
+		return nil, err
+	}
+	ai, err := newAggInputs(g.Aggs, in.Schema, g.KeyCols)
+	if err != nil {
+		return nil, err
+	}
+	tables, err := ex.foldGroups(ai, in.Tuples, g.KeyCols, false, g.EstRows(), nil, env)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +322,7 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 		out.Tuples = [][]types.Value{row}
 		return out, nil
 	}
-	groups = 0
+	groups := 0
 	for _, gt := range tables {
 		groups += gt.ix.Len()
 	}
@@ -346,8 +360,8 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 // When Pred is an equality, R⁻ is hashed on its keys (May & Moerkotte's
 // main-memory binary grouping) and each distinct key's rows are folded
 // once, in R order, before any left tuple is read (foldKeys): one entry
-// and one set of overlays per key, not per row; a left tuple only
-// looks its key up. Each inner group is then aggregated once however
+// and one set of overlays per key, not per row; a left tuple only looks
+// its key up, in the partition its key hash falls in. Each inner group is then aggregated once however
 // often left tuples repeat its key, for every aggregate, DISTINCT
 // included — what the paper's Eqv. 4 pre-aggregation bought. This is
 // sound because an aggregate's argument reads the inner row alone: the
@@ -366,9 +380,9 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 // only the tuples it holds TRUE on are written, cut from one slab of
 // exactly their number per morsel.
 //
-// Nothing of size |L|·|R| is built, and since every fold runs in R order
-// on one goroutine, the fold order — hence any float rounding — is the
-// same for every worker count.
+// Nothing of size |L|·|R| is built, and since every group is folded in R
+// order on one goroutine, the fold order — hence any float rounding — is
+// the same for every worker count.
 func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage.Relation, error) {
 	l, err := ex.eval(b.L, env)
 	if err != nil {
@@ -378,36 +392,41 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	if err != nil {
 		return nil, err
 	}
-	ai, err := newAggInputs(b.Aggs, r.Schema, nil)
-	if err != nil {
-		return nil, err
-	}
 	compiled, err := ex.vecEnter(b)
 	if err != nil {
 		return nil, err
 	}
 	n := len(b.Aggs)
-	base := appendAccs(nil, ai.specs)
+	hashed := b.LCols != nil && b.Theta == types.EQ
+	// ai feeds R's rows to the base, the sorted fold or a left tuple's
+	// group, none of which an untagged hashed Γ² has.
+	var ai *aggInputs
+	var base []agg.Acc
+	if !hashed || b.Tag != nil {
+		if ai, err = newAggInputs(b.Aggs, r.Schema, nil); err != nil {
+			return nil, err
+		}
+		base = appendAccs(nil, ai.specs)
+	}
 	neg := r
-	feed := ai.feed(env)
 	if b.Tag != nil {
-		if neg, err = ex.split(b, r, compiled, feed, base, env); err != nil {
+		if neg, err = ex.split(b, r, compiled, ai.feed(env), base, env); err != nil {
 			return nil, err
 		}
 	}
 	var (
-		// gt is R⁻'s per-key fold when hashed, sorted R's running fold
-		// when sort-based; keyRes holds the base's results, for a left
-		// key R⁻ lacks, a NULL or an incomparable one, at 0, then each
-		// entry's: key entry e's at (e+1)*n, the first k sorted rows' at
-		// k*n.
-		gt     *groupTable
+		// tables is R⁻'s per-key fold when hashed, one table per key
+		// partition, sorted R's running fold when sort-based; keyRes
+		// holds the base's results, for a left key R⁻ lacks, a NULL or an
+		// incomparable one, at 0, then each entry's: key entry e of a
+		// table's at its res+e*n, the first k sorted rows' at k*n.
+		tables []*groupTable
 		sorted *sortedFold
 		keyRes []types.Value
 	)
 	switch {
 	case b.Theta != types.EQ:
-		if sorted, keyRes, err = ex.foldSorted(b, r, feed); err != nil {
+		if sorted, keyRes, err = ex.foldSorted(b, r, ai.feed(env)); err != nil {
 			return nil, err
 		}
 		if sorted == nil {
@@ -415,17 +434,10 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 		} else {
 			ex.stats.SortedGroups++
 		}
-	case len(b.LCols) > 0:
+	case hashed:
 		ex.stats.HashJoins++
-		if gt, err = ex.foldKeys(b, neg, base, env); err != nil {
+		if tables, keyRes, err = ex.foldKeys(b, neg, base, env); err != nil {
 			return nil, err
-		}
-		keyRes = make([]types.Value, n+len(gt.accs))
-		for i := range base {
-			keyRes[i] = base[i].Result()
-		}
-		for i := range gt.accs {
-			keyRes[n+i] = gt.accs[i].Result()
 		}
 	default:
 		ex.stats.NLJoins++
@@ -451,9 +463,12 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 				}
 				at := 0 // a left key R⁻ lacks, a NULL or incomparable one, reads the base alone
 				switch {
-				case gt != nil:
-					if e := gt.ix.First(lt, b.LCols); e >= 0 {
-						at = int(e+1) * n
+				case tables != nil:
+					if h, ok := tables[0].ix.Hash(lt, b.LCols); ok {
+						p := partOf(h, len(tables))
+						if e := tables[p].ix.FirstHashed(lt, b.LCols, h); e >= 0 {
+							at = tables[p].res + int(e)*n
+						}
 					}
 				case sorted != nil:
 					at = sorted.entry(lt[b.LCols[0]]) * n
@@ -498,36 +513,41 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	return out, nil
 }
 
-// foldKeys is the hashed binary grouping's fold of R⁻ (neg): a group
-// table keyed on RCols, one entry per distinct key — a NULL key is in
-// none — whose accumulators overlay base and are fed the key's rows in
-// R order. A DISTINCT item whose argument is columns of R is
-// deduplicated as Γ's is, on (RCols, argument columns), after base's
-// set: no key keeps a set of its own.
-func (ex *Executor) foldKeys(b *physical.BinaryGroup, neg *storage.Relation, base []agg.Acc, env *Env) (*groupTable, error) {
+// foldKeys is the hashed binary grouping's fold of R⁻ (neg): Γ's
+// partitioned group tables (foldGroups) keyed on RCols and sized for
+// b.Groups keys, one entry per distinct key — a NULL key is in none —
+// whose accumulators overlay base (nil: the empty group) and are fed the
+// key's rows in R order. A DISTINCT item whose argument is columns of R
+// is deduplicated as Γ's is, on (RCols, argument columns), after base's
+// set: no key keeps a set of its own. It returns the tables and their
+// results: base's first, then each table's from its res on.
+func (ex *Executor) foldKeys(b *physical.BinaryGroup, neg *storage.Relation, base []agg.Acc, env *Env) ([]*groupTable, []types.Value, error) {
 	ai, err := newAggInputs(b.Aggs, neg.Schema, b.RCols)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	m := len(neg.Tuples)
-	ex.creditHashBuild(m)
-	ex.creditMorsels(m)
-	gt := newGroupTable(ai, neg.Tuples, b.RCols, true, m, m, base)
-	_, err = runMorsel(ex, 0, m, func(w *Executor, _, _ int) (struct{}, error) {
-		feed := ai.feed(env)
-		for i, t := range neg.Tuples {
-			if err := w.tick(); err != nil {
-				return struct{}{}, err
-			}
-			if h, ok := gt.ix.Hash(t, b.RCols); ok {
-				if err := gt.fold(w, feed, i, t, h); err != nil {
-					return struct{}{}, err
-				}
-			}
+	ex.creditHashBuild(len(neg.Tuples))
+	tables, err := ex.foldGroups(ai, neg.Tuples, b.RCols, true, b.Groups, base, env)
+	if err != nil {
+		return nil, nil, err
+	}
+	size := len(b.Aggs)
+	for _, gt := range tables {
+		size += len(gt.accs)
+	}
+	res := make([]types.Value, len(b.Aggs), size)
+	for i, item := range b.Aggs {
+		if res[i] = item.Spec.Empty(); base != nil {
+			res[i] = base[i].Result()
 		}
-		return struct{}{}, nil
-	})
-	return gt, err
+	}
+	for _, gt := range tables {
+		gt.res = len(res)
+		for i := range gt.accs {
+			res = append(res, gt.accs[i].Result())
+		}
+	}
+	return tables, res, nil
 }
 
 // sortedFold is the sort-based binary grouping's index into its results

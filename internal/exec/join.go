@@ -128,30 +128,20 @@ func (ex *Executor) takePairs(n int) [][2]int32 {
 	return pairs
 }
 
-// Partners recorded by evalJoin beside a right row's number.
-const (
-	padPartner  = -1 // the outer join's pad
-	passPartner = -2 // a semi or anti join passes the left tuple through
-)
-
 // evalJoin is every join, in morsels over the left input. The candidate
 // partners of a left tuple are the right tuples equal on the key columns
 // — probed from a hash index built on the right input — or, when the
 // join has no key columns, all of them (nested loops); a candidate
 // matches when j.Pred (the hash join's residual, the nested-loop join's
 // whole predicate; nil for none) holds on the pair, which the predicate
-// sees through two frames. An inner join emits each matching pair, and
-// an outer join also the pair of j.Pad (the paper's g:f(∅) defaults) and
-// a left tuple that found none; semi and anti joins pass the left tuple
-// through on (no) match and stop at the first one. j.Keep, a selection
-// fused into an outer join (nil for none), is evaluated on each pair the
-// join would emit, pad pairs included, and drops those it does not hold
-// TRUE on before any row is built. A morsel first records each output as
-// a pair (the left tuple's offset, its partner), then cuts exactly that
-// many rows from one slab — or, when the join passes its left rows
-// (PassLeft: it emits a prefix of them), takes each pair's left row cut
-// to the output width. A cross product — nested loops without a
-// predicate — is not counted as an NL join.
+// sees through two frames. An inner join emits each matching pair; semi
+// and anti joins pass the left tuple through on (no) match and stop at
+// the first one. A morsel first records each output as a pair (the left
+// tuple's offset, its partner), then cuts exactly that many rows from
+// one slab — or, when the join passes its left rows (PassLeft: it emits
+// a prefix of them), takes each pair's left row cut to the output width.
+// A cross product — nested loops without a predicate — is not counted as
+// an NL join.
 func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, error) {
 	l, err := ex.eval(j.L, env)
 	if err != nil {
@@ -168,13 +158,13 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 		if ht, err = ex.buildIndex(r, j.RCols); err != nil {
 			return nil, err
 		}
-	case j.Pred != nil || j.Mode == physical.JoinOuter:
+	case j.Pred != nil:
 		ex.stats.NLJoins++
 	}
 	if _, err := ex.vecEnter(j); err != nil {
 		return nil, err
 	}
-	exists := j.Mode == physical.JoinSemi || j.Mode == physical.JoinAnti // semi/anti need only existence
+	exists := j.Mode != physical.JoinInner // semi/anti need only existence
 	width := j.Schema().Len()
 	var pending atomic.Int64 // operator-wide output size for the budget
 	chunks, err := parMorsels(ex, len(l.Tuples),
@@ -218,27 +208,12 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 						continue
 					}
 					matched = true
-					if exists {
-						continue
-					}
-					if ok, err = w.holds(j.Keep, lf, rf, lt, rt); err != nil {
-						return nil, err
-					}
-					if ok {
+					if !exists {
 						pairs = append(pairs, [2]int32{int32(i), partner})
 					}
 				}
-				switch {
-				case j.Mode == physical.JoinSemi && matched, j.Mode == physical.JoinAnti && !matched:
-					pairs = append(pairs, [2]int32{int32(i), passPartner})
-				case j.Mode == physical.JoinOuter && !matched:
-					ok, err := w.holds(j.Keep, lf, rf, lt, j.Pad)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						pairs = append(pairs, [2]int32{int32(i), padPartner})
-					}
+				if exists && matched == (j.Mode == physical.JoinSemi) {
+					pairs = append(pairs, [2]int32{int32(i), -1}) // the left tuple passes
 				}
 				pending.Add(int64(len(pairs) - before))
 			}
@@ -250,12 +225,10 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 			for k, p := range pairs {
 				lt := l.Tuples[lo+int(p[0])]
 				switch {
-				case p[1] == passPartner:
+				case exists:
 					out[k] = lt
 				case j.PassLeft:
 					out[k] = lt[:width:width]
-				case p[1] == padPartner:
-					out[k] = slab.emitRow(j.Emit, lt, j.Pad)
 				default:
 					out[k] = slab.emitRow(j.Emit, lt, r.Tuples[p[1]])
 				}

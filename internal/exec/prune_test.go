@@ -68,8 +68,8 @@ func projected(t *testing.T, schema interface{ Index(string) int }, rows [][]typ
 }
 
 // TestPruningIsInvisible: for every row-writing operator (and the ones
-// that pass needs through to it, a selection fused into an outer join or
-// a Γ² among them), Π_A(op) lowered by the planner — which prunes op's
+// that pass needs through to it, a selection fused into a Γ² or Eqv. 1's
+// ⟕ among them), Π_A(op) lowered by the planner — which prunes op's
 // inputs to what A and op read, gives op an emit list and dissolves or
 // aliases the Π — returns what projecting op's whole result to A
 // returns, for op and its two-valued translation under both evaluators,
@@ -95,16 +95,17 @@ func TestPruningIsInvisible(t *testing.T) {
 		algebra.NewSelect(scanOf(t, cat, "t"), algebra.Cmp(types.LT, algebra.Arith(types.Mul, col("t.c1"), algebra.ConstInt(100)), col("r.a3"))))
 	// Here it is the aggregate's argument that reads the outer row.
 	argCorr := algebra.Subquery(agg.Spec{Kind: agg.Sum}, algebra.Arith(types.Add, col("t.c1"), col("r.a3")), scanOf(t, cat, "t"))
-	// Outer joins and Γ²s a selection is fused into: each σ reads a
+	// Eqv. 1's ⟕s and Γ²s a selection is fused into: each σ reads a
 	// column the consumer may not, and drops some pad or aggregate rows.
-	hashOuter := func() algebra.Op {
-		return algebra.NewLeftOuterJoin(r,
+	// A ⟕ is read, as the rewriter leaves it, through the Π that drops
+	// its Γ's keys; pred may name a key twice.
+	eqv1 := func(pred algebra.Expr) algebra.Op {
+		oj := algebra.NewLeftOuterJoin(r,
 			algebra.NewGroupBy(s, []string{"s.b2"}, []algebra.AggItem{count("g", false), sum("h", "s.b3")}, false),
-			eq("r.a2", "s.b2"), []algebra.Default{{Attr: "g", Val: types.NewInt(0)}})
+			pred, []algebra.Default{{Attr: "g", Val: types.NewInt(0)}})
+		return algebra.NewProject(oj, []string{"r.a1", "r.a2", "r.a3", "r.a4", "g", "h"})
 	}
-	nlOuter := func() algebra.Op {
-		return algebra.NewLeftOuterJoin(r, tt, lt("r.a4", "t.c2"), []algebra.Default{{Attr: "t.c1", Val: types.NewInt(0)}})
-	}
+	hashOuter := func() algebra.Op { return eqv1(eq("r.a2", "s.b2")) }
 	hashGroup := func() algebra.Op {
 		return algebra.NewBinaryGroup(r, s, eq("r.a2", "s.b2"), []algebra.AggItem{count("g", true, "s.b3"), sum("h", "s.b1")})
 	}
@@ -112,43 +113,40 @@ func TestPruningIsInvisible(t *testing.T) {
 		return algebra.NewBinaryGroup(r, s, lt("r.a1", "s.b1"), []algebra.AggItem{sum("h", "s.b3"), count("g", false)})
 	}
 	ops := map[string]algebra.Op{
-		"σ over hash outer (pad 0 kept)": algebra.NewSelect(hashOuter(), algebra.Cmp(types.GE, col("r.a1"), col("g"))),
-		"σ over nl outer (pad dropped)":  algebra.NewSelect(nlOuter(), algebra.Or(lt("r.a1", "t.c1"), algebra.Cmp(types.EQ, col("r.a3"), algebra.ConstInt(300)))),
-		"σ over Π over hash outer":       algebra.NewSelect(algebra.NewProject(hashOuter(), []string{"h", "r.a3", "g", "r.a1"}), lt("r.a1", "g")),
-		"σ over Γ² hash":                 algebra.NewSelect(hashGroup(), algebra.Cmp(types.LE, col("r.a1"), col("g"))),
+		"σ over hash outer (pad 0 kept)":     algebra.NewSelect(hashOuter(), algebra.Cmp(types.GE, col("r.a1"), col("g"))),
+		"σ over hash outer (NULL pad drops)": algebra.NewSelect(hashOuter(), algebra.Or(lt("r.a1", "h"), algebra.Cmp(types.EQ, col("r.a3"), algebra.ConstInt(300)))),
+		"σ over Π over hash outer":           algebra.NewSelect(algebra.NewProject(hashOuter(), []string{"h", "r.a3", "g", "r.a1"}), lt("r.a1", "g")),
+		"σ over Γ² hash":                     algebra.NewSelect(hashGroup(), algebra.Cmp(types.LE, col("r.a1"), col("g"))),
 		"σ over Γ² nl": algebra.NewSelect(algebra.NewBinaryGroup(r, s, algebra.Or(eq("r.a2", "s.b2"), lt("r.a1", "s.b1")),
 			[]algebra.AggItem{count("g", true)}), lt("r.a1", "g")),
-		"σ over Γ² sort":        algebra.NewSelect(sortGroup(), algebra.Cmp(types.GT, col("h"), col("r.a3"))),
-		"σ over Π over Γ² sort": algebra.NewSelect(algebra.NewProject(sortGroup(), []string{"g", "r.a2", "h"}), lt("r.a2", "h")),
-		"σ over Γ² tagged":      algebra.NewSelect(tagged, lt("r.a1", "h")),
-		"σ over Π over Γ² hash": algebra.NewSelect(algebra.NewProject(hashGroup(), []string{"h", "r.a4"}), algebra.Cmp(types.GE, col("h"), col("r.a4"))),
-		"σ over outer, a block": algebra.NewSelect(hashOuter(), algebra.Cmp(types.LT, col("g"), corr)),
-		"hash join":             rs,
-		"hash join + residual":  algebra.NewJoin(r, s, algebra.And(eq("r.a2", "s.b2"), lt("r.a1", "s.b1"))),
-		"nl join":               algebra.NewJoin(r, s, lt("r.a1", "s.b1")),
-		"cross":                 algebra.NewCross(r, tt),
-		"join of joins":         algebra.NewJoin(rs, tt, eq("s.b4", "t.c2")),
-		"filter over join":      algebra.NewSelect(rs, lt("r.a3", "s.b3")),
-		"semi + residual":       algebra.NewSemiJoin(rs, tt, algebra.And(eq("s.b4", "t.c2"), lt("r.a1", "t.c1"))),
-		"anti + residual":       algebra.NewAntiJoin(rs, tt, algebra.And(eq("s.b4", "t.c2"), lt("r.a1", "t.c1"))),
-		"nl semi":               algebra.NewSemiJoin(rs, tt, lt("s.b1", "t.c1")),
-		"hash outer + defaults": algebra.NewLeftOuterJoin(r,
-			algebra.NewGroupBy(s, []string{"s.b2"}, []algebra.AggItem{count("g", false), sum("h", "s.b3")}, false),
-			eq("r.a2", "s.b2"), []algebra.Default{{Attr: "g", Val: types.NewInt(0)}}),
-		"hash outer + residual": algebra.NewLeftOuterJoin(r, s, algebra.And(eq("r.a2", "s.b2"), lt("r.a1", "s.b1")), nil),
-		"nl outer":              algebra.NewLeftOuterJoin(r, tt, lt("r.a4", "t.c2"), []algebra.Default{{Attr: "t.c1", Val: types.NewInt(0)}}),
-		"map":                   algebra.NewMap(rs, "m", algebra.Arith(types.Add, col("r.a1"), col("s.b3"))),
-		"map with a block":      algebra.NewMap(algebra.NewJoin(r, s, eq("r.a1", "s.b1")), "m", corr),
-		"map with an outer arg": algebra.NewMap(algebra.NewJoin(r, s, eq("r.a1", "s.b1")), "m", argCorr),
-		"filter with a block":   algebra.NewSelect(algebra.NewJoin(r, s, eq("r.a1", "s.b1")), algebra.Cmp(types.LT, algebra.ConstInt(1), corr)),
-		"Γ count(distinct *)":   algebra.NewGroupBy(rs, []string{"r.a4"}, []algebra.AggItem{count("g", true)}, false),
-		"Γ count(distinct A)":   algebra.NewGroupBy(rs, []string{"r.a4"}, []algebra.AggItem{count("g", true, "s.b2", "s.b3"), count("n", false)}, false),
-		"Γ global over join":    algebra.NewGroupBy(rs, nil, []algebra.AggItem{sum("h", "s.b3")}, true),
-		"Γ² hash":               algebra.NewBinaryGroup(r, s, eq("r.a2", "s.b2"), []algebra.AggItem{count("g", true, "s.b3"), sum("h", "s.b1")}),
-		"Γ² nl":                 algebra.NewBinaryGroup(r, s, algebra.Or(eq("r.a2", "s.b2"), lt("r.a1", "s.b1")), []algebra.AggItem{count("g", true)}),
-		"Γ² sort":               algebra.NewBinaryGroup(r, s, lt("r.a1", "s.b1"), []algebra.AggItem{sum("h", "s.b3"), count("g", false)}),
-		"Γ² tagged":             tagged,
-		"Γ² over join":          algebra.NewBinaryGroup(rs, tt, eq("s.b4", "t.c2"), []algebra.AggItem{count("g", false)}),
+		"σ over Γ² sort":          algebra.NewSelect(sortGroup(), algebra.Cmp(types.GT, col("h"), col("r.a3"))),
+		"σ over Π over Γ² sort":   algebra.NewSelect(algebra.NewProject(sortGroup(), []string{"g", "r.a2", "h"}), lt("r.a2", "h")),
+		"σ over Γ² tagged":        algebra.NewSelect(tagged, lt("r.a1", "h")),
+		"σ over Π over Γ² hash":   algebra.NewSelect(algebra.NewProject(hashGroup(), []string{"h", "r.a4"}), algebra.Cmp(types.GE, col("h"), col("r.a4"))),
+		"σ over outer, a block":   algebra.NewSelect(hashOuter(), algebra.Cmp(types.LT, col("g"), corr)),
+		"hash join":               rs,
+		"hash join + residual":    algebra.NewJoin(r, s, algebra.And(eq("r.a2", "s.b2"), lt("r.a1", "s.b1"))),
+		"nl join":                 algebra.NewJoin(r, s, lt("r.a1", "s.b1")),
+		"cross":                   algebra.NewCross(r, tt),
+		"join of joins":           algebra.NewJoin(rs, tt, eq("s.b4", "t.c2")),
+		"filter over join":        algebra.NewSelect(rs, lt("r.a3", "s.b3")),
+		"semi + residual":         algebra.NewSemiJoin(rs, tt, algebra.And(eq("s.b4", "t.c2"), lt("r.a1", "t.c1"))),
+		"anti + residual":         algebra.NewAntiJoin(rs, tt, algebra.And(eq("s.b4", "t.c2"), lt("r.a1", "t.c1"))),
+		"nl semi":                 algebra.NewSemiJoin(rs, tt, lt("s.b1", "t.c1")),
+		"hash outer + defaults":   hashOuter(),
+		"hash outer, a key twice": eqv1(algebra.And(eq("r.a2", "s.b2"), eq("r.a4", "s.b2"))),
+		"map":                     algebra.NewMap(rs, "m", algebra.Arith(types.Add, col("r.a1"), col("s.b3"))),
+		"map with a block":        algebra.NewMap(algebra.NewJoin(r, s, eq("r.a1", "s.b1")), "m", corr),
+		"map with an outer arg":   algebra.NewMap(algebra.NewJoin(r, s, eq("r.a1", "s.b1")), "m", argCorr),
+		"filter with a block":     algebra.NewSelect(algebra.NewJoin(r, s, eq("r.a1", "s.b1")), algebra.Cmp(types.LT, algebra.ConstInt(1), corr)),
+		"Γ count(distinct *)":     algebra.NewGroupBy(rs, []string{"r.a4"}, []algebra.AggItem{count("g", true)}, false),
+		"Γ count(distinct A)":     algebra.NewGroupBy(rs, []string{"r.a4"}, []algebra.AggItem{count("g", true, "s.b2", "s.b3"), count("n", false)}, false),
+		"Γ global over join":      algebra.NewGroupBy(rs, nil, []algebra.AggItem{sum("h", "s.b3")}, true),
+		"Γ² hash":                 algebra.NewBinaryGroup(r, s, eq("r.a2", "s.b2"), []algebra.AggItem{count("g", true, "s.b3"), sum("h", "s.b1")}),
+		"Γ² nl":                   algebra.NewBinaryGroup(r, s, algebra.Or(eq("r.a2", "s.b2"), lt("r.a1", "s.b1")), []algebra.AggItem{count("g", true)}),
+		"Γ² sort":                 algebra.NewBinaryGroup(r, s, lt("r.a1", "s.b1"), []algebra.AggItem{sum("h", "s.b3"), count("g", false)}),
+		"Γ² tagged":               tagged,
+		"Γ² over join":            algebra.NewBinaryGroup(rs, tt, eq("s.b4", "t.c2"), []algebra.AggItem{count("g", false)}),
 	}
 	for name, op := range ops {
 		attrs := op.Schema().Attrs()

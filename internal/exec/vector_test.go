@@ -100,6 +100,11 @@ func TestEvaluatorsAgree(t *testing.T) {
 		{Out: "n", Spec: agg.Spec{Kind: agg.Count, Star: true}},
 		{Out: "d", Spec: agg.Spec{Kind: agg.Sum, Distinct: true}, Arg: col("r.w")},
 	}
+	// Eqv. 1's ⟕ over Γ, keyed on the column that mixes ints, floats,
+	// strings and NULLs, runs as a hashed Γ².
+	eqv1 := algebra.NewProject(algebra.NewLeftOuterJoin(l, algebra.NewGroupBy(r, []string{"r.m"}, count, false),
+		algebra.Cmp(types.EQ, col("l.m"), col("r.m")), []algebra.Default{{Attr: "n", Val: types.NewInt(0)}}),
+		append(append([]string(nil), l.Schema().Attrs()...), "n", "d"))
 	tagged := algebra.NewBinaryGroup(l, algebra.NewMap(r, "tag", algebra.Cmp(types.GT, col("r.w"), lit(8))), keyEq, count)
 	tagged.Tag = "tag"
 	// Nested loops interpret the predicate per pair: the compiled tag
@@ -127,7 +132,7 @@ func TestEvaluatorsAgree(t *testing.T) {
 		{"semi residual", algebra.NewSemiJoin(l, r, withResidual), "HashJoin(semi)[l.k=r.k] residual["},
 		{"anti", algebra.NewAntiJoin(l, r, keyEq), "HashJoin(anti)[l.k=r.k]"},
 		{"anti residual", algebra.NewAntiJoin(l, r, withResidual), "HashJoin(anti)[l.k=r.k] residual["},
-		{"outer", algebra.NewLeftOuterJoin(l, r, withResidual, []algebra.Default{{Attr: "r.w", Val: types.NewInt(0)}}), "HashOuterJoin[l.k=r.k] residual["},
+		{"eqv1 outer", eqv1, "HashBinaryGroup[l.m=r.m]"},
 		{"Γ² hash", algebra.NewBinaryGroup(l, r, keyEq, count), "HashBinaryGroup[l.k=r.k]"},
 		{"Γ² nl", algebra.NewBinaryGroup(l, r, algebra.Or(keyEq, algebra.Cmp(types.EQ, col("l.m"), col("r.m"))), count), "NLBinaryGroup["},
 		{"Γ² tagged", tagged, "TagBinaryGroup(hash)["},

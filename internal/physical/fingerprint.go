@@ -31,14 +31,6 @@ func Fingerprint(roots ...Node) uint64 {
 		}
 		ids[n] = len(ids)
 		io.WriteString(h, n.Label())
-		// Labels omit the outer-join padding defaults (g:f(∅)); fold
-		// them in so plans differing only in defaults stay distinct.
-		if j, ok := n.(*Join); ok {
-			for _, v := range j.Pad {
-				io.WriteString(h, "/")
-				io.WriteString(h, v.String())
-			}
-		}
 		io.WriteString(h, "(")
 		for _, c := range n.Children() {
 			visit(c)

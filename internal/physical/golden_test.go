@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"disqo/internal/agg"
 	"disqo/internal/algebra"
 	"disqo/internal/catalog"
 	"disqo/internal/datagen"
@@ -110,20 +111,20 @@ Distinct  (est 0 rows)
 // caps — Eqv. 2/3 carry Q1 on their own, without Eqv. 5.
 func TestGoldenPhysicalFig2bQ1BypassCaps(t *testing.T) {
 	caps := rewrite.Caps{Conjunctive: true, Bypass: true}
-	physGolden(t, emptyRST(t), goldenQ1, &caps, 0xc500d68968615878, goldenPhysicalQ1Unnested)
+	physGolden(t, emptyRST(t), goldenQ1, &caps, 0xb92c7fe2da0b8f30, goldenPhysicalQ1Unnested)
 }
 
 // Fig. 2(c): the fully-capped plan. With empty tables the simple
 // disjunct ranks first, so the bypass selection tests r.a4 > 1500 and
 // only the negative stream pays for the unnested subquery — Eqv. 2's
-// ordering. The outerjoin and unary grouping both hash (equality keys),
-// the linking selection a1 = g1 is fused into the outerjoin, which
-// evaluates it on each pair and emits what the projection over it kept
-// (neither the grouping key s.b2 nor g1 is written), and the σ± node is
+// ordering. The outerjoin over the unary grouping runs as one hashed
+// binary grouping over s, the linking selection a1 = g1 is fused into
+// it, which evaluates it on each left row and its count and emits what
+// the projection over it kept (g1 is not written), and the σ± node is
 // shared between the two streams (#1 marker).
 func TestGoldenPhysicalFig2cQ1Unnested(t *testing.T) {
 	all := rewrite.AllCaps()
-	physGolden(t, emptyRST(t), goldenQ1, &all, 0xc500d68968615878, goldenPhysicalQ1Unnested)
+	physGolden(t, emptyRST(t), goldenQ1, &all, 0xb92c7fe2da0b8f30, goldenPhysicalQ1Unnested)
 }
 
 const goldenPhysicalQ1Unnested = `
@@ -132,11 +133,10 @@ Distinct  (est 0 rows)
     Stream+  (est 0 rows)
       #1 Filter±[(r.a4 > 1500)]  (est 0 rows)
         Scan(r)  (est 0 rows)
-    HashOuterJoin[r.a2=s.b2] σ[(r.a1 = g1)] → [r.a1, r.a2, r.a3, r.a4] (4 of 6 cols)  (est 0 rows)
+    HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)] σ[(r.a1 = g1)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 0 rows)
       Stream-  (est 0 rows)
         ↑ see #1 Filter±[(r.a4 > 1500)]
-      HashGroup[[s.b2]][g1:COUNT(DISTINCT *)]  (est 1 rows)
-        Scan(s)  (est 0 rows)
+      Scan(s)  (est 0 rows)
 `
 
 // Fig. 2(d): the same query under statistics that make r.a4 > 1500
@@ -146,16 +146,15 @@ Distinct  (est 0 rows)
 // stream — Eqv. 3's ordering.
 func TestGoldenPhysicalFig2dQ1SubqueryFirst(t *testing.T) {
 	all := rewrite.AllCaps()
-	physGolden(t, smallRST(t, 1000), goldenQ1, &all, 0xb039be3dc8f8983, `
+	physGolden(t, smallRST(t, 1000), goldenQ1, &all, 0xe64b0a477164300a, `
 Distinct  (est 1 rows)
   UnionDisjoint  (est 1 rows)
     Project[r.a1, r.a2, r.a3, r.a4]  (est 1 rows)
       Stream+  (est 1 rows)
         #1 Filter±[(r.a1 = g1)]  (est 4 rows)
-          HashOuterJoin[r.a2=s.b2] → [r.a1, r.a2, r.a3, r.a4, g1] (5 of 6 cols)  (est 4 rows)
+          HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)]  (est 4 rows)
             Scan(r)  (est 4 rows)
-            HashGroup[[s.b2]][g1:COUNT(DISTINCT *)]  (est 4 rows)
-              Scan(s)  (est 4 rows)
+            Scan(s)  (est 4 rows)
     Project[r.a1, r.a2, r.a3, r.a4]  (est 0 rows)
       Filter[(r.a4 > 1500)]  (est 0 rows)
         Stream-  (est 3 rows)
@@ -168,17 +167,16 @@ Distinct  (est 1 rows)
 // unnested subquery runs on an empty negative stream.
 func TestGoldenPhysicalQ1DecidingComparisonFirst(t *testing.T) {
 	all := rewrite.AllCaps()
-	physGolden(t, smallRST(t, 2000), goldenQ1, &all, 0xc500d68968615878, `
+	physGolden(t, smallRST(t, 2000), goldenQ1, &all, 0xb92c7fe2da0b8f30, `
 Distinct  (est 4 rows)
   UnionDisjoint  (est 4 rows)
     Stream+  (est 4 rows)
       #1 Filter±[(r.a4 > 1500)]  (est 4 rows)
         Scan(r)  (est 4 rows)
-    HashOuterJoin[r.a2=s.b2] σ[(r.a1 = g1)] → [r.a1, r.a2, r.a3, r.a4] (4 of 6 cols)  (est 0 rows)
+    HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)] σ[(r.a1 = g1)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 0 rows)
       Stream-  (est 0 rows)
         ↑ see #1 Filter±[(r.a4 > 1500)]
-      HashGroup[[s.b2]][g1:COUNT(DISTINCT *)]  (est 4 rows)
-        Scan(s)  (est 4 rows)
+      Scan(s)  (est 4 rows)
 `)
 }
 
@@ -240,14 +238,13 @@ func TestGoldenPhysicalQ4Linear(t *testing.T) {
 	all := rewrite.AllCaps()
 	physGolden(t, emptyRST(t), `SELECT DISTINCT * FROM r
 	         WHERE a3 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2
-	                      OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b2 = c2))`, &all, 0x388495dfa53c00f7, `
+	                      OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b2 = c2))`, &all, 0xbffd97889c401888, `
 Distinct  (est 0 rows)
   TagBinaryGroup(hash)[(r.a2 = s.b2) ∨ (s.b3 = g3)][g2:COUNT(DISTINCT *)] σ[(r.a3 = g2)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 0 rows)
     Scan(r)  (est 0 rows)
-    HashOuterJoin[s.b2=t.c2] → [s.b1, s.b2, s.b3, s.b4, g3] (5 of 6 cols)  (est 0 rows)
+    HashBinaryGroup[s.b2=t.c2][g3:COUNT(DISTINCT *)]  (est 0 rows)
       Scan(s)  (est 0 rows)
-      HashGroup[[t.c2]][g3:COUNT(DISTINCT *)]  (est 1 rows)
-        Scan(t)  (est 0 rows)
+      Scan(t)  (est 0 rows)
 `)
 }
 
@@ -273,7 +270,7 @@ func TestGoldenPhysicalQuery2d(t *testing.T) {
 	                                     AND n_regionkey = r_regionkey
 	                                     AND r_name = 'EUROPE')
 	                  OR ps_availqty > 2000)
-	           ORDER BY s_acctbal DESC, n_name, s_name, p_partkey`, &all, 0xce0d38238ff171f2, `
+	           ORDER BY s_acctbal DESC, n_name, s_name, p_partkey`, &all, 0xca755f3d310b286d, `
 Sort[supplier.s_acctbal DESC, nation.n_name, supplier.s_name, part.p_partkey]  (est 1 rows)
   Project[supplier.s_acctbal, supplier.s_name, nation.n_name, part.p_partkey, part.p_mfgr, supplier.s_address, supplier.s_phone, supplier.s_comment]  (est 1 rows)
     UnionDisjoint  (est 1 rows)
@@ -290,18 +287,17 @@ Sort[supplier.s_acctbal DESC, nation.n_name, supplier.s_name, part.p_partkey]  (
                     Scan(part)  (est 200 rows)
             Filter[(region.r_name = 'EUROPE')]  (est 1 rows)
               Scan(region)  (est 5 rows)
-      HashOuterJoin[part.p_partkey=partsupp#2.ps_partkey] σ[(partsupp.ps_supplycost = g1)] → [nation.n_nationkey, nation.n_name, nation.n_regionkey, nation.n_comment, supplier.s_suppkey, supplier.s_name, supplier.s_address, supplier.s_nationkey, supplier.s_phone, supplier.s_acctbal, supplier.s_comment, partsupp.ps_partkey, partsupp.ps_suppkey, partsupp.ps_availqty, partsupp.ps_supplycost, partsupp.ps_comment, part.p_partkey, part.p_name, part.p_mfgr, part.p_brand, part.p_type, part.p_size, part.p_container, part.p_retailprice, part.p_comment, region.r_regionkey, region.r_name, region.r_comment] (28 of 30 cols)  (est 0 rows)
+      HashBinaryGroup[part.p_partkey=partsupp#2.ps_partkey][g1:MIN(partsupp#2.ps_supplycost)] σ[(partsupp.ps_supplycost = g1)] → [nation.n_nationkey, nation.n_name, nation.n_regionkey, nation.n_comment, supplier.s_suppkey, supplier.s_name, supplier.s_address, supplier.s_nationkey, supplier.s_phone, supplier.s_acctbal, supplier.s_comment, partsupp.ps_partkey, partsupp.ps_suppkey, partsupp.ps_availqty, partsupp.ps_supplycost, partsupp.ps_comment, part.p_partkey, part.p_name, part.p_mfgr, part.p_brand, part.p_type, part.p_size, part.p_container, part.p_retailprice, part.p_comment, region.r_regionkey, region.r_name, region.r_comment] (28 of 29 cols)  (est 0 rows)
         Stream-  (est 0 rows)
           ↑ see #1 Filter±[(partsupp.ps_availqty > 2000)]
-        HashGroup[[partsupp#2.ps_partkey]][g1:MIN(partsupp#2.ps_supplycost)]  (est 160 rows)
-          HashJoin[partsupp#2.ps_suppkey=supplier#2.s_suppkey] → [partsupp#2.ps_partkey, partsupp#2.ps_supplycost] (2 of 6 cols)  (est 160 rows)
-            Scan(partsupp)  (est 800 rows)
-            HashJoin[supplier#2.s_nationkey=nation#2.n_nationkey] → [supplier#2.s_suppkey] (1 of 8 cols)  (est 2 rows)
-              Scan(supplier)  (est 10 rows)
-              HashJoin[nation#2.n_regionkey=region#2.r_regionkey] → [nation#2.n_nationkey] (1 of 7 cols)  (est 5 rows)
-                Scan(nation)  (est 25 rows)
-                Filter[(region#2.r_name = 'EUROPE')]  (est 1 rows)
-                  Scan(region)  (est 5 rows)
+        HashJoin[partsupp#2.ps_suppkey=supplier#2.s_suppkey] → [partsupp#2.ps_partkey, partsupp#2.ps_supplycost] (2 of 6 cols)  (est 160 rows)
+          Scan(partsupp)  (est 800 rows)
+          HashJoin[supplier#2.s_nationkey=nation#2.n_nationkey] → [supplier#2.s_suppkey] (1 of 8 cols)  (est 2 rows)
+            Scan(supplier)  (est 10 rows)
+            HashJoin[nation#2.n_regionkey=region#2.r_regionkey] → [nation#2.n_nationkey] (1 of 7 cols)  (est 5 rows)
+              Scan(nation)  (est 25 rows)
+              Filter[(region#2.r_name = 'EUROPE')]  (est 1 rows)
+                Scan(region)  (est 5 rows)
 `)
 }
 
@@ -387,25 +383,24 @@ HashJoin[r.a2=s.b2] → [r.a1, t.c1] (2 of 6 cols)  (est 0 rows)
 }
 
 // The algorithms no rewrite of a SQL statement picks, lowered from
-// algebra: the nested-loop outer join (its pad's default folded into the
-// fingerprint), the hashed outer and inner joins with a residual, the
-// nested-loop antijoin and the untagged hashed Γ².
+// algebra: Eqv. 1's ⟕ with MIN's NULL default and a key its predicate
+// names twice (a hashed Γ² over the Γ's input, keyed twice on it), the
+// hashed inner join with a residual, the nested-loop antijoin and the
+// untagged hashed Γ². Other ⟕s have no physical plan
+// (TestLowerRejectsOtherOuterJoins).
 func TestGoldenPhysicalAlgebraAlgorithms(t *testing.T) {
 	cat := testCat(t)
 	r, s := scanOf(t, cat, "r"), scanOf(t, cat, "s")
 	lt := algebra.Cmp(types.LT, algebra.Col("r.a2"), algebra.Col("s.b2"))
+	minB2 := []algebra.AggItem{{Out: "g1", Spec: agg.Spec{Kind: agg.Min}, Arg: algebra.Col("s.b2")}}
 	for _, c := range []struct {
 		op   algebra.Op
 		fp   uint64
 		want string
 	}{
-		{algebra.NewLeftOuterJoin(r, s, lt, []algebra.Default{{Attr: "s.b2", Val: types.NewInt(7)}}), 0x63ff242c80718fd1, `
-NLOuterJoin[(r.a2 < s.b2)]  (est 3 rows)
-  Scan(r)  (est 3 rows)
-  Scan(s)  (est 3 rows)
-`},
-		{algebra.NewLeftOuterJoin(r, s, algebra.And(eq("r.a1", "s.b1"), lt), nil), 0xa49beea5069393cf, `
-HashOuterJoin[r.a1=s.b1] residual[(r.a2 < s.b2)]  (est 3 rows)
+		{algebra.NewProject(algebra.NewLeftOuterJoin(r, algebra.NewGroupBy(s, []string{"s.b1"}, minB2, false),
+			algebra.And(eq("r.a1", "s.b1"), eq("r.a2", "s.b1")), nil), []string{"r.a1", "g1"}), 0x2eef8cda92163d87, `
+HashBinaryGroup[r.a1=s.b1 ∧ r.a2=s.b1][g1:MIN(s.b2)] → [r.a1, g1] (2 of 3 cols)  (est 3 rows)
   Scan(r)  (est 3 rows)
   Scan(s)  (est 3 rows)
 `},

@@ -1,7 +1,9 @@
 package physical
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"disqo/internal/agg"
 	"disqo/internal/algebra"
@@ -20,18 +22,27 @@ import (
 // algorithm is what the planner writes into the node's fields.
 // Algorithm selection rules, in order:
 //
-//	join, semijoin, antijoin, outerjoin: one Join, in its Mode. It
-//	    hashes on the equality conjuncts when any exist (LCols/RCols;
-//	    Pred keeps the residual conjuncts, re-checked per matched pair),
-//	    and runs nested loops otherwise (Pred is the whole predicate).
-//	    The hash table is built on R; for an inner join the translator
-//	    has made R the smaller estimated input.
+//	join, semijoin, antijoin: one Join, in its Mode. It hashes on the
+//	    equality conjuncts when any exist (LCols/RCols; Pred keeps the
+//	    residual conjuncts, re-checked per matched pair), and runs nested
+//	    loops otherwise (Pred is the whole predicate). The hash table is
+//	    built on R; for an inner join the translator has made R the
+//	    smaller estimated input.
+//	left outer join: Eqv. 1's e1 ⟕_{a=b; g:f(∅)} Γ_{b; g:f}(e2) is
+//	    Γ²_{a=b; g:f}(e1, e2) — a missing or NULL key reads the empty
+//	    group, f(∅) — and lowers to one hashed BinaryGroup over e2 when
+//	    the Γ has no other consumer and is not global, the ⟕'s predicate
+//	    is pure equality naming every grouping attribute, each
+//	    aggregate's default (NULL without one) is its f(∅), and nothing
+//	    reads Γ's keys (the rewriter's Π above the ⟕ drops them). Any
+//	    other ⟕ fails with ErrOuterJoin: there is no physical outer join.
 //	binary grouping: one BinaryGroup, hashing the right side when the
 //	    predicate is pure equality (LCols/RCols) and scanning it per left
 //	    tuple otherwise — except that an untagged single column
 //	    inequality with single-pass aggregates (no DISTINCT or AVG) runs
 //	    sort-based, a prefix or suffix fold searched per left tuple
-//	    (LCols/RCols and the comparison in Theta). A tag (Eqv. 5) only
+//	    (LCols/RCols and the comparison in Theta). A hashed Γ² is sized
+//	    for its right input's distinct keys, estimated as Γ's are. A tag (Eqv. 5) only
 //	    adds the shared base fold, and is a predicate the Γ² splits its
 //	    right input on: the χ[tag:p] Eqv. 5 puts below it — directly or
 //	    through one Π — is fused into it when the Γ² is the χ's (and the
@@ -39,14 +50,13 @@ import (
 //	    copy of the inner relation is never built; otherwise the tag is
 //	    the χ's column.
 //
-//	selection over an outer join or a binary grouping: fused into it
-//	    when the σ is the only consumer of that operator, directly or
-//	    through one Π it alone reads, and its predicate holds no nested
-//	    block. The operator evaluates the predicate on each pair it
-//	    would write (its Keep) — the outer join on a matched pair and on
-//	    the pad pair, Γ² on a left row and its aggregate results — and
-//	    builds only the rows it holds TRUE on; the σ's Filter node, and
-//	    the Π, are gone. The node stands for the σ (its Logical()), so
+//	selection over a binary grouping (an Eqv. 1 ⟕ among them): fused
+//	    into it when the σ is the only consumer of that operator,
+//	    directly or through one Π it alone reads, and its predicate
+//	    holds no nested block. The Γ² evaluates the predicate on each
+//	    left row and its aggregate results (its Keep) and builds only
+//	    the rows it holds TRUE on; the σ's Filter node, and the Π, are
+//	    gone. The node stands for the σ (its Logical()), so
 //	    the executor memoizes it only where the σ's free attributes allow.
 //	    A σ± (two streams) and a shared operator do not fuse.
 //
@@ -387,8 +397,11 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 		m.Emit, err = m.emit(x, child.Schema(), nil, 1, need, order)
 		return m, err
 
-	case *algebra.CrossProduct, *algebra.Join, *algebra.SemiJoin, *algebra.AntiJoin, *algebra.LeftOuterJoin:
-		return p.lowerJoin(b, op, nil, need, need, order)
+	case *algebra.CrossProduct, *algebra.Join, *algebra.SemiJoin, *algebra.AntiJoin:
+		return p.lowerJoin(b, op, need, order)
+
+	case *algebra.LeftOuterJoin, *algebra.BinaryGroup:
+		return p.lowerBinaryGroup(b, op, nil, need, need, order)
 
 	case *algebra.GroupBy:
 		if len(x.Attrs) == 0 && !x.Global {
@@ -406,18 +419,15 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 		return &Group{base: b, Child: child, KeyCols: keyCols, Attrs: x.Attrs,
 			Aggs: x.Aggs, Global: x.Global}, nil
 
-	case *algebra.BinaryGroup:
-		return p.lowerBinaryGroup(b, x, nil, need, need, order)
-
 	case *algebra.UnionDisjoint:
-		l, r, err := p.lower2(x.L, x.R)
+		l, r, err := p.lowerPair(x.L, x.R, nil, allCols, allCols)
 		if err != nil {
 			return nil, err
 		}
 		return &Union{base: b, L: l, R: r, Disjoint: true}, nil
 
 	case *algebra.UnionAll:
-		l, r, err := p.lower2(x.L, x.R)
+		l, r, err := p.lowerPair(x.L, x.R, nil, allCols, allCols)
 		if err != nil {
 			return nil, err
 		}
@@ -459,20 +469,8 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 	}
 }
 
-func (p *Planner) lower2(l, r algebra.Op) (Node, Node, error) {
-	ln, err := p.whole(l)
-	if err != nil {
-		return nil, nil, err
-	}
-	rn, err := p.whole(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ln, rn, nil
-}
-
-// lowerPair lowers the inputs of a join: each side for the columns its
-// consumer reads of it (ln, rn) and its columns in pred.
+// lowerPair lowers the inputs of a binary operator: each side for the
+// columns its consumer reads of it (ln, rn) and its columns in pred.
 func (p *Planner) lowerPair(lop, rop algebra.Op, pred algebra.Expr, ln, rn colSet) (Node, Node, error) {
 	l, err := p.lowerFor(lop, p.reads(ln, lop.Schema(), pred), nil)
 	if err != nil {
@@ -486,7 +484,7 @@ func (p *Planner) lowerPair(lop, rop algebra.Op, pred algebra.Expr, ln, rn colSe
 }
 
 // fuse lowers σ(w), or σ(Π(w)), as w with the σ's predicate for its
-// Keep, when w is an outer join or a Γ² only the σ reads — through a Π
+// Keep, when w is a Γ² or an Eqv. 1 ⟕ only the σ reads — through a Π
 // only it reads — and the predicate holds no nested block (see
 // Planner); it returns nil otherwise. b is the σ's: the node stands for
 // it. w emits what the σ's consumer reads (need, in order), and a Π
@@ -513,32 +511,22 @@ func (p *Planner) fuse(b base, s *algebra.Select, need colSet, order *storage.Sc
 		in = addNames(0, sch, order.Attrs())
 	}
 	in = p.reads(in, sch, s.Pred).of(sch.Len())
-	var n Node
-	var err error
-	switch x := w.(type) {
-	case *algebra.LeftOuterJoin:
-		n, err = p.lowerJoin(b, x, s.Pred, in, need, order)
-	case *algebra.BinaryGroup:
-		n, err = p.lowerBinaryGroup(b, x, s.Pred, in, need, order)
-	}
+	n, err := p.lowerBinaryGroup(b, w, s.Pred, in, need, order)
 	if err != nil {
 		return nil, err
 	}
 	return n, p.lowerBlocks(w)
 }
 
-// lowerJoin lowers a join w — ⋈, ×, ⋉, ▷ or ⟕ — as the node b
-// describes, with keep (nil for none) as the selection fused into an
-// outer join: its inputs for the columns in of its schema, and what it
-// emits for need, in order (see emit). It picks the algorithm: hash on
-// the equality conjuncts when any exist, nested loops otherwise. A semi
-// or anti join passes left rows through, so its consumer's columns are
-// all the left input's and the right input is read for the predicate
-// alone.
-func (p *Planner) lowerJoin(b base, w algebra.Op, keep algebra.Expr, in, need colSet, order *storage.Schema) (Node, error) {
-	j := &Join{base: b, Keep: keep}
+// lowerJoin lowers a join w — ⋈, ×, ⋉ or ▷ — as the node b describes:
+// its inputs for the columns need of its schema, and what it emits for
+// need, in order (see emit). It picks the algorithm: hash on the
+// equality conjuncts when any exist, nested loops otherwise. A semi or
+// anti join passes left rows through, so its consumer's columns are all
+// the left input's and the right input is read for the predicate alone.
+func (p *Planner) lowerJoin(b base, w algebra.Op, need colSet, order *storage.Schema) (Node, error) {
+	j := &Join{base: b}
 	var lop, rop algebra.Op
-	var defaults []algebra.Default
 	switch x := w.(type) {
 	case *algebra.CrossProduct:
 		lop, rop = x.L, x.R
@@ -548,13 +536,11 @@ func (p *Planner) lowerJoin(b base, w algebra.Op, keep algebra.Expr, in, need co
 		lop, rop, j.Pred, j.Mode = x.L, x.R, x.Pred, JoinSemi
 	case *algebra.AntiJoin:
 		lop, rop, j.Pred, j.Mode = x.L, x.R, x.Pred, JoinAnti
-	case *algebra.LeftOuterJoin:
-		lop, rop, j.Pred, j.Mode, defaults = x.L, x.R, x.Pred, JoinOuter, x.Defaults
 	}
-	passes := j.Mode == JoinSemi || j.Mode == JoinAnti
-	ln, rn := in, colSet(0)
+	passes := j.Mode != JoinInner
+	ln, rn := need, colSet(0)
 	if !passes {
-		ln, rn = in.split(lop.Schema().Len())
+		ln, rn = need.split(lop.Schema().Len())
 	}
 	l, r, err := p.lowerPair(lop, rop, j.Pred, ln, rn)
 	if err != nil {
@@ -570,53 +556,107 @@ func (p *Planner) lowerJoin(b base, w algebra.Op, keep algebra.Expr, in, need co
 	if lc, rc, residual := algebra.EquiKeys(j.Pred, l.Schema(), r.Schema()); len(lc) > 0 {
 		j.LCols, j.RCols, j.Pred = lc, rc, andOrNil(residual)
 	}
-	if j.Mode == JoinOuter {
-		j.Pad = make([]types.Value, r.Schema().Len())
-		for _, d := range defaults {
-			if i := r.Schema().Index(d.Attr); i >= 0 {
-				j.Pad[i] = d.Val
-			}
-		}
-	}
 	return j, nil
 }
 
-// lowerBinaryGroup lowers Γ² as lowerJoin lowers ⟕. The fused
-// selection sees a left row ◦ its aggregate results. R is lowered for
-// what the predicate, the aggregates and the tag read of it — from
-// below a χ fused into the tag (see tagged).
-func (p *Planner) lowerBinaryGroup(b base, x *algebra.BinaryGroup, keep algebra.Expr, in, need colSet, order *storage.Schema) (Node, error) {
-	ls := x.L.Schema()
-	ln, _ := in.split(ls.Len())
-	l, err := p.lowerFor(x.L, p.reads(ln, ls, x.Pred), nil)
+// ErrOuterJoin is what lowering a ⟕ other than Eqv. 1's returns: there
+// is no physical outer join (see Planner).
+var ErrOuterJoin = errors.New("physical: no plan for a left outer join that is not Eqv. 1's")
+
+// lowerBinaryGroup lowers w — a Γ², or Eqv. 1's e1 ⟕_{pred} Γ(e2), which
+// is Γ²_{pred}(e1, e2) over Γ's aggregates (see Planner) — as the node b
+// describes, with keep (nil for none) the selection fused into it, which
+// sees a left row ◦ its aggregate results: L for the columns in of w's
+// schema and what the predicate reads, R (e2 for the ⟕, from below a χ
+// fused into the tag for a Γ², see tagged) for what the predicate, the
+// aggregates and the tag read, and what it emits for need, in order (see
+// emit). A hashed Γ²'s per-key fold is sized for the distinct keys of R:
+// the Γ's estimate, or Groups over R's logical input.
+func (p *Planner) lowerBinaryGroup(b base, w algebra.Op, keep algebra.Expr, in, need colSet, order *storage.Schema) (Node, error) {
+	var lop, rop algebra.Op
+	var pred, tag algebra.Expr
+	var aggs []algebra.AggItem
+	var g *algebra.GroupBy // Eqv. 1's Γ
+	switch x := w.(type) {
+	case *algebra.BinaryGroup:
+		lop, pred, aggs = x.L, x.Pred, x.Aggs
+		rop, tag = p.tagged(x)
+	case *algebra.LeftOuterJoin:
+		if g = p.eqv1(x, keep, need, order); g == nil {
+			return nil, fmt.Errorf("%w: %s", ErrOuterJoin, w.Label())
+		}
+		lop, rop, pred, aggs = x.L, g.Child, x.Pred, g.Aggs
+	}
+	ln, _ := in.split(lop.Schema().Len())
+	l, r, err := p.lowerPair(lop, rop, pred, ln, p.aggReads(p.reads(0, rop.Schema(), tag), rop.Schema(), aggs))
 	if err != nil {
 		return nil, err
 	}
-	rop, tag := p.tagged(x)
-	rs := rop.Schema()
-	r, err := p.lowerFor(rop, p.aggReads(p.reads(p.reads(0, rs, x.Pred), rs, tag), rs, x.Aggs), nil)
-	if err != nil {
-		return nil, err
-	}
-	if tag != nil && rop == x.R && !r.Schema().Has(x.Tag) {
+	if x, ok := w.(*algebra.BinaryGroup); ok && tag != nil && rop == x.R && !r.Schema().Has(x.Tag) {
 		return nil, fmt.Errorf("physical: tag %q not in %s", x.Tag, x.R.Schema())
 	}
-	emit, err := b.emit(x, l.Schema(), nil, len(x.Aggs), need, order)
+	emit, err := b.emit(w, l.Schema(), nil, len(aggs), need, order)
 	if err != nil {
 		return nil, err
 	}
-	var results *storage.Schema
+	bg := &BinaryGroup{base: b, L: l, R: r, Pred: pred, Tag: tag, Aggs: aggs, Keep: keep,
+		Emit: emit, PassLeft: passesLeft(emit, l.Schema())}
 	if keep != nil {
-		results = storage.NewSchema(x.Schema().Attrs()[ls.Len():]...)
+		attrs := w.Schema().Attrs()
+		bg.Results = storage.NewSchema(attrs[len(attrs)-len(aggs):]...)
 	}
-	bg := &BinaryGroup{base: b, L: l, R: r, Pred: x.Pred, Tag: tag, Aggs: x.Aggs,
-		Keep: keep, Results: results, Emit: emit, PassLeft: passesLeft(emit, l.Schema())}
-	if lc, rc, residual := algebra.EquiKeys(x.Pred, l.Schema(), r.Schema()); len(lc) > 0 && len(residual) == 0 {
-		bg.LCols, bg.RCols = lc, rc
-	} else if tag == nil {
-		bg.LCols, bg.RCols, bg.Theta = sortable(x, l.Schema(), r.Schema())
+	lc, rc, residual := algebra.EquiKeys(pred, l.Schema(), r.Schema())
+	switch hashed := len(lc) > 0 && len(residual) == 0; {
+	case g != nil:
+		// Every grouping attribute, and nothing else of e2, is equated.
+		for _, a := range g.Attrs {
+			hashed = hashed && slices.ContainsFunc(rc, func(c int) bool { return r.Schema().Attr(c) == a })
+		}
+		for _, c := range rc {
+			hashed = hashed && slices.Contains(g.Attrs, r.Schema().Attr(c))
+		}
+		if !hashed {
+			return nil, fmt.Errorf("%w: %s", ErrOuterJoin, w.Label())
+		}
+		bg.LCols, bg.RCols, bg.Groups = lc, rc, p.est.Cardinality(g)
+		return bg, p.lowerBlocks(g)
+	case hashed:
+		p.names = p.names[:0]
+		for _, c := range rc {
+			p.names = append(p.names, r.Schema().Attr(c))
+		}
+		bg.LCols, bg.RCols, bg.Groups = lc, rc, p.est.Groups(rop, p.names)
+	case tag == nil:
+		bg.LCols, bg.RCols, bg.Theta = sortable(pred, aggs, l.Schema(), r.Schema())
 	}
 	return bg, nil
+}
+
+// eqv1 returns the Γ of Eqv. 1's w = e1 ⟕ Γ(e2), or nil when the Γ has
+// another consumer or is global, w pads an aggregate with anything but
+// its f(∅) — its default, NULL without one — or w's consumer (need, in
+// order) or keep reads one of Γ's keys, which a Γ² does not carry.
+func (p *Planner) eqv1(w *algebra.LeftOuterJoin, keep algebra.Expr, need colSet, order *storage.Schema) *algebra.GroupBy {
+	g, _ := w.R.(*algebra.GroupBy)
+	if g == nil || g.Global || p.memo[g].shared {
+		return nil
+	}
+	for _, a := range g.Aggs {
+		d := slices.IndexFunc(w.Defaults, func(d algebra.Default) bool { return d.Attr == a.Out })
+		if d < 0 && !a.Spec.Empty().IsNull() || d >= 0 && w.Defaults[d].Val != a.Spec.Empty() {
+			return nil
+		}
+	}
+	if keep != nil {
+		p.names = keep.Columns(p.names[:0])
+	}
+	for _, a := range g.Attrs {
+		if order != nil && order.Has(a) || order == nil && need.has(w.Schema().Index(a)) ||
+			keep != nil && slices.Contains(p.names, a) {
+			return nil
+		}
+	}
+	return g
 }
 
 // tagged returns the input a Γ² reads its right tuples from and its tag:
@@ -732,11 +772,11 @@ func andOrNil(conjuncts []algebra.Expr) algebra.Expr {
 }
 
 // sortable returns the key columns and comparison of a binary grouping
-// that can run sort-based — a single column-vs-column inequality between
-// the inputs l and r, and no DISTINCT or AVG aggregate — oriented as
-// l θ r; nil keys otherwise.
-func sortable(bg *algebra.BinaryGroup, l, r *storage.Schema) (lcols, rcols []int, op types.CompareOp) {
-	cmp, ok := bg.Pred.(*algebra.CmpExpr)
+// on pred over aggs that can run sort-based — a single column-vs-column
+// inequality between the inputs l and r, and no DISTINCT or AVG
+// aggregate — oriented as l θ r; nil keys otherwise.
+func sortable(pred algebra.Expr, aggs []algebra.AggItem, l, r *storage.Schema) (lcols, rcols []int, op types.CompareOp) {
+	cmp, ok := pred.(*algebra.CmpExpr)
 	if !ok {
 		return nil, nil, types.EQ
 	}
@@ -756,7 +796,7 @@ func sortable(bg *algebra.BinaryGroup, l, r *storage.Schema) (lcols, rcols []int
 			return nil, nil, types.EQ
 		}
 	}
-	for _, item := range bg.Aggs {
+	for _, item := range aggs {
 		if item.Spec.Distinct || item.Spec.Kind == agg.Avg {
 			return nil, nil, types.EQ
 		}

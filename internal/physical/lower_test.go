@@ -1,6 +1,8 @@
 package physical_test
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -333,14 +335,14 @@ func TestLowerRejectsStreamOverNonBypass(t *testing.T) {
 	}
 }
 
-// fusible builds r ⟕ Γ_{s.b1; g1:COUNT(*)}(s) and the Γ² of r and s on
-// a1 = b1 (the binary grouping sort-based when sorted), the operators a
-// selection fuses into.
+// fusible builds Eqv. 1's r ⟕ Γ_{s.b1; g1:COUNT(*)}(s) as the rewriter
+// leaves it, under the Π that drops the grouping attribute, and the Γ²
+// of r and s on a1 = b1 (the binary grouping sort-based when sorted), the
+// operators a selection fuses into.
 func fusible(t *testing.T, cat *catalog.Catalog) (outer func() algebra.Op, group func(sorted bool) algebra.Op) {
 	r, s := scanOf(t, cat, "r"), scanOf(t, cat, "s")
 	outer = func() algebra.Op {
-		return algebra.NewLeftOuterJoin(r, algebra.NewGroupBy(s, []string{"s.b1"}, countAgg(), false),
-			eq("r.a1", "s.b1"), []algebra.Default{{Attr: "g1", Val: types.NewInt(0)}})
+		return algebra.NewProject(eqv1(r, s, eq("r.a1", "s.b1"), types.NewInt(0), "s.b1"), []string{"r.a1", "r.a2", "g1"})
 	}
 	group = func(sorted bool) algebra.Op {
 		pred := eq("r.a1", "s.b1")
@@ -362,9 +364,9 @@ func TestLowerFusesSelections(t *testing.T) {
 		want string
 	}{
 		{"σ over ⟕", algebra.NewSelect(outer(), link),
-			"HashOuterJoin[r.a1=s.b1] σ[(r.a2 = g1)]"},
+			"HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] σ[(r.a2 = g1)]"},
 		{"Π over σ over ⟕", algebra.NewProject(algebra.NewSelect(outer(), link), []string{"r.a1"}),
-			"HashOuterJoin[r.a1=s.b1] σ[(r.a2 = g1)] → [r.a1] (1 of 4 cols)"},
+			"HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] σ[(r.a2 = g1)] → [r.a1] (1 of 3 cols)"},
 		{"σ over Π over Γ²", algebra.NewSelect(algebra.NewProject(group(false), []string{"g1", "r.a2"}), link),
 			"HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] σ[(r.a2 = g1)] → [g1, r.a2] (2 of 3 cols)"},
 		{"σ over sorted Γ²", algebra.NewSelect(group(true), link),
@@ -401,8 +403,8 @@ func TestLowerDoesNotFuse(t *testing.T) {
 			algebra.Cmp(types.EQ, algebra.Col("g1"), algebra.Subquery(agg.Spec{Kind: agg.Count, Star: true}, nil, block))),
 	} {
 		physical.Walk(lower(t, cat, op), func(n physical.Node) bool {
-			if j, ok := n.(*physical.Join); ok && j.Keep != nil {
-				t.Errorf("%s: fused into %s", name, j.Label())
+			if bg, ok := n.(*physical.BinaryGroup); ok && bg.Keep != nil {
+				t.Errorf("%s: fused into %s", name, bg.Label())
 			}
 			return true
 		})
@@ -462,15 +464,91 @@ func taggedNode(t *testing.T, root physical.Node) *physical.BinaryGroup {
 	return bg
 }
 
+// eqv1 is Eqv. 1's l ⟕_{pred; g1:def} Γ_{keys; g1:COUNT(*)}(r).
+func eqv1(l, r algebra.Op, pred algebra.Expr, def types.Value, keys ...string) *algebra.LeftOuterJoin {
+	return algebra.NewLeftOuterJoin(l, algebra.NewGroupBy(r, keys, countAgg(), false), pred,
+		[]algebra.Default{{Attr: "g1", Val: def}})
+}
+
 // sOuter is s ⟕ Γ_{r.a1; g1:COUNT(*)}(r) read as [s.b1, s.b2, g1]: the
 // shape Eqv. 5 tags when p holds a nested block of its own, after that
 // block is unnested.
 func sOuter(t *testing.T, cat *catalog.Catalog) algebra.Op {
-	counts := algebra.NewGroupBy(scanOf(t, cat, "r"), []string{"r.a1"},
-		[]algebra.AggItem{{Out: "g1", Spec: agg.Spec{Kind: agg.Count, Star: true}}}, false)
-	oj := algebra.NewLeftOuterJoin(scanOf(t, cat, "s"), counts, eq("s.b1", "r.a1"),
-		[]algebra.Default{{Attr: "g1", Val: types.NewInt(0)}})
+	oj := eqv1(scanOf(t, cat, "s"), scanOf(t, cat, "r"), eq("s.b1", "r.a1"), types.NewInt(0), "r.a1")
 	return algebra.NewProject(oj, []string{"s.b1", "s.b2", "g1"})
+}
+
+// TestLowerOuterJoinIsBinaryGroup: Eqv. 1's ⟕ over Γ, under the Π that
+// drops Γ's keys, lowers to one hashed Γ² over Γ's input — no Join or
+// Group node, the Γ's aggregates, keys from the ⟕'s predicate (a key
+// the predicate names twice is keyed twice), and its per-key fold sized
+// by the Γ's estimate.
+func TestLowerOuterJoinIsBinaryGroup(t *testing.T) {
+	cat := testCat(t)
+	r, s := scanOf(t, cat, "r"), scanOf(t, cat, "s")
+	for _, c := range []struct {
+		name  string
+		oj    *algebra.LeftOuterJoin
+		label string
+		lcols []int
+		rcols []int
+	}{
+		{"one key", eqv1(r, s, eq("r.a1", "s.b1"), types.NewInt(0), "s.b1"),
+			"HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)]", []int{0}, []int{0}},
+		{"a key named twice", eqv1(r, s, algebra.And(eq("r.a1", "s.b1"), eq("s.b1", "r.a2")), types.NewInt(0), "s.b1"),
+			"HashBinaryGroup[r.a1=s.b1 ∧ r.a2=s.b1][g1:COUNT(*)]", []int{0, 1}, []int{0, 0}},
+		{"two keys", eqv1(r, s, algebra.And(eq("r.a2", "s.b2"), eq("r.a1", "s.b1")), types.NewInt(0), "s.b1", "s.b2"),
+			"HashBinaryGroup[r.a2=s.b2 ∧ r.a1=s.b1][g1:COUNT(*)]", []int{1, 0}, []int{1, 0}},
+	} {
+		est := stats.New(cat)
+		n, err := physical.NewPlanner(est).Lower(algebra.NewProject(c.oj, []string{"r.a1", "r.a2", "g1"}))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		bg, ok := n.(*physical.BinaryGroup)
+		if !ok || bg.Label() != c.label {
+			t.Fatalf("%s: lowered to\n%s\nwant %s", c.name, physical.Explain(n), c.label)
+		}
+		if _, ok := bg.R.(*physical.Scan); !ok {
+			t.Errorf("%s: R is %s, want Γ's input", c.name, bg.R.Label())
+		}
+		if !slices.Equal(bg.LCols, c.lcols) || !slices.Equal(bg.RCols, c.rcols) {
+			t.Errorf("%s: keys %v/%v, want %v/%v", c.name, bg.LCols, bg.RCols, c.lcols, c.rcols)
+		}
+		if want := est.Cardinality(c.oj.R); bg.Groups != want {
+			t.Errorf("%s: sized for %v groups, want Γ's estimate %v", c.name, bg.Groups, want)
+		}
+		if bg.Logical() != c.oj {
+			t.Errorf("%s: the node stands for %s, want the ⟕", c.name, bg.Logical().Label())
+		}
+	}
+}
+
+// TestLowerRejectsOtherOuterJoins: there is no physical outer join, so a
+// ⟕ that is not Eqv. 1's fails to lower with ErrOuterJoin.
+func TestLowerRejectsOtherOuterJoins(t *testing.T) {
+	cat := testCat(t)
+	r, s := scanOf(t, cat, "r"), scanOf(t, cat, "s")
+	lt := algebra.Cmp(types.LT, algebra.Col("r.a2"), algebra.Col("s.b2"))
+	narrowed := func(oj algebra.Op) algebra.Op { return algebra.NewProject(oj, []string{"r.a1", "g1"}) }
+	global := algebra.NewLeftOuterJoin(r, algebra.NewGroupBy(s, nil, countAgg(), true), nil,
+		[]algebra.Default{{Attr: "g1", Val: types.NewInt(0)}})
+	shared := eqv1(r, s, eq("r.a1", "s.b1"), types.NewInt(0), "s.b1").R
+	for name, op := range map[string]algebra.Op{
+		"over a scan":             algebra.NewProject(algebra.NewLeftOuterJoin(r, s, lt, nil), []string{"r.a1"}),
+		"a residual":              narrowed(eqv1(r, s, algebra.And(eq("r.a1", "s.b1"), lt), types.NewInt(0), "s.b1")),
+		"a key not equated":       narrowed(eqv1(r, s, eq("r.a1", "s.b1"), types.NewInt(0), "s.b1", "s.b2")),
+		"a default other than 0":  narrowed(eqv1(r, s, eq("r.a1", "s.b1"), types.NewInt(7), "s.b1")),
+		"COUNT without a default": narrowed(eqv1(r, s, eq("r.a1", "s.b1"), types.Null(), "s.b1")),
+		"a global Γ":              narrowed(global),
+		"Γ's key read":            eqv1(r, s, eq("r.a1", "s.b1"), types.NewInt(0), "s.b1"),
+		"Γ's key read by a σ":     narrowed(algebra.NewSelect(eqv1(r, s, eq("r.a1", "s.b1"), types.NewInt(0), "s.b1"), eq("s.b1", "g1"))),
+		"a Γ with another reader": algebra.NewCross(narrowed(algebra.NewLeftOuterJoin(r, shared, eq("r.a1", "s.b1"), []algebra.Default{{Attr: "g1", Val: types.NewInt(0)}})), algebra.NewProject(shared, []string{"s.b1"})),
+	} {
+		if _, err := physical.NewPlanner(stats.New(cat)).Lower(op); !errors.Is(err, physical.ErrOuterJoin) {
+			t.Errorf("%s: Lower = %v, want ErrOuterJoin", name, err)
+		}
+	}
 }
 
 // TestLowerFusesTags: a χ[tag:p] only its tagged Γ² reads — directly, or
@@ -492,9 +570,9 @@ func TestLowerFusesTags(t *testing.T) {
 		{"direct χ, nl", taggedGroup(t, cat, scanOf(t, cat, "s"), gt7, lt, nil),
 			"TagBinaryGroup(nl)[(r.a1 < s.b1) ∨ (s.b2 > 7)][", "Scan(s)"},
 		{"χ under Π, hash", taggedGroup(t, cat, sOuter(t, cat), eq("s.b2", "g1"), eq("r.a1", "s.b1"), []string{"s.b1", "s.b2"}),
-			"TagBinaryGroup(hash)[(r.a1 = s.b1) ∨ (s.b2 = g1)][", "HashOuterJoin[s.b1=r.a1] → [s.b1, s.b2, g1]"},
+			"TagBinaryGroup(hash)[(r.a1 = s.b1) ∨ (s.b2 = g1)][", "HashBinaryGroup[s.b1=r.a1][g1:COUNT(*)]"},
 		{"χ under Π, nl", taggedGroup(t, cat, sOuter(t, cat), eq("s.b2", "g1"), lt, []string{"s.b1", "s.b2"}),
-			"TagBinaryGroup(nl)[(r.a1 < s.b1) ∨ (s.b2 = g1)][", "HashOuterJoin[s.b1=r.a1] → [s.b1, s.b2, g1]"},
+			"TagBinaryGroup(nl)[(r.a1 < s.b1) ∨ (s.b2 = g1)][", "HashBinaryGroup[s.b1=r.a1][g1:COUNT(*)]"},
 	} {
 		root := lower(t, cat, c.op)
 		physical.Walk(root, func(n physical.Node) bool {
@@ -544,10 +622,7 @@ func TestLowerDoesNotFuseTags(t *testing.T) {
 	}
 	// Unprojected, s ⟕ Γ(r) carries r.a1, which the Π above the χ hides
 	// and the predicate names — the r row's own column.
-	counts := algebra.NewGroupBy(scanOf(t, cat, "r"), []string{"r.a1"},
-		[]algebra.AggItem{{Out: "g1", Spec: agg.Spec{Kind: agg.Count, Star: true}}}, false)
-	wide := algebra.NewLeftOuterJoin(scanOf(t, cat, "s"), counts, eq("s.b1", "r.a1"),
-		[]algebra.Default{{Attr: "g1", Val: types.NewInt(0)}})
+	wide := eqv1(scanOf(t, cat, "s"), scanOf(t, cat, "r"), eq("s.b1", "r.a1"), types.NewInt(0), "r.a1")
 	distinctStar := []algebra.AggItem{{Out: "g", Spec: agg.Spec{Kind: agg.Count, Star: true, Distinct: true}}}
 	for name, op := range map[string]algebra.Op{
 		"a shared χ":                 algebra.NewCross(over(sharedMap, eq("r.a1", "s.b1"), countAgg()), sharedMap),

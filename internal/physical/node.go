@@ -59,9 +59,8 @@ func (b *base) EstRows() float64        { return b.est }
 func (b *base) ID() int                 { return b.id }
 func (b *base) setID(id int)            { b.id = id }
 
-// JoinMode selects what a join emits: matched pairs (inner), left
-// tuples with a match (semi) or without one (anti), or matched pairs and
-// each left tuple without a match paired with the pad (outer).
+// JoinMode selects what a join emits: matched pairs (inner), or left
+// tuples with a match (semi) or without one (anti).
 type JoinMode uint8
 
 // The join modes.
@@ -69,21 +68,9 @@ const (
 	JoinInner JoinMode = iota
 	JoinSemi
 	JoinAnti
-	JoinOuter
 )
 
-func (m JoinMode) String() string {
-	switch m {
-	case JoinSemi:
-		return "semi"
-	case JoinAnti:
-		return "anti"
-	case JoinOuter:
-		return "outer"
-	default:
-		return "inner"
-	}
-}
+func (m JoinMode) String() string { return [...]string{"inner", "semi", "anti"}[m] }
 
 // Scan reads a base table.
 type Scan struct {
@@ -217,32 +204,19 @@ func emitLabel(n Node, emit []int, in int) string {
 	return fmt.Sprintf(" → %s (%d of %d cols)", n.Schema(), len(emit), in)
 }
 
-// keepLabel renders a selection fused into the operator below it (its
-// Keep), after the operator's own label and before its emit list.
-func keepLabel(keep algebra.Expr) string {
-	if keep == nil {
-		return ""
-	}
-	return fmt.Sprintf(" σ[%s]", keep)
-}
-
-// Join is every join: ⋈ and ×, ⋉, ▷, and the left outer join ⟕ with
-// the paper's g:f(∅) defaults, which pairs each left tuple without a
-// match with Pad, a right row of NULLs except the Default attributes.
-// The algorithm is read from the fields: with LCols/RCols set the join
+// Join is every join: ⋈ and ×, ⋉ and ▷. There is no physical left
+// outer join: the only ⟕ disqo plans, Eqv. 1's, is a BinaryGroup. The
+// algorithm is read from the fields: with LCols/RCols set the join
 // builds a hash table on the right input's key columns and probes it
 // with the left's, and Pred is the residual re-checked per matched pair
 // (nil when none); otherwise it runs nested loops, and Pred is the whole
-// predicate (nil: a cross product). Keep is a selection σ the planner
-// fused into an outer join (nil for none): it is evaluated on each
-// output pair, l ◦ r or l ◦ Pad, and only the pairs it holds TRUE on are
-// written — the node then stands for the σ, its Logical(). Emit lists
-// the columns of a pair l ◦ r (or l ◦ Pad) an inner or outer join
-// writes, as positions in it — what the node's consumer reads, in the
-// consumer's order; nil means all of them. PassLeft, set by the planner
-// when Emit is a prefix of the left input's columns, makes each output
-// row the left row itself, cut to that width, instead of a copy. Semi
-// and anti joins pass left rows through and have no emit list.
+// predicate (nil: a cross product). Emit lists the columns of a pair
+// l ◦ r an inner join writes, as positions in it — what the node's
+// consumer reads, in the consumer's order; nil means all of them.
+// PassLeft, set by the planner when Emit is a prefix of the left input's
+// columns, makes each output row the left row itself, cut to that width,
+// instead of a copy. Semi and anti joins pass left rows through and have
+// no emit list.
 type Join struct {
 	base
 	L, R     Node
@@ -250,8 +224,6 @@ type Join struct {
 	LCols    []int
 	RCols    []int
 	Pred     algebra.Expr
-	Pad      []types.Value
-	Keep     algebra.Expr
 	Emit     []int
 	PassLeft bool
 }
@@ -269,17 +241,14 @@ func (j *Join) Label() string {
 		algo, args = "Hash", equiKeys(j.L.Schema(), j.LCols, j.R.Schema(), j.RCols)
 	}
 	name := algo + "Join"
-	switch j.Mode {
-	case JoinOuter:
-		name = algo + "OuterJoin"
-	case JoinSemi, JoinAnti:
+	if j.Mode != JoinInner {
 		name += "(" + j.Mode.String() + ")"
 	}
 	out := name + "[" + args + "]"
 	if j.LCols != nil && j.Pred != nil {
 		out += " residual[" + j.Pred.String() + "]"
 	}
-	return out + keepLabel(j.Keep) + emitLabel(j, j.Emit, j.L.Schema().Len()+j.R.Schema().Len())
+	return out + emitLabel(j, j.Emit, j.L.Schema().Len()+j.R.Schema().Len())
 }
 
 // Group is the unary grouping operator Γ, hash-based with Identical key
@@ -299,17 +268,13 @@ func (g *Group) Children() []Node { return []Node{g.Child} }
 
 // Label implements Node.
 func (g *Group) Label() string {
-	aggs := make([]string, len(g.Aggs))
-	for i, a := range g.Aggs {
-		aggs[i] = a.Label()
-	}
 	if g.Global {
-		return fmt.Sprintf("HashGroup[global][%s]", strings.Join(aggs, ","))
+		return fmt.Sprintf("HashGroup[global][%s]", aggLabels(g.Aggs))
 	}
-	return fmt.Sprintf("HashGroup[%v][%s]", g.Attrs, strings.Join(aggs, ","))
+	return fmt.Sprintf("HashGroup[%v][%s]", g.Attrs, aggLabels(g.Aggs))
 }
 
-func binaryGroupAggs(aggs []algebra.AggItem) string {
+func aggLabels(aggs []algebra.AggItem) string {
 	out := make([]string, len(aggs))
 	for i, a := range aggs {
 		out[i] = a.Label()
@@ -318,26 +283,29 @@ func binaryGroupAggs(aggs []algebra.AggItem) string {
 }
 
 // BinaryGroup is Γ²: each left tuple aggregates the right tuples that
-// match Pred. The algorithm is read from the fields. With LCols/RCols
-// set and Theta EQ (the zero value), Pred is pure equality and the right
-// tuples are found by hash on those columns. With Theta an inequality
-// <, ≤, > or ≥, Pred is LCols[0] θ RCols[0] alone, every aggregate folds
-// in one pass (no DISTINCT or AVG) and the group runs sort-based: R is
-// sorted on its column, its prefix or suffix results are folded once,
-// and each left tuple binary-searches its own (May & Moerkotte).
-// Otherwise Pred is evaluated per pair (nil means every pair matches).
-// With a Tag it is Γ² on Pred ∨ Tag — Eqv. 5's tagged form: Tag is a
-// predicate over the right tuples, evaluated once per tuple, and the
-// tuples it holds TRUE on belong to every left tuple's group and are
-// folded once into a shared base, and only the rest are matched. Tag is
-// the χ's own predicate p when the planner fused the χ[tag:p] below into
-// the Γ² (see Planner), else the tag column, and nil for an untagged Γ²;
-// VecTag is its compiled columnar program (nil: Tag is interpreted per
-// row). Keep is a selection σ the planner fused into the Γ² (nil for
-// none): it is evaluated on each left row ◦ its aggregate results, which
-// Results names, and only the rows it holds TRUE on are written — the
-// node then stands for the σ, its Logical(). Emit is as in Join, over
-// the left row ◦ the aggregate results, and PassLeft as in Join.
+// match Pred — and Eqv. 1's ⟕ over Γ, which it then stands for, run
+// over the Γ's input (see Planner). The algorithm is read from the
+// fields. With LCols/RCols set and Theta EQ (the zero value), Pred is
+// pure equality and R is folded per distinct key, in tables sized for
+// Groups keys (an estimate); a left tuple looks its key up. With
+// Theta an inequality <, ≤, > or ≥, Pred is LCols[0] θ RCols[0] alone,
+// every aggregate folds in one pass (no DISTINCT or AVG) and the group
+// runs sort-based: R is sorted on its column, its prefix or suffix
+// results are folded once, and each left tuple binary-searches its own
+// (May & Moerkotte). Otherwise Pred is evaluated per pair (nil means
+// every pair matches). With a Tag it is Γ² on Pred ∨ Tag — Eqv. 5's
+// tagged form: Tag is a predicate over the right tuples, evaluated once
+// per tuple, and the tuples it holds TRUE on belong to every left
+// tuple's group and are folded once into a shared base, and only the
+// rest are matched. Tag is the χ's own predicate p when the planner
+// fused the χ[tag:p] below into the Γ² (see Planner), else the tag
+// column, and nil for an untagged Γ²; VecTag is its compiled columnar
+// program (nil: Tag is interpreted per row). Keep is a selection σ the
+// planner fused into the Γ² (nil for none): it is evaluated on each left
+// row ◦ its aggregate results, which Results names, and only the rows it
+// holds TRUE on are written — the node then stands for the σ, its
+// Logical(). Emit is as in Join, over the left row ◦ the aggregate
+// results, and PassLeft as in Join.
 type BinaryGroup struct {
 	base
 	L, R     Node
@@ -347,6 +315,7 @@ type BinaryGroup struct {
 	LCols    []int
 	RCols    []int
 	Theta    types.CompareOp
+	Groups   float64
 	Aggs     []algebra.AggItem
 	Keep     algebra.Expr
 	Results  *storage.Schema
@@ -367,17 +336,20 @@ func (b *BinaryGroup) Label() string {
 		if hash {
 			algo = "hash"
 		}
-		out = fmt.Sprintf("TagBinaryGroup(%s)[%s ∨ %s][%s]", algo, b.Pred, b.Tag, binaryGroupAggs(b.Aggs))
+		out = fmt.Sprintf("TagBinaryGroup(%s)[%s ∨ %s][%s]", algo, b.Pred, b.Tag, aggLabels(b.Aggs))
 	case !hash:
-		out = fmt.Sprintf("NLBinaryGroup[%s][%s]", b.Pred, binaryGroupAggs(b.Aggs))
+		out = fmt.Sprintf("NLBinaryGroup[%s][%s]", b.Pred, aggLabels(b.Aggs))
 	case b.Theta != types.EQ:
 		out = fmt.Sprintf("SortBinaryGroup[%s %s %s][%s]",
-			b.L.Schema().Attr(b.LCols[0]), b.Theta, b.R.Schema().Attr(b.RCols[0]), binaryGroupAggs(b.Aggs))
+			b.L.Schema().Attr(b.LCols[0]), b.Theta, b.R.Schema().Attr(b.RCols[0]), aggLabels(b.Aggs))
 	default:
 		out = fmt.Sprintf("HashBinaryGroup[%s][%s]",
-			equiKeys(b.L.Schema(), b.LCols, b.R.Schema(), b.RCols), binaryGroupAggs(b.Aggs))
+			equiKeys(b.L.Schema(), b.LCols, b.R.Schema(), b.RCols), aggLabels(b.Aggs))
 	}
-	return out + keepLabel(b.Keep) + emitLabel(b, b.Emit, b.L.Schema().Len()+len(b.Aggs))
+	if b.Keep != nil { // a fused selection, before the emit list
+		out += fmt.Sprintf(" σ[%s]", b.Keep)
+	}
+	return out + emitLabel(b, b.Emit, b.L.Schema().Len()+len(b.Aggs))
 }
 
 // Union concatenates two inputs with equal schemas. Disjoint records

@@ -18,10 +18,9 @@ import (
 //	    child schema — every column reference resolves locally (no
 //	    outer correlation) and no subquery/quantifier appears.
 //	Map: the expression compiles, same conditions.
-//	Scan, Project, and a hash Join other than an outer join, without
-//	    residual: always — they evaluate no expression, so no
-//	    interpreter runs in them (a residual is interpreted per matched
-//	    pair).
+//	Scan, Project, and a hash Join without residual: always — they
+//	    evaluate no expression, so no interpreter runs in them (a
+//	    residual is interpreted per matched pair).
 //	Tagged Γ² (BinaryGroup with a Tag): when its tag compiles against
 //	    the right input's schema and nothing else in it is interpreted —
 //	    it hashes on pure equality (no per-pair predicate), has no fused
@@ -92,7 +91,7 @@ func Vectorizable(n Node) bool {
 		src, ok := x.Source.(*BypassFilter)
 		return ok && src.VecPred != nil
 	case *Join:
-		return x.Mode != JoinOuter && x.LCols != nil && x.Pred == nil
+		return x.LCols != nil && x.Pred == nil
 	case *BinaryGroup:
 		return x.VecTag != nil && x.LCols != nil && x.Keep == nil && columnAggs(x.Aggs, x.R.Schema())
 	default:

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -288,6 +289,20 @@ func TestConjunctiveLinkingEqv1(t *testing.T) {
 		t.Errorf("no bypass expected:\n%s", algebra.Explain(rewritten))
 	}
 	assertEquivalent(t, cat, canonical, rewritten, "conjunctive")
+}
+
+// TestEqv1TraceNamesGroupingAttributes: the trace reports the attributes
+// Γ groups on — a correlation column named twice once — and the ⟕'s
+// default.
+func TestEqv1TraceNamesGroupingAttributes(t *testing.T) {
+	cat := rstCatalog(t)
+	sql := `SELECT DISTINCT * FROM r WHERE a1 = (SELECT SUM(b1) FROM s WHERE a2 = b2 AND a3 = b2)`
+	canonical, rewritten, rw := planFor(t, cat, sql, AllCaps())
+	const want = "Eqv. 1: Γ[[s.b2]] + ⟕[g1:SUM(∅)] for SUM(.)"
+	if !slices.Contains(rw.Trace, want) {
+		t.Errorf("trace = %q, want %q in it", rw.Trace, want)
+	}
+	assertEquivalent(t, cat, canonical, rewritten, "a key named twice")
 }
 
 func TestCountBugEmptyGroups(t *testing.T) {

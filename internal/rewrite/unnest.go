@@ -439,7 +439,7 @@ func (rw *Rewriter) unnestConjunctiveCorrelation(sub *algebra.ScalarSubquery, in
 		// Drop the inner key columns so further unnestings against the
 		// same inner relation cannot collide on attribute names.
 		narrowed := algebra.NewProject(oj, append(append([]string(nil), cur.Schema().Attrs()...), g))
-		rw.trace("Eqv. 1: Γ[%v] + ⟕[%s:%s(∅)] for %s", innerCols, g, sub.Agg.Kind, sub.Agg)
+		rw.trace("Eqv. 1: Γ[%v] + ⟕[%s:%s(∅)] for %s", groupCols, g, sub.Agg.Kind, sub.Agg)
 		return algebra.Col(g), narrowed, true, nil
 	}
 

@@ -159,22 +159,7 @@ func (e *Estimator) cardinality(op algebra.Op) float64 {
 		if x.Global {
 			return 1
 		}
-		card := e.Cardinality(x.Child)
-		d := 1.0
-		for _, a := range x.Attrs {
-			if st := e.colStats(x.Child, a); st != nil {
-				d *= float64(st.Distinct)
-			} else {
-				d *= card / 10
-			}
-		}
-		if d > card {
-			return card
-		}
-		if d < 1 {
-			return 1
-		}
-		return d
+		return e.Groups(x.Child, x.Attrs)
 	case *algebra.BinaryGroup:
 		return e.Cardinality(x.L)
 	case *algebra.UnionDisjoint:
@@ -194,6 +179,27 @@ func (e *Estimator) cardinality(op algebra.Op) float64 {
 	default:
 		return 1000
 	}
+}
+
+// Groups estimates how many distinct values the attributes attrs take
+// over input: the product of their distinct counts — a tenth of input's
+// cardinality for an attribute without statistics — at most that
+// cardinality and otherwise at least 1. It is Γ's cardinality, and the number of keys a
+// hashed binary grouping's per-key fold is sized for.
+func (e *Estimator) Groups(input algebra.Op, attrs []string) float64 {
+	card := e.Cardinality(input)
+	d := 1.0
+	for _, a := range attrs {
+		if st := e.colStats(input, a); st != nil {
+			d *= float64(st.Distinct)
+		} else {
+			d *= card / 10
+		}
+	}
+	if d > card {
+		return card
+	}
+	return max(d, 1)
 }
 
 // Selectivity estimates the fraction of input tuples a predicate keeps.

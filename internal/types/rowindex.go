@@ -172,6 +172,12 @@ func (ix *RowIndex) First(row []Value, cols []int) int32 {
 	if !ok {
 		return -1
 	}
+	return ix.FirstHashed(row, cols, h)
+}
+
+// FirstHashed is First for a row whose key hash is known: h is Hash(row,
+// cols), which must have been ok.
+func (ix *RowIndex) FirstHashed(row []Value, cols []int, h uint64) int32 {
 	return ix.find(row, cols, tagOf(h))
 }
 

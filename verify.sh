@@ -79,11 +79,17 @@ test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -pa
 # Γ folds each group once, in input order, in key partitions: no forced
 # per-morsel chunking and no merge of per-morsel accumulators comes back.
 test -z "$(grep -nE 'forceChunks|Merge\(' $(ls internal/exec/*.go internal/agg/*.go | grep -v _test.go))"
-# The linking selection of an unnested plan runs inside the outer join
-# below it: Fig. 7's Q1 shows the predicate on the join, not a Filter.
+# Eqv. 1's ⟕ over Γ runs as one hashed binary grouping, and the linking
+# selection of an unnested plan runs inside it: Fig. 7's Q1 shows a
+# HashBinaryGroup carrying the predicate, no outer join and no Filter.
+# There is no physical outer join to come back: no outer join mode, pad
+# row or pad partner.
 q1plan=$(go run ./cmd/disqo -rst 0.05 -explain -e 'SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > 1500')
 echo "$q1plan" | grep -qF 'σ[(r.a1 = g1)]'
+echo "$q1plan" | grep -qF 'HashBinaryGroup[r.a2=s.b2]'
 test -z "$(echo "$q1plan" | grep -F 'Filter[(r.a1 = g1)]')"
+test -z "$(echo "$q1plan" | grep -F 'OuterJoin')"
+test -z "$(find internal ./*.go -name '*.go' ! -name '*_test.go' | xargs grep -nE 'JoinOuter|padPartner|\.Pad\b')"
 # Eqv. 5's tag is a predicate the tagged binary grouping splits its inner
 # relation on: the Eqv. 5 family's COUNT(DISTINCT *) statement shows the
 # tag predicate in the Γ²'s label, and no χ builds a tag column under it.

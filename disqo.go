@@ -595,7 +595,7 @@ const (
 
 // WithExecutionPath is the differential-test hook, not a product mode:
 // no flag, wire field or session default reaches it. PathRow makes every
-// filter, σ± and χ interpret its expression instead of running the
+// filter, χ and Γ² interpret its expressions instead of running the
 // compiled program, which is how path_test.go, FuzzQuery, the chaos
 // sweep and internal/scenario vote the interpreter against the compiled
 // programs. The result cache keys on it.
@@ -645,8 +645,8 @@ func WithTupleLimit(n int64) Option {
 }
 
 // WithWorkers sets the morsel-parallel worker pool size (default:
-// GOMAXPROCS). Hot operators — scans, filters, both σ± streams, hash
-// join build and probe, grouping — split large inputs into fixed-size
+// GOMAXPROCS). Hot operators — scans, filters, hash join build and
+// probe, grouping and binary grouping — split large inputs into fixed-size
 // morsels claimed by the pool; 1 forces sequential execution. Results
 // are deterministic: every worker count produces byte-identical output.
 func WithWorkers(n int) Option {

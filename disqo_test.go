@@ -178,7 +178,7 @@ func TestAnalyze(t *testing.T) {
 	}
 	for _, frag := range []string{
 		"physical plan (analyzed)", "strategy: unnested", "comparisons:",
-		"peak resident:", "actual", "est", "calls=1", "time=", "Filter±",
+		"peak resident:", "actual", "est", "calls=1", "time=", "σ[((r.a4 > 1500) OR (r.a1 = g1))]", "probes=",
 	} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("Analyze missing %q:\n%s", frag, out)

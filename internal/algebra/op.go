@@ -138,6 +138,64 @@ func (s *Stream) Label() string {
 	return "−stream"
 }
 
+// A bypass cascade is Eqv. 2/3 over the disjuncts d1 … dn as the
+// rewriter builds it: the left-deep ∪̇ of the branches [Π](Pos(σ±[di](cur_i)))
+// for i < n and a last branch [Π](σ[dn](cur_n)), each cur_(i+1) built
+// on Neg(σ±[di](cur_i)) by operators that pass each row of their left
+// input on at most once — Π, σ, ⟕ and Γ² — and by cascades of this
+// shape, whose own input such operators build in turn. The last branch
+// may itself be a cascade (a last disjunct holding a disjunction with a
+// subquery is unnested again), under Πs. CascadeBypass and CascadeInput
+// read the shape.
+
+// CascadeBypass returns σ±[d] when branch is a cascade's branch
+// [Π](Pos(σ±[d](…))), and nil otherwise.
+func CascadeBypass(branch Op) *BypassSelect {
+	if x, ok := branch.(*Project); ok {
+		branch = x.Child
+	}
+	if s, ok := branch.(*Stream); ok && s.Positive {
+		bp, _ := s.Source.(*BypassSelect)
+		return bp
+	}
+	return nil
+}
+
+// CascadeInput walks from op, a cascade's stack, down the left input of
+// each operator to bp's − stream, calling visit on every operator on
+// the way, the stream included; a cascade on the way is left through the
+// input of its first σ±. It reports false when an operator is not one a
+// stack is built of, or visit returns false.
+func CascadeInput(op Op, bp *BypassSelect, visit func(Op) bool) bool {
+	for visit(op) {
+		switch x := op.(type) {
+		case *Project:
+			op = x.Child
+		case *Select:
+			op = x.Child
+		case *LeftOuterJoin:
+			op = x.L
+		case *BinaryGroup:
+			op = x.L
+		case *UnionDisjoint:
+			first := x.L
+			for u, ok := first.(*UnionDisjoint); ok; u, ok = first.(*UnionDisjoint) {
+				first = u.L
+			}
+			b := CascadeBypass(first)
+			if b == nil {
+				return false
+			}
+			op = b.Child
+		case *Stream:
+			return !x.Positive && x.Source == bp
+		default:
+			return false
+		}
+	}
+	return false
+}
+
 // ---------------------------------------------------------------------
 // Projection, rename, map
 

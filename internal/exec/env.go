@@ -1,9 +1,9 @@
 // Package exec is disqo's query execution engine: an operator-at-a-time,
-// materializing evaluator for algebra plans. It supports the DAG-shaped
-// plans bypass operators create (every node is evaluated once and its
-// result memoized), evaluates canonical nested plans by binding
-// correlated attributes through an environment chain, and picks physical
-// algorithms (hash vs. nested-loop joins and grouping) per operator.
+// materializing evaluator for algebra plans. It supports DAG-shaped
+// plans (every node is evaluated once and its result memoized),
+// evaluates canonical nested plans by binding correlated attributes
+// through an environment chain, and picks physical algorithms (hash vs.
+// nested-loop joins and grouping) per operator.
 package exec
 
 import (

@@ -23,7 +23,6 @@ import (
 	"disqo/internal/stats"
 	"disqo/internal/storage"
 	"disqo/internal/types"
-	"disqo/internal/vec"
 )
 
 // ErrTimeout is returned when a query exceeds the executor deadline — the
@@ -193,7 +192,7 @@ type Executor struct {
 // errors) to every worker.
 type sharedState struct {
 	mu         sync.Mutex
-	memo       map[memoKey]*storage.Relation
+	memo       map[physical.Node]*storage.Relation
 	correlated map[algebra.Op]bool
 
 	// lowerer serves the callers that hold only a logical plan or
@@ -206,7 +205,7 @@ type sharedState struct {
 	// memo. Plan dependencies are acyclic, so waiting cannot deadlock,
 	// and a set + cond (vs. a per-flight channel) keeps the memoized
 	// path allocation-free.
-	flight     map[memoKey]bool
+	flight     map[physical.Node]bool
 	flightDone *sync.Cond // signaled under mu whenever a flight ends
 
 	// batches caches the columnar view of relations the vectorized path
@@ -247,12 +246,6 @@ func (sh *sharedState) raisePeak(r int64) {
 	}
 }
 
-type memoKey struct {
-	n    physical.Node
-	pos  bool // stream side for bypass operators
-	side uint8
-}
-
 // New returns an executor over a catalog view — the live *catalog.Catalog
 // or, for snapshot-isolated queries, a pinned *catalog.Snapshot.
 func New(cat catalog.Reader, opt Options) *Executor {
@@ -260,8 +253,8 @@ func New(cat catalog.Reader, opt Options) *Executor {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	sh := &sharedState{
-		memo:       make(map[memoKey]*storage.Relation),
-		flight:     make(map[memoKey]bool),
+		memo:       make(map[physical.Node]*storage.Relation),
+		flight:     make(map[physical.Node]bool),
 		correlated: make(map[algebra.Op]bool),
 		batches:    make(map[*storage.Relation]*storage.Batch),
 		budget:     opt.Budget,
@@ -536,18 +529,12 @@ func (ex *Executor) evalMemo(n physical.Node, env *Env) (*storage.Relation, erro
 	if ferr := ex.inject(faultinject.SiteOp, n); ferr != nil {
 		return nil, wrapOp(n, ex.fail(ferr))
 	}
-	key := memoKey{n: n}
-	if s, ok := n.(*physical.Stream); ok {
-		// Streams delegate to the shared bypass node with a side tag, so
-		// distinct Stream nodes over one bypass operator share results.
-		key = memoKey{n: s.Source, pos: s.Positive, side: 1}
-	}
 	cacheable := ex.cacheable(n, env)
 	owns := false
 	if cacheable {
 		ex.sh.mu.Lock()
 		for {
-			if rel, ok := ex.sh.memo[key]; ok {
+			if rel, ok := ex.sh.memo[n]; ok {
 				ex.sh.mu.Unlock()
 				if ex.nm != nil {
 					ex.metric(n).MemoHits++
@@ -561,7 +548,7 @@ func (ex *Executor) evalMemo(n physical.Node, env *Env) (*storage.Relation, erro
 				ex.sh.mu.Unlock()
 				return nil, err
 			}
-			if !ex.sh.flight[key] {
+			if !ex.sh.flight[n] {
 				break
 			}
 			// Another worker is evaluating this key; wait and re-check.
@@ -570,7 +557,7 @@ func (ex *Executor) evalMemo(n physical.Node, env *Env) (*storage.Relation, erro
 			// re-evaluates, hitting the same error itself.
 			ex.sh.flightDone.Wait()
 		}
-		ex.sh.flight[key] = true
+		ex.sh.flight[n] = true
 		owns = true
 		ex.sh.mu.Unlock()
 	}
@@ -618,16 +605,10 @@ func (ex *Executor) evalMemo(n physical.Node, env *Env) (*storage.Relation, erro
 	if owns {
 		ex.sh.mu.Lock()
 		if err == nil {
-			if cached, dup := ex.sh.memo[key]; dup {
-				// evalStream pre-stored this bypass side; converge on
-				// the stored instance rather than pinning twice.
-				rel = cached
-			} else {
-				ex.sh.memo[key] = rel
-				ex.sh.pin(int64(rel.Cardinality()))
-			}
+			ex.sh.memo[n] = rel
+			ex.sh.pin(int64(rel.Cardinality()))
 		}
-		delete(ex.sh.flight, key)
+		delete(ex.sh.flight, n)
 		ex.sh.flightDone.Broadcast()
 		ex.sh.mu.Unlock()
 	}
@@ -644,14 +625,7 @@ func (ex *Executor) evalNode(n physical.Node, env *Env) (*storage.Relation, erro
 	case *physical.Scan:
 		return ex.evalScan(x)
 	case *physical.Filter:
-		pos, _, err := ex.evalSigma(x, x.Child, x.Pred, x.VecPred, false, env)
-		return pos, err
-	case *physical.BypassFilter:
-		// Reached only via Stream nodes; evaluating the bare node is a
-		// plan bug.
-		return nil, fmt.Errorf("exec: bypass selection must be consumed through Stream nodes")
-	case *physical.Stream:
-		return ex.evalStream(x, env)
+		return ex.evalFilter(x, env)
 	case *physical.Project:
 		return ex.evalProject(x, env)
 	case *physical.Rename:
@@ -665,7 +639,7 @@ func (ex *Executor) evalNode(n physical.Node, env *Env) (*storage.Relation, erro
 	case *physical.BinaryGroup:
 		return ex.evalBinaryGroup(x, env)
 	case *physical.Union:
-		return ex.evalConcat(x.L, x.R, x.Schema(), env)
+		return ex.evalUnion(x, env)
 	case *physical.Distinct:
 		return ex.evalDistinct(x, env)
 	case *physical.Sort:
@@ -702,104 +676,55 @@ func (ex *Executor) evalScan(s *physical.Scan) (*storage.Relation, error) {
 	return &storage.Relation{Schema: s.Schema(), Tuples: tbl.Rel.Tuples}, nil
 }
 
-func (ex *Executor) evalStream(s *physical.Stream, env *Env) (*storage.Relation, error) {
-	src, ok := s.Source.(*physical.BypassFilter)
-	if !ok {
-		return nil, fmt.Errorf("exec: Stream over non-bypass operator %T", s.Source)
-	}
-	pos, neg, err := ex.evalSigma(src, src.Child, src.Pred, src.VecPred, true, env)
+// evalFilter is σ: a pass over morsels turns the predicate's truth
+// values into selection vectors of the TRUE rows, each one allocation of
+// exactly its size, and the output gathers the selected row pointers in
+// input order, copying nothing.
+func (ex *Executor) evalFilter(f *physical.Filter, env *Env) (*storage.Relation, error) {
+	in, err := ex.eval(f.Child, env)
 	if err != nil {
 		return nil, err
 	}
-	// The bypass node itself is only ever evaluated through its
-	// streams; credit the single σ± pass to it so EXPLAIN ANALYZE
-	// shows the partition sizes.
-	ex.creditSource(src, int64(pos.Cardinality()+neg.Cardinality()))
-	// Cache both sides if permitted; eval() caches the requested one.
-	if ex.cacheable(s, env) {
-		ex.sh.mu.Lock()
-		ex.sh.storeIfAbsent(memoKey{n: src, pos: true, side: 1}, pos)
-		ex.sh.storeIfAbsent(memoKey{n: src, pos: false, side: 1}, neg)
-		ex.sh.mu.Unlock()
-	}
-	if s.Positive {
-		return pos, nil
-	}
-	return neg, nil
-}
-
-// creditSource records one evaluation on a bypass operator reached only
-// through its Stream nodes (no-op when metrics are off).
-func (ex *Executor) creditSource(n physical.Node, rows int64) {
-	if ex.nm == nil {
-		return
-	}
-	m := ex.metric(n)
-	m.Calls++
-	m.RowsOut += rows
-}
-
-// storeIfAbsent memoizes a relation unless the key is already present;
-// the caller holds sh.mu.
-func (sh *sharedState) storeIfAbsent(key memoKey, rel *storage.Relation) {
-	if _, ok := sh.memo[key]; !ok {
-		sh.memo[key] = rel
-		sh.pin(int64(rel.Cardinality()))
-	}
-}
-
-// evalSigma is σ and σ± (Fig. 1) in one body: a single pass over morsels
-// turns the predicate's truth values into selection vectors — TRUE rows
-// into pos and, for σ± (wantNeg), not-TRUE rows into neg — and the
-// outputs gather the selected row pointers in input order, copying
-// nothing. A morsel's vectors are one allocation of exactly their size:
-// its TRUE rows are counted first, and σ± puts the rest after them.
-func (ex *Executor) evalSigma(n, child physical.Node, pred algebra.Expr, vp *vec.Pred, wantNeg bool, env *Env) (pos, neg *storage.Relation, err error) {
-	in, err := ex.eval(child, env)
+	compiled, err := ex.vecEnter(f)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	compiled, err := ex.vecEnter(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	truth := morselEval(ex, compiled, vp, in, env,
-		func(w *Executor, row *Env) (types.TriBool, error) { return w.EvalPred(pred, row) })
+	truth := morselEval(ex, compiled, f.VecPred, in, env,
+		func(w *Executor, row *Env) (types.TriBool, error) { return w.EvalPred(f.Pred, row) })
 	chunks, err := parMorsels(ex, len(in.Tuples),
-		func(w *Executor, lo, hi int) (sel [2][]int32, err error) {
+		func(w *Executor, lo, hi int) ([]int32, error) {
 			res, err := truth(w, lo, hi)
 			if err != nil {
-				return sel, err
+				return nil, err
 			}
-			p := 0
+			n := 0
 			for _, t := range res {
 				if t.IsTrue() {
-					p++
+					n++
 				}
 			}
-			size := p
-			if wantNeg {
-				size = len(res)
-			}
-			buf := make([]int32, size)
-			sel[0], sel[1] = buf[:0:p], buf[p:p]
+			sel := make([]int32, 0, n)
 			for i, t := range res {
 				if t.IsTrue() {
-					sel[0] = append(sel[0], int32(lo+i))
-				} else if wantNeg {
-					sel[1] = append(sel[1], int32(lo+i))
+					sel = append(sel, int32(lo+i))
 				}
 			}
 			return sel, nil
 		})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	pos = gatherChunks(in, chunks, 0)
-	if wantNeg {
-		neg = gatherChunks(in, chunks, 1)
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
 	}
-	return pos, neg, nil
+	out := &storage.Relation{Schema: in.Schema, Tuples: make([][]types.Value, 0, n)}
+	for _, c := range chunks {
+		for _, i := range c {
+			out.Tuples = append(out.Tuples, in.Tuples[i])
+		}
+	}
+	return out, nil
 }
 
 // evalProject is Π, in morsels. When the projected columns are a prefix
@@ -889,16 +814,16 @@ func (ex *Executor) evalMap(m *physical.Map, env *Env) (*storage.Relation, error
 	return out, nil
 }
 
-func (ex *Executor) evalConcat(lop, rop physical.Node, sch *storage.Schema, env *Env) (*storage.Relation, error) {
-	l, err := ex.eval(lop, env)
+func (ex *Executor) evalUnion(u *physical.Union, env *Env) (*storage.Relation, error) {
+	l, err := ex.eval(u.L, env)
 	if err != nil {
 		return nil, err
 	}
-	r, err := ex.eval(rop, env)
+	r, err := ex.eval(u.R, env)
 	if err != nil {
 		return nil, err
 	}
-	out := storage.NewRelation(sch)
+	out := storage.NewRelation(u.Schema())
 	out.Tuples = make([][]types.Value, 0, len(l.Tuples)+len(r.Tuples))
 	out.Tuples = append(out.Tuples, l.Tuples...)
 	out.Tuples = append(out.Tuples, r.Tuples...)

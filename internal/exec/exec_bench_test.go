@@ -89,8 +89,8 @@ func BenchmarkGroupByHash(b *testing.B) {
 
 func BenchmarkBypassSelect(b *testing.B) {
 	cat, l, _ := benchJoinFixture(b, 10000)
-	bp := algebra.NewBypassSelect(l, algebra.Cmp(types.GT, algebra.Col("l.v"), algebra.ConstInt(500)))
-	plan := algebra.NewUnionDisjoint(algebra.Pos(bp), algebra.Neg(bp))
+	plan := bypassCascade(l, algebra.Cmp(types.GT, algebra.Col("l.v"), algebra.ConstInt(500)),
+		algebra.Cmp(types.LE, algebra.Col("l.v"), algebra.ConstInt(500)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,6 +10,7 @@ import (
 	"disqo/internal/agg"
 	"disqo/internal/algebra"
 	"disqo/internal/catalog"
+	"disqo/internal/physical"
 	"disqo/internal/storage"
 	"disqo/internal/types"
 )
@@ -117,31 +118,39 @@ func TestSelect(t *testing.T) {
 	wantRows(t, rel, "(2, 20, 200, 2000)", "(4, 30, 400, 2500)")
 }
 
-func TestBypassSelectPartition(t *testing.T) {
-	cat := testCatalog(t)
-	bp := algebra.NewBypassSelect(scanOf(t, cat, "r"),
-		algebra.Cmp(types.GT, algebra.Col("r.a4"), algebra.ConstInt(1500)))
-	pos := runPlan(t, cat, algebra.Pos(bp))
-	neg := runPlan(t, cat, algebra.Neg(bp))
-	if pos.Cardinality()+neg.Cardinality() != 4 {
-		t.Fatalf("bypass must partition: %d + %d", pos.Cardinality(), neg.Cardinality())
-	}
-	wantRows(t, pos, "(2, 20, 200, 2000)", "(4, 30, 400, 2500)")
-	wantRows(t, neg, "(1, 10, 100, 1000)", "(3, 10, 300, 1500)")
+// bypassCascade is Eqv. 2/3's bypass cascade of two disjuncts over in,
+// neither unnested: σ±[d1](in)⁺ ∪̇ σ[d2](σ±[d1](in)⁻).
+func bypassCascade(in algebra.Op, d1, d2 algebra.Expr) algebra.Op {
+	bp := algebra.NewBypassSelect(in, d1)
+	return algebra.NewUnionDisjoint(algebra.Pos(bp), algebra.NewSelect(algebra.Neg(bp), d2))
 }
 
+// TestBypassSelectPartition: a bypass cascade's streams partition its
+// input, so a row both disjuncts hold on (r2) is written once; a stream
+// is not a plan of its own.
+func TestBypassSelectPartition(t *testing.T) {
+	cat := testCatalog(t)
+	rel := runPlan(t, cat, bypassCascade(scanOf(t, cat, "r"),
+		algebra.Cmp(types.GT, algebra.Col("r.a4"), algebra.ConstInt(1500)),
+		algebra.Cmp(types.LE, algebra.Col("r.a1"), algebra.ConstInt(3))))
+	wantRows(t, rel, "(1, 10, 100, 1000)", "(2, 20, 200, 2000)", "(3, 10, 300, 1500)", "(4, 30, 400, 2500)")
+	bp := algebra.NewBypassSelect(scanOf(t, cat, "r"), algebra.Cmp(types.GT, algebra.Col("r.a4"), algebra.ConstInt(1500)))
+	if _, err := New(cat, Options{}).Run(algebra.Pos(bp)); !errors.Is(err, physical.ErrBypass) {
+		t.Errorf("a bare stream ran: err = %v, want ErrBypass", err)
+	}
+}
+
+// TestBypassSelectRoutesUnknownNegative: a row the bypassed disjunct is
+// UNKNOWN on is undecided, like a FALSE one, so the next disjunct sees it.
 func TestBypassSelectRoutesUnknownNegative(t *testing.T) {
 	cat := catalog.New()
 	tbl, _ := cat.Create("t", []catalog.Column{{Name: "x", Type: types.KindInt}})
 	tbl.Insert([]types.Value{types.NewInt(1)})
 	tbl.Insert([]types.Value{types.Null()})
-	bp := algebra.NewBypassSelect(
-		algebra.NewScan("t", "t", tbl.Rel.Schema),
-		algebra.Cmp(types.GT, algebra.Col("t.x"), algebra.ConstInt(0)))
-	pos := runPlan(t, cat, algebra.Pos(bp))
-	neg := runPlan(t, cat, algebra.Neg(bp))
-	wantRows(t, pos, "(1)")
-	wantRows(t, neg, "(NULL)") // UNKNOWN goes negative
+	rel := runPlan(t, cat, bypassCascade(algebra.NewScan("t", "t", tbl.Rel.Schema),
+		algebra.Cmp(types.GT, algebra.Col("t.x"), algebra.ConstInt(0)),
+		algebra.IsNull(algebra.Col("t.x"))))
+	wantRows(t, rel, "(1)", "(NULL)") // UNKNOWN goes negative
 }
 
 func TestProjectRenameMapNumber(t *testing.T) {
@@ -377,9 +386,9 @@ func TestBinaryGroupHashAndNLAgree(t *testing.T) {
 
 func TestUnionDisjointAndDistinctAndSort(t *testing.T) {
 	cat := testCatalog(t)
-	bp := algebra.NewBypassSelect(scanOf(t, cat, "r"),
-		algebra.Cmp(types.GT, algebra.Col("r.a4"), algebra.ConstInt(1500)))
-	u := algebra.NewUnionDisjoint(algebra.Pos(bp), algebra.Neg(bp))
+	u := bypassCascade(scanOf(t, cat, "r"),
+		algebra.Cmp(types.GT, algebra.Col("r.a4"), algebra.ConstInt(1500)),
+		algebra.Cmp(types.LE, algebra.Col("r.a4"), algebra.ConstInt(1500)))
 	rel := runPlan(t, cat, u)
 	if rel.Cardinality() != 4 {
 		t.Fatalf("union of bypass streams must restore input: %d", rel.Cardinality())
@@ -438,17 +447,19 @@ func TestTimeout(t *testing.T) {
 
 func TestMemoizationSharesBypassEvaluation(t *testing.T) {
 	cat := testCatalog(t)
-	bp := algebra.NewBypassSelect(scanOf(t, cat, "r"),
-		algebra.Cmp(types.GT, algebra.Col("r.a4"), algebra.ConstInt(1500)))
-	u := algebra.NewUnionDisjoint(algebra.Pos(bp), algebra.Neg(bp))
+	u := bypassCascade(scanOf(t, cat, "r"),
+		algebra.Cmp(types.GT, algebra.Col("r.a4"), algebra.ConstInt(1500)),
+		algebra.Cmp(types.LE, algebra.Col("r.a4"), algebra.ConstInt(1500)))
 	ex := New(cat, Options{Cache: CacheAll})
-	if _, err := ex.Run(u); err != nil {
+	rel, err := ex.Run(algebra.NewUnionAll(u, u))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The bypass select's input scan must have been evaluated once; the
-	// partition itself once. Count comparisons: 4 tuples × 1 cmp = 4.
-	if ex.Stats().Comparisons != 4 {
-		t.Errorf("comparisons = %d, want 4 (bypass evaluated once)", ex.Stats().Comparisons)
+	// The cascade, read twice, must have been evaluated once, and each
+	// row's second disjunct only where the first is not TRUE: two rows
+	// with a4 > 1500 at one comparison, two at two.
+	if ex.Stats().Comparisons != 6 || rel.Cardinality() != 8 {
+		t.Errorf("comparisons = %d over %d rows, want 6 over 8 (cascade evaluated once)", ex.Stats().Comparisons, rel.Cardinality())
 	}
 }
 

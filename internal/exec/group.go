@@ -378,7 +378,12 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 //
 // A fused selection (b.Keep) sees each left tuple ◦ its results, and
 // only the tuples it holds TRUE on are written, cut from one slab of
-// exactly their number per morsel.
+// exactly their number per morsel. When it is split and its bypass
+// operands run compiled (b.VecBypass), they are evaluated first, over
+// the morsel, and a tuple they hold TRUE on is written without a probe;
+// only the others look their group up, and b.Rest decides them.
+// Otherwise — on the row path too — every tuple probes and b.Keep
+// decides it. Probes counts the lookups.
 //
 // Nothing of size |L|·|R| is built, and since every group is folded in R
 // order on one goroutine, the fold order — hence any float rounding — is
@@ -396,6 +401,11 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	if err != nil {
 		return nil, err
 	}
+	// bypass is b.Bypass's truth over a morsel of L, when it runs.
+	var bypass func(w *Executor, lo, hi int) ([]types.TriBool, error)
+	if compiled && b.VecBypass != nil {
+		bypass = morselEval[types.TriBool](ex, true, b.VecBypass, l, env, nil)
+	}
 	n := len(b.Aggs)
 	hashed := b.LCols != nil && b.Theta == types.EQ
 	// ai feeds R's rows to the base, the sorted fold or a left tuple's
@@ -410,7 +420,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	}
 	neg := r
 	if b.Tag != nil {
-		if neg, err = ex.split(b, r, compiled, ai.feed(env), base, env); err != nil {
+		if neg, err = ex.split(b, r, compiled && b.VecTag != nil, ai.feed(env), base, env); err != nil {
 			return nil, err
 		}
 	}
@@ -444,16 +454,31 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	}
 	chunks, err := parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			// res holds the results the rows are written from: keyRes when
-			// hashed or sorted, else each left tuple's own, appended as it
-			// is folded and kept while the tuple is.
-			kept := w.newKept(b.Keep, env, l.Schema, b.Results, hi-lo)
+			// picks records the tuples written: each one's offset and where
+			// its results are in res, -1 for a tuple the bypass decided.
+			// res holds keyRes when hashed or sorted, else each left
+			// tuple's own results, appended as it is folded and kept while
+			// the tuple is. keep sees a tuple ◦ its results through kf, kr.
+			picks, keep, probes := w.takePairs(hi-lo), b.Keep, int64(0)
+			var decided []types.TriBool
+			if bypass != nil {
+				var err error
+				if decided, err = bypass(w, lo, hi); err != nil {
+					return nil, err
+				}
+				keep = b.Rest
+			}
+			var kf, kr, lf, rf *Env
+			if keep != nil {
+				kf, kr = pairFrames(env, l.Schema, b.Results)
+			}
 			res := keyRes
-			var lf, rf *Env
 			var feed *aggFeed
 			var accs []agg.Acc
 			if keyRes == nil {
-				res = kept.buffer(n, hi-lo)
+				if keep == nil {
+					res = make([]types.Value, 0, n*(hi-lo))
+				}
 				lf, rf = pairFrames(env, l.Schema, r.Schema)
 				feed, accs = ai.feed(env), make([]agg.Acc, n)
 			}
@@ -461,6 +486,11 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 				if err := w.tick(); err != nil {
 					return nil, err
 				}
+				if decided != nil && decided[i].IsTrue() {
+					picks = append(picks, [2]int32{int32(i), -1})
+					continue
+				}
+				probes++
 				at := 0 // a left key R⁻ lacks, a NULL or incomparable one, reads the base alone
 				switch {
 				case tables != nil:
@@ -495,15 +525,19 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 						res = append(res, accs[j].Result())
 					}
 				}
-				ok, err := kept.add(w, i, lt, res[at:at+n], at)
-				if err != nil {
+				switch ok, err := w.holds(keep, kf, kr, lt, res[at:at+n]); {
+				case err != nil:
 					return nil, err
-				}
-				if !ok && keyRes == nil {
+				case ok:
+					picks = append(picks, [2]int32{int32(i), int32(at)})
+				case keyRes == nil:
 					res = res[:at]
 				}
 			}
-			return kept.write(w, b.Emit, b.PassLeft, b.Schema().Len(), l.Tuples[lo:hi], res, n), nil
+			if w.nm != nil {
+				w.metric(b).Probes += probes
+			}
+			return w.writeKept(b, picks, l.Tuples[lo:hi], res), nil
 		})
 	if err != nil {
 		return nil, err
@@ -684,62 +718,24 @@ func (ex *Executor) split(b *physical.BinaryGroup, r *storage.Relation, compiled
 	return neg, nil
 }
 
-// kept records which left tuples of a binary grouping's morsel are
-// written, and where their results are, until the morsel's rows are cut:
-// every tuple, or with a fused selection those it holds TRUE on, which
-// it sees as a left row ◦ the results through two frames of its own.
-type kept struct {
-	keep   algebra.Expr
-	lf, rf *Env
-	picks  [][2]int32 // (left offset, results offset)
-}
-
-// newKept returns the record of a morsel of n left tuples, over ls, its
-// picks taken from the executor's pair record.
-func (ex *Executor) newKept(keep algebra.Expr, env *Env, ls, results *storage.Schema, n int) kept {
-	k := kept{keep: keep, picks: ex.takePairs(n)}
-	if keep != nil {
-		k.lf, k.rf = pairFrames(env, ls, results)
-	}
-	return k
-}
-
-// buffer returns an empty buffer for the morsel's results, n per left
-// tuple: room for every tuple's when all are kept, else grown as the
-// kept ones are.
-func (k *kept) buffer(n, tuples int) []types.Value {
-	if k.keep != nil {
-		return nil
-	}
-	return make([]types.Value, 0, n*tuples)
-}
-
-// add records the left tuple at offset i, its results res at offset at
-// in the morsel's results, when it is kept, and reports whether it is.
-func (k *kept) add(w *Executor, i int, lt, res []types.Value, at int) (bool, error) {
-	ok, err := w.holds(k.keep, k.lf, k.rf, lt, res)
-	if ok {
-		k.picks = append(k.picks, [2]int32{int32(i), int32(at)})
-	}
-	return ok, err
-}
-
-// write cuts the kept rows, each left ◦ its n results in res, from one
-// slab of exactly their number — or, when the node passes its left rows
-// (pass), takes each as its left row cut to width — and puts the pair
-// record back.
-func (k *kept) write(w *Executor, emit []int, pass bool, width int, left [][]types.Value, res []types.Value, n int) [][]types.Value {
-	out := make([][]types.Value, len(k.picks))
-	if pass {
-		for j, p := range k.picks {
+// writeKept cuts the rows of a binary grouping's morsel that picks
+// records, each left ◦ its results in res, from one slab of exactly
+// their number — or, when b passes its left rows, takes each as its
+// left row cut to width — and puts the pair record back.
+func (w *Executor) writeKept(b *physical.BinaryGroup, picks [][2]int32, left [][]types.Value, res []types.Value) [][]types.Value {
+	out, width := make([][]types.Value, len(picks)), b.Schema().Len()
+	slab := w.slab(width, len(picks))
+	for j, p := range picks {
+		var r []types.Value // none for a bypassed tuple, whose emit list reads none
+		if p[1] >= 0 {
+			r = res[p[1]:][:len(b.Aggs)]
+		}
+		if b.PassLeft {
 			out[j] = left[p[0]][:width:width]
-		}
-	} else {
-		slab := w.slab(width, len(k.picks))
-		for j, p := range k.picks {
-			out[j] = slab.emitRow(emit, left[p[0]], res[p[1]:][:n])
+		} else {
+			out[j] = slab.emitRow(b.Emit, left[p[0]], r)
 		}
 	}
-	w.pairs = k.picks[:0]
+	w.pairs = picks[:0]
 	return out
 }

@@ -32,6 +32,10 @@ type NodeMetrics struct {
 	// HashBuildRows is the total number of build-side tuples hashed for
 	// this operator (hash joins, hash binary grouping).
 	HashBuildRows int64
+	// Probes is the total number of left tuples a binary grouping looked
+	// its group up for: every left tuple but those its fused disjunction's
+	// bypass operands decided.
+	Probes int64
 	// VecCalls counts evaluations that ran on the vectorized path
 	// (compiled kernels over columnar batches). Credited once per Call
 	// by the kernel's coordinator, so like Calls it is worker-count
@@ -56,6 +60,7 @@ func (m *NodeMetrics) merge(o *NodeMetrics) {
 	m.RowsOut += o.RowsOut
 	m.Morsels += o.Morsels
 	m.HashBuildRows += o.HashBuildRows
+	m.Probes += o.Probes
 	m.VecCalls += o.VecCalls
 	m.WallNanos += o.WallNanos
 }

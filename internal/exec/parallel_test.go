@@ -166,14 +166,16 @@ func TestParallelAbortedExecutorRecovers(t *testing.T) {
 	}
 }
 
-// TestParallelSharedDAG evaluates a bypass DAG whose σ± node feeds both
-// streams: under -race this exercises the mutex-protected memo that
-// lets concurrent workers converge on one stored instance.
+// TestParallelSharedDAG evaluates a DAG whose bypass cascade feeds both
+// inputs of a union: under -race this exercises the mutex-protected memo
+// that lets concurrent workers converge on one stored instance.
 func TestParallelSharedDAG(t *testing.T) {
 	cat := bigCatalog(t, 3000)
-	shared := algebra.NewBypassSelect(bigScan(t, cat, "l"),
+	bp := algebra.NewBypassSelect(bigScan(t, cat, "l"),
 		algebra.Cmp(types.LT, algebra.Col("l.v"), algebra.ConstInt(1500)))
-	plan := algebra.NewUnionDisjoint(algebra.Pos(shared), algebra.Neg(shared))
+	shared := algebra.NewUnionDisjoint(algebra.Pos(bp),
+		algebra.NewSelect(algebra.Neg(bp), algebra.Cmp(types.GE, algebra.Col("l.v"), algebra.ConstInt(1500))))
+	plan := algebra.NewUnionAll(shared, shared)
 	base, err := New(cat, Options{Cache: CacheAll, Workers: 1}).Run(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -185,8 +187,8 @@ func TestParallelSharedDAG(t *testing.T) {
 	if !reflect.DeepEqual(base.Tuples, got.Tuples) {
 		t.Fatal("parallel bypass DAG evaluation changed the output")
 	}
-	if len(got.Tuples) != 3000 {
-		t.Errorf("σ± streams must partition the input: got %d rows, want 3000", len(got.Tuples))
+	if len(got.Tuples) != 6000 {
+		t.Errorf("the cascade's streams must partition the input: got %d rows, want 2 × 3000", len(got.Tuples))
 	}
 }
 

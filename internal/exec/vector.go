@@ -4,7 +4,6 @@ import (
 	"disqo/internal/faultinject"
 	"disqo/internal/physical"
 	"disqo/internal/storage"
-	"disqo/internal/types"
 )
 
 // Path selects how operators evaluate their expressions. There is one
@@ -106,21 +105,4 @@ func morselEval[T any](ex *Executor, compiled bool, prog program[T], in *storage
 		}
 		return res, nil
 	}
-}
-
-// gatherChunks assembles one side of per-morsel selection vectors into
-// a relation sharing the selected rows with the input (no copying).
-func gatherChunks(in *storage.Relation, chunks [][2][]int32, side int) *storage.Relation {
-	n := 0
-	for _, c := range chunks {
-		n += len(c[side])
-	}
-	out := storage.NewRelation(in.Schema)
-	out.Tuples = make([][]types.Value, 0, n)
-	for _, c := range chunks {
-		for _, i := range c[side] {
-			out.Tuples = append(out.Tuples, in.Tuples[i])
-		}
-	}
-	return out
 }

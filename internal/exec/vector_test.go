@@ -96,6 +96,8 @@ func TestEvaluatorsAgree(t *testing.T) {
 	withResidual := algebra.And(keyEq, algebra.Cmp(types.LT, col("l.v"), col("r.w")))
 	disj := algebra.Or(algebra.Cmp(types.GT, col("l.k"), lit(4)), algebra.Cmp(types.GE, col("l.m"), lit(2)))
 	bypass := algebra.NewBypassSelect(l, disj)
+	// A cascade over a Γ² runs as it, its bypass operand compiled over l.
+	bypassK := algebra.NewBypassSelect(l, algebra.Cmp(types.GT, col("l.k"), lit(4)))
 	count := []algebra.AggItem{
 		{Out: "n", Spec: agg.Spec{Kind: agg.Count, Star: true}},
 		{Out: "d", Spec: agg.Spec{Kind: agg.Sum, Distinct: true}, Arg: col("r.w")},
@@ -118,8 +120,8 @@ func TestEvaluatorsAgree(t *testing.T) {
 		root string // prefix of the root's physical label: the algorithm under test
 	}{
 		{"filter", algebra.NewSelect(l, disj), "Filter["},
-		{"bypass+", algebra.Pos(bypass), "Stream+"},
-		{"bypass-", algebra.Neg(bypass), "Stream-"},
+		{"cascade", algebra.NewUnionDisjoint(algebra.Pos(bypass), algebra.NewSelect(algebra.Neg(bypass),
+			algebra.Cmp(types.GE, col("l.v"), lit(5)))), "Filter["},
 		{"map", algebra.NewMap(l, "x", algebra.Arith(types.Add, col("l.k"), col("l.v"))), "Map["},
 		{"map predicate", algebra.NewMap(l, "x", disj), "Map["},
 		{"filter not is true", algebra.NewSelect(l, algebra.Not(algebra.IsTrue(disj))), "Filter["},
@@ -137,6 +139,9 @@ func TestEvaluatorsAgree(t *testing.T) {
 		{"Γ² nl", algebra.NewBinaryGroup(l, r, algebra.Or(keyEq, algebra.Cmp(types.EQ, col("l.m"), col("r.m"))), count), "NLBinaryGroup["},
 		{"Γ² tagged", tagged, "TagBinaryGroup(hash)["},
 		{"Γ² tagged nl", taggedNL, "TagBinaryGroup(nl)["},
+		{"cascade Γ²", algebra.NewUnionDisjoint(algebra.Pos(bypassK), algebra.NewProject(
+			algebra.NewSelect(algebra.NewBinaryGroup(algebra.Neg(bypassK), r, keyEq, count), algebra.Cmp(types.GE, col("n"), lit(2))),
+			l.Schema().Attrs())), "HashBinaryGroup[l.k=r.k]"},
 	}
 	for _, tc := range cases {
 		var want *storage.Relation
@@ -163,9 +168,7 @@ func TestEvaluatorsAgree(t *testing.T) {
 				}
 				nm := ex.NodeMetrics()
 				physical.Walk(root, func(n physical.Node) bool {
-					// A Stream delegates to its σ±, which takes the credit.
-					_, isStream := n.(*physical.Stream)
-					wantVec := path == PathVector && physical.Vectorizable(n) && !isStream
+					wantVec := path == PathVector && physical.Vectorizable(n)
 					if gotVec := nm[n.ID()].VecCalls > 0; gotVec != wantVec {
 						t.Errorf("%s %s w%d: %s vector-served = %v, want %v", tc.name, path, workers, n.Label(), gotVec, wantVec)
 					}

@@ -6,10 +6,10 @@ import (
 )
 
 // Explain renders a physical plan as an indented tree with estimated
-// cardinalities. Nodes reached through more than one path (the DAG
-// sharing bypass plans introduce) are printed once in full and
-// subsequently referenced as "↑ see #n", mirroring the logical
-// algebra's EXPLAIN so the two printouts line up.
+// cardinalities. Nodes reached through more than one path (a DAG's
+// shared subplans) are printed once in full and subsequently referenced
+// as "↑ see #n", mirroring the logical algebra's EXPLAIN so the two
+// printouts line up.
 func Explain(root Node) string {
 	return ExplainAnnotated(root, func(n Node) string { return fmt.Sprintf("(est %.0f rows)", n.EstRows()) })
 }

@@ -111,72 +111,58 @@ Distinct  (est 0 rows)
 // caps — Eqv. 2/3 carry Q1 on their own, without Eqv. 5.
 func TestGoldenPhysicalFig2bQ1BypassCaps(t *testing.T) {
 	caps := rewrite.Caps{Conjunctive: true, Bypass: true}
-	physGolden(t, emptyRST(t), goldenQ1, &caps, 0xb92c7fe2da0b8f30, goldenPhysicalQ1Unnested)
+	physGolden(t, emptyRST(t), goldenQ1, &caps, 0x3d3cf0d138f4d143, goldenPhysicalQ1Unnested)
 }
 
 // Fig. 2(c): the fully-capped plan. With empty tables the simple
 // disjunct ranks first, so the bypass selection tests r.a4 > 1500 and
 // only the negative stream pays for the unnested subquery — Eqv. 2's
-// ordering. The outerjoin over the unary grouping runs as one hashed
-// binary grouping over s, the linking selection a1 = g1 is fused into
-// it, which evaluates it on each left row and its count and emits what
-// the projection over it kept (g1 is not written), and the σ± node is
-// shared between the two streams (#1 marker).
+// ordering. The cascade runs in one pass: the outerjoin over the unary
+// grouping runs as one hashed binary grouping over s, and the cascade's
+// disjunction, in its order, is fused into it. r.a4 > 1500 reads only r,
+// so it decides its rows before the probe and only the others — the
+// negative stream's — look their count up and are kept when a1 = g1
+// holds. The Γ² emits what the union above it kept (g1 is not written);
+// no σ±, stream or union is built.
 func TestGoldenPhysicalFig2cQ1Unnested(t *testing.T) {
 	all := rewrite.AllCaps()
-	physGolden(t, emptyRST(t), goldenQ1, &all, 0xb92c7fe2da0b8f30, goldenPhysicalQ1Unnested)
+	physGolden(t, emptyRST(t), goldenQ1, &all, 0x3d3cf0d138f4d143, goldenPhysicalQ1Unnested)
 }
 
 const goldenPhysicalQ1Unnested = `
 Distinct  (est 0 rows)
-  UnionDisjoint  (est 0 rows)
-    Stream+  (est 0 rows)
-      #1 Filter±[(r.a4 > 1500)]  (est 0 rows)
-        Scan(r)  (est 0 rows)
-    HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)] σ[(r.a1 = g1)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 0 rows)
-      Stream-  (est 0 rows)
-        ↑ see #1 Filter±[(r.a4 > 1500)]
-      Scan(s)  (est 0 rows)
+  HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)] σ[((r.a4 > 1500) OR (r.a1 = g1))] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 0 rows)
+    Scan(r)  (est 0 rows)
+    Scan(s)  (est 0 rows)
 `
 
 // Fig. 2(d): the same query under statistics that make r.a4 > 1500
 // decide no row (no a4 exceeds 1500), flipping the order: the subquery
 // disjunct accepts more rows per unit of cost, so it is unnested and
 // bypassed first and the simple predicate filters only the negative
-// stream — Eqv. 3's ordering.
+// stream — Eqv. 3's ordering, which is now the order of the fused
+// disjunction's operands. The Γ² still tests r.a4 > 1500 before the
+// probe, the one operand that reads r alone.
 func TestGoldenPhysicalFig2dQ1SubqueryFirst(t *testing.T) {
 	all := rewrite.AllCaps()
-	physGolden(t, smallRST(t, 1000), goldenQ1, &all, 0xe64b0a477164300a, `
+	physGolden(t, smallRST(t, 1000), goldenQ1, &all, 0xdf42b9aca0bdb3c3, `
 Distinct  (est 1 rows)
-  UnionDisjoint  (est 1 rows)
-    Project[r.a1, r.a2, r.a3, r.a4]  (est 1 rows)
-      Stream+  (est 1 rows)
-        #1 Filter±[(r.a1 = g1)]  (est 4 rows)
-          HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)]  (est 4 rows)
-            Scan(r)  (est 4 rows)
-            Scan(s)  (est 4 rows)
-    Project[r.a1, r.a2, r.a3, r.a4]  (est 0 rows)
-      Filter[(r.a4 > 1500)]  (est 0 rows)
-        Stream-  (est 3 rows)
-          ↑ see #1 Filter±[(r.a1 = g1)]
+  HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)] σ[((r.a1 = g1) OR (r.a4 > 1500))] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 1 rows)
+    Scan(r)  (est 4 rows)
+    Scan(s)  (est 4 rows)
 `)
 }
 
 // The opposite statistics keep Eqv. 2: when every a4 exceeds 1500 the
 // simple predicate decides every row, so it is bypassed first and the
-// unnested subquery runs on an empty negative stream.
+// unnested subquery probes no row.
 func TestGoldenPhysicalQ1DecidingComparisonFirst(t *testing.T) {
 	all := rewrite.AllCaps()
-	physGolden(t, smallRST(t, 2000), goldenQ1, &all, 0xb92c7fe2da0b8f30, `
+	physGolden(t, smallRST(t, 2000), goldenQ1, &all, 0x3d3cf0d138f4d143, `
 Distinct  (est 4 rows)
-  UnionDisjoint  (est 4 rows)
-    Stream+  (est 4 rows)
-      #1 Filter±[(r.a4 > 1500)]  (est 4 rows)
-        Scan(r)  (est 4 rows)
-    HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)] σ[(r.a1 = g1)] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 0 rows)
-      Stream-  (est 0 rows)
-        ↑ see #1 Filter±[(r.a4 > 1500)]
-      Scan(s)  (est 4 rows)
+  HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)] σ[((r.a4 > 1500) OR (r.a1 = g1))] → [r.a1, r.a2, r.a3, r.a4] (4 of 5 cols)  (est 4 rows)
+    Scan(r)  (est 4 rows)
+    Scan(s)  (est 4 rows)
 `)
 }
 
@@ -249,7 +235,8 @@ Distinct  (est 0 rows)
 }
 
 // Fig. 7(b)'s Query 2d on a small TPC-H instance: a chain of hash joins
-// under the bypass cascade.
+// under the bypass cascade's one Γ², each join emitting only what is read
+// above it, the Sort's columns and the disjunction's.
 func TestGoldenPhysicalQuery2d(t *testing.T) {
 	cat := catalog.New()
 	if err := datagen.LoadTPCH(cat, datagen.TPCHConfig{SF: 0.001, Seed: 1, Tables: datagen.TPCHQuery2dTables}); err != nil {
@@ -270,34 +257,28 @@ func TestGoldenPhysicalQuery2d(t *testing.T) {
 	                                     AND n_regionkey = r_regionkey
 	                                     AND r_name = 'EUROPE')
 	                  OR ps_availqty > 2000)
-	           ORDER BY s_acctbal DESC, n_name, s_name, p_partkey`, &all, 0xca755f3d310b286d, `
+	           ORDER BY s_acctbal DESC, n_name, s_name, p_partkey`, &all, 0xb01f58bc449921bf, `
 Sort[supplier.s_acctbal DESC, nation.n_name, supplier.s_name, part.p_partkey]  (est 1 rows)
-  Project[supplier.s_acctbal, supplier.s_name, nation.n_name, part.p_partkey, part.p_mfgr, supplier.s_address, supplier.s_phone, supplier.s_comment]  (est 1 rows)
-    UnionDisjoint  (est 1 rows)
-      Stream+  (est 1 rows)
-        #1 Filter±[(partsupp.ps_availqty > 2000)]  (est 1 rows)
-          HashJoin[nation.n_regionkey=region.r_regionkey]  (est 1 rows)
-            HashJoin[nation.n_nationkey=supplier.s_nationkey]  (est 4 rows)
-              Scan(nation)  (est 25 rows)
-              HashJoin[supplier.s_suppkey=partsupp.ps_suppkey]  (est 4 rows)
-                Scan(supplier)  (est 10 rows)
-                HashJoin[partsupp.ps_partkey=part.p_partkey]  (est 4 rows)
-                  Scan(partsupp)  (est 800 rows)
-                  Filter[((part.p_size = 15) AND (part.p_type LIKE '%BRASS'))]  (est 1 rows)
-                    Scan(part)  (est 200 rows)
-            Filter[(region.r_name = 'EUROPE')]  (est 1 rows)
-              Scan(region)  (est 5 rows)
-      HashBinaryGroup[part.p_partkey=partsupp#2.ps_partkey][g1:MIN(partsupp#2.ps_supplycost)] σ[(partsupp.ps_supplycost = g1)] → [nation.n_nationkey, nation.n_name, nation.n_regionkey, nation.n_comment, supplier.s_suppkey, supplier.s_name, supplier.s_address, supplier.s_nationkey, supplier.s_phone, supplier.s_acctbal, supplier.s_comment, partsupp.ps_partkey, partsupp.ps_suppkey, partsupp.ps_availqty, partsupp.ps_supplycost, partsupp.ps_comment, part.p_partkey, part.p_name, part.p_mfgr, part.p_brand, part.p_type, part.p_size, part.p_container, part.p_retailprice, part.p_comment, region.r_regionkey, region.r_name, region.r_comment] (28 of 29 cols)  (est 0 rows)
-        Stream-  (est 0 rows)
-          ↑ see #1 Filter±[(partsupp.ps_availqty > 2000)]
-        HashJoin[partsupp#2.ps_suppkey=supplier#2.s_suppkey] → [partsupp#2.ps_partkey, partsupp#2.ps_supplycost] (2 of 6 cols)  (est 160 rows)
-          Scan(partsupp)  (est 800 rows)
-          HashJoin[supplier#2.s_nationkey=nation#2.n_nationkey] → [supplier#2.s_suppkey] (1 of 8 cols)  (est 2 rows)
-            Scan(supplier)  (est 10 rows)
-            HashJoin[nation#2.n_regionkey=region#2.r_regionkey] → [nation#2.n_nationkey] (1 of 7 cols)  (est 5 rows)
-              Scan(nation)  (est 25 rows)
-              Filter[(region#2.r_name = 'EUROPE')]  (est 1 rows)
-                Scan(region)  (est 5 rows)
+  HashBinaryGroup[part.p_partkey=partsupp#2.ps_partkey][g1:MIN(partsupp#2.ps_supplycost)] σ[((partsupp.ps_availqty > 2000) OR (partsupp.ps_supplycost = g1))] → [supplier.s_acctbal, supplier.s_name, nation.n_name, part.p_partkey, part.p_mfgr, supplier.s_address, supplier.s_phone, supplier.s_comment] (8 of 11 cols)  (est 1 rows)
+    HashJoin[nation.n_regionkey=region.r_regionkey] → [nation.n_name, supplier.s_name, supplier.s_address, supplier.s_phone, supplier.s_acctbal, supplier.s_comment, partsupp.ps_availqty, partsupp.ps_supplycost, part.p_partkey, part.p_mfgr] (10 of 14 cols)  (est 1 rows)
+      HashJoin[nation.n_nationkey=supplier.s_nationkey] → [nation.n_name, nation.n_regionkey, supplier.s_name, supplier.s_address, supplier.s_phone, supplier.s_acctbal, supplier.s_comment, partsupp.ps_availqty, partsupp.ps_supplycost, part.p_partkey, part.p_mfgr] (11 of 14 cols)  (est 4 rows)
+        Scan(nation)  (est 25 rows)
+        HashJoin[supplier.s_suppkey=partsupp.ps_suppkey] → [supplier.s_name, supplier.s_address, supplier.s_nationkey, supplier.s_phone, supplier.s_acctbal, supplier.s_comment, partsupp.ps_availqty, partsupp.ps_supplycost, part.p_partkey, part.p_mfgr] (10 of 12 cols)  (est 4 rows)
+          Scan(supplier)  (est 10 rows)
+          HashJoin[partsupp.ps_partkey=part.p_partkey] → [partsupp.ps_suppkey, partsupp.ps_availqty, partsupp.ps_supplycost, part.p_partkey, part.p_mfgr] (5 of 14 cols)  (est 4 rows)
+            Scan(partsupp)  (est 800 rows)
+            Filter[((part.p_size = 15) AND (part.p_type LIKE '%BRASS'))]  (est 1 rows)
+              Scan(part)  (est 200 rows)
+      Filter[(region.r_name = 'EUROPE')]  (est 1 rows)
+        Scan(region)  (est 5 rows)
+    HashJoin[partsupp#2.ps_suppkey=supplier#2.s_suppkey] → [partsupp#2.ps_partkey, partsupp#2.ps_supplycost] (2 of 6 cols)  (est 160 rows)
+      Scan(partsupp)  (est 800 rows)
+      HashJoin[supplier#2.s_nationkey=nation#2.n_nationkey] → [supplier#2.s_suppkey] (1 of 8 cols)  (est 2 rows)
+        Scan(supplier)  (est 10 rows)
+        HashJoin[nation#2.n_regionkey=region#2.r_regionkey] → [nation#2.n_nationkey] (1 of 7 cols)  (est 5 rows)
+          Scan(nation)  (est 25 rows)
+          Filter[(region#2.r_name = 'EUROPE')]  (est 1 rows)
+            Scan(region)  (est 5 rows)
 `)
 }
 

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -58,7 +59,19 @@ import (
 //	    the rows it holds TRUE on; the σ's Filter node, and the Π, are
 //	    gone. The node stands for the σ (its Logical()), so
 //	    the executor memoizes it only where the σ's free attributes allow.
-//	    A σ± (two streams) and a shared operator do not fuse.
+//	    A shared operator does not fuse. A disjunction over a Γ² that
+//	    emits no aggregate result splits off its operands reading only
+//	    the left input (BinaryGroup.Bypass), which spare their rows' probes.
+//	bypass cascade (algebra.CascadeInput): Eqv. 2/3's σ±s, streams and
+//	    ∪̇ are one σ[d1 ∨ … ∨ dn], in the cascade's order, over the
+//	    unnestings stacked on its input, each − stream lowered as its
+//	    σ±'s input — exact in 3VL and for bags: a row lands in one
+//	    stream, and OR is TRUE iff an operand is. A σ on a stack keeps
+//	    the rows the disjuncts before it decided, σ[d1 ∨ … ∨ di ∨ p], and
+//	    a cascade there, or as the last branch, runs the same way with
+//	    those disjuncts first. The σ fuses as above, or, with a nested
+//	    block, is one Filter under the Π onto the union's columns. Any
+//	    other σ±, stream or ∪̇ fails with ErrBypass.
 //
 // The rules are deliberately deterministic — hashing a materialized
 // input is never slower than the quadratic scan at more than a handful
@@ -76,7 +89,7 @@ import (
 // as does any Π whose input already has its schema. Everything else
 // passes rows through and keeps its input's schema; DISTINCT, ∪ and
 // Sort read what they are given, and an operator with more than one
-// consumer — σ± under its two streams, a block an expression embeds
+// consumer — an input a plan reads twice, a block an expression embeds
 // twice — is left whole. A node's Schema is therefore a part of its
 // logical operator's, holding at least the columns asked for, and
 // exactly the logical schema when all were.
@@ -89,6 +102,10 @@ type Planner struct {
 	memo map[algebra.Op]lowered
 	// mark is markShared as a value, made once.
 	mark func(algebra.Op)
+	// decided holds, for each operator on a bypass cascade's stack, the
+	// disjuncts before it: a − stream lowers as its σ±'s input, and a σ
+	// or a cascade keeps the rows they hold TRUE on. Made on first use.
+	decided map[algebra.Op]algebra.Expr
 	// blocks are the memo's entries for the roots of nested query blocks:
 	// what evaluation looks up, and all a Plan keeps of the memo.
 	blocks map[algebra.Op]Node
@@ -280,7 +297,7 @@ func (p *Planner) lowerFor(op algebra.Op, need colSet, order *storage.Schema) (N
 	need = need.of(op.Schema().Len())
 	switch op.(type) {
 	case *algebra.Join, *algebra.CrossProduct, *algebra.LeftOuterJoin, *algebra.MapOp, *algebra.BinaryGroup,
-		*algebra.Select: // the order of what a σ fused into a writer emits
+		*algebra.Select, *algebra.UnionDisjoint: // the order of what a σ fused into a writer emits
 	default:
 		order = nil
 	}
@@ -299,17 +316,21 @@ func (p *Planner) lowerFor(op algebra.Op, need colSet, order *storage.Schema) (N
 		p.memo[op] = lowered{node: n, shared: e.shared}
 	}
 	if n.ID() >= 0 {
-		return n, nil // a Π dissolved into its input
+		return n, nil // a Π, or a cascade's − stream, dissolved into its input
 	}
-	// Path selection: compile columnar programs for nodes the
-	// vectorized path can run (see vectorize.go).
-	p.vectorize(n)
-	n.setID(p.nodes)
-	p.nodes++
+	p.number(n)
 	if err := p.lowerBlocks(op); err != nil {
 		return nil, err
 	}
 	return n, nil
+}
+
+// number gives a freshly lowered node its columnar programs, where the
+// vectorized path can run them (see vectorize.go), and the next ID.
+func (p *Planner) number(n Node) {
+	p.vectorize(n)
+	n.setID(p.nodes)
+	p.nodes++
 }
 
 // lowerBlocks pre-lowers the nested query blocks referenced by op's
@@ -335,34 +356,13 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 		return &Scan{base: b, Table: x.Table}, nil
 
 	case *algebra.Select:
-		if n, err := p.fuse(b, x, need, order); n != nil || err != nil {
-			return n, err
-		}
-		child, err := p.lowerFor(x.Child, p.reads(need, x.Child.Schema(), x.Pred), nil)
-		if err != nil {
-			return nil, err
-		}
-		b.sch = child.Schema()
-		return &Filter{base: b, Child: child, Pred: x.Pred}, nil
-
-	case *algebra.BypassSelect:
-		child, err := p.lowerFor(x.Child, p.reads(need, x.Child.Schema(), x.Pred), nil)
-		if err != nil {
-			return nil, err
-		}
-		b.sch = child.Schema()
-		return &BypassFilter{base: b, Child: child, Pred: x.Pred}, nil
+		return p.selection(b, x.Child, algebra.Or(p.decided[x], x.Pred), need, order)
 
 	case *algebra.Stream:
-		src, err := p.lowerFor(x.Source, need, nil)
-		if err != nil {
-			return nil, err
+		if p.decided[x] == nil {
+			return nil, fmt.Errorf("%w: %s", ErrBypass, x.Label())
 		}
-		if _, ok := src.(*BypassFilter); !ok {
-			return nil, fmt.Errorf("physical: Stream over non-bypass operator %T", x.Source)
-		}
-		b.sch = src.Schema()
-		return &Stream{base: b, Source: src, Positive: x.Positive}, nil
+		return p.lowerFor(x.Source.(*algebra.BypassSelect).Child, need, nil)
 
 	case *algebra.Project:
 		b.sch = need.part(b.sch) // a Π read in part is the Π onto that part
@@ -420,11 +420,10 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 			Aggs: x.Aggs, Global: x.Global}, nil
 
 	case *algebra.UnionDisjoint:
-		l, r, err := p.lowerPair(x.L, x.R, nil, allCols, allCols)
-		if err != nil {
-			return nil, err
+		if order == nil {
+			order = need.part(b.sch)
 		}
-		return &Union{base: b, L: l, R: r, Disjoint: true}, nil
+		return p.lowerCascade(b, x, order)
 
 	case *algebra.UnionAll:
 		l, r, err := p.lowerPair(x.L, x.R, nil, allCols, allCols)
@@ -464,6 +463,9 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 		}
 		return &Limit{base: b, Child: child, N: x.N}, nil
 
+	case *algebra.BypassSelect:
+		return nil, fmt.Errorf("%w: %s", ErrBypass, x.Label())
+
 	default:
 		return nil, fmt.Errorf("physical: unsupported operator %T", op)
 	}
@@ -483,15 +485,32 @@ func (p *Planner) lowerPair(lop, rop algebra.Op, pred algebra.Expr, ln, rn colSe
 	return l, r, nil
 }
 
-// fuse lowers σ(w), or σ(Π(w)), as w with the σ's predicate for its
+// selection lowers σ[pred](child) as the node b describes: fused into
+// child (fuse), or a Filter over it.
+func (p *Planner) selection(b base, child algebra.Op, pred algebra.Expr, need colSet, order *storage.Schema) (Node, error) {
+	for x, ok := child.(*algebra.Stream); ok && p.decided[x] != nil; x, ok = child.(*algebra.Stream) {
+		child = x.Source.(*algebra.BypassSelect).Child // a cascade's − stream is its σ±'s input
+	}
+	if n, err := p.fuse(b, child, pred, need, order); n != nil || err != nil {
+		return n, err
+	}
+	c, err := p.lowerFor(child, p.reads(need, child.Schema(), pred), nil)
+	if err != nil {
+		return nil, err
+	}
+	b.sch = c.Schema()
+	return &Filter{base: b, Child: c, Pred: pred}, nil
+}
+
+// fuse lowers σ[pred](w), or σ[pred](Π(w)), as w with pred for its
 // Keep, when w is a Γ² or an Eqv. 1 ⟕ only the σ reads — through a Π
-// only it reads — and the predicate holds no nested block (see
-// Planner); it returns nil otherwise. b is the σ's: the node stands for
-// it. w emits what the σ's consumer reads (need, in order), and a Π
-// between orders them when the consumer does not; its inputs provide
-// that and what the predicate reads.
-func (p *Planner) fuse(b base, s *algebra.Select, need colSet, order *storage.Schema) (Node, error) {
-	w, pr := s.Child, (*algebra.Project)(nil)
+// only it reads — and pred holds no nested block (see Planner); it
+// returns nil otherwise. b is the σ's — or the bypass cascade's the σ
+// stands for: the node stands for it. w emits what the σ's consumer
+// reads (need, in order), and a Π between orders them when the consumer
+// does not; its inputs provide that and what the predicate reads.
+func (p *Planner) fuse(b base, child algebra.Op, pred algebra.Expr, need colSet, order *storage.Schema) (Node, error) {
+	w, pr := child, (*algebra.Project)(nil)
 	if x, ok := w.(*algebra.Project); ok && !p.memo[x].shared {
 		w, pr = x.Child, x
 	}
@@ -500,7 +519,7 @@ func (p *Planner) fuse(b base, s *algebra.Select, need colSet, order *storage.Sc
 	default:
 		return nil, nil
 	}
-	if p.memo[w].shared || algebra.HasSubquery(s.Pred) {
+	if p.memo[w].shared || algebra.HasSubquery(pred) {
 		return nil, nil
 	}
 	if pr != nil && order == nil {
@@ -510,12 +529,85 @@ func (p *Planner) fuse(b base, s *algebra.Select, need colSet, order *storage.Sc
 	if order != nil {
 		in = addNames(0, sch, order.Attrs())
 	}
-	in = p.reads(in, sch, s.Pred).of(sch.Len())
-	n, err := p.lowerBinaryGroup(b, w, s.Pred, in, need, order)
+	in = p.reads(in, sch, pred).of(sch.Len())
+	n, err := p.lowerBinaryGroup(b, w, pred, in, need, order)
 	if err != nil {
 		return nil, err
 	}
 	return n, p.lowerBlocks(w)
+}
+
+// ErrBypass is what lowering a σ±, one of its streams or a ∪̇ returns
+// outside a bypass cascade, their only plan (see Planner).
+var ErrBypass = errors.New("physical: no plan for a bypass selection outside a bypass cascade")
+
+// lowerCascade lowers the bypass cascade u over d1 … dn as σ[d ∨ d1 ∨ …
+// ∨ dn] over its stacks, the node b writing order's columns, where d
+// (u's decided, nil for none) is an enclosing cascade's disjuncts before
+// it, whose rows u keeps (see Planner).
+func (p *Planner) lowerCascade(b base, u *algebra.UnionDisjoint, order *storage.Schema) (Node, error) {
+	d, err := p.bypassed(u.L, u.R, p.decided[u])
+	if err != nil {
+		return nil, err
+	}
+	last := u.R
+	for x, ok := last.(*algebra.Project); ok; x, ok = last.(*algebra.Project) {
+		last = x.Child
+	}
+	switch x := last.(type) {
+	case *algebra.UnionDisjoint:
+		return p.lowerCascade(b, x, order) // marked by bypassed with d
+	case *algebra.Select:
+		if err := p.lowerBlocks(x); err != nil {
+			return nil, err
+		}
+		n, err := p.selection(b, x.Child, algebra.Or(d, x.Pred), addNames(0, x.Child.Schema(), order.Attrs()), order)
+		if err != nil || n.Schema().Equal(order) {
+			return n, err
+		}
+		cols, err := n.Schema().Projection(order.Attrs())
+		p.number(n) // a Filter: the σ did not fuse
+		b.sch = order
+		return &Project{base: b, Child: n, Cols: cols}, err
+	}
+	return nil, fmt.Errorf("%w: %s", ErrBypass, u.Label())
+}
+
+// bypassed returns d ∨ d1 ∨ … ∨ dk, the predicates of the σ±s of u, a
+// cascade's first k branches, in order, after it has marked the stack
+// next — the one the following branch reads — down to σ±[dk]'s − stream
+// with them (see Planner.decided), as each branch's own stack with the
+// disjuncts before it. An operator another consumer reads fails.
+func (p *Planner) bypassed(u, next algebra.Op, d algebra.Expr) (algebra.Expr, error) {
+	branch, rest := u, algebra.Op(nil)
+	if x, ok := u.(*algebra.UnionDisjoint); ok {
+		branch, rest = x.R, x.L
+	}
+	bp := algebra.CascadeBypass(branch)
+	if bp == nil {
+		return nil, fmt.Errorf("%w: %s", ErrBypass, branch.Label())
+	}
+	var err error
+	if rest != nil {
+		d, err = p.bypassed(rest, bp.Child, d)
+	}
+	if err == nil {
+		err = p.lowerBlocks(bp)
+	}
+	if err != nil {
+		return nil, err
+	}
+	d = algebra.Or(d, bp.Pred)
+	if !algebra.CascadeInput(next, bp, func(op algebra.Op) bool {
+		if p.decided == nil {
+			p.decided = make(map[algebra.Op]algebra.Expr)
+		}
+		p.decided[op] = d
+		return !p.memo[op].shared
+	}) {
+		return nil, fmt.Errorf("%w: %s", ErrBypass, bp.Label())
+	}
+	return d, nil
 }
 
 // lowerJoin lowers a join w — ⋈, ×, ⋉ or ▷ — as the node b describes:
@@ -604,6 +696,12 @@ func (p *Planner) lowerBinaryGroup(b base, w algebra.Op, keep algebra.Expr, in, 
 	if keep != nil {
 		attrs := w.Schema().Attrs()
 		bg.Results = storage.NewSchema(attrs[len(attrs)-len(aggs):]...)
+	}
+	// A disjunction of a Γ² that emits no aggregate result is split.
+	if _, or := keep.(*algebra.OrExpr); or && emit != nil && (len(emit) == 0 || slices.Max(emit) < l.Schema().Len()) {
+		if byp, rest := p.splitLeft(keep, l.Schema()); byp != nil && rest != nil {
+			bg.Bypass, bg.Rest = byp, rest
+		}
 	}
 	lc, rc, residual := algebra.EquiKeys(pred, l.Schema(), r.Schema())
 	switch hashed := len(lc) > 0 && len(residual) == 0; {
@@ -701,6 +799,34 @@ func (p *Planner) tagged(x *algebra.BinaryGroup) (algebra.Op, algebra.Expr) {
 		}
 	}
 	return m.Child, m.Expr
+}
+
+// splitLeft divides the disjunction e into its operands that read only
+// columns of l and the others (nil for none), building no OR it need not.
+func (p *Planner) splitLeft(e algebra.Expr, l *storage.Schema) (left, rest algebra.Expr) {
+	p.names = e.Columns(p.names[:0])
+	only := true
+	for _, n := range p.names {
+		only = only && l.Has(n)
+	}
+	if only {
+		return e, nil
+	}
+	or, ok := e.(*algebra.OrExpr)
+	if !ok {
+		return nil, e
+	}
+	ll, lr := p.splitLeft(or.L, l)
+	rl, rr := p.splitLeft(or.R, l)
+	return orOf(ll, rl), orOf(lr, rr)
+}
+
+// orOf is a ∨ b, where nil is no operand.
+func orOf(a, b algebra.Expr) algebra.Expr {
+	if a == nil || b == nil {
+		return cmp.Or(a, b)
+	}
+	return algebra.Or(a, b)
 }
 
 // passesLeft reports whether an emit list is a prefix of the left input

@@ -2,6 +2,7 @@ package physical_test
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -236,24 +237,19 @@ func TestLowerTaggedBinaryGroup(t *testing.T) {
 
 func TestLowerPreservesDAGSharing(t *testing.T) {
 	cat := testCat(t)
-	shared := algebra.NewBypassSelect(scanOf(t, cat, "r"),
+	shared := algebra.NewSelect(scanOf(t, cat, "r"),
 		algebra.Cmp(types.GT, algebra.Col("r.a2"), algebra.ConstInt(10)))
-	root := algebra.NewUnionDisjoint(algebra.Pos(shared), algebra.Neg(shared))
+	root := algebra.NewUnionAll(shared, shared)
 	n := lower(t, cat, root)
 	u, ok := n.(*physical.Union)
 	if !ok {
 		t.Fatalf("lowered to %T, want *Union", n)
 	}
-	pos, ok := u.L.(*physical.Stream)
-	if !ok {
-		t.Fatalf("union left is %T, want *Stream", u.L)
+	if _, ok := u.L.(*physical.Filter); !ok {
+		t.Fatalf("union left is %T, want *Filter", u.L)
 	}
-	neg, ok := u.R.(*physical.Stream)
-	if !ok {
-		t.Fatalf("union right is %T, want *Stream", u.R)
-	}
-	if pos.Source != neg.Source {
-		t.Error("both streams must share one physical bypass node (DAG, not tree)")
+	if u.L != u.R {
+		t.Error("both inputs must share one physical filter node (DAG, not tree)")
 	}
 }
 
@@ -327,11 +323,152 @@ func TestLowerMemoizesPerOperator(t *testing.T) {
 	}
 }
 
+// TestLowerRejectsStreamOverNonBypass: a bypass cascade is the only plan
+// of a σ±, its streams and ∪̇, so a stream over anything else — and a
+// σ±, a stream or a ∪̇ outside a cascade — fails with ErrBypass.
 func TestLowerRejectsStreamOverNonBypass(t *testing.T) {
 	cat := testCat(t)
-	_, err := physical.NewPlanner(stats.New(cat)).Lower(algebra.Pos(scanOf(t, cat, "r")))
-	if err == nil || !strings.Contains(err.Error(), "non-bypass") {
-		t.Errorf("err = %v, want stream-over-non-bypass rejection", err)
+	gt := algebra.Cmp(types.GT, algebra.Col("r.a2"), algebra.ConstInt(10))
+	bp := algebra.NewBypassSelect(scanOf(t, cat, "r"), gt)
+	other := algebra.NewBypassSelect(scanOf(t, cat, "r"), gt)
+	for name, op := range map[string]algebra.Op{
+		"stream over a scan":          algebra.Pos(scanOf(t, cat, "r")),
+		"σ±":                          bp,
+		"+ stream":                    algebra.Pos(bp),
+		"− stream":                    algebra.Neg(bp),
+		"∪̇ of the two streams":       algebra.NewUnionDisjoint(algebra.Pos(bp), algebra.Neg(bp)),
+		"∪̇ over another σ±'s stream": algebra.NewUnionDisjoint(algebra.Pos(bp), algebra.NewSelect(algebra.Neg(other), gt)),
+		"∪̇ over a semi-joined stream": algebra.NewUnionDisjoint(algebra.Pos(bp),
+			algebra.NewSelect(algebra.NewSemiJoin(algebra.Neg(bp), scanOf(t, cat, "s"), eq("r.a1", "s.b1")), gt)),
+	} {
+		_, err := physical.NewPlanner(stats.New(cat)).Lower(op)
+		if !errors.Is(err, physical.ErrBypass) {
+			t.Errorf("%s: err = %v, want ErrBypass", name, err)
+		}
+	}
+}
+
+// cascade builds the rewriter's Eqv. 2/3 bypass cascade over base: each
+// disjunct ds[i] is evaluated over stacks[i] (nil: none) put on the
+// current stream, each but the last is bypassed and its − stream is the
+// next current stream, and the branches, each under the Π onto base's
+// columns, are united.
+func cascade(base algebra.Op, ds []algebra.Expr, stacks []func(algebra.Op) algebra.Op) algebra.Op {
+	out := base.Schema().Attrs()
+	branch := func(op algebra.Op) algebra.Op {
+		if op.Schema().Len() == len(out) {
+			return op
+		}
+		return algebra.NewProject(op, out)
+	}
+	var u algebra.Op
+	cur := base
+	for i, d := range ds {
+		if stacks[i] != nil {
+			cur = stacks[i](cur)
+		}
+		var b algebra.Op
+		if i == len(ds)-1 {
+			b = branch(algebra.NewSelect(cur, d))
+		} else {
+			bp := algebra.NewBypassSelect(cur, d)
+			b, cur = branch(algebra.Pos(bp)), algebra.Neg(bp)
+		}
+		if u == nil {
+			u = b
+		} else {
+			u = algebra.NewUnionDisjoint(u, b)
+		}
+	}
+	return u
+}
+
+// TestLowerCollapsesBypassCascades: a bypass cascade lowers to one pass,
+// σ[d1 ∨ … ∨ dn] in the cascade's order over the unnestings stacked on
+// its input, fused into the top Γ² whose bypass operands — those reading
+// only its left input — decide rows before the probe; with a nested
+// block in a disjunct it is one Filter under the Π onto the union's
+// columns. No stream or union is left.
+func TestLowerCollapsesBypassCascades(t *testing.T) {
+	cat := testCat(t)
+	r, s := scanOf(t, cat, "r"), scanOf(t, cat, "s")
+	simple := algebra.Cmp(types.GT, algebra.Col("r.a2"), algebra.ConstInt(10))
+	link := eq("r.a2", "g1")
+	unnest := func(cur algebra.Op) algebra.Op { // Eqv. 1 on r.a1 = s.b1, as the rewriter leaves it
+		return algebra.NewProject(eqv1(cur, s, eq("r.a1", "s.b1"), types.NewInt(0), "s.b1"),
+			append(cur.Schema().Attrs(), "g1"))
+	}
+	group := func(cur algebra.Op) algebra.Op { // a sort-based Γ² on r.a1 < s.b1 counting g2
+		return algebra.NewBinaryGroup(cur, s, algebra.Cmp(types.LT, algebra.Col("r.a1"), algebra.Col("s.b1")),
+			[]algebra.AggItem{{Out: "g2", Spec: agg.Spec{Kind: agg.Count, Star: true}}})
+	}
+	block := algebra.Subquery(agg.Spec{Kind: agg.Count, Star: true}, nil, s)
+	// A cascade's last branch may be a cascade of its own over a σ on the
+	// outer stack (a last disjunct holding a disjunction with a subquery).
+	few := algebra.Cmp(types.GT, algebra.Col("r.a1"), algebra.ConstInt(3))
+	outer := algebra.NewBypassSelect(unnest(r), link)
+	inner := cascade(algebra.NewSelect(algebra.Neg(outer), few), []algebra.Expr{simple, eq("r.a2", "g2")},
+		[]func(algebra.Op) algebra.Op{nil, group})
+	nested := algebra.NewUnionDisjoint(algebra.NewProject(algebra.Pos(outer), []string{"r.a1", "r.a2"}),
+		algebra.NewProject(inner, []string{"r.a1", "r.a2"}))
+	for _, c := range []struct {
+		name         string
+		op           algebra.Op
+		want         string
+		bypass, rest string
+		below        string // the label of the top node's left input (blank: not checked)
+	}{
+		{"Eqv. 2", cascade(r, []algebra.Expr{simple, link}, []func(algebra.Op) algebra.Op{nil, unnest}),
+			"HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] σ[((r.a2 > 10) OR (r.a2 = g1))] → [r.a1, r.a2] (2 of 3 cols)",
+			"(r.a2 > 10)", "(r.a2 = g1)", ""},
+		{"Eqv. 3", cascade(r, []algebra.Expr{link, simple}, []func(algebra.Op) algebra.Op{unnest, nil}),
+			"HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] σ[((r.a2 = g1) OR (r.a2 > 10))] → [r.a1, r.a2] (2 of 3 cols)",
+			"(r.a2 > 10)", "(r.a2 = g1)", ""},
+		{"two unnested disjuncts", cascade(r, []algebra.Expr{simple, link, eq("r.a2", "g2")},
+			[]func(algebra.Op) algebra.Op{nil, unnest, group}),
+			"SortBinaryGroup[r.a1 < s.b1][g2:COUNT(*)] σ[(((r.a2 > 10) OR (r.a2 = g1)) OR (r.a2 = g2))] → [r.a1, r.a2] (2 of 4 cols)",
+			"((r.a2 > 10) OR (r.a2 = g1))", "(r.a2 = g2)", ""},
+		{"a nested block", cascade(r, []algebra.Expr{algebra.Cmp(types.EQ, algebra.Col("r.a1"), block), link},
+			[]func(algebra.Op) algebra.Op{nil, unnest}),
+			"Project[r.a1, r.a2]", "", "", ""},
+		{"a σ on the stack", cascade(r, []algebra.Expr{simple, link},
+			[]func(algebra.Op) algebra.Op{nil, func(cur algebra.Op) algebra.Op { return unnest(algebra.NewSelect(cur, few)) }}),
+			"HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] σ[((r.a2 > 10) OR (r.a2 = g1))] → [r.a1, r.a2] (2 of 3 cols)",
+			"(r.a2 > 10)", "(r.a2 = g1)", "Filter[((r.a2 > 10) OR (r.a1 > 3))]"},
+		{"a cascade as the last branch", nested,
+			"SortBinaryGroup[r.a1 < s.b1][g2:COUNT(*)] σ[(((r.a2 = g1) OR (r.a2 > 10)) OR (r.a2 = g2))] → [r.a1, r.a2] (2 of 4 cols)",
+			"((r.a2 = g1) OR (r.a2 > 10))", "(r.a2 = g2)", "HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] σ[((r.a2 = g1) OR (r.a1 > 3))]"},
+	} {
+		n := lower(t, cat, c.op)
+		if n.Label() != c.want {
+			t.Errorf("%s lowered to %s, want %s", c.name, n.Label(), c.want)
+		}
+		if n.Logical() != c.op {
+			t.Errorf("%s: the top node stands for %s, want the ∪̇", c.name, n.Logical().Label())
+		}
+		physical.Walk(n, func(x physical.Node) bool {
+			if u, ok := x.(*physical.Union); ok {
+				t.Errorf("%s: %s left in the plan", c.name, u.Label())
+			}
+			return true
+		})
+		bg, ok := n.(*physical.BinaryGroup)
+		if !ok {
+			f, ok := n.Children()[0].(*physical.Filter)
+			if !ok || !strings.HasPrefix(f.Label(), "Filter[((r.a1 = COUNT(*){scan(s)}) OR (r.a2 = g1))]") {
+				t.Errorf("%s: %s over %s, want the Π over one Filter", c.name, n.Label(), n.Children()[0].Label())
+			}
+			continue
+		}
+		if got := bg.L.Label(); c.below != "" && !strings.HasPrefix(got, c.below) {
+			t.Errorf("%s: the top node reads %s, want %s", c.name, got, c.below)
+		}
+		if got := fmt.Sprint(bg.Bypass, " ", bg.Rest); got != c.bypass+" "+c.rest {
+			t.Errorf("%s: bypass and rest = %s, want %s %s", c.name, got, c.bypass, c.rest)
+		}
+		if bg.VecBypass == nil || !physical.Compiled(bg) || physical.Vectorizable(bg) {
+			t.Errorf("%s: the bypass operands must compile, and the fused Γ² count as compiled, not vector-served", c.name)
+		}
 	}
 }
 
@@ -387,20 +524,21 @@ func TestLowerFusesSelections(t *testing.T) {
 	}
 }
 
-// TestLowerDoesNotFuse: a σ± (two streams), an operator another consumer
-// reads too, and a predicate holding a nested block stay Filters.
+// TestLowerDoesNotFuse: an operator another consumer reads too, and a
+// predicate holding a nested block — a bypass cascade's among them —
+// stay Filters.
 func TestLowerDoesNotFuse(t *testing.T) {
 	cat := testCat(t)
 	outer, _ := fusible(t, cat)
 	link := eq("r.a2", "g1")
-	bypass := algebra.NewBypassSelect(outer(), link)
 	shared := outer()
 	block := algebra.NewGroupBy(scanOf(t, cat, "s"), nil, countAgg(), true)
+	nested := algebra.Cmp(types.EQ, algebra.Col("g1"), algebra.Subquery(agg.Spec{Kind: agg.Count, Star: true}, nil, block))
 	for name, op := range map[string]algebra.Op{
-		"σ± with two streams": algebra.NewUnionDisjoint(algebra.Pos(bypass), algebra.Neg(bypass)),
 		"a shared ⟕":          algebra.NewUnionAll(algebra.NewSelect(shared, link), shared),
-		"a σ holding a block": algebra.NewSelect(outer(),
-			algebra.Cmp(types.EQ, algebra.Col("g1"), algebra.Subquery(agg.Spec{Kind: agg.Count, Star: true}, nil, block))),
+		"a σ holding a block": algebra.NewSelect(outer(), nested),
+		"a cascade holding a block": cascade(scanOf(t, cat, "r"), []algebra.Expr{link, nested},
+			[]func(algebra.Op) algebra.Op{func(algebra.Op) algebra.Op { return outer() }, nil}),
 	} {
 		physical.Walk(lower(t, cat, op), func(n physical.Node) bool {
 			if bg, ok := n.(*physical.BinaryGroup); ok && bg.Keep != nil {

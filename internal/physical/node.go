@@ -101,42 +101,6 @@ func (f *Filter) Children() []Node { return []Node{f.Child} }
 // Label implements Node.
 func (f *Filter) Label() string { return fmt.Sprintf("Filter[%s]", f.Pred) }
 
-// BypassFilter partitions its input into a TRUE stream and a not-TRUE
-// stream (σ±). It is only consumed through Stream nodes, which select
-// one side; the executor evaluates both sides in a single pass.
-type BypassFilter struct {
-	base
-	Child Node
-	Pred  algebra.Expr
-	// VecPred is the compiled columnar program for Pred; nil means Pred
-	// is interpreted per row.
-	VecPred *vec.Pred
-}
-
-// Children implements Node.
-func (f *BypassFilter) Children() []Node { return []Node{f.Child} }
-
-// Label implements Node.
-func (f *BypassFilter) Label() string { return fmt.Sprintf("Filter±[%s]", f.Pred) }
-
-// Stream selects the positive or negative output of a bypass filter.
-type Stream struct {
-	base
-	Source   Node
-	Positive bool
-}
-
-// Children implements Node.
-func (s *Stream) Children() []Node { return []Node{s.Source} }
-
-// Label implements Node.
-func (s *Stream) Label() string {
-	if s.Positive {
-		return "Stream+"
-	}
-	return "Stream-"
-}
-
 // Project restricts tuples to the named columns; Cols are the resolved
 // positions in the child schema.
 type Project struct {
@@ -304,23 +268,31 @@ func aggLabels(aggs []algebra.AggItem) string {
 // planner fused into the Γ² (nil for none): it is evaluated on each left
 // row ◦ its aggregate results, which Results names, and only the rows it
 // holds TRUE on are written — the node then stands for the σ, its
-// Logical(). Emit is as in Join, over the left row ◦ the aggregate
-// results, and PassLeft as in Join.
+// Logical(), or for the bypass cascade it runs. Bypass and Rest split a
+// disjunctive Keep of a node emitting no aggregate result into the
+// operands reading only L's columns and the others; where VecBypass,
+// Bypass compiled over L, runs, a left tuple it holds TRUE on is written
+// without a probe and only the others probe, decided by Rest. Emit is
+// as in Join, over the left row ◦ the aggregate results, and PassLeft
+// as in Join.
 type BinaryGroup struct {
 	base
-	L, R     Node
-	Pred     algebra.Expr
-	Tag      algebra.Expr
-	VecTag   *vec.Pred
-	LCols    []int
-	RCols    []int
-	Theta    types.CompareOp
-	Groups   float64
-	Aggs     []algebra.AggItem
-	Keep     algebra.Expr
-	Results  *storage.Schema
-	Emit     []int
-	PassLeft bool
+	L, R      Node
+	Pred      algebra.Expr
+	Tag       algebra.Expr
+	VecTag    *vec.Pred
+	LCols     []int
+	RCols     []int
+	Theta     types.CompareOp
+	Groups    float64
+	Aggs      []algebra.AggItem
+	Keep      algebra.Expr
+	Bypass    algebra.Expr
+	VecBypass *vec.Pred
+	Rest      algebra.Expr
+	Results   *storage.Schema
+	Emit      []int
+	PassLeft  bool
 }
 
 // Children implements Node.
@@ -352,25 +324,19 @@ func (b *BinaryGroup) Label() string {
 	return out + emitLabel(b, b.Emit, b.L.Schema().Len()+len(b.Aggs))
 }
 
-// Union concatenates two inputs with equal schemas. Disjoint records
-// the rewriter's disjointness claim (the two streams of one bypass
-// operator); execution is concatenation either way.
+// Union concatenates two inputs with equal schemas (∪, UNION ALL). A
+// disjoint union ∪̇ has no node: the only one disqo plans, the bypass
+// cascade's, lowers to the one pass it stands for (see Planner).
 type Union struct {
 	base
-	L, R     Node
-	Disjoint bool
+	L, R Node
 }
 
 // Children implements Node.
 func (u *Union) Children() []Node { return []Node{u.L, u.R} }
 
 // Label implements Node.
-func (u *Union) Label() string {
-	if u.Disjoint {
-		return "UnionDisjoint"
-	}
-	return "UnionAll"
-}
+func (u *Union) Label() string { return "UnionAll" }
 
 // Distinct removes duplicate tuples (Identical semantics, first-seen
 // order).

@@ -14,9 +14,9 @@ import (
 //
 // Which nodes count as served by the vector path (Vectorizable):
 //
-//	Filter, σ± (BypassFilter): the predicate compiles against the
-//	    child schema — every column reference resolves locally (no
-//	    outer correlation) and no subquery/quantifier appears.
+//	Filter: the predicate compiles against the child schema — every
+//	    column reference resolves locally (no outer correlation) and no
+//	    subquery/quantifier appears.
 //	Map: the expression compiles, same conditions.
 //	Scan, Project, and a hash Join without residual: always — they
 //	    evaluate no expression, so no interpreter runs in them (a
@@ -30,11 +30,14 @@ import (
 //
 // A node may run a compiled program without counting as vector-served:
 // a tagged Γ² whose tag compiled runs it on the vector path even where
-// it interprets its pairs, its Keep or an aggregate argument. Compiled
-// is that wider set. The executor fires the vec fault site on every
-// node in it and credits VecCalls only to the Vectorizable ones, so
-// EXPLAIN's path annotation and the VecCalls counter agree, and every
-// compiled program stays reachable by the fault injector.
+// it interprets its pairs, its Keep or an aggregate argument, and a Γ²
+// whose fused disjunction has bypass operands (BinaryGroup.Bypass) runs
+// them compiled over its left input, though it interprets the rest of
+// the disjunction. Compiled is that wider set. The executor fires the
+// vec fault site on every node in it and credits VecCalls only to the
+// Vectorizable ones, so EXPLAIN's path annotation and the VecCalls
+// counter agree, and every compiled program stays reachable by the
+// fault injector.
 //
 // Before compiling a predicate the planner orders every AND/OR operand
 // list by stats.Estimator.Order — descending by the share of rows an
@@ -55,20 +58,20 @@ func (p *Planner) vectorize(n Node) {
 		if pr, err := vec.CompilePred(p.est.Order(x.Pred, x.Child.Logical()), x.Child.Schema()); err == nil {
 			x.VecPred = pr
 		}
-	case *BypassFilter:
-		if pr, err := vec.CompilePred(p.est.Order(x.Pred, x.Child.Logical()), x.Child.Schema()); err == nil {
-			x.VecPred = pr
-		}
 	case *Map:
 		if sc, err := vec.CompileScalar(x.Expr, x.Child.Schema()); err == nil {
 			x.VecExpr = sc
 		}
 	case *BinaryGroup:
-		if x.Tag == nil {
-			return
+		if x.Tag != nil {
+			if pr, err := vec.CompilePred(p.est.Order(x.Tag, x.R.Logical()), x.R.Schema()); err == nil {
+				x.VecTag = pr
+			}
 		}
-		if pr, err := vec.CompilePred(p.est.Order(x.Tag, x.R.Logical()), x.R.Schema()); err == nil {
-			x.VecTag = pr
+		if x.Bypass != nil {
+			if pr, err := vec.CompilePred(p.est.Order(x.Bypass, x.L.Logical()), x.L.Schema()); err == nil {
+				x.VecBypass = pr
+			}
 		}
 	}
 }
@@ -83,13 +86,8 @@ func Vectorizable(n Node) bool {
 		return true
 	case *Filter:
 		return x.VecPred != nil
-	case *BypassFilter:
-		return x.VecPred != nil
 	case *Map:
 		return x.VecExpr != nil
-	case *Stream:
-		src, ok := x.Source.(*BypassFilter)
-		return ok && src.VecPred != nil
 	case *Join:
 		return x.LCols != nil && x.Pred == nil
 	case *BinaryGroup:
@@ -100,10 +98,11 @@ func Vectorizable(n Node) bool {
 }
 
 // Compiled reports whether the vector path runs compiled code in the
-// node: every Vectorizable node, and a Γ² whose tag compiled.
+// node: every Vectorizable node, and a Γ² whose tag or bypass operands
+// compiled.
 func Compiled(n Node) bool {
 	if bg, ok := n.(*BinaryGroup); ok {
-		return bg.VecTag != nil
+		return bg.VecTag != nil || bg.VecBypass != nil
 	}
 	return Vectorizable(n)
 }

@@ -52,16 +52,27 @@ func TestVectorizeSubqueryStaysRowPath(t *testing.T) {
 	}
 }
 
-func TestVectorizeBypassFilter(t *testing.T) {
+// TestVectorizeBypassOperands: the σ± a bypass cascade tests first
+// becomes its top Γ²'s bypass operands, compiled against the Γ²'s left
+// input — what the vector path runs before any probe.
+func TestVectorizeBypassOperands(t *testing.T) {
 	cat := testCat(t)
+	r, s := scanOf(t, cat, "r"), scanOf(t, cat, "s")
 	pred := algebra.Cmp(types.GT, algebra.Col("r.a1"), algebra.ConstInt(0))
-	n := lower(t, cat, algebra.NewBypassSelect(scanOf(t, cat, "r"), pred))
-	bf, ok := n.(*physical.BypassFilter)
-	if !ok {
-		t.Fatalf("lowered to %T, want *BypassFilter", n)
+	group := func(cur algebra.Op) algebra.Op {
+		return algebra.NewBinaryGroup(cur, s, algebra.Cmp(types.EQ, algebra.Col("r.a2"), algebra.Col("s.b2")), countAgg())
 	}
-	if bf.VecPred == nil {
-		t.Fatal("σ± with a simple predicate did not compile")
+	n := lower(t, cat, cascade(r, []algebra.Expr{pred, algebra.Cmp(types.EQ, algebra.Col("r.a1"), algebra.Col("g1"))},
+		[]func(algebra.Op) algebra.Op{nil, group}))
+	bg, ok := n.(*physical.BinaryGroup)
+	if !ok {
+		t.Fatalf("lowered to %T, want *BinaryGroup", n)
+	}
+	if bg.Bypass != pred || bg.VecBypass == nil {
+		t.Fatalf("bypass operands %v compiled %v, want %s compiled", bg.Bypass, bg.VecBypass != nil, pred)
+	}
+	if !physical.Compiled(bg) {
+		t.Error("Compiled must hold for a Γ² whose bypass operands compiled")
 	}
 }
 

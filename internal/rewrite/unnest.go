@@ -137,7 +137,9 @@ func (rw *Rewriter) unnestDisjunction(base algebra.Op, disjuncts []algebra.Expr,
 // result and whose negative stream feeds the rest of the chain. Subquery
 // disjuncts are unnested against the current stream before their bypass
 // (which is exactly Eqv. 3 when such a disjunct comes first, and Eqv. 2
-// when a cheap simple predicate precedes it).
+// when a cheap simple predicate precedes it). The plan has the shape
+// algebra.CascadeInput reads, which is how the planner runs it in one
+// pass; the last branch's σ is unnested again with the rest of the plan.
 func (rw *Rewriter) cascade(base algebra.Op, disjuncts []algebra.Expr, outAttrs []string) (algebra.Op, bool, error) {
 	rw.est.OrderDisjuncts(disjuncts, base)
 	cur := base

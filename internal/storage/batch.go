@@ -12,7 +12,7 @@ import (
 // holds. A Batch never copies or mutates rows — vectorized operators
 // read columns here and emit results as selection vectors (row indices
 // into the underlying relation), so converting back to the row
-// representation is a pointer gather (exec's gatherChunks) and the two
+// representation is a pointer gather (exec's evalFilter) and the two
 // execution paths share row identity byte for byte.
 //
 // Column construction is idempotent and safe for concurrent use: the

@@ -41,6 +41,10 @@ type OpMetrics struct {
 	VecCalls int64 `json:"vec_calls,omitempty"`
 	// HashBuildRows is the total build-side size of hash tables built.
 	HashBuildRows int64 `json:"hash_build_rows,omitempty"`
+	// Probes is how many left tuples a binary grouping looked its group
+	// up for: those its fused disjunction's bypass operands left
+	// undecided.
+	Probes int64 `json:"probes,omitempty"`
 	// Wall is the cumulative inclusive evaluation time.
 	Wall time.Duration `json:"wall_ns"`
 	// Children are the IDs of the operator's physical inputs.
@@ -102,6 +106,7 @@ func newPlanMetrics(pp *prepared, nm []exec.NodeMetrics) *PlanMetrics {
 				om.Morsels = m.Morsels
 				om.VecCalls = m.VecCalls
 				om.HashBuildRows = m.HashBuildRows
+				om.Probes = m.Probes
 				om.Wall = m.Wall()
 			}
 			for _, c := range n.Children() {
@@ -142,6 +147,9 @@ func analyzeAnnot(pm *PlanMetrics) func(physical.Node) string {
 		}
 		if m.HashBuildRows > 0 {
 			fmt.Fprintf(&b, ", build=%d", m.HashBuildRows)
+		}
+		if _, ok := n.(*physical.BinaryGroup); ok {
+			fmt.Fprintf(&b, ", probes=%d", m.Probes)
 		}
 		if m.Morsels > 0 {
 			fmt.Fprintf(&b, ", morsels=%d", m.Morsels)

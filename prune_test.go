@@ -46,18 +46,21 @@ func TestPrunedPlansAgreeWithCanonical(t *testing.T) {
 		plan      []string
 		canonical bool
 	}{
-		{"the σ± streams' consumers read different columns", // Π[a1..a4] over Stream+, Eqv. 1's Γ² on a2 over Stream-: σ± stays whole
+		{"a cascade's Γ² chain reads the union's columns", // Γ²₁ writes every column for Γ²₂, whose fused disjunction emits the union's
 			`SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)`,
-			[]string{"#1 Filter±[", "↑ see #1", "HashBinaryGroup[r.a4=t.c2][g1:COUNT(DISTINCT *)]  (est", "HashBinaryGroup[r.a2=s.b2][g2:COUNT(DISTINCT *)] σ[(r.a1 = g2)] → [r.a1, r.a2, r.a3, r.a4] (4 of 6 cols)"}, false},
+			[]string{"HashBinaryGroup[r.a4=t.c2][g1:COUNT(DISTINCT *)]  (est", "HashBinaryGroup[r.a2=s.b2][g2:COUNT(DISTINCT *)] σ[((r.a3 = g1) OR (r.a1 = g2))] → [r.a1, r.a2, r.a3, r.a4] (4 of 6 cols)"}, false},
+		{"a shared operator's consumers read different columns", // the counts read s ⋈ t's b3, the MIN b1 too: the join stays whole
+			`SELECT a1 FROM r WHERE a1 < ALL (SELECT b1 FROM s, t WHERE b2 = c2 AND b3 > a3)`,
+			[]string{"#1 HashJoin[s.b2=t.c2]  (est", "↑ see #1 HashJoin[s.b2=t.c2]"}, false},
 		{"a free attribute read only inside the nested block", // a3 reaches the block through the pruned join
 			`SELECT a1 FROM r, t WHERE a2 = c2 AND a1 < ALL (SELECT b1 FROM s WHERE b3 > a3)`,
 			[]string{"HashJoin[r.a2=t.c2] → [r.a1, r.a3] (2 of 8 cols)"}, true},
 		{"sorted Γ² with an emit list", // the same query unnested: θ-correlation, ALL as two counts and a MIN
 			`SELECT a1 FROM r, t WHERE a2 = c2 AND a1 < ALL (SELECT b1 FROM s WHERE b3 > a3)`,
-			[]string{"SortBinaryGroup[r.a3 < s.b3][g2:COUNT(*)] → ["}, false},
+			[]string{"SortBinaryGroup[r.a3 < s.b3][g3:MIN(s.b1)] σ[((0 = g1) OR ((0 = g2) AND (r.a1 < g3)))] → [r.a1] (1 of 5 cols)"}, false},
 		{"COUNT(DISTINCT *) over a pruned join", // the * tuple is s ◦ t's columns, by name
 			`SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s, t WHERE b1 = c1 AND a2 = b2) OR a4 > 2900`,
-			[]string{"HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)] σ[(r.a1 = g1)] → [r.a1, r.a2, r.a3, r.a4]", "HashJoin[s.b1=t.c1]  (est"}, false},
+			[]string{"HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)] σ[((r.a4 > 2900) OR (r.a1 = g1))] → [r.a1, r.a2, r.a3, r.a4]", "HashJoin[s.b1=t.c1]  (est"}, false},
 		{"COUNT(DISTINCT col) and COUNT(*) over pruned joins",
 			`SELECT a2, a4 FROM r WHERE a1 = (SELECT COUNT(DISTINCT c3) FROM s, t WHERE b1 = c1 AND a2 = b2) AND a3 >= (SELECT COUNT(*) FROM s, t WHERE b2 = c2 AND b4 = a4)`,
 			[]string{"→ [s.b2, t.c3] (2 of 8 cols)", "→ [s#2.b4] (1 of 8 cols)"}, false},
@@ -217,18 +220,22 @@ func TestResultRowsSurviveWrites(t *testing.T) {
 }
 
 // TestQueryBytesGolden pins what one uncached execution of Fig. 7's Q1,
-// Q2 and Q3 and of the Eqv. 5 family's COUNT(DISTINCT *) statement (RST
-// at SF 0.05) and of TPC-H Query 2d (SF 0.01) allocates, planning
-// included, in bytes and in objects, at the measured reading + 10 % —
-// Q3's just under its reading with Eqv. 1's ⟕ and Γ as two operators: the
-// guard on the 32-byte Value, the row index, the emit lists, the row
-// slabs, Γ's one fold per group, the estimated join order, the memoized
-// estimator, the linking σ fused into the Γ², Eqv. 5's tag fused into
-// the Γ², hash tables of row numbers, and Eqv. 1's ⟕ over Γ run as one
-// hashed Γ² folded through Γ's presized group tables together.
-// Measured: Q1 84.2 kB in 377 objects, Q3 198.4 kB in 575 and Query 2d
-// 871 kB in 1 453, against 89.3 kB in 384, 208.8 kB in 595 and 1 027 kB
-// in 1 461 with the ⟕ a hash join over Γ's output; before that
+// Q2, Q3 and quantified EXISTS statement and of the Eqv. 5 family's
+// COUNT(DISTINCT *) statement (RST at SF 0.05) and of TPC-H Query 2d
+// (SF 0.01) allocates, planning included, in bytes and in objects, at
+// the measured reading + 10 %: the guard on the 32-byte Value, the row
+// index, the emit lists, the row slabs, Γ's one fold per group, the
+// estimated join order, the memoized estimator, the linking σ fused into
+// the Γ², Eqv. 5's tag fused into the Γ², hash tables of row numbers,
+// Eqv. 1's ⟕ over Γ run as one hashed Γ² folded through Γ's presized
+// group tables, and the bypass cascade run in one pass, in that Γ²,
+// together. Measured: Q1 71.5 kB in 367 objects, Q3 182.7 kB in 556,
+// quant_exists 84.8 kB in 411 and Query 2d 847 kB in 1 458, against
+// 84.2 kB in 377, 198.4 kB in 575, 103.0 kB in 423 and 871 kB in 1 452
+// with σ± splitting the outer rows into two streams and ∪̇ concatenating
+// them; before that Q1 84.2 kB in 377 objects, Q3 198.4 kB in 575 and
+// Query 2d 871 kB in 1 453, against 89.3 kB in 384, 208.8 kB in 595 and
+// 1 027 kB in 1 461 with the ⟕ a hash join over Γ's output; before that
 // Q1 89.4 kB in 384 objects, Q2 54.9 kB in 335, COUNT(DISTINCT *)
 // 101.0 kB in 347 and Query 2d 1 028 kB in 1 463, against 123.3 kB in
 // 414, 65.3 kB in 331, 136.4 kB in 492 and 1 533 kB in 1 505 with every
@@ -264,13 +271,15 @@ func TestQueryBytesGolden(t *testing.T) {
 		bytes   uint64
 		mallocs uint64
 	}{
-		{"Fig. 7 Q1 at RST SF 0.05", rst, q1SQL, 92_700, 415},
+		{"Fig. 7 Q1 at RST SF 0.05", rst, q1SQL, 78_700, 404},
 		{"Fig. 7 Q2 (Eqv. 5) at RST SF 0.05", rst, q2SQL, 60_400, 368},
 		{"q2_count_distinct (Eqv. 5, DISTINCT) at RST SF 0.05", rst, `SELECT DISTINCT * FROM r
 		  WHERE a1 <= (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2 OR b4 > 1500)`, 111_100, 382},
 		{"Fig. 7 Q3 (two Eqv. 1 blocks) at RST SF 0.05", rst, `SELECT DISTINCT * FROM r
 		  WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2)
-		     OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)`, 208_000, 590},
+		     OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)`, 201_100, 612},
+		{"quant_exists (EXISTS as a count) at RST SF 0.05", rst, `SELECT DISTINCT * FROM r
+		  WHERE EXISTS (SELECT * FROM s WHERE a2 = b2 AND b4 > 2500) OR a4 > 1500`, 93_300, 453},
 		{"Query 2d at TPC-H SF 0.01", tpch, `SELECT s_acctbal, s_name, n_name, p_partkey, p_mfgr, s_address, s_phone, s_comment
 		  FROM part, supplier, partsupp, nation, region
 		  WHERE p_partkey = ps_partkey AND s_suppkey = ps_suppkey AND p_size = 15 AND p_type LIKE '%BRASS'
@@ -279,7 +288,7 @@ func TestQueryBytesGolden(t *testing.T) {
 		                          WHERE s_suppkey = ps_suppkey AND p_partkey = ps_partkey AND s_nationkey = n_nationkey
 		                            AND n_regionkey = r_regionkey AND r_name = 'EUROPE')
 		         OR ps_availqty > 8000)
-		  ORDER BY s_acctbal DESC, n_name, s_name, p_partkey`, 958_100, 1_599},
+		  ORDER BY s_acctbal DESC, n_name, s_name, p_partkey`, 931_700, 1_604},
 	} {
 		run := func() {
 			if res, err := c.db.Query(c.sql, WithWorkers(1)); err != nil || len(res.Rows) == 0 {

@@ -104,7 +104,9 @@ func TestWorkloadStatsGroundTruth(t *testing.T) {
 
 	// Phase 2 — one execution error: a statement the cache has never
 	// seen, run under a tuple budget nothing fits in. It fails inside
-	// the executor, after admission, so it counts as admitted + error.
+	// the executor, after admission — every operator's output counts
+	// against the budget, and the first, the scan of r, holds more than
+	// one tuple — so it counts as admitted + error.
 	errSQL := chaosQ1 + ` AND a3 >= 0`
 	if _, err := db.Query(errSQL, WithStrategy(Unnested), WithTupleLimit(1)); err == nil {
 		t.Fatal("tuple-limited query unexpectedly succeeded")

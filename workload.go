@@ -84,7 +84,7 @@ func opObs(pm *PlanMetrics) []telemetry.OpObs {
 }
 
 // opClass cuts a physical label at its first argument delimiter:
-// "Scan(r)" → "Scan", "Filter±[...]" → "Filter±".
+// "Scan(r)" → "Scan", "HashBinaryGroup[...]" → "HashBinaryGroup".
 func opClass(label string) string {
 	if i := strings.IndexAny(label, "(["); i > 0 {
 		return label[:i]

@@ -338,19 +338,24 @@ func (a *AllAnyExpr) Columns(into []string) []string {
 }
 
 // SplitConjuncts flattens nested ANDs into a conjunct list.
-func SplitConjuncts(e Expr) []Expr {
+func SplitConjuncts(e Expr) []Expr { return AppendConjuncts(make([]Expr, 0, 4), e) }
+
+// AppendConjuncts appends e's conjuncts, nested ANDs flattened, to into.
+func AppendConjuncts(into []Expr, e Expr) []Expr {
 	if a, ok := e.(*AndExpr); ok {
-		return append(SplitConjuncts(a.L), SplitConjuncts(a.R)...)
+		return AppendConjuncts(AppendConjuncts(into, a.L), a.R)
 	}
-	return []Expr{e}
+	return append(into, e)
 }
 
 // SplitDisjuncts flattens nested ORs into a disjunct list.
-func SplitDisjuncts(e Expr) []Expr {
+func SplitDisjuncts(e Expr) []Expr { return appendDisjuncts(make([]Expr, 0, 4), e) }
+
+func appendDisjuncts(into []Expr, e Expr) []Expr {
 	if o, ok := e.(*OrExpr); ok {
-		return append(SplitDisjuncts(o.L), SplitDisjuncts(o.R)...)
+		return appendDisjuncts(appendDisjuncts(into, o.L), o.R)
 	}
-	return []Expr{e}
+	return append(into, e)
 }
 
 // EquiKeys splits a predicate over two inputs, of schemas ls and rs, into
@@ -364,7 +369,8 @@ func EquiKeys(pred Expr, ls, rs *storage.Schema) (lcols, rcols []int, residual [
 	if pred == nil {
 		return nil, nil, nil
 	}
-	for _, c := range SplitConjuncts(pred) {
+	var buf [8]Expr
+	for _, c := range AppendConjuncts(buf[:0], pred) {
 		if cmp, ok := c.(*CmpExpr); ok && cmp.Op == types.EQ {
 			lc, lok := cmp.L.(*ColRef)
 			rc, rok := cmp.R.(*ColRef)

@@ -1,6 +1,6 @@
 package algebra
 
-import "sort"
+import "slices"
 
 // FreeColumns returns the sorted, deduplicated set of attribute names the
 // plan references but does not itself produce — the correlation
@@ -10,26 +10,36 @@ import "sort"
 // reference against its own operator's inputs would add nothing: those
 // are produced too).
 func FreeColumns(plan Op) []string {
-	var refs []string
-	produced := map[string]bool{}
-	Walk(plan, func(op Op) bool {
-		for _, a := range op.Schema().Attrs() {
-			produced[a] = true
-		}
-		for _, e := range Exprs(op) {
-			refs = e.Columns(refs)
-		}
-		return true
-	})
+	var buf [16]Op
+	ops, refs := gather(plan, buf[:0], nil)
 	var out []string
 	for _, c := range refs {
-		if !produced[c] {
-			produced[c] = true // report each name once
+		if !slices.ContainsFunc(ops, func(op Op) bool { return op.Schema().Has(c) }) {
 			out = append(out, c)
 		}
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// gather appends to ops every operator of the plan below op not in it
+// yet, each once, and to refs the columns their expressions reference.
+// A plan is a handful of operators, so ops is searched rather than
+// hashed.
+func gather(op Op, ops []Op, refs []string) ([]Op, []string) {
+	if slices.Contains(ops, op) {
+		return ops, refs
+	}
+	ops = append(ops, op)
+	var ex [4]Expr
+	for _, e := range AppendExprs(ex[:0], op) {
+		refs = e.Columns(refs)
+	}
+	var in [2]Op
+	for _, i := range appendInputs(in[:0], op) {
+		ops, refs = gather(i, ops, refs)
+	}
+	return ops, refs
 }
 
 // Correlated reports whether the plan references outer attributes.

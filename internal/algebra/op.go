@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"disqo/internal/agg"
 	"disqo/internal/storage"
@@ -207,12 +208,32 @@ type Project struct {
 }
 
 // NewProject builds a projection; it panics if an attribute is missing
-// from the child schema (a rewriter bug, not a user error).
+// from the child schema (a rewriter bug, not a user error). Onto the
+// child's own attribute list it has the child's schema.
 func NewProject(child Op, attrs []string) *Project {
-	if _, err := child.Schema().Projection(attrs); err != nil {
-		panic(fmt.Sprintf("algebra: project: %v", err))
+	sch := child.Schema()
+	mustHave(sch, attrs, "project")
+	if !slices.Equal(attrs, sch.Attrs()) {
+		sch = storage.NewSchema(attrs...)
 	}
-	return &Project{unary: unary{child}, Attrs: attrs, schema: storage.NewSchema(attrs...)}
+	return &Project{unary: unary{child}, Attrs: attrs, schema: sch}
+}
+
+// ProjectOnto builds the projection whose schema is sch: Π onto sch's
+// attributes, sharing sch.
+func ProjectOnto(child Op, sch *storage.Schema) *Project {
+	mustHave(child.Schema(), sch.Attrs(), "project")
+	return &Project{unary: unary{child}, Attrs: sch.Attrs(), schema: sch}
+}
+
+// mustHave panics when sch lacks one of attrs: an operator built over
+// attributes its input does not carry is a rewriter bug.
+func mustHave(sch *storage.Schema, attrs []string, op string) {
+	for _, a := range attrs {
+		if !sch.Has(a) {
+			panic(fmt.Sprintf("algebra: %s: no attribute %q in %s", op, a, sch))
+		}
+	}
 }
 
 // Schema implements Op.
@@ -422,10 +443,9 @@ type GroupBy struct {
 
 // NewGroupBy builds a unary grouping node.
 func NewGroupBy(child Op, attrs []string, aggs []AggItem, global bool) *GroupBy {
-	if _, err := child.Schema().Projection(attrs); err != nil {
-		panic(fmt.Sprintf("algebra: groupby: %v", err))
-	}
-	names := append([]string(nil), attrs...)
+	mustHave(child.Schema(), attrs, "groupby")
+	names := make([]string, 0, len(attrs)+len(aggs))
+	names = append(names, attrs...)
 	for _, a := range aggs {
 		names = append(names, a.Out)
 	}
@@ -473,11 +493,12 @@ type BinaryGroup struct {
 
 // NewBinaryGroup builds a binary grouping node.
 func NewBinaryGroup(l, r Op, pred Expr, aggs []AggItem) *BinaryGroup {
-	sch := l.Schema()
+	names := make([]string, 0, l.Schema().Len()+len(aggs))
+	names = append(names, l.Schema().Attrs()...)
 	for _, a := range aggs {
-		sch = sch.Extend(a.Out)
+		names = append(names, a.Out)
 	}
-	return &BinaryGroup{binary: binary{l, r}, Pred: pred, Aggs: aggs, schema: sch}
+	return &BinaryGroup{binary: binary{l, r}, Pred: pred, Aggs: aggs, schema: storage.NewSchema(names...)}
 }
 
 // Schema implements Op.

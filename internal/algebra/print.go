@@ -103,7 +103,7 @@ func Walk(root Op, fn func(Op) bool) {
 func ContainsSubquery(root Op) bool {
 	found := false
 	Walk(root, func(op Op) bool {
-		for _, e := range Exprs(op) {
+		for _, e := range AppendExprs(nil, op) {
 			found = found || HasSubquery(e)
 		}
 		return !found

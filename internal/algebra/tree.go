@@ -3,9 +3,9 @@ package algebra
 import "fmt"
 
 // This file states the shape of the two trees once. An operator has
-// inputs (Op.Inputs) and attached expressions (Exprs); an expression has
-// child expressions and, for the three subquery kinds, an embedded plan
-// (exprParts). withParts and exprWithParts rebuild a node of the same
+// inputs (Op.Inputs) and attached expressions (AppendExprs); an
+// expression has child expressions and, for the three subquery kinds,
+// an embedded plan (exprParts). withParts and exprWithParts rebuild a node of the same
 // kind over new parts. Every other traversal — the generic maps
 // MapChildren and MapExprChildren, HasSubquery, SubqueryExprs,
 // NestedPlans, WalkNested, the rewriter's recursion — is derived from
@@ -27,30 +27,38 @@ func EachInput(op Op, fn func(Op)) {
 	}
 }
 
-// Exprs returns the expressions attached directly to an operator, in the
-// order withParts takes them back.
-func Exprs(op Op) []Expr {
+// appendInputs appends op's inputs to into, in Inputs' order: the
+// traversals here pass a buffer on their stack rather than have Inputs
+// build a slice per node.
+func appendInputs(into []Op, op Op) []Op {
+	EachInput(op, func(in Op) { into = append(into, in) })
+	return into
+}
+
+// AppendExprs appends the expressions attached directly to an operator
+// to into, in the order withParts takes them back.
+func AppendExprs(into []Expr, op Op) []Expr {
 	switch x := op.(type) {
 	case *Select:
-		return []Expr{x.Pred}
+		return append(into, x.Pred)
 	case *BypassSelect:
-		return []Expr{x.Pred}
+		return append(into, x.Pred)
 	case *MapOp:
-		return []Expr{x.Expr}
+		return append(into, x.Expr)
 	case *Join:
-		return []Expr{x.Pred}
+		return append(into, x.Pred)
 	case *SemiJoin:
-		return []Expr{x.Pred}
+		return append(into, x.Pred)
 	case *AntiJoin:
-		return []Expr{x.Pred}
+		return append(into, x.Pred)
 	case *LeftOuterJoin:
-		return []Expr{x.Pred}
+		return append(into, x.Pred)
 	case *GroupBy:
-		return aggArgs(nil, x.Aggs)
+		return aggArgs(into, x.Aggs)
 	case *BinaryGroup:
-		return aggArgs([]Expr{x.Pred}, x.Aggs)
+		return aggArgs(append(into, x.Pred), x.Aggs)
 	default:
-		return nil
+		return into
 	}
 }
 
@@ -78,10 +86,18 @@ func withArgs(aggs []AggItem, args []Expr) []AggItem {
 }
 
 // withParts rebuilds an operator of op's kind over new inputs (as
-// Inputs orders them) and new attached expressions (as Exprs orders
-// them); everything else — attribute lists, defaults, keys, the tag — is
-// op's. Schemas are re-derived by the constructors.
+// Inputs orders them) and new attached expressions (as AppendExprs
+// orders them); everything else — attribute lists, defaults, keys, the
+// tag — is op's. An operator whose schema is its own keeps op's when
+// the new inputs have the schemas op's inputs had (a rewrite below that
+// changed nothing the operator sees); otherwise its constructor derives
+// it again.
 func withParts(op Op, in []Op, ex []Expr) (Op, error) {
+	var old [2]Op
+	same := true
+	for i, o := range appendInputs(old[:0], op) {
+		same = same && in[i].Schema() == o.Schema()
+	}
 	switch x := op.(type) {
 	case *Select:
 		return NewSelect(in[0], ex[0]), nil
@@ -90,24 +106,48 @@ func withParts(op Op, in []Op, ex []Expr) (Op, error) {
 	case *Stream:
 		return &Stream{Source: in[0], Positive: x.Positive}, nil
 	case *Project:
+		if same {
+			return &Project{unary{in[0]}, x.Attrs, x.schema}, nil
+		}
 		return NewProject(in[0], x.Attrs), nil
 	case *Rename:
+		if same {
+			return &Rename{unary{in[0]}, x.Pairs, x.schema}, nil
+		}
 		return NewRename(in[0], x.Pairs)
 	case *MapOp:
+		if same {
+			return &MapOp{unary{in[0]}, x.Attr, ex[0], x.schema}, nil
+		}
 		return NewMap(in[0], x.Attr, ex[0]), nil
 	case *CrossProduct:
+		if same {
+			return &CrossProduct{binary{in[0], in[1]}, x.schema}, nil
+		}
 		return NewCross(in[0], in[1]), nil
 	case *Join:
+		if same {
+			return &Join{binary{in[0], in[1]}, ex[0], x.schema}, nil
+		}
 		return NewJoin(in[0], in[1], ex[0]), nil
 	case *SemiJoin:
 		return NewSemiJoin(in[0], in[1], ex[0]), nil
 	case *AntiJoin:
 		return NewAntiJoin(in[0], in[1], ex[0]), nil
 	case *LeftOuterJoin:
+		if same {
+			return &LeftOuterJoin{binary{in[0], in[1]}, ex[0], x.Defaults, x.schema}, nil
+		}
 		return NewLeftOuterJoin(in[0], in[1], ex[0], x.Defaults), nil
 	case *GroupBy:
+		if same {
+			return &GroupBy{unary{in[0]}, x.Attrs, withArgs(x.Aggs, ex), x.Global, x.schema}, nil
+		}
 		return NewGroupBy(in[0], x.Attrs, withArgs(x.Aggs, ex), x.Global), nil
 	case *BinaryGroup:
+		if same {
+			return &BinaryGroup{binary{in[0], in[1]}, ex[0], x.Tag, withArgs(x.Aggs, ex[1:]), x.schema}, nil
+		}
 		bg := NewBinaryGroup(in[0], in[1], ex[0], withArgs(x.Aggs, ex[1:]))
 		bg.Tag = x.Tag
 		return bg, nil
@@ -215,7 +255,9 @@ func mapEach[T comparable](xs []T, f func(T) (T, error)) (changed bool, err erro
 // pointer-identical, so a traversal that changes nothing allocates no
 // node and shared (DAG) structure stays shared.
 func MapChildren(op Op, in func(Op) (Op, error), ex func(Expr) (Expr, error)) (Op, error) {
-	ins, exs := op.Inputs(), Exprs(op)
+	var inBuf [2]Op
+	var exBuf [4]Expr
+	ins, exs := appendInputs(inBuf[:0], op), AppendExprs(exBuf[:0], op)
 	newIn, err := mapEach(ins, in)
 	if err != nil {
 		return nil, err
@@ -299,7 +341,8 @@ func SubqueryExprs(e Expr) []Expr {
 // its operand. It does not descend into the blocks; WalkNested does.
 func NestedPlans(op Op) []Op {
 	var out []Op
-	for _, e := range Exprs(op) {
+	var buf [4]Expr
+	for _, e := range AppendExprs(buf[:0], op) {
 		walkExpr(e, func(_ Expr, plan Op) bool {
 			if plan != nil {
 				out = append(out, plan)
@@ -334,7 +377,8 @@ func WalkNested(root Op, fn func(Op)) []Op {
 				visit(sp)
 			}
 		}
-		for _, in := range op.Inputs() {
+		var buf [2]Op
+		for _, in := range appendInputs(buf[:0], op) {
 			visit(in)
 		}
 	}

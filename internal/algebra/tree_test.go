@@ -188,7 +188,7 @@ func TestMappingOneChildOfAnOperator(t *testing.T) {
 					t.Errorf("%T input %d: position %d is %s", op, i, j, in.Label())
 				}
 			}
-			if out.Label() != op.Label() || !reflect.DeepEqual(Exprs(out), Exprs(op)) {
+			if out.Label() != op.Label() || !reflect.DeepEqual(AppendExprs(nil, out), AppendExprs(nil, op)) {
 				t.Errorf("%T input %d: label or expressions moved: %s", op, i, out.Label())
 			}
 		}
@@ -200,8 +200,8 @@ func TestMappingOneChildOfAnOperator(t *testing.T) {
 				t.Fatalf("%T expr %d: %v", op, i, err)
 			}
 			if !hit {
-				if i != len(Exprs(op)) {
-					t.Errorf("%T: map showed %d expressions, Exprs has %d", op, i, len(Exprs(op)))
+				if i != len(AppendExprs(nil, op)) {
+					t.Errorf("%T: map showed %d expressions, AppendExprs has %d", op, i, len(AppendExprs(nil, op)))
 				}
 				break
 			}
@@ -210,7 +210,7 @@ func TestMappingOneChildOfAnOperator(t *testing.T) {
 				t.Errorf("%T expr %d: inputs moved", op, i)
 			}
 			want := strings.Replace(op.Label(), old.String(), mark(old).String(), 1)
-			if out.Label() != want || Exprs(out)[i].String() != mark(old).String() {
+			if out.Label() != want || AppendExprs(nil, out)[i].String() != mark(old).String() {
 				t.Errorf("%T expr %d: label %s, want %s", op, i, out.Label(), want)
 			}
 		}
@@ -271,7 +271,7 @@ func found(t *testing.T, where string, op Op, sub *ScalarSubquery, outermost boo
 	t.Helper()
 	root := NewDistinct(op)
 	has := false
-	for _, e := range Exprs(op) {
+	for _, e := range AppendExprs(nil, op) {
 		has = has || HasSubquery(e)
 	}
 	if !has || !ContainsSubquery(root) {

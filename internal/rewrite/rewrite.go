@@ -23,6 +23,7 @@ package rewrite
 
 import (
 	"fmt"
+	"strconv"
 
 	"disqo/internal/agg"
 	"disqo/internal/algebra"
@@ -69,6 +70,7 @@ type Rewriter struct {
 	caps Caps
 	ctr  int
 	memo map[algebra.Op]algebra.Op
+	cols []string // scratch column list: hasFreeCols, correlation checks
 	// Trace records the equivalences applied, in order — used by tests
 	// and surfaced by EXPLAIN.
 	Trace []string
@@ -85,7 +87,7 @@ func New(cat catalog.Reader, caps Caps) *Rewriter {
 func (rw *Rewriter) fresh(base string, near algebra.Op) string {
 	for {
 		rw.ctr++
-		name := fmt.Sprintf("%s%d", base, rw.ctr)
+		name := base + strconv.Itoa(rw.ctr)
 		if near == nil || !near.Schema().Has(name) {
 			return name
 		}

@@ -50,7 +50,7 @@ peel:
 		case *algebra.Project:
 			plan = p.Child
 		case *algebra.Select:
-			conjs = append(conjs, algebra.SplitConjuncts(p.Pred)...)
+			conjs = algebra.AppendConjuncts(conjs, p.Pred)
 			plan = p.Child
 		default:
 			break peel
@@ -62,13 +62,13 @@ peel:
 	var corr, local []algebra.Expr
 	for _, c := range conjs {
 		if algebra.HasSubquery(c) {
-			if hasFreeCols(c, innerSchema) {
+			if rw.hasFreeCols(c, innerSchema) {
 				return cur, false, nil // nested subquery in the correlation: unsupported
 			}
 			local = append(local, c)
 			continue
 		}
-		if hasFreeCols(c, innerSchema) {
+		if rw.hasFreeCols(c, innerSchema) {
 			corr = append(corr, c)
 		} else {
 			local = append(local, c)

@@ -17,7 +17,7 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 	child := sel.Child
 	outAttrs := child.Schema().Attrs()
 
-	if len(algebra.SplitDisjuncts(pred)) > 1 {
+	if _, or := pred.(*algebra.OrExpr); or {
 		// Disjunctive linking: σ_{d1 ∨ … ∨ dn}(child). Quantified
 		// disjuncts go through the count conversion so the cascade's
 		// scalar machinery applies.
@@ -54,7 +54,7 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 			c = rw.quantToCount(c)
 		}
 		for _, cc := range algebra.SplitConjuncts(c) {
-			if len(algebra.SplitDisjuncts(cc)) > 1 && algebra.HasSubquery(cc) {
+			if _, or := cc.(*algebra.OrExpr); or && algebra.HasSubquery(cc) {
 				orSubs = append(orSubs, cc)
 			} else {
 				plain = append(plain, cc)
@@ -319,7 +319,7 @@ func (rw *Rewriter) unnestScalar(sub *algebra.ScalarSubquery, cur algebra.Op) (a
 	// Every equivalence evaluates the aggregate's argument inside a Γ over
 	// the subplan, which sees no outer column: an argument that reads one
 	// (SUM(b1 + a3)) keeps the subquery nested.
-	if sub.Arg != nil && hasFreeCols(sub.Arg, sub.Plan.Schema()) {
+	if sub.Arg != nil && rw.hasFreeCols(sub.Arg, sub.Plan.Schema()) {
 		return nil, cur, false, nil
 	}
 	// Collapse the subplan's top-level Select/Project layers into one
@@ -339,7 +339,7 @@ peel:
 			}
 			plan = p.Child
 		case *algebra.Select:
-			topConjs = append(topConjs, algebra.SplitConjuncts(p.Pred)...)
+			topConjs = algebra.AppendConjuncts(topConjs, p.Pred)
 			plan = p.Child
 		default:
 			break peel
@@ -355,15 +355,15 @@ peel:
 	var corrConjs, localConjs []algebra.Expr
 	var corrDisj algebra.Expr // a conjunct that is a disjunction involving correlation
 	for _, ic := range topConjs {
-		ds := algebra.SplitDisjuncts(ic)
-		freeHere := hasFreeCols(ic, innerSchema)
+		_, or := ic.(*algebra.OrExpr)
+		freeHere := rw.hasFreeCols(ic, innerSchema)
 		switch {
-		case len(ds) == 1 && freeHere:
+		case !or && freeHere:
 			if algebra.HasSubquery(ic) {
 				return nil, cur, false, nil // correlated conjunct with nested subquery: unsupported
 			}
 			corrConjs = append(corrConjs, ic)
-		case len(ds) > 1 && freeHere:
+		case or && freeHere:
 			if corrDisj != nil {
 				return nil, cur, false, nil // at most one disjunctive-correlation conjunct supported
 			}
@@ -448,7 +448,8 @@ func (rw *Rewriter) unnestConjunctiveCorrelation(sub *algebra.ScalarSubquery, in
 	// Generalized correlation (θ ∈ {≠,<,≤,>,≥} or expression-valued):
 	// binary grouping extends every outer tuple directly.
 	corr := algebra.And(corrConjs...)
-	for _, col := range corr.Columns(nil) {
+	rw.cols = corr.Columns(rw.cols[:0])
+	for _, col := range rw.cols {
 		if !innerSchema.Has(col) && !cur.Schema().Has(col) {
 			return nil, nil, false, nil // indirect correlation: not supported
 		}
@@ -479,7 +480,7 @@ func (rw *Rewriter) buildEqv5(sub *algebra.ScalarSubquery, inner algebra.Op, cor
 
 	var corrDs, pDs []algebra.Expr
 	for _, d := range algebra.SplitDisjuncts(corrDisj) {
-		if hasFreeCols(d, inner.Schema()) {
+		if rw.hasFreeCols(d, inner.Schema()) {
 			corrDs = append(corrDs, d)
 		} else {
 			pDs = append(pDs, d)
@@ -488,7 +489,8 @@ func (rw *Rewriter) buildEqv5(sub *algebra.ScalarSubquery, inner algebra.Op, cor
 	corr := algebra.Or(corrDs...)
 	// Direct correlation check: every free column of corr must come from
 	// the current outer stream.
-	for _, col := range corr.Columns(nil) {
+	rw.cols = corr.Columns(rw.cols[:0])
+	for _, col := range rw.cols {
 		if !inner.Schema().Has(col) && !cur.Schema().Has(col) {
 			return nil, nil, false, nil
 		}
@@ -526,8 +528,9 @@ func (rw *Rewriter) aggItem(out string, sub *algebra.ScalarSubquery, inner algeb
 
 // hasFreeCols reports whether the expression references a column outside
 // the given schema.
-func hasFreeCols(e algebra.Expr, schema interface{ Has(string) bool }) bool {
-	for _, col := range e.Columns(nil) {
+func (rw *Rewriter) hasFreeCols(e algebra.Expr, schema interface{ Has(string) bool }) bool {
+	rw.cols = e.Columns(rw.cols[:0])
+	for _, col := range rw.cols {
 		if !schema.Has(col) {
 			return true
 		}

@@ -24,6 +24,7 @@ func FuzzParse(f *testing.F) {
 		"INSERT INTO t VALUES (1, 'x', 2.5, TRUE), (2, NULL, -0.5, FALSE)",
 		"DELETE FROM t WHERE a = 1 OR b LIKE 'x%'",
 		"UPDATE t SET a = a + 1 WHERE b IS NULL",
+		"SELECT é FROM r", "SELECT größe FROM r", "SELECT \xc3 FROM r", "SELECT \xc4 FROM r",
 	} {
 		f.Add(seed)
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies lexical tokens.
@@ -51,21 +52,69 @@ func (t Token) String() string {
 	}
 }
 
-// keywords are the reserved words of the dialect. Aggregate names are
-// deliberately NOT reserved so they can still appear as column names;
-// the parser recognizes them contextually before a parenthesis.
-var keywords = map[string]bool{
-	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true,
-	"AND": true, "OR": true, "NOT": true, "LIKE": true, "IS": true,
-	"NULL": true, "EXISTS": true, "IN": true, "ORDER": true, "BY": true,
-	"ASC": true, "DESC": true, "AS": true, "TRUE": true, "FALSE": true,
-	"BETWEEN": true, "ALL": true, "SOME": true, "ANY": true,
-	"GROUP": true, "HAVING": true, "LIMIT": true,
+// keywords are the reserved words of the dialect, each mapped to its own
+// spelling. Aggregate names are deliberately NOT reserved so they can
+// still appear as column names; the parser recognizes them contextually
+// before a parenthesis.
+var keywords = wordSet("SELECT", "DISTINCT", "FROM", "WHERE", "AND", "OR", "NOT",
+	"LIKE", "IS", "NULL", "EXISTS", "IN", "ORDER", "BY", "ASC", "DESC", "AS",
+	"TRUE", "FALSE", "BETWEEN", "ALL", "SOME", "ANY", "GROUP", "HAVING", "LIMIT")
+
+// wordSet maps each word to itself.
+func wordSet(words ...string) map[string]string {
+	m := make(map[string]string, len(words))
+	for _, w := range words {
+		m[w] = w
+	}
+	return m
+}
+
+// lookupWord returns the word of set that w spells in ASCII letters of
+// either case, "" when it spells none. The set's words are upper-case
+// ASCII of at most eight letters, so a word with another byte in it is
+// none of them.
+func lookupWord(set map[string]string, w string) string {
+	var up [8]byte
+	if len(w) > len(up) {
+		return ""
+	}
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	return set[string(up[:len(w)])]
+}
+
+// isBlank reports whether c separates tokens.
+func isBlank(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// isOpByte reports whether c is one of the operator and punctuation
+// characters, each a token or the start of one.
+func isOpByte(c byte) bool { return strings.IndexByte("=<>!+-*/(),.", c) >= 0 }
+
+// estimateTokens is about how many tokens input lexes to: one per run of
+// bytes between blanks, one per operator character, and the end.
+func estimateTokens(input string) int {
+	n, inRun := 1, false
+	for i := 0; i < len(input); i++ {
+		c := input[i]
+		if isOpByte(c) {
+			n++
+		}
+		if blank := isBlank(c); !blank && !inRun {
+			n++
+		}
+		inRun = !isBlank(c)
+	}
+	return n
 }
 
 // Lex tokenizes the input or reports the first lexical error.
 func Lex(input string) ([]Token, error) {
-	var toks []Token
+	toks := make([]Token, 0, estimateTokens(input))
 	line, col := 1, 1
 	i := 0
 	adv := func(n int) {
@@ -79,24 +128,36 @@ func Lex(input string) ([]Token, error) {
 		}
 		i += n
 	}
+	// next decodes the character at i: a byte below utf8.RuneSelf is
+	// itself, and an invalid UTF-8 byte is utf8.RuneError of size 1.
+	next := func() (rune, int) {
+		if c := input[i]; c < utf8.RuneSelf {
+			return rune(c), 1
+		}
+		return utf8.DecodeRuneInString(input[i:])
+	}
 	for i < len(input) {
 		c := input[i]
+		r, size := next()
 		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+		case isBlank(c):
 			adv(1)
 		case c == '-' && i+1 < len(input) && input[i+1] == '-': // line comment
 			for i < len(input) && input[i] != '\n' {
 				adv(1)
 			}
-		case isIdentStart(rune(c)):
+		case isIdentStart(r):
 			start, l0, c0 := i, line, col
-			for i < len(input) && isIdentPart(rune(input[i])) {
-				adv(1)
+			for i < len(input) {
+				r, size := next()
+				if !isIdentPart(r) {
+					break
+				}
+				adv(size)
 			}
 			word := input[start:i]
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				toks = append(toks, Token{Kind: TokKeyword, Text: up, Line: l0, Col: c0})
+			if kw := lookupWord(keywords, word); kw != "" {
+				toks = append(toks, Token{Kind: TokKeyword, Text: kw, Line: l0, Col: c0})
 			} else {
 				toks = append(toks, Token{Kind: TokIdent, Text: strings.ToLower(word), Line: l0, Col: c0})
 			}
@@ -117,26 +178,35 @@ func Lex(input string) ([]Token, error) {
 		case c == '\'':
 			l0, c0 := line, col
 			adv(1)
+			text, closed, escaped := "", false, false
 			var sb strings.Builder
-			closed := false
-			for i < len(input) {
+			for start := i; i < len(input); {
 				if input[i] == '\'' {
 					if i+1 < len(input) && input[i+1] == '\'' { // escaped quote
+						if !escaped {
+							sb.WriteString(input[start:i])
+							escaped = true
+						}
 						sb.WriteByte('\'')
 						adv(2)
 						continue
+					}
+					if text = input[start:i]; escaped {
+						text = sb.String()
 					}
 					adv(1)
 					closed = true
 					break
 				}
-				sb.WriteByte(input[i])
+				if escaped {
+					sb.WriteByte(input[i])
+				}
 				adv(1)
 			}
 			if !closed {
 				return nil, fmt.Errorf("sql:%d:%d: unterminated string literal", l0, c0)
 			}
-			toks = append(toks, Token{Kind: TokString, Text: sb.String(), Line: l0, Col: c0})
+			toks = append(toks, Token{Kind: TokString, Text: text, Line: l0, Col: c0})
 		default:
 			l0, c0 := line, col
 			two := ""
@@ -153,12 +223,14 @@ func Lex(input string) ([]Token, error) {
 				toks = append(toks, Token{Kind: TokOp, Text: op, Line: l0, Col: c0})
 				continue
 			}
-			switch c {
-			case '=', '<', '>', '+', '-', '*', '/', '(', ')', ',', '.':
+			switch {
+			case c != '!' && isOpByte(c):
 				adv(1)
-				toks = append(toks, Token{Kind: TokOp, Text: string(c), Line: l0, Col: c0})
+				toks = append(toks, Token{Kind: TokOp, Text: input[i-1 : i], Line: l0, Col: c0})
+			case r == utf8.RuneError && size == 1:
+				return nil, fmt.Errorf("sql:%d:%d: invalid UTF-8 byte %#x", line, col, c)
 			default:
-				return nil, fmt.Errorf("sql:%d:%d: unexpected character %q", line, col, string(c))
+				return nil, fmt.Errorf("sql:%d:%d: unexpected character %q", line, col, string(r))
 			}
 		}
 	}

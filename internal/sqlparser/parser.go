@@ -8,9 +8,7 @@ import (
 
 // aggFuncs are the function names recognized contextually (they are not
 // reserved words).
-var aggFuncs = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
+var aggFuncs = wordSet("COUNT", "SUM", "AVG", "MIN", "MAX")
 
 // Parse parses a single SELECT statement (an optional trailing semicolon
 // is ignored).
@@ -458,8 +456,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 
 func (p *parser) parseIdentOrCall() (Expr, error) {
 	t := p.next() // the identifier
-	upper := strings.ToUpper(t.Text)
-	if aggFuncs[upper] && p.at(TokOp, "(") {
+	if upper := lookupWord(aggFuncs, t.Text); upper != "" && p.at(TokOp, "(") {
 		p.next()
 		a := &AggExpr{Func: upper}
 		a.Distinct = p.accept(TokKeyword, "DISTINCT")

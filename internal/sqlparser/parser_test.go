@@ -74,6 +74,39 @@ func TestLexErrors(t *testing.T) {
 	}
 }
 
+// TestLexUTF8 checks that identifiers are read as UTF-8 — a letter
+// outside ASCII is a letter, not the Latin-1 reading of its first byte —
+// and that a byte no UTF-8 sequence starts with is a positioned error:
+// two different invalid bytes must not lex to one name.
+func TestLexUTF8(t *testing.T) {
+	for _, c := range []struct{ sql, name string }{
+		{"SELECT é FROM r", "é"},
+		{"SELECT größe FROM r", "größe"},
+		{"SELECT GRÖSSE FROM r", "grösse"},
+	} {
+		stmt := mustParse(t, c.sql)
+		if id, ok := stmt.Items[0].Expr.(*Ident); !ok || id.Name != c.name {
+			t.Errorf("Parse(%q): select item %v, want the column %q", c.sql, stmt.Items[0].Expr, c.name)
+		}
+	}
+	for _, c := range []struct{ sql, err string }{
+		{"SELECT \xc3 FROM r", "sql:1:8: invalid UTF-8 byte 0xc3"},
+		{"SELECT \xc4 FROM r", "sql:1:8: invalid UTF-8 byte 0xc4"},
+		{"SELECT a\xc3 FROM r", "sql:1:9: invalid UTF-8 byte 0xc3"},
+		{"SELECT a FROM r WHERE a = ‰", `sql:1:27: unexpected character "‰"`},
+	} {
+		if _, err := Parse(c.sql); err == nil || err.Error() != c.err {
+			t.Errorf("Parse(%q) = %v, want %s", c.sql, err, c.err)
+		}
+	}
+	// Keywords are ASCII: a word that folds to one only under Unicode
+	// case rules (ſ, U+017F, upper-cases to S) is an identifier.
+	toks, err := Lex("ſelect")
+	if err != nil || toks[0].Kind != TokIdent {
+		t.Errorf("Lex(ſelect) = %v, %v; want an identifier", toks, err)
+	}
+}
+
 func TestLexPositions(t *testing.T) {
 	toks, err := Lex("SELECT\n  a")
 	if err != nil {

@@ -13,20 +13,17 @@ import (
 // should be applied cost-based (§1); this estimate is what the CostBased
 // strategy compares.
 func (e *Estimator) PlanCost(plan algebra.Op) float64 {
-	seen := map[algebra.Op]bool{}
-	var rec func(op algebra.Op) float64
-	rec = func(op algebra.Op) float64 {
-		if seen[op] {
-			return 0
-		}
-		seen[op] = true
-		total := e.nodeCost(op)
-		for _, in := range op.Inputs() {
-			total += rec(in)
-		}
-		return total
+	return e.planCost(plan, map[algebra.Op]bool{})
+}
+
+func (e *Estimator) planCost(op algebra.Op, seen map[algebra.Op]bool) float64 {
+	if seen[op] {
+		return 0
 	}
-	return rec(plan)
+	seen[op] = true
+	total := e.nodeCost(op)
+	algebra.EachInput(op, func(in algebra.Op) { total += e.planCost(in, seen) })
+	return total
 }
 
 // nodeCost is one operator's own work, excluding inputs.

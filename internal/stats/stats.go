@@ -31,16 +31,16 @@ const (
 
 // Estimator derives estimates from catalog statistics. It computes
 // each estimate once: a plan's cardinality is memoized per operator and
-// an attribute's column statistics per (plan, attribute), so estimating
-// a node its planner has already estimated below, or asking twice, is a
-// map read. The keys are algebra nodes, which are immutable once built.
-// The memo is made on first use and makes an estimator unsafe for
-// concurrent use: each one serves one statement's planning, or one
-// executor under its lock.
+// the scan an attribute resolves to per (operator, attribute), so
+// estimating a node its planner has already estimated below, or asking
+// twice, is a map read. The keys are algebra nodes, which are immutable
+// once built. The memo is made on first use and makes an estimator
+// unsafe for concurrent use: each one serves one statement's planning,
+// or one executor under its lock.
 type Estimator struct {
 	cat   catalog.Reader
 	cards map[algebra.Op]float64
-	cols  map[colKey]*catalog.ColumnStats
+	scans map[colKey]*algebra.Scan
 }
 
 type colKey struct {
@@ -54,43 +54,50 @@ func New(cat catalog.Reader) *Estimator {
 	return &Estimator{cat: cat}
 }
 
-// colStats finds base-table statistics for an attribute by locating the
-// scan that produces it inside the plan. Returns nil for synthetic
-// attributes (g, t, …), for a column with no values, or when the plan is
-// nil.
+// colStats finds base-table statistics for an attribute from the scan
+// that produces it inside the plan. Returns nil for synthetic attributes
+// (g, t, …), for a column with no values, or when the plan is nil.
 func (e *Estimator) colStats(plan algebra.Op, attr string) *catalog.ColumnStats {
 	if plan == nil || e.cat == nil {
 		return nil
 	}
-	key := colKey{plan, attr}
-	if st, ok := e.cols[key]; ok {
-		return st
+	s := e.scanOf(plan, attr)
+	if s == nil {
+		return nil
 	}
-	var found *algebra.Scan
-	var idx int
-	algebra.Walk(plan, func(op algebra.Op) bool {
-		if s, isScan := op.(*algebra.Scan); isScan && found == nil {
-			if i := s.Schema().Index(attr); i >= 0 {
-				found = s
-				idx = i
-				return false
-			}
+	tbl, err := e.cat.Lookup(s.Table)
+	if i := s.Schema().Index(attr); err == nil && i < tbl.Rel.Schema.Len() {
+		if st := tbl.ColumnStats(i); st.Distinct > 0 {
+			return st
 		}
-		return true
+	}
+	return nil
+}
+
+// scanOf returns the first scan of op's plan, in pre-order, whose schema
+// holds attr, or nil. Each (operator, attribute) is resolved once, so a
+// plan's shared nodes are searched once however many paths reach them,
+// and resolving an attribute on a subplan of one resolved before is a
+// map read.
+func (e *Estimator) scanOf(op algebra.Op, attr string) *algebra.Scan {
+	key := colKey{op, attr}
+	if s, ok := e.scans[key]; ok {
+		return s
+	}
+	s, _ := op.(*algebra.Scan)
+	if s != nil && !s.Schema().Has(attr) {
+		s = nil
+	}
+	algebra.EachInput(op, func(in algebra.Op) {
+		if s == nil {
+			s = e.scanOf(in, attr)
+		}
 	})
-	var st *catalog.ColumnStats
-	if found != nil {
-		if tbl, err := e.cat.Lookup(found.Table); err == nil && idx < tbl.Rel.Schema.Len() {
-			if st = tbl.ColumnStats(idx); st.Distinct == 0 {
-				st = nil
-			}
-		}
+	if e.scans == nil {
+		e.scans = make(map[colKey]*algebra.Scan)
 	}
-	if e.cols == nil {
-		e.cols = make(map[colKey]*catalog.ColumnStats)
-	}
-	e.cols[key] = st
-	return st
+	e.scans[key] = s
+	return s
 }
 
 // colStatsIn is colStats over two inputs, l searched first.
@@ -360,8 +367,6 @@ func (e *Estimator) PredCost(pred algebra.Expr) float64 {
 // once.
 func (e *Estimator) planWork(op algebra.Op) float64 {
 	total := e.Cardinality(op)
-	for _, in := range op.Inputs() {
-		total += e.planWork(in)
-	}
+	algebra.EachInput(op, func(in algebra.Op) { total += e.planWork(in) })
 	return total
 }

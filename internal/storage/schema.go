@@ -23,9 +23,11 @@ type Schema struct {
 
 // NewSchema builds a schema from attribute names. Duplicate names panic:
 // the translator is responsible for disambiguating via renaming, and a
-// duplicate slipping through would silently mis-resolve columns.
+// duplicate slipping through would silently mis-resolve columns. The
+// schema keeps attrs as its attribute list, as immutable as the schema:
+// a caller passing a slice it has built does not change it afterwards.
 func NewSchema(attrs ...string) *Schema {
-	s := &Schema{attrs: append([]string(nil), attrs...), index: make(map[string]int, len(attrs))}
+	s := &Schema{attrs: attrs, index: make(map[string]int, len(attrs))}
 	for i, a := range s.attrs {
 		if _, dup := s.index[a]; dup {
 			panic(fmt.Sprintf("storage: duplicate attribute %q in schema", a))

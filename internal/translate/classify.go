@@ -145,7 +145,7 @@ type SubqueryInfo struct {
 func ClassifySubqueries(plan algebra.Op) []SubqueryInfo {
 	var out []SubqueryInfo
 	algebra.Walk(plan, func(op algebra.Op) bool {
-		for _, e := range algebra.Exprs(op) {
+		for _, e := range algebra.AppendExprs(nil, op) {
 			for _, sq := range algebra.SubqueryExprs(e) {
 				_, scalar := sq.(*algebra.ScalarSubquery)
 				info := SubqueryInfo{Scalar: scalar,

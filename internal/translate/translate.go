@@ -15,6 +15,8 @@ package translate
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"disqo/internal/agg"
@@ -32,6 +34,7 @@ import (
 type Translator struct {
 	cat  catalog.Reader
 	used map[string]bool // range-variable qualifiers in use
+	cols []string        // scratch: a conjunct's columns in buildJoinTree
 	// expanding guards against recursive view definitions.
 	expanding map[string]bool
 	est       *stats.Estimator // orders joins; see estimator
@@ -48,11 +51,13 @@ func New(cat catalog.Reader) *Translator {
 // rangeVar is one FROM-clause binding in a scope: a base table or a
 // derived table (subquery in FROM).
 type rangeVar struct {
-	name    string   // the SQL-visible binding (alias or table name)
-	qual    string   // the unique qualifier used in attribute names
-	cols    []string // lower-case column names
+	name string // the SQL-visible binding (alias or table name)
+	qual string // the unique qualifier used in attribute names
+	// attrs are the attribute names of the binding's columns, in order:
+	// qual.col with col lower-case, made once per binding.
+	attrs   []string
 	table   *catalog.Table
-	derived algebra.Op // non-nil for derived tables; attrs are qual.col
+	derived algebra.Op // non-nil for derived tables
 }
 
 // scope is a block's name-resolution context, chained to the enclosing
@@ -62,17 +67,25 @@ type scope struct {
 	vars   []*rangeVar
 }
 
-// attrOf builds the executor attribute name for a var's column.
-func attrOf(v *rangeVar, col string) string { return v.qual + "." + strings.ToLower(col) }
-
-// hasColumn reports whether the binding exposes the column.
-func hasColumn(v *rangeVar, col string) bool {
-	for _, c := range v.cols {
-		if strings.EqualFold(c, col) {
-			return true
+// attr returns the attribute name of the binding's column col, matched
+// case-insensitively; ok is false when the binding has no such column.
+func (v *rangeVar) attr(col string) (name string, ok bool) {
+	for _, a := range v.attrs {
+		if strings.EqualFold(a[len(v.qual)+1:], col) {
+			return a, true
 		}
 	}
-	return false
+	return "", false
+}
+
+// scanSchema is the schema of a scan of the binding's table: the
+// table's own when the binding qualifies its columns with the table's
+// name, as the catalog's schema does.
+func (v *rangeVar) scanSchema() *storage.Schema {
+	if v.qual == v.table.Name {
+		return v.table.Rel.Schema
+	}
+	return storage.NewSchema(v.attrs...)
 }
 
 // resolve maps an identifier to a fully-qualified attribute name,
@@ -82,38 +95,35 @@ func (sc *scope) resolve(id *sqlparser.Ident) (string, error) {
 		if id.Qualifier != "" {
 			for _, v := range s.vars {
 				if v.name == id.Qualifier {
-					if !hasColumn(v, id.Name) {
+					attr, ok := v.attr(id.Name)
+					if !ok {
 						return "", fmt.Errorf("translate: no column %q in %s", id.Name, v.name)
 					}
-					return attrOf(v, id.Name), nil
+					return attr, nil
 				}
 			}
 			continue
 		}
-		var found *rangeVar
+		found := ""
 		for _, v := range s.vars {
-			if hasColumn(v, id.Name) {
-				if found != nil {
+			if attr, ok := v.attr(id.Name); ok {
+				if found != "" {
 					return "", fmt.Errorf("translate: ambiguous column %q", id.Name)
 				}
-				found = v
+				found = attr
 			}
 		}
-		if found != nil {
-			return attrOf(found, id.Name), nil
+		if found != "" {
+			return found, nil
 		}
 	}
 	return "", fmt.Errorf("translate: unknown column %q", id)
 }
 
-// localQuals returns the set of qualifiers introduced by this scope (not
-// parents) — used to distinguish local from correlated references.
-func (sc *scope) localQuals() map[string]bool {
-	out := make(map[string]bool, len(sc.vars))
-	for _, v := range sc.vars {
-		out[v.qual] = true
-	}
-	return out
+// varIndex returns the position in sc.vars of the binding qualified
+// qual — a binding of this block, not an enclosing one — or -1.
+func (sc *scope) varIndex(qual string) int {
+	return slices.IndexFunc(sc.vars, func(v *rangeVar) bool { return v.qual == qual })
 }
 
 // TranslateTableExpr resolves an expression against a single table's
@@ -152,9 +162,7 @@ func (tr *Translator) finishTopLevel(stmt *sqlparser.SelectStmt, plan algebra.Op
 	if stmt.Star {
 		// FROM order, whatever order the join tree put the columns in.
 		for _, v := range sc.vars {
-			for _, c := range v.cols {
-				outAttrs = append(outAttrs, attrOf(v, c))
-			}
+			outAttrs = append(outAttrs, v.attrs...)
 		}
 	} else {
 		// Check for a global aggregate query: all items aggregates.
@@ -520,16 +528,14 @@ func (tr *Translator) translateBlock(stmt *sqlparser.SelectStmt, parent *scope) 
 		return nil, nil, fmt.Errorf("translate: query block without FROM")
 	}
 	sc := &scope{parent: parent}
-	seen := map[string]bool{}
 	for _, ref := range stmt.From {
 		name := strings.ToLower(ref.Binding())
-		if seen[name] {
+		if slices.ContainsFunc(sc.vars, func(v *rangeVar) bool { return v.name == name }) {
 			return nil, nil, fmt.Errorf("translate: duplicate range variable %q", name)
 		}
-		seen[name] = true
 		qual := name
 		for n := 2; tr.used[qual]; n++ {
-			qual = fmt.Sprintf("%s#%d", name, n)
+			qual = name + "#" + strconv.Itoa(n)
 		}
 		tr.used[qual] = true
 		rv := &rangeVar{name: name, qual: qual}
@@ -565,8 +571,8 @@ func (tr *Translator) translateBlock(stmt *sqlparser.SelectStmt, parent *scope) 
 					return nil, nil, fmt.Errorf("translate: derived table %q has duplicate output column %q; add aliases", name, col)
 				}
 				colSeen[col] = true
-				rv.cols = append(rv.cols, col)
-				pairs = append(pairs, [2]string{qual + "." + col, attr})
+				rv.attrs = append(rv.attrs, qual+"."+col)
+				pairs = append(pairs, [2]string{rv.attrs[len(rv.attrs)-1], attr})
 			}
 			renamed, err := algebra.NewRename(inner, pairs)
 			if err != nil {
@@ -579,8 +585,12 @@ func (tr *Translator) translateBlock(stmt *sqlparser.SelectStmt, parent *scope) 
 				return nil, nil, err
 			}
 			rv.table = tbl
-			for _, c := range tbl.Columns {
-				rv.cols = append(rv.cols, strings.ToLower(c.Name))
+			// The catalog qualifies a table's columns with its name.
+			if rv.attrs = tbl.Rel.Schema.Attrs(); qual != tbl.Name {
+				rv.attrs = make([]string, len(tbl.Columns))
+				for i, c := range tbl.Columns {
+					rv.attrs[i] = qual + "." + strings.ToLower(c.Name)
+				}
 			}
 		}
 		sc.vars = append(sc.vars, rv)
@@ -607,12 +617,12 @@ func (tr *Translator) translateBlock(stmt *sqlparser.SelectStmt, parent *scope) 
 	return plan, sc, nil
 }
 
-// predInfo tracks which local range variables a conjunct touches and
-// whether it is eligible for pushdown.
+// predInfo tracks which of the block's range variables a conjunct
+// references and whether it is eligible for pushdown.
 type predInfo struct {
 	expr     algebra.Expr
-	quals    map[string]bool // local vars referenced
-	pushable bool            // no subqueries and at least one local var
+	vars     []int // positions in the scope's vars, each once
+	pushable bool  // no subqueries and at least one local var
 	applied  bool
 }
 
@@ -632,47 +642,44 @@ type predInfo struct {
 // estimated input as L and its smaller one as R, the side a hash join
 // builds on.
 func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebra.Op, []algebra.Expr, error) {
-	local := sc.localQuals()
-	infos := make([]*predInfo, len(conjuncts))
+	infos := make([]predInfo, len(conjuncts))
+	var vars []int // every conjunct's vars, one after the other
 	for i, c := range conjuncts {
-		quals := map[string]bool{}
-		allLocal := true
-		for _, col := range c.Columns(nil) {
-			if q, _, ok := strings.Cut(col, "."); ok && local[q] {
-				quals[q] = true
-			} else {
+		lo, allLocal := len(vars), true
+		tr.cols = c.Columns(tr.cols[:0])
+		for _, col := range tr.cols {
+			v := -1
+			if q, _, ok := strings.Cut(col, "."); ok {
+				v = sc.varIndex(q)
+			}
+			if v < 0 {
 				// References an enclosing block (correlation) or a
 				// synthetic attribute: must stay at block level so the
 				// rewriter sees it in canonical position.
 				allLocal = false
+			} else if !slices.Contains(vars[lo:], v) {
+				vars = append(vars, v)
 			}
 		}
-		infos[i] = &predInfo{
-			expr:     c,
-			quals:    quals,
-			pushable: !algebra.HasSubquery(c) && len(quals) > 0 && allLocal,
-		}
+		infos[i] = predInfo{expr: c, pushable: !algebra.HasSubquery(c) && len(vars) > lo && allLocal}
+		infos[i].vars = vars[lo:len(vars):len(vars)]
 	}
 
 	// Per-variable access paths (scans or derived plans) with
 	// single-variable conjuncts applied: the components, in FROM order;
 	// comp maps a variable to the index of the component holding it.
 	comps := make([]algebra.Op, len(sc.vars))
-	comp := make(map[string]int, len(sc.vars))
+	comp := make([]int, len(sc.vars))
 	for i, v := range sc.vars {
 		var op algebra.Op
 		if v.derived != nil {
 			op = v.derived
 		} else {
-			attrs := make([]string, len(v.cols))
-			for j, c := range v.cols {
-				attrs[j] = attrOf(v, c)
-			}
-			op = algebra.NewScan(v.table.Name, v.qual, storage.NewSchema(attrs...))
+			op = algebra.NewScan(v.table.Name, v.qual, v.scanSchema())
 		}
 		var sels []algebra.Expr
-		for _, pi := range infos {
-			if pi.pushable && !pi.applied && len(pi.quals) == 1 && pi.quals[v.qual] {
+		for j := range infos {
+			if pi := &infos[j]; pi.pushable && !pi.applied && len(pi.vars) == 1 && pi.vars[0] == i {
 				sels = append(sels, pi.expr)
 				pi.applied = true
 			}
@@ -681,7 +688,7 @@ func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebr
 			op = algebra.NewSelect(op, algebra.And(sels...))
 		}
 		comps[i] = op
-		comp[v.qual] = i
+		comp[i] = i
 	}
 
 	// spans reports whether an unapplied pushable conjunct lies within
@@ -690,8 +697,8 @@ func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebr
 		if !pi.pushable || pi.applied {
 			return false
 		}
-		for q := range pi.quals {
-			if c := comp[q]; c != a && c != b {
+		for _, v := range pi.vars {
+			if c := comp[v]; c != a && c != b {
 				return false
 			}
 		}
@@ -709,8 +716,8 @@ func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebr
 					continue
 				}
 				size, joined := est.Cardinality(comps[a])*est.Cardinality(comps[b]), false
-				for _, pi := range infos {
-					if spans(pi, a, b) {
+				for j := range infos {
+					if pi := &infos[j]; spans(pi, a, b) {
 						size *= est.JoinSelectivity(pi.expr, comps[a], comps[b])
 						joined = true
 					}
@@ -721,8 +728,8 @@ func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebr
 			}
 		}
 		var preds []algebra.Expr
-		for _, pi := range infos {
-			if spans(pi, bestA, bestB) {
+		for j := range infos {
+			if pi := &infos[j]; spans(pi, bestA, bestB) {
 				preds = append(preds, pi.expr)
 				pi.applied = true
 			}
@@ -737,9 +744,9 @@ func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebr
 			comps[bestA] = algebra.NewCross(l, r)
 		}
 		comps[bestB] = nil
-		for q, c := range comp {
+		for v, c := range comp {
 			if c == bestB {
-				comp[q] = bestA
+				comp[v] = bestA
 			}
 		}
 	}

@@ -11,7 +11,7 @@ import "slices"
 // are produced too).
 func FreeColumns(plan Op) []string {
 	var buf [16]Op
-	ops, refs := gather(plan, buf[:0], nil)
+	ops, refs := gather(plan, buf[:0], make([]string, 0, 8))
 	var out []string
 	for _, c := range refs {
 		if !slices.ContainsFunc(ops, func(op Op) bool { return op.Schema().Has(c) }) {

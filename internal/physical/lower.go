@@ -120,7 +120,7 @@ type lowered struct {
 
 // NewPlanner returns a planner costing with the given estimator.
 func NewPlanner(est *stats.Estimator) *Planner {
-	p := &Planner{est: est, memo: make(map[algebra.Op]lowered)}
+	p := &Planner{est: est, memo: make(map[algebra.Op]lowered), names: make([]string, 0, 8)}
 	p.mark = p.markShared
 	return p
 }

@@ -79,7 +79,8 @@ type Rewriter struct {
 // New returns a Rewriter using catalog statistics for its cost-based
 // decisions; cat may be the live catalog or a pinned snapshot.
 func New(cat catalog.Reader, caps Caps) *Rewriter {
-	return &Rewriter{est: stats.New(cat), caps: caps, memo: make(map[algebra.Op]algebra.Op)}
+	return &Rewriter{est: stats.New(cat), caps: caps, memo: make(map[algebra.Op]algebra.Op),
+		cols: make([]string, 0, 8)}
 }
 
 // fresh generates a plan-unique synthetic attribute name not colliding

@@ -53,7 +53,7 @@ func (rw *Rewriter) unnestMap(m *algebra.MapOp) (algebra.Op, bool, error) {
 	}
 	out := algebra.Op(algebra.NewMap(cur, m.Attr, expr))
 	if !out.Schema().Equal(m.Schema()) {
-		out = algebra.NewProject(out, m.Schema().Attrs())
+		out = algebra.ProjectOnto(out, m.Schema())
 	}
 	return out, true, nil
 }

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"disqo/internal/algebra"
+	"disqo/internal/storage"
 	"disqo/internal/types"
 )
 
@@ -15,7 +16,7 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 	}
 	pred := normalizeNNF(sel.Pred)
 	child := sel.Child
-	outAttrs := child.Schema().Attrs()
+	sch := child.Schema() // what the selection's consumers read
 
 	if _, or := pred.(*algebra.OrExpr); or {
 		// Disjunctive linking: σ_{d1 ∨ … ∨ dn}(child). Quantified
@@ -24,7 +25,7 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 		if rw.caps.Quantified {
 			pred = rw.quantToCount(pred)
 		}
-		out, changed, err := rw.unnestDisjunction(child, algebra.SplitDisjuncts(pred), outAttrs)
+		out, changed, err := rw.unnestDisjunction(child, algebra.SplitDisjuncts(pred), sch)
 		if err != nil || !changed {
 			return sel, false, err
 		}
@@ -92,7 +93,7 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 		deferred, orSubs = orSubs, nil
 	}
 	for _, oc := range orSubs {
-		cascaded, cchanged, err := rw.unnestDisjunction(out, algebra.SplitDisjuncts(oc), outAttrs)
+		cascaded, cchanged, err := rw.unnestDisjunction(out, algebra.SplitDisjuncts(oc), sch)
 		if err != nil {
 			return nil, false, err
 		}
@@ -107,8 +108,8 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 		return sel, false, nil
 	}
 	// Restore the original schema when the stream was extended.
-	if !out.Schema().Equal(child.Schema()) {
-		out = algebra.NewProject(out, outAttrs)
+	if !out.Schema().Equal(sch) {
+		out = algebra.ProjectOnto(out, sch)
 	}
 	if len(deferred) > 0 {
 		out = algebra.NewSelect(out, algebra.And(deferred...))
@@ -120,12 +121,12 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 // capabilities allow — OR-expansion (the S2 baseline) or the bypass
 // cascade — and reports false when neither is enabled or no disjunct
 // could be unnested.
-func (rw *Rewriter) unnestDisjunction(base algebra.Op, disjuncts []algebra.Expr, outAttrs []string) (algebra.Op, bool, error) {
+func (rw *Rewriter) unnestDisjunction(base algebra.Op, disjuncts []algebra.Expr, sch *storage.Schema) (algebra.Op, bool, error) {
 	switch {
 	case rw.caps.ORExpansion:
-		return rw.orExpand(base, disjuncts, outAttrs)
+		return rw.orExpand(base, disjuncts, sch)
 	case rw.caps.Bypass:
-		return rw.cascade(base, disjuncts, outAttrs)
+		return rw.cascade(base, disjuncts, sch)
 	default:
 		return nil, false, nil
 	}
@@ -140,7 +141,7 @@ func (rw *Rewriter) unnestDisjunction(base algebra.Op, disjuncts []algebra.Expr,
 // when a cheap simple predicate precedes it). The plan has the shape
 // algebra.CascadeInput reads, which is how the planner runs it in one
 // pass; the last branch's σ is unnested again with the rest of the plan.
-func (rw *Rewriter) cascade(base algebra.Op, disjuncts []algebra.Expr, outAttrs []string) (algebra.Op, bool, error) {
+func (rw *Rewriter) cascade(base algebra.Op, disjuncts []algebra.Expr, sch *storage.Schema) (algebra.Op, bool, error) {
 	rw.est.OrderDisjuncts(disjuncts, base)
 	cur := base
 	branches := make([]algebra.Op, 0, len(disjuncts))
@@ -160,11 +161,11 @@ func (rw *Rewriter) cascade(base algebra.Op, disjuncts []algebra.Expr, outAttrs 
 		}
 		if i == len(disjuncts)-1 {
 			branch := algebra.Op(algebra.NewSelect(cur2, d))
-			branches = append(branches, projectTo(branch, outAttrs))
+			branches = append(branches, projectTo(branch, sch))
 			continue
 		}
 		bp := algebra.NewBypassSelect(cur2, d)
-		branches = append(branches, projectTo(algebra.Pos(bp), outAttrs))
+		branches = append(branches, projectTo(algebra.Pos(bp), sch))
 		cur = algebra.Neg(bp)
 	}
 	if !anyUnnested {
@@ -186,7 +187,7 @@ func (rw *Rewriter) cascade(base algebra.Op, disjuncts []algebra.Expr, outAttrs 
 // under a later DISTINCT (which the paper's queries all have); unlike the
 // bypass cascade it evaluates every disjunct over all of R and pays for
 // the union's duplicate elimination.
-func (rw *Rewriter) orExpand(base algebra.Op, disjuncts []algebra.Expr, outAttrs []string) (algebra.Op, bool, error) {
+func (rw *Rewriter) orExpand(base algebra.Op, disjuncts []algebra.Expr, sch *storage.Schema) (algebra.Op, bool, error) {
 	branches := make([]algebra.Op, 0, len(disjuncts))
 	anyUnnested := false
 	for _, d := range disjuncts {
@@ -203,7 +204,7 @@ func (rw *Rewriter) orExpand(base algebra.Op, disjuncts []algebra.Expr, outAttrs
 				anyUnnested = true
 			}
 		}
-		branches = append(branches, projectTo(algebra.NewSelect(cur, d2), outAttrs))
+		branches = append(branches, projectTo(algebra.NewSelect(cur, d2), sch))
 	}
 	if !anyUnnested {
 		return nil, false, nil
@@ -216,20 +217,13 @@ func (rw *Rewriter) orExpand(base algebra.Op, disjuncts []algebra.Expr, outAttrs
 	return algebra.NewDistinct(out), true, nil
 }
 
-func projectTo(op algebra.Op, attrs []string) algebra.Op {
-	if op.Schema().Len() == len(attrs) {
-		same := true
-		for i, a := range attrs {
-			if op.Schema().Attr(i) != a {
-				same = false
-				break
-			}
-		}
-		if same {
-			return op
-		}
+// projectTo returns op when its schema is sch's attribute list, and Π
+// onto sch otherwise.
+func projectTo(op algebra.Op, sch *storage.Schema) algebra.Op {
+	if op.Schema().Equal(sch) {
+		return op
 	}
-	return algebra.NewProject(op, attrs)
+	return algebra.ProjectOnto(op, sch)
 }
 
 // unnestDisjunct unnests every linking conjunct inside one disjunct,

@@ -45,7 +45,8 @@ type Translator struct {
 // commit, a FROM reference to a view expanding like a derived table
 // over the view's body.
 func New(cat catalog.Reader) *Translator {
-	return &Translator{cat: cat, used: make(map[string]bool), expanding: make(map[string]bool)}
+	return &Translator{cat: cat, used: make(map[string]bool), expanding: make(map[string]bool),
+		cols: make([]string, 0, 8)}
 }
 
 // rangeVar is one FROM-clause binding in a scope: a base table or a
@@ -64,7 +65,7 @@ type rangeVar struct {
 // block for correlation.
 type scope struct {
 	parent *scope
-	vars   []*rangeVar
+	vars   []rangeVar
 }
 
 // attr returns the attribute name of the binding's column col, matched
@@ -93,8 +94,8 @@ func (v *rangeVar) scanSchema() *storage.Schema {
 func (sc *scope) resolve(id *sqlparser.Ident) (string, error) {
 	for s := sc; s != nil; s = s.parent {
 		if id.Qualifier != "" {
-			for _, v := range s.vars {
-				if v.name == id.Qualifier {
+			for i := range s.vars {
+				if v := &s.vars[i]; v.name == id.Qualifier {
 					attr, ok := v.attr(id.Name)
 					if !ok {
 						return "", fmt.Errorf("translate: no column %q in %s", id.Name, v.name)
@@ -105,8 +106,8 @@ func (sc *scope) resolve(id *sqlparser.Ident) (string, error) {
 			continue
 		}
 		found := ""
-		for _, v := range s.vars {
-			if attr, ok := v.attr(id.Name); ok {
+		for i := range s.vars {
+			if attr, ok := s.vars[i].attr(id.Name); ok {
 				if found != "" {
 					return "", fmt.Errorf("translate: ambiguous column %q", id.Name)
 				}
@@ -123,7 +124,12 @@ func (sc *scope) resolve(id *sqlparser.Ident) (string, error) {
 // varIndex returns the position in sc.vars of the binding qualified
 // qual — a binding of this block, not an enclosing one — or -1.
 func (sc *scope) varIndex(qual string) int {
-	return slices.IndexFunc(sc.vars, func(v *rangeVar) bool { return v.qual == qual })
+	for i := range sc.vars {
+		if sc.vars[i].qual == qual {
+			return i
+		}
+	}
+	return -1
 }
 
 // TranslateTableExpr resolves an expression against a single table's
@@ -527,18 +533,21 @@ func (tr *Translator) translateBlock(stmt *sqlparser.SelectStmt, parent *scope) 
 	if len(stmt.From) == 0 {
 		return nil, nil, fmt.Errorf("translate: query block without FROM")
 	}
-	sc := &scope{parent: parent}
+	sc := &scope{parent: parent, vars: make([]rangeVar, 0, len(stmt.From))}
 	for _, ref := range stmt.From {
 		name := strings.ToLower(ref.Binding())
-		if slices.ContainsFunc(sc.vars, func(v *rangeVar) bool { return v.name == name }) {
-			return nil, nil, fmt.Errorf("translate: duplicate range variable %q", name)
+		for i := range sc.vars {
+			if sc.vars[i].name == name {
+				return nil, nil, fmt.Errorf("translate: duplicate range variable %q", name)
+			}
 		}
 		qual := name
 		for n := 2; tr.used[qual]; n++ {
 			qual = name + "#" + strconv.Itoa(n)
 		}
 		tr.used[qual] = true
-		rv := &rangeVar{name: name, qual: qual}
+		sc.vars = append(sc.vars, rangeVar{name: name, qual: qual})
+		rv := &sc.vars[len(sc.vars)-1]
 		viewName := ""
 		if ref.Subquery == nil {
 			// View reference? Expand it like a derived table.
@@ -593,7 +602,6 @@ func (tr *Translator) translateBlock(stmt *sqlparser.SelectStmt, parent *scope) 
 				}
 			}
 		}
-		sc.vars = append(sc.vars, rv)
 	}
 
 	// Translate the WHERE predicate with full scope so subqueries and
@@ -621,8 +629,8 @@ func (tr *Translator) translateBlock(stmt *sqlparser.SelectStmt, parent *scope) 
 // references and whether it is eligible for pushdown.
 type predInfo struct {
 	expr     algebra.Expr
-	vars     []int // positions in the scope's vars, each once
-	pushable bool  // no subqueries and at least one local var
+	lo, hi   int  // its vars' positions in the scope are vars[lo:hi], each once
+	pushable bool // no subqueries and at least one local var
 	applied  bool
 }
 
@@ -642,9 +650,10 @@ type predInfo struct {
 // estimated input as L and its smaller one as R, the side a hash join
 // builds on.
 func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebra.Op, []algebra.Expr, error) {
-	infos := make([]predInfo, len(conjuncts))
-	var vars []int // every conjunct's vars, one after the other
-	for i, c := range conjuncts {
+	var infoBuf [8]predInfo
+	var varBuf [16]int
+	infos, vars := infoBuf[:0], varBuf[:0] // vars: every conjunct's, one after the other
+	for _, c := range conjuncts {
 		lo, allLocal := len(vars), true
 		tr.cols = c.Columns(tr.cols[:0])
 		for _, col := range tr.cols {
@@ -661,15 +670,16 @@ func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebr
 				vars = append(vars, v)
 			}
 		}
-		infos[i] = predInfo{expr: c, pushable: !algebra.HasSubquery(c) && len(vars) > lo && allLocal}
-		infos[i].vars = vars[lo:len(vars):len(vars)]
+		infos = append(infos, predInfo{expr: c, lo: lo, hi: len(vars),
+			pushable: !algebra.HasSubquery(c) && len(vars) > lo && allLocal})
 	}
 
 	// Per-variable access paths (scans or derived plans) with
 	// single-variable conjuncts applied: the components, in FROM order;
 	// comp maps a variable to the index of the component holding it.
-	comps := make([]algebra.Op, len(sc.vars))
-	comp := make([]int, len(sc.vars))
+	var compBuf [4]algebra.Op
+	var compOf [4]int
+	comps, comp := compBuf[:0], compOf[:0]
 	for i, v := range sc.vars {
 		var op algebra.Op
 		if v.derived != nil {
@@ -677,9 +687,10 @@ func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebr
 		} else {
 			op = algebra.NewScan(v.table.Name, v.qual, v.scanSchema())
 		}
-		var sels []algebra.Expr
+		var selBuf [4]algebra.Expr
+		sels := selBuf[:0]
 		for j := range infos {
-			if pi := &infos[j]; pi.pushable && !pi.applied && len(pi.vars) == 1 && pi.vars[0] == i {
+			if pi := &infos[j]; pi.pushable && !pi.applied && pi.hi-pi.lo == 1 && vars[pi.lo] == i {
 				sels = append(sels, pi.expr)
 				pi.applied = true
 			}
@@ -687,8 +698,7 @@ func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebr
 		if len(sels) > 0 {
 			op = algebra.NewSelect(op, algebra.And(sels...))
 		}
-		comps[i] = op
-		comp[i] = i
+		comps, comp = append(comps, op), append(comp, i)
 	}
 
 	// spans reports whether an unapplied pushable conjunct lies within
@@ -697,7 +707,7 @@ func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebr
 		if !pi.pushable || pi.applied {
 			return false
 		}
-		for _, v := range pi.vars {
+		for _, v := range vars[pi.lo:pi.hi] {
 			if c := comp[v]; c != a && c != b {
 				return false
 			}
@@ -727,7 +737,8 @@ func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebr
 				}
 			}
 		}
-		var preds []algebra.Expr
+		var predBuf [4]algebra.Expr
+		preds := predBuf[:0]
 		for j := range infos {
 			if pi := &infos[j]; spans(pi, bestA, bestB) {
 				preds = append(preds, pi.expr)

@@ -349,11 +349,12 @@ func AppendConjuncts(into []Expr, e Expr) []Expr {
 }
 
 // SplitDisjuncts flattens nested ORs into a disjunct list.
-func SplitDisjuncts(e Expr) []Expr { return appendDisjuncts(make([]Expr, 0, 4), e) }
+func SplitDisjuncts(e Expr) []Expr { return AppendDisjuncts(make([]Expr, 0, 4), e) }
 
-func appendDisjuncts(into []Expr, e Expr) []Expr {
+// AppendDisjuncts appends e's disjuncts, nested ORs flattened, to into.
+func AppendDisjuncts(into []Expr, e Expr) []Expr {
 	if o, ok := e.(*OrExpr); ok {
-		return appendDisjuncts(appendDisjuncts(into, o.L), o.R)
+		return AppendDisjuncts(AppendDisjuncts(into, o.L), o.R)
 	}
 	return append(into, e)
 }

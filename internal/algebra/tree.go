@@ -385,3 +385,23 @@ func WalkNested(root Op, fn func(Op)) []Op {
 	visit(root)
 	return blocks
 }
+
+// Size returns how many operators the plan below op holds, the query
+// blocks nested in operator expressions included, but at most limit: the
+// entries a map keyed by the plan's operators is sized for when made.
+// It counts an operator once per path that reaches it, so a DAG counts
+// its shared operators more than once; limit bounds the walk too.
+func Size(op Op, limit int) int {
+	if limit <= 0 {
+		return 0
+	}
+	n := 1
+	for _, sub := range NestedPlans(op) {
+		n += Size(sub, limit-n)
+	}
+	var buf [2]Op
+	for _, in := range appendInputs(buf[:0], op) {
+		n += Size(in, limit-n)
+	}
+	return n
+}

@@ -98,7 +98,8 @@ type Planner struct {
 	// memo has an entry for every operator Lower has been shown: whether
 	// more than one consumer reads it and, once it has been lowered
 	// whole, the node — what a shared operator's second consumer finds.
-	// A pruned lowering has one consumer and is not kept.
+	// A pruned lowering has one consumer and is not kept. It is made by
+	// the first Lower, sized for that plan.
 	memo map[algebra.Op]lowered
 	// mark is markShared as a value, made once.
 	mark func(algebra.Op)
@@ -113,6 +114,9 @@ type Planner struct {
 	names  []string // scratch for reads
 }
 
+// memoHint bounds the size a memo is made with: a bigger plan grows it.
+const memoHint = 256
+
 type lowered struct {
 	node   Node
 	shared bool
@@ -120,7 +124,7 @@ type lowered struct {
 
 // NewPlanner returns a planner costing with the given estimator.
 func NewPlanner(est *stats.Estimator) *Planner {
-	p := &Planner{est: est, memo: make(map[algebra.Op]lowered), names: make([]string, 0, 8)}
+	p := &Planner{est: est, names: make([]string, 0, 8)}
 	p.mark = p.markShared
 	return p
 }
@@ -265,6 +269,9 @@ func (p *Planner) aggReads(s colSet, sch *storage.Schema, aggs []algebra.AggItem
 func (p *Planner) Lower(op algebra.Op) (Node, error) {
 	if n := p.memo[op].node; n != nil {
 		return n, nil
+	}
+	if p.memo == nil {
+		p.memo = make(map[algebra.Op]lowered, algebra.Size(op, memoHint))
 	}
 	p.markShared(op)
 	return p.whole(op)

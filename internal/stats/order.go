@@ -17,11 +17,12 @@ import "disqo/internal/algebra"
 // stream carries the undecided rows on, so Eqv. 2 versus Eqv. 3 is this
 // rule too: the paper's rank (s − 1)/c, applied to ¬p.
 func (e *Estimator) Order(pred algebra.Expr, input algebra.Op) algebra.Expr {
+	var buf [8]algebra.Expr
 	switch x := pred.(type) {
 	case *algebra.AndExpr:
-		return e.orderList(pred, algebra.SplitConjuncts(x), input, false)
+		return e.orderList(pred, algebra.AppendConjuncts(buf[:0], x), input, false)
 	case *algebra.OrExpr:
-		return e.orderList(pred, algebra.SplitDisjuncts(x), input, true)
+		return e.orderList(pred, algebra.AppendDisjuncts(buf[:0], x), input, true)
 	case *algebra.NotExpr:
 		if in := e.Order(x.E, input); in != x.E {
 			return algebra.Not(in)

@@ -43,6 +43,10 @@ type Estimator struct {
 	scans map[colKey]*algebra.Scan
 }
 
+// memoHint bounds the size a memo is made with, for the plan of the
+// first operator it is asked about: a bigger plan grows it.
+const memoHint = 256
+
 type colKey struct {
 	plan algebra.Op
 	attr string
@@ -84,6 +88,9 @@ func (e *Estimator) scanOf(op algebra.Op, attr string) *algebra.Scan {
 	if s, ok := e.scans[key]; ok {
 		return s
 	}
+	if e.scans == nil {
+		e.scans = make(map[colKey]*algebra.Scan, algebra.Size(op, memoHint))
+	}
 	s, _ := op.(*algebra.Scan)
 	if s != nil && !s.Schema().Has(attr) {
 		s = nil
@@ -93,9 +100,6 @@ func (e *Estimator) scanOf(op algebra.Op, attr string) *algebra.Scan {
 			s = e.scanOf(in, attr)
 		}
 	})
-	if e.scans == nil {
-		e.scans = make(map[colKey]*algebra.Scan)
-	}
 	e.scans[key] = s
 	return s
 }
@@ -113,10 +117,10 @@ func (e *Estimator) Cardinality(op algebra.Op) float64 {
 	if c, ok := e.cards[op]; ok {
 		return c
 	}
-	c := e.cardinality(op)
 	if e.cards == nil {
-		e.cards = make(map[algebra.Op]float64)
+		e.cards = make(map[algebra.Op]float64, algebra.Size(op, memoHint))
 	}
+	c := e.cardinality(op)
 	e.cards[op] = c
 	return c
 }

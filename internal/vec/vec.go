@@ -132,13 +132,15 @@ func (c *compiler) pred(e algebra.Expr) (pnode, error) {
 		}
 		return &pcmp{op: x.Op, l: l, r: r}, nil
 	case *algebra.AndExpr:
-		parts, err := c.preds(algebra.SplitConjuncts(x))
+		var buf [8]algebra.Expr
+		parts, err := c.preds(algebra.AppendConjuncts(buf[:0], x))
 		if err != nil {
 			return nil, err
 		}
 		return &pand{parts: parts}, nil
 	case *algebra.OrExpr:
-		parts, err := c.preds(algebra.SplitDisjuncts(x))
+		var buf [8]algebra.Expr
+		parts, err := c.preds(algebra.AppendDisjuncts(buf[:0], x))
 		if err != nil {
 			return nil, err
 		}

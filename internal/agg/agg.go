@@ -8,7 +8,6 @@ package agg
 
 import (
 	"fmt"
-	"strings"
 
 	"disqo/internal/types"
 )
@@ -57,19 +56,14 @@ type Spec struct {
 
 // String renders e.g. "COUNT(DISTINCT *)".
 func (s Spec) String() string {
-	var b strings.Builder
-	b.WriteString(s.Kind.String())
-	b.WriteByte('(')
+	mod, arg := "", "."
 	if s.Distinct {
-		b.WriteString("DISTINCT ")
+		mod = "DISTINCT "
 	}
 	if s.Star {
-		b.WriteByte('*')
-	} else {
-		b.WriteByte('.')
+		arg = "*"
 	}
-	b.WriteByte(')')
-	return b.String()
+	return s.Kind.String() + "(" + mod + arg + ")"
 }
 
 // Validate rejects spec combinations SQL forbids.

@@ -22,7 +22,6 @@
 package rewrite
 
 import (
-	"fmt"
 	"strconv"
 
 	"disqo/internal/agg"
@@ -79,8 +78,7 @@ type Rewriter struct {
 // New returns a Rewriter using catalog statistics for its cost-based
 // decisions; cat may be the live catalog or a pinned snapshot.
 func New(cat catalog.Reader, caps Caps) *Rewriter {
-	return &Rewriter{est: stats.New(cat), caps: caps, memo: make(map[algebra.Op]algebra.Op),
-		cols: make([]string, 0, 8)}
+	return &Rewriter{est: stats.New(cat), caps: caps, cols: make([]string, 0, 8)}
 }
 
 // fresh generates a plan-unique synthetic attribute name not colliding
@@ -95,15 +93,20 @@ func (rw *Rewriter) fresh(base string, near algebra.Op) string {
 	}
 }
 
-func (rw *Rewriter) trace(format string, args ...any) {
-	rw.Trace = append(rw.Trace, fmt.Sprintf(format, args...))
-}
+func (rw *Rewriter) trace(line string) { rw.Trace = append(rw.Trace, line) }
 
 // Rewrite unnests a plan. The input plan is not mutated; shared DAG
 // structure in the input remains shared in the output.
 func (rw *Rewriter) Rewrite(plan algebra.Op) (algebra.Op, error) {
+	if rw.memo == nil {
+		rw.memo = make(map[algebra.Op]algebra.Op, algebra.Size(plan, memoHint))
+	}
 	return rw.rewriteOp(plan)
 }
+
+// memoHint bounds the size the memo is made with, for the first plan
+// rewritten: a bigger one grows it.
+const memoHint = 256
 
 func (rw *Rewriter) rewriteOp(op algebra.Op) (algebra.Op, error) {
 	if out, ok := rw.memo[op]; ok {
@@ -309,14 +312,14 @@ func (rw *Rewriter) allAnyToExtremum(x *algebra.AllAnyExpr) algebra.Expr {
 	extSub := algebra.Subquery(agg.Spec{Kind: extremum}, col, x.Plan)
 	cmp := algebra.Cmp(x.Op, x.L, extSub)
 	if !x.All {
-		rw.trace("quantified: θ ANY → %s comparison", extremum)
+		rw.trace("quantified: θ ANY → " + extremum.String() + " comparison")
 		return cmp
 	}
 	countStar := agg.Spec{Kind: agg.Count, Star: true}
 	cntAll := algebra.Subquery(countStar, nil, x.Plan)
 	nullPlan := algebra.NewSelect(x.Plan, algebra.IsNull(col))
 	cntNull := algebra.Subquery(countStar, nil, nullPlan)
-	rw.trace("quantified: θ ALL → NULL-aware %s comparison", extremum)
+	rw.trace("quantified: θ ALL → NULL-aware " + extremum.String() + " comparison")
 	return algebra.Or(
 		algebra.Cmp(types.EQ, cntAll, algebra.ConstInt(0)),
 		algebra.And(

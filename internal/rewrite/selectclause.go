@@ -46,7 +46,7 @@ func (rw *Rewriter) unnestMap(m *algebra.MapOp) (algebra.Op, bool, error) {
 		expr = replaceExpr(expr, sub, gExpr)
 		cur = cur2
 		changed = true
-		rw.trace("subquery unnested into χ[%s]", m.Attr)
+		rw.trace("subquery unnested into χ[" + m.Attr + "]")
 	}
 	if !changed {
 		return m, false, nil

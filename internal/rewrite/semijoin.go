@@ -88,10 +88,10 @@ peel:
 	pred := algebra.And(corr...)
 	switch q.Quant {
 	case algebra.Exists, algebra.In:
-		rw.trace("quantified: %s → semijoin ⋉[%s]", q.Quant, pred)
+		rw.trace("quantified: " + q.Quant.String() + " → semijoin ⋉[" + pred.String() + "]")
 		return algebra.NewSemiJoin(cur, inner, pred), true, nil
 	default: // NotExists
-		rw.trace("quantified: NOT EXISTS → antijoin ▷[%s]", pred)
+		rw.trace("quantified: NOT EXISTS → antijoin ▷[" + pred.String() + "]")
 		return algebra.NewAntiJoin(cur, inner, pred), true, nil
 	}
 }

@@ -1,6 +1,9 @@
 package rewrite
 
 import (
+	"strconv"
+	"strings"
+
 	"disqo/internal/algebra"
 	"disqo/internal/storage"
 	"disqo/internal/types"
@@ -173,7 +176,7 @@ func (rw *Rewriter) cascade(base algebra.Op, disjuncts []algebra.Expr, sch *stor
 		// here; leave the plan canonical.
 		return nil, false, nil
 	}
-	rw.trace("bypass cascade over %d disjuncts (Eqv. 2/3 by rank)", len(disjuncts))
+	rw.trace("bypass cascade over " + strconv.Itoa(len(disjuncts)) + " disjuncts (Eqv. 2/3 by rank)")
 	out := branches[0]
 	for _, b := range branches[1:] {
 		out = algebra.NewUnionDisjoint(out, b)
@@ -209,7 +212,7 @@ func (rw *Rewriter) orExpand(base algebra.Op, disjuncts []algebra.Expr, sch *sto
 	if !anyUnnested {
 		return nil, false, nil
 	}
-	rw.trace("OR-expansion over %d disjuncts (union + distinct)", len(disjuncts))
+	rw.trace("OR-expansion over " + strconv.Itoa(len(disjuncts)) + " disjuncts (union + distinct)")
 	out := branches[0]
 	for _, b := range branches[1:] {
 		out = algebra.NewUnionAll(out, b)
@@ -323,7 +326,8 @@ func (rw *Rewriter) unnestScalar(sub *algebra.ScalarSubquery, cur algebra.Op) (a
 	// (IN, θ ALL/ANY) produce exactly these stacks. Peeling Π is not
 	// sound for COUNT(DISTINCT *), whose argument is the projected tuple.
 	plan := sub.Plan
-	var topConjs []algebra.Expr
+	var topBuf [8]algebra.Expr
+	topConjs := topBuf[:0]
 peel:
 	for {
 		switch p := plan.(type) {
@@ -346,7 +350,8 @@ peel:
 	innerSchema := innerChild.Schema()
 
 	// Partition the inner predicate's conjuncts.
-	var corrConjs, localConjs []algebra.Expr
+	var corrBuf, localBuf [4]algebra.Expr
+	corrConjs, localConjs := corrBuf[:0], localBuf[:0]
 	var corrDisj algebra.Expr // a conjunct that is a disjunction involving correlation
 	for _, ic := range topConjs {
 		_, or := ic.(*algebra.OrExpr)
@@ -435,7 +440,8 @@ func (rw *Rewriter) unnestConjunctiveCorrelation(sub *algebra.ScalarSubquery, in
 		// Drop the inner key columns so further unnestings against the
 		// same inner relation cannot collide on attribute names.
 		narrowed := algebra.NewProject(oj, append(append([]string(nil), cur.Schema().Attrs()...), g))
-		rw.trace("Eqv. 1: Γ[%v] + ⟕[%s:%s(∅)] for %s", groupCols, g, sub.Agg.Kind, sub.Agg)
+		rw.trace("Eqv. 1: Γ[[" + strings.Join(groupCols, " ") + "]] + ⟕[" + g + ":" + sub.Agg.Kind.String() +
+			"(∅)] for " + sub.Agg.String())
 		return algebra.Col(g), narrowed, true, nil
 	}
 
@@ -449,7 +455,7 @@ func (rw *Rewriter) unnestConjunctiveCorrelation(sub *algebra.ScalarSubquery, in
 		}
 	}
 	bg := algebra.NewBinaryGroup(cur, inner, corr, []algebra.AggItem{item})
-	rw.trace("Eqv. 1 (binary-grouping form): Γ²[%s] for %s", corr, sub.Agg)
+	rw.trace("Eqv. 1 (binary-grouping form): Γ²[" + corr.String() + "] for " + sub.Agg.String())
 	return algebra.Col(g), bg, true, nil
 }
 
@@ -472,7 +478,8 @@ func (rw *Rewriter) unnestConjunctiveCorrelation(sub *algebra.ScalarSubquery, in
 func (rw *Rewriter) buildEqv5(sub *algebra.ScalarSubquery, inner algebra.Op, corrDisj algebra.Expr,
 	cur algebra.Op) (algebra.Expr, algebra.Op, bool, error) {
 
-	var corrDs, pDs []algebra.Expr
+	var corrBuf, pBuf [4]algebra.Expr
+	corrDs, pDs := corrBuf[:0], pBuf[:0]
 	for _, d := range algebra.SplitDisjuncts(corrDisj) {
 		if rw.hasFreeCols(d, inner.Schema()) {
 			corrDs = append(corrDs, d)
@@ -506,7 +513,7 @@ func (rw *Rewriter) buildEqv5(sub *algebra.ScalarSubquery, inner algebra.Op, cor
 	item := rw.aggItem(g, sub, inner)
 	bg := algebra.NewBinaryGroup(cur, algebra.NewMap(inner, tag, p), corr, []algebra.AggItem{item})
 	bg.Tag = tag
-	rw.trace("Eqv. 5: χ[%s:%s] + Γ²[%s ∨ %s] for %s", tag, p, corr, tag, sub.Agg)
+	rw.trace("Eqv. 5: χ[" + tag + ":" + p.String() + "] + Γ²[" + corr.String() + " ∨ " + tag + "] for " + sub.Agg.String())
 	return algebra.Col(g), bg, true, nil
 }
 

@@ -35,7 +35,8 @@ type Translator struct {
 	cat  catalog.Reader
 	used map[string]bool // range-variable qualifiers in use
 	cols []string        // scratch: a conjunct's columns in buildJoinTree
-	// expanding guards against recursive view definitions.
+	// expanding guards against recursive view definitions; made by the
+	// first view expanded.
 	expanding map[string]bool
 	est       *stats.Estimator // orders joins; see estimator
 }
@@ -45,8 +46,7 @@ type Translator struct {
 // commit, a FROM reference to a view expanding like a derived table
 // over the view's body.
 func New(cat catalog.Reader) *Translator {
-	return &Translator{cat: cat, used: make(map[string]bool), expanding: make(map[string]bool),
-		cols: make([]string, 0, 8)}
+	return &Translator{cat: cat, used: make(map[string]bool), cols: make([]string, 0, 8)}
 }
 
 // rangeVar is one FROM-clause binding in a scope: a base table or a
@@ -556,6 +556,9 @@ func (tr *Translator) translateBlock(stmt *sqlparser.SelectStmt, parent *scope) 
 					return nil, nil, fmt.Errorf("translate: recursive view %q", ref.Table)
 				}
 				viewName, ref.Subquery = v.Name, v.Body
+				if tr.expanding == nil {
+					tr.expanding = make(map[string]bool)
+				}
 				tr.expanding[viewName] = true
 			}
 		}
@@ -607,22 +610,16 @@ func (tr *Translator) translateBlock(stmt *sqlparser.SelectStmt, parent *scope) 
 	// Translate the WHERE predicate with full scope so subqueries and
 	// correlation resolve; then distribute subquery-free local conjuncts
 	// into the join tree.
-	var conjuncts []algebra.Expr
+	var buf [8]algebra.Expr
+	conjuncts := buf[:0]
 	if stmt.Where != nil {
 		pred, err := tr.translateExpr(stmt.Where, sc)
 		if err != nil {
 			return nil, nil, err
 		}
-		conjuncts = algebra.SplitConjuncts(pred)
+		conjuncts = algebra.AppendConjuncts(conjuncts, pred)
 	}
-	plan, remaining, err := tr.buildJoinTree(sc, conjuncts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(remaining) > 0 {
-		plan = algebra.NewSelect(plan, algebra.And(remaining...))
-	}
-	return plan, sc, nil
+	return tr.buildJoinTree(sc, conjuncts), sc, nil
 }
 
 // predInfo tracks which of the block's range variables a conjunct
@@ -637,9 +634,9 @@ type predInfo struct {
 // buildJoinTree composes the block's scans into a join tree, pushing
 // single-variable conjuncts into per-scan selections and multi-variable
 // conjuncts into the join that first covers them. Conjuncts containing
-// subqueries (or touching no local variable) are returned for the
-// block-level selection — that placement is what makes the translation
-// "canonical": nested blocks stay nested.
+// subqueries (or touching no local variable) stay in a block-level
+// selection over the tree — that placement is what makes the
+// translation "canonical": nested blocks stay nested.
 //
 // The join order is greedy operator ordering (GOO; Fegaras, DEXA 1998):
 // the access paths start as one component each, and while more than one
@@ -649,7 +646,7 @@ type predInfo struct {
 // is smallest merged. Ties go to FROM order. Each join takes its larger
 // estimated input as L and its smaller one as R, the side a hash join
 // builds on.
-func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebra.Op, []algebra.Expr, error) {
+func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) algebra.Op {
 	var infoBuf [8]predInfo
 	var varBuf [16]int
 	infos, vars := infoBuf[:0], varBuf[:0] // vars: every conjunct's, one after the other
@@ -763,13 +760,17 @@ func (tr *Translator) buildJoinTree(sc *scope, conjuncts []algebra.Expr) (algebr
 	}
 	// The last merge covered every variable, so every pushable conjunct
 	// went into a scan or a join; what is left stays at block level.
-	var remaining []algebra.Expr
+	var restBuf [8]algebra.Expr
+	rest := restBuf[:0]
 	for _, pi := range infos {
 		if !pi.applied {
-			remaining = append(remaining, pi.expr)
+			rest = append(rest, pi.expr)
 		}
 	}
-	return comps[0], remaining, nil
+	if len(rest) > 0 {
+		return algebra.NewSelect(comps[0], algebra.And(rest...))
+	}
+	return comps[0]
 }
 
 // estimator returns the statement's estimator, made on first use: a

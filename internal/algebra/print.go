@@ -8,7 +8,8 @@ import (
 // PlanInline renders a plan as a compact one-line expression, used inside
 // expression strings for nested subqueries.
 func PlanInline(op Op) string {
-	ins := op.Inputs()
+	var buf [2]Op
+	ins := appendInputs(buf[:0], op)
 	switch len(ins) {
 	case 0:
 		return op.Label()
@@ -59,9 +60,7 @@ func ExplainAnnotated(root Op, annotate func(Op) string) string {
 		} else {
 			fmt.Fprintf(&b, "%s%s\n", indent, label)
 		}
-		for _, in := range op.Inputs() {
-			walk(in, depth+1)
-		}
+		EachInput(op, func(in Op) { walk(in, depth+1) })
 	}
 	walk(root, 0)
 	return b.String()
@@ -72,9 +71,7 @@ func countRefs(op Op, counts map[Op]int) {
 	if counts[op] > 1 {
 		return
 	}
-	for _, in := range op.Inputs() {
-		countRefs(in, counts)
-	}
+	EachInput(op, func(in Op) { countRefs(in, counts) })
 }
 
 // Walk visits every operator of the plan exactly once (pre-order,
@@ -90,9 +87,7 @@ func Walk(root Op, fn func(Op) bool) {
 		if !fn(op) {
 			return
 		}
-		for _, in := range op.Inputs() {
-			rec(in)
-		}
+		EachInput(op, rec)
 	}
 	rec(root)
 }

@@ -7,8 +7,12 @@ import (
 	"disqo/internal/catalog"
 	"disqo/internal/datagen"
 	"disqo/internal/exec"
+	"disqo/internal/harness"
+	"disqo/internal/physical"
 	"disqo/internal/rewrite"
 	"disqo/internal/sqlparser"
+	"disqo/internal/stats"
+	"disqo/internal/testutil"
 	"disqo/internal/translate"
 )
 
@@ -58,6 +62,64 @@ func BenchmarkPlanFig7(b *testing.B) {
 		for _, f := range fig7Texts {
 			if err := planStaged(snap, f.sql); err != nil {
 				b.Fatalf("%s: %v", f.name, err)
+			}
+		}
+	}
+}
+
+// planningAllocBudgets bound the heap objects each planning layer makes
+// for one statement — the per-layer count a plan-cache miss pays — at
+// their reading when planning came to allocate per plan rather than per
+// node visit, and a tenth more.
+var planningAllocBudgets = []struct {
+	name, sql                        string
+	parse, translate, rewrite, lower float64
+}{
+	{"q1_link", harness.Q1, 20, 29, 62, 42},
+	{"q3_tree", harness.Q3, 29, 39, 103, 50},
+	{"quant_exists", harness.QuantExists, 19, 32, 71, 47},
+	{"tpch_q2d", harness.Query2d, 96, 216, 76, 146},
+	{"cascade3", `SELECT DISTINCT * FROM r
+	  WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2)
+	     OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)
+	     OR a4 > 1500`, 33, 43, 107, 57},
+}
+
+// TestPlanningAllocs holds each planning layer — parse, translate,
+// rewrite, lower — to its allocation budget on the Fig. 7 statements
+// and a three-disjunct bypass cascade.
+func TestPlanningAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	snap := fig7Catalog(t).Snapshot()
+	for _, c := range planningAllocBudgets {
+		stmt, err := sqlparser.Parse(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		canonical, err := translate.New(snap).Translate(stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		plan, err := rewrite.New(snap, rewrite.AllCaps()).Rewrite(canonical)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, l := range []struct {
+			layer  string
+			budget float64
+			run    func()
+		}{
+			{"parse", c.parse, func() { _, _ = sqlparser.Parse(c.sql) }},
+			{"translate", c.translate, func() { _, _ = translate.New(snap).Translate(stmt) }},
+			{"rewrite", c.rewrite, func() { _, _ = rewrite.New(snap, rewrite.AllCaps()).Rewrite(canonical) }},
+			{"lower", c.lower, func() { _, _ = physical.NewPlanner(stats.New(snap)).Plan(plan) }},
+		} {
+			got := testing.AllocsPerRun(20, l.run)
+			t.Logf("%s %s: %.0f objects", c.name, l.layer, got)
+			if got > l.budget {
+				t.Errorf("%s: %s allocates %.0f objects, budget %.0f", c.name, l.layer, got, l.budget)
 			}
 		}
 	}

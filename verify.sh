@@ -59,6 +59,12 @@ test -z "$(grep -l '"unsafe"' $(ls internal/types/*.go | grep -v _test.go))"
 # (one entry per key), not a join index over every row of R⁻.
 test -z "$(grep -n 'rowEntry' $(ls internal/types/*.go | grep -v _test.go))"
 test -z "$(grep -n 'buildIndex(' internal/exec/group.go)"
+# Planning allocates per plan, not per node visit: the estimator resolves
+# a column's scan once per (operator, attribute), never by walking the
+# plan for each lookup, and the lexer folds keywords in ASCII against its
+# table rather than upper-casing every word.
+test -z "$(grep -n 'algebra\.Walk(' $(ls internal/stats/*.go | grep -v _test.go))"
+test -z "$(grep -n 'strings\.ToUpper(' internal/sqlparser/lexer.go)"
 # Two-valued logic is one translation at the front (translate.TwoValued),
 # not a mode: nothing below the planner names a null mode or lifts a leaf.
 test -z "$(grep -nE 'NullMode|Lift\(|WithNulls|EvalMode' $(ls internal/exec/*.go internal/vec/*.go internal/storage/*.go internal/types/*.go internal/rewrite/*.go internal/physical/*.go internal/stats/*.go | grep -v _test.go))"

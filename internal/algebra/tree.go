@@ -5,13 +5,13 @@ import "fmt"
 // This file states the shape of the two trees once. An operator has
 // inputs (Op.Inputs) and attached expressions (AppendExprs); an
 // expression has child expressions and, for the three subquery kinds,
-// an embedded plan (exprParts). withParts and exprWithParts rebuild a node of the same
-// kind over new parts. Every other traversal — the generic maps
-// MapChildren and MapExprChildren, HasSubquery, SubqueryExprs,
-// NestedPlans, WalkNested, the rewriter's recursion — is derived from
-// these, so a new node kind costs one arm to read and one to rebuild
-// here, plus the layers that give it meaning (stats, physical lowering,
-// exec, vec).
+// an embedded plan (exprParts). withParts and exprWithParts rebuild a
+// node of the same kind over new parts. Every other traversal — the
+// generic maps MapChildren and MapExprChildren, HasSubquery,
+// SubqueryExprs, NestedPlans, WalkNested, the rewriter's recursion — is
+// derived from these, so a new node kind costs one arm to read and one
+// to rebuild here, plus the layers that give it meaning (stats, physical
+// lowering, exec, vec).
 
 // EachInput calls fn for each of op's inputs, in Inputs' order, without
 // building the slice: for the traversals that run per planned statement.
@@ -107,27 +107,37 @@ func withParts(op Op, in []Op, ex []Expr) (Op, error) {
 		return &Stream{Source: in[0], Positive: x.Positive}, nil
 	case *Project:
 		if same {
-			return &Project{unary{in[0]}, x.Attrs, x.schema}, nil
+			c := *x
+			c.Child = in[0]
+			return &c, nil
 		}
 		return NewProject(in[0], x.Attrs), nil
 	case *Rename:
 		if same {
-			return &Rename{unary{in[0]}, x.Pairs, x.schema}, nil
+			c := *x
+			c.Child = in[0]
+			return &c, nil
 		}
 		return NewRename(in[0], x.Pairs)
 	case *MapOp:
 		if same {
-			return &MapOp{unary{in[0]}, x.Attr, ex[0], x.schema}, nil
+			c := *x
+			c.Child, c.Expr = in[0], ex[0]
+			return &c, nil
 		}
 		return NewMap(in[0], x.Attr, ex[0]), nil
 	case *CrossProduct:
 		if same {
-			return &CrossProduct{binary{in[0], in[1]}, x.schema}, nil
+			c := *x
+			c.L, c.R = in[0], in[1]
+			return &c, nil
 		}
 		return NewCross(in[0], in[1]), nil
 	case *Join:
 		if same {
-			return &Join{binary{in[0], in[1]}, ex[0], x.schema}, nil
+			c := *x
+			c.L, c.R, c.Pred = in[0], in[1], ex[0]
+			return &c, nil
 		}
 		return NewJoin(in[0], in[1], ex[0]), nil
 	case *SemiJoin:
@@ -136,17 +146,23 @@ func withParts(op Op, in []Op, ex []Expr) (Op, error) {
 		return NewAntiJoin(in[0], in[1], ex[0]), nil
 	case *LeftOuterJoin:
 		if same {
-			return &LeftOuterJoin{binary{in[0], in[1]}, ex[0], x.Defaults, x.schema}, nil
+			c := *x
+			c.L, c.R, c.Pred = in[0], in[1], ex[0]
+			return &c, nil
 		}
 		return NewLeftOuterJoin(in[0], in[1], ex[0], x.Defaults), nil
 	case *GroupBy:
 		if same {
-			return &GroupBy{unary{in[0]}, x.Attrs, withArgs(x.Aggs, ex), x.Global, x.schema}, nil
+			c := *x
+			c.Child, c.Aggs = in[0], withArgs(x.Aggs, ex)
+			return &c, nil
 		}
 		return NewGroupBy(in[0], x.Attrs, withArgs(x.Aggs, ex), x.Global), nil
 	case *BinaryGroup:
 		if same {
-			return &BinaryGroup{binary{in[0], in[1]}, ex[0], x.Tag, withArgs(x.Aggs, ex[1:]), x.schema}, nil
+			c := *x
+			c.L, c.R, c.Pred, c.Aggs = in[0], in[1], ex[0], withArgs(x.Aggs, ex[1:])
+			return &c, nil
 		}
 		bg := NewBinaryGroup(in[0], in[1], ex[0], withArgs(x.Aggs, ex[1:]))
 		bg.Tag = x.Tag
@@ -377,31 +393,28 @@ func WalkNested(root Op, fn func(Op)) []Op {
 				visit(sp)
 			}
 		}
-		var buf [2]Op
-		for _, in := range appendInputs(buf[:0], op) {
-			visit(in)
-		}
+		EachInput(op, visit)
 	}
 	visit(root)
 	return blocks
 }
 
 // Size returns how many operators the plan below op holds, the query
-// blocks nested in operator expressions included, but at most limit: the
-// entries a map keyed by the plan's operators is sized for when made.
-// It counts an operator once per path that reaches it, so a DAG counts
-// its shared operators more than once; limit bounds the walk too.
-func Size(op Op, limit int) int {
+// blocks nested in operator expressions included, but at most 256: the
+// entries a map keyed by the plan's operators is made for, once per
+// plan; a bigger plan grows it. It counts an operator once per path
+// that reaches it, so a DAG counts its shared operators more than once,
+// and the bound bounds the walk too.
+func Size(op Op) int { return size(op, 256) }
+
+func size(op Op, limit int) int {
 	if limit <= 0 {
 		return 0
 	}
 	n := 1
 	for _, sub := range NestedPlans(op) {
-		n += Size(sub, limit-n)
+		n += size(sub, limit-n)
 	}
-	var buf [2]Op
-	for _, in := range appendInputs(buf[:0], op) {
-		n += Size(in, limit-n)
-	}
+	EachInput(op, func(in Op) { n += size(in, limit-n) })
 	return n
 }

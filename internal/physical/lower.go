@@ -114,9 +114,6 @@ type Planner struct {
 	names  []string // scratch for reads
 }
 
-// memoHint bounds the size a memo is made with: a bigger plan grows it.
-const memoHint = 256
-
 type lowered struct {
 	node   Node
 	shared bool
@@ -271,7 +268,7 @@ func (p *Planner) Lower(op algebra.Op) (Node, error) {
 		return n, nil
 	}
 	if p.memo == nil {
-		p.memo = make(map[algebra.Op]lowered, algebra.Size(op, memoHint))
+		p.memo = make(map[algebra.Op]lowered, algebra.Size(op))
 	}
 	p.markShared(op)
 	return p.whole(op)

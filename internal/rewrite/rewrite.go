@@ -99,14 +99,10 @@ func (rw *Rewriter) trace(line string) { rw.Trace = append(rw.Trace, line) }
 // structure in the input remains shared in the output.
 func (rw *Rewriter) Rewrite(plan algebra.Op) (algebra.Op, error) {
 	if rw.memo == nil {
-		rw.memo = make(map[algebra.Op]algebra.Op, algebra.Size(plan, memoHint))
+		rw.memo = make(map[algebra.Op]algebra.Op, algebra.Size(plan))
 	}
 	return rw.rewriteOp(plan)
 }
-
-// memoHint bounds the size the memo is made with, for the first plan
-// rewritten: a bigger one grows it.
-const memoHint = 256
 
 func (rw *Rewriter) rewriteOp(op algebra.Op) (algebra.Op, error) {
 	if out, ok := rw.memo[op]; ok {

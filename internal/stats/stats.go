@@ -34,18 +34,14 @@ const (
 // the scan an attribute resolves to per (operator, attribute), so
 // estimating a node its planner has already estimated below, or asking
 // twice, is a map read. The keys are algebra nodes, which are immutable
-// once built. The memo is made on first use and makes an estimator
-// unsafe for concurrent use: each one serves one statement's planning,
-// or one executor under its lock.
+// once built. The memo is made on first use, sized for the plan first
+// asked about, and makes an estimator unsafe for concurrent use: each
+// one serves one statement's planning, or one executor under its lock.
 type Estimator struct {
 	cat   catalog.Reader
 	cards map[algebra.Op]float64
 	scans map[colKey]*algebra.Scan
 }
-
-// memoHint bounds the size a memo is made with, for the plan of the
-// first operator it is asked about: a bigger plan grows it.
-const memoHint = 256
 
 type colKey struct {
 	plan algebra.Op
@@ -89,7 +85,7 @@ func (e *Estimator) scanOf(op algebra.Op, attr string) *algebra.Scan {
 		return s
 	}
 	if e.scans == nil {
-		e.scans = make(map[colKey]*algebra.Scan, algebra.Size(op, memoHint))
+		e.scans = make(map[colKey]*algebra.Scan, algebra.Size(op))
 	}
 	s, _ := op.(*algebra.Scan)
 	if s != nil && !s.Schema().Has(attr) {
@@ -118,7 +114,7 @@ func (e *Estimator) Cardinality(op algebra.Op) float64 {
 		return c
 	}
 	if e.cards == nil {
-		e.cards = make(map[algebra.Op]float64, algebra.Size(op, memoHint))
+		e.cards = make(map[algebra.Op]float64, algebra.Size(op))
 	}
 	c := e.cardinality(op)
 	e.cards[op] = c

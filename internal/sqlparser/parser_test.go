@@ -107,6 +107,19 @@ func TestLexUTF8(t *testing.T) {
 	}
 }
 
+// TestWordTables checks that every reserved word and aggregate name is
+// one lookupWord can match: upper-case ASCII of at most eight letters,
+// found from its lower-case spelling.
+func TestWordTables(t *testing.T) {
+	for _, set := range []map[string]string{keywords, aggFuncs} {
+		for w := range set {
+			if got := lookupWord(set, strings.ToLower(w)); got != w {
+				t.Errorf("lookupWord(%q) = %q, want %q", strings.ToLower(w), got, w)
+			}
+		}
+	}
+}
+
 func TestLexPositions(t *testing.T) {
 	toks, err := Lex("SELECT\n  a")
 	if err != nil {

@@ -399,12 +399,13 @@ func WalkNested(root Op, fn func(Op)) []Op {
 	return blocks
 }
 
-// Size returns how many operators the plan below op holds, the query
-// blocks nested in operator expressions included, but at most 256: the
-// entries a map keyed by the plan's operators is made for, once per
-// plan; a bigger plan grows it. It counts an operator once per path
-// that reaches it, so a DAG counts its shared operators more than once,
-// and the bound bounds the walk too.
+// Size returns how many operators the plan below op holds, at most 256:
+// the entries a map keyed by the plan's operators is made for, once per
+// plan. It counts an operator once per path through inputs that reaches
+// it, so a DAG counts its shared operators more than once, and does not
+// enter the query blocks nested in expressions, which a rewritten plan
+// has few of: the hint is rough, and a map it undersizes grows. The
+// bound bounds the walk too.
 func Size(op Op) int { return size(op, 256) }
 
 func size(op Op, limit int) int {
@@ -412,9 +413,6 @@ func size(op Op, limit int) int {
 		return 0
 	}
 	n := 1
-	for _, sub := range NestedPlans(op) {
-		n += size(sub, limit-n)
-	}
 	EachInput(op, func(in Op) { n += size(in, limit-n) })
 	return n
 }

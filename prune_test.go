@@ -230,8 +230,8 @@ func TestResultRowsSurviveWrites(t *testing.T) {
 // Eqv. 1's ⟕ over Γ run as one hashed Γ² folded through Γ's presized
 // group tables, the bypass cascade run in one pass, in that Γ², and
 // planning allocating per plan rather than per node visit, together.
-// The objects column is set from: Q1 198 objects, Q2 171, COUNT(DISTINCT
-// *) 191, Q3 288, quant_exists 220 and Query 2d 709, against 367, 328,
+// The objects column is set from: Q1 197 objects, Q2 170, COUNT(DISTINCT
+// *) 190, Q3 286, quant_exists 219 and Query 2d 711, against 367, 328,
 // 345, 556, 412 and 1 460 with the estimator walking the plan for each
 // column, traversals and split helpers building a slice per call and
 // every rebuilt operator deriving its schema again. Before that: Q1
@@ -276,15 +276,15 @@ func TestQueryBytesGolden(t *testing.T) {
 		bytes   uint64
 		mallocs uint64
 	}{
-		{"Fig. 7 Q1 at RST SF 0.05", rst, q1SQL, 78_700, 218},
-		{"Fig. 7 Q2 (Eqv. 5) at RST SF 0.05", rst, q2SQL, 60_400, 189},
+		{"Fig. 7 Q1 at RST SF 0.05", rst, q1SQL, 78_700, 217},
+		{"Fig. 7 Q2 (Eqv. 5) at RST SF 0.05", rst, q2SQL, 60_400, 187},
 		{"q2_count_distinct (Eqv. 5, DISTINCT) at RST SF 0.05", rst, `SELECT DISTINCT * FROM r
-		  WHERE a1 <= (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2 OR b4 > 1500)`, 111_100, 211},
+		  WHERE a1 <= (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2 OR b4 > 1500)`, 111_100, 209},
 		{"Fig. 7 Q3 (two Eqv. 1 blocks) at RST SF 0.05", rst, `SELECT DISTINCT * FROM r
 		  WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2)
-		     OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)`, 201_100, 317},
+		     OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)`, 201_100, 315},
 		{"quant_exists (EXISTS as a count) at RST SF 0.05", rst, `SELECT DISTINCT * FROM r
-		  WHERE EXISTS (SELECT * FROM s WHERE a2 = b2 AND b4 > 2500) OR a4 > 1500`, 93_300, 242},
+		  WHERE EXISTS (SELECT * FROM s WHERE a2 = b2 AND b4 > 2500) OR a4 > 1500`, 93_300, 241},
 		{"Query 2d at TPC-H SF 0.01", tpch, `SELECT s_acctbal, s_name, n_name, p_partkey, p_mfgr, s_address, s_phone, s_comment
 		  FROM part, supplier, partsupp, nation, region
 		  WHERE p_partkey = ps_partkey AND s_suppkey = ps_suppkey AND p_size = 15 AND p_type LIKE '%BRASS'
@@ -293,7 +293,7 @@ func TestQueryBytesGolden(t *testing.T) {
 		                          WHERE s_suppkey = ps_suppkey AND p_partkey = ps_partkey AND s_nationkey = n_nationkey
 		                            AND n_regionkey = r_regionkey AND r_name = 'EUROPE')
 		         OR ps_availqty > 8000)
-		  ORDER BY s_acctbal DESC, n_name, s_name, p_partkey`, 931_700, 780},
+		  ORDER BY s_acctbal DESC, n_name, s_name, p_partkey`, 931_700, 783},
 	} {
 		run := func() {
 			if res, err := c.db.Query(c.sql, WithWorkers(1)); err != nil || len(res.Rows) == 0 {

@@ -31,7 +31,7 @@ const (
 
 // Estimator derives estimates from catalog statistics. It computes
 // each estimate once: a plan's cardinality is memoized per operator and
-// the scan an attribute resolves to per (operator, attribute), so
+// an attribute's column statistics per (operator, attribute), so
 // estimating a node its planner has already estimated below, or asking
 // twice, is a map read. The keys are algebra nodes, which are immutable
 // once built. The memo is made on first use, sized for the plan first
@@ -40,12 +40,20 @@ const (
 type Estimator struct {
 	cat   catalog.Reader
 	cards map[algebra.Op]float64
-	scans map[colKey]*algebra.Scan
+	cols  map[colKey]colStat
 }
 
 type colKey struct {
 	plan algebra.Op
 	attr string
+}
+
+// colStat is what an attribute resolves to below an operator: whether a
+// scan there produces it and, if one does, its column's statistics (nil
+// for none).
+type colStat struct {
+	found bool
+	st    *catalog.ColumnStats
 }
 
 // New returns an estimator over a catalog view — the live catalog or a
@@ -61,43 +69,48 @@ func (e *Estimator) colStats(plan algebra.Op, attr string) *catalog.ColumnStats 
 	if plan == nil || e.cat == nil {
 		return nil
 	}
-	s := e.scanOf(plan, attr)
-	if s == nil {
-		return nil
-	}
-	tbl, err := e.cat.Lookup(s.Table)
-	if i := s.Schema().Index(attr); err == nil && i < tbl.Rel.Schema.Len() {
-		if st := tbl.ColumnStats(i); st.Distinct > 0 {
-			return st
-		}
-	}
-	return nil
+	return e.resolve(plan, attr).st
 }
 
-// scanOf returns the first scan of op's plan, in pre-order, whose schema
-// holds attr, or nil. Each (operator, attribute) is resolved once, so a
-// plan's shared nodes are searched once however many paths reach them,
-// and resolving an attribute on a subplan of one resolved before is a
-// map read.
-func (e *Estimator) scanOf(op algebra.Op, attr string) *algebra.Scan {
+// resolve finds the first scan of op's plan, in pre-order, whose schema
+// holds attr. Each (operator, attribute) is resolved once, so a plan's
+// shared nodes are searched once however many paths reach them, and
+// resolving an attribute on a subplan of one resolved before is a map
+// read.
+func (e *Estimator) resolve(op algebra.Op, attr string) colStat {
 	key := colKey{op, attr}
-	if s, ok := e.scans[key]; ok {
-		return s
+	if c, ok := e.cols[key]; ok {
+		return c
 	}
-	if e.scans == nil {
-		e.scans = make(map[colKey]*algebra.Scan, algebra.Size(op))
+	if e.cols == nil {
+		e.cols = make(map[colKey]colStat, algebra.Size(op))
 	}
-	s, _ := op.(*algebra.Scan)
-	if s != nil && !s.Schema().Has(attr) {
-		s = nil
+	var c colStat
+	if s, ok := op.(*algebra.Scan); ok {
+		if i := s.Schema().Index(attr); i >= 0 {
+			c = colStat{found: true, st: e.scanStats(s.Table, i)}
+		}
 	}
 	algebra.EachInput(op, func(in algebra.Op) {
-		if s == nil {
-			s = e.scanOf(in, attr)
+		if !c.found {
+			c = e.resolve(in, attr)
 		}
 	})
-	e.scans[key] = s
-	return s
+	e.cols[key] = c
+	return c
+}
+
+// scanStats returns the statistics of column i of a table, nil when the
+// column holds no values.
+func (e *Estimator) scanStats(table string, i int) *catalog.ColumnStats {
+	tbl, err := e.cat.Lookup(table)
+	if err != nil || i >= tbl.Rel.Schema.Len() {
+		return nil
+	}
+	if st := tbl.ColumnStats(i); st.Distinct > 0 {
+		return st
+	}
+	return nil
 }
 
 // colStatsIn is colStats over two inputs, l searched first.

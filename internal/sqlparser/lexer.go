@@ -104,10 +104,11 @@ func estimateTokens(input string) int {
 		if isOpByte(c) {
 			n++
 		}
-		if blank := isBlank(c); !blank && !inRun {
+		blank := isBlank(c)
+		if !blank && !inRun {
 			n++
 		}
-		inRun = !isBlank(c)
+		inRun = !blank
 	}
 	return n
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -24,7 +25,7 @@ import (
 //
 // Reconnection uses Retry under the client's RetryPolicy: when a read
 // path (Query, Ping, Prepare) fails at the transport layer, the client
-// redials, replays its session state (defaults and prepared
+// redials, replays its session state (settings and prepared
 // statements — the server-side session died with the connection), and
 // retries. Exec is deliberately at-most-once: a write whose response
 // was lost may or may not have applied, and silently re-sending it
@@ -43,10 +44,8 @@ type Client struct {
 	closed bool
 
 	// Session state replayed after a reconnect.
-	strategy  string
-	nulls     string
-	timeoutMS int64
-	prepared  map[string]string
+	settings map[string]string
+	prepared map[string]string
 }
 
 // ErrConnection is the transport-failure sentinel: dial, write, or
@@ -77,7 +76,9 @@ func WithClientDialTimeout(d time.Duration) ClientOption {
 // WithClientRequestTimeout sets a default per-request timeout, applied
 // when the call's context carries no deadline. It bounds both the
 // server-side execution (sent as the request's timeout) and the
-// client-side wait. 0 (the default) means unbounded.
+// client-side wait (that timeout plus a slack, after which the call
+// fails with ErrTimeout). 0 (the default) means unbounded; SetTimeout
+// changes it later.
 func WithClientRequestTimeout(d time.Duration) ClientOption {
 	return func(o *clientOptions) { o.requestTimeout = d }
 }
@@ -99,10 +100,10 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	c := &Client{addr: addr, opts: o, prepared: make(map[string]string)}
+	c := &Client{addr: addr, opts: o, settings: make(map[string]string), prepared: make(map[string]string)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.connectLocked(context.Background()); err != nil {
+	if err := c.connectLocked(context.Background(), time.Time{}); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -121,8 +122,6 @@ type ServerError struct {
 	// node, when the server could; Node is 0 with Op "" otherwise.
 	Node int
 	Op   string
-	// Strategy is the strategy that was executing, when known.
-	Strategy string
 }
 
 func (e *ServerError) Error() string {
@@ -208,13 +207,7 @@ func (c *Client) Exec(sql string) (int, error) {
 // Prepare registers sql under name in the server session (and locally,
 // so a reconnect re-registers it).
 func (c *Client) Prepare(name, sql string) error {
-	_, err := c.do(context.Background(), &wire.Request{Op: wire.OpPrepare, Name: name, SQL: sql}, true)
-	if err == nil {
-		c.mu.Lock()
-		c.prepared[name] = sql
-		c.mu.Unlock()
-	}
-	return err
+	return c.record(&wire.Request{Op: wire.OpPrepare, Name: name, SQL: sql}, func() { c.prepared[name] = sql })
 }
 
 // ClosePrepared forgets a prepared statement.
@@ -226,32 +219,17 @@ func (c *Client) ClosePrepared(name string) error {
 	return err
 }
 
-// SetStrategy makes s the session's default evaluation strategy.
-func (c *Client) SetStrategy(s Strategy) error {
-	return c.set(&wire.Request{Op: wire.OpSet, Strategy: string(s)}, func() { c.strategy = string(s) })
+// Set makes name = value a default of the server session for every
+// later query, and records it so a reconnect replays it. Names and
+// values are SettingsTable's; the server rejects any other with an
+// invalid ServerError and leaves the session as it was.
+func (c *Client) Set(name, value string) error {
+	return c.record(&wire.Request{Op: wire.OpSet, Settings: map[string]string{name: value}}, func() { c.settings[name] = value })
 }
 
-// SetNullMode makes m the session's default null semantics: "3vl"
-// (SQL three-valued, the server default) or "2vl" (comparisons with
-// NULL are false).
-func (c *Client) SetNullMode(m NullMode) error {
-	return c.set(&wire.Request{Op: wire.OpSet, Nulls: string(m)}, func() { c.nulls = string(m) })
-}
-
-// SetTimeout makes d the session's default per-request timeout; 0
-// clears it.
-func (c *Client) SetTimeout(d time.Duration) error {
-	ms := d.Milliseconds()
-	if d > 0 && ms == 0 {
-		ms = 1
-	}
-	if d <= 0 {
-		ms = -1
-	}
-	return c.set(&wire.Request{Op: wire.OpSet, TimeoutMS: ms}, func() { c.timeoutMS = max(ms, 0) })
-}
-
-func (c *Client) set(req *wire.Request, commit func()) error {
+// record sends req and, once the server has accepted it, runs commit
+// under c.mu to record the session state a reconnect replays.
+func (c *Client) record(req *wire.Request, commit func()) error {
 	_, err := c.do(context.Background(), req, true)
 	if err == nil {
 		c.mu.Lock()
@@ -259,6 +237,15 @@ func (c *Client) set(req *wire.Request, commit func()) error {
 		c.mu.Unlock()
 	}
 	return err
+}
+
+// SetTimeout makes d the default per-request timeout, the one
+// WithClientRequestTimeout sets; 0 clears it. It is the client's own
+// and takes effect with the next request.
+func (c *Client) SetTimeout(d time.Duration) {
+	c.mu.Lock()
+	c.opts.requestTimeout = d
+	c.mu.Unlock()
 }
 
 // Ping reports the server's role, drain state, and session gauges.
@@ -338,21 +325,20 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respon
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// The request must be answered by ctx's deadline, else by the
+	// default request timeout from now; a zero dl is unbounded.
+	dl, ok := ctx.Deadline()
+	if !ok && c.opts.requestTimeout > 0 {
+		dl = time.Now().Add(c.opts.requestTimeout)
+	}
 	if c.conn == nil {
-		if err := c.connectLocked(ctx); err != nil {
+		if err := c.connectLocked(ctx, dl); err != nil {
 			return nil, err
 		}
 	}
 	c.nextID++
 	req.ID = c.nextID
-	if req.Op != wire.OpSet && req.TimeoutMS == 0 {
-		if dl, ok := ctx.Deadline(); ok {
-			req.TimeoutMS = max(time.Until(dl).Milliseconds(), 1)
-		} else if c.opts.requestTimeout > 0 {
-			req.TimeoutMS = c.opts.requestTimeout.Milliseconds()
-		}
-	}
-	resp, err := c.exchangeLocked(ctx, req)
+	resp, err := c.exchangeLocked(ctx, req, dl)
 	if err != nil {
 		// Any transport failure poisons the connection: the stream may
 		// hold a half-written request or an unread response.
@@ -361,11 +347,10 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respon
 	}
 	if resp.Error != nil {
 		return nil, &ServerError{
-			Kind:     resp.Error.Kind,
-			Message:  resp.Error.Message,
-			Node:     resp.Error.Node,
-			Op:       resp.Error.Op,
-			Strategy: resp.Error.Strategy,
+			Kind:    resp.Error.Kind,
+			Message: resp.Error.Message,
+			Node:    resp.Error.Node,
+			Op:      resp.Error.Op,
 		}
 	}
 	return resp, nil
@@ -379,9 +364,10 @@ func (c *Client) dropLocked() {
 	}
 }
 
-// connectLocked dials and replays session state (defaults, prepared
+// connectLocked dials and replays session state (settings, prepared
 // statements) so a reconnected session behaves like the one that died.
-func (c *Client) connectLocked(ctx context.Context) error {
+// The replay's exchanges are bounded by dl, like the request.
+func (c *Client) connectLocked(ctx context.Context, dl time.Time) error {
 	d := net.Dialer{Timeout: c.opts.dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
@@ -393,15 +379,14 @@ func (c *Client) connectLocked(ctx context.Context) error {
 	}
 	c.conn = conn
 	c.br = bufio.NewReaderSize(conn, 64<<10)
-	replay := &wire.Request{Op: wire.OpSet, Strategy: c.strategy, Nulls: c.nulls, TimeoutMS: c.timeoutMS}
-	if c.strategy != "" || c.nulls != "" || c.timeoutMS > 0 {
-		if _, err := c.exchangeLocked(ctx, replay); err != nil {
+	if len(c.settings) > 0 {
+		if _, err := c.exchangeLocked(ctx, &wire.Request{Op: wire.OpSet, Settings: c.settings}, dl); err != nil {
 			c.dropLocked()
 			return err
 		}
 	}
 	for name, sql := range c.prepared {
-		if _, err := c.exchangeLocked(ctx, &wire.Request{Op: wire.OpPrepare, Name: name, SQL: sql}); err != nil {
+		if _, err := c.exchangeLocked(ctx, &wire.Request{Op: wire.OpPrepare, Name: name, SQL: sql}, dl); err != nil {
 			c.dropLocked()
 			return err
 		}
@@ -410,13 +395,22 @@ func (c *Client) connectLocked(ctx context.Context) error {
 }
 
 // exchangeLocked writes req and reads frames until req's response
-// arrives. An unsolicited frame (ID 0) is the server ending the
-// session — idle reap or drain — and maps to ErrConnection so the
-// retry layer reconnects.
-func (c *Client) exchangeLocked(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+// arrives. A nonzero dl is sent as the request's timeout and bounds the
+// wait. An unsolicited frame (ID 0) is the server ending the session —
+// idle reap or drain — and maps to ErrConnection so the retry layer
+// reconnects.
+func (c *Client) exchangeLocked(ctx context.Context, req *wire.Request, dl time.Time) (*wire.Response, error) {
 	if req.ID == 0 {
 		c.nextID++
 		req.ID = c.nextID
+	}
+	req.TimeoutMS = 0
+	if !dl.IsZero() {
+		// Round up: a timeout under a millisecond sent as 0 would be
+		// unbounded. The client waits 2s longer than the server, so
+		// the server's typed timeout error usually wins the race.
+		req.TimeoutMS = max(int64((time.Until(dl)+time.Millisecond-1)/time.Millisecond), 1)
+		dl = dl.Add(2 * time.Second)
 	}
 	data, err := json.Marshal(req)
 	if err != nil {
@@ -427,13 +421,7 @@ func (c *Client) exchangeLocked(ctx context.Context, req *wire.Request) (*wire.R
 	// cancels the in-flight query within one morsel.
 	stop := context.AfterFunc(ctx, func() { c.conn.Close() })
 	defer stop()
-	if dl, ok := ctx.Deadline(); ok {
-		// Client-side wait slack over the server-side timeout, so the
-		// server's typed timeout error usually wins the race.
-		c.conn.SetDeadline(dl.Add(2 * time.Second))
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
+	c.conn.SetDeadline(dl)
 	if _, err := c.conn.Write(append(data, '\n')); err != nil {
 		return nil, c.transportErr("write", err, ctx)
 	}
@@ -461,6 +449,11 @@ func (c *Client) exchangeLocked(ctx context.Context, req *wire.Request) (*wire.R
 func (c *Client) transportErr(op string, err error, ctx context.Context) error {
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return ctxErr
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		// The wait outlived the request timeout and its slack: a
+		// timeout, not a transport failure to retry.
+		return fmt.Errorf("%w: no response within the request timeout: %w", ErrTimeout, err)
 	}
 	return fmt.Errorf("%w: %s: %w", ErrConnection, op, err)
 }

@@ -20,8 +20,8 @@
 //	\wal                          show write-ahead log counters (-data)
 //	\top [n]                      top statements by total wall time
 //	\slow                         dump the slow-query ring
-//	\strategy s2                  switch strategy
-//	\set nulls 2vl                switch null semantics (2vl or 3vl)
+//	\set strategy s2              switch a setting: strategy, nulls (2vl or 3vl)
+//	\set                          list the settings, their values and defaults
 //	\tables                       list tables
 //	\q                            quit
 //
@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -46,92 +47,132 @@ import (
 	"disqo/internal/sqlparser"
 )
 
-func main() {
-	var (
-		rstSF     = flag.Float64("rst", 0, "load RST at this scale factor (paper SF 1 = 10,000 rows)")
-		tpchSF    = flag.Float64("tpch", 0, "load TPC-H at this scale factor")
-		full      = flag.Bool("tpch-all", false, "generate all 8 TPC-H tables (default: the 5 Query 2d uses)")
-		strategy  = flag.String("strategy", string(disqo.Unnested), "evaluation strategy: "+strategyNames)
-		nulls     = flag.String("nulls", "3vl", "null semantics: 3vl (SQL three-valued) or 2vl (NULL comparisons are false)")
-		seedFlag  = flag.String("seed", "", "reproduce adversarial scenario N: load its generated tables and run its query (combine with -strategy/-nulls to compare matrix cells; -e overrides the query)")
-		execSQL   = flag.String("e", "", "execute one statement and exit")
-		explain   = flag.Bool("explain", false, "with -e: explain instead of executing")
-		timeout   = flag.Duration("timeout", 0, "query timeout (0 = none)")
-		maxConc   = flag.Int("max-concurrent", 0, "admission limit on concurrent queries (0 = engine default, <0 = unlimited)")
-		traceOut  = flag.String("trace", "", "stream per-operator spans as JSON lines to this file")
-		noCache   = flag.Bool("no-cache", false, "disable the plan and result caches (every query re-plans and re-executes)")
-		debugAddr = flag.String("debug-addr", "", "serve /metrics, /statz and /debug/pprof on this address (e.g. localhost:6060)")
-		slowAfter = flag.Duration("slow-after", 0, "capture queries at or over this duration in the slow-query log (see \\slow)")
-		dataDir   = flag.String("data", "", "durable mode: write-ahead log and checkpoints in this directory (recovers on start)")
-		syncEvery = flag.Int("sync-every", 0, "with -data: fsync the WAL after every nth record (group commit; 0/1 = every record)")
-		syncEach  = flag.Duration("sync-interval", 0, "with -data: background WAL fsync interval (bounds a group-commit batch's age)")
-		ckptEvery = flag.Int("checkpoint-every", 0, "with -data: auto-checkpoint after every n logged records (0 = manual \\checkpoint only)")
-		connect   = flag.String("connect", "", "connect to a disqod server at this address instead of embedding the engine")
-	)
-	flag.Parse()
+// flags are the command line's options. Each setting of
+// disqo.SettingsTable is a flag as well, read back by visitFlags.
+type flags struct {
+	rstSF, tpchSF                 *float64
+	full, explain, noCache        *bool
+	seed, execSQL, traceOut       *string
+	debugAddr, dataDir, connect   *string
+	timeout, slowAfter, syncEach  *time.Duration
+	maxConc, syncEvery, ckptEvery *int
+}
 
-	if *connect != "" {
-		connectMode(*connect, *execSQL, *timeout)
+func defineFlags(fs *flag.FlagSet) *flags {
+	for _, st := range disqo.SettingsTable() {
+		fs.String(st.Name, st.Default, st.Usage+" ("+strings.Join(st.Values, "|")+")")
+	}
+	return &flags{
+		rstSF:     fs.Float64("rst", 0, "load RST at this scale factor (paper SF 1 = 10,000 rows)"),
+		tpchSF:    fs.Float64("tpch", 0, "load TPC-H at this scale factor"),
+		full:      fs.Bool("tpch-all", false, "generate all 8 TPC-H tables (default: the 5 Query 2d uses)"),
+		seed:      fs.String("seed", "", "reproduce adversarial scenario N: load its generated tables and run its query (combine with -strategy/-nulls to compare matrix cells; -e overrides the query)"),
+		execSQL:   fs.String("e", "", "execute one statement and exit"),
+		explain:   fs.Bool("explain", false, "with -e: explain instead of executing"),
+		timeout:   fs.Duration("timeout", 0, "query timeout (0 = none)"),
+		maxConc:   fs.Int("max-concurrent", 0, "admission limit on concurrent queries (0 = engine default, <0 = unlimited)"),
+		traceOut:  fs.String("trace", "", "stream per-operator spans as JSON lines to this file"),
+		noCache:   fs.Bool("no-cache", false, "disable the plan and result caches (every query re-plans and re-executes)"),
+		debugAddr: fs.String("debug-addr", "", "serve /metrics, /statz and /debug/pprof on this address (e.g. localhost:6060)"),
+		slowAfter: fs.Duration("slow-after", 0, "capture queries at or over this duration in the slow-query log (see \\slow)"),
+		dataDir:   fs.String("data", "", "durable mode: write-ahead log and checkpoints in this directory (recovers on start)"),
+		syncEvery: fs.Int("sync-every", 0, "with -data: fsync the WAL after every nth record (group commit; 0/1 = every record)"),
+		syncEach:  fs.Duration("sync-interval", 0, "with -data: background WAL fsync interval (bounds a group-commit batch's age)"),
+		ckptEvery: fs.Int("checkpoint-every", 0, "with -data: auto-checkpoint after every n logged records (0 = manual \\checkpoint only)"),
+		connect:   fs.String("connect", "", "connect to a disqod server at this address instead of embedding the engine"),
+	}
+}
+
+// visitFlags sorts the flags set on the command line: the settings, by
+// name, and the flags -connect does not honour (all but -connect, -e,
+// -timeout and the settings).
+func visitFlags(fs *flag.FlagSet) (settings map[string]string, notRemote []string) {
+	settings = map[string]string{}
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case slices.ContainsFunc(disqo.SettingsTable(), func(st disqo.Setting) bool { return st.Name == f.Name }):
+			settings[f.Name] = f.Value.String()
+		case f.Name != "connect" && f.Name != "e" && f.Name != "timeout":
+			notRemote = append(notRemote, "-"+f.Name)
+		}
+	})
+	return settings, notRemote
+}
+
+func main() {
+	f := defineFlags(flag.CommandLine)
+	flag.Parse()
+	// A bad setting is rejected in both modes, before anything runs.
+	pairs, notRemote := visitFlags(flag.CommandLine)
+	settings, err := disqo.Settings{}.With(pairs)
+	if err != nil {
+		fatal(err)
+	}
+	if *f.connect != "" {
+		if len(notRemote) > 0 {
+			fatal(fmt.Errorf("-connect does not support %s", strings.Join(notRemote, ", ")))
+		}
+		connectMode(*f.connect, *f.execSQL, *f.timeout, pairs)
 		return
 	}
 
-	openOpts := []disqo.OpenOption{disqo.WithMaxConcurrent(*maxConc)}
-	if *noCache {
+	openOpts := []disqo.OpenOption{disqo.WithMaxConcurrent(*f.maxConc)}
+	if *f.noCache {
 		openOpts = append(openOpts, disqo.WithoutCache())
 	}
-	if *debugAddr != "" {
-		openOpts = append(openOpts, disqo.WithDebugAddr(*debugAddr))
+	if *f.debugAddr != "" {
+		openOpts = append(openOpts, disqo.WithDebugAddr(*f.debugAddr))
 	}
-	if *slowAfter > 0 {
-		openOpts = append(openOpts, disqo.WithSlowQueryThreshold(*slowAfter))
+	if *f.slowAfter > 0 {
+		openOpts = append(openOpts, disqo.WithSlowQueryThreshold(*f.slowAfter))
 	}
-	if *dataDir != "" {
-		openOpts = append(openOpts, disqo.WithDataDir(*dataDir),
-			disqo.WithSyncEvery(*syncEvery), disqo.WithSyncInterval(*syncEach),
-			disqo.WithCheckpointEvery(*ckptEvery))
+	if *f.dataDir != "" {
+		openOpts = append(openOpts, disqo.WithDataDir(*f.dataDir),
+			disqo.WithSyncEvery(*f.syncEvery), disqo.WithSyncInterval(*f.syncEach),
+			disqo.WithCheckpointEvery(*f.ckptEvery))
 	}
 	db, err := disqo.Open(openOpts...)
 	if err != nil {
 		fatal(err)
 	}
 	defer db.Close()
-	if *dataDir != "" {
+	if *f.dataDir != "" {
 		ws := db.WorkloadStats()
 		tables := "no tables"
 		if ts := db.Tables(); len(ts) > 0 {
 			tables = strings.Join(ts, ", ")
 		}
 		fmt.Fprintf(os.Stderr, "durable mode: %s (recovered %d WAL records; %s)\n",
-			*dataDir, ws.RecoveryReplayedRecords, tables)
+			*f.dataDir, ws.RecoveryReplayedRecords, tables)
 	}
-	if *debugAddr != "" {
+	if *f.debugAddr != "" {
 		addr, err := db.DebugAddr()
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "debug listener on http://%s (/metrics, /statz, /debug/pprof)\n", addr)
 	}
-	if *rstSF > 0 {
-		if err := db.LoadRST(*rstSF, *rstSF, *rstSF); err != nil {
+	if *f.rstSF > 0 {
+		if err := db.LoadRST(*f.rstSF, *f.rstSF, *f.rstSF); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "loaded RST at SF %g (%d rows per table)\n", *rstSF, int(*rstSF*10000))
+		fmt.Fprintf(os.Stderr, "loaded RST at SF %g (%d rows per table)\n", *f.rstSF, int(*f.rstSF*10000))
 	}
-	if *tpchSF > 0 {
+	if *f.tpchSF > 0 {
 		tables := []string(nil)
-		if *full {
+		if *f.full {
 			tables = []string{"all"}
 		}
-		if err := db.LoadTPCH(*tpchSF, tables...); err != nil {
+		if err := db.LoadTPCH(*f.tpchSF, tables...); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "loaded TPC-H at SF %g: %s\n", *tpchSF, strings.Join(db.Tables(), ", "))
+		fmt.Fprintf(os.Stderr, "loaded TPC-H at SF %g: %s\n", *f.tpchSF, strings.Join(db.Tables(), ", "))
 	}
 	scenarioSQL := ""
-	if *seedFlag != "" {
-		n, err := strconv.ParseUint(*seedFlag, 10, 64)
+	if *f.seed != "" {
+		n, err := strconv.ParseUint(*f.seed, 10, 64)
 		if err != nil {
-			fatal(fmt.Errorf("bad -seed %q (want an unsigned integer)", *seedFlag))
+			fatal(fmt.Errorf("bad -seed %q (want an unsigned integer)", *f.seed))
 		}
 		sc := scenario.Generate(n)
 		if err := scenario.Load(db, sc); err != nil {
@@ -141,59 +182,47 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loaded scenario seed %d (%s shape, %d tables)\nquery: %s\n",
 			n, sc.Query.Shape, len(sc.Tables), scenarioSQL)
 	}
-	if *rstSF == 0 && *tpchSF == 0 && *seedFlag == "" {
+	if *f.rstSF == 0 && *f.tpchSF == 0 && *f.seed == "" {
 		fmt.Fprintln(os.Stderr, "no data loaded; use -rst, -tpch or -seed (see -h)")
 	}
 
-	sess := &session{db: db, timeout: *timeout}
-	var ok bool
-	if sess.strategy, ok = disqo.ParseStrategy(*strategy); !ok {
-		fatal(fmt.Errorf("bad -strategy %q (want %s)", *strategy, strategyNames))
-	}
-	if sess.nulls, ok = disqo.ParseNullMode(*nulls); !ok {
-		fatal(fmt.Errorf("bad -nulls %q (want 2vl or 3vl)", *nulls))
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	sess := &session{db: db, settings: settings, timeout: *f.timeout}
+	if *f.traceOut != "" {
+		out, err := os.Create(*f.traceOut)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		sess.tracer = newJSONLTracer(f)
+		defer out.Close()
+		sess.tracer = newJSONLTracer(out)
 	}
 	// -seed without -e is a one-shot reproduction: run the scenario's
-	// generated query under the chosen strategy/nulls and exit.
-	if *execSQL == "" && scenarioSQL != "" {
-		*execSQL = scenarioSQL
+	// generated query under the chosen settings and exit.
+	if *f.execSQL == "" && scenarioSQL != "" {
+		*f.execSQL = scenarioSQL
 	}
-	if *execSQL != "" {
-		if *explain {
-			sess.explain(*execSQL)
+	if *f.execSQL != "" {
+		if *f.explain {
+			sess.explain(*f.execSQL)
 		} else {
-			sess.run(*execSQL)
+			sess.run(*f.execSQL)
 		}
 		return
 	}
-	repl(func() string { return string(sess.strategy) }, sess.command, sess.run)
+	repl(func() string { return sess.settings.String() }, sess.set, sess.command, sess.run)
 }
 
 type session struct {
-	db       *disqo.DB
-	strategy disqo.Strategy
+	db *disqo.DB
+	// settings are what every query runs under (-strategy, \set ...).
+	settings disqo.Settings
 	timeout  time.Duration
 	tracer   *jsonlTracer
-	// nulls selects the null semantics every query runs under
-	// (\set nulls 2vl|3vl).
-	nulls disqo.NullMode
 	// last is the most recent successful query result, for \stats.
 	last *disqo.Result
 }
 
-// strategyNames is what a rejected strategy name is answered with.
-const strategyNames = "s1|s2|s3|canonical|unnested|costbased"
-
 func (s *session) options() []disqo.Option {
-	opts := []disqo.Option{disqo.WithStrategy(s.strategy), disqo.WithNullMode(s.nulls)}
+	opts := s.settings.Options()
 	if s.timeout > 0 {
 		opts = append(opts, disqo.WithTimeout(s.timeout))
 	}
@@ -211,16 +240,23 @@ func queryContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt)
 }
 
+// reportError prints a failure for both shells: a server's typed error
+// by kind, a connection the client gave up on, an interrupt, a shed
+// query, or the error itself.
 func reportError(err error) {
-	if errors.Is(err, context.Canceled) {
+	var se *disqo.ServerError
+	switch {
+	case errors.As(err, &se):
+		fmt.Fprintf(os.Stderr, "server error [%s]: %s\n", se.Kind, se.Message)
+	case errors.Is(err, disqo.ErrConnection):
+		fmt.Fprintf(os.Stderr, "connection failure (retries exhausted): %v\n", err)
+	case errors.Is(err, context.Canceled):
 		fmt.Fprintln(os.Stderr, "canceled")
-		return
-	}
-	if errors.Is(err, disqo.ErrOverloaded) {
+	case errors.Is(err, disqo.ErrOverloaded):
 		fmt.Fprintln(os.Stderr, "overloaded: too many concurrent queries, retry shortly")
-		return
+	default:
+		fmt.Fprintf(os.Stderr, "error: %v\n", err)
 	}
-	fmt.Fprintf(os.Stderr, "error: %v\n", err)
 }
 
 // isQuery routes a statement for both shells: what parses as a SELECT
@@ -234,36 +270,54 @@ func isQuery(sql string) bool {
 	return err == nil && sel
 }
 
-func (s *session) run(sql string) {
-	if !isQuery(sql) {
-		n, err := s.db.Exec(sql)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			return
-		}
-		fmt.Printf("ok (%d rows affected)\n", n)
-		return
+// runStatement is both shells' statement path: what isQuery accepts
+// runs through query, anything else through exec. It returns the
+// query's result, nil otherwise.
+func runStatement(sql string, exec func(string) (int, error),
+	query func(context.Context, string) (*disqo.Result, error)) *disqo.Result {
+	if isQuery(sql) {
+		return runQuery(func(ctx context.Context) (*disqo.Result, error) { return query(ctx, sql) })
 	}
+	if n, err := exec(sql); err != nil {
+		reportError(err)
+	} else {
+		fmt.Printf("ok (%d rows affected)\n", n)
+	}
+	return nil
+}
+
+// runQuery runs query under a context Ctrl-C cancels and prints its
+// result; it returns the result, nil on failure.
+func runQuery(query func(context.Context) (*disqo.Result, error)) *disqo.Result {
 	ctx, stop := queryContext()
-	res, err := s.db.QueryContext(ctx, sql, s.options()...)
+	res, err := query(ctx)
 	stop()
 	if err != nil {
 		reportError(err)
-		return
+		return nil
 	}
-	s.last = res
 	fmt.Print(res.String())
 	fmt.Printf("elapsed: %s  comparisons: %d  subquery evals: %d\n",
 		res.Elapsed.Round(time.Microsecond), res.Stats.Comparisons, res.Stats.SubqueryEvals)
 	if len(res.Rewrites) > 0 {
 		fmt.Printf("rewrites: %s\n", strings.Join(res.Rewrites, "; "))
 	}
+	return res
+}
+
+func (s *session) run(sql string) {
+	res := runStatement(sql, s.db.Exec, func(ctx context.Context, sql string) (*disqo.Result, error) {
+		return s.db.QueryContext(ctx, sql, s.options()...)
+	})
+	if res != nil {
+		s.last = res
+	}
 }
 
 func (s *session) explain(sql string) {
 	out, err := s.db.Explain(sql, s.options()...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
+		reportError(err)
 		return
 	}
 	fmt.Print(out)
@@ -391,11 +445,13 @@ func (s *session) stats() {
 		st.HashJoins, st.NLJoins, st.SortedGroups)
 }
 
-// repl is the read loop of both shells: a line that opens with a
-// backslash is a metacommand (command returns false to quit), anything
-// else accumulates, under a continuation prompt, until a line ends in
-// ";" and the statement runs.
-func repl(prompt func() string, command func(line string) bool, run func(sql string)) {
+// repl is the read loop of both shells. A line that opens with a
+// backslash is a metacommand: \q quits, \set <name> <value> changes a
+// setting of disqo.SettingsTable through set (\set alone lists them),
+// and command handles the rest. Anything else accumulates, under a
+// continuation prompt, until a line ends in ";" and the statement runs.
+func repl(prompt func() string, set func(name, value string) error,
+	command func(line string, fields []string), run func(sql string)) {
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
@@ -411,8 +467,21 @@ func repl(prompt func() string, command func(line string) bool, run func(sql str
 		line := scanner.Text()
 		trimmed := strings.TrimSpace(line)
 		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			if !command(trimmed) {
+			switch fields := strings.Fields(trimmed); {
+			case fields[0] == "\\q" || fields[0] == "\\quit":
 				return
+			case fields[0] == "\\set" && len(fields) == 3:
+				if err := set(fields[1], fields[2]); err != nil {
+					reportError(err)
+				} else {
+					fmt.Printf("%s set to %s\n", fields[1], fields[2])
+				}
+			case fields[0] == "\\set":
+				for _, st := range disqo.SettingsTable() {
+					fmt.Printf("\\set %s %s  %s (default %s)\n", st.Name, strings.Join(st.Values, "|"), st.Usage, st.Default)
+				}
+			default:
+				command(trimmed, fields)
 			}
 			show()
 			continue
@@ -428,41 +497,22 @@ func repl(prompt func() string, command func(line string) bool, run func(sql str
 	}
 }
 
-// command handles backslash metacommands; returns false to quit.
-func (s *session) command(line string) bool {
-	fields := strings.Fields(line)
+func (s *session) set(name, value string) error {
+	settings, err := s.settings.With(map[string]string{name: value})
+	if err == nil {
+		s.settings = settings
+	}
+	return err
+}
+
+// command handles the embedded shell's own metacommands.
+func (s *session) command(line string, fields []string) {
 	switch fields[0] {
-	case "\\q", "\\quit":
-		return false
 	case "\\tables":
 		fmt.Println(strings.Join(s.db.Tables(), "\n"))
 		for _, v := range s.db.Views() {
 			fmt.Printf("%s (view)\n", v)
 		}
-	case "\\strategy":
-		if len(fields) != 2 {
-			fmt.Printf("current strategy: %s\n", s.strategy)
-			break
-		}
-		st, ok := disqo.ParseStrategy(fields[1])
-		if !ok {
-			fmt.Printf("bad strategy %q (want %s)\n", fields[1], strategyNames)
-			break
-		}
-		s.strategy = st
-		fmt.Printf("strategy set to %s\n", s.strategy)
-	case "\\set":
-		if len(fields) != 3 || fields[1] != "nulls" {
-			fmt.Printf("usage: \\set nulls 2vl|3vl (current: %s)\n", s.nulls)
-			break
-		}
-		m, ok := disqo.ParseNullMode(fields[2])
-		if !ok {
-			fmt.Printf("bad mode %q (want 2vl or 3vl)\n", fields[2])
-			break
-		}
-		s.nulls = m
-		fmt.Printf("nulls set to %s\n", s.nulls)
 	case "\\explain":
 		rest := strings.TrimPrefix(line, "\\explain ")
 		// `\explain analyze <sql>` is EXPLAIN ANALYZE: execute and
@@ -493,18 +543,17 @@ func (s *session) command(line string) bool {
 		s.slow()
 	case "\\checkpoint":
 		if err := s.db.Checkpoint(); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
+			reportError(err)
 			break
 		}
 		fmt.Println("checkpoint written, WAL truncated")
 	case "\\wal":
 		s.wal()
 	case "\\help":
-		fmt.Println("\\explain <sql>           show plans and rewrites\n\\explain analyze <sql>   execute and annotate the physical plan\n\\analyze <sql>           same as \\explain analyze\n\\stats                   show the last query's execution counters\n\\cache                   show plan/result cache counters\n\\top [n]                 top statements by total wall time (default 10)\n\\slow                    dump the slow-query ring (arm with -slow-after)\n\\checkpoint              snapshot the catalog and truncate the WAL (-data)\n\\wal                     show write-ahead log counters (-data)\n\\strategy <s>            switch strategy\n\\set nulls 2vl|3vl       switch null semantics\n\\tables                  list tables\n\\q                       quit")
+		fmt.Println("\\explain <sql>           show plans and rewrites\n\\explain analyze <sql>   execute and annotate the physical plan\n\\analyze <sql>           same as \\explain analyze\n\\stats                   show the last query's execution counters\n\\cache                   show plan/result cache counters\n\\top [n]                 top statements by total wall time (default 10)\n\\slow                    dump the slow-query ring (arm with -slow-after)\n\\checkpoint              snapshot the catalog and truncate the WAL (-data)\n\\wal                     show write-ahead log counters (-data)\n\\set [<name> <value>]    switch a setting, or list the settings\n\\tables                  list tables\n\\q                       quit")
 	default:
 		fmt.Printf("unknown command %s (try \\help)\n", fields[0])
 	}
-	return true
 }
 
 func fatal(err error) {

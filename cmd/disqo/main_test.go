@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"testing"
 
 	"disqo"
@@ -45,5 +46,54 @@ func TestIsQuery(t *testing.T) {
 	_, want := sqlparser.ParseStatement("SELECT FROM")
 	if _, err := db.Exec("SELECT FROM"); err == nil || err.Error() != want.Error() {
 		t.Errorf("Exec of a broken SELECT = %v, want the parser's %v", err, want)
+	}
+}
+
+// TestConnectRejectsUnhonouredFlags: -connect honours -e, -timeout and
+// one flag per setting; every other flag main defines is a fatal error
+// there, not silently dropped (an ignored -explain used to execute the
+// statement it was meant to explain).
+func TestConnectRejectsUnhonouredFlags(t *testing.T) {
+	honoured := map[string]bool{"connect": true, "e": true, "timeout": true}
+	for _, st := range disqo.SettingsTable() {
+		honoured[st.Name] = true
+	}
+	parse := func(args ...string) *flag.FlagSet {
+		t.Helper()
+		fs := flag.NewFlagSet("disqo", flag.ContinueOnError)
+		defineFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	rejected := 0
+	parse().VisitAll(func(f *flag.Flag) {
+		_, got := visitFlags(parse("-connect", "localhost:1", "-"+f.Name+"="+f.DefValue))
+		switch {
+		case honoured[f.Name] && len(got) != 0:
+			t.Errorf("-%s: rejected %v, want honoured", f.Name, got)
+		case !honoured[f.Name] && (len(got) != 1 || got[0] != "-"+f.Name):
+			t.Errorf("-%s: rejected %v, want [-%s]", f.Name, got, f.Name)
+		case !honoured[f.Name]:
+			rejected++
+		}
+	})
+	if rejected < 14 {
+		t.Errorf("%d flags rejected with -connect, want every one of the 14 it does not honour", rejected)
+	}
+	if _, got := visitFlags(parse("-connect", "localhost:1", "-explain", "-rst", "1", "-e", "SELECT 1")); len(got) != 2 {
+		t.Errorf("-explain -rst with -connect: rejected %v, want both", got)
+	}
+
+	// A setting's flag reaches the table, and a bad value is an error
+	// whichever mode runs.
+	pairs, _ := visitFlags(parse("-strategy", "canonical", "-rst", "1"))
+	if len(pairs) != 1 || pairs["strategy"] != "canonical" {
+		t.Errorf("settings from flags = %v, want only strategy=canonical", pairs)
+	}
+	pairs, _ = visitFlags(parse("-strategy", "bogus"))
+	if _, err := (disqo.Settings{}).With(pairs); err == nil {
+		t.Error("-strategy bogus accepted")
 	}
 }

@@ -27,9 +27,11 @@
 package disqo
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -110,8 +112,9 @@ const (
 // systems).
 func Strategies() []Strategy { return []Strategy{S1, S2, S3, Canonical, Unnested} }
 
-// ParseStrategy resolves a strategy by its name — the one place flags,
-// REPL commands and wire requests turn text into a Strategy.
+// ParseStrategy resolves a strategy by its name. It is the "strategy"
+// setting's parser: flags, \set and wire requests reach it through
+// SettingsTable.
 func ParseStrategy(name string) (Strategy, bool) {
 	for _, s := range append(Strategies(), CostBased) {
 		if string(s) == name {
@@ -137,11 +140,102 @@ const (
 	TwoValuedNulls NullMode = "2vl"
 )
 
-// ParseNullMode resolves a mode by its name, the spelling flags, the
-// REPL, the wire protocol and EXPLAIN use.
+// ParseNullMode resolves a mode by its name, the spelling EXPLAIN
+// prints. It is the "nulls" setting's parser (SettingsTable).
 func ParseNullMode(name string) (NullMode, bool) {
 	m := NullMode(name)
 	return m, m == ThreeValuedNulls || m == TwoValuedNulls
+}
+
+// A Setting is a per-query option that a session holds by name. The
+// shells' flags and \set, the wire's settings object, disqod's sessions
+// and Client.Set reach options only through this table and Settings, so
+// none of them names a setting, and a new setting is an entry here and
+// its With* option.
+type Setting struct {
+	// Name is the one spelling: flag, \set and wire key.
+	Name string
+	// Values are the legal values; Default is what a query runs under
+	// when nothing sets it.
+	Values         []string
+	Default, Usage string
+	// parse resolves a value to the option it yields; false rejects it.
+	parse func(string) (Option, bool)
+}
+
+var settingsTable = []Setting{
+	{Name: "strategy", Values: names(append(Strategies(), CostBased)...), Default: string(Unnested),
+		Usage: "evaluation strategy", parse: parser(ParseStrategy, WithStrategy)},
+	{Name: "nulls", Values: names(ThreeValuedNulls, TwoValuedNulls), Default: string(ThreeValuedNulls),
+		Usage: "null semantics; 2vl makes comparisons with NULL false", parse: parser(ParseNullMode, WithNullMode)},
+}
+
+func parser[T any](parse func(string) (T, bool), with func(T) Option) func(string) (Option, bool) {
+	return func(v string) (Option, bool) {
+		x, ok := parse(v)
+		return with(x), ok
+	}
+}
+
+func names[T ~string](vs ...T) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = string(v)
+	}
+	return out
+}
+
+// SettingsTable lists every setting in the order their options apply.
+// The slice is shared: do not modify it.
+func SettingsTable() []Setting { return settingsTable }
+
+// Settings are the settings set so far, by name: what a session applies
+// to each of its queries. A Settings is immutable — With returns a new
+// one — and builds its options once per change, so Options allocates
+// nothing. The zero value has nothing set.
+type Settings struct {
+	values map[string]string
+	opts   []Option
+}
+
+// With returns s with pairs set, all or nothing: an unknown name or a
+// value its setting rejects is an error, and s is returned unchanged.
+func (s Settings) With(pairs map[string]string) (Settings, error) {
+	if len(pairs) == 0 {
+		return s, nil
+	}
+	for name, v := range pairs {
+		i := slices.IndexFunc(settingsTable, func(st Setting) bool { return st.Name == name })
+		if i < 0 {
+			return s, fmt.Errorf("unknown setting %q", name)
+		}
+		if _, ok := settingsTable[i].parse(v); !ok {
+			return s, fmt.Errorf("bad %s %q (want %s)", name, v, strings.Join(settingsTable[i].Values, "|"))
+		}
+	}
+	next := Settings{values: map[string]string{}}
+	for _, st := range settingsTable {
+		// No legal value is empty.
+		if v := cmp.Or(pairs[st.Name], s.values[st.Name]); v != "" {
+			o, _ := st.parse(v)
+			next.values[st.Name], next.opts = v, append(next.opts, o)
+		}
+	}
+	return next, nil
+}
+
+// Options returns the options s yields, in table order. Appending to
+// the result copies it.
+func (s Settings) Options() []Option { return s.opts[:len(s.opts):len(s.opts)] }
+
+// String lists every setting's value in table order, defaults included:
+// "unnested,3vl".
+func (s Settings) String() string {
+	vs := make([]string, len(settingsTable))
+	for i, st := range settingsTable {
+		vs[i] = cmp.Or(s.values[st.Name], st.Default)
+	}
+	return strings.Join(vs, ",")
 }
 
 // DB is an in-memory database: a catalog of tables plus query machinery.

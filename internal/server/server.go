@@ -243,8 +243,10 @@ func (s *Server) accept(conn net.Conn) {
 	s.conns++
 	sess := newSession(s, conn)
 	s.sessions[sess] = struct{}{}
-	s.mu.Unlock()
+	// Add under the lock that saw draining false: Shutdown sets it
+	// under the same lock before it waits, so no Add races its Wait.
 	s.wg.Add(1)
+	s.mu.Unlock()
 	go sess.run()
 }
 

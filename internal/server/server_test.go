@@ -147,7 +147,7 @@ func TestServeQueryExecPrepare(t *testing.T) {
 		t.Fatal("query of a closed prepared statement succeeded")
 	}
 
-	if err := c.SetStrategy(disqo.Canonical); err != nil {
+	if err := c.Set("strategy", string(disqo.Canonical)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Query("SELECT k FROM kv WHERE k = 1"); err != nil {
@@ -187,7 +187,7 @@ func TestServeTypedErrors(t *testing.T) {
 	if err := db.LoadRST(0.3, 0.3, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetStrategy(disqo.Canonical); err != nil {
+	if err := c.Set("strategy", string(disqo.Canonical)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -345,7 +345,7 @@ func TestServeConnLossCancelsInflightQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, _ := json.Marshal(wire.Request{ID: 1, Op: wire.OpQuery, Strategy: "canonical",
+	req, _ := json.Marshal(wire.Request{ID: 1, Op: wire.OpQuery, Settings: map[string]string{"strategy": "canonical"},
 		SQL: `SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > 1500`})
 	if _, err := conn.Write(append(req, '\n')); err != nil {
 		t.Fatal(err)
@@ -423,7 +423,7 @@ func TestServeDrainTimeoutForcesCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	req, _ := json.Marshal(wire.Request{ID: 7, Op: wire.OpQuery, Strategy: "canonical",
+	req, _ := json.Marshal(wire.Request{ID: 7, Op: wire.OpQuery, Settings: map[string]string{"strategy": "canonical"},
 		SQL: `SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > 1500`})
 	if _, err := conn.Write(append(req, '\n')); err != nil {
 		t.Fatal(err)

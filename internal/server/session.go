@@ -63,9 +63,7 @@ type session struct {
 
 	// Session state, owned by the worker goroutine.
 	prepared map[string]string
-	strategy string
-	nulls    string
-	timeout  time.Duration
+	settings disqo.Settings
 }
 
 func newSession(s *Server, conn net.Conn) *session {
@@ -314,44 +312,12 @@ func errResp(id uint64, kind, msg string) *wire.Response {
 }
 
 // requestCtx derives the execution context: the session context (so a
-// client disconnect aborts the query) bounded by the request or
-// session timeout.
+// client disconnect aborts the query) bounded by the request's timeout.
 func (s *session) requestCtx(req *wire.Request) (context.Context, context.CancelFunc) {
-	timeout := s.timeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 0 {
-		return context.WithTimeout(s.ctx, timeout)
+		return context.WithTimeout(s.ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 	}
 	return s.ctx, func() {}
-}
-
-func (s *session) queryOptions(req *wire.Request) ([]disqo.Option, *wire.Error) {
-	var opts []disqo.Option
-	strategy := req.Strategy
-	if strategy == "" {
-		strategy = s.strategy
-	}
-	if strategy != "" {
-		st, ok := disqo.ParseStrategy(strategy)
-		if !ok {
-			return nil, &wire.Error{Kind: wire.KindInvalid, Message: "unknown strategy " + strategy}
-		}
-		opts = append(opts, disqo.WithStrategy(st))
-	}
-	nulls := req.Nulls
-	if nulls == "" {
-		nulls = s.nulls
-	}
-	if nulls != "" {
-		m, ok := disqo.ParseNullMode(nulls)
-		if !ok {
-			return nil, &wire.Error{Kind: wire.KindInvalid, Message: "unknown null mode " + nulls}
-		}
-		opts = append(opts, disqo.WithNullMode(m))
-	}
-	return opts, nil
 }
 
 func (s *session) doQuery(req *wire.Request) *wire.Response {
@@ -366,13 +332,13 @@ func (s *session) doQuery(req *wire.Request) *wire.Response {
 		}
 		sql = stored
 	}
-	opts, werr := s.queryOptions(req)
-	if werr != nil {
-		return &wire.Response{ID: req.ID, Error: werr}
+	settings, err := s.settings.With(req.Settings)
+	if err != nil {
+		return errResp(req.ID, wire.KindInvalid, err.Error())
 	}
 	ctx, done := s.requestCtx(req)
 	defer done()
-	res, err := s.srv.cfg.DB.QueryContext(ctx, sql, opts...)
+	res, err := s.srv.cfg.DB.QueryContext(ctx, sql, settings.Options()...)
 	if err != nil {
 		return &wire.Response{ID: req.ID, Error: errorFrom(err)}
 	}
@@ -421,23 +387,11 @@ func (s *session) doPrepare(req *wire.Request) *wire.Response {
 }
 
 func (s *session) doSet(req *wire.Request) *wire.Response {
-	if req.Strategy != "" {
-		if _, ok := disqo.ParseStrategy(req.Strategy); !ok {
-			return errResp(req.ID, wire.KindInvalid, "unknown strategy "+req.Strategy)
-		}
-		s.strategy = req.Strategy
+	settings, err := s.settings.With(req.Settings)
+	if err != nil {
+		return errResp(req.ID, wire.KindInvalid, err.Error())
 	}
-	if req.Nulls != "" {
-		if _, ok := disqo.ParseNullMode(req.Nulls); !ok {
-			return errResp(req.ID, wire.KindInvalid, "unknown null mode "+req.Nulls)
-		}
-		s.nulls = req.Nulls
-	}
-	if req.TimeoutMS > 0 {
-		s.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	} else if req.TimeoutMS < 0 {
-		s.timeout = 0
-	}
+	s.settings = settings
 	return &wire.Response{ID: req.ID, OK: true}
 }
 
@@ -466,11 +420,8 @@ func errorFrom(err error) *wire.Error {
 	we := &wire.Error{Kind: wire.KindQuery, Message: err.Error()}
 	var qe *disqo.QueryError
 	isQueryError := errors.As(err, &qe)
-	if isQueryError {
-		if qe.NodeID >= 0 {
-			we.Node, we.Op = qe.NodeID, qe.Op
-		}
-		we.Strategy = string(qe.Strategy)
+	if isQueryError && qe.NodeID >= 0 {
+		we.Node, we.Op = qe.NodeID, qe.Op
 	}
 	switch {
 	case errors.Is(err, disqo.ErrOverloaded):

@@ -54,7 +54,7 @@ const (
 	OpPrepare = "prepare"
 	// OpClose closes the named prepared statement.
 	OpClose = "close"
-	// OpSet updates session defaults (strategy, nulls, timeout).
+	// OpSet makes req.Settings the session's defaults.
 	OpSet = "set"
 	// OpPing returns server role, staleness, and session counts.
 	OpPing = "ping"
@@ -107,15 +107,13 @@ type Request struct {
 	// Name references a session prepared statement (prepare/close, and
 	// query when SQL is empty).
 	Name string `json:"name,omitempty"`
-	// Strategy/Nulls override the session defaults for this
-	// request (query) or set them (set). Nulls selects the null
-	// semantics: "3vl" (SQL three-valued, the default) or "2vl"
-	// (comparisons with NULL are false).
-	Strategy string `json:"strategy,omitempty"`
-	Nulls    string `json:"nulls,omitempty"`
-	// TimeoutMS bounds this request's execution; 0 uses the session
-	// default. The deadline is wired into QueryContext, so expiry
-	// aborts within one morsel.
+	// Settings are per-query settings by name (disqo.SettingsTable):
+	// set makes them the session's defaults, all or nothing; query
+	// applies them over the session's for this request only.
+	Settings map[string]string `json:"settings,omitempty"`
+	// TimeoutMS bounds this request's execution; 0 is unbounded. The
+	// deadline is wired into QueryContext, so expiry aborts within one
+	// morsel.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// FromLSN is OpReplicate's resume position: the last WAL record the
 	// replica has applied (0 for a fresh replica). The server streams
@@ -152,14 +150,14 @@ type Stats struct {
 }
 
 // Error is the typed failure a response carries. Kind is the contract;
-// Message is for humans. Node/Op/Strategy survive from *QueryError so
-// a remote failure is as attributable as a local one.
+// Message is for humans (a *QueryError's names the query, its strategy
+// and the failing node). Node/Op survive from *QueryError so a remote
+// failure is as attributable as a local one.
 type Error struct {
-	Kind     string `json:"kind"`
-	Message  string `json:"message"`
-	Node     int    `json:"node,omitempty"`
-	Op       string `json:"op,omitempty"`
-	Strategy string `json:"strategy,omitempty"`
+	Kind    string `json:"kind"`
+	Message string `json:"message"`
+	Node    int    `json:"node,omitempty"`
+	Op      string `json:"op,omitempty"`
 }
 
 func (e *Error) Error() string {

@@ -17,7 +17,8 @@
 # exposition is well-formed with monotone counters, a kill -9 recovery
 # smoke through the REPL (populate durably, kill the process, reopen,
 # scripted query check), a disqod end-to-end smoke (remote DDL/DML/query
-# over TCP, SIGTERM drain must log a clean exit, kill -9 after an
+# over TCP, a command-line setting reaching the server and an unhonoured
+# flag refused, SIGTERM drain must log a clean exit, kill -9 after an
 # acknowledged write must recover on restart), Fig. 7(b)'s Query 2d at
 # TPC-H SF 1 with no timed-out or aborted cell, a 10-second smoke of each
 # native fuzz target (including the WAL and result frame decoders), and last the
@@ -68,6 +69,13 @@ test -z "$(grep -n 'strings\.ToUpper(' internal/sqlparser/lexer.go)"
 # Two-valued logic is one translation at the front (translate.TwoValued),
 # not a mode: nothing below the planner names a null mode or lifts a leaf.
 test -z "$(grep -nE 'NullMode|Lift\(|WithNulls|EvalMode' $(ls internal/exec/*.go internal/vec/*.go internal/storage/*.go internal/types/*.go internal/rewrite/*.go internal/physical/*.go internal/stats/*.go | grep -v _test.go))"
+# A per-query setting is defined once, in the root's settings table: the
+# client, the server, the wire and both shells reach it by name through
+# disqo.SettingsTable and disqo.Settings and never parse or build one
+# themselves, and the wire carries settings as one object, with no field
+# per setting.
+test -z "$(grep -nE 'ParseStrategy\(|ParseNullMode\(|WithStrategy\(|WithNullMode\(' client.go $(ls internal/server/*.go internal/wire/*.go cmd/disqo/*.go | grep -v _test.go))"
+test -z "$(grep -rnE 'json:"(strategy|nulls)' internal/wire)"
 # Result rows have one encoding, the columnar frame: no per-value JSON
 # codec comes back into internal/wire.
 test -z "$(grep -nE 'func \([^)]*\) (Marshal|Unmarshal)JSON\(' $(ls internal/wire/*.go | grep -v _test.go))"
@@ -201,6 +209,12 @@ until "$srvdir/disqo" -connect "$srvaddr" -e 'CREATE TABLE sk (a INTEGER)' 2>/de
     sleep 0.5
 done
 "$srvdir/disqo" -connect "$srvaddr" -e 'INSERT INTO sk VALUES (1), (2), (3)' | grep -q 'ok (3 rows affected)'
+# A setting given on the command line reaches the server (canonical
+# evaluates the correlated subquery once per row), and a flag -connect
+# does not honour is an error, not a statement run some other way.
+"$srvdir/disqo" -connect "$srvaddr" -strategy canonical -e 'SELECT DISTINCT * FROM sk WHERE a = (SELECT COUNT(*) FROM sk AS x WHERE x.a <= sk.a)' | grep -q 'subquery evals: [1-9]'
+if "$srvdir/disqo" -connect "$srvaddr" -explain -e 'DELETE FROM sk WHERE a = 2'; then exit 1; fi
+if "$srvdir/disqo" -connect "$srvaddr" -strategy bogus -e 'SELECT DISTINCT * FROM sk'; then exit 1; fi
 "$srvdir/disqo" -connect "$srvaddr" -e 'DELETE FROM sk WHERE a = 2' | grep -q 'ok (1 rows affected)'
 "$srvdir/disqo" -connect "$srvaddr" -e 'SELECT DISTINCT * FROM sk' | grep -q '(2 rows)'
 kill -TERM "$srvpid"

@@ -3,6 +3,7 @@ package disqo
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -138,12 +139,13 @@ func TestBypassCascadeCollapses(t *testing.T) {
 
 // TestBypassCascadeProbesUndecidedRows: the Γ² a cascade runs as probes
 // only the rows its compiled bypass operands leave undecided — Q1's the
-// r rows whose a4 > 1500 is not TRUE, NULLs included, and Q3's top Γ²
-// the rows whose a1 = g1 is not TRUE — while a lower Γ² of a chain (Q3's
-// Γ²₁) probes every row, and so does every Γ² on the interpreted path,
-// the reference, which evaluates the whole disjunction after the probe.
-// The counts are read from EXPLAIN ANALYZE's metrics at one and four
-// workers, and counted by canonical queries over the same data.
+// r rows whose a4 > 1500 is not TRUE, NULLs included — and a chain of
+// them (Q3's one node for Γ²₁ and Γ²₂) probes its second grouping only
+// for the rows its first disjunct, a1 = g1, leaves undecided, while
+// every Γ² on the interpreted path, the reference, probes every grouping
+// for every row and evaluates the whole disjunction after. The counts are
+// read from EXPLAIN ANALYZE's metrics at one and four workers, and
+// counted by canonical queries over the same data.
 func TestBypassCascadeProbesUndecidedRows(t *testing.T) {
 	db := collapseDB(t)
 	count := func(sql string) int64 {
@@ -157,15 +159,15 @@ func TestBypassCascadeProbesUndecidedRows(t *testing.T) {
 	rows := count("SELECT * FROM r")
 	for _, c := range []struct {
 		name, sql string
-		probes    map[string]int64 // Γ² label prefix → its probes
+		probes    map[string][]int64 // Γ² label prefix → its probes per grouping
 	}{
 		{"Q1", `SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > 1500`,
-			map[string]int64{"HashBinaryGroup[r.a2=s.b2]": rows - count("SELECT * FROM r WHERE a4 > 1500")}},
+			map[string][]int64{"HashBinaryGroup[r.a2=s.b2]": {rows - count("SELECT * FROM r WHERE a4 > 1500")}}},
 		{"Q3", `SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2)
 			OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)`,
-			map[string]int64{
-				"HashBinaryGroup[r.a2=s.b2]": rows,
-				"HashBinaryGroup[r.a4=t.c2]": rows - count("SELECT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2)"),
+			map[string][]int64{
+				"HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)] ∘ HashBinaryGroup[r.a4=t.c2]": {
+					rows, rows - count("SELECT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2)")},
 			}},
 	} {
 		for _, path := range []ExecutionPath{PathRow, PathVector} {
@@ -182,10 +184,10 @@ func TestBypassCascadeProbesUndecidedRows(t *testing.T) {
 						}
 						seen++
 						if path == PathRow {
-							want = rows
+							want = []int64{rows, rows}[:len(want)]
 						}
-						if op.Probes != want {
-							t.Errorf("%s (%s, %d workers): %s probes %d rows, want %d of %d", c.name, path, workers, op.Op, op.Probes, want, rows)
+						if !slices.Equal(op.Probes, want) {
+							t.Errorf("%s (%s, %d workers): %s probes %v rows, want %v of %d", c.name, path, workers, op.Op, op.Probes, want, rows)
 						}
 					}
 				}
@@ -211,8 +213,9 @@ func TestBypassCascadeProbesUndecidedRows(t *testing.T) {
 		}
 		return true
 	})
-	if bg == nil || bg.Bypass == nil || bg.Bypass.String() != "(r.a4 > 1500)" || bg.Rest.String() != "(r.a1 = g1)" {
-		t.Errorf("Q1's Γ² splits its disjunction as %v / %v, want (r.a4 > 1500) / (r.a1 = g1)", bg.Bypass, bg.Rest)
+	if bg == nil || bg.Bypass == nil || bg.Bypass.String() != "(r.a4 > 1500)" ||
+		len(bg.Rest) != 1 || bg.Rest[0].Pred.String() != "(r.a1 = g1)" || bg.Rest[0].Reads != 1 {
+		t.Errorf("Q1's Γ² splits its disjunction as %v / %v, want (r.a4 > 1500) / (r.a1 = g1) reading its grouping", bg.Bypass, bg.Rest)
 	}
 }
 
@@ -273,6 +276,135 @@ func TestBypassCascadesLowerAndAgree(t *testing.T) {
 					t.Fatalf("%s (%s, %s): %d rows, canonical %d", sql, nulls, path, len(g), len(w))
 				}
 			}
+		}
+	}
+}
+
+// TestBinaryGroupChainsAgree votes seeded statements of two and three
+// subquery disjuncts on different inner tables against canonical, as
+// bags, in both null modes, on both evaluators at one and four workers.
+// Each disjunct unnests to a hashed, a tagged (… OR b4 > k) or a
+// sort-based (b2 < a2) binary grouping over COUNT, COUNT DISTINCT, SUM,
+// MIN or AVG; the data holds NULL correlation keys and duplicate inner
+// rows; the outer block is SELECT DISTINCT * or SELECT a1, a4, which
+// emits no result. Every grouping is a lookup, so the bypass cascade runs
+// as one Γ² whose chain absorbed the others: the physical plan holds one
+// BinaryGroup, its groupings joined by ∘.
+func TestBinaryGroupChainsAgree(t *testing.T) {
+	db := collapseDB(t)
+	stmts := []string{"CREATE TABLE u (d1 INT, d2 INT, d3 INT, d4 INT)"}
+	for i := 0; i < 24; i++ { // every row twice, NULL keys and arguments
+		row := fmt.Sprintf("(%d, %s, %s, %d)", i%7, nullEvery(i%6, i, 7), nullEvery(i%5, i, 9), i*173%3000)
+		stmts = append(stmts, "INSERT INTO u VALUES "+row+", "+row)
+	}
+	for _, s := range stmts {
+		if _, err := db.Exec(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type inner struct{ table, key, arg, tag string }
+	inners := []inner{{"s", "b2", "b3", "b4"}, {"t", "c2", "c3", "c4"}, {"u", "d2", "d3", "d4"}}
+	aggs := []struct {
+		agg, op  string
+		sortable bool // single-pass: no DISTINCT, no AVG
+	}{
+		{"COUNT(*)", "=", true}, {"COUNT(DISTINCT *)", "<=", false}, {"SUM(%s)", ">=", true},
+		{"MIN(%s)", "=", true}, {"AVG(%s)", "<", false}, {"COUNT(DISTINCT %s)", ">", false},
+	}
+	outer := []string{"a1", "a2", "a3", "a4"}
+	rng := rand.New(rand.NewSource(7))
+	disjunct := func(in inner) string {
+		a := aggs[rng.Intn(len(aggs))]
+		item := a.agg
+		if strings.Contains(item, "%s") {
+			item = fmt.Sprintf(item, in.arg)
+		}
+		corr := fmt.Sprintf("a2 = %s", in.key)
+		switch k := rng.Intn(3); {
+		case k == 1:
+			corr += fmt.Sprintf(" OR %s > %d", in.tag, 1500+rng.Intn(1400))
+		case k == 2 && a.sortable:
+			corr = fmt.Sprintf("%s < a%d", in.key, 1+rng.Intn(4))
+		}
+		return fmt.Sprintf("%s %s (SELECT %s FROM %s WHERE %s)", outer[rng.Intn(len(outer))], a.op, item, in.table, corr)
+	}
+	for i := 0; i < 60; i++ {
+		n := 2 + i%2
+		rng.Shuffle(len(inners), func(a, b int) { inners[a], inners[b] = inners[b], inners[a] })
+		parts := make([]string, n)
+		for j := range parts {
+			parts[j] = disjunct(inners[j])
+		}
+		sql := "SELECT DISTINCT * FROM r WHERE " + strings.Join(parts, " OR ")
+		if i%4 >= 2 {
+			sql = "SELECT a1, a4 FROM r WHERE " + strings.Join(parts, " OR ")
+		}
+		for _, nulls := range []NullMode{ThreeValuedNulls, TwoValuedNulls} {
+			plan, err := db.Explain(sql, WithNullMode(nulls))
+			if err != nil {
+				t.Fatalf("%s (%s): %v", sql, nulls, err)
+			}
+			_, phys, _ := strings.Cut(plan, "== physical plan ==")
+			phys, _, _ = strings.Cut(phys, "\n==")
+			if nodes, chains := strings.Count(phys, "BinaryGroup"), strings.Count(phys, " ∘ "); nodes-chains != 1 || chains != n-1 {
+				t.Errorf("%s (%s): want one binary grouping node of %d groupings:\n%s", sql, nulls, n, phys)
+			}
+			want, err := db.Query(sql, WithStrategy(Canonical), WithNullMode(nulls))
+			if err != nil {
+				t.Fatalf("%s (%s): canonical: %v", sql, nulls, err)
+			}
+			for _, path := range []ExecutionPath{PathRow, PathVector} {
+				for _, workers := range []int{1, 4} {
+					got, err := db.Query(sql, WithNullMode(nulls), WithExecutionPath(path), WithWorkers(workers))
+					if err != nil {
+						t.Fatalf("%s (%s, %s, %d workers): %v", sql, nulls, path, workers, err)
+					}
+					if g, w := sortedRows(got), sortedRows(want); strings.Join(g, "\n") != strings.Join(w, "\n") {
+						t.Fatalf("%s (%s, %s, %d workers): %d rows, canonical %d\n got %v\nwant %v",
+							sql, nulls, path, workers, len(g), len(w), g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// nullEvery renders v, or NULL for every every-th i.
+func nullEvery(v, i, every int) string {
+	if i%every == every-1 {
+		return "NULL"
+	}
+	return fmt.Sprint(v)
+}
+
+// TestChainProbesUndecidedRows: EXPLAIN ANALYZE of a chain whose first
+// disjunct decides most rows shows its second grouping probed only for
+// the rows the first left undecided, NULLs included, at one and four
+// workers.
+func TestChainProbesUndecidedRows(t *testing.T) {
+	db := collapseDB(t)
+	count := func(sql string) int {
+		t.Helper()
+		res, err := db.Query(sql, WithStrategy(Canonical))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Rows)
+	}
+	first, second := "a3 <= (SELECT COUNT(*) FROM s WHERE a2 = b2)", "a1 = (SELECT COUNT(*) FROM t WHERE a4 = c2)"
+	rows, decided := count("SELECT * FROM r"), count("SELECT * FROM r WHERE "+first)
+	if decided*2 <= rows {
+		t.Fatalf("the first disjunct decides %d of %d rows; the case needs most", decided, rows)
+	}
+	want := "HashBinaryGroup[r.a2=s.b2][g1:COUNT(*)] ∘ HashBinaryGroup[r.a4=t.c2][g2:COUNT(*)] σ[((r.a3 <= g1) OR (r.a1 = g2))]"
+	probes := fmt.Sprintf("probes=%d/%d,", rows, rows-decided)
+	for _, workers := range []int{1, 4} {
+		out, err := db.Analyze("SELECT DISTINCT * FROM r WHERE "+first+" OR "+second, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, want) || !strings.Contains(out, probes) {
+			t.Errorf("%d workers: EXPLAIN ANALYZE does not show %s with %s:\n%s", workers, want, probes, out)
 		}
 	}
 }

@@ -260,16 +260,21 @@ func TestTagsFuseIntoBinaryGrouping(t *testing.T) {
 		for _, root := range roots {
 			physical.Walk(root, func(n physical.Node) bool {
 				bg, ok := n.(*physical.BinaryGroup)
-				if !ok || bg.Tag == nil {
+				if !ok {
 					return true
 				}
-				tagged++
-				physical.Walk(bg.R, func(n physical.Node) bool {
-					if strings.HasPrefix(n.Label(), "Map[tag") {
-						t.Errorf("%s: %s under %s", sql, n.Label(), bg.Label())
+				for _, g := range bg.Groupings {
+					if g.Tag == nil {
+						continue
 					}
-					return true
-				})
+					tagged++
+					physical.Walk(g.R, func(n physical.Node) bool {
+						if strings.HasPrefix(n.Label(), "Map[tag") {
+							t.Errorf("%s: %s under %s", sql, n.Label(), bg.Label())
+						}
+						return true
+					})
+				}
 				return true
 			})
 		}

@@ -349,140 +349,135 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 	return out, nil
 }
 
-// evalBinaryGroup is Γ² by probing, with or without Eqv. 5's tag. Per
-// left tuple x the group is σ_tag(R) ∪̇ σ_Pred(x)(σ_{¬tag}(R)); untagged,
-// σ_tag(R) is empty and σ_{¬tag}(R) is R itself, shared rather than
-// copied. R is split once on the tag (see split); R⁺ is folded once, in
-// input order, into base accumulators that every group's accumulators
-// overlay, so an empty match set yields f(∅) (no count bug by
-// construction).
-//
-// When Pred is an equality, R⁻ is hashed on its keys (May & Moerkotte's
-// main-memory binary grouping) and each distinct key's rows are folded
-// once, in R order, before any left tuple is read (foldKeys): one entry
-// and one set of overlays per key, not per row; a left tuple only looks
-// its key up, in the partition its key hash falls in. Each inner group is then aggregated once however
-// often left tuples repeat its key, for every aggregate, DISTINCT
-// included — what the paper's Eqv. 4 pre-aggregation bought. This is
-// sound because an aggregate's argument reads the inner row alone: the
-// rewriter keeps a subquery nested whose argument reads the outer row,
-// and a rule that let one through would have to fold per left tuple.
-// When Pred is an inequality between two columns (b.Theta), R is sorted
-// on its column and folded once as a running prefix or suffix
-// (foldSorted): a left tuple binary-searches the entry of the right rows
-// it compares with, as a hashed one looks its key up — in
-// O((|L|+|R|)·log|R|) instead of the nested loop's O(|L|·|R|).
-// Otherwise — or when R's column mixes kinds that do not compare with
-// each other, so it has no order to search — each left tuple scans R⁻,
-// evaluating Pred per pair, into overlays of its own.
+// evalBinaryGroup is Γ² by probing, with or without Eqv. 5's tag, over
+// one left input and the node's list of groupings — one, or a chain of
+// Γ²s the planner absorbed. Per left tuple x a grouping's group is
+// σ_tag(R) ∪̇ σ_Pred(x)(σ_{¬tag}(R)); untagged, σ_tag(R) is empty and
+// σ_{¬tag}(R) is R itself, shared rather than copied. Each grouping's R
+// is folded once, before any left tuple is read (foldGrouping), and a
+// left tuple then looks its results up in each.
 //
 // A fused selection (b.Keep) sees each left tuple ◦ its results, and
 // only the tuples it holds TRUE on are written, cut from one slab of
-// exactly their number per morsel. When it is split and its bypass
-// operands run compiled (b.VecBypass), they are evaluated first, over
-// the morsel, and a tuple they hold TRUE on is written without a probe;
-// only the others look their group up, and b.Rest decides them.
-// Otherwise — on the row path too — every tuple probes and b.Keep
-// decides it. Probes counts the lookups.
+// exactly their number per morsel. On the vector path its bypass
+// operands, where they compiled (b.VecBypass), are evaluated first, over
+// the morsel, and a tuple they hold TRUE on is written without a lookup;
+// the others are decided by b.Rest's disjuncts in order, each grouping
+// looked up the first time a disjunct reads its results, and none once a
+// disjunct holds — so a later grouping is probed only for the tuples the
+// earlier disjuncts left undecided. On the row path, the reference,
+// every tuple looks every grouping up and b.Keep decides it. A kept
+// tuple whose emitted columns read results not yet looked up looks them
+// up before it is written. Probes counts each grouping's lookups.
 //
-// Nothing of size |L|·|R| is built, and since every group is folded in R
-// order on one goroutine, the fold order — hence any float rounding — is
-// the same for every worker count.
+// A single grouping that looks its results up by key hands the tuple a
+// run of its results table; otherwise a tuple's results are gathered
+// into the morsel's own, kept while the tuple is, if its emitted columns
+// read them. Nothing of size |L|·|R| is built, and since every group is
+// folded in R order on one goroutine, the fold order — hence any float
+// rounding — is the same for every worker count.
 func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage.Relation, error) {
 	l, err := ex.eval(b.L, env)
 	if err != nil {
 		return nil, err
 	}
-	r, err := ex.eval(b.R, env)
-	if err != nil {
-		return nil, err
+	gs := make([]grouping, len(b.Groupings))
+	for j := range gs {
+		if gs[j].neg, err = ex.eval(b.Groupings[j].R, env); err != nil {
+			return nil, err
+		}
 	}
 	compiled, err := ex.vecEnter(b)
 	if err != nil {
 		return nil, err
+	}
+	total := 0
+	for j := range gs {
+		if err := ex.foldGrouping(&gs[j], &b.Groupings[j], compiled, env); err != nil {
+			return nil, err
+		}
+		gs[j].off = total
+		total += len(b.Groupings[j].Aggs)
 	}
 	// bypass is b.Bypass's truth over a morsel of L, when it runs.
 	var bypass func(w *Executor, lo, hi int) ([]types.TriBool, error)
 	if compiled && b.VecBypass != nil {
 		bypass = morselEval[types.TriBool](ex, true, b.VecBypass, l, env, nil)
 	}
-	n := len(b.Aggs)
-	hashed := b.LCols != nil && b.Theta == types.EQ
-	// ai feeds R's rows to the base, the sorted fold or a left tuple's
-	// group, none of which an untagged hashed Γ² has.
-	var ai *aggInputs
-	var base []agg.Acc
-	if !hashed || b.Tag != nil {
-		if ai, err = newAggInputs(b.Aggs, r.Schema, nil); err != nil {
-			return nil, err
-		}
-		base = appendAccs(nil, ai.specs)
-	}
-	neg := r
-	if b.Tag != nil {
-		if neg, err = ex.split(b, r, compiled && b.VecTag != nil, ai.feed(env), base, env); err != nil {
-			return nil, err
-		}
-	}
-	var (
-		// tables is R⁻'s per-key fold when hashed, one table per key
-		// partition, sorted R's running fold when sort-based; keyRes
-		// holds the base's results, for a left key R⁻ lacks, a NULL or an
-		// incomparable one, at 0, then each entry's: key entry e of a
-		// table's at its res+e*n, the first k sorted rows' at k*n.
-		tables []*groupTable
-		sorted *sortedFold
-		keyRes []types.Value
-	)
-	switch {
-	case b.Theta != types.EQ:
-		if sorted, keyRes, err = ex.foldSorted(b, r, ai.feed(env)); err != nil {
-			return nil, err
-		}
-		if sorted == nil {
-			ex.stats.NLJoins++
-		} else {
-			ex.stats.SortedGroups++
-		}
-	case hashed:
-		ex.stats.HashJoins++
-		if tables, keyRes, err = ex.foldKeys(b, neg, base, env); err != nil {
-			return nil, err
-		}
-	default:
-		ex.stats.NLJoins++
-	}
+	lazy := ex.opt.Path == PathVector && (b.Bypass == nil || bypass != nil)
+	direct := len(gs) == 1 && gs[0].keyRes != nil
+	all, emits := uint64(1)<<uint(len(gs))-1, emitReads(b, gs)
 	chunks, err := parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			// picks records the tuples written: each one's offset and where
-			// its results are in res, -1 for a tuple the bypass decided.
-			// res holds keyRes when hashed or sorted, else each left
-			// tuple's own results, appended as it is folded and kept while
-			// the tuple is. keep sees a tuple ◦ its results through kf, kr.
-			picks, keep, probes := w.takePairs(hi-lo), b.Keep, int64(0)
+			// its results are in res, -1 for a tuple whose emitted columns
+			// read none. res is the results table when direct, else the
+			// morsel's tuples' results, total each, kept while the tuple's
+			// are written. keep sees a tuple ◦ its results through kf, kr.
+			picks := w.takePairs(hi - lo)
 			var decided []types.TriBool
 			if bypass != nil {
 				var err error
 				if decided, err = bypass(w, lo, hi); err != nil {
 					return nil, err
 				}
-				keep = b.Rest
 			}
-			var kf, kr, lf, rf *Env
-			if keep != nil {
+			var kf, kr *Env
+			if b.Keep != nil {
 				kf, kr = pairFrames(env, l.Schema, b.Results)
 			}
-			res := keyRes
-			var feed *aggFeed
-			var accs []agg.Acc
-			if keyRes == nil {
-				if keep == nil {
-					res = make([]types.Value, 0, n*(hi-lo))
-				}
-				lf, rf = pairFrames(env, l.Schema, r.Schema)
-				feed, accs = ai.feed(env), make([]agg.Acc, n)
+			var res []types.Value
+			if direct {
+				res = gs[0].keyRes
+			} else if b.Keep == nil && emits != 0 {
+				res = make([]types.Value, 0, total*(hi-lo))
+			} else {
+				res = make([]types.Value, 0, total)
 			}
-			for i, lt := range l.Tuples[lo:hi] {
+			var scans []func(lt, dst []types.Value) error // the nested-loop groupings', by grouping
+			for j := range gs {
+				if gs[j].keyRes == nil {
+					if scans == nil {
+						scans = make([]func(lt, dst []types.Value) error, len(gs))
+					}
+					scans[j] = gs[j].scan(w, l.Schema, env)
+				}
+			}
+			var probes []int64
+			if w.nm != nil {
+				probes = make([]int64, len(gs))
+			}
+			// look looks up the groupings in need that the tuple lt, whose
+			// results are at at, has not looked up yet.
+			var lt []types.Value
+			var at int
+			var got uint64
+			look := func(need uint64) error {
+				for j := range gs {
+					g := &gs[j]
+					if (need&^got)>>uint(j)&1 == 0 {
+						continue
+					}
+					got |= 1 << uint(j)
+					if probes != nil {
+						probes[j]++
+					}
+					n := len(g.Aggs)
+					switch {
+					case g.keyRes == nil:
+						if err := scans[j](lt, res[at+g.off:][:n]); err != nil {
+							return err
+						}
+					case direct:
+						at = g.entry(lt)
+					default:
+						e := g.entry(lt)
+						copy(res[at+g.off:][:n], g.keyRes[e:e+n])
+					}
+				}
+				return nil
+			}
+			for i, t := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
 					return nil, err
 				}
@@ -490,54 +485,49 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 					picks = append(picks, [2]int32{int32(i), -1})
 					continue
 				}
-				probes++
-				at := 0 // a left key R⁻ lacks, a NULL or incomparable one, reads the base alone
-				switch {
-				case tables != nil:
-					if h, ok := tables[0].ix.Hash(lt, b.LCols); ok {
-						p := partOf(h, len(tables))
-						if e := tables[p].ix.FirstHashed(lt, b.LCols, h); e >= 0 {
-							at = tables[p].res + int(e)*n
-						}
-					}
-				case sorted != nil:
-					at = sorted.entry(lt[b.LCols[0]]) * n
-				default:
-					for j := range base {
-						accs[j] = *agg.Overlay(&base[j])
-					}
-					for _, rt := range neg.Tuples {
-						if err := w.tick(); err != nil {
-							return nil, err
-						}
-						match, err := w.holds(b.Pred, lf, rf, lt, rt)
-						if err != nil {
-							return nil, err
-						}
-						if match {
-							if err := feed.add(w, accs, rt); err != nil {
-								return nil, err
-							}
-						}
-					}
+				lt, at, got = t, 0, 0
+				if !direct {
 					at = len(res)
-					for j := range accs {
-						res = append(res, accs[j].Result())
+					res = slices.Grow(res, total)[:at+total]
+				}
+				kept := b.Keep == nil
+				var err error
+				switch {
+				case kept:
+				case lazy:
+					for _, d := range b.Rest {
+						if err = look(d.Reads); err == nil {
+							kept, err = w.holds(d.Pred, kf, kr, lt, res[at:][:total])
+						}
+						if err != nil || kept {
+							break
+						}
+					}
+				default:
+					if err = look(all); err == nil {
+						kept, err = w.holds(b.Keep, kf, kr, lt, res[at:][:total])
 					}
 				}
-				switch ok, err := w.holds(keep, kf, kr, lt, res[at:at+n]); {
+				if err == nil && kept && emits != 0 {
+					err = look(emits)
+				}
+				switch {
 				case err != nil:
 					return nil, err
-				case ok:
+				case kept && emits != 0:
 					picks = append(picks, [2]int32{int32(i), int32(at)})
-				case keyRes == nil:
+					continue
+				case kept:
+					picks = append(picks, [2]int32{int32(i), -1})
+				}
+				if !direct {
 					res = res[:at]
 				}
 			}
-			if w.nm != nil {
-				w.metric(b).Probes += probes
+			if probes != nil {
+				w.metric(b).addProbes(probes)
 			}
-			return w.writeKept(b, picks, l.Tuples[lo:hi], res), nil
+			return w.writeKept(b, picks, l.Tuples[lo:hi], res, total), nil
 		})
 	if err != nil {
 		return nil, err
@@ -545,6 +535,150 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	out := storage.NewRelation(b.Schema())
 	out.Tuples = concatChunks(chunks)
 	return out, nil
+}
+
+// emitReads returns the groupings whose results b's emitted columns
+// read: bit j for gs[j].
+func emitReads(b *physical.BinaryGroup, gs []grouping) uint64 {
+	if b.Emit == nil {
+		return uint64(1)<<uint(len(gs)) - 1
+	}
+	var reads uint64
+	width := b.L.Schema().Len()
+	for _, c := range b.Emit {
+		for j, g := range gs {
+			if c >= width+g.off && c < width+g.off+len(g.Aggs) {
+				reads |= 1 << uint(j)
+			}
+		}
+	}
+	return reads
+}
+
+// grouping is one grouping of a binary grouping, its right input folded:
+// what a left tuple looks its results up in.
+type grouping struct {
+	*physical.Grouping
+	off int // where its results start among the node's
+	// tables is R⁻'s per-key fold when hashed, one table per key
+	// partition, sorted R's running fold when sort-based; keyRes holds
+	// the base's results, for a left key R⁻ lacks, a NULL or an
+	// incomparable one, at 0, then each entry's: key entry e of a
+	// table's at its res+e*n, the first k sorted rows' at k*n. A grouping
+	// with neither scans R⁻, neg, per left tuple, into overlays of base,
+	// fed by ai.
+	tables []*groupTable
+	sorted *sortedFold
+	keyRes []types.Value
+	neg    *storage.Relation
+	base   []agg.Acc
+	ai     *aggInputs
+}
+
+// foldGrouping folds the right input R of grouping g, which gr holds in
+// neg, once, into gr. R is split once on the tag (see split); R⁺ is
+// folded once, in input order, into base accumulators that every
+// group's accumulators overlay, so an empty match set yields f(∅) (no
+// count bug by construction).
+//
+// When Pred is an equality, R⁻ is hashed on its keys (May & Moerkotte's
+// main-memory binary grouping) and each distinct key's rows are folded
+// once, in R order (foldKeys): one entry and one set of overlays per
+// key, not per row; a left tuple only looks its key up, in the partition
+// its key hash falls in. Each inner group is then aggregated once
+// however often left tuples repeat its key, for every aggregate,
+// DISTINCT included — what the paper's Eqv. 4 pre-aggregation bought.
+// This is sound because an aggregate's argument reads the inner row
+// alone: the rewriter keeps a subquery nested whose argument reads the
+// outer row, and a rule that let one through would have to fold per
+// left tuple. When Pred is an inequality between two columns (g.Theta),
+// R is sorted on its column and folded once as a running prefix or
+// suffix (foldSorted): a left tuple binary-searches the entry of the
+// right rows it compares with, as a hashed one looks its key up — in
+// O((|L|+|R|)·log|R|) instead of the nested loop's O(|L|·|R|).
+// Otherwise — or when R's column mixes kinds that do not compare with
+// each other, so it has no order to search — each left tuple scans R⁻,
+// evaluating Pred per pair, into overlays of its own (scan).
+func (ex *Executor) foldGrouping(gr *grouping, g *physical.Grouping, compiled bool, env *Env) error {
+	gr.Grouping = g
+	r := gr.neg
+	hashed := g.LCols != nil && g.Theta == types.EQ
+	// ai feeds R's rows to the base, the sorted fold or a left tuple's
+	// group, none of which an untagged hashed Γ² has.
+	if !hashed || g.Tag != nil {
+		var err error
+		if gr.ai, err = newAggInputs(g.Aggs, r.Schema, nil); err != nil {
+			return err
+		}
+		gr.base = appendAccs(nil, gr.ai.specs)
+	}
+	var err error
+	if g.Tag != nil {
+		if gr.neg, err = ex.split(g, r, compiled && g.VecTag != nil, gr.ai.feed(env), gr.base, env); err != nil {
+			return err
+		}
+	}
+	switch {
+	case g.Theta != types.EQ:
+		if gr.sorted, gr.keyRes, err = ex.foldSorted(g, r, gr.ai.feed(env)); gr.sorted == nil {
+			ex.stats.NLJoins++
+		} else {
+			ex.stats.SortedGroups++
+		}
+	case hashed:
+		ex.stats.HashJoins++
+		gr.tables, gr.keyRes, err = ex.foldKeys(g, gr.neg, gr.base, env)
+	default:
+		ex.stats.NLJoins++
+	}
+	return err
+}
+
+// entry returns where the results of left tuple lt's group start in a
+// looked-up grouping's results table. A left key R⁻ lacks, a NULL or an
+// incomparable one, reads the base alone, at 0.
+func (g *grouping) entry(lt []types.Value) int {
+	if g.sorted != nil {
+		return g.sorted.entry(lt[g.LCols[0]]) * len(g.Aggs)
+	}
+	if h, ok := g.tables[0].ix.Hash(lt, g.LCols); ok {
+		p := partOf(h, len(g.tables))
+		if e := g.tables[p].ix.FirstHashed(lt, g.LCols, h); e >= 0 {
+			return g.tables[p].res + int(e)*len(g.Aggs)
+		}
+	}
+	return 0
+}
+
+// scan returns a nested-loop grouping's lookup for one morsel of left
+// tuples, of schema ls: it feeds the rows of R⁻ that Pred matches with
+// left tuple lt to overlays of the base and writes their results to dst.
+func (g *grouping) scan(w *Executor, ls *storage.Schema, env *Env) func(lt, dst []types.Value) error {
+	lf, rf := pairFrames(env, ls, g.neg.Schema)
+	feed, accs := g.ai.feed(env), make([]agg.Acc, len(g.Aggs))
+	return func(lt, dst []types.Value) error {
+		for j := range g.base {
+			accs[j] = *agg.Overlay(&g.base[j])
+		}
+		for _, rt := range g.neg.Tuples {
+			if err := w.tick(); err != nil {
+				return err
+			}
+			match, err := w.holds(g.Pred, lf, rf, lt, rt)
+			if err != nil {
+				return err
+			}
+			if match {
+				if err := feed.add(w, accs, rt); err != nil {
+					return err
+				}
+			}
+		}
+		for j := range accs {
+			dst[j] = accs[j].Result()
+		}
+		return nil
+	}
 }
 
 // foldKeys is the hashed binary grouping's fold of R⁻ (neg): Γ's
@@ -555,7 +689,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 // is deduplicated as Γ's is, on (RCols, argument columns), after base's
 // set: no key keeps a set of its own. It returns the tables and their
 // results: base's first, then each table's from its res on.
-func (ex *Executor) foldKeys(b *physical.BinaryGroup, neg *storage.Relation, base []agg.Acc, env *Env) ([]*groupTable, []types.Value, error) {
+func (ex *Executor) foldKeys(b *physical.Grouping, neg *storage.Relation, base []agg.Acc, env *Env) ([]*groupTable, []types.Value, error) {
 	ai, err := newAggInputs(b.Aggs, neg.Schema, b.RCols)
 	if err != nil {
 		return nil, nil, err
@@ -602,7 +736,7 @@ type sortedFold struct {
 // empty group's at 0, and entry finds a left value's k. A column that mixes kinds that do not compare with
 // each other has no order to search: foldSorted then returns nil, and
 // the caller folds per pair.
-func (ex *Executor) foldSorted(b *physical.BinaryGroup, r *storage.Relation, feed *aggFeed) (*sortedFold, []types.Value, error) {
+func (ex *Executor) foldSorted(b *physical.Grouping, r *storage.Relation, feed *aggFeed) (*sortedFold, []types.Value, error) {
 	s := &sortedFold{rows: make([][]types.Value, 0, len(r.Tuples)), col: b.RCols[0], theta: b.Theta}
 	for _, t := range r.Tuples {
 		if t[s.col].IsNull() {
@@ -675,7 +809,7 @@ func (s *sortedFold) entry(v types.Value) int {
 // one pass in R order, folds the tuples it holds TRUE on into base and
 // gathers the rest, FALSE or UNKNOWN, into R⁻, which it returns, cut
 // once to their counted number.
-func (ex *Executor) split(b *physical.BinaryGroup, r *storage.Relation, compiled bool, feed *aggFeed, base []agg.Acc, env *Env) (*storage.Relation, error) {
+func (ex *Executor) split(b *physical.Grouping, r *storage.Relation, compiled bool, feed *aggFeed, base []agg.Acc, env *Env) (*storage.Relation, error) {
 	truth := morselEval(ex, compiled, b.VecTag, r, env,
 		func(w *Executor, row *Env) (types.TriBool, error) { return w.EvalPred(b.Tag, row) })
 	type morsel struct {
@@ -719,16 +853,16 @@ func (ex *Executor) split(b *physical.BinaryGroup, r *storage.Relation, compiled
 }
 
 // writeKept cuts the rows of a binary grouping's morsel that picks
-// records, each left ◦ its results in res, from one slab of exactly
-// their number — or, when b passes its left rows, takes each as its
-// left row cut to width — and puts the pair record back.
-func (w *Executor) writeKept(b *physical.BinaryGroup, picks [][2]int32, left [][]types.Value, res []types.Value) [][]types.Value {
+// records, each left ◦ its total results in res, from one slab of
+// exactly their number — or, when b passes its left rows, takes each as
+// its left row cut to width — and puts the pair record back.
+func (w *Executor) writeKept(b *physical.BinaryGroup, picks [][2]int32, left [][]types.Value, res []types.Value, total int) [][]types.Value {
 	out, width := make([][]types.Value, len(picks)), b.Schema().Len()
 	slab := w.slab(width, len(picks))
 	for j, p := range picks {
-		var r []types.Value // none for a bypassed tuple, whose emit list reads none
+		var r []types.Value // none for a tuple whose emit list reads none
 		if p[1] >= 0 {
-			r = res[p[1]:][:len(b.Aggs)]
+			r = res[p[1]:][:total]
 		}
 		if b.PassLeft {
 			out[j] = left[p[0]][:width:width]

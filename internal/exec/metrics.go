@@ -32,10 +32,11 @@ type NodeMetrics struct {
 	// HashBuildRows is the total number of build-side tuples hashed for
 	// this operator (hash joins, hash binary grouping).
 	HashBuildRows int64
-	// Probes is the total number of left tuples a binary grouping looked
-	// its group up for: every left tuple but those its fused disjunction's
-	// bypass operands decided.
-	Probes int64
+	// Probes is, per grouping of a binary grouping, the total number of
+	// left tuples that looked their group up in it: on the vector path
+	// those the fused disjunction's bypass operands, and the disjuncts
+	// before the first that reads the grouping's results, left undecided.
+	Probes []int64
 	// VecCalls counts evaluations that ran on the vectorized path
 	// (compiled kernels over columnar batches). Credited once per Call
 	// by the kernel's coordinator, so like Calls it is worker-count
@@ -60,9 +61,19 @@ func (m *NodeMetrics) merge(o *NodeMetrics) {
 	m.RowsOut += o.RowsOut
 	m.Morsels += o.Morsels
 	m.HashBuildRows += o.HashBuildRows
-	m.Probes += o.Probes
+	m.addProbes(o.Probes)
 	m.VecCalls += o.VecCalls
 	m.WallNanos += o.WallNanos
+}
+
+// addProbes adds per-grouping probe counts.
+func (m *NodeMetrics) addProbes(p []int64) {
+	if len(m.Probes) < len(p) {
+		m.Probes = append(m.Probes, make([]int64, len(p)-len(m.Probes))...)
+	}
+	for j, n := range p {
+		m.Probes[j] += n
+	}
 }
 
 // metric returns the slot for a node, growing the shard for nodes

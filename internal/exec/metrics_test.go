@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func TestNodeMetricsWorkerCountIndependent(t *testing.T) {
 			t.Fatalf("workers=%d: %d metric slots, want %d", workers, len(got), len(base))
 		}
 		for i := range base {
-			if got[i] != base[i] {
+			if !reflect.DeepEqual(got[i], base[i]) {
 				t.Errorf("workers=%d node #%d metrics differ:\n1 worker: %+v\n%d workers: %+v",
 					workers, i, base[i], workers, got[i])
 			}

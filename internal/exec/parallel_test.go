@@ -93,6 +93,38 @@ func TestParallelResultsIdentical(t *testing.T) {
 	}
 }
 
+// TestParallelDistinct: DISTINCT over an input with no duplicate, and
+// over one whose only duplicate is its last row — of a row in another
+// morsel — answers the sequential Relation.Distinct at every worker
+// count; the morsel-parallel path dedups each morsel, then the merge.
+func TestParallelDistinct(t *testing.T) {
+	cat := bigCatalog(t, 3000)
+	tbl, err := cat.Lookup("l")
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := algebra.NewDistinct(bigScan(t, cat, "l"))
+	base := tbl.Rel.Distinct()
+	if len(base.Tuples) != 3000 {
+		t.Fatalf("fixture has duplicates: %d distinct rows", len(base.Tuples))
+	}
+	for _, last := range []bool{false, true} {
+		if last {
+			tbl.BulkLoad([][]types.Value{tbl.Rel.Tuples[5]})
+			base = tbl.Rel.Distinct()
+		}
+		for _, workers := range []int{1, 4} {
+			got, err := New(cat, Options{Cache: CacheAll, Workers: workers}).Run(distinct)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if !reflect.DeepEqual(base.Tuples, got.Tuples) {
+				t.Errorf("duplicate last row %v, workers=%d: %d rows, want %d", last, workers, len(got.Tuples), len(base.Tuples))
+			}
+		}
+	}
+}
+
 func TestParallelStatsWorkerCountIndependent(t *testing.T) {
 	cat := bigCatalog(t, 3000)
 	plan := parallelPlan(t, cat)

@@ -50,6 +50,15 @@ import (
 //	    Π's) only consumer and p holds no nested block, so the tagged
 //	    copy of the inner relation is never built; otherwise the tag is
 //	    the χ's column.
+//	chain of binary groupings: a BinaryGroup whose left input lowers to
+//	    a BinaryGroup absorbs it — one node, whose groupings are the
+//	    lower one's and then its own, over the lower one's left input —
+//	    when the lower one has no other consumer (nor has a Π or a
+//	    cascade's − stream between them), no fused selection, and looks
+//	    each grouping up (hashed, tagged-hashed or sort-based), and the
+//	    upper grouping's predicate, keys and tag read none of its
+//	    results. A tree query's stacked unnestings (Q3) are one pass over
+//	    its outer relation that writes no intermediate row.
 //
 //	selection over a binary grouping (an Eqv. 1 ⟕ among them): fused
 //	    into it when the σ is the only consumer of that operator,
@@ -111,7 +120,10 @@ type Planner struct {
 	// what evaluation looks up, and all a Plan keeps of the memo.
 	blocks map[algebra.Op]Node
 	nodes  int
-	names  []string // scratch for reads
+	// spare holds the IDs of the Γ²s chains absorbed, for number to
+	// hand out again.
+	spare []int
+	names []string // scratch for reads
 }
 
 type lowered struct {
@@ -330,9 +342,16 @@ func (p *Planner) lowerFor(op algebra.Op, need colSet, order *storage.Schema) (N
 }
 
 // number gives a freshly lowered node its columnar programs, where the
-// vectorized path can run them (see vectorize.go), and the next ID.
+// vectorized path can run them (see vectorize.go), and the next ID: the
+// ID of a Γ² a chain absorbed (see lowerBinaryGroup) when there is one,
+// so that IDs stay dense.
 func (p *Planner) number(n Node) {
 	p.vectorize(n)
+	if k := len(p.spare); k > 0 {
+		n.setID(p.spare[k-1])
+		p.spare = p.spare[:k-1]
+		return
+	}
 	n.setID(p.nodes)
 	p.nodes++
 }
@@ -672,16 +691,16 @@ func (p *Planner) lowerBinaryGroup(b base, w algebra.Op, keep algebra.Expr, in, 
 	var lop, rop algebra.Op
 	var pred, tag algebra.Expr
 	var aggs []algebra.AggItem
-	var g *algebra.GroupBy // Eqv. 1's Γ
+	var eq1 *algebra.GroupBy // Eqv. 1's Γ
 	switch x := w.(type) {
 	case *algebra.BinaryGroup:
 		lop, pred, aggs = x.L, x.Pred, x.Aggs
 		rop, tag = p.tagged(x)
 	case *algebra.LeftOuterJoin:
-		if g = p.eqv1(x, keep, need, order); g == nil {
+		if eq1 = p.eqv1(x, keep, need, order); eq1 == nil {
 			return nil, fmt.Errorf("%w: %s", ErrOuterJoin, w.Label())
 		}
-		lop, rop, pred, aggs = x.L, g.Child, x.Pred, g.Aggs
+		lop, rop, pred, aggs = x.L, eq1.Child, x.Pred, eq1.Aggs
 	}
 	ln, _ := in.split(lop.Schema().Len())
 	l, r, err := p.lowerPair(lop, rop, pred, ln, p.aggReads(p.reads(0, rop.Schema(), tag), rop.Schema(), aggs))
@@ -695,43 +714,176 @@ func (p *Planner) lowerBinaryGroup(b base, w algebra.Op, keep algebra.Expr, in, 
 	if err != nil {
 		return nil, err
 	}
-	bg := &BinaryGroup{base: b, L: l, R: r, Pred: pred, Tag: tag, Aggs: aggs, Keep: keep,
-		Emit: emit, PassLeft: passesLeft(emit, l.Schema())}
-	if keep != nil {
-		attrs := w.Schema().Attrs()
-		bg.Results = storage.NewSchema(attrs[len(attrs)-len(aggs):]...)
-	}
-	// A disjunction of a Γ² that emits no aggregate result is split.
-	if _, or := keep.(*algebra.OrExpr); or && emit != nil && (len(emit) == 0 || slices.Max(emit) < l.Schema().Len()) {
-		if byp, rest := p.splitLeft(keep, l.Schema()); byp != nil && rest != nil {
-			bg.Bypass, bg.Rest = byp, rest
-		}
-	}
+	g := Grouping{R: r, Pred: pred, Tag: tag, Aggs: aggs}
 	lc, rc, residual := algebra.EquiKeys(pred, l.Schema(), r.Schema())
 	switch hashed := len(lc) > 0 && len(residual) == 0; {
-	case g != nil:
+	case eq1 != nil:
 		// Every grouping attribute, and nothing else of e2, is equated.
-		for _, a := range g.Attrs {
+		for _, a := range eq1.Attrs {
 			hashed = hashed && slices.ContainsFunc(rc, func(c int) bool { return r.Schema().Attr(c) == a })
 		}
 		for _, c := range rc {
-			hashed = hashed && slices.Contains(g.Attrs, r.Schema().Attr(c))
+			hashed = hashed && slices.Contains(eq1.Attrs, r.Schema().Attr(c))
 		}
 		if !hashed {
 			return nil, fmt.Errorf("%w: %s", ErrOuterJoin, w.Label())
 		}
-		bg.LCols, bg.RCols, bg.Groups = lc, rc, p.est.Cardinality(g)
-		return bg, p.lowerBlocks(g)
+		g.LCols, g.RCols, g.Groups = lc, rc, p.est.Cardinality(eq1)
+		if err := p.lowerBlocks(eq1); err != nil {
+			return nil, err
+		}
 	case hashed:
 		p.names = p.names[:0]
 		for _, c := range rc {
 			p.names = append(p.names, r.Schema().Attr(c))
 		}
-		bg.LCols, bg.RCols, bg.Groups = lc, rc, p.est.Groups(rop, p.names)
+		g.LCols, g.RCols, g.Groups = lc, rc, p.est.Groups(rop, p.names)
 	case tag == nil:
-		bg.LCols, bg.RCols, bg.Theta = sortable(pred, aggs, l.Schema(), r.Schema())
+		g.LCols, g.RCols, g.Theta = sortable(pred, aggs, l.Schema(), r.Schema())
+	}
+	bg := &BinaryGroup{base: b, L: l, Keep: keep, Emit: emit}
+	if lower := p.absorbable(lop, l, &g); lower != nil {
+		p.absorb(bg, lower, g)
+	} else {
+		bg.one[0] = g
+		bg.Groupings = bg.one[:]
+	}
+	bg.PassLeft = passesLeft(bg.Emit, bg.L.Schema())
+	if keep != nil {
+		p.decide(bg, w)
 	}
 	return bg, nil
+}
+
+// absorbable returns the Γ² l, lowered from lop, when the grouping g
+// over it absorbs it (see Planner): l has one consumer — every operator
+// from lop down to it does, a Π that dissolved into it or a cascade's −
+// stream — and no fused selection, and looks each of its groupings up,
+// and g's predicate and tag read none of its results. It returns nil
+// otherwise.
+func (p *Planner) absorbable(lop algebra.Op, l Node, g *Grouping) *BinaryGroup {
+	lower, ok := l.(*BinaryGroup)
+	if !ok || lower.Keep != nil || len(lower.Groupings) == 64 {
+		return nil
+	}
+	for i := range lower.Groupings {
+		if lower.Groupings[i].LCols == nil { // a nested-loop scan, not a lookup
+			return nil
+		}
+	}
+	for op := lop; ; {
+		if p.memo[op].shared {
+			return nil
+		}
+		if op == lower.Logical() {
+			break
+		}
+		switch x := op.(type) {
+		case *algebra.Project:
+			op = x.Child
+		case *algebra.Stream:
+			op = x.Source.(*algebra.BypassSelect).Child // lowered as its σ±'s input
+		default:
+			return nil
+		}
+	}
+	p.names = p.names[:0]
+	if g.Pred != nil {
+		p.names = g.Pred.Columns(p.names)
+	}
+	if g.Tag != nil {
+		p.names = g.Tag.Columns(p.names)
+	}
+	for i := range lower.Groupings {
+		if lower.Groupings[i].writesAny(p.names) {
+			return nil
+		}
+	}
+	return lower
+}
+
+// absorb makes bg the chain of the Γ² lower's groupings and g, over
+// lower's left input: g's key columns and bg's emit list, positions in
+// lower's output, become positions in that input ◦ the chain's results.
+func (p *Planner) absorb(bg, lower *BinaryGroup, g Grouping) {
+	if lower.Emit != nil {
+		in, below, out := lower.L.Schema().Len(), lower.NumResults(), lower.Schema().Len()
+		at := func(c int) int {
+			if c < out {
+				return lower.Emit[c]
+			}
+			return in + below + c - out // one of g's results
+		}
+		if g.LCols != nil {
+			lcols := make([]int, len(g.LCols))
+			for k, c := range g.LCols {
+				lcols[k] = at(c)
+			}
+			g.LCols = lcols
+		}
+		emit := bg.Emit
+		if emit == nil {
+			emit = make([]int, out+len(g.Aggs))
+			for i := range emit {
+				emit[i] = i
+			}
+		}
+		bg.Emit = make([]int, len(emit))
+		identity := len(emit) == in+below+len(g.Aggs)
+		for i, c := range emit {
+			bg.Emit[i] = at(c)
+			identity = identity && bg.Emit[i] == i
+		}
+		if identity {
+			bg.Emit = nil
+		}
+	}
+	bg.L, bg.Groupings = lower.L, append(lower.Groupings[:len(lower.Groupings):len(lower.Groupings)], g)
+	p.spare = append(p.spare, lower.id)
+}
+
+// decide sets what the node bg, lowered from w with a fused selection,
+// decides its rows by: the results its selection reads, every
+// grouping's; the operands that read only bg's left input, split off
+// into Bypass when the node emits no result; and the rest of the
+// selection as disjuncts, each with the groupings it reads. They keep
+// the selection's order, which is stats.Estimator.Order's: the rewriter
+// orders a σ's operands by it, and a bypass cascade's disjuncts — the σ
+// the cascade lowers to — by it with each subquery's cost.
+func (p *Planner) decide(bg *BinaryGroup, w algebra.Op) {
+	attrs := w.Schema().Attrs()
+	names := attrs[len(attrs)-bg.NumResults():]
+	if len(bg.Groupings) > 1 {
+		names = make([]string, 0, len(names))
+		for i := range bg.Groupings {
+			for _, a := range bg.Groupings[i].Aggs {
+				names = append(names, a.Out)
+			}
+		}
+	}
+	bg.Results = storage.NewSchema(names...)
+	rest := bg.Keep
+	// A disjunction of a Γ² that emits no result is split.
+	if _, or := rest.(*algebra.OrExpr); or && bg.Emit != nil && (len(bg.Emit) == 0 || slices.Max(bg.Emit) < bg.L.Schema().Len()) {
+		if byp, r := p.splitLeft(rest, bg.L.Schema()); byp != nil && r != nil {
+			bg.Bypass, rest = byp, r
+		}
+	}
+	var buf [8]algebra.Expr
+	parts := algebra.AppendDisjuncts(buf[:0], rest)
+	bg.Rest = bg.rest[:]
+	if len(parts) > 1 {
+		bg.Rest = make([]Disjunct, len(parts))
+	}
+	for i, d := range parts {
+		bg.Rest[i].Pred = d
+		p.names = d.Columns(p.names[:0])
+		for j := range bg.Groupings {
+			if bg.Groupings[j].writesAny(p.names) {
+				bg.Rest[i].Reads |= 1 << uint(j)
+			}
+		}
+	}
 }
 
 // eqv1 returns the Γ of Eqv. 1's w = e1 ⟕ Γ(e2), or nil when the Γ has

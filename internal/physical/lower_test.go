@@ -131,9 +131,9 @@ func TestLowerBinaryGroupHashOnPureEquality(t *testing.T) {
 	cat := testCat(t)
 	bg := lower(t, cat, algebra.NewBinaryGroup(
 		scanOf(t, cat, "r"), scanOf(t, cat, "s"), eq("r.a1", "s.b1"), countAgg()))
-	h, ok := bg.(*physical.BinaryGroup)
-	if !ok || h.Tag != nil || len(h.LCols) != 1 || h.LCols[0] != 0 || h.RCols[0] != 0 ||
-		!strings.HasPrefix(h.Label(), "HashBinaryGroup[r.a1=s.b1]") {
+	h := only(bg)
+	if h == nil || h.Tag != nil || len(h.LCols) != 1 || h.LCols[0] != 0 || h.RCols[0] != 0 ||
+		!strings.HasPrefix(bg.Label(), "HashBinaryGroup[r.a1=s.b1]") {
 		t.Fatalf("equality binary group lowered to %T %s, want hash probing on a1=b1", bg, bg.Label())
 	}
 }
@@ -143,7 +143,7 @@ func TestLowerBinaryGroupSortOnInequality(t *testing.T) {
 	pred := algebra.Cmp(types.LT, algebra.Col("r.a2"), algebra.Col("s.b2"))
 	bg := lower(t, cat, algebra.NewBinaryGroup(
 		scanOf(t, cat, "r"), scanOf(t, cat, "s"), pred, countAgg()))
-	s := bg.(*physical.BinaryGroup)
+	s := only(bg)
 	if len(s.LCols) != 1 || s.LCols[0] != 1 || s.RCols[0] != 1 || s.Theta != types.LT {
 		t.Errorf("inequality binary group = L%v %v R%v, want sort-based L[1] < R[1]", s.LCols, s.Theta, s.RCols)
 	}
@@ -156,7 +156,7 @@ func TestLowerBinaryGroupSortFlipsSwappedOperands(t *testing.T) {
 	pred := algebra.Cmp(types.LT, algebra.Col("s.b2"), algebra.Col("r.a2"))
 	bg := lower(t, cat, algebra.NewBinaryGroup(
 		scanOf(t, cat, "r"), scanOf(t, cat, "s"), pred, countAgg()))
-	s := bg.(*physical.BinaryGroup)
+	s := only(bg)
 	if len(s.LCols) != 1 || s.LCols[0] != 1 || s.RCols[0] != 1 || s.Theta != types.GT {
 		t.Errorf("flipped inequality = L%v %v R%v, want sort-based L[1] > R[1]", s.LCols, s.Theta, s.RCols)
 	}
@@ -189,10 +189,19 @@ func TestLowerBinaryGroupNLForDistinctAggregates(t *testing.T) {
 // keys, no tag, and the label the per-operator reports classify by.
 func wantNLBinaryGroup(t *testing.T, bg physical.Node) {
 	t.Helper()
-	n, ok := bg.(*physical.BinaryGroup)
-	if !ok || n.Tag != nil || len(n.LCols) != 0 || !strings.HasPrefix(n.Label(), "NLBinaryGroup[") {
+	n := only(bg)
+	if n == nil || n.Tag != nil || len(n.LCols) != 0 || !strings.HasPrefix(bg.Label(), "NLBinaryGroup[") {
 		t.Fatalf("binary group lowered to %T %s, want NLBinaryGroup", bg, bg.Label())
 	}
+}
+
+// only returns the one grouping of a binary grouping node; nil for any
+// other node, or a chain.
+func only(n physical.Node) *physical.Grouping {
+	if bg, ok := n.(*physical.BinaryGroup); ok && len(bg.Groupings) == 1 {
+		return &bg.Groupings[0]
+	}
+	return nil
 }
 
 func TestLowerTaggedBinaryGroup(t *testing.T) {
@@ -208,9 +217,10 @@ func TestLowerTaggedBinaryGroup(t *testing.T) {
 	// is fused into it: R is the χ's input, and the tag is the χ's
 	// predicate, compiled. The label
 	// keeps the BinaryGroup suffix the per-operator reports classify by.
-	h, ok := tagged(eq("r.a1", "s.b1")).(*physical.BinaryGroup)
-	if !ok {
-		t.Fatalf("tagged Γ² lowered to %T, want *BinaryGroup", h)
+	hn := tagged(eq("r.a1", "s.b1"))
+	h := only(hn)
+	if h == nil {
+		t.Fatalf("tagged Γ² lowered to %T, want *BinaryGroup", hn)
 	}
 	if got := h.R.Label() + h.R.Schema().String(); got != "Scan(s)[s.b1, s.b2]" {
 		t.Errorf("tagged Γ²'s right input is %s, want Scan(s)[s.b1, s.b2]", got)
@@ -219,8 +229,8 @@ func TestLowerTaggedBinaryGroup(t *testing.T) {
 		len(h.LCols) != 1 || h.LCols[0] != 0 || h.RCols[0] != 0 {
 		t.Errorf("tagged hash = tag %v (compiled %v) L%v R%v", h.Tag, h.VecTag != nil, h.LCols, h.RCols)
 	}
-	if !strings.HasPrefix(h.Label(), "TagBinaryGroup(hash)[(r.a1 = s.b1) ∨ (s.b2 > 7)]") {
-		t.Errorf("label = %s", h.Label())
+	if !strings.HasPrefix(hn.Label(), "TagBinaryGroup(hash)[(r.a1 = s.b1) ∨ (s.b2 > 7)]") {
+		t.Errorf("label = %s", hn.Label())
 	}
 	// θ-correlation and several correlated disjuncts stay one operator
 	// that evaluates the predicate per pair.
@@ -228,8 +238,8 @@ func TestLowerTaggedBinaryGroup(t *testing.T) {
 		algebra.Cmp(types.LT, algebra.Col("r.a2"), algebra.Col("s.b2")),
 		algebra.Or(eq("r.a1", "s.b1"), eq("r.a2", "s.b2")),
 	} {
-		n, ok := tagged(pred).(*physical.BinaryGroup)
-		if !ok || len(n.LCols) != 0 || !strings.HasPrefix(n.Label(), "TagBinaryGroup(nl)[") {
+		n := tagged(pred)
+		if g := only(n); g == nil || len(g.LCols) != 0 || !strings.HasPrefix(n.Label(), "TagBinaryGroup(nl)[") {
 			t.Errorf("tagged Γ²[%s] lowered to %T %s", pred, n, n.Label())
 		}
 	}
@@ -386,9 +396,11 @@ func cascade(base algebra.Op, ds []algebra.Expr, stacks []func(algebra.Op) algeb
 // TestLowerCollapsesBypassCascades: a bypass cascade lowers to one pass,
 // σ[d1 ∨ … ∨ dn] in the cascade's order over the unnestings stacked on
 // its input, fused into the top Γ² whose bypass operands — those reading
-// only its left input — decide rows before the probe; with a nested
-// block in a disjunct it is one Filter under the Π onto the union's
-// columns. No stream or union is left.
+// only its left input — decide rows before the probe, and which absorbs
+// a keepless Γ² below it: the rest of the disjunction is its disjuncts,
+// each reading the groupings it names. With a nested block in a
+// disjunct it is one Filter under the Π onto the union's columns. No
+// stream or union is left.
 func TestLowerCollapsesBypassCascades(t *testing.T) {
 	cat := testCat(t)
 	r, s := scanOf(t, cat, "r"), scanOf(t, cat, "s")
@@ -420,24 +432,24 @@ func TestLowerCollapsesBypassCascades(t *testing.T) {
 	}{
 		{"Eqv. 2", cascade(r, []algebra.Expr{simple, link}, []func(algebra.Op) algebra.Op{nil, unnest}),
 			"HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] σ[((r.a2 > 10) OR (r.a2 = g1))] → [r.a1, r.a2] (2 of 3 cols)",
-			"(r.a2 > 10)", "(r.a2 = g1)", ""},
+			"(r.a2 > 10)", "(r.a2 = g1)/1", ""},
 		{"Eqv. 3", cascade(r, []algebra.Expr{link, simple}, []func(algebra.Op) algebra.Op{unnest, nil}),
 			"HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] σ[((r.a2 = g1) OR (r.a2 > 10))] → [r.a1, r.a2] (2 of 3 cols)",
-			"(r.a2 > 10)", "(r.a2 = g1)", ""},
+			"(r.a2 > 10)", "(r.a2 = g1)/1", ""},
 		{"two unnested disjuncts", cascade(r, []algebra.Expr{simple, link, eq("r.a2", "g2")},
 			[]func(algebra.Op) algebra.Op{nil, unnest, group}),
-			"SortBinaryGroup[r.a1 < s.b1][g2:COUNT(*)] σ[(((r.a2 > 10) OR (r.a2 = g1)) OR (r.a2 = g2))] → [r.a1, r.a2] (2 of 4 cols)",
-			"((r.a2 > 10) OR (r.a2 = g1))", "(r.a2 = g2)", ""},
+			"HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] ∘ SortBinaryGroup[r.a1 < s.b1][g2:COUNT(*)] σ[(((r.a2 > 10) OR (r.a2 = g1)) OR (r.a2 = g2))] → [r.a1, r.a2] (2 of 4 cols)",
+			"(r.a2 > 10)", "(r.a2 = g1)/1 (r.a2 = g2)/10", "Scan(r)"},
 		{"a nested block", cascade(r, []algebra.Expr{algebra.Cmp(types.EQ, algebra.Col("r.a1"), block), link},
 			[]func(algebra.Op) algebra.Op{nil, unnest}),
 			"Project[r.a1, r.a2]", "", "", ""},
 		{"a σ on the stack", cascade(r, []algebra.Expr{simple, link},
 			[]func(algebra.Op) algebra.Op{nil, func(cur algebra.Op) algebra.Op { return unnest(algebra.NewSelect(cur, few)) }}),
 			"HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] σ[((r.a2 > 10) OR (r.a2 = g1))] → [r.a1, r.a2] (2 of 3 cols)",
-			"(r.a2 > 10)", "(r.a2 = g1)", "Filter[((r.a2 > 10) OR (r.a1 > 3))]"},
+			"(r.a2 > 10)", "(r.a2 = g1)/1", "Filter[((r.a2 > 10) OR (r.a1 > 3))]"},
 		{"a cascade as the last branch", nested,
 			"SortBinaryGroup[r.a1 < s.b1][g2:COUNT(*)] σ[(((r.a2 = g1) OR (r.a2 > 10)) OR (r.a2 = g2))] → [r.a1, r.a2] (2 of 4 cols)",
-			"((r.a2 = g1) OR (r.a2 > 10))", "(r.a2 = g2)", "HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] σ[((r.a2 = g1) OR (r.a1 > 3))]"},
+			"((r.a2 = g1) OR (r.a2 > 10))", "(r.a2 = g2)/1", "HashBinaryGroup[r.a1=s.b1][g1:COUNT(*)] σ[((r.a2 = g1) OR (r.a1 > 3))]"},
 	} {
 		n := lower(t, cat, c.op)
 		if n.Label() != c.want {
@@ -463,13 +475,23 @@ func TestLowerCollapsesBypassCascades(t *testing.T) {
 		if got := bg.L.Label(); c.below != "" && !strings.HasPrefix(got, c.below) {
 			t.Errorf("%s: the top node reads %s, want %s", c.name, got, c.below)
 		}
-		if got := fmt.Sprint(bg.Bypass, " ", bg.Rest); got != c.bypass+" "+c.rest {
+		if got := fmt.Sprint(bg.Bypass, " ", restOf(bg)); got != c.bypass+" "+c.rest {
 			t.Errorf("%s: bypass and rest = %s, want %s %s", c.name, got, c.bypass, c.rest)
 		}
 		if bg.VecBypass == nil || !physical.Compiled(bg) || physical.Vectorizable(bg) {
 			t.Errorf("%s: the bypass operands must compile, and the fused Γ² count as compiled, not vector-served", c.name)
 		}
 	}
+}
+
+// restOf renders a Γ²'s Rest: each disjunct, with the groupings it
+// reads as a bit set.
+func restOf(bg *physical.BinaryGroup) string {
+	parts := make([]string, len(bg.Rest))
+	for i, d := range bg.Rest {
+		parts[i] = fmt.Sprintf("%s/%b", d.Pred, d.Reads)
+	}
+	return strings.Join(parts, " ")
 }
 
 // fusible builds Eqv. 1's r ⟕ Γ_{s.b1; g1:COUNT(*)}(s) as the rewriter
@@ -647,14 +669,15 @@ func TestLowerOuterJoinIsBinaryGroup(t *testing.T) {
 		if !ok || bg.Label() != c.label {
 			t.Fatalf("%s: lowered to\n%s\nwant %s", c.name, physical.Explain(n), c.label)
 		}
-		if _, ok := bg.R.(*physical.Scan); !ok {
-			t.Errorf("%s: R is %s, want Γ's input", c.name, bg.R.Label())
+		g := &bg.Groupings[0]
+		if _, ok := g.R.(*physical.Scan); !ok {
+			t.Errorf("%s: R is %s, want Γ's input", c.name, g.R.Label())
 		}
-		if !slices.Equal(bg.LCols, c.lcols) || !slices.Equal(bg.RCols, c.rcols) {
-			t.Errorf("%s: keys %v/%v, want %v/%v", c.name, bg.LCols, bg.RCols, c.lcols, c.rcols)
+		if !slices.Equal(g.LCols, c.lcols) || !slices.Equal(g.RCols, c.rcols) {
+			t.Errorf("%s: keys %v/%v, want %v/%v", c.name, g.LCols, g.RCols, c.lcols, c.rcols)
 		}
-		if want := est.Cardinality(c.oj.R); bg.Groups != want {
-			t.Errorf("%s: sized for %v groups, want Γ's estimate %v", c.name, bg.Groups, want)
+		if want := est.Cardinality(c.oj.R); g.Groups != want {
+			t.Errorf("%s: sized for %v groups, want Γ's estimate %v", c.name, g.Groups, want)
 		}
 		if bg.Logical() != c.oj {
 			t.Errorf("%s: the node stands for %s, want the ⟕", c.name, bg.Logical().Label())
@@ -723,11 +746,11 @@ func TestLowerFusesTags(t *testing.T) {
 		if !strings.HasPrefix(bg.Label(), c.label) {
 			t.Errorf("%s: lowered to %s, want %s…", c.name, bg.Label(), c.label)
 		}
-		if !strings.HasPrefix(bg.R.Label(), c.in) {
-			t.Errorf("%s: R is %s, want %s…", c.name, bg.R.Label(), c.in)
+		if g := &bg.Groupings[0]; !strings.HasPrefix(g.R.Label(), c.in) {
+			t.Errorf("%s: R is %s, want %s…", c.name, g.R.Label(), c.in)
 		}
-		if bg.VecTag == nil {
-			t.Errorf("%s: the tag %s did not compile", c.name, bg.Tag)
+		if g := &bg.Groupings[0]; g.VecTag == nil {
+			t.Errorf("%s: the tag %s did not compile", c.name, g.Tag)
 		}
 		// The same Γ² with its χ shared — here with a second reader —
 		// keeps the χ, and fingerprints apart.
@@ -772,7 +795,7 @@ func TestLowerDoesNotFuseTags(t *testing.T) {
 	} {
 		root := lower(t, cat, op)
 		bg := taggedNode(t, root)
-		if bg.Tag == nil || bg.Tag.String() != "tag" || !strings.Contains(bg.Label(), " ∨ tag][") {
+		if g := &bg.Groupings[0]; g.Tag == nil || g.Tag.String() != "tag" || !strings.Contains(bg.Label(), " ∨ tag][") {
 			t.Errorf("%s: fused into %s", name, bg.Label())
 		}
 		maps := 0

@@ -13,6 +13,7 @@ package physical
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"disqo/internal/algebra"
@@ -246,82 +247,141 @@ func aggLabels(aggs []algebra.AggItem) string {
 	return strings.Join(out, ",")
 }
 
-// BinaryGroup is Γ²: each left tuple aggregates the right tuples that
-// match Pred — and Eqv. 1's ⟕ over Γ, which it then stands for, run
-// over the Γ's input (see Planner). The algorithm is read from the
-// fields. With LCols/RCols set and Theta EQ (the zero value), Pred is
-// pure equality and R is folded per distinct key, in tables sized for
-// Groups keys (an estimate); a left tuple looks its key up. With
-// Theta an inequality <, ≤, > or ≥, Pred is LCols[0] θ RCols[0] alone,
-// every aggregate folds in one pass (no DISTINCT or AVG) and the group
-// runs sort-based: R is sorted on its column, its prefix or suffix
-// results are folded once, and each left tuple binary-searches its own
-// (May & Moerkotte). Otherwise Pred is evaluated per pair (nil means
-// every pair matches). With a Tag it is Γ² on Pred ∨ Tag — Eqv. 5's
-// tagged form: Tag is a predicate over the right tuples, evaluated once
-// per tuple, and the tuples it holds TRUE on belong to every left
+// BinaryGroup is Γ² over one left input L and an ordered list of
+// groupings: each left tuple aggregates, per grouping, the right tuples
+// of that grouping's R that match its Pred — and Eqv. 1's ⟕ over Γ,
+// which a grouping then stands for, run over the Γ's input (see
+// Planner). A list of one is one Γ²; a longer one is a chain of Γ²s,
+// each the left input of the next, run as one pass over the bottom one's
+// left input (see Planner), and its results are every grouping's, in
+// order. Keep is a selection σ the planner fused into the Γ² (nil for
+// none): it is evaluated on each left row ◦ its results, which Results
+// names, and only the rows it holds TRUE on are written — the node then
+// stands for the σ, its Logical(), or for the bypass cascade it runs.
+// Bypass splits off Keep's disjuncts reading only L's columns, when the
+// node emits no result; where VecBypass, Bypass compiled over L, runs, a
+// left tuple it holds TRUE on is written without a lookup. Rest is the
+// rest of Keep — all of it when there is no Bypass — as the disjuncts
+// the vector path decides the other tuples by, lazily: in Keep's order,
+// which is stats.Estimator.Order's, a grouping looked up the first time
+// a disjunct reads its results, and no further once one holds. Emit is as
+// in Join, over the left row ◦ the results, and PassLeft as in Join.
+type BinaryGroup struct {
+	base
+	L         Node
+	Groupings []Grouping
+	Keep      algebra.Expr
+	Bypass    algebra.Expr
+	VecBypass *vec.Pred
+	Rest      []Disjunct
+	Results   *storage.Schema
+	Emit      []int
+	PassLeft  bool
+	// one and rest back Groupings and Rest when they hold one element,
+	// as most nodes' do, so that the lists cost no allocation of their
+	// own.
+	one  [1]Grouping
+	rest [1]Disjunct
+}
+
+// Grouping is one binary grouping of a BinaryGroup. The algorithm is
+// read from the fields. With LCols/RCols set and Theta EQ (the zero
+// value), Pred is pure equality and R is folded per distinct key, in
+// tables sized for Groups keys (an estimate); a left tuple looks its key
+// up. With Theta an inequality <, ≤, > or ≥, Pred is LCols[0] θ RCols[0]
+// alone, every aggregate folds in one pass (no DISTINCT or AVG) and the
+// grouping runs sort-based: R is sorted on its column, its prefix or
+// suffix results are folded once, and each left tuple binary-searches
+// its own (May & Moerkotte). Otherwise Pred is evaluated per pair (nil
+// means every pair matches). With a Tag it is Γ² on Pred ∨ Tag — Eqv.
+// 5's tagged form: Tag is a predicate over the right tuples, evaluated
+// once per tuple, and the tuples it holds TRUE on belong to every left
 // tuple's group and are folded once into a shared base, and only the
 // rest are matched. Tag is the χ's own predicate p when the planner
 // fused the χ[tag:p] below into the Γ² (see Planner), else the tag
 // column, and nil for an untagged Γ²; VecTag is its compiled columnar
-// program (nil: Tag is interpreted per row). Keep is a selection σ the
-// planner fused into the Γ² (nil for none): it is evaluated on each left
-// row ◦ its aggregate results, which Results names, and only the rows it
-// holds TRUE on are written — the node then stands for the σ, its
-// Logical(), or for the bypass cascade it runs. Bypass and Rest split a
-// disjunctive Keep of a node emitting no aggregate result into the
-// operands reading only L's columns and the others; where VecBypass,
-// Bypass compiled over L, runs, a left tuple it holds TRUE on is written
-// without a probe and only the others probe, decided by Rest. Emit is
-// as in Join, over the left row ◦ the aggregate results, and PassLeft
-// as in Join.
-type BinaryGroup struct {
-	base
-	L, R      Node
-	Pred      algebra.Expr
-	Tag       algebra.Expr
-	VecTag    *vec.Pred
-	LCols     []int
-	RCols     []int
-	Theta     types.CompareOp
-	Groups    float64
-	Aggs      []algebra.AggItem
-	Keep      algebra.Expr
-	Bypass    algebra.Expr
-	VecBypass *vec.Pred
-	Rest      algebra.Expr
-	Results   *storage.Schema
-	Emit      []int
-	PassLeft  bool
+// program (nil: Tag is interpreted per row).
+type Grouping struct {
+	R      Node
+	Pred   algebra.Expr
+	Tag    algebra.Expr
+	VecTag *vec.Pred
+	LCols  []int
+	RCols  []int
+	Theta  types.CompareOp
+	Groups float64
+	Aggs   []algebra.AggItem
+}
+
+// writesAny reports whether one of names is a result of g.
+func (g *Grouping) writesAny(names []string) bool {
+	for _, a := range g.Aggs {
+		if slices.Contains(names, a.Out) {
+			return true
+		}
+	}
+	return false
+}
+
+// Disjunct is one operand of the disjunction a BinaryGroup's vector path
+// decides a left tuple by, and the groupings whose results it reads: bit
+// j for Groupings[j].
+type Disjunct struct {
+	Pred  algebra.Expr
+	Reads uint64
 }
 
 // Children implements Node.
-func (b *BinaryGroup) Children() []Node { return []Node{b.L, b.R} }
+func (b *BinaryGroup) Children() []Node {
+	out := make([]Node, 1, 1+len(b.Groupings))
+	out[0] = b.L
+	for i := range b.Groupings {
+		out = append(out, b.Groupings[i].R)
+	}
+	return out
+}
 
-// Label implements Node.
+// NumResults is the number of result columns, every grouping's.
+func (b *BinaryGroup) NumResults() int {
+	n := 0
+	for i := range b.Groupings {
+		n += len(b.Groupings[i].Aggs)
+	}
+	return n
+}
+
+// Label implements Node: each grouping's label, joined by " ∘ " for a
+// chain, then the fused selection and the emit list.
 func (b *BinaryGroup) Label() string {
-	hash := len(b.LCols) > 0
-	var out string
-	switch {
-	case b.Tag != nil:
-		algo := "nl"
-		if hash {
-			algo = "hash"
-		}
-		out = fmt.Sprintf("TagBinaryGroup(%s)[%s ∨ %s][%s]", algo, b.Pred, b.Tag, aggLabels(b.Aggs))
-	case !hash:
-		out = fmt.Sprintf("NLBinaryGroup[%s][%s]", b.Pred, aggLabels(b.Aggs))
-	case b.Theta != types.EQ:
-		out = fmt.Sprintf("SortBinaryGroup[%s %s %s][%s]",
-			b.L.Schema().Attr(b.LCols[0]), b.Theta, b.R.Schema().Attr(b.RCols[0]), aggLabels(b.Aggs))
-	default:
-		out = fmt.Sprintf("HashBinaryGroup[%s][%s]",
-			equiKeys(b.L.Schema(), b.LCols, b.R.Schema(), b.RCols), aggLabels(b.Aggs))
+	out := b.Groupings[0].label(b.L.Schema())
+	for i := 1; i < len(b.Groupings); i++ {
+		out += " ∘ " + b.Groupings[i].label(b.L.Schema())
 	}
 	if b.Keep != nil { // a fused selection, before the emit list
 		out += fmt.Sprintf(" σ[%s]", b.Keep)
 	}
-	return out + emitLabel(b, b.Emit, b.L.Schema().Len()+len(b.Aggs))
+	return out + emitLabel(b, b.Emit, b.L.Schema().Len()+b.NumResults())
+}
+
+// label renders one grouping over a left input of schema l.
+func (g *Grouping) label(l *storage.Schema) string {
+	hash := len(g.LCols) > 0
+	switch {
+	case g.Tag != nil:
+		algo := "nl"
+		if hash {
+			algo = "hash"
+		}
+		return fmt.Sprintf("TagBinaryGroup(%s)[%s ∨ %s][%s]", algo, g.Pred, g.Tag, aggLabels(g.Aggs))
+	case !hash:
+		return fmt.Sprintf("NLBinaryGroup[%s][%s]", g.Pred, aggLabels(g.Aggs))
+	case g.Theta != types.EQ:
+		return fmt.Sprintf("SortBinaryGroup[%s %s %s][%s]",
+			l.Attr(g.LCols[0]), g.Theta, g.R.Schema().Attr(g.RCols[0]), aggLabels(g.Aggs))
+	default:
+		return fmt.Sprintf("HashBinaryGroup[%s][%s]",
+			equiKeys(l, g.LCols, g.R.Schema(), g.RCols), aggLabels(g.Aggs))
+	}
 }
 
 // Union concatenates two inputs with equal schemas (∪, UNION ALL). A

@@ -21,11 +21,12 @@ import (
 //	Scan, Project, and a hash Join without residual: always — they
 //	    evaluate no expression, so no interpreter runs in them (a
 //	    residual is interpreted per matched pair).
-//	Tagged Γ² (BinaryGroup with a Tag): when its tag compiles against
-//	    the right input's schema and nothing else in it is interpreted —
-//	    it hashes on pure equality (no per-pair predicate), has no fused
-//	    selection, and every aggregate argument is * or a column of the
-//	    right input.
+//	Tagged Γ² (BinaryGroup whose groupings all have a Tag): when each
+//	    tag compiles against its grouping's right input's schema and
+//	    nothing else in the node is interpreted — each grouping hashes
+//	    on pure equality (no per-pair predicate) and feeds every
+//	    aggregate * or a column of its right input, and there is no
+//	    fused selection.
 //	Everything else: no.
 //
 // A node may run a compiled program without counting as vector-served:
@@ -63,9 +64,11 @@ func (p *Planner) vectorize(n Node) {
 			x.VecExpr = sc
 		}
 	case *BinaryGroup:
-		if x.Tag != nil {
-			if pr, err := vec.CompilePred(p.est.Order(x.Tag, x.R.Logical()), x.R.Schema()); err == nil {
-				x.VecTag = pr
+		for i := range x.Groupings {
+			if g := &x.Groupings[i]; g.Tag != nil && g.VecTag == nil {
+				if pr, err := vec.CompilePred(p.est.Order(g.Tag, g.R.Logical()), g.R.Schema()); err == nil {
+					g.VecTag = pr
+				}
 			}
 		}
 		if x.Bypass != nil {
@@ -91,18 +94,28 @@ func Vectorizable(n Node) bool {
 	case *Join:
 		return x.LCols != nil && x.Pred == nil
 	case *BinaryGroup:
-		return x.VecTag != nil && x.LCols != nil && x.Keep == nil && columnAggs(x.Aggs, x.R.Schema())
+		for i := range x.Groupings {
+			if g := &x.Groupings[i]; g.VecTag == nil || g.LCols == nil || !columnAggs(g.Aggs, g.R.Schema()) {
+				return false
+			}
+		}
+		return x.Keep == nil
 	default:
 		return false
 	}
 }
 
 // Compiled reports whether the vector path runs compiled code in the
-// node: every Vectorizable node, and a Γ² whose tag or bypass operands
-// compiled.
+// node: every Vectorizable node, and a Γ² where a tag or the bypass
+// operands compiled.
 func Compiled(n Node) bool {
 	if bg, ok := n.(*BinaryGroup); ok {
-		return bg.VecTag != nil || bg.VecBypass != nil
+		for i := range bg.Groupings {
+			if bg.Groupings[i].VecTag != nil {
+				return true
+			}
+		}
+		return bg.VecBypass != nil
 	}
 	return Vectorizable(n)
 }

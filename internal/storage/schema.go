@@ -176,16 +176,19 @@ func (r *Relation) CloneAppend(extra ...[]types.Value) *Relation {
 // Distinct returns a relation with duplicate tuples removed under
 // Identical semantics (NULLs collate equal), preserving first-seen order:
 // the index's entries, which are the first of each tuple in input order,
-// cut once to their number.
+// cut once to their number — or, when there is no duplicate, r's own
+// tuple slice, shared as a scan shares its table's: no operator writes
+// into a relation's slice, and a sort permutes a copy of it.
 func (r *Relation) Distinct() *Relation {
 	seen := types.NewRowIndex(r.Tuples, nil, false, len(r.Tuples))
 	for i := range r.Tuples {
 		seen.FindOrAdd(int32(i))
 	}
-	out := NewRelation(r.Schema)
-	if seen.Len() > 0 {
-		out.Tuples = make([][]types.Value, seen.Len())
+	if seen.Len() == len(r.Tuples) {
+		return &Relation{Schema: r.Schema, Tuples: r.Tuples}
 	}
+	out := NewRelation(r.Schema)
+	out.Tuples = make([][]types.Value, seen.Len())
 	for e := range out.Tuples {
 		out.Tuples[e] = seen.Row(int32(e))
 	}

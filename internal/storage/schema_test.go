@@ -121,6 +121,50 @@ func TestRelationDistinct(t *testing.T) {
 	}
 }
 
+// TestRelationDistinctSharesDuplicateFreeInput: a relation with no
+// duplicate comes back with its own tuple slice; one whose first
+// duplicate is its second row or its last, or whose duplicates are NULL
+// rows, comes back as its first-seen rows in a slice of its own; an
+// empty one comes back empty.
+func TestRelationDistinctSharesDuplicateFreeInput(t *testing.T) {
+	rel := func(rows ...[]types.Value) *Relation {
+		r := NewRelation(NewSchema("a", "b"))
+		for _, row := range rows {
+			r.Append(row)
+		}
+		return r
+	}
+	null := []types.Value{types.Null(), types.NewInt(1)}
+	for _, c := range []struct {
+		name string
+		in   *Relation
+		want [][]types.Value
+	}{
+		{"no duplicate", rel(ints(1, 2), ints(2, 1), null), [][]types.Value{ints(1, 2), ints(2, 1), null}},
+		{"the second row repeats the first", rel(ints(1, 2), ints(1, 2), ints(2, 1)), [][]types.Value{ints(1, 2), ints(2, 1)}},
+		{"the last row repeats one", rel(ints(1, 2), ints(2, 1), ints(3, 3), ints(2, 1)), [][]types.Value{ints(1, 2), ints(2, 1), ints(3, 3)}},
+		{"NULL rows repeat", rel(null, ints(2, 1), null), [][]types.Value{null, ints(2, 1)}},
+		{"empty", rel(), nil},
+	} {
+		d := c.in.Distinct()
+		if len(d.Tuples) != len(c.want) {
+			t.Fatalf("%s: %d rows, want %d:\n%s", c.name, len(d.Tuples), len(c.want), d)
+		}
+		for i, row := range c.want {
+			if !types.TuplesIdentical(d.Tuples[i], row) {
+				t.Errorf("%s: row %d is %v, want %v", c.name, i, d.Tuples[i], row)
+			}
+		}
+		shared := len(d.Tuples) > 0 && &d.Tuples[0] == &c.in.Tuples[0]
+		if dupFree := len(c.want) == len(c.in.Tuples); shared != (dupFree && len(c.want) > 0) {
+			t.Errorf("%s: output shares the input's slice: %v", c.name, shared)
+		}
+		if d.Schema != c.in.Schema {
+			t.Errorf("%s: schema %s, want the input's", c.name, d.Schema)
+		}
+	}
+}
+
 func TestRelationSortBy(t *testing.T) {
 	r := NewRelation(NewSchema("a", "b"))
 	r.Append(ints(2, 1))

@@ -88,12 +88,13 @@ func Like(s, pattern Value) TriBool {
 	if !sok || !pok {
 		return Unknown
 	}
-	return TriOf(likeMatch(str, pat))
+	return TriOf(LikeMatch(str, pat))
 }
 
-// likeMatch is a linear-scan wildcard matcher (greedy % with
-// backtracking), the standard two-pointer algorithm.
-func likeMatch(s, p string) bool {
+// LikeMatch reports whether s matches the LIKE pattern p: a linear-scan
+// wildcard matcher (greedy % with backtracking), the standard
+// two-pointer algorithm.
+func LikeMatch(s, p string) bool {
 	var si, pi int
 	star, starSi := -1, 0
 	for si < len(s) {

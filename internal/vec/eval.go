@@ -249,9 +249,29 @@ func (p *pmask) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 	return nil
 }
 
+// plike is LIKE. A string column, NULLs allowed, matched against a
+// string constant reads the column's strings directly, as pcmp's fast
+// path reads its integers; everything else boxes both sides through
+// types.Like.
 type plike struct{ l, pat snode }
 
 func (p *plike) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
+	lo := int32(ctx.lo)
+	if lc, ok := p.l.(*scol); ok {
+		cv := ctx.b.Col(lc.idx)
+		if pc, ok := p.pat.(*sconst); ok && cv.Kind == types.KindString && cv.Mixed == nil {
+			if pat, ok := pc.v.StrOk(); ok {
+				for _, r := range rows {
+					if cv.Nulls != nil && cv.Nulls[r] {
+						res[r-lo] = types.Unknown
+					} else {
+						res[r-lo] = types.TriOf(types.LikeMatch(cv.Strs[r], pat))
+					}
+				}
+				return nil
+			}
+		}
+	}
 	lv := ctx.getV()
 	defer ctx.putV(lv)
 	if err := p.l.eval(ctx, rows, lv); err != nil {
@@ -262,7 +282,6 @@ func (p *plike) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 	if err := p.pat.eval(ctx, rows, pv); err != nil {
 		return err
 	}
-	lo := int32(ctx.lo)
 	for _, r := range rows {
 		res[r-lo] = types.Like(lv[r-lo], pv[r-lo])
 	}

@@ -234,3 +234,49 @@ func TestEvalSubrange(t *testing.T) {
 		}
 	}
 }
+
+// TestLikeParity: LIKE over a string column and a constant pattern, which
+// reads the column's strings directly, agrees with per-row evaluation —
+// NULL rows, '_', '%' and empty patterns, a NULL pattern — and so does
+// the boxed path LIKE takes over a column that mixes kinds, an all-NULL
+// column and a column pattern, over the whole batch and a window of it.
+func TestLikeParity(t *testing.T) {
+	sch := storage.NewSchema("s", "m", "n")
+	rel := storage.NewRelation(sch)
+	str, null := types.NewString, types.Null()
+	for _, row := range [][]types.Value{
+		{str("apple"), str("ap"), null},
+		{null, types.NewInt(3), null},
+		{str(""), str("%"), null},
+		{str("banana"), null, null},
+		{str("a"), str("banana"), null},
+		{str("apricot"), str("a_r%"), null},
+	} {
+		rel.Append(row)
+	}
+	b := storage.NewBatch(rel)
+	var preds []algebra.Expr
+	for _, pat := range []types.Value{str("ap%"), str("%an%"), str("_"), str("%"), str(""), str("a_r%"), str("_a%a"), null} {
+		for _, c := range []string{"s", "m", "n"} {
+			preds = append(preds, algebra.Like(algebra.Col(c), algebra.Const(pat)))
+		}
+	}
+	preds = append(preds, algebra.Like(algebra.Col("s"), algebra.Col("m")), algebra.Not(algebra.Like(algebra.Col("s"), algebra.Const(str("a%")))))
+	for _, e := range preds {
+		p, err := vec.CompilePred(e, sch)
+		if err != nil {
+			t.Fatalf("%s: did not compile: %v", e, err)
+		}
+		for _, lo := range []int{0, 2} {
+			got, _, err := p.Eval(b, lo, b.Len())
+			if err != nil {
+				t.Fatalf("%s: eval: %v", e, err)
+			}
+			for i := lo; i < b.Len(); i++ {
+				if want := refPred(e, rel.Tuples[i], sch); got[i-lo] != want {
+					t.Errorf("%s row %d (window from %d): vec=%v ref=%v", e, i, lo, got[i-lo], want)
+				}
+			}
+		}
+	}
+}

@@ -41,10 +41,11 @@ type OpMetrics struct {
 	VecCalls int64 `json:"vec_calls,omitempty"`
 	// HashBuildRows is the total build-side size of hash tables built.
 	HashBuildRows int64 `json:"hash_build_rows,omitempty"`
-	// Probes is how many left tuples a binary grouping looked its group
-	// up for: those its fused disjunction's bypass operands left
-	// undecided.
-	Probes int64 `json:"probes,omitempty"`
+	// Probes is, per grouping of a binary grouping, how many left tuples
+	// looked their group up in it: on the vector path those its fused
+	// disjunction's bypass operands, and the disjuncts before the first
+	// that reads the grouping's results, left undecided.
+	Probes []int64 `json:"probes,omitempty"`
 	// Wall is the cumulative inclusive evaluation time.
 	Wall time.Duration `json:"wall_ns"`
 	// Children are the IDs of the operator's physical inputs.
@@ -148,8 +149,18 @@ func analyzeAnnot(pm *PlanMetrics) func(physical.Node) string {
 		if m.HashBuildRows > 0 {
 			fmt.Fprintf(&b, ", build=%d", m.HashBuildRows)
 		}
-		if _, ok := n.(*physical.BinaryGroup); ok {
-			fmt.Fprintf(&b, ", probes=%d", m.Probes)
+		if bg, ok := n.(*physical.BinaryGroup); ok {
+			b.WriteString(", probes=")
+			for j := range bg.Groupings {
+				if j > 0 {
+					b.WriteByte('/')
+				}
+				var p int64
+				if j < len(m.Probes) {
+					p = m.Probes[j]
+				}
+				fmt.Fprintf(&b, "%d", p)
+			}
 		}
 		if m.Morsels > 0 {
 			fmt.Fprintf(&b, ", morsels=%d", m.Morsels)

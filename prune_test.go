@@ -46,9 +46,9 @@ func TestPrunedPlansAgreeWithCanonical(t *testing.T) {
 		plan      []string
 		canonical bool
 	}{
-		{"a cascade's Γ² chain reads the union's columns", // Γ²₁ writes every column for Γ²₂, whose fused disjunction emits the union's
+		{"a cascade's Γ² chain reads the union's columns", // Γ²₁ emits every column, so Γ²₂ absorbs it, and their fused disjunction emits the union's
 			`SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)`,
-			[]string{"HashBinaryGroup[r.a4=t.c2][g1:COUNT(DISTINCT *)]  (est", "HashBinaryGroup[r.a2=s.b2][g2:COUNT(DISTINCT *)] σ[((r.a3 = g1) OR (r.a1 = g2))] → [r.a1, r.a2, r.a3, r.a4] (4 of 6 cols)"}, false},
+			[]string{"HashBinaryGroup[r.a4=t.c2][g1:COUNT(DISTINCT *)] ∘ HashBinaryGroup[r.a2=s.b2][g2:COUNT(DISTINCT *)] σ[((r.a3 = g1) OR (r.a1 = g2))] → [r.a1, r.a2, r.a3, r.a4] (4 of 6 cols)  (est"}, false},
 		{"a shared operator's consumers read different columns", // the counts read s ⋈ t's b3, the MIN b1 too: the join stays whole
 			`SELECT a1 FROM r WHERE a1 < ALL (SELECT b1 FROM s, t WHERE b2 = c2 AND b3 > a3)`,
 			[]string{"#1 HashJoin[s.b2=t.c2]  (est", "↑ see #1 HashJoin[s.b2=t.c2]"}, false},

@@ -118,6 +118,24 @@ q2plan=$(go run ./cmd/disqo -rst 0.02 -explain -e 'SELECT DISTINCT * FROM r WHER
 echo "$q2plan" | grep -qF '∨ (s.b4 > 1500)]'
 test -z "$(echo "$q2plan" | grep -F 'Map[tag')"
 test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs grep -n 'TagCol')"
+# A chain of binary groupings runs as one pass over its left input: the
+# tree query Q3 shows one BinaryGroup line, carrying both groupings and
+# the σ, and no Fig. 7 plan lowers a BinaryGroup as another's left input
+# — the first child, printed on the line after it.
+fig7sql() { sed -n "/^	$1 *= \`/,/\`/p" internal/harness/harness.go | sed "s/^	$1 *= \`//; s/\`\$//" | tr '\n\t' '  '; }
+for q in Q1 Q2 Q3 QuantExists Query2d; do
+	load="-rst 0.05"
+	test "$q" != Query2d || load="-tpch 0.01"
+	plan=$(go run ./cmd/disqo $load -explain -e "$(fig7sql $q)")
+	phys=${plan#*== physical plan ==}
+	phys=${phys%%== applied*}
+	echo "$phys" | grep -q BinaryGroup
+	echo "$phys" | awk 'bg && /BinaryGroup/ { bad = 1 } { bg = /BinaryGroup/ } END { exit bad }'
+	if test "$q" = Q3; then
+		test "$(echo "$phys" | grep -c BinaryGroup)" -eq 1
+		echo "$phys" | grep -qF 'HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)] ∘ HashBinaryGroup[r.a4=t.c2][g2:COUNT(DISTINCT *)] σ[((r.a1 = g1) OR (r.a3 = g2))]'
+	fi
+done
 # An algorithm is a node's field, not its type: one physical.Join for
 # every join and one physical.BinaryGroup for every Γ², each with one
 # executor body — no per-algorithm node type or evaluator comes back.

@@ -12,8 +12,9 @@ import (
 )
 
 // TestBinaryGroupChainShapes runs two Γ²s stacked on bags with NULL keys
-// and duplicate rows: a chain, whole and projected to some of its
-// columns in another order, is one node, and two shapes stay two nodes
+// and duplicate rows: a chain — whole, projected to some of its columns
+// in another order, over a nested-loop grouping, and with a disjunction
+// fused into it — is one node, and two shapes stay two nodes
 // — an upper Γ² keyed on the lower one's result, and a lower Γ² a second
 // consumer reads. Each answers, at one and four workers on both paths,
 // what a nested loop over the same rows computes.
@@ -26,6 +27,10 @@ func TestBinaryGroupChainShapes(t *testing.T) {
 	lower := algebra.NewBinaryGroup(r, s, eq("r.a2", "s.b2"), count)
 	chain := algebra.NewBinaryGroup(lower, tt, eq("r.a4", "t.c2"), sum)
 	rcols := []string{"r.a1", "r.a2", "r.a3", "r.a4", "g1"}
+	// A conjunction is neither hashed nor sort-based: a nested loop.
+	below := algebra.And(algebra.Cmp(types.LT, algebra.Col("r.a4"), algebra.Col("t.c2")), algebra.Const(types.NewBool(true)))
+	nl := algebra.NewBinaryGroup(lower, tt, below, sum)
+	either := algebra.Or(algebra.Cmp(types.GT, algebra.Col("g2"), algebra.ConstInt(6)), algebra.Cmp(types.EQ, algebra.Col("g1"), algebra.ConstInt(0)))
 
 	// The oracle: g1 counts the s rows whose b2 equals a2, g2 sums c3
 	// over the t rows whose c2 equals a4 (or, keyed, g1); NULL equals
@@ -46,22 +51,26 @@ func TestBinaryGroupChainShapes(t *testing.T) {
 		}
 		return types.NewInt(n)
 	}
-	g2 := func(key types.Value) types.Value {
+	sumWhere := func(op types.CompareOp, key types.Value) types.Value {
 		acc := agg.NewAcc(agg.Spec{Kind: agg.Sum})
 		for _, y := range rows("t") {
-			if types.CompareValues(types.EQ, key, y[1]).IsTrue() {
+			if types.CompareValues(op, key, y[1]).IsTrue() {
 				acc.AddOn(y[2:3], nil)
 			}
 		}
 		return acc.Result()
 	}
+	g2 := func(key types.Value) types.Value { return sumWhere(types.EQ, key) }
 	oracle := func(row func(x []types.Value) []types.Value) []string {
 		var out []string
 		for _, x := range rows("r") {
-			out = append(out, types.FormatTuple(row(x)))
+			if y := row(x); y != nil {
+				out = append(out, types.FormatTuple(y))
+			}
 		}
 		return out
 	}
+	nlRow := func(x []types.Value) []types.Value { return append(x[:4:4], g1(x), sumWhere(types.LT, x[3])) }
 	lowerRows := oracle(func(x []types.Value) []types.Value { return append(x[:4:4], g1(x)) })
 	for _, c := range []struct {
 		name  string
@@ -72,6 +81,14 @@ func TestBinaryGroupChainShapes(t *testing.T) {
 		{"a chain", chain, 1, oracle(func(x []types.Value) []types.Value { return append(x[:4:4], g1(x), g2(x[3])) })},
 		{"a projected chain", algebra.NewProject(chain, []string{"g2", "r.a1"}), 1,
 			oracle(func(x []types.Value) []types.Value { return []types.Value{g2(x[3]), x[0]} })},
+		{"a chain over a nested-loop grouping", nl, 1, oracle(nlRow)},
+		{"a chain with a fused disjunction", algebra.NewSelect(nl, either), 1,
+			oracle(func(x []types.Value) []types.Value {
+				if y := nlRow(x); types.CompareValues(types.GT, y[5], types.NewInt(6)).Or(types.CompareValues(types.EQ, y[4], types.NewInt(0))).IsTrue() {
+					return y
+				}
+				return nil
+			})},
 		{"an upper Γ² keyed on the lower's result", algebra.NewBinaryGroup(lower, tt, eq("g1", "t.c2"), sum), 2,
 			oracle(func(x []types.Value) []types.Value { v := g1(x); return append(x[:4:4], v, g2(v)) })},
 		{"a shared lower Γ²", algebra.NewUnionAll(algebra.NewProject(chain, rcols), algebra.NewProject(lower, rcols)), 2,

@@ -3,6 +3,8 @@ package disqo
 import (
 	"strings"
 	"testing"
+
+	"disqo/internal/types"
 )
 
 func TestDeleteBasics(t *testing.T) {
@@ -199,5 +201,52 @@ func tableOverViewMustFail(t *testing.T, db *DB, when string) {
 	}
 	if got := db.Views(); len(got) != 1 || got[0] != "v" {
 		t.Errorf("%s: views %v, want only v", when, got)
+	}
+}
+
+// TestInsertLiteralsMatchSelect: INSERT … VALUES and a select list read
+// a literal through one parser, so each gives the same value both ways,
+// an overflow is an error both ways, and INSERT keeps its leading minus.
+func TestInsertLiteralsMatchSelect(t *testing.T) {
+	db, _ := Open()
+	for _, ddl := range []string{
+		"CREATE TABLE one (x INTEGER)", "INSERT INTO one VALUES (0)",
+		"CREATE TABLE ti (v INTEGER)", "CREATE TABLE tf (v DOUBLE)",
+		"CREATE TABLE ts (v VARCHAR)", "CREATE TABLE tb (v BOOLEAN)",
+	} {
+		if _, err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		lit, table string
+		overflow   bool
+	}{
+		{"0", "ti", false}, {"42", "ti", false}, {"-7", "ti", false},
+		{"9223372036854775807", "ti", false}, {"-9223372036854775807", "ti", false},
+		{"1.5", "tf", false}, {"-2.5e-3", "tf", false}, {"-1E10", "tf", false}, {"6.02e+23", "tf", false},
+		{"'it''s'", "ts", false}, {"''", "ts", false},
+		{"NULL", "ti", false}, {"TRUE", "tb", false}, {"FALSE", "tb", false},
+		{"9223372036854775808", "ti", true}, {"-9223372036854775808", "ti", true}, {"1e400", "tf", true},
+	} {
+		sel, selErr := db.Query("SELECT " + c.lit + " FROM one")
+		if _, err := db.Exec("DELETE FROM " + c.table); err != nil {
+			t.Fatal(err)
+		}
+		_, insErr := db.Exec("INSERT INTO " + c.table + " VALUES (" + c.lit + ")")
+		if (selErr != nil) != c.overflow || (insErr != nil) != c.overflow {
+			t.Errorf("%s: SELECT error %v, INSERT error %v, want errors %v", c.lit, selErr, insErr, c.overflow)
+			continue
+		}
+		if c.overflow {
+			continue
+		}
+		ins, err := db.Query("SELECT v FROM " + c.table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ins.Rows[0][0], sel.Rows[0][0]; !types.Identical(got, want) || got.Kind() != want.Kind() {
+			t.Errorf("%s: INSERT gives %v (%v), SELECT gives %v (%v)", c.lit, got, got.Kind(), want, want.Kind())
+		}
 	}
 }

@@ -35,59 +35,66 @@ func Explain(root Op) string { return ExplainAnnotated(root, nil) }
 // non-empty) to each operator line — EXPLAIN ANALYZE output uses it to
 // attach actual row counts.
 func ExplainAnnotated(root Op, annotate func(Op) string) string {
-	counts := map[Op]int{}
-	countRefs(root, counts)
+	return ExplainDAG(root, Op.Label, EachInput, annotate)
+}
+
+// Walk visits every operator of the plan exactly once (pre-order,
+// DAG-aware) and calls fn; returning false prunes the node's inputs.
+func Walk(root Op, fn func(Op) bool) { WalkDAG(root, EachInput, fn) }
+
+// ExplainDAG renders a plan of any node type — a logical operator, a
+// physical node — as an indented tree: label names a node, inputs visits
+// its inputs, and annotate (nil for none) adds a non-empty note to its
+// line. A node reached through more than one path is printed once in
+// full, numbered, then as "↑ see #n", and annotated once.
+func ExplainDAG[N comparable](root N, label func(N) string, inputs func(N, func(N)), annotate func(N) string) string {
+	counts := map[N]int{}
+	var count func(N)
+	count = func(n N) {
+		if counts[n]++; counts[n] == 1 {
+			inputs(n, count)
+		}
+	}
+	count(root)
 	var b strings.Builder
-	ids := map[Op]int{}
-	nextID := 1
-	var walk func(op Op, depth int)
-	walk = func(op Op, depth int) {
+	ids := map[N]int{}
+	var walk func(n N, depth int)
+	walk = func(n N, depth int) {
 		indent := strings.Repeat("  ", depth)
-		if id, seen := ids[op]; seen {
-			fmt.Fprintf(&b, "%s↑ see #%d %s\n", indent, id, op.Label())
+		if id, seen := ids[n]; seen {
+			fmt.Fprintf(&b, "%s↑ see #%d %s\n", indent, id, label(n))
 			return
 		}
-		label := op.Label()
+		line := label(n)
 		if annotate != nil {
-			if extra := annotate(op); extra != "" {
-				label += "  " + extra
+			if extra := annotate(n); extra != "" {
+				line += "  " + extra
 			}
 		}
-		if counts[op] > 1 {
-			ids[op] = nextID
-			fmt.Fprintf(&b, "%s#%d %s\n", indent, nextID, label)
-			nextID++
+		if counts[n] > 1 {
+			ids[n] = len(ids) + 1
+			fmt.Fprintf(&b, "%s#%d %s\n", indent, ids[n], line)
 		} else {
-			fmt.Fprintf(&b, "%s%s\n", indent, label)
+			fmt.Fprintf(&b, "%s%s\n", indent, line)
 		}
-		EachInput(op, func(in Op) { walk(in, depth+1) })
+		inputs(n, func(in N) { walk(in, depth+1) })
 	}
 	walk(root, 0)
 	return b.String()
 }
 
-func countRefs(op Op, counts map[Op]int) {
-	counts[op]++
-	if counts[op] > 1 {
-		return
-	}
-	EachInput(op, func(in Op) { countRefs(in, counts) })
-}
-
-// Walk visits every operator of the plan exactly once (pre-order,
-// DAG-aware) and calls fn; returning false prunes the node's inputs.
-func Walk(root Op, fn func(Op) bool) {
-	seen := map[Op]bool{}
-	var rec func(Op)
-	rec = func(op Op) {
-		if seen[op] {
-			return
+// WalkDAG visits every node of a plan of any node type exactly once
+// (pre-order) and calls fn; returning false prunes the node's inputs.
+func WalkDAG[N comparable](root N, inputs func(N, func(N)), fn func(N) bool) {
+	seen := map[N]bool{}
+	var rec func(N)
+	rec = func(n N) {
+		if !seen[n] {
+			seen[n] = true
+			if fn(n) {
+				inputs(n, rec)
+			}
 		}
-		seen[op] = true
-		if !fn(op) {
-			return
-		}
-		EachInput(op, rec)
 	}
 	rec(root)
 }

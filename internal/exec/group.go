@@ -404,7 +404,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	if compiled && b.VecBypass != nil {
 		bypass = morselEval[types.TriBool](ex, true, b.VecBypass, l, env, nil)
 	}
-	lazy := ex.opt.Path == PathVector && (b.Bypass == nil || bypass != nil)
+	lazy := ex.opt.Path == PathVector
 	direct := len(gs) == 1 && gs[0].keyRes != nil
 	all, emits := uint64(1)<<uint(len(gs))-1, emitReads(b, gs)
 	chunks, err := parMorsels(ex, len(l.Tuples),

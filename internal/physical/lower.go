@@ -11,6 +11,7 @@ import (
 	"disqo/internal/stats"
 	"disqo/internal/storage"
 	"disqo/internal/types"
+	"disqo/internal/vec"
 )
 
 // Planner lowers logical algebra into physical plans. It memoizes per
@@ -845,8 +846,9 @@ func (p *Planner) absorb(bg, lower *BinaryGroup, g Grouping) {
 // decide sets what the node bg, lowered from w with a fused selection,
 // decides its rows by: the results its selection reads, every
 // grouping's; the operands that read only bg's left input, split off
-// into Bypass when the node emits no result; and the rest of the
-// selection as disjuncts, each with the groupings it reads. They keep
+// into Bypass when the node emits no result and they compile over that
+// input (VecBypass); and the rest of the selection as disjuncts, each
+// with the groupings it reads. They keep
 // the selection's order, which is stats.Estimator.Order's: the rewriter
 // orders a σ's operands by it, and a bypass cascade's disjuncts — the σ
 // the cascade lowers to — by it with each subquery's cost.
@@ -866,7 +868,9 @@ func (p *Planner) decide(bg *BinaryGroup, w algebra.Op) {
 	// A disjunction of a Γ² that emits no result is split.
 	if _, or := rest.(*algebra.OrExpr); or && bg.Emit != nil && (len(bg.Emit) == 0 || slices.Max(bg.Emit) < bg.L.Schema().Len()) {
 		if byp, r := p.splitLeft(rest, bg.L.Schema()); byp != nil && r != nil {
-			bg.Bypass, rest = byp, r
+			if pr, err := vec.CompilePred(p.est.Order(byp, bg.L.Logical()), bg.L.Schema()); err == nil {
+				bg.Bypass, bg.VecBypass, rest = byp, pr, r
+			}
 		}
 	}
 	var buf [8]algebra.Expr

@@ -259,13 +259,14 @@ func aggLabels(aggs []algebra.AggItem) string {
 // names, and only the rows it holds TRUE on are written — the node then
 // stands for the σ, its Logical(), or for the bypass cascade it runs.
 // Bypass splits off Keep's disjuncts reading only L's columns, when the
-// node emits no result; where VecBypass, Bypass compiled over L, runs, a
-// left tuple it holds TRUE on is written without a lookup. Rest is the
-// rest of Keep — all of it when there is no Bypass — as the disjuncts
-// the vector path decides the other tuples by, lazily: in Keep's order,
-// which is stats.Estimator.Order's, a grouping looked up the first time
-// a disjunct reads its results, and no further once one holds. Emit is as
-// in Join, over the left row ◦ the results, and PassLeft as in Join.
+// node emits no result and they compile over L, into VecBypass; on the
+// vector path a left tuple it holds TRUE on is written without a lookup.
+// Rest is the rest of Keep — all of it when there is no Bypass — as the
+// disjuncts the vector path decides the other tuples by, lazily: in
+// Keep's order, which is stats.Estimator.Order's, a grouping looked up
+// the first time a disjunct reads its results, and no further once one
+// holds. Emit is as in Join, over the left row ◦ the results, and
+// PassLeft as in Join.
 type BinaryGroup struct {
 	base
 	L         Node

@@ -32,13 +32,13 @@ import (
 // A node may run a compiled program without counting as vector-served:
 // a tagged Γ² whose tag compiled runs it on the vector path even where
 // it interprets its pairs, its Keep or an aggregate argument, and a Γ²
-// whose fused disjunction has bypass operands (BinaryGroup.Bypass) runs
-// them compiled over its left input, though it interprets the rest of
-// the disjunction. Compiled is that wider set. The executor fires the
-// vec fault site on every node in it and credits VecCalls only to the
-// Vectorizable ones, so EXPLAIN's path annotation and the VecCalls
-// counter agree, and every compiled program stays reachable by the
-// fault injector.
+// whose fused disjunction has bypass operands (BinaryGroup.Bypass, split
+// off by the planner only where they compile) runs them compiled over
+// its left input, though it interprets the rest of the disjunction.
+// Compiled is that wider set. The executor fires the vec fault site on
+// every node in it and credits VecCalls only to the Vectorizable ones,
+// so EXPLAIN's path annotation and the VecCalls counter agree, and every
+// compiled program stays reachable by the fault injector.
 //
 // Before compiling a predicate the planner orders every AND/OR operand
 // list by stats.Estimator.Order — descending by the share of rows an
@@ -69,11 +69,6 @@ func (p *Planner) vectorize(n Node) {
 				if pr, err := vec.CompilePred(p.est.Order(g.Tag, g.R.Logical()), g.R.Schema()); err == nil {
 					g.VecTag = pr
 				}
-			}
-		}
-		if x.Bypass != nil {
-			if pr, err := vec.CompilePred(p.est.Order(x.Bypass, x.L.Logical()), x.L.Schema()); err == nil {
-				x.VecBypass = pr
 			}
 		}
 	}

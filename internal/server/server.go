@@ -26,6 +26,7 @@ import (
 
 	"disqo"
 	"disqo/internal/faultinject"
+	"disqo/internal/telemetry"
 	"disqo/internal/wire"
 )
 
@@ -342,13 +343,15 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// MetricsText renders the server's gauges in Prometheus text format,
-// for appending to the engine's /metrics page via WithDebugMetrics.
+// MetricsText renders the server's gauges and counters in Prometheus
+// text format, for appending to the engine's /metrics page via
+// WithDebugMetrics.
 func (s *Server) MetricsText() []byte {
 	st := s.Stats()
-	var b []byte
+	var e telemetry.Exposition
 	add := func(name, typ, help string, v float64) {
-		b = append(b, fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)...)
+		e.Family(name, typ, help)
+		e.Value("", v)
 	}
 	add("disqod_sessions", "gauge", "Live client sessions.", float64(st.Sessions))
 	add("disqod_conns", "gauge", "Open client connections.", float64(st.Conns))
@@ -362,5 +365,5 @@ func (s *Server) MetricsText() []byte {
 		drain = 1
 	}
 	add("disqod_draining", "gauge", "1 while the server is draining.", drain)
-	return b
+	return e.Bytes()
 }

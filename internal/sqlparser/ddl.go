@@ -226,46 +226,26 @@ func (p *parser) parseInsert() (*InsertStmt, error) {
 	return stmt, nil
 }
 
-// parseLiteral parses a literal value (with optional leading minus).
+// parseLiteral parses an INSERT value: a literal, a number with an
+// optional leading minus.
 func (p *parser) parseLiteral() (Expr, error) {
 	neg := p.accept(TokOp, "-")
 	t := p.peek()
-	switch {
-	case t.Kind == TokInt:
-		p.next()
-		var v IntLit
-		if _, err := fmt.Sscanf(t.Text, "%d", &v.Val); err != nil {
-			return nil, p.errf("bad integer %q", t.Text)
-		}
-		if neg {
-			v.Val = -v.Val
-		}
-		return &v, nil
-	case t.Kind == TokFloat:
-		p.next()
-		var v FloatLit
-		if _, err := fmt.Sscanf(t.Text, "%g", &v.Val); err != nil {
-			return nil, p.errf("bad float %q", t.Text)
-		}
-		if neg {
-			v.Val = -v.Val
-		}
-		return &v, nil
-	case neg:
+	if neg && t.Kind != TokInt && t.Kind != TokFloat {
 		return nil, p.errf("expected a number after -, found %s", t)
-	case t.Kind == TokString:
-		p.next()
-		return &StringLit{Val: t.Text}, nil
-	case t.Kind == TokKeyword && t.Text == "NULL":
-		p.next()
-		return &NullLit{}, nil
-	case t.Kind == TokKeyword && t.Text == "TRUE":
-		p.next()
-		return &BoolLit{Val: true}, nil
-	case t.Kind == TokKeyword && t.Text == "FALSE":
-		p.next()
-		return &BoolLit{Val: false}, nil
-	default:
-		return nil, p.errf("expected a literal, found %s", t)
 	}
+	e, ok, err := p.literal()
+	switch {
+	case !ok:
+		return nil, p.errf("expected a literal, found %s", t)
+	case err != nil || !neg:
+		return e, err
+	}
+	switch x := e.(type) {
+	case *IntLit:
+		x.Val = -x.Val
+	case *FloatLit:
+		x.Val = -x.Val
+	}
+	return e, nil
 }

@@ -175,6 +175,19 @@ func Lex(input string) ([]Token, error) {
 					adv(1)
 				}
 			}
+			// An exponent: e or E, an optional sign, a digit.
+			if j := i + 1; j < len(input) && (input[i] == 'e' || input[i] == 'E') {
+				if input[j] == '+' || input[j] == '-' {
+					j++
+				}
+				if j < len(input) && input[j] >= '0' && input[j] <= '9' {
+					kind = TokFloat
+					adv(j - i)
+					for i < len(input) && input[i] >= '0' && input[i] <= '9' {
+						adv(1)
+					}
+				}
+			}
 			toks = append(toks, Token{Kind: kind, Text: input[start:i], Line: l0, Col: c0})
 		case c == '\'':
 			l0, c0 := line, col

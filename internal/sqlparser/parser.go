@@ -391,35 +391,46 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 	}
 }
 
-func (p *parser) parsePrimary() (Expr, error) {
+// literal parses the literal at the cursor; ok is false, and nothing is
+// consumed, when the token starts none.
+func (p *parser) literal() (e Expr, ok bool, err error) {
 	t := p.peek()
 	switch {
 	case t.Kind == TokInt:
 		p.next()
 		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return nil, p.errf("bad integer literal %q", t.Text)
+			return nil, true, p.errf("bad integer literal %q", t.Text)
 		}
-		return &IntLit{Val: v}, nil
+		return &IntLit{Val: v}, true, nil
 	case t.Kind == TokFloat:
 		p.next()
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return nil, p.errf("bad float literal %q", t.Text)
+			return nil, true, p.errf("bad float literal %q", t.Text)
 		}
-		return &FloatLit{Val: v}, nil
+		return &FloatLit{Val: v}, true, nil
 	case t.Kind == TokString:
-		p.next()
-		return &StringLit{Val: t.Text}, nil
+		e = &StringLit{Val: t.Text}
 	case t.Kind == TokKeyword && t.Text == "NULL":
-		p.next()
-		return &NullLit{}, nil
+		e = &NullLit{}
 	case t.Kind == TokKeyword && t.Text == "TRUE":
-		p.next()
-		return &BoolLit{Val: true}, nil
+		e = &BoolLit{Val: true}
 	case t.Kind == TokKeyword && t.Text == "FALSE":
-		p.next()
-		return &BoolLit{Val: false}, nil
+		e = &BoolLit{Val: false}
+	default:
+		return nil, false, nil
+	}
+	p.next()
+	return e, true, nil
+}
+
+func (p *parser) parsePrimary() (Expr, error) {
+	if e, ok, err := p.literal(); ok {
+		return e, err
+	}
+	t := p.peek()
+	switch {
 	case t.Kind == TokOp && t.Text == "-":
 		p.next()
 		e, err := p.parsePrimary()

@@ -66,6 +66,7 @@ type rangeVar struct {
 type scope struct {
 	parent *scope
 	vars   []rangeVar
+	g      grouping
 }
 
 // attr returns the attribute name of the binding's column col, matched
@@ -89,18 +90,19 @@ func (v *rangeVar) scanSchema() *storage.Schema {
 	return storage.NewSchema(v.attrs...)
 }
 
-// resolve maps an identifier to a fully-qualified attribute name,
-// searching the current block first, then enclosing blocks (correlation).
-func (sc *scope) resolve(id *sqlparser.Ident) (string, error) {
+// resolve maps an identifier to a fully-qualified attribute name and the
+// scope that binds it, searching the current block first, then enclosing
+// blocks (correlation).
+func (sc *scope) resolve(id *sqlparser.Ident) (string, *scope, error) {
 	for s := sc; s != nil; s = s.parent {
 		if id.Qualifier != "" {
 			for i := range s.vars {
 				if v := &s.vars[i]; v.name == id.Qualifier {
 					attr, ok := v.attr(id.Name)
 					if !ok {
-						return "", fmt.Errorf("translate: no column %q in %s", id.Name, v.name)
+						return "", nil, fmt.Errorf("translate: no column %q in %s", id.Name, v.name)
 					}
-					return attr, nil
+					return attr, s, nil
 				}
 			}
 			continue
@@ -109,16 +111,31 @@ func (sc *scope) resolve(id *sqlparser.Ident) (string, error) {
 		for i := range s.vars {
 			if attr, ok := s.vars[i].attr(id.Name); ok {
 				if found != "" {
-					return "", fmt.Errorf("translate: ambiguous column %q", id.Name)
+					return "", nil, fmt.Errorf("translate: ambiguous column %q", id.Name)
 				}
 				found = attr
 			}
 		}
 		if found != "" {
-			return found, nil
+			return found, s, nil
 		}
 	}
-	return "", fmt.Errorf("translate: unknown column %q", id)
+	return "", nil, fmt.Errorf("translate: unknown column %q", id)
+}
+
+// column resolves a column read by an expression. Read outside an
+// aggregate in a block whose grouping is being translated, it must be a
+// grouping attribute should the block group; the first that is not is
+// kept for finish to report.
+func (sc *scope) column(id *sqlparser.Ident) (string, error) {
+	attr, owner, err := sc.resolve(id)
+	if err != nil {
+		return "", err
+	}
+	if g := &owner.g; g.active && !g.inAgg && g.ungrouped == nil && !slices.Contains(g.keys, attr) {
+		g.ungrouped = id
+	}
+	return attr, nil
 }
 
 // varIndex returns the position in sc.vars of the binding qualified
@@ -151,17 +168,39 @@ func (tr *Translator) Translate(stmt *sqlparser.SelectStmt) (algebra.Op, error) 
 	if err != nil {
 		return nil, err
 	}
-	return tr.finishTopLevel(stmt, plan, sc)
+	return tr.finish(stmt, plan, sc)
 }
 
-// finishTopLevel applies select list, GROUP BY/HAVING, DISTINCT and
-// ORDER BY on a block plan.
-func (tr *Translator) finishTopLevel(stmt *sqlparser.SelectStmt, plan algebra.Op, sc *scope) (algebra.Op, error) {
-	if len(stmt.GroupBy) > 0 {
-		return tr.finishGrouped(stmt, plan, sc)
-	}
-	if stmt.Having != nil {
-		return nil, fmt.Errorf("translate: HAVING requires GROUP BY")
+// grouping is a block's context while its select list and HAVING are
+// translated. An aggregate there becomes a Γ output, and a column read
+// outside one must be a grouping attribute once the block groups, which
+// is known only when the last item and HAVING are translated.
+type grouping struct {
+	active    bool     // translating the select list or HAVING
+	inAgg     bool     // translating an aggregate's argument: a row below Γ
+	keys      []string // GROUP BY attributes
+	aggs      []algebra.AggItem
+	ungrouped *sqlparser.Ident // first column read outside an aggregate and keys
+}
+
+// finish builds a SELECT's tail over its block plan, in one order for
+// every shape: Γ when the block groups or aggregates (by no keys without
+// GROUP BY), σ for HAVING, χ for each computed item, Π, ρ for aliases,
+// DISTINCT, Sort, Limit.
+func (tr *Translator) finish(stmt *sqlparser.SelectStmt, plan algebra.Op, sc *scope) (algebra.Op, error) {
+	g := &sc.g
+	for _, e := range stmt.GroupBy {
+		id, ok := e.(*sqlparser.Ident)
+		if !ok {
+			return nil, fmt.Errorf("translate: GROUP BY supports columns only, got %s", e)
+		}
+		attr, _, err := sc.resolve(id)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Contains(g.keys, attr) {
+			g.keys = append(g.keys, attr)
+		}
 	}
 	var outAttrs []string
 	var renames [][2]string
@@ -170,48 +209,68 @@ func (tr *Translator) finishTopLevel(stmt *sqlparser.SelectStmt, plan algebra.Op
 		for _, v := range sc.vars {
 			outAttrs = append(outAttrs, v.attrs...)
 		}
-	} else {
-		// Check for a global aggregate query: all items aggregates.
-		allAgg, anyAgg := true, false
-		for _, it := range stmt.Items {
-			if _, ok := it.Expr.(*sqlparser.AggExpr); ok {
-				anyAgg = true
-			} else {
-				allAgg = false
+	}
+	type computed struct {
+		name string
+		e    algebra.Expr
+	}
+	var mapBuf [4]computed
+	maps := mapBuf[:0]
+	g.active = true
+	for i, it := range stmt.Items {
+		// A column or an aggregate is output as it is; anything else is
+		// computed by χ.
+		var attr string
+		var e algebra.Expr
+		var err error
+		if id, ok := it.Expr.(*sqlparser.Ident); ok {
+			attr, err = sc.column(id)
+		} else if e, err = tr.translateExpr(it.Expr, sc); err == nil {
+			if c, ok := e.(*algebra.ColRef); ok {
+				attr = c.Name
 			}
 		}
-		if anyAgg && !allAgg {
-			return nil, fmt.Errorf("translate: mixing aggregates and plain columns needs GROUP BY, which this dialect omits")
+		if err != nil {
+			return nil, err
 		}
-		if anyAgg {
-			return tr.finishGlobalAgg(stmt, plan, sc)
-		}
-		for i, it := range stmt.Items {
-			name := it.Alias
-			switch e := it.Expr.(type) {
-			case *sqlparser.Ident:
-				attr, err := sc.resolve(e)
-				if err != nil {
-					return nil, err
-				}
-				outAttrs = append(outAttrs, attr)
-				if name != "" && name != attr {
-					renames = append(renames, [2]string{name, attr})
-				}
-			default:
-				if name == "" {
-					name = fmt.Sprintf("_col%d", i+1)
-				}
-				expr, err := tr.translateExpr(it.Expr, sc)
-				if err != nil {
-					return nil, err
-				}
-				plan = algebra.NewMap(plan, name, expr)
-				outAttrs = append(outAttrs, name)
+		if attr != "" {
+			outAttrs = append(outAttrs, attr)
+			if it.Alias != "" && it.Alias != attr {
+				renames = append(renames, [2]string{it.Alias, attr})
 			}
+			continue
+		}
+		name := it.Alias
+		if name == "" {
+			name = "_col" + strconv.Itoa(i+1)
+		}
+		maps = append(maps, computed{name, e})
+		outAttrs = append(outAttrs, name)
+	}
+	var having algebra.Expr
+	if stmt.Having != nil {
+		var err error
+		if having, err = tr.translateExpr(stmt.Having, sc); err != nil {
+			return nil, err
 		}
 	}
-	if err := uniqueOutputs(outAttrs); err != nil {
+	g.active = false
+	if len(stmt.GroupBy) > 0 || having != nil || len(g.aggs) > 0 {
+		if stmt.Star {
+			return nil, fmt.Errorf("translate: SELECT * is not valid in a grouped query")
+		}
+		if g.ungrouped != nil {
+			return nil, fmt.Errorf("translate: column %s must appear in GROUP BY or inside an aggregate", g.ungrouped)
+		}
+		plan = algebra.NewGroupBy(plan, g.keys, g.aggs, len(g.keys) == 0)
+	}
+	if having != nil {
+		plan = algebra.NewSelect(plan, having)
+	}
+	for _, m := range maps {
+		plan = algebra.NewMap(plan, m.name, m.e)
+	}
+	if err := uniqueOutputs(outAttrs, renames); err != nil {
 		return nil, err
 	}
 	result := algebra.Op(algebra.NewProject(plan, outAttrs))
@@ -228,27 +287,9 @@ func (tr *Translator) finishTopLevel(stmt *sqlparser.SelectStmt, plan algebra.Op
 	if len(stmt.OrderBy) > 0 {
 		keys := make([]algebra.SortKey, len(stmt.OrderBy))
 		for i, o := range stmt.OrderBy {
-			id, ok := o.Expr.(*sqlparser.Ident)
-			if !ok {
-				return nil, fmt.Errorf("translate: ORDER BY supports columns only, got %s", o.Expr)
-			}
-			attr, err := sc.resolve(id)
+			attr, err := orderKey(o.Expr, result.Schema(), sc, renames)
 			if err != nil {
 				return nil, err
-			}
-			if !result.Schema().Has(attr) {
-				// The key may have been renamed to its alias.
-				renamed := false
-				for _, rn := range renames {
-					if rn[1] == attr {
-						attr = rn[0]
-						renamed = true
-						break
-					}
-				}
-				if !renamed {
-					return nil, fmt.Errorf("translate: ORDER BY column %s must appear in the select list", id)
-				}
 			}
 			keys[i] = algebra.SortKey{Attr: attr, Desc: o.Desc}
 		}
@@ -260,240 +301,45 @@ func (tr *Translator) finishTopLevel(stmt *sqlparser.SelectStmt, plan algebra.Op
 	return result, nil
 }
 
-// finishGlobalAgg handles a top-level aggregation query (no GROUP BY in
-// the dialect, so grouping is global): SELECT MIN(x), COUNT(*) FROM ...
-func (tr *Translator) finishGlobalAgg(stmt *sqlparser.SelectStmt, plan algebra.Op, sc *scope) (algebra.Op, error) {
-	items := make([]algebra.AggItem, len(stmt.Items))
-	outs := make([]string, len(stmt.Items))
-	for i, it := range stmt.Items {
-		ae := it.Expr.(*sqlparser.AggExpr)
-		spec, arg, err := tr.translateAgg(ae, sc)
-		if err != nil {
-			return nil, err
-		}
-		name := it.Alias
-		if name == "" {
-			name = fmt.Sprintf("_agg%d", i+1)
-		}
-		items[i] = algebra.AggItem{Out: name, Spec: spec, Arg: arg}
-		outs[i] = name
+// orderKey resolves an ORDER BY key against the output: an output name
+// first, else a FROM column that is output under its own name or an
+// alias.
+func orderKey(e sqlparser.Expr, out *storage.Schema, sc *scope, renames [][2]string) (string, error) {
+	id, ok := e.(*sqlparser.Ident)
+	if !ok {
+		return "", fmt.Errorf("translate: ORDER BY supports columns only, got %s", e)
 	}
-	var result algebra.Op = algebra.NewGroupBy(plan, nil, items, true)
-	result = algebra.NewProject(result, outs)
-	if len(stmt.OrderBy) > 0 {
-		return nil, fmt.Errorf("translate: ORDER BY with global aggregates is not supported")
+	if id.Qualifier == "" && out.Has(id.Name) {
+		return id.Name, nil
 	}
-	return result, nil
+	attr, _, err := sc.resolve(id)
+	if err != nil {
+		return "", err
+	}
+	if out.Has(attr) {
+		return attr, nil
+	}
+	for _, rn := range renames {
+		if rn[1] == attr {
+			return rn[0], nil
+		}
+	}
+	return "", fmt.Errorf("translate: ORDER BY column %s must appear in the select list", id)
 }
 
-// finishGrouped builds the GROUP BY pipeline: Γ over the block plan with
-// one aggregate per AggExpr in the select list and HAVING clause, a
-// selection for HAVING, and projection/renaming to the declared outputs.
-func (tr *Translator) finishGrouped(stmt *sqlparser.SelectStmt, plan algebra.Op, sc *scope) (algebra.Op, error) {
-	if stmt.Star {
-		return nil, fmt.Errorf("translate: SELECT * is not valid with GROUP BY")
+// nestedBlock translates a block nested in an expression (scalar, IN,
+// θ ANY/ALL, EXISTS). No nested form carries GROUP BY (nor so HAVING,
+// which the parser takes only after it) or LIMIT, each of which would
+// change the block's value, so they are errors; DISTINCT and ORDER BY
+// cannot change it and are accepted.
+func (tr *Translator) nestedBlock(stmt *sqlparser.SelectStmt, sc *scope) (algebra.Op, *scope, error) {
+	switch {
+	case len(stmt.GroupBy) > 0:
+		return nil, nil, fmt.Errorf("translate: GROUP BY in a nested block is not supported")
+	case stmt.HasLimit:
+		return nil, nil, fmt.Errorf("translate: LIMIT in a nested block is not supported")
 	}
-	// Resolve the grouping attributes.
-	groupAttrs := make([]string, 0, len(stmt.GroupBy))
-	grouped := map[string]bool{}
-	for _, g := range stmt.GroupBy {
-		id, ok := g.(*sqlparser.Ident)
-		if !ok {
-			return nil, fmt.Errorf("translate: GROUP BY supports columns only, got %s", g)
-		}
-		attr, err := sc.resolve(id)
-		if err != nil {
-			return nil, err
-		}
-		if !grouped[attr] {
-			grouped[attr] = true
-			groupAttrs = append(groupAttrs, attr)
-		}
-	}
-
-	var items []algebra.AggItem
-	aggCounter := 0
-	addAgg := func(ae *sqlparser.AggExpr) (string, error) {
-		spec, arg, err := tr.translateAgg(ae, sc)
-		if err != nil {
-			return "", err
-		}
-		aggCounter++
-		name := fmt.Sprintf("_agg%d", aggCounter)
-		items = append(items, algebra.AggItem{Out: name, Spec: spec, Arg: arg})
-		return name, nil
-	}
-
-	// Select list: grouping columns or aggregates.
-	var outAttrs []string
-	var renames [][2]string
-	for _, it := range stmt.Items {
-		switch e := it.Expr.(type) {
-		case *sqlparser.Ident:
-			attr, err := sc.resolve(e)
-			if err != nil {
-				return nil, err
-			}
-			if !grouped[attr] {
-				return nil, fmt.Errorf("translate: column %s must appear in GROUP BY or inside an aggregate", e)
-			}
-			outAttrs = append(outAttrs, attr)
-			if it.Alias != "" && it.Alias != attr {
-				renames = append(renames, [2]string{it.Alias, attr})
-			}
-		case *sqlparser.AggExpr:
-			name, err := addAgg(e)
-			if err != nil {
-				return nil, err
-			}
-			outAttrs = append(outAttrs, name)
-			if it.Alias != "" {
-				renames = append(renames, [2]string{it.Alias, name})
-			}
-		default:
-			return nil, fmt.Errorf("translate: GROUP BY select items must be grouping columns or aggregates, got %s", it.Expr)
-		}
-	}
-
-	// HAVING: aggregates become references to Γ outputs; plain columns
-	// must be grouping attributes. Nested subqueries are translated as
-	// usual and may be unnested downstream.
-	var having algebra.Expr
-	if stmt.Having != nil {
-		var err error
-		having, err = tr.translateHaving(stmt.Having, sc, grouped, addAgg)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	if err := uniqueOutputs(outAttrs); err != nil {
-		return nil, err
-	}
-	var result algebra.Op = algebra.NewGroupBy(plan, groupAttrs, items, false)
-	if having != nil {
-		result = algebra.NewSelect(result, having)
-	}
-	result = algebra.NewProject(result, outAttrs)
-	if len(renames) > 0 {
-		ren, err := algebra.NewRename(result, renames)
-		if err != nil {
-			return nil, err
-		}
-		result = ren
-	}
-	if stmt.Distinct {
-		result = algebra.NewDistinct(result)
-	}
-	if len(stmt.OrderBy) > 0 {
-		keys := make([]algebra.SortKey, len(stmt.OrderBy))
-		for i, o := range stmt.OrderBy {
-			id, ok := o.Expr.(*sqlparser.Ident)
-			if !ok {
-				return nil, fmt.Errorf("translate: ORDER BY supports columns only, got %s", o.Expr)
-			}
-			attr := ""
-			if id.Qualifier == "" && result.Schema().Has(id.Name) {
-				attr = id.Name // output alias
-			} else {
-				resolved, err := sc.resolve(id)
-				if err != nil {
-					return nil, err
-				}
-				attr = resolved
-			}
-			if !result.Schema().Has(attr) {
-				return nil, fmt.Errorf("translate: ORDER BY column %s must appear in the select list", id)
-			}
-			keys[i] = algebra.SortKey{Attr: attr, Desc: o.Desc}
-		}
-		result = algebra.NewSort(result, keys)
-	}
-	if stmt.HasLimit {
-		result = algebra.NewLimit(result, stmt.Limit)
-	}
-	return result, nil
-}
-
-// translateHaving rewrites a HAVING predicate against the grouped schema:
-// aggregate calls are routed through addAgg (extending the Γ operator)
-// and replaced by their output attribute.
-func (tr *Translator) translateHaving(e sqlparser.Expr, sc *scope,
-	grouped map[string]bool, addAgg func(*sqlparser.AggExpr) (string, error)) (algebra.Expr, error) {
-	switch x := e.(type) {
-	case *sqlparser.AggExpr:
-		name, err := addAgg(x)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Col(name), nil
-	case *sqlparser.Ident:
-		attr, err := sc.resolve(x)
-		if err != nil {
-			return nil, err
-		}
-		if !grouped[attr] {
-			return nil, fmt.Errorf("translate: HAVING column %s must appear in GROUP BY or inside an aggregate", x)
-		}
-		return algebra.Col(attr), nil
-	case *sqlparser.BinaryExpr:
-		l, err := tr.translateHaving(x.L, sc, grouped, addAgg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := tr.translateHaving(x.R, sc, grouped, addAgg)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case "AND":
-			return algebra.And(l, r), nil
-		case "OR":
-			return algebra.Or(l, r), nil
-		case "+":
-			return algebra.Arith(types.Add, l, r), nil
-		case "-":
-			return algebra.Arith(types.Sub, l, r), nil
-		case "*":
-			return algebra.Arith(types.Mul, l, r), nil
-		case "/":
-			return algebra.Arith(types.Div, l, r), nil
-		case "=":
-			return algebra.Cmp(types.EQ, l, r), nil
-		case "<>":
-			return algebra.Cmp(types.NE, l, r), nil
-		case "<":
-			return algebra.Cmp(types.LT, l, r), nil
-		case "<=":
-			return algebra.Cmp(types.LE, l, r), nil
-		case ">":
-			return algebra.Cmp(types.GT, l, r), nil
-		case ">=":
-			return algebra.Cmp(types.GE, l, r), nil
-		default:
-			return nil, fmt.Errorf("translate: unknown operator %q in HAVING", x.Op)
-		}
-	case *sqlparser.NotExpr:
-		inner, err := tr.translateHaving(x.E, sc, grouped, addAgg)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Not(inner), nil
-	case *sqlparser.IsNullExpr:
-		inner, err := tr.translateHaving(x.E, sc, grouped, addAgg)
-		if err != nil {
-			return nil, err
-		}
-		var out algebra.Expr = algebra.IsNull(inner)
-		if x.Negated {
-			out = algebra.Not(out)
-		}
-		return out, nil
-	default:
-		// Literals and anything without aggregates or grouped columns
-		// fall back to the ordinary translation.
-		return tr.translateExpr(e, sc)
-	}
+	return tr.translateBlock(stmt, sc)
 }
 
 func (tr *Translator) translateAgg(ae *sqlparser.AggExpr, sc *scope) (agg.Spec, algebra.Expr, error) {
@@ -787,7 +633,7 @@ func (tr *Translator) estimator() *stats.Estimator {
 func (tr *Translator) translateExpr(e sqlparser.Expr, sc *scope) (algebra.Expr, error) {
 	switch x := e.(type) {
 	case *sqlparser.Ident:
-		attr, err := sc.resolve(x)
+		attr, err := sc.column(x)
 		if err != nil {
 			return nil, err
 		}
@@ -891,7 +737,7 @@ func (tr *Translator) translateExpr(e sqlparser.Expr, sc *scope) (algebra.Expr, 
 	case *sqlparser.SubqueryExpr:
 		return tr.translateScalarSubquery(x.Stmt, sc)
 	case *sqlparser.ExistsExpr:
-		plan, _, err := tr.translateBlock(x.Stmt, sc)
+		plan, _, err := tr.nestedBlock(x.Stmt, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -917,17 +763,34 @@ func (tr *Translator) translateExpr(e sqlparser.Expr, sc *scope) (algebra.Expr, 
 	case *sqlparser.QuantCmpExpr:
 		return tr.translateQuantCmp(x, sc)
 	case *sqlparser.AggExpr:
-		return nil, fmt.Errorf("translate: aggregate %s outside a select list", x)
+		// An aggregate of the block's grouping: its argument reads the
+		// rows below Γ, and the expression reads Γ's output.
+		g := &sc.g
+		if !g.active || g.inAgg {
+			return nil, fmt.Errorf("translate: aggregate %s outside a select list or HAVING", x)
+		}
+		g.inAgg = true
+		spec, arg, err := tr.translateAgg(x, sc)
+		g.inAgg = false
+		if err != nil {
+			return nil, err
+		}
+		name := "_agg" + strconv.Itoa(len(g.aggs)+1)
+		g.aggs = append(g.aggs, algebra.AggItem{Out: name, Spec: spec, Arg: arg})
+		return algebra.Col(name), nil
 	default:
 		return nil, fmt.Errorf("translate: unsupported expression %T", e)
 	}
 }
 
-// uniqueOutputs rejects select lists projecting the same attribute twice
-// without distinguishing aliases.
-func uniqueOutputs(attrs []string) error {
+// uniqueOutputs rejects a select list whose output names, each attribute
+// under its alias where renames gives one, repeat.
+func uniqueOutputs(attrs []string, renames [][2]string) error {
 	seen := map[string]bool{}
 	for _, a := range attrs {
+		if i := slices.IndexFunc(renames, func(rn [2]string) bool { return rn[1] == a }); i >= 0 {
+			a = renames[i][0]
+		}
 		if seen[a] {
 			return fmt.Errorf("translate: duplicate output column %q; add aliases", a)
 		}
@@ -939,7 +802,7 @@ func uniqueOutputs(attrs []string) error {
 // translateSingleColumn translates a subquery block that must produce
 // exactly one column (IN and quantified-comparison operands).
 func (tr *Translator) translateSingleColumn(stmt *sqlparser.SelectStmt, sc *scope) (algebra.Op, error) {
-	plan, innerSc, err := tr.translateBlock(stmt, sc)
+	plan, innerSc, err := tr.nestedBlock(stmt, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -1011,10 +874,7 @@ func (tr *Translator) translateScalarSubquery(stmt *sqlparser.SelectStmt, sc *sc
 	if !ok {
 		return nil, fmt.Errorf("translate: scalar subquery must select an aggregate, got %s", stmt.Items[0].Expr)
 	}
-	if len(stmt.OrderBy) > 0 {
-		return nil, fmt.Errorf("translate: ORDER BY inside a scalar subquery is meaningless")
-	}
-	plan, innerSc, err := tr.translateBlock(stmt, sc)
+	plan, innerSc, err := tr.nestedBlock(stmt, sc)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,8 @@
 # ROADMAP.md (build, gofmt, the one-traversal grep, tests, vet, the
 # whole suite again under -race — which is where the chaos, concurrency, caching, evaluator
 # differential, telemetry, durability, wire and server suites run; no
-# line below repeats them) and the one-pipeline, one-index and one-logic greps, plus everything
+# line below repeats them) and the one-pipeline, one-index, one-logic and one-finish greps
+# (with a smoke that no SELECT clause is dropped), plus everything
 # tier-1 does not run: a
 # one-iteration benchmark smoke (catches broken benchmark code and
 # instrumentation regressions without paying for a real measurement
@@ -136,6 +137,20 @@ for q in Q1 Q2 Q3 QuantExists Query2d; do
 		echo "$phys" | grep -qF 'HashBinaryGroup[r.a2=s.b2][g1:COUNT(DISTINCT *)] ∘ HashBinaryGroup[r.a4=t.c2][g2:COUNT(DISTINCT *)] σ[((r.a1 = g1) OR (r.a3 = g2))]'
 	fi
 done
+# A SELECT is finished once (translate.finish): Γ, DISTINCT, Sort and
+# Limit each have one constructor call in the translator. And a literal
+# is parsed once: INSERT reads its values through the expression
+# parser's literal code, not fmt.
+transsrc=$(ls internal/translate/*.go | grep -v _test.go)
+for c in NewGroupBy NewDistinct NewSort NewLimit; do
+	test "$(cat $transsrc | grep -c "algebra\.$c(")" -eq 1
+done
+test -z "$(grep -n 'fmt\.Sscanf' $(ls internal/sqlparser/*.go | grep -v _test.go))"
+# No clause is dropped in silence: a global aggregate honours LIMIT, and
+# a nested block's LIMIT is an error that names it. (disqo -e exits 0 on
+# a failed statement, so its output is what is checked.)
+go run ./cmd/disqo -rst 0.01 -e 'SELECT COUNT(*) FROM r LIMIT 0' | grep -qF '(0 rows)'
+go run ./cmd/disqo -rst 0.01 -e 'SELECT COUNT(*) FROM r WHERE a2 IN (SELECT b2 FROM s LIMIT 1)' 2>&1 | grep -q 'error: .*LIMIT'
 # An algorithm is a node's field, not its type: one physical.Join for
 # every join and one physical.BinaryGroup for every Γ², each with one
 # executor body — no per-algorithm node type or evaluator comes back.

@@ -367,6 +367,11 @@ func AppendDisjuncts(into []Expr, e Expr) []Expr {
 // no residual is left; the physical planner and the cost model both
 // decide it here.
 func EquiKeys(pred Expr, ls, rs *storage.Schema) (lcols, rcols []int, residual []Expr) {
+	return AppendEquiKeys(nil, nil, nil, pred, ls, rs)
+}
+
+// AppendEquiKeys is EquiKeys appending to lcols, rcols and residual.
+func AppendEquiKeys(lcols, rcols []int, residual []Expr, pred Expr, ls, rs *storage.Schema) ([]int, []int, []Expr) {
 	if pred == nil {
 		return nil, nil, nil
 	}

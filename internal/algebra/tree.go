@@ -1,6 +1,9 @@
 package algebra
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file states the shape of the two trees once. An operator has
 // inputs (Op.Inputs) and attached expressions (AppendExprs); an
@@ -369,6 +372,23 @@ func NestedPlans(op Op) []Op {
 	return out
 }
 
+// AppendBlocks appends the query blocks nested in e at any depth to
+// into, in NestedPlans' order; it does not descend into the blocks.
+func AppendBlocks(into []*Block, e Expr) []*Block {
+	walkExpr(e, func(x Expr, plan Op) bool {
+		switch x := x.(type) {
+		case *ScalarSubquery:
+			into = append(into, &x.Block)
+		case *QuantSubquery:
+			into = append(into, &x.Block)
+		case *AllAnyExpr:
+			into = append(into, &x.Block)
+		}
+		return true
+	})
+	return into
+}
+
 // WalkNested calls fn (if non-nil) once for every operator of the plan
 // and of every query block nested in operator expressions, and returns
 // those blocks' roots: outermost first, depth-first, deduplicated — the
@@ -407,6 +427,46 @@ func WalkNested(root Op, fn func(Op)) []Op {
 // has few of: the hint is rough, and a map it undersizes grows. The
 // bound bounds the walk too.
 func Size(op Op) int { return size(op, 256) }
+
+// ExprSize counts the nodes of the expressions attached to the
+// operators below op and to those of the plans of the blocks nested in
+// them, each operator once: what binding the plan's expressions makes of
+// them.
+func ExprSize(op Op) int {
+	var buf [64]Op
+	n, _ := exprSize(op, buf[:0])
+	return n
+}
+
+// exprSize is ExprSize over the operators not in seen, which it adds
+// them to: a plan is a few dozen operators, so seen is searched rather
+// than hashed.
+func exprSize(op Op, seen []Op) (int, []Op) {
+	if slices.Contains(seen, op) {
+		return 0, seen
+	}
+	seen = append(seen, op)
+	n := 0
+	var buf [4]Expr
+	for _, e := range AppendExprs(buf[:0], op) {
+		walkExpr(e, func(_ Expr, plan Op) bool {
+			n++
+			if plan != nil {
+				var m int
+				m, seen = exprSize(plan, seen)
+				n += m
+			}
+			return true
+		})
+	}
+	var in [2]Op
+	for _, i := range appendInputs(in[:0], op) {
+		var m int
+		m, seen = exprSize(i, seen)
+		n += m
+	}
+	return n, seen
+}
 
 func size(op Op, limit int) int {
 	if limit <= 0 {

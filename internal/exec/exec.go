@@ -161,11 +161,7 @@ type Executor struct {
 	cat   catalog.Reader
 	opt   Options
 	stats Stats
-	// plan is the lowered plan RunPlan was handed; nested query blocks
-	// resolve through its frozen lookup, lock-free. nil for the callers
-	// that hold only logical plans (see sharedState.lowerer).
-	plan *physical.Plan
-	sh   *sharedState
+	sh    *sharedState
 
 	// nm is this executor's per-operator metrics shard, indexed by
 	// physical node ID; nil unless Options.Metrics is set. Worker clones
@@ -195,10 +191,10 @@ type sharedState struct {
 	memo       map[physical.Node]*storage.Relation
 	correlated map[algebra.Op]bool
 
-	// lowerer serves the callers that hold only a logical plan or
-	// expression (Plan, Run, EvalExpr without a plan): created on first
-	// use, guarded by mu. An executor handed a lowered plan never has one.
-	lowerer *physical.Planner
+	// planner serves the callers that hold only a logical plan or
+	// expression (Plan, Run, BindExpr): created on first use, guarded by
+	// mu. An executor that only runs a lowered plan never makes one.
+	planner *physical.Planner
 
 	// flight marks cacheable evaluations in progress: the first arrival
 	// evaluates, later arrivals wait on flightDone and re-check the
@@ -303,14 +299,13 @@ func (ex *Executor) Run(plan algebra.Op) (*storage.Relation, error) {
 		return nil, err
 	}
 	// metric() grows the shard for a node lowered later (an expression
-	// evaluated through EvalExpr after this Run).
-	return ex.run(root, ex.sh.lowerer.NodeCount())
+	// bound through BindExpr after this Run).
+	return ex.run(root, ex.sh.planner.NodeCount())
 }
 
 // RunPlan evaluates a lowered plan top-level (no outer bindings). The
 // plan is only read, so concurrent executors may share it.
 func (ex *Executor) RunPlan(pl *physical.Plan) (*storage.Relation, error) {
-	ex.plan = pl
 	return ex.run(pl.Root, pl.NodeCount())
 }
 
@@ -349,25 +344,23 @@ func (ex *Executor) run(root physical.Node, nodes int) (rel *storage.Relation, e
 	return ex.eval(root, nil)
 }
 
-// physFor resolves the physical node of a logical root — a plan's or a
-// nested query block's. Under a handed plan that is a read of its
-// frozen lookup: every block evaluation can reach was lowered with it.
-// Without one (Plan, Run, EvalExpr on a bare expression) the operator
-// is lowered on demand by the executor's own planner, memoized, under
-// the lock.
+// physFor lowers a logical plan on demand (Plan, Run), by the
+// executor's own planner, memoized, under the lock. Nested blocks need
+// no lookup: each expression embedding one carries its root
+// (physical.Site).
 func (ex *Executor) physFor(op algebra.Op) (physical.Node, error) {
-	if ex.plan != nil {
-		if n, ok := ex.plan.BlockFor(op); ok {
-			return n, nil
-		}
-		return nil, fmt.Errorf("exec: the lowered plan holds no block rooted at %T", op)
-	}
 	ex.sh.mu.Lock()
 	defer ex.sh.mu.Unlock()
-	if ex.sh.lowerer == nil {
-		ex.sh.lowerer = physical.NewPlanner(stats.New(ex.cat))
+	return ex.lowerer().Lower(op)
+}
+
+// lowerer returns the executor's own planner, made on first use; the
+// caller holds sh.mu.
+func (ex *Executor) lowerer() *physical.Planner {
+	if ex.sh.planner == nil {
+		ex.sh.planner = physical.NewPlanner(stats.New(ex.cat))
 	}
-	return ex.sh.lowerer.Lower(op)
+	return ex.sh.planner
 }
 
 // tick checks the abort latch and the deadline every few thousand
@@ -690,7 +683,7 @@ func (ex *Executor) evalFilter(f *physical.Filter, env *Env) (*storage.Relation,
 		return nil, err
 	}
 	truth := morselEval(ex, compiled, f.VecPred, in, env,
-		func(w *Executor, row *Env) (types.TriBool, error) { return w.EvalPred(f.Pred, row) })
+		func(w *Executor, row *Env) (types.TriBool, error) { return w.EvalPred(f.Bound, row) })
 	chunks, err := parMorsels(ex, len(in.Tuples),
 		func(w *Executor, lo, hi int) ([]int32, error) {
 			res, err := truth(w, lo, hi)
@@ -792,7 +785,7 @@ func (ex *Executor) evalMap(m *physical.Map, env *Env) (*storage.Relation, error
 		return nil, err
 	}
 	values := morselEval(ex, compiled, m.VecExpr, in, env,
-		func(w *Executor, row *Env) (types.Value, error) { return w.EvalExpr(m.Expr, row) })
+		func(w *Executor, row *Env) (types.Value, error) { return w.EvalExpr(m.Bound, row) })
 	chunks, err := parMorsels(ex, len(in.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			vals, err := values(w, lo, hi)

@@ -535,27 +535,42 @@ func TestNotInWithNullsIsEmpty(t *testing.T) {
 	}
 }
 
+// TestEnvLookupChain reads bound slots off a chain of frames: depth 0 is
+// the innermost frame, each further depth one frame out, and the planner
+// resolves a name to the innermost frame holding it.
 func TestEnvLookupChain(t *testing.T) {
-	outer := Bind(nil, storage.NewSchema("r.a"), []types.Value{types.NewInt(1)})
-	inner := Bind(outer, storage.NewSchema("s.b"), []types.Value{types.NewInt(2)})
-	if v, ok := inner.Lookup("s.b"); !ok || v.Int() != 2 {
-		t.Error("inner lookup failed")
+	outer := NewFrame([]types.Value{types.NewInt(1), types.NewInt(3)})
+	inner := &Env{parent: outer, tuple: []types.Value{types.NewInt(2)}}
+	if v := inner.at(physical.Slot{Depth: 0, Index: 0}); v.Int() != 2 {
+		t.Errorf("inner slot read %v", v)
 	}
-	if v, ok := inner.Lookup("r.a"); !ok || v.Int() != 1 {
-		t.Error("outer lookup through chain failed")
+	if v := inner.at(physical.Slot{Depth: 1, Index: 1}); v.Int() != 3 {
+		t.Errorf("outer slot read through the chain %v", v)
 	}
-	if _, ok := inner.Lookup("zz"); ok {
-		t.Error("missing name resolved")
+	cat := testCatalog(t)
+	ex := New(cat, Options{})
+	sch := storage.NewSchema("r.a", "r.b")
+	b, err := ex.BindExpr(algebra.Arith(types.Add, algebra.Col("r.b"), algebra.Col("r.a")), sch)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if inner.Depth() != 2 {
-		t.Error("depth wrong")
+	if b.L.Slot != (physical.Slot{Depth: 0, Index: 1}) || b.R.Slot != (physical.Slot{Depth: 0, Index: 0}) {
+		t.Errorf("bound slots %v, %v", b.L.Slot, b.R.Slot)
+	}
+	frame := NewFrame(nil)
+	for _, row := range [][]types.Value{{types.NewInt(1), types.NewInt(3)}, {types.NewInt(10), types.NewInt(5)}} {
+		frame.Set(row)
+		v, err := ex.EvalExpr(b, frame)
+		if err != nil || v.Int() != row[0].Int()+row[1].Int() {
+			t.Errorf("on %v: %v, %v", row, v, err)
+		}
 	}
 }
 
 func TestExprErrors(t *testing.T) {
 	cat := testCatalog(t)
 	ex := New(cat, Options{})
-	if _, err := ex.EvalExpr(algebra.Col("nope"), nil); err == nil {
+	if _, err := ex.BindExpr(algebra.Col("nope"), storage.NewSchema("r.a")); err == nil {
 		t.Error("unbound column must error")
 	}
 }

@@ -12,39 +12,35 @@ import (
 	"disqo/internal/types"
 )
 
-// aggInputs resolves a grouping operator's aggregate arguments against
-// its input schema once, so the per-row work is only the evaluation.
+// aggInputs holds what a grouping operator's accumulators are fed, per
+// aggregate item, from its arguments the planner bound to the input row,
+// so the per-row work is only the evaluation. args[i].Cols, for an item
+// whose argument is a column of the input, or for a DISTINCT item
+// columns of it, holds those columns: its accumulator is fed the row and
+// reads its argument, or keys its DISTINCT set, on them (agg.Acc.AddOn),
+// or Γ dedups on them. Any other Star item is fed the row, and any other
+// item the value of its argument expression, args[i].Expr.
 type aggInputs struct {
 	items []algebra.AggItem
-	sch   *storage.Schema
+	args  []physical.AggArg
 	// specs[i] is the spec item i's accumulators run: the item's, less
 	// the DISTINCT that means nothing (MIN, MAX) or that Γ applies itself
 	// (dedup).
 	specs []agg.Spec
-	// cols[i], for an item whose argument is a column of the input, or
-	// for a DISTINCT item columns of it, holds those columns: its
-	// accumulator is fed the row and reads its argument, or keys its
-	// DISTINCT set, on them (agg.Acc.AddOn), or Γ dedups on them. Any
-	// other Star item is fed the row, and any other item the value of its
-	// argument expression.
-	cols [][]int
 	// dedup[i], for a DISTINCT item of Γ whose argument is columns of the
 	// input, holds the grouping columns followed by those: the rows
 	// distinct on them are the item's distinct (group, argument) pairs.
 	dedup [][]int
 }
 
-// newAggInputs resolves items over an input of schema sch. keyCols are
-// Γ's grouping columns; the binary groupings, which accumulate per left
-// tuple rather than per input group, pass nil.
-func newAggInputs(items []algebra.AggItem, sch *storage.Schema, keyCols []int) (*aggInputs, error) {
-	ai := &aggInputs{items: items, sch: sch, specs: make([]agg.Spec, len(items)),
-		cols: make([][]int, len(items)), dedup: make([][]int, len(items))}
+// newAggInputs sets up items, with their arguments args bound to the
+// input row. keyCols are Γ's grouping columns; the binary groupings,
+// which accumulate per left tuple rather than per input group, pass nil.
+func newAggInputs(items []algebra.AggItem, args []physical.AggArg, keyCols []int) *aggInputs {
+	ai := &aggInputs{items: items, args: args, specs: make([]agg.Spec, len(items)),
+		dedup: make([][]int, len(items))}
 	for i, item := range items {
 		ai.specs[i] = item.Spec
-		if ref, ok := item.Arg.(*algebra.ColRef); ok && sch.Has(ref.Name) {
-			ai.cols[i] = []int{sch.Index(ref.Name)}
-		}
 		if !item.Spec.Distinct {
 			continue
 		}
@@ -52,24 +48,12 @@ func newAggInputs(items []algebra.AggItem, sch *storage.Schema, keyCols []int) (
 			ai.specs[i].Distinct = false
 			continue
 		}
-		switch {
-		case item.Spec.Star && len(item.ArgAttrs) > 0:
-			idx, err := sch.Projection(item.ArgAttrs)
-			if err != nil {
-				return nil, err
-			}
-			ai.cols[i] = idx
-		case item.Spec.Star:
-			for c := 0; c < sch.Len(); c++ {
-				ai.cols[i] = append(ai.cols[i], c)
-			}
-		}
-		if arg := ai.cols[i]; keyCols != nil && arg != nil {
+		if arg := args[i].Cols; keyCols != nil && arg != nil {
 			ai.dedup[i] = append(append([]int(nil), keyCols...), arg...)
 			ai.specs[i].Distinct = false
 		}
 	}
-	return ai, nil
+	return ai
 }
 
 // aggFeed feeds one morsel's input rows to accumulators: it owns the
@@ -82,7 +66,7 @@ type aggFeed struct {
 }
 
 func (ai *aggInputs) feed(env *Env) *aggFeed {
-	return &aggFeed{aggInputs: ai, frame: Env{parent: env, schema: ai.sch}}
+	return &aggFeed{aggInputs: ai, frame: Env{parent: env}}
 }
 
 // addTo feeds one input row to item i's accumulator: by its argument
@@ -91,12 +75,12 @@ func (ai *aggInputs) feed(env *Env) *aggFeed {
 // accumulator, which retains its argument, in a fresh slice.
 func (f *aggFeed) addTo(w *Executor, acc *agg.Acc, i int, row []types.Value) error {
 	item := &f.items[i]
-	if item.Spec.Star || f.cols[i] != nil {
-		acc.AddOn(row, f.cols[i])
+	if cols := f.args[i].Cols; item.Spec.Star || cols != nil {
+		acc.AddOn(row, cols)
 		return nil
 	}
 	f.frame.tuple = row
-	v, err := w.EvalExpr(item.Arg, &f.frame)
+	v, err := w.EvalExpr(f.args[i].Expr, &f.frame)
 	if err != nil {
 		return err
 	}
@@ -180,7 +164,7 @@ func (gt *groupTable) fold(w *Executor, feed *aggFeed, i int, row []types.Value,
 		return err
 	}
 	for j, s := range gt.seen {
-		if s == nil || gt.base != nil && gt.base[j].Seen(row, feed.cols[j]) {
+		if s == nil || gt.base != nil && gt.base[j].Seen(row, feed.args[j].Cols) {
 			continue
 		}
 		if _, added := s.FindOrAdd(int32(i)); !added {
@@ -303,10 +287,7 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 	if err != nil {
 		return nil, err
 	}
-	ai, err := newAggInputs(g.Aggs, in.Schema, g.KeyCols)
-	if err != nil {
-		return nil, err
-	}
+	ai := newAggInputs(g.Aggs, g.Args, g.KeyCols)
 	tables, err := ex.foldGroups(ai, in.Tuples, g.KeyCols, false, g.EstRows(), nil, env)
 	if err != nil {
 		return nil, err
@@ -424,7 +405,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 			}
 			var kf, kr *Env
 			if b.Keep != nil {
-				kf, kr = pairFrames(env, l.Schema, b.Results)
+				kf, kr = pairFrames(env)
 			}
 			var res []types.Value
 			if direct {
@@ -440,7 +421,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 					if scans == nil {
 						scans = make([]func(lt, dst []types.Value) error, len(gs))
 					}
-					scans[j] = gs[j].scan(w, l.Schema, env)
+					scans[j] = gs[j].scan(w, env)
 				}
 			}
 			var probes []int64
@@ -497,7 +478,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 				case lazy:
 					for _, d := range b.Rest {
 						if err = look(d.Reads); err == nil {
-							kept, err = w.holds(d.Pred, kf, kr, lt, res[at:][:total])
+							kept, err = w.holds(d.Bound, kf, kr, lt, res[at:][:total])
 						}
 						if err != nil || kept {
 							break
@@ -505,7 +486,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 					}
 				default:
 					if err = look(all); err == nil {
-						kept, err = w.holds(b.Keep, kf, kr, lt, res[at:][:total])
+						kept, err = w.holds(b.KeepBound, kf, kr, lt, res[at:][:total])
 					}
 				}
 				if err == nil && kept && emits != 0 {
@@ -606,10 +587,7 @@ func (ex *Executor) foldGrouping(gr *grouping, g *physical.Grouping, compiled bo
 	// ai feeds R's rows to the base, the sorted fold or a left tuple's
 	// group, none of which an untagged hashed Γ² has.
 	if !hashed || g.Tag != nil {
-		var err error
-		if gr.ai, err = newAggInputs(g.Aggs, r.Schema, nil); err != nil {
-			return err
-		}
+		gr.ai = newAggInputs(g.Aggs, g.Args, nil)
 		gr.base = appendAccs(nil, gr.ai.specs)
 	}
 	var err error
@@ -651,10 +629,10 @@ func (g *grouping) entry(lt []types.Value) int {
 }
 
 // scan returns a nested-loop grouping's lookup for one morsel of left
-// tuples, of schema ls: it feeds the rows of R⁻ that Pred matches with
-// left tuple lt to overlays of the base and writes their results to dst.
-func (g *grouping) scan(w *Executor, ls *storage.Schema, env *Env) func(lt, dst []types.Value) error {
-	lf, rf := pairFrames(env, ls, g.neg.Schema)
+// tuples: it feeds the rows of R⁻ that Pred matches with left tuple lt
+// to overlays of the base and writes their results to dst.
+func (g *grouping) scan(w *Executor, env *Env) func(lt, dst []types.Value) error {
+	lf, rf := pairFrames(env)
 	feed, accs := g.ai.feed(env), make([]agg.Acc, len(g.Aggs))
 	return func(lt, dst []types.Value) error {
 		for j := range g.base {
@@ -664,7 +642,7 @@ func (g *grouping) scan(w *Executor, ls *storage.Schema, env *Env) func(lt, dst 
 			if err := w.tick(); err != nil {
 				return err
 			}
-			match, err := w.holds(g.Pred, lf, rf, lt, rt)
+			match, err := w.holds(g.PredBound, lf, rf, lt, rt)
 			if err != nil {
 				return err
 			}
@@ -690,10 +668,7 @@ func (g *grouping) scan(w *Executor, ls *storage.Schema, env *Env) func(lt, dst 
 // set: no key keeps a set of its own. It returns the tables and their
 // results: base's first, then each table's from its res on.
 func (ex *Executor) foldKeys(b *physical.Grouping, neg *storage.Relation, base []agg.Acc, env *Env) ([]*groupTable, []types.Value, error) {
-	ai, err := newAggInputs(b.Aggs, neg.Schema, b.RCols)
-	if err != nil {
-		return nil, nil, err
-	}
+	ai := newAggInputs(b.Aggs, b.Args, b.RCols)
 	ex.creditHashBuild(len(neg.Tuples))
 	tables, err := ex.foldGroups(ai, neg.Tuples, b.RCols, true, b.Groups, base, env)
 	if err != nil {
@@ -811,7 +786,7 @@ func (s *sortedFold) entry(v types.Value) int {
 // once to their counted number.
 func (ex *Executor) split(b *physical.Grouping, r *storage.Relation, compiled bool, feed *aggFeed, base []agg.Acc, env *Env) (*storage.Relation, error) {
 	truth := morselEval(ex, compiled, b.VecTag, r, env,
-		func(w *Executor, row *Env) (types.TriBool, error) { return w.EvalPred(b.Tag, row) })
+		func(w *Executor, row *Env) (types.TriBool, error) { return w.EvalPred(b.TagBound, row) })
 	type morsel struct {
 		truth []types.TriBool
 		neg   int

@@ -3,7 +3,6 @@ package exec
 import (
 	"sync/atomic"
 
-	"disqo/internal/algebra"
 	"disqo/internal/physical"
 	"disqo/internal/storage"
 	"disqo/internal/types"
@@ -96,17 +95,18 @@ func (s *rowSlab) emitRow(emit []int, l, r []types.Value) []types.Value {
 	return row
 }
 
-// pairFrames returns two stacked frames through which a predicate sees
-// a pair l ◦ r without the row being built: the caller rebinds their
-// tuples per pair (holds) and evaluates under rf.
-func pairFrames(env *Env, ls, rs *storage.Schema) (lf, rf *Env) {
-	lf = &Env{parent: env, schema: ls}
-	return lf, &Env{parent: lf, schema: rs}
+// pairFrames returns two stacked frames, pushed once per morsel,
+// through which a predicate sees a pair l ◦ r without the row being
+// built — r at depth 0, l at depth 1: the caller overwrites their
+// tuples per pair (holds) and evaluates on rf.
+func pairFrames(env *Env) (lf, rf *Env) {
+	lf = &Env{parent: env}
+	return lf, &Env{parent: lf}
 }
 
 // holds reports whether pred is TRUE on the pair l ◦ r, which it sees
 // through the frames of pairFrames; a nil pred holds on every pair.
-func (ex *Executor) holds(pred algebra.Expr, lf, rf *Env, l, r []types.Value) (bool, error) {
+func (ex *Executor) holds(pred *physical.Bound, lf, rf *Env, l, r []types.Value) (bool, error) {
 	if pred == nil {
 		return true, nil
 	}
@@ -170,7 +170,7 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 	chunks, err := parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			pairs := w.takePairs(hi - lo)
-			lf, rf := pairFrames(env, l.Schema, r.Schema)
+			lf, rf := pairFrames(env)
 			for i, lt := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
 					return nil, err
@@ -200,7 +200,7 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 					if err := w.tick(); err != nil {
 						return nil, err
 					}
-					ok, err := w.holds(j.Pred, lf, rf, lt, rt)
+					ok, err := w.holds(j.Bound, lf, rf, lt, rt)
 					if err != nil {
 						return nil, err
 					}

@@ -215,9 +215,15 @@ func filtered(t *testing.T, ex *Executor, sel *algebra.Select) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pred, err := ex.BindExpr(sel.Pred, in.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rows [][]types.Value
+	frame := NewFrame(nil)
 	for _, row := range in.Tuples {
-		ok, err := ex.EvalPred(sel.Pred, Bind(nil, in.Schema, row))
+		frame.Set(row)
+		ok, err := ex.EvalPred(pred, frame)
 		if err != nil {
 			t.Fatal(err)
 		}

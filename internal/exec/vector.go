@@ -78,8 +78,8 @@ type program[T any] interface {
 // path: the expression's results for rows [lo,hi) of in. Compiled (the
 // verdict of vecEnter) runs prog over the shared batch, whose columns
 // the coordinator materializes here so morsel workers only take the
-// wait-free column loads; otherwise interp is called per row under a
-// frame binding that row.
+// wait-free column loads; otherwise interp is called per row on a
+// frame pushed once per morsel, over env, and moved from row to row.
 func morselEval[T any](ex *Executor, compiled bool, prog program[T], in *storage.Relation, env *Env,
 	interp func(w *Executor, row *Env) (T, error)) func(w *Executor, lo, hi int) ([]T, error) {
 	if compiled {
@@ -93,11 +93,13 @@ func morselEval[T any](ex *Executor, compiled bool, prog program[T], in *storage
 	}
 	return func(w *Executor, lo, hi int) ([]T, error) {
 		res := make([]T, hi-lo)
+		frame := &Env{parent: env}
 		for i, t := range in.Tuples[lo:hi] {
 			if err := w.tick(); err != nil {
 				return nil, err
 			}
-			v, err := interp(w, Bind(env, in.Schema, t))
+			frame.tuple = t
+			v, err := interp(w, frame)
 			if err != nil {
 				return nil, err
 			}

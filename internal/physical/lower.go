@@ -118,13 +118,23 @@ type Planner struct {
 	// or a cascade keeps the rows they hold TRUE on. Made on first use.
 	decided map[algebra.Op]algebra.Expr
 	// blocks are the memo's entries for the roots of nested query blocks:
-	// what evaluation looks up, and all a Plan keeps of the memo.
+	// what binding an expression embedding one looks up, and all a Plan
+	// keeps of the memo.
 	blocks map[algebra.Op]Node
 	nodes  int
 	// spare holds the IDs of the Γ²s chains absorbed, for number to
 	// hand out again.
 	spare []int
 	names []string // scratch for reads
+	// params are the free columns of the nested block being lowered —
+	// its parameter frame (see bind.go) — nil at top level; free are the
+	// plan's, each at its position in every parameter frame.
+	params, free []string
+	// slab and ints are the plan's slabs of bound expressions and of
+	// column positions (see bind.go).
+	slab []Bound
+	ints []int
+	size int // operators in the plan the first Lower was shown (algebra.Size)
 }
 
 type lowered struct {
@@ -144,10 +154,11 @@ func NewPlanner(est *stats.Estimator) *Planner {
 func (p *Planner) NodeCount() int { return p.nodes }
 
 // Plan is a lowered query: the root's physical node and, reachable from
-// it, the node of every operator, nested query blocks included. Block
-// roots are all evaluation ever looks up (the rest it reaches through
-// Children), so they are the lookup a Plan keeps. Nothing is added
-// after the planner hands a Plan back: nodes and their compiled
+// it, the node of every operator, nested query blocks included —
+// evaluation reaches a block's root through the expression embedding it
+// (Site), and EXPLAIN ANALYZE and the plan's fingerprint through the
+// lookup by block a Plan keeps. Nothing is added after the planner hands
+// a Plan back: nodes, their bound expressions and their compiled
 // programs are immutable after lowering, and any number of concurrent
 // executions may share one Plan without synchronisation.
 type Plan struct {
@@ -157,7 +168,7 @@ type Plan struct {
 }
 
 // BlockFor returns the physical root of a nested query block of the
-// plan; every block evaluation can reach resolves.
+// plan; every block of it resolves.
 func (pl *Plan) BlockFor(root algebra.Op) (Node, bool) {
 	n, ok := pl.blocks[root]
 	return n, ok
@@ -281,7 +292,9 @@ func (p *Planner) Lower(op algebra.Op) (Node, error) {
 		return n, nil
 	}
 	if p.memo == nil {
-		p.memo = make(map[algebra.Op]lowered, algebra.Size(op))
+		p.size = algebra.Size(op)
+		p.memo = make(map[algebra.Op]lowered, p.size)
+		p.slab = make([]Bound, 0, algebra.ExprSize(op)+4)
 	}
 	p.markShared(op)
 	return p.whole(op)
@@ -339,7 +352,7 @@ func (p *Planner) lowerFor(op algebra.Op, need colSet, order *storage.Schema) (N
 	if err := p.lowerBlocks(op); err != nil {
 		return nil, err
 	}
-	return n, nil
+	return n, p.bind(n)
 }
 
 // number gives a freshly lowered node its columnar programs, where the
@@ -360,16 +373,37 @@ func (p *Planner) number(n Node) {
 // lowerBlocks pre-lowers the nested query blocks referenced by op's
 // expressions (scalar/quantified subqueries and their arguments).
 func (p *Planner) lowerBlocks(op algebra.Op) error {
-	for _, sub := range algebra.NestedPlans(op) {
-		b, err := p.whole(sub)
-		if err != nil {
-			return err
+	var exprs [4]algebra.Expr
+	var blocks [4]*algebra.Block
+	for _, e := range algebra.AppendExprs(exprs[:0], op) {
+		for _, blk := range algebra.AppendBlocks(blocks[:0], e) {
+			if err := p.lowerBlock(blk); err != nil {
+				return err
+			}
 		}
-		if p.blocks == nil {
-			p.blocks = make(map[algebra.Op]Node)
-		}
-		p.blocks[sub] = b
 	}
+	return nil
+}
+
+// lowerBlock lowers a nested query block whole, its nodes bound to read
+// their correlated columns from its parameter frame (see bind.go).
+func (p *Planner) lowerBlock(blk *algebra.Block) error {
+	for _, name := range blk.Free() {
+		if !slices.Contains(p.free, name) {
+			p.free = append(p.free, name)
+		}
+	}
+	outer := p.params
+	p.params = blk.Free()
+	b, err := p.whole(blk.Plan)
+	p.params = outer
+	if err != nil {
+		return err
+	}
+	if p.blocks == nil {
+		p.blocks = make(map[algebra.Op]Node)
+	}
+	p.blocks[blk.Plan] = b
 	return nil
 }
 
@@ -398,7 +432,7 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 		if child.Schema().Equal(b.sch) {
 			return child, nil
 		}
-		cols, err := child.Schema().Projection(attrs)
+		cols, err := p.projection(child.Schema(), attrs)
 		if err != nil {
 			return nil, err
 		}
@@ -418,7 +452,7 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 			return nil, err
 		}
 		m := &Map{base: b, Child: child, Attr: x.Attr, Expr: x.Expr}
-		m.Emit, err = m.emit(x, child.Schema(), nil, 1, need, order)
+		m.Emit, err = p.emit(&m.base, x, child.Schema(), nil, 1, need, order)
 		return m, err
 
 	case *algebra.CrossProduct, *algebra.Join, *algebra.SemiJoin, *algebra.AntiJoin:
@@ -436,7 +470,7 @@ func (p *Planner) lower(op algebra.Op, need colSet, order *storage.Schema) (Node
 		if err != nil {
 			return nil, err
 		}
-		keyCols, err := child.Schema().Projection(x.Attrs)
+		keyCols, err := p.projection(child.Schema(), x.Attrs)
 		if err != nil {
 			return nil, err
 		}
@@ -589,8 +623,11 @@ func (p *Planner) lowerCascade(b base, u *algebra.UnionDisjoint, order *storage.
 		if err != nil || n.Schema().Equal(order) {
 			return n, err
 		}
-		cols, err := n.Schema().Projection(order.Attrs())
+		cols, err := p.projection(n.Schema(), order.Attrs())
 		p.number(n) // a Filter: the σ did not fuse
+		if err == nil {
+			err = p.bind(n)
+		}
 		b.sch = order
 		return &Project{base: b, Child: n, Cols: cols}, err
 	}
@@ -665,12 +702,12 @@ func (p *Planner) lowerJoin(b base, w algebra.Op, need colSet, order *storage.Sc
 	j.L, j.R = l, r
 	if passes {
 		j.sch = l.Schema()
-	} else if j.Emit, err = j.emit(w, l.Schema(), r.Schema(), 0, need, order); err != nil {
+	} else if j.Emit, err = p.emit(&j.base, w, l.Schema(), r.Schema(), 0, need, order); err != nil {
 		return nil, err
 	}
 	j.PassLeft = passesLeft(j.Emit, l.Schema())
-	if lc, rc, residual := algebra.EquiKeys(j.Pred, l.Schema(), r.Schema()); len(lc) > 0 {
-		j.LCols, j.RCols, j.Pred = lc, rc, andOrNil(residual)
+	if lc, rc, residual := p.equiKeys(j.Pred, l.Schema(), r.Schema()); len(lc) > 0 {
+		j.LCols, j.RCols, j.Pred = lc, rc, residual
 	}
 	return j, nil
 }
@@ -711,13 +748,13 @@ func (p *Planner) lowerBinaryGroup(b base, w algebra.Op, keep algebra.Expr, in, 
 	if x, ok := w.(*algebra.BinaryGroup); ok && tag != nil && rop == x.R && !r.Schema().Has(x.Tag) {
 		return nil, fmt.Errorf("physical: tag %q not in %s", x.Tag, x.R.Schema())
 	}
-	emit, err := b.emit(w, l.Schema(), nil, len(aggs), need, order)
+	emit, err := p.emit(&b, w, l.Schema(), nil, len(aggs), need, order)
 	if err != nil {
 		return nil, err
 	}
 	g := Grouping{R: r, Pred: pred, Tag: tag, Aggs: aggs}
-	lc, rc, residual := algebra.EquiKeys(pred, l.Schema(), r.Schema())
-	switch hashed := len(lc) > 0 && len(residual) == 0; {
+	lc, rc, residual := p.equiKeys(pred, l.Schema(), r.Schema())
+	switch hashed := len(lc) > 0 && residual == nil; {
 	case eq1 != nil:
 		// Every grouping attribute, and nothing else of e2, is equated.
 		for _, a := range eq1.Attrs {
@@ -740,7 +777,10 @@ func (p *Planner) lowerBinaryGroup(b base, w algebra.Op, keep algebra.Expr, in, 
 		}
 		g.LCols, g.RCols, g.Groups = lc, rc, p.est.Groups(rop, p.names)
 	case tag == nil:
-		g.LCols, g.RCols, g.Theta = sortable(pred, aggs, l.Schema(), r.Schema())
+		if lc, rc, op, ok := sortable(pred, aggs, l.Schema(), r.Schema()); ok {
+			g.LCols, g.RCols, g.Theta = p.newCols(1), p.newCols(1), op
+			g.LCols[0], g.RCols[0] = lc, rc
+		}
 	}
 	bg := &BinaryGroup{base: b, L: l, Keep: keep, Emit: emit}
 	if lower := p.absorbable(lop, l, &g); lower != nil {
@@ -868,7 +908,7 @@ func (p *Planner) decide(bg *BinaryGroup, w algebra.Op) {
 	// A disjunction of a Γ² that emits no result is split.
 	if _, or := rest.(*algebra.OrExpr); or && bg.Emit != nil && (len(bg.Emit) == 0 || slices.Max(bg.Emit) < bg.L.Schema().Len()) {
 		if byp, r := p.splitLeft(rest, bg.L.Schema()); byp != nil && r != nil {
-			if pr, err := vec.CompilePred(p.est.Order(byp, bg.L.Logical()), bg.L.Schema()); err == nil {
+			if pr, err := vec.CompilePred(p.est.Order(byp, bg.L.Logical()), Columns(bg.L.Schema())); err == nil {
 				bg.Bypass, bg.VecBypass, rest = byp, pr, r
 			}
 		}
@@ -1012,7 +1052,7 @@ func passesLeft(emit []int, l *storage.Schema) bool {
 // as they come: a nil list and w's schema. Otherwise it is the columns
 // of order or, in w's order, those of need, each resolved to its
 // position in l ◦ r.
-func (b *base) emit(w algebra.Op, l, r *storage.Schema, extra int, need colSet, order *storage.Schema) ([]int, error) {
+func (p *Planner) emit(b *base, w algebra.Op, l, r *storage.Schema, extra int, need colSet, order *storage.Schema) ([]int, error) {
 	logical := w.Schema()
 	switch {
 	case order != nil:
@@ -1026,7 +1066,7 @@ func (b *base) emit(w algebra.Op, l, r *storage.Schema, extra int, need colSet, 
 	if r != nil {
 		in += r.Len()
 	}
-	emit := make([]int, b.sch.Len())
+	emit := p.newCols(b.sch.Len())
 	identity := len(emit) == in
 	for i, a := range b.sch.Attrs() {
 		c := l.Index(a)
@@ -1050,42 +1090,58 @@ func (b *base) emit(w algebra.Op, l, r *storage.Schema, extra int, need colSet, 
 	return emit, nil
 }
 
-func andOrNil(conjuncts []algebra.Expr) algebra.Expr {
-	if len(conjuncts) == 0 {
-		return nil
+// equiKeys is algebra.EquiKeys with the key columns cut from the plan's
+// slab and the residual conjuncts as one conjunction, nil for none.
+func (p *Planner) equiKeys(pred algebra.Expr, ls, rs *storage.Schema) (lcols, rcols []int, residual algebra.Expr) {
+	var lbuf, rbuf [8]int
+	var rest [8]algebra.Expr
+	lc, rc, res := algebra.AppendEquiKeys(lbuf[:0], rbuf[:0], rest[:0], pred, ls, rs)
+	if len(lc) > 0 {
+		lcols, rcols = p.newCols(len(lc)), p.newCols(len(rc))
+		copy(lcols, lc)
+		copy(rcols, rc)
 	}
-	return algebra.And(conjuncts...)
+	if len(res) > 0 {
+		residual = algebra.And(res...)
+	}
+	return lcols, rcols, residual
+}
+
+// projection is sch.Projection of names, cut from the plan's slab.
+func (p *Planner) projection(sch *storage.Schema, names []string) ([]int, error) {
+	cols := p.newCols(len(names))
+	return cols, sch.Projection(cols, names)
 }
 
 // sortable returns the key columns and comparison of a binary grouping
 // on pred over aggs that can run sort-based — a single column-vs-column
 // inequality between the inputs l and r, and no DISTINCT or AVG
-// aggregate — oriented as l θ r; nil keys otherwise.
-func sortable(pred algebra.Expr, aggs []algebra.AggItem, l, r *storage.Schema) (lcols, rcols []int, op types.CompareOp) {
+// aggregate — oriented as l θ r; false otherwise.
+func sortable(pred algebra.Expr, aggs []algebra.AggItem, l, r *storage.Schema) (lcol, rcol int, op types.CompareOp, ok bool) {
 	cmp, ok := pred.(*algebra.CmpExpr)
 	if !ok {
-		return nil, nil, types.EQ
+		return 0, 0, types.EQ, false
 	}
 	switch cmp.Op {
 	case types.LT, types.LE, types.GT, types.GE:
 	default:
-		return nil, nil, types.EQ
+		return 0, 0, types.EQ, false
 	}
 	a, aok := cmp.L.(*algebra.ColRef)
 	c, cok := cmp.R.(*algebra.ColRef)
 	if !aok || !cok {
-		return nil, nil, types.EQ
+		return 0, 0, types.EQ, false
 	}
 	op = cmp.Op
 	if !l.Has(a.Name) || !r.Has(c.Name) {
 		if a, c, op = c, a, op.Flip(); !l.Has(a.Name) || !r.Has(c.Name) {
-			return nil, nil, types.EQ
+			return 0, 0, types.EQ, false
 		}
 	}
 	for _, item := range aggs {
 		if item.Spec.Distinct || item.Spec.Kind == agg.Avg {
-			return nil, nil, types.EQ
+			return 0, 0, types.EQ, false
 		}
 	}
-	return []int{l.Index(a.Name)}, []int{r.Index(c.Name)}, op
+	return l.Index(a.Name), r.Index(c.Name), op, true
 }

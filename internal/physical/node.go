@@ -94,6 +94,9 @@ type Filter struct {
 	// operands cost-ordered), set by the planner when the predicate
 	// compiles; nil means Pred is interpreted per row.
 	VecPred *vec.Pred
+	// Bound is Pred bound to the input row (see bind.go): what the row
+	// path interprets.
+	Bound *Bound
 }
 
 // Children implements Node.
@@ -138,6 +141,7 @@ type Map struct {
 	// VecExpr is the compiled columnar program for Expr; nil means Expr
 	// is interpreted per row.
 	VecExpr *vec.Scalar
+	Bound   *Bound // Expr bound to the input row
 	Emit    []int
 }
 
@@ -189,6 +193,7 @@ type Join struct {
 	LCols    []int
 	RCols    []int
 	Pred     algebra.Expr
+	Bound    *Bound // Pred bound to the pair l ◦ r (nil for none)
 	Emit     []int
 	PassLeft bool
 }
@@ -225,6 +230,7 @@ type Group struct {
 	KeyCols []int
 	Attrs   []string
 	Aggs    []algebra.AggItem
+	Args    []AggArg // Aggs' arguments bound to the input row
 	Global  bool
 }
 
@@ -272,6 +278,7 @@ type BinaryGroup struct {
 	L         Node
 	Groupings []Grouping
 	Keep      algebra.Expr
+	KeepBound *Bound // Keep bound to the pair left row ◦ results
 	Bypass    algebra.Expr
 	VecBypass *vec.Pred
 	Rest      []Disjunct
@@ -301,17 +308,22 @@ type BinaryGroup struct {
 // rest are matched. Tag is the χ's own predicate p when the planner
 // fused the χ[tag:p] below into the Γ² (see Planner), else the tag
 // column, and nil for an untagged Γ²; VecTag is its compiled columnar
-// program (nil: Tag is interpreted per row).
+// program (nil: Tag is interpreted per row). PredBound, TagBound and
+// Args are Pred bound to the pair left row ◦ right row, and Tag and
+// Aggs' arguments to the right row (see bind.go).
 type Grouping struct {
-	R      Node
-	Pred   algebra.Expr
-	Tag    algebra.Expr
-	VecTag *vec.Pred
-	LCols  []int
-	RCols  []int
-	Theta  types.CompareOp
-	Groups float64
-	Aggs   []algebra.AggItem
+	R         Node
+	Pred      algebra.Expr
+	Tag       algebra.Expr
+	VecTag    *vec.Pred
+	LCols     []int
+	RCols     []int
+	Theta     types.CompareOp
+	Groups    float64
+	Aggs      []algebra.AggItem
+	PredBound *Bound
+	TagBound  *Bound
+	Args      []AggArg
 }
 
 // writesAny reports whether one of names is a result of g.
@@ -329,6 +341,7 @@ func (g *Grouping) writesAny(names []string) bool {
 // j for Groupings[j].
 type Disjunct struct {
 	Pred  algebra.Expr
+	Bound *Bound // Pred's binding, within the node's KeepBound
 	Reads uint64
 }
 

@@ -56,17 +56,17 @@ import (
 func (p *Planner) vectorize(n Node) {
 	switch x := n.(type) {
 	case *Filter:
-		if pr, err := vec.CompilePred(p.est.Order(x.Pred, x.Child.Logical()), x.Child.Schema()); err == nil {
+		if pr, err := vec.CompilePred(p.est.Order(x.Pred, x.Child.Logical()), Columns(x.Child.Schema())); err == nil {
 			x.VecPred = pr
 		}
 	case *Map:
-		if sc, err := vec.CompileScalar(x.Expr, x.Child.Schema()); err == nil {
+		if sc, err := vec.CompileScalar(x.Expr, Columns(x.Child.Schema())); err == nil {
 			x.VecExpr = sc
 		}
 	case *BinaryGroup:
 		for i := range x.Groupings {
 			if g := &x.Groupings[i]; g.Tag != nil && g.VecTag == nil {
-				if pr, err := vec.CompilePred(p.est.Order(g.Tag, g.R.Logical()), g.R.Schema()); err == nil {
+				if pr, err := vec.CompilePred(p.est.Order(g.Tag, g.R.Logical()), Columns(g.R.Schema())); err == nil {
 					g.VecTag = pr
 				}
 			}

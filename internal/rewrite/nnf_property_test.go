@@ -8,6 +8,7 @@ import (
 	"disqo/internal/algebra"
 	"disqo/internal/catalog"
 	"disqo/internal/exec"
+	"disqo/internal/physical"
 	"disqo/internal/stats"
 	"disqo/internal/storage"
 	"disqo/internal/translate"
@@ -63,14 +64,15 @@ func TestNNFPreservesThreeValuedSemantics(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		pred := gen(4)
 		nnf := normalizeNNF(pred)
+		bp, bn := bindOver(t, ex, pred, schema), bindOver(t, ex, nnf, schema)
 		for tup := 0; tup < 8; tup++ {
 			row := []types.Value{randVal(), randVal(), randVal()}
-			env := exec.Bind(nil, schema, row)
-			a, err := ex.EvalPred(pred, env)
+			env := exec.NewFrame(row)
+			a, err := ex.EvalPred(bp, env)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := ex.EvalPred(nnf, env)
+			b, err := ex.EvalPred(bn, env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +136,7 @@ func TestTwoValuedTranslationIsExact(t *testing.T) {
 		case *algebra.NotExpr:
 			return !twoValued(x.E, env)
 		}
-		leaf, err := ex.EvalPred(e, env)
+		leaf, err := ex.EvalPred(bindOver(t, ex, e, schema), env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,11 +168,12 @@ func TestTwoValuedTranslationIsExact(t *testing.T) {
 			t.Fatalf("translating %s twice: %v, %v", filter.Label(), again, err)
 		}
 		inFilter, inValue := filter.(*algebra.Select).Pred, mapped.(*algebra.MapOp).Expr
+		bf, bv := bindOver(t, ex, inFilter, schema), bindOver(t, ex, inValue, schema)
 		for tup := 0; tup < 8; tup++ {
 			row := randRow()
-			env := exec.Bind(nil, schema, row)
+			env := exec.NewFrame(row)
 			want := twoValued(pred, env)
-			got, err := ex.EvalPred(inFilter, env)
+			got, err := ex.EvalPred(bf, env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +184,7 @@ func TestTwoValuedTranslationIsExact(t *testing.T) {
 			if _, bare := pred.(*algebra.ColRef); bare {
 				continue // a column in χ is a value, not a predicate
 			}
-			v, err := ex.EvalExpr(inValue, env)
+			v, err := ex.EvalExpr(bv, env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,18 +214,29 @@ func TestReorderPreservesThreeValuedSemantics(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		pred := algebra.Or(algebra.And(leaf(), leaf()), leaf(), algebra.And(leaf(), algebra.Or(leaf(), leaf())))
 		reordered := est.Order(pred, nil)
+		bp, br := bindOver(t, ex, pred, schema), bindOver(t, ex, reordered, schema)
 		for tup := 0; tup < 6; tup++ {
 			row := []types.Value{types.NewInt(int64(rng.Intn(3))), types.Null()}
 			if rng.Intn(2) == 0 {
 				row[1] = types.NewInt(int64(rng.Intn(3)))
 			}
-			env := exec.Bind(nil, schema, row)
-			a, _ := ex.EvalPred(pred, env)
-			b, _ := ex.EvalPred(reordered, env)
+			env := exec.NewFrame(row)
+			a, _ := ex.EvalPred(bp, env)
+			b, _ := ex.EvalPred(br, env)
 			if a != b {
 				t.Fatalf("reorder changed semantics:\n%s = %v\n%s = %v\nrow %v",
 					pred, a, reordered, b, row)
 			}
 		}
 	}
+}
+
+// bindOver binds e over rows of schema, for evaluation on their frames.
+func bindOver(t *testing.T, ex *exec.Executor, e algebra.Expr, schema *storage.Schema) *physical.Bound {
+	t.Helper()
+	b, err := ex.BindExpr(e, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -104,17 +104,17 @@ func (s *Schema) String() string {
 }
 
 // Projection resolves a list of attribute names into column positions,
-// erroring on any that are missing.
-func (s *Schema) Projection(names []string) ([]int, error) {
-	idx := make([]int, len(names))
+// written to idx, which has room for them; it errors on any that are
+// missing.
+func (s *Schema) Projection(idx []int, names []string) error {
 	for i, n := range names {
 		p := s.Index(n)
 		if p < 0 {
-			return nil, fmt.Errorf("storage: projection: no attribute %q in %s", n, s)
+			return fmt.Errorf("storage: projection: no attribute %q in %s", n, s)
 		}
 		idx[i] = p
 	}
-	return idx, nil
+	return nil
 }
 
 // Relation is a bag of tuples over a schema. Operators materialize their

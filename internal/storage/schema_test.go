@@ -78,11 +78,11 @@ func TestSchemaEqual(t *testing.T) {
 
 func TestSchemaProjection(t *testing.T) {
 	s := NewSchema("a", "b", "c")
-	idx, err := s.Projection([]string{"c", "a"})
-	if err != nil || idx[0] != 2 || idx[1] != 0 {
+	idx := make([]int, 2)
+	if err := s.Projection(idx, []string{"c", "a"}); err != nil || idx[0] != 2 || idx[1] != 0 {
 		t.Errorf("Projection = %v (%v)", idx, err)
 	}
-	if _, err := s.Projection([]string{"zz"}); err == nil {
+	if err := s.Projection(idx[:1], []string{"zz"}); err == nil {
 		t.Error("missing attribute must error")
 	}
 }

@@ -22,7 +22,8 @@ package vec
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"disqo/internal/algebra"
 	"disqo/internal/storage"
@@ -44,11 +45,22 @@ type Scalar struct {
 	src  algebra.Expr
 }
 
-// CompilePred compiles e as a predicate against schema s. Every column
-// reference must resolve in s — an unresolved name (an outer
-// correlation at runtime) is a compile error, not a runtime fallback.
-func CompilePred(e algebra.Expr, s *storage.Schema) (*Pred, error) {
-	c := &compiler{schema: s, cols: map[int]bool{}}
+// Columns resolves the column references of an expression to positions
+// in the rows a program runs over. The physical planner's binder is the
+// one implementation, so a compiled program and the row interpreter read
+// every column where the same resolution put it.
+type Columns interface {
+	// Column returns the position of the named column in the rows, false
+	// when it is not one of theirs (an outer correlation).
+	Column(name string) (int, bool)
+}
+
+// CompilePred compiles e as a predicate over rows whose columns cols
+// resolves. Every column reference must resolve there — an unresolved
+// name (an outer correlation at runtime) is a compile error, not a
+// runtime fallback.
+func CompilePred(e algebra.Expr, cols Columns) (*Pred, error) {
+	c := compiler{resolve: cols}
 	root, err := c.pred(e)
 	if err != nil {
 		return nil, err
@@ -56,9 +68,10 @@ func CompilePred(e algebra.Expr, s *storage.Schema) (*Pred, error) {
 	return &Pred{root: root, cols: c.sorted(), src: e}, nil
 }
 
-// CompileScalar compiles e as a scalar expression against schema s.
-func CompileScalar(e algebra.Expr, s *storage.Schema) (*Scalar, error) {
-	c := &compiler{schema: s, cols: map[int]bool{}}
+// CompileScalar compiles e as a scalar expression over rows whose
+// columns cols resolves.
+func CompileScalar(e algebra.Expr, cols Columns) (*Scalar, error) {
+	c := compiler{resolve: cols}
 	root, err := c.scalar(e)
 	if err != nil {
 		return nil, err
@@ -103,20 +116,23 @@ func (s *Scalar) Eval(b *storage.Batch, lo, hi int) (res []types.Value, cmps int
 	return res, ctx.cmps, nil
 }
 
-// compiler resolves column references and records which columns the
-// program touches.
+// compiler records which columns the program touches: bit i of low for
+// column i below 64, the others in high.
 type compiler struct {
-	schema *storage.Schema
-	cols   map[int]bool
+	resolve Columns
+	low     uint64
+	high    []int
 }
 
+// sorted returns the columns the program reads, once each, in order.
 func (c *compiler) sorted() []int {
-	out := make([]int, 0, len(c.cols))
-	for i := range c.cols {
-		out = append(out, i)
+	slices.Sort(c.high)
+	high := slices.Compact(c.high)
+	out := make([]int, 0, bits.OnesCount64(c.low)+len(high))
+	for low := c.low; low != 0; low &= low - 1 {
+		out = append(out, bits.TrailingZeros64(low))
 	}
-	sort.Ints(out)
-	return out
+	return append(out, high...)
 }
 
 func (c *compiler) pred(e algebra.Expr) (pnode, error) {
@@ -199,11 +215,15 @@ func (c *compiler) preds(es []algebra.Expr) ([]pnode, error) {
 func (c *compiler) scalar(e algebra.Expr) (snode, error) {
 	switch x := e.(type) {
 	case *algebra.ColRef:
-		idx := c.schema.Index(x.Name)
-		if idx < 0 {
+		idx, ok := c.resolve.Column(x.Name)
+		if !ok {
 			return nil, fmt.Errorf("vec: column %q not in input schema", x.Name)
 		}
-		c.cols[idx] = true
+		if idx < 64 {
+			c.low |= 1 << uint(idx)
+		} else {
+			c.high = append(c.high, idx)
+		}
 		return &scol{idx: idx}, nil
 	case *algebra.ConstExpr:
 		return &sconst{v: x.Val}, nil

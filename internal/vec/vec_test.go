@@ -11,6 +11,7 @@ import (
 
 	"disqo/internal/agg"
 	"disqo/internal/algebra"
+	"disqo/internal/physical"
 	"disqo/internal/storage"
 	"disqo/internal/types"
 	"disqo/internal/vec"
@@ -118,7 +119,7 @@ func TestPredParity(t *testing.T) {
 	sch, b := testRel()
 	rel := b.Relation()
 	for _, e := range parityPreds() {
-		p, err := vec.CompilePred(e, sch)
+		p, err := vec.CompilePred(e, physical.Columns(sch))
 		if err != nil {
 			t.Fatalf("%s: did not compile: %v", e, err)
 		}
@@ -145,7 +146,7 @@ func TestScalarParity(t *testing.T) {
 		algebra.Arith(types.Sub, algebra.Col("b"), algebra.ConstInt(1)),
 	}
 	for _, e := range exprs {
-		s, err := vec.CompileScalar(e, sch)
+		s, err := vec.CompileScalar(e, physical.Columns(sch))
 		if err != nil {
 			t.Fatalf("%s: did not compile: %v", e, err)
 		}
@@ -177,7 +178,7 @@ func TestCompileRejects(t *testing.T) {
 			algebra.Cmp(types.EQ, algebra.Col("outer.x"), algebra.ConstInt(1))),
 	}
 	for _, e := range cases {
-		if _, err := vec.CompilePred(e, sch); err == nil {
+		if _, err := vec.CompilePred(e, physical.Columns(sch)); err == nil {
 			t.Errorf("%s: compiled but must stay on the row path", e)
 		}
 	}
@@ -197,7 +198,7 @@ func TestComparisonCounting(t *testing.T) {
 	// the remaining 4 rows: 8 + 4 comparisons.
 	p, err := vec.CompilePred(algebra.Or(
 		algebra.Cmp(types.LT, algebra.Col("a"), algebra.ConstInt(5)),
-		algebra.Cmp(types.GT, algebra.Col("a"), algebra.ConstInt(6))), sch)
+		algebra.Cmp(types.GT, algebra.Col("a"), algebra.ConstInt(6))), physical.Columns(sch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestEvalSubrange(t *testing.T) {
 	sch, b := testRel()
 	rel := b.Relation()
 	e := algebra.Cmp(types.GT, algebra.Col("a"), algebra.ConstInt(2))
-	p, err := vec.CompilePred(e, sch)
+	p, err := vec.CompilePred(e, physical.Columns(sch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestLikeParity(t *testing.T) {
 	}
 	preds = append(preds, algebra.Like(algebra.Col("s"), algebra.Col("m")), algebra.Not(algebra.Like(algebra.Col("s"), algebra.Const(str("a%")))))
 	for _, e := range preds {
-		p, err := vec.CompilePred(e, sch)
+		p, err := vec.CompilePred(e, physical.Columns(sch))
 		if err != nil {
 			t.Fatalf("%s: did not compile: %v", e, err)
 		}

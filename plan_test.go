@@ -3,6 +3,7 @@ package disqo_test
 import (
 	"testing"
 
+	"disqo"
 	"disqo/internal/algebra"
 	"disqo/internal/catalog"
 	"disqo/internal/datagen"
@@ -63,6 +64,44 @@ func BenchmarkPlanFig7(b *testing.B) {
 			if err := planStaged(snap, f.sql); err != nil {
 				b.Fatalf("%s: %v", f.name, err)
 			}
+		}
+	}
+}
+
+// TestCanonicalExecAllocs holds canonical execution — Fig. 7(a)'s Q1
+// and the linear Q4 run as the nested-loop plans every speedup divides
+// by — to its allocation budget: the reading when column references came
+// to be bound once and frames pushed per morsel and per block
+// evaluation, not per row, and a tenth more. A frame allocated per inner
+// row would multiply it.
+func TestCanonicalExecAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	for _, c := range []struct {
+		name, sql string
+		sfS       float64 // s and t's scale; Q4's canonical plan is cubic
+		budget    float64
+	}{
+		{"q1_link", harness.Q1, 0.05, 8110},
+		{"q4_linear", harness.Q4, 0.01, 442500},
+	} {
+		db, err := disqo.Open(disqo.WithoutCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if err := db.LoadRST(0.05, c.sfS, c.sfS); err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(2, func() {
+			if _, err := db.Query(c.sql, disqo.WithStrategy(disqo.Canonical), disqo.WithWorkers(1)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s canonical: %.0f objects", c.name, got)
+		if got > c.budget {
+			t.Errorf("%s: canonical execution allocates %.0f objects, budget %.0f", c.name, got, c.budget)
 		}
 	}
 }

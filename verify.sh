@@ -94,6 +94,11 @@ test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -pa
 # Γ folds each group once, in input order, in key partitions: no forced
 # per-morsel chunking and no merge of per-morsel accumulators comes back.
 test -z "$(grep -nE 'forceChunks|Merge\(' $(ls internal/exec/*.go internal/agg/*.go | grep -v _test.go))"
+# A column reference is a slot: the planner's binder resolves every name
+# once (internal/physical/bind.go), so neither the interpreter nor the
+# compiled programs look a name up in a schema, and Env has no Lookup.
+test -z "$(grep -n '\.Index(' $(ls internal/exec/*.go internal/vec/*.go | grep -v _test.go))"
+test -z "$(grep -nE 'func \([a-z]* ?\*Env\) Lookup\(' $(ls internal/exec/*.go | grep -v _test.go))"
 # Eqv. 1's ⟕ over Γ runs as one hashed binary grouping, and the linking
 # selection of an unnested plan runs inside it: Fig. 7's Q1 shows a
 # HashBinaryGroup carrying the predicate, no outer join and no Filter.

@@ -7,11 +7,11 @@ import (
 	"math"
 	"strings"
 
-	"disqo/internal/algebra"
 	"disqo/internal/cache"
 	"disqo/internal/catalog"
 	"disqo/internal/datagen"
 	"disqo/internal/exec"
+	"disqo/internal/physical"
 	"disqo/internal/sqlparser"
 	"disqo/internal/translate"
 	"disqo/internal/types"
@@ -422,10 +422,12 @@ func (db *DB) applyDelete(x *sqlparser.DeleteStmt) (int, []string, error) {
 }
 
 // applyUpdate rewrites the rows satisfying the predicate, evaluating SET
-// expressions against the pre-update row (standard SQL semantics). The
-// new row set is computed in full against the stable pre-image before
-// the single atomic commit, so concurrent snapshot readers see either
-// every change or none.
+// expressions against the pre-update row (standard SQL semantics). Each
+// is bound once, with the blocks nested in it, over the table's rows and
+// evaluated on one frame moved from row to row. The new row set is
+// computed in full against the stable pre-image before the single
+// atomic commit, so concurrent snapshot readers see either every change
+// or none.
 func (db *DB) applyUpdate(x *sqlparser.UpdateStmt) (int, []string, error) {
 	snap := db.cat.Snapshot()
 	tbl, err := snap.Lookup(x.Table)
@@ -434,8 +436,10 @@ func (db *DB) applyUpdate(x *sqlparser.UpdateStmt) (int, []string, error) {
 	}
 	// Resolve SET targets and translate value expressions in the table's
 	// scope (subqueries allowed; they evaluate canonically per row).
+	ex := exec.New(snap, db.execOptions(db.newQueryConfig()))
+	defer ex.Close()
 	colIdx := make([]int, len(x.Sets))
-	valExprs := make([]algebra.Expr, len(x.Sets))
+	valExprs := make([]*physical.Bound, len(x.Sets))
 	for i, a := range x.Sets {
 		idx := -1
 		for j, c := range tbl.Columns {
@@ -452,7 +456,9 @@ func (db *DB) applyUpdate(x *sqlparser.UpdateStmt) (int, []string, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		valExprs[i] = ve
+		if valExprs[i], err = ex.BindExpr(ve, tbl.Rel.Schema); err != nil {
+			return 0, nil, err
+		}
 	}
 
 	var matching *types.RowIndex
@@ -462,16 +468,15 @@ func (db *DB) applyUpdate(x *sqlparser.UpdateStmt) (int, []string, error) {
 			return 0, nil, err
 		}
 	}
-	ex := exec.New(snap, db.execOptions(db.newQueryConfig()))
-	defer ex.Close()
 	updated := 0
 	newRows := make([][]Value, len(tbl.Rel.Tuples))
+	env := exec.NewFrame(nil)
 	for i, row := range tbl.Rel.Tuples {
 		if x.Where != nil && matching.First(row, nil) < 0 {
 			newRows[i] = row
 			continue
 		}
-		env := exec.Bind(nil, tbl.Rel.Schema, row)
+		env.Set(row)
 		next := append([]Value(nil), row...)
 		for k, ve := range valExprs {
 			v, err := ex.EvalExpr(ve, env)

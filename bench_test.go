@@ -6,6 +6,7 @@ import (
 
 	"disqo"
 	"disqo/internal/harness"
+	"disqo/internal/strategy"
 )
 
 // Benchmarks: one family per evaluation artifact of the paper.
@@ -79,9 +80,9 @@ func benchQuery(b *testing.B, db *disqo.DB, sql string, s disqo.Strategy) {
 
 const fig7aSF = 0.05 // 500 rows per relation
 
-func BenchmarkFig7a_S1(b *testing.B) { benchQuery(b, rstDB(b, fig7aSF), harness.Q1, disqo.S1) }
-func BenchmarkFig7a_S2(b *testing.B) { benchQuery(b, rstDB(b, fig7aSF), harness.Q1, disqo.S2) }
-func BenchmarkFig7a_S3(b *testing.B) { benchQuery(b, rstDB(b, fig7aSF), harness.Q1, disqo.S3) }
+func BenchmarkFig7a_S1(b *testing.B) { benchQuery(b, rstDB(b, fig7aSF), harness.Q1, strategy.S1) }
+func BenchmarkFig7a_S2(b *testing.B) { benchQuery(b, rstDB(b, fig7aSF), harness.Q1, strategy.S2) }
+func BenchmarkFig7a_S3(b *testing.B) { benchQuery(b, rstDB(b, fig7aSF), harness.Q1, strategy.S3) }
 func BenchmarkFig7a_Canonical(b *testing.B) {
 	benchQuery(b, rstDB(b, fig7aSF), harness.Q1, disqo.Canonical)
 }
@@ -93,9 +94,9 @@ func BenchmarkFig7a_Unnested(b *testing.B) {
 
 const fig7bSF = 0.01
 
-func BenchmarkFig7b_S1(b *testing.B) { benchQuery(b, tpchDB(b, fig7bSF), harness.Query2d, disqo.S1) }
-func BenchmarkFig7b_S2(b *testing.B) { benchQuery(b, tpchDB(b, fig7bSF), harness.Query2d, disqo.S2) }
-func BenchmarkFig7b_S3(b *testing.B) { benchQuery(b, tpchDB(b, fig7bSF), harness.Query2d, disqo.S3) }
+func BenchmarkFig7b_S1(b *testing.B) { benchQuery(b, tpchDB(b, fig7bSF), harness.Query2d, strategy.S1) }
+func BenchmarkFig7b_S2(b *testing.B) { benchQuery(b, tpchDB(b, fig7bSF), harness.Query2d, strategy.S2) }
+func BenchmarkFig7b_S3(b *testing.B) { benchQuery(b, tpchDB(b, fig7bSF), harness.Query2d, strategy.S3) }
 func BenchmarkFig7b_Canonical(b *testing.B) {
 	benchQuery(b, tpchDB(b, fig7bSF), harness.Query2d, disqo.Canonical)
 }
@@ -105,9 +106,9 @@ func BenchmarkFig7b_Unnested(b *testing.B) {
 
 // --- Fig. 7(c): Q2 on RST ------------------------------------------------
 
-func BenchmarkFig7c_S1(b *testing.B) { benchQuery(b, rstDB(b, fig7aSF), harness.Q2, disqo.S1) }
-func BenchmarkFig7c_S2(b *testing.B) { benchQuery(b, rstDB(b, fig7aSF), harness.Q2, disqo.S2) }
-func BenchmarkFig7c_S3(b *testing.B) { benchQuery(b, rstDB(b, fig7aSF), harness.Q2, disqo.S3) }
+func BenchmarkFig7c_S1(b *testing.B) { benchQuery(b, rstDB(b, fig7aSF), harness.Q2, strategy.S1) }
+func BenchmarkFig7c_S2(b *testing.B) { benchQuery(b, rstDB(b, fig7aSF), harness.Q2, strategy.S2) }
+func BenchmarkFig7c_S3(b *testing.B) { benchQuery(b, rstDB(b, fig7aSF), harness.Q2, strategy.S3) }
 func BenchmarkFig7c_Canonical(b *testing.B) {
 	benchQuery(b, rstDB(b, fig7aSF), harness.Q2, disqo.Canonical)
 }

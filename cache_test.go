@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"disqo/internal/strategy"
 	"disqo/internal/testutil"
 )
 
@@ -95,7 +96,7 @@ func TestStrategiesDoNotShareResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := db.CacheStats()
-	s1, err := db.Query(chaosQ1, WithStrategy(S1))
+	s1, err := db.Query(chaosQ1, WithStrategy(strategy.S1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,7 @@ import (
 
 	"disqo/internal/exec"
 	"disqo/internal/faultinject"
+	"disqo/internal/strategy"
 	"disqo/internal/testutil"
 	"disqo/internal/types"
 )
@@ -109,7 +110,7 @@ var chaosPlans = []struct {
 	highA4   bool
 }{
 	{"fig2a-q1-canonical", chaosQ1, Canonical, false},
-	{"fig2b-q1-s2", chaosQ1, S2, false},
+	{"fig2b-q1-s2", chaosQ1, strategy.S2, false},
 	{"fig2c-q1-unnested", chaosQ1, Unnested, false},
 	{"fig2d-q1-unnested-flipped", chaosQ1, Unnested, true},
 	{"fig3a-q2-canonical", chaosQ2, Canonical, false},

@@ -126,8 +126,8 @@ func TestSettingsAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []map[string]string{
-		{"strategy": "s1", "bogus": "x"},
-		{"strategy": "s1", "nulls": "4vl"},
+		{"strategy": "canonical", "bogus": "x"},
+		{"strategy": "canonical", "nulls": "4vl"},
 	} {
 		got, err := base.With(bad)
 		if err == nil || got.String() != "canonical,3vl" {

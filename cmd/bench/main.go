@@ -37,6 +37,7 @@ import (
 
 	"disqo"
 	"disqo/internal/harness"
+	"disqo/internal/strategy"
 )
 
 func main() {
@@ -45,7 +46,7 @@ func main() {
 		scale      = flag.Float64("scale", 0.1, "multiplier applied to the paper's RST scale factors (1 = the paper's 10k/50k/100k rows)")
 		tpchSFs    = flag.String("tpch", "0.01,0.02,0.05", "TPC-H scale factors for fig7b")
 		timeout    = flag.Duration("timeout", 60*time.Second, "per-cell timeout (cells over it print n/a)")
-		strategies = flag.String("strategies", "", "comma-separated strategies (default: all of s1,s2,s3,canonical,unnested)")
+		strategies = flag.String("strategies", "", "comma-separated strategies (default: all of "+strings.Join(strategy.Systems(), ",")+")")
 		repeat     = flag.Int("repeat", 1, "runs per cell; the fastest is kept")
 		workers    = flag.String("workers", "", "morsel-parallel worker counts: one value applies to every experiment, a comma list drives the 'workers' sweep (default: GOMAXPROCS)")
 		quiet      = flag.Bool("q", false, "suppress progress output")
@@ -112,10 +113,8 @@ func main() {
 		}
 		cfg.TPCHSFs = append(cfg.TPCHSFs, sf)
 	}
-	if *strategies != "" {
-		for _, s := range splitList(*strategies) {
-			cfg.Strategies = append(cfg.Strategies, disqo.Strategy(s))
-		}
+	for _, s := range splitList(*strategies) {
+		cfg.Strategies = append(cfg.Strategies, disqo.Strategy(s))
 	}
 	progress := func(msg string) {
 		if !*quiet {

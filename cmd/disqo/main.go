@@ -20,7 +20,8 @@
 //	\wal                          show write-ahead log counters (-data)
 //	\top [n]                      top statements by total wall time
 //	\slow                         dump the slow-query ring
-//	\set strategy s2              switch a setting: strategy, nulls (2vl or 3vl)
+//	\set strategy canonical       switch a setting: strategy (canonical, unnested
+//	                              or costbased), nulls (2vl or 3vl)
 //	\set                          list the settings, their values and defaults
 //	\tables                       list tables
 //	\q                            quit

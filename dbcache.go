@@ -252,8 +252,8 @@ func (db *DB) cacheReport(src telemetry.Source) *CacheReport {
 }
 
 // resultKey derives the result-cache key for this execution: the
-// physical-plan fingerprint, the strategy and execution path (S1 and
-// Canonical share a plan but count work differently; the two paths
+// physical-plan fingerprint, the strategy and execution path (strategies
+// sharing a plan may memoize, so count work, differently; the two paths
 // produce byte-identical rows but path-dependent Stats, which the
 // entry stores), and the pinned version of every referenced table as a
 // "name@version;" concatenation. ok=false means a table cannot be

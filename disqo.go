@@ -15,14 +15,10 @@
 //	    WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2)
 //	       OR a4 > 1500`)
 //
-// Query strategies (see DESIGN.md §4 for how the baselines model the
-// paper's anonymized commercial systems):
+// Query strategies:
 //
 //	Unnested   — the paper's full strategy (Equivalences 1–5, default)
 //	Canonical  — nested-loop evaluation of the canonical plan
-//	S1         — canonical without any caching (slowest baseline)
-//	S2         — OR-expansion + conjunctive unnesting only
-//	S3         — canonical with cost-ordered predicate short-circuiting
 //	CostBased  — estimate canonical vs. reordered vs. unnested, run the cheapest
 package disqo
 
@@ -45,6 +41,7 @@ import (
 	"disqo/internal/faultinject"
 	"disqo/internal/physical"
 	"disqo/internal/stats"
+	"disqo/internal/strategy"
 	"disqo/internal/telemetry"
 	"disqo/internal/translate"
 	"disqo/internal/types"
@@ -85,43 +82,38 @@ type Strategy string
 // The available strategies.
 const (
 	// Unnested applies the paper's full rewrite set (Eqv. 1–5).
-	Unnested Strategy = "unnested"
-	// Canonical evaluates the canonical nested plan, memoizing
-	// uncorrelated subplans (a buffer-pool-resident inner relation).
-	Canonical Strategy = "canonical"
-	// S1 models the weakest commercial baseline: canonical evaluation
-	// with no caching at all.
-	S1 Strategy = "s1"
-	// S2 models a system with OR-expansion and conjunctive unnesting but
-	// no disjunctive unnesting.
-	S2 Strategy = "s2"
-	// S3 models a system that orders predicate operands for
-	// short-circuiting (stats.Estimator.Order: the cheap, deciding
-	// disjunct first) but cannot decorrelate.
-	S3 Strategy = "s3"
+	Unnested Strategy = strategy.Unnested
+	// Canonical evaluates the canonical nested plan, memoizing base-table
+	// scans only (a buffer-pool-resident inner relation): every inner
+	// block is re-evaluated per outer tuple.
+	Canonical Strategy = strategy.Canonical
 	// CostBased estimates the cost of the canonical, reordered and
 	// unnested plans and executes the cheapest — the cost-based
 	// application of the equivalences the paper's introduction calls
 	// for ("some unnesting strategies do not always result in better
 	// plans").
-	CostBased Strategy = "costbased"
+	CostBased Strategy = strategy.CostBased
 )
-
-// Strategies lists the paper's five systems in presentation order
-// (CostBased is a separate optimizer mode, not one of the compared
-// systems).
-func Strategies() []Strategy { return []Strategy{S1, S2, S3, Canonical, Unnested} }
 
 // ParseStrategy resolves a strategy by its name. It is the "strategy"
 // setting's parser: flags, \set and wire requests reach it through
 // SettingsTable.
 func ParseStrategy(name string) (Strategy, bool) {
-	for _, s := range append(Strategies(), CostBased) {
-		if string(s) == name {
-			return s, true
-		}
+	if r, err := strategy.Lookup(name); err == nil && !r.Baseline {
+		return Strategy(name), true
 	}
 	return "", false
+}
+
+// strategyNames are the strategy setting's legal values.
+func strategyNames() []string {
+	var out []string
+	for _, r := range strategy.Rows() {
+		if !r.Baseline {
+			out = append(out, r.Name)
+		}
+	}
+	return out
 }
 
 // NullMode selects the logic a query's predicates follow. The default
@@ -164,9 +156,9 @@ type Setting struct {
 }
 
 var settingsTable = []Setting{
-	{Name: "strategy", Values: names(append(Strategies(), CostBased)...), Default: string(Unnested),
+	{Name: "strategy", Values: strategyNames(), Default: string(Unnested),
 		Usage: "evaluation strategy", parse: parser(ParseStrategy, WithStrategy)},
-	{Name: "nulls", Values: names(ThreeValuedNulls, TwoValuedNulls), Default: string(ThreeValuedNulls),
+	{Name: "nulls", Values: []string{string(ThreeValuedNulls), string(TwoValuedNulls)}, Default: string(ThreeValuedNulls),
 		Usage: "null semantics; 2vl makes comparisons with NULL false", parse: parser(ParseNullMode, WithNullMode)},
 }
 
@@ -175,14 +167,6 @@ func parser[T any](parse func(string) (T, bool), with func(T) Option) func(strin
 		x, ok := parse(v)
 		return with(x), ok
 	}
-}
-
-func names[T ~string](vs ...T) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = string(v)
-	}
-	return out
 }
 
 // SettingsTable lists every setting in the order their options apply.
@@ -708,7 +692,9 @@ func WithMorselSize(n int) Option {
 	return func(c *queryConfig) { c.MorselSize = n }
 }
 
-// WithStrategy selects the optimization strategy (default Unnested).
+// WithStrategy selects the optimization strategy (default Unnested). It
+// runs any strategy internal/strategy defines, the figure harness's
+// baselines too; the strategy setting offers only the exported ones.
 func WithStrategy(s Strategy) Option {
 	return func(c *queryConfig) { c.strategy = s }
 }
@@ -856,16 +842,8 @@ func (r *Result) String() string {
 func (db *DB) execOptions(cfg queryConfig) exec.Options {
 	opt := cfg.Options
 	opt.Budget = db.budget
-	switch cfg.strategy {
-	case S1:
-		opt.Cache = exec.CacheNone
-	case Canonical, S3, S2:
-		// Conventional engines keep base-table pages resident (buffer
-		// pool) but rebuild intermediate results per outer tuple.
-		opt.Cache = exec.CacheScans
-	default:
-		opt.Cache = exec.CacheAll
-	}
+	row, _ := strategy.Lookup(string(cfg.strategy))
+	opt.Cache = row.Cache
 	return opt
 }
 
@@ -998,7 +976,7 @@ func (db *DB) Explain(sql string, opts ...Option) (string, error) {
 	fmt.Fprintf(&b, "nesting structure: %s\n\n", translate.ClassifyStructure(st.stmt))
 	b.WriteString("== canonical plan ==\n")
 	b.WriteString(algebra.Explain(canonical))
-	if cfg.strategy != Canonical && cfg.strategy != S1 {
+	if row, _ := strategy.Lookup(string(cfg.strategy)); row.Plan != nil {
 		est := stats.New(snap)
 		b.WriteString("\n== optimized plan ==\n")
 		b.WriteString(algebra.ExplainAnnotated(pp.logical, func(op algebra.Op) string {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"disqo/internal/strategy"
 )
 
 const q1SQL = `SELECT DISTINCT * FROM r
@@ -64,7 +66,8 @@ func TestAllStrategiesAgreeOnQ1AndQ2(t *testing.T) {
 	db := smallDB(t)
 	for _, sql := range []string{q1SQL, q2SQL} {
 		var baseline []string
-		for _, s := range Strategies() {
+		for _, row := range strategy.Rows() {
+			s := Strategy(row.Name)
 			res, err := db.Query(sql, WithStrategy(s))
 			if err != nil {
 				t.Fatalf("%s: %v", s, err)
@@ -126,7 +129,7 @@ func TestS3EvaluatesFewerSubqueriesThanCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, err := db.Query(q1SQL, WithStrategy(S3))
+	s3, err := db.Query(q1SQL, WithStrategy(strategy.S3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +303,7 @@ func TestTimeoutOption(t *testing.T) {
 	if err := db.LoadRST(0.5, 0.5, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	_, err := db.Query(q1SQL, WithStrategy(S1), WithTimeout(time.Millisecond))
+	_, err := db.Query(q1SQL, WithStrategy(strategy.S1), WithTimeout(time.Millisecond))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("expected ErrTimeout, got %v", err)
 	}
@@ -461,15 +464,15 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 	const workers = 8
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
-		go func(strategy Strategy) {
+		go func(s Strategy) {
 			for i := 0; i < 5; i++ {
-				if _, err := db.Query(q1SQL, WithStrategy(strategy)); err != nil {
+				if _, err := db.Query(q1SQL, WithStrategy(s)); err != nil {
 					errs <- err
 					return
 				}
 			}
 			errs <- nil
-		}(Strategies()[w%len(Strategies())])
+		}(Strategy(strategy.Rows()[w%len(strategy.Rows())].Name))
 	}
 	for w := 0; w < workers; w++ {
 		if err := <-errs; err != nil {
@@ -503,13 +506,13 @@ func TestSortedBinaryGroupSkipsIncomparableRows(t *testing.T) {
 			t.Fatalf("%s: the unnested plan does not group sort-based:\n%s", c.sql, plan)
 		}
 		for _, nulls := range []NullMode{ThreeValuedNulls, TwoValuedNulls} {
-			for _, strategy := range []Strategy{Canonical, Unnested} {
-				res, err := db.Query(c.sql, WithStrategy(strategy), WithNullMode(nulls))
+			for _, s := range []Strategy{Canonical, Unnested} {
+				res, err := db.Query(c.sql, WithStrategy(s), WithNullMode(nulls))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := strings.Join(sortedRows(res), ";"); got != c.want {
-					t.Errorf("%s (%s, %s): %s, want %s", c.sql, strategy, nulls, got, c.want)
+					t.Errorf("%s (%s, %s): %s, want %s", c.sql, s, nulls, got, c.want)
 				}
 			}
 		}

@@ -7,8 +7,8 @@ import (
 
 // ResultKey identifies one cached query result: the fingerprint of the
 // physical plan the executor would run (internal/physical.Fingerprint
-// over the main plan and every subquery plan), the strategy (S1 and
-// Canonical share a physical plan but differ in execution counters),
+// over the main plan and every subquery plan), the strategy (strategies
+// sharing a physical plan may memoize, so count work, differently),
 // and the version of every referenced table rendered as a sorted
 // "name@version" list. Any committed write to a referenced table
 // changes its version, so stale entries stop matching by construction —

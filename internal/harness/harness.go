@@ -12,11 +12,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"disqo"
+	"disqo/internal/strategy"
 	"disqo/internal/telemetry"
 )
 
@@ -65,7 +67,8 @@ type Config struct {
 	RSTScale float64
 	// TPCHSFs are the TPC-H scale factors swept by Fig. 7(b).
 	TPCHSFs []float64
-	// Strategies to evaluate; defaults to all five.
+	// Strategies to evaluate, each a row of internal/strategy; defaults
+	// to the paper's five systems (strategy.Systems).
 	Strategies []disqo.Strategy
 	// Repeat re-runs each cell and keeps the minimum (noise control).
 	Repeat int
@@ -93,7 +96,9 @@ func (c Config) withDefaults() Config {
 		c.TPCHSFs = []float64{0.01, 0.02, 0.05}
 	}
 	if len(c.Strategies) == 0 {
-		c.Strategies = disqo.Strategies()
+		for _, s := range strategy.Systems() {
+			c.Strategies = append(c.Strategies, disqo.Strategy(s))
+		}
 	}
 	if c.Repeat == 0 {
 		c.Repeat = 1
@@ -177,30 +182,14 @@ func newTable(id, title string, strats []disqo.Strategy) *Table {
 func (t *Table) set(s disqo.Strategy, param string, c Cell) {
 	if t.Cells[s] == nil {
 		t.Cells[s] = make(map[string]Cell)
-		t.Strats = appendUnique(t.Strats, s)
+		if !slices.Contains(t.Strats, s) {
+			t.Strats = append(t.Strats, s)
+		}
 	}
-	if !contains(t.Params, param) {
+	if !slices.Contains(t.Params, param) {
 		t.Params = append(t.Params, param)
 	}
 	t.Cells[s][param] = c
-}
-
-func appendUnique(ss []disqo.Strategy, s disqo.Strategy) []disqo.Strategy {
-	for _, x := range ss {
-		if x == s {
-			return ss
-		}
-	}
-	return append(ss, s)
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // JSON renders the table as a machine-readable document: experiment id,
@@ -288,38 +277,46 @@ func formatSeconds(s float64) string {
 	}
 }
 
-// measure runs one query under one strategy against a prepared DB.
-func measure(db *disqo.DB, sql string, s disqo.Strategy, cfg Config) Cell {
+// measure runs one query under one strategy against a prepared DB,
+// cfg.Repeat times, and returns the fastest run's cell and the last
+// run's result; a failed run ends it with the failure's cell and error.
+func measure(db *disqo.DB, sql string, s disqo.Strategy, cfg Config) (Cell, *disqo.Result, error) {
 	best := Cell{Seconds: math.Inf(1)}
 	var lat telemetry.Histogram
+	var res *disqo.Result
 	for i := 0; i < cfg.Repeat; i++ {
-		opts := []disqo.Option{disqo.WithStrategy(s), disqo.WithTupleLimit(cfg.MaxTuples)}
-		if cfg.Timeout > 0 {
-			opts = append(opts, disqo.WithTimeout(cfg.Timeout))
-		}
-		if cfg.Workers > 0 {
-			opts = append(opts, disqo.WithWorkers(cfg.Workers))
-		}
-		if cfg.Ctx != nil {
-			opts = append(opts, disqo.WithContext(cfg.Ctx))
-		}
 		start := time.Now()
-		res, err := db.Query(sql, opts...)
+		var err error
+		res, err = db.Query(sql, queryOptions(s, cfg)...)
 		wall := time.Since(start)
-		elapsed := wall.Seconds()
 		if err != nil {
-			return classifyCell(err)
+			return classifyCell(err), nil, err
 		}
 		lat.Record(wall)
-		if elapsed < best.Seconds {
-			best = Cell{Seconds: elapsed, Rows: len(res.Rows)}
+		if wall.Seconds() < best.Seconds {
+			best = Cell{Seconds: wall.Seconds(), Rows: len(res.Rows)}
 		}
 	}
 	best.Percentiles = percentilesOf(&lat)
 	if cfg.OpBreakdown {
 		best.Ops = opBreakdown(db, sql, s, cfg)
 	}
-	return best
+	return best, res, nil
+}
+
+// queryOptions are the options every harness query runs under.
+func queryOptions(s disqo.Strategy, cfg Config) []disqo.Option {
+	opts := []disqo.Option{disqo.WithStrategy(s), disqo.WithTupleLimit(cfg.MaxTuples)}
+	if cfg.Timeout > 0 {
+		opts = append(opts, disqo.WithTimeout(cfg.Timeout))
+	}
+	if cfg.Workers > 0 {
+		opts = append(opts, disqo.WithWorkers(cfg.Workers))
+	}
+	if cfg.Ctx != nil {
+		opts = append(opts, disqo.WithContext(cfg.Ctx))
+	}
+	return opts
 }
 
 // classifyCell maps a query failure to a cell. The engine wraps
@@ -345,14 +342,7 @@ func classifyCell(err error) Cell {
 // flattens the per-operator report. Failures simply omit the breakdown;
 // the timed cell already recorded the outcome.
 func opBreakdown(db *disqo.DB, sql string, s disqo.Strategy, cfg Config) []OpBreakdown {
-	opts := []disqo.Option{disqo.WithStrategy(s), disqo.WithTupleLimit(cfg.MaxTuples), disqo.WithMetrics()}
-	if cfg.Timeout > 0 {
-		opts = append(opts, disqo.WithTimeout(cfg.Timeout))
-	}
-	if cfg.Workers > 0 {
-		opts = append(opts, disqo.WithWorkers(cfg.Workers))
-	}
-	res, err := db.Query(sql, opts...)
+	res, err := db.Query(sql, append(queryOptions(s, cfg), disqo.WithMetrics())...)
 	if err != nil || res.Metrics() == nil {
 		return nil
 	}
@@ -365,115 +355,102 @@ func opBreakdown(db *disqo.DB, sql string, s disqo.Strategy, cfg Config) []OpBre
 	return out
 }
 
-// rstPairs is the paper's SF1×SF2 grid.
-var rstPairs = [][2]float64{
-	{1, 1}, {1, 5}, {1, 10},
-	{5, 1}, {5, 5}, {5, 10},
-	{10, 1}, {10, 5}, {10, 10},
+// A point is one column of a table: its label and the data it loads.
+type point struct {
+	param string
+	load  func(*disqo.DB) error
 }
 
-// runRSTSweep runs a query over the Fig. 7 RST grid.
-func runRSTSweep(id, title, sql string, cfg Config, progress func(string)) (*Table, error) {
-	cfg = cfg.withDefaults()
-	tab := newTable(id, title, cfg.Strategies)
-	for _, pair := range rstPairs {
-		// Timing experiments measure execution, not the result cache:
-		// every harness DB runs cache-cold so Repeat keeps honest minima.
-		db, _ := disqo.Open(disqo.WithoutCache())
-		if err := db.LoadRST(pair[0]*cfg.RSTScale, pair[1]*cfg.RSTScale, pair[1]*cfg.RSTScale); err != nil {
-			return nil, err
-		}
-		param := fmt.Sprintf("%gx%g", pair[0], pair[1])
-		for _, s := range cfg.Strategies {
-			if progress != nil {
-				progress(fmt.Sprintf("%s %s %s", id, param, s))
+// sweep returns an experiment that runs sql under every strategy at
+// every point points yields for the run's Config.
+func sweep(id, title, sql string, points func(Config) []point) func(Config, func(string)) (*Table, error) {
+	return func(cfg Config, progress func(string)) (*Table, error) {
+		cfg = cfg.withDefaults()
+		tab := newTable(id, title, cfg.Strategies)
+		for _, pt := range points(cfg) {
+			// Timing experiments measure execution, not the result cache:
+			// every harness DB runs cache-cold so Repeat keeps honest minima.
+			db, _ := disqo.Open(disqo.WithoutCache())
+			if err := pt.load(db); err != nil {
+				return nil, err
 			}
-			tab.set(s, param, measure(db, sql, s, cfg))
+			for _, s := range cfg.Strategies {
+				if progress != nil {
+					progress(fmt.Sprintf("%s %s %s", id, pt.param, s))
+				}
+				c, _, _ := measure(db, sql, s, cfg)
+				tab.set(s, pt.param, c)
+			}
+		}
+		return tab, nil
+	}
+}
+
+// rstGrid is the paper's Fig. 7 RST grid, SF1×SF2 ∈ {1,5,10}²: R at SF1,
+// S and T at SF2.
+func rstGrid(cfg Config) []point {
+	var pts []point
+	for _, sf1 := range []float64{1, 5, 10} {
+		for _, sf2 := range []float64{1, 5, 10} {
+			r, st := sf1*cfg.RSTScale, sf2*cfg.RSTScale
+			pts = append(pts, point{fmt.Sprintf("%gx%g", sf1, sf2),
+				func(db *disqo.DB) error { return db.LoadRST(r, st, st) }})
 		}
 	}
-	return tab, nil
+	return pts
 }
 
-// Fig7a regenerates Fig. 7(a): Q1 (disjunctive linking) on RST.
-func Fig7a(cfg Config, progress func(string)) (*Table, error) {
-	return runRSTSweep("fig7a", "Q1: disjunctive linking, COUNT(DISTINCT *) on RST (SF1×SF2)", Q1, cfg, progress)
-}
-
-// Fig7c regenerates Fig. 7(c): Q2 (disjunctive correlation) on RST.
-func Fig7c(cfg Config, progress func(string)) (*Table, error) {
-	return runRSTSweep("fig7c", "Q2: disjunctive correlation, COUNT(*) on RST (SF1×SF2)", Q2, cfg, progress)
-}
-
-// Fig7b regenerates Fig. 7(b): Query 2d on TPC-H.
-func Fig7b(cfg Config, progress func(string)) (*Table, error) {
-	cfg = cfg.withDefaults()
-	tab := newTable("fig7b", "Query 2d: disjunctive linking, MIN on TPC-H (SF)", cfg.Strategies)
+// tpchSFs are Fig. 7(b)'s TPC-H scale factors.
+func tpchSFs(cfg Config) []point {
+	var pts []point
 	for _, sf := range cfg.TPCHSFs {
-		db, _ := disqo.Open(disqo.WithoutCache())
-		if err := db.LoadTPCH(sf); err != nil {
-			return nil, err
-		}
-		param := fmt.Sprintf("SF%g", sf)
-		for _, s := range cfg.Strategies {
-			if progress != nil {
-				progress(fmt.Sprintf("fig7b %s %s", param, s))
-			}
-			tab.set(s, param, measure(db, Query2d, s, cfg))
-		}
+		pts = append(pts, point{fmt.Sprintf("SF%g", sf),
+			func(db *disqo.DB) error { return db.LoadTPCH(sf) }})
 	}
-	return tab, nil
+	return pts
 }
 
-// equalSFPoints is the sweep used by the TR-style linear/tree/quantified
-// experiments: equal scale factors for all three relations.
-var equalSFPoints = []float64{1, 5, 10}
-
-func runEqualSweep(id, title, sql string, scaleShrink float64, cfg Config, progress func(string)) (*Table, error) {
-	cfg = cfg.withDefaults()
-	tab := newTable(id, title, cfg.Strategies)
-	for _, sf := range equalSFPoints {
-		db, _ := disqo.Open(disqo.WithoutCache())
-		eff := sf * cfg.RSTScale * scaleShrink
-		if err := db.LoadRST(eff, eff, eff); err != nil {
-			return nil, err
+// equalSFs is the sweep of the TR-style experiments: equal scale factors
+// 1, 5 and 10 for all three relations, shrunk by shrink.
+func equalSFs(shrink float64) func(Config) []point {
+	return func(cfg Config) []point {
+		var pts []point
+		for _, sf := range []float64{1, 5, 10} {
+			eff := sf * cfg.RSTScale * shrink
+			pts = append(pts, point{fmt.Sprintf("SF%g", sf),
+				func(db *disqo.DB) error { return db.LoadRST(eff, eff, eff) }})
 		}
-		param := fmt.Sprintf("SF%g", sf)
-		for _, s := range cfg.Strategies {
-			if progress != nil {
-				progress(fmt.Sprintf("%s %s %s", id, param, s))
-			}
-			tab.set(s, param, measure(db, sql, s, cfg))
-		}
+		return pts
 	}
-	return tab, nil
 }
 
-// Tree runs the Q3 tree-query experiment (TR extension).
-func Tree(cfg Config, progress func(string)) (*Table, error) {
-	return runEqualSweep("tree", "Q3: tree query, two disjunctive linking predicates", Q3, 0.5, cfg, progress)
-}
-
-// Linear runs the Q4 linear-query experiment (TR extension). The inner
-// blocks nest two deep, so the sweep shrinks the data further: the
-// canonical baseline is O(|R|·|S|·|T|).
-func Linear(cfg Config, progress func(string)) (*Table, error) {
-	return runEqualSweep("linear", "Q4: linear query, nested disjunctive correlation", Q4, 0.2, cfg, progress)
-}
-
-// Quantified runs the EXISTS-in-disjunction experiment (TR extension).
-func Quantified(cfg Config, progress func(string)) (*Table, error) {
-	return runEqualSweep("quant", "EXISTS in disjunction (quantified subqueries)", QuantExists, 1, cfg, progress)
-}
-
-// Ablation quantifies cost-based application, the design decision
-// DESIGN.md calls out: the optimizer should decline unnesting where the
-// rewrite is estimated slower than canonical. On Q2 it sets canonical
-// (nested-loop evaluation) and unnested (Eqv. 5, the one rule for
-// disjunctive correlation) beside the CostBased strategy, which runs
-// the cheapest by estimate of those two and the reordered plan.
-func Ablation(cfg Config, progress func(string)) (*Table, error) {
-	cfg.Strategies = []disqo.Strategy{disqo.Canonical, disqo.Unnested, disqo.CostBased}
-	return runEqualSweep("ablation", "Q2 ablation: canonical vs unnested vs cost-based", Q2, 1, cfg, progress)
+// experiments are the tables the harness regenerates, in presentation
+// order: Fig. 7(a)–(c), the technical report's tree, linear and
+// quantified-subquery experiments, the ablation and the worker sweep.
+var experiments = []struct {
+	id  string
+	run func(Config, func(string)) (*Table, error)
+}{
+	{"fig7a", sweep("fig7a", "Q1: disjunctive linking, COUNT(DISTINCT *) on RST (SF1×SF2)", Q1, rstGrid)},
+	{"fig7b", sweep("fig7b", "Query 2d: disjunctive linking, MIN on TPC-H (SF)", Query2d, tpchSFs)},
+	{"fig7c", sweep("fig7c", "Q2: disjunctive correlation, COUNT(*) on RST (SF1×SF2)", Q2, rstGrid)},
+	{"tree", sweep("tree", "Q3: tree query, two disjunctive linking predicates", Q3, equalSFs(0.5))},
+	// Q4's inner blocks nest two deep, so the sweep shrinks the data
+	// further: the canonical baseline is O(|R|·|S|·|T|).
+	{"linear", sweep("linear", "Q4: linear query, nested disjunctive correlation", Q4, equalSFs(0.2))},
+	{"quant", sweep("quant", "EXISTS in disjunction (quantified subqueries)", QuantExists, equalSFs(1))},
+	// The ablation quantifies cost-based application, the design
+	// decision DESIGN.md calls out: the optimizer should decline
+	// unnesting where the rewrite is estimated slower than canonical. On
+	// Q2 it sets canonical (nested-loop evaluation) and unnested (Eqv. 5,
+	// the one rule for disjunctive correlation) beside the CostBased
+	// strategy, which runs the cheapest by estimate of those two and the
+	// reordered plan.
+	{"ablation", func(cfg Config, progress func(string)) (*Table, error) {
+		cfg.Strategies = []disqo.Strategy{disqo.Canonical, disqo.Unnested, disqo.CostBased}
+		return sweep("ablation", "Q2 ablation: canonical vs unnested vs cost-based", Q2, equalSFs(1))(cfg, progress)
+	}},
+	{"workers", func(cfg Config, progress func(string)) (*Table, error) { return WorkerSweep(cfg, nil, progress) }},
 }
 
 // WorkerSweep measures morsel-parallel scaling: the unnested strategy
@@ -499,32 +476,15 @@ func WorkerSweep(cfg Config, workers []int, progress func(string)) (*Table, erro
 		if progress != nil {
 			progress(fmt.Sprintf("workers w=%d", w))
 		}
-		best := Cell{Seconds: math.Inf(1)}
-		var lat telemetry.Histogram
-		var canon []string
-		for i := 0; i < cfg.Repeat; i++ {
-			opts := []disqo.Option{disqo.WithStrategy(disqo.Unnested),
-				disqo.WithTupleLimit(cfg.MaxTuples), disqo.WithWorkers(w)}
-			if cfg.Timeout > 0 {
-				opts = append(opts, disqo.WithTimeout(cfg.Timeout))
-			}
-			start := time.Now()
-			res, err := db.Query(Q1, opts...)
-			wall := time.Since(start)
-			elapsed := wall.Seconds()
-			if err != nil {
-				return nil, fmt.Errorf("harness: worker sweep w=%d: %w", w, err)
-			}
-			lat.Record(wall)
-			if elapsed < best.Seconds {
-				best = Cell{Seconds: elapsed, Rows: len(res.Rows)}
-			}
-			canon = canonicalRows(res)
+		cfg.Workers = w
+		best, res, err := measure(db, Q1, disqo.Unnested, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("harness: worker sweep w=%d: %w", w, err)
 		}
-		best.Percentiles = percentilesOf(&lat)
+		canon := canonicalRows(res)
 		if baseline == nil {
 			baseline = canon
-		} else if !sameRows(baseline, canon) {
+		} else if !slices.Equal(baseline, canon) {
 			return nil, fmt.Errorf("harness: worker count %d changed the result set", w)
 		}
 		tab.set(disqo.Unnested, fmt.Sprintf("w=%d", w), best)
@@ -547,43 +507,29 @@ func canonicalRows(res *disqo.Result) []string {
 	return out
 }
 
-func sameRows(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+// Order lists the experiment ids in presentation order.
+var Order = func() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return ids
+}()
+
+// Run runs an experiment by id, after checking that every configured
+// strategy is one internal/strategy defines.
+func Run(id string, cfg Config, progress func(string)) (*Table, error) {
+	for _, s := range cfg.Strategies {
+		if _, err := strategy.Lookup(string(s)); err != nil {
+			return nil, fmt.Errorf("harness: %w", err)
 		}
 	}
-	return true
-}
-
-// Experiment names in presentation order.
-var Order = []string{"fig7a", "fig7b", "fig7c", "tree", "linear", "quant", "ablation", "workers"}
-
-// Run dispatches an experiment by id.
-func Run(id string, cfg Config, progress func(string)) (*Table, error) {
-	switch id {
-	case "fig7a":
-		return Fig7a(cfg, progress)
-	case "fig7b":
-		return Fig7b(cfg, progress)
-	case "fig7c":
-		return Fig7c(cfg, progress)
-	case "tree":
-		return Tree(cfg, progress)
-	case "linear":
-		return Linear(cfg, progress)
-	case "quant":
-		return Quantified(cfg, progress)
-	case "ablation":
-		return Ablation(cfg, progress)
-	case "workers":
-		return WorkerSweep(cfg, nil, progress)
-	default:
-		return nil, fmt.Errorf("harness: unknown experiment %q (have %s)", id, strings.Join(Order, ", "))
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(cfg, progress)
+		}
 	}
+	return nil, fmt.Errorf("harness: unknown experiment %q (have %s)", id, strings.Join(Order, ", "))
 }
 
 // Speedups summarizes a table: for each parameter point, the ratio of the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"disqo"
+	"disqo/internal/strategy"
 	"disqo/internal/testutil"
 )
 
@@ -22,7 +23,7 @@ func tinyConfig() Config {
 }
 
 func TestFig7aProducesFullGrid(t *testing.T) {
-	tab, err := Fig7a(tinyConfig(), nil)
+	tab, err := Run("fig7a", tinyConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +52,8 @@ func TestFig7aProducesFullGrid(t *testing.T) {
 }
 
 func TestFig7bAndCRun(t *testing.T) {
-	for _, fn := range []func(Config, func(string)) (*Table, error){Fig7b, Fig7c} {
-		tab, err := fn(tinyConfig(), nil)
+	for _, id := range []string{"fig7b", "fig7c"} {
+		tab, err := Run(id, tinyConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,6 +98,23 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunUnknownStrategy: a strategy internal/strategy does not define
+// is an error before any data is loaded, and the error names every
+// legal strategy.
+func TestRunUnknownStrategy(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Strategies = []disqo.Strategy{"bogus", disqo.Unnested}
+	_, err := Run("fig7a", cfg, func(string) { t.Error("a cell ran under an unknown strategy") })
+	if err == nil {
+		t.Fatal("unknown strategy must error")
+	}
+	for _, row := range strategy.Rows() {
+		if !strings.Contains(err.Error(), row.Name) {
+			t.Errorf("error %q does not name %s", err, row.Name)
+		}
+	}
+}
+
 func TestFormatAndTimeouts(t *testing.T) {
 	tab := newTable("x", "demo", nil)
 	tab.set(disqo.Canonical, "SF1", Cell{Seconds: 1.234, Rows: 10})
@@ -136,7 +154,7 @@ func TestSpeedups(t *testing.T) {
 func TestTimeoutCellsBecomeNA(t *testing.T) {
 	cfg := Config{
 		RSTScale:   0.05,
-		Strategies: []disqo.Strategy{disqo.S1},
+		Strategies: []disqo.Strategy{strategy.S1},
 		Timeout:    time.Millisecond,
 	}
 	db, _ := disqo.Open()
@@ -144,7 +162,7 @@ func TestTimeoutCellsBecomeNA(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Directly exercise measure with a giant query and a tiny timeout.
-	c := measure(db, Q1, disqo.S1, cfg)
+	c, _, _ := measure(db, Q1, strategy.S1, cfg)
 	if !c.TimedOut {
 		t.Skip("machine too fast for 1ms timeout; skipping")
 	}
@@ -197,14 +215,14 @@ func TestForcedEqv5FitsTheBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Timeout: time.Minute, MaxTuples: 50_000}.withDefaults()
-	unnested := measure(db, Q2, disqo.Unnested, cfg)
+	unnested, _, _ := measure(db, Q2, disqo.Unnested, cfg)
 	if unnested.Err != nil || unnested.OverMem || unnested.TimedOut {
 		t.Fatalf("Eqv. 5 under a %d-tuple budget: %+v", cfg.MaxTuples, unnested)
 	}
 	if testutil.RaceEnabled {
 		return // canonical nested loops over 10⁸ pairs take most of a minute under -race
 	}
-	if canonical := measure(db, Q2, disqo.Canonical, Config{Timeout: time.Minute}.withDefaults()); canonical.Err != nil || canonical.Rows != unnested.Rows {
+	if canonical, _, _ := measure(db, Q2, disqo.Canonical, Config{Timeout: time.Minute}.withDefaults()); canonical.Err != nil || canonical.Rows != unnested.Rows {
 		t.Errorf("canonical returns %+v, unnested %d rows", canonical, unnested.Rows)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"disqo"
+	"disqo/internal/strategy"
 	"disqo/internal/testutil"
 )
 
@@ -307,7 +308,6 @@ func TestNullModesAgainstHandResults(t *testing.T) {
 			"for a1 = 1 the block's only candidate has b1 NULL: UNKNOWN, so the block is empty",
 			"NOT (NULL = 1) is TRUE: the block is not empty and 2VL returns fewer rows"},
 	}
-	strategies := append(disqo.Strategies(), disqo.CostBased)
 	for _, c := range cases {
 		for _, m := range []struct {
 			mode disqo.NullMode
@@ -316,11 +316,12 @@ func TestNullModesAgainstHandResults(t *testing.T) {
 		}{{disqo.ThreeValuedNulls, c.three, c.why3vl}, {disqo.TwoValuedNulls, c.two, c.why2vl}} {
 			want := append([]string(nil), m.want...)
 			sort.Strings(want)
-			for _, strategy := range strategies {
+			for _, row := range strategy.Rows() {
+				s := disqo.Strategy(row.Name)
 				for _, path := range []disqo.ExecutionPath{disqo.PathRow, disqo.PathVector} {
-					res, err := db.Query(c.sql, disqo.WithNullMode(m.mode), disqo.WithStrategy(strategy), disqo.WithExecutionPath(path))
+					res, err := db.Query(c.sql, disqo.WithNullMode(m.mode), disqo.WithStrategy(s), disqo.WithExecutionPath(path))
 					if err != nil {
-						t.Fatalf("%s %s %s %s: %v", c.name, m.mode, strategy, path, err)
+						t.Fatalf("%s %s %s %s: %v", c.name, m.mode, s, path, err)
 					}
 					got := make([]string, len(res.Rows))
 					for i, row := range res.Rows {
@@ -332,7 +333,7 @@ func TestNullModesAgainstHandResults(t *testing.T) {
 					}
 					sort.Strings(got)
 					if strings.Join(got, " ") != strings.Join(want, " ") {
-						t.Errorf("%s under %s, %s, %s: rows %v, want %v (%s)", c.name, m.mode, strategy, path, got, want, m.why)
+						t.Errorf("%s under %s, %s, %s: rows %v, want %v (%s)", c.name, m.mode, s, path, got, want, m.why)
 					}
 				}
 			}

@@ -251,3 +251,48 @@ func TestClientSettingsConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestStrategySurface: the product offers three strategies. The strategy
+// setting's legal values are exactly canonical, unnested and costbased;
+// a baseline's name is a bad value for Settings.With, which leaves the
+// settings as they were, and for a served Client.Set, which the server
+// rejects as invalid.
+func TestStrategySurface(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	var values []string
+	for _, st := range disqo.SettingsTable() {
+		if st.Name == "strategy" {
+			values = append([]string(nil), st.Values...)
+		}
+	}
+	sort.Strings(values)
+	if fmt.Sprint(values) != "[canonical costbased unnested]" {
+		t.Errorf("strategy values = %v, want canonical, costbased and unnested", values)
+	}
+
+	base, err := disqo.Settings{}.With(map[string]string{"strategy": "canonical"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := base.With(map[string]string{"strategy": "s2"})
+	if err == nil || got.String() != base.String() {
+		t.Errorf("With(strategy=s2) = %s, %v; want an error and %s unchanged", got, err, base)
+	}
+
+	db, err := disqo.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	addr, stop := serveOn(t, db, "127.0.0.1:0")
+	defer stop()
+	c, err := disqo.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var se *disqo.ServerError
+	if err := c.Set("strategy", "s1"); !errors.As(err, &se) || se.Kind != wire.KindInvalid {
+		t.Errorf(`Set("strategy", "s1") = %v, want an invalid ServerError`, err)
+	}
+}

@@ -11,10 +11,10 @@ import (
 	"disqo/internal/catalog"
 	"disqo/internal/exec"
 	"disqo/internal/physical"
-	"disqo/internal/rewrite"
 	"disqo/internal/sqlparser"
 	"disqo/internal/stats"
 	"disqo/internal/storage"
+	"disqo/internal/strategy"
 	"disqo/internal/translate"
 )
 
@@ -131,10 +131,16 @@ func (db *DB) planStmt(src catalog.Reader, stmt *sqlparser.SelectStmt, key cache
 	if err != nil {
 		return nil, nil, err
 	}
-	est := stats.New(src)
-	logical, trace, err := optimize(src, est, canonical, cfg.strategy)
+	row, err := strategy.Lookup(string(cfg.strategy))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("disqo: %w", err)
+	}
+	est := stats.New(src)
+	logical, trace := canonical, []string(nil)
+	if row.Plan != nil {
+		if logical, trace, err = row.Plan(src, est, canonical); err != nil {
+			return nil, nil, err
+		}
 	}
 	phys, err := physical.NewPlanner(est).Plan(logical)
 	if err != nil {
@@ -167,70 +173,6 @@ func (db *DB) planStmt(src catalog.Reader, stmt *sqlparser.SelectStmt, key cache
 		}
 	}
 	return pp, canonical, nil
-}
-
-// optimize applies a strategy to the canonical translation and returns
-// the plan to lower with the rewrite trace.
-func optimize(src catalog.Reader, est *stats.Estimator, canonical algebra.Op, strategy Strategy) (algebra.Op, []string, error) {
-	switch strategy {
-	case Unnested, S2:
-		caps := rewrite.AllCaps()
-		if strategy == S2 {
-			caps = rewrite.Caps{Conjunctive: true, ORExpansion: true, Quantified: true}
-		}
-		rw := rewrite.New(src, caps)
-		plan, err := rw.Rewrite(canonical)
-		if err != nil {
-			return nil, nil, err
-		}
-		return plan, rw.Trace, nil
-	case S3:
-		plan, n, err := rewrite.Reorder(canonical, est)
-		if err != nil {
-			return nil, nil, err
-		}
-		var trace []string
-		if n > 0 {
-			trace = []string{fmt.Sprintf("reordered %d predicates by rank", n)}
-		}
-		return plan, trace, nil
-	case Canonical, S1:
-		return canonical, nil, nil
-	case CostBased:
-		return costBased(src, est, canonical)
-	default:
-		return nil, nil, fmt.Errorf("disqo: unknown strategy %q", strategy)
-	}
-}
-
-// costBased compares the estimated cost of the canonical plan, the
-// reordered plan (S3), and the fully unnested plan, and returns the
-// cheapest; only the unnested candidate brings a trace of its own.
-func costBased(src catalog.Reader, est *stats.Estimator, canonical algebra.Op) (algebra.Op, []string, error) {
-	unnested, trace, err := optimize(src, est, canonical, Unnested)
-	if err != nil {
-		return nil, nil, err
-	}
-	reordered, _, err := optimize(src, est, canonical, S3)
-	if err != nil {
-		return nil, nil, err
-	}
-	names := [...]string{"canonical", "reordered", "unnested"}
-	plans := [...]algebra.Op{canonical, reordered, unnested}
-	var costs [len(plans)]float64
-	best := 0
-	for i, p := range plans {
-		if costs[i] = est.PlanCost(p); costs[i] < costs[best] {
-			best = i
-		}
-	}
-	if names[best] != "unnested" {
-		trace = nil
-	}
-	trace = append(append([]string(nil), trace...), fmt.Sprintf(
-		"cost-based choice: %s (canonical=%.3g, reordered=%.3g, unnested=%.3g)",
-		names[best], costs[0], costs[1], costs[2]))
-	return plans[best], trace, nil
 }
 
 // execute evaluates a prepared plan on a fresh executor, which the

@@ -24,6 +24,7 @@ import (
 	"testing"
 	"time"
 
+	"disqo/internal/strategy"
 	"disqo/internal/testutil"
 )
 
@@ -72,11 +73,11 @@ func TestWorkloadStatsGroundTruth(t *testing.T) {
 		sql   string
 		strat Strategy
 	}{
-		{chaosQ1, Canonical}, // Fig. 2(a)
-		{chaosQ1, S2},        // Fig. 2(b)
-		{chaosQ1, Unnested},  // Fig. 2(c)
-		{chaosQ2, Canonical}, // Fig. 3(a)
-		{chaosQ2, Unnested},  // Fig. 3(b)
+		{chaosQ1, Canonical},   // Fig. 2(a)
+		{chaosQ1, strategy.S2}, // Fig. 2(b)
+		{chaosQ1, Unnested},    // Fig. 2(c)
+		{chaosQ2, Canonical},   // Fig. 3(a)
+		{chaosQ2, Unnested},    // Fig. 3(b)
 	}
 	for _, sh := range shapes {
 		for rep := 0; rep < 2; rep++ {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"disqo"
+	"disqo/internal/strategy"
 )
 
 // Integration tests: real TPC-H queries (adapted to the dialect — dates
@@ -76,7 +77,7 @@ func assertStrategiesAgree(t *testing.T, db *disqo.DB, name, sql string) {
 	if len(want) == 0 {
 		t.Logf("%s returned no rows — still checking agreement", name)
 	}
-	for _, s := range []disqo.Strategy{disqo.Unnested, disqo.S2, disqo.S3, disqo.CostBased} {
+	for _, s := range []disqo.Strategy{disqo.Unnested, strategy.S2, strategy.S3, disqo.CostBased} {
 		got := canonicalRows(t, db, sql, s)
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("%s: %s disagrees with canonical (%d vs %d rows)", name, s, len(got), len(want))

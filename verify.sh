@@ -3,8 +3,8 @@
 # ROADMAP.md (build, gofmt, the one-traversal grep, tests, vet, the
 # whole suite again under -race — which is where the chaos, concurrency, caching, evaluator
 # differential, telemetry, durability, wire and server suites run; no
-# line below repeats them) and the one-pipeline, one-index, one-logic and one-finish greps
-# (with a smoke that no SELECT clause is dropped), plus everything
+# line below repeats them) and the one-pipeline, one-index, one-logic, one-finish and
+# one-strategy-table greps (with a smoke that no SELECT clause is dropped), plus everything
 # tier-1 does not run: a
 # one-iteration benchmark smoke (catches broken benchmark code and
 # instrumentation regressions without paying for a real measurement
@@ -77,6 +77,14 @@ test -z "$(grep -nE 'NullMode|Lift\(|WithNulls|EvalMode' $(ls internal/exec/*.go
 # per setting.
 test -z "$(grep -nE 'ParseStrategy\(|ParseNullMode\(|WithStrategy\(|WithNullMode\(' client.go $(ls internal/server/*.go internal/wire/*.go cmd/disqo/*.go | grep -v _test.go))"
 test -z "$(grep -rnE 'json:"(strategy|nulls)' internal/wire)"
+# A strategy is stated once, as a row of internal/strategy: its plan
+# function and its executor cache mode. The baselines S1-S3 (models of
+# the paper's commercial systems) are rows only the figure harness names:
+# no other code picks a baseline's cache mode or rewrite (internal/rewrite
+# defines Caps.ORExpansion and Reorder), and the root package's
+# documentation offers none of them.
+test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './internal/strategy/*' ! -path './internal/harness/*' ! -path './cmd/bench/*' ! -path './internal/rewrite/*' | xargs grep -nE 'strategy\.S[123]|exec\.CacheNone|exec\.CacheScans|ORExpansion|rewrite\.Reorder\(')"
+test -z "$(go doc disqo | grep -E 'S[123]|Strategies')"
 # Result rows have one encoding, the columnar frame: no per-value JSON
 # codec comes back into internal/wire.
 test -z "$(grep -nE 'func \([^)]*\) (Marshal|Unmarshal)JSON\(' $(ls internal/wire/*.go | grep -v _test.go))"

@@ -141,6 +141,34 @@ func BenchmarkQuant_Unnested(b *testing.B) {
 	benchQuery(b, rstSmallDB(b, smallSF), harness.QuantExists, disqo.Unnested)
 }
 
+// --- The Fig. 7 mix ---------------------------------------------------------
+
+// BenchmarkFig7Mix runs the five Fig. 7 statements of the benchmark of
+// record's fig7_unnest workload once each per iteration — Q1, Q2, Q3,
+// the quantified query and Query 2d — unnested, on one worker, uncached,
+// over RST SF 0.5 and TPC-H SF 0.01: the executor's hot loops at the
+// workload's sizes, read by one command:
+//
+//	go test -run '^$' -bench Fig7Mix -benchmem -count 5 .
+func BenchmarkFig7Mix(b *testing.B) {
+	db := benchDB(b, "fig7mix", func(db *disqo.DB) error {
+		if err := db.LoadRST(0.5, 0.5, 0.5); err != nil {
+			return err
+		}
+		return db.LoadTPCH(0.01)
+	})
+	stmts := []string{harness.Q1, harness.Q2, harness.Q3, harness.QuantExists, harness.Query2d}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sql := range stmts {
+			if _, err := db.Query(sql, disqo.WithWorkers(1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // --- Ablations -------------------------------------------------------------
 
 // The optimizer pipeline itself: parse + translate + rewrite, no

@@ -113,9 +113,11 @@ func main() {
 		}
 		cfg.TPCHSFs = append(cfg.TPCHSFs, sf)
 	}
-	for _, s := range splitList(*strategies) {
-		cfg.Strategies = append(cfg.Strategies, disqo.Strategy(s))
+	strats, err := parseStrategies(*strategies)
+	if err != nil {
+		fatalf("%v", err)
 	}
+	cfg.Strategies = strats
 	progress := func(msg string) {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "\r\033[K%s", msg)
@@ -184,6 +186,20 @@ func gitDescribe() string {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
+}
+
+// parseStrategies reads -strategies, every name a row of
+// internal/strategy: a name that is none fails here, before any
+// experiment runs — the worker sweep, which takes no strategy, included.
+func parseStrategies(list string) ([]disqo.Strategy, error) {
+	var out []disqo.Strategy
+	for _, s := range splitList(list) {
+		if _, err := strategy.Lookup(s); err != nil {
+			return nil, err
+		}
+		out = append(out, disqo.Strategy(s))
+	}
+	return out, nil
 }
 
 func splitList(s string) []string {

@@ -250,3 +250,61 @@ func TestInsertLiteralsMatchSelect(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchFollowsTheTableVersion: the vector path's compiled predicates
+// read a table version's batch, which the version keeps across queries.
+// After INSERT, UPDATE and DELETE, which publish new versions, and after
+// the builder path's Insert and BulkLoad, which change a version in
+// place, it agrees with the canonical plan interpreted row by row — and
+// every step changes the answer, so a stale column could not pass.
+func TestBatchFollowsTheTableVersion(t *testing.T) {
+	db, _ := Open(WithoutCache())
+	if err := db.LoadRST(0.02, 0.02, 0.02); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > 1500`
+	var prev []string
+	check := func(step string) {
+		t.Helper()
+		want, err := db.Query(q, WithStrategy(Canonical), WithExecutionPath(PathRow))
+		if err != nil {
+			t.Fatalf("%s: canonical: %v", step, err)
+		}
+		for i := 0; i < 2; i++ { // the second run reads the columns the first built
+			got, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%s: unnested: %v", step, err)
+			}
+			if g, w := sortedRows(got), sortedRows(want); strings.Join(g, "\n") != strings.Join(w, "\n") {
+				t.Fatalf("%s: unnested on the vector path returns %d rows, canonical %d", step, len(g), len(w))
+			}
+		}
+		rows := sortedRows(want)
+		if strings.Join(rows, "\n") == strings.Join(prev, "\n") {
+			t.Fatalf("%s: the answer did not change", step)
+		}
+		prev = rows
+	}
+	check("loaded")
+	for _, stmt := range []string{
+		"INSERT INTO r VALUES (9001, 1, 1, 2999), (0, 0, 7, 300)",
+		"UPDATE r SET a4 = 2997 WHERE a4 < 300",
+		"DELETE FROM r WHERE a4 > 2990",
+		"DELETE FROM s WHERE b2 = 0", // (0, 0, 7, 300) now counts its s rows right
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+		check(stmt)
+	}
+	r, err := db.cat.Lookup("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Insert([]types.Value{types.NewInt(9003), types.NewInt(3), types.NewInt(3), types.NewInt(2999)}); err != nil {
+		t.Fatal(err)
+	}
+	check("builder-path Insert")
+	r.BulkLoad([][]types.Value{{types.NewInt(9004), types.NewInt(4), types.NewInt(4), types.NewInt(2999)}})
+	check("builder-path BulkLoad")
+}

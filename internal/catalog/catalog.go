@@ -2,8 +2,9 @@
 // definitions with their rows, view definitions, and the per-column
 // statistics the cost model consumes (Table.ColumnStats: distinct count
 // and numeric range, computed for one column on first use and cached
-// with the table version). The translator, estimator and executor
-// resolve names against a Catalog (or one of its Snapshots).
+// with the table version, as is its columnar view, Table.Batch). The
+// translator, estimator and executor resolve names against a Catalog (or
+// one of its Snapshots).
 //
 // A snapshot carries two counters. Version advances on every commit and
 // names the data; SchemaEpoch advances only on DDL (Create, Drop,
@@ -46,12 +47,12 @@ type Column struct {
 	Type types.Kind
 }
 
-// Table is a named base relation plus its column statistics. Once a
-// table version is published in a Catalog it is immutable: mutations go
-// through the Catalog's copy-on-write methods, which swap in a fresh
-// *Table. The lazily computed statistics are the only mutable state and
-// are guarded by their own mutex, so concurrent snapshot readers may
-// share one version freely.
+// Table is a named base relation plus its column statistics and its
+// columnar view. Once a table version is published in a Catalog it is
+// immutable: mutations go through the Catalog's copy-on-write methods,
+// which swap in a fresh *Table. The lazily made statistics and batch are
+// the only mutable state and are guarded by their own mutex, so
+// concurrent snapshot readers may share one version freely.
 type Table struct {
 	Name    string
 	Columns []Column
@@ -65,6 +66,7 @@ type Table struct {
 
 	statsMu sync.Mutex
 	stats   []*ColumnStats // by column; nil entries not yet computed
+	batch   *storage.Batch // the columnar view of Rel; nil until made
 }
 
 // ColumnStats are one column's statistics for the cost model: the
@@ -409,7 +411,7 @@ func (t *Table) Insert(row []types.Value) error {
 		return err
 	}
 	t.Rel.Append(row)
-	t.dropStats()
+	t.dropDerived()
 	return nil
 }
 
@@ -418,15 +420,27 @@ func (t *Table) Insert(row []types.Value) error {
 // Builder path: see Insert.
 func (t *Table) BulkLoad(rows [][]types.Value) {
 	t.Rel.Tuples = append(t.Rel.Tuples, rows...)
-	t.dropStats()
+	t.dropDerived()
 }
 
-// dropStats forgets the statistics of rows a builder-path method has
-// just changed in place.
-func (t *Table) dropStats() {
+// dropDerived forgets the statistics and the columnar view of rows a
+// builder-path method has just changed in place.
+func (t *Table) dropDerived() {
 	t.statsMu.Lock()
-	t.stats = nil
+	t.stats, t.batch = nil, nil
 	t.statsMu.Unlock()
+}
+
+// Batch returns the columnar view of this version's rows, made on first
+// use and kept with the version, as its statistics are: every query that
+// scans the version reads the same column vectors, each built once.
+func (t *Table) Batch() *storage.Batch {
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	if t.batch == nil {
+		t.batch = storage.NewBatch(t.Rel)
+	}
+	return t.batch
 }
 
 // ColumnStats returns column i's statistics, computing them on first

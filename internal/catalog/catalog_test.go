@@ -130,3 +130,46 @@ func TestStatsComputationAndCaching(t *testing.T) {
 		t.Errorf("stats after BulkLoad = %+v (cached pointer kept: %v)", *got, got == k)
 	}
 }
+
+// TestBatchKeptWithTheVersion: a table version's columnar view is made
+// once and kept with it; the builder path, which changes the version in
+// place, drops it, and a commit's new version makes its own, leaving
+// the old version's as it was.
+func TestBatchKeptWithTheVersion(t *testing.T) {
+	c := New()
+	tbl, _ := c.Create("t", []Column{{Name: "k", Type: types.KindInt}})
+	tbl.BulkLoad([][]types.Value{{types.NewInt(1)}, {types.NewInt(2)}})
+	b := tbl.Batch()
+	col := b.Col(0)
+	if tbl.Batch() != b || tbl.Batch().Col(0) != col {
+		t.Fatal("a second Batch of one version is another view")
+	}
+	tbl.Insert([]types.Value{types.NewInt(3)})
+	if got := tbl.Batch(); got == b || got.Len() != 3 || got.Col(0).Ints[2] != 3 {
+		t.Fatalf("after Insert: the same batch %v, %d rows; want a new one of 3", got == b, got.Len())
+	}
+	b = tbl.Batch()
+	tbl.BulkLoad([][]types.Value{{types.NewInt(4)}})
+	if got := tbl.Batch(); got == b || got.Len() != 4 || got.Col(0).Ints[3] != 4 {
+		t.Fatalf("after BulkLoad: the same batch %v, %d rows; want a new one of 4", got == b, got.Len())
+	}
+	old := tbl.Batch()
+	oldCol := old.Col(0)
+	if err := c.InsertRows("t", []types.Value{types.NewInt(5)}); err != nil {
+		t.Fatal(err)
+	}
+	next, _ := c.Lookup("t")
+	if next.Batch() == old || next.Batch().Len() != 5 || next.Batch().Col(0) == oldCol {
+		t.Fatal("the committed version reads the old version's batch")
+	}
+	if err := c.ReplaceRows("t", [][]types.Value{{types.NewInt(9)}}); err != nil {
+		t.Fatal(err)
+	}
+	last, _ := c.Lookup("t")
+	if got := last.Batch(); got == next.Batch() || got.Len() != 1 || got.Col(0).Ints[0] != 9 {
+		t.Fatal("the replaced version reads its predecessor's batch")
+	}
+	if old.Len() != 4 || old.Col(0) != oldCol || tbl.Batch() != old {
+		t.Error("a commit changed the old version's batch")
+	}
+}

@@ -185,7 +185,8 @@ type Executor struct {
 // sharedState is the cross-worker state: the DAG/subquery memo (with a
 // single-flight table deduplicating concurrent first evaluations) and
 // the abort latch that propagates cancellation (timeout, budget, eval
-// errors) to every worker.
+// errors) to every worker. Its maps are made on first write, so a query
+// that memoizes nothing makes none.
 type sharedState struct {
 	mu         sync.Mutex
 	memo       map[physical.Node]*storage.Relation
@@ -202,14 +203,7 @@ type sharedState struct {
 	// and a set + cond (vs. a per-flight channel) keeps the memoized
 	// path allocation-free.
 	flight     map[physical.Node]bool
-	flightDone *sync.Cond // signaled under mu whenever a flight ends
-
-	// batches caches the columnar view of relations the vectorized path
-	// has touched, keyed by row-heap identity, so canonical plans that
-	// re-evaluate a predicate over the same memoized input per outer
-	// tuple pay the row→column conversion once. Guarded by mu; the
-	// per-column vectors inside a Batch have their own synchronization.
-	batches map[*storage.Relation]*storage.Batch
+	flightDone sync.Cond // signaled under mu whenever a flight ends
 
 	resident atomic.Int64 // tuples pinned by the memo
 	peak     atomic.Int64 // high-water mark of resident (+ in-flight) tuples
@@ -248,14 +242,8 @@ func New(cat catalog.Reader, opt Options) *Executor {
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	sh := &sharedState{
-		memo:       make(map[physical.Node]*storage.Relation),
-		flight:     make(map[physical.Node]bool),
-		correlated: make(map[algebra.Op]bool),
-		batches:    make(map[*storage.Relation]*storage.Batch),
-		budget:     opt.Budget,
-	}
-	sh.flightDone = sync.NewCond(&sh.mu)
+	sh := &sharedState{budget: opt.Budget}
+	sh.flightDone.L = &sh.mu
 	msize := opt.MorselSize
 	switch {
 	case msize <= 0:
@@ -472,6 +460,9 @@ func (ex *Executor) isCorrelated(op algebra.Op) bool {
 	ex.sh.mu.Unlock()
 	c := algebra.Correlated(op) // pure; computed outside the lock
 	ex.sh.mu.Lock()
+	if ex.sh.correlated == nil {
+		ex.sh.correlated = make(map[algebra.Op]bool)
+	}
 	ex.sh.correlated[op] = c
 	ex.sh.mu.Unlock()
 	return c
@@ -550,6 +541,9 @@ func (ex *Executor) evalMemo(n physical.Node, env *Env) (*storage.Relation, erro
 			// re-evaluates, hitting the same error itself.
 			ex.sh.flightDone.Wait()
 		}
+		if ex.sh.flight == nil {
+			ex.sh.flight = make(map[physical.Node]bool)
+		}
 		ex.sh.flight[n] = true
 		owns = true
 		ex.sh.mu.Unlock()
@@ -598,6 +592,9 @@ func (ex *Executor) evalMemo(n physical.Node, env *Env) (*storage.Relation, erro
 	if owns {
 		ex.sh.mu.Lock()
 		if err == nil {
+			if ex.sh.memo == nil {
+				ex.sh.memo = make(map[physical.Node]*storage.Relation)
+			}
 			ex.sh.memo[n] = rel
 			ex.sh.pin(int64(rel.Cardinality()))
 		}
@@ -665,8 +662,9 @@ func (ex *Executor) evalScan(s *physical.Scan) (*storage.Relation, error) {
 	if _, err := ex.vecEnter(s); err != nil {
 		return nil, err
 	}
-	// Share tuple storage; only the schema (qualification) differs.
-	return &storage.Relation{Schema: s.Schema(), Tuples: tbl.Rel.Tuples}, nil
+	// Share tuple storage and the table version's columnar view; only
+	// the schema (qualification) differs.
+	return tbl.Batch().View(s.Schema()), nil
 }
 
 // evalFilter is σ: a pass over morsels turns the predicate's truth

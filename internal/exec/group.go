@@ -6,67 +6,43 @@ import (
 	"sort"
 
 	"disqo/internal/agg"
-	"disqo/internal/algebra"
 	"disqo/internal/physical"
 	"disqo/internal/storage"
 	"disqo/internal/types"
 )
 
-// aggInputs holds what a grouping operator's accumulators are fed, per
-// aggregate item, from its arguments the planner bound to the input row,
-// so the per-row work is only the evaluation. args[i].Cols, for an item
-// whose argument is a column of the input, or for a DISTINCT item
-// columns of it, holds those columns: its accumulator is fed the row and
-// reads its argument, or keys its DISTINCT set, on them (agg.Acc.AddOn),
-// or Γ dedups on them. Any other Star item is fed the row, and any other
-// item the value of its argument expression, args[i].Expr.
-type aggInputs struct {
-	items []algebra.AggItem
-	args  []physical.AggArg
-	// specs[i] is the spec item i's accumulators run: the item's, less
-	// the DISTINCT that means nothing (MIN, MAX) or that Γ applies itself
-	// (dedup).
-	specs []agg.Spec
-	// dedup[i], for a DISTINCT item of Γ whose argument is columns of the
-	// input, holds the grouping columns followed by those: the rows
-	// distinct on them are the item's distinct (group, argument) pairs.
-	dedup [][]int
-}
-
-// newAggInputs sets up items, with their arguments args bound to the
-// input row. keyCols are Γ's grouping columns; the binary groupings,
-// which accumulate per left tuple rather than per input group, pass nil.
-func newAggInputs(items []algebra.AggItem, args []physical.AggArg, keyCols []int) *aggInputs {
-	ai := &aggInputs{items: items, args: args, specs: make([]agg.Spec, len(items)),
-		dedup: make([][]int, len(items))}
-	for i, item := range items {
-		ai.specs[i] = item.Spec
-		if !item.Spec.Distinct {
-			continue
-		}
-		if item.Spec.Kind == agg.Min || item.Spec.Kind == agg.Max {
-			ai.specs[i].Distinct = false
-			continue
-		}
-		if arg := args[i].Cols; keyCols != nil && arg != nil {
-			ai.dedup[i] = append(append([]int(nil), keyCols...), arg...)
-			ai.specs[i].Distinct = false
-		}
-	}
-	return ai
-}
-
-// aggFeed feeds one morsel's input rows to accumulators: it owns the
-// frame the argument expressions see each row through and the buffer
-// their values are handed over in, so a row costs no allocation.
+// aggFeed feeds one morsel's input rows to accumulators, per aggregate
+// item, from its argument the planner bound to the input row
+// (physical.AggArg), so the per-row work is only the evaluation. An item
+// whose argument is columns of the input row, Cols, is fed the row and
+// reads its argument, or keys its DISTINCT set, on them (agg.Acc.AddOn);
+// any other Star item is fed the row, and any other item the value of
+// its argument expression. The feed owns the frame the argument
+// expressions see each row through and the buffer their values are
+// handed over in, so a row costs no allocation. A keyed feed is a keyed
+// fold's (Γ's, a hashed grouping's): it deduplicates the items with a
+// Dedup itself, and their accumulators count what they are fed.
 type aggFeed struct {
-	*aggInputs
+	args  []physical.AggArg
+	keyed bool
 	frame Env
 	one   [1]types.Value
 }
 
-func (ai *aggInputs) feed(env *Env) *aggFeed {
-	return &aggFeed{aggInputs: ai, frame: Env{parent: env}}
+func newFeed(args []physical.AggArg, keyed bool, env *Env) *aggFeed {
+	return &aggFeed{args: args, keyed: keyed, frame: Env{parent: env}}
+}
+
+// dedups reports whether the fold deduplicates item i itself.
+func (f *aggFeed) dedups(i int) bool { return f.keyed && f.args[i].Dedup != nil }
+
+// spec is the spec item i's accumulators run in this fold.
+func (f *aggFeed) spec(i int) agg.Spec {
+	s := f.args[i].Spec
+	if f.dedups(i) {
+		s.Distinct = false
+	}
+	return s
 }
 
 // addTo feeds one input row to item i's accumulator: by its argument
@@ -74,17 +50,17 @@ func (ai *aggInputs) feed(env *Env) *aggFeed {
 // argument expression — in the feed's buffer, or, for a DISTINCT
 // accumulator, which retains its argument, in a fresh slice.
 func (f *aggFeed) addTo(w *Executor, acc *agg.Acc, i int, row []types.Value) error {
-	item := &f.items[i]
-	if cols := f.args[i].Cols; item.Spec.Star || cols != nil {
-		acc.AddOn(row, cols)
+	arg := &f.args[i]
+	if arg.Spec.Star || arg.Cols != nil {
+		acc.AddOn(row, arg.Cols)
 		return nil
 	}
 	f.frame.tuple = row
-	v, err := w.EvalExpr(f.args[i].Expr, &f.frame)
+	v, err := w.EvalExpr(arg.Expr, &f.frame)
 	if err != nil {
 		return err
 	}
-	if f.specs[i].Distinct {
+	if arg.Spec.Distinct {
 		acc.AddOn([]types.Value{v}, nil)
 		return nil
 	}
@@ -93,11 +69,11 @@ func (f *aggFeed) addTo(w *Executor, acc *agg.Acc, i int, row []types.Value) err
 	return nil
 }
 
-// add feeds one input row to the accumulator of every item but those Γ
-// dedups itself (evalGroup's second pass).
+// add feeds one input row to the accumulator of every item but those the
+// fold deduplicates itself (groupTable.fold feeds those).
 func (f *aggFeed) add(w *Executor, accs []agg.Acc, row []types.Value) error {
-	for i := range f.items {
-		if f.dedup[i] != nil {
+	for i := range f.args {
+		if f.dedups(i) {
 			continue
 		}
 		if err := f.addTo(w, &accs[i], i, row); err != nil {
@@ -110,13 +86,14 @@ func (f *aggFeed) add(w *Executor, accs []agg.Acc, row []types.Value) error {
 // groupTable is a hash grouping with deterministic first-appearance
 // output order. A group is an entry of an index over the input rows —
 // its first row, keyed on the grouping columns — and its accumulators
-// sit beside it in one slab, entry e's at accs[e*len(specs):]. Keys
+// sit beside it in one slab, entry e's at accs[e*len(args):]. Keys
 // compare under Identical (NULL groups with NULL), or, for Γ²'s per-key
 // fold (skipNulls), SQL equality: a NULL key is in no group. Γ²'s groups
 // overlay base, the accumulators of the rows every group holds. seen[j],
 // for a DISTINCT item the table dedups itself, indexes the same rows on
-// (grouping columns, argument columns): a row feeds the item when it is
-// new there — and, under an overlay, not in base's set.
+// its Dedup columns (grouping columns, argument columns): a row feeds
+// the item when it is new there — and, under an overlay, not in base's
+// set.
 type groupTable struct {
 	ix   *types.RowIndex
 	base []agg.Acc
@@ -126,16 +103,16 @@ type groupTable struct {
 	res  int // where the entries' results start in Γ²'s results (foldKeys)
 }
 
-// newGroupTable returns an empty table over rows keyed on keyCols, its
-// index and accumulator slab sized for groups groups and its DISTINCT
-// indexes for pairs (group, argument) pairs.
-func newGroupTable(ai *aggInputs, rows [][]types.Value, keyCols []int, skipNulls bool, groups, pairs int, base []agg.Acc) *groupTable {
+// newGroupTable returns an empty table over rows keyed on keyCols for
+// the items args, its index and accumulator slab sized for groups groups
+// and its DISTINCT indexes for pairs (group, argument) pairs.
+func newGroupTable(args []physical.AggArg, rows [][]types.Value, keyCols []int, skipNulls bool, groups, pairs int, base []agg.Acc) *groupTable {
 	gt := &groupTable{ix: types.NewRowIndex(rows, keyCols, skipNulls, groups), base: base,
-		accs: make([]agg.Acc, 0, groups*len(ai.specs))}
-	for j, cols := range ai.dedup {
-		if cols != nil {
+		accs: make([]agg.Acc, 0, groups*len(args))}
+	for j := range args {
+		if cols := args[j].Dedup; cols != nil {
 			if gt.seen == nil {
-				gt.seen = make([]*types.RowIndex, len(ai.dedup))
+				gt.seen = make([]*types.RowIndex, len(args))
 			}
 			gt.seen[j] = types.NewRowIndex(rows, cols, false, pairs)
 		}
@@ -144,14 +121,17 @@ func newGroupTable(ai *aggInputs, rows [][]types.Value, keyCols []int, skipNulls
 }
 
 // fold feeds input row i to its group's accumulators, founding the group
-// when the row is its first; h is the row's key hash, which must be ok.
+// when the row is its first; h is the row's key hash, which must be ok,
+// and which a DISTINCT item's index continues over the argument columns
+// rather than hash the key again.
 func (gt *groupTable) fold(w *Executor, feed *aggFeed, i int, row []types.Value, h uint64) error {
 	e, added := gt.ix.FindOrAddHashed(int32(i), h)
+	na := len(feed.args)
 	if added {
-		for j, spec := range feed.specs {
+		for j := range feed.args {
 			switch {
 			case gt.base == nil:
-				gt.accs = append(gt.accs, *agg.NewAcc(spec))
+				gt.accs = append(gt.accs, *agg.NewAcc(feed.spec(j)))
 			case gt.seen != nil && gt.seen[j] != nil:
 				gt.accs = append(gt.accs, *agg.OverlayDeduped(&gt.base[j]))
 			default:
@@ -159,15 +139,17 @@ func (gt *groupTable) fold(w *Executor, feed *aggFeed, i int, row []types.Value,
 			}
 		}
 	}
-	accs := gt.accs[int(e)*len(feed.specs):][:len(feed.specs)]
+	accs := gt.accs[int(e)*na:][:na]
 	if err := feed.add(w, accs, row); err != nil {
 		return err
 	}
 	for j, s := range gt.seen {
-		if s == nil || gt.base != nil && gt.base[j].Seen(row, feed.args[j].Cols) {
+		cols := feed.args[j].Cols
+		if s == nil || gt.base != nil && gt.base[j].Seen(row, cols) {
 			continue
 		}
-		if _, added := s.FindOrAdd(int32(i)); !added {
+		hj, _ := s.HashMore(h, row, cols)
+		if _, added := s.FindOrAddHashed(int32(i), hj); !added {
 			continue
 		}
 		if err := feed.addTo(w, &accs[j], j, row); err != nil {
@@ -177,9 +159,12 @@ func (gt *groupTable) fold(w *Executor, feed *aggFeed, i int, row []types.Value,
 	return nil
 }
 
-func appendAccs(accs []agg.Acc, specs []agg.Spec) []agg.Acc {
-	for _, spec := range specs {
-		accs = append(accs, *agg.NewAcc(spec))
+// newAccs returns fresh accumulators for the items args, each running
+// its Spec: a fold that deduplicates nothing itself.
+func newAccs(args []physical.AggArg) []agg.Acc {
+	accs := make([]agg.Acc, len(args))
+	for i := range args {
+		accs[i] = *agg.NewAcc(args[i].Spec)
 	}
 	return accs
 }
@@ -205,7 +190,7 @@ func partOf(h uint64, parts int) int {
 // morsel size — float sums included. One worker, or no key columns, is
 // one partition and no hashing pass. Each table and its accumulator slab
 // are sized once, for est groups (at most n) over P.
-func (ex *Executor) foldGroups(ai *aggInputs, rows [][]types.Value, keyCols []int, skipNulls bool, est float64, base []agg.Acc, env *Env) ([]*groupTable, error) {
+func (ex *Executor) foldGroups(args []physical.AggArg, rows [][]types.Value, keyCols []int, skipNulls bool, est float64, base []agg.Acc, env *Env) ([]*groupTable, error) {
 	n, parts := len(rows), 1
 	if len(keyCols) > 0 {
 		parts = ex.fanout(n)
@@ -217,7 +202,7 @@ func (ex *Executor) foldGroups(ai *aggInputs, rows [][]types.Value, keyCols []in
 	groups /= parts
 	tables := make([]*groupTable, parts)
 	for p := range tables {
-		tables[p] = newGroupTable(ai, rows, keyCols, skipNulls, groups, n/parts, base)
+		tables[p] = newGroupTable(args, rows, keyCols, skipNulls, groups, n/parts, base)
 	}
 	// hashes[i] is row i's key hash when there are partitions, 0 for a
 	// key the tables skip — which a fold hashes again, to find out.
@@ -241,7 +226,7 @@ func (ex *Executor) foldGroups(ai *aggInputs, rows [][]types.Value, keyCols []in
 	// fold folds partition p: the rows whose key hash falls in it, every
 	// row with a key the table does not skip when there is one partition.
 	fold := func(w *Executor, p int) (struct{}, error) {
-		gt, feed := tables[p], ai.feed(env)
+		gt, feed := tables[p], newFeed(args, true, env)
 		for i, t := range rows {
 			h, ok := uint64(0), true
 			if hashes != nil {
@@ -287,8 +272,7 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 	if err != nil {
 		return nil, err
 	}
-	ai := newAggInputs(g.Aggs, g.Args, g.KeyCols)
-	tables, err := ex.foldGroups(ai, in.Tuples, g.KeyCols, false, g.EstRows(), nil, env)
+	tables, err := ex.foldGroups(g.Args, in.Tuples, g.KeyCols, false, g.EstRows(), nil, env)
 	if err != nil {
 		return nil, err
 	}
@@ -546,14 +530,12 @@ type grouping struct {
 	// the base's results, for a left key R⁻ lacks, a NULL or an
 	// incomparable one, at 0, then each entry's: key entry e of a
 	// table's at its res+e*n, the first k sorted rows' at k*n. A grouping
-	// with neither scans R⁻, neg, per left tuple, into overlays of base,
-	// fed by ai.
+	// with neither scans R⁻, neg, per left tuple, into overlays of base.
 	tables []*groupTable
 	sorted *sortedFold
 	keyRes []types.Value
 	neg    *storage.Relation
 	base   []agg.Acc
-	ai     *aggInputs
 }
 
 // foldGrouping folds the right input R of grouping g, which gr holds in
@@ -584,21 +566,20 @@ func (ex *Executor) foldGrouping(gr *grouping, g *physical.Grouping, compiled bo
 	gr.Grouping = g
 	r := gr.neg
 	hashed := g.LCols != nil && g.Theta == types.EQ
-	// ai feeds R's rows to the base, the sorted fold or a left tuple's
-	// group, none of which an untagged hashed Γ² has.
+	// The base is what the sorted fold and a left tuple's scanned group
+	// overlay; an untagged hashed Γ² has none.
 	if !hashed || g.Tag != nil {
-		gr.ai = newAggInputs(g.Aggs, g.Args, nil)
-		gr.base = appendAccs(nil, gr.ai.specs)
+		gr.base = newAccs(g.Args)
 	}
 	var err error
 	if g.Tag != nil {
-		if gr.neg, err = ex.split(g, r, compiled && g.VecTag != nil, gr.ai.feed(env), gr.base, env); err != nil {
+		if gr.neg, err = ex.split(g, r, compiled && g.VecTag != nil, newFeed(g.Args, false, env), gr.base, env); err != nil {
 			return err
 		}
 	}
 	switch {
 	case g.Theta != types.EQ:
-		if gr.sorted, gr.keyRes, err = ex.foldSorted(g, r, gr.ai.feed(env)); gr.sorted == nil {
+		if gr.sorted, gr.keyRes, err = ex.foldSorted(g, r, newFeed(g.Args, false, env)); gr.sorted == nil {
 			ex.stats.NLJoins++
 		} else {
 			ex.stats.SortedGroups++
@@ -633,7 +614,7 @@ func (g *grouping) entry(lt []types.Value) int {
 // to overlays of the base and writes their results to dst.
 func (g *grouping) scan(w *Executor, env *Env) func(lt, dst []types.Value) error {
 	lf, rf := pairFrames(env)
-	feed, accs := g.ai.feed(env), make([]agg.Acc, len(g.Aggs))
+	feed, accs := newFeed(g.Args, false, env), make([]agg.Acc, len(g.Aggs))
 	return func(lt, dst []types.Value) error {
 		for j := range g.base {
 			accs[j] = *agg.Overlay(&g.base[j])
@@ -668,9 +649,8 @@ func (g *grouping) scan(w *Executor, env *Env) func(lt, dst []types.Value) error
 // set: no key keeps a set of its own. It returns the tables and their
 // results: base's first, then each table's from its res on.
 func (ex *Executor) foldKeys(b *physical.Grouping, neg *storage.Relation, base []agg.Acc, env *Env) ([]*groupTable, []types.Value, error) {
-	ai := newAggInputs(b.Aggs, b.Args, b.RCols)
 	ex.creditHashBuild(len(neg.Tuples))
-	tables, err := ex.foldGroups(ai, neg.Tuples, b.RCols, true, b.Groups, base, env)
+	tables, err := ex.foldGroups(b.Args, neg.Tuples, b.RCols, true, b.Groups, base, env)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -729,7 +709,7 @@ func (ex *Executor) foldSorted(b *physical.Grouping, r *storage.Relation, feed *
 		return c
 	})
 	n, m := len(b.Aggs), len(s.rows)
-	accs := appendAccs(nil, feed.specs)
+	accs := newAccs(feed.args)
 	res := make([]types.Value, (m+1)*n)
 	for k := 0; k <= m; k++ {
 		if k > 0 {

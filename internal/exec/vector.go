@@ -52,21 +52,6 @@ func (ex *Executor) vecEnter(n physical.Node) (bool, error) {
 	return true, nil
 }
 
-// batchFor returns the shared columnar view of a relation, creating it
-// on first use. Sharing by row-heap identity means canonical plans that
-// re-run a predicate over one memoized input per outer tuple convert
-// rows to columns once, not per binding.
-func (ex *Executor) batchFor(rel *storage.Relation) *storage.Batch {
-	ex.sh.mu.Lock()
-	b := ex.sh.batches[rel]
-	if b == nil {
-		b = storage.NewBatch(rel)
-		ex.sh.batches[rel] = b
-	}
-	ex.sh.mu.Unlock()
-	return b
-}
-
 // program is a compiled columnar expression: *vec.Pred yields truth
 // values, *vec.Scalar yields values.
 type program[T any] interface {
@@ -76,14 +61,14 @@ type program[T any] interface {
 
 // morselEval returns the one part of an operator that varies with the
 // path: the expression's results for rows [lo,hi) of in. Compiled (the
-// verdict of vecEnter) runs prog over the shared batch, whose columns
+// verdict of vecEnter) runs prog over the relation's batch, whose columns
 // the coordinator materializes here so morsel workers only take the
 // wait-free column loads; otherwise interp is called per row on a
 // frame pushed once per morsel, over env, and moved from row to row.
 func morselEval[T any](ex *Executor, compiled bool, prog program[T], in *storage.Relation, env *Env,
 	interp func(w *Executor, row *Env) (T, error)) func(w *Executor, lo, hi int) ([]T, error) {
 	if compiled {
-		b := ex.batchFor(in)
+		b := in.Batch()
 		b.Materialize(prog.Cols())
 		return func(w *Executor, lo, hi int) ([]T, error) {
 			res, cmps, err := prog.Eval(b, lo, hi)

@@ -238,3 +238,43 @@ func TestProbeAllocatesPerMorsel(t *testing.T) {
 		}
 	}
 }
+
+// TestScansShareTheVersionBatch: two queries scanning one table version
+// read its one batch, so a column either builds is the other's, pointer
+// for pointer; a query over the version a commit publishes reads a batch
+// of its own, and the old version's keeps its rows.
+func TestScansShareTheVersionBatch(t *testing.T) {
+	cat := evalFixture(t)
+	scan := func() *storage.Relation {
+		t.Helper()
+		ex := New(cat, Options{Path: PathVector})
+		n, err := ex.Plan(bigScan(t, cat, "l"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := ex.evalScan(n.(*physical.Scan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	tbl, err := cat.Lookup("l")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := scan(), scan()
+	if a == b || a.Batch() != tbl.Batch() || b.Batch() != tbl.Batch() || a.Batch().Col(2) != b.Batch().Col(2) {
+		t.Fatal("two scans of one table version read different batches")
+	}
+	col := a.Batch().Col(2)
+	if err := cat.InsertRows("l", []types.Value{types.NewInt(1), types.Null(), types.NewInt(99)}); err != nil {
+		t.Fatal(err)
+	}
+	c := scan()
+	if c.Batch() == a.Batch() || c.Batch().Len() != 301 || c.Batch().Col(2) == col || c.Batch().Col(2).Ints[300] != 99 {
+		t.Fatal("a scan of the committed version reads the old version's batch")
+	}
+	if a.Batch().Len() != 300 || a.Batch().Col(2) != col {
+		t.Error("the commit changed the old version's batch")
+	}
+}

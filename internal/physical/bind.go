@@ -89,10 +89,17 @@ type Site struct {
 // AggArg is an aggregate item's argument bound to its input row: Expr,
 // nil for *, and Cols, the row's columns the accumulator reads — the
 // argument's, when it is a column of the row, or for a DISTINCT * the
-// columns forming the * tuple — nil when Expr is evaluated instead.
+// columns forming the * tuple — nil when Expr is evaluated instead. Spec
+// is the spec the item's accumulators run: the item's, less a DISTINCT
+// that means nothing (MIN, MAX). Dedup, for a DISTINCT item with Cols of
+// a keyed fold — Γ's, or a hashed grouping's fold of its right input —
+// holds the key columns followed by Cols: the fold deduplicates the item
+// on them itself, and its accumulators there count what they are fed.
 type AggArg struct {
-	Expr *Bound
-	Cols []int
+	Expr  *Bound
+	Cols  []int
+	Spec  agg.Spec
+	Dedup []int
 }
 
 // scope is what a row-path expression sees: frames, innermost first,
@@ -257,11 +264,15 @@ func (p *Planner) site(e algebra.Expr, blk *algebra.Block, sc *scope) (*Site, er
 }
 
 // bindAggs binds aggregate items over their input rows, which sc
-// describes.
-func (p *Planner) bindAggs(aggs []algebra.AggItem, sc *scope) ([]AggArg, error) {
+// describes, for a fold keyed on keyCols (nil: none).
+func (p *Planner) bindAggs(aggs []algebra.AggItem, sc *scope, keyCols []int) ([]AggArg, error) {
 	args := make([]AggArg, len(aggs))
 	for i, a := range aggs {
 		arg := &args[i]
+		arg.Spec = a.Spec
+		if a.Spec.Kind == agg.Min || a.Spec.Kind == agg.Max {
+			arg.Spec.Distinct = false
+		}
 		switch {
 		case a.Arg != nil:
 			var err error
@@ -283,6 +294,10 @@ func (p *Planner) bindAggs(aggs []algebra.AggItem, sc *scope) ([]AggArg, error) 
 			for c := range arg.Cols {
 				arg.Cols[c] = c
 			}
+		}
+		if arg.Spec.Distinct && keyCols != nil && arg.Cols != nil {
+			arg.Dedup = append(p.newCols(len(keyCols) + len(arg.Cols))[:0], keyCols...)
+			arg.Dedup = append(arg.Dedup, arg.Cols...)
 		}
 	}
 	return args, nil
@@ -312,7 +327,7 @@ func (p *Planner) bind(n Node) error {
 	case *Join:
 		x.Bound, err = p.bindExpr(x.Pred, p.pair(x.L.Schema(), x.R.Schema()))
 	case *Group:
-		x.Args, err = p.bindAggs(x.Aggs, p.row(x.Child.Schema()))
+		x.Args, err = p.bindAggs(x.Aggs, p.row(x.Child.Schema()), x.KeyCols)
 	case *BinaryGroup:
 		ls := x.L.Schema()
 		for i := range x.Groupings {
@@ -331,7 +346,11 @@ func (p *Planner) bind(n Node) error {
 			if g.TagBound, err = p.bindExpr(g.Tag, p.row(rs)); err != nil {
 				return err
 			}
-			if g.Args, err = p.bindAggs(g.Aggs, p.row(rs)); err != nil {
+			var keys []int // a hashed grouping's fold of R is keyed
+			if g.LCols != nil && g.Theta == types.EQ {
+				keys = g.RCols
+			}
+			if g.Args, err = p.bindAggs(g.Aggs, p.row(rs), keys); err != nil {
 				return err
 			}
 		}

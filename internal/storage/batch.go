@@ -31,6 +31,15 @@ func NewBatch(rel *Relation) *Batch {
 	return &Batch{rel: rel, cols: make([]atomic.Pointer[ColVec], rel.Schema.Len())}
 }
 
+// View returns a relation of schema s over the batch's rows — a scan's
+// qualified view of its table version — whose columnar view is the batch
+// itself.
+func (b *Batch) View(s *Schema) *Relation {
+	r := &Relation{Schema: s, Tuples: b.rel.Tuples}
+	r.batch.Store(b)
+	return r
+}
+
 // Relation returns the row heap the batch is a view of.
 func (b *Batch) Relation() *Relation { return b.rel }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"disqo/internal/types"
 )
@@ -122,6 +123,22 @@ func (s *Schema) Projection(idx []int, names []string) error {
 type Relation struct {
 	Schema *Schema
 	Tuples [][]types.Value
+	// batch is the columnar view of the tuples: made on first use
+	// (Batch), or the table version's own for a scan's view of it
+	// (Batch.View).
+	batch atomic.Pointer[Batch]
+}
+
+// Batch returns the relation's columnar view, made on first use: every
+// operator, worker and re-evaluation reading the relation — a memoized
+// input a canonical plan filters per outer tuple — reads the same column
+// vectors. The tuples must not change once it is made; Append drops it.
+func (r *Relation) Batch() *Batch {
+	if b := r.batch.Load(); b != nil {
+		return b
+	}
+	r.batch.CompareAndSwap(nil, NewBatch(r))
+	return r.batch.Load()
 }
 
 // NewRelation returns an empty relation over the schema.
@@ -139,6 +156,7 @@ func (r *Relation) Append(t []types.Value) {
 		panic(fmt.Sprintf("storage: tuple arity %d vs schema %s", len(t), r.Schema))
 	}
 	r.Tuples = append(r.Tuples, t)
+	r.batch.Store(nil)
 }
 
 // Clone returns a deep copy: both the tuple slice and every row are

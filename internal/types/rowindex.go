@@ -7,12 +7,12 @@ import "math/bits"
 // candidates → verify" structure, behind DISTINCT sets, grouping tables,
 // join build sides and DML row matching. An entry is a row number into
 // that relation — never a copy of the row — and a 32-bit tag, the high
-// half of h·φ for the row's key hash h, whose top bits pick the entry's
-// slot. Slot heads, slot tails and each entry's chain link, row number
-// and tag all sit in one int32 block, allocated per growth step, not per
-// entry. Entries sharing a slot chain in insertion order, so a probe
-// meets its matches in the order they were added; a tag match is
-// confirmed by a full key compare.
+// half of the row's key hash, whose top bits pick the entry's slot. Slot
+// heads, slot tails and each entry's chain link, row number and tag all
+// sit in one int32 block, allocated per growth step, not per entry.
+// Entries sharing a slot chain in insertion order, so a probe meets its
+// matches in the order they were added; a tag match is confirmed by a
+// full key compare.
 //
 // An index built over a relation's rows (NewRowIndex with rows non-nil)
 // indexes rows of it by number (Add, FindOrAdd). An index built with nil
@@ -69,22 +69,44 @@ func (ix *RowIndex) Row(e int32) []Value { return ix.rows[ix.RowNum(e)] }
 // would the extracted key, which it never builds. ok is false when the
 // index skips NULLs and the key holds one.
 func (ix *RowIndex) Hash(row []Value, cols []int) (h uint64, ok bool) {
-	h, ok = hashKey(row, cols, ix.skipNulls)
+	return ix.HashMore(keySeed, row, cols)
+}
+
+// HashMore continues h, the hash of a key's leading columns, over row's
+// columns cols: the hash of a key of some columns of row followed by
+// cols is HashMore(hash of the first, row, cols), so a row keyed on a
+// prefix and on the whole has its prefix hashed once. Hash is HashMore
+// from the empty key's hash; ok is as for Hash.
+func (ix *RowIndex) HashMore(h uint64, row []Value, cols []int) (uint64, bool) {
+	h, ok := hashMore(h, row, cols, ix.skipNulls)
 	if ix.collide != nil {
 		h = ix.collide(h)
 	}
 	return h, ok
 }
 
+// keySeed is the empty key's hash.
+const keySeed = 0x6a09e667f3bcc909
+
 func hashKey(row []Value, cols []int, skipNulls bool) (h uint64, ok bool) {
-	const prime64 = 1099511628211
-	h = 14695981039346656037
+	return hashMore(keySeed, row, cols, skipNulls)
+}
+
+// hashMore folds the key columns' hashes into h in order: a multiply of
+// h by an odd constant and an add each, so the high bits, from which
+// tagOf takes the slot, depend on every column, and a one-column key's
+// are its value's, shifted by a constant.
+func hashMore(h uint64, row []Value, cols []int, skipNulls bool) (uint64, bool) {
 	for k, n := 0, keyLen(row, cols); k < n; k++ {
 		v := keyAt(row, cols, k)
-		if skipNulls && v.IsNull() {
+		switch {
+		case v.kind == KindInt: // Hash's own case, inlined for the common key
+			h = h*0x9fb21c651e98df25 + mix(v.n)
+		case skipNulls && v.kind == KindNull:
 			return 0, false
+		default:
+			h = h*0x9fb21c651e98df25 + v.Hash()
 		}
-		h = (h ^ v.Hash()) * prime64
 	}
 	return h, true
 }
@@ -103,9 +125,9 @@ func keyAt(row []Value, cols []int, k int) Value {
 	return row[cols[k]]
 }
 
-// tagOf spreads h by its high bits (Fibonacci hashing): FNV's low bits
-// alone distribute small integers poorly.
-func tagOf(h uint64) int32 { return int32((h * 0x9E3779B97F4A7C15) >> 32) }
+// tagOf is the high half of a key hash, the half every column's bits
+// reach (hashMore).
+func tagOf(h uint64) int32 { return int32(h >> 32) }
 
 // slot returns the slot of a tag.
 func (ix *RowIndex) slot(tag int32) int { return int(uint32(tag) >> ix.shift) }

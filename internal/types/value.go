@@ -264,44 +264,66 @@ func Identical(a, b Value) bool {
 }
 
 // Hash returns a 64-bit hash consistent with Identical: identical values
-// hash equally (ints and floats representing the same number collide on
-// purpose).
+// hash equally — ints and floats representing the same number collide on
+// purpose, −0.0 with 0, every NaN payload with every other, NULL with
+// NULL. A number or a boolean costs one mix of its payload word, a
+// string one mix per 8-byte word.
 func (v Value) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
 	switch v.kind {
-	case KindNull:
-		mix(0)
-	case KindInt, KindFloat:
-		// Numerically equal ints and floats must hash equally (they are
-		// Identical). Integral floats hash via their int64 form; all
-		// other numerics hash their float64 bit pattern.
-		bits := v.n
-		if v.kind == KindFloat {
-			if f := math.Float64frombits(v.n); f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
-				bits = uint64(int64(f))
-			} else if f != f {
-				bits = math.Float64bits(math.NaN()) // every NaN payload is one value
-			}
+	case KindInt:
+		return mix(v.n)
+	case KindFloat:
+		// An integral float inside [-2⁶³, 2⁶³) hashes as its int64
+		// (they are Identical); every other float by its bits, NaN by
+		// one pattern.
+		f := math.Float64frombits(v.n)
+		switch {
+		case f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64:
+			return mix(uint64(int64(f)))
+		case f != f:
+			return mix(math.Float64bits(math.NaN()) ^ floatSeed)
 		}
-		mix(1)
-		for i := 0; i < 8; i++ {
-			mix(byte(bits >> (8 * i)))
-		}
+		return mix(v.n ^ floatSeed)
 	case KindString:
-		mix(2)
-		for i := 0; i < len(v.s); i++ {
-			mix(v.s[i])
-		}
+		return hashString(v.s)
 	case KindBool:
-		mix(3)
-		mix(byte(v.n))
+		return mix(v.n ^ boolSeed)
 	}
-	return h
+	return nullHash
+}
+
+// Seeds keep the kinds' payload words apart; nullHash is NULL's hash.
+const (
+	floatSeed = 0xd6e8feb86659fd93
+	boolSeed  = 0xc2b2ae3d27d4eb4f
+	strSeed   = 0x165667b19e3779f9
+	nullHash  = 0x27d4eb2f165667c5
+)
+
+// mix is a multiply-xorshift finalizer: a bijection of the 64-bit word
+// in which every output bit depends on every input bit. Its multiplier
+// is 2⁶⁴/φ, so below 2³² its high half is Fibonacci hashing's: a run of
+// integers, a typical key, spreads evenly over a RowIndex's slots.
+func mix(x uint64) uint64 {
+	x ^= x >> 32
+	x *= 0x9e3779b97f4a7c15
+	return x ^ x>>32
+}
+
+// hashString mixes s by the 8-byte word, little-endian; its last
+// partial word, of 0 to 7 bytes, is padded with a 1 byte, then zeros,
+// so no two tails of different lengths read as one word.
+func hashString(s string) uint64 {
+	h := uint64(strSeed)
+	for ; len(s) >= 8; s = s[8:] {
+		h = mix(h ^ (uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56))
+	}
+	w := uint64(1)
+	for i := len(s) - 1; i >= 0; i-- {
+		w = w<<8 | uint64(s[i])
+	}
+	return mix(h ^ w)
 }
 
 // HashTuple combines the hashes of a value slice (a tuple or key prefix).

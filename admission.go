@@ -150,17 +150,6 @@ func (g *gate) release() {
 	g.mu.Unlock()
 }
 
-// saturation reports the gate's instantaneous load: executing queries
-// and queued waiters. A nil gate reports zeros.
-func (g *gate) saturation() (active, queued int) {
-	if g == nil {
-		return 0, 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.active, len(g.queue)
-}
-
 // gateStats is the gate's full telemetry snapshot.
 type gateStats struct {
 	max, maxQueued int

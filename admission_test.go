@@ -87,14 +87,13 @@ func waitSaturation(t *testing.T, g *gate, active, queued int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		a, q := g.saturation()
-		if a == active && q == queued {
+		if s := g.stats(); s.active == active && s.queued == queued {
 			return
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	a, q := g.saturation()
-	t.Fatalf("gate never reached active=%d queued=%d (stuck at active=%d queued=%d)", active, queued, a, q)
+	s := g.stats()
+	t.Fatalf("gate never reached active=%d queued=%d (stuck at active=%d queued=%d)", active, queued, s.active, s.queued)
 }
 
 func TestGateNilAdmitsEverything(t *testing.T) {
@@ -106,8 +105,8 @@ func TestGateNilAdmitsEverything(t *testing.T) {
 		t.Fatalf("nil gate refused admission: %v", err)
 	}
 	g.release()
-	if a, q := g.saturation(); a != 0 || q != 0 {
-		t.Fatalf("nil gate reports load %d/%d", a, q)
+	if s := g.stats(); s.active != 0 || s.queued != 0 {
+		t.Fatalf("nil gate reports load %d/%d", s.active, s.queued)
 	}
 }
 
@@ -159,8 +158,8 @@ func TestGateFIFOHandoff(t *testing.T) {
 	if a, b := <-order, <-order; a != "first" || b != "second" {
 		t.Fatalf("handoff order was %s, %s; want first, second", a, b)
 	}
-	if a, q := g.saturation(); a != 0 || q != 0 {
-		t.Fatalf("gate not drained: active=%d queued=%d", a, q)
+	if s := g.stats(); s.active != 0 || s.queued != 0 {
+		t.Fatalf("gate not drained: active=%d queued=%d", s.active, s.queued)
 	}
 }
 
@@ -173,8 +172,8 @@ func TestGateWaitBudgetExpires(t *testing.T) {
 		t.Fatalf("expired wait returned %v, want ErrOverloaded", err)
 	}
 	g.release()
-	if a, q := g.saturation(); a != 0 || q != 0 {
-		t.Fatalf("abandoned waiter left load: active=%d queued=%d", a, q)
+	if s := g.stats(); s.active != 0 || s.queued != 0 {
+		t.Fatalf("abandoned waiter left load: active=%d queued=%d", s.active, s.queued)
 	}
 }
 
@@ -193,8 +192,8 @@ func TestGateContextCancelWhileQueued(t *testing.T) {
 		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
 	}
 	g.release()
-	if a, q := g.saturation(); a != 0 || q != 0 {
-		t.Fatalf("cancelled waiter left load: active=%d queued=%d", a, q)
+	if s := g.stats(); s.active != 0 || s.queued != 0 {
+		t.Fatalf("cancelled waiter left load: active=%d queued=%d", s.active, s.queued)
 	}
 }
 

@@ -91,16 +91,13 @@ func TestFreeColumns(t *testing.T) {
 	if len(free) != 1 || free[0] != "r.a2" {
 		t.Errorf("free = %v", free)
 	}
-	if !Correlated(sel) {
-		t.Error("Correlated must be true")
-	}
-	if Correlated(scanS()) {
-		t.Error("scan must be uncorrelated")
+	if free := FreeColumns(scanS()); len(free) != 0 {
+		t.Errorf("scan must be uncorrelated, free = %v", free)
 	}
 	// Subquery free columns propagate through expressions.
 	sub := Subquery(agg.Spec{Kind: agg.Count, Star: true}, nil, sel)
 	outer := NewSelect(scanR(), Cmp(types.EQ, Col("r.a1"), sub))
-	if Correlated(outer) {
+	if len(FreeColumns(outer)) != 0 {
 		t.Errorf("outer plan provides r.a2; free = %v", FreeColumns(outer))
 	}
 }

@@ -41,8 +41,3 @@ func gather(op Op, ops []Op, refs []string) ([]Op, []string) {
 	}
 	return ops, refs
 }
-
-// Correlated reports whether the plan references outer attributes.
-func Correlated(plan Op) bool {
-	return len(FreeColumns(plan)) > 0
-}

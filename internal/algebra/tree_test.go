@@ -13,7 +13,6 @@ import (
 
 	"disqo/internal/agg"
 	"disqo/internal/storage"
-	"disqo/internal/translate"
 	"disqo/internal/types"
 )
 
@@ -297,11 +296,18 @@ func found(t *testing.T, where string, op Op, sub *ScalarSubquery, outermost boo
 	if !in(blocks) || !scannedP {
 		t.Errorf("%s: WalkNested lists the block %v, walks it %v", where, in(blocks), scannedP)
 	}
-	// A subquery's operand belongs to that subquery: classification stops
-	// at the outermost one, which is then the only block reported.
-	infos := translate.ClassifySubqueries(root)
-	if len(infos) != 1 || outermost && infos[0] != (translate.SubqueryInfo{Type: translate.TypeJA, Correlated: true, Scalar: true}) {
-		t.Errorf("%s: ClassifySubqueries = %+v", where, infos)
+	// A subquery's operand belongs to that subquery: the search stops at
+	// the outermost one, which is then the only subquery reported — the
+	// planted correlated scalar one when it is outermost.
+	var subs []Expr
+	Walk(root, func(o Op) bool {
+		for _, e := range AppendExprs(nil, o) {
+			subs = append(subs, SubqueryExprs(e)...)
+		}
+		return true
+	})
+	if len(subs) != 1 || outermost && (subs[0] != sub || len(sub.Free()) == 0) {
+		t.Errorf("%s: SubqueryExprs over the plan = %v", where, subs)
 	}
 }
 

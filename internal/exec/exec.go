@@ -188,9 +188,8 @@ type Executor struct {
 // errors) to every worker. Its maps are made on first write, so a query
 // that memoizes nothing makes none.
 type sharedState struct {
-	mu         sync.Mutex
-	memo       map[physical.Node]*storage.Relation
-	correlated map[algebra.Op]bool
+	mu   sync.Mutex
+	memo map[physical.Node]*storage.Relation
 
 	// planner serves the callers that hold only a logical plan or
 	// expression (Plan, Run, BindExpr): created on first use, guarded by
@@ -450,24 +449,6 @@ func (ex *Executor) checkBudget(pending int) error {
 	return nil
 }
 
-// isCorrelated caches algebra.Correlated per node.
-func (ex *Executor) isCorrelated(op algebra.Op) bool {
-	ex.sh.mu.Lock()
-	if c, ok := ex.sh.correlated[op]; ok {
-		ex.sh.mu.Unlock()
-		return c
-	}
-	ex.sh.mu.Unlock()
-	c := algebra.Correlated(op) // pure; computed outside the lock
-	ex.sh.mu.Lock()
-	if ex.sh.correlated == nil {
-		ex.sh.correlated = make(map[algebra.Op]bool)
-	}
-	ex.sh.correlated[op] = c
-	ex.sh.mu.Unlock()
-	return c
-}
-
 // cacheable reports whether the node's result is env-independent and
 // memoization is allowed in the current context: at top level (env==nil)
 // DAG sharing always requires the memo; under an environment the cache
@@ -478,7 +459,7 @@ func (ex *Executor) cacheable(n physical.Node, env *Env) bool {
 	}
 	switch ex.opt.Cache {
 	case CacheAll:
-		return !ex.isCorrelated(n.Logical())
+		return !n.Correlated()
 	case CacheScans:
 		_, isScan := n.(*physical.Scan)
 		return isScan

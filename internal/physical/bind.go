@@ -113,19 +113,19 @@ type scope struct {
 }
 
 // resolve is the binder's one resolution step: the innermost frame
-// holding name, else the parameter frame.
-func (sc *scope) resolve(name string) (Slot, bool) {
+// holding name, else the parameter frame, which param reports.
+func (sc *scope) resolve(name string) (s Slot, ok, param bool) {
 	d := int32(0)
 	for f := sc; ; f = f.outer {
 		if i := f.sch.Index(name); i >= 0 {
-			return Slot{d, int32(i)}, true
+			return Slot{d, int32(i)}, true, false
 		}
 		d++
 		if f.outer == nil {
 			if slices.Contains(f.params, name) {
-				return Slot{d, int32(slices.Index(f.free, name))}, true
+				return Slot{d, int32(slices.Index(f.free, name))}, true, true
 			}
-			return Slot{}, false
+			return Slot{}, false, false
 		}
 	}
 }
@@ -141,7 +141,7 @@ type columns struct{ sch *storage.Schema }
 // Column implements vec.Columns: a compiled program reads the depth-0
 // frame's columns.
 func (c columns) Column(name string) (int, bool) {
-	s, ok := (&scope{sch: c.sch}).resolve(name)
+	s, ok, _ := (&scope{sch: c.sch}).resolve(name)
 	return int(s.Index), ok && s.Depth == 0
 }
 
@@ -181,10 +181,11 @@ func (p *Planner) bindExpr(e algebra.Expr, sc *scope) (*Bound, error) {
 	var err error
 	switch x := e.(type) {
 	case *algebra.ColRef:
-		var ok bool
-		if b.Slot, ok = sc.resolve(x.Name); !ok {
+		var ok, param bool
+		if b.Slot, ok, param = sc.resolve(x.Name); !ok {
 			err = fmt.Errorf("physical: unbound column %q", x.Name)
 		}
+		p.corr = p.corr || param
 	case *algebra.ConstExpr:
 	case *algebra.CmpExpr:
 		b.L, b.R, err = p.bindTwo(x.L, x.R, sc)
@@ -256,9 +257,11 @@ func (p *Planner) site(e algebra.Expr, blk *algebra.Block, sc *scope) (*Site, er
 		s.Params[i].Depth = -1
 	}
 	for _, name := range blk.Free() {
-		if s.Params[slices.Index(p.free, name)], ok = sc.resolve(name); !ok {
+		var param bool
+		if s.Params[slices.Index(p.free, name)], ok, param = sc.resolve(name); !ok {
 			return nil, fmt.Errorf("physical: unbound correlated column %q", name)
 		}
+		p.corr = p.corr || param
 	}
 	return s, nil
 }
@@ -316,8 +319,16 @@ func (p *Planner) pair(l, r *storage.Schema) *scope {
 }
 
 // bind binds the row-path expressions of the freshly lowered node n, its
-// nested blocks lowered, inside the block being lowered.
+// inputs and nested blocks lowered, inside the block being lowered, and
+// records whether n is correlated: whether it or an input reads the
+// parameter frame (Planner.corr).
 func (p *Planner) bind(n Node) error {
+	err := p.bindExprs(n)
+	n.setCorrelated(p.corr)
+	return err
+}
+
+func (p *Planner) bindExprs(n Node) error {
 	var err error
 	switch x := n.(type) {
 	case *Filter:

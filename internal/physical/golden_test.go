@@ -50,9 +50,9 @@ func emptyRST(t *testing.T) *catalog.Catalog {
 	return cat
 }
 
-// physGolden lowers a query (optionally rewritten under caps) and pins
-// its plan (see pinned).
-func physGolden(t *testing.T, cat *catalog.Catalog, sql string, caps *rewrite.Caps, fp uint64, want string) {
+// physGolden lowers a query (optionally rewritten under caps), pins its
+// plan (see pinned) and returns the rewrite trace.
+func physGolden(t *testing.T, cat *catalog.Catalog, sql string, caps *rewrite.Caps, fp uint64, want string) []string {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -62,11 +62,13 @@ func physGolden(t *testing.T, cat *catalog.Catalog, sql string, caps *rewrite.Ca
 	if err != nil {
 		t.Fatal(err)
 	}
+	var trace []string
 	if caps != nil {
-		plan, err = rewrite.New(cat, *caps).Rewrite(plan)
-		if err != nil {
+		rw := rewrite.New(cat, *caps)
+		if plan, err = rw.Rewrite(plan); err != nil {
 			t.Fatal(err)
 		}
+		trace = rw.Trace
 	}
 	pl, err := physical.NewPlanner(stats.New(cat)).Plan(plan)
 	if err != nil {
@@ -78,6 +80,7 @@ func physGolden(t *testing.T, cat *catalog.Catalog, sql string, caps *rewrite.Ca
 		roots = append(roots, n)
 	}
 	pinned(t, roots, fp, want)
+	return trace
 }
 
 // pinned compares the physical EXPLAIN of roots[0] against the expected
@@ -107,11 +110,14 @@ Distinct  (est 0 rows)
 `)
 }
 
-// Fig. 2(b): the bypass cascade needs only the Conjunctive and Bypass
-// caps — Eqv. 2/3 carry Q1 on their own, without Eqv. 5.
+// Fig. 2(b): the bypass cascade and Eqv. 1 carry Q1 on their own — the
+// plan of Fig. 2(c) applies no Eqv. 5.
 func TestGoldenPhysicalFig2bQ1BypassCaps(t *testing.T) {
-	caps := rewrite.Caps{Conjunctive: true, Bypass: true}
-	physGolden(t, emptyRST(t), goldenQ1, &caps, 0x3d3cf0d138f4d143, goldenPhysicalQ1Unnested)
+	all := rewrite.AllCaps()
+	trace := physGolden(t, emptyRST(t), goldenQ1, &all, 0x3d3cf0d138f4d143, goldenPhysicalQ1Unnested)
+	if tr := strings.Join(trace, "; "); !strings.Contains(tr, "bypass cascade") || strings.Contains(tr, "Eqv. 5") {
+		t.Errorf("Q1 wants the bypass cascade and no Eqv. 5, trace = %v", trace)
+	}
 }
 
 // Fig. 2(c): the fully-capped plan. With empty tables the simple

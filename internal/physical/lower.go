@@ -130,6 +130,12 @@ type Planner struct {
 	// its parameter frame (see bind.go) — nil at top level; free are the
 	// plan's, each at its position in every parameter frame.
 	params, free []string
+	// corr records whether a column reference bound since the lowering
+	// of the current node began — its own or an input's — resolved to
+	// the parameter frame: whether the node is correlated
+	// (Node.Correlated). lowerFor restarts it per node and lowerBlock
+	// keeps a nested block's apart.
+	corr bool
 	// slab and ints are the plan's slabs of bound expressions and of
 	// column positions (see bind.go).
 	slab []Bound
@@ -333,11 +339,16 @@ func (p *Planner) lowerFor(op algebra.Op, need colSet, order *storage.Schema) (N
 	}
 	e := p.memo[op]
 	if e.node != nil {
+		p.corr = p.corr || e.node.Correlated()
 		return e.node, nil // lowered whole before: it serves every consumer
 	}
 	if e.shared {
 		need, order = allCols, nil
 	}
+	// Collect afresh whether op's node is correlated; if it is, so is
+	// its consumer's.
+	defer func(outer bool) { p.corr = p.corr || outer }(p.corr)
+	p.corr = false
 	n, err := p.lower(op, need, order)
 	if err != nil {
 		return nil, err
@@ -393,10 +404,10 @@ func (p *Planner) lowerBlock(blk *algebra.Block) error {
 			p.free = append(p.free, name)
 		}
 	}
-	outer := p.params
+	outer, corr := p.params, p.corr
 	p.params = blk.Free()
 	b, err := p.whole(blk.Plan)
-	p.params = outer
+	p.params, p.corr = outer, corr
 	if err != nil {
 		return err
 	}

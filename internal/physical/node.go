@@ -44,6 +44,12 @@ type Node interface {
 	// The executor's runtime metrics are slices indexed by it.
 	ID() int
 	setID(int)
+	// Correlated reports whether the node's rows depend on the
+	// parameter frame of the block it is in: it, or a node below it,
+	// reads a column of an enclosing block, so its result holds for one
+	// outer binding only.
+	Correlated() bool
+	setCorrelated(bool)
 }
 
 // base carries the fields every node shares.
@@ -52,6 +58,7 @@ type base struct {
 	sch     *storage.Schema
 	est     float64
 	id      int
+	corr    bool
 }
 
 func (b *base) Logical() algebra.Op     { return b.logical }
@@ -59,6 +66,8 @@ func (b *base) Schema() *storage.Schema { return b.sch }
 func (b *base) EstRows() float64        { return b.est }
 func (b *base) ID() int                 { return b.id }
 func (b *base) setID(id int)            { b.id = id }
+func (b *base) Correlated() bool        { return b.corr }
+func (b *base) setCorrelated(c bool)    { b.corr = c }
 
 // JoinMode selects what a join emits: matched pairs (inner), or left
 // tuples with a match (semi) or without one (anti).

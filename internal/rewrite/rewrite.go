@@ -31,37 +31,23 @@ import (
 	"disqo/internal/types"
 )
 
-// Caps selects which rewrites a Rewriter may apply; baselines model
-// weaker optimizers by disabling capabilities.
+// Caps selects the rewriter: the paper's (AllCaps), or the S2
+// baseline's, a model of a commercial optimizer that unnests
+// conjunctive correlation only (ICDE'07 §5). Both convert quantified
+// subqueries to counts and apply Eqv. 1.
 type Caps struct {
-	// Conjunctive enables Eqv. 1 (and its binary-grouping generalization
-	// for non-equality correlation).
-	Conjunctive bool
-	// Bypass enables the Eqv. 2/3 bypass cascades for disjunctive
-	// linking.
-	Bypass bool
-	// DisjunctiveCorrelation enables Eqv. 5.
-	DisjunctiveCorrelation bool
-	// Quantified enables the EXISTS/IN → COUNT conversions (technical
-	// report extension).
-	Quantified bool
-	// SemiJoins translates *conjunctive* correlated EXISTS / NOT EXISTS /
-	// IN predicates directly into semi-/anti-joins instead of the
-	// count-based form (disjunctive occurrences always go through the
-	// count conversion, which composes with the bypass cascade).
-	SemiJoins bool
-	// ORExpansion replaces a disjunctive selection by a union of
-	// conjunctive branches (duplicate-eliminating); the strategy the S2
-	// baseline models. Sound only under a later Distinct, so it is
-	// applied only when the plan has one.
+	// ORExpansion selects the S2 baseline. A disjunctive selection then
+	// becomes a duplicate-eliminating union of conjunctive branches
+	// (sound only under a later Distinct, so applied only when the plan
+	// has one) instead of a bypass cascade (Eqv. 2/3); a subquery whose
+	// correlation is disjunctive stays nested (no Eqv. 5); and a
+	// conjunctive correlated EXISTS, NOT EXISTS or IN keeps its count
+	// form instead of becoming a semi- or anti-join.
 	ORExpansion bool
 }
 
-// AllCaps enables the full unnesting strategy of the paper.
-func AllCaps() Caps {
-	return Caps{Conjunctive: true, Bypass: true, DisjunctiveCorrelation: true,
-		Quantified: true, SemiJoins: true}
-}
+// AllCaps is the paper's full unnesting strategy.
+func AllCaps() Caps { return Caps{} }
 
 // Rewriter rewrites plans. Create one per statement (fresh-name counter).
 type Rewriter struct {
@@ -126,9 +112,7 @@ func (rw *Rewriter) rewriteOpRaw(op algebra.Op) (algebra.Op, error) {
 	case *algebra.Select:
 		newOp, changed, err = rw.unnestSelect(x)
 	case *algebra.MapOp:
-		if rw.caps.Conjunctive {
-			newOp, changed, err = rw.unnestMap(x)
-		}
+		newOp, changed, err = rw.unnestMap(x)
 	}
 	if err != nil {
 		return nil, err

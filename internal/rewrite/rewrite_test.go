@@ -389,7 +389,7 @@ func TestRankOrderingPrefersCheapPredicateFirst(t *testing.T) {
 
 func TestORExpansionBaseline(t *testing.T) {
 	cat := rstCatalog(t)
-	caps := Caps{Conjunctive: true, ORExpansion: true}
+	caps := Caps{ORExpansion: true}
 	canonical, rewritten, rw := planFor(t, cat, q1, caps)
 	if !strings.Contains(strings.Join(rw.Trace, ";"), "OR-expansion") {
 		t.Fatalf("trace = %v", rw.Trace)
@@ -409,17 +409,6 @@ func TestORExpansionBaseline(t *testing.T) {
 	}
 	if tr := strings.Join(rwQ2.Trace, ";"); strings.Contains(tr, "Eqv. 4") || strings.Contains(tr, "Eqv. 5") {
 		t.Errorf("S2 must apply neither Eqv. 4 nor Eqv. 5, trace = %v", rwQ2.Trace)
-	}
-}
-
-func TestCanonicalCapsNoRewrite(t *testing.T) {
-	cat := rstCatalog(t)
-	canonical, rewritten, rw := planFor(t, cat, q1, Caps{})
-	if rewritten != canonical {
-		t.Errorf("no-caps rewrite rebuilt the plan:\n%s", algebra.Explain(rewritten))
-	}
-	if len(rw.Trace) != 0 {
-		t.Errorf("trace = %v", rw.Trace)
 	}
 }
 

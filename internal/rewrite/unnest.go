@@ -25,9 +25,7 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 		// Disjunctive linking: σ_{d1 ∨ … ∨ dn}(child). Quantified
 		// disjuncts go through the count conversion so the cascade's
 		// scalar machinery applies.
-		if rw.caps.Quantified {
-			pred = rw.quantToCount(pred)
-		}
+		pred = rw.quantToCount(pred)
 		out, changed, err := rw.unnestDisjunction(child, algebra.SplitDisjuncts(pred), sch)
 		if err != nil || !changed {
 			return sel, false, err
@@ -36,14 +34,14 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 	}
 
 	// Conjunctive predicate. Correlated quantified conjuncts become
-	// semi-/anti-joins; linking conjuncts are unnested in place (Eqv. 1 /
-	// 5); conjuncts that are disjunctions containing subqueries are
-	// peeled into stacked bypass cascades.
+	// semi-/anti-joins (S2 counts them instead); linking conjuncts are
+	// unnested in place (Eqv. 1 / 5); conjuncts that are disjunctions
+	// containing subqueries are peeled into stacked bypass cascades.
 	cur := child
 	changed := false
 	var plain, orSubs []algebra.Expr
 	for _, c := range algebra.SplitConjuncts(pred) {
-		if q, ok := c.(*algebra.QuantSubquery); ok && rw.caps.SemiJoins {
+		if q, ok := c.(*algebra.QuantSubquery); ok && !rw.caps.ORExpansion {
 			cur2, ok2, err := rw.unnestQuantConjunct(q, cur)
 			if err != nil {
 				return nil, false, err
@@ -54,9 +52,7 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 				continue // the conjunct is absorbed by the join
 			}
 		}
-		if rw.caps.Quantified {
-			c = rw.quantToCount(c)
-		}
+		c = rw.quantToCount(c)
 		for _, cc := range algebra.SplitConjuncts(c) {
 			if _, or := cc.(*algebra.OrExpr); or && algebra.HasSubquery(cc) {
 				orSubs = append(orSubs, cc)
@@ -88,13 +84,7 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 	}
 
 	// Disjunctive conjuncts cascade one by one on top of what the others
-	// left; one that cannot stays a selection there. Without either
-	// disjunctive capability none is tried: they are deferred and
-	// re-applied as they were, above the schema-restoring projection.
-	var deferred []algebra.Expr
-	if !rw.caps.Bypass && !rw.caps.ORExpansion {
-		deferred, orSubs = orSubs, nil
-	}
+	// left; one that cannot stays a selection there.
 	for _, oc := range orSubs {
 		cascaded, cchanged, err := rw.unnestDisjunction(out, algebra.SplitDisjuncts(oc), sch)
 		if err != nil {
@@ -114,25 +104,17 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 	if !out.Schema().Equal(sch) {
 		out = algebra.ProjectOnto(out, sch)
 	}
-	if len(deferred) > 0 {
-		out = algebra.NewSelect(out, algebra.And(deferred...))
-	}
 	return out, true, nil
 }
 
-// unnestDisjunction rewrites σ_{d1 ∨ … ∨ dn}(base) the one way the
-// capabilities allow — OR-expansion (the S2 baseline) or the bypass
-// cascade — and reports false when neither is enabled or no disjunct
-// could be unnested.
+// unnestDisjunction rewrites σ_{d1 ∨ … ∨ dn}(base) by the bypass
+// cascade, or under the S2 baseline by OR-expansion, and reports false
+// when no disjunct could be unnested.
 func (rw *Rewriter) unnestDisjunction(base algebra.Op, disjuncts []algebra.Expr, sch *storage.Schema) (algebra.Op, bool, error) {
-	switch {
-	case rw.caps.ORExpansion:
+	if rw.caps.ORExpansion {
 		return rw.orExpand(base, disjuncts, sch)
-	case rw.caps.Bypass:
-		return rw.cascade(base, disjuncts, sch)
-	default:
-		return nil, false, nil
 	}
+	return rw.cascade(base, disjuncts, sch)
 }
 
 // cascade implements the generalized Eqv. 2/3 bypass chain: disjuncts are
@@ -378,7 +360,7 @@ peel:
 	}
 
 	if corrDisj != nil {
-		if len(corrConjs) > 0 || !rw.caps.DisjunctiveCorrelation {
+		if len(corrConjs) > 0 || rw.caps.ORExpansion {
 			return nil, cur, false, nil
 		}
 		return rw.buildEqv5(sub, inner, corrDisj, cur)
@@ -386,9 +368,6 @@ peel:
 	if len(corrConjs) == 0 {
 		// Correlation lives deeper than the block-level predicate
 		// (indirect correlation) — outside the paper's scope.
-		return nil, cur, false, nil
-	}
-	if !rw.caps.Conjunctive {
 		return nil, cur, false, nil
 	}
 	return rw.unnestConjunctiveCorrelation(sub, inner, innerSchema, corrConjs, cur)
@@ -505,7 +484,7 @@ func (rw *Rewriter) buildEqv5(sub *algebra.ScalarSubquery, inner algebra.Op, cor
 	// Only p's truth matters to the tag, which is what NNF and the
 	// quantifier→COUNT conversion preserve; afterwards every subquery in
 	// p is scalar and unnestMap's machinery applies.
-	if algebra.HasSubquery(p) && rw.caps.Quantified {
+	if algebra.HasSubquery(p) {
 		p = rw.quantToCount(normalizeNNF(p))
 	}
 	tag := rw.fresh("tag", inner)

@@ -245,12 +245,11 @@ type ReplicaConfig struct {
 }
 
 // Replica follows a writer. Construct with NewReplica, drive with Run;
-// Staleness and Connected feed ping responses and metrics.
+// Staleness feeds ping responses and metrics.
 type Replica struct {
 	cfg ReplicaConfig
 	// lastHeard is unix-nanos of the last frame from the writer.
 	lastHeard atomic.Int64
-	connected atomic.Bool
 }
 
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
@@ -278,9 +277,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 func (r *Replica) Staleness() time.Duration {
 	return time.Since(time.Unix(0, r.lastHeard.Load()))
 }
-
-// Connected reports whether a replication stream is currently live.
-func (r *Replica) Connected() bool { return r.connected.Load() }
 
 // Run follows the writer until ctx is done or the DB closes. Every
 // other failure — writer death, network faults, replication gaps —
@@ -332,8 +328,6 @@ func (r *Replica) follow(ctx context.Context) error {
 	if _, err := conn.Write(append(hs, '\n')); err != nil {
 		return err
 	}
-	r.connected.Store(true)
-	defer r.connected.Store(false)
 	r.cfg.Logf("disqod: replicating from %s at LSN %d", r.cfg.Writer, r.cfg.DB.ReplicaState().AppliedLSN)
 	br := bufio.NewReaderSize(conn, 64<<10)
 	for {

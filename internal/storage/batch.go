@@ -20,9 +20,10 @@ import (
 // publishes it through an atomic pointer; later callers (morsel workers,
 // canonical per-outer-tuple re-evaluations) load it wait-free.
 type Batch struct {
-	rel  *Relation
-	mu   sync.Mutex
-	cols []atomic.Pointer[ColVec]
+	rel   *Relation
+	mu    sync.Mutex
+	cols  []atomic.Pointer[ColVec]
+	ident atomic.Pointer[[]int32]
 }
 
 // NewBatch wraps a relation in its columnar view without materializing
@@ -61,6 +62,26 @@ func (b *Batch) Col(i int) *ColVec {
 	return c
 }
 
+// Identity returns rows lo … hi-1 in order as a selection vector: a
+// window, not to be written, of one list of every row the batch builds
+// on first use.
+func (b *Batch) Identity(lo, hi int) []int32 {
+	id := b.ident.Load()
+	if id == nil {
+		b.mu.Lock()
+		if id = b.ident.Load(); id == nil {
+			rows := make([]int32, b.Len())
+			for i := range rows {
+				rows[i] = int32(i)
+			}
+			id = &rows
+			b.ident.Store(id)
+		}
+		b.mu.Unlock()
+	}
+	return (*id)[lo:hi:hi]
+}
+
 // Materialize builds the given columns eagerly — called once by the
 // coordinator before fanning morsel workers out, so workers only take
 // the wait-free load path.
@@ -68,24 +89,6 @@ func (b *Batch) Materialize(cols []int) {
 	for _, i := range cols {
 		b.Col(i)
 	}
-}
-
-// Rows reconstructs a row relation from the columnar vectors alone —
-// the batch→row boundary conversion. It is used by tests to prove the
-// round trip is lossless; the executor itself never needs it because
-// batches keep the originating rows alive.
-func (b *Batch) Rows() *Relation {
-	out := NewRelation(b.rel.Schema)
-	n, w := b.Len(), b.rel.Schema.Len()
-	out.Tuples = make([][]types.Value, n)
-	for i := 0; i < n; i++ {
-		row := make([]types.Value, w)
-		for c := 0; c < w; c++ {
-			row[c] = b.Col(c).Value(i)
-		}
-		out.Tuples[i] = row
-	}
-	return out
 }
 
 // ColVec is one attribute's values in columnar form. When every non-NULL

@@ -79,7 +79,7 @@ func unnest(src catalog.Reader, _ *stats.Estimator, canonical algebra.Op) (algeb
 }
 
 func orExpand(src catalog.Reader, _ *stats.Estimator, canonical algebra.Op) (algebra.Op, []string, error) {
-	return rewriteWith(src, canonical, rewrite.Caps{Conjunctive: true, ORExpansion: true, Quantified: true})
+	return rewriteWith(src, canonical, rewrite.Caps{ORExpansion: true})
 }
 
 func rewriteWith(src catalog.Reader, canonical algebra.Op, caps rewrite.Caps) (algebra.Op, []string, error) {

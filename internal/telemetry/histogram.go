@@ -52,21 +52,6 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(h.sum.Load())
 }
 
-// Merge folds another histogram's counts into this one. Both histograms
-// may keep recording concurrently; the merge is per-bucket atomic.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-}
-
 // Reset zeroes every counter.
 func (h *Histogram) Reset() {
 	if h == nil {

@@ -289,14 +289,6 @@ func (c *Collector) SlowThreshold() time.Duration {
 	return c.cfg.SlowThreshold
 }
 
-// StartedAt returns the collector's creation (or last Reset) time.
-func (c *Collector) StartedAt() time.Time {
-	if c == nil {
-		return time.Time{}
-	}
-	return c.startedAt
-}
-
 // entry returns the statement's registry slot, creating it under the
 // statement cap; nil when the registry is full and the key is new.
 func (c *Collector) entry(key string, fp uint64) *stmtEntry {

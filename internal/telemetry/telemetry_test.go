@@ -59,6 +59,10 @@ func TestHistogramEdgeCases(t *testing.T) {
 	if h.Count() != 2 {
 		t.Fatalf("count = %d, want 2", h.Count())
 	}
+	h.Reset()
+	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+		t.Fatal("reset histogram should be empty")
+	}
 	var nilH *Histogram
 	nilH.Record(time.Second) // must not panic
 	if nilH.Count() != 0 || nilH.Quantile(0.5) != 0 {
@@ -66,33 +70,6 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 	if s := nilH.Snapshot(); s.Count != 0 {
 		t.Fatal("nil histogram snapshot should be empty")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b, want Histogram
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 300; i++ {
-		d := time.Duration(rng.Int63n(int64(time.Minute)))
-		want.Record(d)
-		if i%2 == 0 {
-			a.Record(d)
-		} else {
-			b.Record(d)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != want.Count() || a.Sum() != want.Sum() {
-		t.Fatalf("merged count/sum %d/%v, want %d/%v", a.Count(), a.Sum(), want.Count(), want.Sum())
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if a.Quantile(q) != want.Quantile(q) {
-			t.Fatalf("q=%v: merged %v, direct %v", q, a.Quantile(q), want.Quantile(q))
-		}
-	}
-	a.Reset()
-	if a.Count() != 0 || a.Quantile(0.5) != 0 {
-		t.Fatal("reset histogram should be empty")
 	}
 }
 

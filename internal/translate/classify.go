@@ -3,37 +3,8 @@ package translate
 import (
 	"fmt"
 
-	"disqo/internal/algebra"
 	"disqo/internal/sqlparser"
 )
-
-// BlockType is Kim's classification of a nested query block (paper §2.2).
-type BlockType uint8
-
-const (
-	// TypeN is a table subquery without aggregate or correlation.
-	TypeN BlockType = iota
-	// TypeA is a scalar subquery (aggregate) without correlation.
-	TypeA
-	// TypeJ is a correlated table subquery.
-	TypeJ
-	// TypeJA is a correlated scalar subquery — the paper's focus.
-	TypeJA
-)
-
-// String renders the Kim type name.
-func (t BlockType) String() string {
-	switch t {
-	case TypeN:
-		return "N"
-	case TypeA:
-		return "A"
-	case TypeJ:
-		return "J"
-	default:
-		return "JA"
-	}
-}
 
 // Structure is Muralikrishna's nesting-structure classification extended
 // by the paper with the "simple" case (§2.2).
@@ -129,41 +100,5 @@ func directSubqueries(s *sqlparser.SelectStmt) []*sqlparser.SelectStmt {
 	if s.Where != nil {
 		visit(s.Where)
 	}
-	return out
-}
-
-// SubqueryInfo describes one nested block found in a translated plan.
-type SubqueryInfo struct {
-	Type       BlockType
-	Correlated bool
-	Scalar     bool
-}
-
-// ClassifySubqueries inspects a translated plan and reports Kim types for
-// every directly nested block (not recursing into blocks within blocks),
-// whichever operator's expression embeds it.
-func ClassifySubqueries(plan algebra.Op) []SubqueryInfo {
-	var out []SubqueryInfo
-	algebra.Walk(plan, func(op algebra.Op) bool {
-		for _, e := range algebra.AppendExprs(nil, op) {
-			for _, sq := range algebra.SubqueryExprs(e) {
-				_, scalar := sq.(*algebra.ScalarSubquery)
-				info := SubqueryInfo{Scalar: scalar,
-					Correlated: len(sq.(interface{ Free() []string }).Free()) > 0}
-				switch {
-				case info.Scalar && info.Correlated:
-					info.Type = TypeJA
-				case info.Scalar:
-					info.Type = TypeA
-				case info.Correlated:
-					info.Type = TypeJ
-				default:
-					info.Type = TypeN
-				}
-				out = append(out, info)
-			}
-		}
-		return true
-	})
 	return out
 }

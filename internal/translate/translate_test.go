@@ -261,9 +261,18 @@ func TestTranslateCanonicalQ1(t *testing.T) {
 	if !algebra.ContainsSubquery(plan) {
 		t.Fatal("canonical plan must keep the nested block")
 	}
-	infos := ClassifySubqueries(plan)
-	if len(infos) != 1 || infos[0].Type != TypeJA {
-		t.Fatalf("classification = %+v, want one JA block", infos)
+	var subs []algebra.Expr
+	algebra.Walk(plan, func(op algebra.Op) bool {
+		for _, e := range algebra.AppendExprs(nil, op) {
+			subs = append(subs, algebra.SubqueryExprs(e)...)
+		}
+		return true
+	})
+	if len(subs) != 1 {
+		t.Fatalf("nested blocks = %v, want one", subs)
+	}
+	if sq, ok := subs[0].(*algebra.ScalarSubquery); !ok || len(sq.Free()) == 0 {
+		t.Fatalf("nested block %s, want a correlated scalar subquery", subs[0])
 	}
 	ex := exec.New(cat, exec.Options{Cache: exec.CacheAll})
 	rel, err := ex.Run(plan)
@@ -460,32 +469,7 @@ func TestClassifyStructure(t *testing.T) {
 	}
 }
 
-func TestClassifyTypes(t *testing.T) {
-	cat := rstCatalog(t)
-	// Type A: uncorrelated scalar.
-	plan := translateSQL(t, cat, "SELECT * FROM r WHERE a1 = (SELECT COUNT(*) FROM s)")
-	infos := ClassifySubqueries(plan)
-	if len(infos) != 1 || infos[0].Type != TypeA {
-		t.Errorf("type A: %+v", infos)
-	}
-	// Type J: correlated EXISTS.
-	plan = translateSQL(t, cat, "SELECT * FROM r WHERE EXISTS (SELECT * FROM s WHERE a2 = b2)")
-	infos = ClassifySubqueries(plan)
-	if len(infos) != 1 || infos[0].Type != TypeJ {
-		t.Errorf("type J: %+v", infos)
-	}
-	// Type N: uncorrelated IN.
-	plan = translateSQL(t, cat, "SELECT * FROM r WHERE a2 IN (SELECT b2 FROM s)")
-	infos = ClassifySubqueries(plan)
-	if len(infos) != 1 || infos[0].Type != TypeN {
-		t.Errorf("type N: %+v", infos)
-	}
-}
-
-func TestBlockTypeAndStructureStrings(t *testing.T) {
-	if TypeJA.String() != "JA" || TypeN.String() != "N" || TypeA.String() != "A" || TypeJ.String() != "J" {
-		t.Error("BlockType strings")
-	}
+func TestStructureStrings(t *testing.T) {
 	if Flat.String() != "flat" || Simple.String() != "simple" ||
 		Linear.String() != "linear" || Tree.String() != "tree" {
 		t.Error("Structure strings")

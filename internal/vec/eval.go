@@ -17,18 +17,6 @@ type evalCtx struct {
 	tfree [][]types.TriBool
 	vfree [][]types.Value
 	ifree [][]int32
-	rows  []int32
-}
-
-// allRows lists every row of the morsel, in order, as absolute indices.
-func (c *evalCtx) allRows() []int32 {
-	if c.rows == nil {
-		c.rows = make([]int32, c.n)
-		for i := range c.rows {
-			c.rows[i] = int32(c.lo + i)
-		}
-	}
-	return c.rows
 }
 
 func (c *evalCtx) getT() []types.TriBool {

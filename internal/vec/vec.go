@@ -100,7 +100,7 @@ func (s *Scalar) Expr() algebra.Expr { return s.src }
 func (p *Pred) Eval(b *storage.Batch, lo, hi int) (res []types.TriBool, cmps int64, err error) {
 	ctx := &evalCtx{b: b, lo: lo, n: hi - lo}
 	res = make([]types.TriBool, hi-lo)
-	if err := p.root.eval(ctx, ctx.allRows(), res); err != nil {
+	if err := p.root.eval(ctx, b.Identity(lo, hi), res); err != nil {
 		return nil, ctx.cmps, err
 	}
 	return res, ctx.cmps, nil
@@ -110,7 +110,7 @@ func (p *Pred) Eval(b *storage.Batch, lo, hi int) (res []types.TriBool, cmps int
 func (s *Scalar) Eval(b *storage.Batch, lo, hi int) (res []types.Value, cmps int64, err error) {
 	ctx := &evalCtx{b: b, lo: lo, n: hi - lo}
 	res = make([]types.Value, hi-lo)
-	if err := s.root.eval(ctx, ctx.allRows(), res); err != nil {
+	if err := s.root.eval(ctx, b.Identity(lo, hi), res); err != nil {
 		return nil, ctx.cmps, err
 	}
 	return res, ctx.cmps, nil

@@ -13,6 +13,7 @@ import (
 	"disqo/internal/algebra"
 	"disqo/internal/physical"
 	"disqo/internal/storage"
+	"disqo/internal/testutil"
 	"disqo/internal/types"
 	"disqo/internal/vec"
 )
@@ -279,5 +280,34 @@ func TestLikeParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEvalMakesNoRowList: an evaluation lists its window's rows as a
+// window of the batch's one identity vector, not a list of its own: a
+// comparison of a NULL-free int column allocates its context and its
+// result, and nothing besides.
+func TestEvalMakesNoRowList(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	sch := storage.NewSchema("a")
+	rel := storage.NewRelation(sch)
+	for i := int64(0); i < 64; i++ {
+		rel.Append([]types.Value{types.NewInt(i)})
+	}
+	b := storage.NewBatch(rel)
+	p, err := vec.CompilePred(algebra.Cmp(types.GT, algebra.Col("a"), algebra.ConstInt(2)), physical.Columns(sch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.Eval(b, 8, 40); err != nil { // builds the column and the identity vector
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _, _ = p.Eval(b, 8, 40) }); n > 2 {
+		t.Errorf("Pred.Eval allocates %v objects, want 2 (context and result)", n)
+	}
+	if w := b.Identity(8, 40); len(w) != 32 || cap(w) != 32 || w[0] != 8 || w[31] != 39 || &b.Identity(0, 64)[8] != &w[0] {
+		t.Errorf("Identity(8, 40) = %v (cap %d), want a window 8 … 39 of one vector", w, cap(w))
 	}
 }

@@ -66,7 +66,6 @@ type Stats struct {
 type Log struct {
 	mu      sync.Mutex
 	f       *os.File
-	path    string
 	lsn     uint64 // last assigned LSN; survives truncation
 	pending int    // records appended since the last completed sync
 	sealed  error  // sticky first failure; non-nil rejects writes
@@ -98,7 +97,7 @@ func Open(dir string, lastLSN uint64, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open log: %w", err)
 	}
-	l := &Log{f: f, path: path, lsn: lastLSN, opts: opts}
+	l := &Log{f: f, lsn: lastLSN, opts: opts}
 	if opts.SyncInterval > 0 {
 		l.stopTick = make(chan struct{})
 		l.tickDone = make(chan struct{})
@@ -125,16 +124,6 @@ func (l *Log) tick() {
 			l.mu.Unlock()
 		}
 	}
-}
-
-// Path returns the log file's path.
-func (l *Log) Path() string { return l.path }
-
-// LastLSN returns the highest sequence number assigned so far.
-func (l *Log) LastLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lsn
 }
 
 // Append assigns the next LSN, frames the record, writes it, and — per

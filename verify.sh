@@ -85,6 +85,12 @@ test -z "$(grep -rnE 'json:"(strategy|nulls)' internal/wire)"
 # documentation offers none of them.
 test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './internal/strategy/*' ! -path './internal/harness/*' ! -path './cmd/bench/*' ! -path './internal/rewrite/*' | xargs grep -nE 'strategy\.S[123]|exec\.CacheNone|exec\.CacheScans|ORExpansion|rewrite\.Reorder\(')"
 test -z "$(go doc disqo | grep -E 'S[123]|Strategies')"
+# The rewriter is one of two, the paper's or S2's OR-expansion: only a
+# strategy row picks one (internal/rewrite's AllCaps is the other
+# literal), and no code outside builds a third. Kim's block types, which
+# no binary reads, do not come back.
+test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './internal/rewrite/*' ! -path './internal/strategy/*' | xargs grep -n 'rewrite\.Caps{')"
+test -z "$(find . -name '*.go' ! -path './.bench_build/*' | xargs grep -nE 'ClassifySubqueries|SubqueryInfo|BlockType')"
 # Result rows have one encoding, the columnar frame: no per-value JSON
 # codec comes back into internal/wire.
 test -z "$(grep -nE 'func \([^)]*\) (Marshal|Unmarshal)JSON\(' $(ls internal/wire/*.go | grep -v _test.go))"

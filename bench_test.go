@@ -151,22 +151,51 @@ func BenchmarkQuant_Unnested(b *testing.B) {
 //
 //	go test -run '^$' -bench Fig7Mix -benchmem -count 5 .
 func BenchmarkFig7Mix(b *testing.B) {
-	db := benchDB(b, "fig7mix", func(db *disqo.DB) error {
+	db := fig7MixDB(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, st := range fig7Stmts {
+			if _, err := db.Query(st.sql, disqo.WithWorkers(1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkFig7Each runs BenchmarkFig7Mix's statements one per
+// sub-benchmark, on its database, so that a profile or a before/after
+// comparison splits by statement:
+//
+//	go test -run '^$' -bench Fig7Each -benchmem .
+func BenchmarkFig7Each(b *testing.B) {
+	db := fig7MixDB(b)
+	for _, st := range fig7Stmts {
+		b.Run(st.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Query(st.sql, disqo.WithWorkers(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// fig7Stmts are the fig7_unnest workload's statements.
+var fig7Stmts = []struct{ name, sql string }{
+	{"Q1", harness.Q1}, {"Q2", harness.Q2}, {"Q3", harness.Q3}, {"quant", harness.QuantExists}, {"Q2d", harness.Query2d},
+}
+
+// fig7MixDB is the fig7_unnest workload's data: RST at SF 0.5 and TPC-H
+// at SF 0.01.
+func fig7MixDB(b *testing.B) *disqo.DB {
+	return benchDB(b, "fig7mix", func(db *disqo.DB) error {
 		if err := db.LoadRST(0.5, 0.5, 0.5); err != nil {
 			return err
 		}
 		return db.LoadTPCH(0.01)
 	})
-	stmts := []string{harness.Q1, harness.Q2, harness.Q3, harness.QuantExists, harness.Query2d}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, sql := range stmts {
-			if _, err := db.Query(sql, disqo.WithWorkers(1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 }
 
 // --- Ablations -------------------------------------------------------------

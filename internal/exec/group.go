@@ -91,7 +91,7 @@ func (f *aggFeed) add(w *Executor, accs []agg.Acc, row []types.Value) error {
 // fold (skipNulls), SQL equality: a NULL key is in no group. Γ²'s groups
 // overlay base, the accumulators of the rows every group holds. seen[j],
 // for a DISTINCT item the table dedups itself, indexes the same rows on
-// its Dedup columns (grouping columns, argument columns): a row feeds
+// its Dedup columns (grouping columns, other argument columns): a row feeds
 // the item when it is new there — and, under an overlay, not in base's
 // set.
 type groupTable struct {
@@ -101,6 +101,7 @@ type groupTable struct {
 	seen []*types.RowIndex
 	next int // the next entry to emit (Γ)
 	res  int // where the entries' results start in Γ²'s results (foldKeys)
+	keys int // key columns, which lead every Dedup
 }
 
 // newGroupTable returns an empty table over rows keyed on keyCols for
@@ -108,7 +109,7 @@ type groupTable struct {
 // and its DISTINCT indexes for pairs (group, argument) pairs.
 func newGroupTable(args []physical.AggArg, rows [][]types.Value, keyCols []int, skipNulls bool, groups, pairs int, base []agg.Acc) *groupTable {
 	gt := &groupTable{ix: types.NewRowIndex(rows, keyCols, skipNulls, groups), base: base,
-		accs: make([]agg.Acc, 0, groups*len(args))}
+		accs: make([]agg.Acc, 0, groups*len(args)), keys: len(keyCols)}
 	for j := range args {
 		if cols := args[j].Dedup; cols != nil {
 			if gt.seen == nil {
@@ -120,12 +121,11 @@ func newGroupTable(args []physical.AggArg, rows [][]types.Value, keyCols []int, 
 	return gt
 }
 
-// fold feeds input row i to its group's accumulators, founding the group
-// when the row is its first; h is the row's key hash, which must be ok,
-// and which a DISTINCT item's index continues over the argument columns
+// fold feeds input row i to the accumulators of its group, entry e,
+// founding them when the row added the entry; h is the row's key hash,
+// which a DISTINCT item's index continues over the argument columns
 // rather than hash the key again.
-func (gt *groupTable) fold(w *Executor, feed *aggFeed, i int, row []types.Value, h uint64) error {
-	e, added := gt.ix.FindOrAddHashed(int32(i), h)
+func (gt *groupTable) fold(w *Executor, feed *aggFeed, i int, row []types.Value, h uint64, e int32, added bool) error {
 	na := len(feed.args)
 	if added {
 		for j := range feed.args {
@@ -144,11 +144,10 @@ func (gt *groupTable) fold(w *Executor, feed *aggFeed, i int, row []types.Value,
 		return err
 	}
 	for j, s := range gt.seen {
-		cols := feed.args[j].Cols
-		if s == nil || gt.base != nil && gt.base[j].Seen(row, cols) {
+		if s == nil || gt.base != nil && gt.base[j].Seen(row, feed.args[j].Cols) {
 			continue
 		}
-		hj, _ := s.HashMore(h, row, cols)
+		hj, _ := s.HashMore(h, row, feed.args[j].Dedup[gt.keys:])
 		if _, added := s.FindOrAddHashed(int32(i), hj); !added {
 			continue
 		}
@@ -167,6 +166,31 @@ func newAccs(args []physical.AggArg) []agg.Acc {
 		accs[i] = *agg.NewAcc(args[i].Spec)
 	}
 	return accs
+}
+
+// intKey returns row i's key from keys, an int key column, and false
+// when there is no column or the key is NULL.
+func intKey(keys *storage.ColVec, i int) (int64, bool) {
+	if keys == nil || keys.Nulls != nil && keys.Nulls[i] {
+		return 0, false
+	}
+	return keys.Ints[i], true
+}
+
+// keyColumn returns the key column of rel, the relation node yields,
+// keyed on cols, as ints: when the key is one column, node is a base
+// table's scan — whose batch, and so the column once built, lives with
+// the table version — and the column's non-NULL values are all ints;
+// otherwise nil. Only the vector path reads keys from columns; the row
+// path, the reference, hashes rows.
+func (ex *Executor) keyColumn(n physical.Node, rel *storage.Relation, cols []int) *storage.ColVec {
+	if _, scan := n.(*physical.Scan); !scan || ex.opt.Path != PathVector || len(cols) != 1 {
+		return nil
+	}
+	if cv := rel.Batch().Col(cols[0]); cv.Kind == types.KindInt && cv.Mixed == nil {
+		return cv
+	}
+	return nil
 }
 
 // partOf assigns a key hash to one of parts partitions. It mixes the hash
@@ -189,8 +213,10 @@ func partOf(h uint64, parts int) int {
 // sequential left fold of its rows at every worker count and every
 // morsel size — float sums included. One worker, or no key columns, is
 // one partition and no hashing pass. Each table and its accumulator slab
-// are sized once, for est groups (at most n) over P.
-func (ex *Executor) foldGroups(args []physical.AggArg, rows [][]types.Value, keyCols []int, skipNulls bool, est float64, base []agg.Acc, env *Env) ([]*groupTable, error) {
+// are sized once, for est groups (at most n) over P. keys, when not nil,
+// is the one key column as ints (NULLs allowed): a key is then hashed
+// and found by its word, not read from its row.
+func (ex *Executor) foldGroups(args []physical.AggArg, rows [][]types.Value, keyCols []int, keys *storage.ColVec, skipNulls bool, est float64, base []agg.Acc, env *Env) ([]*groupTable, error) {
 	n, parts := len(rows), 1
 	if len(keyCols) > 0 {
 		parts = ex.fanout(n)
@@ -214,7 +240,11 @@ func (ex *Executor) foldGroups(args []physical.AggArg, rows [][]types.Value, key
 				if err := w.tick(); err != nil {
 					return struct{}{}, err
 				}
-				hashes[lo+i], _ = tables[0].ix.Hash(t, keyCols)
+				if k, ok := intKey(keys, lo+i); ok {
+					hashes[lo+i] = tables[0].ix.HashWord(k)
+				} else {
+					hashes[lo+i], _ = tables[0].ix.Hash(t, keyCols)
+				}
 			}
 			return struct{}{}, nil
 		}); err != nil {
@@ -232,7 +262,12 @@ func (ex *Executor) foldGroups(args []physical.AggArg, rows [][]types.Value, key
 			if hashes != nil {
 				h = hashes[i]
 			}
-			if h == 0 {
+			k, word := intKey(keys, i)
+			switch {
+			case h != 0:
+			case word:
+				h = gt.ix.HashWord(k)
+			default:
 				h, ok = gt.ix.Hash(t, keyCols)
 			}
 			if !ok || parts > 1 && partOf(h, parts) != p {
@@ -241,7 +276,14 @@ func (ex *Executor) foldGroups(args []physical.AggArg, rows [][]types.Value, key
 			if err := w.tick(); err != nil {
 				return struct{}{}, err
 			}
-			if err := gt.fold(w, feed, i, t, h); err != nil {
+			var e int32
+			var added bool
+			if word {
+				e, added = gt.ix.FindOrAddWord(int32(i), k, h)
+			} else {
+				e, added = gt.ix.FindOrAddHashed(int32(i), h)
+			}
+			if err := gt.fold(w, feed, i, t, h, e, added); err != nil {
 				return struct{}{}, err
 			}
 		}
@@ -272,7 +314,7 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 	if err != nil {
 		return nil, err
 	}
-	tables, err := ex.foldGroups(g.Args, in.Tuples, g.KeyCols, false, g.EstRows(), nil, env)
+	tables, err := ex.foldGroups(g.Args, in.Tuples, g.KeyCols, nil, false, g.EstRows(), nil, env)
 	if err != nil {
 		return nil, err
 	}
@@ -324,21 +366,11 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 //
 // A fused selection (b.Keep) sees each left tuple ◦ its results, and
 // only the tuples it holds TRUE on are written, cut from one slab of
-// exactly their number per morsel. On the vector path its bypass
-// operands, where they compiled (b.VecBypass), are evaluated first, over
-// the morsel, and a tuple they hold TRUE on is written without a lookup;
-// the others are decided by b.Rest's disjuncts in order, each grouping
-// looked up the first time a disjunct reads its results, and none once a
-// disjunct holds — so a later grouping is probed only for the tuples the
-// earlier disjuncts left undecided. On the row path, the reference,
-// every tuple looks every grouping up and b.Keep decides it. A kept
-// tuple whose emitted columns read results not yet looked up looks them
-// up before it is written. Probes counts each grouping's lookups.
-//
-// A single grouping that looks its results up by key hands the tuple a
-// run of its results table; otherwise a tuple's results are gathered
-// into the morsel's own, kept while the tuple is, if its emitted columns
-// read them. Nothing of size |L|·|R| is built, and since every group is
+// exactly their number per morsel. On the row path, the reference,
+// every tuple looks every grouping up and b.Keep decides it (probeRows);
+// the vector path decides a morsel's tuples by selection vectors,
+// disjunct by disjunct (decideByColumns). Probes counts each grouping's
+// lookups. Nothing of size |L|·|R| is built, and since every group is
 // folded in R order on one goroutine, the fold order — hence any float
 // rounding — is the same for every worker count.
 func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage.Relation, error) {
@@ -364,29 +396,41 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 		gs[j].off = total
 		total += len(b.Groupings[j].Aggs)
 	}
-	// bypass is b.Bypass's truth over a morsel of L, when it runs.
-	var bypass func(w *Executor, lo, hi int) ([]types.TriBool, error)
-	if compiled && b.VecBypass != nil {
-		bypass = morselEval[types.TriBool](ex, true, b.VecBypass, l, env, nil)
+	var chunks [][][]types.Value
+	if ex.opt.Path == PathVector {
+		chunks, err = ex.decideByColumns(b, l, gs, total, compiled, env)
+	} else {
+		chunks, err = ex.probeRows(b, l, gs, total, env)
 	}
-	lazy := ex.opt.Path == PathVector
+	if err != nil {
+		return nil, err
+	}
+	out := storage.NewRelation(b.Schema())
+	out.Tuples = concatChunks(chunks)
+	return out, nil
+}
+
+// probeRows is the row path's probe, the reference: every left tuple
+// looks every grouping up — those its emitted columns read, when there
+// is no fused selection — and b.Keep decides it on the tuple ◦ its
+// results. A single grouping that looks its results up by key hands the
+// tuple a run of its results table; otherwise a tuple's results are
+// gathered into the morsel's own, kept while the tuple is, if its
+// emitted columns read them.
+func (ex *Executor) probeRows(b *physical.BinaryGroup, l *storage.Relation, gs []grouping, total int, env *Env) ([][][]types.Value, error) {
 	direct := len(gs) == 1 && gs[0].keyRes != nil
-	all, emits := uint64(1)<<uint(len(gs))-1, emitReads(b, gs)
-	chunks, err := parMorsels(ex, len(l.Tuples),
+	need, emits := uint64(1)<<uint(len(gs))-1, emitReads(b, gs)
+	if b.Keep == nil {
+		need = emits
+	}
+	return parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
 			// picks records the tuples written: each one's offset and where
 			// its results are in res, -1 for a tuple whose emitted columns
 			// read none. res is the results table when direct, else the
 			// morsel's tuples' results, total each, kept while the tuple's
-			// are written. keep sees a tuple ◦ its results through kf, kr.
+			// are written. Keep sees a tuple ◦ its results through kf, kr.
 			picks := w.takePairs(hi - lo)
-			var decided []types.TriBool
-			if bypass != nil {
-				var err error
-				if decided, err = bypass(w, lo, hi); err != nil {
-					return nil, err
-				}
-			}
 			var kf, kr *Env
 			if b.Keep != nil {
 				kf, kr = pairFrames(env)
@@ -399,83 +443,42 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 			} else {
 				res = make([]types.Value, 0, total)
 			}
-			var scans []func(lt, dst []types.Value) error // the nested-loop groupings', by grouping
-			for j := range gs {
-				if gs[j].keyRes == nil {
-					if scans == nil {
-						scans = make([]func(lt, dst []types.Value) error, len(gs))
-					}
-					scans[j] = gs[j].scan(w, env)
-				}
-			}
+			scans := nlScans(w, gs, env)
 			var probes []int64
 			if w.nm != nil {
 				probes = make([]int64, len(gs))
 			}
-			// look looks up the groupings in need that the tuple lt, whose
-			// results are at at, has not looked up yet.
-			var lt []types.Value
-			var at int
-			var got uint64
-			look := func(need uint64) error {
+			for i, t := range l.Tuples[lo:hi] {
+				if err := w.tick(); err != nil {
+					return nil, err
+				}
+				at := 0
+				if !direct {
+					at = len(res)
+					res = slices.Grow(res, total)[:at+total]
+				}
 				for j := range gs {
 					g := &gs[j]
-					if (need&^got)>>uint(j)&1 == 0 {
+					if need>>uint(j)&1 == 0 {
 						continue
 					}
-					got |= 1 << uint(j)
 					if probes != nil {
 						probes[j]++
 					}
 					n := len(g.Aggs)
 					switch {
 					case g.keyRes == nil:
-						if err := scans[j](lt, res[at+g.off:][:n]); err != nil {
-							return err
+						if err := scans[j](t, res[at+g.off:][:n]); err != nil {
+							return nil, err
 						}
 					case direct:
-						at = g.entry(lt)
+						at = g.entry(t)
 					default:
-						e := g.entry(lt)
+						e := g.entry(t)
 						copy(res[at+g.off:][:n], g.keyRes[e:e+n])
 					}
 				}
-				return nil
-			}
-			for i, t := range l.Tuples[lo:hi] {
-				if err := w.tick(); err != nil {
-					return nil, err
-				}
-				if decided != nil && decided[i].IsTrue() {
-					picks = append(picks, [2]int32{int32(i), -1})
-					continue
-				}
-				lt, at, got = t, 0, 0
-				if !direct {
-					at = len(res)
-					res = slices.Grow(res, total)[:at+total]
-				}
-				kept := b.Keep == nil
-				var err error
-				switch {
-				case kept:
-				case lazy:
-					for _, d := range b.Rest {
-						if err = look(d.Reads); err == nil {
-							kept, err = w.holds(d.Bound, kf, kr, lt, res[at:][:total])
-						}
-						if err != nil || kept {
-							break
-						}
-					}
-				default:
-					if err = look(all); err == nil {
-						kept, err = w.holds(b.KeepBound, kf, kr, lt, res[at:][:total])
-					}
-				}
-				if err == nil && kept && emits != 0 {
-					err = look(emits)
-				}
+				kept, err := w.holds(b.KeepBound, kf, kr, t, res[at:][:total])
 				switch {
 				case err != nil:
 					return nil, err
@@ -494,12 +497,22 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 			}
 			return w.writeKept(b, picks, l.Tuples[lo:hi], res, total), nil
 		})
-	if err != nil {
-		return nil, err
+}
+
+// nlScans returns one morsel's lookups of the nested-loop groupings
+// (grouping.scan), by grouping: nil for one looked up by its results
+// table, and nil in all when every one is.
+func nlScans(w *Executor, gs []grouping, env *Env) []func(lt, dst []types.Value) error {
+	var scans []func(lt, dst []types.Value) error
+	for j := range gs {
+		if gs[j].keyRes == nil {
+			if scans == nil {
+				scans = make([]func(lt, dst []types.Value) error, len(gs))
+			}
+			scans[j] = gs[j].scan(w, env)
+		}
 	}
-	out := storage.NewRelation(b.Schema())
-	out.Tuples = concatChunks(chunks)
-	return out, nil
+	return scans
 }
 
 // emitReads returns the groupings whose results b's emitted columns
@@ -536,6 +549,9 @@ type grouping struct {
 	keyRes []types.Value
 	neg    *storage.Relation
 	base   []agg.Acc
+	// lkey is the left input's key column as ints, when a left tuple's
+	// key is read from it (keyColumn), not from the tuple.
+	lkey *storage.ColVec
 }
 
 // foldGrouping folds the right input R of grouping g, which gr holds in
@@ -586,7 +602,11 @@ func (ex *Executor) foldGrouping(gr *grouping, g *physical.Grouping, compiled bo
 		}
 	case hashed:
 		ex.stats.HashJoins++
-		gr.tables, gr.keyRes, err = ex.foldKeys(g, gr.neg, gr.base, env)
+		var keys *storage.ColVec // R's key column, when R⁻ is R itself
+		if g.Tag == nil {
+			keys = ex.keyColumn(g.R, r, g.RCols)
+		}
+		gr.tables, gr.keyRes, err = ex.foldKeys(g, gr.neg, keys, gr.base, env)
 	default:
 		ex.stats.NLJoins++
 	}
@@ -647,10 +667,11 @@ func (g *grouping) scan(w *Executor, env *Env) func(lt, dst []types.Value) error
 // key's rows in R order. A DISTINCT item whose argument is columns of R
 // is deduplicated as Γ's is, on (RCols, argument columns), after base's
 // set: no key keeps a set of its own. It returns the tables and their
-// results: base's first, then each table's from its res on.
-func (ex *Executor) foldKeys(b *physical.Grouping, neg *storage.Relation, base []agg.Acc, env *Env) ([]*groupTable, []types.Value, error) {
+// results: base's first, then each table's from its res on. keys is
+// R's key column as foldGroups takes it.
+func (ex *Executor) foldKeys(b *physical.Grouping, neg *storage.Relation, keys *storage.ColVec, base []agg.Acc, env *Env) ([]*groupTable, []types.Value, error) {
 	ex.creditHashBuild(len(neg.Tuples))
-	tables, err := ex.foldGroups(b.Args, neg.Tuples, b.RCols, true, b.Groups, base, env)
+	tables, err := ex.foldGroups(b.Args, neg.Tuples, b.RCols, keys, true, b.Groups, base, env)
 	if err != nil {
 		return nil, nil, err
 	}

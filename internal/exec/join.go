@@ -141,7 +141,10 @@ func (ex *Executor) takePairs(n int) [][2]int32 {
 // one slab — or, when the join passes its left rows (PassLeft: it emits
 // a prefix of them), takes each pair's left row cut to the output width.
 // A cross product — nested loops without a predicate — is not counted as
-// an NL join.
+// an NL join. On the vector path a left input that is a base table's
+// scan with one int key column is probed by its keys' words, read from
+// the column (keyColumn): a left row is touched only when it has a
+// partner, or passes an anti join, a NULL key included.
 func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, error) {
 	l, err := ex.eval(j.L, env)
 	if err != nil {
@@ -166,6 +169,10 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 	}
 	exists := j.Mode != physical.JoinInner // semi/anti need only existence
 	width := j.Schema().Len()
+	var lkey *storage.ColVec // the left key column, read as words
+	if ht != nil {
+		lkey = ex.keyColumn(j.L, l, j.LCols)
+	}
 	var pending atomic.Int64 // operator-wide output size for the budget
 	chunks, err := parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
@@ -180,7 +187,11 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 				}
 				before, matched := len(pairs), false
 				e, next := int32(-1), 0
-				if ht != nil {
+				k, word := intKey(lkey, lo+i)
+				switch {
+				case word:
+					e = ht.FirstWord(k, ht.HashWord(k))
+				case ht != nil && lkey == nil:
 					e = ht.First(lt, j.LCols)
 				}
 				for !matched || !exists {
@@ -190,7 +201,12 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 						if e < 0 {
 							break
 						}
-						partner, rt, e = ht.RowNum(e), ht.Row(e), ht.Next(e, lt, j.LCols)
+						partner, rt = ht.RowNum(e), ht.Row(e)
+						if word {
+							e = ht.NextWord(e, k)
+						} else {
+							e = ht.Next(e, lt, j.LCols)
+						}
 					} else {
 						if next == len(r.Tuples) {
 							break
@@ -215,7 +231,9 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 				if exists && matched == (j.Mode == physical.JoinSemi) {
 					pairs = append(pairs, [2]int32{int32(i), -1}) // the left tuple passes
 				}
-				pending.Add(int64(len(pairs) - before))
+				if n := len(pairs) - before; n > 0 {
+					pending.Add(int64(n))
+				}
 			}
 			out := make([][]types.Value, len(pairs))
 			var slab rowSlab

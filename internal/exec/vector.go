@@ -34,10 +34,11 @@ func (p Path) String() string {
 
 // vecEnter is the one rule deciding whether node n runs its compiled
 // code — the path is on and the planner compiled the node
-// (physical.Compiled). Options.Path has one other reader,
-// evalBinaryGroup: on the row path a Γ² looks every grouping's results
+// (physical.Compiled). Options.Path has two other readers:
+// evalBinaryGroup — on the row path a Γ² looks every grouping's results
 // up before it tests its fused selection, on the vector path disjunct
-// by disjunct. When vecEnter holds, the fault injector's vec site fires
+// by disjunct — and keyColumn, which hands the vector path a base
+// table's int key column to hash and probe by the word. When vecEnter holds, the fault injector's vec site fires
 // (latching the abort so cancellation semantics match SiteOp), and an
 // evaluation the node counts as vector-served by (physical.Vectorizable)
 // is credited, once per Call by the coordinator, so VecCalls is

@@ -93,8 +93,10 @@ type Site struct {
 // is the spec the item's accumulators run: the item's, less a DISTINCT
 // that means nothing (MIN, MAX). Dedup, for a DISTINCT item with Cols of
 // a keyed fold — Γ's, or a hashed grouping's fold of its right input —
-// holds the key columns followed by Cols: the fold deduplicates the item
-// on them itself, and its accumulators there count what they are fed.
+// holds the key columns followed by those of Cols that are not one: the
+// fold deduplicates the item on them itself, and its accumulators there
+// count what they are fed. A key column is not repeated because a
+// group's rows hold identical keys, so the repeat decides nothing.
 type AggArg struct {
 	Expr  *Bound
 	Cols  []int
@@ -300,7 +302,11 @@ func (p *Planner) bindAggs(aggs []algebra.AggItem, sc *scope, keyCols []int) ([]
 		}
 		if arg.Spec.Distinct && keyCols != nil && arg.Cols != nil {
 			arg.Dedup = append(p.newCols(len(keyCols) + len(arg.Cols))[:0], keyCols...)
-			arg.Dedup = append(arg.Dedup, arg.Cols...)
+			for _, c := range arg.Cols {
+				if !slices.Contains(keyCols, c) {
+					arg.Dedup = append(arg.Dedup, c)
+				}
+			}
 		}
 	}
 	return args, nil

@@ -347,11 +347,13 @@ func (g *Grouping) writesAny(names []string) bool {
 
 // Disjunct is one operand of the disjunction a BinaryGroup's vector path
 // decides a left tuple by, and the groupings whose results it reads: bit
-// j for Groupings[j].
+// j for Groupings[j]. Vec is Pred compiled over the left row ◦ the
+// results (nil: it does not compile, and is interpreted per row).
 type Disjunct struct {
 	Pred  algebra.Expr
 	Bound *Bound // Pred's binding, within the node's KeepBound
 	Reads uint64
+	Vec   *vec.Pred
 }
 
 // Children implements Node.

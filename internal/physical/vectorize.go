@@ -3,6 +3,7 @@ package physical
 import (
 	"disqo/internal/algebra"
 	"disqo/internal/storage"
+	"disqo/internal/types"
 	"disqo/internal/vec"
 )
 
@@ -21,21 +22,24 @@ import (
 //	Scan, Project, and a hash Join without residual: always — they
 //	    evaluate no expression, so no interpreter runs in them (a
 //	    residual is interpreted per matched pair).
-//	Tagged Γ² (BinaryGroup whose groupings all have a Tag): when each
-//	    tag compiles against its grouping's right input's schema and
-//	    nothing else in the node is interpreted — each grouping hashes
-//	    on pure equality (no per-pair predicate) and feeds every
-//	    aggregate * or a column of its right input, and there is no
-//	    fused selection.
+//	Γ² (BinaryGroup): when nothing in the node is interpreted — each
+//	    grouping hashes on pure equality (no per-pair predicate, not
+//	    sort-based), a tag, if it has one, compiles against its right
+//	    input's schema, and every aggregate is fed * or a column of its
+//	    right input — and either a fused selection (Keep) whose every
+//	    disjunct compiled against the left input ◦ the results
+//	    (Disjunct.Vec; the bypass operands compile by construction),
+//	    which the executor decides by selection vectors, or no fused
+//	    selection and every grouping tagged. Q1, Q2, Q3, the quantified
+//	    query and Query 2d of Fig. 7 are each one such Γ².
 //	Everything else: no.
 //
 // A node may run a compiled program without counting as vector-served:
 // a tagged Γ² whose tag compiled runs it on the vector path even where
-// it interprets its pairs, its Keep or an aggregate argument, and a Γ²
-// whose fused disjunction has bypass operands (BinaryGroup.Bypass, split
-// off by the planner only where they compile) runs them compiled over
-// its left input, though it interprets the rest of the disjunction.
-// Compiled is that wider set. The executor fires the vec fault site on
+// it interprets its pairs or an aggregate argument, and a sort-based
+// or nested-loop Γ² runs its compiled bypass operands and disjuncts,
+// though it interprets its pairs or searches its sorted fold. Compiled
+// is that wider set. The executor fires the vec fault site on
 // every node in it and credits VecCalls only to the Vectorizable ones,
 // so EXPLAIN's path annotation and the VecCalls counter agree, and every
 // compiled program stays reachable by the fault injector.
@@ -71,7 +75,29 @@ func (p *Planner) vectorize(n Node) {
 				}
 			}
 		}
+		// A disjunct keeps its operands' order: the interpreter's, so
+		// both paths charge the same comparisons.
+		for i := range x.Rest {
+			if d := &x.Rest[i]; d.Vec == nil {
+				d.Vec, _ = vec.CompilePred(d.Pred, resultColumns{x})
+			}
+		}
 	}
+}
+
+// resultColumns resolves a column of a binary grouping's left row ◦ its
+// results, where its fused selection reads them.
+type resultColumns struct{ b *BinaryGroup }
+
+func (c resultColumns) Column(name string) (int, bool) {
+	l := c.b.L.Schema()
+	if i := l.Index(name); i >= 0 {
+		return i, true
+	}
+	if i := c.b.Results.Index(name); i >= 0 {
+		return l.Len() + i, true
+	}
+	return 0, false
 }
 
 // Vectorizable reports whether the node runs without the expression
@@ -89,12 +115,23 @@ func Vectorizable(n Node) bool {
 	case *Join:
 		return x.LCols != nil && x.Pred == nil
 	case *BinaryGroup:
+		tagged := true
 		for i := range x.Groupings {
-			if g := &x.Groupings[i]; g.VecTag == nil || g.LCols == nil || !columnAggs(g.Aggs, g.R.Schema()) {
+			g := &x.Groupings[i]
+			if g.LCols == nil || g.Theta != types.EQ || g.Tag != nil && g.VecTag == nil || !columnAggs(g.Aggs, g.R.Schema()) {
+				return false
+			}
+			tagged = tagged && g.Tag != nil
+		}
+		if x.Keep == nil {
+			return tagged
+		}
+		for i := range x.Rest {
+			if x.Rest[i].Vec == nil {
 				return false
 			}
 		}
-		return x.Keep == nil
+		return true
 	default:
 		return false
 	}
@@ -107,6 +144,11 @@ func Compiled(n Node) bool {
 	if bg, ok := n.(*BinaryGroup); ok {
 		for i := range bg.Groupings {
 			if bg.Groupings[i].VecTag != nil {
+				return true
+			}
+		}
+		for i := range bg.Rest {
+			if bg.Rest[i].Vec != nil {
 				return true
 			}
 		}

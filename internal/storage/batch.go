@@ -210,3 +210,26 @@ func buildMixed(rel *Relation, idx int) *ColVec {
 	}
 	return cv
 }
+
+// Slice returns the vector's entries lo … hi-1 as a vector of their own,
+// indexed from 0, sharing the payloads.
+func (c *ColVec) Slice(lo, hi int) ColVec {
+	s := ColVec{Kind: c.Kind}
+	switch {
+	case c.Mixed != nil:
+		s.Mixed = c.Mixed[lo:hi]
+		return s
+	case c.Ints != nil:
+		s.Ints = c.Ints[lo:hi]
+	case c.Floats != nil:
+		s.Floats = c.Floats[lo:hi]
+	case c.Strs != nil:
+		s.Strs = c.Strs[lo:hi]
+	case c.Bools != nil:
+		s.Bools = c.Bools[lo:hi]
+	}
+	if c.Nulls != nil {
+		s.Nulls = c.Nulls[lo:hi]
+	}
+	return s
+}

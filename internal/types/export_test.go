@@ -8,10 +8,10 @@ func (ix *RowIndex) ProbeSteps(row []Value, cols []int) int {
 	if !ok || ix.n == 0 {
 		return 0
 	}
-	tag, ents, steps := tagOf(h), ix.block[2*ix.slots:], 0
-	for e := ix.block[ix.slot(tag)]; e >= 0; e = ents[3*e] {
+	tag, steps := tagOf(h), 0
+	for e := ix.block[ix.slot(tag)]; e >= 0; e = ix.ent(e)[0] {
 		steps++
-		if ents[3*e+2] == tag && ix.keysIdentical(ix.rows[ents[3*e+1]], row, cols) {
+		if ix.ent(e)[2] == tag && ix.keysIdentical(e, row, cols) {
 			break
 		}
 	}

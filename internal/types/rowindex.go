@@ -14,6 +14,14 @@ import "math/bits"
 // matches in the order they were added; a tag match is confirmed by a
 // full key compare.
 //
+// An index keyed on one column keeps each entry's key, when it is a
+// non-NULL int, as a word in the block beside the entry: a probe by an
+// int key (First, or the word entry points FirstWord, NextWord and
+// FindOrAddWord, whose HashWord is Hash of the one-int key) compares
+// that word and never reads the stored row. Any other key — NULL, a
+// float (an integral one is identical to the int), a string — is
+// compared against the stored row under Identical.
+//
 // An index built over a relation's rows (NewRowIndex with rows non-nil)
 // indexes rows of it by number (Add, FindOrAdd). An index built with nil
 // rows owns them: Push appends a row to them when its key is new, and
@@ -30,14 +38,17 @@ type RowIndex struct {
 	owns      bool
 	cols      []int // key columns of the rows; nil means every column
 	skipNulls bool
-	// block is [0,s) slot heads, [s,2s) slot tails, then three int32s
+	// block is [0,s) slot heads, [s,2s) slot tails, then stride int32s
 	// per entry of the capacity: the next entry in its chain (-1 for
-	// none), its row number and its tag. s = slots, a power of two no
-	// smaller than the capacity, which is exactly what was asked for.
-	block []int32
-	n     int  // entries
-	slots int  // s
-	shift uint // 32 - log2(s): a tag's top bits are its slot
+	// none), its row number and its tag, and, keyed on one column, the
+	// key's low and high word. s = slots, a power of two no smaller than
+	// the capacity, which is exactly what was asked for. A one-column
+	// entry whose key is not an int stores its row number r as ^r.
+	block  []int32
+	stride int
+	n      int  // entries
+	slots  int  // s
+	shift  uint // 32 - log2(s): a tag's top bits are its slot
 	// collide, when set, maps every hash before use: the tests' way to
 	// force full tag collisions.
 	collide func(uint64) uint64
@@ -48,7 +59,10 @@ type RowIndex struct {
 // sized for exactly capacity entries: it grows only past them; nothing
 // is allocated before the first entry when capacity is 0.
 func NewRowIndex(rows [][]Value, cols []int, skipNulls bool, capacity int) *RowIndex {
-	ix := &RowIndex{rows: rows, owns: rows == nil, cols: cols, skipNulls: skipNulls}
+	ix := &RowIndex{rows: rows, owns: rows == nil, cols: cols, skipNulls: skipNulls, stride: 3}
+	if len(cols) == 1 {
+		ix.stride = 5
+	}
 	if capacity > 0 {
 		ix.grow(capacity)
 	}
@@ -60,7 +74,19 @@ func NewRowIndex(rows [][]Value, cols []int, skipNulls bool, capacity int) *RowI
 func (ix *RowIndex) Len() int { return ix.n }
 
 // RowNum returns the number of entry e's row.
-func (ix *RowIndex) RowNum(e int32) int32 { return ix.block[2*ix.slots+3*int(e)+1] }
+func (ix *RowIndex) RowNum(e int32) int32 {
+	r := ix.ent(e)[1]
+	if r < 0 {
+		r = ^r
+	}
+	return r
+}
+
+// ent returns entry e's int32s.
+func (ix *RowIndex) ent(e int32) []int32 {
+	at := 2*ix.slots + ix.stride*int(e)
+	return ix.block[at : at+ix.stride : at+ix.stride]
+}
 
 // Row returns entry e's row.
 func (ix *RowIndex) Row(e int32) []Value { return ix.rows[ix.RowNum(e)] }
@@ -83,6 +109,17 @@ func (ix *RowIndex) HashMore(h uint64, row []Value, cols []int) (uint64, bool) {
 		h = ix.collide(h)
 	}
 	return h, ok
+}
+
+// HashWord is Hash of a key of one int column holding k: an index
+// keyed on one column probes or adds by it without a row.
+func (ix *RowIndex) HashWord(k int64) uint64 {
+	h := uint64(keySeed)
+	h = h*0x9fb21c651e98df25 + mix(uint64(k))
+	if ix.collide != nil {
+		h = ix.collide(h)
+	}
+	return h
 }
 
 // keySeed is the empty key's hash.
@@ -132,29 +169,49 @@ func tagOf(h uint64) int32 { return int32(h >> 32) }
 // slot returns the slot of a tag.
 func (ix *RowIndex) slot(tag int32) int { return int(uint32(tag) >> ix.shift) }
 
-func (ix *RowIndex) capacity() int { return (len(ix.block) - 2*ix.slots) / 3 }
+func (ix *RowIndex) capacity() int { return (len(ix.block) - 2*ix.slots) / ix.stride }
 
 // Add appends row i as a new entry without looking for an equal one; h
 // is Hash(the row, the index's key columns), which must have been ok.
 func (ix *RowIndex) Add(i int32, h uint64) int32 {
+	if ix.stride == 3 {
+		return ix.add(i, h)
+	}
+	if k, ok := ix.rows[i][ix.cols[0]].IntOk(); ok {
+		return ix.AddWord(i, k, h)
+	}
+	return ix.add(^i, h)
+}
+
+// AddWord is Add for an index keyed on one column whose row i holds the
+// int k there; h is HashWord(k).
+func (ix *RowIndex) AddWord(i int32, k int64, h uint64) int32 {
+	e := ix.add(i, h)
+	ent := ix.ent(e)
+	ent[3], ent[4] = int32(uint32(k)), int32(uint64(k)>>32)
+	return e
+}
+
+// add appends an entry whose row field is r.
+func (ix *RowIndex) add(r int32, h uint64) int32 {
 	if ix.n == ix.capacity() {
 		ix.grow(max(2*ix.n, 8))
 	}
 	e := int32(ix.n)
 	ix.n++
-	ent := ix.block[2*ix.slots+3*int(e):]
-	ent[1], ent[2] = i, tagOf(h)
+	ent := ix.ent(e)
+	ent[1], ent[2] = r, tagOf(h)
 	ix.link(e)
 	return e
 }
 
 // link appends entry e to the chain of its tag's slot.
 func (ix *RowIndex) link(e int32) {
-	s, at := ix.slots, 2*ix.slots+3*int(e)
+	s, at := ix.slots, 2*ix.slots+ix.stride*int(e)
 	slot := ix.slot(ix.block[at+2])
 	ix.block[at] = -1
 	if tail := ix.block[s+slot]; tail >= 0 {
-		ix.block[2*s+3*int(tail)] = e
+		ix.block[2*s+ix.stride*int(tail)] = e
 	} else {
 		ix.block[slot] = e
 	}
@@ -171,12 +228,13 @@ func (ix *RowIndex) grow(capacity int) {
 		s *= 2
 	}
 	old, olds := ix.block, ix.slots
-	ix.block, ix.slots, ix.shift = make([]int32, 2*s+3*capacity), s, uint(32-bits.TrailingZeros(uint(s)))
+	st := ix.stride
+	ix.block, ix.slots, ix.shift = make([]int32, 2*s+st*capacity), s, uint(32-bits.TrailingZeros(uint(s)))
 	for i := range ix.block[:2*s] {
 		ix.block[i] = -1
 	}
 	for e := 0; e < ix.n; e++ {
-		copy(ix.block[2*s+3*e+1:][:2], old[2*olds+3*e+1:])
+		copy(ix.block[2*s+st*e+1:][:st-1], old[2*olds+st*e+1:])
 		ix.link(int32(e))
 	}
 	if ix.owns {
@@ -205,8 +263,24 @@ func (ix *RowIndex) FirstHashed(row []Value, cols []int, h uint64) int32 {
 
 // Next continues First past entry e.
 func (ix *RowIndex) Next(e int32, row []Value, cols []int) int32 {
-	at := 2*ix.slots + 3*int(e)
-	return ix.scan(ix.block[at], ix.block[at+2], row, cols)
+	ent := ix.ent(e)
+	return ix.scan(ent[0], ent[2], row, cols)
+}
+
+// FirstWord is First for the one-int key k of an index keyed on one
+// column: h is HashWord(k). NextWord continues it past entry e.
+func (ix *RowIndex) FirstWord(k int64, h uint64) int32 {
+	if ix.n == 0 {
+		return -1
+	}
+	tag := tagOf(h)
+	return ix.scanWord(ix.block[ix.slot(tag)], tag, k)
+}
+
+// NextWord continues FirstWord(k, …) past entry e.
+func (ix *RowIndex) NextWord(e int32, k int64) int32 {
+	ent := ix.ent(e)
+	return ix.scanWord(ent[0], ent[2], k)
 }
 
 // find returns the first entry with tag and a key identical to row's.
@@ -218,24 +292,63 @@ func (ix *RowIndex) find(row []Value, cols []int, tag int32) int32 {
 }
 
 // scan walks a chain from entry e to the first one with tag and a key
-// identical to row's.
+// identical to row's — by the word when both are one int.
 func (ix *RowIndex) scan(e, tag int32, row []Value, cols []int) int32 {
-	ents := ix.block[2*ix.slots:]
-	for ; e >= 0; e = ents[3*e] {
-		if ents[3*e+2] == tag && ix.keysIdentical(ix.rows[ents[3*e+1]], row, cols) {
+	if ix.stride == 5 && keyLen(row, cols) == 1 {
+		if k, ok := keyAt(row, cols, 0).IntOk(); ok {
+			return ix.scanWord(e, tag, k)
+		}
+	}
+	st, ents := ix.stride, ix.block[2*ix.slots:]
+	for ; e >= 0; e = ents[st*int(e)] {
+		if ents[st*int(e)+2] == tag && ix.keysIdentical(e, row, cols) {
 			return e
 		}
 	}
 	return -1
 }
 
-func (ix *RowIndex) keysIdentical(stored, row []Value, cols []int) bool {
+// scanWord is scan for the one-int key k: a word entry matches by its
+// word, any other by its row's key, which an integral float may be.
+func (ix *RowIndex) scanWord(e, tag int32, k int64) int32 {
+	ents := ix.block[2*ix.slots:]
+	lo, hi := int32(uint32(k)), int32(uint64(k)>>32)
+	for e >= 0 {
+		at := 5 * int(e)
+		ent := ents[at : at+5 : at+5]
+		if ent[2] == tag {
+			if ent[1] >= 0 {
+				if ent[3] == lo && ent[4] == hi {
+					return e
+				}
+			} else if Identical(ix.rows[^ent[1]][ix.cols[0]], NewInt(k)) {
+				return e
+			}
+		}
+		e = ent[0]
+	}
+	return -1
+}
+
+// keysIdentical reports whether entry e's key is identical to row's
+// columns cols.
+func (ix *RowIndex) keysIdentical(e int32, row []Value, cols []int) bool {
+	ent := ix.ent(e)
+	if ix.stride == 5 && ent[1] >= 0 {
+		return keyLen(row, cols) == 1 && Identical(keyAt(row, cols, 0), NewInt(int64(uint32(ent[3]))|int64(ent[4])<<32))
+	}
+	stored := ix.rows[ix.RowNum(e)]
 	n := keyLen(stored, ix.cols)
 	if keyLen(row, cols) != n {
 		return false
 	}
 	for k := 0; k < n; k++ {
-		if !Identical(keyAt(stored, ix.cols, k), keyAt(row, cols, k)) {
+		a, b := keyAt(stored, ix.cols, k), keyAt(row, cols, k)
+		if a.kind == KindInt && b.kind == KindInt { // Identical's own case, inlined for the common key
+			if a.n != b.n {
+				return false
+			}
+		} else if !Identical(a, b) {
 			return false
 		}
 	}
@@ -260,6 +373,15 @@ func (ix *RowIndex) FindOrAddHashed(i int32, h uint64) (e int32, added bool) {
 		return e, false
 	}
 	return ix.Add(i, h), true
+}
+
+// FindOrAddWord is FindOrAdd for an index keyed on one column whose row
+// i holds the int k there: h is HashWord(k).
+func (ix *RowIndex) FindOrAddWord(i int32, k int64, h uint64) (e int32, added bool) {
+	if e = ix.FirstWord(k, h); e >= 0 {
+		return e, false
+	}
+	return ix.AddWord(i, k, h), true
 }
 
 // Push is FindOrAdd for an index that owns its rows: it returns the

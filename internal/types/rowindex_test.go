@@ -72,6 +72,24 @@ func allMatches(ix *RowIndex, row []Value, cols []int) []int32 {
 	return out
 }
 
+// wordMatches walks FirstWord/NextWord to the end.
+func wordMatches(ix *RowIndex, k int64) []int32 {
+	var out []int32
+	for e := ix.FirstWord(k, ix.HashWord(k)); e >= 0; e = ix.NextWord(e, k) {
+		out = append(out, e)
+	}
+	return out
+}
+
+func len32[T any](s []T) int32 { return int32(len(s)) }
+
+func b2i32(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func sameEntries(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
@@ -140,6 +158,46 @@ func TestRowIndexTable(t *testing.T) {
 		}
 		if got := ix.First(row(NewFloat(1)), nil); got != 0 {
 			t.Errorf("1.0 did not find the entry 1: %d", got)
+		}
+	})
+
+	t.Run("a one-int key is a word, found by an integral float", func(t *testing.T) {
+		rows := [][]Value{row(one), row(NewFloat(2)), row(null), row(NewString("1")), row(two)}
+		for _, skipNulls := range []bool{false, true} {
+			ix := NewRowIndex(rows, []int{0}, skipNulls, 0)
+			for i, r := range rows {
+				if h, ok := ix.Hash(r, []int{0}); ok {
+					ix.Add(int32(i), h)
+				} else if !skipNulls || !r[0].IsNull() {
+					t.Fatalf("skipNulls=%v: row %d's key %s not hashed", skipNulls, i, r[0])
+				}
+			}
+			if h, _ := ix.Hash(row(one), nil); h != ix.HashWord(1) {
+				t.Errorf("HashWord(1) = %x, Hash of the key 1 = %x", ix.HashWord(1), h)
+			}
+			nullEntry := []int32{2}
+			if skipNulls {
+				nullEntry = nil
+			}
+			for _, c := range []struct {
+				probe Value
+				want  []int32
+			}{{NewFloat(1), []int32{0}}, {one, []int32{0}}, {two, []int32{1, len32(rows) - 1 - b2i32(skipNulls)}}, {NewFloat(2.5), nil}, {null, nullEntry}} {
+				if got := allMatches(ix, row(c.probe), nil); !sameEntries(got, c.want) {
+					t.Errorf("skipNulls=%v: matches of %s = %v, want %v", skipNulls, c.probe, got, c.want)
+				}
+				if k, ok := c.probe.IntOk(); ok {
+					if got := wordMatches(ix, k); !sameEntries(got, c.want) {
+						t.Errorf("skipNulls=%v: word matches of %d = %v, want %v", skipNulls, k, got, c.want)
+					}
+				}
+			}
+			if e, added := ix.FindOrAddWord(4, 2, ix.HashWord(2)); e != 1 || added {
+				t.Errorf("FindOrAddWord(2) = %d, %v; want the float 2's entry 1", e, added)
+			}
+			if e, added := ix.FindOrAddWord(0, 7, ix.HashWord(7)); !added || ix.RowNum(e) != 0 || !sameEntries(wordMatches(ix, 7), []int32{e}) {
+				t.Errorf("FindOrAddWord(7) = %d, %v; want a new entry, found by its word", e, added)
+			}
 		}
 	})
 
@@ -238,9 +296,13 @@ func checkAgainstReference(t *testing.T, name string, collide func(uint64) uint6
 			want := ref.matches(stored, cols)
 			var e int32
 			var added bool
-			if owning {
+			k, word := stored[1].IntOk()
+			switch {
+			case owning:
 				e, added = ix.Push(stored)
-			} else {
+			case word && len(cols) == 1 && rng.Intn(2) == 0: // from a key column, as a fold does
+				e, added = ix.FindOrAddWord(int32(i), k, ix.HashWord(k))
+			default:
 				e, added = ix.FindOrAdd(int32(i))
 			}
 			_, indexable := ref.key(stored, cols)
@@ -260,7 +322,11 @@ func checkAgainstReference(t *testing.T, name string, collide func(uint64) uint6
 				ref.add(int32(i))
 			}
 		} else if h, ok := ix.Hash(stored, cols); ok { // plain add, as a join build does
-			ix.Add(int32(i), h)
+			if k, word := stored[1].IntOk(); word && len(cols) == 1 && rng.Intn(2) == 0 {
+				ix.AddWord(int32(i), k, ix.HashWord(k))
+			} else {
+				ix.Add(int32(i), h)
+			}
 			ref.add(int32(i))
 		}
 		// Probe with a row of another layout: its key columns reversed.
@@ -272,6 +338,15 @@ func checkAgainstReference(t *testing.T, name string, collide func(uint64) uint6
 		if got, want := allMatches(ix, probe, pcols), ref.matches(probe, pcols); !sameEntries(got, want) {
 			t.Fatalf("%s capacity=%d skipNulls=%v cols=%v owning=%v: matches of %s by %v = %v, reference %v",
 				name, capacity, skipNulls, cols, owning, FormatTuple(probe), pcols, got, want)
+		}
+		// Probe a one-column index by the word, as a key column does.
+		if len(cols) == 1 {
+			if k, word := probe[pcols[0]].IntOk(); word {
+				if got, want := wordMatches(ix, k), ref.matches(probe, pcols); !sameEntries(got, want) {
+					t.Fatalf("%s capacity=%d skipNulls=%v owning=%v: word matches of %d = %v, reference %v",
+						name, capacity, skipNulls, owning, k, got, want)
+				}
+			}
 		}
 	}
 	// Pushed rows are found or added, so an owning index holds one entry

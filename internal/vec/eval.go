@@ -5,11 +5,13 @@ import (
 	"disqo/internal/types"
 )
 
-// evalCtx carries per-Eval state: the batch, the morsel window, the
-// comparison counter, and small buffer free-lists so nested operators
-// reuse scratch space instead of allocating per node per morsel.
+// evalCtx carries per-Eval state: the columns — a batch's, or a
+// frame's — the morsel window, the comparison counter, and small buffer
+// free-lists so nested operators reuse scratch space instead of
+// allocating per node per morsel.
 type evalCtx struct {
 	b    *storage.Batch
+	f    Frame
 	lo   int
 	n    int
 	cmps int64
@@ -19,11 +21,25 @@ type evalCtx struct {
 	ifree [][]int32
 }
 
+// col returns column i's vector.
+func (c *evalCtx) col(i int) *storage.ColVec {
+	if c.f != nil {
+		return &c.f[i]
+	}
+	return c.b.Col(i)
+}
+
+// The buffers a free list holds may be shorter than a later
+// evaluation's window (a Scratch's last morsel is its shortest); such a
+// buffer is dropped.
+
 func (c *evalCtx) getT() []types.TriBool {
 	if k := len(c.tfree); k > 0 {
 		b := c.tfree[k-1]
 		c.tfree = c.tfree[:k-1]
-		return b
+		if len(b) >= c.n {
+			return b
+		}
 	}
 	return make([]types.TriBool, c.n)
 }
@@ -34,7 +50,9 @@ func (c *evalCtx) getV() []types.Value {
 	if k := len(c.vfree); k > 0 {
 		b := c.vfree[k-1]
 		c.vfree = c.vfree[:k-1]
-		return b
+		if len(b) >= c.n {
+			return b
+		}
 	}
 	return make([]types.Value, c.n)
 }
@@ -45,7 +63,9 @@ func (c *evalCtx) getI() []int32 {
 	if k := len(c.ifree); k > 0 {
 		b := c.ifree[k-1]
 		c.ifree = c.ifree[:k-1]
-		return b
+		if cap(b) >= c.n {
+			return b
+		}
 	}
 	return make([]int32, 0, c.n)
 }
@@ -64,41 +84,25 @@ type snode interface {
 	eval(ctx *evalCtx, rows []int32, res []types.Value) error
 }
 
-// pcmp is θ-comparison. Uniform NULL-free integer columns compared to an
-// integer constant or column take a payload-slice fast path; everything
-// else boxes through types.CompareValues, which the fast path matches
-// bit for bit on the rows it covers.
+// pcmp is θ-comparison. Two operands that are each a column or a
+// constant, one at least a column, are read per row without boxing a
+// vector: uniform integer columns, NULLs allowed, and integer constants
+// by their payload slices; any other column or constant (floats, a
+// gathered aggregate result with NULLs, strings, mixed kinds) one Value
+// at a time through types.CompareValues. Everything else boxes both
+// operands' vectors through types.CompareValues, which the typed loops
+// match bit for bit on the rows they cover.
 type pcmp struct {
 	op   types.CompareOp
 	l, r snode
 }
 
 func (p *pcmp) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
-	lo := ctx.lo
-	if lc, ok := p.l.(*scol); ok {
-		cv := ctx.b.Col(lc.idx)
-		if cv.Kind == types.KindInt && cv.Nulls == nil && cv.Mixed == nil {
-			if rc, ok := p.r.(*sconst); ok {
-				if k, isInt := rc.v.IntOk(); isInt {
-					for _, r := range rows {
-						res[r-int32(lo)] = cmpInts(p.op, cv.Ints[r], k)
-					}
-					ctx.cmps += int64(len(rows))
-					return nil
-				}
-			}
-			if rc, ok := p.r.(*scol); ok {
-				rv := ctx.b.Col(rc.idx)
-				if rv.Kind == types.KindInt && rv.Nulls == nil && rv.Mixed == nil {
-					for _, r := range rows {
-						res[r-int32(lo)] = cmpInts(p.op, cv.Ints[r], rv.Ints[r])
-					}
-					ctx.cmps += int64(len(rows))
-					return nil
-				}
-			}
-		}
+	ctx.cmps += int64(len(rows))
+	if p.direct(ctx, rows, res) {
+		return nil
 	}
+	lo := ctx.lo
 	lv := ctx.getV()
 	defer ctx.putV(lv)
 	if err := p.l.eval(ctx, rows, lv); err != nil {
@@ -113,8 +117,82 @@ func (p *pcmp) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 		i := r - int32(lo)
 		res[i] = types.CompareValues(p.op, lv[i], rv[i])
 	}
-	ctx.cmps += int64(len(rows))
 	return nil
+}
+
+// operand is a comparison operand read per row: column col, or the
+// constant k when col is nil.
+type operand struct {
+	col *storage.ColVec
+	k   types.Value
+}
+
+func (o *operand) at(r int32) types.Value {
+	if o.col == nil {
+		return o.k
+	}
+	return o.col.Value(int(r))
+}
+
+// ints reports whether the operand is an integer column (NULLs allowed)
+// or an integer constant.
+func (o *operand) ints() bool {
+	if o.col == nil {
+		return o.k.Kind() == types.KindInt
+	}
+	return o.col.Kind == types.KindInt && o.col.Mixed == nil
+}
+
+func (ctx *evalCtx) operand(s snode) (operand, bool) {
+	switch x := s.(type) {
+	case scol:
+		return operand{col: ctx.col(int(x))}, true
+	case *sconst:
+		return operand{k: x.v}, true
+	}
+	return operand{}, false
+}
+
+// direct is pcmp's per-row path: it reports false, having written
+// nothing, unless both operands are columns or constants and one is a
+// column.
+func (p *pcmp) direct(ctx *evalCtx, rows []int32, res []types.TriBool) bool {
+	l, lok := ctx.operand(p.l)
+	r, rok := ctx.operand(p.r)
+	if !lok || !rok || l.col == nil && r.col == nil {
+		return false
+	}
+	lo, op := int32(ctx.lo), p.op
+	if l.col == nil { // a constant on the left: compare the column to it
+		l, r, op = r, l, op.Flip()
+	}
+	if !l.ints() || !r.ints() {
+		for _, i := range rows {
+			res[i-lo] = types.CompareValues(op, l.at(i), r.at(i))
+		}
+		return true
+	}
+	ln := l.col.Nulls
+	if r.col == nil {
+		k, _ := r.k.IntOk()
+		for _, i := range rows {
+			if ln != nil && ln[i] {
+				res[i-lo] = types.Unknown
+			} else {
+				res[i-lo] = cmpInts(op, l.col.Ints[i], k)
+			}
+		}
+		return true
+	}
+	rn := r.col.Nulls
+	for _, i := range rows {
+		if ln != nil && ln[i] || rn != nil && rn[i] {
+			res[i-lo] = types.Unknown
+		} else {
+			res[i-lo] = cmpInts(op, l.col.Ints[i], r.col.Ints[i])
+		}
+	}
+	return true
 }
 
 // cmpInts mirrors types.CompareValues for two non-NULL integers.
@@ -245,8 +323,8 @@ type plike struct{ l, pat snode }
 
 func (p *plike) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 	lo := int32(ctx.lo)
-	if lc, ok := p.l.(*scol); ok {
-		cv := ctx.b.Col(lc.idx)
+	if lc, ok := p.l.(scol); ok {
+		cv := ctx.col(int(lc))
 		if pc, ok := p.pat.(*sconst); ok && cv.Kind == types.KindString && cv.Mixed == nil {
 			if pat, ok := pc.v.StrOk(); ok {
 				for _, r := range rows {
@@ -308,10 +386,12 @@ func (p *pvalue) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 	return nil
 }
 
-type scol struct{ idx int }
+// scol is a column reference, by position: a word, which an snode holds
+// without an allocation for the first 256 columns.
+type scol int
 
-func (s *scol) eval(ctx *evalCtx, rows []int32, res []types.Value) error {
-	cv := ctx.b.Col(s.idx)
+func (s scol) eval(ctx *evalCtx, rows []int32, res []types.Value) error {
+	cv := ctx.col(int(s))
 	lo := int32(ctx.lo)
 	for _, r := range rows {
 		res[r-lo] = cv.Value(int(r))

@@ -32,10 +32,12 @@ import (
 
 // Pred is a compiled three-valued predicate over one schema.
 // It is immutable after compilation and safe for concurrent Eval calls.
+// A predicate reading few columns lists them in its own buf.
 type Pred struct {
 	root pnode
 	cols []int
 	src  algebra.Expr
+	buf  [4]int
 }
 
 // Scalar is a compiled scalar expression over one schema.
@@ -65,7 +67,9 @@ func CompilePred(e algebra.Expr, cols Columns) (*Pred, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pred{root: root, cols: c.sorted(), src: e}, nil
+	p := &Pred{root: root, src: e}
+	p.cols = c.sorted(p.buf[:0])
+	return p, nil
 }
 
 // CompileScalar compiles e as a scalar expression over rows whose
@@ -76,7 +80,7 @@ func CompileScalar(e algebra.Expr, cols Columns) (*Scalar, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scalar{root: root, cols: c.sorted(), src: e}, nil
+	return &Scalar{root: root, cols: c.sorted(nil), src: e}, nil
 }
 
 // Cols lists the column positions the predicate reads (sorted). The
@@ -116,6 +120,28 @@ func (s *Scalar) Eval(b *storage.Batch, lo, hi int) (res []types.Value, cmps int
 	return res, ctx.cmps, nil
 }
 
+// Frame is the columns of one window of rows, by position: the columns
+// a program reads, indexed from the window's first row — a batch's
+// sliced to the window (ColVec.Slice), or vectors an operator gathered
+// itself.
+type Frame []storage.ColVec
+
+// Scratch is the buffers of a sequence of evaluations on one goroutine,
+// kept from one to the next: a caller that evaluates window after
+// window, each no longer than the first, allocates them once.
+type Scratch struct{ ctx evalCtx }
+
+// EvalSel evaluates the predicate over the rows sel of frame f, writing
+// row r's truth value to res[r] and leaving the others untouched, and
+// returns the comparisons charged, as Eval does for the same rows.
+func (p *Pred) EvalSel(sc *Scratch, f Frame, sel []int32, res []types.TriBool) (int64, error) {
+	ctx := &sc.ctx
+	ctx.f, ctx.lo, ctx.n, ctx.cmps = f, 0, len(res), 0
+	err := p.root.eval(ctx, sel, res)
+	ctx.f = nil
+	return ctx.cmps, err
+}
+
 // compiler records which columns the program touches: bit i of low for
 // column i below 64, the others in high.
 type compiler struct {
@@ -124,11 +150,12 @@ type compiler struct {
 	high    []int
 }
 
-// sorted returns the columns the program reads, once each, in order.
-func (c *compiler) sorted() []int {
+// sorted returns the columns the program reads, once each, in order,
+// appended to out, which is grown only if it is too short.
+func (c *compiler) sorted(out []int) []int {
 	slices.Sort(c.high)
 	high := slices.Compact(c.high)
-	out := make([]int, 0, bits.OnesCount64(c.low)+len(high))
+	out = slices.Grow(out, bits.OnesCount64(c.low)+len(high))
 	for low := c.low; low != 0; low &= low - 1 {
 		out = append(out, bits.TrailingZeros64(low))
 	}
@@ -224,7 +251,7 @@ func (c *compiler) scalar(e algebra.Expr) (snode, error) {
 		} else {
 			c.high = append(c.high, idx)
 		}
-		return &scol{idx: idx}, nil
+		return scol(idx), nil
 	case *algebra.ConstExpr:
 		return &sconst{v: x.Val}, nil
 	case *algebra.ArithExpr:

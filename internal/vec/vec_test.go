@@ -311,3 +311,99 @@ func TestEvalMakesNoRowList(t *testing.T) {
 		t.Errorf("Identity(8, 40) = %v (cap %d), want a window 8 … 39 of one vector", w, cap(w))
 	}
 }
+
+// TestCompareOnNullsBoxesNothing: a comparison of a column with a NULL
+// reads the column's payloads and its null mask, as it does a NULL-free
+// one, instead of boxing both operands: a > 2 over testRel (one NULL in
+// a) makes no more objects than over a NULL-free int column, and a
+// float column with NULLs, compared to a constant or to another column,
+// none beyond those either.
+func TestCompareOnNullsBoxesNothing(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	allocs := func(sch *storage.Schema, b *storage.Batch, e algebra.Expr) float64 {
+		t.Helper()
+		p, err := vec.CompilePred(e, physical.Columns(sch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := p.Eval(b, 0, b.Len()); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { _, _, _ = p.Eval(b, 0, b.Len()) })
+	}
+	gt2 := algebra.Cmp(types.GT, algebra.Col("a"), algebra.ConstInt(2))
+	plain := storage.NewRelation(storage.NewSchema("a"))
+	floats := storage.NewRelation(storage.NewSchema("a", "f", "g"))
+	for i := int64(0); i < 5; i++ {
+		plain.Append([]types.Value{types.NewInt(i)})
+		f := types.NewFloat(float64(i) / 2)
+		if i == 3 {
+			f = types.Null()
+		}
+		floats.Append([]types.Value{types.NewInt(i), f, types.NewFloat(1)})
+	}
+	sch, b := testRel()
+	want := allocs(plain.Schema, storage.NewBatch(plain), gt2)
+	if got := allocs(sch, b, gt2); got > want {
+		t.Errorf("a > 2 over a column with a NULL: %v objects, %v over a NULL-free one", got, want)
+	}
+	fb := storage.NewBatch(floats)
+	for _, e := range []algebra.Expr{
+		algebra.Cmp(types.GE, algebra.Col("f"), algebra.ConstInt(1)),
+		algebra.Cmp(types.EQ, algebra.Col("f"), algebra.Col("g")),
+		algebra.Cmp(types.LT, algebra.ConstInt(0), algebra.Col("f")),
+	} {
+		if got := allocs(floats.Schema, fb, e); got > want {
+			t.Errorf("%s over a float column with a NULL: %v objects, want at most %v", e, got, want)
+		}
+	}
+}
+
+// TestEvalSelAgreesWithEval: a program evaluated over a frame of
+// columns sliced to a window, on a selection of its rows, writes those
+// rows' truth values as Eval does and charges as many comparisons, with
+// one Scratch reused across windows of shrinking size.
+func TestEvalSelAgreesWithEval(t *testing.T) {
+	sch, b := testRel()
+	exprs := []algebra.Expr{
+		algebra.Or(algebra.Cmp(types.GT, algebra.Col("a"), algebra.ConstInt(2)), algebra.Cmp(types.EQ, algebra.Col("a"), algebra.Col("b"))),
+		algebra.Cmp(types.LE, algebra.ConstInt(5), algebra.Col("b")),
+		algebra.And(algebra.Cmp(types.NE, algebra.Col("s"), algebra.Const(types.NewString("x"))), algebra.Cmp(types.LT, algebra.Col("a"), algebra.Col("b"))),
+	}
+	var sc vec.Scratch
+	for _, e := range exprs {
+		p, err := vec.CompilePred(e, physical.Columns(sch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < b.Len(); lo++ {
+			want, wcmps, err := p.Eval(b, lo, b.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := make(vec.Frame, sch.Len())
+			for i := range f {
+				f[i] = b.Col(i).Slice(lo, b.Len())
+			}
+			var sel []int32
+			for r := 0; r < b.Len()-lo; r += 2 {
+				sel = append(sel, int32(r))
+			}
+			got := make([]types.TriBool, b.Len()-lo)
+			cmps, err := p.EvalSel(&sc, f, sel, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range sel {
+				if got[r] != want[r] {
+					t.Errorf("%s row %d: EvalSel %v, Eval %v", e, lo+int(r), got[r], want[r])
+				}
+			}
+			if lo == 0 && len(sel) == b.Len()-lo && cmps != wcmps {
+				t.Errorf("%s: EvalSel charged %d comparisons, Eval %d", e, cmps, wcmps)
+			}
+		}
+	}
+}

@@ -681,17 +681,6 @@ func WithExecutionPath(p ExecutionPath) Option {
 	return func(c *queryConfig) { c.Path = p }
 }
 
-// WithMorselSize sets the chunk length hot operators split their input
-// into (default exec.DefaultMorselSize, 1024). Values are clamped to
-// [exec.MinMorselSize, exec.MaxMorselSize]; the morsel is the unit of
-// work between cancellation polls, so the bound is also a cancellation
-// latency guarantee. It never changes a result: results, float
-// aggregates included, are byte-identical at every worker count and
-// every morsel size.
-func WithMorselSize(n int) Option {
-	return func(c *queryConfig) { c.MorselSize = n }
-}
-
 // WithStrategy selects the optimization strategy (default Unnested). It
 // runs any strategy internal/strategy defines, the figure harness's
 // baselines too; the strategy setting offers only the exported ones.

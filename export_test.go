@@ -21,3 +21,10 @@ func (db *DB) PlanFingerprint(sql string, opts ...Option) (uint64, error) {
 	}
 	return pp.fingerprint(), nil
 }
+
+// withMorselSize sets the chunk length hot operators split their input
+// into (exec.Options.MorselSize: default 1024, clamped to [64, 65536]),
+// for tests that check a result does not depend on it.
+func withMorselSize(n int) Option {
+	return func(c *queryConfig) { c.MorselSize = n }
+}

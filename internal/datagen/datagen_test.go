@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestLoadRSTDeterministic(t *testing.T) {
 	r1, _ := c1.Lookup("r")
 	r2, _ := c2.Lookup("r")
 	for i := range r1.Rel.Tuples {
-		if !types.TuplesIdentical(r1.Rel.Tuples[i], r2.Rel.Tuples[i]) {
+		if !slices.EqualFunc(r1.Rel.Tuples[i], r2.Rel.Tuples[i], types.Identical) {
 			t.Fatal("RST generation not deterministic")
 		}
 	}
@@ -195,7 +196,7 @@ func TestLoadTPCHDeterministic(t *testing.T) {
 	s1, _ := c1.Lookup("supplier")
 	s2, _ := c2.Lookup("supplier")
 	for i := range s1.Rel.Tuples {
-		if !types.TuplesIdentical(s1.Rel.Tuples[i], s2.Rel.Tuples[i]) {
+		if !slices.EqualFunc(s1.Rel.Tuples[i], s2.Rel.Tuples[i], types.Identical) {
 			t.Fatal("TPC-H generation not deterministic")
 		}
 	}

@@ -48,15 +48,15 @@ func (ex *Executor) decideByColumns(b *physical.BinaryGroup, l *storage.Relation
 		}
 	}
 	// The left columns the compiled programs read, built here so that
-	// morsel workers only load them.
+	// morsel workers only load them: none on the row path.
 	var batch *storage.Batch
+	var cols []int
 	if compiled {
-		leftCols(b, func(c int) {
-			if batch == nil {
-				batch = l.Batch()
-			}
-			batch.Col(c)
-		})
+		cols = leftCols(b)
+	}
+	if cols != nil {
+		batch = l.Batch()
+		batch.Materialize(cols)
 	}
 	emits := emitReads(b, gs)
 	outWidth := b.Schema().Len()
@@ -91,9 +91,7 @@ func (ex *Executor) decideByColumns(b *physical.BinaryGroup, l *storage.Relation
 				}
 				n := min(w.msize, hi-s)
 				d.s, d.at = s, s-lo
-				if batch != nil {
-					leftCols(b, func(c int) { sc.frame[c] = batch.Col(c).Slice(s, s+n) })
-				}
+				sc.slice(batch, cols, s, s+n)
 				if err := d.window(n, emits); err != nil {
 					return nil, err
 				}
@@ -144,17 +142,18 @@ func (ex *Executor) decideByColumns(b *physical.BinaryGroup, l *storage.Relation
 		})
 }
 
-// leftCols calls f with each column of the left input that b's compiled
+// leftCols lists the columns of the left input that b's compiled
 // programs read, once per program reading it.
-func leftCols(b *physical.BinaryGroup, f func(c int)) {
+func leftCols(b *physical.BinaryGroup) []int {
 	width := b.L.Schema().Len()
+	var cols []int
 	each := func(p *vec.Pred) {
 		if p == nil {
 			return
 		}
 		for _, c := range p.Cols() {
 			if c < width {
-				f(c)
+				cols = append(cols, c)
 			}
 		}
 	}
@@ -162,6 +161,7 @@ func leftCols(b *physical.BinaryGroup, f func(c int)) {
 	for i := range b.Rest {
 		each(b.Rest[i].Vec)
 	}
+	return cols
 }
 
 // decider decides one morsel's windows of a binary grouping's left input
@@ -194,10 +194,7 @@ type decider struct {
 func (d *decider) window(n int, emits uint64) error {
 	sc, w := d.sc, d.w
 	truth := sc.truth[:n]
-	sel := sc.sel()
-	for r := range int32(n) {
-		sel = append(sel, r)
-	}
+	sel := append(sc.sel(), sc.vs.All(n)...)
 	d.looked, d.gathered = 0, 0
 	for j := range d.gs {
 		if emits>>uint(j)&1 != 0 {
@@ -436,20 +433,20 @@ func (g *gathered) gather(cv *storage.ColVec, size int, src []types.Value, ents 
 	}
 }
 
-// colScratch is the buffers of a morsel of the binary grouping's vector
-// path, for windows of up to size rows: the vector evaluator's, the
-// selection and its truth values, each grouping's looked-up entries
-// and, nested-loop, results, the frame of left columns ◦ gathered
-// results the compiled disjuncts read, one tuple's results for a
-// disjunct interpreted per tuple, and the bit set of a morsel's kept
+// colScratch is the buffers of a morsel on the vector path. A compiled
+// σ, χ or tag uses only the evaluator's and its frame (evalScratch). The
+// binary grouping's windows of up to size rows use, besides those, whose
+// frame is the left columns ◦ the gathered results the compiled
+// disjuncts read, the selection and its truth values, each grouping's
+// looked-up entries and, nested-loop, results, one tuple's results for
+// a disjunct interpreted per tuple, and the bit set of a morsel's kept
 // tuples.
 type colScratch struct {
+	evalScratch
 	size  int
-	vs    vec.Scratch
 	truth []types.TriBool
 	rows  []int32 // the selection, then each grouping's entries: size each
 	nl    [][]types.Value
-	frame vec.Frame
 	gath  []gathered
 	row   []types.Value
 	keep  []uint64
@@ -473,15 +470,27 @@ func (sc *colScratch) ents(j int) []int32 { return sc.rows[(1+j)*sc.size:][:sc.s
 // morsel, node or query to take.
 var colScratches sync.Pool
 
-// takeScratch returns buffers for a morsel of m tuples in windows of size
-// over a frame of width left columns ◦ total results, for the groupings
-// gs, its kept set cleared: a written morsel's, grown where they are too
-// small, or new ones. The caller hands them back (release) when its
-// morsel is written.
-func takeScratch(size, m, width, total int, gs []grouping) *colScratch {
+// takeEval returns buffers whose frame holds width columns: a written
+// morsel's, its frame grown if it is too small, or new ones. The caller
+// hands them back (release) when its morsel is written.
+func takeEval(width int) *colScratch {
 	sc, _ := colScratches.Get().(*colScratch)
-	if sc == nil || sc.size < size {
-		sc = &colScratch{size: size, truth: make([]types.TriBool, size)}
+	if sc == nil {
+		sc = new(colScratch)
+	}
+	if len(sc.frame) < width {
+		sc.frame = make(vec.Frame, width)
+	}
+	return sc
+}
+
+// takeScratch returns buffers, as takeEval does, for a binary grouping's
+// morsel of m tuples in windows of size over a frame of width left
+// columns ◦ total results, for the groupings gs, its kept set cleared.
+func takeScratch(size, m, width, total int, gs []grouping) *colScratch {
+	sc := takeEval(width + total)
+	if sc.size < size {
+		sc.size, sc.truth, sc.gath = size, make([]types.TriBool, size), nil
 	}
 	if n := (1 + len(gs)) * sc.size; len(sc.rows) < n {
 		sc.rows = make([]int32, n)
@@ -493,9 +502,6 @@ func takeScratch(size, m, width, total int, gs []grouping) *colScratch {
 		if n := len(gs[j].Aggs) * sc.size; gs[j].keyRes == nil && len(sc.nl[j]) < n {
 			sc.nl[j] = make([]types.Value, n)
 		}
-	}
-	if len(sc.frame) < width+total {
-		sc.frame = make(vec.Frame, width+total)
 	}
 	if len(sc.gath) < total {
 		sc.gath = append(sc.gath, make([]gathered, total-len(sc.gath))...)

@@ -4,6 +4,7 @@ import (
 	"disqo/internal/faultinject"
 	"disqo/internal/physical"
 	"disqo/internal/storage"
+	"disqo/internal/vec"
 )
 
 // Path selects how operators evaluate their expressions. There is one
@@ -38,11 +39,11 @@ func (p Path) String() string {
 // evalBinaryGroup — on the row path a Γ² looks every grouping's results
 // up before it tests its fused selection, on the vector path disjunct
 // by disjunct — and keyColumn, which hands the vector path a base
-// table's int key column to hash and probe by the word. When vecEnter holds, the fault injector's vec site fires
-// (latching the abort so cancellation semantics match SiteOp), and an
-// evaluation the node counts as vector-served by (physical.Vectorizable)
-// is credited, once per Call by the coordinator, so VecCalls is
-// worker-count independent.
+// table's int key column to hash and probe by the word. When vecEnter
+// holds, the fault injector's vec site fires (latching the abort so
+// cancellation semantics match SiteOp), and an evaluation the node
+// counts as vector-served by (physical.Vectorizable) is credited, once
+// per Call by the coordinator, so VecCalls is worker-count independent.
 func (ex *Executor) vecEnter(n physical.Node) (bool, error) {
 	if ex.opt.Path != PathVector || !physical.Compiled(n) {
 		return false, nil
@@ -60,22 +61,42 @@ func (ex *Executor) vecEnter(n physical.Node) (bool, error) {
 // values, *vec.Scalar yields values.
 type program[T any] interface {
 	Cols() []int
-	Eval(b *storage.Batch, lo, hi int) ([]T, int64, error)
+	EvalSel(sc *vec.Scratch, f vec.Frame, sel []int32, res []T) (int64, error)
+}
+
+// evalScratch is the buffers of compiled evaluations on one goroutine,
+// kept from one window to the next: the vector evaluator's, and the
+// frame of the columns its programs read.
+type evalScratch struct {
+	vs    vec.Scratch
+	frame vec.Frame
+}
+
+// slice points the frame's columns cols at rows [lo,hi) of b.
+func (es *evalScratch) slice(b *storage.Batch, cols []int, lo, hi int) {
+	for _, c := range cols {
+		es.frame[c] = b.Col(c).Slice(lo, hi)
+	}
 }
 
 // morselEval returns the one part of an operator that varies with the
 // path: the expression's results for rows [lo,hi) of in. Compiled (the
-// verdict of vecEnter) runs prog over the relation's batch, whose columns
+// verdict of vecEnter) runs prog over every row of the window of the
+// relation's batch, sliced into pooled buffers (takeEval), whose columns
 // the coordinator materializes here so morsel workers only take the
 // wait-free column loads; otherwise interp is called per row on a
 // frame pushed once per morsel, over env, and moved from row to row.
 func morselEval[T any](ex *Executor, compiled bool, prog program[T], in *storage.Relation, env *Env,
 	interp func(w *Executor, row *Env) (T, error)) func(w *Executor, lo, hi int) ([]T, error) {
 	if compiled {
-		b := in.Batch()
-		b.Materialize(prog.Cols())
+		b, cols, width := in.Batch(), prog.Cols(), in.Schema.Len()
+		b.Materialize(cols)
 		return func(w *Executor, lo, hi int) ([]T, error) {
-			res, cmps, err := prog.Eval(b, lo, hi)
+			sc := takeEval(width)
+			defer sc.release()
+			sc.slice(b, cols, lo, hi)
+			res := make([]T, hi-lo)
+			cmps, err := prog.EvalSel(&sc.vs, sc.frame, sc.vs.All(hi-lo), res)
 			w.stats.Comparisons += cmps
 			return res, err
 		}

@@ -278,3 +278,39 @@ func TestScansShareTheVersionBatch(t *testing.T) {
 		t.Error("the commit changed the old version's batch")
 	}
 }
+
+// TestCompiledFilterAllocatesPerMorsel: a compiled σ evaluates each
+// morsel through the pooled buffers of the evaluator and its frame, so
+// over an input of many morsels a morsel allocates only its truth values
+// and its selection — 64 more morsels cost two allocations each, and
+// none besides but a few of the worker pool's.
+func TestCompiledFilterAllocatesPerMorsel(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	col, konst := algebra.Col, algebra.ConstInt
+	pred := algebra.Or(algebra.Cmp(types.LT, col("l.v"), konst(100)),
+		algebra.And(algebra.Cmp(types.GT, col("l.k"), konst(40)), algebra.Cmp(types.NE, col("l.v"), konst(7))))
+	allocs := func(morsels int) float64 {
+		cat := bigCatalog(t, morsels*MinMorselSize)
+		ex := New(cat, Options{Path: PathVector, Workers: 2, MorselSize: MinMorselSize})
+		n, err := ex.Plan(algebra.NewSelect(bigScan(t, cat, "l"), pred))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, ok := n.(*physical.Filter)
+		if !ok || f.VecPred == nil {
+			t.Fatalf("%s does not plan to a compiled filter", n.Label())
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := ex.evalFilter(f, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const more = 64
+	small, large := allocs(16), allocs(16+more)
+	if per := (large - small) / more; per > 2.25 {
+		t.Errorf("%d more morsels cost %.0f more allocations (%.0f → %.0f), %.2f per morsel; want 2 (truth values and selection)", more, large-small, small, large, per)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -518,7 +519,7 @@ func TestServedRowsKeepInvalidUTF8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(served.Rows) != 1 || len(local.Rows) != 1 || !types.TuplesIdentical(served.Rows[0], local.Rows[0]) {
+	if len(served.Rows) != 1 || len(local.Rows) != 1 || !slices.EqualFunc(served.Rows[0], local.Rows[0], types.Identical) {
 		t.Fatalf("served rows %q, embedded rows %q", served.Rows, local.Rows)
 	}
 }

@@ -20,10 +20,9 @@ import (
 // publishes it through an atomic pointer; later callers (morsel workers,
 // canonical per-outer-tuple re-evaluations) load it wait-free.
 type Batch struct {
-	rel   *Relation
-	mu    sync.Mutex
-	cols  []atomic.Pointer[ColVec]
-	ident atomic.Pointer[[]int32]
+	rel  *Relation
+	mu   sync.Mutex
+	cols []atomic.Pointer[ColVec]
 }
 
 // NewBatch wraps a relation in its columnar view without materializing
@@ -60,26 +59,6 @@ func (b *Batch) Col(i int) *ColVec {
 	c := buildColVec(b.rel, i)
 	b.cols[i].Store(c)
 	return c
-}
-
-// Identity returns rows lo … hi-1 in order as a selection vector: a
-// window, not to be written, of one list of every row the batch builds
-// on first use.
-func (b *Batch) Identity(lo, hi int) []int32 {
-	id := b.ident.Load()
-	if id == nil {
-		b.mu.Lock()
-		if id = b.ident.Load(); id == nil {
-			rows := make([]int32, b.Len())
-			for i := range rows {
-				rows[i] = int32(i)
-			}
-			id = &rows
-			b.ident.Store(id)
-		}
-		b.mu.Unlock()
-	}
-	return (*id)[lo:hi:hi]
 }
 
 // Materialize builds the given columns eagerly — called once by the

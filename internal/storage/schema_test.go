@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -116,7 +117,7 @@ func TestRelationDistinct(t *testing.T) {
 	if r.Cardinality() != 5 {
 		t.Error("Distinct mutated its input")
 	}
-	if !types.TuplesIdentical(d.Tuples[0], ints(1, 2)) {
+	if !slices.EqualFunc(d.Tuples[0], ints(1, 2), types.Identical) {
 		t.Error("Distinct did not preserve first-seen order")
 	}
 }
@@ -151,7 +152,7 @@ func TestRelationDistinctSharesDuplicateFreeInput(t *testing.T) {
 			t.Fatalf("%s: %d rows, want %d:\n%s", c.name, len(d.Tuples), len(c.want), d)
 		}
 		for i, row := range c.want {
-			if !types.TuplesIdentical(d.Tuples[i], row) {
+			if !slices.EqualFunc(d.Tuples[i], row, types.Identical) {
 				t.Errorf("%s: row %d is %v, want %v", c.name, i, d.Tuples[i], row)
 			}
 		}
@@ -179,7 +180,7 @@ func TestRelationSortBy(t *testing.T) {
 		ints(2, 1),
 	}
 	for i := range want {
-		if !types.TuplesIdentical(r.Tuples[i], want[i]) {
+		if !slices.EqualFunc(r.Tuples[i], want[i], types.Identical) {
 			t.Fatalf("row %d = %s, want %s", i,
 				types.FormatTuple(r.Tuples[i]), types.FormatTuple(want[i]))
 		}
@@ -196,7 +197,7 @@ func TestRelationCloneIndependence(t *testing.T) {
 	}
 	// Deep copy: mutating a cloned row must not reach the original.
 	c.Tuples[0][0] = types.NewInt(99)
-	if !types.TuplesIdentical(r.Tuples[0], ints(1)) {
+	if !slices.EqualFunc(r.Tuples[0], ints(1), types.Identical) {
 		t.Error("Clone shares row storage; mutation aliased the original")
 	}
 }
@@ -246,7 +247,7 @@ func TestDistinctIdempotentProperty(t *testing.T) {
 		for _, tup := range d1.Tuples {
 			found := false
 			for _, orig := range r.Tuples {
-				if types.TuplesIdentical(tup, orig) {
+				if slices.EqualFunc(tup, orig, types.Identical) {
 					found = true
 					break
 				}

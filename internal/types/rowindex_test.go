@@ -2,6 +2,7 @@ package types
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -42,7 +43,7 @@ func (r *refIndex) matches(row []Value, cols []int) []int32 {
 	}
 	var out []int32
 	for _, e := range r.buckets[HashTuple(key)] {
-		if stored, _ := r.key(r.rows[r.nums[e]], r.cols); TuplesIdentical(stored, key) {
+		if stored, _ := r.key(r.rows[r.nums[e]], r.cols); slices.EqualFunc(stored, key, Identical) {
 			out = append(out, e)
 		}
 	}

@@ -331,17 +331,3 @@ func HashTuple(vs []Value) uint64 {
 	h, _ := hashKey(vs, nil, false)
 	return h
 }
-
-// TuplesIdentical reports element-wise Identical over two equal-length
-// value slices.
-func TuplesIdentical(a, b []Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !Identical(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}

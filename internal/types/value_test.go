@@ -196,21 +196,6 @@ func TestHashTupleOrderSensitive(t *testing.T) {
 	}
 }
 
-func TestTuplesIdentical(t *testing.T) {
-	a := []Value{NewInt(1), Null()}
-	b := []Value{NewInt(1), Null()}
-	c := []Value{NewInt(1), NewInt(0)}
-	if !TuplesIdentical(a, b) {
-		t.Error("identical tuples not recognized")
-	}
-	if TuplesIdentical(a, c) {
-		t.Error("distinct tuples reported identical")
-	}
-	if TuplesIdentical(a, a[:1]) {
-		t.Error("length mismatch must not be identical")
-	}
-}
-
 // TestValueIs32Bytes pins the layout: a kind, one payload word and the
 // string. Rows are slices of Values, so every byte here is paid per cell.
 func TestValueIs32Bytes(t *testing.T) {

@@ -5,14 +5,12 @@ import (
 	"disqo/internal/types"
 )
 
-// evalCtx carries per-Eval state: the columns — a batch's, or a
-// frame's — the morsel window, the comparison counter, and small buffer
-// free-lists so nested operators reuse scratch space instead of
-// allocating per node per morsel.
+// evalCtx carries an evaluation's state: the window's columns and its
+// length, the comparison counter, and small buffer free-lists so nested
+// operators reuse scratch space instead of allocating per node per
+// window.
 type evalCtx struct {
-	b    *storage.Batch
 	f    Frame
-	lo   int
 	n    int
 	cmps int64
 
@@ -22,59 +20,28 @@ type evalCtx struct {
 }
 
 // col returns column i's vector.
-func (c *evalCtx) col(i int) *storage.ColVec {
-	if c.f != nil {
-		return &c.f[i]
-	}
-	return c.b.Col(i)
-}
+func (c *evalCtx) col(i int) *storage.ColVec { return &c.f[i] }
 
-// The buffers a free list holds may be shorter than a later
-// evaluation's window (a Scratch's last morsel is its shortest); such a
-// buffer is dropped.
-
-func (c *evalCtx) getT() []types.TriBool {
-	if k := len(c.tfree); k > 0 {
-		b := c.tfree[k-1]
-		c.tfree = c.tfree[:k-1]
-		if len(b) >= c.n {
+// take pops a buffer of at least the window's n entries off a free
+// list, or makes one. A buffer shorter than that (a Scratch's last
+// window is its shortest) is dropped.
+func take[T any](free *[][]T, n int) []T {
+	if k := len(*free); k > 0 {
+		b := (*free)[k-1]
+		*free = (*free)[:k-1]
+		if len(b) >= n {
 			return b
 		}
 	}
-	return make([]types.TriBool, c.n)
+	return make([]T, n)
 }
 
-func (c *evalCtx) putT(b []types.TriBool) { c.tfree = append(c.tfree, b) }
-
-func (c *evalCtx) getV() []types.Value {
-	if k := len(c.vfree); k > 0 {
-		b := c.vfree[k-1]
-		c.vfree = c.vfree[:k-1]
-		if len(b) >= c.n {
-			return b
-		}
-	}
-	return make([]types.Value, c.n)
-}
-
-func (c *evalCtx) putV(b []types.Value) { c.vfree = append(c.vfree, b) }
-
-func (c *evalCtx) getI() []int32 {
-	if k := len(c.ifree); k > 0 {
-		b := c.ifree[k-1]
-		c.ifree = c.ifree[:k-1]
-		if cap(b) >= c.n {
-			return b
-		}
-	}
-	return make([]int32, 0, c.n)
-}
-
-func (c *evalCtx) putI(b []int32) { c.ifree = append(c.ifree, b[:0]) }
+// give pushes b, at its full capacity, back onto a free list.
+func give[T any](free *[][]T, b []T) { *free = append(*free, b[:cap(b)]) }
 
 // pnode is a compiled predicate operator. eval computes the truth value
-// of each listed row (absolute indices into the batch), writing
-// res[r-ctx.lo]; entries for unlisted rows are left untouched.
+// of each listed row r of the window (numbered from its first row, 0),
+// writing res[r]; entries for unlisted rows are left untouched.
 type pnode interface {
 	eval(ctx *evalCtx, rows []int32, res []types.TriBool) error
 }
@@ -102,20 +69,18 @@ func (p *pcmp) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 	if p.direct(ctx, rows, res) {
 		return nil
 	}
-	lo := ctx.lo
-	lv := ctx.getV()
-	defer ctx.putV(lv)
+	lv := take(&ctx.vfree, ctx.n)
+	defer give(&ctx.vfree, lv)
 	if err := p.l.eval(ctx, rows, lv); err != nil {
 		return err
 	}
-	rv := ctx.getV()
-	defer ctx.putV(rv)
+	rv := take(&ctx.vfree, ctx.n)
+	defer give(&ctx.vfree, rv)
 	if err := p.r.eval(ctx, rows, rv); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		i := r - int32(lo)
-		res[i] = types.CompareValues(p.op, lv[i], rv[i])
+		res[r] = types.CompareValues(p.op, lv[r], rv[r])
 	}
 	return nil
 }
@@ -162,13 +127,13 @@ func (p *pcmp) direct(ctx *evalCtx, rows []int32, res []types.TriBool) bool {
 	if !lok || !rok || l.col == nil && r.col == nil {
 		return false
 	}
-	lo, op := int32(ctx.lo), p.op
+	op := p.op
 	if l.col == nil { // a constant on the left: compare the column to it
 		l, r, op = r, l, op.Flip()
 	}
 	if !l.ints() || !r.ints() {
 		for _, i := range rows {
-			res[i-lo] = types.CompareValues(op, l.at(i), r.at(i))
+			res[i] = types.CompareValues(op, l.at(i), r.at(i))
 		}
 		return true
 	}
@@ -177,9 +142,9 @@ func (p *pcmp) direct(ctx *evalCtx, rows []int32, res []types.TriBool) bool {
 		k, _ := r.k.IntOk()
 		for _, i := range rows {
 			if ln != nil && ln[i] {
-				res[i-lo] = types.Unknown
+				res[i] = types.Unknown
 			} else {
-				res[i-lo] = cmpInts(op, l.col.Ints[i], k)
+				res[i] = cmpInts(op, l.col.Ints[i], k)
 			}
 		}
 		return true
@@ -187,9 +152,9 @@ func (p *pcmp) direct(ctx *evalCtx, rows []int32, res []types.TriBool) bool {
 	rn := r.col.Nulls
 	for _, i := range rows {
 		if ln != nil && ln[i] || rn != nil && rn[i] {
-			res[i-lo] = types.Unknown
+			res[i] = types.Unknown
 		} else {
-			res[i-lo] = cmpInts(op, l.col.Ints[i], r.col.Ints[i])
+			res[i] = cmpInts(op, l.col.Ints[i], r.col.Ints[i])
 		}
 	}
 	return true
@@ -220,19 +185,18 @@ func cmpInts(op types.CompareOp, a, b int64) types.TriBool {
 type pand struct{ parts []pnode }
 
 func (p *pand) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
-	lo := int32(ctx.lo)
 	if err := p.parts[0].eval(ctx, rows, res); err != nil {
 		return err
 	}
-	act := ctx.getI()
-	defer ctx.putI(act)
+	act := take(&ctx.ifree, ctx.n)[:0]
+	defer give(&ctx.ifree, act)
 	for _, r := range rows {
-		if res[r-lo] != types.False {
+		if res[r] != types.False {
 			act = append(act, r)
 		}
 	}
-	tmp := ctx.getT()
-	defer ctx.putT(tmp)
+	tmp := take(&ctx.tfree, ctx.n)
+	defer give(&ctx.tfree, tmp)
 	for _, part := range p.parts[1:] {
 		if len(act) == 0 {
 			break
@@ -242,8 +206,8 @@ func (p *pand) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 		}
 		kept := act[:0]
 		for _, r := range act {
-			t := res[r-lo].And(tmp[r-lo])
-			res[r-lo] = t
+			t := res[r].And(tmp[r])
+			res[r] = t
 			if t != types.False {
 				kept = append(kept, r)
 			}
@@ -259,19 +223,18 @@ func (p *pand) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 type por struct{ parts []pnode }
 
 func (p *por) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
-	lo := int32(ctx.lo)
 	if err := p.parts[0].eval(ctx, rows, res); err != nil {
 		return err
 	}
-	act := ctx.getI()
-	defer ctx.putI(act)
+	act := take(&ctx.ifree, ctx.n)[:0]
+	defer give(&ctx.ifree, act)
 	for _, r := range rows {
-		if res[r-lo] != types.True {
+		if res[r] != types.True {
 			act = append(act, r)
 		}
 	}
-	tmp := ctx.getT()
-	defer ctx.putT(tmp)
+	tmp := take(&ctx.tfree, ctx.n)
+	defer give(&ctx.tfree, tmp)
 	for _, part := range p.parts[1:] {
 		if len(act) == 0 {
 			break
@@ -281,8 +244,8 @@ func (p *por) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 		}
 		kept := act[:0]
 		for _, r := range act {
-			t := res[r-lo].Or(tmp[r-lo])
-			res[r-lo] = t
+			t := res[r].Or(tmp[r])
+			res[r] = t
 			if t != types.True {
 				kept = append(kept, r)
 			}
@@ -308,9 +271,8 @@ func (p *pmask) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 	if err := p.child.eval(ctx, rows, res); err != nil {
 		return err
 	}
-	lo := int32(ctx.lo)
 	for _, r := range rows {
-		res[r-lo] = p.to[res[r-lo]]
+		res[r] = p.to[res[r]]
 	}
 	return nil
 }
@@ -322,34 +284,33 @@ func (p *pmask) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 type plike struct{ l, pat snode }
 
 func (p *plike) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
-	lo := int32(ctx.lo)
 	if lc, ok := p.l.(scol); ok {
 		cv := ctx.col(int(lc))
 		if pc, ok := p.pat.(*sconst); ok && cv.Kind == types.KindString && cv.Mixed == nil {
 			if pat, ok := pc.v.StrOk(); ok {
 				for _, r := range rows {
 					if cv.Nulls != nil && cv.Nulls[r] {
-						res[r-lo] = types.Unknown
+						res[r] = types.Unknown
 					} else {
-						res[r-lo] = types.TriOf(types.LikeMatch(cv.Strs[r], pat))
+						res[r] = types.TriOf(types.LikeMatch(cv.Strs[r], pat))
 					}
 				}
 				return nil
 			}
 		}
 	}
-	lv := ctx.getV()
-	defer ctx.putV(lv)
+	lv := take(&ctx.vfree, ctx.n)
+	defer give(&ctx.vfree, lv)
 	if err := p.l.eval(ctx, rows, lv); err != nil {
 		return err
 	}
-	pv := ctx.getV()
-	defer ctx.putV(pv)
+	pv := take(&ctx.vfree, ctx.n)
+	defer give(&ctx.vfree, pv)
 	if err := p.pat.eval(ctx, rows, pv); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		res[r-lo] = types.Like(lv[r-lo], pv[r-lo])
+		res[r] = types.Like(lv[r], pv[r])
 	}
 	return nil
 }
@@ -357,14 +318,13 @@ func (p *plike) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 type pisnull struct{ child snode }
 
 func (p *pisnull) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
-	v := ctx.getV()
-	defer ctx.putV(v)
+	v := take(&ctx.vfree, ctx.n)
+	defer give(&ctx.vfree, v)
 	if err := p.child.eval(ctx, rows, v); err != nil {
 		return err
 	}
-	lo := int32(ctx.lo)
 	for _, r := range rows {
-		res[r-lo] = types.TriOf(v[r-lo].IsNull())
+		res[r] = types.TriOf(v[r].IsNull())
 	}
 	return nil
 }
@@ -374,14 +334,13 @@ func (p *pisnull) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
 type pvalue struct{ child snode }
 
 func (p *pvalue) eval(ctx *evalCtx, rows []int32, res []types.TriBool) error {
-	v := ctx.getV()
-	defer ctx.putV(v)
+	v := take(&ctx.vfree, ctx.n)
+	defer give(&ctx.vfree, v)
 	if err := p.child.eval(ctx, rows, v); err != nil {
 		return err
 	}
-	lo := int32(ctx.lo)
 	for _, r := range rows {
-		res[r-lo] = types.TriFromValue(v[r-lo])
+		res[r] = types.TriFromValue(v[r])
 	}
 	return nil
 }
@@ -392,9 +351,8 @@ type scol int
 
 func (s scol) eval(ctx *evalCtx, rows []int32, res []types.Value) error {
 	cv := ctx.col(int(s))
-	lo := int32(ctx.lo)
 	for _, r := range rows {
-		res[r-lo] = cv.Value(int(r))
+		res[r] = cv.Value(int(r))
 	}
 	return nil
 }
@@ -402,9 +360,8 @@ func (s scol) eval(ctx *evalCtx, rows []int32, res []types.Value) error {
 type sconst struct{ v types.Value }
 
 func (s *sconst) eval(ctx *evalCtx, rows []int32, res []types.Value) error {
-	lo := int32(ctx.lo)
 	for _, r := range rows {
-		res[r-lo] = s.v
+		res[r] = s.v
 	}
 	return nil
 }
@@ -415,23 +372,22 @@ type sarith struct {
 }
 
 func (s *sarith) eval(ctx *evalCtx, rows []int32, res []types.Value) error {
-	lv := ctx.getV()
-	defer ctx.putV(lv)
+	lv := take(&ctx.vfree, ctx.n)
+	defer give(&ctx.vfree, lv)
 	if err := s.l.eval(ctx, rows, lv); err != nil {
 		return err
 	}
-	rv := ctx.getV()
-	defer ctx.putV(rv)
+	rv := take(&ctx.vfree, ctx.n)
+	defer give(&ctx.vfree, rv)
 	if err := s.r.eval(ctx, rows, rv); err != nil {
 		return err
 	}
-	lo := int32(ctx.lo)
 	for _, r := range rows {
-		v, err := types.Arith(s.op, lv[r-lo], rv[r-lo])
+		v, err := types.Arith(s.op, lv[r], rv[r])
 		if err != nil {
 			return err
 		}
-		res[r-lo] = v
+		res[r] = v
 	}
 	return nil
 }
@@ -441,14 +397,13 @@ func (s *sarith) eval(ctx *evalCtx, rows []int32, res []types.Value) error {
 type spred struct{ child pnode }
 
 func (s *spred) eval(ctx *evalCtx, rows []int32, res []types.Value) error {
-	t := ctx.getT()
-	defer ctx.putT(t)
+	t := take(&ctx.tfree, ctx.n)
+	defer give(&ctx.tfree, t)
 	if err := s.child.eval(ctx, rows, t); err != nil {
 		return err
 	}
-	lo := int32(ctx.lo)
 	for _, r := range rows {
-		res[r-lo] = t[r-lo].Value()
+		res[r] = t[r].Value()
 	}
 	return nil
 }

@@ -1,5 +1,6 @@
 // Package vec compiles scalar predicates and expressions into
-// column-at-a-time programs evaluated over storage.Batch vectors. It is
+// column-at-a-time programs evaluated over a window of column vectors
+// (a Frame), on a selection of its rows (EvalSel). It is
 // the kernel layer of the vectorized execution path: the planner
 // (internal/physical) decides which nodes are eligible and compiles
 // their expressions here at lowering time; the executor (internal/exec)
@@ -31,7 +32,8 @@ import (
 )
 
 // Pred is a compiled three-valued predicate over one schema.
-// It is immutable after compilation and safe for concurrent Eval calls.
+// It is immutable after compilation and safe for concurrent EvalSel
+// calls, each with a Scratch of its own.
 // A predicate reading few columns lists them in its own buf.
 type Pred struct {
 	root pnode
@@ -97,29 +99,6 @@ func (s *Scalar) Cols() []int { return s.cols }
 // Expr returns the source expression the scalar was compiled from.
 func (s *Scalar) Expr() algebra.Expr { return s.src }
 
-// Eval evaluates the predicate over rows [lo,hi) of b in three-valued
-// logic. res[i-lo] holds row i's truth value; cmps is the number of
-// comparisons charged, matching what the row interpreter would charge
-// for the same rows.
-func (p *Pred) Eval(b *storage.Batch, lo, hi int) (res []types.TriBool, cmps int64, err error) {
-	ctx := &evalCtx{b: b, lo: lo, n: hi - lo}
-	res = make([]types.TriBool, hi-lo)
-	if err := p.root.eval(ctx, b.Identity(lo, hi), res); err != nil {
-		return nil, ctx.cmps, err
-	}
-	return res, ctx.cmps, nil
-}
-
-// Eval evaluates the scalar over rows [lo,hi) of b.
-func (s *Scalar) Eval(b *storage.Batch, lo, hi int) (res []types.Value, cmps int64, err error) {
-	ctx := &evalCtx{b: b, lo: lo, n: hi - lo}
-	res = make([]types.Value, hi-lo)
-	if err := s.root.eval(ctx, b.Identity(lo, hi), res); err != nil {
-		return nil, ctx.cmps, err
-	}
-	return res, ctx.cmps, nil
-}
-
 // Frame is the columns of one window of rows, by position: the columns
 // a program reads, indexed from the window's first row — a batch's
 // sliced to the window (ColVec.Slice), or vectors an operator gathered
@@ -129,17 +108,49 @@ type Frame []storage.ColVec
 // Scratch is the buffers of a sequence of evaluations on one goroutine,
 // kept from one to the next: a caller that evaluates window after
 // window, each no longer than the first, allocates them once.
-type Scratch struct{ ctx evalCtx }
+type Scratch struct {
+	ctx evalCtx
+	all []int32
+}
 
-// EvalSel evaluates the predicate over the rows sel of frame f, writing
-// row r's truth value to res[r] and leaving the others untouched, and
-// returns the comparisons charged, as Eval does for the same rows.
+// All returns the rows 0 … n-1 of a window as a selection, not to be
+// written: a prefix of one list the scratch keeps.
+func (sc *Scratch) All(n int) []int32 {
+	if k := len(sc.all); k < n {
+		sc.all = slices.Grow(sc.all, n-k)
+		for i := k; i < n; i++ {
+			sc.all = append(sc.all, int32(i))
+		}
+	}
+	return sc.all[:n:n]
+}
+
+// open readies the scratch's context for a window of n rows of f.
+func (sc *Scratch) open(f Frame, n int) *evalCtx {
+	sc.ctx.f, sc.ctx.n, sc.ctx.cmps = f, n, 0
+	return &sc.ctx
+}
+
+// close drops the frame and returns the comparisons charged since open.
+func (sc *Scratch) close() int64 {
+	sc.ctx.f = nil
+	return sc.ctx.cmps
+}
+
+// EvalSel evaluates the predicate in three-valued logic over the rows
+// sel of frame f, writing row r's truth value to res[r] and leaving the
+// others untouched, and returns the comparisons charged: those the row
+// interpreter charges for the same rows. res is as long as the window.
 func (p *Pred) EvalSel(sc *Scratch, f Frame, sel []int32, res []types.TriBool) (int64, error) {
-	ctx := &sc.ctx
-	ctx.f, ctx.lo, ctx.n, ctx.cmps = f, 0, len(res), 0
-	err := p.root.eval(ctx, sel, res)
-	ctx.f = nil
-	return ctx.cmps, err
+	err := p.root.eval(sc.open(f, len(res)), sel, res)
+	return sc.close(), err
+}
+
+// EvalSel evaluates the scalar over the rows sel of frame f, writing row
+// r's value to res[r], as Pred.EvalSel does.
+func (s *Scalar) EvalSel(sc *Scratch, f Frame, sel []int32, res []types.Value) (int64, error) {
+	err := s.root.eval(sc.open(f, len(res)), sel, res)
+	return sc.close(), err
 }
 
 // compiler records which columns the program touches: bit i of low for

@@ -7,10 +7,13 @@ package vec_test
 // external test package avoids an import cycle (exec → physical → vec).
 
 import (
+	"slices"
 	"testing"
 
 	"disqo/internal/agg"
 	"disqo/internal/algebra"
+	"disqo/internal/catalog"
+	"disqo/internal/exec"
 	"disqo/internal/physical"
 	"disqo/internal/storage"
 	"disqo/internal/testutil"
@@ -87,9 +90,33 @@ func refScalar(e algebra.Expr, row []types.Value, sch *storage.Schema) types.Val
 			return types.Null()
 		}
 		return v
+	case *algebra.CmpExpr, *algebra.AndExpr, *algebra.OrExpr, *algebra.NotExpr,
+		*algebra.LikeExpr, *algebra.IsNullExpr:
+		return refPred(e, row, sch).Value()
 	default:
 		return types.Null()
 	}
+}
+
+// window is the frame of every column of b cut to rows [lo,hi).
+func window(b *storage.Batch, lo, hi int) vec.Frame {
+	f := make(vec.Frame, b.Relation().Schema.Len())
+	for i := range f {
+		f[i] = b.Col(i).Slice(lo, hi)
+	}
+	return f
+}
+
+// evalPred evaluates p over every row of b's rows [lo,hi).
+func evalPred(t *testing.T, p *vec.Pred, b *storage.Batch, lo, hi int) ([]types.TriBool, int64) {
+	t.Helper()
+	var sc vec.Scratch
+	res := make([]types.TriBool, hi-lo)
+	cmps, err := p.EvalSel(&sc, window(b, lo, hi), sc.All(hi-lo), res)
+	if err != nil {
+		t.Fatalf("%s: eval: %v", p.Expr(), err)
+	}
+	return res, cmps
 }
 
 func parityPreds() []algebra.Expr {
@@ -124,10 +151,7 @@ func TestPredParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: did not compile: %v", e, err)
 		}
-		got, _, err := p.Eval(b, 0, b.Len())
-		if err != nil {
-			t.Fatalf("%s: eval: %v", e, err)
-		}
+		got, _ := evalPred(t, p, b, 0, b.Len())
 		for i := 0; i < b.Len(); i++ {
 			want := refPred(e, rel.Tuples[i], sch)
 			if got[i] != want {
@@ -151,8 +175,9 @@ func TestScalarParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: did not compile: %v", e, err)
 		}
-		got, _, err := s.Eval(b, 0, b.Len())
-		if err != nil {
+		var sc vec.Scratch
+		got := make([]types.Value, b.Len())
+		if _, err := s.EvalSel(&sc, window(b, 0, b.Len()), sc.All(b.Len()), got); err != nil {
 			t.Fatalf("%s: eval: %v", e, err)
 		}
 		for i := 0; i < b.Len(); i++ {
@@ -203,11 +228,7 @@ func TestComparisonCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cmps, err := p.Eval(b, 0, b.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmps != 12 {
+	if _, cmps := evalPred(t, p, b, 0, b.Len()); cmps != 12 {
 		t.Fatalf("cmps = %d, want 12 (8 first disjunct + 4 undecided)", cmps)
 	}
 }
@@ -222,10 +243,7 @@ func TestEvalSubrange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := p.Eval(b, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := evalPred(t, p, b, 1, 4)
 	if len(got) != 3 {
 		t.Fatalf("window len = %d, want 3", len(got))
 	}
@@ -270,10 +288,7 @@ func TestLikeParity(t *testing.T) {
 			t.Fatalf("%s: did not compile: %v", e, err)
 		}
 		for _, lo := range []int{0, 2} {
-			got, _, err := p.Eval(b, lo, b.Len())
-			if err != nil {
-				t.Fatalf("%s: eval: %v", e, err)
-			}
+			got, _ := evalPred(t, p, b, lo, b.Len())
 			for i := lo; i < b.Len(); i++ {
 				if want := refPred(e, rel.Tuples[i], sch); got[i-lo] != want {
 					t.Errorf("%s row %d (window from %d): vec=%v ref=%v", e, i, lo, got[i-lo], want)
@@ -283,41 +298,69 @@ func TestLikeParity(t *testing.T) {
 	}
 }
 
-// TestEvalMakesNoRowList: an evaluation lists its window's rows as a
-// window of the batch's one identity vector, not a list of its own: a
-// comparison of a NULL-free int column allocates its context and its
-// result, and nothing besides.
-func TestEvalMakesNoRowList(t *testing.T) {
+// TestWarmScratchAllocatesNothing: a Scratch that has evaluated a window
+// evaluates the next, no longer than the first, with no allocation at all
+// when the caller owns the result and the frame — predicates whose
+// AND/OR take selection and truth buffers, boxed comparisons and LIKE
+// that take value buffers, and scalars.
+func TestWarmScratchAllocatesNothing(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	sch := storage.NewSchema("a")
+	sch := storage.NewSchema("a", "s")
 	rel := storage.NewRelation(sch)
 	for i := int64(0); i < 64; i++ {
-		rel.Append([]types.Value{types.NewInt(i)})
+		s := types.NewString("x")
+		if i%3 == 0 {
+			s = types.NewInt(i) // a column of mixed kinds: LIKE boxes it
+		}
+		rel.Append([]types.Value{types.NewInt(i), s})
 	}
 	b := storage.NewBatch(rel)
-	p, err := vec.CompilePred(algebra.Cmp(types.GT, algebra.Col("a"), algebra.ConstInt(2)), physical.Columns(sch))
-	if err != nil {
-		t.Fatal(err)
+	col, konst := algebra.Col, algebra.ConstInt
+	preds := []algebra.Expr{
+		algebra.Cmp(types.GT, col("a"), konst(2)),
+		algebra.Or(algebra.Cmp(types.LT, col("a"), konst(20)),
+			algebra.And(algebra.Cmp(types.GT, algebra.Arith(types.Add, col("a"), konst(1)), konst(30)),
+				algebra.Like(col("s"), algebra.Const(types.NewString("x%"))))),
 	}
-	if _, _, err := p.Eval(b, 8, 40); err != nil { // builds the column and the identity vector
-		t.Fatal(err)
+	scalars := []algebra.Expr{col("a"), algebra.Arith(types.Mul, col("a"), konst(2)), algebra.Cmp(types.EQ, col("a"), konst(7))}
+	first, second := window(b, 8, 40), window(b, 40, 64)
+	truth, values := make([]types.TriBool, 32), make([]types.Value, 32)
+	var sc vec.Scratch
+	for _, e := range preds {
+		p, err := vec.CompilePred(e, physical.Columns(sch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.EvalSel(&sc, first, sc.All(32), truth); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() { _, _ = p.EvalSel(&sc, second, sc.All(24), truth[:24]) }); n != 0 {
+			t.Errorf("%s: a warm Scratch allocates %v objects per window, want 0", e, n)
+		}
 	}
-	if n := testing.AllocsPerRun(20, func() { _, _, _ = p.Eval(b, 8, 40) }); n > 2 {
-		t.Errorf("Pred.Eval allocates %v objects, want 2 (context and result)", n)
-	}
-	if w := b.Identity(8, 40); len(w) != 32 || cap(w) != 32 || w[0] != 8 || w[31] != 39 || &b.Identity(0, 64)[8] != &w[0] {
-		t.Errorf("Identity(8, 40) = %v (cap %d), want a window 8 … 39 of one vector", w, cap(w))
+	for _, e := range scalars {
+		s, err := vec.CompileScalar(e, physical.Columns(sch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.EvalSel(&sc, first, sc.All(32), values); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() { _, _ = s.EvalSel(&sc, second, sc.All(24), values[:24]) }); n != 0 {
+			t.Errorf("%s: a warm Scratch allocates %v objects per window, want 0", e, n)
+		}
 	}
 }
 
 // TestCompareOnNullsBoxesNothing: a comparison of a column with a NULL
 // reads the column's payloads and its null mask, as it does a NULL-free
-// one, instead of boxing both operands: a > 2 over testRel (one NULL in
-// a) makes no more objects than over a NULL-free int column, and a
-// float column with NULLs, compared to a constant or to another column,
-// none beyond those either.
+// one, instead of boxing both operands into value buffers: with a fresh
+// Scratch per evaluation, so that every buffer it takes is counted, a > 2
+// over testRel (one NULL in a) makes no more objects than over a
+// NULL-free int column, and a float column with NULLs, compared to a
+// constant or to another column, none beyond those either.
 func TestCompareOnNullsBoxesNothing(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -328,10 +371,13 @@ func TestCompareOnNullsBoxesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := p.Eval(b, 0, b.Len()); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(20, func() { _, _, _ = p.Eval(b, 0, b.Len()) })
+		f, res, sel := window(b, 0, b.Len()), make([]types.TriBool, b.Len()), new(vec.Scratch).All(b.Len())
+		return testing.AllocsPerRun(20, func() {
+			var sc vec.Scratch
+			if _, err := p.EvalSel(&sc, f, sel, res); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 	gt2 := algebra.Cmp(types.GT, algebra.Col("a"), algebra.ConstInt(2))
 	plain := storage.NewRelation(storage.NewSchema("a"))
@@ -361,48 +407,124 @@ func TestCompareOnNullsBoxesNothing(t *testing.T) {
 	}
 }
 
-// TestEvalSelAgreesWithEval: a program evaluated over a frame of
-// columns sliced to a window, on a selection of its rows, writes those
-// rows' truth values as Eval does and charges as many comparisons, with
-// one Scratch reused across windows of shrinking size.
-func TestEvalSelAgreesWithEval(t *testing.T) {
+// TestEvalSelParity: a program evaluated over a frame of columns sliced
+// to a window, on every row of it or a sparse selection, writes each
+// selected row's value as the per-row reference computes it, leaves the
+// other rows as they were, and charges the comparisons the row
+// interpreter charges for the same rows — predicates and scalars, NULLs
+// and arithmetic among them, with one Scratch reused across windows.
+func TestEvalSelParity(t *testing.T) {
 	sch, b := testRel()
-	exprs := []algebra.Expr{
-		algebra.Or(algebra.Cmp(types.GT, algebra.Col("a"), algebra.ConstInt(2)), algebra.Cmp(types.EQ, algebra.Col("a"), algebra.Col("b"))),
-		algebra.Cmp(types.LE, algebra.ConstInt(5), algebra.Col("b")),
-		algebra.And(algebra.Cmp(types.NE, algebra.Col("s"), algebra.Const(types.NewString("x"))), algebra.Cmp(types.LT, algebra.Col("a"), algebra.Col("b"))),
+	rel := b.Relation()
+	col, konst := algebra.Col, algebra.ConstInt
+	preds := append(parityPreds(),
+		algebra.And(algebra.Cmp(types.NE, col("s"), algebra.Const(types.NewString("x"))), algebra.Cmp(types.LT, col("a"), col("b"))),
+		algebra.Cmp(types.LE, konst(5), col("b")),
+		algebra.IsNull(algebra.Arith(types.Mul, col("a"), col("b"))))
+	scalars := []algebra.Expr{
+		col("b"),
+		konst(42),
+		algebra.Arith(types.Mul, col("a"), col("b")),
+		algebra.Arith(types.Sub, col("b"), konst(1)),
+		algebra.Arith(types.Add, algebra.Arith(types.Div, col("b"), col("a")), col("a")),
+		algebra.Cmp(types.GT, col("a"), col("b")),
+		algebra.Or(algebra.IsNull(col("a")), algebra.Cmp(types.LT, col("b"), konst(8))),
 	}
+	// sels lists selections of a window of n rows: every row, the even
+	// rows, the odd rows (none, in a window of one row), and the last row
+	// alone.
+	sels := func(sc *vec.Scratch, n int) [][]int32 {
+		out := [][]int32{sc.All(n), nil, nil, {int32(n - 1)}}
+		for r := range int32(n) {
+			out[1+r%2] = append(out[1+r%2], r)
+		}
+		return out
+	}
+	ex := exec.New(catalog.New(), exec.Options{})
+	// charged is what the row interpreter charges to evaluate e on the
+	// window's rows sel, as a predicate or as a value.
+	charged := func(e algebra.Expr, pred bool, lo int, sel []int32) int64 {
+		t.Helper()
+		bound, err := ex.BindExpr(e, sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, before := exec.NewFrame(nil), ex.Stats().Comparisons
+		for _, r := range sel {
+			frame.Set(rel.Tuples[lo+int(r)])
+			if pred {
+				_, err = ex.EvalPred(bound, frame)
+			} else {
+				_, err = ex.EvalExpr(bound, frame)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ex.Stats().Comparisons - before
+	}
+	const untouched = types.TriBool(3)
+	unset := types.NewString("untouched")
 	var sc vec.Scratch
-	for _, e := range exprs {
+	for _, e := range preds {
 		p, err := vec.CompilePred(e, physical.Columns(sch))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for lo := 0; lo < b.Len(); lo++ {
-			want, wcmps, err := p.Eval(b, lo, b.Len())
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := make(vec.Frame, sch.Len())
-			for i := range f {
-				f[i] = b.Col(i).Slice(lo, b.Len())
-			}
-			var sel []int32
-			for r := 0; r < b.Len()-lo; r += 2 {
-				sel = append(sel, int32(r))
-			}
-			got := make([]types.TriBool, b.Len()-lo)
-			cmps, err := p.EvalSel(&sc, f, sel, got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range sel {
-				if got[r] != want[r] {
-					t.Errorf("%s row %d: EvalSel %v, Eval %v", e, lo+int(r), got[r], want[r])
+		for lo := 0; lo < b.Len(); lo++ { // windows of shrinking size
+			n := b.Len() - lo
+			for _, sel := range sels(&sc, n) {
+				got := make([]types.TriBool, n)
+				for r := range got {
+					got[r] = untouched
+				}
+				cmps, err := p.EvalSel(&sc, window(b, lo, b.Len()), sel, got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := range int32(n) {
+					want := untouched
+					if slices.Contains(sel, r) {
+						want = refPred(e, rel.Tuples[lo+int(r)], sch)
+					}
+					if got[r] != want {
+						t.Errorf("%s row %d of the window from %d, selection %v: EvalSel %v, want %v", e, r, lo, sel, got[r], want)
+					}
+				}
+				if want := charged(e, true, lo, sel); cmps != want {
+					t.Errorf("%s, window from %d, selection %v: EvalSel charged %d comparisons, the interpreter %d", e, lo, sel, cmps, want)
 				}
 			}
-			if lo == 0 && len(sel) == b.Len()-lo && cmps != wcmps {
-				t.Errorf("%s: EvalSel charged %d comparisons, Eval %d", e, cmps, wcmps)
+		}
+	}
+	for _, e := range scalars {
+		s, err := vec.CompileScalar(e, physical.Columns(sch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < b.Len(); lo++ {
+			n := b.Len() - lo
+			for _, sel := range sels(&sc, n) {
+				got := make([]types.Value, n)
+				for r := range got {
+					got[r] = unset
+				}
+				cmps, err := s.EvalSel(&sc, window(b, lo, b.Len()), sel, got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := range int32(n) {
+					want := unset
+					if slices.Contains(sel, r) {
+						want = refScalar(e, rel.Tuples[lo+int(r)], sch)
+					}
+					if !types.Identical(got[r], want) {
+						t.Errorf("%s row %d of the window from %d, selection %v: EvalSel %v, want %v", e, r, lo, sel, got[r], want)
+					}
+				}
+				if want := charged(e, false, lo, sel); cmps != want {
+					t.Errorf("%s, window from %d, selection %v: EvalSel charged %d comparisons, the interpreter %d", e, lo, sel, cmps, want)
+				}
 			}
 		}
 	}

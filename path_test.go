@@ -60,7 +60,7 @@ func TestPathDifferentialGoldenShapes(t *testing.T) {
 	}
 }
 
-// TestMorselSizeByteIdentity pins the WithMorselSize contract: any
+// TestMorselSizeByteIdentity pins the morsel-size contract: any
 // size — including out-of-range values the executor clamps — produces
 // byte-identical results on both paths at any worker count.
 func TestMorselSizeByteIdentity(t *testing.T) {
@@ -68,7 +68,7 @@ func TestMorselSizeByteIdentity(t *testing.T) {
 	var baseline string
 	for _, path := range []ExecutionPath{PathRow, PathVector} {
 		for _, ms := range []int{0, -5, 1, 64, 100, 1024, 1 << 20} {
-			res, err := db.Query(chaosQ1, WithWorkers(4), WithExecutionPath(path), WithMorselSize(ms))
+			res, err := db.Query(chaosQ1, WithWorkers(4), WithExecutionPath(path), withMorselSize(ms))
 			if err != nil {
 				t.Fatalf("path=%s morsel=%d: %v", path, ms, err)
 			}
@@ -117,7 +117,7 @@ func TestGroupedFloatFoldIsSequential(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		for _, morsel := range []int{64, 1024, 65536} {
-			res, err := db.Query("SELECT k, SUM(v), AVG(v), COUNT(DISTINCT b) FROM f GROUP BY k", WithWorkers(workers), WithMorselSize(morsel))
+			res, err := db.Query("SELECT k, SUM(v), AVG(v), COUNT(DISTINCT b) FROM f GROUP BY k", WithWorkers(workers), withMorselSize(morsel))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +217,7 @@ func TestWorkerCountIndependentVecCalls(t *testing.T) {
 	db := chaosDBWith(t, 512, false, WithoutCache())
 	counts := map[int]map[int]int64{}
 	for _, workers := range []int{1, 4} {
-		res, err := db.Query(chaosQ1, WithMetrics(), WithWorkers(workers), WithMorselSize(64))
+		res, err := db.Query(chaosQ1, WithMetrics(), WithWorkers(workers), withMorselSize(64))
 		if err != nil {
 			t.Fatal(err)
 		}

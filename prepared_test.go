@@ -43,7 +43,7 @@ func TestPreparedPlanSharedUnderConcurrency(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			tc, workers := tc, workers
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				opts := []Option{WithStrategy(tc.strategy), WithWorkers(workers), WithMorselSize(64)}
+				opts := []Option{WithStrategy(tc.strategy), WithWorkers(workers), withMorselSize(64)}
 				ref, err := cold.Query(tc.sql, opts...)
 				if err != nil {
 					t.Fatal(err)

@@ -70,6 +70,10 @@ test -z "$(grep -n 'strings\.ToUpper(' internal/sqlparser/lexer.go)"
 # Two-valued logic is one translation at the front (translate.TwoValued),
 # not a mode: nothing below the planner names a null mode or lifts a leaf.
 test -z "$(grep -nE 'NullMode|Lift\(|WithNulls|EvalMode' $(ls internal/exec/*.go internal/vec/*.go internal/storage/*.go internal/types/*.go internal/rewrite/*.go internal/physical/*.go internal/stats/*.go | grep -v _test.go))"
+# A compiled program is run one way, EvalSel over a window of columns
+# indexed from 0: no batch-indexed Eval, row offset or identity row list
+# comes back.
+test -z "$(grep -nE 'ctx\.lo|Identity\(|Eval\(b' $(ls internal/exec/*.go internal/vec/*.go internal/storage/*.go | grep -v _test.go))"
 # A per-query setting is defined once, in the root's settings table: the
 # client, the server, the wire and both shells reach it by name through
 # disqo.SettingsTable and disqo.Settings and never parse or build one

@@ -9,23 +9,22 @@ import (
 // gate is the DB's admission controller: a bounded concurrent-query
 // counter with a context-aware FIFO wait queue. At most max queries
 // execute at once; up to maxQueue more wait their turn in arrival
-// order. A query that finds the queue full — or whose wait budget
-// expires while queued — is shed with ErrOverloaded instead of piling
+// order, until a slot opens or their context is done. A query that
+// finds the queue full is shed with ErrOverloaded instead of piling
 // onto an already saturated engine. Slots hand over directly from a
 // finishing query to the head waiter, so admission is strictly FIFO and
 // a continuous load never starves a waiter.
 type gate struct {
 	mu     sync.Mutex
-	max    int           // concurrent-execution slots
-	maxQ   int           // wait-queue bound
-	wait   time.Duration // per-query wait budget; 0 = wait indefinitely
+	max    int // concurrent-execution slots
+	maxQ   int // wait-queue bound
 	active int
 	queue  []chan struct{} // FIFO of waiters; a slot grant closes the channel
 
 	// Cumulative telemetry, guarded by mu. admitted counts granted
-	// slots; shed counts ErrOverloaded rejections (a full queue or an
-	// expired wait budget — context cancellations are neither); waitNanos
-	// sums time spent queued, by every waiter, however its wait ended.
+	// slots; shed counts ErrOverloaded rejections (a full queue; a
+	// waiter whose context ends is neither); waitNanos sums time spent
+	// queued, by every waiter, however its wait ended.
 	admitted  int64
 	shed      int64
 	waitNanos int64
@@ -33,20 +32,20 @@ type gate struct {
 
 // newGate builds a gate; max <= 0 disables admission control (the
 // returned nil gate admits everything).
-func newGate(max, maxQueue int, wait time.Duration) *gate {
+func newGate(max, maxQueue int) *gate {
 	if max <= 0 {
 		return nil
 	}
 	if maxQueue < 0 {
 		maxQueue = 0
 	}
-	return &gate{max: max, maxQ: maxQueue, wait: wait}
+	return &gate{max: max, maxQ: maxQueue}
 }
 
 // acquire claims an execution slot, waiting in FIFO order behind a full
-// gate. It returns ErrOverloaded when the wait queue is full or the
-// wait budget expires, and ctx.Err() when the caller's context is done
-// first. A nil gate admits immediately.
+// gate. It returns ErrOverloaded when the wait queue is full, and
+// ctx.Err() when the caller's context is done first. A nil gate admits
+// immediately.
 func (g *gate) acquire(ctx context.Context) error {
 	if g == nil {
 		return nil
@@ -68,49 +67,33 @@ func (g *gate) acquire(ctx context.Context) error {
 	g.mu.Unlock()
 	queuedAt := time.Now()
 
-	var timerC <-chan time.Time
-	if g.wait > 0 {
-		t := time.NewTimer(g.wait)
-		defer t.Stop()
-		timerC = t.C
-	}
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
 	select {
 	case <-ch:
-		g.noteWaitEnd(queuedAt, true, false)
+		g.noteWaitEnd(queuedAt, true)
 		return nil
-	case <-timerC:
-		if g.abandon(ch) {
-			g.noteWaitEnd(queuedAt, false, true)
-			return ErrOverloaded
-		}
-		g.noteWaitEnd(queuedAt, true, false)
-		return nil // a release granted the slot as the timer fired; keep it
 	case <-done:
 		if g.abandon(ch) {
-			g.noteWaitEnd(queuedAt, false, false)
+			g.noteWaitEnd(queuedAt, false)
 			return ctx.Err()
 		}
-		g.noteWaitEnd(queuedAt, true, false)
+		g.noteWaitEnd(queuedAt, true)
 		return nil
 	}
 }
 
 // noteWaitEnd accounts the end of a queued wait: the time spent queued,
-// plus whether it ended in a grant or a shed (a context cancellation is
-// neither admitted nor shed).
-func (g *gate) noteWaitEnd(queuedAt time.Time, admitted, shed bool) {
+// plus whether it ended in a grant (a context cancellation is neither
+// admitted nor shed).
+func (g *gate) noteWaitEnd(queuedAt time.Time, admitted bool) {
 	d := time.Since(queuedAt)
 	g.mu.Lock()
 	g.waitNanos += int64(d)
 	if admitted {
 		g.admitted++
-	}
-	if shed {
-		g.shed++
 	}
 	g.mu.Unlock()
 }

@@ -3,9 +3,9 @@ package disqo
 // Admission-control suite: unit tests for the FIFO gate itself, plus
 // end-to-end tests that hold a real query mid-flight (via a blocking
 // tracer) and assert the documented shedding behavior — immediate
-// ErrOverloaded on a full queue, ErrOverloaded after the wait budget,
-// FIFO slot handoff, and context cancellation while queued. All errors
-// must arrive as *QueryError with ErrOverloaded reachable via errors.Is.
+// ErrOverloaded on a full queue, FIFO slot handoff, and a context that
+// is cancelled or whose deadline passes while queued. All errors must
+// arrive as *QueryError with the cause reachable via errors.Is.
 
 import (
 	"context"
@@ -98,7 +98,7 @@ func waitSaturation(t *testing.T, g *gate, active, queued int) {
 
 func TestGateNilAdmitsEverything(t *testing.T) {
 	var g *gate
-	if g := newGate(0, 10, time.Second); g != nil {
+	if g := newGate(0, 10); g != nil {
 		t.Fatal("max=0 should build a nil (unlimited) gate")
 	}
 	if err := g.acquire(context.Background()); err != nil {
@@ -111,7 +111,7 @@ func TestGateNilAdmitsEverything(t *testing.T) {
 }
 
 func TestGateShedsWhenQueueFull(t *testing.T) {
-	g := newGate(1, 0, 0)
+	g := newGate(1, 0)
 	if err := g.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestGateShedsWhenQueueFull(t *testing.T) {
 
 func TestGateFIFOHandoff(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	g := newGate(1, 2, 0)
+	g := newGate(1, 2)
 	if err := g.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -163,23 +163,35 @@ func TestGateFIFOHandoff(t *testing.T) {
 	}
 }
 
-func TestGateWaitBudgetExpires(t *testing.T) {
-	g := newGate(1, 2, 20*time.Millisecond)
+// TestGateDeadlineWhileQueued: a waiter whose context deadline passes
+// leaves the queue with the context's error and is counted neither
+// admitted nor shed; its time in the queue is still accounted.
+func TestGateDeadlineWhileQueued(t *testing.T) {
+	g := newGate(1, 2)
 	if err := g.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.acquire(context.Background()); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("expired wait returned %v, want ErrOverloaded", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := g.acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired waiter returned %v, want context.DeadlineExceeded", err)
+	}
+	s := g.stats()
+	if s.active != 1 || s.queued != 0 {
+		t.Fatalf("expired waiter left load: active=%d queued=%d", s.active, s.queued)
+	}
+	if s.admitted != 1 || s.shed != 0 || s.waitNanos == 0 {
+		t.Fatalf("expired waiter counted: admitted=%d shed=%d wait=%d, want 1, 0, >0", s.admitted, s.shed, s.waitNanos)
 	}
 	g.release()
 	if s := g.stats(); s.active != 0 || s.queued != 0 {
-		t.Fatalf("abandoned waiter left load: active=%d queued=%d", s.active, s.queued)
+		t.Fatalf("gate not drained: active=%d queued=%d", s.active, s.queued)
 	}
 }
 
 func TestGateContextCancelWhileQueued(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	g := newGate(1, 2, 0)
+	g := newGate(1, 2)
 	if err := g.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +214,7 @@ func TestGateContextCancelWhileQueued(t *testing.T) {
 // call must return ErrOverloaded at once, wrapped in a *QueryError.
 func TestAdmissionShedsImmediately(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	db := gateDB(t, 16, WithMaxConcurrent(1), WithMaxQueued(-1))
+	db := gateDB(t, 16, WithMaxConcurrent(1), withMaxQueued(-1))
 	tr := newBlockTracer(false)
 	done := make(chan error, 1)
 	go func() {
@@ -234,11 +246,11 @@ func TestAdmissionShedsImmediately(t *testing.T) {
 }
 
 // TestAdmissionQueueHandsOff verifies the happy path behind a full gate:
-// a queued query waits (no shedding without a wait budget) and inherits
+// a queued query waits (no shedding while the queue has room) and inherits
 // the slot the moment the running query finishes.
 func TestAdmissionQueueHandsOff(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	db := gateDB(t, 16, WithMaxConcurrent(1), WithMaxQueued(4))
+	db := gateDB(t, 16, WithMaxConcurrent(1), withMaxQueued(4))
 	tr := newBlockTracer(false)
 	first := make(chan error, 1)
 	go func() {
@@ -268,11 +280,13 @@ func TestAdmissionQueueHandsOff(t *testing.T) {
 	}
 }
 
-// TestAdmissionWaitBudget: a queued query whose WithAdmissionWait budget
-// expires is shed with ErrOverloaded even though the queue had room.
-func TestAdmissionWaitBudget(t *testing.T) {
+// TestAdmissionDeadlineWhileQueued: a queued query whose context
+// deadline passes leaves the queue with context.DeadlineExceeded (not
+// ErrOverloaded) through the *QueryError wrapper, and the gate counts
+// it neither admitted nor shed.
+func TestAdmissionDeadlineWhileQueued(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	db := gateDB(t, 16, WithMaxConcurrent(1), WithMaxQueued(4), WithAdmissionWait(25*time.Millisecond))
+	db := gateDB(t, 16, WithMaxConcurrent(1))
 	tr := newBlockTracer(false)
 	done := make(chan error, 1)
 	go func() {
@@ -281,13 +295,21 @@ func TestAdmissionWaitBudget(t *testing.T) {
 	}()
 	<-tr.started
 
-	_, err := db.Query(gateQuery)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("expired wait returned %v, want ErrOverloaded", err)
+	before := db.WorkloadStats().Admission
+	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+	defer cancel()
+	_, err := db.QueryContext(ctx, gateQuery)
+	if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrOverloaded) {
+		t.Fatalf("expired wait returned %v, want context.DeadlineExceeded", err)
 	}
 	var qe *QueryError
 	if !errors.As(err, &qe) {
-		t.Fatalf("shed error %T is not a *QueryError", err)
+		t.Fatalf("expired wait error %T is not a *QueryError", err)
+	}
+	after := db.WorkloadStats().Admission
+	if after.Admitted != before.Admitted || after.Shed != before.Shed || after.Queued != 0 {
+		t.Fatalf("expired waiter counted: admitted %d→%d, shed %d→%d, queued %d",
+			before.Admitted, after.Admitted, before.Shed, after.Shed, after.Queued)
 	}
 
 	close(tr.release)
@@ -301,7 +323,7 @@ func TestAdmissionWaitBudget(t *testing.T) {
 // *QueryError wrapper.
 func TestAdmissionContextCancelWhileQueued(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	db := gateDB(t, 16, WithMaxConcurrent(1), WithMaxQueued(4))
+	db := gateDB(t, 16, WithMaxConcurrent(1), withMaxQueued(4))
 	tr := newBlockTracer(false)
 	done := make(chan error, 1)
 	go func() {

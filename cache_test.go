@@ -276,7 +276,7 @@ func TestResultCacheEvictionPressure(t *testing.T) {
 // TestPlanCacheEvictionPressure mirrors the result-tier test for the
 // plan tier.
 func TestPlanCacheEvictionPressure(t *testing.T) {
-	db := gateDB(t, 4, WithPlanCacheSize(4096), WithResultCacheSize(-1))
+	db := gateDB(t, 4, withPlanCacheSize(4096), WithResultCacheSize(-1))
 	for v := 0; v < 8; v++ {
 		sql := fmt.Sprintf(`SELECT DISTINCT * FROM k WHERE v = %d`, v)
 		if _, err := db.Query(sql); err != nil {

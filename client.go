@@ -23,7 +23,7 @@ import (
 // still satisfy errors.Is against the engine's sentinels
 // (ErrOverloaded, ErrTimeout, ...), and transparent reconnection.
 //
-// Reconnection uses Retry under the client's RetryPolicy: when a read
+// Reconnection uses Retry under DefaultRetryPolicy: when a read
 // path (Query, Ping, Prepare) fails at the transport layer, the client
 // redials, replays its session state (settings and prepared
 // statements — the server-side session died with the connection), and
@@ -51,27 +51,26 @@ type Client struct {
 // ErrConnection is the transport-failure sentinel: dial, write, or
 // read on the server connection failed (including a server that
 // vanished mid-request). Wrapped errors carry the cause. Read-path
-// calls retry these internally per the client's RetryPolicy before
-// surfacing one.
+// calls retry these internally per DefaultRetryPolicy before surfacing
+// one.
 var ErrConnection = errors.New("disqo: client connection failure")
 
 // maxResponseFrame bounds one response line; results are unbounded in
 // principle, so this is a sanity cap, not a protocol limit.
 const maxResponseFrame = 1 << 30
 
+// dialTimeout bounds each dial attempt.
+const dialTimeout = 5 * time.Second
+
 type clientOptions struct {
-	dialTimeout    time.Duration
 	requestTimeout time.Duration
-	retry          RetryPolicy
+	// retry is DefaultRetryPolicy, or the policy a test sets with
+	// withClientRetry.
+	retry RetryPolicy
 }
 
 // ClientOption configures Dial.
 type ClientOption func(*clientOptions)
-
-// WithClientDialTimeout bounds each dial attempt (default 5s).
-func WithClientDialTimeout(d time.Duration) ClientOption {
-	return func(o *clientOptions) { o.dialTimeout = d }
-}
 
 // WithClientRequestTimeout sets a default per-request timeout, applied
 // when the call's context carries no deadline. It bounds both the
@@ -83,20 +82,11 @@ func WithClientRequestTimeout(d time.Duration) ClientOption {
 	return func(o *clientOptions) { o.requestTimeout = d }
 }
 
-// WithClientRetry sets the transport-failure retry policy (attempts
-// and backoff shape; the retry classifier is fixed to ErrConnection).
-// The default is DefaultRetryPolicy.
-func WithClientRetry(p RetryPolicy) ClientOption {
-	return func(o *clientOptions) { o.retry = p }
-}
-
-// Dial connects to a disqod server. The returned client reconnects on
-// transport failures; Close releases it.
+// Dial connects to a disqod server, bounding each dial attempt by 5s.
+// The returned client reconnects on transport failures, retrying
+// read-path calls per DefaultRetryPolicy; Close releases it.
 func Dial(addr string, opts ...ClientOption) (*Client, error) {
-	o := clientOptions{
-		dialTimeout: 5 * time.Second,
-		retry:       DefaultRetryPolicy(),
-	}
+	o := clientOptions{retry: DefaultRetryPolicy()}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -368,7 +358,7 @@ func (c *Client) dropLocked() {
 // statements) so a reconnected session behaves like the one that died.
 // The replay's exchanges are bounded by dl, like the request.
 func (c *Client) connectLocked(ctx context.Context, dl time.Time) error {
-	d := net.Dialer{Timeout: c.opts.dialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return fmt.Errorf("%w: dial %s: %w", ErrConnection, c.addr, err)

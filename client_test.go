@@ -64,7 +64,7 @@ func TestClientRequestTimeoutBoundsWait(t *testing.T) {
 	}
 
 	c, err := Dial(ln.Addr().String(), WithClientRequestTimeout(300*time.Microsecond),
-		WithClientRetry(RetryPolicy{MaxAttempts: 1}))
+		withClientRetry(RetryPolicy{MaxAttempts: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

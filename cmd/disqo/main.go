@@ -353,10 +353,6 @@ func (s *session) cacheReport() {
 // with their p95 latency and cache-hit rate.
 func (s *session) top(n int) {
 	ws := s.db.WorkloadStats()
-	if !ws.Enabled {
-		fmt.Println("telemetry is disabled")
-		return
-	}
 	if len(ws.Statements) == 0 {
 		fmt.Println("no statements observed yet")
 		return
@@ -385,10 +381,6 @@ func (s *session) top(n int) {
 // slow dumps the slow-query ring, newest first.
 func (s *session) slow() {
 	ws := s.db.WorkloadStats()
-	if !ws.Enabled {
-		fmt.Println("telemetry is disabled")
-		return
-	}
 	if ws.SlowTotal == 0 {
 		fmt.Println("no slow queries captured (arm with -slow-after)")
 		return

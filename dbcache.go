@@ -201,9 +201,7 @@ func (db *DB) serve(snap *catalog.Snapshot, cfg queryConfig, pp *prepared, start
 	if cfg.Metrics {
 		res.metrics = newPlanMetrics(pp, ex.NodeMetrics())
 		res.metrics.Cache = db.cacheReport(src)
-		if db.tele != nil {
-			db.tele.ObserveOps(pp.key.SQL, opObs(res.metrics))
-		}
+		db.tele.ObserveOps(pp.key.SQL, opObs(res.metrics))
 	}
 	db.captureSlow(pp, cfg, res, nil)
 	if flight != nil {

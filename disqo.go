@@ -228,10 +228,10 @@ func (s Settings) String() string {
 // never observes a torn write), DML and DDL build new table versions
 // copy-on-write and commit them atomically, and an admission gate sheds
 // excess concurrent queries with ErrOverloaded instead of thrashing.
-// See the OpenOption set (WithMaxConcurrent, WithMaxQueued,
-// WithAdmissionWait, WithSharedTupleLimit) and README "Concurrency &
-// overload". The data loaders (LoadRST, LoadTPCH) are the one
-// exception: run them during setup, before serving concurrent traffic.
+// See the OpenOption set (WithMaxConcurrent, WithSharedTupleLimit) and
+// README "Concurrency & overload". The data loaders (LoadRST, LoadTPCH)
+// are the one exception: run them during setup, before serving
+// concurrent traffic.
 type DB struct {
 	// cat is the committed state, tables and views: a query pins one
 	// commit of it with Snapshot.
@@ -252,9 +252,7 @@ type DB struct {
 	pcache *cache.PlanCache
 	rcache *cache.ResultCache
 	// tele is the workload-statistics collector every query lifecycle
-	// event flows through; nil when WithoutTelemetry disabled it (the
-	// whole layer then costs one pointer test per query). See
-	// DB.WorkloadStats and DESIGN.md §12.
+	// event flows through. See DB.WorkloadStats and DESIGN.md §12.
 	tele *telemetry.Collector
 	// start anchors WorkloadStats.Uptime.
 	start time.Time
@@ -305,34 +303,21 @@ type DB struct {
 type OpenOptions struct {
 	// MaxConcurrent bounds the queries executing at once; 0 derives the
 	// default from GOMAXPROCS (8×), and a negative value disables
-	// admission control entirely.
+	// admission control entirely. Up to 4 × MaxConcurrent more wait in
+	// a FIFO queue until a slot opens or their context is done; a
+	// query that finds the queue full is shed with ErrOverloaded.
 	MaxConcurrent int
-	// MaxQueued bounds the FIFO wait queue behind a full gate; queries
-	// beyond it are shed immediately with ErrOverloaded. 0 derives the
-	// default (4 × MaxConcurrent).
-	MaxQueued int
-	// AdmissionWait is the longest a query waits in the queue before it
-	// is shed with ErrOverloaded; 0 waits indefinitely (until a slot
-	// opens or the query's context is done).
-	AdmissionWait time.Duration
 	// SharedTupleLimit bounds the tuples simultaneously resident across
 	// ALL concurrent queries (WithTupleLimit bounds one query); the
 	// query whose allocation crosses it aborts with ErrMemoryLimit.
 	// 0 means no shared budget.
 	SharedTupleLimit int64
-	// PlanCacheBytes bounds the plan cache (0 selects the 4 MiB
-	// default; negative disables the tier).
-	PlanCacheBytes int64
 	// ResultCacheBytes bounds the result cache (0 selects the 16 MiB
 	// default; negative disables the tier).
 	ResultCacheBytes int64
 	// DisableCache turns both cache tiers off; every query re-plans and
 	// re-executes from scratch, byte-identically to a cached run.
 	DisableCache bool
-	// DisableTelemetry turns the workload-statistics layer off: no
-	// statement registry, no latency histograms, no slow-query log.
-	// WorkloadStats still reports cache, admission, and budget state.
-	DisableTelemetry bool
 	// SlowQueryThreshold arms the slow-query ring buffer: every executed
 	// query at or over the threshold is captured with its
 	// ANALYZE-annotated plan. Implies per-operator metrics collection on
@@ -365,29 +350,24 @@ type OpenOptions struct {
 	DrainTimeout time.Duration
 	// walFault is the crash-chaos hook (withWALFaultInjector).
 	walFault *faultinject.Injector
+	// maxQueued and planCacheBytes replace the defaults (4 ×
+	// MaxConcurrent, 4 MiB) for tests that need a short queue or a
+	// small plan cache (withMaxQueued, withPlanCacheSize); a negative
+	// value means none.
+	maxQueued      int
+	planCacheBytes int64
 }
 
 // OpenOption configures Open.
 type OpenOption func(*OpenOptions)
 
 // WithMaxConcurrent bounds how many queries execute at once (default:
-// 8 × GOMAXPROCS; n < 0 disables admission control). Excess queries
-// wait in a FIFO queue — see WithMaxQueued and WithAdmissionWait.
+// 8 × GOMAXPROCS; n < 0 disables admission control). Up to 4n more wait
+// in a FIFO queue until a slot opens or their context is done; a query
+// arriving at a full queue returns ErrOverloaded immediately — load is
+// shed, not stacked.
 func WithMaxConcurrent(n int) OpenOption {
 	return func(o *OpenOptions) { o.MaxConcurrent = n }
-}
-
-// WithMaxQueued bounds the admission wait queue (default:
-// 4 × MaxConcurrent). A query arriving at a full queue returns
-// ErrOverloaded immediately — load is shed, not stacked.
-func WithMaxQueued(n int) OpenOption {
-	return func(o *OpenOptions) { o.MaxQueued = n }
-}
-
-// WithAdmissionWait bounds how long a query may wait for an execution
-// slot before it is shed with ErrOverloaded (default: indefinitely).
-func WithAdmissionWait(d time.Duration) OpenOption {
-	return func(o *OpenOptions) { o.AdmissionWait = d }
 }
 
 // WithSharedTupleLimit installs a DB-wide resident-tuple budget shared
@@ -397,13 +377,6 @@ func WithAdmissionWait(d time.Duration) OpenOption {
 // (alias ErrTupleLimit), and its charge is released when it finishes.
 func WithSharedTupleLimit(n int64) OpenOption {
 	return func(o *OpenOptions) { o.SharedTupleLimit = n }
-}
-
-// WithPlanCacheSize bounds the plan cache to n bytes (default 4 MiB;
-// n < 0 disables the tier). Cached plans are keyed by normalized SQL,
-// strategy, null mode, and catalog version — see DESIGN.md §8.
-func WithPlanCacheSize(n int64) OpenOption {
-	return func(o *OpenOptions) { o.PlanCacheBytes = n }
 }
 
 // WithResultCacheSize bounds the result cache to n bytes (default
@@ -416,19 +389,13 @@ func WithResultCacheSize(n int64) OpenOption {
 	return func(o *OpenOptions) { o.ResultCacheBytes = n }
 }
 
-// WithoutCache disables both cache tiers: every query parses, plans,
-// and executes from scratch. Results are byte-identical either way; the
-// benchmarks use this to measure execution rather than cache hits.
+// WithoutCache disables both cache tiers — the 4 MiB plan cache, keyed
+// by normalized SQL, settings and catalog version (DESIGN.md §8), and
+// the result cache: every query parses, plans, and executes from
+// scratch. Results are byte-identical either way; the benchmarks use
+// this to measure execution rather than cache hits.
 func WithoutCache() OpenOption {
 	return func(o *OpenOptions) { o.DisableCache = true }
-}
-
-// WithoutTelemetry disables the workload-statistics layer (statement
-// registry, latency histograms, slow-query log). On by default; the
-// telemetry hot path is allocation-free, so disabling it is for
-// measuring the engine's floor, not for everyday use.
-func WithoutTelemetry() OpenOption {
-	return func(o *OpenOptions) { o.DisableTelemetry = true }
 }
 
 // WithSlowQueryThreshold arms the slow-query ring buffer: every
@@ -461,9 +428,9 @@ func WithDebugMetrics(f func() []byte) OpenOption {
 
 // Open creates a database. With no options the engine is fully
 // in-memory (volatile) and Open never fails; the admission gate admits
-// 8×GOMAXPROCS concurrent queries, queues 4× more, waits without a
-// budget, installs no shared tuple budget, and enables a 4 MiB plan
-// cache and a 16 MiB result cache.
+// 8×GOMAXPROCS concurrent queries and queues 4× more, installs no
+// shared tuple budget, enables a 4 MiB plan cache and a 16 MiB result
+// cache, and collects workload statistics (DB.WorkloadStats).
 //
 // With WithDataDir, Open recovers the directory's committed state
 // before returning: it loads the newest valid snapshot, replays the
@@ -478,30 +445,28 @@ func Open(opts ...OpenOption) (*DB, error) {
 	if o.MaxConcurrent == 0 {
 		o.MaxConcurrent = 8 * runtime.GOMAXPROCS(0)
 	}
-	if o.MaxQueued == 0 && o.MaxConcurrent > 0 {
-		o.MaxQueued = 4 * o.MaxConcurrent
+	if o.maxQueued == 0 {
+		o.maxQueued = 4 * o.MaxConcurrent
 	}
 	db := &DB{
 		cat:          catalog.New(),
-		gate:         newGate(o.MaxConcurrent, o.MaxQueued, o.AdmissionWait),
+		gate:         newGate(o.MaxConcurrent, o.maxQueued),
+		tele:         telemetry.New(o.SlowQueryThreshold),
 		start:        time.Now(),
 		drainTimeout: o.DrainTimeout,
-	}
-	if !o.DisableTelemetry {
-		db.tele = telemetry.New(telemetry.Config{SlowThreshold: o.SlowQueryThreshold})
 	}
 	if o.SharedTupleLimit > 0 {
 		db.budget = exec.NewBudget(o.SharedTupleLimit)
 	}
 	if !o.DisableCache {
-		if o.PlanCacheBytes == 0 {
-			o.PlanCacheBytes = defaultPlanCacheBytes
+		if o.planCacheBytes == 0 {
+			o.planCacheBytes = defaultPlanCacheBytes
 		}
 		if o.ResultCacheBytes == 0 {
 			o.ResultCacheBytes = defaultResultCacheBytes
 		}
-		if o.PlanCacheBytes > 0 {
-			db.pcache = cache.NewPlanCache(o.PlanCacheBytes)
+		if o.planCacheBytes > 0 {
+			db.pcache = cache.NewPlanCache(o.planCacheBytes)
 		}
 		if o.ResultCacheBytes > 0 {
 			// Method values on a nil *Budget are valid: TryCharge then

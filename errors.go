@@ -10,9 +10,8 @@ import (
 )
 
 // ErrOverloaded is returned (wrapped in a *QueryError) when the
-// admission gate sheds a query: the concurrent-query limit is reached,
-// the FIFO wait queue is full, or the wait budget (WithAdmissionWait)
-// expired before a slot opened. It signals transient overload, not a
+// admission gate sheds a query: the concurrent-query limit is reached
+// and the FIFO wait queue is full. It signals transient overload, not a
 // broken query — retry with backoff via Retry:
 //
 //	res, err := disqo.Retry(ctx, disqo.DefaultRetryPolicy(),

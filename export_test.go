@@ -28,3 +28,22 @@ func (db *DB) PlanFingerprint(sql string, opts ...Option) (uint64, error) {
 func withMorselSize(n int) Option {
 	return func(c *queryConfig) { c.MorselSize = n }
 }
+
+// withMaxQueued replaces the admission queue's length (default 4 ×
+// MaxConcurrent); n < 0 leaves no queue, so a query that finds every
+// slot busy is shed at once.
+func withMaxQueued(n int) OpenOption {
+	return func(o *OpenOptions) { o.maxQueued = n }
+}
+
+// withPlanCacheSize replaces the plan cache's 4 MiB bound with n bytes,
+// for tests that need it to evict.
+func withPlanCacheSize(n int64) OpenOption {
+	return func(o *OpenOptions) { o.planCacheBytes = n }
+}
+
+// withClientRetry replaces the client's DefaultRetryPolicy, for tests
+// that need a transport failure to surface on the first attempt.
+func withClientRetry(p RetryPolicy) ClientOption {
+	return func(o *clientOptions) { o.retry = p }
+}

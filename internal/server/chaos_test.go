@@ -151,7 +151,7 @@ func spawnServerChild(t *testing.T, dir, addr string) *exec.Cmd {
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		c, err := disqo.Dial(addr, disqo.WithClientDialTimeout(200*time.Millisecond))
+		c, err := disqo.Dial(addr)
 		if err == nil {
 			if _, err := c.Ping(nil); err == nil {
 				c.Close()

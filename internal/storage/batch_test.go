@@ -40,7 +40,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	for i, row := range got.Tuples {
 		for j, v := range row {
-			if !types.Equal(v, rel.Tuples[i][j]) {
+			if !types.Identical(v, rel.Tuples[i][j]) {
 				t.Fatalf("round trip changed [%d][%d]: %v != %v", i, j, v, rel.Tuples[i][j])
 			}
 		}
@@ -58,7 +58,7 @@ func TestBatchTypedColumns(t *testing.T) {
 		if cv.Ints[i] != want {
 			t.Fatalf("Ints[%d] = %d, want %d", i, cv.Ints[i], want)
 		}
-		if !types.Equal(cv.Value(i), types.NewInt(want)) {
+		if !types.Identical(cv.Value(i), types.NewInt(want)) {
 			t.Fatalf("Value(%d) != %d", i, want)
 		}
 	}
@@ -77,7 +77,7 @@ func TestBatchNullsKeepTypedVector(t *testing.T) {
 	if !cv.Nulls[0] || cv.Nulls[1] || !cv.Nulls[2] {
 		t.Fatalf("null mask wrong: %v", cv.Nulls)
 	}
-	if !cv.Value(0).IsNull() || !types.Equal(cv.Value(1), types.NewInt(5)) {
+	if !cv.Value(0).IsNull() || !types.Identical(cv.Value(1), types.NewInt(5)) {
 		t.Fatal("Value() does not reconstruct NULLs")
 	}
 }
@@ -91,7 +91,7 @@ func TestBatchMixedKindDegrades(t *testing.T) {
 	if cv.Mixed == nil {
 		t.Fatalf("mixed-kind column should fall back to Mixed: %+v", cv)
 	}
-	if !types.Equal(cv.Value(0), types.NewInt(1)) || !types.Equal(cv.Value(1), types.NewString("x")) {
+	if !types.Identical(cv.Value(0), types.NewInt(1)) || !types.Identical(cv.Value(1), types.NewString("x")) {
 		t.Fatal("mixed column does not reproduce values")
 	}
 }

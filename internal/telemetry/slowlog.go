@@ -22,7 +22,7 @@ type SlowQuery struct {
 	Plan string `json:"plan,omitempty"`
 }
 
-// slowLog is a fixed-capacity ring of the most recent slow queries.
+// slowLog is a ring of the SlowCapacity most recent slow queries.
 // Capture is rare by construction (only queries over the threshold),
 // so a plain mutex is fine.
 type slowLog struct {
@@ -32,8 +32,8 @@ type slowLog struct {
 	total int64 // captures ever made, including overwritten ones
 }
 
-func (l *slowLog) init(capacity int) {
-	l.buf = make([]SlowQuery, 0, capacity)
+func (l *slowLog) init() {
+	l.buf = make([]SlowQuery, 0, SlowCapacity)
 }
 
 func (l *slowLog) record(q SlowQuery) {
@@ -42,9 +42,6 @@ func (l *slowLog) record(q SlowQuery) {
 	l.total++
 	if len(l.buf) < cap(l.buf) {
 		l.buf = append(l.buf, q)
-		return
-	}
-	if cap(l.buf) == 0 {
 		return
 	}
 	l.buf[l.next] = q

@@ -7,9 +7,7 @@
 // The hot path — Collector.Observe once per finished query — is
 // designed to cost a map read plus a bounded number of atomic adds:
 // no locks beyond one short per-entry mutex for the strategy
-// split, and no allocation once a statement's entry exists. A nil
-// *Collector ignores every call, so a DB with telemetry disabled pays
-// a single pointer test per query.
+// split, and no allocation once a statement's entry exists.
 package telemetry
 
 import (
@@ -20,15 +18,14 @@ import (
 	"time"
 )
 
-// DefaultMaxStatements bounds the registry: statements beyond it are
-// counted in aggregate (Snapshot.DroppedStatements) instead of getting
-// their own entry, so a workload of unique ad-hoc statements cannot
-// grow the registry without bound.
-const DefaultMaxStatements = 512
+// MaxStatements bounds the registry: statements beyond it are counted
+// in aggregate (Snapshot.DroppedStatements) instead of getting their
+// own entry, so a workload of unique ad-hoc statements cannot grow the
+// registry without bound.
+const MaxStatements = 512
 
-// DefaultSlowCapacity is the slow-query ring's size when Config leaves
-// it zero.
-const DefaultSlowCapacity = 128
+// SlowCapacity is the slow-query ring's size.
+const SlowCapacity = 128
 
 // Outcome classifies how a query finished.
 type Outcome uint8
@@ -237,24 +234,12 @@ type shard struct {
 	m  map[string]*stmtEntry
 }
 
-// Config tunes a Collector.
-type Config struct {
-	// MaxStatements caps the registry (0 = DefaultMaxStatements).
-	MaxStatements int
-	// SlowThreshold arms the slow-query ring: a successful query at or
-	// over it is captured. 0 disables capture.
-	SlowThreshold time.Duration
-	// SlowCapacity sizes the ring (0 = DefaultSlowCapacity).
-	SlowCapacity int
-}
-
 // Collector is the workload-statistics hub one DB owns: the statement
 // registry, the global latency histogram, global outcome counters, and
-// the slow-query ring. All methods are safe for concurrent use and
-// nil-safe (a nil Collector is "telemetry disabled").
+// the slow-query ring. All methods are safe for concurrent use.
 type Collector struct {
-	cfg       Config
-	startedAt time.Time
+	slowThreshold time.Duration
+	startedAt     time.Time
 
 	queries, errors, sheds, rows atomic.Int64
 	dropped                      atomic.Int64 // observations beyond MaxStatements
@@ -265,28 +250,20 @@ type Collector struct {
 	slow   slowLog
 }
 
-// New builds a Collector.
-func New(cfg Config) *Collector {
-	if cfg.MaxStatements <= 0 {
-		cfg.MaxStatements = DefaultMaxStatements
-	}
-	if cfg.SlowCapacity <= 0 {
-		cfg.SlowCapacity = DefaultSlowCapacity
-	}
-	c := &Collector{cfg: cfg, startedAt: time.Now()}
+// New builds a Collector. slowThreshold arms the slow-query ring: a
+// query at or over it is captured; 0 disables capture.
+func New(slowThreshold time.Duration) *Collector {
+	c := &Collector{slowThreshold: slowThreshold, startedAt: time.Now()}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*stmtEntry)
 	}
-	c.slow.init(cfg.SlowCapacity)
+	c.slow.init()
 	return c
 }
 
 // SlowThreshold returns the armed slow-query threshold (0 = disabled).
 func (c *Collector) SlowThreshold() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.cfg.SlowThreshold
+	return c.slowThreshold
 }
 
 // entry returns the statement's registry slot, creating it under the
@@ -304,10 +281,13 @@ func (c *Collector) entry(key string, fp uint64) *stmtEntry {
 	if e = sh.m[key]; e != nil {
 		return e
 	}
-	if c.stmtCount.Load() >= int64(c.cfg.MaxStatements) {
+	// Reserve the slot with one Add: the shard lock does not order
+	// observers on other shards, so a separate check and increment
+	// would let them fill the last slot together.
+	if c.stmtCount.Add(1) > MaxStatements {
+		c.stmtCount.Add(-1)
 		return nil
 	}
-	c.stmtCount.Add(1)
 	e = &stmtEntry{
 		norm:       key,
 		fp:         fp,
@@ -322,9 +302,6 @@ func (c *Collector) entry(key string, fp uint64) *stmtEntry {
 // Beyond the registry's first sight of a statement it performs no
 // allocation: a map read, atomic adds, and one short mutex.
 func (c *Collector) Observe(key string, obs Obs) {
-	if c == nil {
-		return
-	}
 	c.queries.Add(1)
 	switch obs.Outcome {
 	case OutcomeOK:
@@ -346,7 +323,7 @@ func (c *Collector) Observe(key string, obs Obs) {
 // ObserveOps folds a metrics-enabled query's per-operator
 // est-vs-actual rows into the statement's per-class aggregate.
 func (c *Collector) ObserveOps(key string, ops []OpObs) {
-	if c == nil || len(ops) == 0 {
+	if len(ops) == 0 {
 		return
 	}
 	if e := c.entry(key, fnv64a(key)); e != nil {
@@ -356,18 +333,7 @@ func (c *Collector) ObserveOps(key string, ops []OpObs) {
 
 // RecordSlow appends a captured offender to the slow-query ring.
 func (c *Collector) RecordSlow(q SlowQuery) {
-	if c == nil {
-		return
-	}
 	c.slow.record(q)
-}
-
-// Latency snapshots the global latency histogram.
-func (c *Collector) Latency() LatencySnapshot {
-	if c == nil {
-		return LatencySnapshot{}
-	}
-	return c.lat.Snapshot()
 }
 
 // Snapshot is the collector's full point-in-time report.
@@ -395,9 +361,6 @@ type Snapshot struct {
 
 // Snapshot assembles the full report.
 func (c *Collector) Snapshot() Snapshot {
-	if c == nil {
-		return Snapshot{}
-	}
 	s := Snapshot{
 		StartedAt:         c.startedAt,
 		Queries:           c.queries.Load(),
@@ -434,9 +397,6 @@ func (c *Collector) Snapshot() Snapshot {
 // db.ResetStats. In-flight Observes may land on either side of the
 // reset; each lands whole.
 func (c *Collector) Reset() {
-	if c == nil {
-		return
-	}
 	c.queries.Store(0)
 	c.errors.Store(0)
 	c.sheds.Store(0)

@@ -74,7 +74,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 }
 
 func TestCollectorCounts(t *testing.T) {
-	c := New(Config{})
+	c := New(0)
 	key := "SELECT 1"
 	for i := 0; i < 5; i++ {
 		c.Observe(key, Obs{Strategy: "unnested", Elapsed: time.Millisecond, Rows: 2, Outcome: OutcomeOK, Source: SourceExecution})
@@ -109,7 +109,7 @@ func TestCollectorCounts(t *testing.T) {
 }
 
 func TestCollectorOps(t *testing.T) {
-	c := New(Config{})
+	c := New(0)
 	key := "SELECT * FROM r"
 	c.ObserveOps(key, []OpObs{
 		{Class: "Scan", EstRows: 100, ActualRows: 90},
@@ -132,19 +132,63 @@ func TestCollectorOps(t *testing.T) {
 // TestCollectorStatementCap checks overflow accounting: statements past
 // MaxStatements are dropped in aggregate, never silently.
 func TestCollectorStatementCap(t *testing.T) {
-	c := New(Config{MaxStatements: 4})
-	for i := 0; i < 10; i++ {
+	c := New(0)
+	const n = MaxStatements + 6
+	for i := 0; i < n; i++ {
 		c.Observe(fmt.Sprintf("SELECT %d", i), Obs{Outcome: OutcomeOK, Elapsed: time.Millisecond})
 	}
 	snap := c.Snapshot()
-	if len(snap.Statements) != 4 {
-		t.Fatalf("statements = %d, want 4", len(snap.Statements))
+	if len(snap.Statements) != MaxStatements {
+		t.Fatalf("statements = %d, want %d", len(snap.Statements), MaxStatements)
 	}
 	if snap.DroppedStatements != 6 {
 		t.Fatalf("dropped = %d, want 6", snap.DroppedStatements)
 	}
-	if snap.Queries != 10 {
-		t.Fatalf("queries = %d, want 10 (drops still count globally)", snap.Queries)
+	if snap.Queries != n {
+		t.Fatalf("queries = %d, want %d (drops still count globally)", snap.Queries, n)
+	}
+}
+
+// TestCollectorStatementCapConcurrent fills the registry from every
+// shard at once: each goroutine observes distinct keys that all land in
+// its own shard, so the cap check races across shard locks. The
+// registry must hold exactly MaxStatements entries and count every
+// other observation as dropped.
+func TestCollectorStatementCapConcurrent(t *testing.T) {
+	const perShard = MaxStatements/shardCount + 8
+	keys := make([][]string, shardCount)
+	for i, filled := 0, 0; filled < shardCount; i++ {
+		k := fmt.Sprintf("SELECT %d", i)
+		sh := fnv64a(k) & (shardCount - 1)
+		if len(keys[sh]) < perShard {
+			keys[sh] = append(keys[sh], k)
+			if len(keys[sh]) == perShard {
+				filled++
+			}
+		}
+	}
+	for run := 0; run < 20; run++ {
+		c := New(0)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, ks := range keys {
+			wg.Add(1)
+			go func(ks []string) {
+				defer wg.Done()
+				<-start
+				for _, k := range ks {
+					c.Observe(k, Obs{Outcome: OutcomeOK})
+				}
+			}(ks)
+		}
+		close(start)
+		wg.Wait()
+		snap := c.Snapshot()
+		const total = shardCount * perShard
+		if len(snap.Statements) != MaxStatements || snap.DroppedStatements != total-MaxStatements {
+			t.Fatalf("run %d: %d statements, %d dropped; want %d and %d",
+				run, len(snap.Statements), snap.DroppedStatements, MaxStatements, total-MaxStatements)
+		}
 	}
 }
 
@@ -152,7 +196,7 @@ func TestCollectorStatementCap(t *testing.T) {
 // checks totals add up — run under -race this also proves the
 // synchronization story.
 func TestCollectorConcurrent(t *testing.T) {
-	c := New(Config{})
+	c := New(0)
 	const goroutines, perG = 16, 500
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -187,27 +231,28 @@ func TestCollectorConcurrent(t *testing.T) {
 }
 
 func TestSlowLogRing(t *testing.T) {
-	c := New(Config{SlowThreshold: time.Millisecond, SlowCapacity: 3})
-	for i := 0; i < 5; i++ {
+	c := New(time.Millisecond)
+	const n = SlowCapacity + 2
+	for i := 0; i < n; i++ {
 		c.RecordSlow(SlowQuery{SQL: fmt.Sprintf("q%d", i), Elapsed: time.Duration(i) * time.Second})
 	}
 	snap := c.Snapshot()
-	if snap.SlowTotal != 5 {
-		t.Fatalf("slow total = %d, want 5", snap.SlowTotal)
+	if snap.SlowTotal != n {
+		t.Fatalf("slow total = %d, want %d", snap.SlowTotal, n)
 	}
-	if len(snap.Slow) != 3 {
-		t.Fatalf("ring length = %d, want 3", len(snap.Slow))
+	if len(snap.Slow) != SlowCapacity {
+		t.Fatalf("ring length = %d, want %d", len(snap.Slow), SlowCapacity)
 	}
-	// Newest first: q4, q3, q2.
-	for i, want := range []string{"q4", "q3", "q2"} {
-		if snap.Slow[i].SQL != want {
-			t.Fatalf("slot %d = %s, want %s (full: %+v)", i, snap.Slow[i].SQL, want, snap.Slow)
+	// Newest first: q<n-1> down to q2; q0 and q1 were overwritten.
+	for i := range snap.Slow {
+		if want := fmt.Sprintf("q%d", n-1-i); snap.Slow[i].SQL != want {
+			t.Fatalf("slot %d = %s, want %s", i, snap.Slow[i].SQL, want)
 		}
 	}
 }
 
 func TestSlowLogPartialFill(t *testing.T) {
-	c := New(Config{SlowCapacity: 8})
+	c := New(0)
 	c.RecordSlow(SlowQuery{SQL: "a"})
 	c.RecordSlow(SlowQuery{SQL: "b"})
 	slow, total := c.slow.snapshot()
@@ -217,7 +262,7 @@ func TestSlowLogPartialFill(t *testing.T) {
 }
 
 func TestCollectorReset(t *testing.T) {
-	c := New(Config{SlowCapacity: 4})
+	c := New(0)
 	c.Observe("SELECT 1", Obs{Outcome: OutcomeOK, Elapsed: time.Millisecond, Rows: 3})
 	c.RecordSlow(SlowQuery{SQL: "SELECT 1"})
 	c.Reset()
@@ -232,27 +277,10 @@ func TestCollectorReset(t *testing.T) {
 	}
 }
 
-func TestNilCollector(t *testing.T) {
-	var c *Collector
-	c.Observe("SELECT 1", Obs{Outcome: OutcomeOK}) // must not panic
-	c.ObserveOps("SELECT 1", []OpObs{{Class: "Scan"}})
-	c.RecordSlow(SlowQuery{})
-	c.Reset()
-	if c.SlowThreshold() != 0 {
-		t.Fatal("nil threshold")
-	}
-	if s := c.Snapshot(); s.Queries != 0 {
-		t.Fatal("nil snapshot")
-	}
-	if l := c.Latency(); l.Count != 0 {
-		t.Fatal("nil latency")
-	}
-}
-
 // TestObserveZeroAlloc proves the steady-state hot path allocates
 // nothing once a statement's entry exists.
 func TestObserveZeroAlloc(t *testing.T) {
-	c := New(Config{})
+	c := New(0)
 	key := "SELECT 1"
 	obs := Obs{Strategy: "unnested", Elapsed: time.Millisecond, Rows: 1, Outcome: OutcomeOK}
 	c.Observe(key, obs) // create the entry
@@ -296,7 +324,7 @@ func TestExpositionFormat(t *testing.T) {
 }
 
 func TestSnapshotOrdering(t *testing.T) {
-	c := New(Config{})
+	c := New(0)
 	c.Observe("SELECT slow", Obs{Outcome: OutcomeOK, Elapsed: time.Second})
 	c.Observe("SELECT fast", Obs{Outcome: OutcomeOK, Elapsed: time.Millisecond})
 	snap := c.Snapshot()

@@ -245,13 +245,6 @@ func cmpIntFloat(i int64, f float64) int {
 	return order(0, f-t)
 }
 
-// Equal reports strict SQL equality of two values; NULL never equals
-// anything (use Identical for grouping/dedup semantics).
-func Equal(a, b Value) bool {
-	c, ok := Compare(a, b)
-	return ok && c == 0
-}
-
 // Identical implements the "IS NOT DISTINCT FROM" relation used by
 // grouping, duplicate elimination, and set operations: NULL is identical
 // to NULL, and otherwise values are identical when they compare equal.

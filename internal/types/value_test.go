@@ -121,8 +121,8 @@ func TestCompare(t *testing.T) {
 }
 
 func TestEqualVsIdentical(t *testing.T) {
-	if Equal(Null(), Null()) {
-		t.Error("Equal(NULL, NULL) must be false")
+	if _, ok := Compare(Null(), Null()); ok {
+		t.Error("NULL = NULL must be unknown")
 	}
 	if !Identical(Null(), Null()) {
 		t.Error("Identical(NULL, NULL) must be true")

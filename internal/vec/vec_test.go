@@ -182,7 +182,7 @@ func TestScalarParity(t *testing.T) {
 		}
 		for i := 0; i < b.Len(); i++ {
 			want := refScalar(e, rel.Tuples[i], sch)
-			if !types.Equal(got[i], want) && !(got[i].IsNull() && want.IsNull()) {
+			if !types.Identical(got[i], want) {
 				t.Errorf("%s row %d: vec=%v ref=%v", e, i, got[i], want)
 			}
 		}

@@ -282,7 +282,7 @@ func TestOneLifecycle(t *testing.T) {
 	t.Run("overloaded", func(t *testing.T) {
 		// Result cache off, so every call must execute and so must pass
 		// the gate, whose one slot is taken and whose queue holds nobody.
-		db, stmt := open(t, WithMaxConcurrent(1), WithMaxQueued(-1), WithResultCacheSize(-1))
+		db, stmt := open(t, WithMaxConcurrent(1), withMaxQueued(-1), WithResultCacheSize(-1))
 		defer db.Close()
 		if err := db.gate.acquire(context.Background()); err != nil {
 			t.Fatal(err)

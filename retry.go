@@ -21,13 +21,6 @@ type RetryPolicy struct {
 	// so herds of shed queries don't re-arrive in lockstep. 0 disables
 	// jitter; values are clamped to [0, 1].
 	Jitter float64
-	// Seed makes the jitter sequence deterministic: when nonzero, each
-	// attempt's jitter draw comes from a splitmix64 stream seeded here
-	// instead of the process-global random source, so a policy value
-	// replays the exact same delay schedule — tests and distributed
-	// clients that want per-node-distinct but reproducible backoff both
-	// need this. 0 (the default) keeps the global source.
-	Seed uint64
 	// RetryIf classifies errors as transient; nil retries only
 	// ErrOverloaded — the engine's sole documented back-off-and-retry
 	// signal.
@@ -79,20 +72,6 @@ func Retry[T any](ctx context.Context, p RetryPolicy, fn func() (T, error)) (T, 
 	if retryable == nil {
 		retryable = func(err error) bool { return errors.Is(err, ErrOverloaded) }
 	}
-	jitterDraw := rand.Float64
-	if p.Seed != 0 {
-		s := p.Seed
-		jitterDraw = func() float64 {
-			// splitmix64: the same mix faultinject uses, cheap and
-			// well-distributed; 53 high bits make a uniform [0,1).
-			s += 0x9e3779b97f4a7c15
-			z := s
-			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-			z ^= z >> 31
-			return float64(z>>11) / (1 << 53)
-		}
-	}
 	delay := p.BaseDelay
 	var lastErr error
 	for attempt := 1; ; attempt++ {
@@ -113,7 +92,7 @@ func Retry[T any](ctx context.Context, p RetryPolicy, fn func() (T, error)) (T, 
 		}
 		if p.Jitter > 0 && d > 0 {
 			span := float64(d) * p.Jitter
-			d = time.Duration(float64(d) - span + 2*span*jitterDraw())
+			d = time.Duration(float64(d) - span + 2*span*rand.Float64())
 		}
 		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
 			// The backoff would outlive the caller's budget: spending it

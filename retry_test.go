@@ -135,65 +135,6 @@ func TestRetryDelayCapAndJitterBounds(t *testing.T) {
 	}
 }
 
-// TestRetrySeededJitterDeterministic: a nonzero Seed makes the jitter
-// schedule a pure function of the policy. The documented splitmix64
-// stream is replayed directly (deterministic, uniform in [0,1),
-// seed-sensitive), then a seeded policy is run twice end-to-end to
-// check the behavior it drives is identical.
-func TestRetrySeededJitterDeterministic(t *testing.T) {
-	draw := func(seed uint64, n int) []float64 {
-		s := seed
-		out := make([]float64, n)
-		for i := range out {
-			s += 0x9e3779b97f4a7c15
-			z := s
-			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-			z ^= z >> 31
-			out[i] = float64(z>>11) / (1 << 53)
-		}
-		return out
-	}
-	// Sanity on the reference stream itself: deterministic, in [0,1),
-	// and seed-sensitive.
-	a, b, c := draw(7, 8), draw(7, 8), draw(8, 8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("draw %d: same seed diverged (%v vs %v)", i, a[i], b[i])
-		}
-		if a[i] < 0 || a[i] >= 1 {
-			t.Fatalf("draw %d out of [0,1): %v", i, a[i])
-		}
-	}
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("seeds 7 and 8 produced identical jitter streams")
-	}
-	// End-to-end: a seeded policy still terminates with the documented
-	// attempt count, and two runs behave identically (call counts and
-	// final error — the sleeps themselves are microseconds).
-	run := func() (int, error) {
-		calls := 0
-		p := RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond,
-			Multiplier: 2, Jitter: 1, Seed: 42}
-		_, err := Retry(context.Background(), p, func() (int, error) {
-			calls++
-			return 0, ErrOverloaded
-		})
-		return calls, err
-	}
-	c1, e1 := run()
-	c2, e2 := run()
-	if c1 != 5 || c2 != 5 || !errors.Is(e1, ErrOverloaded) || !errors.Is(e2, ErrOverloaded) {
-		t.Fatalf("seeded runs diverged: (%d,%v) vs (%d,%v)", c1, e1, c2, e2)
-	}
-}
-
 // TestRetryReturnsEarlyBeforeDeadline: when the next backoff would
 // sleep past the context deadline, Retry returns immediately instead of
 // parking until the deadline fires — the caller gets its remaining
@@ -229,7 +170,7 @@ func TestRetryReturnsEarlyBeforeDeadline(t *testing.T) {
 // TestRetryAgainstGate drives a one-slot admission gate that sheds
 // concurrent queries with ErrOverloaded, and Retry rides out the sheds.
 func TestRetryAgainstGate(t *testing.T) {
-	db, _ := Open(WithMaxConcurrent(1), WithMaxQueued(-1), WithoutCache())
+	db, _ := Open(WithMaxConcurrent(1), withMaxQueued(-1), WithoutCache())
 	defer db.Close()
 	if err := db.CreateTable("r", []Column{{Name: "a", Type: TypeInt}}); err != nil {
 		t.Fatal(err)
@@ -289,7 +230,7 @@ func TestClientErrorsKeepCauseIdentity(t *testing.T) {
 		}()
 		return ln.Addr().String()
 	}
-	once := WithClientRetry(RetryPolicy{MaxAttempts: 1})
+	once := withClientRetry(RetryPolicy{MaxAttempts: 1})
 	ping := func(addr string, opts ...ClientOption) error {
 		c, err := Dial(addr, append(opts, once)...)
 		if err != nil {

@@ -13,12 +13,8 @@ import (
 // outcome classification (OK / error / shed on ErrOverloaded), the
 // strategy split, and — for successes — rows and the wall time
 // since API entry. Statements that fail before planning are not
-// observed; the registry tracks planned statements. No-op when
-// telemetry is disabled.
+// observed; the registry tracks planned statements.
 func (db *DB) observe(norm string, cfg queryConfig, planHit bool, rows int64, err error, src telemetry.Source) {
-	if db.tele == nil {
-		return
-	}
 	obs := telemetry.Obs{
 		Strategy: string(cfg.strategy),
 		Rows:     rows,
@@ -126,10 +122,6 @@ type BudgetStats struct {
 // the admission gate, and the shared tuple budget. The same numbers
 // back the Prometheus /metrics endpoint.
 type WorkloadStats struct {
-	// Enabled reports whether the telemetry layer is collecting; with
-	// WithoutTelemetry the workload sections are zero but Cache,
-	// Admission, and Budget still carry live values.
-	Enabled bool `json:"enabled"`
 	// Uptime is the time since Open.
 	Uptime time.Duration `json:"uptime_ns"`
 	// Inflight is the number of public API calls currently inside the
@@ -177,23 +169,20 @@ type WorkloadStats struct {
 // consistent per counter, not across counters (queries keep finishing
 // while it is taken).
 func (db *DB) WorkloadStats() WorkloadStats {
+	snap := db.tele.Snapshot()
 	ws := WorkloadStats{
-		Enabled:  db.tele != nil,
-		Uptime:   time.Since(db.start),
-		Inflight: db.InflightQueries(),
-		Cache:    db.CacheStats(),
-	}
-	if db.tele != nil {
-		snap := db.tele.Snapshot()
-		ws.Queries = snap.Queries
-		ws.Errors = snap.Errors
-		ws.Sheds = snap.Sheds
-		ws.RowsReturned = snap.Rows
-		ws.Latency = snap.Latency
-		ws.Statements = snap.Statements
-		ws.DroppedStatements = snap.DroppedStatements
-		ws.SlowQueries = snap.Slow
-		ws.SlowTotal = snap.SlowTotal
+		Uptime:            time.Since(db.start),
+		Inflight:          db.InflightQueries(),
+		Queries:           snap.Queries,
+		Errors:            snap.Errors,
+		Sheds:             snap.Sheds,
+		RowsReturned:      snap.Rows,
+		Latency:           snap.Latency,
+		Statements:        snap.Statements,
+		DroppedStatements: snap.DroppedStatements,
+		SlowQueries:       snap.Slow,
+		SlowTotal:         snap.SlowTotal,
+		Cache:             db.CacheStats(),
 	}
 	gs := db.gate.stats()
 	ws.Admission = AdmissionStats{

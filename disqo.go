@@ -298,60 +298,27 @@ type DB struct {
 	replicaRecs  uint64
 }
 
-// OpenOptions configures a DB at Open time. The zero value of each
-// field selects the documented default.
-type OpenOptions struct {
-	// MaxConcurrent bounds the queries executing at once; 0 derives the
-	// default from GOMAXPROCS (8×), and a negative value disables
-	// admission control entirely. Up to 4 × MaxConcurrent more wait in
-	// a FIFO queue until a slot opens or their context is done; a
-	// query that finds the queue full is shed with ErrOverloaded.
-	MaxConcurrent int
-	// SharedTupleLimit bounds the tuples simultaneously resident across
-	// ALL concurrent queries (WithTupleLimit bounds one query); the
-	// query whose allocation crosses it aborts with ErrMemoryLimit.
-	// 0 means no shared budget.
-	SharedTupleLimit int64
-	// ResultCacheBytes bounds the result cache (0 selects the 16 MiB
-	// default; negative disables the tier).
-	ResultCacheBytes int64
-	// DisableCache turns both cache tiers off; every query re-plans and
-	// re-executes from scratch, byte-identically to a cached run.
-	DisableCache bool
-	// SlowQueryThreshold arms the slow-query ring buffer: every executed
-	// query at or over the threshold is captured with its
-	// ANALYZE-annotated plan. Implies per-operator metrics collection on
-	// every query (the price of always having the annotated plan when an
-	// offender shows up). 0 disables capture.
-	SlowQueryThreshold time.Duration
-	// DebugAddr starts an HTTP listener serving /metrics (Prometheus
-	// text format), /statz (the WorkloadStats snapshot as JSON), and
-	// /debug/pprof. Empty means no listener. Use DB.DebugAddr for the
-	// bound address (":0" picks a free port) and DB.Close to stop it.
-	DebugAddr string
-	// DebugMetrics, when set, is called on each /metrics scrape and its
-	// output appended after the engine's families (WithDebugMetrics).
-	DebugMetrics func() []byte
-	// DataDir makes the database durable: committed writes append to a
-	// write-ahead log under this directory and Open recovers from it.
-	// Empty (the default) keeps the engine fully in-memory.
-	DataDir string
-	// SyncEvery is the WAL group-commit batch: fsync after every nth
-	// record (0 or 1 = every record).
-	SyncEvery int
-	// SyncInterval bounds a group-commit batch's unsynced lifetime with
-	// a background fsync ticker; 0 disables it.
-	SyncInterval time.Duration
-	// CheckpointEvery auto-checkpoints after every n logged records;
-	// 0 checkpoints only on explicit DB.Checkpoint calls.
-	CheckpointEvery int
-	// DrainTimeout bounds Close's wait for in-flight work; 0 waits
-	// indefinitely.
-	DrainTimeout time.Duration
+// openOptions holds what the OpenOption values given to Open set, one
+// field per option (WithMaxConcurrent sets maxConcurrent, WithoutCache
+// disableCache, and so on); each field's zero value selects the default
+// its option documents.
+type openOptions struct {
+	maxConcurrent      int
+	sharedTupleLimit   int64
+	resultCacheBytes   int64
+	disableCache       bool
+	slowQueryThreshold time.Duration
+	debugAddr          string
+	debugMetrics       func() []byte
+	dataDir            string
+	syncEvery          int
+	syncInterval       time.Duration
+	checkpointEvery    int
+	drainTimeout       time.Duration
 	// walFault is the crash-chaos hook (withWALFaultInjector).
 	walFault *faultinject.Injector
 	// maxQueued and planCacheBytes replace the defaults (4 ×
-	// MaxConcurrent, 4 MiB) for tests that need a short queue or a
+	// maxConcurrent, 4 MiB) for tests that need a short queue or a
 	// small plan cache (withMaxQueued, withPlanCacheSize); a negative
 	// value means none.
 	maxQueued      int
@@ -359,7 +326,7 @@ type OpenOptions struct {
 }
 
 // OpenOption configures Open.
-type OpenOption func(*OpenOptions)
+type OpenOption func(*openOptions)
 
 // WithMaxConcurrent bounds how many queries execute at once (default:
 // 8 × GOMAXPROCS; n < 0 disables admission control). Up to 4n more wait
@@ -367,7 +334,7 @@ type OpenOption func(*OpenOptions)
 // arriving at a full queue returns ErrOverloaded immediately — load is
 // shed, not stacked.
 func WithMaxConcurrent(n int) OpenOption {
-	return func(o *OpenOptions) { o.MaxConcurrent = n }
+	return func(o *openOptions) { o.maxConcurrent = n }
 }
 
 // WithSharedTupleLimit installs a DB-wide resident-tuple budget shared
@@ -376,7 +343,7 @@ func WithMaxConcurrent(n int) OpenOption {
 // query whose allocation crosses the line aborts with ErrMemoryLimit
 // (alias ErrTupleLimit), and its charge is released when it finishes.
 func WithSharedTupleLimit(n int64) OpenOption {
-	return func(o *OpenOptions) { o.SharedTupleLimit = n }
+	return func(o *openOptions) { o.sharedTupleLimit = n }
 }
 
 // WithResultCacheSize bounds the result cache to n bytes (default
@@ -386,7 +353,7 @@ func WithSharedTupleLimit(n int64) OpenOption {
 // execution; cached tuples are additionally charged against the shared
 // tuple budget when one is configured (WithSharedTupleLimit).
 func WithResultCacheSize(n int64) OpenOption {
-	return func(o *OpenOptions) { o.ResultCacheBytes = n }
+	return func(o *openOptions) { o.resultCacheBytes = n }
 }
 
 // WithoutCache disables both cache tiers — the 4 MiB plan cache, keyed
@@ -395,7 +362,7 @@ func WithResultCacheSize(n int64) OpenOption {
 // scratch. Results are byte-identical either way; the benchmarks use
 // this to measure execution rather than cache hits.
 func WithoutCache() OpenOption {
-	return func(o *OpenOptions) { o.DisableCache = true }
+	return func(o *openOptions) { o.disableCache = true }
 }
 
 // WithSlowQueryThreshold arms the slow-query ring buffer: every
@@ -405,7 +372,7 @@ func WithoutCache() OpenOption {
 // Arming the threshold turns on per-operator metrics collection for
 // every query, so offenders always carry an annotated plan.
 func WithSlowQueryThreshold(d time.Duration) OpenOption {
-	return func(o *OpenOptions) { o.SlowQueryThreshold = d }
+	return func(o *openOptions) { o.slowQueryThreshold = d }
 }
 
 // WithDebugAddr starts a debug HTTP listener on addr serving /metrics
@@ -414,7 +381,7 @@ func WithSlowQueryThreshold(d time.Duration) OpenOption {
 // DB.DebugAddr reports the bound address or the bind error, and
 // DB.Close shuts the listener down gracefully.
 func WithDebugAddr(addr string) OpenOption {
-	return func(o *OpenOptions) { o.DebugAddr = addr }
+	return func(o *openOptions) { o.debugAddr = addr }
 }
 
 // WithDebugMetrics appends f's output to every /metrics scrape, after
@@ -423,7 +390,7 @@ func WithDebugAddr(addr string) OpenOption {
 // this to publish its session and connection gauges on the same page
 // as the engine's. Only meaningful together with WithDebugAddr.
 func WithDebugMetrics(f func() []byte) OpenOption {
-	return func(o *OpenOptions) { o.DebugMetrics = f }
+	return func(o *openOptions) { o.debugMetrics = f }
 }
 
 // Open creates a database. With no options the engine is fully
@@ -438,51 +405,51 @@ func WithDebugMetrics(f func() []byte) OpenOption {
 // truncates a torn final record, and fails with a *RecoveryError for
 // damage a crash cannot explain (DESIGN.md §13).
 func Open(opts ...OpenOption) (*DB, error) {
-	var o OpenOptions
+	var o openOptions
 	for _, fn := range opts {
 		fn(&o)
 	}
-	if o.MaxConcurrent == 0 {
-		o.MaxConcurrent = 8 * runtime.GOMAXPROCS(0)
+	if o.maxConcurrent == 0 {
+		o.maxConcurrent = 8 * runtime.GOMAXPROCS(0)
 	}
 	if o.maxQueued == 0 {
-		o.maxQueued = 4 * o.MaxConcurrent
+		o.maxQueued = 4 * o.maxConcurrent
 	}
 	db := &DB{
 		cat:          catalog.New(),
-		gate:         newGate(o.MaxConcurrent, o.maxQueued),
-		tele:         telemetry.New(o.SlowQueryThreshold),
+		gate:         newGate(o.maxConcurrent, o.maxQueued),
+		tele:         telemetry.New(o.slowQueryThreshold),
 		start:        time.Now(),
-		drainTimeout: o.DrainTimeout,
+		drainTimeout: o.drainTimeout,
 	}
-	if o.SharedTupleLimit > 0 {
-		db.budget = exec.NewBudget(o.SharedTupleLimit)
+	if o.sharedTupleLimit > 0 {
+		db.budget = exec.NewBudget(o.sharedTupleLimit)
 	}
-	if !o.DisableCache {
+	if !o.disableCache {
 		if o.planCacheBytes == 0 {
 			o.planCacheBytes = defaultPlanCacheBytes
 		}
-		if o.ResultCacheBytes == 0 {
-			o.ResultCacheBytes = defaultResultCacheBytes
+		if o.resultCacheBytes == 0 {
+			o.resultCacheBytes = defaultResultCacheBytes
 		}
 		if o.planCacheBytes > 0 {
 			db.pcache = cache.NewPlanCache(o.planCacheBytes)
 		}
-		if o.ResultCacheBytes > 0 {
+		if o.resultCacheBytes > 0 {
 			// Method values on a nil *Budget are valid: TryCharge then
 			// always admits and Release is a no-op.
-			db.rcache = cache.NewResultCache(o.ResultCacheBytes,
+			db.rcache = cache.NewResultCache(o.resultCacheBytes,
 				db.budget.TryCharge, db.budget.Release)
 		}
 	}
-	if o.DataDir != "" {
+	if o.dataDir != "" {
 		if err := db.openDurable(o); err != nil {
 			return nil, err
 		}
 	}
-	if o.DebugAddr != "" {
-		db.debugExtra = o.DebugMetrics
-		db.debug, db.debugErr = startDebugServer(db, o.DebugAddr)
+	if o.debugAddr != "" {
+		db.debugExtra = o.debugMetrics
+		db.debug, db.debugErr = startDebugServer(db, o.debugAddr)
 	}
 	return db, nil
 }

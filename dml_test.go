@@ -1,9 +1,14 @@
 package disqo
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"disqo/internal/cache"
+	"disqo/internal/physical"
+	"disqo/internal/sqlparser"
 	"disqo/internal/types"
 )
 
@@ -307,4 +312,117 @@ func TestBatchFollowsTheTableVersion(t *testing.T) {
 	check("builder-path Insert")
 	r.BulkLoad([][]types.Value{{types.NewInt(9004), types.NewInt(4), types.NewInt(4), types.NewInt(2999)}})
 	check("builder-path BulkLoad")
+}
+
+// queryRows runs sql and returns its rows as sortedRows renders them.
+func queryRows(t *testing.T, db *DB, sql string, opts ...Option) []string {
+	t.Helper()
+	res, err := db.Query(sql, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sortedRows(res)
+}
+
+// A correlated SET value is unnested like the same block in a SELECT:
+// the UPDATE leaves r as the per-row (canonical) evaluation of the
+// SELECT would, and its query plans no per-row block.
+func TestUpdateCorrelatedSetIsUnnested(t *testing.T) {
+	db, _ := Open()
+	if err := db.LoadRST(0.5, 0.5, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	const set = "(SELECT COUNT(*) FROM s WHERE s.b2 = r.a2)"
+	want := queryRows(t, db, "SELECT "+set+", a2, a3, a4 FROM r", WithStrategy(Canonical))
+
+	stmt, err := sqlparser.ParseStatement("UPDATE r SET a1 = " + set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := db.cat.Snapshot()
+	tbl, err := snap.Lookup("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, _, err := db.planStmt(snap, dmlQuery(tbl, nil, stmt.(*sqlparser.UpdateStmt).Sets), cache.PlanKey{}, db.newQueryConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pp.blocks) != 0 {
+		t.Errorf("the UPDATE's query plans %d per-row blocks, want none:\n%s", len(pp.blocks), physical.Explain(pp.phys.Root))
+	}
+
+	start := time.Now()
+	n, err := db.Exec("UPDATE r SET a1 = " + set)
+	if err != nil || n != len(want) {
+		t.Fatalf("update = %d, %v; want %d rows", n, err, len(want))
+	}
+	t.Logf("correlated UPDATE of %d rows: %v", n, time.Since(start))
+	if got := queryRows(t, db, "SELECT a1, a2, a3, a4 FROM r"); !slices.Equal(got, want) {
+		t.Errorf("r after the UPDATE differs from the canonical SELECT (%d vs %d rows)", len(got), len(want))
+	}
+}
+
+func TestUpdateSemantics(t *testing.T) {
+	cases := []struct {
+		name   string
+		rows   string // INSERT values for t (a INTEGER, b INTEGER)
+		update string
+		n      int
+		want   []string // t's rows afterwards, sorted
+	}{
+		{"swap reads the pre-update row", "(1, 2), (3, 4)", "UPDATE t SET a = b, b = a", 2, []string{"(2, 1)", "(4, 3)"}},
+		{"a repeated target is last-wins", "(1, 2)", "UPDATE t SET a = 5, a = b + 10", 1, []string{"(12, 2)"}},
+		{"the predicate guards the SET value", "(0, 1), (2, 1)", "UPDATE t SET a = 10 / a WHERE a <> 0", 1, []string{"(0, 1)", "(5, 1)"}},
+		{"duplicates and NULLs update together", "(NULL, 1), (NULL, 1), (2, NULL), (2, NULL)", "UPDATE t SET b = 9 WHERE a IS NULL OR a = 2", 4, []string{"(2, 9)", "(2, 9)", "(NULL, 9)", "(NULL, 9)"}},
+		{"no WHERE updates every row", "(1, 1), (2, 2), (2, 2)", "UPDATE t SET b = a * 10", 3, []string{"(1, 10)", "(2, 20)", "(2, 20)"}},
+		{"a plain column is a SET value", "(1, NULL), (3, 4)", "UPDATE t SET b = a WHERE b IS NULL", 1, []string{"(1, 1)", "(3, 4)"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db, _ := Open()
+			db.Exec("CREATE TABLE t (a INTEGER, b INTEGER)")
+			if _, err := db.Exec("INSERT INTO t VALUES " + c.rows); err != nil {
+				t.Fatal(err)
+			}
+			n, err := db.Exec(c.update)
+			if err != nil || n != c.n {
+				t.Fatalf("%s = %d, %v; want %d", c.update, n, err, c.n)
+			}
+			if got := queryRows(t, db, "SELECT a, b FROM t"); !slices.Equal(got, c.want) {
+				t.Errorf("rows = %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// An UPDATE that fails or matches nothing commits nothing: the table
+// keeps its version and its rows.
+func TestUpdateCommitsNothing(t *testing.T) {
+	db, _ := Open()
+	db.Exec("CREATE TABLE t (a INTEGER, b VARCHAR)")
+	db.Exec("INSERT INTO t VALUES (1, 'x'), (2, NULL)")
+	before, _ := db.cat.Lookup("t")
+	for _, c := range []struct{ sql, err string }{
+		{"UPDATE t SET a = COUNT(*)", "grouped query"},
+		{"UPDATE t SET a = 'abc' WHERE a = 1", "t.a expects INTEGER, got VARCHAR"},
+		{"UPDATE t SET b = 5", "t.b expects VARCHAR, got INTEGER"},
+		{"UPDATE t SET a = 3 WHERE a > 2", ""},
+	} {
+		n, err := db.Exec(c.sql)
+		if c.err == "" {
+			if err != nil || n != 0 {
+				t.Errorf("%s = %d, %v; want 0 rows", c.sql, n, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: err = %v, want one naming %q", c.sql, err, c.err)
+		}
+	}
+	if after, _ := db.cat.Lookup("t"); after != before {
+		t.Errorf("t moved from version %d to %d", before.Version, after.Version)
+	}
+	// The type check is INSERT's: a number fits either numeric column.
+	if n, err := db.Exec("UPDATE t SET a = 2.5 WHERE a = 2"); err != nil || n != 1 {
+		t.Errorf("numeric cross-assignment = %d, %v", n, err)
+	}
 }

@@ -56,7 +56,7 @@ type WALStats = wal.Stats
 // DESIGN.md §13 for the record format and torn-write rule). Without
 // this option the engine is fully in-memory and Open never reads disk.
 func WithDataDir(dir string) OpenOption {
-	return func(o *OpenOptions) { o.DataDir = dir }
+	return func(o *openOptions) { o.dataDir = dir }
 }
 
 // WithSyncEvery sets the WAL group-commit batch: the log fsyncs after
@@ -65,14 +65,14 @@ func WithDataDir(dir string) OpenOption {
 // for an n-fold reduction in fsyncs; pair it with WithSyncInterval to
 // bound the data-loss window in wall-clock time too.
 func WithSyncEvery(n int) OpenOption {
-	return func(o *OpenOptions) { o.SyncEvery = n }
+	return func(o *openOptions) { o.syncEvery = n }
 }
 
 // WithSyncInterval runs a background fsync every d, bounding how long
 // a group-commit batch (WithSyncEvery > 1) can sit unsynced during a
 // write lull. 0 (the default) disables the ticker.
 func WithSyncInterval(d time.Duration) OpenOption {
-	return func(o *OpenOptions) { o.SyncInterval = d }
+	return func(o *openOptions) { o.syncInterval = d }
 }
 
 // WithCheckpointEvery checkpoints automatically after every n logged
@@ -81,7 +81,7 @@ func WithSyncInterval(d time.Duration) OpenOption {
 // replay time and log growth. 0 (the default) checkpoints only on
 // explicit DB.Checkpoint calls.
 func WithCheckpointEvery(n int) OpenOption {
-	return func(o *OpenOptions) { o.CheckpointEvery = n }
+	return func(o *openOptions) { o.checkpointEvery = n }
 }
 
 // WithDrainTimeout bounds how long Close waits for in-flight queries
@@ -89,14 +89,14 @@ func WithCheckpointEvery(n int) OpenOption {
 // returns ErrDrainTimeout (new work is rejected with ErrClosed either
 // way). 0 (the default) waits indefinitely.
 func WithDrainTimeout(d time.Duration) OpenOption {
-	return func(o *OpenOptions) { o.DrainTimeout = d }
+	return func(o *openOptions) { o.drainTimeout = d }
 }
 
 // withWALFaultInjector wires a deterministic fault injector into the
 // durability layer's disk sites (SiteWALAppend, SiteWALSync,
 // SiteSnapshot). Unexported on purpose: it is the crash-chaos hook.
 func withWALFaultInjector(in *faultinject.Injector) OpenOption {
-	return func(o *OpenOptions) { o.walFault = in }
+	return func(o *openOptions) { o.walFault = in }
 }
 
 // ---------------------------------------------------------------------
@@ -275,13 +275,13 @@ func (db *DB) WALStats() (WALStats, bool) {
 // openDurable attaches the durability layer during Open: recover the
 // committed state from dir, replay the log tail through the normal
 // serialized write path, and open the log for appending.
-func (db *DB) openDurable(o OpenOptions) error {
-	rs, err := wal.Recover(o.DataDir)
+func (db *DB) openDurable(o openOptions) error {
+	rs, err := wal.Recover(o.dataDir)
 	if err != nil {
 		return err
 	}
-	db.dataDir = o.DataDir
-	db.checkpointEvery = o.CheckpointEvery
+	db.dataDir = o.dataDir
+	db.checkpointEvery = o.checkpointEvery
 	if err := db.install(rs.CheckpointState); err != nil {
 		return &RecoveryError{Reason: err.Error(), Cause: errors.Unwrap(err)}
 	}
@@ -294,9 +294,9 @@ func (db *DB) openDurable(o OpenOptions) error {
 		db.replayed.Add(1)
 	}
 	db.recovering = false
-	l, err := wal.Open(o.DataDir, rs.LastLSN, wal.Options{
-		SyncEvery:    o.SyncEvery,
-		SyncInterval: o.SyncInterval,
+	l, err := wal.Open(o.dataDir, rs.LastLSN, wal.Options{
+		SyncEvery:    o.syncEvery,
+		SyncInterval: o.syncInterval,
 		Injector:     o.walFault,
 	})
 	if err != nil {

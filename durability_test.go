@@ -452,6 +452,42 @@ func TestSnapshotViewParseErrorKeepsIdentity(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesIllTypedUpdate: an UPDATE that stores a value its
+// column's type does not admit — one an older build committed and
+// logged — fails recovery closed instead of rebuilding the bad row.
+func TestReplayRefusesIllTypedUpdate(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(WithDataDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{"CREATE TABLE t (a INTEGER)", "INSERT INTO t VALUES (1)"} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, _ := db.WALStats()
+	pre := db.cat.Version()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open(dir, st.LastLSN, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(wal.KindSQL, pre, []byte("UPDATE t SET a = 'abc'")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(WithDataDir(dir))
+	var re *RecoveryError
+	if !errors.As(err, &re) || !strings.Contains(re.Reason, "t.a expects INTEGER, got VARCHAR") {
+		t.Fatalf("Open = %v, want a *RecoveryError naming the type", err)
+	}
+}
+
 // TestWALHoldsStatementsAsWritten: the log (and a checkpoint's view
 // definitions) record a statement's text as written, so whitespace
 // inside string literals and the line break that ends a comment

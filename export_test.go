@@ -33,13 +33,13 @@ func withMorselSize(n int) Option {
 // MaxConcurrent); n < 0 leaves no queue, so a query that finds every
 // slot busy is shed at once.
 func withMaxQueued(n int) OpenOption {
-	return func(o *OpenOptions) { o.maxQueued = n }
+	return func(o *openOptions) { o.maxQueued = n }
 }
 
 // withPlanCacheSize replaces the plan cache's 4 MiB bound with n bytes,
 // for tests that need it to evict.
 func withPlanCacheSize(n int64) OpenOption {
-	return func(o *OpenOptions) { o.planCacheBytes = n }
+	return func(o *openOptions) { o.planCacheBytes = n }
 }
 
 // withClientRetry replaces the client's DefaultRetryPolicy, for tests

@@ -336,9 +336,9 @@ func (c *Catalog) DropView(name string) error {
 	})
 }
 
-// checkRow validates one row against the table's column types. NULL is
+// CheckRow validates one row against the table's column types. NULL is
 // accepted in any column (the paper's schemas are nullable throughout).
-func (t *Table) checkRow(row []types.Value) error {
+func (t *Table) CheckRow(row []types.Value) error {
 	if len(row) != len(t.Columns) {
 		return fmt.Errorf("catalog: %s expects %d values, got %d", t.Name, len(t.Columns), len(row))
 	}
@@ -378,7 +378,7 @@ func (c *Catalog) InsertRows(name string, rows ...[]types.Value) error {
 			return err
 		}
 		for _, row := range rows {
-			if err := t.checkRow(row); err != nil {
+			if err := t.CheckRow(row); err != nil {
 				return err
 			}
 		}
@@ -389,8 +389,9 @@ func (c *Catalog) InsertRows(name string, rows ...[]types.Value) error {
 
 // ReplaceRows swaps in a new tuple set for the table — the commit step
 // of UPDATE and DELETE, whose new row sets are computed by the caller
-// against a consistent pre-image. The caller must not retain or mutate
-// the slice afterwards.
+// against a consistent pre-image. It checks no row: the caller has
+// passed each row it changed through CheckRow. The caller must not
+// retain or mutate the slice afterwards.
 func (c *Catalog) ReplaceRows(name string, tuples [][]types.Value) error {
 	return c.commit(func(next *Snapshot) error {
 		t, err := next.Lookup(name)
@@ -407,7 +408,7 @@ func (c *Catalog) ReplaceRows(name string, tuples [][]types.Value) error {
 // code, single-threaded tests); concurrent mutation goes through
 // Catalog.InsertRows.
 func (t *Table) Insert(row []types.Value) error {
-	if err := t.checkRow(row); err != nil {
+	if err := t.CheckRow(row); err != nil {
 		return err
 	}
 	t.Rel.Append(row)

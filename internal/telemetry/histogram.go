@@ -15,7 +15,7 @@ const numBuckets = 65
 // Histogram is a log2-bucketed latency histogram. Record is a bounded
 // number of atomic adds — no locks, no allocation — so it is safe on
 // the warm query path and under any concurrency. The zero value is
-// ready to use; a nil *Histogram ignores Record and reports zeros.
+// ready to use.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
@@ -24,9 +24,6 @@ type Histogram struct {
 
 // Record adds one observation. Negative durations clamp to zero.
 func (h *Histogram) Record(d time.Duration) {
-	if h == nil {
-		return
-	}
 	ns := int64(d)
 	if ns < 0 {
 		ns = 0
@@ -38,25 +35,16 @@ func (h *Histogram) Record(d time.Duration) {
 
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
 	return h.count.Load()
 }
 
 // Sum returns the total of all recorded durations.
 func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
 	return time.Duration(h.sum.Load())
 }
 
 // Reset zeroes every counter.
 func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
 	}
@@ -83,9 +71,6 @@ func BucketUpper(i int) time.Duration {
 // of the bucket containing the ceil(q*count)-th smallest sample. With
 // no samples it returns 0.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
 	total := h.count.Load()
 	if total == 0 {
 		return 0
@@ -129,9 +114,6 @@ type LatencySnapshot struct {
 // between bucket reads; each bucket is individually consistent, which
 // is all a monitoring read needs.
 func (h *Histogram) Snapshot() LatencySnapshot {
-	if h == nil {
-		return LatencySnapshot{}
-	}
 	s := LatencySnapshot{
 		Count: h.count.Load(),
 		Sum:   time.Duration(h.sum.Load()),

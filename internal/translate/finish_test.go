@@ -115,6 +115,10 @@ func TestFinishShapes(t *testing.T) {
 		{"SELECT a1 AS a2, a2 AS a1 FROM r ORDER BY a1 DESC, a2", "[a2, a1]",
 			[]string{"(4, 30)", "(3, 20)", "(1, 10)", "(2, 10)"}, ""},
 		{"SELECT a1 FROM r ORDER BY a2", "", nil, "must appear in the select list"},
+		// A column output again under an alias is a copy, not a rename.
+		{"SELECT a1, a1 AS x FROM r ORDER BY x DESC", "[r.a1, x]",
+			[]string{"(4, 4)", "(3, 3)", "(2, 2)", "(1, 1)"}, ""},
+		{"SELECT a1, a1 FROM r", "", nil, "duplicate output column"},
 		{"SELECT a1 AS x, a2 AS x FROM r", "", nil, "duplicate output column"},
 		{"SELECT a1 AS _col2, a2 + 1 FROM r", "", nil, "duplicate output column"},
 

@@ -149,19 +149,6 @@ func (sc *scope) varIndex(qual string) int {
 	return -1
 }
 
-// TranslateTableExpr resolves an expression against a single table's
-// scope — the contract DML statements need for SET values and
-// per-row evaluation. Subqueries inside the expression are translated as
-// usual (correlated to the table's row).
-func (tr *Translator) TranslateTableExpr(table string, e sqlparser.Expr) (algebra.Expr, error) {
-	sel := &sqlparser.SelectStmt{Star: true, From: []sqlparser.TableRef{{Table: table}}}
-	_, sc, err := tr.translateBlock(sel, nil)
-	if err != nil {
-		return nil, err
-	}
-	return tr.translateExpr(e, sc)
-}
-
 // Translate converts a full statement into a canonical plan.
 func (tr *Translator) Translate(stmt *sqlparser.SelectStmt) (algebra.Op, error) {
 	plan, sc, err := tr.translateBlock(stmt, nil)
@@ -233,12 +220,17 @@ func (tr *Translator) finish(stmt *sqlparser.SelectStmt, plan algebra.Op, sc *sc
 		if err != nil {
 			return nil, err
 		}
-		if attr != "" {
+		// A column already output is output again under an alias as a
+		// copy χ computes: a rename would rename both.
+		if attr != "" && (it.Alias == "" || !slices.Contains(outAttrs, attr)) {
 			outAttrs = append(outAttrs, attr)
 			if it.Alias != "" && it.Alias != attr {
 				renames = append(renames, [2]string{it.Alias, attr})
 			}
 			continue
+		}
+		if e == nil {
+			e = algebra.Col(attr)
 		}
 		name := it.Alias
 		if name == "" {
@@ -628,6 +620,25 @@ func (tr *Translator) estimator() *stats.Estimator {
 	return tr.est
 }
 
+// Literal returns the value a literal denotes; ok is false for any
+// other expression. It is the one constant rule: an expression's
+// literals and INSERT's values are read through it.
+func Literal(e sqlparser.Expr) (v types.Value, ok bool) {
+	switch x := e.(type) {
+	case *sqlparser.IntLit:
+		return types.NewInt(x.Val), true
+	case *sqlparser.FloatLit:
+		return types.NewFloat(x.Val), true
+	case *sqlparser.StringLit:
+		return types.NewString(x.Val), true
+	case *sqlparser.BoolLit:
+		return types.NewBool(x.Val), true
+	case *sqlparser.NullLit:
+		return types.Null(), true
+	}
+	return types.Value{}, false
+}
+
 // translateExpr converts a SQL expression into an algebra expression,
 // recursively translating subqueries into embedded plans.
 func (tr *Translator) translateExpr(e sqlparser.Expr, sc *scope) (algebra.Expr, error) {
@@ -638,16 +649,9 @@ func (tr *Translator) translateExpr(e sqlparser.Expr, sc *scope) (algebra.Expr, 
 			return nil, err
 		}
 		return algebra.Col(attr), nil
-	case *sqlparser.IntLit:
-		return algebra.ConstInt(x.Val), nil
-	case *sqlparser.FloatLit:
-		return algebra.Const(types.NewFloat(x.Val)), nil
-	case *sqlparser.StringLit:
-		return algebra.Const(types.NewString(x.Val)), nil
-	case *sqlparser.BoolLit:
-		return algebra.Const(types.NewBool(x.Val)), nil
-	case *sqlparser.NullLit:
-		return algebra.Const(types.Null()), nil
+	case *sqlparser.IntLit, *sqlparser.FloatLit, *sqlparser.StringLit, *sqlparser.BoolLit, *sqlparser.NullLit:
+		v, _ := Literal(e)
+		return algebra.Const(v), nil
 	case *sqlparser.NotExpr:
 		inner, err := tr.translateExpr(x.E, sc)
 		if err != nil {

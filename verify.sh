@@ -51,6 +51,11 @@ test -z "$(cat $rootsrc | grep 'db\.writeGuard()' | tail -n +2)"
 test -z "$(cat $rootsrc | grep 'db\.logLocked(' | tail -n +2)"
 test -z "$(cat $rootsrc | grep 'db\.afterWrite(' | tail -n +2)"
 test -z "$(grep -n 'sqlparser\.ParseStatement(' durability.go replica.go)"
+# A DELETE or UPDATE is one planned query over its table, so the root
+# builds an executor in one place (prepared.go's execute) and interprets
+# no expression row by row.
+test -z "$(cat $rootsrc | grep -E 'BindExpr\(|EvalExpr\(|NewFrame\(|TranslateTableExpr')"
+test "$(cat $rootsrc | grep -c 'exec\.New(')" -eq 1
 # The hashed-row index is written once (types.RowIndex): no hand-rolled
 # "hash → slice of candidates" table in the packages that used to carry
 # one each. And types.Value is 32 bytes by layout, not by unsafe tricks.

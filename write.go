@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 
 	"disqo/internal/cache"
 	"disqo/internal/catalog"
 	"disqo/internal/datagen"
-	"disqo/internal/exec"
-	"disqo/internal/physical"
 	"disqo/internal/sqlparser"
 	"disqo/internal/translate"
 	"disqo/internal/types"
@@ -297,17 +297,11 @@ func (db *DB) applyStmt(stmt sqlparser.Statement, sql string) (int, []string, er
 	case *sqlparser.CreateTableStmt:
 		cols := make([]Column, len(x.Columns))
 		for i, c := range x.Columns {
-			var kind types.Kind
-			switch c.Type {
-			case "INTEGER":
-				kind = types.KindInt
-			case "DOUBLE":
-				kind = types.KindFloat
-			case "VARCHAR":
-				kind = types.KindString
-			case "BOOLEAN":
-				kind = types.KindBool
-			default:
+			kind := types.KindInt // a column's kind is named as it prints
+			for kind <= types.KindBool && kind.String() != c.Type {
+				kind++
+			}
+			if kind > types.KindBool {
 				return 0, nil, fmt.Errorf("disqo: unknown column type %q", c.Type)
 			}
 			cols[i] = Column{Name: c.Name, Type: kind}
@@ -320,20 +314,11 @@ func (db *DB) applyStmt(stmt sqlparser.Statement, sql string) (int, []string, er
 		for r, row := range x.Rows {
 			vals := make([]Value, len(row))
 			for i, lit := range row {
-				switch v := lit.(type) {
-				case *sqlparser.IntLit:
-					vals[i] = Int(v.Val)
-				case *sqlparser.FloatLit:
-					vals[i] = Float(v.Val)
-				case *sqlparser.StringLit:
-					vals[i] = String(v.Val)
-				case *sqlparser.BoolLit:
-					vals[i] = Bool(v.Val)
-				case *sqlparser.NullLit:
-					vals[i] = Null()
-				default:
+				v, ok := translate.Literal(lit)
+				if !ok {
 					return 0, nil, fmt.Errorf("disqo: INSERT values must be literals, got %s", lit)
 				}
+				vals[i] = v
 			}
 			rows[r] = vals
 		}
@@ -361,20 +346,28 @@ func (db *DB) applyStmt(stmt sqlparser.Statement, sql string) (int, []string, er
 	}
 }
 
-// matchingRows evaluates a WHERE predicate over one table by planning
-// the equivalent SELECT as a query's would be (so subqueries in DML
-// predicates are unnested too) and executing it — ungated, unobserved
-// and uncached: it is a step of the write statement holding writeMu —
-// and returns the set of matching tuples. It reads src — the pre-image
-// snapshot of the statement being executed.
-func (db *DB) matchingRows(src catalog.Reader, table string, where sqlparser.Expr) (*types.RowIndex, error) {
-	sel := &sqlparser.SelectStmt{
-		Star:  true,
-		From:  []sqlparser.TableRef{{Table: table}},
-		Where: where,
+// dmlQuery is the query a DELETE or UPDATE runs over its table: the
+// table's columns (*), then each SET value under an alias no column's
+// output name can be (a column's is qualified), over the rows the WHERE
+// predicate keeps.
+func dmlQuery(tbl *catalog.Table, where sqlparser.Expr, sets []sqlparser.Assignment) *sqlparser.SelectStmt {
+	items := make([]sqlparser.SelectItem, len(sets))
+	for i, a := range sets {
+		items[i] = sqlparser.SelectItem{Expr: a.Value, Alias: "_set" + strconv.Itoa(i+1)}
 	}
+	return &sqlparser.SelectStmt{Star: true, Items: items, From: []sqlparser.TableRef{{Table: tbl.Name}}, Where: where}
+}
+
+// dmlRows runs a DELETE's or UPDATE's query (dmlQuery) as a query's is
+// run — planned, so the blocks nested in its predicate and SET values
+// are unnested, and executed ungated, unobserved and uncached: it is a
+// step of the write statement holding writeMu — against src, the
+// statement's pre-image snapshot. It returns the result rows indexed on
+// the table's columns, by value: a table row matches the result rows
+// identical to it.
+func (db *DB) dmlRows(src catalog.Reader, tbl *catalog.Table, where sqlparser.Expr, sets []sqlparser.Assignment) (*types.RowIndex, error) {
 	cfg := db.newQueryConfig()
-	pp, _, err := db.planStmt(src, sel, cache.PlanKey{}, cfg)
+	pp, _, err := db.planStmt(src, dmlQuery(tbl, where, sets), cache.PlanKey{}, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +376,11 @@ func (db *DB) matchingRows(src catalog.Reader, table string, where sqlparser.Exp
 	if err != nil {
 		return nil, err
 	}
-	out := types.NewRowIndex(rel.Tuples, nil, false, rel.Cardinality())
+	key := make([]int, len(tbl.Columns))
+	for i := range key {
+		key[i] = i
+	}
+	out := types.NewRowIndex(rel.Tuples, key, false, rel.Cardinality())
 	for i := range rel.Tuples {
 		out.FindOrAdd(int32(i))
 	}
@@ -404,7 +401,7 @@ func (db *DB) applyDelete(x *sqlparser.DeleteStmt) (int, []string, error) {
 	if x.Where == nil {
 		return tbl.Rel.Cardinality(), []string{x.Table}, db.cat.ReplaceRows(x.Table, nil)
 	}
-	matching, err := db.matchingRows(snap, x.Table, x.Where)
+	matching, err := db.dmlRows(snap, tbl, x.Where, nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -421,69 +418,46 @@ func (db *DB) applyDelete(x *sqlparser.DeleteStmt) (int, []string, error) {
 	return deleted, []string{x.Table}, db.cat.ReplaceRows(x.Table, kept)
 }
 
-// applyUpdate rewrites the rows satisfying the predicate, evaluating SET
-// expressions against the pre-update row (standard SQL semantics). Each
-// is bound once, with the blocks nested in it, over the table's rows and
-// evaluated on one frame moved from row to row. The new row set is
+// applyUpdate rewrites the rows satisfying the predicate. The
+// statement's query (dmlRows) computes each SET value against the
+// pre-update row (standard SQL semantics); a column set twice takes the
+// last. Matching is value-based, as for DELETE. The new row set is
 // computed in full against the stable pre-image before the single
 // atomic commit, so concurrent snapshot readers see either every change
-// or none.
+// or none; a changed row that does not fit the table's column types
+// fails the statement whole.
 func (db *DB) applyUpdate(x *sqlparser.UpdateStmt) (int, []string, error) {
 	snap := db.cat.Snapshot()
 	tbl, err := snap.Lookup(x.Table)
 	if err != nil {
 		return 0, nil, err
 	}
-	// Resolve SET targets and translate value expressions in the table's
-	// scope (subqueries allowed; they evaluate canonically per row).
-	ex := exec.New(snap, db.execOptions(db.newQueryConfig()))
-	defer ex.Close()
-	colIdx := make([]int, len(x.Sets))
-	valExprs := make([]*physical.Bound, len(x.Sets))
+	targets := make([]int, len(x.Sets))
 	for i, a := range x.Sets {
-		idx := -1
-		for j, c := range tbl.Columns {
-			if strings.EqualFold(c.Name, a.Column) {
-				idx = j
-				break
-			}
-		}
-		if idx < 0 {
+		targets[i] = slices.IndexFunc(tbl.Columns, func(c Column) bool { return strings.EqualFold(c.Name, a.Column) })
+		if targets[i] < 0 {
 			return 0, nil, fmt.Errorf("disqo: no column %q in %s", a.Column, x.Table)
 		}
-		colIdx[i] = idx
-		ve, err := translate.New(snap).TranslateTableExpr(x.Table, a.Value)
-		if err != nil {
-			return 0, nil, err
-		}
-		if valExprs[i], err = ex.BindExpr(ve, tbl.Rel.Schema); err != nil {
-			return 0, nil, err
-		}
 	}
-
-	var matching *types.RowIndex
-	if x.Where != nil {
-		matching, err = db.matchingRows(snap, x.Table, x.Where)
-		if err != nil {
-			return 0, nil, err
-		}
+	matching, err := db.dmlRows(snap, tbl, x.Where, x.Sets)
+	if err != nil {
+		return 0, nil, err
 	}
 	updated := 0
 	newRows := make([][]Value, len(tbl.Rel.Tuples))
-	env := exec.NewFrame(nil)
 	for i, row := range tbl.Rel.Tuples {
-		if x.Where != nil && matching.First(row, nil) < 0 {
+		e := matching.First(row, nil)
+		if e < 0 {
 			newRows[i] = row
 			continue
 		}
-		env.Set(row)
+		values := matching.Row(e)[len(row):]
 		next := append([]Value(nil), row...)
-		for k, ve := range valExprs {
-			v, err := ex.EvalExpr(ve, env)
-			if err != nil {
-				return 0, nil, err // nothing committed: the statement aborts whole
-			}
-			next[colIdx[k]] = v
+		for k, c := range targets {
+			next[c] = values[k]
+		}
+		if err := tbl.CheckRow(next); err != nil {
+			return 0, nil, err
 		}
 		newRows[i] = next
 		updated++

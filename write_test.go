@@ -93,6 +93,8 @@ func TestOneCommit(t *testing.T) {
 		{"UPDATE", sql("UPDATE m SET a = 10 WHERE a < 3"), wal.KindSQL, 2, overM, true, "SELECT DISTINCT * FROM m WHERE a = 10", 1},
 		{"DELETE", sql("DELETE FROM m WHERE a = 1"), wal.KindSQL, 1, overM, true, overM, 2},
 		{"UPDATE of no row", sql("UPDATE m SET a = 0 WHERE a > 99"), wal.KindSQL, 0, overM, false, overM, 3},
+		{"UPDATE by a correlated block", sql("UPDATE m SET a = (SELECT COUNT(*) FROM nn WHERE nn.a = m.a OR nn.a IS NULL)"),
+			wal.KindSQL, 3, overM, true, "SELECT * FROM m WHERE a = 2", 2},
 		// A write evaluates in three-valued logic, which is what replaying
 		// its text does: NOT (NULL = 1) is UNKNOWN and deletes nothing, and
 		// NULL = 1 writes NULL.

@@ -440,7 +440,10 @@ func (g *gathered) gather(cv *storage.ColVec, size int, src []types.Value, ents 
 // disjuncts read, the selection and its truth values, each grouping's
 // looked-up entries and, nested-loop, results, one tuple's results for
 // a disjunct interpreted per tuple, and the bit set of a morsel's kept
-// tuples.
+// tuples. A hashed grouping's fold by columns (foldWords) uses, per key
+// partition, only the rows it folds and each one's key entry, those rows
+// permuted by entry and each entry's end in that order (dedupWords), and
+// every entry's words.
 type colScratch struct {
 	evalScratch
 	size  int
@@ -450,6 +453,9 @@ type colScratch struct {
 	gath  []gathered
 	row   []types.Value
 	keep  []uint64
+
+	frows, fents, perm, ends []int32
+	words                    []int64
 }
 
 // results returns the buffer of one tuple's total results.
@@ -481,6 +487,14 @@ func takeEval(width int) *colScratch {
 	if len(sc.frame) < width {
 		sc.frame = make(vec.Frame, width)
 	}
+	return sc
+}
+
+// takeFold returns buffers, as takeEval does, for a partition of a fold
+// by columns, its rows and words empty.
+func takeFold() *colScratch {
+	sc := takeEval(0)
+	sc.frows, sc.fents, sc.words = sc.frows[:0], sc.fents[:0], sc.words[:0]
 	return sc
 }
 

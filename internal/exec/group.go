@@ -93,15 +93,18 @@ func (f *aggFeed) add(w *Executor, accs []agg.Acc, row []types.Value) error {
 // for a DISTINCT item the table dedups itself, indexes the same rows on
 // its Dedup columns (grouping columns, other argument columns): a row feeds
 // the item when it is new there — and, under an overlay, not in base's
-// set.
+// set. That is the fold by rows (foldGroups); Γ²'s fold by columns
+// (foldWords) keeps only the index, and each entry's words in the
+// buffers words while it folds: no accumulator and no seen index.
 type groupTable struct {
-	ix   *types.RowIndex
-	base []agg.Acc
-	accs []agg.Acc
-	seen []*types.RowIndex
-	next int // the next entry to emit (Γ)
-	res  int // where the entries' results start in Γ²'s results (foldKeys)
-	keys int // key columns, which lead every Dedup
+	ix    *types.RowIndex
+	base  []agg.Acc
+	accs  []agg.Acc
+	seen  []*types.RowIndex
+	next  int         // the next entry to emit (Γ)
+	res   int         // where the entries' results start in Γ²'s results (foldKeys, foldWords)
+	keys  int         // key columns, which lead every Dedup
+	words *colScratch // the fold by columns' buffers, while it folds (foldWords)
 }
 
 // newGroupTable returns an empty table over rows keyed on keyCols for
@@ -213,37 +216,37 @@ func partOf(h uint64, parts int) int {
 // sequential left fold of its rows at every worker count and every
 // morsel size — float sums included. One worker, or no key columns, is
 // one partition and no hashing pass. Each table and its accumulator slab
-// are sized once, for est groups (at most n) over P. keys, when not nil,
-// is the one key column as ints (NULLs allowed): a key is then hashed
-// and found by its word, not read from its row.
-func (ex *Executor) foldGroups(args []physical.AggArg, rows [][]types.Value, keyCols []int, keys *storage.ColVec, skipNulls bool, est float64, base []agg.Acc, env *Env) ([]*groupTable, error) {
-	n, parts := len(rows), 1
+// are sized once, for est groups (at most n) over P. The rows folded are
+// those sel selects (every row when sel is nil); the tables index them by
+// their numbers in rows. keys, when not nil, is the one key column as
+// ints (NULLs allowed), indexed as rows are: a key is then hashed and
+// found by its word, not read from its row.
+func (ex *Executor) foldGroups(args []physical.AggArg, rows [][]types.Value, sel []int32, keyCols []int, keys *storage.ColVec, skipNulls bool, est float64, base []agg.Acc, env *Env) ([]*groupTable, error) {
+	n, parts := selLen(rows, sel), 1
 	if len(keyCols) > 0 {
 		parts = ex.fanout(n)
 	}
-	groups := n
-	if est := math.Ceil(est); est < float64(n) {
-		groups = int(est)
-	}
-	groups /= parts
+	groups := estGroups(est, n) / parts
 	tables := make([]*groupTable, parts)
 	for p := range tables {
 		tables[p] = newGroupTable(args, rows, keyCols, skipNulls, groups, n/parts, base)
 	}
-	// hashes[i] is row i's key hash when there are partitions, 0 for a
-	// key the tables skip — which a fold hashes again, to find out.
+	// hashes[at] is the key hash of the at-th row selected when there are
+	// partitions, 0 for a key the tables skip — which a fold hashes
+	// again, to find out.
 	var hashes []uint64
 	if parts > 1 {
 		hashes = make([]uint64, n)
 		if _, err := parMorsels(ex, n, func(w *Executor, lo, hi int) (struct{}, error) {
-			for i, t := range rows[lo:hi] {
+			for at := lo; at < hi; at++ {
 				if err := w.tick(); err != nil {
 					return struct{}{}, err
 				}
-				if k, ok := intKey(keys, lo+i); ok {
-					hashes[lo+i] = tables[0].ix.HashWord(k)
+				i := pick(sel, at)
+				if k, ok := intKey(keys, i); ok {
+					hashes[at] = tables[0].ix.HashWord(k)
 				} else {
-					hashes[lo+i], _ = tables[0].ix.Hash(t, keyCols)
+					hashes[at], _ = tables[0].ix.Hash(rows[i], keyCols)
 				}
 			}
 			return struct{}{}, nil
@@ -257,10 +260,12 @@ func (ex *Executor) foldGroups(args []physical.AggArg, rows [][]types.Value, key
 	// row with a key the table does not skip when there is one partition.
 	fold := func(w *Executor, p int) (struct{}, error) {
 		gt, feed := tables[p], newFeed(args, true, env)
-		for i, t := range rows {
+		for at := range n {
+			i := pick(sel, at)
+			t := rows[i]
 			h, ok := uint64(0), true
 			if hashes != nil {
-				h = hashes[i]
+				h = hashes[at]
 			}
 			k, word := intKey(keys, i)
 			switch {
@@ -289,6 +294,12 @@ func (ex *Executor) foldGroups(args []physical.AggArg, rows [][]types.Value, key
 		}
 		return struct{}{}, nil
 	}
+	return tables, ex.eachPart(parts, n, fold)
+}
+
+// eachPart runs fold over partitions 0 … parts-1 of an n-row input, P
+// partitions over P workers, each in one morsel.
+func (ex *Executor) eachPart(parts, n int, fold func(w *Executor, p int) (struct{}, error)) error {
 	var err error
 	if parts == 1 {
 		_, err = runMorsel(ex, 0, n, func(w *Executor, _, _ int) (struct{}, error) { return fold(w, 0) })
@@ -297,7 +308,34 @@ func (ex *Executor) foldGroups(args []physical.AggArg, rows [][]types.Value, key
 			return runMorsel(w, 0, n, func(w *Executor, _, _ int) (struct{}, error) { return fold(w, p) })
 		})
 	}
-	return tables, err
+	return err
+}
+
+// estGroups is a fold's number of groups for est estimated, at most its
+// n rows.
+func estGroups(est float64, n int) int {
+	if est := math.Ceil(est); est < float64(n) {
+		return int(est)
+	}
+	return n
+}
+
+// pick returns the number of a selection's at-th row: sel[at], or at
+// when sel is nil, which selects every row. An empty selection is not
+// nil.
+func pick(sel []int32, at int) int {
+	if sel == nil {
+		return at
+	}
+	return int(sel[at])
+}
+
+// selLen is the number of rows sel selects of rows.
+func selLen(rows [][]types.Value, sel []int32) int {
+	if sel == nil {
+		return len(rows)
+	}
+	return len(sel)
 }
 
 // evalGroup implements the unary grouping operator Γ: its input folded
@@ -314,7 +352,7 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 	if err != nil {
 		return nil, err
 	}
-	tables, err := ex.foldGroups(g.Args, in.Tuples, g.KeyCols, nil, false, g.EstRows(), nil, env)
+	tables, err := ex.foldGroups(g.Args, in.Tuples, nil, g.KeyCols, nil, false, g.EstRows(), nil, env)
 	if err != nil {
 		return nil, err
 	}
@@ -380,7 +418,7 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	}
 	gs := make([]grouping, len(b.Groupings))
 	for j := range gs {
-		if gs[j].neg, err = ex.eval(b.Groupings[j].R, env); err != nil {
+		if gs[j].r, err = ex.eval(b.Groupings[j].R, env); err != nil {
 			return nil, err
 		}
 	}
@@ -395,6 +433,15 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 		}
 		gs[j].off = total
 		total += len(b.Groupings[j].Aggs)
+	}
+	if ex.nm != nil {
+		folds := make([]int64, len(gs))
+		for j := range gs {
+			if gs[j].words {
+				folds[j] = 1
+			}
+		}
+		ex.metric(b).addColumnFolds(folds)
 	}
 	var chunks [][][]types.Value
 	if ex.opt.Path == PathVector {
@@ -543,11 +590,16 @@ type grouping struct {
 	// the base's results, for a left key R⁻ lacks, a NULL or an
 	// incomparable one, at 0, then each entry's: key entry e of a
 	// table's at its res+e*n, the first k sorted rows' at k*n. A grouping
-	// with neither scans R⁻, neg, per left tuple, into overlays of base.
+	// with neither scans R⁻ per left tuple into overlays of base. R⁻ is
+	// the rows neg selects of R, r: tagged, those the tag does not hold
+	// TRUE on (split); untagged, neg is nil and R⁻ is R. words reports
+	// whether R⁻ was folded by columns (foldWords).
 	tables []*groupTable
 	sorted *sortedFold
 	keyRes []types.Value
-	neg    *storage.Relation
+	r      *storage.Relation
+	neg    []int32
+	words  bool
 	base   []agg.Acc
 	// lkey is the left input's key column as ints, when a left tuple's
 	// key is read from it (keyColumn), not from the tuple.
@@ -555,16 +607,19 @@ type grouping struct {
 }
 
 // foldGrouping folds the right input R of grouping g, which gr holds in
-// neg, once, into gr. R is split once on the tag (see split); R⁺ is
-// folded once, in input order, into base accumulators that every
-// group's accumulators overlay, so an empty match set yields f(∅) (no
-// count bug by construction).
+// r, once, into gr. R is split once on the tag (see split) into R⁺,
+// folded once, in input order, into base accumulators whose results
+// every group's continue, so an empty match set yields f(∅) (no count
+// bug by construction), and R⁻, a selection of R's rows.
 //
 // When Pred is an equality, R⁻ is hashed on its keys (May & Moerkotte's
 // main-memory binary grouping) and each distinct key's rows are folded
-// once, in R order (foldKeys): one entry and one set of overlays per
-// key, not per row; a left tuple only looks its key up, in the partition
-// its key hash falls in. Each inner group is then aggregated once
+// once (foldKeys): one entry and one set of results per key, not per
+// row; a left tuple only looks its key up, in the partition its key hash
+// falls in. On the vector path, when R is a base table's scan keyed on
+// one int column and every aggregate folds an int word, the key's rows
+// are folded from R's columns into words (foldWords); otherwise into
+// accumulators, in R order. Each inner group is then aggregated once
 // however often left tuples repeat its key, for every aggregate,
 // DISTINCT included — what the paper's Eqv. 4 pre-aggregation bought.
 // This is sound because an aggregate's argument reads the inner row
@@ -580,7 +635,7 @@ type grouping struct {
 // evaluating Pred per pair, into overlays of its own (scan).
 func (ex *Executor) foldGrouping(gr *grouping, g *physical.Grouping, compiled bool, env *Env) error {
 	gr.Grouping = g
-	r := gr.neg
+	r := gr.r
 	hashed := g.LCols != nil && g.Theta == types.EQ
 	// The base is what the sorted fold and a left tuple's scanned group
 	// overlay; an untagged hashed Γ² has none.
@@ -595,18 +650,21 @@ func (ex *Executor) foldGrouping(gr *grouping, g *physical.Grouping, compiled bo
 	}
 	switch {
 	case g.Theta != types.EQ:
-		if gr.sorted, gr.keyRes, err = ex.foldSorted(g, r, newFeed(g.Args, false, env)); gr.sorted == nil {
+		if gr.sorted, gr.keyRes, err = ex.foldSorted(g, r, gr.neg, newFeed(g.Args, false, env)); gr.sorted == nil {
 			ex.stats.NLJoins++
 		} else {
 			ex.stats.SortedGroups++
 		}
 	case hashed:
 		ex.stats.HashJoins++
-		var keys *storage.ColVec // R's key column, when R⁻ is R itself
-		if g.Tag == nil {
-			keys = ex.keyColumn(g.R, r, g.RCols)
+		keys := ex.keyColumn(g.R, r, g.RCols) // read at R⁻'s rows
+		ex.creditHashBuild(selLen(r.Tuples, gr.neg))
+		if wf, ok := ex.wordFoldOf(g, r, keys); ok {
+			gr.words = true
+			gr.tables, gr.keyRes, err = ex.foldWords(g, wf, r, gr.neg, gr.base)
+		} else {
+			gr.tables, gr.keyRes, err = ex.foldKeys(g, r, gr.neg, keys, gr.base, env)
 		}
-		gr.tables, gr.keyRes, err = ex.foldKeys(g, gr.neg, keys, gr.base, env)
 	default:
 		ex.stats.NLJoins++
 	}
@@ -639,7 +697,8 @@ func (g *grouping) scan(w *Executor, env *Env) func(lt, dst []types.Value) error
 		for j := range g.base {
 			accs[j] = *agg.Overlay(&g.base[j])
 		}
-		for _, rt := range g.neg.Tuples {
+		for at := range selLen(g.r.Tuples, g.neg) {
+			rt := g.r.Tuples[pick(g.neg, at)]
 			if err := w.tick(); err != nil {
 				return err
 			}
@@ -660,18 +719,17 @@ func (g *grouping) scan(w *Executor, env *Env) func(lt, dst []types.Value) error
 	}
 }
 
-// foldKeys is the hashed binary grouping's fold of R⁻ (neg): Γ's
-// partitioned group tables (foldGroups) keyed on RCols and sized for
-// b.Groups keys, one entry per distinct key — a NULL key is in none —
-// whose accumulators overlay base (nil: the empty group) and are fed the
-// key's rows in R order. A DISTINCT item whose argument is columns of R
-// is deduplicated as Γ's is, on (RCols, argument columns), after base's
-// set: no key keeps a set of its own. It returns the tables and their
-// results: base's first, then each table's from its res on. keys is
-// R's key column as foldGroups takes it.
-func (ex *Executor) foldKeys(b *physical.Grouping, neg *storage.Relation, keys *storage.ColVec, base []agg.Acc, env *Env) ([]*groupTable, []types.Value, error) {
-	ex.creditHashBuild(len(neg.Tuples))
-	tables, err := ex.foldGroups(b.Args, neg.Tuples, b.RCols, keys, true, b.Groups, base, env)
+// foldKeys is the hashed binary grouping's fold of R⁻, the rows neg
+// selects of r, by rows: Γ's partitioned group tables (foldGroups) keyed
+// on RCols and sized for b.Groups keys, one entry per distinct key — a
+// NULL key is in none — whose accumulators overlay base (nil: the empty
+// group) and are fed the key's rows in R order. A DISTINCT item whose
+// argument is columns of R is deduplicated as Γ's is, on (RCols,
+// argument columns), after base's set: no key keeps a set of its own. It
+// returns the tables and their results: base's first, then each table's
+// from its res on. keys is R's key column as foldGroups takes it.
+func (ex *Executor) foldKeys(b *physical.Grouping, r *storage.Relation, neg []int32, keys *storage.ColVec, base []agg.Acc, env *Env) ([]*groupTable, []types.Value, error) {
+	tables, err := ex.foldGroups(b.Args, r.Tuples, neg, b.RCols, keys, true, b.Groups, base, env)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -703,18 +761,21 @@ type sortedFold struct {
 	theta types.CompareOp
 }
 
-// foldSorted is the sort-based binary grouping's fold of R: it sorts the
-// rows whose grouping value is not NULL (NULL never compares) and folds
-// them in one pass — ascending for > and ≥, whose groups are prefixes of
-// the order, descending for < and ≤, whose groups are suffixes —
-// recording after each row the results of the rows folded so far: the
-// table it returns holds those of the first k rows folded at k*n, the
-// empty group's at 0, and entry finds a left value's k. A column that mixes kinds that do not compare with
-// each other has no order to search: foldSorted then returns nil, and
-// the caller folds per pair.
-func (ex *Executor) foldSorted(b *physical.Grouping, r *storage.Relation, feed *aggFeed) (*sortedFold, []types.Value, error) {
-	s := &sortedFold{rows: make([][]types.Value, 0, len(r.Tuples)), col: b.RCols[0], theta: b.Theta}
-	for _, t := range r.Tuples {
+// foldSorted is the sort-based binary grouping's fold of R⁻, the rows
+// neg selects of r: it sorts the rows whose grouping value is not NULL
+// (NULL never compares) and folds them in one pass — ascending for > and
+// ≥, whose groups are prefixes of the order, descending for < and ≤,
+// whose groups are suffixes — recording after each row the results of
+// the rows folded so far: the table it returns holds those of the first
+// k rows folded at k*n, the empty group's at 0, and entry finds a left
+// value's k. A column that mixes kinds that do not compare with each
+// other has no order to search: foldSorted then returns nil, and the
+// caller folds per pair.
+func (ex *Executor) foldSorted(b *physical.Grouping, r *storage.Relation, neg []int32, feed *aggFeed) (*sortedFold, []types.Value, error) {
+	n := selLen(r.Tuples, neg)
+	s := &sortedFold{rows: make([][]types.Value, 0, n), col: b.RCols[0], theta: b.Theta}
+	for at := range n {
+		t := r.Tuples[pick(neg, at)]
 		if t[s.col].IsNull() {
 			continue
 		}
@@ -783,9 +844,9 @@ func (s *sortedFold) entry(v types.Value) int {
 // split is Eqv. 5's bypass selection on the tag: it evaluates b.Tag over
 // R in morsels — by the compiled program when compiled — and then, in
 // one pass in R order, folds the tuples it holds TRUE on into base and
-// gathers the rest, FALSE or UNKNOWN, into R⁻, which it returns, cut
-// once to their counted number.
-func (ex *Executor) split(b *physical.Grouping, r *storage.Relation, compiled bool, feed *aggFeed, base []agg.Acc, env *Env) (*storage.Relation, error) {
+// selects the rest, FALSE or UNKNOWN: R⁻, which it returns as their
+// numbers in R, cut once to their counted number — not nil when empty.
+func (ex *Executor) split(b *physical.Grouping, r *storage.Relation, compiled bool, feed *aggFeed, base []agg.Acc, env *Env) ([]int32, error) {
 	truth := morselEval(ex, compiled, b.VecTag, r, env,
 		func(w *Executor, row *Env) (types.TriBool, error) { return w.EvalPred(b.TagBound, row) })
 	type morsel struct {
@@ -810,20 +871,19 @@ func (ex *Executor) split(b *physical.Grouping, r *storage.Relation, compiled bo
 	for _, c := range chunks {
 		negs += c.neg
 	}
-	neg := &storage.Relation{Schema: r.Schema, Tuples: make([][]types.Value, 0, negs)}
-	rows := r.Tuples
+	neg, i := make([]int32, 0, negs), 0
 	for _, c := range chunks {
-		for i, t := range c.truth {
+		for _, t := range c.truth {
 			if err := ex.tick(); err != nil {
 				return nil, err
 			}
 			if !t.IsTrue() {
-				neg.Tuples = append(neg.Tuples, rows[i])
-			} else if err := feed.add(ex, base, rows[i]); err != nil {
+				neg = append(neg, int32(i))
+			} else if err := feed.add(ex, base, r.Tuples[i]); err != nil {
 				return nil, err
 			}
+			i++
 		}
-		rows = rows[len(c.truth):]
 	}
 	return neg, nil
 }

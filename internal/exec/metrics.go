@@ -37,6 +37,10 @@ type NodeMetrics struct {
 	// those the fused disjunction's bypass operands, and the disjuncts
 	// before the first that reads the grouping's results, left undecided.
 	Probes []int64
+	// ColumnFolds is, per grouping of a binary grouping, the number of
+	// evaluations that folded its right input by columns (foldWords), not
+	// by rows.
+	ColumnFolds []int64
 	// VecCalls counts evaluations that ran on the vectorized path
 	// (compiled kernels over columnar batches). Credited once per Call
 	// by the kernel's coordinator, so like Calls it is worker-count
@@ -62,17 +66,24 @@ func (m *NodeMetrics) merge(o *NodeMetrics) {
 	m.Morsels += o.Morsels
 	m.HashBuildRows += o.HashBuildRows
 	m.addProbes(o.Probes)
+	m.addColumnFolds(o.ColumnFolds)
 	m.VecCalls += o.VecCalls
 	m.WallNanos += o.WallNanos
 }
 
 // addProbes adds per-grouping probe counts.
-func (m *NodeMetrics) addProbes(p []int64) {
-	if len(m.Probes) < len(p) {
-		m.Probes = append(m.Probes, make([]int64, len(p)-len(m.Probes))...)
+func (m *NodeMetrics) addProbes(p []int64) { addEach(&m.Probes, p) }
+
+// addColumnFolds adds per-grouping counts of folds by columns.
+func (m *NodeMetrics) addColumnFolds(f []int64) { addEach(&m.ColumnFolds, f) }
+
+// addEach adds the per-grouping counts p to *dst, growing it to p's length.
+func addEach(dst *[]int64, p []int64) {
+	if len(*dst) < len(p) {
+		*dst = append(*dst, make([]int64, len(p)-len(*dst))...)
 	}
 	for j, n := range p {
-		m.Probes[j] += n
+		(*dst)[j] += n
 	}
 }
 

@@ -170,6 +170,13 @@ type grouping struct {
 	ungrouped *sqlparser.Ident // first column read outside an aggregate and keys
 }
 
+// GroupedStarError is the error of a SELECT * whose block groups: Item
+// is the first select item that holds an aggregate, -1 when none does
+// and GROUP BY or HAVING groups it.
+type GroupedStarError struct{ Item int }
+
+func (*GroupedStarError) Error() string { return "translate: SELECT * is not valid in a grouped query" }
+
 // finish builds a SELECT's tail over its block plan, in one order for
 // every shape: Γ when the block groups or aggregates (by no keys without
 // GROUP BY), σ for HAVING, χ for each computed item, Π, ρ for aliases,
@@ -204,6 +211,7 @@ func (tr *Translator) finish(stmt *sqlparser.SelectStmt, plan algebra.Op, sc *sc
 	var mapBuf [4]computed
 	maps := mapBuf[:0]
 	g.active = true
+	aggItem := -1 // the first item holding an aggregate
 	for i, it := range stmt.Items {
 		// A column or an aggregate is output as it is; anything else is
 		// computed by χ.
@@ -219,6 +227,9 @@ func (tr *Translator) finish(stmt *sqlparser.SelectStmt, plan algebra.Op, sc *sc
 		}
 		if err != nil {
 			return nil, err
+		}
+		if aggItem < 0 && len(g.aggs) > 0 {
+			aggItem = i
 		}
 		// A column already output is output again under an alias as a
 		// copy χ computes: a rename would rename both.
@@ -249,7 +260,7 @@ func (tr *Translator) finish(stmt *sqlparser.SelectStmt, plan algebra.Op, sc *sc
 	g.active = false
 	if len(stmt.GroupBy) > 0 || having != nil || len(g.aggs) > 0 {
 		if stmt.Star {
-			return nil, fmt.Errorf("translate: SELECT * is not valid in a grouped query")
+			return nil, &GroupedStarError{Item: aggItem}
 		}
 		if g.ungrouped != nil {
 			return nil, fmt.Errorf("translate: column %s must appear in GROUP BY or inside an aggregate", g.ungrouped)

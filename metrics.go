@@ -46,6 +46,10 @@ type OpMetrics struct {
 	// disjunction's bypass operands, and the disjuncts before the first
 	// that reads the grouping's results, left undecided.
 	Probes []int64 `json:"probes,omitempty"`
+	// ColumnFolds is, per grouping of a binary grouping, how many of its
+	// evaluations folded the right input from its columns into per-key
+	// words rather than row by row into accumulators.
+	ColumnFolds []int64 `json:"column_folds,omitempty"`
 	// Wall is the cumulative inclusive evaluation time.
 	Wall time.Duration `json:"wall_ns"`
 	// Children are the IDs of the operator's physical inputs.
@@ -108,6 +112,7 @@ func newPlanMetrics(pp *prepared, nm []exec.NodeMetrics) *PlanMetrics {
 				om.VecCalls = m.VecCalls
 				om.HashBuildRows = m.HashBuildRows
 				om.Probes = m.Probes
+				om.ColumnFolds = m.ColumnFolds
 				om.Wall = m.Wall()
 			}
 			for _, c := range n.Children() {
@@ -160,6 +165,17 @@ func analyzeAnnot(pm *PlanMetrics) func(physical.Node) string {
 					p = m.Probes[j]
 				}
 				fmt.Fprintf(&b, "%d", p)
+			}
+			b.WriteString(", fold=")
+			for j := range bg.Groupings {
+				if j > 0 {
+					b.WriteByte('/')
+				}
+				if j < len(m.ColumnFolds) && m.ColumnFolds[j] > 0 {
+					b.WriteString("columns")
+				} else {
+					b.WriteString("rows")
+				}
 			}
 		}
 		if m.Morsels > 0 {

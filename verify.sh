@@ -197,6 +197,11 @@ go test -race -run 'TestCrashChaos' .
 # applies differently on every run; fifty runs each keep a one-in-ten
 # flake from hiding behind a single green run.
 go test -race -count=50 -run 'TestCloseDuringReplicaApply|TestCheckpointRacesDML|TestCloseImmediatelyAfterRecovery|TestViewRedefinitionRacesReaders' .
+# A hashed binary grouping's fold by columns hands each key partition's
+# worker pooled buffers of its own; twenty race runs of the column-path
+# differentials keep a buffer shared across morsel workers from hiding
+# behind one green run.
+go test -race -count=20 -run 'TestColumnFoldAgrees|TestColumnPathsAgree|TestDistinctStarOverKeyColumn' ./internal/exec
 # Adversarial scenario engine: the full 500-seed differential sweep
 # under -race (every generated query must answer identically across
 # canonical/unnested × interpreted/compiled evaluator × cache tiers ×

@@ -440,19 +440,38 @@ func (db *DB) applyUpdate(x *sqlparser.UpdateStmt) (int, []string, error) {
 		}
 	}
 	matching, err := db.dmlRows(snap, tbl, x.Where, x.Sets)
+	var grouped *translate.GroupedStarError
+	if errors.As(err, &grouped) && grouped.Item >= 0 {
+		// The statement's query groups only when a SET value aggregates.
+		a := x.Sets[grouped.Item]
+		return 0, nil, fmt.Errorf("disqo: UPDATE %s SET %s = %s: a SET value cannot be an aggregate", x.Table, a.Column, a.Value)
+	}
 	if err != nil {
 		return 0, nil, err
 	}
-	updated := 0
-	newRows := make([][]Value, len(tbl.Rel.Tuples))
-	for i, row := range tbl.Rel.Tuples {
-		e := matching.First(row, nil)
-		if e < 0 {
+	// ents[i] is the result row that table row i matches, -1 for none; the
+	// changed rows are cut from one slab. Matched rows stay as they are:
+	// the index compares later duplicates against them.
+	rows := tbl.Rel.Tuples
+	ents, updated := make([]int32, len(rows)), 0
+	for i, row := range rows {
+		if ents[i] = matching.First(row, nil); ents[i] >= 0 {
+			updated++
+		}
+	}
+	if updated == 0 {
+		return 0, nil, nil
+	}
+	width := len(tbl.Columns)
+	slab, newRows := make([]Value, 0, updated*width), make([][]Value, len(rows))
+	for i, row := range rows {
+		if ents[i] < 0 {
 			newRows[i] = row
 			continue
 		}
-		values := matching.Row(e)[len(row):]
-		next := append([]Value(nil), row...)
+		values := matching.Row(ents[i])[width:]
+		slab = append(slab, row...)
+		next := slab[len(slab)-width : len(slab) : len(slab)]
 		for k, c := range targets {
 			next[c] = values[k]
 		}
@@ -460,10 +479,6 @@ func (db *DB) applyUpdate(x *sqlparser.UpdateStmt) (int, []string, error) {
 			return 0, nil, err
 		}
 		newRows[i] = next
-		updated++
-	}
-	if updated == 0 {
-		return 0, nil, nil
 	}
 	return updated, []string{x.Table}, db.cat.ReplaceRows(x.Table, newRows)
 }

@@ -29,6 +29,9 @@ func withMorselSize(n int) Option {
 	return func(c *queryConfig) { c.MorselSize = n }
 }
 
+// WithMorselSize is withMorselSize for the package's external tests.
+func WithMorselSize(n int) Option { return withMorselSize(n) }
+
 // withMaxQueued replaces the admission queue's length (default 4 ×
 // MaxConcurrent); n < 0 leaves no queue, so a query that finds every
 // slot busy is shed at once.

@@ -210,6 +210,30 @@ func (a *Acc) dup(row []types.Value, cols []int) bool {
 	return !added
 }
 
+// poisonCount is what a poisoned accumulator (Scrub) holds.
+const poisonCount = -0x0badf00d
+
+// Scrub empties accs, a slab of accumulators handed back for reuse: it
+// hands each one's DISTINCT set back (types.RowIndex.Release) — a set is
+// its own, an overlay keeps none of its base's — and drops its running
+// MIN or MAX and its base, so that a pooled slab pins nothing. In a
+// build with the race detector (types.PoisonReleased) each keeps its
+// spec but holds a count, sum and best value no input folds to, so that a
+// result read after release decides wrongly.
+func Scrub(accs []Acc) {
+	for i := range accs {
+		a := &accs[i]
+		if a.seen != nil {
+			a.seen.Release()
+		}
+		if types.PoisonReleased {
+			*a = Acc{spec: a.spec, count: poisonCount, sum: poisonCount, sumI: poisonCount, isInt: true, best: types.NewInt(poisonCount)}
+		} else {
+			*a = Acc{}
+		}
+	}
+}
+
 // Result returns the aggregate value; on an empty (post-NULL-filtering)
 // input it returns f(∅): 0 for COUNT, NULL otherwise.
 func (a *Acc) Result() types.Value {

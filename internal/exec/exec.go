@@ -802,25 +802,16 @@ func (ex *Executor) evalUnion(u *physical.Union, env *Env) (*storage.Relation, e
 	return out, nil
 }
 
+// evalDistinct is one sequential pass of Relation.Distinct at every
+// worker count: the input is indexed once, in order, so the output keeps
+// first-seen order. Deduplicating morsels in parallel first would index
+// every row twice and copy the survivors' headers once more.
 func (ex *Executor) evalDistinct(d *physical.Distinct, env *Env) (*storage.Relation, error) {
 	in, err := ex.eval(d.Child, env)
 	if err != nil {
 		return nil, err
 	}
-	if ex.fanout(len(in.Tuples)) <= 1 {
-		return in.Distinct(), nil
-	}
-	// Dedup each morsel locally, then merge in morsel order: the result
-	// keeps first-seen order, identical to the sequential pass.
-	chunks, err := parMorsels(ex, len(in.Tuples),
-		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			local := &storage.Relation{Schema: in.Schema, Tuples: in.Tuples[lo:hi]}
-			return local.Distinct().Tuples, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return (&storage.Relation{Schema: in.Schema, Tuples: concatChunks(chunks)}).Distinct(), nil
+	return in.Distinct(), nil
 }
 
 func (ex *Executor) evalSort(s *physical.Sort, env *Env) (*storage.Relation, error) {

@@ -95,11 +95,14 @@ func (f *aggFeed) add(w *Executor, accs []agg.Acc, row []types.Value) error {
 // the item when it is new there — and, under an overlay, not in base's
 // set. That is the fold by rows (foldGroups); Γ²'s fold by columns
 // (foldWords) keeps only the index, and each entry's words in the
-// buffers words while it folds: no accumulator and no seen index.
+// buffers words while it folds: no accumulator and no seen index. The
+// indexes and the slab are pooled: the operator that folded the table
+// hands them back (release) once it has written its output.
 type groupTable struct {
 	ix    *types.RowIndex
 	base  []agg.Acc
 	accs  []agg.Acc
+	slab  *slab[agg.Acc] // accs' pooled buffer
 	seen  []*types.RowIndex
 	next  int         // the next entry to emit (Γ)
 	res   int         // where the entries' results start in Γ²'s results (foldKeys, foldWords)
@@ -112,7 +115,8 @@ type groupTable struct {
 // and its DISTINCT indexes for pairs (group, argument) pairs.
 func newGroupTable(args []physical.AggArg, rows [][]types.Value, keyCols []int, skipNulls bool, groups, pairs int, base []agg.Acc) *groupTable {
 	gt := &groupTable{ix: types.NewRowIndex(rows, keyCols, skipNulls, groups), base: base,
-		accs: make([]agg.Acc, 0, groups*len(args)), keys: len(keyCols)}
+		slab: accSlabs.take(groups * len(args)), keys: len(keyCols)}
+	gt.accs = gt.slab.s
 	for j := range args {
 		if cols := args[j].Dedup; cols != nil {
 			if gt.seen == nil {
@@ -122,6 +126,21 @@ func newGroupTable(args []physical.AggArg, rows [][]types.Value, keyCols []int, 
 		}
 	}
 	return gt
+}
+
+// release hands the table's indexes and accumulators back to their
+// pools. Nothing may read the table after.
+func (gt *groupTable) release() {
+	gt.ix.Release()
+	for _, s := range gt.seen {
+		if s != nil {
+			s.Release()
+		}
+	}
+	if gt.slab != nil {
+		gt.slab.s = gt.accs // grown past the slab, the grown buffer goes back
+		accSlabs.put(gt.slab)
+	}
 }
 
 // fold feeds input row i to the accumulators of its group, entry e,
@@ -161,12 +180,11 @@ func (gt *groupTable) fold(w *Executor, feed *aggFeed, i int, row []types.Value,
 	return nil
 }
 
-// newAccs returns fresh accumulators for the items args, each running
-// its Spec: a fold that deduplicates nothing itself.
-func newAccs(args []physical.AggArg) []agg.Acc {
-	accs := make([]agg.Acc, len(args))
+// newAccs appends to accs fresh accumulators for the items args, each
+// running its Spec: a fold that deduplicates nothing itself.
+func newAccs(accs []agg.Acc, args []physical.AggArg) []agg.Acc {
 	for i := range args {
-		accs[i] = *agg.NewAcc(args[i].Spec)
+		accs = append(accs, *agg.NewAcc(args[i].Spec))
 	}
 	return accs
 }
@@ -365,6 +383,7 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 			row[i] = item.Spec.Empty()
 		}
 		out.Tuples = [][]types.Value{row}
+		tables[0].release()
 		return out, nil
 	}
 	groups := 0
@@ -391,6 +410,9 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 		}
 		out.Tuples[k] = row
 	}
+	for _, gt := range tables {
+		gt.release()
+	}
 	return out, nil
 }
 
@@ -411,6 +433,12 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 // lookups. Nothing of size |L|·|R| is built, and since every group is
 // folded in R order on one goroutine, the fold order — hence any float
 // rounding — is the same for every worker count.
+//
+// Every grouping's tables, base and results table are handed back to
+// their pools once the probe's workers are joined. No output row aliases
+// them: a written row's results are copied out of the results table —
+// the row path's direct one too (writeKept, emitRow), the vector path's
+// through copyResults — and a PassLeft row is its left row.
 func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage.Relation, error) {
 	l, err := ex.eval(b.L, env)
 	if err != nil {
@@ -451,6 +479,9 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 	}
 	if err != nil {
 		return nil, err
+	}
+	for j := range gs {
+		gs[j].release()
 	}
 	out := storage.NewRelation(b.Schema())
 	out.Tuples = concatChunks(chunks)
@@ -601,6 +632,10 @@ type grouping struct {
 	neg    []int32
 	words  bool
 	base   []agg.Acc
+	// keySlab and baseSlab are the pooled buffers of keyRes, when hashed,
+	// and of base.
+	keySlab  *slab[types.Value]
+	baseSlab *slab[agg.Acc]
 	// lkey is the left input's key column as ints, when a left tuple's
 	// key is read from it (keyColumn), not from the tuple.
 	lkey *storage.ColVec
@@ -640,7 +675,9 @@ func (ex *Executor) foldGrouping(gr *grouping, g *physical.Grouping, compiled bo
 	// The base is what the sorted fold and a left tuple's scanned group
 	// overlay; an untagged hashed Γ² has none.
 	if !hashed || g.Tag != nil {
-		gr.base = newAccs(g.Args)
+		gr.baseSlab = accSlabs.take(len(g.Args))
+		gr.baseSlab.s = newAccs(gr.baseSlab.s, g.Args)
+		gr.base = gr.baseSlab.s
 	}
 	var err error
 	if g.Tag != nil {
@@ -661,14 +698,31 @@ func (ex *Executor) foldGrouping(gr *grouping, g *physical.Grouping, compiled bo
 		ex.creditHashBuild(selLen(r.Tuples, gr.neg))
 		if wf, ok := ex.wordFoldOf(g, r, keys); ok {
 			gr.words = true
-			gr.tables, gr.keyRes, err = ex.foldWords(g, wf, r, gr.neg, gr.base)
+			gr.tables, gr.keySlab, err = ex.foldWords(g, wf, r, gr.neg, gr.base)
 		} else {
-			gr.tables, gr.keyRes, err = ex.foldKeys(g, r, gr.neg, keys, gr.base, env)
+			gr.tables, gr.keySlab, err = ex.foldKeys(g, r, gr.neg, keys, gr.base, env)
+		}
+		if err == nil {
+			gr.keyRes = gr.keySlab.s
 		}
 	default:
 		ex.stats.NLJoins++
 	}
 	return err
+}
+
+// release hands the grouping's tables, results table and base back to
+// their pools, once its binary grouping is written.
+func (g *grouping) release() {
+	for _, gt := range g.tables {
+		gt.release()
+	}
+	if g.keySlab != nil {
+		valueSlabs.put(g.keySlab)
+	}
+	if g.baseSlab != nil {
+		accSlabs.put(g.baseSlab)
+	}
 }
 
 // entry returns where the results of left tuple lt's group start in a
@@ -726,9 +780,10 @@ func (g *grouping) scan(w *Executor, env *Env) func(lt, dst []types.Value) error
 // group) and are fed the key's rows in R order. A DISTINCT item whose
 // argument is columns of R is deduplicated as Γ's is, on (RCols,
 // argument columns), after base's set: no key keeps a set of its own. It
-// returns the tables and their results: base's first, then each table's
-// from its res on. keys is R's key column as foldGroups takes it.
-func (ex *Executor) foldKeys(b *physical.Grouping, r *storage.Relation, neg []int32, keys *storage.ColVec, base []agg.Acc, env *Env) ([]*groupTable, []types.Value, error) {
+// returns the tables and their results, in a pooled slab: base's first,
+// then each table's from its res on. keys is R's key column as
+// foldGroups takes it.
+func (ex *Executor) foldKeys(b *physical.Grouping, r *storage.Relation, neg []int32, keys *storage.ColVec, base []agg.Acc, env *Env) ([]*groupTable, *slab[types.Value], error) {
 	tables, err := ex.foldGroups(b.Args, r.Tuples, neg, b.RCols, keys, true, b.Groups, base, env)
 	if err != nil {
 		return nil, nil, err
@@ -737,7 +792,8 @@ func (ex *Executor) foldKeys(b *physical.Grouping, r *storage.Relation, neg []in
 	for _, gt := range tables {
 		size += len(gt.accs)
 	}
-	res := make([]types.Value, len(b.Aggs), size)
+	sl := valueSlabs.take(size)
+	res := sl.s[:len(b.Aggs)]
 	for i, item := range b.Aggs {
 		if res[i] = item.Spec.Empty(); base != nil {
 			res[i] = base[i].Result()
@@ -749,7 +805,8 @@ func (ex *Executor) foldKeys(b *physical.Grouping, r *storage.Relation, neg []in
 			res = append(res, gt.accs[i].Result())
 		}
 	}
-	return tables, res, nil
+	sl.s = res
+	return tables, sl, nil
 }
 
 // sortedFold is the sort-based binary grouping's index into its results
@@ -791,7 +848,7 @@ func (ex *Executor) foldSorted(b *physical.Grouping, r *storage.Relation, neg []
 		return c
 	})
 	n, m := len(b.Aggs), len(s.rows)
-	accs := newAccs(feed.args)
+	accs := newAccs(make([]agg.Acc, 0, len(feed.args)), feed.args)
 	res := make([]types.Value, (m+1)*n)
 	for k := 0; k <= m; k++ {
 		if k > 0 {

@@ -144,7 +144,9 @@ func (ex *Executor) takePairs(n int) [][2]int32 {
 // an NL join. On the vector path a left input that is a base table's
 // scan with one int key column is probed by its keys' words, read from
 // the column (keyColumn): a left row is touched only when it has a
-// partner, or passes an anti join, a NULL key included.
+// partner, or passes an anti join, a NULL key included. The build side's
+// index goes back to its pool once the probe's workers are joined: an
+// output row holds right rows, never the index.
 func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, error) {
 	l, err := ex.eval(j.L, env)
 	if err != nil {
@@ -256,6 +258,9 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 		})
 	if err != nil {
 		return nil, err
+	}
+	if ht != nil {
+		ht.Release()
 	}
 	out := storage.NewRelation(j.Schema())
 	out.Tuples = concatChunks(chunks)

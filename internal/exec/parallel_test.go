@@ -96,7 +96,7 @@ func TestParallelResultsIdentical(t *testing.T) {
 // TestParallelDistinct: DISTINCT over an input with no duplicate, and
 // over one whose only duplicate is its last row — of a row in another
 // morsel — answers the sequential Relation.Distinct at every worker
-// count; the morsel-parallel path dedups each morsel, then the merge.
+// count, which evalDistinct runs whatever the count.
 func TestParallelDistinct(t *testing.T) {
 	cat := bigCatalog(t, 3000)
 	tbl, err := cat.Lookup("l")

@@ -96,7 +96,7 @@ func wordColumn(cv *storage.ColVec) bool {
 // folds are order-free, so the results are the same at every worker
 // count and morsel size. The tables, results and their layout are
 // foldKeys'.
-func (ex *Executor) foldWords(g *physical.Grouping, wf wordFold, r *storage.Relation, neg []int32, base []agg.Acc) ([]*groupTable, []types.Value, error) {
+func (ex *Executor) foldWords(g *physical.Grouping, wf wordFold, r *storage.Relation, neg []int32, base []agg.Acc) ([]*groupTable, *slab[types.Value], error) {
 	n, na := selLen(r.Tuples, neg), len(g.Args)
 	parts := ex.fanout(n)
 	groups := estGroups(g.Groups, n) / parts
@@ -152,7 +152,8 @@ func (ex *Executor) foldWords(g *physical.Grouping, wf wordFold, r *storage.Rela
 	for _, gt := range tables {
 		size += gt.ix.Len() * na
 	}
-	res := make([]types.Value, na, size)
+	sl := valueSlabs.take(size)
+	res := sl.s[:na]
 	for j := range g.Args {
 		if res[j] = g.Args[j].Spec.Empty(); base != nil {
 			res[j] = base[j].Result()
@@ -167,7 +168,8 @@ func (ex *Executor) foldWords(g *physical.Grouping, wf wordFold, r *storage.Rela
 			}
 		}
 	}
-	return tables, res, nil
+	sl.s = res
+	return tables, sl, nil
 }
 
 // foldWord folds row i's argument into w: the value of col there — none

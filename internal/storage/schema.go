@@ -196,20 +196,21 @@ func (r *Relation) CloneAppend(extra ...[]types.Value) *Relation {
 // the index's entries, which are the first of each tuple in input order,
 // cut once to their number — or, when there is no duplicate, r's own
 // tuple slice, shared as a scan shares its table's: no operator writes
-// into a relation's slice, and a sort permutes a copy of it.
+// into a relation's slice, and a sort permutes a copy of it. The index
+// goes back to its pool once the rows are cut.
 func (r *Relation) Distinct() *Relation {
 	seen := types.NewRowIndex(r.Tuples, nil, false, len(r.Tuples))
 	for i := range r.Tuples {
 		seen.FindOrAdd(int32(i))
 	}
-	if seen.Len() == len(r.Tuples) {
-		return &Relation{Schema: r.Schema, Tuples: r.Tuples}
+	out := &Relation{Schema: r.Schema, Tuples: r.Tuples}
+	if seen.Len() < len(r.Tuples) {
+		out.Tuples = make([][]types.Value, seen.Len())
+		for e := range out.Tuples {
+			out.Tuples[e] = seen.Row(int32(e))
+		}
 	}
-	out := NewRelation(r.Schema)
-	out.Tuples = make([][]types.Value, seen.Len())
-	for e := range out.Tuples {
-		out.Tuples[e] = seen.Row(int32(e))
-	}
+	seen.Release()
 	return out
 }
 

@@ -1,6 +1,9 @@
 package types
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // RowIndex is an insertion-ordered hash index over the rows of one
 // relation, keyed on some of their columns: the engine's one "hash →
@@ -9,7 +12,8 @@ import "math/bits"
 // that relation — never a copy of the row — and a 32-bit tag, the high
 // half of the row's key hash, whose top bits pick the entry's slot. Slot
 // heads, slot tails and each entry's chain link, row number and tag all
-// sit in one int32 block, allocated per growth step, not per entry.
+// sit in one int32 block, taken from its slot class's pool, not
+// allocated per entry.
 // Entries sharing a slot chain in insertion order, so a probe meets its
 // matches in the order they were added; a tag match is confirmed by a
 // full key compare.
@@ -27,6 +31,12 @@ import "math/bits"
 // rows owns them: Push appends a row to them when its key is new, and
 // they grow with the block. Either way the rows are references, never
 // copies; rows are immutable once built.
+//
+// An index is taken from the pool of its number of slots, a power of two
+// (NewRowIndex), and an index whose owner dies with the function that
+// built it is handed back to that pool (Release) — so a warm query
+// allocates no index. A growth step hands the block it replaces back the
+// same way.
 //
 // Keys compare under Identical (NULL matches NULL). With skipNulls — SQL
 // equality, for join keys — a key holding a NULL hashes as not ok: such
@@ -56,17 +66,94 @@ type RowIndex struct {
 
 // NewRowIndex returns an empty index over rows — nil for an index that
 // owns the rows Push gives it — keyed on cols (nil: the whole row),
-// sized for exactly capacity entries: it grows only past them; nothing
-// is allocated before the first entry when capacity is 0.
+// sized for exactly capacity entries: it grows only past them. It is
+// taken from the pool of its slot class (takeIndex).
 func NewRowIndex(rows [][]Value, cols []int, skipNulls bool, capacity int) *RowIndex {
-	ix := &RowIndex{rows: rows, owns: rows == nil, cols: cols, skipNulls: skipNulls, stride: 3}
+	stride := 3
 	if len(cols) == 1 {
-		ix.stride = 5
+		stride = 5
 	}
-	if capacity > 0 {
-		ix.grow(capacity)
+	ix := takeIndex(stride, capacity)
+	ix.rows, ix.owns, ix.cols, ix.skipNulls = rows, rows == nil, cols, skipNulls
+	if ix.owns && capacity > 0 {
+		ix.rows = make([][]Value, 0, capacity)
 	}
 	return ix
+}
+
+// indexes holds released indexes, by stride (3, or 5 keyed on one
+// column) and slot class: class c holds indexes of 1<<c slots, each
+// with its block.
+var indexes [2][32]sync.Pool
+
+// poolOf returns the pool of indexes of stride over s slots.
+func poolOf(stride, s int) *sync.Pool {
+	return &indexes[stride/5][bits.TrailingZeros(uint(s))]
+}
+
+// slotsFor is the number of slots of an index of capacity entries: the
+// smallest power of two, at least 8, that holds them.
+func slotsFor(capacity int) int {
+	s := 8
+	for s < capacity {
+		s *= 2
+	}
+	return s
+}
+
+// takeIndex returns an empty index of stride with room for exactly
+// capacity entries, over slotsFor(capacity) slots: a released one of that
+// class, the slot heads its entries used reset, or a new one. A recycled
+// block too small for capacity is replaced by one for the class's
+// largest, so that the class's blocks come to fit every capacity it
+// serves; a new index's block is exactly its size, but has room for 8
+// entries, so that an index sized for none grows to its first 8 in place.
+func takeIndex(stride, capacity int) *RowIndex {
+	s := slotsFor(capacity)
+	need := 2*s + stride*capacity
+	ix, _ := poolOf(stride, s).Get().(*RowIndex)
+	switch {
+	case ix == nil:
+		ix = &RowIndex{stride: stride, slots: s, shift: uint(32 - bits.TrailingZeros(uint(s))), block: make([]int32, need, 2*s+stride*max(capacity, 8))}
+		ix.clearHeads()
+	case cap(ix.block) < need:
+		ix.block = make([]int32, need, 2*s+stride*s)
+		ix.clearHeads()
+	default:
+		// A poisoned block's tags are all -1, which resets one slot: its
+		// heads are -1 already.
+		heads := ix.block[:s]
+		for e := 0; e < ix.n; e++ {
+			heads[ix.slot(ix.block[2*s+stride*e+2])] = -1
+		}
+		ix.block = ix.block[:need]
+	}
+	ix.n = 0
+	return ix
+}
+
+// clearHeads marks every slot empty.
+func (ix *RowIndex) clearHeads() {
+	for i := range ix.block[:ix.slots] {
+		ix.block[i] = -1
+	}
+}
+
+// Release hands the index back to the pool of its slot class, for
+// NewRowIndex to take again: neither the caller nor anything it handed
+// the index to may use it after. It drops the index's references to the
+// rows, so that a pooled index pins none; in a build with the race
+// detector it also fills the block with -1, so that a use after release
+// finds no entry, or row 0 for every one, and decides wrongly where it
+// would otherwise read stale entries that still happen to be right.
+func (ix *RowIndex) Release() {
+	ix.rows, ix.owns, ix.cols, ix.collide = nil, false, nil, nil
+	if PoisonReleased {
+		for i := range ix.block {
+			ix.block[i] = -1
+		}
+	}
+	poolOf(ix.stride, ix.slots).Put(ix)
 }
 
 // Len is the number of entries; they are numbered [0, Len) in insertion
@@ -210,8 +297,8 @@ func (ix *RowIndex) link(e int32) {
 	s, at := ix.slots, 2*ix.slots+ix.stride*int(e)
 	slot := ix.slot(ix.block[at+2])
 	ix.block[at] = -1
-	if tail := ix.block[s+slot]; tail >= 0 {
-		ix.block[2*s+ix.stride*int(tail)] = e
+	if ix.block[slot] >= 0 { // the tail is read only behind a head: a recycled block's are stale
+		ix.block[2*s+ix.stride*int(ix.block[s+slot])] = e
 	} else {
 		ix.block[slot] = e
 	}
@@ -219,23 +306,25 @@ func (ix *RowIndex) link(e int32) {
 }
 
 // grow re-creates the block for exactly capacity entries, over the
-// smallest power-of-two number of slots (at least 8) that holds them,
-// and relinks the entries in insertion order; an owning index's rows
-// grow to the same capacity with it.
+// smallest power-of-two number of slots (at least 8) that holds them, and
+// relinks the entries in insertion order; the block it replaces goes back
+// to its class's pool (Release), in the shell the new one came in. A
+// block that already has room for capacity over as many slots only
+// lengthens. An owning index's rows grow to the same capacity with it.
 func (ix *RowIndex) grow(capacity int) {
-	s := 8
-	for s < capacity {
-		s *= 2
-	}
-	old, olds := ix.block, ix.slots
 	st := ix.stride
-	ix.block, ix.slots, ix.shift = make([]int32, 2*s+st*capacity), s, uint(32-bits.TrailingZeros(uint(s)))
-	for i := range ix.block[:2*s] {
-		ix.block[i] = -1
-	}
-	for e := 0; e < ix.n; e++ {
-		copy(ix.block[2*s+st*e+1:][:st-1], old[2*olds+st*e+1:])
-		ix.link(int32(e))
+	if s := slotsFor(capacity); s == ix.slots && cap(ix.block) >= 2*s+st*capacity {
+		ix.block = ix.block[:2*s+st*capacity]
+	} else {
+		t := takeIndex(st, capacity)
+		old, olds := ix.block, ix.slots
+		ix.block, ix.slots, ix.shift, t.block, t.slots, t.shift = t.block, t.slots, t.shift, ix.block, ix.slots, ix.shift
+		for e := 0; e < ix.n; e++ {
+			copy(ix.block[2*s+st*e+1:][:st-1], old[2*olds+st*e+1:])
+			ix.link(int32(e))
+		}
+		t.n = ix.n
+		t.Release()
 	}
 	if ix.owns {
 		rows := make([][]Value, len(ix.rows), capacity)

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"disqo/internal/testutil"
 )
 
 // refIndex is the structure RowIndex replaced, kept as its reference: a
@@ -263,9 +265,9 @@ func TestRowIndexAgainstReference(t *testing.T) {
 }
 
 // checkAgainstReference runs one configuration of
-// TestRowIndexAgainstReference: enough rows to fill an index presized to
+// TestRowIndexAgainstReference, and returns its index: enough rows to fill an index presized to
 // capacity and grow it past that.
-func checkAgainstReference(t *testing.T, name string, collide func(uint64) uint64, capacity int, skipNulls bool, cols []int, owning bool) {
+func checkAgainstReference(t *testing.T, name string, collide func(uint64) uint64, capacity int, skipNulls bool, cols []int, owning bool) *RowIndex {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(len(name)) + int64(len(cols)) + int64(capacity)))
 	val := func() Value {
@@ -364,6 +366,7 @@ func checkAgainstReference(t *testing.T, name string, collide func(uint64) uint6
 			t.Fatalf("%s: entry %d is not the row that founded it", name, e)
 		}
 	}
+	return ix
 }
 
 // buildAll adds every row of rows to a fresh index presized to capacity,
@@ -438,5 +441,60 @@ func TestRowIndexOneBlock(t *testing.T) {
 	}
 	if bytes, most := 4*cap(ix.block), 12*n+8*ix.slots; ix.Len() != n || bytes > most {
 		t.Errorf("%d entries over %d slots in a %d-byte block, want at most %d", ix.Len(), ix.slots, bytes, most)
+	}
+}
+
+// TestRowIndexRecycled checks indexes taken from pools that released
+// indexes left dirty — full chains, stale tails, other rows' tags, blocks
+// too small for the capacity asked — against the reference, at both
+// strides, each configuration's index released for the next to take: a
+// recycled index must hold nothing of the one released before it. (Its
+// capacities keep every index under 8 192 slots, the class whose fresh
+// allocation TestRowIndexOneBlock counts.)
+func TestRowIndexRecycled(t *testing.T) {
+	rows := make([][]Value, 3000)
+	for i := range rows {
+		rows[i] = []Value{NewInt(int64(i % 1700)), NewString("x")}
+	}
+	for _, cols := range [][]int{nil, {0}} {
+		for _, capacity := range []int{0, 9, 300, 1000} {
+			ix := NewRowIndex(rows, cols, false, capacity)
+			for i := range rows {
+				ix.FindOrAdd(int32(i))
+			}
+			ix.Release()
+		}
+	}
+	for _, capacity := range []int{0, 1, 9, 300, 1000} {
+		for _, skipNulls := range []bool{false, true} {
+			for _, cols := range [][]int{nil, {1}, {2, 0}} {
+				for _, owning := range []bool{false, true} {
+					checkAgainstReference(t, "real", nil, capacity, skipNulls, cols, owning).Release()
+				}
+			}
+		}
+	}
+}
+
+// TestRowIndexRecycledAllocatesNothing: a warm index taken, filled and
+// released allocates nothing, at either stride.
+func TestRowIndexRecycledAllocatesNothing(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	rows := make([][]Value, 1000)
+	for i := range rows {
+		rows[i] = []Value{NewInt(int64(i % 300)), NewInt(int64(i))}
+	}
+	for _, cols := range [][]int{nil, {0}} {
+		if got := testing.AllocsPerRun(10, func() {
+			ix := NewRowIndex(rows, cols, false, len(rows))
+			for i := range rows {
+				ix.FindOrAdd(int32(i))
+			}
+			ix.Release()
+		}); got != 0 {
+			t.Errorf("cols %v: a warm index allocates %.0f objects per take, fill and release, want 0", cols, got)
+		}
 	}
 }

@@ -202,6 +202,12 @@ go test -race -count=50 -run 'TestCloseDuringReplicaApply|TestCheckpointRacesDML
 # differentials keep a buffer shared across morsel workers from hiding
 # behind one green run.
 go test -race -count=20 -run 'TestColumnFoldAgrees|TestColumnPathsAgree|TestDistinctStarOverKeyColumn' ./internal/exec
+# DISTINCT indexes, group tables, accumulator slabs and results tables
+# come from pools every query and morsel worker shares, poisoned on
+# release under -race; ten race runs of eight goroutines over the Fig. 7
+# statements keep a table handed back while another still reads it from
+# hiding behind one green run.
+go test -race -count=10 -run 'TestRecycledTablesConcurrent' .
 # Adversarial scenario engine: the full 500-seed differential sweep
 # under -race (every generated query must answer identically across
 # canonical/unnested × interpreted/compiled evaluator × cache tiers ×

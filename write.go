@@ -364,7 +364,7 @@ func dmlQuery(tbl *catalog.Table, where sqlparser.Expr, sets []sqlparser.Assignm
 // step of the write statement holding writeMu — against src, the
 // statement's pre-image snapshot. It returns the result rows indexed on
 // the table's columns, by value: a table row matches the result rows
-// identical to it.
+// identical to it. The caller releases the index after its last use.
 func (db *DB) dmlRows(src catalog.Reader, tbl *catalog.Table, where sqlparser.Expr, sets []sqlparser.Assignment) (*types.RowIndex, error) {
 	cfg := db.newQueryConfig()
 	pp, _, err := db.planStmt(src, dmlQuery(tbl, where, sets), cache.PlanKey{}, cfg)
@@ -411,6 +411,7 @@ func (db *DB) applyDelete(x *sqlparser.DeleteStmt) (int, []string, error) {
 			kept = append(kept, row)
 		}
 	}
+	matching.Release()
 	deleted := len(tbl.Rel.Tuples) - len(kept)
 	if deleted == 0 {
 		return 0, nil, nil
@@ -460,6 +461,7 @@ func (db *DB) applyUpdate(x *sqlparser.UpdateStmt) (int, []string, error) {
 		}
 	}
 	if updated == 0 {
+		matching.Release()
 		return 0, nil, nil
 	}
 	width := len(tbl.Columns)
@@ -480,5 +482,6 @@ func (db *DB) applyUpdate(x *sqlparser.UpdateStmt) (int, []string, error) {
 		}
 		newRows[i] = next
 	}
+	matching.Release()
 	return updated, []string{x.Table}, db.cat.ReplaceRows(x.Table, newRows)
 }

@@ -142,15 +142,9 @@ func (e *ServerError) Is(target error) bool {
 
 // ServerStatus is a ping response; see Client.Ping.
 type ServerStatus struct {
-	// Role is "writer" or "replica".
-	Role     string
 	Draining bool
 	Sessions int
 	Conns    int
-	// AppliedLSN and Staleness describe a replica's position: last WAL
-	// record applied, and time since the writer was last heard from.
-	AppliedLSN uint64
-	Staleness  time.Duration
 }
 
 // Query executes a SELECT on the server. The result's rows are
@@ -238,7 +232,7 @@ func (c *Client) SetTimeout(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// Ping reports the server's role, drain state, and session gauges.
+// Ping reports the server's drain state and session gauges.
 func (c *Client) Ping(ctx context.Context) (*ServerStatus, error) {
 	resp, err := c.do(ctx, &wire.Request{Op: wire.OpPing}, true)
 	if err != nil {
@@ -248,12 +242,9 @@ func (c *Client) Ping(ctx context.Context) (*ServerStatus, error) {
 		return nil, &ServerError{Kind: wire.KindProtocol, Message: "ping response without server info"}
 	}
 	return &ServerStatus{
-		Role:       resp.Server.Role,
-		Draining:   resp.Server.Draining,
-		Sessions:   resp.Server.Sessions,
-		Conns:      resp.Server.Conns,
-		AppliedLSN: resp.Server.AppliedLSN,
-		Staleness:  time.Duration(resp.Server.StalenessMS) * time.Millisecond,
+		Draining: resp.Server.Draining,
+		Sessions: resp.Server.Sessions,
+		Conns:    resp.Server.Conns,
 	}, nil
 }
 
@@ -408,8 +399,11 @@ func (c *Client) exchangeLocked(ctx context.Context, req *wire.Request, dl time.
 	}
 	// A context cancellation mid-exchange closes the socket: the failed
 	// read surfaces immediately here, and the server's watching reader
-	// cancels the in-flight query within one morsel.
-	stop := context.AfterFunc(ctx, func() { c.conn.Close() })
+	// cancels the in-flight query within one morsel. The closure holds
+	// this exchange's conn, not the field: stop does not wait for a
+	// closure already started, which may run after Close has nilled it.
+	conn := c.conn
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 	c.conn.SetDeadline(dl)
 	if _, err := c.conn.Write(append(data, '\n')); err != nil {

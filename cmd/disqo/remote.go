@@ -28,11 +28,7 @@ func connectMode(addr, execSQL string, timeout time.Duration, settings map[strin
 		}
 	}
 	if st, err := c.Ping(nil); err == nil {
-		extra := ""
-		if st.Role == "replica" {
-			extra = fmt.Sprintf(" (applied LSN %d, staleness %s)", st.AppliedLSN, st.Staleness.Round(time.Millisecond))
-		}
-		fmt.Fprintf(os.Stderr, "connected to %s: %s, %d sessions%s\n", addr, st.Role, st.Sessions, extra)
+		fmt.Fprintf(os.Stderr, "connected to %s: %d sessions\n", addr, st.Sessions)
 	}
 	run := func(sql string) { runStatement(sql, c.Exec, c.QueryContext) }
 	if execSQL != "" {
@@ -49,14 +45,9 @@ func ping(c *disqo.Client) {
 		reportError(err)
 		return
 	}
-	fmt.Printf("role:      %s\n", st.Role)
 	fmt.Printf("sessions:  %d (%d conns)\n", st.Sessions, st.Conns)
 	if st.Draining {
 		fmt.Println("draining:  yes — finish up and reconnect elsewhere")
-	}
-	if st.Role == "replica" {
-		fmt.Printf("applied:   LSN %d\n", st.AppliedLSN)
-		fmt.Printf("staleness: %s since last writer contact\n", st.Staleness.Round(time.Millisecond))
 	}
 }
 
@@ -95,7 +86,7 @@ func remoteCommand(c *disqo.Client, line string, fields []string) {
 		}
 		runQuery(func(ctx context.Context) (*disqo.Result, error) { return c.QueryPrepared(ctx, fields[1]) })
 	case "\\help":
-		fmt.Println("\\ping                    server role, drain state, replica staleness\n\\set [<name> <value>]    set a session setting, or list the settings\n\\timeout <d>             set the default request timeout (0 clears)\n\\prepare <name> <sql>    register a prepared statement\n\\run <name>              execute a prepared statement\n\\q                       quit")
+		fmt.Println("\\ping                    drain state and session counts\n\\set [<name> <value>]    set a session setting, or list the settings\n\\timeout <d>             set the default request timeout (0 clears)\n\\prepare <name> <sql>    register a prepared statement\n\\run <name>              execute a prepared statement\n\\q                       quit")
 	default:
 		fmt.Printf("unknown command %s in remote mode (try \\help)\n", fields[0])
 	}

@@ -1,15 +1,8 @@
 // Command disqod serves a disqo database over TCP using the
 // newline-delimited JSON protocol in internal/wire.
 //
-// Writer mode (the default) opens the database — durably when -data is
-// set — and serves reads and writes. With -data, replicas can connect
-// and stream the WAL.
-//
-// Replica mode (-replica-of addr) opens a volatile database, follows
-// the writer's replication stream (snapshot bootstrap plus WAL tail),
-// and serves reads only; writes fail with a read_only error. The
-// replica keeps serving — at bounded staleness — while the writer is
-// down, and reconnects when it returns.
+// It opens the database — durably when -data is set — and serves reads
+// and writes.
 //
 // SIGTERM or SIGINT drains gracefully: the listener closes, idle
 // sessions get a typed closed error, in-flight requests finish (bounded
@@ -34,7 +27,6 @@ func main() {
 	var (
 		listen       = flag.String("listen", ":4333", "address to serve the wire protocol on")
 		dataDir      = flag.String("data", "", "durable data directory (WAL + checkpoints); empty = volatile")
-		replicaOf    = flag.String("replica-of", "", "writer address to follow; serves reads only")
 		debugAddr    = flag.String("debug", "", "debug HTTP listener (/metrics, /statz, /debug/pprof); empty = off")
 		maxConns     = flag.Int("max-conns", 256, "max concurrent client connections (<0 = unlimited)")
 		maxConc      = flag.Int("max-concurrent", 0, "max concurrently executing queries (0 = 8×GOMAXPROCS)")
@@ -50,15 +42,6 @@ func main() {
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("disqod: ")
-
-	if *dataDir != "" && *replicaOf != "" {
-		log.Fatal("-data and -replica-of are mutually exclusive: a replica's state comes from the writer's stream")
-	}
-
-	role := server.RoleWriter
-	if *replicaOf != "" {
-		role = server.RoleReplica
-	}
 
 	// The metrics hook closes over srv before Open creates the DB the
 	// server needs; it only fires on scrapes, by which time srv is set.
@@ -104,46 +87,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	cfg := server.Config{
+	srv, err = server.New(server.Config{
 		DB:           db,
-		Role:         role,
-		DataDir:      *dataDir,
 		MaxConns:     *maxConns,
 		IdleTimeout:  *idleTimeout,
 		FrameTimeout: *frameTimeout,
 		WriteTimeout: *writeTimeout,
 		MaxFrame:     *maxFrame,
 		Logf:         log.Printf,
-	}
-
-	var rep *server.Replica
-	if role == server.RoleReplica {
-		rep, err = server.NewReplica(server.ReplicaConfig{
-			DB:     db,
-			Writer: *replicaOf,
-			Logf:   log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("replica: %v", err)
-		}
-		cfg.Staleness = rep.Staleness
-	}
-
-	srv, err = server.New(cfg)
+	})
 	if err != nil {
 		log.Fatalf("server: %v", err)
-	}
-
-	repDone := make(chan struct{})
-	if rep != nil {
-		go func() {
-			defer close(repDone)
-			if err := rep.Run(ctx); err != nil && ctx.Err() == nil {
-				log.Printf("replication stopped: %v", err)
-			}
-		}()
-	} else {
-		close(repDone)
 	}
 
 	serveErr := make(chan error, 1)
@@ -168,7 +122,6 @@ func main() {
 		log.Printf("drain: %v", err)
 	}
 	<-serveErr
-	<-repDone
 	if err := db.Close(); err != nil {
 		log.Printf("close: %v", err)
 		os.Exit(1)

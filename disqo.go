@@ -237,8 +237,8 @@ type DB struct {
 	// commit of it with Snapshot.
 	cat *catalog.Catalog
 
-	// writeMu serializes writes (commit in write.go; also checkpoints and
-	// a replica's snapshot install). Readers never take it.
+	// writeMu serializes writes (commit in write.go; also checkpoints).
+	// Readers never take it.
 	writeMu sync.Mutex
 
 	// gate is the admission controller; nil means unlimited admission.
@@ -288,14 +288,6 @@ type DB struct {
 	idle         chan struct{}
 	closeErr     error
 	drainTimeout time.Duration
-
-	// Replica apply state (see replica.go): replicaMu serializes the
-	// apply loop and orders strictly before writeMu; replicaLSN is the
-	// last log record applied, replicaSnaps/replicaRecs count applies.
-	replicaMu    sync.Mutex
-	replicaLSN   uint64
-	replicaSnaps uint64
-	replicaRecs  uint64
 }
 
 // openOptions holds what the OpenOption values given to Open set, one

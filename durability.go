@@ -330,9 +330,8 @@ func (db *DB) install(st wal.CheckpointState) error {
 // version — if replay has diverged from what the log says it applied
 // against, recovery fails closed rather than building a different
 // database — decode the record to a write, commit it (logging is
-// suppressed while recovering, and a replica has no log). The caller is
-// already admitted — recovery runs inside Open, ReplicaApplyRecord
-// holds a begin — so ErrClosed can never be reported as log damage.
+// suppressed while recovering). Recovery runs inside Open, before the
+// DB is reachable, so ErrClosed can never be reported as log damage.
 func (db *DB) applyRecord(rec wal.Record) error {
 	if v := db.cat.Version(); v != rec.AppliedVersion {
 		return &RecoveryError{

@@ -1,21 +1,17 @@
 // Races the durability layer was built to survive: checkpoints cutting
-// the log while DML commits, Close arriving while a replica apply loop
-// is mid-record, and Close immediately after a recovery replay. All
-// leak-checked; tier-1 runs this file under -race, which is where the
-// lock-ordering guarantees (replicaMu before writeMu, checkpoint under
-// writeMu) actually get exercised.
+// the log while DML commits, and Close immediately after a recovery
+// replay. All leak-checked; tier-1 runs this file under -race, which is
+// where the lock-ordering guarantee (checkpoint under writeMu) actually
+// gets exercised.
 package disqo_test
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
 	"disqo"
 	"disqo/internal/testutil"
-	"disqo/internal/wal"
 )
 
 // TestCheckpointRacesDML hammers Checkpoint from one goroutine while
@@ -85,74 +81,6 @@ func TestCheckpointRacesDML(t *testing.T) {
 	}
 	if n, _ := res.Rows[0][0].IntOk(); n != writers*perWriter {
 		t.Fatalf("recovered %d rows, want %d", n, writers*perWriter)
-	}
-}
-
-// TestCloseDuringReplicaApply drives a real writer's WAL records into a
-// replica from one goroutine and closes the replica mid-stream from
-// another. The apply loop must end with ErrClosed (never deadlock
-// between replicaMu, writeMu, and the drain latch), and whatever prefix
-// applied must be consistent.
-func TestCloseDuringReplicaApply(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	// Build a real record stream: a writer's log carries the catalog
-	// pre-image versions the apply path verifies against.
-	dir := t.TempDir()
-	w, err := disqo.Open(disqo.WithDataDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Exec("CREATE TABLE t (a INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if _, err := w.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d)", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(wal.LogPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, _, _, err := wal.Scan(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for trial := 0; trial < 8; trial++ {
-		rdb, err := disqo.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		applied := make(chan int, 1)
-		closeAt := make(chan struct{})
-		go func() {
-			n := 0
-			for i, rec := range recs {
-				if i == 3+trial*9 {
-					close(closeAt)
-				}
-				if err := rdb.ReplicaApplyRecord(rec); err != nil {
-					if !errors.Is(err, disqo.ErrClosed) {
-						t.Errorf("trial %d: apply error %v, want ErrClosed", trial, err)
-					}
-					break
-				}
-				n++
-			}
-			applied <- n
-		}()
-		<-closeAt
-		if err := rdb.Close(); err != nil {
-			t.Fatalf("trial %d: close during apply: %v", trial, err)
-		}
-		n := <-applied
-		if got := rdb.ReplicaState().AppliedLSN; got != recs[n-1].LSN {
-			t.Fatalf("trial %d: applied LSN %d after %d records, want %d", trial, got, n, recs[n-1].LSN)
-		}
 	}
 }
 

@@ -88,8 +88,7 @@ type View struct {
 }
 
 // NewView is the one place CREATE VIEW text becomes a view: the DDL
-// statement, crash recovery and a replica's snapshot install all come
-// through here. A parse failure is returned as the parser's own error.
+// statement and crash recovery both come through here. A parse failure is returned as the parser's own error.
 // The body is not checked against any table — a view may outlive the
 // tables it names, and whoever defines one live validates it first.
 func NewView(sql string) (*View, error) {

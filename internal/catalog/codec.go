@@ -290,13 +290,11 @@ func (s *Snapshot) Tables() []*Table {
 // Restore replaces the catalog's entire state — tables, views and the
 // commit counter they were published under — in one commit: recovery's
 // first step, before WAL replay resumes normal copy-on-write mutation
-// from that counter, and a replica's snapshot install, where a
-// concurrent reader pins the old state or the new, never a mix.
+// from that counter.
 //
 // Every definition may change, so the schema epoch moves past the epoch
-// of the state replaced — a plan keyed before a replica's snapshot
-// install cannot match after it — and past the restored commit counter,
-// so a recovered catalog's epochs start beyond the checkpoint's commits.
+// of the state replaced and past the restored commit counter, so a
+// recovered catalog's epochs start beyond the checkpoint's commits.
 // Epochs are not persisted: no plan outlives its process.
 func (c *Catalog) Restore(tables []*Table, views []*View, version uint64) {
 	next := &Snapshot{

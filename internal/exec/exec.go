@@ -177,9 +177,6 @@ type Executor struct {
 	ticks    int
 	msize    int  // validated Options.MorselSize (see New)
 	isWorker bool // worker clones never fan out again (no nested pools)
-	// pairs is the output record of a join's or a binary grouping's
-	// morsel, reused across morsels (takePairs).
-	pairs [][2]int32
 }
 
 // sharedState is the cross-worker state: the DAG/subquery memo (with a

@@ -508,7 +508,8 @@ func (ex *Executor) probeRows(b *physical.BinaryGroup, l *storage.Relation, gs [
 			// read none. res is the results table when direct, else the
 			// morsel's tuples' results, total each, kept while the tuple's
 			// are written. Keep sees a tuple ◦ its results through kf, kr.
-			picks := w.takePairs(hi - lo)
+			ps := pairSlabs.take(hi - lo)
+			picks := ps.s
 			var kf, kr *Env
 			if b.Keep != nil {
 				kf, kr = pairFrames(env)
@@ -573,7 +574,10 @@ func (ex *Executor) probeRows(b *physical.BinaryGroup, l *storage.Relation, gs [
 			if probes != nil {
 				w.metric(b).addProbes(probes)
 			}
-			return w.writeKept(b, picks, l.Tuples[lo:hi], res, total), nil
+			out := w.writeKept(b, picks, l.Tuples[lo:hi], res, total)
+			ps.s = picks
+			pairSlabs.put(ps)
+			return out, nil
 		})
 }
 
@@ -948,7 +952,7 @@ func (ex *Executor) split(b *physical.Grouping, r *storage.Relation, compiled bo
 // writeKept cuts the rows of a binary grouping's morsel that picks
 // records, each left ◦ its total results in res, from one slab of
 // exactly their number — or, when b passes its left rows, takes each as
-// its left row cut to width — and puts the pair record back.
+// its left row cut to width.
 func (w *Executor) writeKept(b *physical.BinaryGroup, picks [][2]int32, left [][]types.Value, res []types.Value, total int) [][]types.Value {
 	out, width := make([][]types.Value, len(picks)), b.Schema().Len()
 	slab := w.slab(width, len(picks))
@@ -963,6 +967,5 @@ func (w *Executor) writeKept(b *physical.BinaryGroup, picks [][2]int32, left [][
 			out[j] = slab.emitRow(b.Emit, left[p[0]], r)
 		}
 	}
-	w.pairs = picks[:0]
 	return out
 }

@@ -115,19 +115,6 @@ func (ex *Executor) holds(pred *physical.Bound, lf, rf *Env, l, r []types.Value)
 	return t.IsTrue(), err
 }
 
-// takePairs takes the executor's output record for a morsel of n left
-// tuples, empty; the operator puts it back when the morsel's rows are
-// written, so an operator nested under its predicates finds none and
-// uses its own.
-func (ex *Executor) takePairs(n int) [][2]int32 {
-	pairs := ex.pairs[:0]
-	ex.pairs = nil
-	if cap(pairs) < n {
-		pairs = make([][2]int32, 0, n)
-	}
-	return pairs
-}
-
 // evalJoin is every join, in morsels over the left input. The candidate
 // partners of a left tuple are the right tuples equal on the key columns
 // — probed from a hash index built on the right input — or, when the
@@ -178,7 +165,8 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 	var pending atomic.Int64 // operator-wide output size for the budget
 	chunks, err := parMorsels(ex, len(l.Tuples),
 		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			pairs := w.takePairs(hi - lo)
+			ps := pairSlabs.take(hi - lo)
+			pairs := ps.s
 			lf, rf := pairFrames(env)
 			for i, lt := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
@@ -253,7 +241,8 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 					out[k] = slab.emitRow(j.Emit, lt, r.Tuples[p[1]])
 				}
 			}
-			w.pairs = pairs[:0]
+			ps.s = pairs
+			pairSlabs.put(ps)
 			return out, nil
 		})
 	if err != nil {

@@ -49,13 +49,12 @@ func (ex *Executor) fanout(n int) int {
 
 // workerClone returns an executor sharing this one's plan, memo, and
 // abort latch but with private Stats and NodeMetrics shards (merged by
-// parTasks), tick counter and join scratch.
+// parTasks) and tick counter.
 func (ex *Executor) workerClone() *Executor {
 	w := *ex
 	w.stats = Stats{}
 	w.ticks = 0
 	w.isWorker = true
-	w.pairs = nil
 	if ex.nm != nil {
 		w.nm = make([]NodeMetrics, len(ex.nm))
 	}

@@ -10,15 +10,18 @@ import (
 
 // The unnested plan's operators build tables that live exactly as long
 // as one operator: a Γ's or Γ²'s group tables and DISTINCT sets, a Γ²'s
-// base accumulators and results table, a join's build side. Each is
+// base accumulators and results table, a join's build side — or as long
+// as one morsel: a join's or Γ²'s record of the pairs it writes. Each is
 // taken from a pool and handed back where its operator ends, once no
 // worker reads it and no output row aliases it, so that a warm query
 // builds none. The indexes are types.RowIndex's own pools; the
-// accumulator slabs and results tables are slabs, pooled here. An error
+// accumulator slabs, results tables and pair records are slabs, pooled
+// here. An error
 // path hands nothing back: its tables fall to the collector.
 
-// slab is a pooled run of E: a group table's or a base's accumulators, or
-// a binary grouping's results table. s is its used part.
+// slab is a pooled run of E: a group table's or a base's accumulators, a
+// binary grouping's results table, or a morsel's pair record. s is its
+// used part.
 type slab[E any] struct{ s []E }
 
 // slabPool keeps released slabs in power-of-two capacity classes: class
@@ -34,6 +37,7 @@ type slabPool[E any] struct {
 var (
 	accSlabs   = slabPool[agg.Acc]{scrub: agg.Scrub}
 	valueSlabs = slabPool[types.Value]{scrub: scrubValues}
+	pairSlabs  = slabPool[[2]int32]{scrub: scrubPairs}
 )
 
 // take returns an empty slab with room for n: a released one of the
@@ -67,5 +71,16 @@ func scrubValues(vs []types.Value) {
 	}
 	for i := range vs {
 		vs[i] = poisonValue
+	}
+}
+
+// scrubPairs leaves a released pair record as it is — it holds no
+// references — or, in a build with the race detector, fills it with an
+// offset no morsel has, so that a pair read after release fails.
+func scrubPairs(ps [][2]int32) {
+	if types.PoisonReleased {
+		for i := range ps {
+			ps[i] = [2]int32{-0x0badf00d, -0x0badf00d}
+		}
 	}
 }

@@ -74,10 +74,6 @@ const (
 	// visited before any byte is written. A fired fault is treated as a
 	// write failure and tears the session down. Network site: node is -1.
 	SiteConnWrite
-	// SiteReplicaApply is the replica's apply loop: one visit per
-	// replication frame (snapshot, record, or heartbeat) before it is
-	// applied. Network site: node is -1.
-	SiteReplicaApply
 )
 
 func (s Site) String() string {
@@ -102,8 +98,6 @@ func (s Site) String() string {
 		return "conn-read"
 	case SiteConnWrite:
 		return "conn-write"
-	case SiteReplicaApply:
-		return "replica-apply"
 	}
 	return fmt.Sprintf("site(%d)", uint8(s))
 }
@@ -111,7 +105,7 @@ func (s Site) String() string {
 // ParseSite resolves a site name (the String form) back to a Site; the
 // crash-chaos harness passes sites to its child process by name.
 func ParseSite(name string) (Site, bool) {
-	for _, s := range []Site{SiteOp, SiteMorsel, SiteMemoFill, SiteVec, SiteWALAppend, SiteWALSync, SiteSnapshot, SiteAccept, SiteConnRead, SiteConnWrite, SiteReplicaApply} {
+	for _, s := range []Site{SiteOp, SiteMorsel, SiteMemoFill, SiteVec, SiteWALAppend, SiteWALSync, SiteSnapshot, SiteAccept, SiteConnRead, SiteConnWrite} {
 		if s.String() == name {
 			return s, true
 		}

@@ -47,10 +47,11 @@ func TestTypedErrorsSurviveTheWire(t *testing.T) {
 		}
 	}
 
-	// A replication gap is a protocol failure, which no sentinel names.
-	we := errorFrom(&disqo.QueryError{NodeID: -1, Err: disqo.ErrReplicaGap})
-	if we.Kind != wire.KindProtocol {
-		t.Errorf("ErrReplicaGap maps to %q, want %q", we.Kind, wire.KindProtocol)
+	// An execution failure whose cause no sentinel names is a query
+	// error, and comes back as no sentinel.
+	we := errorFrom(&disqo.QueryError{NodeID: -1, Err: errors.New("scalar subquery returned 2 rows")})
+	if we.Kind != wire.KindQuery {
+		t.Errorf("an unnamed execution failure maps to %q, want %q", we.Kind, wire.KindQuery)
 	}
 	for _, s := range sentinels {
 		if errors.Is(&disqo.ServerError{Kind: we.Kind}, s) {

@@ -28,9 +28,6 @@ disqod_conns 2
 # HELP disqod_inflight_requests Requests currently executing.
 # TYPE disqod_inflight_requests gauge
 disqod_inflight_requests 1
-# HELP disqod_replicas Connected replication streams.
-# TYPE disqod_replicas gauge
-disqod_replicas 0
 # HELP disqod_accepted_total Connections accepted since start.
 # TYPE disqod_accepted_total counter
 disqod_accepted_total 12

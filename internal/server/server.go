@@ -9,17 +9,12 @@
 // typed overloaded error instead of queueing unboundedly; and Shutdown
 // drains gracefully — stop accepting, finish in-flight requests,
 // then hand the engine back to the caller for Close.
-//
-// The same listener also serves replication: a connection that sends
-// an OpReplicate handshake switches to a binary WAL-framed stream
-// (see replicate.go), which is how read replicas follow a writer.
 package server
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -30,26 +25,10 @@ import (
 	"disqo/internal/wire"
 )
 
-// Roles for Config.Role.
-const (
-	// RoleWriter serves reads and writes and, with a DataDir, publishes
-	// its WAL to replicas.
-	RoleWriter = "writer"
-	// RoleReplica serves reads only; OpExec fails with a read_only
-	// error. The replica's apply loop (see Replica) feeds the DB.
-	RoleReplica = "replica"
-)
-
 // Config configures a Server. DB is required; everything else has a
 // serviceable default.
 type Config struct {
 	DB *disqo.DB
-	// Role is RoleWriter (default) or RoleReplica.
-	Role string
-	// DataDir is the writer's WAL directory; setting it enables the
-	// replication publisher. It must be the same dir the DB was opened
-	// with (the server tails the log file the engine writes).
-	DataDir string
 	// MaxConns bounds concurrently-open client connections; beyond it
 	// new connections get one overloaded error and are closed. This
 	// sits in front of the engine's admission gate: the gate bounds
@@ -71,9 +50,6 @@ type Config struct {
 	// SiteConnRead per completed request frame, SiteConnWrite per
 	// response write. Nil costs one branch per visit.
 	Fault *faultinject.Injector
-	// Staleness, on a replica, reports time since the writer was last
-	// heard from (Replica.Staleness); surfaced in ping responses.
-	Staleness func() time.Duration
 	// Logf logs server lifecycle events; nil discards.
 	Logf func(format string, args ...any)
 }
@@ -81,13 +57,6 @@ type Config struct {
 func (c *Config) withDefaults() error {
 	if c.DB == nil {
 		return errors.New("server: Config.DB is required")
-	}
-	switch c.Role {
-	case "":
-		c.Role = RoleWriter
-	case RoleWriter, RoleReplica:
-	default:
-		return fmt.Errorf("server: unknown role %q", c.Role)
 	}
 	if c.MaxConns == 0 {
 		c.MaxConns = 256
@@ -119,8 +88,6 @@ type Stats struct {
 	Conns    int
 	// Inflight is requests currently executing against the engine.
 	Inflight int
-	// Replicas is connections currently streaming replication.
-	Replicas int
 	// Accepted and Shed count connections since start; Requests counts
 	// completed requests.
 	Accepted uint64
@@ -133,14 +100,12 @@ type Stats struct {
 // start with Serve or ListenAndServe, stop with Shutdown.
 type Server struct {
 	cfg Config
-	pub *publisher
 
 	mu       sync.Mutex
 	ln       net.Listener
 	sessions map[*session]struct{}
 	conns    int
 	inflight int
-	replicas int
 	accepted uint64
 	shed     uint64
 	requests uint64
@@ -159,9 +124,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		sessions: make(map[*session]struct{}),
 		drainCh:  make(chan struct{}),
-	}
-	if cfg.DataDir != "" && cfg.Role == RoleWriter {
-		s.pub = &publisher{dir: cfg.DataDir, logf: cfg.Logf}
 	}
 	return s, nil
 }
@@ -187,7 +149,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.ln = ln
 	s.mu.Unlock()
-	s.cfg.Logf("disqod: serving %s on %s", s.cfg.Role, ln.Addr())
+	s.cfg.Logf("disqod: serving on %s", ln.Addr())
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -335,7 +297,6 @@ func (s *Server) Stats() Stats {
 		Sessions: len(s.sessions),
 		Conns:    s.conns,
 		Inflight: s.inflight,
-		Replicas: s.replicas,
 		Accepted: s.accepted,
 		Shed:     s.shed,
 		Requests: s.requests,
@@ -356,7 +317,6 @@ func (s *Server) MetricsText() []byte {
 	add("disqod_sessions", "gauge", "Live client sessions.", float64(st.Sessions))
 	add("disqod_conns", "gauge", "Open client connections.", float64(st.Conns))
 	add("disqod_inflight_requests", "gauge", "Requests currently executing.", float64(st.Inflight))
-	add("disqod_replicas", "gauge", "Connected replication streams.", float64(st.Replicas))
 	add("disqod_accepted_total", "counter", "Connections accepted since start.", float64(st.Accepted))
 	add("disqod_shed_total", "counter", "Connections refused at the connection limit.", float64(st.Shed))
 	add("disqod_requests_total", "counter", "Requests completed since start.", float64(st.Requests))

@@ -19,17 +19,13 @@ import (
 	"disqo/internal/wire"
 )
 
-// startServer opens a DB (volatile unless cfg.DataDir is set, in which
-// case the DB opens over it), starts a server on a loopback port, and
-// registers cleanup that shuts both down. The returned address is ready
-// to dial.
-func startServer(t *testing.T, cfg server.Config, openOpts ...disqo.OpenOption) (*server.Server, *disqo.DB, string) {
+// startServer opens a volatile DB, starts a server on a loopback port,
+// and registers cleanup that shuts both down. The returned address is
+// ready to dial.
+func startServer(t *testing.T, cfg server.Config) (*server.Server, *disqo.DB, string) {
 	t.Helper()
 	if cfg.DB == nil {
-		if cfg.DataDir != "" {
-			openOpts = append(openOpts, disqo.WithDataDir(cfg.DataDir))
-		}
-		db, err := disqo.Open(openOpts...)
+		db, err := disqo.Open()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,8 +155,8 @@ func TestServeQueryExecPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Role != server.RoleWriter || st.Sessions != 1 {
-		t.Fatalf("ping = %+v, want writer with 1 session", st)
+	if st.Sessions != 1 {
+		t.Fatalf("ping = %+v, want 1 session", st)
 	}
 }
 
@@ -210,21 +206,6 @@ func TestServeTypedErrors(t *testing.T) {
 	_, err = c.Query("SELECT k FROM kv WHERE k = (SELECT k FROM kv)")
 	if !errors.As(err, &se) || se.Kind != wire.KindInvalid {
 		t.Fatalf("bad scalar subquery err = %v, want ServerError kind invalid", err)
-	}
-}
-
-func TestServeReplicaRejectsWrites(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	_, _, addr := startServer(t, server.Config{Role: server.RoleReplica})
-	c, err := disqo.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.Exec("CREATE TABLE nope (a INTEGER)")
-	var se *disqo.ServerError
-	if !errors.As(err, &se) || se.Kind != wire.KindReadOnly {
-		t.Fatalf("replica exec err = %v, want kind read_only", err)
 	}
 }
 
@@ -533,7 +514,7 @@ func TestClientReconnectAfterServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1, err := server.New(server.Config{DB: db1, DataDir: dir})
+	srv1, err := server.New(server.Config{DB: db1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +555,7 @@ func TestClientReconnectAfterServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := server.New(server.Config{DB: db2, DataDir: dir})
+	srv2, err := server.New(server.Config{DB: db2})
 	if err != nil {
 		t.Fatal(err)
 	}

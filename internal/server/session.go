@@ -48,8 +48,8 @@ type session struct {
 
 	readerDone chan struct{}
 
-	// busy is set while the worker executes a request or streams
-	// replication; the reader never idle-reaps a busy session.
+	// busy is set while the worker executes a request; the reader never
+	// idle-reaps a busy session.
 	busy atomic.Bool
 	// lastActive is the unix-nano time of the last byte received or
 	// request completed; the idle reaper measures from here.
@@ -255,16 +255,13 @@ func (s *session) writeError(id uint64, kind, msg string) bool {
 }
 
 // handle executes one request frame. It returns false when the session
-// must end (replication took the connection over, or a write failed).
+// must end (a write failed).
 func (s *session) handle(frame []byte) bool {
 	var req wire.Request
 	if err := json.Unmarshal(frame, &req); err != nil {
 		// The frame boundary itself is intact (we split on newline), so
 		// the session can survive one malformed line.
 		return s.writeError(0, wire.KindProtocol, "bad request frame: "+err.Error())
-	}
-	if req.Op == wire.OpReplicate {
-		return s.replicate(req)
 	}
 	s.busy.Store(true)
 	resp := s.dispatch(&req)
@@ -358,9 +355,6 @@ func (s *session) doQuery(req *wire.Request) *wire.Response {
 }
 
 func (s *session) doExec(req *wire.Request) *wire.Response {
-	if s.srv.cfg.Role == RoleReplica {
-		return errResp(req.ID, wire.KindReadOnly, "replica is read-only; send writes to the writer")
-	}
 	if req.SQL == "" {
 		return errResp(req.ID, wire.KindProtocol, "exec requires sql")
 	}
@@ -398,16 +392,9 @@ func (s *session) doSet(req *wire.Request) *wire.Response {
 func (s *session) doPing(req *wire.Request) *wire.Response {
 	st := s.srv.Stats()
 	info := &wire.ServerInfo{
-		Role:     s.srv.cfg.Role,
 		Draining: st.Draining,
 		Sessions: st.Sessions,
 		Conns:    st.Conns,
-	}
-	if s.srv.cfg.Role == RoleReplica {
-		info.AppliedLSN = s.srv.cfg.DB.ReplicaState().AppliedLSN
-		if s.srv.cfg.Staleness != nil {
-			info.StalenessMS = s.srv.cfg.Staleness().Milliseconds()
-		}
 	}
 	return &wire.Response{ID: req.ID, OK: true, Server: info}
 }
@@ -436,8 +423,6 @@ func errorFrom(err error) *wire.Error {
 		we.Kind = wire.KindCanceled
 	case errors.Is(err, disqo.ErrWALSealed):
 		we.Kind = wire.KindSealed
-	case errors.Is(err, disqo.ErrReplicaGap):
-		we.Kind = wire.KindProtocol
 	case !isQueryError:
 		we.Kind = wire.KindInvalid
 	}

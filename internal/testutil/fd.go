@@ -9,8 +9,8 @@ import (
 // VerifyNoFDLeaks snapshots the process's open file-descriptor count
 // and registers a cleanup that fails the test if the count has not
 // returned to that level by the end of the test. Use it in tests that
-// open sockets or files behind abstractions (servers, clients,
-// replication streams) where a leaked descriptor would otherwise go
+// open sockets or files behind abstractions (servers, clients, the
+// WAL) where a leaked descriptor would otherwise go
 // unnoticed until the process hits its rlimit.
 //
 // Counting reads /proc/self/fd, so the check silently no-ops on

@@ -14,9 +14,9 @@ func FuzzWALDecode(f *testing.F) {
 	// Seeds mirror real logs: well-formed sequences, a torn tail, a
 	// zero-filled preallocation, mid-log damage, and header edge cases.
 	var clean []byte
-	clean = AppendFrame(clean, Record{LSN: 1, AppliedVersion: 1, Kind: KindSQL, Body: []byte("CREATE TABLE r (a INTEGER, b VARCHAR)")})
-	clean = AppendFrame(clean, Record{LSN: 2, AppliedVersion: 2, Kind: KindSQL, Body: []byte("INSERT INTO r VALUES (1, 'x')")})
-	clean = AppendFrame(clean, Record{LSN: 3, AppliedVersion: 3, Kind: KindInsert, Body: []byte{0x01, 'r', 0x01, 0x02}})
+	clean = appendFrame(clean, Record{LSN: 1, AppliedVersion: 1, Kind: KindSQL, Body: []byte("CREATE TABLE r (a INTEGER, b VARCHAR)")})
+	clean = appendFrame(clean, Record{LSN: 2, AppliedVersion: 2, Kind: KindSQL, Body: []byte("INSERT INTO r VALUES (1, 'x')")})
+	clean = appendFrame(clean, Record{LSN: 3, AppliedVersion: 3, Kind: KindInsert, Body: []byte{0x01, 'r', 0x01, 0x02}})
 	f.Add(clean)
 	f.Add(clean[:len(clean)-7])
 	f.Add(append(append([]byte{}, clean...), make([]byte, 32)...))
@@ -25,7 +25,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
-	f.Add(AppendFrame(nil, Record{LSN: 9, Kind: KindLoadTPCH, Body: nil}))
+	f.Add(appendFrame(nil, Record{LSN: 9, Kind: KindLoadTPCH, Body: nil}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid, torn, err := Scan(data)
@@ -45,7 +45,7 @@ func FuzzWALDecode(f *testing.F) {
 		// valid prefix, and a rescan of that prefix must be clean.
 		var re []byte
 		for _, rec := range recs {
-			re = AppendFrame(re, rec)
+			re = appendFrame(re, rec)
 		}
 		if !bytes.Equal(re, data[:valid]) {
 			t.Fatalf("re-encode mismatch: %d bytes vs valid prefix %d", len(re), valid)

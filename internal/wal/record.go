@@ -93,23 +93,22 @@ const (
 	frameHeader = 8
 	// payloadFixed is the fixed payload prefix: LSN + AppliedVersion + kind.
 	payloadFixed = 8 + 8 + 1
-	// MaxRecordLen bounds a single payload; a length prefix above it is
+	// maxRecordLen bounds a single payload; a length prefix above it is
 	// treated as damage, never as an allocation request.
-	MaxRecordLen = 1 << 28
+	maxRecordLen = 1 << 28
 )
 
 // castagnoli is the CRC32C table (iSCSI polynomial), the same checksum
 // ext4 and RocksDB use for log frames.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Checksum returns the CRC32C of a payload — exported so tests and the
-// chaos harness can forge or verify frames.
-func Checksum(payload []byte) uint32 {
+// checksum returns the CRC32C of a payload.
+func checksum(payload []byte) uint32 {
 	return crc32.Checksum(payload, castagnoli)
 }
 
-// AppendFrame appends the framed encoding of rec to buf.
-func AppendFrame(buf []byte, rec Record) []byte {
+// appendFrame appends the framed encoding of rec to buf.
+func appendFrame(buf []byte, rec Record) []byte {
 	payloadLen := payloadFixed + len(rec.Body)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(payloadLen))
 	// CRC is computed over the payload about to be appended; reserve the
@@ -121,7 +120,7 @@ func AppendFrame(buf []byte, rec Record) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, rec.AppliedVersion)
 	buf = append(buf, byte(rec.Kind))
 	buf = append(buf, rec.Body...)
-	binary.LittleEndian.PutUint32(buf[crcAt:], Checksum(buf[payloadAt:]))
+	binary.LittleEndian.PutUint32(buf[crcAt:], checksum(buf[payloadAt:]))
 	return buf
 }
 
@@ -181,14 +180,14 @@ func Scan(data []byte) (recs []Record, valid int64, torn bool, err error) {
 		}
 		payloadLen := int(binary.LittleEndian.Uint32(rest))
 		wantCRC := binary.LittleEndian.Uint32(rest[4:])
-		if payloadLen < payloadFixed || payloadLen > MaxRecordLen {
+		if payloadLen < payloadFixed || payloadLen > maxRecordLen {
 			if allZero(rest) {
 				// Preallocated tail that never received a frame.
 				return recs, int64(off), true, nil
 			}
 			return recs, int64(off), false, &RecoveryError{
 				Offset: int64(off),
-				Reason: fmt.Sprintf("frame length %d outside [%d, %d] in non-zero tail", payloadLen, payloadFixed, MaxRecordLen),
+				Reason: fmt.Sprintf("frame length %d outside [%d, %d] in non-zero tail", payloadLen, payloadFixed, maxRecordLen),
 			}
 		}
 		frameEnd := off + frameHeader + payloadLen
@@ -198,7 +197,7 @@ func Scan(data []byte) (recs []Record, valid int64, torn bool, err error) {
 			return recs, int64(off), true, nil
 		}
 		payload := rest[frameHeader : frameHeader+payloadLen]
-		if Checksum(payload) != wantCRC {
+		if checksum(payload) != wantCRC {
 			if frameEnd == len(data) {
 				// Bad checksum on the very last frame: indistinguishable
 				// from a crash that wrote the full length but not all the

@@ -94,16 +94,14 @@ func encodeSnapshot(st CheckpointState, lastLSN uint64) []byte {
 	out = binary.LittleEndian.AppendUint32(out, snapVersion)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
 	out = append(out, body...)
-	out = binary.LittleEndian.AppendUint32(out, Checksum(body))
+	out = binary.LittleEndian.AppendUint32(out, checksum(body))
 	return out
 }
 
-// DecodeSnapshot parses and verifies a complete snapshot file image,
+// decodeSnapshot parses and verifies a complete snapshot file image,
 // returning the checkpointed state and the last LSN the snapshot
-// covers. Exported for the replication layer: a publisher ships
-// snapshot files byte-for-byte and the replica decodes them with the
-// same codec recovery uses.
-func DecodeSnapshot(data []byte) (CheckpointState, uint64, error) {
+// covers.
+func decodeSnapshot(data []byte) (CheckpointState, uint64, error) {
 	var st CheckpointState
 	hdr := len(snapMagic) + 8
 	if len(data) < hdr+4 {
@@ -120,7 +118,7 @@ func DecodeSnapshot(data []byte) (CheckpointState, uint64, error) {
 		return st, 0, fmt.Errorf("snapshot length %d does not match declared body %d", len(data), bodyLen)
 	}
 	body := data[hdr : hdr+bodyLen]
-	if Checksum(body) != binary.LittleEndian.Uint32(data[hdr+bodyLen:]) {
+	if checksum(body) != binary.LittleEndian.Uint32(data[hdr+bodyLen:]) {
 		return st, 0, errors.New("snapshot checksum mismatch")
 	}
 	lastLSN, n := binary.Uvarint(body)
@@ -161,33 +159,6 @@ func DecodeSnapshot(data []byte) (CheckpointState, uint64, error) {
 	st.CatalogVersion = version
 	return st, lastLSN, nil
 }
-
-// NewestSnapshot scans dir for the snapshot file covering the highest
-// LSN and returns its path. ok is false when dir holds no snapshot.
-// Unreadable directories surface as errors; a missing dir is treated
-// as empty.
-func NewestSnapshot(dir string) (path string, lsn uint64, ok bool, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return "", 0, false, nil
-		}
-		return "", 0, false, fmt.Errorf("wal: snapshot scan: %w", err)
-	}
-	for _, e := range entries {
-		if n, k := parseSnapName(e.Name()); k && (!ok || n > lsn) {
-			lsn, ok = n, true
-		}
-	}
-	if !ok {
-		return "", 0, false, nil
-	}
-	return filepath.Join(dir, snapName(lsn)), lsn, true, nil
-}
-
-// LogPath returns the WAL file's path under a data directory — the
-// file the replication publisher tails with Scan.
-func LogPath(dir string) string { return filepath.Join(dir, logName) }
 
 // Checkpoint serializes st to a new snapshot file covering every
 // record logged so far, then truncates the log. On any failure before
@@ -332,7 +303,7 @@ func Recover(dir string) (*RecoveredState, error) {
 		if err != nil {
 			continue
 		}
-		st, lastLSN, err := DecodeSnapshot(data)
+		st, lastLSN, err := decodeSnapshot(data)
 		if err != nil {
 			// An unreadable newer snapshot falls back to an older one; if
 			// the log was already truncated past the older snapshot the

@@ -137,7 +137,7 @@ func (l *Log) Append(kind Kind, appliedVersion uint64, body []byte) (uint64, err
 		return 0, fmt.Errorf("%w (cause: %w)", ErrSealed, l.sealed)
 	}
 	rec := Record{LSN: l.lsn + 1, AppliedVersion: appliedVersion, Kind: kind, Body: body}
-	l.buf = AppendFrame(l.buf[:0], rec)
+	l.buf = appendFrame(l.buf[:0], rec)
 	if l.opts.Injector != nil {
 		if err := l.opts.Injector.Visit(faultinject.SiteWALAppend, -1); err != nil {
 			if errors.Is(err, faultinject.ErrShortWrite) && len(l.buf) > 1 {

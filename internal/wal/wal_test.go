@@ -74,9 +74,9 @@ func TestAppendScanRoundTrip(t *testing.T) {
 func TestScanTornTails(t *testing.T) {
 	var full []byte
 	for i := 1; i <= 3; i++ {
-		full = AppendFrame(full, Record{LSN: uint64(i), Kind: KindSQL, Body: []byte("DELETE FROM r")})
+		full = appendFrame(full, Record{LSN: uint64(i), Kind: KindSQL, Body: []byte("DELETE FROM r")})
 	}
-	frame1 := len(AppendFrame(nil, Record{LSN: 1, Kind: KindSQL, Body: []byte("DELETE FROM r")}))
+	frame1 := len(appendFrame(nil, Record{LSN: 1, Kind: KindSQL, Body: []byte("DELETE FROM r")}))
 
 	cases := []struct {
 		name string
@@ -120,7 +120,7 @@ func TestScanTornTails(t *testing.T) {
 func TestScanMidLogCorruption(t *testing.T) {
 	var full []byte
 	for i := 1; i <= 3; i++ {
-		full = AppendFrame(full, Record{LSN: uint64(i), Kind: KindSQL, Body: []byte("UPDATE r SET a = 1")})
+		full = appendFrame(full, Record{LSN: uint64(i), Kind: KindSQL, Body: []byte("UPDATE r SET a = 1")})
 	}
 	frame1 := len(full) / 3
 
@@ -138,14 +138,14 @@ func TestScanMidLogCorruption(t *testing.T) {
 	}
 
 	// A sequence break inside well-checksummed frames is also corruption.
-	seq := AppendFrame(nil, Record{LSN: 1, Kind: KindSQL, Body: nil})
-	seq = AppendFrame(seq, Record{LSN: 5, Kind: KindSQL, Body: nil})
+	seq := appendFrame(nil, Record{LSN: 1, Kind: KindSQL, Body: nil})
+	seq = appendFrame(seq, Record{LSN: 5, Kind: KindSQL, Body: nil})
 	if _, _, _, err := Scan(seq); !errors.As(err, &re) {
 		t.Fatalf("sequence break: got %v, want *RecoveryError", err)
 	}
 
 	// An unknown kind with a valid checksum is corruption.
-	kind := AppendFrame(nil, Record{LSN: 1, Kind: Kind(99), Body: nil})
+	kind := appendFrame(nil, Record{LSN: 1, Kind: Kind(99), Body: nil})
 	if _, _, _, err := Scan(kind); !errors.As(err, &re) {
 		t.Fatalf("unknown kind: got %v, want *RecoveryError", err)
 	}
@@ -300,7 +300,7 @@ func TestRecoverFiltersPreSnapshotRecords(t *testing.T) {
 	dir := t.TempDir()
 	var data []byte
 	for i := 1; i <= 5; i++ {
-		data = AppendFrame(data, Record{LSN: uint64(i), Kind: KindSQL, Body: []byte("DELETE FROM r")})
+		data = appendFrame(data, Record{LSN: uint64(i), Kind: KindSQL, Body: []byte("DELETE FROM r")})
 	}
 	if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestRecoverCorruptSnapshotFallsBack(t *testing.T) {
 	// But if the log no longer continues the older snapshot, the gap is
 	// a hard error, not silent data loss.
 	var tail []byte
-	tail = AppendFrame(tail, Record{LSN: 5, Kind: KindSQL, Body: []byte("DELETE FROM r")})
+	tail = appendFrame(tail, Record{LSN: 5, Kind: KindSQL, Body: []byte("DELETE FROM r")})
 	if err := os.WriteFile(filepath.Join(dir, logName), tail, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestRecoverTruncatesTornTailOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	var data []byte
 	for i := 1; i <= 2; i++ {
-		data = AppendFrame(data, Record{LSN: uint64(i), Kind: KindSQL, Body: []byte("DELETE FROM r")})
+		data = appendFrame(data, Record{LSN: uint64(i), Kind: KindSQL, Body: []byte("DELETE FROM r")})
 	}
 	whole := len(data)
 	data = append(data, 0x01, 0x02, 0x03) // torn scribble

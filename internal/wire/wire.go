@@ -56,13 +56,8 @@ const (
 	OpClose = "close"
 	// OpSet makes req.Settings the session's defaults.
 	OpSet = "set"
-	// OpPing returns server role, staleness, and session counts.
+	// OpPing returns the server's draining flag and session counts.
 	OpPing = "ping"
-	// OpReplicate switches the connection into a replication stream:
-	// after this handshake line the server sends binary WAL-framed
-	// records (and snapshot/heartbeat frames) starting after
-	// req.FromLSN, and no further JSON flows in either direction.
-	OpReplicate = "replicate"
 )
 
 // Error kinds, mirroring the engine's typed errors across the wire.
@@ -86,8 +81,6 @@ const (
 	// KindInvalid is a parse or planning error: the statement itself is
 	// wrong, retrying cannot help.
 	KindInvalid = "invalid"
-	// KindReadOnly rejects writes on a replica.
-	KindReadOnly = "read_only"
 	// KindSealed maps ErrWALSealed: the writer's log failed closed.
 	KindSealed = "sealed"
 	// KindProtocol is a malformed frame: bad JSON, unknown op, missing
@@ -115,11 +108,6 @@ type Request struct {
 	// deadline is wired into QueryContext, so expiry aborts within one
 	// morsel.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// FromLSN is OpReplicate's resume position: the last WAL record the
-	// replica has applied (0 for a fresh replica). The server streams
-	// records after it, shipping a checkpoint snapshot first when log
-	// truncation left a gap.
-	FromLSN uint64 `json:"from_lsn,omitempty"`
 }
 
 // Response is one server frame.
@@ -166,8 +154,6 @@ func (e *Error) Error() string {
 
 // ServerInfo answers OpPing.
 type ServerInfo struct {
-	// Role is "writer" or "replica".
-	Role string `json:"role"`
 	// Draining is true once SIGTERM arrived: finish in-flight work and
 	// reconnect elsewhere.
 	Draining bool `json:"draining,omitempty"`
@@ -175,9 +161,4 @@ type ServerInfo struct {
 	// counts (equal today; conns counts sockets before handshake too).
 	Sessions int `json:"sessions"`
 	Conns    int `json:"conns"`
-	// AppliedLSN and StalenessMS describe a replica's position: the
-	// last WAL record applied and the time since the writer was last
-	// heard from. Zero on a writer.
-	AppliedLSN  uint64 `json:"applied_lsn,omitempty"`
-	StalenessMS int64  `json:"staleness_ms,omitempty"`
 }

@@ -12,7 +12,7 @@
 # a nested module), the crash-chaos kill sweep on its own (child
 # SIGKILLed at every WAL/snapshot fault-site visit and 72 random log
 # truncations, every recovered state prefix-legal), fifty runs of the
-# close/checkpoint/replica-apply/view-redefinition race tests, the adversarial scenario
+# close/checkpoint/view-redefinition race tests, the adversarial scenario
 # engine's 500-seed differential sweep under -race (its matrix keeps the
 # interpreted-vs-compiled evaluator axis), a debug-listener smoke that scrapes /metrics twice and checks the
 # exposition is well-formed with monotone counters, a kill -9 recovery
@@ -26,13 +26,23 @@
 # tracked size number: non-test Go lines per package outside benchmark/.
 set -eux
 
+# nogrep ARGS... is a grep gate: it passes only when grep ARGS finds
+# nothing (exit 1). A match (exit 0) fails and prints it; so does a
+# named file that is missing or unreadable (exit 2), whose complaint
+# goes to stderr and would leave a test -z "$(grep …)" gate passing.
+nogrep() {
+	rc=0
+	grep "$@" || rc=$?
+	test "$rc" -eq 1
+}
+
 go build ./...
 test -z "$(gofmt -l .)"
 # The shape of the two trees is stated once, in internal/algebra; LIKE
 # means nothing special to the rewriter, the translator or the root
 # package, so a case arm for it there is a hand-copied traversal.
-# (test -z, not "! grep": set -e ignores a negated pipeline.)
-test -z "$(grep -rn 'case \*algebra\.LikeExpr' internal/rewrite internal/translate ./*.go)"
+# (nogrep or test -z, not "! grep": set -e ignores a negated pipeline.)
+nogrep -rn 'case \*algebra\.LikeExpr' internal/rewrite internal/translate ./*.go
 # The query pipeline is stated once in the root package: the WAL and view
 # definitions hold statements as written (normalizeSQL only makes cache
 # keys; view text enters the catalog through catalog.NewView), and no
@@ -42,15 +52,14 @@ test -z "$(grep -n 'normalizeSQL(' $rootsrc | grep -E 'logLocked|NewView')"
 test -z "$(cat $rootsrc | grep 'physical\.NewPlanner(' | tail -n +2)"
 test -z "$(cat $rootsrc | grep 'gate\.acquire(' | tail -n +2)"
 # So is the write path: commit (write.go) is the only caller of the
-# sealed-WAL guard, the cache invalidation and the log append; it,
-# Checkpoint and a replica's snapshot install are the only holders of
-# writeMu; and replay reaches the parser through the write constructors,
-# not on its own.
-test -z "$(cat $rootsrc | grep 'writeMu\.Lock()' | tail -n +4)"
+# sealed-WAL guard, the cache invalidation and the log append; it and
+# Checkpoint are the only holders of writeMu; and replay reaches the
+# parser through the write constructors, not on its own.
+test -z "$(cat $rootsrc | grep 'writeMu\.Lock()' | tail -n +3)"
 test -z "$(cat $rootsrc | grep 'db\.writeGuard()' | tail -n +2)"
 test -z "$(cat $rootsrc | grep 'db\.logLocked(' | tail -n +2)"
 test -z "$(cat $rootsrc | grep 'db\.afterWrite(' | tail -n +2)"
-test -z "$(grep -n 'sqlparser\.ParseStatement(' durability.go replica.go)"
+nogrep -n 'sqlparser\.ParseStatement(' durability.go
 # A DELETE or UPDATE is one planned query over its table, so the root
 # builds an executor in one place (prepared.go's execute) and interprets
 # no expression row by row.
@@ -59,33 +68,33 @@ test "$(cat $rootsrc | grep -c 'exec\.New(')" -eq 1
 # The hashed-row index is written once (types.RowIndex): no hand-rolled
 # "hash → slice of candidates" table in the packages that used to carry
 # one each. And types.Value is 32 bytes by layout, not by unsafe tricks.
-test -z "$(grep -n 'map\[uint64\]\[\]' $(ls internal/exec/*.go internal/agg/*.go internal/storage/*.go write.go | grep -v _test.go))"
-test -z "$(grep -l '"unsafe"' $(ls internal/types/*.go | grep -v _test.go))"
+nogrep -n 'map\[uint64\]\[\]' $(ls internal/exec/*.go internal/agg/*.go internal/storage/*.go write.go | grep -v _test.go)
+nogrep -l '"unsafe"' $(ls internal/types/*.go | grep -v _test.go)
 # An index entry is a row number and a tag, not a row: no entry type
 # holding a row slice comes back, and Γ²'s per-key fold is a group table
 # (one entry per key), not a join index over every row of R⁻.
-test -z "$(grep -n 'rowEntry' $(ls internal/types/*.go | grep -v _test.go))"
-test -z "$(grep -n 'buildIndex(' internal/exec/group.go)"
+nogrep -n 'rowEntry' $(ls internal/types/*.go | grep -v _test.go)
+nogrep -n 'buildIndex(' internal/exec/group.go
 # Planning allocates per plan, not per node visit: the estimator resolves
 # a column's scan once per (operator, attribute), never by walking the
 # plan for each lookup, and the lexer folds keywords in ASCII against its
 # table rather than upper-casing every word.
-test -z "$(grep -n 'algebra\.Walk(' $(ls internal/stats/*.go | grep -v _test.go))"
-test -z "$(grep -n 'strings\.ToUpper(' internal/sqlparser/lexer.go)"
+nogrep -n 'algebra\.Walk(' $(ls internal/stats/*.go | grep -v _test.go)
+nogrep -n 'strings\.ToUpper(' internal/sqlparser/lexer.go
 # Two-valued logic is one translation at the front (translate.TwoValued),
 # not a mode: nothing below the planner names a null mode or lifts a leaf.
-test -z "$(grep -nE 'NullMode|Lift\(|WithNulls|EvalMode' $(ls internal/exec/*.go internal/vec/*.go internal/storage/*.go internal/types/*.go internal/rewrite/*.go internal/physical/*.go internal/stats/*.go | grep -v _test.go))"
+nogrep -nE 'NullMode|Lift\(|WithNulls|EvalMode' $(ls internal/exec/*.go internal/vec/*.go internal/storage/*.go internal/types/*.go internal/rewrite/*.go internal/physical/*.go internal/stats/*.go | grep -v _test.go)
 # A compiled program is run one way, EvalSel over a window of columns
 # indexed from 0: no batch-indexed Eval, row offset or identity row list
 # comes back.
-test -z "$(grep -nE 'ctx\.lo|Identity\(|Eval\(b' $(ls internal/exec/*.go internal/vec/*.go internal/storage/*.go | grep -v _test.go))"
+nogrep -nE 'ctx\.lo|Identity\(|Eval\(b' $(ls internal/exec/*.go internal/vec/*.go internal/storage/*.go | grep -v _test.go)
 # A per-query setting is defined once, in the root's settings table: the
 # client, the server, the wire and both shells reach it by name through
 # disqo.SettingsTable and disqo.Settings and never parse or build one
 # themselves, and the wire carries settings as one object, with no field
 # per setting.
-test -z "$(grep -nE 'ParseStrategy\(|ParseNullMode\(|WithStrategy\(|WithNullMode\(' client.go $(ls internal/server/*.go internal/wire/*.go cmd/disqo/*.go | grep -v _test.go))"
-test -z "$(grep -rnE 'json:"(strategy|nulls)' internal/wire)"
+nogrep -nE 'ParseStrategy\(|ParseNullMode\(|WithStrategy\(|WithNullMode\(' client.go $(ls internal/server/*.go internal/wire/*.go cmd/disqo/*.go | grep -v _test.go)
+nogrep -rnE 'json:"(strategy|nulls)' internal/wire
 # A strategy is stated once, as a row of internal/strategy: its plan
 # function and its executor cache mode. The baselines S1-S3 (models of
 # the paper's commercial systems) are rows only the figure harness names:
@@ -102,7 +111,7 @@ test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! 
 test -z "$(find . -name '*.go' ! -path './.bench_build/*' | xargs grep -nE 'ClassifySubqueries|SubqueryInfo|BlockType')"
 # Result rows have one encoding, the columnar frame: no per-value JSON
 # codec comes back into internal/wire.
-test -z "$(grep -nE 'func \([^)]*\) (Marshal|Unmarshal)JSON\(' $(ls internal/wire/*.go | grep -v _test.go))"
+nogrep -nE 'func \([^)]*\) (Marshal|Unmarshal)JSON\(' $(ls internal/wire/*.go | grep -v _test.go)
 # Disjunctive correlation has one rule, Eqv. 5's tagged binary grouping:
 # no Eqv. 4 rule, fO combiner expression, decomposition or knob to
 # choose between the two comes back.
@@ -116,12 +125,12 @@ test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -pa
 test -z "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs grep -nE 'TableStats|Table\) Stats\(')"
 # Γ folds each group once, in input order, in key partitions: no forced
 # per-morsel chunking and no merge of per-morsel accumulators comes back.
-test -z "$(grep -nE 'forceChunks|Merge\(' $(ls internal/exec/*.go internal/agg/*.go | grep -v _test.go))"
+nogrep -nE 'forceChunks|Merge\(' $(ls internal/exec/*.go internal/agg/*.go | grep -v _test.go)
 # A column reference is a slot: the planner's binder resolves every name
 # once (internal/physical/bind.go), so neither the interpreter nor the
 # compiled programs look a name up in a schema, and Env has no Lookup.
-test -z "$(grep -n '\.Index(' $(ls internal/exec/*.go internal/vec/*.go | grep -v _test.go))"
-test -z "$(grep -nE 'func \([a-z]* ?\*Env\) Lookup\(' $(ls internal/exec/*.go | grep -v _test.go))"
+nogrep -n '\.Index(' $(ls internal/exec/*.go internal/vec/*.go | grep -v _test.go)
+nogrep -nE 'func \([a-z]* ?\*Env\) Lookup\(' $(ls internal/exec/*.go | grep -v _test.go)
 # Eqv. 1's ⟕ over Γ runs as one hashed binary grouping, and the linking
 # selection of an unnested plan runs inside it: Fig. 7's Q1 shows a
 # HashBinaryGroup carrying the predicate, no outer join and no Filter.
@@ -173,7 +182,7 @@ transsrc=$(ls internal/translate/*.go | grep -v _test.go)
 for c in NewGroupBy NewDistinct NewSort NewLimit; do
 	test "$(cat $transsrc | grep -c "algebra\.$c(")" -eq 1
 done
-test -z "$(grep -n 'fmt\.Sscanf' $(ls internal/sqlparser/*.go | grep -v _test.go))"
+nogrep -n 'fmt\.Sscanf' $(ls internal/sqlparser/*.go | grep -v _test.go)
 # No clause is dropped in silence: a global aggregate honours LIMIT, and
 # a nested block's LIMIT is an error that names it. (disqo -e exits 0 on
 # a failed statement, so its output is what is checked.)
@@ -193,10 +202,10 @@ go test -bench=. -benchtime=1x -run '^$' ./...
 (cd benchmark && go test ./...)
 bash benchmark/run.sh -smoke
 go test -race -run 'TestCrashChaos' .
-# The durability race tests interleave Close, checkpoints and replica
-# applies differently on every run; fifty runs each keep a one-in-ten
-# flake from hiding behind a single green run.
-go test -race -count=50 -run 'TestCloseDuringReplicaApply|TestCheckpointRacesDML|TestCloseImmediatelyAfterRecovery|TestViewRedefinitionRacesReaders' .
+# The durability race tests interleave Close, checkpoints and view
+# redefinitions differently on every run; fifty runs each keep a
+# one-in-ten flake from hiding behind a single green run.
+go test -race -count=50 -run 'TestCheckpointRacesDML|TestCloseImmediatelyAfterRecovery|TestViewRedefinitionRacesReaders' .
 # A hashed binary grouping's fold by columns hands each key partition's
 # worker pooled buffers of its own; twenty race runs of the column-path
 # differentials keep a buffer shared across morsel workers from hiding

@@ -20,7 +20,7 @@ import (
 
 // This file is the write path. Every mutation of the committed state —
 // a typed API call, an Exec statement, a log record replayed by crash
-// recovery or applied by a replica — is one write value, built by one
+// recovery — is one write value, built by one
 // constructor per record kind, and commit is the only function that
 // runs one (DESIGN.md §13).
 

@@ -2,9 +2,10 @@
 // definitions with their rows, view definitions, and the per-column
 // statistics the cost model consumes (Table.ColumnStats: distinct count
 // and numeric range, computed for one column on first use and cached
-// with the table version, as is its columnar view, Table.Batch). The
-// translator, estimator and executor resolve names against a Catalog (or
-// one of its Snapshots).
+// with the table version, as is its columnar view, Table.Batch, unless
+// the commit that made the version carried them from its predecessor).
+// The translator, estimator and executor resolve names against a
+// Catalog (or one of its Snapshots).
 //
 // A snapshot carries two counters. Version advances on every commit and
 // names the data; SchemaEpoch advances only on DDL (Create, Drop,
@@ -15,13 +16,24 @@
 //
 // Concurrency model: the committed state is one immutable value, a
 // *Snapshot — table map, view map, commit counter, schema epoch. Every
-// mutation (Create, Drop, CreateView, DropView, InsertRows, ReplaceRows,
-// Restore) builds the next state copy-on-write under the catalog's
-// mutex — new *Table versions, a copy of whichever map it edits — and
-// publishes it with one pointer store. Readers never lock: Snapshot is a pointer
-// load, and whatever plans and executes against it sees the tables and
-// views of exactly one commit, never a torn write, while DML never
-// waits for a slow reader to finish.
+// mutation (Create, Drop, CreateView, DropView, InsertRows, KeepRun,
+// UpdateRows, ReplaceRows, Restore) builds the next state copy-on-write
+// under the catalog's mutex — new *Table versions, a copy of whichever
+// map it edits — and publishes it with one pointer store. Readers never
+// lock: Snapshot is a pointer load, and whatever plans and executes
+// against it sees the tables and views of exactly one commit, never a
+// torn write, while DML never waits for a slow reader to finish.
+//
+// A new table version is built from the one it replaces, not from
+// scratch: InsertRows extends the rows and every built column into the
+// room past them when the version it extends was the last to claim
+// that buffer, and otherwise copies them once with headroom; KeepRun
+// shares the run of rows a DELETE keeps, and UpdateRows every column
+// an UPDATE does not set, with its statistics. What a version publishes
+// never changes: every row and column slice has cap == len, so an
+// append by any reader copies, and the room past it is written only by
+// a later commit, where no published slice reaches. A slice a caller
+// hands in (ReplaceRows, UpdateRows, Restore) is never grown in place.
 //
 // The builder-path methods Table.Insert and Table.BulkLoad mutate a
 // table in place and are reserved for setup-time loaders (datagen)
@@ -50,9 +62,10 @@ type Column struct {
 // Table is a named base relation plus its column statistics and its
 // columnar view. Once a table version is published in a Catalog it is
 // immutable: mutations go through the Catalog's copy-on-write methods,
-// which swap in a fresh *Table. The lazily made statistics and batch are
-// the only mutable state and are guarded by their own mutex, so
-// concurrent snapshot readers may share one version freely.
+// which swap in a new *Table built from the one it replaces. The lazily
+// made statistics and batch are the only mutable state and are guarded
+// by their own mutex, so concurrent snapshot readers may share one
+// version freely.
 type Table struct {
 	Name    string
 	Columns []Column
@@ -63,6 +76,10 @@ type Table struct {
 	// Version are guaranteed to hold identical data, which is what the
 	// result cache keys on for sound invalidation.
 	Version uint64
+
+	// rows places Rel.Tuples in the buffer InsertRows grew it in; zero
+	// when the slice is a caller's or the builder path's.
+	rows storage.Span[[]types.Value]
 
 	statsMu sync.Mutex
 	stats   []*ColumnStats // by column; nil entries not yet computed
@@ -355,20 +372,39 @@ func (t *Table) CheckRow(row []types.Value) error {
 }
 
 // withRows builds the next version of a table, published at the given
-// commit: same name, columns, and schema over a new tuple set, with
-// statistics recomputed lazily on first use.
+// commit: same name, columns, and schema over a new tuple set, capped
+// (cap == len), with no statistics or columns yet.
 func (t *Table) withRows(tuples [][]types.Value, version uint64) *Table {
 	return &Table{
 		Name:    t.Name,
 		Columns: t.Columns,
-		Rel:     &storage.Relation{Schema: t.Rel.Schema, Tuples: tuples},
+		Rel:     &storage.Relation{Schema: t.Rel.Schema, Tuples: slices.Clip(tuples)},
 		Version: version,
 	}
 }
 
+// built returns the version's columnar view if a reader has made it.
+func (t *Table) built() *storage.Batch {
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	return t.batch
+}
+
+// current returns the committed version of pre's table, failing when it
+// is no longer pre: a write computed against pre commits over pre alone.
+func (s *Snapshot) current(pre *Table) (*Table, error) {
+	t, err := s.Lookup(pre.Name)
+	if err == nil && t != pre {
+		err = fmt.Errorf("catalog: %s changed since version %d", pre.Name, pre.Version)
+	}
+	return t, err
+}
+
 // InsertRows appends rows to a table copy-on-write: after arity and
-// type checking, a new table version with a fresh tuple slice is
-// swapped in atomically. In-flight snapshot readers keep the previous
+// type checking, a new table version holding the old rows followed by
+// the new ones is swapped in atomically, its row list and each column
+// the old version had built extended in place or copied once
+// (storage.Span.Extend). In-flight snapshot readers keep the previous
 // version; either all rows commit or none do.
 func (c *Catalog) InsertRows(name string, rows ...[]types.Value) error {
 	return c.commit(func(next *Snapshot) error {
@@ -381,16 +417,79 @@ func (c *Catalog) InsertRows(name string, rows ...[]types.Value) error {
 				return err
 			}
 		}
-		next.tables = with(next.tables, t.Name, t.withRows(t.Rel.CloneAppend(rows...).Tuples, next.version))
+		tuples, span := t.rows.Extend(t.Rel.Tuples, len(rows))
+		copy(tuples[len(t.Rel.Tuples):], rows)
+		v := t.withRows(tuples, next.version)
+		v.rows = span
+		if b := t.built(); b != nil {
+			v.batch = b.Extended(v.Rel, rows)
+		}
+		next.tables = with(next.tables, t.Name, v)
 		return nil
 	})
 }
 
-// ReplaceRows swaps in a new tuple set for the table — the commit step
-// of UPDATE and DELETE, whose new row sets are computed by the caller
-// against a consistent pre-image. It checks no row: the caller has
-// passed each row it changed through CheckRow. The caller must not
-// retain or mutate the slice afterwards.
+// KeepRun commits the version of pre's table that keeps only its rows
+// lo … hi-1: a DELETE whose survivors are one contiguous run. A run of
+// at least half the rows shares pre's row list and every column pre has
+// built (where the run keeps the column's representation); a smaller
+// one is copied out, so a few survivors cannot pin a large buffer, and
+// builds its columns on first use. pre must be the committed version.
+func (c *Catalog) KeepRun(pre *Table, lo, hi int) error {
+	return c.commit(func(next *Snapshot) error {
+		t, err := next.current(pre)
+		if err != nil {
+			return err
+		}
+		if 2*(hi-lo) < len(t.Rel.Tuples) {
+			kept := make([][]types.Value, hi-lo)
+			copy(kept, t.Rel.Tuples[lo:hi])
+			next.tables = with(next.tables, t.Name, t.withRows(kept, next.version))
+			return nil
+		}
+		v := t.withRows(t.Rel.Tuples[lo:hi], next.version)
+		v.rows = t.rows.From(lo)
+		if b := t.built(); b != nil {
+			v.batch = b.Window(v.Rel, lo)
+		}
+		next.tables = with(next.tables, t.Name, v)
+		return nil
+	})
+}
+
+// UpdateRows commits tuples as the rows of pre's table: an UPDATE's new
+// row set, which differs from pre's only in the columns set lists. Every
+// other column pre has built, and its statistics, are shared. It checks
+// no row (the caller has checked each row it changed) and never grows
+// tuples in place; the caller must not retain or mutate it afterwards.
+// pre must be the committed version.
+func (c *Catalog) UpdateRows(pre *Table, tuples [][]types.Value, set []int) error {
+	return c.commit(func(next *Snapshot) error {
+		t, err := next.current(pre)
+		if err != nil {
+			return err
+		}
+		v := t.withRows(tuples, next.version)
+		t.statsMu.Lock()
+		if t.batch != nil {
+			v.batch = t.batch.Sharing(v.Rel, set)
+		}
+		if t.stats != nil {
+			v.stats = slices.Clone(t.stats)
+			for _, i := range set {
+				v.stats[i] = nil
+			}
+		}
+		t.statsMu.Unlock()
+		next.tables = with(next.tables, t.Name, v)
+		return nil
+	})
+}
+
+// ReplaceRows swaps in a new tuple set for the table. It checks no row
+// and never grows tuples in place: a caller may hand in the same slice
+// again, or another version's rows. The caller must not mutate the
+// slice afterwards.
 func (c *Catalog) ReplaceRows(name string, tuples [][]types.Value) error {
 	return c.commit(func(next *Snapshot) error {
 		t, err := next.Lookup(name)
@@ -417,17 +516,18 @@ func (t *Table) Insert(row []types.Value) error {
 
 // BulkLoad appends rows in place without per-row type checking — the
 // data generators produce well-typed rows and load millions of them.
-// Builder path: see Insert.
+// The row list it leaves is capped, as a commit's is. Builder path: see
+// Insert.
 func (t *Table) BulkLoad(rows [][]types.Value) {
-	t.Rel.Tuples = append(t.Rel.Tuples, rows...)
+	t.Rel.Tuples = slices.Clip(append(t.Rel.Tuples, rows...))
 	t.dropDerived()
 }
 
-// dropDerived forgets the statistics and the columnar view of rows a
-// builder-path method has just changed in place.
+// dropDerived forgets the statistics, the columnar view and the place
+// of the rows a builder-path method has just changed in place.
 func (t *Table) dropDerived() {
 	t.statsMu.Lock()
-	t.stats, t.batch = nil, nil
+	t.stats, t.batch, t.rows = nil, nil, storage.Span[[]types.Value]{}
 	t.statsMu.Unlock()
 }
 
@@ -460,12 +560,17 @@ func (t *Table) ColumnStats(i int) *ColumnStats {
 	return t.stats[i]
 }
 
+// hashSlices recycles columnStats' hash slices: a write makes a new
+// table version, whose statistics are computed again on first use.
+var hashSlices = sync.Pool{New: func() any { return new([]uint64) }}
+
 // columnStats scans column i once. Distinct values are counted as
 // distinct hashes, as a hash set would count them, but by sorting one
 // slice of them and counting runs.
 func columnStats(tuples [][]types.Value, i int) *ColumnStats {
 	s := &ColumnStats{}
-	hashes := make([]uint64, len(tuples))
+	pooled := hashSlices.Get().(*[]uint64)
+	hashes := slices.Grow((*pooled)[:0], len(tuples))[:len(tuples)]
 	first := true
 	for r, row := range tuples {
 		v := row[i]
@@ -486,5 +591,7 @@ func columnStats(tuples [][]types.Value, i int) *ColumnStats {
 			s.Distinct++
 		}
 	}
+	*pooled = hashes
+	hashSlices.Put(pooled)
 	return s
 }

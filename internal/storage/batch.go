@@ -23,6 +23,11 @@ type Batch struct {
 	rel  *Relation
 	mu   sync.Mutex
 	cols []atomic.Pointer[ColVec]
+	// spans places each column a write carried into this batch in the
+	// buffers it may grow in (carry.go); nil in a batch no write made,
+	// and set only as the batch is made. A pointer keeps the many
+	// batches of intermediate relations in their size class.
+	spans *[]colSpan
 }
 
 // NewBatch wraps a relation in its columnar view without materializing

@@ -178,19 +178,6 @@ func (r *Relation) ShallowClone() *Relation {
 	return &Relation{Schema: r.Schema, Tuples: append([][]types.Value(nil), r.Tuples...)}
 }
 
-// CloneAppend returns a new relation over the same schema whose tuple
-// slice is a freshly allocated copy of r's with extra appended — the
-// copy-on-write step behind snapshot isolation. The receiver is never
-// touched and the result shares no slice storage with it, so readers
-// holding r keep a stable view while the new version circulates; the
-// rows themselves are shared (they are immutable once stored).
-func (r *Relation) CloneAppend(extra ...[]types.Value) *Relation {
-	tuples := make([][]types.Value, 0, len(r.Tuples)+len(extra))
-	tuples = append(tuples, r.Tuples...)
-	tuples = append(tuples, extra...)
-	return &Relation{Schema: r.Schema, Tuples: tuples}
-}
-
 // Distinct returns a relation with duplicate tuples removed under
 // Identical semantics (NULLs collate equal), preserving first-seen order:
 // the index's entries, which are the first of each tuple in input order,

@@ -168,8 +168,9 @@ func (l *Log) Append(kind Kind, appliedVersion uint64, body []byte) (uint64, err
 	return rec.LSN, nil
 }
 
-// Sync forces an fsync of all appended records.
-func (l *Log) Sync() error {
+// forceSync fsyncs every appended record now, whatever the group-commit
+// policy; the tests use it to observe a sync on demand.
+func (l *Log) forceSync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.sealed != nil {

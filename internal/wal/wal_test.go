@@ -171,7 +171,7 @@ func TestGroupCommit(t *testing.T) {
 		t.Fatalf("after batch boundary: %+v", st)
 	}
 	appendN(t, l, 1)
-	if err := l.Sync(); err != nil {
+	if err := l.forceSync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
 	if st := l.Stats(); st.Syncs != 2 || st.PendingRecords != 0 {
@@ -219,7 +219,7 @@ func TestSealOnInjectedFailure(t *testing.T) {
 			if _, err := l.Append(KindSQL, 0, []byte("Y")); !errors.Is(err, ErrSealed) || !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("append after seal: %v", err)
 			}
-			if err := l.Sync(); !errors.Is(err, ErrSealed) {
+			if err := l.forceSync(); !errors.Is(err, ErrSealed) {
 				t.Fatalf("sync after seal: %v", err)
 			}
 			l.Close()

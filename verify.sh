@@ -12,7 +12,8 @@
 # a nested module), the crash-chaos kill sweep on its own (child
 # SIGKILLed at every WAL/snapshot fault-site visit and 72 random log
 # truncations, every recovered state prefix-legal), fifty runs of the
-# close/checkpoint/view-redefinition race tests, the adversarial scenario
+# close/checkpoint/view-redefinition race tests, twenty of the catalog's
+# pinned-version commit test, the adversarial scenario
 # engine's 500-seed differential sweep under -race (its matrix keeps the
 # interpreted-vs-compiled evaluator axis), a debug-listener smoke that scrapes /metrics twice and checks the
 # exposition is well-formed with monotone counters, a kill -9 recovery
@@ -217,6 +218,13 @@ go test -race -count=20 -run 'TestColumnFoldAgrees|TestColumnPathsAgree|TestDist
 # statements keep a table handed back while another still reads it from
 # hiding behind one green run.
 go test -race -count=10 -run 'TestRecycledTablesConcurrent' .
+# A commit carries its table's rows and columns into the version it
+# publishes, growing them in place past the old version's end or sharing
+# the run a DELETE keeps; twenty race runs of the pinned-version test,
+# whose readers scan every earlier version while the commits go on, keep
+# a write into a slice some version still reads from hiding behind one
+# green run.
+go test -race -count=20 -run TestCommitKeepsPinnedVersions ./internal/catalog
 # Adversarial scenario engine: the full 500-seed differential sweep
 # under -race (every generated query must answer identically across
 # canonical/unnested × interpreted/compiled evaluator × cache tiers ×

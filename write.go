@@ -391,7 +391,9 @@ func (db *DB) dmlRows(src catalog.Reader, tbl *catalog.Table, where sqlparser.Ex
 // value-based (the relation is a bag): identical duplicates live or die
 // together, which coincides with SQL's semantics for a value-based
 // predicate. The kept row set is computed against the stable pre-image
-// and committed as one new table version.
+// and committed as one new table version. When the kept rows are one
+// run — a DELETE of the rows last inserted — the commit is that run
+// (catalog.KeepRun), sharing the pre-image's rows and columns.
 func (db *DB) applyDelete(x *sqlparser.DeleteStmt) (int, []string, error) {
 	snap := db.cat.Snapshot()
 	tbl, err := snap.Lookup(x.Table)
@@ -405,18 +407,36 @@ func (db *DB) applyDelete(x *sqlparser.DeleteStmt) (int, []string, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	kept := make([][]Value, 0, len(tbl.Rel.Tuples))
-	for _, row := range tbl.Rel.Tuples {
-		if matching.First(row, nil) < 0 {
+	// The kept rows are the run [lo, hi) until a second run begins; then
+	// they are listed.
+	rows := tbl.Rel.Tuples
+	lo, hi, deleted := 0, 0, 0
+	var kept [][]Value
+	for i, row := range rows {
+		switch {
+		case matching.First(row, nil) >= 0:
+			deleted++
+		case kept != nil:
+			kept = append(kept, row)
+		case lo == hi:
+			lo, hi = i, i+1
+		case hi == i:
+			hi++
+		default:
+			kept = append(make([][]Value, 0, len(rows)-deleted), rows[lo:hi]...)
 			kept = append(kept, row)
 		}
 	}
 	matching.Release()
-	deleted := len(tbl.Rel.Tuples) - len(kept)
-	if deleted == 0 {
+	switch {
+	case deleted == 0:
 		return 0, nil, nil
+	case kept == nil && lo < hi:
+		err = db.cat.KeepRun(tbl, lo, hi)
+	default:
+		err = db.cat.ReplaceRows(x.Table, kept)
 	}
-	return deleted, []string{x.Table}, db.cat.ReplaceRows(x.Table, kept)
+	return deleted, []string{x.Table}, err
 }
 
 // applyUpdate rewrites the rows satisfying the predicate. The
@@ -426,7 +446,8 @@ func (db *DB) applyDelete(x *sqlparser.DeleteStmt) (int, []string, error) {
 // computed in full against the stable pre-image before the single
 // atomic commit, so concurrent snapshot readers see either every change
 // or none; a changed row that does not fit the table's column types
-// fails the statement whole.
+// fails the statement whole. The new version shares every column the
+// statement does not set (catalog.UpdateRows).
 func (db *DB) applyUpdate(x *sqlparser.UpdateStmt) (int, []string, error) {
 	snap := db.cat.Snapshot()
 	tbl, err := snap.Lookup(x.Table)
@@ -483,5 +504,5 @@ func (db *DB) applyUpdate(x *sqlparser.UpdateStmt) (int, []string, error) {
 		newRows[i] = next
 	}
 	matching.Release()
-	return updated, []string{x.Table}, db.cat.ReplaceRows(x.Table, newRows)
+	return updated, []string{x.Table}, db.cat.UpdateRows(tbl, newRows, targets)
 }

@@ -3,6 +3,7 @@ package disqo
 import (
 	"errors"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -150,6 +151,39 @@ func TestRewritesReported(t *testing.T) {
 	joined := strings.Join(res.Rewrites, ";")
 	if !strings.Contains(joined, "Eqv. 1") || !strings.Contains(joined, "bypass cascade") {
 		t.Errorf("Rewrites = %v", res.Rewrites)
+	}
+}
+
+// TestTraceListsOnlyPlannedRewrites checks that the trace names only
+// rewrites the plan holds: a disjunction the cascade declines keeps its
+// nested IN, so the IN's count conversion, written on the way, is not
+// listed; quant's EXISTS, which does unnest, is.
+func TestTraceListsOnlyPlannedRewrites(t *testing.T) {
+	db := smallDB(t)
+	for _, c := range []struct {
+		name, sql string
+		want      string // a line the trace must hold; "" for none
+	}{
+		{"declined IN", `SELECT * FROM r WHERE a4 IN (SELECT b4 FROM s WHERE b2 = a2 OR b2 = 0) OR a1 > 5`, ""},
+		{"quant", `SELECT DISTINCT * FROM r WHERE EXISTS (SELECT * FROM s WHERE a2 = b2 AND b4 > 2500) OR a4 > 1500`,
+			"quantified: EXISTS → COUNT(*) > 0"},
+	} {
+		res, err := db.Query(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		quantified := 0
+		for _, line := range res.Rewrites {
+			if strings.HasPrefix(line, "quantified:") {
+				quantified++
+			}
+		}
+		switch {
+		case c.want == "" && quantified > 0:
+			t.Errorf("%s: the plan keeps its nested block, but the trace lists %q", c.name, res.Rewrites)
+		case c.want != "" && !slices.Contains(res.Rewrites, c.want):
+			t.Errorf("%s: trace %q lacks %q", c.name, res.Rewrites, c.want)
+		}
 	}
 }
 

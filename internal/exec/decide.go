@@ -40,7 +40,7 @@ import (
 // fused selection every tuple is written as its window is decided. A morsel's
 // buffers (colScratch) serve all its windows, and are handed on to the
 // next morsel, node or query once it is written.
-func (ex *Executor) decideByColumns(b *physical.BinaryGroup, l *storage.Relation, gs []grouping, total int, compiled bool, env *Env) ([][][]types.Value, error) {
+func (ex *Executor) decideByColumns(b *physical.BinaryGroup, l *storage.Relation, gs []grouping, total int, compiled bool, out physical.Output, env *Env) ([]rows, error) {
 	width := b.L.Schema().Len()
 	for j := range gs {
 		if gs[j].tables != nil {
@@ -61,7 +61,7 @@ func (ex *Executor) decideByColumns(b *physical.BinaryGroup, l *storage.Relation
 	emits := emitReads(b, gs)
 	outWidth := b.Schema().Len()
 	return parMorsels(ex, len(l.Tuples),
-		func(w *Executor, lo, hi int) ([][]types.Value, error) {
+		func(w *Executor, lo, hi int) (rows, error) {
 			sc := takeScratch(min(hi-lo, w.msize), hi-lo, width, total, gs)
 			d := decider{w: w, b: b, gs: gs, sc: sc, l: l, env: env, compiled: compiled, width: width, total: total}
 			if w.nm != nil {
@@ -79,34 +79,35 @@ func (ex *Executor) decideByColumns(b *physical.BinaryGroup, l *storage.Relation
 			// its window is decided; otherwise once the morsel is, from the
 			// bit set, with the results the emitted columns read gathered
 			// into res, total each, as the windows are decided.
-			var out [][]types.Value
+			var m rows
 			if b.Keep == nil {
-				out, slab = make([][]types.Value, 0, hi-lo), w.slab(outWidth, hi-lo)
+				m = newRows(hi-lo, out)
+				slab = m.slab(w, outWidth, hi-lo)
 			}
 			var res []types.Value
 			row := sc.results(total)
 			for s := lo; s < hi; s += w.msize {
 				if err := w.slowTick(); err != nil {
-					return nil, err
+					return rows{}, err
 				}
 				n := min(w.msize, hi-s)
 				d.s, d.at = s, s-lo
 				sc.slice(batch, cols, s, s+n)
 				if err := d.window(n, emits); err != nil {
-					return nil, err
+					return rows{}, err
 				}
 				for r := range int32(n) {
 					switch {
 					case b.Keep == nil:
 						if err := d.results(r, emits, row); err != nil {
-							return nil, err
+							return rows{}, err
 						}
-						out = append(out, write(l.Tuples[s+int(r)], row))
+						m.list = append(m.list, write(l.Tuples[s+int(r)], row))
 					case emits != 0 && d.kept(r):
 						at := len(res)
 						res = slices.Grow(res, total)[:at+total]
 						if err := d.results(r, emits, res[at:]); err != nil {
-							return nil, err
+							return rows{}, err
 						}
 					}
 				}
@@ -116,29 +117,27 @@ func (ex *Executor) decideByColumns(b *physical.BinaryGroup, l *storage.Relation
 			}
 			if b.Keep == nil {
 				sc.release()
-				return out, nil
+				return m, nil
 			}
 			count := 0
 			for _, word := range sc.keep {
 				count += bits.OnesCount64(word)
 			}
-			out = make([][]types.Value, count)
+			m = newRows(count, out)
 			if !b.PassLeft {
-				slab = w.slab(outWidth, count)
+				slab = m.slab(w, outWidth, count)
 			}
-			k := 0
 			for i, word := range sc.keep {
 				for ; word != 0; word &= word - 1 {
 					var r []types.Value // none when the emitted columns read no result
-					if emits != 0 {
+					if k := len(m.list); emits != 0 {
 						r = res[k*total:][:total]
 					}
-					out[k] = write(l.Tuples[lo+64*i+bits.TrailingZeros64(word)], r)
-					k++
+					m.list = append(m.list, write(l.Tuples[lo+64*i+bits.TrailingZeros64(word)], r))
 				}
 			}
 			sc.release()
-			return out, nil
+			return m, nil
 		})
 }
 

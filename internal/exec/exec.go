@@ -311,6 +311,7 @@ func (ex *Executor) run(root physical.Node, nodes int) (rel *storage.Relation, e
 	}
 	ex.cur = nil
 	ex.sh.clearAbort()
+	ex.sh.purgeSpent()
 	defer func() {
 		if r := recover(); r != nil {
 			rel, err = nil, ex.fail(ex.recoverError(r))
@@ -646,9 +647,9 @@ func (ex *Executor) evalScan(s *physical.Scan) (*storage.Relation, error) {
 }
 
 // evalFilter is σ: a pass over morsels turns the predicate's truth
-// values into selection vectors of the TRUE rows, each one allocation of
-// exactly its size, and the output gathers the selected row pointers in
-// input order, copying nothing.
+// values into selection vectors of the TRUE rows, each one pooled slab
+// with room for exactly their count, and the output gathers the selected
+// row pointers in input order, copying nothing: its rows are its input's.
 func (ex *Executor) evalFilter(f *physical.Filter, env *Env) (*storage.Relation, error) {
 	in, err := ex.eval(f.Child, env)
 	if err != nil {
@@ -661,7 +662,7 @@ func (ex *Executor) evalFilter(f *physical.Filter, env *Env) (*storage.Relation,
 	truth := morselEval(ex, compiled, f.VecPred, in, env,
 		func(w *Executor, row *Env) (types.TriBool, error) { return w.EvalPred(f.Bound, row) })
 	chunks, err := parMorsels(ex, len(in.Tuples),
-		func(w *Executor, lo, hi int) ([]int32, error) {
+		func(w *Executor, lo, hi int) (*slab[int32], error) {
 			res, err := truth(w, lo, hi)
 			if err != nil {
 				return nil, err
@@ -672,10 +673,10 @@ func (ex *Executor) evalFilter(f *physical.Filter, env *Env) (*storage.Relation,
 					n++
 				}
 			}
-			sel := make([]int32, 0, n)
+			sel := selSlabs.take(n)
 			for i, t := range res {
 				if t.IsTrue() {
-					sel = append(sel, int32(lo+i))
+					*sel = append(*sel, int32(lo+i))
 				}
 			}
 			return sel, nil
@@ -685,14 +686,17 @@ func (ex *Executor) evalFilter(f *physical.Filter, env *Env) (*storage.Relation,
 	}
 	n := 0
 	for _, c := range chunks {
-		n += len(c)
+		n += len(*c)
 	}
-	out := &storage.Relation{Schema: in.Schema, Tuples: make([][]types.Value, 0, n)}
+	m := newRows(n, ex.output(f, env))
 	for _, c := range chunks {
-		for _, i := range c {
-			out.Tuples = append(out.Tuples, in.Tuples[i])
+		for _, i := range *c {
+			m.list = append(m.list, in.Tuples[i])
 		}
+		selSlabs.put(c)
 	}
+	out := m.relation(in.Schema)
+	handBack(f, 0, in, out)
 	return out, nil
 }
 
@@ -709,36 +713,33 @@ func (ex *Executor) evalProject(p *physical.Project, env *Env) (*storage.Relatio
 	if _, err := ex.vecEnter(p); err != nil {
 		return nil, err
 	}
-	prefix := true
-	for j, c := range p.Cols {
-		prefix = prefix && c == j
-	}
+	prefix, out := p.Prefix(), ex.output(p, env)
 	chunks, err := parMorsels(ex, len(in.Tuples),
-		func(w *Executor, lo, hi int) ([][]types.Value, error) {
-			out := make([][]types.Value, hi-lo)
+		func(w *Executor, lo, hi int) (rows, error) {
+			m := newRows(hi-lo, out)
 			var slab rowSlab
 			if !prefix {
-				slab = w.slab(len(p.Cols), hi-lo)
+				slab = m.slab(w, len(p.Cols), hi-lo)
 			}
-			for i, t := range in.Tuples[lo:hi] {
+			for _, t := range in.Tuples[lo:hi] {
 				if prefix {
-					out[i] = t[:len(p.Cols):len(p.Cols)]
+					m.list = append(m.list, t[:len(p.Cols):len(p.Cols)])
 					continue
 				}
 				row := slab.next()
 				for j, c := range p.Cols {
 					row[j] = t[c]
 				}
-				out[i] = row
+				m.list = append(m.list, row)
 			}
-			return out, nil
+			return m, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	out := storage.NewRelation(p.Schema())
-	out.Tuples = concatChunks(chunks)
-	return out, nil
+	rel := relation(p.Schema(), chunks, out)
+	handBack(p, 0, in, rel)
+	return rel, nil
 }
 
 func (ex *Executor) evalRename(r *physical.Rename, env *Env) (*storage.Relation, error) {
@@ -762,27 +763,29 @@ func (ex *Executor) evalMap(m *physical.Map, env *Env) (*storage.Relation, error
 	}
 	values := morselEval(ex, compiled, m.VecExpr, in, env,
 		func(w *Executor, row *Env) (types.Value, error) { return w.EvalExpr(m.Bound, row) })
+	out := ex.output(m, env)
 	chunks, err := parMorsels(ex, len(in.Tuples),
-		func(w *Executor, lo, hi int) ([][]types.Value, error) {
+		func(w *Executor, lo, hi int) (rows, error) {
 			vals, err := values(w, lo, hi)
 			if err != nil {
-				return nil, err
+				return rows{}, err
 			}
-			out := make([][]types.Value, hi-lo)
-			slab := w.slab(m.Schema().Len(), hi-lo)
+			o := newRows(hi-lo, out)
+			slab := o.slab(w, m.Schema().Len(), hi-lo)
 			for i, t := range in.Tuples[lo:hi] {
-				out[i] = slab.emitRow(m.Emit, t, vals[i:i+1])
+				o.list = append(o.list, slab.emitRow(m.Emit, t, vals[i:i+1]))
 			}
-			return out, nil
+			return o, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	out := storage.NewRelation(m.Schema())
-	out.Tuples = concatChunks(chunks)
-	return out, nil
+	rel := relation(m.Schema(), chunks, out)
+	handBack(m, 0, in, rel)
+	return rel, nil
 }
 
+// evalUnion is ∪: one list of both inputs' rows, which are its own.
 func (ex *Executor) evalUnion(u *physical.Union, env *Env) (*storage.Relation, error) {
 	l, err := ex.eval(u.L, env)
 	if err != nil {
@@ -792,17 +795,20 @@ func (ex *Executor) evalUnion(u *physical.Union, env *Env) (*storage.Relation, e
 	if err != nil {
 		return nil, err
 	}
-	out := storage.NewRelation(u.Schema())
-	out.Tuples = make([][]types.Value, 0, len(l.Tuples)+len(r.Tuples))
-	out.Tuples = append(out.Tuples, l.Tuples...)
-	out.Tuples = append(out.Tuples, r.Tuples...)
+	m := newRows(len(l.Tuples)+len(r.Tuples), ex.output(u, env))
+	m.list = append(m.list, l.Tuples...)
+	m.list = append(m.list, r.Tuples...)
+	out := m.relation(u.Schema())
+	handBack(u, 0, l, out)
+	handBack(u, 1, r, out)
 	return out, nil
 }
 
 // evalDistinct is one sequential pass of Relation.Distinct at every
 // worker count: the input is indexed once, in order, so the output keeps
 // first-seen order. Deduplicating morsels in parallel first would index
-// every row twice and copy the survivors' headers once more.
+// every row twice and copy the survivors' headers once more. Its output
+// is its input when no row repeats, so it hands nothing back.
 func (ex *Executor) evalDistinct(d *physical.Distinct, env *Env) (*storage.Relation, error) {
 	in, err := ex.eval(d.Child, env)
 	if err != nil {
@@ -811,27 +817,17 @@ func (ex *Executor) evalDistinct(d *physical.Distinct, env *Env) (*storage.Relat
 	return in.Distinct(), nil
 }
 
+// evalSort is Sort: a stable sort of a copy of its input's list, not of
+// the rows, which are its own.
 func (ex *Executor) evalSort(s *physical.Sort, env *Env) (*storage.Relation, error) {
 	in, err := ex.eval(s.Child, env)
 	if err != nil {
 		return nil, err
 	}
-	out := in.ShallowClone() // sorting permutes the slice, not the rows
+	m := newRows(len(in.Tuples), ex.output(s, env))
+	m.list = append(m.list, in.Tuples...)
+	out := m.relation(in.Schema)
 	out.SortBy(s.Cols, s.Desc)
+	handBack(s, 0, in, out)
 	return out, nil
-}
-
-func concatChunks(chunks [][][]types.Value) [][]types.Value {
-	if len(chunks) == 1 {
-		return chunks[0]
-	}
-	n := 0
-	for _, c := range chunks {
-		n += len(c)
-	}
-	out := make([][]types.Value, 0, n)
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out
 }

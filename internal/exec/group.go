@@ -116,7 +116,7 @@ type groupTable struct {
 func newGroupTable(args []physical.AggArg, rows [][]types.Value, keyCols []int, skipNulls bool, groups, pairs int, base []agg.Acc) *groupTable {
 	gt := &groupTable{ix: types.NewRowIndex(rows, keyCols, skipNulls, groups), base: base,
 		slab: accSlabs.take(groups * len(args)), keys: len(keyCols)}
-	gt.accs = gt.slab.s
+	gt.accs = *gt.slab
 	for j := range args {
 		if cols := args[j].Dedup; cols != nil {
 			if gt.seen == nil {
@@ -138,7 +138,7 @@ func (gt *groupTable) release() {
 		}
 	}
 	if gt.slab != nil {
-		gt.slab.s = gt.accs // grown past the slab, the grown buffer goes back
+		*gt.slab = gt.accs // grown past the slab, the grown buffer goes back
 		accSlabs.put(gt.slab)
 	}
 }
@@ -364,7 +364,7 @@ func selLen(rows [][]types.Value, sel []int32) int {
 // columns, argument columns) — one index per partition where every
 // group's accumulator would otherwise keep a set of its own. A Global
 // grouping emits exactly one row even on empty input — the SQL scalar
-// aggregate.
+// aggregate. Its rows are copies: its input is handed back whole.
 func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, error) {
 	in, err := ex.eval(g.Child, env)
 	if err != nil {
@@ -375,24 +375,25 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 		return nil, err
 	}
 
-	out := storage.NewRelation(g.Schema())
-	na := len(g.Aggs)
-	if g.Global && tables[0].ix.Len() == 0 {
-		row := make([]types.Value, na)
-		for i, item := range g.Aggs {
-			row[i] = item.Spec.Empty()
-		}
-		out.Tuples = [][]types.Value{row}
-		tables[0].release()
-		return out, nil
-	}
+	na, out := len(g.Aggs), ex.output(g, env)
 	groups := 0
 	for _, gt := range tables {
 		groups += gt.ix.Len()
 	}
-	out.Tuples = make([][]types.Value, groups)
-	slab := ex.slab(len(g.KeyCols)+na, groups)
-	for k := range out.Tuples {
+	global := g.Global && groups == 0
+	if global {
+		groups = 1
+	}
+	m := newRows(groups, out)
+	slab := m.slab(ex, len(g.KeyCols)+na, groups)
+	if global {
+		row := slab.next()
+		for i, item := range g.Aggs {
+			row[i] = item.Spec.Empty()
+		}
+		m.list = append(m.list, row)
+	}
+	for len(m.list) < groups {
 		gt := tables[0] // the partition whose next group appeared first
 		for _, q := range tables[1:] {
 			if q.next < q.ix.Len() && (gt.next == gt.ix.Len() || q.ix.RowNum(int32(q.next)) < gt.ix.RowNum(int32(gt.next))) {
@@ -408,12 +409,14 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 		for i := 0; i < na; i++ {
 			row[len(g.KeyCols)+i] = gt.accs[e*na+i].Result()
 		}
-		out.Tuples[k] = row
+		m.list = append(m.list, row)
 	}
 	for _, gt := range tables {
 		gt.release()
 	}
-	return out, nil
+	rel := m.relation(g.Schema())
+	handBack(g, 0, in, rel)
+	return rel, nil
 }
 
 // evalBinaryGroup is Γ² by probing, with or without Eqv. 5's tag, over
@@ -438,7 +441,9 @@ func (ex *Executor) evalGroup(g *physical.Group, env *Env) (*storage.Relation, e
 // their pools once the probe's workers are joined. No output row aliases
 // them: a written row's results are copied out of the results table —
 // the row path's direct one too (writeKept, emitRow), the vector path's
-// through copyResults — and a PassLeft row is its left row.
+// through copyResults — and a PassLeft row is its left row. Then the
+// inputs are handed back: every R, whose rows no output row holds, and
+// L, whose rows a PassLeft node's output then owns.
 func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage.Relation, error) {
 	l, err := ex.eval(b.L, env)
 	if err != nil {
@@ -471,21 +476,23 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 		}
 		ex.metric(b).addColumnFolds(folds)
 	}
-	var chunks [][][]types.Value
+	out := ex.output(b, env)
+	var chunks []rows
 	if ex.opt.Path == PathVector {
-		chunks, err = ex.decideByColumns(b, l, gs, total, compiled, env)
+		chunks, err = ex.decideByColumns(b, l, gs, total, compiled, out, env)
 	} else {
-		chunks, err = ex.probeRows(b, l, gs, total, env)
+		chunks, err = ex.probeRows(b, l, gs, total, out, env)
 	}
 	if err != nil {
 		return nil, err
 	}
+	rel := relation(b.Schema(), chunks, out)
+	handBack(b, 0, l, rel)
 	for j := range gs {
 		gs[j].release()
+		handBack(b, 1+j, gs[j].r, rel)
 	}
-	out := storage.NewRelation(b.Schema())
-	out.Tuples = concatChunks(chunks)
-	return out, nil
+	return rel, nil
 }
 
 // probeRows is the row path's probe, the reference: every left tuple
@@ -495,21 +502,21 @@ func (ex *Executor) evalBinaryGroup(b *physical.BinaryGroup, env *Env) (*storage
 // tuple a run of its results table; otherwise a tuple's results are
 // gathered into the morsel's own, kept while the tuple is, if its
 // emitted columns read them.
-func (ex *Executor) probeRows(b *physical.BinaryGroup, l *storage.Relation, gs []grouping, total int, env *Env) ([][][]types.Value, error) {
+func (ex *Executor) probeRows(b *physical.BinaryGroup, l *storage.Relation, gs []grouping, total int, out physical.Output, env *Env) ([]rows, error) {
 	direct := len(gs) == 1 && gs[0].keyRes != nil
 	need, emits := uint64(1)<<uint(len(gs))-1, emitReads(b, gs)
 	if b.Keep == nil {
 		need = emits
 	}
 	return parMorsels(ex, len(l.Tuples),
-		func(w *Executor, lo, hi int) ([][]types.Value, error) {
+		func(w *Executor, lo, hi int) (rows, error) {
 			// picks records the tuples written: each one's offset and where
 			// its results are in res, -1 for a tuple whose emitted columns
 			// read none. res is the results table when direct, else the
 			// morsel's tuples' results, total each, kept while the tuple's
 			// are written. Keep sees a tuple ◦ its results through kf, kr.
 			ps := pairSlabs.take(hi - lo)
-			picks := ps.s
+			picks := *ps
 			var kf, kr *Env
 			if b.Keep != nil {
 				kf, kr = pairFrames(env)
@@ -529,7 +536,7 @@ func (ex *Executor) probeRows(b *physical.BinaryGroup, l *storage.Relation, gs [
 			}
 			for i, t := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
-					return nil, err
+					return rows{}, err
 				}
 				at := 0
 				if !direct {
@@ -548,7 +555,7 @@ func (ex *Executor) probeRows(b *physical.BinaryGroup, l *storage.Relation, gs [
 					switch {
 					case g.keyRes == nil:
 						if err := scans[j](t, res[at+g.off:][:n]); err != nil {
-							return nil, err
+							return rows{}, err
 						}
 					case direct:
 						at = g.entry(t)
@@ -560,7 +567,7 @@ func (ex *Executor) probeRows(b *physical.BinaryGroup, l *storage.Relation, gs [
 				kept, err := w.holds(b.KeepBound, kf, kr, t, res[at:][:total])
 				switch {
 				case err != nil:
-					return nil, err
+					return rows{}, err
 				case kept && emits != 0:
 					picks = append(picks, [2]int32{int32(i), int32(at)})
 					continue
@@ -574,10 +581,10 @@ func (ex *Executor) probeRows(b *physical.BinaryGroup, l *storage.Relation, gs [
 			if probes != nil {
 				w.metric(b).addProbes(probes)
 			}
-			out := w.writeKept(b, picks, l.Tuples[lo:hi], res, total)
-			ps.s = picks
+			m := w.writeKept(b, picks, l.Tuples[lo:hi], res, total, out)
+			*ps = picks
 			pairSlabs.put(ps)
-			return out, nil
+			return m, nil
 		})
 }
 
@@ -636,10 +643,11 @@ type grouping struct {
 	neg    []int32
 	words  bool
 	base   []agg.Acc
-	// keySlab and baseSlab are the pooled buffers of keyRes, when hashed,
-	// and of base.
+	// keySlab, baseSlab and negSlab are the pooled buffers of keyRes,
+	// when hashed, of base and of neg.
 	keySlab  *slab[types.Value]
 	baseSlab *slab[agg.Acc]
+	negSlab  *slab[int32]
 	// lkey is the left input's key column as ints, when a left tuple's
 	// key is read from it (keyColumn), not from the tuple.
 	lkey *storage.ColVec
@@ -680,14 +688,15 @@ func (ex *Executor) foldGrouping(gr *grouping, g *physical.Grouping, compiled bo
 	// overlay; an untagged hashed Γ² has none.
 	if !hashed || g.Tag != nil {
 		gr.baseSlab = accSlabs.take(len(g.Args))
-		gr.baseSlab.s = newAccs(gr.baseSlab.s, g.Args)
-		gr.base = gr.baseSlab.s
+		*gr.baseSlab = newAccs(*gr.baseSlab, g.Args)
+		gr.base = *gr.baseSlab
 	}
 	var err error
 	if g.Tag != nil {
-		if gr.neg, err = ex.split(g, r, compiled && g.VecTag != nil, newFeed(g.Args, false, env), gr.base, env); err != nil {
+		if gr.negSlab, err = ex.split(g, r, compiled && g.VecTag != nil, newFeed(g.Args, false, env), gr.base, env); err != nil {
 			return err
 		}
+		gr.neg = *gr.negSlab
 	}
 	switch {
 	case g.Theta != types.EQ:
@@ -707,7 +716,7 @@ func (ex *Executor) foldGrouping(gr *grouping, g *physical.Grouping, compiled bo
 			gr.tables, gr.keySlab, err = ex.foldKeys(g, r, gr.neg, keys, gr.base, env)
 		}
 		if err == nil {
-			gr.keyRes = gr.keySlab.s
+			gr.keyRes = *gr.keySlab
 		}
 	default:
 		ex.stats.NLJoins++
@@ -715,11 +724,18 @@ func (ex *Executor) foldGrouping(gr *grouping, g *physical.Grouping, compiled bo
 	return err
 }
 
-// release hands the grouping's tables, results table and base back to
-// their pools, once its binary grouping is written.
+// release hands the grouping's tables, results table, base, R⁻'s
+// selection and sorted rows back to their pools, once its binary
+// grouping is written.
 func (g *grouping) release() {
 	for _, gt := range g.tables {
 		gt.release()
+	}
+	if g.negSlab != nil {
+		selSlabs.put(g.negSlab)
+	}
+	if g.sorted != nil {
+		listSlabs.put(g.sorted.rows)
 	}
 	if g.keySlab != nil {
 		valueSlabs.put(g.keySlab)
@@ -797,7 +813,7 @@ func (ex *Executor) foldKeys(b *physical.Grouping, r *storage.Relation, neg []in
 		size += len(gt.accs)
 	}
 	sl := valueSlabs.take(size)
-	res := sl.s[:len(b.Aggs)]
+	res := (*sl)[:len(b.Aggs)]
 	for i, item := range b.Aggs {
 		if res[i] = item.Spec.Empty(); base != nil {
 			res[i] = base[i].Result()
@@ -809,7 +825,7 @@ func (ex *Executor) foldKeys(b *physical.Grouping, r *storage.Relation, neg []in
 			res = append(res, gt.accs[i].Result())
 		}
 	}
-	sl.s = res
+	*sl = res
 	return tables, sl, nil
 }
 
@@ -817,7 +833,7 @@ func (ex *Executor) foldKeys(b *physical.Grouping, r *storage.Relation, neg []in
 // table: R's rows with a non-NULL grouping value, sorted on it, and the
 // comparison a left value v must stand in to them, v θ value.
 type sortedFold struct {
-	rows  [][]types.Value
+	rows  *slab[[]types.Value]
 	col   int
 	theta types.CompareOp
 }
@@ -834,24 +850,28 @@ type sortedFold struct {
 // caller folds per pair.
 func (ex *Executor) foldSorted(b *physical.Grouping, r *storage.Relation, neg []int32, feed *aggFeed) (*sortedFold, []types.Value, error) {
 	n := selLen(r.Tuples, neg)
-	s := &sortedFold{rows: make([][]types.Value, 0, n), col: b.RCols[0], theta: b.Theta}
+	s := &sortedFold{rows: listSlabs.take(n), col: b.RCols[0], theta: b.Theta}
+	rows := *s.rows
 	for at := range n {
 		t := r.Tuples[pick(neg, at)]
 		if t[s.col].IsNull() {
 			continue
 		}
-		if len(s.rows) > 0 {
-			if _, ok := types.Compare(s.rows[0][s.col], t[s.col]); !ok {
+		if len(rows) > 0 {
+			if _, ok := types.Compare(rows[0][s.col], t[s.col]); !ok {
+				*s.rows = rows
+				listSlabs.put(s.rows)
 				return nil, nil, nil
 			}
 		}
-		s.rows = append(s.rows, t)
+		rows = append(rows, t)
 	}
-	slices.SortStableFunc(s.rows, func(x, y []types.Value) int {
+	*s.rows = rows
+	slices.SortStableFunc(rows, func(x, y []types.Value) int {
 		c, _ := types.Compare(x[s.col], y[s.col])
 		return c
 	})
-	n, m := len(b.Aggs), len(s.rows)
+	n, m := len(b.Aggs), len(rows)
 	accs := newAccs(make([]agg.Acc, 0, len(feed.args)), feed.args)
 	res := make([]types.Value, (m+1)*n)
 	for k := 0; k <= m; k++ {
@@ -859,9 +879,9 @@ func (ex *Executor) foldSorted(b *physical.Grouping, r *storage.Relation, neg []
 			if err := ex.tick(); err != nil {
 				return nil, nil, err
 			}
-			row := s.rows[k-1]
+			row := rows[k-1]
 			if s.suffix() {
-				row = s.rows[m-k]
+				row = rows[m-k]
 			}
 			if err := feed.add(ex, accs, row); err != nil {
 				return nil, nil, err
@@ -883,21 +903,22 @@ func (s *sortedFold) suffix() bool { return s.theta == types.LT || s.theta == ty
 // are a run at one end of the order. It is 0, the empty group, when v is
 // NULL or does not compare with the column's kind.
 func (s *sortedFold) entry(v types.Value) int {
-	if len(s.rows) == 0 {
+	rows := *s.rows
+	if len(rows) == 0 {
 		return 0
 	}
-	if _, ok := types.Compare(v, s.rows[0][s.col]); !ok {
+	if _, ok := types.Compare(v, rows[0][s.col]); !ok {
 		return 0
 	}
 	// The run ends (prefix) or starts (suffix) at the first value above
 	// v — or at or above it, for ≤ and >.
 	above := s.theta == types.LT || s.theta == types.GE
-	pos := sort.Search(len(s.rows), func(i int) bool {
-		c, _ := types.Compare(s.rows[i][s.col], v)
+	pos := sort.Search(len(rows), func(i int) bool {
+		c, _ := types.Compare(rows[i][s.col], v)
 		return c > 0 || c == 0 && !above
 	})
 	if s.suffix() {
-		return len(s.rows) - pos
+		return len(rows) - pos
 	}
 	return pos
 }
@@ -906,8 +927,9 @@ func (s *sortedFold) entry(v types.Value) int {
 // R in morsels — by the compiled program when compiled — and then, in
 // one pass in R order, folds the tuples it holds TRUE on into base and
 // selects the rest, FALSE or UNKNOWN: R⁻, which it returns as their
-// numbers in R, cut once to their counted number — not nil when empty.
-func (ex *Executor) split(b *physical.Grouping, r *storage.Relation, compiled bool, feed *aggFeed, base []agg.Acc, env *Env) ([]int32, error) {
+// numbers in R, in a pooled slab of room for their counted number — not
+// nil when empty.
+func (ex *Executor) split(b *physical.Grouping, r *storage.Relation, compiled bool, feed *aggFeed, base []agg.Acc, env *Env) (*slab[int32], error) {
 	truth := morselEval(ex, compiled, b.VecTag, r, env,
 		func(w *Executor, row *Env) (types.TriBool, error) { return w.EvalPred(b.TagBound, row) })
 	type morsel struct {
@@ -932,14 +954,14 @@ func (ex *Executor) split(b *physical.Grouping, r *storage.Relation, compiled bo
 	for _, c := range chunks {
 		negs += c.neg
 	}
-	neg, i := make([]int32, 0, negs), 0
+	neg, i := selSlabs.take(negs), 0
 	for _, c := range chunks {
 		for _, t := range c.truth {
 			if err := ex.tick(); err != nil {
 				return nil, err
 			}
 			if !t.IsTrue() {
-				neg = append(neg, int32(i))
+				*neg = append(*neg, int32(i))
 			} else if err := feed.add(ex, base, r.Tuples[i]); err != nil {
 				return nil, err
 			}
@@ -952,20 +974,23 @@ func (ex *Executor) split(b *physical.Grouping, r *storage.Relation, compiled bo
 // writeKept cuts the rows of a binary grouping's morsel that picks
 // records, each left ◦ its total results in res, from one slab of
 // exactly their number — or, when b passes its left rows, takes each as
-// its left row cut to width.
-func (w *Executor) writeKept(b *physical.BinaryGroup, picks [][2]int32, left [][]types.Value, res []types.Value, total int) [][]types.Value {
-	out, width := make([][]types.Value, len(picks)), b.Schema().Len()
-	slab := w.slab(width, len(picks))
-	for j, p := range picks {
+// its left row cut to width; out says what of them comes back.
+func (w *Executor) writeKept(b *physical.BinaryGroup, picks [][2]int32, left [][]types.Value, res []types.Value, total int, out physical.Output) rows {
+	m, width := newRows(len(picks), out), b.Schema().Len()
+	var slab rowSlab
+	if !b.PassLeft {
+		slab = m.slab(w, width, len(picks))
+	}
+	for _, p := range picks {
 		var r []types.Value // none for a tuple whose emit list reads none
 		if p[1] >= 0 {
 			r = res[p[1]:][:total]
 		}
 		if b.PassLeft {
-			out[j] = left[p[0]][:width:width]
+			m.list = append(m.list, left[p[0]][:width:width])
 		} else {
-			out[j] = slab.emitRow(b.Emit, left[p[0]], r)
+			m.list = append(m.list, slab.emitRow(b.Emit, left[p[0]], r))
 		}
 	}
-	return out
+	return m
 }

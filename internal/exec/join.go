@@ -53,13 +53,16 @@ func (ex *Executor) buildIndex(rel *storage.Relation, keyCols []int) (*types.Row
 // instead of writing into its neighbour. A chunk holds the rows still to
 // be cut, which callers count exactly, but at most one morsel's worth,
 // so a row that outlives its siblings keeps at most one chunk alive.
+// When the rows come back to the pools (rows.slab), the chunks are taken
+// from there and recorded in own; otherwise they are made to size.
 type rowSlab struct {
 	buf          []types.Value
 	width, rows  int // row width; rows still to be cut
 	maxChunkRows int
+	own          *storage.Owned
 }
 
-// slab returns a slab for n rows of the given width.
+// slab returns a slab for n rows of the given width, made to size.
 func (ex *Executor) slab(width, n int) rowSlab {
 	return rowSlab{width: width, rows: n, maxChunkRows: ex.msize}
 }
@@ -67,7 +70,15 @@ func (ex *Executor) slab(width, n int) rowSlab {
 // next cuts the next row.
 func (s *rowSlab) next() []types.Value {
 	if s.buf == nil || len(s.buf) < s.width {
-		s.buf = make([]types.Value, min(max(s.rows, 1), s.maxChunkRows)*s.width)
+		n := min(max(s.rows, 1), s.maxChunkRows) * s.width
+		if s.own == nil {
+			s.buf = make([]types.Value, n)
+		} else {
+			sl := valueSlabs.take(n)
+			*sl = (*sl)[:n]
+			s.own.Rows = append(s.own.Rows, (*[]types.Value)(sl))
+			s.buf = *sl
+		}
 	}
 	row := s.buf[:s.width:s.width]
 	s.buf = s.buf[s.width:]
@@ -133,7 +144,9 @@ func (ex *Executor) holds(pred *physical.Bound, lf, rf *Env, l, r []types.Value)
 // the column (keyColumn): a left row is touched only when it has a
 // partner, or passes an anti join, a NULL key included. The build side's
 // index goes back to its pool once the probe's workers are joined: an
-// output row holds right rows, never the index.
+// output row holds right rows, never the index. Then both inputs are
+// handed back: an inner join's rows are copies, a semi, anti or PassLeft
+// join's the left input's rows, which its output then owns.
 func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, error) {
 	l, err := ex.eval(j.L, env)
 	if err != nil {
@@ -162,18 +175,19 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 	if ht != nil {
 		lkey = ex.keyColumn(j.L, l, j.LCols)
 	}
+	out := ex.output(j, env)
 	var pending atomic.Int64 // operator-wide output size for the budget
 	chunks, err := parMorsels(ex, len(l.Tuples),
-		func(w *Executor, lo, hi int) ([][]types.Value, error) {
+		func(w *Executor, lo, hi int) (rows, error) {
 			ps := pairSlabs.take(hi - lo)
-			pairs := ps.s
+			pairs := *ps
 			lf, rf := pairFrames(env)
 			for i, lt := range l.Tuples[lo:hi] {
 				if err := w.tick(); err != nil {
-					return nil, err
+					return rows{}, err
 				}
 				if err := w.checkBudget(int(pending.Load())); err != nil {
-					return nil, err
+					return rows{}, err
 				}
 				before, matched := len(pairs), false
 				e, next := int32(-1), 0
@@ -204,11 +218,11 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 						partner, rt, next = int32(next), r.Tuples[next], next+1
 					}
 					if err := w.tick(); err != nil {
-						return nil, err
+						return rows{}, err
 					}
 					ok, err := w.holds(j.Bound, lf, rf, lt, rt)
 					if err != nil {
-						return nil, err
+						return rows{}, err
 					}
 					if !ok {
 						continue
@@ -225,25 +239,25 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 					pending.Add(int64(n))
 				}
 			}
-			out := make([][]types.Value, len(pairs))
+			m := newRows(len(pairs), out)
 			var slab rowSlab
 			if !exists && !j.PassLeft {
-				slab = w.slab(width, len(pairs))
+				slab = m.slab(w, width, len(pairs))
 			}
-			for k, p := range pairs {
+			for _, p := range pairs {
 				lt := l.Tuples[lo+int(p[0])]
 				switch {
 				case exists:
-					out[k] = lt
+					m.list = append(m.list, lt)
 				case j.PassLeft:
-					out[k] = lt[:width:width]
+					m.list = append(m.list, lt[:width:width])
 				default:
-					out[k] = slab.emitRow(j.Emit, lt, r.Tuples[p[1]])
+					m.list = append(m.list, slab.emitRow(j.Emit, lt, r.Tuples[p[1]]))
 				}
 			}
-			ps.s = pairs
+			*ps = pairs
 			pairSlabs.put(ps)
-			return out, nil
+			return m, nil
 		})
 	if err != nil {
 		return nil, err
@@ -251,7 +265,8 @@ func (ex *Executor) evalJoin(j *physical.Join, env *Env) (*storage.Relation, err
 	if ht != nil {
 		ht.Release()
 	}
-	out := storage.NewRelation(j.Schema())
-	out.Tuples = concatChunks(chunks)
-	return out, nil
+	rel := relation(j.Schema(), chunks, out)
+	handBack(j, 0, l, rel)
+	handBack(j, 1, r, rel)
+	return rel, nil
 }

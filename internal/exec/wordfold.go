@@ -153,7 +153,7 @@ func (ex *Executor) foldWords(g *physical.Grouping, wf wordFold, r *storage.Rela
 		size += gt.ix.Len() * na
 	}
 	sl := valueSlabs.take(size)
-	res := sl.s[:na]
+	res := (*sl)[:na]
 	for j := range g.Args {
 		if res[j] = g.Args[j].Spec.Empty(); base != nil {
 			res[j] = base[j].Result()
@@ -168,7 +168,7 @@ func (ex *Executor) foldWords(g *physical.Grouping, wf wordFold, r *storage.Rela
 			}
 		}
 	}
-	sl.s = res
+	*sl = res
 	return tables, sl, nil
 }
 

@@ -303,7 +303,12 @@ func (p *Planner) Lower(op algebra.Op) (Node, error) {
 		p.slab = make([]Bound, 0, algebra.ExprSize(op)+4)
 	}
 	p.markShared(op)
-	return p.whole(op)
+	n, err := p.whole(op)
+	if err != nil {
+		return nil, err
+	}
+	p.markOutputs(n)
+	return n, nil
 }
 
 // markShared enters the operators below op, nested blocks included, in
@@ -312,6 +317,9 @@ func (p *Planner) markShared(op algebra.Op) {
 	if e, seen := p.memo[op]; seen {
 		if !e.shared {
 			p.memo[op] = lowered{node: e.node, shared: true}
+			if e.node != nil {
+				e.node.setShared(true)
+			}
 		}
 		return
 	}
@@ -355,6 +363,9 @@ func (p *Planner) lowerFor(op algebra.Op, need colSet, order *storage.Schema) (N
 	}
 	if need == allCols && order == nil {
 		p.memo[op] = lowered{node: n, shared: e.shared}
+		if e.shared {
+			n.setShared(true)
+		}
 	}
 	if n.ID() >= 0 {
 		return n, nil // a Π, or a cascade's − stream, dissolved into its input

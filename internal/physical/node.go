@@ -50,6 +50,15 @@ type Node interface {
 	// outer binding only.
 	Correlated() bool
 	setCorrelated(bool)
+	// Shared reports whether more than one consumer reads the node's
+	// output: two operators of the plan, or two expressions embedding
+	// its block.
+	Shared() bool
+	// Output is what comes back of the node's output once its consumer
+	// has read it (see Output).
+	Output() Output
+	setShared(bool)
+	setOutput(Output)
 }
 
 // base carries the fields every node shares.
@@ -59,6 +68,8 @@ type base struct {
 	est     float64
 	id      int
 	corr    bool
+	shared  bool
+	out     Output
 }
 
 func (b *base) Logical() algebra.Op     { return b.logical }
@@ -68,6 +79,10 @@ func (b *base) ID() int                 { return b.id }
 func (b *base) setID(id int)            { b.id = id }
 func (b *base) Correlated() bool        { return b.corr }
 func (b *base) setCorrelated(c bool)    { b.corr = c }
+func (b *base) Shared() bool            { return b.shared }
+func (b *base) setShared(s bool)        { b.shared = s }
+func (b *base) Output() Output          { return b.out }
+func (b *base) setOutput(o Output)      { b.out = o }
 
 // JoinMode selects what a join emits: matched pairs (inner), or left
 // tuples with a match (semi) or without one (anti).
@@ -124,6 +139,17 @@ type Project struct {
 
 // Children implements Node.
 func (p *Project) Children() []Node { return []Node{p.Child} }
+
+// Prefix reports whether the projected columns are a prefix of the
+// input's: each output row is then that prefix of its input row.
+func (p *Project) Prefix() bool {
+	for j, c := range p.Cols {
+		if c != j {
+			return false
+		}
+	}
+	return true
+}
 
 // Label implements Node.
 func (p *Project) Label() string { return fmt.Sprintf("Project%s", p.Schema()) }

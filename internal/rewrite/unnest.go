@@ -10,12 +10,19 @@ import (
 )
 
 // unnestSelect attempts to remove nested subqueries from one selection.
-// It returns the (possibly) new plan and whether anything changed.
+// It returns the (possibly) new plan and whether anything changed. When
+// nothing did, the trace is as it was: a conversion written on the way
+// (quantToCount's) is not in the plan.
 func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) {
 	// NNF neither adds nor removes a subquery, so a selection without one
 	// is left alone before anything is built.
 	if !algebra.HasSubquery(sel.Pred) {
 		return sel, false, nil
+	}
+	mark := len(rw.Trace)
+	decline := func(err error) (algebra.Op, bool, error) {
+		rw.Trace = rw.Trace[:mark]
+		return sel, false, err
 	}
 	pred := normalizeNNF(sel.Pred)
 	child := sel.Child
@@ -28,7 +35,7 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 		pred = rw.quantToCount(pred)
 		out, changed, err := rw.unnestDisjunction(child, algebra.SplitDisjuncts(pred), sch)
 		if err != nil || !changed {
-			return sel, false, err
+			return decline(err)
 		}
 		return out, true, nil
 	}
@@ -98,7 +105,7 @@ func (rw *Rewriter) unnestSelect(sel *algebra.Select) (algebra.Op, bool, error) 
 		out = cascaded
 	}
 	if !changed {
-		return sel, false, nil
+		return decline(nil)
 	}
 	// Restore the original schema when the stream was extended.
 	if !out.Schema().Equal(sch) {

@@ -127,6 +127,22 @@ type Relation struct {
 	// (Batch), or the table version's own for a scan's view of it
 	// (Batch.View).
 	batch atomic.Pointer[Batch]
+	// Owned is what of the relation's storage its operator took from
+	// the executor's pools, for the relation's one consumer to hand back:
+	// nil for a table's rows, a result's, and any other relation whose
+	// storage outlives that consumer. A pointer keeps the many
+	// intermediate relations in their size class.
+	Owned *Owned
+}
+
+// Owned is the pooled storage of an intermediate relation: the buffer of
+// its tuple list (nil when it owns none) and the chunks its rows were
+// cut from — by its own operator, or by an input's, whose rows its
+// tuples are. The executor takes and hands them back (internal/exec,
+// recycle.go); storage only carries them.
+type Owned struct {
+	List *[][]types.Value
+	Rows []*[]types.Value
 }
 
 // Batch returns the relation's columnar view, made on first use: every
@@ -162,20 +178,12 @@ func (r *Relation) Append(t []types.Value) {
 // Clone returns a deep copy: both the tuple slice and every row are
 // independent of the original, so mutating a cloned row can never alias
 // tuples pinned elsewhere (the executor memo, a returned result set).
-// Use ShallowClone when only the slice needs to be independent.
 func (r *Relation) Clone() *Relation {
 	tuples := make([][]types.Value, len(r.Tuples))
 	for i, t := range r.Tuples {
 		tuples[i] = append([]types.Value(nil), t...)
 	}
 	return &Relation{Schema: r.Schema, Tuples: tuples}
-}
-
-// ShallowClone returns a relation sharing row storage but with an
-// independent tuple slice: appending to or reordering the clone does
-// not affect the original, but the rows themselves are shared.
-func (r *Relation) ShallowClone() *Relation {
-	return &Relation{Schema: r.Schema, Tuples: append([][]types.Value(nil), r.Tuples...)}
 }
 
 // Distinct returns a relation with duplicate tuples removed under

@@ -202,19 +202,6 @@ func TestRelationCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestRelationShallowCloneSharesRows(t *testing.T) {
-	r := NewRelation(NewSchema("a"))
-	r.Append(ints(1))
-	c := r.ShallowClone()
-	c.Append(ints(2))
-	if r.Cardinality() != 1 || c.Cardinality() != 2 {
-		t.Error("ShallowClone shares the tuple slice")
-	}
-	if &r.Tuples[0][0] != &c.Tuples[0][0] {
-		t.Error("ShallowClone must share row storage")
-	}
-}
-
 func TestRelationCanonical(t *testing.T) {
 	r := NewRelation(NewSchema("a"))
 	r.Append(ints(2))

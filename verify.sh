@@ -12,7 +12,8 @@
 # a nested module), the crash-chaos kill sweep on its own (child
 # SIGKILLed at every WAL/snapshot fault-site visit and 72 random log
 # truncations, every recovered state prefix-legal), fifty runs of the
-# close/checkpoint/view-redefinition race tests, twenty of the catalog's
+# close/checkpoint/view-redefinition race tests, ten each of the recycled
+# tables' and recycled rows' concurrency tests, twenty of the catalog's
 # pinned-version commit test, the adversarial scenario
 # engine's 500-seed differential sweep under -race (its matrix keeps the
 # interpreted-vs-compiled evaluator axis), a debug-listener smoke that scrapes /metrics twice and checks the
@@ -131,6 +132,10 @@ nogrep -nE 'forceChunks|Merge\(' $(ls internal/exec/*.go internal/agg/*.go | gre
 # once (internal/physical/bind.go), so neither the interpreter nor the
 # compiled programs look a name up in a schema, and Env has no Lookup.
 nogrep -n '\.Index(' $(ls internal/exec/*.go internal/vec/*.go | grep -v _test.go)
+# An operator's row list comes from one place, recycle.go's newRows, which
+# takes it from the pool when it comes back and makes it to size when it
+# does not: no operator makes a row list of its own.
+nogrep -n 'make(\[\]\[\]types\.Value' $(ls internal/exec/*.go | grep -v -e _test.go -e recycle.go)
 nogrep -nE 'func \([a-z]* ?\*Env\) Lookup\(' $(ls internal/exec/*.go | grep -v _test.go)
 # Eqv. 1's ⟕ over Γ runs as one hashed binary grouping, and the linking
 # selection of an unnested plan runs inside it: Fig. 7's Q1 shows a
@@ -218,6 +223,13 @@ go test -race -count=20 -run 'TestColumnFoldAgrees|TestColumnPathsAgree|TestDist
 # statements keep a table handed back while another still reads it from
 # hiding behind one green run.
 go test -race -count=10 -run 'TestRecycledTablesConcurrent' .
+# A join's, a Γ²'s and every other operator's intermediate relation hands
+# its row list and row chunks back to the pools once its one consumer is
+# done, poisoned on release under -race; ten race runs of eight goroutines
+# over the Fig. 7 and eqv5_linear statements, a join memoized across
+# outer tuples and a join two operators read keep a relation handed back
+# while another still reads it from hiding behind one green run.
+go test -race -count=10 -run 'TestRecycledRowsConcurrent' .
 # A commit carries its table's rows and columns into the version it
 # publishes, growing them in place past the old version's end or sharing
 # the run a DELETE keeps; twenty race runs of the pinned-version test,
